@@ -30,8 +30,10 @@ N_SAMPLES = int(os.environ.get("REPRO_BENCH_SAMPLES", "24"))
 #: Training epochs for benchmark models (override with REPRO_BENCH_EPOCHS).
 N_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "20"))
 
-#: Where the machine-readable perf summary of a benchmark session is written.
-PERF_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_pr10.json"
+#: Where the machine-readable perf summary of a benchmark session is written:
+#: under the git-ignored build directory, so running the tests never touches
+#: the tracked ``BENCH_pr*.json`` files (the frozen historical record).
+PERF_JSON_PATH = Path(__file__).resolve().parents[1] / ".bench_build" / "benchmarks" / "session.json"
 
 #: Scalar perf findings recorded by the benchmark modules during the session
 #: (wall times, speedups, solver phase breakdowns), keyed by benchmark name.
@@ -52,13 +54,14 @@ def perf_recorder():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write ``BENCH_pr10.json`` so perf is tracked across PRs.
+    """Write the session's perf summary to :data:`PERF_JSON_PATH`.
 
     Only written when at least one benchmark recorded metrics (running the
     unit-test suite alone leaves the file untouched).
     """
     if not _PERF_RECORDS:
         return
+    PERF_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": "repro-perf-v1",
         "written_at_unix": time.time(),

@@ -40,10 +40,8 @@ REPEATS = 3
 
 @pytest.fixture(scope="module")
 def serving_engine9(framework9):
-    """Batched steal-schedule engine over the session's trained case9 model."""
-    engine = WarmStartEngine.from_trainer(
-        framework9.artifacts.trainer, execution="batch", schedule="steal"
-    )
+    """Serving engine over the session's trained case9 model."""
+    engine = WarmStartEngine.from_trainer(framework9.artifacts.trainer)
     yield engine
     engine.close()
 

@@ -150,27 +150,31 @@ def test_bench_engine_throughput_vs_sequential(benchmark, framework118, perf_rec
 
 
 def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_recorder):
-    """Lockstep batched backend vs the per-scenario solve loop, one process.
+    """Lockstep batched backend vs an explicit scalar ``solve_opf`` loop, one process.
 
-    This isolates the tentpole claim from multi-core effects: identical warm
-    starts, identical single-worker fleet machinery, only the execution mode
-    differs.  The ≥2x gate is enforced under ``REPRO_BENCH_STRICT=1`` (wall
+    This isolates the batching claim from multi-core effects: identical warm
+    starts, one persistent model on either side, only the solver differs (the
+    paper-style "vs sequential" figure).  The ≥2x gate is enforced under ``REPRO_BENCH_STRICT=1`` (wall
     -clock ratios flake on loaded shared runners); the measured speedup and
     the batch solver's phase breakdown are always recorded.
     """
-    from repro.parallel import SolverFleet
+    from repro.opf import OPFModel
 
     case = framework118.case
     engine = framework118.engine
+    options = framework118.config.opf
     scenarios = generate_scenarios(case, 16, variation=0.05, seed=21)
     warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
 
-    with SolverFleet(case, options=framework118.config.opf, execution="scenario") as fleet:
-        t0 = time.perf_counter()
-        sweep_scenario = fleet.solve(scenarios, warm_starts)
-        scenario_wall = time.perf_counter() - t0
+    model = OPFModel(case, flow_limits=options.flow_limits)
+    t0 = time.perf_counter()
+    scalar = [
+        solve_opf(case, warm_start=warm, Pd_mw=s.Pd, Qd_mvar=s.Qd, options=options, model=model)
+        for s, warm in zip(scenarios, warm_starts)
+    ]
+    scenario_wall = time.perf_counter() - t0
 
-    with SolverFleet(case, options=framework118.config.opf, execution="batch") as fleet:
+    with SolverFleet(case, options=options) as fleet:
         # Prime the batched evaluation model (pattern plans are built once per
         # case; a serving engine amortises this over its lifetime).
         fleet.solve(generate_scenarios(case, 2, variation=0.05, seed=1))
@@ -207,10 +211,9 @@ def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_re
     # Objectives agree to the solver's own convergence scale: two converged
     # trajectories may stop at slightly different points inside the 1e-6
     # tolerance band once float associativity differs.
-    assert sweep_batch.n_scenarios == sweep_scenario.n_scenarios == len(scenarios)
-    for got, ref in zip(sweep_batch.outcomes, sweep_scenario.outcomes):
-        assert got.scenario_id == ref.scenario_id
-        assert got.converged == ref.converged
+    assert sweep_batch.n_scenarios == len(scalar) == len(scenarios)
+    for got, ref in zip(sweep_batch.outcomes, scalar):
+        assert got.converged == ref.success
         if ref.success:
             assert got.iterations == ref.iterations
             assert abs(got.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
@@ -229,9 +232,6 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
       iteration (the per-slot loop),
     * ``blockdiag``: one batched plan-based assembly, one block-diagonal
       SuperLU factorisation and one stacked backsolve per iteration,
-    * ``blockdiag`` + ``kkt_factor_threads=2``: the same numbers produced by
-      per-block factorisations fanned out on a thread pool (bit-identical by
-      construction; the win needs >1 physical core),
     * ``ldl``: the same-pattern LDLᵀ refactorisation backend — symbolic
       analysis cached once, level-scheduled vectorised numeric phase over the
       whole batch plane, guarded iterative refinement.
@@ -256,22 +256,17 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
     warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
     baseline = recorded_blockdiag_baseline()
 
-    def options_for(backend, threads=1):
+    def options_for(backend):
         opts = framework118.config.opf
-        return replace(
-            opts,
-            mips=replace(opts.mips, kkt_solver=backend, kkt_factor_threads=threads),
-        )
+        return replace(opts, mips=replace(opts.mips, kkt_solver=backend))
 
-    def run(backend, threads=1, bench=False, repeats=8):
+    def run(backend, bench=False, repeats=8):
         """Best-of-``repeats`` sweep: wall-clock ratios on shared runners are
         dominated by scheduler noise, and the *minimum* wall is the cleanest
         estimate of what the backend actually costs.  On a contended 1-vCPU
         VM the per-sweep wall spreads ~±15 % around its floor; eight samples
         bring the min within a couple percent of it (three do not)."""
-        with SolverFleet(
-            case, options=options_for(backend, threads), execution="batch"
-        ) as fleet:
+        with SolverFleet(case, options=options_for(backend)) as fleet:
             fleet.solve(generate_scenarios(case, 2, variation=0.05, seed=1))
             if bench:
                 sweep = benchmark.pedantic(
@@ -287,17 +282,15 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
 
     sweep_slot, slot_wall = run("factorized")
     sweep_block, block_wall = run("blockdiag")
-    sweep_threaded, threaded_wall = run("blockdiag", threads=2, repeats=1)
     sweep_ldl, ldl_wall = run("ldl", bench=True)
 
     walls = {
         "per_slot": slot_wall,
         "blockdiag": block_wall,
-        "blockdiag_threads2": threaded_wall,
         "ldl": ldl_wall,
     }
     throughputs = {k: len(scenarios) / w for k, w in walls.items()}
-    best_new = max(throughputs["ldl"], throughputs["blockdiag_threads2"])
+    best_new = throughputs["ldl"]
     speedup_vs_baseline = best_new / baseline
     benchmark.extra_info.update(
         {f"{k}_scen_per_s": v for k, v in throughputs.items()}
@@ -327,41 +320,31 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
         n_scenarios=len(scenarios),
         per_slot_wall_seconds=walls["per_slot"],
         blockdiag_wall_seconds=walls["blockdiag"],
-        blockdiag_threads2_wall_seconds=walls["blockdiag_threads2"],
         ldl_wall_seconds=walls["ldl"],
         per_slot_scen_per_s=throughputs["per_slot"],
         blockdiag_scen_per_s=throughputs["blockdiag"],
-        blockdiag_threads2_scen_per_s=throughputs["blockdiag_threads2"],
         ldl_scen_per_s=throughputs["ldl"],
         pr5_baseline_scen_per_s=baseline,
         best_new_backend_speedup_vs_pr5=speedup_vs_baseline,
         blockdiag_factorization_share=factor_share(sweep_block),
         ldl_factorization_share=factor_share(sweep_ldl),
         blockdiag_kkt_telemetry=telemetry_of(sweep_block),
-        blockdiag_threads2_kkt_telemetry=telemetry_of(sweep_threaded),
         ldl_kkt_telemetry=telemetry_of(sweep_ldl),
     )
     print(
         f"\nKKT backends (case118s, B=16, 1 process): per-slot "
         f"{throughputs['per_slot']:.1f}, blockdiag {throughputs['blockdiag']:.1f}, "
-        f"blockdiag+2threads {throughputs['blockdiag_threads2']:.1f}, "
         f"ldl {throughputs['ldl']:.1f} scen/s; best new backend vs BENCH_pr5 "
         f"baseline {baseline:.1f} scen/s: {speedup_vs_baseline:.2f}x"
     )
 
-    # Drop-in parity on any machine: blockdiag and its threaded variant are
-    # bit-identical to the per-slot loop; ldl agrees in convergence and
+    # Drop-in parity on any machine: blockdiag is bit-identical to the
+    # per-slot loop; ldl agrees in convergence and
     # objective at solver precision (its refined Newton steps can legitimately
     # differ in the last bits).
-    for sweep in (sweep_block, sweep_threaded, sweep_ldl):
+    for sweep in (sweep_block, sweep_ldl):
         assert sweep.n_scenarios == sweep_slot.n_scenarios == len(scenarios)
     for got, ref in zip(sweep_block.outcomes, sweep_slot.outcomes):
-        assert got.scenario_id == ref.scenario_id
-        assert got.converged == ref.converged
-        if ref.success:
-            assert got.iterations == ref.iterations
-            assert got.objective == ref.objective
-    for got, ref in zip(sweep_threaded.outcomes, sweep_block.outcomes):
         assert got.scenario_id == ref.scenario_id
         assert got.converged == ref.converged
         if ref.success:
@@ -380,98 +363,18 @@ def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
         )
 
 
-def test_bench_elastic_scheduler_skewed_batch(benchmark, framework118, perf_recorder):
-    """Work stealing vs static chunking on a skewed warm batch.
-
-    One scenario is *unpredictably* slow: its loads are stressed well beyond
-    the training distribution, so its model warm start is poor and the solve
-    takes several times the iterations of its neighbours — while the cost
-    heuristic (which only sees warm-vs-cold and outage flags) still predicts
-    it cheap.  Cost-balanced static chunking therefore packs a full chunk
-    behind it and that worker serialises the sweep; the steal schedule
-    confines the surprise to one micro-batch and lets idle workers pull the
-    rest of the queue.
-
-    The ≥1.3x throughput gate over static chunking needs real parallelism,
-    so it is enforced only under ``REPRO_BENCH_STRICT=1`` *and* more than one
-    worker; measured walls, the skew factor and the speedup are always
-    recorded into the session perf JSON.
-    """
-    case = framework118.case
-    engine = framework118.engine
-    base = generate_scenarios(case, 24, variation=0.05, seed=31)
-    slow = Scenario(0, base[0].Pd * 1.3, base[0].Qd * 1.3)
-    scenarios = ScenarioSet(case.name, [slow] + list(base.scenarios)[1:])
-    warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
-    warmup = generate_scenarios(case, 2, variation=0.05, seed=1)
-
-    def make_fleet(schedule, microbatch=None):
-        fleet = SolverFleet(
-            case,
-            options=framework118.config.opf,
-            n_workers=N_WORKERS,
-            execution="batch",
-            schedule=schedule,
-            microbatch=microbatch,
-        )
-        fleet.solve(warmup)  # spawn workers and build models outside the timing
-        return fleet
-
-    with make_fleet("static") as fleet:
-        sweep_static = fleet.solve(scenarios, warm_starts)
-    with make_fleet("steal", microbatch=2) as fleet:
-        sweep_steal = benchmark.pedantic(
-            lambda: fleet.solve(scenarios, warm_starts), rounds=1, iterations=1
-        )
-
-    its = sorted(o.final_iterations for o in sweep_steal.outcomes)
-    skew = its[-1] / max(its[len(its) // 2], 1)
-    speedup = sweep_static.wall_seconds / sweep_steal.wall_seconds
-    benchmark.extra_info["static_wall_seconds"] = sweep_static.wall_seconds
-    benchmark.extra_info["steal_wall_seconds"] = sweep_steal.wall_seconds
-    benchmark.extra_info["steal_speedup"] = speedup
-    benchmark.extra_info["iteration_skew"] = skew
-    benchmark.extra_info["n_workers"] = N_WORKERS
-    perf_recorder(
-        "elastic_scheduler_skewed_batch",
-        case="case118s",
-        n_scenarios=len(scenarios),
-        n_workers=N_WORKERS,
-        static_wall_seconds=sweep_static.wall_seconds,
-        steal_wall_seconds=sweep_steal.wall_seconds,
-        steal_speedup=speedup,
-        iteration_skew=skew,
-    )
-    print(
-        f"\nElastic scheduler (case118s, {N_WORKERS} worker(s), skew {skew:.1f}x): "
-        f"static {len(scenarios) / sweep_static.wall_seconds:.1f} scen/s, "
-        f"steal {len(scenarios) / sweep_steal.wall_seconds:.1f} scen/s, "
-        f"speedup {speedup:.2f}x"
-    )
-
-    # Result invariants hold on any machine: same scenarios, same convergence.
-    assert sweep_steal.n_scenarios == sweep_static.n_scenarios == len(scenarios)
-    for a, b in zip(sweep_static.outcomes, sweep_steal.outcomes):
-        assert a.scenario_id == b.scenario_id
-        assert a.converged == b.converged
-    if STRICT and N_WORKERS > 1:
-        assert speedup >= 1.3, (
-            f"steal speedup {speedup:.2f}x below the 1.3x skewed-workload target"
-        )
-
-
 def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recorder):
     """Cross-sweep contingency batching vs fragmented per-sweep screening.
 
     Four N-1 screening sweeps share an outage-branch set but hold only one
-    scenario per branch each, so the per-sweep static batch path degenerates
-    to singleton scalar solves per branch — the fragmentation the ROADMAP
+    scenario per branch each, so solving sweep by sweep degenerates to
+    width-1 lockstep groups per branch — the fragmentation the ROADMAP
     flags.  ``solve_many`` merges the sweeps: each branch collects its four
     scenarios into one lockstep group (served by the worker's memoized
     per-branch batched model) and the load-only scenarios march together,
     recovering the batch win.  Measurable on a single core because batched
-    evaluation dominates scalar evaluation on case118s; the grouped results
-    stay bitwise-comparable to the elastic per-sweep path (pinned by
+    evaluation amortises with width on case118s; the grouped results stay
+    bitwise-identical to the per-sweep path (pinned by
     ``tests/test_contingency_grouping.py``).
     """
     case = framework118.case
@@ -488,21 +391,18 @@ def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recor
     for _ in range(n_sweeps):
         members = []
         for i in range(per_sweep):
-            outage = branches[i] if i < len(branches) else None
-            members.append(Scenario(i, samples[k].Pd, samples[k].Qd, outage_branch=outage))
+            outage = (branches[i],) if i < len(branches) else ()
+            members.append(Scenario(i, samples[k].Pd, samples[k].Qd, outage_branches=outage))
             k += 1
         sweeps.append(ScenarioSet(case.name, members))
 
     options = framework118.config.opf
-    with SolverFleet(case, options=options, execution="batch", schedule="static") as fleet:
+    with SolverFleet(case, options=options) as fleet:
         fleet.solve(sweeps[0])  # prime models/patterns outside the timing
         t0 = time.perf_counter()
         for sweep in sweeps:
             fleet.solve(sweep)
         fragmented_wall = time.perf_counter() - t0
-
-    with SolverFleet(case, options=options, execution="batch", schedule="steal") as fleet:
-        fleet.solve(sweeps[0])
         grouped = benchmark.pedantic(
             lambda: fleet.solve_many(sweeps), rounds=1, iterations=1
         )

@@ -43,7 +43,7 @@ def main() -> None:
 
     # ------------------------------------------------------------ scenario sweep
     scenarios = generate_scenarios(case, n_scenarios, variation=0.1, contingency_fraction=0.25, seed=3)
-    outages = sum(1 for s in scenarios if s.outage_branch is not None)
+    outages = sum(1 for s in scenarios if s.outage_branches)
     print(f"\nGenerated {len(scenarios)} scenarios ({outages} with an N-1 branch outage)")
 
     # One batched forward pass covers the whole sweep.

@@ -137,8 +137,6 @@ def load_artifact(
     opf_options: Optional[OPFOptions] = None,
     fallback: object = PERSISTED_FALLBACK,
     opf_model: Optional[OPFModel] = None,
-    execution: str = "scenario",
-    schedule: str = "static",
     microbatch: Optional[int] = None,
 ) -> WarmStartEngine:
     """Reconstruct a :class:`WarmStartEngine` from an artifact file.
@@ -149,8 +147,8 @@ def load_artifact(
     values and can be overridden for the new deployment; passing
     ``fallback=None`` explicitly selects no recovery
     (:class:`~repro.engine.fallback.NoFallback`), as everywhere else.
-    ``execution``, ``schedule`` and ``microbatch`` configure the solver
-    fleet (they are deployment choices, not part of the trained artifact).
+    ``microbatch`` configures the solver fleet (a deployment choice, not part
+    of the trained artifact).
     """
     try:
         arrays, meta = load_bundle(path)
@@ -193,7 +191,11 @@ def load_artifact(
 
     if opf_options is None:
         opf_dict = dict(meta["opf_options"])
-        opf_dict["mips"] = MIPSOptions(**opf_dict["mips"])
+        mips_dict = dict(opf_dict["mips"])
+        # Retired option (threaded block factorisation, bit-identical to
+        # serial by contract) that artifacts written before its removal carry.
+        mips_dict.pop("kkt_factor_threads", None)
+        opf_dict["mips"] = MIPSOptions(**mips_dict)
         opf_options = OPFOptions(**opf_dict)
 
     if fallback is PERSISTED_FALLBACK:
@@ -206,7 +208,5 @@ def load_artifact(
         opf_options=opf_options,
         fallback=get_fallback_policy(fallback),
         opf_model=opf_model,
-        execution=execution,
-        schedule=schedule,
         microbatch=microbatch,
     )

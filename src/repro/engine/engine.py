@@ -42,9 +42,8 @@ from repro.nn.modules import Module
 from repro.opf.model import OPFModel
 from repro.opf.solver import OPFOptions
 from repro.opf.warmstart import WarmStart
-from repro.parallel.pool import EXECUTION_MODES, SolverFleet, SweepResult
+from repro.parallel.pool import SolverFleet, SweepResult
 from repro.parallel.scenarios import Scenario, ScenarioSet
-from repro.parallel.scheduler import SCHEDULES
 from repro.testing.faults import FaultPlan
 from repro.utils.logging import get_logger
 
@@ -101,10 +100,7 @@ class WarmStartEngine:
         opf_options: Optional[OPFOptions] = None,
         fallback: Union[str, FallbackPolicy, None] = "cold_restart",
         opf_model: Optional[OPFModel] = None,
-        execution: str = "scenario",
         kkt_solver: Optional[str] = None,
-        kkt_factor_threads: Optional[int] = None,
-        schedule: str = "static",
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultPlan] = None,
@@ -123,37 +119,22 @@ class WarmStartEngine:
         )
         self._swap_lock = threading.Lock()
         self.opf_options = opf_options or OPFOptions()
-        if kkt_solver is not None or kkt_factor_threads is not None:
-            # Convenience overrides so deployments can pick the KKT backend
+        if kkt_solver is not None:
+            # Convenience override so deployments can pick the KKT backend
             # (e.g. "blockdiag" for lockstep batch serving, "ldl" for the
-            # refactorisation backend) and its factorisation thread count
-            # without rebuilding the whole (frozen) option tree by hand.
-            mips_overrides = {}
-            if kkt_solver is not None:
-                mips_overrides["kkt_solver"] = kkt_solver
-            if kkt_factor_threads is not None:
-                mips_overrides["kkt_factor_threads"] = kkt_factor_threads
+            # refactorisation backend) without rebuilding the whole (frozen)
+            # option tree by hand.
             self.opf_options = replace(
                 self.opf_options,
-                mips=replace(self.opf_options.mips, **mips_overrides),
+                mips=replace(self.opf_options.mips, kkt_solver=kkt_solver),
             )
             self.opf_options.mips.validate()
         self.fallback = get_fallback_policy(fallback)
         self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
-        if execution not in EXECUTION_MODES:
-            # Fail at construction, not at the first (lazy) fleet creation.
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
         if microbatch is not None and microbatch < 1:
+            # Fail at construction, not at the first (lazy) fleet creation.
             raise ValueError("microbatch must be positive")
-        #: Worker execution mode: ``"scenario"`` (per-scenario solves) or
-        #: ``"batch"`` (lockstep batched MIPS per worker).
-        self.execution = execution
-        #: Fleet scheduling policy: ``"static"`` (cost-balanced fixed chunks)
-        #: or ``"steal"`` (elastic micro-batch queue with work stealing).
-        self.schedule = schedule
-        #: Micro-batch size for the elastic scheduler (auto-sized when None).
+        #: Micro-batch size for the fleet's work queue (auto-sized when None).
         self.microbatch = microbatch
         #: Optional health-aware circuit breaker over the warm-start path.
         #: While open, new requests skip inference and go straight to the
@@ -267,10 +248,7 @@ class WarmStartEngine:
         trainer: MTLTrainer,
         opf_options: Optional[OPFOptions] = None,
         fallback: Union[str, FallbackPolicy, None] = "cold_restart",
-        execution: str = "scenario",
         kkt_solver: Optional[str] = None,
-        kkt_factor_threads: Optional[int] = None,
-        schedule: str = "static",
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         drift_monitor: Optional[DriftMonitor] = None,
@@ -284,10 +262,7 @@ class WarmStartEngine:
             opf_options=opf_options,
             fallback=fallback,
             opf_model=trainer.opf_model,
-            execution=execution,
             kkt_solver=kkt_solver,
-            kkt_factor_threads=kkt_factor_threads,
-            schedule=schedule,
             microbatch=microbatch,
             breaker=breaker,
             drift_monitor=drift_monitor,
@@ -319,19 +294,13 @@ class WarmStartEngine:
                 n_workers=n_workers,
                 fallback=self.fallback,
                 model=self.opf_model if n_workers == 1 else None,
-                execution=self.execution,
-                schedule=self.schedule,
                 microbatch=self.microbatch,
                 faults=self.faults,
                 crash_retries=self.crash_retries,
             )
             self._fleets[n_workers] = fleet
             LOGGER.info(
-                "%s: started %s-mode (%s-scheduled) solver fleet with %d worker(s)",
-                self.case.name,
-                self.execution,
-                self.schedule,
-                n_workers,
+                "%s: started solver fleet with %d worker(s)", self.case.name, n_workers
             )
         return fleet
 
@@ -367,12 +336,7 @@ class WarmStartEngine:
         """
         serving = self._serving
         if len(scenarios) == 0:
-            sweep = SweepResult(
-                case_name=self.case.name,
-                n_workers=n_workers,
-                execution=self.execution,
-                schedule=self.schedule,
-            )
+            sweep = SweepResult(case_name=self.case.name, n_workers=n_workers)
             sweep.model_generation = serving.generation
             return sweep
         degraded = self.breaker is not None and not self.breaker.allow_warm()
@@ -469,19 +433,13 @@ class WarmStartEngine:
                 fallback=self.fallback,
                 collect_solutions=True,
                 model=self.opf_model if n_workers == 1 else None,
-                execution=self.execution,
-                schedule=self.schedule,
                 microbatch=self.microbatch,
                 faults=self.faults,
                 crash_retries=self.crash_retries,
             )
             self._trajectory_fleets[n_workers] = fleet
             LOGGER.info(
-                "%s: started trajectory fleet (%s-mode, %s-scheduled) with %d worker(s)",
-                self.case.name,
-                self.execution,
-                self.schedule,
-                n_workers,
+                "%s: started trajectory fleet with %d worker(s)", self.case.name, n_workers
             )
         return fleet
 
@@ -658,8 +616,6 @@ class WarmStartEngine:
         opf_options: Optional[OPFOptions] = None,
         fallback: object = PERSISTED_FALLBACK,
         opf_model: Optional[OPFModel] = None,
-        execution: str = "scenario",
-        schedule: str = "static",
         microbatch: Optional[int] = None,
     ) -> "WarmStartEngine":
         """Reconstruct an engine previously written by :meth:`save_artifact`.
@@ -675,8 +631,6 @@ class WarmStartEngine:
             opf_options=opf_options,
             fallback=fallback,
             opf_model=opf_model,
-            execution=execution,
-            schedule=schedule,
             microbatch=microbatch,
         )
 

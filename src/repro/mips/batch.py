@@ -401,7 +401,6 @@ def mips_batch(
         opt.kkt_solver,
         regularization=opt.kkt_reg,
         max_retries=opt.kkt_max_retries,
-        factor_threads=opt.kkt_factor_threads,
     )
     use_blocks = bool(getattr(proto_solver, "supports_blocks", False))
     solvers: List = []
@@ -583,7 +582,6 @@ def mips_batch(
                     opt.kkt_solver,
                     regularization=opt.kkt_reg,
                     max_retries=opt.kkt_max_retries,
-                    factor_threads=opt.kkt_factor_threads,
                 )
                 for _ in range(k)
             )

@@ -27,9 +27,7 @@ swapped via :class:`~repro.mips.options.MIPSOptions`:
   plus **one** stacked backsolve per iteration.  The per-block column
   permutation is computed once and replicated, so each block's numerics are
   bit-identical to a per-slot :class:`FactorizedSolver` solve — backends stay
-  drop-in swappable.  With ``factor_threads > 1`` the seasoned per-iteration
-  factorisation fans the independent blocks out on a shared thread pool
-  (bit-identical numerics, SuperLU releases the GIL).
+  drop-in swappable.
 * ``LDLSolver`` (``repro.mips.ldl``, registered as ``"ldl"``) — same-pattern
   sparse LDLᵀ refactorisation for the symmetric quasi-definite KKT: one
   symbolic analysis (fill-reducing ordering, elimination tree, cached L
@@ -48,9 +46,7 @@ Custom backends can be registered with :func:`register_kkt_solver`.
 from __future__ import annotations
 
 import inspect
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -393,24 +389,6 @@ def solver_telemetry(solver: KKTSolver) -> Dict[str, int]:
     return out
 
 
-#: Shared per-process executors for threaded block factorisation, keyed by
-#: worker count.  Threads are reused across solver instances and iterations
-#: (SuperLU releases the GIL in its heavy kernels, so per-block work scales).
-_FACTOR_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
-_FACTOR_EXECUTOR_LOCK = threading.Lock()
-
-
-def _factor_executor(workers: int) -> ThreadPoolExecutor:
-    with _FACTOR_EXECUTOR_LOCK:
-        pool = _FACTOR_EXECUTORS.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="kkt-factor"
-            )
-            _FACTOR_EXECUTORS[workers] = pool
-        return pool
-
-
 class BlockSolveReport:
     """Outcome of one :meth:`BlockDiagSolver.solve_blocks` call.
 
@@ -474,11 +452,8 @@ class BlockDiagSolver(KKTSolver):
         reg_growth: float = 100.0,
         max_retries: int = 3,
         residual_tol: float = 1e-6,
-        factor_threads: int = 1,
     ) -> None:
         super().__init__()
-        if factor_threads < 1:
-            raise ValueError("factor_threads must be at least 1")
         self._scalar = FactorizedSolver(
             regularization=regularization,
             reg_growth=reg_growth,
@@ -489,9 +464,6 @@ class BlockDiagSolver(KKTSolver):
         self.reg_growth = reg_growth
         self.max_retries = max_retries
         self.residual_tol = residual_tol
-        #: Worker threads for per-block factor/backsolve (1 = serial, the
-        #: single big block-diagonal factorisation).
-        self.factor_threads = factor_threads
         self._pattern_key: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._perm: Optional[np.ndarray] = None
         self._order: Optional[np.ndarray] = None
@@ -559,17 +531,13 @@ class BlockDiagSolver(KKTSolver):
         cleanly factorised block); ``seeded=True`` pre-seeds every scratch
         solver with the shared cached permutation so healthy blocks replay
         the ``NATURAL`` factorisation bit-identically to the big
-        block-diagonal factor.  Blocks are independent, so with
-        ``factor_threads > 1`` they are dispatched on the shared
-        :func:`_factor_executor` thread pool (SuperLU releases the GIL in its
-        numeric kernels); results, counters and the permutation harvest are
-        aggregated in block order either way, keeping every outcome —
-        solutions included — bit-identical to the serial path.  Returns the
-        summed per-block ``(factor_seconds, backsolve_seconds)``.
+        block-diagonal factor.  Returns the summed per-block
+        ``(factor_seconds, backsolve_seconds)``.
         """
         n = template.shape[0]
 
-        def run(b: int):
+        factor = backsolve = 0.0
+        for b in range(data_plane.shape[0]):
             slot = self._make_slot_solver()
             if seeded:
                 slot._indptr = template.indptr
@@ -586,18 +554,6 @@ class BlockDiagSolver(KKTSolver):
                 )
             except KKTSolveError:
                 sol = None
-            return slot, sol
-
-        count = data_plane.shape[0]
-        if self.factor_threads > 1 and count > 1:
-            results = list(
-                _factor_executor(self.factor_threads).map(run, range(count))
-            )
-        else:
-            results = [run(b) for b in range(count)]
-
-        factor = backsolve = 0.0
-        for b, (slot, sol) in enumerate(results):
             if sol is None:
                 solutions[b] = np.nan
                 failed.append(b)
@@ -726,21 +682,6 @@ class BlockDiagSolver(KKTSolver):
             # per-block direct solves (bitwise per-slot first-iteration
             # semantics) that also seed the column-permutation cache.
             self._first_call_blocks(template, data_plane, rhs_plane, solutions, regs, failed)
-            return BlockSolveReport(solutions, failed, regs)
-
-        if self.factor_threads > 1 and blocks > 1:
-            # Threaded seasoned path: factor the independent blocks
-            # concurrently through permutation-seeded scratch solvers instead
-            # of one serial big factorisation.  Each block replays the shared
-            # cached ``NATURAL`` permutation — the same replay the big
-            # block-diagonal factor performs — so per-block numerics are
-            # bit-identical to the serial path.
-            self.block_factorizations += 1
-            factor, backsolve = self._run_blocks(
-                template, data_plane, rhs_plane, solutions, regs, failed, seeded=True
-            )
-            self.factor_seconds = factor
-            self.backsolve_seconds = backsolve
             return BlockSolveReport(solutions, failed, regs)
 
         start = time.perf_counter()

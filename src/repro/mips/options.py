@@ -48,11 +48,6 @@ class MIPSOptions:
     #: numeric sweep rerun — see :mod:`repro.mips.ldl`) or ``"spsolve"``
     #: (the seed behaviour).  See :mod:`repro.mips.linsolve`.
     kkt_solver: str = "factorized"
-    #: Worker threads for per-block KKT factorisation in lockstep batches
-    #: (``"blockdiag"`` backend).  1 (the default) keeps the serial big
-    #: block-diagonal factorisation; >1 fans the independent blocks out on a
-    #: shared thread pool with bit-identical per-block numerics.
-    kkt_factor_threads: int = 1
     #: Initial diagonal shift used when a KKT factorisation is singular.
     kkt_reg: float = 1e-8
     #: Number of escalating regularisation retries before declaring failure.
@@ -94,8 +89,6 @@ class MIPSOptions:
                 f"kkt_solver must be one of {available_kkt_solvers()}, "
                 f"got {self.kkt_solver!r}"
             )
-        if self.kkt_factor_threads < 1:
-            raise ValueError("kkt_factor_threads must be at least 1")
         if self.kkt_reg <= 0:
             raise ValueError("kkt_reg must be positive")
         if self.kkt_max_retries < 0:

@@ -361,7 +361,6 @@ def mips(
         opt.kkt_solver,
         regularization=opt.kkt_reg,
         max_retries=opt.kkt_max_retries,
-        factor_threads=opt.kkt_factor_threads,
     )
     assembler = _KKTAssembler()
     phase = {"eval": 0.0, "assembly": 0.0, "factorization": 0.0, "backsolve": 0.0}

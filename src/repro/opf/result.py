@@ -99,7 +99,7 @@ def build_opf_result(
         preprocess_seconds=preprocess_seconds,
         # The additive per-scenario cost: wall time for scalar solves, the
         # scenario's lockstep wall share for batch solves — keeps
-        # ``solve_seconds`` comparable and summable in both execution modes.
+        # ``solve_seconds`` comparable and summable across the two solvers.
         solve_seconds=mips_result.share_seconds,
         phase_seconds=dict(mips_result.phase_seconds),
         kkt_telemetry=dict(mips_result.kkt_telemetry),

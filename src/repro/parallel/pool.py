@@ -14,28 +14,24 @@ once and per-batch messages carry only scenarios and warm starts.  Across
 sweeps a :class:`SolverFleet` keeps the worker processes alive, which is what
 the serving engine uses to amortise process start-up over many requests.
 
-Each worker supports two *execution modes*.  ``"scenario"`` (the default)
-solves its batch one scenario at a time through :func:`solve_opf`;
-``"batch"`` solves all same-topology scenarios of the batch in lockstep
+A sweep runs one way.  Scenarios are grouped by topology key (the sorted
+outage-branch *set*), each group is cut into micro-batches
+(:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
 through :func:`repro.opf.batch.solve_opf_batch`, which vectorises the
 evaluation/assembly phases across the batch and loops only for the
-per-scenario factorise/backsolve.  The two modes compose with multi-worker
-fleets: with ``n_workers > 1`` each worker runs one lockstep batch over its
-chunk of the sweep.
+per-scenario factorise/backsolve.  Multi-worker fleets put the micro-batches
+on a shared queue that idle workers pull from — a straggling scenario keeps
+only its own micro-batch busy while the rest of the sweep is stolen by the
+other workers; the in-process fleet has nobody to steal from and solves whole
+topology groups, optionally streamed through a bounded lockstep window whose
+retired slots are refilled between iterations.
 
 Failed solves can be recovered in-worker through a pluggable fallback policy
 (see :mod:`repro.engine.fallback`); the policy object is shipped with the
-initializer, so recovery costs no extra scatter/gather round trip.  In batch
-mode the (rare) recoveries run per scenario after the lockstep solve.
+initializer, so recovery costs no extra scatter/gather round trip.  The
+(rare) recoveries run per scenario through the scalar :func:`solve_opf` after
+the lockstep solve.
 
-On top of the execution mode sits the *scheduling policy*
-(:mod:`repro.parallel.scheduler`).  ``schedule="static"`` assigns each worker
-one cost-balanced chunk up front; ``schedule="steal"`` turns the sweep into a
-shared queue of topology-keyed micro-batches that idle workers pull
-dynamically — a straggling scenario keeps only its own micro-batch busy while
-the rest of its former chunk is stolen by the other workers, and the
-in-process fleet streams each topology group through a bounded lockstep
-window whose retired slots are refilled from the queue between iterations.
 :meth:`SolverFleet.solve_many` extends the same machinery across *several*
 sweeps at once: scenarios of different sweeps that share a topology key (the
 sorted outage-branch *set* — N-1 singles and N-k tuples alike) merge into one
@@ -46,11 +42,11 @@ chunking, steal order, worker count and micro-batch size.
 
 Dispatch is *supervised* (:mod:`repro.parallel.supervision`): tasks flow
 through a crash-aware worker pool, and a task whose worker dies (or whose
-solve raises) is retried with a bounded budget, then **bisected** — split
-along topology-group lines first, then halved — until the culprit scenario is
-isolated and quarantined as a structured failed outcome.  Bisection fragments
-re-enter the normal solve paths, and lockstep row independence guarantees the
-surviving scenarios' results stay bit-identical to a fault-free sweep.
+solve raises) is retried with a bounded budget, then **bisected** (halved)
+until the culprit scenario is isolated and quarantined as a structured failed
+outcome.  Bisection fragments re-enter the normal solve path, and lockstep
+row independence guarantees the surviving scenarios' results stay
+bit-identical to a fault-free sweep.
 Wall deadlines ride along with each task **per scenario** — a request-wide
 scalar and a per-scenario vector (the async batcher's coalesced-flush shape)
 normalise to the same per-row form — and reach the solver's cooperative
@@ -68,7 +64,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,21 +75,12 @@ from repro.opf.result import OPFResult
 from repro.opf.solver import OPFOptions, solve_opf
 from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario, ScenarioSet, validate_outage_branches
-from repro.parallel.scheduler import (
-    SCHEDULES,
-    balanced_assignment,
-    make_microbatches,
-    topology_key,
-)
+from repro.parallel.scheduler import make_microbatches
 from repro.parallel.supervision import SupervisedPool
 from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
 
 if TYPE_CHECKING:  # pragma: no cover - import-time cycle guard (engine imports pool)
     from repro.engine.fallback import FallbackPolicy
-
-#: Valid worker execution modes.
-EXECUTION_MODES = ("scenario", "batch")
-
 
 @dataclass(frozen=True)
 class ScenarioSolution:
@@ -117,9 +104,8 @@ class ScenarioOutcome:
     describe the first (warm) attempt; when a fallback policy recovered a
     failure, the ``fallback_*`` fields describe the recovery and the
     ``final_*`` properties select the solve that produced the final answer.
-    ``solve_seconds`` is the scenario's *additive* solve cost — the per-solve
-    wall time in scenario mode, the scenario's share of the lockstep wall in
-    batch mode (see :class:`SweepResult`).
+    ``solve_seconds`` is the scenario's *additive* solve cost — its share of
+    the lockstep wall (shares sum to the batch wall, so they are summable).
     """
 
     scenario_id: int
@@ -173,23 +159,12 @@ class ScenarioOutcome:
 
 @dataclass
 class SweepResult:
-    """Aggregated outcome of a scenario sweep.
-
-    ``execution`` records which worker mode produced the outcomes, because it
-    decides the semantics of ``ScenarioOutcome.solve_seconds``: per-solve wall
-    time in ``"scenario"`` mode, the scenario's additive share of the
-    lockstep wall in ``"batch"`` mode (shares sum to the batch wall, so both
-    flavours are comparable and summable).
-    """
+    """Aggregated outcome of a scenario sweep."""
 
     case_name: str
     n_workers: int
     outcomes: List[ScenarioOutcome] = field(default_factory=list)
     wall_seconds: float = 0.0
-    execution: str = "scenario"
-    #: Scheduling policy that dispatched the sweep (``"static"`` or
-    #: ``"steal"``; :meth:`SolverFleet.solve_many` always records ``"steal"``).
-    schedule: str = "static"
     #: Task failure events the supervisor observed (worker crashes plus
     #: raised worker exceptions) while dispatching this sweep.
     errors: int = 0
@@ -251,7 +226,6 @@ def _build_state(
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     model: Optional[OPFModel] = None,
-    execution: str = "scenario",
     faults: Optional[FaultPlan] = None,
     in_subprocess: bool = False,
 ) -> Dict[str, object]:
@@ -263,7 +237,6 @@ def _build_state(
         "batched_models": {},
         "fallback": fallback,
         "collect_solutions": collect_solutions,
-        "execution": execution,
         "faults": faults,
         "in_subprocess": in_subprocess,
         # Tasks processed by this worker process (drives ``kill_at_task``).
@@ -276,7 +249,6 @@ def _init_worker(
     options: OPFOptions,
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
-    execution: str = "scenario",
     faults: Optional[FaultPlan] = None,
 ) -> None:
     """Pool initializer: build the per-process OPF model once."""
@@ -287,7 +259,6 @@ def _init_worker(
             options,
             fallback,
             collect_solutions,
-            execution=execution,
             faults=faults,
             in_subprocess=True,
         )
@@ -329,7 +300,9 @@ def _solve_scenario(
     options: Optional[OPFOptions] = None,
     deadline: Optional[float] = None,
 ) -> OPFResult:
-    """Solve one scenario, honouring its branch-outage set when present.
+    """Scalar solve of one scenario (the fallback-recovery solve).
+
+    Honours the scenario's branch-outage set when present.
 
     Load-only scenarios reuse the persistent per-worker model; an outage
     (single N-1 branch or a whole N-k set) changes the network topology
@@ -376,21 +349,6 @@ def _batched_model_for(
         batched = BatchedOPFModel(model)
         cache[key] = batched
     return batched
-
-
-def _topology_groups(scenarios: Sequence[Scenario]) -> Dict[Tuple[int, ...], List[int]]:
-    """Group scenario positions by :func:`topology_key` (first-appearance order).
-
-    The one grouping rule shared by every solve path: the scheduler's
-    micro-batches (:func:`~repro.parallel.scheduler.make_microbatches`), the
-    static-chunk lockstep grouping and task bisection all call this (or
-    ``topology_key`` directly), so lockstep group membership cannot silently
-    diverge between the pool and the scheduler.
-    """
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for pos, scenario in enumerate(scenarios):
-        groups.setdefault(topology_key(scenario), []).append(pos)
-    return groups
 
 
 def _lockstep_group(
@@ -448,78 +406,24 @@ def _row_deadline(deadlines: Optional[List[float]], pos: int) -> Optional[float]
     return None if np.isinf(value) else float(value)
 
 
-def _lockstep_first_attempts(
-    state: Dict[str, object],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    deadlines: Optional[List[float]] = None,
-    skip: Optional[Set[int]] = None,
-) -> List[Optional[OPFResult]]:
-    """First (warm) attempts for a worker batch, solved in lockstep.
-
-    Scenarios are grouped by :func:`~repro.parallel.scheduler.topology_key`
-    (via :func:`_topology_groups`) — all load-only scenarios share the base
-    network, and outage scenarios share their outaged network per branch
-    *set* — because only same-structure problems can march in lockstep.
-    Grouping by the raw ``outage_branch`` view here used to silently diverge
-    from the scheduler's key for N-k scenarios (every k ≥ 2 scenario views as
-    ``None`` and would have joined the base-network group — solved on the
-    wrong topology).  Groups of one fall back to the scalar path (a one-off
-    topology gains nothing from the batch machinery).  Warm-start ``µ``/``Z``
-    are masked on topology changes exactly like the scalar path.
-
-    ``skip`` marks positions already retired (expired deadlines).  Grouping
-    and the scalar-vs-lockstep choice are still made over the *original* row
-    set — the scalar and lockstep paths differ in the last bits, so letting a
-    retired row shrink a pair into a singleton would flip its neighbour onto
-    a different numeric path.  Skipped positions return ``None``.
-    """
-    skip = skip or set()
-    results: List[Optional[OPFResult]] = [None] * len(scenarios)
-    groups = _topology_groups(scenarios)
-    for key, positions in groups.items():
-        live = [pos for pos in positions if pos not in skip]
-        if not live:
-            continue
-        if len(positions) == 1:
-            pos = positions[0]
-            results[pos] = _solve_scenario(
-                state, scenarios[pos], warm_starts[pos],
-                deadline=_row_deadline(deadlines, pos),
-            )
-            continue
-        batch_results = _lockstep_group(
-            state,
-            key,
-            [scenarios[pos] for pos in live],
-            [warm_starts[pos] for pos in live],
-            deadline=None if deadlines is None else [deadlines[pos] for pos in live],
-        )
-        for pos, result in zip(live, batch_results):
-            results[pos] = result
-    return results
-
-
 def _outcome_for(
     state: Dict[str, object],
     scenario: Scenario,
     warm: Optional[WarmStart],
     worker_id: int,
-    first: Optional[OPFResult] = None,
+    first: OPFResult,
     deadline: Optional[float] = None,
 ) -> ScenarioOutcome:
-    """Solve one scenario, apply the fallback policy and package the outcome.
+    """Apply the fallback policy to a first attempt and package the outcome.
 
-    ``first`` short-circuits the initial solve with a result computed
-    elsewhere (the lockstep batch path); recovery still runs per scenario.
-    A first attempt that timed out retires as-is — recovery would only burn
-    more of a budget that is already spent — and recovery solves for ordinary
-    failures inherit the scenario's deadline.
+    ``first`` is the scenario's row of the lockstep solve; recovery runs per
+    scenario through the scalar solver.  A first attempt that timed out
+    retires as-is — recovery would only burn more of a budget that is already
+    spent — and recovery solves for ordinary failures inherit the scenario's
+    deadline.
     """
     options: OPFOptions = state["options"]
     policy = state["fallback"]
-    if first is None:
-        first = _solve_scenario(state, scenario, warm, deadline=deadline)
 
     recovered: Optional[OPFResult] = None
     fallback_seconds = 0.0
@@ -570,41 +474,6 @@ def _outcome_for(
     )
 
 
-def _solve_batch_in_state(
-    state: Dict[str, object],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    worker_id: int,
-    deadlines: Optional[List[float]] = None,
-    skip: Optional[Set[int]] = None,
-) -> List[ScenarioOutcome]:
-    """Solve a static chunk; positions in ``skip`` are omitted from the output.
-
-    The full (unfiltered) row set must be passed even when some rows have
-    already retired — chunk-level decisions (lockstep eligibility, topology
-    group sizes) are made over the original rows so that surviving rows stay
-    on the exact numeric path they would have taken in a deadline-free sweep.
-    """
-    skip = skip or set()
-    if state.get("execution") == "batch" and len(scenarios) > 1:
-        firsts = _lockstep_first_attempts(
-            state, scenarios, warm_starts, deadlines=deadlines, skip=skip
-        )
-        return [
-            _outcome_for(
-                state, scenario, warm, worker_id, first=first,
-                deadline=_row_deadline(deadlines, pos),
-            )
-            for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
-            if pos not in skip
-        ]
-    return [
-        _outcome_for(state, scenario, warm, worker_id, deadline=_row_deadline(deadlines, pos))
-        for pos, (scenario, warm) in enumerate(zip(scenarios, warm_starts))
-        if pos not in skip
-    ]
-
-
 def _solve_keyed_group_in_state(
     state: Dict[str, object],
     key: Tuple[int, ...],
@@ -614,27 +483,21 @@ def _solve_keyed_group_in_state(
     window: Optional[int] = None,
     deadlines: Optional[List[float]] = None,
 ) -> List[ScenarioOutcome]:
-    """Solve a topology-pure group on the elastic (steal/grouped) paths.
+    """Solve a topology-pure group in lockstep.
 
-    Unlike the legacy static-chunk path, *every* group marches in lockstep in
-    batch mode — singletons included — so per-scenario results are one
-    canonical set regardless of how the scheduler happened to cut the queue
-    into micro-batches.  Fallback recovery stays per scenario.
+    *Every* group marches in lockstep — singletons included — so
+    per-scenario results are one canonical set regardless of how the
+    scheduler happened to cut the queue into micro-batches.  Fallback
+    recovery stays per scenario.
     """
-    if state.get("execution") == "batch":
-        firsts = _lockstep_group(
-            state, key, scenarios, warm_starts, window=window, deadline=deadlines
-        )
-        return [
-            _outcome_for(
-                state, scenario, warm, worker_id, first=first,
-                deadline=_row_deadline(deadlines, pos),
-            )
-            for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
-        ]
+    firsts = _lockstep_group(
+        state, key, scenarios, warm_starts, window=window, deadline=deadlines
+    )
     return [
-        _outcome_for(state, scenario, warm, worker_id, deadline=_row_deadline(deadlines, pos))
-        for pos, (scenario, warm) in enumerate(zip(scenarios, warm_starts))
+        _outcome_for(
+            state, scenario, warm, worker_id, first, deadline=_row_deadline(deadlines, pos)
+        )
+        for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
     ]
 
 
@@ -652,17 +515,14 @@ def _worker_identity() -> int:
 # -------------------------------------------------------------- task machinery
 #: A dispatch task is a plain picklable dict:
 #:
-#: * ``kind`` — ``"static_chunk"`` (legacy chunk semantics: per-chunk
-#:   topology grouping, scalar shortcut for one-off topologies) or
-#:   ``"keyed_group"`` (topology-pure, always lockstep in batch mode);
 #: * ``positions`` — global sweep positions of the carried scenarios;
 #: * ``scenarios`` / ``warm_starts`` — the carried work, aligned with
-#:   ``positions``;
-#: * ``key`` — the topology key of a ``keyed_group`` task (the sorted
-#:   outage-branch tuple; ``()`` for the intact network);
+#:   ``positions``; every task is topology-pure and solved in lockstep;
+#: * ``key`` — the shared topology key (the sorted outage-branch tuple;
+#:   ``()`` for the intact network);
 #: * ``worker_id`` — the worker label stamped on outcomes (``None`` = the
-#:   executing process's own identity, the steal-mode label);
-#: * ``window`` — optional lockstep window for ``keyed_group`` tasks;
+#:   executing process's own identity, the pooled-fleet label);
+#: * ``window`` — optional lockstep window;
 #: * ``attempt`` — crash-retry attempt number (0 = first dispatch), which
 #:   fault plans key on;
 #: * ``deadline`` — ``None`` (unbounded task) or a tuple of absolute
@@ -672,9 +532,8 @@ def _worker_identity() -> int:
 
 
 def _make_task(
-    kind: str,
     positions: Sequence[int],
-    key: Optional[Tuple[int, ...]],
+    key: Tuple[int, ...],
     scenarios: List[Scenario],
     warm_starts: List[Optional[WarmStart]],
     worker_id: Optional[int],
@@ -682,7 +541,6 @@ def _make_task(
     due: Optional[np.ndarray],
 ) -> Dict[str, object]:
     return {
-        "kind": kind,
         "positions": tuple(positions),
         "key": key,
         "scenarios": [scenarios[i] for i in positions],
@@ -709,52 +567,32 @@ def _task_deadlines(task: Dict[str, object]) -> Optional[List[float]]:
 
 
 def _split_task(task: Dict[str, object]) -> Optional[List[Dict[str, object]]]:
-    """Bisect a repeatedly-failing task; ``None`` when it cannot shrink.
+    """Halve a repeatedly-failing task; ``None`` when it cannot shrink.
 
-    Splitting must preserve the bitwise parity of surviving scenarios with a
-    fault-free sweep, so it follows the solve-path semantics:
-
-    * a task spanning several topology groups splits into one fragment per
-      group, **keeping the parent kind** — inside a static chunk each group
-      already solved independently (scalar for singletons, lockstep
-      otherwise), so per-group fragments replay the exact same paths;
-    * a topology-pure task halves into ``"keyed_group"`` fragments, which
-      march in lockstep *even as singletons*; lockstep rows are independent
-      bit for bit, so any cut of a lockstep group reproduces its rows.
-
-    Fragments restart the retry budget (``attempt=0``).
+    Tasks are topology-pure and march in lockstep *even as singletons*;
+    lockstep rows are independent bit for bit, so any cut of a task
+    reproduces its rows and surviving scenarios keep bitwise parity with a
+    fault-free sweep.  Fragments restart the retry budget (``attempt=0``).
     """
     positions: Tuple[int, ...] = task["positions"]
     if len(positions) <= 1:
         return None
     scenarios: List[Scenario] = task["scenarios"]
     warm_starts: List[Optional[WarmStart]] = task["warm_starts"]
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for i, scenario in enumerate(scenarios):
-        groups.setdefault(topology_key(scenario), []).append(i)
-
     deadlines = _task_deadlines(task)
 
-    def fragment(local: List[int], kind: str, key: Tuple[int, ...]) -> Dict[str, object]:
+    def fragment(rows: slice) -> Dict[str, object]:
         return dict(
             task,
-            kind=kind,
-            key=key,
-            positions=tuple(positions[i] for i in local),
-            scenarios=[scenarios[i] for i in local],
-            warm_starts=[warm_starts[i] for i in local],
+            positions=positions[rows],
+            scenarios=scenarios[rows],
+            warm_starts=warm_starts[rows],
             attempt=0,
-            deadline=None if deadlines is None else tuple(deadlines[i] for i in local),
+            deadline=None if deadlines is None else tuple(deadlines[rows]),
         )
 
-    if len(groups) > 1:
-        return [fragment(local, task["kind"], key) for key, local in groups.items()]
-    ((key, local),) = groups.items()
-    half = len(local) // 2
-    return [
-        fragment(local[:half], "keyed_group", key),
-        fragment(local[half:], "keyed_group", key),
-    ]
+    half = len(positions) // 2
+    return [fragment(slice(None, half)), fragment(slice(half, None))]
 
 
 def _task_worker_label(task: Dict[str, object]) -> int:
@@ -825,38 +663,22 @@ def _solve_task_in_state(
         if retired and len(retired) == len(scenarios):
             return [retired[pos] for pos in range(len(scenarios))]
 
-    if task["kind"] == "static_chunk":
-        # The static path must see the full original row set: its topology
-        # grouping picks the scalar shortcut for one-off topologies, and that
-        # choice has to match the deadline-free sweep bit-for-bit.  Expired
-        # rows are skipped inside, never re-grouped around.
-        solved = _solve_batch_in_state(
-            state,
-            scenarios,
-            warm_starts,
-            _task_worker_label(task),
-            deadlines=deadlines,
-            skip=set(retired),
-        )
-    else:
-        # Keyed groups always march in lockstep and lockstep rows are
-        # bit-independent, so simply dropping the expired rows keeps the
-        # survivors on their canonical numeric path.
-        if retired:
-            live = [pos for pos in range(len(scenarios)) if pos not in retired]
-            scenarios = [scenarios[pos] for pos in live]
-            warm_starts = [warm_starts[pos] for pos in live]
-            if deadlines is not None:
-                deadlines = [deadlines[pos] for pos in live]
-        solved = _solve_keyed_group_in_state(
-            state,
-            task["key"],
-            scenarios,
-            warm_starts,
-            _task_worker_label(task),
-            window=task["window"],
-            deadlines=deadlines,
-        )
+    # Lockstep rows are bit-independent, so simply dropping the expired rows
+    # keeps the survivors on their canonical numeric path.
+    if retired:
+        live = [pos for pos in range(len(scenarios)) if pos not in retired]
+        scenarios = [scenarios[pos] for pos in live]
+        warm_starts = [warm_starts[pos] for pos in live]
+        deadlines = [deadlines[pos] for pos in live]
+    solved = _solve_keyed_group_in_state(
+        state,
+        task["key"],
+        scenarios,
+        warm_starts,
+        _task_worker_label(task),
+        window=task["window"],
+        deadlines=deadlines,
+    )
     if not retired:
         return solved
     outs: List[ScenarioOutcome] = []
@@ -880,22 +702,14 @@ class SolverFleet:
     pool whose workers stay alive across :meth:`solve` calls, so a serving
     engine pays process start-up and model construction once, not per batch.
 
-    ``execution`` selects how each worker solves its chunk: ``"scenario"``
-    (one solve at a time, the default) or ``"batch"`` (lockstep batched MIPS
-    over same-topology scenarios — see :func:`repro.opf.batch.solve_opf_batch`).
-    The modes compose: a multi-worker batch fleet runs one lockstep batch per
-    worker process.
-
-    ``schedule`` selects how work reaches the workers.  ``"static"`` (the
-    default) gives each worker one chunk up front, balanced by predicted
-    scenario cost so a hot chunk cannot serialise the sweep; ``"steal"`` cuts
-    the sweep into topology-keyed micro-batches (``microbatch`` scenarios
-    each, auto-sized when omitted) that idle workers pull from a shared
-    queue, and streams in-process groups through a retire-and-refill lockstep
-    window.  Scheduling never changes *how* a scenario is solved within a
-    policy: elastic results are invariant under steal order, worker count and
-    micro-batch size (the static batch path keeps its legacy scalar shortcut
-    for one-off topologies, so it is pinned separately).
+    A sweep is cut into topology-keyed micro-batches (``microbatch``
+    scenarios each, auto-sized when omitted) that idle workers pull from a
+    shared queue and solve in lockstep (see
+    :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves
+    whole topology groups, streamed through a retire-and-refill lockstep
+    window when ``microbatch`` bounds it.  Scheduling never changes *how* a
+    scenario is solved: results are invariant under steal order, worker count
+    and micro-batch size.
 
     Dispatch is supervised: a worker that dies mid-task is respawned and its
     task retried (``crash_retries`` attempts per task), then bisected until
@@ -916,18 +730,12 @@ class SolverFleet:
         fallback: "Optional[FallbackPolicy]" = None,
         collect_solutions: bool = False,
         model: Optional[OPFModel] = None,
-        execution: str = "scenario",
-        schedule: str = "static",
         microbatch: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if execution not in EXECUTION_MODES:
-            raise ValueError(f"execution must be one of {EXECUTION_MODES}")
-        if schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
         if microbatch is not None and microbatch < 1:
             raise ValueError("microbatch must be positive")
         if crash_retries < 0:
@@ -937,8 +745,6 @@ class SolverFleet:
         self.n_workers = n_workers
         self.fallback = fallback
         self.collect_solutions = collect_solutions
-        self.execution = execution
-        self.schedule = schedule
         self.microbatch = microbatch
         self.faults = faults
         self.crash_retries = crash_retries
@@ -946,14 +752,13 @@ class SolverFleet:
         self._state: Optional[Dict[str, object]] = None
         if n_workers == 1:
             self._state = _build_state(
-                case, self.options, fallback, collect_solutions, model=model,
-                execution=execution, faults=faults,
+                case, self.options, fallback, collect_solutions, model=model, faults=faults
             )
         else:
             self._pool = SupervisedPool(
                 n_workers,
                 initializer=_init_worker,
-                initargs=(case, self.options, fallback, collect_solutions, execution, faults),
+                initargs=(case, self.options, fallback, collect_solutions, faults),
             )
 
     # ------------------------------------------------------------------ solving
@@ -1021,18 +826,13 @@ class SolverFleet:
 
         scenarios = list(scenario_set)
         start = time.perf_counter()
-        if self.schedule == "steal":
-            outcomes, stats = self._dispatch_elastic(scenarios, list(warm_starts), due)
-        else:
-            outcomes, stats = self._dispatch_static(scenarios, list(warm_starts), due)
+        outcomes, stats = self._dispatch(scenarios, list(warm_starts), due)
         wall = time.perf_counter() - start
 
         sweep = SweepResult(
             case_name=self.case.name,
             n_workers=self.n_workers,
             wall_seconds=wall,
-            execution=self.execution,
-            schedule=self.schedule,
             errors=stats["errors"],
             retries=stats["retries"],
             quarantined=stats["quarantined"],
@@ -1050,14 +850,12 @@ class SolverFleet:
     ) -> List[SweepResult]:
         """Solve several sweeps at once with cross-sweep contingency batching.
 
-        The sweeps' scenarios are merged into one elastic dispatch, so
-        scenarios of *different* sweeps that share an outage branch (or the
-        base network) land in the same lockstep group — outage-heavy SC-ACOPF
-        screening no longer fragments into tiny per-sweep per-branch groups
-        that forfeit the batch win.  Always scheduled elastically (micro-batch
-        queue with stealing) whatever the fleet's ``schedule`` setting;
-        per-scenario results are bit-identical to solving each sweep
-        separately on an elastic fleet.
+        The sweeps' scenarios are merged into one dispatch, so scenarios of
+        *different* sweeps that share an outage branch (or the base network)
+        land in the same lockstep group — outage-heavy SC-ACOPF screening no
+        longer fragments into tiny per-sweep per-branch groups that forfeit
+        the batch win.  Per-scenario results are bit-identical to solving
+        each sweep separately.
 
         ``warm_starts`` is an optional per-sweep sequence of per-scenario
         lists (``None`` sweeps mean all-cold).  Returns one
@@ -1090,7 +888,7 @@ class SolverFleet:
 
         due = self._deadline_vector(deadline_seconds, deadline, len(flat_scenarios))
         start = time.perf_counter()
-        outcomes, stats = self._dispatch_elastic(flat_scenarios, flat_warms, due)
+        outcomes, stats = self._dispatch(flat_scenarios, flat_warms, due)
         wall = time.perf_counter() - start
 
         sweeps = [
@@ -1098,8 +896,6 @@ class SolverFleet:
                 case_name=self.case.name,
                 n_workers=self.n_workers,
                 wall_seconds=wall,
-                execution=self.execution,
-                schedule="steal",
                 errors=stats["errors"],
                 retries=stats["retries"],
                 quarantined=stats["quarantined"],
@@ -1118,44 +914,18 @@ class SolverFleet:
             raise RuntimeError("fleet is closed")
         return self._state
 
-    def _dispatch_static(
+    def _dispatch(
         self,
         scenarios: List[Scenario],
         warm_starts: List[Optional[WarmStart]],
         due: Optional[np.ndarray] = None,
     ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
-        """Cost-balanced fixed chunks, one per worker (the legacy scatter).
-
-        Chunks are balanced by :func:`~repro.parallel.scheduler.predicted_cost`
-        instead of the seed's count-equal split, so a single expensive
-        (cold / outage) scenario is paired with fewer cheap ones rather than
-        serialising its chunk.
-        """
-        assignment = balanced_assignment(scenarios, warm_starts, self.n_workers)
-        tasks = [
-            _make_task(
-                "static_chunk", positions, None, scenarios, warm_starts,
-                worker_id, None, due,
-            )
-            for worker_id, positions in enumerate(assignment)
-            if positions
-        ]
-        return self._run_tasks(tasks, len(scenarios))
-
-    def _dispatch_elastic(
-        self,
-        scenarios: List[Scenario],
-        warm_starts: List[Optional[WarmStart]],
-        due: Optional[np.ndarray] = None,
-    ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
-        """Shared micro-batch queue with stealing; outcomes returned by position.
+        """Cut the sweep into lockstep tasks and run them; outcomes by position.
 
         Multi-worker fleets submit the topology-keyed micro-batches to the
         supervised pool's shared task queue, and whichever worker drains its
         current micro-batch first pulls (steals) the next one.  The
-        in-process fleet instead streams each topology group through a
-        lockstep window of one micro-batch, refilling retired slots from the
-        queue between iterations (see :func:`repro.opf.batch.solve_opf_batch`).
+        in-process fleet instead solves each topology group as one task.
         """
         if self._pool is None:
             # With a single in-process worker there is nobody to steal from,
@@ -1165,25 +935,16 @@ class SolverFleet:
             # amortisation) and let an explicit ``microbatch`` opt into
             # bounded retire-and-refill streaming.  Results are
             # window-invariant bit for bit either way.
-            grouped = _topology_groups(scenarios)
-            tasks = [
-                _make_task(
-                    "keyed_group", positions, key, scenarios, warm_starts,
-                    0, self.microbatch, due,
-                )
-                for key, positions in grouped.items()
-            ]
+            width, worker_id, window = max(len(scenarios), 1), 0, self.microbatch
         else:
-            microbatches = make_microbatches(
-                scenarios, microbatch=self.microbatch, n_workers=self.n_workers
+            width, worker_id, window = self.microbatch, None, None
+        tasks = [
+            _make_task(
+                microbatch.positions, microbatch.key, scenarios, warm_starts,
+                worker_id, window, due,
             )
-            tasks = [
-                _make_task(
-                    "keyed_group", microbatch.positions, microbatch.key,
-                    scenarios, warm_starts, None, None, due,
-                )
-                for microbatch in microbatches
-            ]
+            for microbatch in make_microbatches(scenarios, width, self.n_workers)
+        ]
         return self._run_tasks(tasks, len(scenarios))
 
     def _run_tasks(
@@ -1298,8 +1059,6 @@ def run_scenario_sweep(
     fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     model: Optional[OPFModel] = None,
-    execution: str = "scenario",
-    schedule: str = "static",
     microbatch: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
     crash_retries: int = 1,
@@ -1319,8 +1078,6 @@ def run_scenario_sweep(
         fallback=fallback,
         collect_solutions=collect_solutions,
         model=model,
-        execution=execution,
-        schedule=schedule,
         microbatch=microbatch,
         faults=faults,
         crash_retries=crash_retries,

@@ -7,9 +7,8 @@ outages, screened N-k outage *sets* (:func:`generate_contingency_set`) and
 plain load sweeps; the pool runner and the cluster model consume them.
 
 A :class:`Scenario` carries its outage as a **sorted tuple of branch
-indices** (``outage_branches``); the classic single-branch field
-``outage_branch`` remains as a compatibility view for k ≤ 1.  The sorted
-tuple is also the scenario's topology key (see
+indices** (``outage_branches``: ``()`` intact, ``(b,)`` N-1, ``(b1, b2)``
+N-2).  The sorted tuple is also the scenario's topology key (see
 :func:`repro.parallel.scheduler.topology_key`): scenarios dropping the same
 branch *set* share admittances and sparsity structure, so N-2 pairs form
 lockstep groups exactly like N-1 singles do.
@@ -49,10 +48,8 @@ def validate_outage_branches(branches: Sequence[int], n_branch: int) -> None:
             )
 
 
-def _normalized_outage_branches(
-    outage_branch: Optional[int], outage_branches: Iterable[int]
-) -> Tuple[int, ...]:
-    """Reconcile the two outage fields into one sorted, de-duplicated tuple."""
+def _normalized_outage_branches(outage_branches: Iterable[int]) -> Tuple[int, ...]:
+    """Validate the outage indices and return them sorted and de-duplicated."""
     branches = tuple(outage_branches or ())
     for branch in branches:
         if not isinstance(branch, (int, np.integer)):
@@ -60,19 +57,6 @@ def _normalized_outage_branches(
                 f"outage branch indices must be integers, got {branch!r}"
             )
     branches = tuple(int(b) for b in branches)
-    if outage_branch is not None:
-        if not isinstance(outage_branch, (int, np.integer)):
-            raise ValueError(
-                f"outage_branch must be an integer, got {outage_branch!r}"
-            )
-        single = int(outage_branch)
-        if branches and single not in branches:
-            raise ValueError(
-                "outage_branch and outage_branches disagree: "
-                f"{single} not in {branches}"
-            )
-        if not branches:
-            branches = (single,)
     for branch in branches:
         if branch < 0:
             raise ValueError(
@@ -86,26 +70,20 @@ def _normalized_outage_branches(
 class Scenario:
     """One SC-ACOPF scenario: a load realisation plus an optional branch-outage set.
 
-    ``outage_branches`` is the canonical outage representation — a sorted
-    tuple of branch indices (empty for the intact network) that doubles as
-    the scenario's topology key.  ``outage_branch`` is kept as a
-    compatibility view: it mirrors the single member for k = 1 outages and is
-    ``None`` otherwise.  Constructing with either field (or both, when
-    consistent) works; indices are validated to be non-negative integers at
-    construction and bounds-checked against the case on :meth:`apply`.
+    ``outage_branches`` is a sorted tuple of branch indices (empty for the
+    intact network) that doubles as the scenario's topology key.  Indices are
+    validated to be non-negative integers at construction (and sorted,
+    de-duplicated) and bounds-checked against the case on :meth:`apply`.
     """
 
     scenario_id: int
     Pd: np.ndarray
     Qd: np.ndarray
-    outage_branch: Optional[int] = None
     outage_branches: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        branches = _normalized_outage_branches(self.outage_branch, self.outage_branches)
-        object.__setattr__(self, "outage_branches", branches)
         object.__setattr__(
-            self, "outage_branch", branches[0] if len(branches) == 1 else None
+            self, "outage_branches", _normalized_outage_branches(self.outage_branches)
         )
 
     def apply(self, case: Case) -> Case:
@@ -265,11 +243,11 @@ def generate_scenarios(
 
     scenarios = []
     for i, sample in enumerate(loads):
-        outage = None
+        outage: Tuple[int, ...] = ()
         if candidates.size and rng.random() < contingency_fraction:
-            outage = int(rng.choice(candidates))
+            outage = (int(rng.choice(candidates)),)
         scenarios.append(
-            Scenario(scenario_id=i, Pd=sample.Pd, Qd=sample.Qd, outage_branch=outage)
+            Scenario(scenario_id=i, Pd=sample.Pd, Qd=sample.Qd, outage_branches=outage)
         )
     return ScenarioSet(case_name=case.name, scenarios=scenarios, n_bus=case.n_bus)
 

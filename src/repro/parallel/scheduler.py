@@ -1,36 +1,28 @@
-"""Elastic scenario scheduling: micro-batches, cost balancing, work queues.
+"""Scenario scheduling: topology-keyed micro-batches for the fleet's work queue.
 
-The solver fleet historically scattered a sweep as ``n_workers`` fixed chunks
-computed up front.  That is optimal only when every scenario costs the same;
-real sweeps are *skewed* — cold starts take several times the iterations of
-warm ones, outage scenarios pay extra model work, and a single slow chunk
-serialises the whole sweep while the other workers idle.  This module supplies
-the scheduling layer that fixes both failure modes:
+Real sweeps are *skewed* — cold starts take several times the iterations of
+warm ones, outage scenarios pay extra model work — so handing each worker one
+fixed chunk up front lets a single slow chunk serialise the whole sweep while
+the other workers idle.  This module supplies the scheduling layer instead:
 
-* :func:`balanced_assignment` — cost-aware static chunking.  Scenarios are
-  assigned greedily (longest-processing-time first) by :func:`predicted_cost`
-  so no chunk concentrates the expensive ones.  Used by the fleet's
-  ``schedule="static"`` path.
 * :func:`make_microbatches` — splits a sweep into **topology-keyed
-  micro-batches**: scenarios sharing a network topology (same outage branch,
-  or the base network) group together, because only same-structure problems
-  can march in lockstep, and each group is cut into micro-batches of bounded
-  size.  The micro-batch list is the shared work queue of the fleet's
-  ``schedule="steal"`` path: persistent workers pull the next micro-batch the
-  moment they finish one, so remaining work is effectively *stolen* from
-  whichever static chunk would have hoarded it.
+  micro-batches**: scenarios sharing a network topology (same outage-branch
+  set, or the base network) group together, because only same-structure
+  problems can march in lockstep, and each group is cut into micro-batches of
+  bounded size.  The micro-batch list is the fleet's shared work queue:
+  persistent workers pull the next micro-batch the moment they finish one, so
+  a straggler holds up only its own micro-batch.
 * Cross-sweep contingency batching — :func:`make_microbatches` accepts any
   flat scenario sequence, so :meth:`~repro.parallel.pool.SolverFleet.solve_many`
   concatenates several N-1 sweeps and scenarios that share an outage branch
   across sweeps land in the same lockstep group, recovering the batch win
   that per-sweep fragmentation forfeits.
 
-Every policy here is **deterministic** (pure functions of the input order and
-the predicted costs) and only decides *where and with whom* a scenario is
-solved — never *how*.  Lockstep batch solves are row-independent bit for bit,
-so per-scenario results are invariant under chunk assignment, steal order,
-worker count and micro-batch size; the scheduler-invariant test harness pins
-exactly that.
+The policy is **deterministic** (a pure function of the input order) and only
+decides *where and with whom* a scenario is solved — never *how*.  Lockstep
+batch solves are row-independent bit for bit, so per-scenario results are
+invariant under steal order, worker count and micro-batch size; the
+scheduler-invariant test harness pins exactly that.
 """
 
 from __future__ import annotations
@@ -38,34 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario
 
 __all__ = [
-    "SCHEDULES",
-    "COLD_COST_FACTOR",
-    "OUTAGE_COST_FACTOR",
     "MicroBatch",
     "topology_key",
-    "predicted_cost",
-    "balanced_assignment",
     "auto_microbatch_size",
     "make_microbatches",
 ]
 
-#: Valid fleet scheduling policies: ``"static"`` (cost-balanced fixed chunks,
-#: one per worker) and ``"steal"`` (shared micro-batch queue with dynamic
-#: pulling).
-SCHEDULES = ("static", "steal")
-
-#: Predicted cost multiplier of a cold start relative to a warm start (cold
-#: MIPS solves take roughly three times the iterations of a good warm start —
-#: the Fig. 4 ratio the paper reproduces).
-COLD_COST_FACTOR = 3.0
-
-#: Predicted cost multiplier of an N-1 outage scenario (dedicated topology
-#: model, typically a slightly harder problem than the base network).
-OUTAGE_COST_FACTOR = 1.25
+#: Micro-batches per worker the auto-sized queue aims for.  Two ties one
+#: fixed chunk per worker on uniform sweeps (wider lockstep batches amortise
+#: more) while an idle worker can still take the other half of a straggler's
+#: share; the measurements behind it are in ``benchmarks/README.md``.
+_MICROBATCHES_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -100,64 +78,16 @@ def topology_key(scenario: Scenario) -> Tuple[int, ...]:
     return scenario.outage_branches
 
 
-def predicted_cost(scenario: Scenario, warm: Optional[WarmStart]) -> float:
-    """Relative predicted solve cost of one scenario.
-
-    A deliberately simple, deterministic heuristic: cold starts cost
-    :data:`COLD_COST_FACTOR` warm solves, and each outaged branch pays
-    :data:`OUTAGE_COST_FACTOR` — an N-k scenario costs the factor to the
-    power ``k`` (every dropped branch stresses the network a little more).
-    Case size scales every scenario of a sweep equally, so it cancels out of
-    the balancing decision.
-    """
-    cost = 1.0 if warm is not None else COLD_COST_FACTOR
-    if scenario.outage_branches:
-        cost *= OUTAGE_COST_FACTOR ** len(scenario.outage_branches)
-    return cost
-
-
-def balanced_assignment(
-    scenarios: Sequence[Scenario],
-    warm_starts: Sequence[Optional[WarmStart]],
-    n_chunks: int,
-) -> List[List[int]]:
-    """Cost-balanced static chunking (longest-processing-time greedy).
-
-    Positions are sorted by descending :func:`predicted_cost` (ties keep input
-    order) and dealt one by one to the currently least-loaded chunk (ties go
-    to the lowest chunk id), so a hot scenario lands in a chunk that receives
-    correspondingly fewer cheap ones.  Within each chunk, positions are
-    restored to input order.  Deterministic; returns ``n_chunks`` lists whose
-    concatenation covers every position exactly once (some may be empty when
-    there are fewer scenarios than chunks).
-    """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be positive")
-    if len(warm_starts) != len(scenarios):
-        raise ValueError("warm_starts must have one entry per scenario")
-    costs = [predicted_cost(s, w) for s, w in zip(scenarios, warm_starts)]
-    order = sorted(range(len(scenarios)), key=lambda i: (-costs[i], i))
-    loads = [0.0] * n_chunks
-    chunks: List[List[int]] = [[] for _ in range(n_chunks)]
-    for i in order:
-        target = min(range(n_chunks), key=lambda c: (loads[c], c))
-        chunks[target].append(i)
-        loads[target] += costs[i]
-    for chunk in chunks:
-        chunk.sort()
-    return chunks
-
-
-def auto_microbatch_size(n_scenarios: int, n_workers: int, oversubscribe: int = 4) -> int:
+def auto_microbatch_size(n_scenarios: int, n_workers: int) -> int:
     """Default micro-batch size for a sweep of ``n_scenarios``.
 
-    Sized so the queue holds roughly ``oversubscribe`` micro-batches per
-    worker: small enough that a straggler cannot hoard much work behind it,
-    large enough that the lockstep batch win is not given away.
+    Sized so the queue holds roughly :data:`_MICROBATCHES_PER_WORKER`
+    micro-batches per worker: small enough that a straggler cannot hoard much
+    work behind it, large enough that the lockstep batch win is not given away.
     """
     if n_scenarios < 1:
         return 1
-    return max(1, -(-n_scenarios // (max(n_workers, 1) * max(oversubscribe, 1))))
+    return max(1, -(-n_scenarios // (max(n_workers, 1) * _MICROBATCHES_PER_WORKER)))
 
 
 def make_microbatches(

@@ -160,9 +160,9 @@ class MultiPeriodSweep:
 
     The fleet must collect solutions (``collect_solutions=True``) — the
     chained warm starts *are* the previous step's solutions.  The driver
-    itself is policy-free about intra-step execution: whatever schedule /
-    execution mode / microbatch window the fleet was built with applies to
-    each step's sweep unchanged, so trajectory results inherit the fleet's
+    itself is policy-free about intra-step execution: whatever worker count /
+    microbatch window the fleet was built with applies to each step's sweep
+    unchanged, so trajectory results inherit the fleet's
     bitwise scheduling invariance within every step.
     """
 

@@ -105,10 +105,8 @@ class AsyncServer:
     Parameters
     ----------
     engine:
-        The warm-start engine every flush is served by.  Lockstep batch
-        execution (``execution="batch"``) is where coalescing pays — the
-        flush becomes one lockstep window — but any engine configuration
-        works.
+        The warm-start engine every flush is served by; coalescing pays
+        because the flush becomes one lockstep window.
     n_workers:
         Fleet width handed to :meth:`WarmStartEngine.serve` per flush.
     max_batch:
@@ -364,8 +362,6 @@ class AsyncServer:
                 case_name=sweep.case_name,
                 n_workers=sweep.n_workers,
                 wall_seconds=sweep.wall_seconds,
-                execution=sweep.execution,
-                schedule=sweep.schedule,
                 errors=sweep.errors,
                 retries=sweep.retries,
                 quarantined=sweep.quarantined,

@@ -87,6 +87,16 @@ def trained_trainer9(case9_fixture, opf_model9, dataset9):
     return trainer
 
 
+@pytest.fixture(scope="session")
+def scalar_reference():
+    """Scalar ``solve_opf`` of one scenario: the tolerance reference of the lockstep path."""
+
+    def solve(case, scenario, warm_start=None, options=None):
+        return solve_opf(scenario.apply(case), warm_start=warm_start, options=options)
+
+    return solve
+
+
 @pytest.fixture()
 def rng():
     """Fresh deterministic RNG per test."""

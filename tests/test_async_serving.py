@@ -39,10 +39,7 @@ def _assert_bitwise_equal_sweeps(a, b):
 
 @pytest.fixture(scope="module")
 def engine9(trained_trainer9):
-    """Lockstep batch/steal engine — the configuration coalescing targets."""
-    with WarmStartEngine.from_trainer(
-        trained_trainer9, execution="batch", schedule="steal"
-    ) as engine:
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         yield engine
 
 
@@ -151,11 +148,10 @@ def test_mixed_deadline_coalescing(engine9, dataset9):
     _assert_bitwise_equal_sweeps(generous_sweep, direct)
 
 
-@pytest.mark.parametrize("schedule", ["static", "steal"])
-def test_row_deadline_gate_retires_only_expired_rows(case9_fixture, schedule):
+def test_row_deadline_gate_retires_only_expired_rows(case9_fixture):
     """Per-row gate: expired rows retire, survivors stay bitwise identical."""
     scenarios = generate_scenarios(case9_fixture, 6, seed=3, contingency_fraction=0.5)
-    with SolverFleet(case9_fixture, execution="batch", schedule=schedule) as fleet:
+    with SolverFleet(case9_fixture) as fleet:
         baseline = fleet.solve(scenarios)
         past = time.monotonic() - 1.0
         per_row = np.array([past, np.inf, past, np.inf, np.inf, past])
@@ -171,7 +167,7 @@ def test_row_deadline_gate_retires_only_expired_rows(case9_fixture, schedule):
 
 def test_all_rows_expired_retires_whole_task(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 3, seed=4)
-    with SolverFleet(case9_fixture, execution="batch", schedule="steal") as fleet:
+    with SolverFleet(case9_fixture) as fleet:
         gated = fleet.solve(scenarios, deadline=time.monotonic() - 1.0)
     assert all(o.timed_out for o in gated.outcomes)
     assert gated.n_scenarios == 3

@@ -43,10 +43,8 @@ def _n1_sweeps(case, branches, per_sweep, n_sweeps, seed):
     for _ in range(n_sweeps):
         scenarios = []
         for i in range(per_sweep):
-            outage = branches[k % len(branches)] if i % 2 == 0 else None
-            scenarios.append(
-                Scenario(i, samples[k].Pd, samples[k].Qd, outage_branch=outage)
-            )
+            outage = (branches[k % len(branches)],) if i % 2 == 0 else ()
+            scenarios.append(Scenario(i, samples[k].Pd, samples[k].Qd, outage_branches=outage))
             k += 1
         sweeps.append(ScenarioSet(case.name, scenarios))
     return sweeps
@@ -83,17 +81,11 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
     sweeps = _n1_sweeps(case, branches, per_sweep=per_sweep, n_sweeps=2, seed=3)
     # The sweeps genuinely share outage branches (the fragmentation scenario).
     shared = set.intersection(
-        *({s.outage_branch for s in sweep if s.outage_branch is not None} for sweep in sweeps)
+        *({s.outage_branches for s in sweep if s.outage_branches} for sweep in sweeps)
     )
     assert shared
 
-    with SolverFleet(
-        case,
-        execution="batch",
-        schedule="steal",
-        microbatch=3,
-        collect_solutions=True,
-    ) as fleet:
+    with SolverFleet(case, microbatch=3, collect_solutions=True) as fleet:
         separate = [fleet.solve(sweep) for sweep in sweeps]
         grouped = fleet.solve_many(sweeps)
     _assert_sweeps_bitwise(separate, grouped)
@@ -114,8 +106,6 @@ def test_grouped_parity_with_mixed_fallback_members():
 
     with SolverFleet(
         case,
-        execution="batch",
-        schedule="steal",
         microbatch=2,
         fallback=get_fallback_policy("cold_restart"),
         collect_solutions=True,
@@ -135,7 +125,7 @@ def test_solve_many_wall_and_share_semantics():
     case = get_case("case14")
     branches = _outage_candidates(case, 2)
     sweeps = _n1_sweeps(case, branches, per_sweep=4, n_sweeps=2, seed=9)
-    with SolverFleet(case, execution="batch", schedule="steal", microbatch=2) as fleet:
+    with SolverFleet(case, microbatch=2) as fleet:
         grouped = fleet.solve_many(sweeps)
     assert grouped[0].wall_seconds == grouped[1].wall_seconds
     total_share = sum(sweep.total_solver_seconds() for sweep in grouped)

@@ -1,75 +1,62 @@
-"""The lockstep-batch dataset default and its ``solve_seconds`` semantics.
+"""Lockstep ground-truth generation and its ``solve_seconds`` semantics.
 
-``generate_dataset`` now defaults to ``execution="batch"`` (the lockstep
-solver), closing the ROADMAP open item.  The decided timing semantics:
-``solve_seconds`` records each scenario's **additive wall share** — every
-lockstep iteration's wall time split evenly over the scenarios active in it —
-so values sum to the batch wall and stay directly comparable with scalar
+``generate_dataset`` solves through the lockstep fleet.  The decided timing
+semantics: ``solve_seconds`` records each scenario's **additive wall share** —
+every lockstep iteration's wall time split evenly over the scenarios active in
+it — so values sum to the batch wall and stay directly comparable with scalar
 per-solve walls.  The Fig. 4 speedup ratio (``OnlineEvaluation.speedup``)
 consumes these as the cold-MIPS reference, which makes reported speedups
 conservative: warm starts are compared against the *batched* cold baseline.
 These tests pin all of that behaviour.
 """
 
-import inspect
-
 import numpy as np
 import pytest
 
-from repro.core import SmartPGSimConfig
 from repro.core.metrics import speedup_su
 from repro.data import generate_dataset
 from repro.engine.records import OnlineEvaluation, OnlineRecord
+from repro.grid.perturb import sample_loads
+from repro.opf import solve_opf
 
 
-def test_generate_dataset_defaults_to_batch_execution():
-    signature = inspect.signature(generate_dataset)
-    assert signature.parameters["execution"].default == "batch"
+def _scalar_solves(case, model, n_samples, seed):
+    """The scalar ``solve_opf`` loop over the dataset's load samples."""
+    return [
+        solve_opf(case, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, model=model)
+        for sample in sample_loads(case, n_samples, variation=0.1, seed=seed)
+    ]
 
 
-def test_smartpgsim_config_defaults_to_batch_and_validates():
-    assert SmartPGSimConfig().execution == "batch"
-    with pytest.raises(ValueError, match="execution"):
-        SmartPGSimConfig(execution="warp")
-
-
-def test_default_dataset_equals_explicit_batch_and_scenario_trajectories(
-    case9_fixture, opf_model9
-):
-    """The default is bit-identical to explicit batch mode, and reproduces the
-    per-scenario mode's trajectories (identical iteration counts, objectives
-    to 1e-12) — flipping the default changed timing semantics, not data."""
-    default = generate_dataset(case9_fixture, 6, seed=31, model=opf_model9)
-    batch = generate_dataset(case9_fixture, 6, seed=31, model=opf_model9, execution="batch")
-    scenario = generate_dataset(
-        case9_fixture, 6, seed=31, model=opf_model9, execution="scenario"
-    )
-    np.testing.assert_array_equal(default.iterations, batch.iterations)
-    np.testing.assert_array_equal(default.objectives, batch.objectives)
-    for task in default.targets:
-        np.testing.assert_array_equal(default.targets[task], batch.targets[task])
-
-    np.testing.assert_array_equal(default.iterations, scenario.iterations)
-    np.testing.assert_allclose(default.objectives, scenario.objectives, rtol=1e-12)
-    for task in default.targets:
-        np.testing.assert_allclose(
-            default.targets[task], scenario.targets[task], atol=1e-7
-        )
+def test_dataset_reproduces_scalar_trajectories(case9_fixture, opf_model9):
+    """Lockstep generation reproduces the scalar solver's trajectories
+    (identical iteration counts, objectives to 1e-12) on every task."""
+    dataset = generate_dataset(case9_fixture, 6, seed=31, model=opf_model9)
+    scalar = _scalar_solves(case9_fixture, opf_model9, 6, seed=31)
+    assert all(r.success for r in scalar)
+    np.testing.assert_array_equal(dataset.iterations, [r.iterations for r in scalar])
+    np.testing.assert_allclose(dataset.objectives, [r.objective for r in scalar], rtol=1e-12)
+    for i, result in enumerate(scalar):
+        parts = opf_model9.idx.split(result.x)
+        expected = {**{t: parts[t] for t in ("Va", "Vm", "Pg", "Qg")},
+                    "lam": result.lam, "z": result.z, "mu": result.mu}
+        for task, values in expected.items():
+            np.testing.assert_allclose(dataset.targets[task][i], values, atol=1e-7)
 
 
 def test_batch_solve_seconds_are_additive_and_cheaper(case9_fixture, opf_model9):
-    """Batch-mode ``solve_seconds`` are additive shares of the lockstep wall:
-    their total stays well below the per-scenario mode's total (the whole
-    point of the lockstep path), and every share is positive."""
+    """``solve_seconds`` are additive shares of the lockstep wall: their total
+    stays well below the scalar loop's total (the whole point of the lockstep
+    path), and every share is positive."""
     batch = generate_dataset(case9_fixture, 8, seed=7, model=opf_model9)
-    scenario = generate_dataset(
-        case9_fixture, 8, seed=7, model=opf_model9, execution="scenario"
+    scalar_seconds = np.array(
+        [r.solve_seconds for r in _scalar_solves(case9_fixture, opf_model9, 8, seed=7)]
     )
     assert np.all(batch.solve_seconds > 0.0)
-    assert np.all(scenario.solve_seconds > 0.0)
+    assert np.all(scalar_seconds > 0.0)
     # Identical trajectories solved lockstep must cost less in total wall —
     # the share semantics make this directly comparable (and additive).
-    assert batch.solve_seconds.sum() < scenario.solve_seconds.sum()
+    assert batch.solve_seconds.sum() < scalar_seconds.sum()
 
 
 def test_fig4_speedup_consumes_cold_solve_seconds():
@@ -131,7 +118,7 @@ def test_framework_batch_evaluation_end_to_end(trained_trainer9, dataset9):
     the Fig. 4 inputs stay well-defined and positive."""
     from repro.engine.engine import WarmStartEngine
 
-    with WarmStartEngine.from_trainer(trained_trainer9, execution="batch") as engine:
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         evaluation = engine.evaluate(dataset9, max_problems=8)
     assert evaluation.n_problems == 8
     assert evaluation.speedup > 0.0
@@ -139,11 +126,3 @@ def test_framework_batch_evaluation_end_to_end(trained_trainer9, dataset9):
     for record in evaluation.records:
         assert record.cold_solve_seconds > 0.0
         assert record.warm_solve_seconds >= 0.0
-
-
-def test_dataset_execution_mode_recorded_on_sweep(case9_fixture):
-    from repro.parallel import generate_scenarios, run_scenario_sweep
-
-    scenarios = generate_scenarios(case9_fixture, 3, variation=0.05, seed=1)
-    assert run_scenario_sweep(case9_fixture, scenarios).execution == "scenario"
-    assert run_scenario_sweep(case9_fixture, scenarios, execution="batch").execution == "batch"

@@ -154,6 +154,17 @@ def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture
     assert WarmStartEngine.load_artifact(path, case9_fixture, fallback=None).fallback.name == "none"
 
 
+def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
+    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads``; the field is
+    gone, and its value never changed a result, so the key is dropped on load."""
+    path = engine9.save_artifact(tmp_path / "engine.npz")
+    arrays, meta = load_bundle(path)
+    meta["opf_options"]["mips"]["kkt_factor_threads"] = 2
+    legacy = save_bundle(tmp_path / "legacy.npz", arrays, meta)
+    reloaded = load_artifact(legacy, case9_fixture)
+    assert reloaded.opf_options == engine9.opf_options
+
+
 def test_artifact_mismatched_case_raises(engine9, case14_fixture, tmp_path):
     path = save_artifact(engine9, tmp_path / "engine.npz")
     with pytest.raises(ArtifactMismatchError, match="fingerprint"):

@@ -37,7 +37,7 @@ def test_close_is_idempotent_and_final(case9_fixture, scenarios9):
 
 
 def test_context_manager_leaves_no_orphan_processes(case9_fixture, scenarios9):
-    with SolverFleet(case9_fixture, n_workers=2, execution="batch", schedule="steal") as fleet:
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
         sweep = fleet.solve(scenarios9)
         assert sweep.n_scenarios == len(scenarios9)
         procs = list(fleet._pool.processes)
@@ -49,9 +49,7 @@ def test_context_manager_leaves_no_orphan_processes(case9_fixture, scenarios9):
 def test_close_with_sweep_in_flight_aborts_cleanly(case9_fixture, scenarios9):
     """Closing from another thread aborts the dispatch instead of hanging."""
     plan = FaultPlan.of(*(stall_solve(sid, seconds=30.0) for sid in range(len(scenarios9))))
-    fleet = SolverFleet(
-        case9_fixture, n_workers=2, execution="batch", schedule="steal", faults=plan
-    )
+    fleet = SolverFleet(case9_fixture, n_workers=2, faults=plan)
     procs = list(fleet._pool.processes)
     raised = []
 
@@ -76,9 +74,7 @@ def test_close_with_sweep_in_flight_aborts_cleanly(case9_fixture, scenarios9):
 def test_crash_respawn_keeps_worker_count_and_fleet_reusable(case9_fixture, scenarios9):
     """A crashed worker is respawned into its slot; the fleet keeps serving."""
     plan = FaultPlan.of(kill_worker(2, last_attempt=0))
-    with SolverFleet(
-        case9_fixture, n_workers=2, execution="batch", schedule="steal", faults=plan
-    ) as fleet:
+    with SolverFleet(case9_fixture, n_workers=2, faults=plan) as fleet:
         first = fleet.solve(scenarios9)
         assert fleet._pool.respawns >= 1
         assert len(fleet._pool.processes) == 2
@@ -105,10 +101,9 @@ def test_empty_sweep_result_rates_are_defined():
     assert math.isnan(empty.throughput)  # zero wall, zero work
 
 
-@pytest.mark.parametrize("schedule", ["static", "steal"])
-def test_in_process_fleet_solves_empty_set(case9_fixture, schedule):
+def test_in_process_fleet_solves_empty_set(case9_fixture):
     empty = ScenarioSet(case9_fixture.name, [])
-    with SolverFleet(case9_fixture, n_workers=1, schedule=schedule) as fleet:
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
         sweep = fleet.solve(empty)
     assert sweep.n_scenarios == 0 and sweep.outcomes == []
     assert sweep.errors == 0 and sweep.retries == 0 and sweep.quarantined == 0
@@ -117,7 +112,7 @@ def test_in_process_fleet_solves_empty_set(case9_fixture, schedule):
 
 def test_pooled_fleet_solves_empty_set(case9_fixture):
     empty = ScenarioSet(case9_fixture.name, [])
-    with SolverFleet(case9_fixture, n_workers=2, schedule="steal") as fleet:
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
         sweep = fleet.solve(empty)
         many = fleet.solve_many([empty, empty])
     assert sweep.n_scenarios == 0

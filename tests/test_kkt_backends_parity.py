@@ -383,37 +383,3 @@ def test_blockdiag_scalar_path_is_bitwise_factorized():
     a = qps_mips(H, c, options=MIPSOptions(kkt_solver="factorized"), **kw)
     b = qps_mips(H, c, options=MIPSOptions(kkt_solver="blockdiag"), **kw)
     _assert_bitwise(a, b)
-
-
-# --------------------------------------------------------- threaded blockdiag
-def test_threaded_block_factorisation_is_bitwise_identical():
-    """``kkt_factor_threads=2`` must not change a single bit of any solution.
-
-    The threaded path fans per-block factorisations out on a thread pool
-    instead of factoring one large block-diagonal system; per-block numerics
-    are identical (same permutation replay, same regularisation ladder), so
-    the batch results must match the serial backend bit-for-bit — on any
-    machine, including single-core boxes where threading buys no speed.
-    """
-    case = get_case("case14")
-    model = OPFModel(case)
-    batched = BatchedOPFModel(model)
-    samples = sample_loads(case, 4, variation=0.05, seed=23)
-    Pd = np.stack([s.Pd for s in samples])
-    Qd = np.stack([s.Qd for s in samples])
-
-    def opts(threads):
-        return OPFOptions(
-            mips=MIPSOptions(kkt_solver="blockdiag", kkt_factor_threads=threads)
-        )
-
-    serial = solve_opf_batch(case, Pd, Qd, options=opts(1), model=model, batched=batched)
-    threaded = solve_opf_batch(case, Pd, Qd, options=opts(2), model=model, batched=batched)
-    for a, b in zip(serial, threaded):
-        _assert_bitwise(a, b)
-
-
-def test_factor_threads_option_validation():
-    with pytest.raises(ValueError):
-        MIPSOptions(kkt_factor_threads=0).validate()
-    MIPSOptions(kkt_factor_threads=2).validate()

@@ -241,17 +241,17 @@ def test_mixed_batch_with_cold_warm_and_divergent():
 
 
 # ----------------------------------------------------------- fleet integration
-def test_fleet_batch_execution_matches_scenario_mode():
+def test_fleet_sweep_matches_scalar_solves(scalar_reference):
     case = get_case("case14")
     scenarios = generate_scenarios(
         case, 8, variation=0.08, contingency_fraction=0.4, seed=5
     )
-    assert any(s.outage_branch is not None for s in scenarios)
-    sweep_scenario = run_scenario_sweep(case, scenarios, execution="scenario")
-    sweep_batch = run_scenario_sweep(case, scenarios, execution="batch")
-    assert sweep_batch.n_scenarios == sweep_scenario.n_scenarios
-    for a, b in zip(sweep_scenario.outcomes, sweep_batch.outcomes):
-        assert a.scenario_id == b.scenario_id
+    assert any(s.outage_branches for s in scenarios)
+    sweep = run_scenario_sweep(case, scenarios)
+    assert sweep.n_scenarios == len(scenarios)
+    for scenario, b in zip(scenarios, sweep.outcomes):
+        a = scalar_reference(case, scenario)
+        assert scenario.scenario_id == b.scenario_id
         assert a.success == b.success
         if a.success:
             assert a.iterations == b.iterations
@@ -271,7 +271,6 @@ def test_fleet_batch_mode_fallback_recovers_failures():
         case,
         scenarios,
         warm_starts=warms,
-        execution="batch",
         fallback=get_fallback_policy("cold_restart"),
     )
     poisoned_outcome = sweep.outcomes[1]
@@ -282,17 +281,6 @@ def test_fleet_batch_mode_fallback_recovers_failures():
     # The healthy members were solved warm, no fallback.
     assert sweep.outcomes[0].success and not sweep.outcomes[0].used_fallback
     assert sweep.success_rate == 1.0
-
-
-def test_fleet_batch_execution_validation():
-    from repro.data import generate_dataset
-    from repro.parallel import SolverFleet
-
-    case = get_case("case9")
-    with pytest.raises(ValueError, match="execution"):
-        SolverFleet(case, execution="warp")
-    with pytest.raises(ValueError, match="execution"):
-        generate_dataset(case, 2, execution="warp")
 
 
 # ------------------------------------------------ batch-mode singular KKT paths

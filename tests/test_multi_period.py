@@ -62,8 +62,8 @@ def test_chained_warm_start_masks_duals_on_topology_change():
         x=np.arange(4.0), lam=np.arange(3.0), mu=np.arange(1.0, 3.0), z=np.arange(1.0, 3.0)
     )
     Pd, Qd = np.zeros(3), np.zeros(3)
-    same_a = Scenario(0, Pd, Qd, outage_branch=1)
-    same_b = Scenario(1, Pd, Qd, outage_branch=1)
+    same_a = Scenario(0, Pd, Qd, outage_branches=(1,))
+    same_b = Scenario(1, Pd, Qd, outage_branches=(1,))
     changed = Scenario(2, Pd, Qd, outage_branches=(1, 2))
 
     kept = chained_warm_start(solution, same_a, same_b)
@@ -83,7 +83,7 @@ def test_warm_chaining_beats_per_step_cold():
     """The Fig. 4 gap, time-unrolled: cold step 0, cheap warm tail."""
     case = case9()
     steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=6, seed=2))
-    with SolverFleet(case, execution="batch", collect_solutions=True) as fleet:
+    with SolverFleet(case, collect_solutions=True) as fleet:
         chained = MultiPeriodSweep(fleet, warm_chain=True).run(steps)
         cold = MultiPeriodSweep(fleet, warm_chain=False).run(steps)
     assert chained.success_rate == 1.0 and cold.success_rate == 1.0
@@ -109,7 +109,7 @@ def test_trajectory_chains_through_topology_changes():
     steps[2].scenarios[0] = Scenario(
         0, samples[2].Pd, samples[2].Qd, outage_branches=safe
     )
-    with SolverFleet(case, execution="batch", collect_solutions=True) as fleet:
+    with SolverFleet(case, collect_solutions=True) as fleet:
         result = MultiPeriodSweep(fleet).run(steps)
     assert result.success_rate == 1.0
     iters = result.iterations_by_step()
@@ -127,10 +127,7 @@ def test_trajectory_bitwise_invariant_under_lockstep_window():
     steps = trajectory_steps(case, samples, outage_branches=((), *pairs))
     results = []
     for microbatch in (None, 1):
-        with SolverFleet(
-            case, execution="batch", schedule="steal", microbatch=microbatch,
-            collect_solutions=True,
-        ) as fleet:
+        with SolverFleet(case, microbatch=microbatch, collect_solutions=True) as fleet:
             results.append(MultiPeriodSweep(fleet).run(steps))
     a, b = results
     assert a.success_rate == 1.0
@@ -163,7 +160,7 @@ def test_multi_period_sweep_rejects_bad_inputs():
 def test_engine_serve_trajectory(trained_trainer9):
     from repro.engine import WarmStartEngine
 
-    with WarmStartEngine.from_trainer(trained_trainer9, execution="batch") as engine:
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         case = engine.case
         steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=4, seed=5))
         result = engine.serve_trajectory(steps)

@@ -7,7 +7,7 @@ Covers the scenario-universe expansion end to end:
   segment), which the union-find connectivity check must reject;
 * typed validation of outage indices (negative at construction, out-of-range
   on apply);
-* the ``outage_branch`` ↔ ``outage_branches`` compatibility contract;
+* the sorted, de-duplicated canonical form of ``outage_branches``;
 * topology grouping unified on ``topology_key`` across scheduler and pool;
 * the headline acceptance property: grouped N-2 lockstep solves are
   bitwise-identical — multipliers included — to per-scenario solves, across
@@ -35,8 +35,6 @@ from repro.parallel import (
     screened_outage_sets,
     topology_key,
 )
-from repro.parallel.pool import _topology_groups
-from repro.parallel.scheduler import predicted_cost
 
 
 def chain_case():
@@ -94,7 +92,7 @@ def test_degree_filter_admits_splitting_branch_connectivity_check_rejects():
 def test_generate_scenarios_never_outages_a_splitting_branch():
     case = chain_case()
     scenario_set = generate_scenarios(case, 64, contingency_fraction=1.0, seed=0)
-    drawn = {s.outage_branch for s in scenario_set if s.outage_branch is not None}
+    drawn = {b for s in scenario_set for b in s.outage_branches}
     assert drawn  # the triangle branches are available...
     assert drawn <= {0, 1, 2}  # ...and no chain branch is ever drawn
     for branch in drawn:
@@ -128,8 +126,6 @@ def test_generate_contingency_set_round_robins_screened_pairs():
     assert len(set(keys)) == 3
     # Round-robin: scenario i reuses set i % 3, so lockstep groups recur.
     assert keys[0] == keys[3] == keys[6]
-    # N-2 scenarios have no single-branch compatibility view.
-    assert all(s.outage_branch is None for s in cs)
     with pytest.raises(ValueError, match="no connectivity-preserving"):
         generate_contingency_set(case9(), 4, k=2)
 
@@ -138,16 +134,16 @@ def test_generate_contingency_set_round_robins_screened_pairs():
 def test_negative_outage_index_rejected_at_construction():
     Pd, Qd = np.zeros(3), np.zeros(3)
     with pytest.raises(ValueError, match="non-negative"):
-        Scenario(0, Pd, Qd, outage_branch=-1)
+        Scenario(0, Pd, Qd, outage_branches=(-1,))
     with pytest.raises(ValueError, match="non-negative"):
         Scenario(0, Pd, Qd, outage_branches=(0, -2))
     with pytest.raises(ValueError, match="integer"):
-        Scenario(0, Pd, Qd, outage_branch=1.5)
+        Scenario(0, Pd, Qd, outage_branches=(1.5,))
 
 
 def test_out_of_range_outage_index_raises_typed_error_on_apply():
     case = case9()
-    scenario = Scenario(0, case.bus.Pd, case.bus.Qd, outage_branch=case.n_branch)
+    scenario = Scenario(0, case.bus.Pd, case.bus.Qd, outage_branches=(case.n_branch,))
     with pytest.raises(ValueError, match="out of range"):
         scenario.apply(case)
     pair = Scenario(0, case.bus.Pd, case.bus.Qd, outage_branches=(0, 99))
@@ -155,47 +151,36 @@ def test_out_of_range_outage_index_raises_typed_error_on_apply():
         pair.apply(case)
 
 
-def test_outage_branch_compatibility_view():
+def test_outage_branches_canonical_form():
     Pd, Qd = np.zeros(3), np.zeros(3)
-    single = Scenario(0, Pd, Qd, outage_branch=4)
-    assert single.outage_branches == (4,)
-    assert single.outage_branch == 4
     pair = Scenario(0, Pd, Qd, outage_branches=(7, 2))
     assert pair.outage_branches == (2, 7)  # sorted canonical form
-    assert pair.outage_branch is None
-    # Consistent double specification round-trips (dataclasses.replace re-runs
-    # __post_init__ with both fields set — the serving path relies on this).
-    clone = dataclasses.replace(single, scenario_id=5)
-    assert clone.outage_branches == (4,) and clone.outage_branch == 4
-    with pytest.raises(ValueError, match="disagree"):
-        Scenario(0, Pd, Qd, outage_branch=1, outage_branches=(2, 3))
+    # dataclasses.replace re-runs __post_init__ on the canonical tuple (the
+    # serving path relies on this round-trip).
+    clone = dataclasses.replace(pair, scenario_id=5)
+    assert clone.outage_branches == (2, 7)
     # Duplicates collapse.
-    assert Scenario(0, Pd, Qd, outage_branches=(3, 3)).outage_branch == 3
-
-
-def test_predicted_cost_scales_with_outage_order():
-    Pd, Qd = np.zeros(3), np.zeros(3)
-    base = predicted_cost(Scenario(0, Pd, Qd), None)
-    n1 = predicted_cost(Scenario(0, Pd, Qd, outage_branch=1), None)
-    n2 = predicted_cost(Scenario(0, Pd, Qd, outage_branches=(1, 2)), None)
-    assert base < n1 < n2
-    assert n2 / n1 == pytest.approx(n1 / base)
+    assert Scenario(0, Pd, Qd, outage_branches=(3, 3)).outage_branches == (3,)
 
 
 # ----------------------------------------------------------------- grouping
 def test_pool_and_scheduler_grouping_agree():
-    """`topology_key` is the single source of truth for group membership."""
+    """`topology_key` is the single source of truth for group membership.
+
+    The in-process fleet cuts its whole-group tasks with the scheduler's own
+    ``make_microbatches`` (width = the sweep), so one cut per topology key
+    with exactly that key's members is what both fleets group by.
+    """
     case = case14()
     cs = generate_contingency_set(case, 12, k=2, max_outage_sets=4, seed=3)
     mixed = list(cs) + list(generate_scenarios(case, 6, contingency_fraction=0.5, seed=4))
 
-    pool_groups = _topology_groups(mixed)
-    sched_groups: dict = {}
-    for mb in make_microbatches(mixed, microbatch=len(mixed)):
-        sched_groups.setdefault(mb.key, []).extend(mb.positions)
-    assert pool_groups == sched_groups
-    for key, positions in pool_groups.items():
-        assert all(topology_key(mixed[p]) == key for p in positions)
+    expected: dict = {}
+    for pos, scenario in enumerate(mixed):
+        expected.setdefault(topology_key(scenario), []).append(pos)
+    whole_groups = make_microbatches(mixed, microbatch=len(mixed))
+    assert [mb.key for mb in whole_groups] == list(expected)
+    assert {mb.key: list(mb.positions) for mb in whole_groups} == expected
 
 
 # ------------------------------------------------------------ bitwise parity
@@ -213,10 +198,7 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     cs = generate_contingency_set(case, 8, k=2, max_outage_sets=2, seed=5)
     assert len({topology_key(s) for s in cs}) == 2  # pairs genuinely recur
 
-    with SolverFleet(
-        case, options=options, execution="batch", schedule="steal",
-        collect_solutions=True,
-    ) as fleet:
+    with SolverFleet(case, options=options, collect_solutions=True) as fleet:
         grouped = fleet.solve(cs)
         singles = [
             fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus)).outcomes[0]
@@ -242,10 +224,7 @@ def test_n2_sweep_invariant_under_scheduling_knobs():
     cs = generate_contingency_set(case, 6, k=2, max_outage_sets=3, seed=6)
     results = []
     for microbatch in (None, 1, 2):
-        with SolverFleet(
-            case, execution="batch", schedule="steal", microbatch=microbatch,
-            collect_solutions=True,
-        ) as fleet:
+        with SolverFleet(case, microbatch=microbatch, collect_solutions=True) as fleet:
             results.append(fleet.solve(cs))
     ref = results[0]
     for other in results[1:]:

@@ -23,27 +23,27 @@ def test_generate_scenarios_counts_and_bounds(case9_fixture):
         loaded = nominal > 0
         assert np.all(s.Pd[loaded] >= 0.9 * nominal[loaded] - 1e-9)
         assert np.all(s.Pd[loaded] <= 1.1 * nominal[loaded] + 1e-9)
-        assert s.outage_branch is None
+        assert s.outage_branches == ()
 
 
 def test_generate_scenarios_with_contingencies(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 30, contingency_fraction=1.0, seed=1)
-    outages = [s.outage_branch for s in scenarios if s.outage_branch is not None]
-    assert len(outages) == 30
+    outages = [s.outage_branches for s in scenarios if s.outage_branches]
+    assert len(outages) == 30 and all(len(o) == 1 for o in outages)
     applied = scenarios[0].apply(case9_fixture)
-    assert applied.branch.status[scenarios[0].outage_branch] == 0
+    assert applied.branch.status[scenarios[0].outage_branches[0]] == 0
     # Original untouched.
     assert case9_fixture.branch.status.sum() == 9
 
 
 def test_scenario_chunking_covers_everything(case9_fixture):
-    from repro.parallel import balanced_assignment
+    from repro.parallel import make_microbatches
 
     scenarios = generate_scenarios(case9_fixture, 11, seed=2)
-    chunks = balanced_assignment(list(scenarios), [None] * 11, 3)
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(11))
-    # Equal predicted costs degrade to a near-equal count split.
-    assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
+    chunks = make_microbatches(list(scenarios), n_workers=3)
+    assert sorted(i for chunk in chunks for i in chunk.positions) == list(range(11))
+    # Two micro-batches per worker: ceil(11 / 6) scenarios each.
+    assert max(len(c) for c in chunks) == 2
     features = scenarios.feature_matrix(case9_fixture.base_mva)
     assert features.shape == (11, 18)
 
@@ -87,7 +87,7 @@ def test_scenario_sweep_applies_branch_outage(case14_fixture):
     case = case14_fixture
     scenarios = generate_scenarios(case, 1, contingency_fraction=1.0, seed=6)
     scenario = scenarios[0]
-    assert scenario.outage_branch is not None
+    assert scenario.outage_branches
 
     direct = solve_opf(scenario.apply(case))
     intact = solve_opf(case, Pd_mw=scenario.Pd, Qd_mvar=scenario.Qd)

@@ -1,0 +1,69 @@
+"""One way to run a sweep: the retired mode switches stay retired.
+
+``execution=``, ``schedule=`` and ``kkt_factor_threads=`` selected paths that
+lost every recorded comparison and were removed outright — no deprecation
+shim, no ``**kwargs`` sink.  This pins that every public entry point rejects
+them (and the ``Scenario.outage_branch`` compat view) with ``TypeError``.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.core import SmartPGSimConfig
+from repro.data import generate_dataset
+from repro.engine.artifact import load_artifact
+from repro.engine.engine import WarmStartEngine
+from repro.mips import MIPSOptions
+from repro.mips.linsolve import BlockDiagSolver
+from repro.parallel import Scenario, SolverFleet, run_scenario_sweep
+
+REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads")
+
+ENTRY_POINTS = [
+    SolverFleet,
+    run_scenario_sweep,
+    WarmStartEngine,
+    WarmStartEngine.from_trainer,
+    WarmStartEngine.load_artifact,
+    load_artifact,
+    generate_dataset,
+    SmartPGSimConfig,
+    BlockDiagSolver,
+    MIPSOptions,
+]
+
+
+@pytest.mark.parametrize("callee", ENTRY_POINTS, ids=lambda c: c.__qualname__)
+def test_entry_point_has_no_retired_keyword(callee):
+    params = inspect.signature(callee).parameters
+    assert not set(REMOVED) & set(params)
+    assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+
+
+@pytest.mark.parametrize("keyword", REMOVED)
+def test_retired_keyword_raises_type_error(case9_fixture, trained_trainer9, tmp_path, keyword):
+    calls = [
+        lambda kw: SolverFleet(case9_fixture, **kw),
+        lambda kw: run_scenario_sweep(case9_fixture, [], **kw),
+        lambda kw: WarmStartEngine(
+            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer, **kw
+        ),
+        lambda kw: WarmStartEngine.from_trainer(trained_trainer9, **kw),
+        lambda kw: WarmStartEngine.load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
+        lambda kw: load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
+        lambda kw: generate_dataset(case9_fixture, 2, **kw),
+        lambda kw: SmartPGSimConfig(**kw),
+        lambda kw: BlockDiagSolver(**kw),
+        lambda kw: MIPSOptions(**kw),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=keyword):
+            call({keyword: 1})
+
+
+def test_scenario_has_no_single_outage_view():
+    with pytest.raises(TypeError, match="outage_branch"):
+        Scenario(0, np.zeros(3), np.zeros(3), outage_branch=1)
+    assert not hasattr(Scenario(0, np.zeros(3), np.zeros(3)), "outage_branch")

@@ -1,19 +1,19 @@
-"""Scheduler-invariant harness: the elastic dispatch must never change results.
+"""Scheduler-invariant harness: the dispatch must never change results.
 
-The elastic scenario scheduler (PR 5) decides *where and with whom* a scenario
-is solved — cost-balanced static chunks, stolen micro-batches, retire-and-
-refill lockstep windows, cross-sweep contingency groups — while the
-per-scenario result semantics must survive every one of those choices
-bit for bit.  This suite pins that contract:
+The scenario scheduler decides *where and with whom* a scenario is solved —
+stolen micro-batches, retire-and-refill lockstep windows, cross-sweep
+contingency groups — while the per-scenario result semantics must survive
+every one of those choices bit for bit.  This suite pins that contract:
 
-* pure scheduling functions partition the sweep exactly once, keep
-  micro-batches topology-pure and balance predicted cost (property-based);
+* pure scheduling functions partition the sweep exactly once and keep
+  micro-batches topology-pure (property-based);
 * ``mips_batch``'s retire-and-refill feed is bitwise-invariant in the lockstep
   window size, including singular-KKT scenarios enrolled mid-flight whose
   ``kkt_regularizations`` must land on the right scenario (property-based);
-* fleet sweeps are exactly-once, invariant under scenario permutation and
-  micro-batch size, and keep additive ``solve_seconds`` wall shares bounded
-  by the sweep wall under stealing.
+* fleet sweeps are exactly-once, invariant under scenario permutation,
+  micro-batch size, worker count and sweep membership (a scenario served
+  alone equals the same scenario served inside a sweep), and keep additive
+  ``solve_seconds`` wall shares bounded by the sweep wall under stealing.
 """
 
 from __future__ import annotations
@@ -26,26 +26,26 @@ from hypothesis import given, settings, strategies as st
 from repro.mips.batch import BatchFeedPayload, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.parallel import (
-    SCHEDULES,
     Scenario,
     ScenarioSet,
     SolverFleet,
     auto_microbatch_size,
-    balanced_assignment,
     generate_scenarios,
     make_microbatches,
-    predicted_cost,
     run_scenario_sweep,
     topology_key,
 )
-from repro.parallel.scheduler import COLD_COST_FACTOR, MicroBatch
+from repro.parallel.scheduler import MicroBatch
 
 
 # --------------------------------------------------------------- pure policies
 def _fake_scenarios(outages):
     nb = 3
     return [
-        Scenario(i, np.full(nb, 10.0 + i), np.full(nb, 3.0), outage_branch=o)
+        Scenario(
+            i, np.full(nb, 10.0 + i), np.full(nb, 3.0),
+            outage_branches=() if o is None else (o,),
+        )
         for i, o in enumerate(outages)
     ]
 
@@ -53,43 +53,6 @@ def _fake_scenarios(outages):
 outage_lists = st.lists(
     st.one_of(st.none(), st.integers(min_value=0, max_value=3)), min_size=1, max_size=24
 )
-warm_masks = st.lists(st.booleans(), min_size=1, max_size=24)
-
-
-@settings(max_examples=60, deadline=None)
-@given(outages=outage_lists, data=st.data())
-def test_balanced_assignment_partitions_exactly_once(outages, data):
-    scenarios = _fake_scenarios(outages)
-    warm_flags = data.draw(
-        st.lists(st.booleans(), min_size=len(outages), max_size=len(outages))
-    )
-    warms = [object() if w else None for w in warm_flags]
-    n_chunks = data.draw(st.integers(min_value=1, max_value=6))
-    chunks = balanced_assignment(scenarios, warms, n_chunks)
-    assert len(chunks) == n_chunks
-    everything = sorted(pos for chunk in chunks for pos in chunk)
-    assert everything == list(range(len(outages)))
-    # Within-chunk positions keep input order.
-    for chunk in chunks:
-        assert chunk == sorted(chunk)
-    # Determinism: same inputs, same assignment.
-    assert chunks == balanced_assignment(scenarios, warms, n_chunks)
-
-
-@settings(max_examples=60, deadline=None)
-@given(outages=outage_lists, data=st.data())
-def test_balanced_assignment_bounds_chunk_cost(outages, data):
-    """LPT greedy: no chunk exceeds the ideal share by more than one scenario."""
-    scenarios = _fake_scenarios(outages)
-    warm_flags = data.draw(
-        st.lists(st.booleans(), min_size=len(outages), max_size=len(outages))
-    )
-    warms = [object() if w else None for w in warm_flags]
-    n_chunks = data.draw(st.integers(min_value=1, max_value=6))
-    costs = [predicted_cost(s, w) for s, w in zip(scenarios, warms)]
-    chunks = balanced_assignment(scenarios, warms, n_chunks)
-    loads = [sum(costs[i] for i in chunk) for chunk in chunks]
-    assert max(loads) <= sum(costs) / n_chunks + max(costs) + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,29 +72,9 @@ def test_microbatches_topology_pure_and_exactly_once(outages, data):
 
 def test_auto_microbatch_size_oversubscribes():
     assert auto_microbatch_size(0, 4) == 1
-    assert auto_microbatch_size(64, 4) == 4  # 64 / (4 workers * 4x) = 4
+    assert auto_microbatch_size(64, 4) == 8  # 64 / (4 workers * 2 per worker) = 8
     assert auto_microbatch_size(3, 8) == 1
-    assert auto_microbatch_size(10, 1) == 3
-
-
-def test_balanced_assignment_slow_scenario_regression():
-    """One deliberately slow (cold) scenario must not serialise its chunk.
-
-    The seed chunking split 8 scenarios into two chunks of 4 regardless of
-    cost; with one cold scenario (predicted 3x a warm one) that chunk held
-    4 + the slow solve while the other finished early.  The cost-balanced
-    assignment pairs the cold scenario with fewer warm ones.
-    """
-    scenarios = _fake_scenarios([None] * 8)
-    warms = [object()] * 8
-    warms[3] = None  # the deliberately slow one: a cold start
-    chunks = balanced_assignment(scenarios, warms, 2)
-    slow_chunk = next(chunk for chunk in chunks if 3 in chunk)
-    fast_chunk = next(chunk for chunk in chunks if 3 not in chunk)
-    assert len(slow_chunk) < len(fast_chunk)
-    costs = [predicted_cost(s, w) for s, w in zip(scenarios, warms)]
-    loads = sorted(sum(costs[i] for i in chunk) for chunk in (slow_chunk, fast_chunk))
-    assert loads[1] - loads[0] <= COLD_COST_FACTOR  # balanced to within one slow solve
+    assert auto_microbatch_size(10, 1) == 5
 
 
 # --------------------------------------------------- retire-and-refill (QP level)
@@ -283,7 +226,7 @@ def sweep_case9():
     scenarios = generate_scenarios(
         case, 8, variation=0.08, contingency_fraction=0.4, seed=5
     )
-    assert any(s.outage_branch is not None for s in scenarios)
+    assert any(s.outage_branches for s in scenarios)
     return case, scenarios
 
 
@@ -302,25 +245,17 @@ def _assert_bitwise_equal_outcomes(a, b):
 
 def test_fleet_exactly_once_and_sorted(sweep_case9):
     case, scenarios = sweep_case9
-    for schedule in SCHEDULES:
-        sweep = run_scenario_sweep(
-            case, scenarios, execution="batch", schedule=schedule, microbatch=2
-        )
-        ids = [o.scenario_id for o in sweep.outcomes]
-        assert ids == sorted(ids)
-        assert ids == [s.scenario_id for s in scenarios]
-        assert sweep.schedule == schedule
+    sweep = run_scenario_sweep(case, scenarios, microbatch=2)
+    ids = [o.scenario_id for o in sweep.outcomes]
+    assert ids == sorted(ids)
+    assert ids == [s.scenario_id for s in scenarios]
 
 
 def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
     case, scenarios = sweep_case9
-    reference = run_scenario_sweep(
-        case, scenarios, execution="batch", schedule="steal", microbatch=len(scenarios)
-    )
+    reference = run_scenario_sweep(case, scenarios, microbatch=len(scenarios))
     for microbatch in (1, 2, 3, None):
-        sweep = run_scenario_sweep(
-            case, scenarios, execution="batch", schedule="steal", microbatch=microbatch
-        )
+        sweep = run_scenario_sweep(case, scenarios, microbatch=microbatch)
         for a, b in zip(reference.outcomes, sweep.outcomes):
             _assert_bitwise_equal_outcomes(a, b)
 
@@ -328,41 +263,75 @@ def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
 def test_fleet_steal_results_invariant_under_permutation(sweep_case9):
     """Submitting the sweep in any scenario order yields identical results."""
     case, scenarios = sweep_case9
-    reference = _by_id(
-        run_scenario_sweep(case, scenarios, execution="batch", schedule="steal", microbatch=2)
-    )
+    reference = _by_id(run_scenario_sweep(case, scenarios, microbatch=2))
     rng = np.random.default_rng(0)
     for _ in range(3):
         order = rng.permutation(len(scenarios))
         shuffled = ScenarioSet(case.name, [scenarios[int(i)] for i in order])
-        sweep = run_scenario_sweep(
-            case, shuffled, execution="batch", schedule="steal", microbatch=2
-        )
+        sweep = run_scenario_sweep(case, shuffled, microbatch=2)
         assert sorted(o.scenario_id for o in sweep.outcomes) == sorted(reference)
         for outcome in sweep.outcomes:
             _assert_bitwise_equal_outcomes(reference[outcome.scenario_id], outcome)
 
 
-def test_fleet_scenario_mode_schedule_invariant(sweep_case9):
-    """In scenario execution, scheduling cannot change results at all."""
-    case, scenarios = sweep_case9
-    static = run_scenario_sweep(case, scenarios, execution="scenario", schedule="static")
-    steal = run_scenario_sweep(
-        case, scenarios, execution="scenario", schedule="steal", microbatch=1
-    )
-    for a, b in zip(static.outcomes, steal.outcomes):
-        _assert_bitwise_equal_outcomes(a, b)
-        assert a.objective == b.objective or (
-            np.isnan(a.objective) and np.isnan(b.objective)
-        )
+def _six_scenario_sweep(case_name):
+    """Six scenarios whose positions 2 and 3 are the only members of one topology."""
+    from repro.grid import get_case
+    from repro.parallel import screened_outage_sets
+
+    case = get_case(case_name)
+    if case_name == "case9":  # load-only and N-1 members (no N-2 pair keeps case9 connected)
+        b0, b1 = screened_outage_sets(case, k=1)[:2]
+        outages = [(), (), b0, b0, b1, ()]
+    else:  # N-2 members
+        p0, p1, p2 = screened_outage_sets(case, k=2, max_sets=3, seed=3)
+        outages = [p1, p1, p0, p0, p2, p1]
+    loads = generate_scenarios(case, 6, variation=0.08, seed=9)
+    members = [
+        Scenario(s.scenario_id, s.Pd, s.Qd, outage_branches=out)
+        for s, out in zip(loads, outages)
+    ]
+    return case, ScenarioSet(case.name, members, n_bus=case.n_bus)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("case_name", ["case9", "case14"])
+def test_scenario_alone_equals_scenario_in_sweep_bitwise(case_name, n_workers):
+    """Default arguments: sweep membership never changes a scenario's result.
+
+    Every task marches in lockstep, singletons included, so a scenario served
+    alone, inside a sweep, or next to a neighbour that an already-expired row
+    deadline retired (shrinking its topology group to one) walks one numeric
+    path.
+    """
+    import time
+
+    case, scenarios = _six_scenario_sweep(case_name)
+    deadlines = np.full(len(scenarios), np.inf)
+    deadlines[2] = time.monotonic() - 1.0
+    with SolverFleet(case, n_workers=n_workers, collect_solutions=True) as fleet:
+        together = fleet.solve(scenarios)
+        gated = fleet.solve(scenarios, deadline=deadlines)
+        alone = [
+            fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus)).outcomes[0]
+            for s in scenarios
+        ]
+    assert together.success_rate == 1.0
+    assert gated.outcomes[2].timed_out
+    for pos, single in enumerate(alone):
+        for other in (together.outcomes[pos], gated.outcomes[pos]):
+            if other.timed_out:
+                continue
+            _assert_bitwise_equal_outcomes(single, other)
+            assert single.objective == other.objective
+            for name in ("x", "lam", "mu", "z"):
+                assert np.array_equal(getattr(single.solution, name), getattr(other.solution, name))
 
 
 def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
     """Additive solve_seconds shares stay bounded by the sweep wall (in-process)."""
     case, scenarios = sweep_case9
-    sweep = run_scenario_sweep(
-        case, scenarios, execution="batch", schedule="steal", microbatch=2
-    )
+    sweep = run_scenario_sweep(case, scenarios, microbatch=2)
     assert all(o.solve_seconds >= 0.0 for o in sweep.outcomes)
     assert sweep.total_solver_seconds() <= sweep.wall_seconds + 1e-6
 
@@ -370,24 +339,17 @@ def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
 def test_fleet_solve_many_matches_separate_sweeps(sweep_case9):
     case, scenarios = sweep_case9
     other = generate_scenarios(case, 5, variation=0.06, contingency_fraction=0.4, seed=11)
-    with SolverFleet(case, execution="batch", schedule="steal", microbatch=2) as fleet:
+    with SolverFleet(case, microbatch=2) as fleet:
         separate = [fleet.solve(scenarios), fleet.solve(other)]
         grouped = fleet.solve_many([scenarios, other])
     assert len(grouped) == 2
     for sep, grp in zip(separate, grouped):
-        assert grp.schedule == "steal"
         assert grp.n_scenarios == sep.n_scenarios
         for a, b in zip(sep.outcomes, grp.outcomes):
             _assert_bitwise_equal_outcomes(a, b)
 
 
-def test_fleet_validates_schedule_and_microbatch(sweep_case9):
+def test_fleet_validates_microbatch(sweep_case9):
     case, _ = sweep_case9
-    with pytest.raises(ValueError, match="schedule"):
-        SolverFleet(case, schedule="magic")
     with pytest.raises(ValueError, match="microbatch"):
-        SolverFleet(case, schedule="steal", microbatch=0)
-    from repro.data import generate_dataset
-
-    with pytest.raises(ValueError, match="schedule"):
-        generate_dataset(case, 2, schedule="magic")
+        SolverFleet(case, microbatch=0)
