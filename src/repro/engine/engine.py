@@ -121,9 +121,9 @@ class WarmStartEngine:
         self.opf_options = opf_options or OPFOptions()
         if kkt_solver is not None:
             # Convenience override so deployments can pick the KKT backend
-            # (e.g. "blockdiag" for lockstep batch serving, "ldl" for the
-            # refactorisation backend) without rebuilding the whole (frozen)
-            # option tree by hand.
+            # (e.g. "factorized", the SuperLU reference, instead of the "ldl"
+            # default) without rebuilding the whole (frozen) option tree by
+            # hand.
             self.opf_options = replace(
                 self.opf_options,
                 mips=replace(self.opf_options.mips, kkt_solver=kkt_solver),
@@ -531,8 +531,11 @@ class WarmStartEngine:
         Cold-start timings and iteration counts are taken from the dataset
         (they were measured while generating the ground truth), so the online
         phase only pays for inference plus the warm-started solve — exactly
-        like the deployed system.  Inference is one batched forward pass; its
-        wall-clock is attributed evenly across the records.
+        like the deployed system.  Those timings carry the generation sweep's
+        lockstep width and the warm ones this sweep's, so SU (Eqn. 10) is a
+        like-for-like ratio only when the two widths match.  Inference is one
+        batched forward pass; its wall-clock is attributed evenly across the
+        records.
         """
         n = dataset.n_samples if max_problems is None else min(max_problems, dataset.n_samples)
         if n < 1:

@@ -8,14 +8,18 @@ whole batch in lockstep: primal/dual state is held as ``(B, ·)`` matrices, the
 callback evaluation, constraint stacking, Lagrangian gradient, step-length /
 centering and convergence math are vectorised across the batch axis.  The
 linear algebra itself comes in two flavours, selected by
-``MIPSOptions.kkt_solver``: per-slot backends (``"factorized"``, the default,
-and ``"spsolve"``) assemble, factorise and back-substitute each active
-scenario's KKT system in a loop, while the ``"blockdiag"`` backend assembles
-all active systems at once through plan-based batched kernels
-(:class:`_BatchKKTAssembler`) and solves them with **one** block-diagonal
-factorisation and **one** stacked backsolve per iteration
-(:class:`~repro.mips.linsolve.BlockDiagSolver`) — bit-identical per scenario
-to the per-slot path, so the two stay interchangeable.
+``MIPSOptions.kkt_solver``.  Block backends assemble all active systems at
+once through plan-based batched kernels (:class:`_BatchKKTAssembler`) and
+solve them in one call per iteration: ``"ldl"``, the default, refactorises
+the whole ``(B, nnz)`` plane over one cached symbolic analysis — batched
+level-scheduled head, one dense LU per row for the root
+(:class:`~repro.mips.ldl.LDLSolver`) — and ``"blockdiag"`` performs **one**
+block-diagonal SuperLU factorisation and **one** stacked backsolve
+(:class:`~repro.mips.linsolve.BlockDiagSolver`).  Per-slot backends
+(``"factorized"``, the SuperLU reference of the parity suites, and
+``"spsolve"``) assemble, factorise and back-substitute each active scenario's
+KKT system in a loop; ``"blockdiag"`` is bit-identical per scenario to
+``"factorized"``, ``"ldl"`` agrees with both at solver precision.
 
 Scenarios retire individually: a converged (or numerically failed) scenario
 drops out of the active set immediately, so stragglers never pay for

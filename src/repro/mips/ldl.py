@@ -1,44 +1,51 @@
 """Same-pattern sparse LDLᵀ refactorisation backend for the MIPS KKT system.
 
-SuperLU (the ``factorized``/``blockdiag`` backends) re-runs numeric *pivoting*
-from scratch every MIPS iteration because scipy exposes no same-pattern
-refactorisation.  The KKT matrix is symmetric quasi-definite with a fixed
-sparsity pattern, which admits the classical split production interior-point
-codes use (pyomo's ``contrib.interior_point`` drives MUMPS through exactly
-this): a **symbolic phase** — fill-reducing ordering, elimination tree,
-``L``-pattern and a level schedule, computed once per pattern — and a
-**numeric phase** that refactorises new data over the frozen pattern with no
-symbolic work and roughly half the flops of an LU.
+The default backend (``MIPSOptions.kkt_solver = "ldl"``).  SuperLU (the
+``factorized``/``blockdiag`` backends) re-runs numeric *pivoting* from scratch
+every MIPS iteration because scipy exposes no same-pattern refactorisation.
+The KKT matrix is symmetric quasi-definite with a fixed sparsity pattern,
+which admits the classical split production interior-point codes use (pyomo's
+``contrib.interior_point`` drives MUMPS through exactly this): a **symbolic
+phase** — fill-reducing ordering, elimination tree, ``L``-pattern, a level
+schedule and the head/root cut, computed once per pattern — and a **numeric
+phase** that refactorises new data over the frozen pattern with no symbolic
+work and roughly half the flops of an LU.
 
-The numeric phase here is *level-scheduled and batched*: columns of ``L`` are
-grouped by elimination-tree height, every level is one vectorised NumPy
-update over a ``(B, n + nnz(L))`` "column-space" plane (diagonal ``D`` slots
-followed by the ``L`` entries), and the whole batch of ``B`` same-pattern
-systems factorises simultaneously.  Per-row arithmetic is element-wise along
-the batch axis, so each system's numerics are independent of which other
-systems share the batch — the enrollment-invariance property the lockstep
-batch solver requires — and the Python-step count per factorisation is the
-number of tree levels, not ``n`` or ``nnz(L)``.
+The numeric phase is *level-scheduled and batched* below a cut of the
+elimination tree and *dense* above it.  Head columns are grouped by tree
+height and every level is one vectorised NumPy update over a
+``(B, n + nnz(L_head))`` "column-space" plane (diagonal ``D`` slots followed
+by the head's ``L`` entries), so the whole batch of ``B`` same-pattern systems
+factorises simultaneously.  Towards the top of the tree the levels hold one to
+three columns each, and walking them costs one Python step per level whatever
+``B`` is — what made this backend lose to SuperLU at lockstep widths 1–3.  So
+the tree is cut at the lowest height above which at most ``_ROOT_MAX`` columns
+remain (the **dense root**, closed under ancestry): every head→root
+contribution lands in one ``(B, m, m)`` Schur-complement plane with a single
+gather/``reduceat``, and each row's block is factorised and back-substituted
+by LAPACK's pivoted ``getrf``/``getrs``.  A KKT of order ≤ ``_ROOT_MAX``
+(case9, case14) is all root: one dense LU per row.  Per-row arithmetic is
+element-wise along the batch axis in the head and one LAPACK call per row in
+the root, so each system's numerics are independent of which other systems
+share the batch — the enrollment-invariance property the lockstep batch solver
+requires — and the Python-step count per factorisation is the number of head
+levels, not ``n`` or ``nnz(L)``.
 
-Exact zero pivots (a zero-diagonal constraint row eliminated before its
-coupled primal rows) are handled by qdldl-style **dynamic pivot clamping**:
-a pivot whose finalised magnitude is below a tiny signed threshold is
-replaced by the threshold — negative on the constraint block, preserving
+Exact zero pivots in the head (a zero-diagonal constraint row eliminated
+before its coupled primal rows) are handled by qdldl-style **dynamic pivot
+clamping**: a pivot whose finalised magnitude is below a tiny signed threshold
+is replaced by the threshold — negative on the constraint block, preserving
 quasi-definite inertia — so only degenerate pivots are perturbed and healthy
-rows keep full factorisation accuracy.  Solutions are polished with guarded
-per-row iterative refinement against the *true* (unsymmetrised, unperturbed)
-matrix, so the backend reproduces the ``factorized`` backend's trajectories
-at solver precision: the cross-backend parity suite runs the full QP/OPF
-corpus over it with identical iteration counts.  Singular systems follow the
-same contract as :class:`~repro.mips.linsolve.FactorizedSolver`: an
-escalating *signed* diagonal shift (regularisation respecting the
-quasi-definite sign structure) whose solution is accepted only when the
-residual on the unshifted system is small.
-
-Optional accelerators (``qdldl``, ``scikit-sparse``'s CHOLMOD) are used for
-scalar solves when importable — :func:`load_ldl_accelerator` probes for them —
-and the pure-NumPy path is the default so the repo works with no optional
-dependencies.
+rows keep full factorisation accuracy (the root pivots instead).  Solutions
+are polished with guarded per-row iterative refinement against the *true*
+(unsymmetrised, unperturbed) matrix to a relative residual of ``refine_tol``,
+so the backend reproduces the ``factorized`` reference's trajectories at
+solver precision: the cross-backend parity suite runs the full QP/OPF corpus
+over it with identical iteration counts.  Singular systems follow the same
+contract as :class:`~repro.mips.linsolve.FactorizedSolver`: an escalating
+*signed* diagonal shift (regularisation respecting the quasi-definite sign
+structure) whose solution is accepted only when the residual on the unshifted
+system is small.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.mips.linsolve import (
     BlockSolveReport,
@@ -66,7 +74,15 @@ from repro.utils.sparse import (
     transpose_plan,
 )
 
-__all__ = ["LDLSolver", "LDLSymbolic", "load_ldl_accelerator"]
+__all__ = ["LDLSolver", "LDLSymbolic"]
+
+#: Largest dense root: the elimination tree is cut at the lowest height above
+#: which at most this many columns remain.  The knee of the measured curve —
+#: cold case118s, ms per scenario at lockstep width 1 / 3 / 16 for a bound of
+#: 0 (no root): 465 / 283 / 114, 64: 349 / 207 / 102, 96: 299 / 199 / 98,
+#: 128: 230 / 169 / 84, 160: 228 / 155 / 86, 200: 218 / 161 / 96 — below it
+#: the chain of one-column levels dominates, above it ``getrf``'s m³.
+_ROOT_MAX = 128
 
 
 # ------------------------------------------------------------------ symbolic
@@ -87,9 +103,11 @@ class LDLSymbolic:
 
     Holds everything the numeric phase replays: the permuted lower-triangle
     gather (:func:`~repro.utils.sparse.symmetric_lower_map`), the elimination
-    tree and the ``L`` pattern derived from it, the height-level schedule, and
-    the per-level gather/reduce index plans for the factorisation and both
-    triangular solves.  Construction is two-stage so an ordering *candidate*
+    tree and the ``L`` pattern derived from it, the height-level schedule, the
+    cut between the level-scheduled head and the dense root, the head's
+    per-level gather/reduce index plans for the factorisation and both
+    triangular solves, and the gathers that fill the root's Schur-complement
+    plane.  Construction is two-stage so an ordering *candidate*
     can be costed from the cheap pattern analysis alone; :meth:`finalize`
     expands the numeric plans only for the chosen ordering.
     """
@@ -159,7 +177,6 @@ class LDLSymbolic:
         l_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(lcol, minlength=n), out=l_indptr[1:])
         self.l_indptr = l_indptr
-        self.nnzL = int(lrow.size)
         self.l_keys = lcol * n + lrow  # sorted ascending by construction
 
         # Height levels: leaves are level 0, a parent sits above its children.
@@ -169,114 +186,126 @@ class LDLSymbolic:
             if p >= 0 and level[p] <= level[j]:
                 level[p] = level[j] + 1
         self.level = level
-        self.n_levels = int(level.max()) + 1 if n else 0
 
-        counts = np.diff(l_indptr)
-        self.pair_count = int(np.sum(counts * (counts + 1) // 2))
-        #: Heuristic numeric-phase cost: contribution pairs dominate the
-        #: arithmetic, levels dominate the per-step Python overhead.
-        self.cost = float(self.pair_count) + 150.0 * self.n_levels
+        # Dense root: every column at height >= ``cut``.  Heights grow towards
+        # the tree's roots, so the set is closed under ancestry — each ``L``
+        # row index of a root column is a root column — and the block it spans
+        # is eliminated by one pivoted dense LU instead of one step per level.
+        at_or_above = np.cumsum(np.bincount(level)[::-1])[::-1]
+        self.cut = int(np.count_nonzero(at_or_above > _ROOT_MAX))
+        self.root = np.flatnonzero(level >= self.cut)
+
+        counts = np.diff(l_indptr)[level < self.cut]
+        #: Heuristic numeric-phase cost of the head: contribution pairs
+        #: dominate the arithmetic, levels the per-step Python overhead.
+        self.cost = float(np.sum(counts * (counts + 1) // 2)) + 150.0 * self.cut
 
     # ---------------------------------------------------------- stage 2: plans
     def finalize(self) -> "LDLSymbolic":
-        """Expand the per-level gather/reduce plans (idempotent)."""
+        """Expand the head's per-level plans and the root's gathers (idempotent)."""
         if self._finalized:
             return self
-        n = self.n
-        l_indptr, l_rows, l_keys = self.l_indptr, self.l_rows, self.l_keys
-        level = self.level
+        n, cut, level, root = self.n, self.cut, self.level, self.root
+        m = root.size
+        root_pos = np.full(n, -1, dtype=np.int64)
+        root_pos[root] = np.arange(m, dtype=np.int64)
 
-        # Initial scatter: original CSC data -> column-space plane positions.
+        # Only head columns keep ``L`` slots in the column-space plane.
+        all_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.l_indptr))
+        head = level[all_cols] < cut
+        l_rows, l_cols, l_keys = self.l_rows[head], all_cols[head], self.l_keys[head]
+        self.nnz_head = int(l_rows.size)
+        l_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(l_cols, minlength=n), out=l_indptr[1:])
+
+        # Initial scatter: original CSC data -> column-space plane positions
+        # (head columns) or the flattened row-major Schur plane (root columns;
+        # a root column's stored rows are its ancestors, hence root too).
         low_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.low_indptr))
-        diag = self.low_rows == low_cols
-        q = np.searchsorted(l_keys, low_cols * n + self.low_rows)
-        self.init_tpos = np.where(diag, low_cols, n + q)
-        self.init_src = self.low_src
+        low_rows = self.low_rows
+        diag = low_rows == low_cols
+        self.diag_cols, self.diag_src = low_cols[diag], self.low_src[diag]
+        in_head = level[low_cols] < cut
+        q = np.searchsorted(l_keys, (low_cols * n + low_rows)[in_head])
+        self.init_tpos = np.where(diag[in_head], low_cols[in_head], n + q)
+        self.init_src = self.low_src[in_head]
+        self.root_tpos = root_pos[low_rows[~in_head]] * m + root_pos[low_cols[~in_head]]
+        self.root_src = self.low_src[~in_head]
+        self.root_diag = np.arange(m, dtype=np.int64) * (m + 1)
 
-        # Contribution pairs: for column k with L rows r_0 < … < r_{m-1}, every
-        # ordered pair (a <= b) contributes W[r_b, k] * V[r_a, k] to output
-        # (r_b, r_a) — the D slot of r_a when a == b.  The fill rule guarantees
-        # the target exists in L's pattern.  Applied at level(r_a).
+        # Contribution pairs: for head column k with L rows r_0 < … < r_{m-1},
+        # every ordered pair (a <= b) contributes W[r_b, k] * V[r_a, k] to
+        # output (r_b, r_a) — the D slot of r_a when a == b.  The fill rule
+        # guarantees the target exists in L's pattern.  Applied at level(r_a)
+        # when r_a is a head column, otherwise (r_b is then root as well)
+        # accumulated into the Schur plane once the head is done.
         pa: List[np.ndarray] = []
         pb: List[np.ndarray] = []
         tcol: List[np.ndarray] = []
         trow: List[np.ndarray] = []
-        for k in range(n):
+        for k in np.flatnonzero(np.diff(l_indptr)):
             lo, hi = int(l_indptr[k]), int(l_indptr[k + 1])
-            m = hi - lo
-            if m == 0:
-                continue
             rows_k = l_rows[lo:hi]
-            ii, jj = np.triu_indices(m)
+            ii, jj = np.triu_indices(hi - lo)
             pa.append(n + lo + jj)
             pb.append(n + lo + ii)
             tcol.append(rows_k[ii])
             trow.append(rows_k[jj])
-        if pa:
-            pair_a = np.concatenate(pa)
-            pair_b = np.concatenate(pb)
-            t_col = np.concatenate(tcol)
-            t_row = np.concatenate(trow)
-            on_diag = t_row == t_col
-            qq = np.searchsorted(l_keys, t_col * n + t_row)
-            t_pos = np.where(on_diag, t_col, n + qq)
-            t_level = level[t_col]
-        else:  # pragma: no cover - diagonal-only patterns
-            pair_a = pair_b = t_pos = t_level = np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        pair_a, pair_b, t_col, t_row = (
+            np.concatenate(part) if part else empty for part in (pa, pb, tcol, trow)
+        )
+        t_level = level[t_col]
+        to_head = t_level < cut
+        t_pos = np.where(
+            to_head,
+            np.where(
+                t_row == t_col, t_col, n + np.searchsorted(l_keys, t_col * n + t_row)
+            ),
+            root_pos[t_row] * m + root_pos[t_col],
+        )
 
-        l_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(l_indptr))
-        col_level = level  # level of each column
-        entry_level = col_level[l_cols]
+        def grouped(sel: np.ndarray, keys: np.ndarray):
+            """``sel`` stably sorted by ``keys[sel]``, run starts, run keys."""
+            order = sel[np.argsort(keys[sel], kind="stable")]
+            sorted_keys = keys[order]
+            fresh = np.ones(sorted_keys.size, dtype=bool)
+            fresh[1:] = sorted_keys[1:] != sorted_keys[:-1]
+            return order, np.flatnonzero(fresh), sorted_keys[fresh]
 
+        order, self.schur_starts, self.schur_targets = grouped(
+            np.flatnonzero(~to_head), t_pos
+        )
+        self.schur_a, self.schur_b = pair_a[order], pair_b[order]
+        # The plans fill the Schur plane's lower triangle; getrf wants both.
+        filled = np.union1d(self.root_tpos, self.schur_targets)
+        row, col = np.divmod(filled, max(m, 1))
+        self.root_lower, self.root_upper = filled[row > col], (col * m + row)[row > col]
+
+        entry_level = level[l_cols]
         self.levels: List[_Level] = []
-        for lev in range(self.n_levels):
+        for lev in range(cut):
             plan = _Level()
             # Columns finalised at this level: every contribution targeting
             # them has landed by this level's pair step, so their pivots are
             # final before this level's divisions (the clamp hook point).
             plan.cols = np.flatnonzero(level == lev)
             # --- factor: contributions whose target column sits at this level
-            sel = np.flatnonzero(t_level == lev)
-            if sel.size:
-                ordr = sel[np.argsort(t_pos[sel], kind="stable")]
-                tp = t_pos[ordr]
-                fresh = np.ones(tp.size, dtype=bool)
-                fresh[1:] = tp[1:] != tp[:-1]
-                plan.pair_a = pair_a[ordr]
-                plan.pair_b = pair_b[ordr]
-                plan.pair_starts = np.flatnonzero(fresh)
-                plan.pair_targets = tp[fresh]
-            else:
-                plan.pair_a = np.zeros(0, dtype=np.int64)
-                plan.pair_b = plan.pair_starts = plan.pair_targets = plan.pair_a
+            order, plan.pair_starts, plan.pair_targets = grouped(
+                np.flatnonzero(t_level == lev), t_pos
+            )
+            plan.pair_a, plan.pair_b = pair_a[order], pair_b[order]
             # --- factor: division of this level's columns by their D
             esel = np.flatnonzero(entry_level == lev)
             plan.div_pos = n + esel
             plan.div_dslot = l_cols[esel]
             # --- forward solve: this level's entries scatter x[col] into rows
-            if esel.size:
-                ordr = esel[np.argsort(l_rows[esel], kind="stable")]
-                rows_sorted = l_rows[ordr]
-                fresh = np.ones(rows_sorted.size, dtype=bool)
-                fresh[1:] = rows_sorted[1:] != rows_sorted[:-1]
-                plan.fwd_pos = n + ordr
-                plan.fwd_col = l_cols[ordr]
-                plan.fwd_starts = np.flatnonzero(fresh)
-                plan.fwd_rows = rows_sorted[fresh]
-                # --- backward solve: entries grouped by their own column
-                # (esel is ascending and l_cols nondecreasing, so the level's
-                # entries arrive already column-contiguous).
-                ecols = l_cols[esel]
-                fresh = np.ones(ecols.size, dtype=bool)
-                fresh[1:] = ecols[1:] != ecols[:-1]
-                plan.bwd_pos = n + esel
-                plan.bwd_row = l_rows[esel]
-                plan.bwd_starts = np.flatnonzero(fresh)
-                plan.bwd_cols = ecols[fresh]
-            else:
-                z = np.zeros(0, dtype=np.int64)
-                plan.fwd_pos = plan.fwd_col = plan.fwd_starts = plan.fwd_rows = z
-                plan.bwd_pos = plan.bwd_row = plan.bwd_starts = plan.bwd_cols = z
+            order, plan.fwd_starts, plan.fwd_rows = grouped(esel, l_rows)
+            plan.fwd_pos, plan.fwd_col = n + order, l_cols[order]
+            # --- backward solve: entries grouped by their own column (esel is
+            # ascending and l_cols nondecreasing: already column-contiguous).
+            order, plan.bwd_starts, plan.bwd_cols = grouped(esel, l_cols)
+            plan.bwd_pos, plan.bwd_row = n + order, l_rows[order]
             self.levels.append(plan)
 
         # CSR matvec plan of the *full* template (refinement residuals): the
@@ -296,7 +325,7 @@ def _etree_perms(csc: sp.csc_matrix, ordering: str) -> List[np.ndarray]:
     """Candidate elimination orders for ``csc``'s symmetrised pattern."""
     n = csc.shape[0]
     natural = np.arange(n, dtype=np.int64)
-    if ordering == "natural" or n <= 2:
+    if ordering == "natural" or n <= _ROOT_MAX:  # all root: order is moot
         return [natural]
     pattern = sp.csc_matrix(
         (np.ones(csc.nnz), csc.indices, csc.indptr), shape=csc.shape
@@ -323,7 +352,7 @@ def _etree_perms(csc: sp.csc_matrix, ordering: str) -> List[np.ndarray]:
             cands.append(rcm)
         except Exception:  # pragma: no cover - csgraph unavailable
             pass
-    if not cands or n <= 64:
+    if not cands:
         cands.append(natural)
     return cands
 
@@ -333,7 +362,7 @@ def _etree_perms(csc: sp.csc_matrix, ordering: str) -> List[np.ndarray]:
 #: ``mips()`` call) share them instead of re-walking the elimination tree.
 _SYM_CACHE: "OrderedDict[tuple, LDLSymbolic]" = OrderedDict()
 _SYM_LOCK = threading.Lock()
-_SYM_CACHE_MAX = 8
+_SYM_CACHE_MAX = 32
 
 
 def _symbolic_for_pattern(csc: sp.csc_matrix, ordering: str) -> LDLSymbolic:
@@ -360,52 +389,59 @@ def _symbolic_for_pattern(csc: sp.csc_matrix, ordering: str) -> LDLSymbolic:
 
 # ------------------------------------------------------------------- numeric
 class LDLNumeric:
-    """One numeric LDLᵀ factorisation of a ``(B, nnz)`` data plane.
+    """One numeric factorisation of a ``(B, nnz)`` data plane.
 
-    ``W`` holds the *undivided* column values (slot ``j < n`` is ``D[j]``,
-    slots ``n + q`` the pre-division entries ``L[i, k]·D[k]``); ``V`` holds
-    the divided ``L`` entries.  Keeping both planes lets the contribution
+    ``W`` holds the head's *undivided* column values (slot ``j < n`` is
+    ``D[j]``, slots ``n + q`` the pre-division entries ``L[i, k]·D[k]``); ``V``
+    holds the divided ``L`` entries.  Keeping both planes lets the contribution
     ``L[i,k]·D[k]·L[j,k]`` be formed as ``W · V`` with no diagonal gather.
+    ``lu[b]`` / ``piv[b]`` are LAPACK's ``getrf`` factors of row ``b``'s root
+    block (its Schur complement after the head), stored transposed — the block
+    is symmetric, so the C-ordered plane row *is* the Fortran-ordered input —
+    and all-NaN where ``getrf`` met an exactly zero pivot.
     """
 
-    __slots__ = ("sym", "W", "V")
+    __slots__ = ("sym", "W", "V", "lu", "piv")
 
-    def __init__(self, sym: LDLSymbolic, W: np.ndarray, V: np.ndarray):
+    def __init__(
+        self, sym: LDLSymbolic, W: np.ndarray, V: np.ndarray, lu: np.ndarray, piv: np.ndarray
+    ):
         self.sym = sym
         self.W = W
         self.V = V
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.W[:, : self.sym.n]
-
-    def ok_rows(self) -> np.ndarray:
-        """Per-row factorisation health: finite planes and a nonzero D."""
-        finite = np.isfinite(self.W).all(axis=1) & np.isfinite(self.V).all(axis=1)
-        return finite & (self.D != 0.0).all(axis=1)
+        self.lu = lu
+        self.piv = piv
 
     def solve(self, X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Level-scheduled ``L D Lᵀ`` solve of the ``(k, n)`` right-hand sides.
+        """``L D Lᵀ`` solve of the ``(k, n)`` right-hand sides, head and root.
 
         A ``(1, ·)`` factorisation broadcasts over any number of right-hand
         sides; a ``(B, ·)`` factorisation solves its own batch row-for-row.
         ``rows`` restricts a batched factorisation to a subset of its planes
         (``X`` already holds just those rows) — the refinement loop uses it so
-        late polish steps only pay for the rows still active.  Every operation
-        is element-wise along the batch axis, so each row's solution is
-        bit-independent of its batch neighbours and of any ``rows`` slicing.
+        late polish steps only pay for the rows still active.  Head operations
+        are element-wise along the batch axis and the root is one ``getrs``
+        per row, so each row's solution is bit-independent of its batch
+        neighbours and of any ``rows`` slicing.
         """
         sym = self.sym
-        if rows is None or self.W.shape[0] == 1:
-            V, D = self.V, self.D
+        single = self.W.shape[0] == 1
+        if rows is None or single:
+            V, D = self.V, self.W[:, : sym.n]
         else:
-            V, D = self.V[rows], self.D[rows]
+            V, D = self.V[rows], self.W[rows, : sym.n]
         x = np.ascontiguousarray(X[:, sym.perm], dtype=float)
         for plan in sym.levels:
             if plan.fwd_pos.size:
                 contrib = V[:, plan.fwd_pos] * x[:, plan.fwd_col]
                 x[:, plan.fwd_rows] -= np.add.reduceat(contrib, plan.fwd_starts, axis=1)
         x /= D
+        if sym.root.size:
+            xr = x[:, sym.root]
+            for i in range(xr.shape[0]):
+                b = 0 if single else (i if rows is None else rows[i])
+                xr[i] = dgetrs(self.lu[b].T, self.piv[b], xr[i])[0]
+            x[:, sym.root] = xr
         for plan in reversed(sym.levels):
             if plan.bwd_pos.size:
                 contrib = V[:, plan.bwd_pos] * x[:, plan.bwd_row]
@@ -422,7 +458,7 @@ def _factor_planes(
     clamp: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     clamped_out: Optional[np.ndarray] = None,
 ) -> LDLNumeric:
-    """Numeric phase: level-scheduled batched factorisation over the plans.
+    """Numeric phase: level-scheduled batched head, then one dense LU per row.
 
     ``shift`` is an optional ``(B, n)`` signed diagonal shift (the regularised
     retry path).  ``clamp`` is an optional ``(eps, sign)`` pair of ``(B, n)``
@@ -430,16 +466,23 @@ def _factor_planes(
     level, pivots just finalised with ``|d| < eps`` are replaced by
     ``sign · eps`` *before* their column divides — only genuinely degenerate
     pivots are perturbed, healthy ones keep full accuracy.  Rows where any
-    clamp fired are flagged in ``clamped_out`` (a ``(B,)`` bool array).
-    Singular pivots that remain surface as zeros/NaNs in the planes — the
-    caller inspects :meth:`LDLNumeric.ok_rows` instead of catching exceptions,
-    so one batched call factors healthy and singular systems alike.
+    clamp fired are flagged in ``clamped_out`` (a ``(B,)`` bool array).  The
+    root block pivots instead of clamping.  Singular pivots that remain
+    surface as zeros/NaNs in the planes and factors, so one batched call
+    factors healthy and singular systems alike and the caller reads failure
+    off the (non-finite) solutions.
     """
     B = data_plane.shape[0]
-    W = np.zeros((B, sym.n + sym.nnzL))
+    n, m = sym.n, sym.root.size
+    W = np.zeros((B, n + sym.nnz_head))
     W[:, sym.init_tpos] = data_plane[:, sym.init_src]
+    S = np.zeros((B, m * m))
+    S[:, sym.root_tpos] = data_plane[:, sym.root_src]
     if shift is not None:
-        W[:, : sym.n] += shift
+        W[:, :n] += shift
+        S[:, sym.root_diag] += shift[:, sym.root]
+    # The root block carries its own diagonal; its D slots divide by one.
+    W[:, sym.root] = 1.0
     V = np.zeros_like(W)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for plan in sym.levels:
@@ -460,7 +503,22 @@ def _factor_planes(
                         clamped_out |= tiny.any(axis=1)
             if plan.div_pos.size:
                 V[:, plan.div_pos] = W[:, plan.div_pos] / W[:, plan.div_dslot]
-    return LDLNumeric(sym, W, V)
+        if sym.schur_a.size:
+            contrib = W[:, sym.schur_a] * V[:, sym.schur_b]
+            S[:, sym.schur_targets] -= np.add.reduceat(
+                contrib, sym.schur_starts, axis=1
+            )
+    S[:, sym.root_upper] = S[:, sym.root_lower]
+    lu = S.reshape(B, m, m)
+    piv = np.zeros((B, m), dtype=np.int32)
+    for b in range(B if m else 0):
+        # ``lu[b].T`` is Fortran-contiguous, so getrf overwrites it and the
+        # write-back is a no-op; it only copies if f2py ever hands back a copy.
+        factor, piv[b], info = dgetrf(lu[b].T, overwrite_a=True)
+        lu[b].T[...] = factor
+        if info:
+            lu[b] = np.nan
+    return LDLNumeric(sym, W, V, lu, piv)
 
 
 def _refine_rows(
@@ -470,21 +528,24 @@ def _refine_rows(
     x: np.ndarray,
     tol_rel: float,
     max_steps: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Guarded per-row iterative refinement against the true matrix.
 
     Every accept/stop decision is row-local (a row freezes once it converges
     or stops improving), so a row's refined solution is independent of which
     other rows share the batch — the same invariance the factorisation
-    guarantees.  Returns ``(x, residual_inf, scale)`` per row.
+    guarantees.  Returns ``(x, residual_inf, scale)`` per row and the number
+    of row back-substitutions spent.
     """
     r = rhs - matvec(x)
     rnorm = np.abs(r).max(axis=1)
     scale = 1.0 + np.abs(rhs).max(axis=1)
     idx = np.flatnonzero(np.isfinite(rnorm) & (rnorm > tol_rel * scale))
+    solves = 0
     for _ in range(max_steps):
         if idx.size == 0:
             break
+        solves += idx.size
         # Compress to the still-active rows: late polish steps typically
         # chase one or two stragglers, so solving only those planes turns an
         # O(B) tail into an O(active) one without changing any row's result.
@@ -506,85 +567,7 @@ def _refine_rows(
         contracting = cnorm[improved] <= 0.3 * prev[improved]
         keep = sel[contracting]
         idx = keep[rnorm[keep] > tol_rel * scale[keep]]
-    return x, rnorm, scale
-
-
-# -------------------------------------------------------------- accelerators
-class _AccelNumeric:
-    """Duck-typed stand-in for :class:`LDLNumeric` over an accelerator.
-
-    Solves row-by-row, so the per-row independence the refinement loop relies
-    on holds for accelerated factorisations too.
-    """
-
-    __slots__ = ("_accel",)
-
-    def __init__(self, accel):
-        self._accel = accel
-
-    def solve(self, X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        return np.stack([np.asarray(self._accel.solve(row), dtype=float) for row in X])
-
-
-class _QdldlAccelerator:
-    """Adapter over the ``qdldl`` package's same-pattern ``Solver``/``update``."""
-
-    name = "qdldl"
-
-    def __init__(self, module):
-        self._module = module
-        self._solver = None
-
-    def factor(self, matrix: sp.csc_matrix, fresh: bool) -> None:
-        if fresh or self._solver is None:
-            self._solver = self._module.Solver(matrix)
-        else:
-            self._solver.update(matrix)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._solver.solve(rhs), dtype=float)
-
-
-class _CholmodAccelerator:
-    """Adapter over scikit-sparse CHOLMOD (simplicial LDLᵀ, analyse-once)."""
-
-    name = "cholmod"
-
-    def __init__(self, module):
-        self._module = module
-        self._factor = None
-
-    def factor(self, matrix: sp.csc_matrix, fresh: bool) -> None:
-        if fresh or self._factor is None:
-            self._factor = self._module.analyze(matrix, mode="simplicial")
-        self._factor.cholesky_inplace(matrix)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.asarray(self._factor(rhs), dtype=float).reshape(rhs.shape)
-
-
-def load_ldl_accelerator(prefer: Tuple[str, ...] = ("qdldl", "cholmod")):
-    """Probe for an optional LDLᵀ accelerator; ``None`` when none importable.
-
-    ``qdldl`` (the OSQP factorisation core) is preferred: it is built for
-    exactly this quasi-definite same-pattern ``update``/re-solve cycle.
-    CHOLMOD via ``scikit-sparse`` is the second choice.  Import errors are
-    the *expected* path on a dependency-free install.
-    """
-    for name in prefer:
-        if name == "qdldl":
-            try:
-                import qdldl  # type: ignore[import-not-found]
-            except ImportError:
-                continue
-            return _QdldlAccelerator(qdldl)
-        if name == "cholmod":
-            try:
-                from sksparse import cholmod  # type: ignore[import-not-found]
-            except ImportError:
-                continue
-            return _CholmodAccelerator(cholmod)
-    return None
+    return x, rnorm, scale, solves
 
 
 # -------------------------------------------------------------------- solver
@@ -593,7 +576,8 @@ class LDLSolver(KKTSolver):
 
     Scalar solves, the multi-RHS ``solve_many`` path, ``resolve`` and the
     lockstep ``solve_blocks`` plane interface all share one symbolic analysis
-    per pattern and the level-scheduled batched numeric phase.  See the
+    per pattern and the batched numeric phase (level-scheduled head, dense
+    root).  See the
     module docstring for the algorithm; see
     :class:`~repro.mips.linsolve.FactorizedSolver` for the regularisation
     contract this backend mirrors (signed shifts instead of unsigned ones —
@@ -601,26 +585,25 @@ class LDLSolver(KKTSolver):
 
     Parameters mirror the other backends'; ``ordering`` selects the
     fill-reducing candidate set (``"auto"`` costs minimum-degree against
-    reverse-Cuthill-McKee and picks the cheaper numeric phase) and
-    ``accelerator`` gates the optional-dependency scalar fast path
-    (``"auto"`` probes, ``"pure"`` forces the NumPy kernels).
+    reverse-Cuthill-McKee and picks the cheaper numeric phase).
     """
 
     name = "ldl"
     #: The batched MIPS loop checks this to route whole iterations here.
     supports_blocks = True
 
-    #: Relative residual target of the refinement polish — orders of
-    #: magnitude below ``residual_tol`` and below a partial-pivoted LU's
-    #: typical residual on these systems, while cheap enough that warm-start
-    #: iterations converge in a couple of polish steps.
-    refine_tol = 1e-12
+    #: Relative residual target of the refinement polish — four orders below
+    #: ``residual_tol`` and the MIPS termination tolerances (1e-6), which is
+    #: what the trajectories are sensitive to; the last two digits down to
+    #: 1e-12 cost a further polish backsolve on most iterations and moved no
+    #: iteration count of the parity corpus.
+    refine_tol = 1e-10
     #: Refinement step cap (rows freeze on non-improvement well before this).
     max_refine_steps = 25
     #: Dynamic pivot-clamp threshold (relative to ``1 + |diag|``): a pivot
     #: whose finalised magnitude falls below it is replaced by the signed
-    #: threshold, keeping no-pivoting LDLᵀ away from the exact zero pivots of
-    #: the constraint block while leaving healthy pivots untouched;
+    #: threshold, keeping the head's no-pivoting LDLᵀ away from the exact zero
+    #: pivots of the constraint block while leaving healthy pivots untouched;
     #: refinement removes the perturbation from clamped rows' solutions.
     pivot_clamp = 1e-13
 
@@ -631,7 +614,6 @@ class LDLSolver(KKTSolver):
         max_retries: int = 3,
         residual_tol: float = 1e-6,
         ordering: str = "auto",
-        accelerator: str = "auto",
     ) -> None:
         super().__init__()
         if regularization <= 0:
@@ -644,14 +626,11 @@ class LDLSolver(KKTSolver):
             raise ValueError("residual_tol must be positive")
         if ordering not in ("auto", "mmd", "rcm", "natural"):
             raise ValueError("ordering must be one of auto|mmd|rcm|natural")
-        if accelerator not in ("auto", "pure"):
-            raise ValueError("accelerator must be 'auto' or 'pure'")
         self.regularization = regularization
         self.reg_growth = reg_growth
         self.max_retries = max_retries
         self.residual_tol = residual_tol
         self.ordering = ordering
-        self._accel = load_ldl_accelerator() if accelerator == "auto" else None
         self._sym: Optional[LDLSymbolic] = None
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
@@ -663,8 +642,10 @@ class LDLSolver(KKTSolver):
         self.numeric_refactorizations = 0
         #: Batched ``solve_blocks`` factorisations (one per lockstep iteration).
         self.block_factorizations = 0
-        #: Scalar factorisations served by an optional accelerator.
-        self.accelerated_factorizations = 0
+        #: Row back-substitutions spent on refinement polish steps.
+        self.refinement_solves = 0
+        #: Factorised rows in which the dynamic pivot clamp fired.
+        self.pivot_clamps = 0
 
     # ----------------------------------------------------------------- symbolic
     def _symbolic(self, csc: sp.csc_matrix) -> LDLSymbolic:
@@ -734,8 +715,7 @@ class LDLSolver(KKTSolver):
         # rows (the scalar multi-RHS surface); otherwise planes pair row-for-row.
         R = rhs_plane.shape[0]
         diag0 = np.zeros((B, sym.n))
-        init_diag = sym.init_tpos < sym.n
-        diag0[:, sym.init_tpos[init_diag]] = data_plane[:, sym.init_src[init_diag]]
+        diag0[:, sym.diag_cols] = data_plane[:, sym.diag_src]
         # Zero (structurally absent) diagonals are the constraint block:
         # clamp/shift them negative, preserving quasi-definite inertia.
         sign = np.where(diag0 > 0.0, 1.0, -1.0)
@@ -748,11 +728,13 @@ class LDLSolver(KKTSolver):
         )
         factor_t += time.perf_counter() - t0
         self.numeric_refactorizations += 1
+        self.pivot_clamps += int(clamped.sum())
         matvec = self._matvec_for(sym, data_plane)
         x = numeric.solve(rhs_plane)
-        x, rnorm, scale = _refine_rows(
+        x, rnorm, scale, solves = _refine_rows(
             numeric, matvec, rhs_plane, x, self.refine_tol, self.max_refine_steps
         )
+        self.refinement_solves += solves
         finite = np.isfinite(x).all(axis=1) & np.isfinite(rnorm)
         # Retry only rows that would fail the acceptance check below: an
         # ill-conditioned-but-refinable system (common on the first couple of
@@ -786,10 +768,11 @@ class LDLSolver(KKTSolver):
                 factor_t += time.perf_counter() - t0
                 self.numeric_refactorizations += 1
                 xb = retry.solve(rhs_plane[bad])
-                xb, rb, sb = _refine_rows(
+                xb, rb, sb, solves = _refine_rows(
                     retry, sub_matvec, rhs_plane[bad], xb,
                     self.refine_tol, self.max_refine_steps,
                 )
+                self.refinement_solves += solves
                 okb = np.isfinite(xb).all(axis=1) & np.isfinite(rb)
                 better = okb & (~finite[bad] | (rb < rnorm[bad]))
                 rows = bad[better]
@@ -816,39 +799,6 @@ class LDLSolver(KKTSolver):
         return x, accepted, numeric, factor_t, solve_t
 
     # ------------------------------------------------------------- scalar paths
-    def _accel_solve(
-        self, csc: sp.csc_matrix, sym: LDLSymbolic, rhs_plane: np.ndarray
-    ) -> Optional[Tuple["_AccelNumeric", np.ndarray]]:
-        """Optional-dependency scalar fast path; ``None`` falls back to pure.
-
-        The accelerator factors the symmetrised system once per call
-        (``update`` on pattern reuse) and backsubstitutes every right-hand
-        side; the shared refinement polish then runs against the true matrix,
-        so accelerated solutions meet the same residual target — anything the
-        accelerator cannot handle (import quirks, indefinite pivots it
-        rejects, a residual the polish cannot close) silently degrades to the
-        pure kernels.
-        """
-        if self._accel is None:
-            return None
-        try:
-            n = sym.n
-            vals = csc.data[sym.low_src]
-            lower = sp.csc_matrix(
-                (vals, sym.low_rows, sym.low_indptr), shape=(n, n)
-            )
-            full = (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
-            fresh = self._last_numeric is None
-            self._accel.factor(full, fresh)
-            numeric = _AccelNumeric(self._accel)
-            x = numeric.solve(rhs_plane)
-            if not np.isfinite(x).all():
-                return None
-            self.accelerated_factorizations += 1
-            return numeric, x
-        except Exception:
-            return None
-
     def _solve_scalar(self, kkt: sp.spmatrix, rhs_plane: np.ndarray) -> np.ndarray:
         csc = sp.csc_matrix(kkt)
         csc.sort_indices()
@@ -856,24 +806,6 @@ class LDLSolver(KKTSolver):
         sym = self._symbolic(csc)
         data_plane = csc.data[None, :]
         matvec = self._matvec_for(sym, data_plane)
-        accelerated = self._accel_solve(csc, sym, rhs_plane)
-        if accelerated is not None:
-            numeric, x = accelerated
-            self.numeric_refactorizations += 1
-            self.factor_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            x, rnorm, scale = _refine_rows(
-                numeric, matvec, rhs_plane, x,
-                self.refine_tol, self.max_refine_steps,
-            )
-            self.backsolve_seconds = time.perf_counter() - start
-            if np.isfinite(x).all() and (rnorm <= self.residual_tol * scale).all():
-                self._last_numeric = numeric
-                self._last_matvec = matvec
-                return x
-            # Accelerated solve missed the residual target: redo in pure
-            # NumPy (charged to the same factor/backsolve split).
-            start = time.perf_counter()
         sym_t = time.perf_counter() - start
         x, accepted, numeric, factor_t, solve_t = self._solve_with_recovery(
             sym, data_plane, rhs_plane
@@ -907,10 +839,11 @@ class LDLSolver(KKTSolver):
         start = time.perf_counter()
         rhs_plane = np.asarray(rhs, dtype=float)[None, :]
         x = self._last_numeric.solve(rhs_plane)
-        x, _, _ = _refine_rows(
+        x, _, _, solves = _refine_rows(
             self._last_numeric, self._last_matvec, rhs_plane, x,
             self.refine_tol, self.max_refine_steps,
         )
+        self.refinement_solves += solves
         self.backsolve_seconds = time.perf_counter() - start
         if not np.isfinite(x).all():
             raise KKTSolveError("resolve produced non-finite values")
@@ -924,7 +857,7 @@ class LDLSolver(KKTSolver):
         rhs_plane: np.ndarray,
         direct: bool = False,
     ) -> BlockSolveReport:
-        """Batched plane interface: one level-scheduled factorisation for ``B`` blocks.
+        """Batched plane interface: one batched factorisation for ``B`` blocks.
 
         Unlike the SuperLU block backend there is no first-call/replay split:
         the numeric phase is already deterministic per row and independent of

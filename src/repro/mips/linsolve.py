@@ -13,8 +13,8 @@ the solve behind a small interface (the architecture production interior-point
 codes such as Pyomo's ``contrib.interior_point`` use) so backends can be
 swapped via :class:`~repro.mips.options.MIPSOptions`:
 
-* :class:`FactorizedSolver` — the default.  Factors with ``splu``, reuses the
-  fill-reducing column permutation across pattern-identical systems (computed
+* :class:`FactorizedSolver` — the SuperLU reference.  Factors with ``splu``,
+  reuses the fill-reducing column permutation across pattern-identical systems (computed
   once, then applied as a cheap data gather + ``NATURAL``-ordered
   factorisation), retries a singular factorisation with escalating diagonal
   regularisation, and reports factor / back-substitution times separately.
@@ -28,11 +28,11 @@ swapped via :class:`~repro.mips.options.MIPSOptions`:
   permutation is computed once and replicated, so each block's numerics are
   bit-identical to a per-slot :class:`FactorizedSolver` solve — backends stay
   drop-in swappable.
-* ``LDLSolver`` (``repro.mips.ldl``, registered as ``"ldl"``) — same-pattern
-  sparse LDLᵀ refactorisation for the symmetric quasi-definite KKT: one
-  symbolic analysis (fill-reducing ordering, elimination tree, cached L
-  pattern) reused across every pattern-identical iteration, with only the
-  batched numeric sweep rerun.
+* ``LDLSolver`` (``repro.mips.ldl``, registered as ``"ldl"``) — the default.
+  Same-pattern sparse LDLᵀ refactorisation for the symmetric quasi-definite
+  KKT: one symbolic analysis (fill-reducing ordering, elimination tree, cached
+  L pattern) reused across every pattern-identical iteration, with only the
+  batched numeric sweep — and one dense LU per row for the tree's root — rerun.
 
 Every backend also exposes :meth:`KKTSolver.solve_many`, the multi-RHS
 backsolve path: several right-hand sides against one matrix share a single
@@ -366,7 +366,8 @@ _TELEMETRY_COUNTERS = (
     "numeric_refactorizations",
     "block_factorizations",
     "block_fallbacks",
-    "accelerated_factorizations",
+    "refinement_solves",
+    "pivot_clamps",
 )
 
 
@@ -375,7 +376,8 @@ def solver_telemetry(solver: KKTSolver) -> Dict[str, int]:
 
     Backends advertise whichever of the known counters they maintain
     (symbolic-analysis reuses, numeric refactorisations, batched block
-    factorisations, per-block fallbacks, accelerator hits); absent counters
+    factorisations, per-block fallbacks, and the ``ldl`` backend's refinement
+    back-substitutions and pivot-clamped rows); absent counters
     are simply omitted, so the harvest works uniformly across built-in and
     registered backends.  The MIPS loops surface this dict on
     ``MIPSResult.kkt_telemetry`` for the Fig. 5 symbolic-vs-numeric

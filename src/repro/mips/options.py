@@ -39,15 +39,22 @@ class MIPSOptions:
     bound_eq_tol: float = 1e-10
     #: Declare numerical failure when the step or iterate norm exceeds this.
     max_stepsize: float = 1e10
-    #: KKT linear-solver backend: ``"factorized"`` (``splu`` with symbolic
-    #: pattern reuse and singular-matrix regularisation, the fast path),
-    #: ``"blockdiag"`` (one block-diagonal factorisation per lockstep batch
-    #: iteration; identical to ``"factorized"`` for scalar solves),
-    #: ``"ldl"`` (same-pattern sparse LDLᵀ refactorisation: one symbolic
-    #: analysis reused across all pattern-identical iterations, only the
-    #: numeric sweep rerun — see :mod:`repro.mips.ldl`) or ``"spsolve"``
-    #: (the seed behaviour).  See :mod:`repro.mips.linsolve`.
-    kkt_solver: str = "factorized"
+    #: KKT linear-solver backend.  ``"ldl"`` (the default) is the same-pattern
+    #: sparse LDLᵀ refactorisation of :mod:`repro.mips.ldl`: one symbolic
+    #: analysis reused across all pattern-identical iterations, a batched
+    #: level-scheduled numeric sweep below a cut of the elimination tree, one
+    #: dense pivoted LU per scenario above it, solutions refined to 1e-10
+    #: against the true matrix.  On cold case118s it is level with
+    #: ``"factorized"`` (within 10 %) at lockstep widths 1-3 and takes
+    #: 0.55-0.63x its time at width 16 (``benchmarks/README.md``, "Choosing a
+    #: KKT linear-solver backend").  ``"factorized"`` is the SuperLU reference
+    #: (one ``splu``
+    #: per scenario per iteration with column-permutation reuse and
+    #: singular-matrix regularisation) the parity suites compare against,
+    #: ``"blockdiag"`` its one-factorisation-per-lockstep-iteration variant
+    #: (identical to ``"factorized"`` for scalar solves) and ``"spsolve"``
+    #: the seed behaviour.  See :mod:`repro.mips.linsolve`.
+    kkt_solver: str = "ldl"
     #: Initial diagonal shift used when a KKT factorisation is singular.
     kkt_reg: float = 1e-8
     #: Number of escalating regularisation retries before declaring failure.

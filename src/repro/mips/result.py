@@ -94,8 +94,8 @@ class MIPSResult:
     #: Factorisation telemetry harvested from the KKT backend at the end of
     #: the solve (``repro.mips.linsolve.solver_telemetry``): whichever of
     #: ``symbolic_reuses``, ``numeric_refactorizations``,
-    #: ``block_factorizations``, ``block_fallbacks`` and
-    #: ``accelerated_factorizations`` the backend maintains.  Lets the Fig. 5
+    #: ``block_factorizations``, ``block_fallbacks``, ``refinement_solves``
+    #: and ``pivot_clamps`` the backend maintains.  Lets the Fig. 5
     #: breakdown attribute factorisation time to symbolic analysis vs numeric
     #: sweeps per backend.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)

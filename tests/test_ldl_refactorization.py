@@ -12,24 +12,15 @@ loop actually produces, plus three structural guarantees of its own:
 * **loud failure** — singular systems that the signed-shift recovery cannot
   heal reject with :class:`KKTSolveError` instead of returning garbage
   (residual acceptance against the *unperturbed* matrix).
-
-The optional-dependency accelerator path is exercised with a fake ``qdldl``
-module injected into ``sys.modules`` — both the happy path (accelerated
-factorisations are counted and refined to the same residual target) and the
-degraded path (a broken accelerator silently falls back to the pure kernels).
 """
-
-import sys
-import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from repro.mips import KKTSolveError, FactorizedSolver, solver_telemetry
-from repro.mips.ldl import LDLSolver, load_ldl_accelerator
+from repro.mips import KKTSolveError, FactorizedSolver, ldl, solver_telemetry
+from repro.mips.ldl import LDLSolver
 
 
 def _random_kkt(seed, n=12, m=4):
@@ -55,7 +46,7 @@ def _random_kkt(seed, n=12, m=4):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_matches_factorized_on_quasi_definite_kkts(seed):
     kkt, rhs = _random_kkt(seed)
-    x_ldl = LDLSolver(accelerator="pure").solve(kkt, rhs)
+    x_ldl = LDLSolver().solve(kkt, rhs)
     x_ref = FactorizedSolver().solve(kkt, rhs)
     np.testing.assert_allclose(x_ldl, x_ref, atol=1e-10, rtol=1e-10)
     # The solution satisfies the system to the refinement target, not merely
@@ -69,17 +60,54 @@ def test_matches_factorized_on_quasi_definite_kkts(seed):
 def test_ordering_choices_agree(seed):
     kkt, rhs = _random_kkt(seed, n=10, m=3)
     sols = [
-        LDLSolver(ordering=ordering, accelerator="pure").solve(kkt, rhs)
+        LDLSolver(ordering=ordering).solve(kkt, rhs)
         for ordering in ("auto", "mmd", "rcm", "natural")
     ]
     for got in sols[1:]:
         np.testing.assert_allclose(got, sols[0], atol=1e-9, rtol=1e-9)
 
 
+@pytest.fixture
+def small_root(monkeypatch):
+    """Shrink the dense root: the 16-column corpus is otherwise all root (one
+    pivoted LU), and the level-scheduled head with its pivot clamp must stay
+    under test on it."""
+    monkeypatch.setattr(ldl, "_ROOT_MAX", 4)
+    ldl._SYM_CACHE.clear()
+    yield
+    ldl._SYM_CACHE.clear()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_head_plus_root_matches_factorized_and_stays_row_local(small_root, seed):
+    kkt, rhs = _random_kkt(seed)
+    solver = LDLSolver()
+    x = solver.solve(kkt, rhs)
+    assert solver._sym.levels and 0 < solver._sym.root.size <= 4
+    np.testing.assert_allclose(x, FactorizedSolver().solve(kkt, rhs), atol=1e-9, rtol=1e-9)
+    scale = 1.0 + np.random.RandomState(seed).uniform(0.0, 0.2, size=5)
+    data_plane = np.ascontiguousarray(scale[:, None] * kkt.data[None, :])
+    rhs_plane = np.random.RandomState(seed + 1).standard_normal((5, kkt.shape[0]))
+    batch = LDLSolver().solve_blocks(kkt, data_plane, rhs_plane)
+    assert not batch.failed
+    solo = LDLSolver().solve_blocks(kkt, data_plane[3:4], rhs_plane[3:4])
+    np.testing.assert_array_equal(batch.solutions[3], solo.solutions[0])
+
+
+def test_pivot_clamp_fires_in_the_head_and_is_counted(small_root):
+    clamps = 0
+    for seed in range(10):
+        kkt, rhs = _random_kkt(seed)
+        solver = LDLSolver()
+        solver.solve(kkt, rhs)
+        clamps += solver_telemetry(solver)["pivot_clamps"]
+    assert clamps > 0
+
+
 # -------------------------------------------------------------- symbolic reuse
 def test_symbolic_analysis_reused_across_same_pattern_solves():
     kkt, rhs = _random_kkt(3)
-    solver = LDLSolver(accelerator="pure")
+    solver = LDLSolver()
     solver.solve(kkt, rhs)
     assert solver.symbolic_reuses == 0
     assert solver.numeric_refactorizations >= 1
@@ -98,12 +126,12 @@ def test_symbolic_analysis_reused_across_same_pattern_solves():
 
 def test_telemetry_harvest_exposes_ldl_counters():
     kkt, rhs = _random_kkt(5)
-    solver = LDLSolver(accelerator="pure")
+    solver = LDLSolver()
     solver.solve(kkt, rhs)
     telemetry = solver_telemetry(solver)
     assert telemetry["numeric_refactorizations"] >= 1
     assert telemetry["symbolic_reuses"] == 0
-    assert "accelerated_factorizations" in telemetry
+    assert {"refinement_solves", "pivot_clamps"} <= set(telemetry)
 
 
 # -------------------------------------------------------- enrollment invariance
@@ -117,12 +145,12 @@ def test_batched_rows_bitwise_match_solo_solves(seed):
     data_plane = np.ascontiguousarray(scale[:, None] * kkt.data[None, :])
     rhs_plane = rng.standard_normal((B, kkt.shape[0]))
 
-    batch = LDLSolver(accelerator="pure")
+    batch = LDLSolver()
     report = batch.solve_blocks(kkt, data_plane, rhs_plane)
     assert not report.failed
     assert batch.block_factorizations == 1
     for b in range(B):
-        solo = LDLSolver(accelerator="pure")
+        solo = LDLSolver()
         solo_report = solo.solve_blocks(kkt, data_plane[b : b + 1], rhs_plane[b : b + 1])
         np.testing.assert_array_equal(report.solutions[b], solo_report.solutions[0])
 
@@ -142,7 +170,7 @@ def test_degenerate_but_solvable_system_recovers():
     )
     kkt.sort_indices()
     rhs = np.array([1.0, -2.0, 0.5])
-    solver = LDLSolver(ordering="natural", accelerator="pure")
+    solver = LDLSolver(ordering="natural")
     x = solver.solve(kkt, rhs)
     np.testing.assert_allclose(kkt @ x, rhs, atol=1e-10)
 
@@ -150,7 +178,7 @@ def test_degenerate_but_solvable_system_recovers():
 def test_singular_system_raises_instead_of_returning_garbage():
     kkt = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     kkt.sort_indices()
-    solver = LDLSolver(accelerator="pure")
+    solver = LDLSolver()
     with pytest.raises(KKTSolveError):
         solver.solve(kkt, np.array([1.0, 2.0]))
 
@@ -160,7 +188,7 @@ def test_singular_block_row_fails_alone_not_the_batch():
     n = kkt.shape[0]
     data_plane = np.vstack([kkt.data, np.zeros_like(kkt.data)])
     rhs_plane = np.ones((2, n))
-    solver = LDLSolver(accelerator="pure")
+    solver = LDLSolver()
     report = solver.solve_blocks(kkt, data_plane, rhs_plane)
     assert report.failed == [1]
     assert np.isfinite(report.solutions[0]).all()
@@ -172,90 +200,18 @@ def test_solve_many_and_resolve_share_one_factorisation():
     kkt, rhs = _random_kkt(9)
     rng = np.random.RandomState(2)
     rhs_block = rng.standard_normal((kkt.shape[0], 3))
-    solver = LDLSolver(accelerator="pure")
+    solver = LDLSolver()
     block = solver.solve_many(kkt, rhs_block)
     factored = solver.numeric_refactorizations
     for j in range(3):
         np.testing.assert_allclose(
-            block[:, j], LDLSolver(accelerator="pure").solve(kkt, rhs_block[:, j]),
+            block[:, j], LDLSolver().solve(kkt, rhs_block[:, j]),
             atol=1e-10,
         )
     # resolve refines against the retained factorisation — no new numeric work.
     extra = solver.resolve(rhs)
     assert solver.numeric_refactorizations == factored
     np.testing.assert_allclose(kkt @ extra, rhs, atol=1e-8)
-
-
-# ------------------------------------------------------------ accelerator path
-class _FakeQdldlSolver:
-    """Stands in for ``qdldl.Solver``: correct answers via dense LU."""
-
-    instances = 0
-    updates = 0
-
-    def __init__(self, matrix):
-        type(self).instances += 1
-        self._lu = spla.splu(sp.csc_matrix(matrix))
-
-    def update(self, matrix):
-        type(self).updates += 1
-        self._lu = spla.splu(sp.csc_matrix(matrix))
-
-    def solve(self, rhs):
-        return self._lu.solve(np.asarray(rhs, dtype=float))
-
-
-class _BrokenQdldlSolver:
-    def __init__(self, matrix):
-        self._n = matrix.shape[0]
-
-    def update(self, matrix):
-        pass
-
-    def solve(self, rhs):
-        return np.full(self._n, np.nan)
-
-
-def _install_fake_qdldl(monkeypatch, solver_cls):
-    fake = types.ModuleType("qdldl")
-    fake.Solver = solver_cls
-    monkeypatch.setitem(sys.modules, "qdldl", fake)
-    return fake
-
-
-def test_accelerator_probe_prefers_qdldl(monkeypatch):
-    _install_fake_qdldl(monkeypatch, _FakeQdldlSolver)
-    accel = load_ldl_accelerator()
-    assert accel is not None and accel.name == "qdldl"
-
-
-def test_accelerated_scalar_solves_count_and_match_pure(monkeypatch):
-    _install_fake_qdldl(monkeypatch, _FakeQdldlSolver)
-    _FakeQdldlSolver.instances = 0
-    _FakeQdldlSolver.updates = 0
-    kkt, rhs = _random_kkt(11)
-    solver = LDLSolver()  # accelerator="auto" probes and finds the fake
-    x = solver.solve(kkt, rhs)
-    assert solver.accelerated_factorizations == 1
-    assert _FakeQdldlSolver.instances == 1
-    # Same pattern again: the accelerator's same-pattern update path runs.
-    kkt2 = kkt.copy()
-    kkt2.data = kkt2.data * 1.05
-    solver.solve(kkt2, rhs)
-    assert solver.accelerated_factorizations == 2
-    assert _FakeQdldlSolver.updates == 1
-    np.testing.assert_allclose(
-        x, LDLSolver(accelerator="pure").solve(kkt, rhs), atol=1e-9
-    )
-
-
-def test_broken_accelerator_degrades_to_pure_kernels(monkeypatch):
-    _install_fake_qdldl(monkeypatch, _BrokenQdldlSolver)
-    kkt, rhs = _random_kkt(13)
-    solver = LDLSolver()
-    x = solver.solve(kkt, rhs)
-    assert solver.accelerated_factorizations == 0
-    np.testing.assert_allclose(kkt @ x, rhs, atol=1e-9)
 
 
 # ------------------------------------------------------------------ validation
@@ -267,7 +223,6 @@ def test_broken_accelerator_degrades_to_pure_kernels(monkeypatch):
         {"max_retries": -1},
         {"residual_tol": 0.0},
         {"ordering": "amd"},
-        {"accelerator": "gpu"},
     ],
 )
 def test_constructor_rejects_bad_parameters(kwargs):
