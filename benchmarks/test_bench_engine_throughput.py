@@ -8,17 +8,14 @@ benchmark times both paths on the largest bundled system (the 118-bus
 Table-II equivalent) and records the achieved speedup; it also checks that
 the engine's evaluation is *numerically faithful* to the sequential path.
 
-Like the KKT fast-path benchmark, the ≥2x throughput target is only enforced
-under ``REPRO_BENCH_STRICT=1``: it needs a multi-core machine (the 2x comes
-from saturating solver workers; on a single core only the batched-inference
-amortisation remains).  The measured speedup is always recorded in
+The ≥2x throughput target is only enforced under ``REPRO_BENCH_STRICT=1``: it
+needs a multi-core machine (the 2x comes from saturating solver workers; on a
+single core only the batched-inference amortisation remains).  The measured speedup is always recorded in
 ``extra_info`` so perf trajectories track it across PRs.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,30 +30,6 @@ from repro.parallel import Scenario, ScenarioSet, SolverFleet, generate_scenario
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "") == "1"
 #: Workers used for the engine path (bounded so laptops are not oversubscribed).
 N_WORKERS = max(1, min(4, os.cpu_count() or 1))
-#: Fallback when no recorded bench JSON is available: the batched-backend
-#: scenario throughput recorded by the PR 3 benchmark session
-#: (BENCH_pr3.json, ``batched_backend_vs_scenario_loop``).
-BASELINE_FALLBACK_SCEN_PER_S = 70.0
-
-
-def recorded_blockdiag_baseline() -> float:
-    """Blockdiag scen/s recorded by the previous benchmark session.
-
-    The re-baselined gate measures the new refactorisation backends against
-    the number the *previous* PR actually recorded on this repo
-    (``BENCH_pr5.json``'s ``blockdiag_kkt_backend`` entry, 59.648 scen/s at
-    the time of writing) rather than a hard-coded constant, so the target
-    tracks the repo's own perf trajectory.  Falls back to the PR 3 constant
-    when the recorded file is absent or unreadable.
-    """
-    path = Path(__file__).resolve().parents[1] / "BENCH_pr5.json"
-    try:
-        payload = json.loads(path.read_text())
-        return float(
-            payload["benchmarks"]["blockdiag_kkt_backend"]["blockdiag_scen_per_s"]
-        )
-    except (OSError, KeyError, TypeError, ValueError):
-        return BASELINE_FALLBACK_SCEN_PER_S
 
 
 @pytest.fixture(scope="module")
@@ -220,147 +193,6 @@ def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_re
     assert speedup > 0
     if STRICT:
         assert speedup >= 2.0, f"batched speedup {speedup:.2f}x below the 2x target"
-
-
-def test_bench_blockdiag_kkt_backend(benchmark, framework118, perf_recorder):
-    """KKT refactorisation backends vs the per-slot batched loop.
-
-    All runs use the lockstep batched solver on the same warm-started
-    case118s workload; only the KKT backend routing differs —
-
-    * ``factorized``: one assemble/factor/backsolve per active scenario per
-      iteration (the per-slot loop),
-    * ``blockdiag``: one batched plan-based assembly, one block-diagonal
-      SuperLU factorisation and one stacked backsolve per iteration,
-    * ``ldl``: the same-pattern LDLᵀ refactorisation backend — symbolic
-      analysis cached once, level-scheduled vectorised numeric phase over the
-      whole batch plane, guarded iterative refinement.
-
-    The ≥1.5x target for the new backends is measured against the blockdiag
-    throughput the *previous* bench session recorded (``BENCH_pr5.json``;
-    hard-coded 70 scen/s fallback) and is only enforced under
-    ``REPRO_BENCH_STRICT=1``.  The measured throughputs and the per-backend
-    KKT telemetry counters (symbolic reuses / numeric refactorisations /
-    block factorisations — the Fig. 5 factorisation-attribution inputs) are
-    always recorded into ``BENCH_pr9.json`` so the trajectory is tracked
-    either way.  The workload is the exact one the PR 3/PR 5 sessions
-    measured (16 scenarios, ±5 %, seed 21) so ratios are apples-to-apples.
-    """
-    from dataclasses import replace
-
-    from repro.parallel import SolverFleet
-
-    case = framework118.case
-    engine = framework118.engine
-    scenarios = generate_scenarios(case, 16, variation=0.05, seed=21)
-    warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case.base_mva))
-    baseline = recorded_blockdiag_baseline()
-
-    def options_for(backend):
-        opts = framework118.config.opf
-        return replace(opts, mips=replace(opts.mips, kkt_solver=backend))
-
-    def run(backend, bench=False, repeats=8):
-        """Best-of-``repeats`` sweep: wall-clock ratios on shared runners are
-        dominated by scheduler noise, and the *minimum* wall is the cleanest
-        estimate of what the backend actually costs.  On a contended 1-vCPU
-        VM the per-sweep wall spreads ~±15 % around its floor; eight samples
-        bring the min within a couple percent of it (three do not)."""
-        with SolverFleet(case, options=options_for(backend)) as fleet:
-            fleet.solve(generate_scenarios(case, 2, variation=0.05, seed=1))
-            if bench:
-                sweep = benchmark.pedantic(
-                    lambda: fleet.solve(scenarios, warm_starts), rounds=1, iterations=1
-                )
-            else:
-                sweep = fleet.solve(scenarios, warm_starts)
-            best_wall = sweep.wall_seconds
-            for _ in range(repeats - 1):
-                again = fleet.solve(scenarios, warm_starts)
-                best_wall = min(best_wall, again.wall_seconds)
-        return sweep, best_wall
-
-    sweep_slot, slot_wall = run("factorized")
-    sweep_block, block_wall = run("blockdiag")
-    sweep_ldl, ldl_wall = run("ldl", bench=True)
-
-    walls = {
-        "per_slot": slot_wall,
-        "blockdiag": block_wall,
-        "ldl": ldl_wall,
-    }
-    throughputs = {k: len(scenarios) / w for k, w in walls.items()}
-    best_new = throughputs["ldl"]
-    speedup_vs_baseline = best_new / baseline
-    benchmark.extra_info.update(
-        {f"{k}_scen_per_s": v for k, v in throughputs.items()}
-    )
-    benchmark.extra_info["pr5_baseline_scen_per_s"] = baseline
-    benchmark.extra_info["best_new_backend_speedup_vs_pr5"] = speedup_vs_baseline
-
-    def telemetry_of(sweep):
-        for outcome in sweep.outcomes:
-            if outcome.kkt_telemetry:
-                return dict(outcome.kkt_telemetry)
-        return {}
-
-    # Factorisation share of the solver phase wall, per backend: the Fig. 5
-    # attribution the LDLᵀ backend is meant to shrink.
-    def factor_share(sweep):
-        phases = {}
-        for outcome in sweep.outcomes:
-            for phase, value in outcome.phase_seconds.items():
-                phases[phase] = phases.get(phase, 0.0) + value
-        total = sum(phases.values())
-        return (phases.get("factorization", 0.0) / total) if total > 0 else 0.0
-
-    perf_recorder(
-        "blockdiag_kkt_backend",
-        case="case118s",
-        n_scenarios=len(scenarios),
-        per_slot_wall_seconds=walls["per_slot"],
-        blockdiag_wall_seconds=walls["blockdiag"],
-        ldl_wall_seconds=walls["ldl"],
-        per_slot_scen_per_s=throughputs["per_slot"],
-        blockdiag_scen_per_s=throughputs["blockdiag"],
-        ldl_scen_per_s=throughputs["ldl"],
-        pr5_baseline_scen_per_s=baseline,
-        best_new_backend_speedup_vs_pr5=speedup_vs_baseline,
-        blockdiag_factorization_share=factor_share(sweep_block),
-        ldl_factorization_share=factor_share(sweep_ldl),
-        blockdiag_kkt_telemetry=telemetry_of(sweep_block),
-        ldl_kkt_telemetry=telemetry_of(sweep_ldl),
-    )
-    print(
-        f"\nKKT backends (case118s, B=16, 1 process): per-slot "
-        f"{throughputs['per_slot']:.1f}, blockdiag {throughputs['blockdiag']:.1f}, "
-        f"ldl {throughputs['ldl']:.1f} scen/s; best new backend vs BENCH_pr5 "
-        f"baseline {baseline:.1f} scen/s: {speedup_vs_baseline:.2f}x"
-    )
-
-    # Drop-in parity on any machine: blockdiag is bit-identical to the
-    # per-slot loop; ldl agrees in convergence and
-    # objective at solver precision (its refined Newton steps can legitimately
-    # differ in the last bits).
-    for sweep in (sweep_block, sweep_ldl):
-        assert sweep.n_scenarios == sweep_slot.n_scenarios == len(scenarios)
-    for got, ref in zip(sweep_block.outcomes, sweep_slot.outcomes):
-        assert got.scenario_id == ref.scenario_id
-        assert got.converged == ref.converged
-        if ref.success:
-            assert got.iterations == ref.iterations
-            assert got.objective == ref.objective
-    for got, ref in zip(sweep_ldl.outcomes, sweep_slot.outcomes):
-        assert got.scenario_id == ref.scenario_id
-        assert got.converged == ref.converged
-        if ref.success:
-            assert abs(got.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
-    if STRICT:
-        assert speedup_vs_baseline >= 1.5, (
-            f"best new backend {best_new:.1f} scen/s is "
-            f"{speedup_vs_baseline:.2f}x the BENCH_pr5 baseline "
-            f"({baseline:.1f} scen/s), below the 1.5x target"
-        )
 
 
 def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recorder):

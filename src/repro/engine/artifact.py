@@ -192,9 +192,15 @@ def load_artifact(
     if opf_options is None:
         opf_dict = dict(meta["opf_options"])
         mips_dict = dict(opf_dict["mips"])
-        # Retired option (threaded block factorisation, bit-identical to
-        # serial by contract) that artifacts written before its removal carry.
+        # Retired options that artifacts written before their removal carry:
+        # neither changed a solution (threaded block factorisation was
+        # bit-identical to serial by contract, refinement sweeps were 0).
         mips_dict.pop("kkt_factor_threads", None)
+        mips_dict.pop("kkt_refine_steps", None)
+        # Retired SuperLU backends load as the surviving SuperLU reference
+        # ("blockdiag" was bit-identical to it by contract).
+        if mips_dict.get("kkt_solver") in ("blockdiag", "spsolve"):
+            mips_dict["kkt_solver"] = "factorized"
         opf_dict["mips"] = MIPSOptions(**mips_dict)
         opf_options = OPFOptions(**opf_dict)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -100,7 +100,6 @@ class WarmStartEngine:
         opf_options: Optional[OPFOptions] = None,
         fallback: Union[str, FallbackPolicy, None] = "cold_restart",
         opf_model: Optional[OPFModel] = None,
-        kkt_solver: Optional[str] = None,
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultPlan] = None,
@@ -119,16 +118,6 @@ class WarmStartEngine:
         )
         self._swap_lock = threading.Lock()
         self.opf_options = opf_options or OPFOptions()
-        if kkt_solver is not None:
-            # Convenience override so deployments can pick the KKT backend
-            # (e.g. "factorized", the SuperLU reference, instead of the "ldl"
-            # default) without rebuilding the whole (frozen) option tree by
-            # hand.
-            self.opf_options = replace(
-                self.opf_options,
-                mips=replace(self.opf_options.mips, kkt_solver=kkt_solver),
-            )
-            self.opf_options.mips.validate()
         self.fallback = get_fallback_policy(fallback)
         self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
         if microbatch is not None and microbatch < 1:
@@ -248,7 +237,6 @@ class WarmStartEngine:
         trainer: MTLTrainer,
         opf_options: Optional[OPFOptions] = None,
         fallback: Union[str, FallbackPolicy, None] = "cold_restart",
-        kkt_solver: Optional[str] = None,
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         drift_monitor: Optional[DriftMonitor] = None,
@@ -262,7 +250,6 @@ class WarmStartEngine:
             opf_options=opf_options,
             fallback=fallback,
             opf_model=trainer.opf_model,
-            kkt_solver=kkt_solver,
             microbatch=microbatch,
             breaker=breaker,
             drift_monitor=drift_monitor,

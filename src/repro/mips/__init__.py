@@ -1,21 +1,14 @@
 """MIPS primal-dual interior-point solver (warm-startable)."""
 
 from repro.mips.linsolve import (
-    BlockDiagSolver,
     BlockSolveReport,
     FactorizedSolver,
     KKTSolveError,
     KKTSolver,
-    SpsolveSolver,
     available_kkt_solvers,
     make_kkt_solver,
-    register_kkt_solver,
     solver_telemetry,
 )
-
-# Importing the module registers the "ldl" backend with the KKT registry, so
-# spawn-based workers that import ``repro.mips`` can select it via
-# ``MIPSOptions.kkt_solver`` (see ``register_kkt_solver``'s per-process note).
 from repro.mips.ldl import LDLSolver
 from repro.mips.batch import BatchFeedPayload, mips_batch
 from repro.mips.options import MIPSOptions
@@ -34,13 +27,10 @@ __all__ = [
     "qps_mips",
     "KKTSolver",
     "KKTSolveError",
-    "BlockDiagSolver",
     "BlockSolveReport",
     "FactorizedSolver",
     "LDLSolver",
-    "SpsolveSolver",
     "available_kkt_solvers",
     "make_kkt_solver",
-    "register_kkt_solver",
     "solver_telemetry",
 ]

@@ -6,20 +6,17 @@ starts.  Solving them one at a time leaves most of the per-iteration time in
 small-matrix NumPy/SciPy call overhead.  :func:`mips_batch` instead advances a
 whole batch in lockstep: primal/dual state is held as ``(B, ·)`` matrices, the
 callback evaluation, constraint stacking, Lagrangian gradient, step-length /
-centering and convergence math are vectorised across the batch axis.  The
-linear algebra itself comes in two flavours, selected by
-``MIPSOptions.kkt_solver``.  Block backends assemble all active systems at
-once through plan-based batched kernels (:class:`_BatchKKTAssembler`) and
-solve them in one call per iteration: ``"ldl"``, the default, refactorises
-the whole ``(B, nnz)`` plane over one cached symbolic analysis — batched
-level-scheduled head, one dense LU per row for the root
-(:class:`~repro.mips.ldl.LDLSolver`) — and ``"blockdiag"`` performs **one**
-block-diagonal SuperLU factorisation and **one** stacked backsolve
-(:class:`~repro.mips.linsolve.BlockDiagSolver`).  Per-slot backends
-(``"factorized"``, the SuperLU reference of the parity suites, and
-``"spsolve"``) assemble, factorise and back-substitute each active scenario's
-KKT system in a loop; ``"blockdiag"`` is bit-identical per scenario to
-``"factorized"``, ``"ldl"`` agrees with both at solver precision.
+centering and convergence math are vectorised across the batch axis.  So is
+the linear algebra: every iteration assembles all active scenarios' KKT
+systems at once through plan-based batched kernels
+(:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to the
+backend selected by ``MIPSOptions.kkt_solver`` in **one**
+:meth:`~repro.mips.linsolve.KKTSolver.solve_blocks` call — ``"ldl"``, the
+default, refactorises the whole plane over one cached symbolic analysis
+(:class:`~repro.mips.ldl.LDLSolver`); ``"factorized"``, the SuperLU reference
+of the parity suites, factorises it row by row
+(:class:`~repro.mips.linsolve.FactorizedSolver`).  The two agree at solver
+precision, and the loop does not know which one it holds.
 
 Scenarios retire individually: a converged (or numerically failed) scenario
 drops out of the active set immediately, so stragglers never pay for
@@ -27,24 +24,21 @@ finishers.  The converse also holds — a retire-and-refill ``feed``
 (:class:`BatchFeedPayload`) can enroll queued scenarios into the freed slots
 *between iterations*, turning the initial batch width into a lockstep window
 that elastic schedulers keep topped up.  Enrollment runs the exact entry path
-of the initial batch (and block backends give fresh scenarios the per-block
-direct first factorisation), so a scenario's trajectory is bit-identical no
-matter when, or whether, it was fed in.  Each scenario gets its own
+of the initial batch, and a backend solves each row of a plane independently
+of its neighbours, so a scenario's trajectory is bit-identical no matter when,
+or whether, it was fed in.  Each scenario gets its own
 :class:`~repro.mips.result.MIPSResult` with the same message vocabulary,
 iteration history and termination behaviour as the scalar
 :func:`~repro.mips.solver.mips` — the parity suite asserts the two agree
 scenario-by-scenario.
 
 Phase-timing attribution is honest but necessarily shared for the vectorised
-phases: batched evaluation time is split evenly across the scenarios that
-participated in the evaluation, while assembly / factorisation / backsolve are
-measured per slot on the per-slot backends and split evenly (like evaluation)
-when a block backend solves the whole active set at once.  Each scenario's
-``elapsed_seconds`` is the lockstep wall time until its retirement, and
-``wall_share_seconds`` is its *additive* share of that wall (every
+phases: batched evaluation, assembly, factorisation and backsolve time are
+each split evenly across the scenarios that took part in the iteration.  Each
+scenario's ``elapsed_seconds`` is the lockstep wall time until its retirement,
+and ``wall_share_seconds`` is its *additive* share of that wall (every
 iteration's wall time divided over the scenarios active in it) — the number
-that stays comparable with scalar per-solve times.  The scalar refinement
-option ``kkt_refine_steps`` does not apply to lockstep solves.
+that stays comparable with scalar per-solve times.
 
 The batched callbacks exchange Jacobian/Hessian *data planes* — ``(B, nnz)``
 arrays on fixed sparsity templates (see :mod:`repro.opf.batch` for the AC-OPF
@@ -70,17 +64,16 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mips.linsolve import KKTSolveError, make_kkt_solver, solver_telemetry
+from repro.mips.linsolve import make_kkt_solver, solver_telemetry
 from repro.mips.options import MIPSOptions
 from repro.mips.result import IterationRecord, MIPSResult
-from repro.mips.solver import _BoundHandler, _KKTAssembler
+from repro.mips.solver import _BoundHandler
 from repro.utils.logging import get_logger
 from repro.utils.sparse import (
     CachedBmat,
     MatmulPlan,
     batched_matvec,
     batched_row_sums,
-    csr_from_template,
     csr_rows,
     pattern_union,
     transpose_plan,
@@ -175,11 +168,10 @@ class _BatchKKTAssembler:
     replays them as pure NumPy operations over ``(B, nnz)`` data planes.
 
     The scalar assembler evaluates the *same* plans on one-row planes, and
-    every replayed operation reduces each plane row independently, so the
-    produced KKT data is **bit-identical** to the per-slot path's — the plane
-    holds, per active scenario, exactly the CSC data of the per-slot
-    assembler's KKT matrix, ready for
-    :meth:`~repro.mips.linsolve.BlockDiagSolver.solve_blocks`.
+    every replayed operation reduces each plane row independently, so a row
+    of the produced plane is **bit-identical** to the CSC data of the scalar
+    assembler's KKT matrix for that scenario, whatever the batch around it —
+    ready for :meth:`~repro.mips.linsolve.KKTSolver.solve_blocks`.
     """
 
     def __init__(
@@ -326,8 +318,7 @@ def mips_batch(
     batch becomes a lockstep *window*: every time scenarios retire (converge
     or fail), the feed is asked for replacements, which are enrolled between
     iterations and run through exactly the entry path the initial batch took
-    — same warm-start initialisation, same entry evaluation, and a per-block
-    *direct* first KKT factorisation on block backends — so a scenario's
+    — same warm-start initialisation, same entry evaluation — so a scenario's
     trajectory is bit-identical no matter when (or whether) it was fed in.
     ``feed_capacity`` (required with ``feed``) bounds the total number of
     scenarios the call may enroll; per-scenario iteration counts, histories
@@ -397,24 +388,12 @@ def mips_batch(
     jgT_order, jgT_indptr, jgT_indices = transpose_plan(jg_t)
     jhT_order, jhT_indptr, jhT_indices = transpose_plan(jh_t)
 
-    # One solver per enrolled scenario for per-slot backends; backends that
-    # support whole block iterations (``blockdiag``) get a single shared
-    # instance plus the plan-based batched assembler, removing the per-slot
-    # assemble/factor/backsolve loop entirely.
-    proto_solver = make_kkt_solver(
+    kkt_solver = make_kkt_solver(
         opt.kkt_solver,
         regularization=opt.kkt_reg,
         max_retries=opt.kkt_max_retries,
     )
-    use_blocks = bool(getattr(proto_solver, "supports_blocks", False))
-    solvers: List = []
-    if use_blocks:
-        block_solver = proto_solver
-        batch_assembler = _BatchKKTAssembler(jg_t, jh_t, hess_t, bounds)
-    else:
-        block_solver = None
-        batch_assembler = None
-    assembler = _KKTAssembler()
+    assembler = _BatchKKTAssembler(jg_t, jh_t, hess_t, bounds)
 
     # ------------------------------------------------------------- batch state
     # Arrays are sized for every scenario the call may ever hold (just the
@@ -442,7 +421,7 @@ def mips_batch(
     histories: List[List[IterationRecord]] = [[] for _ in range(capacity)]
     results: List[Optional[MIPSResult]] = [None] * capacity
     active = np.zeros(capacity, dtype=bool)
-    #: Accepted singular-KKT recoveries per scenario (both solver modes).
+    #: Accepted singular-KKT recoveries per scenario.
     reg_counts = np.zeros(capacity, dtype=int)
     #: Additive wall share per scenario: every iteration's wall time is split
     #: evenly over the scenarios active in it, so shares sum to the lockstep
@@ -542,12 +521,9 @@ def mips_batch(
             elapsed_seconds=time.perf_counter() - enroll_clock[b],
             phase_seconds={name: float(phase[name][b]) for name in _PHASES},
             kkt_regularizations=int(reg_counts[b]),
-            # Block mode shares one solver across the batch, so the counters
-            # are batch-level aggregates snapshotted at this row's retirement;
-            # per-slot mode reports the row's own solver.
-            kkt_telemetry=solver_telemetry(
-                block_solver if use_blocks else solvers[b]
-            ),
+            # One solver serves the whole batch, so the counters are
+            # batch-level aggregates snapshotted at this row's retirement.
+            kkt_telemetry=solver_telemetry(kkt_solver),
             timed_out=timed_out,
             wall_share_seconds=float(share[b]),
         )
@@ -580,15 +556,6 @@ def mips_batch(
                 raise ValueError("fed deadline must have one entry per enrolled row")
             row_deadline[new] = np.where(np.isnan(dl), np.inf, dl)
         active[new] = True
-        if not use_blocks:
-            solvers.extend(
-                make_kkt_solver(
-                    opt.kkt_solver,
-                    regularization=opt.kkt_reg,
-                    max_retries=opt.kkt_max_retries,
-                )
-                for _ in range(k)
-            )
 
         xb[:, eq_idx] = xmin[eq_idx]
         if lb_idx.size:
@@ -745,102 +712,43 @@ def mips_batch(
         phase["eval"][idx] += hess_dt / na
         it_eval[idx] = hess_dt / na
 
-        # ------------------------- assembly + factor + solve (block or per-slot)
+        # ------------------- batched assembly, then one solve for the active set
+        # The shared phases are split evenly across the active set, like the
+        # batched evaluation phases.
+        t0 = time.perf_counter()
+        kkt_plane, rhs_plane = assembler.build(
+            Hdata, Jg_data[idx], Jh_data[idx], Lx[idx], G[idx], H[idx],
+            z[idx], mu[idx], gamma[idx],
+        )
+        asm_dt = (time.perf_counter() - t0) / na
+        phase["assembly"][idx] += asm_dt
+        it_asm[idx] = asm_dt
+
+        report = kkt_solver.solve_blocks(assembler.kkt_template, kkt_plane, rhs_plane)
+        fac_dt = kkt_solver.factor_seconds / na
+        back_dt = kkt_solver.backsolve_seconds / na
+        phase["factorization"][idx] += fac_dt
+        phase["backsolve"][idx] += back_dt
+        it_fac[idx] = fac_dt
+        it_back[idx] = back_dt
+        reg_counts[idx] += report.regularizations
+
+        # Newton-step sanity checks, row by row.
         survivors: List[int] = []
-
-        def accept_step(b: int, sol: np.ndarray) -> None:
-            """Newton-step sanity checks shared by both solver modes."""
-            if not np.all(np.isfinite(sol)):
+        failed = set(report.failed)
+        for p, b in enumerate(idx):
+            sol = report.solutions[p]
+            if p in failed:
+                pending.append((int(b), "numerically failed (singular KKT system)"))
+            elif not np.all(np.isfinite(sol)):
                 pending.append((int(b), "numerically failed (non-finite Newton step)"))
-                return
-            dx = sol[:nx]
-            if float(np.max(np.abs(dx))) > opt.max_stepsize:
+            elif float(np.max(np.abs(sol[:nx]))) > opt.max_stepsize:
                 pending.append((int(b), "numerically failed (step size exploded)"))
-                return
-            DX[b] = dx
-            if neq:
-                Dlam[b] = sol[nx:]
-            survivors.append(int(b))
-
-        if use_blocks:
-            # One batched assembly + one block-diagonal factorisation + one
-            # stacked backsolve for all active scenarios.  The shared phases
-            # are split evenly across the active set, like the batched
-            # evaluation phases.
-            t0 = time.perf_counter()
-            kkt_plane, rhs_plane = batch_assembler.build(
-                Hdata, Jg_data[idx], Jh_data[idx], Lx[idx], G[idx], H[idx],
-                z[idx], mu[idx], gamma[idx],
-            )
-            asm_dt = (time.perf_counter() - t0) / na
-            phase["assembly"][idx] += asm_dt
-            it_asm[idx] = asm_dt
-            # Scenarios in their first iteration — the whole batch at it=1,
-            # fed scenarios later — take the per-block *direct* factorisation
-            # path (a per-slot solver's first factorisation is a direct
-            # ``splu``); seasoned scenarios replay the cached permutation in
-            # one block factorisation.  The split keeps a scenario's
-            # trajectory independent of when the feed enrolled it.
-            fresh = start_it[idx] == it - 1
-            parts: List[Tuple[np.ndarray, bool]] = []
-            if np.any(~fresh):
-                parts.append((np.flatnonzero(~fresh), False))
-            if np.any(fresh):
-                parts.append((np.flatnonzero(fresh), True))
-            fac_dt = back_dt = 0.0
-            for pos, direct in parts:
-                rows = idx[pos]
-                try:
-                    report = block_solver.solve_blocks(
-                        batch_assembler.kkt_template,
-                        kkt_plane[pos],
-                        rhs_plane[pos],
-                        direct=direct,
-                    )
-                except KKTSolveError:
-                    fac_dt += block_solver.factor_seconds
-                    for b in rows:
-                        pending.append((int(b), "numerically failed (singular KKT system)"))
-                    continue
-                fac_dt += block_solver.factor_seconds
-                back_dt += block_solver.backsolve_seconds
-                reg_counts[rows] += report.regularizations
-                failed = set(report.failed)
-                for p, b in enumerate(rows):
-                    if p in failed:
-                        pending.append((int(b), "numerically failed (singular KKT system)"))
-                        continue
-                    accept_step(int(b), report.solutions[p])
-            phase["factorization"][idx] += fac_dt / na
-            phase["backsolve"][idx] += back_dt / na
-            it_fac[idx] = fac_dt / na
-            it_back[idx] = back_dt / na
-        else:
-            for p, b in enumerate(idx):
-                t0 = time.perf_counter()
-                Lxx = csr_from_template(hess_t, Hdata[p])
-                Jg_b, Jh_b = bounds.stack_jacobians(
-                    csr_from_template(jg_t, Jg_data[b]), csr_from_template(jh_t, Jh_data[b])
-                )
-                kkt, rhs = assembler.build(
-                    Lxx, Jg_b, Jh_b, Lx[b], G[b], H[b], z[b], mu[b], gamma[b]
-                )
-                asm_dt = time.perf_counter() - t0
-                phase["assembly"][b] += asm_dt
-                it_asm[b] = asm_dt
-                try:
-                    sol = solvers[b].solve(kkt, rhs)
-                except KKTSolveError:
-                    phase["factorization"][b] += solvers[b].factor_seconds
-                    reg_counts[b] = solvers[b].regularizations
-                    pending.append((int(b), "numerically failed (singular KKT system)"))
-                    continue
-                phase["factorization"][b] += solvers[b].factor_seconds
-                phase["backsolve"][b] += solvers[b].backsolve_seconds
-                it_fac[b] = solvers[b].factor_seconds
-                it_back[b] = solvers[b].backsolve_seconds
-                reg_counts[b] = solvers[b].regularizations
-                accept_step(int(b), sol)
+            else:
+                DX[b] = sol[:nx]
+                if neq:
+                    Dlam[b] = sol[nx:]
+                survivors.append(int(b))
 
         if not survivors:
             close_iteration()

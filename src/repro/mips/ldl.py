@@ -1,8 +1,9 @@
 """Same-pattern sparse LDLᵀ refactorisation backend for the MIPS KKT system.
 
 The default backend (``MIPSOptions.kkt_solver = "ldl"``).  SuperLU (the
-``factorized``/``blockdiag`` backends) re-runs numeric *pivoting* from scratch
-every MIPS iteration because scipy exposes no same-pattern refactorisation.
+``factorized`` reference backend) redoes ordering and numeric *pivoting* from
+scratch every MIPS iteration because scipy exposes no same-pattern
+refactorisation.
 The KKT matrix is symmetric quasi-definite with a fixed sparsity pattern,
 which admits the classical split production interior-point codes use (pyomo's
 ``contrib.interior_point`` drives MUMPS through exactly this): a **symbolic
@@ -27,9 +28,10 @@ by LAPACK's pivoted ``getrf``/``getrs``.  A KKT of order ≤ ``_ROOT_MAX``
 (case9, case14) is all root: one dense LU per row.  Per-row arithmetic is
 element-wise along the batch axis in the head and one LAPACK call per row in
 the root, so each system's numerics are independent of which other systems
-share the batch — the enrollment-invariance property the lockstep batch solver
-requires — and the Python-step count per factorisation is the number of head
-levels, not ``n`` or ``nnz(L)``.
+share the batch — the row-isolation contract of
+:meth:`~repro.mips.linsolve.KKTSolver.solve_blocks`, the backend's one entry
+point (a scalar solve is its one-row case) — and the Python-step count per
+factorisation is the number of head levels, not ``n`` or ``nnz(L)``.
 
 Exact zero pivots in the head (a zero-diagonal constraint row eliminated
 before its coupled primal rows) are handled by qdldl-style **dynamic pivot
@@ -61,12 +63,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from repro.mips.linsolve import (
-    BlockSolveReport,
-    KKTSolveError,
-    KKTSolver,
-    register_kkt_solver,
-)
+from repro.mips.linsolve import BlockSolveReport, KKTSolver, as_planes
 from repro.utils.sparse import (
     batched_matvec,
     same_pattern,
@@ -415,18 +412,16 @@ class LDLNumeric:
     def solve(self, X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """``L D Lᵀ`` solve of the ``(k, n)`` right-hand sides, head and root.
 
-        A ``(1, ·)`` factorisation broadcasts over any number of right-hand
-        sides; a ``(B, ·)`` factorisation solves its own batch row-for-row.
-        ``rows`` restricts a batched factorisation to a subset of its planes
-        (``X`` already holds just those rows) — the refinement loop uses it so
-        late polish steps only pay for the rows still active.  Head operations
-        are element-wise along the batch axis and the root is one ``getrs``
-        per row, so each row's solution is bit-independent of its batch
-        neighbours and of any ``rows`` slicing.
+        The factorisation solves its own batch row-for-row.  ``rows``
+        restricts it to a subset of its planes (``X`` already holds just those
+        rows) — the refinement loop uses it so late polish steps only pay for
+        the rows still active.  Head operations are element-wise along the
+        batch axis and the root is one ``getrs`` per row, so each row's
+        solution is bit-independent of its batch neighbours and of any
+        ``rows`` slicing.
         """
         sym = self.sym
-        single = self.W.shape[0] == 1
-        if rows is None or single:
+        if rows is None:
             V, D = self.V, self.W[:, : sym.n]
         else:
             V, D = self.V[rows], self.W[rows, : sym.n]
@@ -439,7 +434,7 @@ class LDLNumeric:
         if sym.root.size:
             xr = x[:, sym.root]
             for i in range(xr.shape[0]):
-                b = 0 if single else (i if rows is None else rows[i])
+                b = i if rows is None else rows[i]
                 xr[i] = dgetrs(self.lu[b].T, self.piv[b], xr[i])[0]
             x[:, sym.root] = xr
         for plan in reversed(sym.levels):
@@ -574,23 +569,19 @@ def _refine_rows(
 class LDLSolver(KKTSolver):
     """Same-pattern LDLᵀ refactorisation backend (``kkt_solver="ldl"``).
 
-    Scalar solves, the multi-RHS ``solve_many`` path, ``resolve`` and the
-    lockstep ``solve_blocks`` plane interface all share one symbolic analysis
-    per pattern and the batched numeric phase (level-scheduled head, dense
-    root).  See the
+    Every :meth:`solve_blocks` call shares one symbolic analysis per pattern
+    and the batched numeric phase (level-scheduled head, dense root).  See the
     module docstring for the algorithm; see
     :class:`~repro.mips.linsolve.FactorizedSolver` for the regularisation
     contract this backend mirrors (signed shifts instead of unsigned ones —
     the quasi-definite analogue).
 
-    Parameters mirror the other backends'; ``ordering`` selects the
+    Parameters mirror the reference backend's; ``ordering`` selects the
     fill-reducing candidate set (``"auto"`` costs minimum-degree against
     reverse-Cuthill-McKee and picks the cheaper numeric phase).
     """
 
     name = "ldl"
-    #: The batched MIPS loop checks this to route whole iterations here.
-    supports_blocks = True
 
     #: Relative residual target of the refinement polish — four orders below
     #: ``residual_tol`` and the MIPS termination tolerances (1e-6), which is
@@ -634,13 +625,11 @@ class LDLSolver(KKTSolver):
         self._sym: Optional[LDLSymbolic] = None
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
-        self._last_numeric: Optional[LDLNumeric] = None
-        self._last_matvec: Optional[Callable[[np.ndarray], np.ndarray]] = None
         #: Numeric factorisations that reused a previously analysed pattern.
         self.symbolic_reuses = 0
         #: Numeric (re)factorisations performed, batched calls counting one.
         self.numeric_refactorizations = 0
-        #: Batched ``solve_blocks`` factorisations (one per lockstep iteration).
+        #: ``solve_blocks`` calls (one per MIPS iteration, scalar or lockstep).
         self.block_factorizations = 0
         #: Row back-substitutions spent on refinement polish steps.
         self.refinement_solves = 0
@@ -655,8 +644,6 @@ class LDLSolver(KKTSolver):
         self._sym = _symbolic_for_pattern(csc, self.ordering)
         self._indptr = csc.indptr
         self._indices = csc.indices
-        self._last_numeric = None
-        self._last_matvec = None
         return self._sym
 
     def _matvec_for(self, sym: LDLSymbolic, data_plane: np.ndarray):
@@ -664,9 +651,7 @@ class LDLSolver(KKTSolver):
         csr_data = np.ascontiguousarray(data_plane[:, sym.csr_order])
 
         def matvec(X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-            data = csr_data
-            if rows is not None and data.shape[0] != 1:
-                data = data[rows]
+            data = csr_data if rows is None else csr_data[rows]
             return batched_matvec(data, sym.csr_indptr, sym.csr_indices, X)
 
         return matvec
@@ -674,7 +659,7 @@ class LDLSolver(KKTSolver):
     # ------------------------------------------------------------ factor + heal
     def _solve_with_recovery(
         self, sym: LDLSymbolic, data_plane: np.ndarray, rhs_plane: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, LDLNumeric, float, float]:
+    ) -> Tuple[np.ndarray, np.ndarray, float, float]:
         """Factor, refine and recover the whole batch; the core numeric path.
 
         LDLᵀ without pivoting meets *exact* zero pivots whenever the ordering
@@ -697,23 +682,18 @@ class LDLSolver(KKTSolver):
         quasi-definite analogue of ``FactorizedSolver``'s regularised retry),
         which bounds growth, then refine against the true matrix again.
 
-        Returns ``(x, accepted, numeric, factor_seconds, solve_seconds)``.
+        Returns ``(x, accepted, factor_seconds, solve_seconds)``.
         Perturbed rows (clamped or shift-recovered) face the same
         unperturbed-residual acceptance check ``FactorizedSolver`` applies —
         failures come back NaN; ``accepted`` flags shift recoveries that
         passed (the rows reported as regularisations — pivot clamps are an
         ordering artifact of the quasi-definite KKT, not a conditioning
-        event).  ``numeric`` is the factorisation backing the returned
-        solutions (the retry factor when every row was recovered — the
-        ``resolve`` surface refines against it); the timing pair splits the
-        call's wall into numeric-factorisation vs backsolve/refinement time.
+        event).  The timing pair splits the call's wall into
+        numeric-factorisation vs backsolve/refinement time.
         """
         t_enter = time.perf_counter()
         factor_t = 0.0
         B = data_plane.shape[0]
-        # A (1, ·) data plane broadcasts over any number of right-hand-side
-        # rows (the scalar multi-RHS surface); otherwise planes pair row-for-row.
-        R = rhs_plane.shape[0]
         diag0 = np.zeros((B, sym.n))
         diag0[:, sym.diag_cols] = data_plane[:, sym.diag_src]
         # Zero (structurally absent) diagonals are the constraint block:
@@ -744,32 +724,23 @@ class LDLSolver(KKTSolver):
         # push eigenvalues *toward* zero, so speculative retries both waste
         # factorisations and produce worse factors.
         stalled = ~finite | (rnorm > self.residual_tol * scale)
-        shifted = np.zeros(R, dtype=bool)
-        clamped_rows = clamped if B == R else np.broadcast_to(clamped, (R,)).copy()
+        shifted = np.zeros(B, dtype=bool)
         if stalled.any() and self.max_retries:
             reg = self.regularization
             bad = np.flatnonzero(stalled)
             for _ in range(self.max_retries):
                 t0 = time.perf_counter()
-                if B == 1:
-                    retry = _factor_planes(
-                        sym, data_plane, shift=sign * (reg * dscale),
-                        clamp=(eps, sign),
-                    )
-                    sub_matvec = matvec
-                else:
-                    retry = _factor_planes(
-                        sym,
-                        data_plane[bad],
-                        shift=(sign * (reg * dscale))[bad],
-                        clamp=(eps[bad], sign[bad]),
-                    )
-                    sub_matvec = self._matvec_for(sym, data_plane[bad])
+                retry = _factor_planes(
+                    sym,
+                    data_plane[bad],
+                    shift=(sign * (reg * dscale))[bad],
+                    clamp=(eps[bad], sign[bad]),
+                )
                 factor_t += time.perf_counter() - t0
                 self.numeric_refactorizations += 1
                 xb = retry.solve(rhs_plane[bad])
                 xb, rb, sb, solves = _refine_rows(
-                    retry, sub_matvec, rhs_plane[bad], xb,
+                    retry, self._matvec_for(sym, data_plane[bad]), rhs_plane[bad], xb,
                     self.refine_tol, self.max_refine_steps,
                 )
                 self.refinement_solves += solves
@@ -780,8 +751,6 @@ class LDLSolver(KKTSolver):
                 rnorm[rows] = rb[better]
                 finite[rows] = True
                 shifted[rows] = True
-                if B == 1 and better.any():
-                    numeric = retry
                 healed = okb & (rb <= self.residual_tol * sb)
                 bad = bad[~healed]
                 if bad.size == 0:
@@ -791,97 +760,31 @@ class LDLSolver(KKTSolver):
         # solution counts only when the residual on the *unperturbed* system
         # is small; otherwise the row fails loudly (NaN).
         rel_ok = finite & (rnorm <= self.residual_tol * scale)
-        dead = ~finite | ((clamped_rows | shifted) & ~rel_ok)
+        dead = ~finite | ((clamped | shifted) & ~rel_ok)
         accepted = shifted & rel_ok & ~dead
         if dead.any():
             x[dead] = np.nan
         solve_t = (time.perf_counter() - t_enter) - factor_t
-        return x, accepted, numeric, factor_t, solve_t
+        return x, accepted, factor_t, solve_t
 
-    # ------------------------------------------------------------- scalar paths
-    def _solve_scalar(self, kkt: sp.spmatrix, rhs_plane: np.ndarray) -> np.ndarray:
-        csc = sp.csc_matrix(kkt)
-        csc.sort_indices()
-        start = time.perf_counter()
-        sym = self._symbolic(csc)
-        data_plane = csc.data[None, :]
-        matvec = self._matvec_for(sym, data_plane)
-        sym_t = time.perf_counter() - start
-        x, accepted, numeric, factor_t, solve_t = self._solve_with_recovery(
-            sym, data_plane, rhs_plane
-        )
-        self.factor_seconds = sym_t + factor_t
-        self.backsolve_seconds = solve_t
-        self._last_numeric = numeric
-        self._last_matvec = matvec
-        if not np.isfinite(x).all():
-            raise KKTSolveError(
-                f"KKT factorisation singular after {self.max_retries} "
-                f"regularised retries (ldl residual check failed)"
-            )
-        self.regularizations += int(accepted.sum())
-        return x
-
-    def solve(self, kkt: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        return self._solve_scalar(kkt, rhs[None, :])[0]
-
-    def solve_many(self, kkt: sp.spmatrix, rhs_block: np.ndarray) -> np.ndarray:
-        rhs_block = np.asarray(rhs_block, dtype=float)
-        if rhs_block.ndim == 1:
-            rhs_block = rhs_block[:, None]
-        return self._solve_scalar(kkt, np.ascontiguousarray(rhs_block.T)).T
-
-    def resolve(self, rhs: np.ndarray) -> np.ndarray:
-        """One extra polished backsolve against the retained factorisation."""
-        if self._last_numeric is None:
-            raise KKTSolveError("no factorisation available to resolve against")
-        start = time.perf_counter()
-        rhs_plane = np.asarray(rhs, dtype=float)[None, :]
-        x = self._last_numeric.solve(rhs_plane)
-        x, _, _, solves = _refine_rows(
-            self._last_numeric, self._last_matvec, rhs_plane, x,
-            self.refine_tol, self.max_refine_steps,
-        )
-        self.refinement_solves += solves
-        self.backsolve_seconds = time.perf_counter() - start
-        if not np.isfinite(x).all():
-            raise KKTSolveError("resolve produced non-finite values")
-        return x[0]
-
-    # -------------------------------------------------------------- block path
     def solve_blocks(
-        self,
-        template: sp.csc_matrix,
-        data_plane: np.ndarray,
-        rhs_plane: np.ndarray,
-        direct: bool = False,
+        self, template: sp.csc_matrix, data_plane: np.ndarray, rhs_plane: np.ndarray
     ) -> BlockSolveReport:
-        """Batched plane interface: one batched factorisation for ``B`` blocks.
+        """One batched factorisation, refinement and recovery for ``B`` blocks.
 
-        Unlike the SuperLU block backend there is no first-call/replay split:
-        the numeric phase is already deterministic per row and independent of
-        batch composition, so ``direct`` (fresh blocks) takes the same path
-        and enrollment invariance holds by construction.
+        The numeric phase is deterministic per row and independent of batch
+        composition, so a row's solution is the same bits at any width.
         """
-        data_plane = np.ascontiguousarray(np.atleast_2d(np.asarray(data_plane, dtype=float)))
-        rhs_plane = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs_plane, dtype=float)))
-        blocks, n = rhs_plane.shape
-        if data_plane.shape[0] != blocks:
-            raise ValueError("data plane and rhs plane must have matching batch sizes")
+        data_plane, rhs_plane = as_planes(data_plane, rhs_plane)
         start = time.perf_counter()
         sym = self._symbolic(template)
         sym_t = time.perf_counter() - start
-        solutions, accepted, _, factor_t, solve_t = self._solve_with_recovery(
+        solutions, accepted, factor_t, solve_t = self._solve_with_recovery(
             sym, data_plane, rhs_plane
         )
         self.block_factorizations += 1
         self.factor_seconds = sym_t + factor_t
         self.backsolve_seconds = solve_t
-        regs = accepted.astype(int)
         self.regularizations += int(accepted.sum())
         failed = [int(b) for b in np.flatnonzero(~np.isfinite(solutions).all(axis=1))]
-        return BlockSolveReport(solutions, failed, regs)
-
-
-register_kkt_solver(LDLSolver.name, LDLSolver)
+        return BlockSolveReport(solutions, failed, accepted.astype(int))

@@ -45,26 +45,17 @@ class MIPSOptions:
     #: level-scheduled numeric sweep below a cut of the elimination tree, one
     #: dense pivoted LU per scenario above it, solutions refined to 1e-10
     #: against the true matrix.  On cold case118s it is level with
-    #: ``"factorized"`` (within 10 %) at lockstep widths 1-3 and takes
-    #: 0.55-0.63x its time at width 16 (``benchmarks/README.md``, "Choosing a
-    #: KKT linear-solver backend").  ``"factorized"`` is the SuperLU reference
-    #: (one ``splu``
-    #: per scenario per iteration with column-permutation reuse and
-    #: singular-matrix regularisation) the parity suites compare against,
-    #: ``"blockdiag"`` its one-factorisation-per-lockstep-iteration variant
-    #: (identical to ``"factorized"`` for scalar solves) and ``"spsolve"``
-    #: the seed behaviour.  See :mod:`repro.mips.linsolve`.
+    #: ``"factorized"`` (within 10 %) at lockstep width 1, ahead from width 3
+    #: up and takes 0.55-0.64x its time at width 16 (``benchmarks/README.md``,
+    #: "Choosing a KKT linear-solver backend").  ``"factorized"`` is the only
+    #: other value: the stateless SuperLU reference the parity suites compare
+    #: against (one direct ``splu`` per scenario per iteration, singular-matrix
+    #: regularisation).  See :mod:`repro.mips.linsolve`.
     kkt_solver: str = "ldl"
     #: Initial diagonal shift used when a KKT factorisation is singular.
     kkt_reg: float = 1e-8
     #: Number of escalating regularisation retries before declaring failure.
     kkt_max_retries: int = 3
-    #: Iterative-refinement sweeps applied to each Newton solution: every
-    #: sweep re-solves the residual against the iteration's factorisation
-    #: (the multi-RHS/resolve path of :mod:`repro.mips.linsolve`), sharpening
-    #: steps on ill-conditioned warm starts.  0 (the default) disables
-    #: refinement and reproduces the historic behaviour exactly.
-    kkt_refine_steps: int = 0
     #: Per-solve wall budget in seconds (``None`` = unbounded).  Checked
     #: cooperatively between iterations; an exhausted budget terminates the
     #: solve with ``timed_out`` set instead of raising.  In lockstep batch
@@ -100,7 +91,5 @@ class MIPSOptions:
             raise ValueError("kkt_reg must be positive")
         if self.kkt_max_retries < 0:
             raise ValueError("kkt_max_retries must be non-negative")
-        if self.kkt_refine_steps < 0:
-            raise ValueError("kkt_refine_steps must be non-negative")
         if self.max_wall_seconds is not None and self.max_wall_seconds <= 0:
             raise ValueError("max_wall_seconds must be positive (or None)")

@@ -92,12 +92,13 @@ class MIPSResult:
     #: ill-conditioning that the seed solver would have failed hard on).
     kkt_regularizations: int = 0
     #: Factorisation telemetry harvested from the KKT backend at the end of
-    #: the solve (``repro.mips.linsolve.solver_telemetry``): whichever of
-    #: ``symbolic_reuses``, ``numeric_refactorizations``,
-    #: ``block_factorizations``, ``block_fallbacks``, ``refinement_solves``
-    #: and ``pivot_clamps`` the backend maintains.  Lets the Fig. 5
-    #: breakdown attribute factorisation time to symbolic analysis vs numeric
-    #: sweeps per backend.
+    #: the solve (``repro.mips.linsolve.solver_telemetry``):
+    #: ``numeric_refactorizations`` on both backends, plus ``symbolic_reuses``,
+    #: ``block_factorizations``, ``refinement_solves`` and ``pivot_clamps`` on
+    #: ``"ldl"`` only (the ``"factorized"`` reference reuses nothing).  Lets
+    #: the Fig. 5 breakdown attribute factorisation time to symbolic analysis
+    #: vs numeric sweeps.  A lockstep batch shares one solver, so its rows
+    #: report batch-level aggregates snapshotted at their retirement.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
     #: True when the solve was terminated by a wall deadline or per-solve
     #: wall budget (``message`` carries the detail) — a resource outcome, not

@@ -132,21 +132,9 @@ class _BoundHandler:
         h = np.concatenate(
             [h_nl, x[self.ub_idx] - self.xmax[self.ub_idx], self.xmin[self.lb_idx] - x[self.lb_idx]]
         )
-        Jg, Jh = self.stack_jacobians(Jg_nl, Jh_nl)
-        return g, h, Jg, Jh
-
-    def stack_jacobians(
-        self, Jg_nl: sp.spmatrix, Jh_nl: sp.spmatrix
-    ) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Stack nonlinear Jacobians on top of the constant bound-selector rows.
-
-        Shared with the lockstep batch solver, which stacks the constraint
-        *values* batch-vectorised but still needs per-slot stacked Jacobians
-        for the KKT assembly.
-        """
         Jg = cached_vstack_csr(self._Jg_cache, [Jg_nl, self._E_eq])
         Jh = cached_vstack_csr(self._Jh_cache, [Jh_nl, self._E_ub, self._E_lb])
-        return Jg, Jh
+        return g, h, Jg, Jh
 
     def interior_start(self, x0: np.ndarray) -> np.ndarray:
         """Clip the starting point strictly inside non-degenerate bounds and onto fixed values."""
@@ -178,8 +166,7 @@ class _KKTAssembler:
     structural pattern, so the KKT pattern is stable for the life of the
     problem.  The same plan arithmetic evaluates the batched data planes in
     :class:`repro.mips.batch._BatchKKTAssembler` (rows are reduced
-    independently), which is what keeps per-slot and block-diagonal solves
-    bit-for-bit identical.
+    independently), so a scenario's KKT data is the same bits in either.
     """
 
     def __init__(self) -> None:
@@ -514,18 +501,6 @@ def mips(
             break
         factor_seconds = kkt_solver.factor_seconds
         backsolve_seconds = kkt_solver.backsolve_seconds
-        # Optional iterative refinement: each sweep re-solves the residual
-        # against the iteration's factorisation (one extra back-substitution
-        # on retaining backends — the scalar multi-RHS reuse path).  Backends
-        # without a retained factorisation simply skip refinement.  ``resolve``
-        # reports per-call timings, so each sweep's backsolve is accumulated
-        # here rather than by the backend.
-        for _ in range(opt.kkt_refine_steps):
-            try:
-                sol = sol + kkt_solver.resolve(rhs - kkt @ sol)
-            except KKTSolveError:
-                break
-            backsolve_seconds += kkt_solver.backsolve_seconds
         phase["factorization"] += factor_seconds
         phase["backsolve"] += backsolve_seconds
         if not np.all(np.isfinite(sol)):

@@ -41,7 +41,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "BlockDiagPlan",
     "CachedBmat",
     "CachedTranspose",
     "MatmulPlan",
@@ -381,71 +380,6 @@ def csc_from_template(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matri
     return _fast_compressed(
         sp.csc_matrix, np.asarray(data), template.indices, template.indptr, template.shape
     )
-
-
-class BlockDiagPlan:
-    """Index plan of a block-diagonal matrix built from same-pattern blocks.
-
-    ``B`` blocks of shape ``(m, n)`` sharing one compressed sparsity pattern
-    stack into a ``(B·m, B·n)`` block-diagonal matrix whose index arrays
-    depend only on the pattern and ``B``: the major-axis pointer is the
-    block's, tiled, and the minor-axis indices are the block's shifted by the
-    block offset.  The plan computes those arrays once; :meth:`matrix` then
-    materialises the big matrix from a ``(B, nnz)`` data plane as a pure
-    ``ravel`` — for both CSR and CSC the big matrix's data in storage order is
-    exactly the per-block data arrays concatenated, so per-block numerics of
-    any row-local (CSR) or column-local (CSC) kernel match the individual
-    blocks bit for bit.
-    """
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        shape: Tuple[int, int],
-        blocks: int,
-        format: str = "csc",
-    ):
-        if blocks < 1:
-            raise ValueError("blocks must be positive")
-        if format not in ("csr", "csc"):
-            raise ValueError("format must be 'csr' or 'csc'")
-        m, n = int(shape[0]), int(shape[1])
-        self.blocks = int(blocks)
-        self.nnz = int(indices.size)
-        self.format = format
-        # SuperLU and the scipy sparse kernels expect 32-bit indices whenever
-        # the matrix fits; only genuinely huge stacks get 64-bit arrays.
-        major, minor = (m, n) if format == "csr" else (n, m)
-        if max(blocks * self.nnz, blocks * max(m, n)) <= np.iinfo(np.int32).max:
-            dtype = np.int32
-        else:  # pragma: no cover - beyond SuperLU's practical range
-            dtype = np.int64
-        offsets = (np.arange(blocks, dtype=dtype) * minor)[:, None]
-        self._indices = (indices.astype(dtype, copy=False)[None, :] + offsets).ravel()
-        per_major = np.diff(indptr).astype(dtype, copy=False)
-        big_ptr = np.empty(blocks * major + 1, dtype=dtype)
-        big_ptr[0] = 0
-        np.cumsum(np.tile(per_major, blocks), out=big_ptr[1:])
-        self._indptr = big_ptr
-        self.shape = (blocks * m, blocks * n)
-
-    def matrix(self, data_plane: np.ndarray):
-        """The block-diagonal matrix holding ``data_plane``'s blocks.
-
-        ``data_plane`` is ``(blocks, nnz)``: row ``b`` is block ``b``'s data
-        in the pattern's storage order.  The returned matrix shares the plan's
-        index arrays (read-only).
-        """
-        data_plane = np.ascontiguousarray(data_plane)
-        if data_plane.shape != (self.blocks, self.nnz):
-            raise ValueError(
-                f"data plane must be ({self.blocks}, {self.nnz}), got {data_plane.shape}"
-            )
-        cls = sp.csr_matrix if self.format == "csr" else sp.csc_matrix
-        return _fast_compressed(
-            cls, data_plane.reshape(-1), self._indices, self._indptr, self.shape
-        )
 
 
 def _pattern_keys(matrix: sp.csr_matrix) -> np.ndarray:

@@ -155,14 +155,24 @@ def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture
 
 
 def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
-    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads``; the field is
-    gone, and its value never changed a result, so the key is dropped on load."""
+    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads`` and
+    ``kkt_refine_steps``; the fields are gone, and their values never changed a
+    result, so the keys are dropped on load.  A persisted retired SuperLU
+    backend loads as the surviving one."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
     arrays, meta = load_bundle(path)
     meta["opf_options"]["mips"]["kkt_factor_threads"] = 2
+    meta["opf_options"]["mips"]["kkt_refine_steps"] = 0
     legacy = save_bundle(tmp_path / "legacy.npz", arrays, meta)
     reloaded = load_artifact(legacy, case9_fixture)
     assert reloaded.opf_options == engine9.opf_options
+    for retired in ("blockdiag", "spsolve"):
+        meta["opf_options"]["mips"]["kkt_solver"] = retired
+        legacy = save_bundle(tmp_path / f"{retired}.npz", arrays, meta)
+        with load_artifact(legacy, case9_fixture) as reloaded:
+            assert reloaded.opf_options.mips.kkt_solver == "factorized"
+            sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
+            assert sweep.outcomes[0].converged
 
 
 def test_artifact_mismatched_case_raises(engine9, case14_fixture, tmp_path):

@@ -74,7 +74,7 @@ def test_fault_plan_lookups():
 
 
 # ---------------------------------------------------------------- chaos parity
-@pytest.mark.parametrize("kkt_solver", ["factorized", "blockdiag"])
+@pytest.mark.parametrize("kkt_solver", ["factorized", "ldl"])
 def test_worker_crash_parity(case9_fixture, scenarios9, kkt_solver):
     """A persistent mid-sweep worker kill quarantines exactly the culprit and
     leaves every other scenario bitwise identical to the fault-free run."""

@@ -52,9 +52,9 @@ def _recorded_kkts(name, outage=(), max_it=150):
     seen = []
     original = LDLSolver.solve_blocks
 
-    def recording(self, template, data_plane, rhs_plane, direct=False):
+    def recording(self, template, data_plane, rhs_plane):
         seen.append((template.copy(), np.array(data_plane), np.array(rhs_plane)))
-        return original(self, template, data_plane, rhs_plane, direct=direct)
+        return original(self, template, data_plane, rhs_plane)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(LDLSolver, "solve_blocks", recording)
@@ -133,10 +133,14 @@ def test_row_solution_is_bitwise_independent_of_batch_and_position(kkts, request
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
 def test_numeric_solve_rows_slicing_is_bitwise(kkts, request):
     template, data, rhs = _stack(request.getfixturevalue(kkts), 16)
-    solver = LDLSolver()
-    sym = solver._symbolic(sp.csc_matrix(template))
-    _, _, numeric, _, _ = solver._solve_with_recovery(sym, data, rhs)
+    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template), "auto")
+    # The solver's own clamp planes, so the head's zero pivots stay finite.
+    diag = np.zeros((16, sym.n))
+    diag[:, sym.diag_cols] = data[:, sym.diag_src]
+    eps = LDLSolver.pivot_clamp * (1.0 + np.abs(diag))
+    numeric = ldl._factor_planes(sym, data, clamp=(eps, np.where(diag > 0.0, 1.0, -1.0)))
     full = numeric.solve(rhs)
+    assert np.isfinite(full).all()
     rows = np.array([11, 2, 5])
     np.testing.assert_array_equal(numeric.solve(rhs[rows], rows=rows), full[rows])
 
@@ -218,7 +222,8 @@ def test_ldl_is_the_default_and_explicit_choices_beat_it(trained_trainer9, case9
     assert MIPSOptions().kkt_solver == "ldl"
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         assert engine.opf_options.mips.kkt_solver == "ldl"
-    with WarmStartEngine.from_trainer(trained_trainer9, kkt_solver="factorized") as engine:
+    reference = OPFOptions(mips=MIPSOptions(kkt_solver="factorized"))
+    with WarmStartEngine.from_trainer(trained_trainer9, opf_options=reference) as engine:
         path = engine.save_artifact(tmp_path / "factorized.npz")
     # The artifact's meta records the backend it was built with: it loads and
     # solves with that backend, whatever the default has become since.

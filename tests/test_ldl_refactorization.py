@@ -1,7 +1,7 @@
 """Property tests for the same-pattern LDLᵀ refactorisation backend.
 
-The ``ldl`` backend promises drop-in agreement with the SuperLU-family
-backends over the symmetric quasi-definite KKT systems the interior-point
+The ``ldl`` backend promises drop-in agreement with the SuperLU reference
+backend over the symmetric quasi-definite KKT systems the interior-point
 loop actually produces, plus three structural guarantees of its own:
 
 * **same-pattern reuse** — one symbolic analysis serves every numeric
@@ -193,25 +193,6 @@ def test_singular_block_row_fails_alone_not_the_batch():
     assert report.failed == [1]
     assert np.isfinite(report.solutions[0]).all()
     np.testing.assert_allclose(kkt @ report.solutions[0], rhs_plane[0], atol=1e-8)
-
-
-# ------------------------------------------------------- multi-RHS and resolve
-def test_solve_many_and_resolve_share_one_factorisation():
-    kkt, rhs = _random_kkt(9)
-    rng = np.random.RandomState(2)
-    rhs_block = rng.standard_normal((kkt.shape[0], 3))
-    solver = LDLSolver()
-    block = solver.solve_many(kkt, rhs_block)
-    factored = solver.numeric_refactorizations
-    for j in range(3):
-        np.testing.assert_allclose(
-            block[:, j], LDLSolver().solve(kkt, rhs_block[:, j]),
-            atol=1e-10,
-        )
-    # resolve refines against the retained factorisation — no new numeric work.
-    extra = solver.resolve(rhs)
-    assert solver.numeric_refactorizations == factored
-    np.testing.assert_allclose(kkt @ extra, rhs, atol=1e-8)
 
 
 # ------------------------------------------------------------------ validation

@@ -284,14 +284,15 @@ def test_fleet_batch_mode_fallback_recovers_failures():
 
 
 # ------------------------------------------------ batch-mode singular KKT paths
-def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True):
+def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True, rows=None):
     """Same-structure QP batch whose middle slot has rank-deficient equalities.
 
     Duplicating slot 1's equality rows makes its KKT system exactly singular
     at every iteration; with identical right-hand sides the system stays
     *consistent* (the regularised solve is accepted by the residual check),
     with different right-hand sides it becomes contradictory and the solve
-    must fail cleanly.
+    must fail cleanly.  ``rows`` keeps only those slots of the batch (the
+    same problems, solved in a narrower batch).
     """
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.5, 1.5, size=(batch, nx, nx))
@@ -303,16 +304,19 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True):
     beq[1, 1] = beq[1, 0] if consistent else beq[1, 0] + 1.0
     Ain = rng.uniform(0.5, 1.5, size=(batch, niq, nx))
     bin_ = rng.uniform(1.0, 2.0, size=(batch, niq))
+    if rows is not None:
+        H, c, Aeq, beq, Ain, bin_ = (a[rows] for a in (H, c, Aeq, beq, Ain, bin_))
 
+    # Row-wise loops (not batched einsum), so a row's callback values do not
+    # depend on which other rows share the call.
     def f_fcn(X, idx):
-        Ha = H[idx]
-        F = 0.5 * np.einsum("bi,bij,bj->b", X, Ha, X) + np.einsum("bi,bi->b", c[idx], X)
-        dF = np.einsum("bij,bj->bi", Ha, X) + c[idx]
+        F = np.array([0.5 * x @ H[j] @ x + c[j] @ x for x, j in zip(X, idx)])
+        dF = np.stack([H[j] @ x + c[j] for x, j in zip(X, idx)])
         return F, dF
 
     def gh_fcn(X, idx):
-        G = np.einsum("bij,bj->bi", Aeq[idx], X) - beq[idx]
-        Hc = np.einsum("bij,bj->bi", Ain[idx], X) - bin_[idx]
+        G = np.stack([Aeq[j] @ x - beq[j] for x, j in zip(X, idx)])
+        Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, idx)])
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
@@ -325,13 +329,13 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True):
         jh_template=sp.csr_matrix(np.ones((niq, nx))),
         hess_template=sp.csr_matrix(np.ones((nx, nx))),
     )
-    return f_fcn, np.zeros((batch, nx)), kwargs
+    return f_fcn, np.zeros((c.shape[0], nx)), kwargs
 
 
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag"])
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_batch_singular_slot_recovered_by_regularization(backend):
     """A rank-deficient (but consistent) slot converges via the diagonal
-    regularisation retry in both solver modes, and the recovery count is
+    regularisation retry on both backends, and the recovery count is
     surfaced on exactly that scenario's result."""
     f_fcn, x0, kwargs = _singular_slot_qp()
     results = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver=backend), **kwargs)
@@ -344,24 +348,28 @@ def test_batch_singular_slot_recovered_by_regularization(backend):
 def test_batch_singular_slot_neighbours_bit_unaffected():
     """Regularising one slot must not leak into its neighbours.
 
-    The per-slot mode isolates scenarios by construction (one solver per
-    slot), so comparing the block-diagonal mode against it bit for bit proves
-    the shared block factorisation's fallback kept the healthy neighbours'
-    trajectories untouched while slot 1 was being regularised.
+    Row isolation, shown directly on both backends: every scenario of the
+    batch — the healthy neighbours and the regularised slot itself — lands on
+    the very bits it lands on when solved alone at width 1, recovery count
+    included.
     """
-    f_fcn, x0, kwargs = _singular_slot_qp()
-    per_slot = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver="factorized"), **kwargs)
-    blocked = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver="blockdiag"), **kwargs)
-    for a, b in zip(per_slot, blocked):
-        assert a.iterations == b.iterations
-        assert a.kkt_regularizations == b.kkt_regularizations
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.lam, b.lam)
-        np.testing.assert_array_equal(a.mu, b.mu)
-        np.testing.assert_array_equal(a.z, b.z)
+    for backend in ("factorized", "ldl"):
+        options = MIPSOptions(kkt_solver=backend)
+        f_fcn, x0, kwargs = _singular_slot_qp()
+        batched = mips_batch(f_fcn, x0, options=options, **kwargs)
+        assert batched[1].kkt_regularizations > 0
+        for b, got in enumerate(batched):
+            f_fcn, x0, kwargs = _singular_slot_qp(rows=[b])
+            (alone,) = mips_batch(f_fcn, x0, options=options, **kwargs)
+            assert got.iterations == alone.iterations
+            assert got.kkt_regularizations == alone.kkt_regularizations
+            np.testing.assert_array_equal(got.x, alone.x)
+            np.testing.assert_array_equal(got.lam, alone.lam)
+            np.testing.assert_array_equal(got.mu, alone.mu)
+            np.testing.assert_array_equal(got.z, alone.z)
 
 
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag"])
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
     """An *inconsistent* singular slot is rejected by the residual check and
     classified as a singular-KKT failure; its neighbours still converge."""
@@ -375,9 +383,8 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
 
 
 def test_batch_all_slots_singular_still_recovers():
-    """Even when every slot is singular from the first iteration (so the
-    block solver can never harvest a clean column permutation), the per-block
-    degradation path recovers the whole batch."""
+    """Even when every slot is singular from the first iteration, the
+    regularised retry recovers the whole batch on both backends."""
     import numpy as _np
 
     rng = _np.random.default_rng(4)
@@ -408,15 +415,16 @@ def test_batch_all_slots_singular_still_recovers():
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
-    results = mips_batch(
-        f_fcn,
-        _np.zeros((batch, nx)),
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(_np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(_np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(_np.ones((nx, nx))),
-        options=MIPSOptions(kkt_solver="blockdiag"),
-    )
-    assert all(r.converged for r in results)
-    assert all(r.kkt_regularizations > 0 for r in results)
+    for backend in ("factorized", "ldl"):
+        results = mips_batch(
+            f_fcn,
+            _np.zeros((batch, nx)),
+            gh_fcn=gh_fcn,
+            hess_fcn=hess_fcn,
+            jg_template=sp.csr_matrix(_np.ones((neq, nx))),
+            jh_template=sp.csr_matrix(_np.ones((niq, nx))),
+            hess_template=sp.csr_matrix(_np.ones((nx, nx))),
+            options=MIPSOptions(kkt_solver=backend),
+        )
+        assert all(r.converged for r in results)
+        assert all(r.kkt_regularizations > 0 for r in results)

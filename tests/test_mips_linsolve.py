@@ -7,14 +7,12 @@ import scipy.sparse as sp
 from repro.mips import (
     FactorizedSolver,
     KKTSolveError,
+    LDLSolver,
     MIPSOptions,
-    SpsolveSolver,
     available_kkt_solvers,
     make_kkt_solver,
     qps_mips,
-    register_kkt_solver,
 )
-from repro.mips.linsolve import _SOLVERS
 from repro.utils.sparse import (
     CachedBmat,
     CachedTranspose,
@@ -107,15 +105,20 @@ def test_scaled_csr_helpers_match_diag_products():
 
 
 # ----------------------------------------------------------------- KKT backends
-def _random_system(seed=0, n=60):
+def _random_system(seed=0, n=50):
+    """Symmetric quasi-definite test system — the shape every KKT matrix in
+    this codebase actually has, and the contract the ``ldl`` backend is
+    specified against (the SuperLU reference accepts it trivially)."""
     rng = np.random.RandomState(seed)
-    A = sp.random(n, n, density=0.1, random_state=rng, format="csc")
-    A = A + sp.diags(np.ones(n) * 3.0)
-    rhs = rng.standard_normal(n)
-    return sp.csc_matrix(A), rhs
+    A = sp.random(n, n, density=0.12, random_state=rng, format="csc")
+    m = n // 3
+    signs = np.r_[np.ones(n - m), -np.ones(m)]
+    A = sp.csc_matrix(A + A.T + sp.diags(signs * 4.0))
+    A.sort_indices()
+    return A, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("name", ["factorized", "spsolve"])
+@pytest.mark.parametrize("name", ["factorized", "ldl"])
 def test_backends_solve_a_well_posed_system(name):
     kkt, rhs = _random_system()
     solver = make_kkt_solver(name)
@@ -124,30 +127,74 @@ def test_backends_solve_a_well_posed_system(name):
     assert solver.factor_seconds >= 0.0
 
 
-def test_factorized_solver_reuses_symbolic_pattern():
-    kkt, rhs = _random_system(seed=1)
-    solver = FactorizedSolver()
-    x1 = solver.solve(kkt, rhs)
-    assert solver.symbolic_reuses == 0
-    # Same pattern, different values: the cached permutation is reused.
-    kkt2 = kkt.copy()
-    kkt2.data = kkt2.data * 1.5
-    x2 = solver.solve(kkt2, rhs)
-    assert solver.symbolic_reuses == 1
-    assert np.allclose(kkt2 @ x2, rhs, atol=1e-9)
-    assert np.allclose(x2, x1 / 1.5, atol=1e-9)
-    # A different pattern forces a fresh symbolic analysis.
-    kkt3, rhs3 = _random_system(seed=2)
-    x3 = solver.solve(kkt3, rhs3)
-    assert solver.symbolic_reuses == 1
-    assert np.allclose(kkt3 @ x3, rhs3, atol=1e-9)
-
-
-def test_factorized_solver_matches_spsolve():
+def test_factorized_solver_matches_ldl():
     kkt, rhs = _random_system(seed=3)
-    ref = SpsolveSolver().solve(kkt, rhs)
+    ref = LDLSolver().solve(kkt, rhs)
     out = FactorizedSolver().solve(kkt, rhs)
     assert np.allclose(out, ref, atol=1e-10)
+
+
+def test_factorized_solver_carries_nothing_between_systems():
+    """The reference is stateless: a system's solution is the same bits
+    whatever the solver instance factorised before it."""
+    kkt, rhs = _random_system(seed=1)
+    fresh = FactorizedSolver().solve(kkt, rhs)
+    solver = FactorizedSolver()
+    other, other_rhs = _random_system(seed=2)
+    solver.solve(other, other_rhs)
+    scaled = kkt.copy()
+    scaled.data = scaled.data * 1.5
+    solver.solve(scaled, rhs)
+    np.testing.assert_array_equal(solver.solve(kkt, rhs), fresh)
+    assert solver.numeric_refactorizations == 3
+    state = {k for k, v in vars(solver).items() if not isinstance(v, (int, float))}
+    assert not state, f"non-counter attributes on the reference: {state}"
+
+
+def _singular_system(consistent):
+    """Saddle-point system with a zero (1,1) block and duplicated Jacobian
+    rows: exactly singular; solvable only when rows 1/2 agree on x3."""
+    kkt = sp.csc_matrix(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    return kkt, np.array([1.0, 1.0 if consistent else 2.0, 1.0])
+
+
+@pytest.mark.parametrize("name", ["factorized", "ldl"])
+def test_scalar_solve_is_the_one_row_solve_blocks(name):
+    """``solve`` is ``solve_blocks`` on a one-row plane, bit for bit, and raises
+    exactly when the report lists the row as failed."""
+    systems = [_random_system(seed=5), _singular_system(True), _singular_system(False)]
+    outcomes = []
+    for kkt, rhs in systems:
+        kkt.sort_indices()
+        report = make_kkt_solver(name).solve_blocks(kkt, kkt.data[None, :], rhs[None, :])
+        assert report.solutions.shape == (1, rhs.size)
+        solver = make_kkt_solver(name)
+        if report.failed:
+            assert report.failed == [0] and np.isnan(report.solutions[0]).all()
+            with pytest.raises(KKTSolveError):
+                solver.solve(kkt, rhs)
+            assert solver.regularizations == 0
+        else:
+            np.testing.assert_array_equal(solver.solve(kkt, rhs), report.solutions[0])
+            assert solver.regularizations == report.regularizations[0]
+        outcomes.append(bool(report.failed))
+    # A healthy system, a recovered singular one and a rejected one.
+    assert outcomes == [False, False, True]
+
+
+def test_solve_blocks_reports_failed_rows_without_touching_neighbours():
+    kkt, rhs = _singular_system(False)
+    good_rhs = _singular_system(True)[1]
+    for name in ("factorized", "ldl"):
+        report = make_kkt_solver(name).solve_blocks(
+            kkt, np.stack([kkt.data, kkt.data]), np.stack([good_rhs, rhs])
+        )
+        assert report.failed == [1]
+        assert list(report.regularizations) == [1, 0]
+        alone = make_kkt_solver(name).solve_blocks(kkt, kkt.data[None, :], good_rhs[None, :])
+        np.testing.assert_array_equal(report.solutions[0], alone.solutions[0])
+    with pytest.raises(ValueError, match="matching batch sizes"):
+        FactorizedSolver().solve_blocks(kkt, np.stack([kkt.data, kkt.data]), rhs[None, :])
 
 
 def test_factorized_solver_regularizes_singular_kkt():
@@ -213,22 +260,11 @@ def test_factorized_solver_validation():
 
 # ------------------------------------------------------------ registry/options
 def test_registry_lists_and_rejects():
-    assert set(available_kkt_solvers()) >= {"factorized", "spsolve"}
-    with pytest.raises(ValueError):
+    assert available_kkt_solvers() == ("factorized", "ldl")
+    assert isinstance(make_kkt_solver("factorized", max_retries=1), FactorizedSolver)
+    assert isinstance(make_kkt_solver("ldl", regularization=1e-6), LDLSolver)
+    with pytest.raises(ValueError, match="factorized, ldl"):
         make_kkt_solver("does-not-exist")
-    with pytest.raises(ValueError):
-        register_kkt_solver("", SpsolveSolver)
-
-
-def test_register_custom_solver():
-    class Custom(SpsolveSolver):
-        name = "custom-test"
-
-    register_kkt_solver("custom-test", Custom)
-    try:
-        assert isinstance(make_kkt_solver("custom-test"), Custom)
-    finally:
-        _SOLVERS.pop("custom-test", None)
 
 
 def test_options_validate_kkt_fields():
@@ -238,11 +274,11 @@ def test_options_validate_kkt_fields():
         MIPSOptions(kkt_reg=0.0).validate()
     with pytest.raises(ValueError):
         MIPSOptions(kkt_max_retries=-1).validate()
-    MIPSOptions(kkt_solver="spsolve").validate()
+    MIPSOptions(kkt_solver="factorized").validate()
 
 
 # ------------------------------------------------- backends through the solver
-@pytest.mark.parametrize("name", ["factorized", "spsolve"])
+@pytest.mark.parametrize("name", ["factorized", "ldl"])
 def test_qp_solves_identically_with_both_backends(name):
     opts = MIPSOptions(kkt_solver=name)
     res = qps_mips(
@@ -255,7 +291,7 @@ def test_qp_solves_identically_with_both_backends(name):
 def test_backends_agree_on_iterations_and_objective():
     H = np.array([[3.0, 0.5], [0.5, 1.0]])
     results = {}
-    for name in ("factorized", "spsolve"):
+    for name in ("factorized", "ldl"):
         results[name] = qps_mips(
             H,
             np.array([-1.0, 0.5]),
@@ -264,11 +300,11 @@ def test_backends_agree_on_iterations_and_objective():
             xmin=np.zeros(2),
             options=MIPSOptions(kkt_solver=name),
         )
-    fact, sps = results["factorized"], results["spsolve"]
-    assert fact.converged and sps.converged
-    assert fact.iterations == sps.iterations
-    assert abs(fact.f - sps.f) <= 1e-8 * (1.0 + abs(sps.f))
-    assert np.allclose(fact.x, sps.x, atol=1e-8)
+    fact, ldl = results["factorized"], results["ldl"]
+    assert fact.converged and ldl.converged
+    assert fact.iterations == ldl.iterations
+    assert abs(fact.f - ldl.f) <= 1e-8 * (1.0 + abs(ldl.f))
+    assert np.allclose(fact.x, ldl.x, atol=1e-8)
 
 
 def test_singular_kkt_recovered_by_factorized_backend():

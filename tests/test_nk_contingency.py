@@ -184,7 +184,7 @@ def test_pool_and_scheduler_grouping_agree():
 
 
 # ------------------------------------------------------------ bitwise parity
-@pytest.mark.parametrize("kkt_solver", ["factorized", "blockdiag"])
+@pytest.mark.parametrize("kkt_solver", ["factorized", "ldl"])
 def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     """Acceptance: grouped N-2 lockstep == per-scenario solves, multipliers included.
 

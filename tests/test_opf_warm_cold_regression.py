@@ -39,7 +39,7 @@ def test_backends_agree_cold_started(cold_and_model):
     ref = solve_opf(
         case,
         model=model,
-        options=OPFOptions(mips=MIPSOptions(kkt_solver="spsolve")),
+        options=OPFOptions(mips=MIPSOptions(kkt_solver="factorized")),
     )
     assert ref.success
     assert ref.iterations == cold.iterations
@@ -50,17 +50,17 @@ def test_backends_agree_cold_started(cold_and_model):
 def test_backends_agree_warm_started(cold_and_model):
     case, model, cold = cold_and_model
     results = {}
-    for backend in ("factorized", "spsolve"):
+    for backend in ("factorized", "ldl"):
         results[backend] = solve_opf(
             case,
             warm_start=cold.warm_start(),
             model=model,
             options=OPFOptions(mips=MIPSOptions(kkt_solver=backend)),
         )
-    fact, sps = results["factorized"], results["spsolve"]
-    assert fact.success and sps.success
-    assert fact.iterations == sps.iterations
-    assert abs(fact.objective - sps.objective) < 1e-8 * (1.0 + abs(sps.objective))
+    fact, ldl = results["factorized"], results["ldl"]
+    assert fact.success and ldl.success
+    assert fact.iterations == ldl.iterations
+    assert abs(fact.objective - ldl.objective) < 1e-8 * (1.0 + abs(ldl.objective))
 
 
 def test_model_reuse_across_scenarios_matches_fresh_models(cold_and_model):

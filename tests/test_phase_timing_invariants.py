@@ -3,8 +3,7 @@
 The Fig. 5 runtime breakdown consumes the eval / assembly / factorization /
 backsolve phase splits recorded in :class:`~repro.mips.result.MIPSResult` and
 threaded through :class:`~repro.engine.records.OnlineRecord`.  These tests pin
-the accounting contract so it survives solver rearchitectures (the per-slot →
-block-solve change in particular):
+the accounting contract so it survives solver rearchitectures:
 
 * every phase value is finite and non-negative,
 * the phases are measured sub-intervals, so their sum never exceeds the
@@ -12,8 +11,8 @@ block-solve change in particular):
 * the per-scenario ``wall_share_seconds`` decomposition of a lockstep batch is
   additive — shares sum to (at most) the batch wall — while each scenario's
   ``elapsed_seconds`` remains its wall-clock-until-retirement,
-* the invariants hold identically for the scalar solver, the per-slot batch
-  backend and the block-diagonal batch backend.
+* the invariants hold identically for the scalar solver and for the lockstep
+  batch on both KKT backends.
 """
 
 import numpy as np
@@ -113,7 +112,7 @@ def _qp_batch_callbacks(batch, nx, neq, niq, seed):
     return f_fcn, np.zeros((batch, nx)), kwargs
 
 
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag", "ldl"])
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), batch=st.integers(min_value=1, max_value=6))
 def test_batch_qp_phase_invariants(backend, seed, batch):
@@ -129,7 +128,7 @@ def test_batch_qp_phase_invariants(backend, seed, batch):
     assert sum(r.share_seconds for r in results) <= batch_wall * (1.0 + 1e-6) + EPS
 
 
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag", "ldl"])
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_opf_batch_phase_invariants_survive_block_solve(backend):
     from repro.grid.perturb import sample_loads
     from repro.opf import OPFOptions, solve_opf_batch
@@ -207,47 +206,3 @@ def test_batch_failed_scenario_keeps_phase_timings():
     assert failed.solve_seconds >= 0.0
     for value in failed.phase_seconds.values():
         assert np.isfinite(value) and value >= 0.0
-
-
-# ------------------------------------------------------------- resolve timing
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag", "ldl"])
-def test_resolve_timing_is_per_call_not_cumulative(backend, monkeypatch):
-    """``resolve`` reports the *current call's* backsolve wall, every call.
-
-    The refinement loop in ``repro.mips.solver`` accumulates across its own
-    ``resolve`` calls; the solver object itself must not — an accumulating
-    ``+=`` here would double-count earlier calls into later ones and inflate
-    the Fig. 5 backsolve share.  Under a fake clock that advances a fixed
-    amount per reading, every ``resolve`` performs the same work, so per-call
-    semantics yield *identical* readings — an accumulator would grow strictly
-    with each call.
-    """
-    import time as time_module
-
-    from repro.mips import make_kkt_solver
-
-    rng = np.random.RandomState(13)
-    n = 40
-    A = sp.random(n, n, density=0.15, random_state=rng, format="csc")
-    kkt = sp.csc_matrix(A + A.T + sp.diags(np.ones(n) * 5.0))
-    kkt.sort_indices()
-    solver = make_kkt_solver(backend)
-    solver.solve(kkt, rng.standard_normal(n))
-    rhs = rng.standard_normal(n)
-
-    ticks = [0.0]
-
-    def fake_clock():
-        ticks[0] += 1.0
-        return ticks[0]
-
-    monkeypatch.setattr(time_module, "perf_counter", fake_clock)
-    readings = []
-    for _ in range(3):
-        solver.resolve(rhs)
-        reading = solver.backsolve_seconds
-        assert reading > 0.0
-        readings.append(reading)
-    # Same rhs, same factorisation, same fake clock: identical per-call work
-    # must report identical per-call durations.
-    assert readings[0] == readings[1] == readings[2]

@@ -1,9 +1,13 @@
-"""One way to run a sweep: the retired mode switches stay retired.
+"""One way to run a sweep, one KKT interface: the retired switches stay retired.
 
 ``execution=``, ``schedule=`` and ``kkt_factor_threads=`` selected paths that
 lost every recorded comparison and were removed outright — no deprecation
 shim, no ``**kwargs`` sink.  This pins that every public entry point rejects
 them (and the ``Scenario.outage_branch`` compat view) with ``TypeError``.
+The KKT layer's retirees follow the same rule: the ``"blockdiag"`` /
+``"spsolve"`` backends, ``MIPSOptions.kkt_refine_steps``,
+``solve_blocks(direct=)``, ``solve_many`` / ``resolve`` and the engine's
+``kkt_solver=`` shortcut for ``opf_options=``.
 """
 
 import inspect
@@ -15,8 +19,7 @@ from repro.core import SmartPGSimConfig
 from repro.data import generate_dataset
 from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
-from repro.mips import MIPSOptions
-from repro.mips.linsolve import BlockDiagSolver
+from repro.mips import FactorizedSolver, LDLSolver, MIPSOptions
 from repro.parallel import Scenario, SolverFleet, run_scenario_sweep
 
 REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads")
@@ -30,7 +33,8 @@ ENTRY_POINTS = [
     load_artifact,
     generate_dataset,
     SmartPGSimConfig,
-    BlockDiagSolver,
+    FactorizedSolver,
+    LDLSolver,
     MIPSOptions,
 ]
 
@@ -55,7 +59,8 @@ def test_retired_keyword_raises_type_error(case9_fixture, trained_trainer9, tmp_
         lambda kw: load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
         lambda kw: generate_dataset(case9_fixture, 2, **kw),
         lambda kw: SmartPGSimConfig(**kw),
-        lambda kw: BlockDiagSolver(**kw),
+        lambda kw: FactorizedSolver(**kw),
+        lambda kw: LDLSolver(**kw),
         lambda kw: MIPSOptions(**kw),
     ]
     for call in calls:
@@ -67,3 +72,31 @@ def test_scenario_has_no_single_outage_view():
     with pytest.raises(TypeError, match="outage_branch"):
         Scenario(0, np.zeros(3), np.zeros(3), outage_branch=1)
     assert not hasattr(Scenario(0, np.zeros(3), np.zeros(3)), "outage_branch")
+
+
+# ------------------------------------------------------------- the KKT layer
+def test_retired_mips_option_and_engine_shortcut_raise_type_error(case9_fixture, trained_trainer9):
+    with pytest.raises(TypeError, match="kkt_refine_steps"):
+        MIPSOptions(kkt_refine_steps=1)
+    with pytest.raises(TypeError, match="kkt_solver"):
+        WarmStartEngine(
+            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer,
+            kkt_solver="factorized",
+        )
+    with pytest.raises(TypeError, match="kkt_solver"):
+        WarmStartEngine.from_trainer(trained_trainer9, kkt_solver="factorized")
+
+
+@pytest.mark.parametrize("name", ["blockdiag", "spsolve"])
+def test_retired_backend_name_is_rejected_naming_the_survivors(name):
+    with pytest.raises(ValueError, match=r"\('factorized', 'ldl'\)"):
+        MIPSOptions(kkt_solver=name).validate()
+
+
+@pytest.mark.parametrize("backend", [FactorizedSolver, LDLSolver])
+def test_backend_interface_is_solve_blocks_only(backend):
+    kkt = np.eye(2)
+    with pytest.raises(TypeError, match="direct"):
+        backend().solve_blocks(kkt, np.ones((1, 2)), np.ones((1, 2)), direct=True)
+    for retired in ("resolve", "solve_many", "supports_blocks"):
+        assert not hasattr(backend, retired)

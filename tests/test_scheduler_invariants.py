@@ -23,6 +23,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.mips import FactorizedSolver, LDLSolver
 from repro.mips.batch import BatchFeedPayload, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.parallel import (
@@ -90,8 +91,11 @@ def _qp_problem(batch, nx, neq, niq, seed):
     return H, c, Aeq, beq, Ain, bin_
 
 
-def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factorized"):
-    """Solve a same-structure QP batch through mips_batch, optionally windowed."""
+def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factorized", deadline=None):
+    """Solve a same-structure QP batch through mips_batch, optionally windowed.
+
+    ``deadline`` holds the initial window's per-row absolute wall deadlines.
+    """
     batch, nx = c.shape
     neq, niq = beq.shape[1], bin_.shape[1]
 
@@ -136,7 +140,9 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factoriz
         cursor = stop
         return payload
 
-    return mips_batch(f_fcn, X0[:window], feed=feed, feed_capacity=batch, **kwargs)
+    return mips_batch(
+        f_fcn, X0[:window], feed=feed, feed_capacity=batch, deadline=deadline, **kwargs
+    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -147,7 +153,7 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factoriz
     niq=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=10_000),
     window=st.integers(min_value=1, max_value=6),
-    backend=st.sampled_from(["factorized", "blockdiag"]),
+    backend=st.sampled_from(["factorized", "ldl"]),
 )
 def test_feed_window_bitwise_invariant(batch, nx, neq, niq, seed, window, backend):
     """Every lockstep window size yields bitwise the full-batch results."""
@@ -165,6 +171,39 @@ def test_feed_window_bitwise_invariant(batch, nx, neq, niq, seed, window, backen
         assert np.array_equal(a.z, b.z)
         assert a.kkt_regularizations == b.kkt_regularizations
         assert len(a.history) == len(b.history)
+
+
+@pytest.mark.parametrize("backend", [FactorizedSolver, LDLSolver])
+def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monkeypatch):
+    """A row enrolled mid-run joins the next iteration's one ``solve_blocks``
+    call together with the seasoned rows: whatever the backend, each lockstep
+    iteration hands its whole active set to the solver exactly once."""
+    import repro.mips.batch as batch_module
+
+    solved, assembled = [], []
+
+    class Recording(backend):
+        def solve_blocks(self, template, data_plane, rhs_plane):
+            solved.append(len(rhs_plane))
+            return super().solve_blocks(template, data_plane, rhs_plane)
+
+    build = batch_module._BatchKKTAssembler.build
+
+    def counting_build(self, Hdata, *rest):
+        assembled.append(len(Hdata))
+        return build(self, Hdata, *rest)
+
+    monkeypatch.setattr(batch_module._BatchKKTAssembler, "build", counting_build)
+    monkeypatch.setattr(batch_module, "make_kkt_solver", lambda name, **kw: Recording(**kw))
+    # Row 0's deadline has already passed: it retires before iteration 1, so
+    # its replacement enrolls while row 1 is one iteration in.
+    results = _solve_qp_batch(
+        *_qp_problem(4, 4, 2, 2, seed=3), window=2, deadline=np.array([0.0, np.inf])
+    )
+    assert results[0].timed_out and all(r.converged for r in results[1:])
+    assert assembled[:2] == [1, 2]  # a fresh row beside a seasoned one
+    assert solved == assembled
+    assert sum(solved) == sum(r.iterations for r in results)
 
 
 @settings(max_examples=15, deadline=None)
@@ -201,7 +240,7 @@ def _singular_requeue_problem(batch=4, nx=5, neq=2, niq=2, seed=4):
     return (H, c, Aeq, beq, Ain, bin_), sick
 
 
-@pytest.mark.parametrize("backend", ["factorized", "blockdiag"])
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_regularizations_attributed_after_requeue(backend):
     problem, sick = _singular_requeue_problem()
     full = _solve_qp_batch(*problem, kkt_solver=backend)
