@@ -9,7 +9,7 @@ three layers down.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -42,6 +42,21 @@ def _connected_components(n_bus: int, f: np.ndarray, t: np.ndarray) -> int:
         if ra != rb:
             parent[ra] = rb
     return len({find(i) for i in range(n_bus)})
+
+
+def validate_outage_branches(branches: Sequence[int], n_branch: int) -> None:
+    """Check every outage index against the case's branch count.
+
+    Raises a typed :class:`ValueError` instead of letting a negative index
+    silently alias the *last* branch (NumPy semantics) or an out-of-range one
+    surface as a bare ``IndexError`` inside the solver.
+    """
+    for branch in branches:
+        if not 0 <= int(branch) < n_branch:
+            raise ValueError(
+                f"outage branch index {int(branch)} out of range for a case "
+                f"with {n_branch} branches"
+            )
 
 
 def validate_case(case: Case, raise_on_error: bool = True) -> List[str]:

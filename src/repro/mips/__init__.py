@@ -10,7 +10,7 @@ from repro.mips.linsolve import (
     solver_telemetry,
 )
 from repro.mips.ldl import LDLSolver
-from repro.mips.batch import BatchFeedPayload, mips_batch
+from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.mips.qp import qps_mips
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
@@ -24,6 +24,7 @@ __all__ = [
     "mips",
     "mips_batch",
     "BatchFeedPayload",
+    "LockstepPlan",
     "qps_mips",
     "KKTSolver",
     "KKTSolveError",

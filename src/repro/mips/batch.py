@@ -1,9 +1,10 @@
 """Lockstep batched MIPS: solve B same-structure NLPs at once.
 
 Scenario sweeps hand the solver many instances of the *same* problem
-structure — one case topology, one sparsity pattern, different loads and warm
-starts.  Solving them one at a time leaves most of the per-iteration time in
-small-matrix NumPy/SciPy call overhead.  :func:`mips_batch` instead advances a
+structure — one sparsity pattern, different loads, warm starts and (for N-k
+screening) branch outages carried as per-row data.  Solving them one at a
+time leaves most of the per-iteration time in small-matrix NumPy/SciPy call
+overhead.  :func:`mips_batch` instead advances a
 whole batch in lockstep: primal/dual state is held as ``(B, ·)`` matrices, the
 callback evaluation, constraint stacking, Lagrangian gradient, step-length /
 centering and convergence math are vectorised across the batch axis.  So is
@@ -16,7 +17,10 @@ default, refactorises the whole plane over one cached symbolic analysis
 (:class:`~repro.mips.ldl.LDLSolver`); ``"factorized"``, the SuperLU reference
 of the parity suites, factorises it row by row
 (:class:`~repro.mips.linsolve.FactorizedSolver`).  The two agree at solver
-precision, and the loop does not know which one it holds.
+precision, and the loop does not know which one it holds.  Everything
+derived from the problem structure alone — bound partition, canonical
+templates, transpose plans, the assembler — is a :class:`LockstepPlan`,
+which callers that solve one structure repeatedly build once.
 
 Scenarios retire individually: a converged (or numerically failed) scenario
 drops out of the active set immediately, so stragglers never pay for
@@ -52,7 +56,7 @@ implementation):
   Hessian data planes on ``hess_template``.
 
 ``idx`` carries the original batch positions of the rows of ``X`` so callbacks
-can look up per-scenario data (loads) for the shrinking active set.
+can look up per-scenario data (loads, outages) for the shrinking active set.
 """
 
 from __future__ import annotations
@@ -282,6 +286,46 @@ class _BatchKKTAssembler:
         return kkt_plane, rhs_plane
 
 
+class LockstepPlan:
+    """The structure-only setup of a lockstep solve, built once and reused.
+
+    Everything :func:`mips_batch` derives from the sparsity templates and the
+    variable bounds alone — the bound partition, the canonical templates, the
+    transpose plans of the nonlinear Jacobians and the batched KKT assembler.
+    Callers that solve many batches of one problem structure (the AC-OPF
+    model of a case) build it once and hand it to every call; the plan holds
+    no per-solve state.
+    """
+
+    def __init__(
+        self,
+        nx: int,
+        jg_template: Optional[sp.spmatrix],
+        jh_template: Optional[sp.spmatrix],
+        hess_template: sp.spmatrix,
+        xmin: Optional[np.ndarray] = None,
+        xmax: Optional[np.ndarray] = None,
+        bound_eq_tol: float = MIPSOptions.bound_eq_tol,
+    ) -> None:
+        xmin = np.full(nx, -np.inf) if xmin is None else np.asarray(xmin, dtype=float)
+        xmax = np.full(nx, np.inf) if xmax is None else np.asarray(xmax, dtype=float)
+        if xmin.shape != (nx,) or xmax.shape != (nx,):
+            raise ValueError("xmin/xmax must match the width of x0")
+        if np.any(xmin > xmax):
+            raise ValueError("xmin > xmax for at least one variable")
+        self.nx = nx
+        self.xmin, self.xmax = xmin, xmax
+        self.bound_eq_tol = bound_eq_tol
+        self.bounds = _BoundHandler(nx, xmin, xmax, bound_eq_tol)
+        self.jg_t = _canonical_template(jg_template, nx)
+        self.jh_t = _canonical_template(jh_template, nx)
+        self.hess_t = _canonical_template(hess_template, nx)
+        self.partition = self.bounds.partition(self.jg_t.shape[0], self.jh_t.shape[0])
+        self.jgT = transpose_plan(self.jg_t)
+        self.jhT = transpose_plan(self.jh_t)
+        self.assembler = _BatchKKTAssembler(self.jg_t, self.jh_t, self.hess_t, self.bounds)
+
+
 def mips_batch(
     f_fcn: BatchedObjectiveFn,
     x0: np.ndarray,
@@ -293,6 +337,7 @@ def mips_batch(
     hess_template: Optional[sp.spmatrix] = None,
     xmin: Optional[np.ndarray] = None,
     xmax: Optional[np.ndarray] = None,
+    plan: Optional[LockstepPlan] = None,
     lam0: Optional[np.ndarray] = None,
     mu0: Optional[np.ndarray] = None,
     z0: Optional[np.ndarray] = None,
@@ -312,7 +357,9 @@ def mips_batch(
     where the corresponding ``*_mask`` entry is True (all rows when the mask
     is omitted).  ``jg_template`` / ``jh_template`` / ``hess_template`` carry
     the fixed sparsity patterns of the nonlinear-constraint Jacobians and the
-    Lagrangian Hessian whose data planes the callbacks produce.
+    Lagrangian Hessian whose data planes the callbacks produce.  ``plan`` —
+    a :class:`LockstepPlan` built from those templates and bounds — replaces
+    all five arguments for callers that solve the same structure repeatedly.
 
     **Retire-and-refill.**  When ``feed`` is given, the width of ``x0``'s
     batch becomes a lockstep *window*: every time scenarios retire (converge
@@ -355,16 +402,18 @@ def mips_batch(
         capacity = int(feed_capacity)
         if capacity < batch:
             raise ValueError("feed_capacity must cover the initial batch")
-    xmin = np.full(nx, -np.inf) if xmin is None else np.asarray(xmin, dtype=float)
-    xmax = np.full(nx, np.inf) if xmax is None else np.asarray(xmax, dtype=float)
-    if xmin.shape != (nx,) or xmax.shape != (nx,):
-        raise ValueError("xmin/xmax must match the width of x0")
-    if np.any(xmin > xmax):
-        raise ValueError("xmin > xmax for at least one variable")
-    if hess_fcn is None or hess_template is None:
+    if hess_fcn is None or (plan is None and hess_template is None):
         raise ValueError("mips_batch requires hess_fcn and hess_template")
-    if gh_fcn is not None and (jg_template is None or jh_template is None):
-        raise ValueError("jg_template/jh_template are required with gh_fcn")
+    if plan is None:
+        if gh_fcn is not None and (jg_template is None or jh_template is None):
+            raise ValueError("jg_template/jh_template are required with gh_fcn")
+        plan = LockstepPlan(
+            nx, jg_template, jh_template, hess_template, xmin, xmax, opt.bound_eq_tol
+        )
+    elif any(a is not None for a in (jg_template, jh_template, hess_template, xmin, xmax)):
+        raise ValueError("pass either a plan or the templates and bounds, not both")
+    elif plan.nx != nx or plan.bound_eq_tol != opt.bound_eq_tol:
+        raise ValueError("the plan was built for a different width or bound_eq_tol")
     if deadline is None:
         entry_deadline = None
     else:
@@ -374,26 +423,22 @@ def mips_batch(
         elif entry_deadline.shape != (batch,):
             raise ValueError("deadline must be a scalar or a (B,) vector")
 
-    bounds = _BoundHandler(nx, xmin, xmax, opt.bound_eq_tol)
-    eq_idx, ub_idx, lb_idx = bounds.eq_idx, bounds.ub_idx, bounds.lb_idx
+    xmin, xmax = plan.xmin, plan.xmax
+    eq_idx, ub_idx, lb_idx = plan.bounds.eq_idx, plan.bounds.ub_idx, plan.bounds.lb_idx
     nub = ub_idx.size
-
-    jg_t = _canonical_template(jg_template, nx)
-    jh_t = _canonical_template(jh_template, nx)
-    hess_t = _canonical_template(hess_template, nx)
+    jg_t, jh_t = plan.jg_t, plan.jh_t
     n_eq_nl, n_ineq_nl = jg_t.shape[0], jh_t.shape[0]
-    partition = bounds.partition(n_eq_nl, n_ineq_nl)
+    partition = plan.partition
     neq, niq = partition.n_eq, partition.n_ineq
-
-    jgT_order, jgT_indptr, jgT_indices = transpose_plan(jg_t)
-    jhT_order, jhT_indptr, jhT_indices = transpose_plan(jh_t)
+    jgT_order, jgT_indptr, jgT_indices = plan.jgT
+    jhT_order, jhT_indptr, jhT_indices = plan.jhT
+    assembler = plan.assembler
 
     kkt_solver = make_kkt_solver(
         opt.kkt_solver,
         regularization=opt.kkt_reg,
         max_retries=opt.kkt_max_retries,
     )
-    assembler = _BatchKKTAssembler(jg_t, jh_t, hess_t, bounds)
 
     # ------------------------------------------------------------- batch state
     # Arrays are sized for every scenario the call may ever hold (just the

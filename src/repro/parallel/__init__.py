@@ -15,14 +15,10 @@ from repro.parallel.scenarios import (
     generate_scenarios,
     outage_keeps_connected,
     screened_outage_sets,
+    topology_key,
     validate_outage_branches,
 )
-from repro.parallel.scheduler import (
-    MicroBatch,
-    auto_microbatch_size,
-    make_microbatches,
-    topology_key,
-)
+from repro.parallel.scheduler import MicroBatch, auto_microbatch_size, make_microbatches
 from repro.parallel.supervision import PoolClosedError, SupervisedPool
 from repro.parallel.trajectory import (
     MultiPeriodSweep,

@@ -14,17 +14,20 @@ once and per-batch messages carry only scenarios and warm starts.  Across
 sweeps a :class:`SolverFleet` keeps the worker processes alive, which is what
 the serving engine uses to amortise process start-up over many requests.
 
-A sweep runs one way.  Scenarios are grouped by topology key (the sorted
-outage-branch *set*), each group is cut into micro-batches
+A sweep runs one way.  It is cut into micro-batches in input order
 (:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
 through :func:`repro.opf.batch.solve_opf_batch`, which vectorises the
 evaluation/assembly phases across the batch and loops only for the
-per-scenario factorise/backsolve.  Multi-worker fleets put the micro-batches
-on a shared queue that idle workers pull from — a straggling scenario keeps
-only its own micro-batch busy while the rest of the sweep is stolen by the
-other workers; the in-process fleet has nobody to steal from and solves whole
-topology groups, optionally streamed through a bounded lockstep window whose
-retired slots are refilled between iterations.
+per-scenario factorise/backsolve.  Branch outages are per-row data of that
+solve (a zero coefficient on the intact network's element kernels), so the
+scenarios of every N-k topology share one lockstep batch, one sparsity
+pattern and one per-worker :class:`~repro.opf.batch.BatchedOPFModel`.
+Multi-worker fleets put the micro-batches on a shared queue that idle workers
+pull from — a straggling scenario keeps only its own micro-batch busy while
+the rest of the sweep is stolen by the other workers; the in-process fleet
+has nobody to steal from and solves the whole sweep as one group, optionally
+streamed through a bounded lockstep window whose retired slots are refilled
+between iterations.
 
 Failed solves can be recovered in-worker through a pluggable fallback policy
 (see :mod:`repro.engine.fallback`); the policy object is shipped with the
@@ -33,12 +36,11 @@ initializer, so recovery costs no extra scatter/gather round trip.  The
 the lockstep solve.
 
 :meth:`SolverFleet.solve_many` extends the same machinery across *several*
-sweeps at once: scenarios of different sweeps that share a topology key (the
-sorted outage-branch *set* — N-1 singles and N-k tuples alike) merge into one
-lockstep group (cross-sweep contingency batching).  Scheduling
-only decides where and with whom a scenario is solved; lockstep solves are
-row-independent bit for bit, so per-scenario results are invariant under
-chunking, steal order, worker count and micro-batch size.
+sweeps at once: their scenarios — intact, N-1 and N-k alike — merge into one
+dispatch and share lockstep groups.  Scheduling only decides where and with
+whom a scenario is solved; lockstep solves are row-independent bit for bit,
+so per-scenario results are invariant under chunking, steal order, worker
+count and micro-batch size.
 
 Dispatch is *supervised* (:mod:`repro.parallel.supervision`): tasks flow
 through a crash-aware worker pool, and a task whose worker dies (or whose
@@ -74,7 +76,7 @@ from repro.opf.model import OPFModel
 from repro.opf.result import OPFResult
 from repro.opf.solver import OPFOptions, solve_opf
 from repro.opf.warmstart import WarmStart
-from repro.parallel.scenarios import Scenario, ScenarioSet, validate_outage_branches
+from repro.parallel.scenarios import Scenario, ScenarioSet
 from repro.parallel.scheduler import make_microbatches
 from repro.parallel.supervision import SupervisedPool
 from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
@@ -229,12 +231,13 @@ def _build_state(
     faults: Optional[FaultPlan] = None,
     in_subprocess: bool = False,
 ) -> Dict[str, object]:
+    model = model or OPFModel(case, flow_limits=options.flow_limits)
     return {
         "case": case,
         "options": options,
-        "model": model or OPFModel(case, flow_limits=options.flow_limits),
-        "outage_models": {},
-        "batched_models": {},
+        "model": model,
+        # The one batched model of the worker: every topology is per-row data.
+        "batched": BatchedOPFModel(model),
         "fallback": fallback,
         "collect_solutions": collect_solutions,
         "faults": faults,
@@ -251,7 +254,7 @@ def _init_worker(
     collect_solutions: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> None:
-    """Pool initializer: build the per-process OPF model once."""
+    """Pool initializer: build the per-process OPF models once."""
     _WORKER_STATE.clear()
     _WORKER_STATE.update(
         _build_state(
@@ -265,34 +268,6 @@ def _init_worker(
     )
 
 
-def _outage_case_and_model(state: Dict[str, object], branches: Tuple[int, ...]):
-    """Per-worker memo of outaged-network cases/models, keyed by topology key.
-
-    The key is the scenario's sorted outage-branch tuple — an N-1 single and
-    an N-2 pair memoise the same way.  Sweeps draw outages from a small
-    candidate set, so the same topology recurs across scenarios; building its
-    admittances and structure caches once per worker keeps contingency
-    scenarios as cheap as load-only ones.  Loads stay at the base-case values
-    — scenarios override them per solve.  Branch indices are bounds-checked
-    here (typed :class:`ValueError`) before they can reach NumPy fancy
-    indexing.
-    """
-    case: Case = state["case"]
-    options: OPFOptions = state["options"]
-    cache: Dict[Tuple[int, ...], tuple] = state["outage_models"]
-    entry = cache.get(branches)
-    if entry is None:
-        validate_outage_branches(branches, case.n_branch)
-        label = "+".join(str(b) for b in branches)
-        outage_case = case.with_loads(
-            case.bus.Pd, case.bus.Qd, name=f"{case.name}#out{label}"
-        )
-        outage_case.branch.status[list(branches)] = 0
-        entry = (outage_case, OPFModel(outage_case, flow_limits=options.flow_limits))
-        cache[branches] = entry
-    return entry
-
-
 def _solve_scenario(
     state: Dict[str, object],
     scenario: Scenario,
@@ -302,12 +277,11 @@ def _solve_scenario(
 ) -> OPFResult:
     """Scalar solve of one scenario (the fallback-recovery solve).
 
-    Honours the scenario's branch-outage set when present.
-
-    Load-only scenarios reuse the persistent per-worker model; an outage
-    (single N-1 branch or a whole N-k set) changes the network topology
-    (admittances, rated-branch set), so those scenarios get a dedicated
-    case/model.  When the outage drops a rated branch the inequality
+    Load-only scenarios reuse the persistent per-worker model.  An outage
+    (an N-1 branch or a whole N-k set) is solved on the structurally outaged
+    network, whose case and model are built on demand — a few milliseconds
+    against a recovery solve of a hundred or more, and nothing kept per
+    topology.  When the outage drops a rated branch the inequality
     multipliers/slacks of a base-network warm start no longer line up, so
     ``µ``/``Z`` fall back to solver defaults while the primal point and
     equality multipliers are kept.
@@ -315,85 +289,19 @@ def _solve_scenario(
     case: Case = state["case"]
     model: OPFModel = state["model"]
     options = options or state["options"]
-    if not scenario.outage_branches:
-        return solve_opf(
-            case,
-            warm_start=warm,
-            Pd_mw=scenario.Pd,
-            Qd_mvar=scenario.Qd,
-            options=options,
-            model=model,
-            deadline=deadline,
-        )
-    outage_case, outage_model = _outage_case_and_model(state, scenario.outage_branches)
-    if warm is not None and outage_model.n_ineq_nonlin != model.n_ineq_nonlin:
-        warm = warm.masked(use_mu=False, use_z=False)
+    if scenario.outage_branches:
+        case = scenario.apply(case)
+        outaged = OPFModel(case, flow_limits=options.flow_limits)
+        if warm is not None and outaged.n_ineq_nonlin != model.n_ineq_nonlin:
+            warm = warm.masked(use_mu=False, use_z=False)
+        model = outaged
     return solve_opf(
-        outage_case,
+        case,
         warm_start=warm,
         Pd_mw=scenario.Pd,
         Qd_mvar=scenario.Qd,
         options=options,
-        model=outage_model,
-        deadline=deadline,
-    )
-
-
-def _batched_model_for(
-    state: Dict[str, object], key: Tuple[int, ...], model: OPFModel
-):
-    """Per-worker memo of batched evaluation models, keyed by topology key."""
-    cache: Dict[Tuple[int, ...], BatchedOPFModel] = state["batched_models"]
-    batched = cache.get(key)
-    if batched is None:
-        batched = BatchedOPFModel(model)
-        cache[key] = batched
-    return batched
-
-
-def _lockstep_group(
-    state: Dict[str, object],
-    key: Tuple[int, ...],
-    scenarios: Sequence[Scenario],
-    warm_starts: Sequence[Optional[WarmStart]],
-    window: Optional[int] = None,
-    deadline: Optional[object] = None,
-) -> List[OPFResult]:
-    """Lockstep first attempts for a *topology-pure* scenario group.
-
-    Every scenario must share ``key`` (its sorted outage-branch tuple; ``()``
-    = the intact network); warm-start ``µ``/``Z`` are masked on topology
-    changes exactly like the scalar path.  ``window`` bounds the lockstep
-    width (retire-and-refill streaming, see
-    :func:`repro.opf.batch.solve_opf_batch`).  ``deadline`` is a scalar or a
-    per-scenario vector of absolute wall deadlines (``inf`` = unbounded),
-    forwarded to the batch solver's per-row retirement checks.
-    """
-    options: OPFOptions = state["options"]
-    base_model: OPFModel = state["model"]
-    key = tuple(key or ())
-    if not key:
-        case, model = state["case"], base_model
-    else:
-        case, model = _outage_case_and_model(state, key)
-    warms = []
-    for warm in warm_starts:
-        if (
-            warm is not None
-            and key
-            and model.n_ineq_nonlin != base_model.n_ineq_nonlin
-        ):
-            warm = warm.masked(use_mu=False, use_z=False)
-        warms.append(warm)
-    return solve_opf_batch(
-        case,
-        np.stack([s.Pd for s in scenarios]),
-        np.stack([s.Qd for s in scenarios]),
-        warm_starts=warms,
-        options=options,
         model=model,
-        batched=_batched_model_for(state, key, model),
-        window=window,
         deadline=deadline,
     )
 
@@ -474,24 +382,36 @@ def _outcome_for(
     )
 
 
-def _solve_keyed_group_in_state(
+def _solve_group_in_state(
     state: Dict[str, object],
-    key: Tuple[int, ...],
     scenarios: List[Scenario],
     warm_starts: List[Optional[WarmStart]],
     worker_id: int,
     window: Optional[int] = None,
     deadlines: Optional[List[float]] = None,
 ) -> List[ScenarioOutcome]:
-    """Solve a topology-pure group in lockstep.
+    """Solve a scenario group in lockstep, whatever its mix of topologies.
 
-    *Every* group marches in lockstep — singletons included — so
-    per-scenario results are one canonical set regardless of how the
-    scheduler happened to cut the queue into micro-batches.  Fallback
-    recovery stays per scenario.
+    Every row runs on the worker's one batched model with its outage set as
+    per-row data (:func:`repro.opf.batch.solve_opf_batch`, which also drops
+    the warm ``µ``/``Z`` of rows that take a rated branch out).  *Every*
+    group marches in lockstep — singletons included — so per-scenario
+    results are one canonical set regardless of how the scheduler happened to
+    cut the queue into micro-batches.  ``window`` bounds the lockstep width
+    (retire-and-refill streaming); ``deadlines`` are per-row absolute wall
+    deadlines (``inf`` = unbounded).  Fallback recovery stays per scenario.
     """
-    firsts = _lockstep_group(
-        state, key, scenarios, warm_starts, window=window, deadline=deadlines
+    firsts = solve_opf_batch(
+        state["case"],
+        np.stack([s.Pd for s in scenarios]),
+        np.stack([s.Qd for s in scenarios]),
+        warm_starts=warm_starts,
+        options=state["options"],
+        model=state["model"],
+        batched=state["batched"],
+        window=window,
+        deadline=deadlines,
+        outages=[s.outage_branches for s in scenarios],
     )
     return [
         _outcome_for(
@@ -517,9 +437,8 @@ def _worker_identity() -> int:
 #:
 #: * ``positions`` — global sweep positions of the carried scenarios;
 #: * ``scenarios`` / ``warm_starts`` — the carried work, aligned with
-#:   ``positions``; every task is topology-pure and solved in lockstep;
-#: * ``key`` — the shared topology key (the sorted outage-branch tuple;
-#:   ``()`` for the intact network);
+#:   ``positions``; every task is solved in lockstep, whatever its mix of
+#:   topologies;
 #: * ``worker_id`` — the worker label stamped on outcomes (``None`` = the
 #:   executing process's own identity, the pooled-fleet label);
 #: * ``window`` — optional lockstep window;
@@ -533,7 +452,6 @@ def _worker_identity() -> int:
 
 def _make_task(
     positions: Sequence[int],
-    key: Tuple[int, ...],
     scenarios: List[Scenario],
     warm_starts: List[Optional[WarmStart]],
     worker_id: Optional[int],
@@ -542,7 +460,6 @@ def _make_task(
 ) -> Dict[str, object]:
     return {
         "positions": tuple(positions),
-        "key": key,
         "scenarios": [scenarios[i] for i in positions],
         "warm_starts": [warm_starts[i] for i in positions],
         "worker_id": worker_id,
@@ -569,10 +486,9 @@ def _task_deadlines(task: Dict[str, object]) -> Optional[List[float]]:
 def _split_task(task: Dict[str, object]) -> Optional[List[Dict[str, object]]]:
     """Halve a repeatedly-failing task; ``None`` when it cannot shrink.
 
-    Tasks are topology-pure and march in lockstep *even as singletons*;
-    lockstep rows are independent bit for bit, so any cut of a task
-    reproduces its rows and surviving scenarios keep bitwise parity with a
-    fault-free sweep.  Fragments restart the retry budget (``attempt=0``).
+    Tasks march in lockstep *even as singletons*; lockstep rows are
+    independent bit for bit, so any cut of a task reproduces its rows and
+    surviving scenarios keep bitwise parity with a fault-free sweep.  Fragments restart the retry budget (``attempt=0``).
     """
     positions: Tuple[int, ...] = task["positions"]
     if len(positions) <= 1:
@@ -670,9 +586,8 @@ def _solve_task_in_state(
         scenarios = [scenarios[pos] for pos in live]
         warm_starts = [warm_starts[pos] for pos in live]
         deadlines = [deadlines[pos] for pos in live]
-    solved = _solve_keyed_group_in_state(
+    solved = _solve_group_in_state(
         state,
-        task["key"],
         scenarios,
         warm_starts,
         _task_worker_label(task),
@@ -702,11 +617,11 @@ class SolverFleet:
     pool whose workers stay alive across :meth:`solve` calls, so a serving
     engine pays process start-up and model construction once, not per batch.
 
-    A sweep is cut into topology-keyed micro-batches (``microbatch``
-    scenarios each, auto-sized when omitted) that idle workers pull from a
-    shared queue and solve in lockstep (see
-    :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves
-    whole topology groups, streamed through a retire-and-refill lockstep
+    A sweep is cut into micro-batches (``microbatch`` scenarios each,
+    auto-sized when omitted) that idle workers pull from a shared queue and
+    solve in lockstep, whatever their outage sets (see
+    :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves the
+    whole sweep as one group, streamed through a retire-and-refill lockstep
     window when ``microbatch`` bounds it.  Scheduling never changes *how* a
     scenario is solved: results are invariant under steal order, worker count
     and micro-batch size.
@@ -850,12 +765,11 @@ class SolverFleet:
     ) -> List[SweepResult]:
         """Solve several sweeps at once with cross-sweep contingency batching.
 
-        The sweeps' scenarios are merged into one dispatch, so scenarios of
-        *different* sweeps that share an outage branch (or the base network)
-        land in the same lockstep group — outage-heavy SC-ACOPF screening no
-        longer fragments into tiny per-sweep per-branch groups that forfeit
-        the batch win.  Per-scenario results are bit-identical to solving
-        each sweep separately.
+        The sweeps' scenarios are merged into one dispatch and cut into
+        shared lockstep groups — outage-heavy SC-ACOPF screening of many
+        small sweeps marches as wide batches instead of one narrow batch per
+        sweep.  Per-scenario results are bit-identical to solving each sweep
+        separately.
 
         ``warm_starts`` is an optional per-sweep sequence of per-scenario
         lists (``None`` sweeps mean all-cold).  Returns one
@@ -922,15 +836,15 @@ class SolverFleet:
     ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
         """Cut the sweep into lockstep tasks and run them; outcomes by position.
 
-        Multi-worker fleets submit the topology-keyed micro-batches to the
-        supervised pool's shared task queue, and whichever worker drains its
-        current micro-batch first pulls (steals) the next one.  The
-        in-process fleet instead solves each topology group as one task.
+        Multi-worker fleets submit the micro-batches to the supervised pool's
+        shared task queue, and whichever worker drains its current
+        micro-batch first pulls (steals) the next one.  The in-process fleet
+        instead solves the whole sweep as one task.
         """
         if self._pool is None:
             # With a single in-process worker there is nobody to steal from,
-            # so micro-batch boundaries are irrelevant: solve whole topology
-            # groups, where a bounded lockstep window only caps how many
+            # so micro-batch boundaries are irrelevant: solve the whole
+            # sweep, where a bounded lockstep window only caps how many
             # scenarios march per iteration — default to unbounded (maximum
             # amortisation) and let an explicit ``microbatch`` opt into
             # bounded retire-and-refill streaming.  Results are
@@ -939,10 +853,7 @@ class SolverFleet:
         else:
             width, worker_id, window = self.microbatch, None, None
         tasks = [
-            _make_task(
-                microbatch.positions, microbatch.key, scenarios, warm_starts,
-                worker_id, window, due,
-            )
+            _make_task(microbatch.positions, scenarios, warm_starts, worker_id, window, due)
             for microbatch in make_microbatches(scenarios, width, self.n_workers)
         ]
         return self._run_tasks(tasks, len(scenarios))

@@ -8,10 +8,10 @@ plain load sweeps; the pool runner and the cluster model consume them.
 
 A :class:`Scenario` carries its outage as a **sorted tuple of branch
 indices** (``outage_branches``: ``()`` intact, ``(b,)`` N-1, ``(b1, b2)``
-N-2).  The sorted tuple is also the scenario's topology key (see
-:func:`repro.parallel.scheduler.topology_key`): scenarios dropping the same
-branch *set* share admittances and sparsity structure, so N-2 pairs form
-lockstep groups exactly like N-1 singles do.
+N-2).  The sorted tuple is also the scenario's topology key
+(:func:`topology_key`): scenarios dropping the same branch *set* solve the
+same network.  Lockstep batching does not group by it — an outage is per-row
+data of the batched solve, so every topology shares one lockstep batch.
 
 Outage screening uses a real connectivity check
 (:func:`outage_keeps_connected`, union-find over the post-outage live graph)
@@ -30,22 +30,8 @@ import numpy as np
 
 from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
+from repro.grid.validation import validate_outage_branches
 from repro.utils.rng import RNGLike, ensure_rng
-
-
-def validate_outage_branches(branches: Sequence[int], n_branch: int) -> None:
-    """Check every outage index against the case's branch count.
-
-    Raises a typed :class:`ValueError` instead of letting a negative index
-    silently alias the *last* branch (NumPy semantics) or an out-of-range one
-    surface as a bare ``IndexError`` inside the solver.
-    """
-    for branch in branches:
-        if not 0 <= int(branch) < n_branch:
-            raise ValueError(
-                f"outage branch index {int(branch)} out of range for a case "
-                f"with {n_branch} branches"
-            )
 
 
 def _normalized_outage_branches(outage_branches: Iterable[int]) -> Tuple[int, ...]:
@@ -71,7 +57,7 @@ class Scenario:
     """One SC-ACOPF scenario: a load realisation plus an optional branch-outage set.
 
     ``outage_branches`` is a sorted tuple of branch indices (empty for the
-    intact network) that doubles as the scenario's topology key.  Indices are
+    intact network) that doubles as the scenario's :func:`topology_key`.  Indices are
     validated to be non-negative integers at construction (and sorted,
     de-duplicated) and bounds-checked against the case on :meth:`apply`.
     """
@@ -97,6 +83,17 @@ class Scenario:
     def feature_vector(self, base_mva: float) -> np.ndarray:
         """Model input vector ``[Pd, Qd]`` in p.u."""
         return np.concatenate([self.Pd, self.Qd]) / base_mva
+
+
+def topology_key(scenario: Scenario) -> Tuple[int, ...]:
+    """The network-topology key of a scenario: its sorted outage-branch tuple.
+
+    ``()`` is the intact network; ``(b,)`` an N-1 outage; ``(b1, b2)`` an N-2
+    pair, and so on.  Equal keys mean the same network, which is what
+    multi-period warm chaining checks before carrying inequality multipliers
+    from one step to the next.
+    """
+    return scenario.outage_branches
 
 
 @dataclass
@@ -263,11 +260,9 @@ def generate_contingency_set(
     """N-k contingency screening set: load samples over screened outage sets.
 
     Each scenario pairs one ±``variation`` load sample with one screened
-    N-``k`` outage set (:func:`screened_outage_sets`), assigned round-robin —
-    so scenarios sharing an outage set recur and form lockstep groups for the
-    batched solver exactly like N-1 screening sweeps do.  ``max_outage_sets``
-    bounds (by deterministic subsampling) how many distinct topologies the
-    sweep visits, which directly bounds the per-worker model-cache footprint.
+    N-``k`` outage set (:func:`screened_outage_sets`), assigned round-robin,
+    so outage sets recur across the sweep.  ``max_outage_sets`` bounds (by
+    deterministic subsampling) how many distinct topologies the sweep visits.
     """
     if n_scenarios < 0:
         raise ValueError("n_scenarios must be non-negative")

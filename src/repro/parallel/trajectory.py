@@ -43,8 +43,7 @@ from repro.grid.components import Case
 from repro.grid.perturb import LoadSample
 from repro.opf.warmstart import WarmStart
 from repro.parallel.pool import ScenarioSolution, SolverFleet, SweepResult
-from repro.parallel.scenarios import Scenario, ScenarioSet
-from repro.parallel.scheduler import topology_key
+from repro.parallel.scenarios import Scenario, ScenarioSet, topology_key
 
 __all__ = [
     "MultiPeriodSweep",

@@ -1,6 +1,11 @@
 """Power-flow math substrate: admittances, injections, derivatives, solvers."""
 
-from repro.powerflow.ybus import AdmittanceMatrices, make_connection_matrices, make_ybus
+from repro.powerflow.ybus import (
+    AdmittanceMatrices,
+    branch_admittances,
+    make_connection_matrices,
+    make_ybus,
+)
 from repro.powerflow.injections import (
     branch_flows,
     bus_injection,
@@ -12,17 +17,12 @@ from repro.powerflow.injections import (
     power_balance_mismatch,
 )
 from repro.powerflow.derivatives import (
-    BatchedBranchDerivatives,
-    BatchedSbusDerivatives,
     dAbr_dV,
     dIbr_dV,
     dSbr_dV,
     dSbus_dV,
 )
 from repro.powerflow.hessians import (
-    BatchedASbrHessian,
-    BatchedPolarHessian,
-    BatchedSbusHessian,
     d2ASbr_dV2,
     d2Sbr_dV2,
     d2Sbus_dV2,
@@ -33,15 +33,11 @@ from repro.powerflow.dc import DCMatrices, dc_nominal_flows, dc_power_flow, make
 __all__ = [
     "AdmittanceMatrices",
     "make_ybus",
+    "branch_admittances",
     "make_connection_matrices",
     "bus_injection",
     "bus_injection_batch",
     "branch_flows",
-    "BatchedSbusDerivatives",
-    "BatchedBranchDerivatives",
-    "BatchedPolarHessian",
-    "BatchedSbusHessian",
-    "BatchedASbrHessian",
     "gen_injection",
     "load_injection",
     "power_balance_mismatch",

@@ -8,14 +8,9 @@ differences of the underlying injection/flow functions.
 The formulas multiply by diagonal matrices only, so instead of sparse matrix
 products the implementations scale the CSR ``data`` arrays directly
 (:func:`~repro.utils.sparse.row_scaled_csr` / ``col_scaled_csr``) — these
-kernels sit on the per-iteration hot path of the MIPS solver.
-
-For the lockstep batch solver the same formulas are evaluated for *B*
-voltage states at once: :class:`BatchedSbusDerivatives` and
-:class:`BatchedBranchDerivatives` precompute the fixed sparsity pattern of
-the derivative matrices once per network and then produce ``(B, nnz)``
-*data planes* on that pattern with pure (vectorised) NumPy arithmetic —
-one nonzero of the scalar result per plane column.
+kernels sit on the per-iteration hot path of the scalar MIPS solver.  The
+lockstep batch solver evaluates the same derivatives per network element
+instead (:mod:`repro.opf.batch`).
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.sparse import col_scaled_csr, csr_rows, pattern_union, row_scaled_csr
+from repro.utils.sparse import col_scaled_csr, row_scaled_csr
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -93,101 +88,6 @@ def dAbr_dV(
     dA_dVa = row_scaled_csr(dVa.real, twoP) + row_scaled_csr(dVa.imag, twoQ)
     dA_dVm = row_scaled_csr(dVm.real, twoP) + row_scaled_csr(dVm.imag, twoQ)
     return dA_dVa.tocsr(), dA_dVm.tocsr()
-
-
-class BatchedSbusDerivatives:
-    """Batch-axis :func:`dSbus_dV` on the fixed pattern ``union(Ybus, I)``.
-
-    Calling the plan with a ``(B, nb)`` complex voltage matrix returns the
-    ``(B, nnz)`` data planes of ``dSbus_dVa`` and ``dSbus_dVm`` (both share
-    :attr:`template`'s pattern) plus the batched bus-current injections.
-    """
-
-    def __init__(self, Ybus: sp.spmatrix):
-        Ybus = sp.csr_matrix(Ybus)
-        n = Ybus.shape[0]
-        #: Shared sparsity pattern of both derivative matrices.
-        self.template, (pos_y, pos_d) = pattern_union(
-            [Ybus, sp.identity(n, format="csr")]
-        )
-        #: Row / column index of every stored nonzero of the pattern.
-        self.rows = csr_rows(self.template)
-        self.cols = self.template.indices
-        ydata = np.zeros(self.template.nnz, dtype=complex)
-        ydata[pos_y] = Ybus.tocsr().data
-        self._ydata = ydata
-        diag = np.zeros(self.template.nnz)
-        diag[pos_d] = 1.0
-        self._diag = diag
-        self._Ybus = Ybus
-
-    def __call__(self, V: np.ndarray):
-        """Evaluate at ``V`` of shape ``(B, nb)``; returns ``(dVa, dVm, Ibus)``."""
-        Ibus = (self._Ybus @ V.T).T
-        Vnorm = V / np.abs(V)
-        Vr = V[:, self.rows]
-        # dS_dVa = j diag(V) conj(diag(Ibus) - Ybus diag(V)), elementwise on the
-        # union pattern: entry (i, j) -> jV_i conj(1{i==j} Ibus_i - Y_ij V_j).
-        dVa = 1j * Vr * np.conj(
-            self._diag * Ibus[:, self.rows] - self._ydata * V[:, self.cols]
-        )
-        # dS_dVm = diag(V) conj(Ybus diag(Vnorm)) + conj(diag(Ibus)) diag(Vnorm)
-        dVm = Vr * np.conj(self._ydata * Vnorm[:, self.cols]) + self._diag * (
-            np.conj(Ibus[:, self.rows]) * Vnorm[:, self.rows]
-        )
-        return dVa, dVm, Ibus
-
-
-class BatchedBranchDerivatives:
-    """Batch-axis :func:`dSbr_dV` for one branch end on ``union(Cbr, Ybr)``.
-
-    Evaluating at a ``(B, nb)`` voltage matrix returns the data planes of
-    ``dSbr_dVa`` / ``dSbr_dVm`` on :attr:`template`'s pattern and the complex
-    branch flows ``Sbr``; :meth:`squared_flow` turns those into the
-    ``|Sbr|²`` derivative planes of :func:`dAbr_dV` (same pattern).
-    """
-
-    def __init__(self, Ybr: sp.spmatrix, Cbr: sp.spmatrix):
-        Ybr = sp.csr_matrix(Ybr)
-        Cbr = sp.csr_matrix(Cbr)
-        #: Shared sparsity pattern of the branch-flow derivative matrices.
-        self.template, (pos_y, pos_c) = pattern_union([Ybr, Cbr])
-        #: Branch (row) / bus (column) index per stored nonzero.
-        self.rows = csr_rows(self.template)
-        self.cols = self.template.indices
-        ydata = np.zeros(self.template.nnz, dtype=complex)
-        ydata[pos_y] = Ybr.tocsr().data
-        self._ydata = ydata
-        cdata = np.zeros(self.template.nnz, dtype=complex)
-        cdata[pos_c] = Cbr.tocsr().data
-        self._cdata = cdata
-        self._Ybr = Ybr
-        self._Cbr = Cbr
-
-    def __call__(self, V: np.ndarray):
-        """Evaluate at ``V`` of shape ``(B, nb)``; returns ``(dVa, dVm, Sbr)``."""
-        Ibr = (self._Ybr @ V.T).T
-        Vbr = (self._Cbr @ V.T).T
-        Vnorm = V / np.abs(V)
-        conj_Ibr = np.conj(Ibr)
-        cI = conj_Ibr[:, self.rows]
-        Vb = Vbr[:, self.rows]
-        Vc = V[:, self.cols]
-        Vnc = Vnorm[:, self.cols]
-        # dS_dVa = j (conj(diag(Ibr)) Cbr diag(V) - diag(Vbr) conj(Ybr diag(V)))
-        dVa = cI * (self._cdata * (1j * Vc)) - 1j * Vb * np.conj(self._ydata * Vc)
-        # dS_dVm = diag(Vbr) conj(Ybr diag(Vnorm)) + conj(diag(Ibr)) Cbr diag(Vnorm)
-        dVm = Vb * np.conj(self._ydata * Vnc) + cI * (self._cdata * Vnc)
-        Sbr = Vbr * conj_Ibr
-        return dVa, dVm, Sbr
-
-    def squared_flow(self, dVa: np.ndarray, dVm: np.ndarray, Sbr: np.ndarray):
-        """Batch-axis :func:`dAbr_dV`: derivative planes of ``|Sbr|²``."""
-        twoP = 2.0 * Sbr.real[:, self.rows]
-        twoQ = 2.0 * Sbr.imag[:, self.rows]
-        dA_dVa = twoP * dVa.real + twoQ * dVa.imag
-        dA_dVm = twoP * dVm.real + twoQ * dVm.imag
-        return dA_dVa, dA_dVm
 
 
 def dIbr_dV(

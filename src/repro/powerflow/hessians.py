@@ -32,15 +32,7 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.utils.sparse import (
-    MatmulPlan,
-    batched_row_sums,
-    col_scaled_csr,
-    csr_rows,
-    pattern_union,
-    row_scaled_csr,
-    transpose_plan,
-)
+from repro.utils.sparse import col_scaled_csr, row_scaled_csr
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -142,178 +134,3 @@ def d2ASbr_dV2(
         sp.csr_matrix(Hva),
         sp.csr_matrix(Hvv),
     )
-
-
-# ----------------------------------------------------------------- batch axis
-def _pattern_csr(indptr: np.ndarray, indices: np.ndarray, shape) -> sp.csr_matrix:
-    """Zero-data canonical CSR view of a pattern described by index arrays."""
-    m = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=shape)
-    m.has_canonical_format = True
-    return m
-
-
-class BatchedPolarHessian:
-    """Batch-axis :func:`_polar_hessian_blocks` on a fixed ``W`` pattern.
-
-    All four Hessian blocks live on the symmetric :attr:`template` pattern
-    ``union(P, Pᵀ, I)`` where ``P`` is the weight matrix's pattern; the plan
-    precomputes the transpose permutations and scatter positions once, and
-    :meth:`blocks` replays them on ``(B, nnz_P)`` weight data planes.
-    """
-
-    def __init__(self, W_pattern: sp.spmatrix):
-        P = sp.csr_matrix(W_pattern).tocsr()
-        P.sort_indices()
-        if P.shape[0] != P.shape[1]:
-            raise ValueError("polar Hessian requires a square weight matrix")
-        n = P.shape[0]
-        self._indptr = P.indptr
-        self._rows = csr_rows(P)
-        self._cols = P.indices
-        self._t_order, self._t_indptr, t_indices = transpose_plan(P)
-        Pt = _pattern_csr(self._t_indptr, t_indices, (n, n))
-        #: Union pattern carrying all four blocks.
-        self.template, (self._pos_t, self._pos_tt, self._pos_d) = pattern_union(
-            [P, Pt, sp.identity(n, format="csr")]
-        )
-        self._u_rows = csr_rows(self.template)
-        self._u_cols = self.template.indices
-        # The union pattern is symmetric, so its transpose permutation maps the
-        # template onto itself (used for Gva = Gavᵀ).
-        self._ut_order, _, _ = transpose_plan(self.template)
-
-    def blocks(self, Wdata: np.ndarray, V: np.ndarray):
-        """Hessian-block data planes for weight planes ``Wdata`` at ``V``.
-
-        Returns complex ``(B, nnz_U)`` planes ``(Gaa, Gav, Gva, Gvv)`` on
-        :attr:`template`'s pattern.
-        """
-        Wdata = np.atleast_2d(Wdata)
-        batch = max(Wdata.shape[0], V.shape[0])
-        Vm = np.abs(V)
-        Vminv = 1.0 / Vm
-        T = Wdata * np.conj(V[:, self._cols]) * V[:, self._rows]
-        if T.shape[0] != batch:
-            T = np.broadcast_to(T, (batch, T.shape[1]))
-        R = batched_row_sums(T, self._indptr)
-        Tt = T[:, self._t_order]
-        Csum = batched_row_sums(Tt, self._t_indptr)
-
-        nnz_u = self.template.nnz
-        Gaa = np.zeros((batch, nnz_u), dtype=complex)
-        Gaa[:, self._pos_t] = T
-        Gaa[:, self._pos_tt] += Tt
-        Gaa[:, self._pos_d] -= R + Csum
-
-        Gav = np.zeros((batch, nnz_u), dtype=complex)
-        Gav[:, self._pos_t] = T
-        Gav[:, self._pos_tt] -= Tt
-        Gav *= (1j * Vminv)[:, self._u_cols]
-        Gav[:, self._pos_d] += 1j * (R - Csum) * Vminv
-
-        Gva = Gav[:, self._ut_order]
-
-        Gvv = np.zeros((batch, nnz_u), dtype=complex)
-        Gvv[:, self._pos_t] = T
-        Gvv[:, self._pos_tt] += Tt
-        Gvv *= Vminv[:, self._u_rows] * Vminv[:, self._u_cols]
-        return Gaa, Gav, Gva, Gvv
-
-
-class BatchedSbusHessian:
-    """Batch-axis :func:`d2Sbus_dV2`: bus-injection curvature data planes.
-
-    The weight is ``W = diag(lam) conj(Ybus)`` with per-slot multipliers, so
-    the weight data plane is a pure scaling of the constant admittance data.
-    Because every block is ℂ-linear in ``lam``, one evaluation at
-    ``lamP - j·lamQ`` yields (after taking real parts) the combined
-    P/Q-balance contribution the OPF Hessian needs.
-    """
-
-    def __init__(self, Ybus: sp.spmatrix):
-        Y = sp.csr_matrix(Ybus).tocsr()
-        Y.sort_indices()
-        self._conj_ydata = np.conj(Y.data)
-        self._y_rows = csr_rows(Y)
-        self.polar = BatchedPolarHessian(Y)
-        #: Pattern of the returned block planes.
-        self.template = self.polar.template
-
-    def __call__(self, V: np.ndarray, lam: np.ndarray):
-        """Block planes for ``(B, nb)`` voltages and complex ``(B, nb)`` ``lam``."""
-        Wdata = self._conj_ydata * lam[:, self._y_rows]
-        return self.polar.blocks(Wdata, V)
-
-
-class BatchedASbrHessian:
-    """Batch-axis :func:`d2ASbr_dV2` for one branch end.
-
-    Combines a fixed-pattern product plan for the curvature weight
-    ``W = Cbrᵀ diag(lam ⊙ conj(Sbr)) conj(Ybr)``, a polar-Hessian plan on that
-    product's pattern, and a Gram product plan for the first-derivative terms
-    ``dV·ᴴ diag(lam) dV·``.  :meth:`blocks` returns the four *real* Hessian
-    data planes on :attr:`template`'s pattern.
-    """
-
-    def __init__(self, Cbr: sp.spmatrix, Ybr: sp.spmatrix, deriv_template: sp.spmatrix):
-        Cbr = sp.csr_matrix(Cbr).tocsr()
-        Ybr = sp.csr_matrix(Ybr).tocsr()
-        Cbr.sort_indices()
-        Ybr.sort_indices()
-        CbrT = Cbr.T.tocsr()
-        CbrT.sort_indices()
-        self._cbrT_data = CbrT.data[np.newaxis, :].astype(complex)
-        self._w_plan = MatmulPlan(CbrT, Ybr)
-        self._conj_ydata = np.conj(Ybr.data)
-        self._y_rows = csr_rows(Ybr)
-        self.polar = BatchedPolarHessian(self._w_plan.template)
-
-        deriv = sp.csr_matrix(deriv_template).tocsr()
-        deriv.sort_indices()
-        self._d_rows = csr_rows(deriv)
-        self._dT_order, dT_indptr, dT_indices = transpose_plan(deriv)
-        derivT = _pattern_csr(dT_indptr, dT_indices, (deriv.shape[1], deriv.shape[0]))
-        self._gram_plan = MatmulPlan(derivT, deriv)
-        #: Pattern of the returned block planes (curvature ∪ Gram terms).
-        self.template, (self._pos_s, self._pos_g) = pattern_union(
-            [self.polar.template, self._gram_plan.template]
-        )
-
-    def blocks(
-        self,
-        dVa: np.ndarray,
-        dVm: np.ndarray,
-        Sbr: np.ndarray,
-        lam: np.ndarray,
-        V: np.ndarray,
-    ):
-        """Real Hessian-block planes ``(Haa, Hav, Hva, Hvv)`` on :attr:`template`.
-
-        ``dVa``/``dVm`` are the first-derivative data planes (pattern
-        ``deriv_template``), ``Sbr`` the complex flows and ``lam`` the real
-        per-branch multipliers, all batched.
-        """
-        lam2 = lam * np.conj(Sbr)
-        Wdata = self._w_plan.multiply(
-            self._cbrT_data, self._conj_ydata * lam2[:, self._y_rows]
-        )
-        Saa, Sav, Sva, Svv = self.polar.blocks(Wdata, V)
-
-        lam_rows = lam[:, self._d_rows]
-        ATa = np.conj(dVa)[:, self._dT_order]
-        ATm = np.conj(dVm)[:, self._dT_order]
-        Ba = dVa * lam_rows
-        Bm = dVm * lam_rows
-        Paa = self._gram_plan.multiply(ATa, Ba)
-        Pav = self._gram_plan.multiply(ATa, Bm)
-        Pva = self._gram_plan.multiply(ATm, Ba)
-        Pvv = self._gram_plan.multiply(ATm, Bm)
-
-        batch = Paa.shape[0]
-        out = []
-        for S, P in ((Saa, Paa), (Sav, Pav), (Sva, Pva), (Svv, Pvv)):
-            block = np.zeros((batch, self.template.nnz))
-            block[:, self._pos_s] = 2.0 * S.real
-            block[:, self._pos_g] += 2.0 * P.real
-            out.append(block)
-        return tuple(out)

@@ -62,9 +62,15 @@ def make_connection_matrices(case: Case) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     return Cf, Ct, Cg
 
 
-def make_ybus(case: Case) -> AdmittanceMatrices:
-    """Build the full set of admittance / connection matrices for ``case``."""
-    nb, nl = case.n_bus, case.n_branch
+def branch_admittances(
+    case: Case,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-branch two-port admittances ``(Yff, Yft, Ytf, Ytt)``.
+
+    The from-end current of branch ``l`` is ``Yff[l]·V_f + Yft[l]·V_t`` and
+    the to-end current ``Ytf[l]·V_f + Ytt[l]·V_t``; out-of-service branches
+    get zeros.
+    """
     br = case.branch
     status = (br.status > 0).astype(float)
 
@@ -77,6 +83,13 @@ def make_ybus(case: Case) -> AdmittanceMatrices:
     Yff = Ytt / (tap * np.conj(tap))
     Yft = -Ys / np.conj(tap)
     Ytf = -Ys / tap
+    return Yff, Yft, Ytf, Ytt
+
+
+def make_ybus(case: Case) -> AdmittanceMatrices:
+    """Build the full set of admittance / connection matrices for ``case``."""
+    nb, nl = case.n_bus, case.n_branch
+    Yff, Yft, Ytf, Ytt = branch_admittances(case)
 
     Cf, Ct, Cg = make_connection_matrices(case)
     rows = np.arange(nl)

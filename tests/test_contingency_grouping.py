@@ -1,13 +1,14 @@
 """Cross-sweep contingency batching parity: grouped == per-sweep, bit for bit.
 
-Outage-heavy SC-ACOPF screening runs many N-1 sweeps whose scenarios repeat
-the same outage branches.  :meth:`SolverFleet.solve_many` merges such sweeps
-into one elastic dispatch so same-branch scenarios of different sweeps share
-one lockstep group (served by the workers' memoized per-branch batched
-models).  Grouping must be a pure scheduling decision: every scenario's
-iterations, objective and multipliers must match the per-sweep path exactly —
-including scenarios whose warm attempt fails and is recovered by the fallback
-policy, whose accounting must survive the regrouping untouched.
+Outage-heavy SC-ACOPF screening runs many small N-1 sweeps.
+:meth:`SolverFleet.solve_many` merges such sweeps into one dispatch whose
+micro-batches mix intact and outaged scenarios of different sweeps — one
+lockstep group per cut, served by the worker's one batched model with the
+outages as per-row data.  Grouping must be a pure scheduling decision: every
+scenario's iterations, objective and multipliers must match the per-sweep
+path exactly — including scenarios whose warm attempt fails and is recovered
+by the fallback policy, whose accounting must survive the regrouping
+untouched.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.opf import OPFModel, solve_opf
 from repro.opf.warmstart import WarmStart
-from repro.parallel import Scenario, ScenarioSet, SolverFleet
+from repro.parallel import Scenario, ScenarioSet, SolverFleet, make_microbatches
 
 
 def _outage_candidates(case, count):
@@ -84,6 +85,12 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
         *({s.outage_branches for s in sweep if s.outage_branches} for sweep in sweeps)
     )
     assert shared
+
+    # One group per merged dispatch: its cuts mix the sweeps' topologies.
+    merged = [s for sweep in sweeps for s in sweep]
+    cuts = make_microbatches(merged, microbatch=3)
+    assert [p for mb in cuts for p in mb.positions] == list(range(len(merged)))
+    assert all(len({merged[p].outage_branches for p in mb.positions}) > 1 for mb in cuts)
 
     with SolverFleet(case, microbatch=3, collect_solutions=True) as fleet:
         separate = [fleet.solve(sweep) for sweep in sweeps]

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from repro.engine.fallback import get_fallback_policy
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import MIPSOptions, mips_batch, qps_mips
+from repro.mips import LockstepPlan, MIPSOptions, mips_batch, qps_mips
 from repro.opf import (
     BatchedOPFModel,
     OPFModel,
@@ -106,6 +106,18 @@ def test_mips_batch_validates_inputs():
             hess_fcn=lambda *a: np.zeros((1, 0)),
             hess_template=sp.csr_matrix((3, 3)),
         )
+    plan = LockstepPlan(3, None, None, sp.csr_matrix((3, 3)))
+
+    def objective(X, idx):
+        return np.zeros(1), np.zeros((1, 3))
+
+    with pytest.raises(ValueError, match="not both"):
+        mips_batch(
+            objective, np.zeros((1, 3)), hess_fcn=lambda *a: np.zeros((1, 0)),
+            plan=plan, xmin=np.zeros(3),
+        )
+    with pytest.raises(ValueError, match="different width"):
+        mips_batch(objective, np.zeros((1, 4)), hess_fcn=lambda *a: np.zeros((1, 0)), plan=plan)
 
 
 # -------------------------------------------------------- batched OPF kernels

@@ -8,8 +8,9 @@ Covers the scenario-universe expansion end to end:
 * typed validation of outage indices (negative at construction, out-of-range
   on apply);
 * the sorted, de-duplicated canonical form of ``outage_branches``;
-* topology grouping unified on ``topology_key`` across scheduler and pool;
-* the headline acceptance property: grouped N-2 lockstep solves are
+* one lockstep group per sweep: scheduler and pool cut a mixed-topology
+  sweep without regard to outage sets;
+* the headline acceptance property: mixed N-2 lockstep solves are
   bitwise-identical — multipliers included — to per-scenario solves, across
   both batched KKT backends.
 """
@@ -165,33 +166,35 @@ def test_outage_branches_canonical_form():
 
 # ----------------------------------------------------------------- grouping
 def test_pool_and_scheduler_grouping_agree():
-    """`topology_key` is the single source of truth for group membership.
+    """One lockstep group per sweep, whatever its topology mix.
 
-    The in-process fleet cuts its whole-group tasks with the scheduler's own
-    ``make_microbatches`` (width = the sweep), so one cut per topology key
-    with exactly that key's members is what both fleets group by.
+    Outages are per-row data of the lockstep solve, so the in-process fleet's
+    whole-sweep task (``make_microbatches`` at the sweep's width) holds every
+    scenario in input order, and pool-sized cuts are consecutive slices that
+    mix topologies freely.
     """
     case = case14()
     cs = generate_contingency_set(case, 12, k=2, max_outage_sets=4, seed=3)
     mixed = list(cs) + list(generate_scenarios(case, 6, contingency_fraction=0.5, seed=4))
+    assert len({topology_key(s) for s in mixed}) > 4
 
-    expected: dict = {}
-    for pos, scenario in enumerate(mixed):
-        expected.setdefault(topology_key(scenario), []).append(pos)
-    whole_groups = make_microbatches(mixed, microbatch=len(mixed))
-    assert [mb.key for mb in whole_groups] == list(expected)
-    assert {mb.key: list(mb.positions) for mb in whole_groups} == expected
+    (whole,) = make_microbatches(mixed, microbatch=len(mixed))
+    assert whole.positions == tuple(range(len(mixed)))
+    cuts = make_microbatches(mixed, n_workers=2)
+    assert [len(mb) for mb in cuts] == [5, 5, 5, 3]
+    assert [p for mb in cuts for p in mb.positions] == list(range(len(mixed)))
+    assert any(len({topology_key(mixed[p]) for p in mb.positions}) > 1 for mb in cuts)
 
 
 # ------------------------------------------------------------ bitwise parity
 @pytest.mark.parametrize("kkt_solver", ["factorized", "ldl"])
 def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
-    """Acceptance: grouped N-2 lockstep == per-scenario solves, multipliers included.
+    """Acceptance: mixed N-2 lockstep == per-scenario solves, multipliers included.
 
-    The elastic keyed path locksteps every topology group — singletons
-    included — so solving each scenario alone walks the same numeric path as
-    the grouped sweep; lockstep rows are bit-independent, hence the results
-    must agree to the last bit across both batched KKT backends.
+    The sweep's two topologies march in one lockstep group, and a scenario
+    solved alone marches at width 1 on the same intact-pattern kernels;
+    lockstep rows are bit-independent, hence the results must agree to the
+    last bit across both batched KKT backends.
     """
     case = case14()
     options = OPFOptions(mips=MIPSOptions(kkt_solver=kkt_solver))

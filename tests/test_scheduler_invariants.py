@@ -5,8 +5,9 @@ stolen micro-batches, retire-and-refill lockstep windows, cross-sweep
 contingency groups — while the per-scenario result semantics must survive
 every one of those choices bit for bit.  This suite pins that contract:
 
-* pure scheduling functions partition the sweep exactly once and keep
-  micro-batches topology-pure (property-based);
+* pure scheduling functions cut the sweep exactly once into consecutive
+  micro-batches, one group per sweep whatever its outage sets
+  (property-based);
 * ``mips_batch``'s retire-and-refill feed is bitwise-invariant in the lockstep
   window size, including singular-KKT scenarios enrolled mid-flight whose
   ``kkt_regularizations`` must land on the right scenario (property-based);
@@ -34,7 +35,6 @@ from repro.parallel import (
     generate_scenarios,
     make_microbatches,
     run_scenario_sweep,
-    topology_key,
 )
 from repro.parallel.scheduler import MicroBatch
 
@@ -58,17 +58,25 @@ outage_lists = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(outages=outage_lists, data=st.data())
-def test_microbatches_topology_pure_and_exactly_once(outages, data):
+def test_microbatches_contiguous_and_exactly_once(outages, data):
     scenarios = _fake_scenarios(outages)
     microbatch = data.draw(st.integers(min_value=1, max_value=8))
     batches = make_microbatches(scenarios, microbatch=microbatch)
-    everything = sorted(pos for mb in batches for pos in mb.positions)
-    assert everything == list(range(len(outages)))
+    # Consecutive slices in input order: topology plays no part in the cut.
+    assert [pos for mb in batches for pos in mb.positions] == list(range(len(outages)))
     for mb in batches:
         assert isinstance(mb, MicroBatch)
         assert 1 <= len(mb) <= microbatch
-        assert {topology_key(scenarios[pos]) for pos in mb.positions} == {mb.key}
-        assert mb.key == (() if outages[mb.positions[0]] is None else (outages[mb.positions[0]],))
+    assert all(len(mb) == microbatch for mb in batches[:-1])
+
+
+def test_n2_sweep_on_two_workers_is_four_tasks():
+    """18 scenarios over six outage pairs: tasks of 5, 5, 5, 3, not six of 3."""
+    scenarios = [
+        Scenario(i, np.full(3, 10.0), np.full(3, 3.0), outage_branches=(i % 6, 6 + i % 6))
+        for i in range(18)
+    ]
+    assert [len(mb) for mb in make_microbatches(scenarios, n_workers=2)] == [5, 5, 5, 3]
 
 
 def test_auto_microbatch_size_oversubscribes():
@@ -314,7 +322,7 @@ def test_fleet_steal_results_invariant_under_permutation(sweep_case9):
 
 
 def _six_scenario_sweep(case_name):
-    """Six scenarios whose positions 2 and 3 are the only members of one topology."""
+    """Six scenarios over three topologies (positions 2 and 3 share one)."""
     from repro.grid import get_case
     from repro.parallel import screened_outage_sets
 
@@ -339,9 +347,8 @@ def test_scenario_alone_equals_scenario_in_sweep_bitwise(case_name, n_workers):
     """Default arguments: sweep membership never changes a scenario's result.
 
     Every task marches in lockstep, singletons included, so a scenario served
-    alone, inside a sweep, or next to a neighbour that an already-expired row
-    deadline retired (shrinking its topology group to one) walks one numeric
-    path.
+    alone, inside a mixed-topology sweep, or next to a neighbour that an
+    already-expired row deadline retired walks one numeric path.
     """
     import time
 
