@@ -7,7 +7,7 @@ same warm engine:
   the service a caller gets without the async tier (every request pays its
   own dispatch and a tiny lockstep window);
 * **async batched** — all requests submitted concurrently to the
-  :class:`~repro.serving.server.AsyncServer`, whose deadline-aware batcher
+  :class:`~repro.serving.server.AsyncServer`, whose continuous batcher
   coalesces them into a few wide flushes (one batched inference + one
   lockstep window each).
 
@@ -82,13 +82,11 @@ def _serve_sequential(engine, requests):
     return sweeps, latencies, time.perf_counter() - t0
 
 
-def _serve_async(engine, requests, max_batch=16, max_wait_seconds=0.005):
-    """Concurrent submits through the dynamic batcher; latencies per request."""
+def _serve_async(engine, requests, max_batch=16):
+    """Concurrent submits through the continuous batcher; latencies per request."""
 
     async def run():
-        server = AsyncServer(
-            engine, max_batch=max_batch, max_wait_seconds=max_wait_seconds
-        )
+        server = AsyncServer(engine, max_batch=max_batch)
         await server.start()
         try:
             t0 = time.perf_counter()
@@ -208,7 +206,7 @@ def test_bench_async_overload_shedding(serving_engine9, request_stream9, perf_re
     max_queue = sum(len(r) for r in requests) // 2
 
     async def run():
-        server = AsyncServer(engine, max_batch=16, max_wait_seconds=0.005, max_queue=max_queue)
+        server = AsyncServer(engine, max_batch=16, max_queue=max_queue)
         await server.start()
         try:
             results = await asyncio.gather(

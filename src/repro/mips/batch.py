@@ -99,6 +99,19 @@ BatchedHessianFn = Callable[
 
 _PHASES = ("eval", "assembly", "factorization", "backsolve")
 
+#: Newton-step failure messages, in the order the checks apply.
+_STEP_FAILURES = (
+    "numerically failed (singular KKT system)",
+    "numerically failed (non-finite Newton step)",
+    "numerically failed (step size exploded)",
+)
+#: End-of-iteration retirements ``(message, converged)``, in test order.
+_RETIREMENTS = (
+    ("converged", True),
+    ("numerically failed (non-finite iterate)", False),
+    ("numerically failed (iterate diverged)", False),
+)
+
 
 @dataclass(frozen=True)
 class BatchFeedPayload:
@@ -684,8 +697,6 @@ def mips_batch(
     # Per-iteration scratch, allocated once: rows are (re)assigned before any
     # read within the iteration that uses them (survivors only), so no
     # clearing between iterations is needed.
-    DX = np.zeros((capacity, nx))
-    Dlam = np.zeros((capacity, neq))
     it_eval = np.zeros(capacity)
     it_asm = np.zeros(capacity)
     it_fac = np.zeros(capacity)
@@ -716,14 +727,11 @@ def mips_batch(
         if rows.size and (
             opt.max_wall_seconds is not None or bool((row_deadline[rows] < np.inf).any())
         ):
-            now_mono = time.monotonic()
-            now_perf = time.perf_counter()
-            for b in rows:
-                if row_deadline[b] <= now_mono or (
-                    opt.max_wall_seconds is not None
-                    and now_perf - enroll_clock[b] >= opt.max_wall_seconds
-                ):
-                    finalize(int(b), "wall deadline exceeded", False, timed_out=True)
+            expired = row_deadline[rows] <= time.monotonic()
+            if opt.max_wall_seconds is not None:
+                expired |= time.perf_counter() - enroll_clock[rows] >= opt.max_wall_seconds
+            for b in rows[expired]:
+                finalize(int(b), "wall deadline exceeded", False, timed_out=True)
         idx = np.flatnonzero(active)
         if idx.size == 0:
             if not feed_drained:
@@ -778,28 +786,29 @@ def mips_batch(
         it_back[idx] = back_dt
         reg_counts[idx] += report.regularizations
 
-        # Newton-step sanity checks, row by row.
-        survivors: List[int] = []
-        failed = set(report.failed)
-        for p, b in enumerate(idx):
-            sol = report.solutions[p]
-            if p in failed:
-                pending.append((int(b), "numerically failed (singular KKT system)"))
-            elif not np.all(np.isfinite(sol)):
-                pending.append((int(b), "numerically failed (non-finite Newton step)"))
-            elif float(np.max(np.abs(sol[:nx]))) > opt.max_stepsize:
-                pending.append((int(b), "numerically failed (step size exploded)"))
-            else:
-                DX[b] = sol[:nx]
-                if neq:
-                    Dlam[b] = sol[nx:]
-                survivors.append(int(b))
-
-        if not survivors:
+        # Newton-step sanity checks as row masks: a failing row is classified
+        # by the first check it fails (1-based index into _STEP_FAILURES).
+        sol = report.solutions
+        singular = np.zeros(na, dtype=bool)
+        singular[report.failed] = True
+        check = np.select(
+            [
+                singular,
+                ~np.isfinite(sol).all(axis=1),
+                np.abs(sol[:, :nx]).max(axis=1) > opt.max_stepsize,
+            ],
+            [1, 2, 3],
+            0,
+        )
+        for p in np.flatnonzero(check):
+            pending.append((int(idx[p]), _STEP_FAILURES[check[p] - 1]))
+        ok = check == 0
+        if not ok.any():
             close_iteration()
             continue
-        s = np.asarray(survivors)
-        DXs = DX[s]
+        s = idx[ok]
+        DXs = sol[ok, :nx]
+        Dlams = sol[ok, nx:]
 
         # ------------------------------------------ batched step-length update
         if niq:
@@ -833,7 +842,7 @@ def mips_batch(
             mu[s] += alphad[:, None] * DMU
             gamma[s] = opt.sigma * np.einsum("ij,ij->i", z[s], mu[s]) / niq
         if neq:
-            lam[s] += alphad[:, None] * Dlam[s]
+            lam[s] += alphad[:, None] * Dlams
 
         # --------------------------------------------------- batched re-evaluate
         F0s = F[s].copy()
@@ -876,22 +885,27 @@ def mips_batch(
             )
 
         close_iteration()
-        converged_now = (conds[s] < tols).all(axis=1)
-        nonfinite = ~np.isfinite(X[s]).all(axis=1)
-        diverged = np.abs(X[s]).max(axis=1) > opt.max_stepsize
-        for pos, b in enumerate(s):
-            if converged_now[pos]:
-                finalize(int(b), "converged", True)
-            elif nonfinite[pos]:
-                finalize(int(b), "numerically failed (non-finite iterate)", False)
-            elif diverged[pos]:
-                finalize(int(b), "numerically failed (iterate diverged)", False)
+        # Retirement as row masks, classified by the first test a row meets
+        # (1-based index into _RETIREMENTS); finalised in ascending row order.
+        Xs = X[s]
+        retire = np.select(
+            [
+                (conds[s] < tols).all(axis=1),
+                ~np.isfinite(Xs).all(axis=1),
+                np.abs(Xs).max(axis=1) > opt.max_stepsize,
+            ],
+            [1, 2, 3],
+            0,
+        )
+        for pos in np.flatnonzero(retire):
+            message, converged = _RETIREMENTS[retire[pos] - 1]
+            finalize(int(s[pos]), message, converged)
 
         # Per-scenario iteration limit, relative to each scenario's own
         # enrollment (a fed scenario gets the full budget it would have had
         # in a standalone batch).
-        for b in np.flatnonzero(active):
-            if it - start_it[b] >= opt.max_it:
-                finalize(int(b), "iteration limit reached", False)
+        rows = np.flatnonzero(active)
+        for b in rows[it - start_it[rows] >= opt.max_it]:
+            finalize(int(b), "iteration limit reached", False)
 
     return results[:n_enrolled]  # type: ignore[return-value]

@@ -729,9 +729,9 @@ class SolverFleet:
         and ``deadline`` (absolute ``time.monotonic()`` deadlines) bound the
         sweep cooperatively — each a scalar shared by the whole sweep or a
         per-scenario sequence (``inf``/``nan`` = unbounded), the shape a
-        deadline-aware batcher needs when it coalesces requests with
-        different budgets into one sweep.  Scenarios that miss their cut
-        retire as ``timed_out`` outcomes instead of blocking the request.
+        batcher needs when it coalesces requests with different budgets
+        into one sweep.  Scenarios that miss their cut retire as
+        ``timed_out`` outcomes instead of blocking the request.
         """
         if warm_starts is None:
             warm_starts = [None] * len(scenario_set)

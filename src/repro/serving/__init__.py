@@ -2,9 +2,9 @@
 
 The blocking library surface stays :class:`~repro.engine.engine.WarmStartEngine`;
 this package adds the service layer — an asyncio :class:`AsyncServer` whose
-deadline-aware dynamic batcher coalesces concurrent requests into single
-batched inference + lockstep solve dispatches, with bounded-queue
-backpressure (:class:`OverloadedError`).
+continuous batcher coalesces concurrent requests into single batched
+inference + lockstep solve dispatches whenever the executor is free, with
+bounded-queue backpressure (:class:`OverloadedError`).
 """
 
 from repro.serving.server import AsyncServer, OverloadedError, ServerStats

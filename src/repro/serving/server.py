@@ -1,21 +1,23 @@
-"""Asyncio serving front-end with a deadline-aware dynamic batcher.
+"""Asyncio serving front-end with a continuous batcher.
 
 :class:`AsyncServer` turns the blocking :class:`~repro.engine.engine.WarmStartEngine`
 library call into a concurrent request/response service.  Clients submit
 load-profile requests — each with its own wall-clock budget — and await a
 per-request :class:`~repro.parallel.pool.SweepResult`; between the two sits a
-**dynamic batcher** that coalesces concurrent requests into one batched MTL
-inference plus one lockstep ``mips_batch`` dispatch (the engine's ``"batch"``
-execution admits the coalesced rows through the retire-and-refill ``feed``
-window), then splits the per-scenario outcomes back onto per-request futures.
+**continuous batcher** that coalesces concurrent requests into one batched MTL
+inference plus one lockstep ``mips_batch`` solve, then splits the
+per-scenario outcomes back onto per-request futures.
 
-A flush fires on whichever pressure arrives first:
-
-* **max-batch** — the queued scenario count reached ``max_batch``;
-* **max-wait** — the oldest queued request has waited ``max_wait_seconds``;
-* **deadline pressure** — the earliest queued deadline is within
-  ``deadline_slack_seconds`` of expiring, so waiting longer would spend a
-  request's remaining budget on queueing instead of solving.
+A flush fires whenever the executor is free and the queue is non-empty.  It
+takes every request already queued, whole requests in arrival order, until
+``max_batch`` scenarios are collected, and dispatches at once — no timer.
+While one flush solves, new requests queue up, and that backlog rides the
+next flush together.  An idle server therefore answers a lone request
+immediately, and a loaded one widens its flushes by itself (the
+dispatch-when-free rule of Clipper's adaptive batching, Crankshaw et al.,
+NSDI 2017).  Per-request deadlines need no batcher rule either: each
+request's deadline travels with its rows into the solver, which retires
+expired rows between iterations.
 
 Requests are atomic: the batcher never splits one request across flushes
 (a request wider than ``max_batch`` simply flushes alone).  Backpressure is a
@@ -32,7 +34,7 @@ batcher invariance the test suite pins.
 
 The engine call runs on a dedicated single-thread executor: one flush is in
 flight at a time (the engine's fleet and OPF model are not thread-safe), and
-the event loop stays free to accept and coalesce the next wave of requests
+the event loop stays free to accept and queue the next wave of requests
 while the current flush solves.
 """
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,7 +89,6 @@ class _PendingRequest:
     #: Absolute ``time.monotonic()`` deadline (``inf`` = unbounded).
     deadline: float
     future: "asyncio.Future[SweepResult]"
-    enqueued_at: float = field(default_factory=time.monotonic)
 
 
 #: Queue sentinel that tells the batcher loop to drain and exit.
@@ -95,7 +96,10 @@ _STOP = object()
 
 
 class AsyncServer:
-    """Deadline-aware batching front-end over a :class:`WarmStartEngine`.
+    """Continuous-batching front-end over a :class:`WarmStartEngine`.
+
+    A flush fires whenever the executor is free and the queue is non-empty;
+    it carries every queued request up to ``max_batch`` scenarios.
 
     Use as an async context manager (or call :meth:`start` / :meth:`stop`)::
 
@@ -110,20 +114,15 @@ class AsyncServer:
     n_workers:
         Fleet width handed to :meth:`WarmStartEngine.serve` per flush.
     max_batch:
-        Scenario count that triggers an immediate flush.  One request is
-        never split, so a single wider request flushes alone.
-    max_wait_seconds:
-        Longest time the oldest queued request may wait for coalescing
-        partners before the batcher flushes anyway.
+        The only width control: a flush stops taking queued requests once
+        it holds this many scenarios.  One request is never split, so the
+        request that crosses the bound still rides, and a single wider
+        request flushes alone.
     max_queue:
         Admission bound, counted in queued (not yet flushed) scenarios.
         A submit that would push the backlog past this bound raises
         :class:`OverloadedError`.  Must be at least as large as the widest
         request you intend to accept.
-    deadline_slack_seconds:
-        Deadline-pressure margin: the batcher flushes early once the
-        earliest queued deadline is within this margin of ``now``, reserving
-        that much of the request's budget for the solve itself.
     """
 
     def __init__(
@@ -131,24 +130,16 @@ class AsyncServer:
         engine: WarmStartEngine,
         n_workers: int = 1,
         max_batch: int = 16,
-        max_wait_seconds: float = 0.01,
         max_queue: int = 1024,
-        deadline_slack_seconds: float = 0.0,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_wait_seconds < 0:
-            raise ValueError("max_wait_seconds must be non-negative")
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
-        if deadline_slack_seconds < 0:
-            raise ValueError("deadline_slack_seconds must be non-negative")
         self.engine = engine
         self.n_workers = n_workers
         self.max_batch = max_batch
-        self.max_wait_seconds = max_wait_seconds
         self.max_queue = max_queue
-        self.deadline_slack_seconds = deadline_slack_seconds
         self.stats = ServerStats()
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -259,50 +250,31 @@ class AsyncServer:
         return await self.submit(rows, deadline_seconds=deadline_seconds)
 
     # ------------------------------------------------------------------ batcher
-    def _flush_at(self, pending: List[_PendingRequest]) -> float:
-        """Absolute time at which the current collection must flush."""
-        wait_cap = pending[0].enqueued_at + self.max_wait_seconds
-        deadline_cap = (
-            min(request.deadline for request in pending) - self.deadline_slack_seconds
-        )
-        return min(wait_cap, deadline_cap)
-
     async def _batch_loop(self) -> None:
-        """Collect requests into flushes until the stop sentinel arrives."""
+        """Flush the queued backlog whenever the executor is free.
+
+        The loop parks only while the queue is empty.  Once a request is in
+        hand it takes every request already queued behind it and flushes at
+        once.  After the stop sentinel it keeps flushing until the queue is
+        empty, so no admitted future is left dangling.
+        """
         stopping = False
-        while not stopping:
-            item = await self._queue.get()
-            if item is _STOP:
-                break
-            pending = [item]
-            self._queued_scenarios -= len(item.scenarios)
-            n_scenarios = len(item.scenarios)
-            while n_scenarios < self.max_batch:
-                timeout = self._flush_at(pending) - time.monotonic()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:
-                    break
+        while not (stopping and self._queue.empty()):
+            item = self._queue.get_nowait() if stopping else await self._queue.get()
+            pending: List[_PendingRequest] = []
+            n_scenarios = 0
+            while True:
                 if item is _STOP:
                     stopping = True
+                else:
+                    pending.append(item)
+                    n_scenarios += len(item.scenarios)
+                if n_scenarios >= self.max_batch or self._queue.empty():
                     break
-                pending.append(item)
-                self._queued_scenarios -= len(item.scenarios)
-                n_scenarios += len(item.scenarios)
-            await self._flush(pending)
-        # Drain the backlog so no admitted future is left dangling: anything
-        # still queued at stop is flushed (deadline semantics intact).
-        leftovers: List[_PendingRequest] = []
-        while self._queue is not None and not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is _STOP:
-                continue
-            leftovers.append(item)
-            self._queued_scenarios -= len(item.scenarios)
-        if leftovers:
-            await self._flush(leftovers)
+                item = self._queue.get_nowait()
+            if pending:
+                self._queued_scenarios -= n_scenarios
+                await self._flush(pending)
 
     async def _flush(self, pending: List[_PendingRequest]) -> None:
         """Serve one coalesced flush and resolve its per-request futures."""

@@ -1,16 +1,19 @@
 """Batcher-invariance suite for the async serving front-end.
 
 Mirrors ``test_scheduler_invariants.py`` one layer up: per-request results
-must be **bitwise** independent of how the dynamic batcher happened to cut
+must be **bitwise** independent of how the continuous batcher happened to cut
 traffic into flushes — arrival interleaving, flush boundaries (``max_batch``),
 coalescing partners and fleet width — because engine inference is row-
-deterministic and lockstep solves are row-independent.  Plus the deadline
-semantics the batcher rides on: the row-wise deadline gate (only expired rows
-retire), mixed-deadline coalescing, deterministic overload rejection and
+deterministic and lockstep solves are row-independent.  Plus the flush rule
+itself, checked without reading a clock (a gated engine holds a flush in
+flight while requests queue behind it), and the deadline semantics the
+batcher rides on: the row-wise deadline gate (only expired rows retire),
+mixed-deadline coalescing, deterministic overload rejection and
 all-cancelled flush tolerance.
 """
 
 import asyncio
+import threading
 import time
 
 import numpy as np
@@ -52,8 +55,34 @@ def _requests_from(dataset, sizes, start=0):
     return requests
 
 
+class _GatedEngine:
+    """Engine proxy: the first ``serve`` blocks until ``release`` is set.
+
+    Holding one flush in flight lets a test queue requests behind it and
+    observe how the batcher cuts that backlog, with no timing involved.
+    Every ``serve`` records its scenario count in ``widths``.
+    """
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.case = engine.case
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.widths = []
+
+    def serve(self, scenarios, **kwargs):
+        self.widths.append(len(scenarios))
+        if len(self.widths) == 1:
+            self.entered.set()
+            assert self.release.wait(timeout=60), "gated flush never released"
+        return self._engine.serve(scenarios, **kwargs)
+
+    async def wait_entered(self):
+        """Return once the first flush is blocked inside the engine."""
+        assert await asyncio.to_thread(self.entered.wait, 60)
+
+
 async def _serve_concurrently(engine, requests, **server_kwargs):
-    server_kwargs.setdefault("max_wait_seconds", 0.2)
     async with AsyncServer(engine, **server_kwargs) as server:
         sweeps = await asyncio.gather(
             *(server.submit_loads(Pd, Qd, deadline_seconds=60.0) for Pd, Qd in requests)
@@ -93,7 +122,7 @@ def test_results_invariant_to_arrival_interleaving(engine9, dataset9):
 
     async def sequential():
         results = []
-        async with AsyncServer(engine9, max_batch=6, max_wait_seconds=0.01) as server:
+        async with AsyncServer(engine9, max_batch=6) as server:
             for Pd, Qd in requests:
                 results.append(await server.submit_loads(Pd, Qd))
         return results
@@ -128,6 +157,68 @@ def test_results_invariant_to_worker_count(engine9, dataset9):
         _assert_bitwise_equal_sweeps(sweep, direct)
 
 
+# ------------------------------------------------------------------ flush rule
+def test_backlog_behind_a_busy_flush_rides_the_next_flush(engine9, dataset9):
+    """Requests queued while the executor is busy leave together, at once.
+
+    The first flush is held inside the engine while three requests queue
+    behind it.  Released, the batcher takes the whole backlog in one flush —
+    nothing waits for a timer, and nothing leaves alone.
+    """
+    head, *backlog = _requests_from(dataset9, [1, 2, 2, 3])
+    gated = _GatedEngine(engine9)
+
+    async def run():
+        async with AsyncServer(gated, max_batch=16) as server:
+            try:
+                first = asyncio.create_task(server.submit_loads(*head))
+                await gated.wait_entered()
+                queued = [
+                    asyncio.create_task(server.submit_loads(Pd, Qd)) for Pd, Qd in backlog
+                ]
+                await asyncio.sleep(0)  # all three admitted behind the gated flush
+            finally:
+                gated.release.set()
+            sweeps = await asyncio.gather(first, *queued)
+            return sweeps, server.stats
+
+    sweeps, stats = asyncio.run(run())
+    assert stats.flushes == 2
+    assert stats.widest_flush == 2 + 2 + 3
+    assert gated.widths == [1, 7]
+    for (Pd, Qd), sweep in zip([head, *backlog], sweeps):
+        _assert_bitwise_equal_sweeps(sweep, engine9.serve_loads(Pd, Qd))
+
+
+def test_closed_loop_clients_each_ride_every_flush(engine9, dataset9):
+    """k closed-loop clients produce flushes of exactly k requests.
+
+    A client sends its next request only when the last came back, and every
+    answer of a flush lands before the batcher looks at the queue again, so
+    each flush after the first carries one request from every client.
+    """
+    k, rounds = 3, 4
+    requests = _requests_from(dataset9, [1] * (k * rounds))
+    pending = iter(requests)
+    gated = _GatedEngine(engine9)
+    gated.release.set()  # record widths only; no flush is held
+
+    async def run():
+        async with AsyncServer(gated, max_batch=16) as server:
+
+            async def client():
+                for Pd, Qd in pending:
+                    await server.submit_loads(Pd, Qd)
+
+            await asyncio.gather(*(client() for _ in range(k)))
+            return server.stats
+
+    stats = asyncio.run(run())
+    # One-scenario requests: a flush's width is its request count.
+    assert gated.widths[1:] == [k] * (rounds - 1)
+    assert sum(gated.widths) == k * rounds == stats.served_scenarios
+
+
 # ------------------------------------------------------------------- deadlines
 def test_mixed_deadline_coalescing(engine9, dataset9):
     """A hopeless-deadline rider retires without touching its flush mates."""
@@ -136,7 +227,7 @@ def test_mixed_deadline_coalescing(engine9, dataset9):
     direct = engine9.serve_loads(*generous)
 
     async def run():
-        async with AsyncServer(engine9, max_batch=8, max_wait_seconds=0.2) as server:
+        async with AsyncServer(engine9, max_batch=8) as server:
             return await asyncio.gather(
                 server.submit_loads(*generous, deadline_seconds=60.0),
                 server.submit_loads(*hopeless, deadline_seconds=1e-7),
@@ -191,7 +282,7 @@ def test_oversized_request_rejected_deterministically(engine9, dataset9):
     Pd, Qd = _requests_from(dataset9, [3])[0]
 
     async def run():
-        async with AsyncServer(engine9, max_queue=2, max_wait_seconds=0.01) as server:
+        async with AsyncServer(engine9, max_queue=2) as server:
             with pytest.raises(OverloadedError):
                 await server.submit_loads(Pd, Qd)
             rejected = server.stats.rejected_requests
@@ -210,9 +301,7 @@ def test_backlog_overflow_rejects_latest_request(engine9, dataset9):
     requests = _requests_from(dataset9, [2, 2, 2])
 
     async def run():
-        async with AsyncServer(
-            engine9, max_batch=4, max_queue=4, max_wait_seconds=0.05
-        ) as server:
+        async with AsyncServer(engine9, max_batch=4, max_queue=4) as server:
             tasks = [
                 asyncio.create_task(server.submit_loads(Pd, Qd))
                 for Pd, Qd in requests
@@ -229,14 +318,15 @@ def test_all_cancelled_flush_is_tolerated(engine9, dataset9):
     Pd, Qd = _requests_from(dataset9, [2])[0]
 
     async def run():
-        async with AsyncServer(engine9, max_batch=8, max_wait_seconds=0.05) as server:
+        async with AsyncServer(engine9, max_batch=8) as server:
             doomed = [
                 asyncio.create_task(server.submit_loads(Pd, Qd)) for _ in range(2)
             ]
             await asyncio.sleep(0)  # let the admissions land
             for task in doomed:
                 task.cancel()
-            await asyncio.sleep(0.2)  # the empty flush fires and is skipped
+            while server.stats.flushes == 0:  # the empty flush fires and is skipped
+                await asyncio.sleep(0)
             skipped_scenarios = server.stats.served_scenarios
             sweep = await server.submit_loads(Pd, Qd)
             return skipped_scenarios, sweep, server.stats
@@ -244,7 +334,7 @@ def test_all_cancelled_flush_is_tolerated(engine9, dataset9):
     skipped_scenarios, sweep, stats = asyncio.run(run())
     assert skipped_scenarios == 0  # nothing reached the engine
     assert sweep.n_scenarios == 2 and stats.served_scenarios == 2
-    assert stats.flushes >= 2
+    assert stats.flushes == 2
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -273,31 +363,38 @@ def test_submit_requires_running_server(engine9, dataset9):
 
 
 def test_stop_drains_admitted_backlog(engine9, dataset9):
-    """Requests admitted before stop() are flushed, not abandoned."""
-    Pd, Qd = _requests_from(dataset9, [2])[0]
+    """Requests admitted before stop() are flushed, not abandoned.
+
+    The request is parked behind an in-flight flush, so it is still queued
+    when the stop sentinel lands behind it.
+    """
+    first, parked = _requests_from(dataset9, [1, 2])
+    gated = _GatedEngine(engine9)
 
     async def run():
-        server = await AsyncServer(
-            engine9, max_batch=8, max_wait_seconds=5.0
-        ).start()
-        task = asyncio.create_task(server.submit_loads(Pd, Qd))
-        await asyncio.sleep(0)  # admitted, now parked waiting for partners
-        await server.stop()
-        return await task
+        server = await AsyncServer(gated, max_batch=8).start()
+        try:
+            head = asyncio.create_task(server.submit_loads(*first))
+            await gated.wait_entered()
+            task = asyncio.create_task(server.submit_loads(*parked))
+            await asyncio.sleep(0)  # admitted, queued behind the gated flush
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0)  # the stop sentinel is queued behind it
+        finally:
+            gated.release.set()
+        await stopping
+        return await head, await task, server.stats
 
-    sweep = asyncio.run(run())
-    assert sweep.n_scenarios == 2
+    head, sweep, stats = asyncio.run(run())
+    assert head.n_scenarios == 1 and sweep.n_scenarios == 2
+    assert stats.flushes == 2 and gated.widths == [1, 2]
 
 
 def test_server_constructor_validation(engine9):
     with pytest.raises(ValueError):
         AsyncServer(engine9, max_batch=0)
     with pytest.raises(ValueError):
-        AsyncServer(engine9, max_wait_seconds=-0.1)
-    with pytest.raises(ValueError):
         AsyncServer(engine9, max_queue=0)
-    with pytest.raises(ValueError):
-        AsyncServer(engine9, deadline_slack_seconds=-1.0)
 
     async def run():
         async with AsyncServer(engine9) as server:
@@ -319,7 +416,7 @@ def test_scenario_ids_and_order_preserved(engine9, case9_fixture):
     direct = engine9.serve(ScenarioSet(case9_fixture.name, rows))
 
     async def run():
-        async with AsyncServer(engine9, max_wait_seconds=0.01) as server:
+        async with AsyncServer(engine9) as server:
             return await server.submit(rows)
 
     sweep = asyncio.run(run())

@@ -394,6 +394,133 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
     assert results[0].converged and results[2].converged
 
 
+#: Row layout of the failure-path batch: how each row is made to fail.
+_FAILURE_MODES = (
+    "healthy", "singular", "nonfinite_step", "healthy", "exploded_step",
+    "nonfinite_iterate", "diverged_iterate", "healthy",
+)
+
+
+def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
+    """Free (unbounded) QP batch whose callbacks drive rows to each failure.
+
+    * ``singular`` — duplicated, contradictory equality rows: the KKT
+      system is singular and inconsistent from iteration 1;
+    * ``nonfinite_step`` / ``exploded_step`` — the gradient of the second
+      evaluation (after iteration 1's step) is shifted by ``inf`` / ``1e14``,
+      so iteration 2's Newton step is non-finite / far beyond
+      ``max_stepsize``;
+    * ``nonfinite_iterate`` — ``x0`` holds a NaN the callbacks read as 0,
+      so every step is finite but the iterate never is;
+    * ``diverged_iterate`` — the QP is translated by ``2e10`` along ``x₀``
+      and started at its translated origin: small steps, iterate norm beyond
+      ``max_stepsize``.
+
+    Callbacks loop row by row and count evaluations per row, so a row sees
+    the same calls whichever rows share its batch.  ``rows`` keeps only
+    those rows (the same problems, solved in a narrower batch).
+    """
+    batch = len(_FAILURE_MODES)
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0.5, 1.5, size=(batch, nx, nx))
+    H = M @ M.transpose(0, 2, 1) + nx * np.eye(nx)
+    c = rng.uniform(-1.0, 1.0, size=(batch, nx))
+    Aeq = rng.uniform(0.5, 1.5, size=(batch, neq, nx))
+    beq = rng.uniform(-0.5, 0.5, size=(batch, neq))
+    Ain = rng.uniform(0.5, 1.5, size=(batch, niq, nx))
+    bin_ = rng.uniform(1.0, 2.0, size=(batch, niq))
+    x0 = np.zeros((batch, nx))
+    offset = np.zeros((batch, nx))
+    shift = np.zeros((batch, nx))
+    for r, mode in enumerate(_FAILURE_MODES):
+        if mode == "singular":
+            Aeq[r, 1] = Aeq[r, 0]
+            beq[r, 1] = beq[r, 0] + 1.0
+        elif mode == "nonfinite_step":
+            shift[r] = np.inf
+        elif mode == "exploded_step":
+            shift[r] = 1e14
+        elif mode == "nonfinite_iterate":
+            x0[r, 0] = np.nan
+        elif mode == "diverged_iterate":
+            offset[r, 0] = x0[r, 0] = 2e10
+    if rows is not None:
+        H, c, Aeq, beq, Ain, bin_, x0, offset, shift = (
+            a[rows] for a in (H, c, Aeq, beq, Ain, bin_, x0, offset, shift)
+        )
+    evaluations = np.zeros(x0.shape[0], dtype=int)
+
+    def view(x, j):
+        return np.nan_to_num(x - offset[j])
+
+    def f_fcn(X, idx):
+        F, dF = [], []
+        for x, j in zip(X, idx):
+            y = view(x, j)
+            evaluations[j] += 1
+            F.append(0.5 * y @ H[j] @ y + c[j] @ y)
+            dF.append(H[j] @ y + c[j] + (shift[j] if evaluations[j] == 2 else 0.0))
+        return np.array(F), np.stack(dF)
+
+    def gh_fcn(X, idx):
+        G = np.stack([Aeq[j] @ view(x, j) - beq[j] for x, j in zip(X, idx)])
+        Hc = np.stack([Ain[j] @ view(x, j) - bin_[j] for x, j in zip(X, idx)])
+        return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
+
+    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
+        return (H[idx] * cost_mult).reshape(idx.size, -1)
+
+    kwargs = dict(
+        gh_fcn=gh_fcn,
+        hess_fcn=hess_fcn,
+        jg_template=sp.csr_matrix(np.ones((neq, nx))),
+        jh_template=sp.csr_matrix(np.ones((niq, nx))),
+        hess_template=sp.csr_matrix(np.ones((nx, nx))),
+    )
+    return f_fcn, x0, kwargs
+
+
+@pytest.mark.parametrize("backend", ["factorized", "ldl"])
+def test_each_failure_message_retires_only_its_row(backend):
+    """Five failure classes in one lockstep batch, healthy rows between them.
+
+    Each failing row gets its own message at the iteration it failed; every
+    healthy row converges on the bits it reaches alone at width 1.  ``ldl``
+    lists any non-finite solution row as failed, so on it a non-finite step
+    reads as a singular KKT system.
+    """
+    expected = {
+        "singular": ("numerically failed (singular KKT system)", 1),
+        "nonfinite_step": (
+            "numerically failed (non-finite Newton step)"
+            if backend == "factorized"
+            else "numerically failed (singular KKT system)",
+            2,
+        ),
+        "exploded_step": ("numerically failed (step size exploded)", 2),
+        "nonfinite_iterate": ("numerically failed (non-finite iterate)", 1),
+        "diverged_iterate": ("numerically failed (iterate diverged)", 1),
+    }
+    options = MIPSOptions(kkt_solver=backend)
+    f_fcn, x0, kwargs = _failure_qp()
+    results = mips_batch(f_fcn, x0, options=options, **kwargs)
+    assert len(results) == len(_FAILURE_MODES)
+    for b, (mode, got) in enumerate(zip(_FAILURE_MODES, results)):
+        if mode != "healthy":
+            assert (got.message, got.iterations) == expected[mode], mode
+            assert not got.converged and got.kkt_regularizations == 0
+            continue
+        assert got.converged
+        f_fcn, x0, kwargs = _failure_qp(rows=[b])
+        (alone,) = mips_batch(f_fcn, x0, options=options, **kwargs)
+        assert got.iterations == alone.iterations
+        np.testing.assert_array_equal(got.x, alone.x)
+        np.testing.assert_array_equal(got.lam, alone.lam)
+        np.testing.assert_array_equal(got.mu, alone.mu)
+        np.testing.assert_array_equal(got.z, alone.z)
+        assert got.f == alone.f
+
+
 def test_batch_all_slots_singular_still_recovers():
     """Even when every slot is singular from the first iteration, the
     regularised retry recovers the whole batch on both backends."""

@@ -7,7 +7,9 @@ them (and the ``Scenario.outage_branch`` compat view) with ``TypeError``.
 The KKT layer's retirees follow the same rule: the ``"blockdiag"`` /
 ``"spsolve"`` backends, ``MIPSOptions.kkt_refine_steps``,
 ``solve_blocks(direct=)``, ``solve_many`` / ``resolve`` and the engine's
-``kkt_solver=`` shortcut for ``opf_options=``.
+``kkt_solver=`` shortcut for ``opf_options=``.  So do the serving tier's
+timers: ``AsyncServer`` flushes whenever its executor is free, and
+``max_wait_seconds`` / ``deadline_slack_seconds`` are gone.
 """
 
 import inspect
@@ -21,6 +23,7 @@ from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
 from repro.mips import FactorizedSolver, LDLSolver, MIPSOptions
 from repro.parallel import Scenario, SolverFleet, run_scenario_sweep
+from repro.serving import AsyncServer
 
 REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads")
 
@@ -91,6 +94,16 @@ def test_retired_mips_option_and_engine_shortcut_raise_type_error(case9_fixture,
 def test_retired_backend_name_is_rejected_naming_the_survivors(name):
     with pytest.raises(ValueError, match=r"\('factorized', 'ldl'\)"):
         MIPSOptions(kkt_solver=name).validate()
+
+
+@pytest.mark.parametrize("keyword", ["max_wait_seconds", "deadline_slack_seconds"])
+def test_async_server_has_no_flush_timer(keyword):
+    # Keyword binding fails before the constructor body reads the engine.
+    with pytest.raises(TypeError, match=keyword):
+        AsyncServer(None, **{keyword: 0.005})
+    params = inspect.signature(AsyncServer).parameters
+    assert keyword not in params
+    assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
 
 
 @pytest.mark.parametrize("backend", [FactorizedSolver, LDLSolver])
