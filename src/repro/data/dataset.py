@@ -176,11 +176,10 @@ def generate_dataset(
     serving engine: ``n_workers=1`` solves in-process (reusing ``model`` when
     provided), larger counts distribute the scenarios over persistent solver
     workers.  Every micro-batch is solved in lockstep (see
-    :func:`repro.opf.batch.solve_opf_batch`), which reproduces the scalar
-    :func:`~repro.opf.solver.solve_opf` trajectories — identical iteration
-    counts, solutions and objectives at solver precision (batched callback
-    evaluation changes float associativity, so not bit-for-bit) — several
-    times faster; ``microbatch`` bounds the micro-batch size (see
+    :func:`repro.opf.batch.solve_opf_batch`); each row lands on the bits
+    :func:`~repro.opf.solver.solve_opf` returns for that scenario alone, at a
+    fraction of the per-scenario cost; ``microbatch`` bounds the micro-batch
+    size (see
     :mod:`repro.parallel.scheduler`).  Scenarios whose cold-start solve
     fails to converge are dropped (they are rare for the built-in cases at
     ±10 % load variation), matching the paper's use of converged solutions as
@@ -190,7 +189,7 @@ def generate_dataset(
     *additive wall share* of its solve: every lockstep iteration's wall time
     is split evenly over the scenarios active in it, so the values sum to the
     lockstep wall and stay directly comparable with (and honestly cheaper
-    than) scalar per-solve times.  The Fig. 4 speedup ratios consume these as
+    than) the wall times of one-scenario solves.  The Fig. 4 speedup ratios consume these as
     the cold-MIPS reference.  They describe the generation sweep's own
     lockstep width, and per-scenario cost falls as the width grows, so that
     ratio is like-for-like only against a warm sweep of the same width; the

@@ -1,5 +1,21 @@
 """Lockstep batched MIPS: solve B same-structure NLPs at once.
 
+This is the library's one interior-point loop — MATPOWER's MIPS (Wang et
+al.), the numerical engine the paper accelerates — for problems of the form::
+
+    min  f(x)
+    s.t. g(x)  = 0          (nonlinear equalities)
+         h(x) <= 0          (nonlinear inequalities)
+         xmin <= x <= xmax  (variable bounds)
+
+The inequalities become equalities with positive slacks ``Z``, a logarithmic
+barrier with parameter ``gamma`` is added, and Newton's method is applied to
+the perturbed KKT conditions of the Lagrangian (Eqn. 3 of the paper).  The
+primal point ``x``, the multipliers ``λ``/``µ`` and the slacks ``Z`` can all
+be supplied as starting values — the warm-start surface the paper exploits.
+A single problem is the one-row case: :func:`repro.mips.solver.mips` hands
+scalar callbacks to this loop at width 1.
+
 Scenario sweeps hand the solver many instances of the *same* problem
 structure — one sparsity pattern, different loads, warm starts and (for N-k
 screening) branch outages carried as per-row data.  Solving them one at a
@@ -31,10 +47,12 @@ that elastic schedulers keep topped up.  Enrollment runs the exact entry path
 of the initial batch, and a backend solves each row of a plane independently
 of its neighbours, so a scenario's trajectory is bit-identical no matter when,
 or whether, it was fed in.  Each scenario gets its own
-:class:`~repro.mips.result.MIPSResult` with the same message vocabulary,
-iteration history and termination behaviour as the scalar
-:func:`~repro.mips.solver.mips` — the parity suite asserts the two agree
-scenario-by-scenario.
+:class:`~repro.mips.result.MIPSResult`: its message, iteration history and
+the four termination conditions (feasibility, gradient, complementarity,
+cost) recorded per iteration for the Fig. 10 analysis.  The parity suites
+check the answers against an independent KKT certificate
+(:mod:`repro.opf.certificate`) and against frozen answers of the scalar loop
+this one replaced (``tests/data/scalar_reference.npz``).
 
 Phase-timing attribution is honest but necessarily shared for the vectorised
 phases: batched evaluation, assembly, factorisation and backsolve time are
@@ -42,7 +60,7 @@ each split evenly across the scenarios that took part in the iteration.  Each
 scenario's ``elapsed_seconds`` is the lockstep wall time until its retirement,
 and ``wall_share_seconds`` is its *additive* share of that wall (every
 iteration's wall time divided over the scenarios active in it) — the number
-that stays comparable with scalar per-solve times.
+that stays comparable with one-scenario solve times.
 
 The batched callbacks exchange Jacobian/Hessian *data planes* — ``(B, nnz)``
 arrays on fixed sparsity templates (see :mod:`repro.opf.batch` for the AC-OPF
@@ -70,8 +88,7 @@ import scipy.sparse as sp
 
 from repro.mips.linsolve import make_kkt_solver, solver_telemetry
 from repro.mips.options import MIPSOptions
-from repro.mips.result import IterationRecord, MIPSResult
-from repro.mips.solver import _BoundHandler
+from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
 from repro.utils.logging import get_logger
 from repro.utils.sparse import (
     CachedBmat,
@@ -170,24 +187,35 @@ def _warm_rows(
     return values, mask
 
 
-class _BatchKKTAssembler:
-    """Batched assembly of all active scenarios' KKT systems, bit-for-bit.
+def _selector(idx: np.ndarray, sign: float, nx: int) -> sp.csr_matrix:
+    """Constant bound rows: row ``i`` is ``sign`` times unit vector ``idx[i]``."""
+    m = idx.size
+    return sp.csr_matrix((np.full(m, sign), (np.arange(m), idx)), shape=(m, nx))
 
-    The batch counterpart of :class:`~repro.mips.solver._KKTAssembler`: every
-    sparsity pattern entering the Newton system — the stacked constraint
-    Jacobians (nonlinear blocks over the constant bound-selector rows), their
+
+class _BatchKKTAssembler:
+    """Batched assembly of all active scenarios' KKT systems.
+
+    The reduced Newton system is::
+
+        M = Lxx + Jhᵀ diag(µ/z) Jh
+        N = Lx  + Jhᵀ ((µ∘h + γ) / z)
+        kkt = [[M, Jgᵀ], [Jg, 0]],  rhs = [-N; -g]
+
+    Every sparsity pattern entering it — the stacked constraint Jacobians
+    (nonlinear blocks over the constant bound-selector rows), their
     transposes, the structural ``JhᵀD Jh`` product and the final
     ``[[M, Jgᵀ], [Jg, 0]]`` layout — is fixed for the whole batch solve, so
     the symbolic work is expanded once into gather/reduce plans
     (:class:`~repro.utils.sparse.MatmulPlan`,
     :func:`~repro.utils.sparse.transpose_plan`,
     :meth:`~repro.utils.sparse.CachedBmat.assemble_batch`) and each iteration
-    replays them as pure NumPy operations over ``(B, nnz)`` data planes.
+    replays them as pure NumPy operations over ``(B, nnz)`` data planes.  The
+    product keeps its full structural pattern (no pruning of entries that
+    sum to zero), so the KKT pattern is stable for the life of the problem.
 
-    The scalar assembler evaluates the *same* plans on one-row planes, and
-    every replayed operation reduces each plane row independently, so a row
-    of the produced plane is **bit-identical** to the CSC data of the scalar
-    assembler's KKT matrix for that scenario, whatever the batch around it —
+    Every replayed operation reduces each plane row independently, so a row
+    of the produced plane is **bit-identical** whatever the batch around it —
     ready for :meth:`~repro.mips.linsolve.KKTSolver.solve_blocks`.
     """
 
@@ -196,9 +224,9 @@ class _BatchKKTAssembler:
         jg_t: sp.csr_matrix,
         jh_t: sp.csr_matrix,
         hess_t: sp.csr_matrix,
-        bounds: _BoundHandler,
+        selectors: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix],
     ) -> None:
-        E_eq, E_ub, E_lb = bounds.bound_selectors
+        E_eq, E_ub, E_lb = selectors
         nx = hess_t.shape[0]
         self._nx = nx
 
@@ -308,6 +336,11 @@ class LockstepPlan:
     Callers that solve many batches of one problem structure (the AC-OPF
     model of a case) build it once and hand it to every call; the plan holds
     no per-solve state.
+
+    Bounds become constraint rows: a variable with ``|xmax − xmin| ≤
+    bound_eq_tol`` is an equality row (``eq_idx``), every other finite upper
+    or lower bound an inequality row (``ub_idx`` / ``lb_idx``), stacked
+    after the nonlinear rows as :attr:`partition` describes.
     """
 
     def __init__(
@@ -329,14 +362,29 @@ class LockstepPlan:
         self.nx = nx
         self.xmin, self.xmax = xmin, xmax
         self.bound_eq_tol = bound_eq_tol
-        self.bounds = _BoundHandler(nx, xmin, xmax, bound_eq_tol)
+        lo, hi = np.isfinite(xmin), np.isfinite(xmax)
+        fixed = lo & hi & (np.abs(xmax - xmin) <= bound_eq_tol)
+        self.eq_idx = np.flatnonzero(fixed)
+        self.ub_idx = np.flatnonzero(hi & ~fixed)
+        self.lb_idx = np.flatnonzero(lo & ~fixed)
         self.jg_t = _canonical_template(jg_template, nx)
         self.jh_t = _canonical_template(jh_template, nx)
         self.hess_t = _canonical_template(hess_template, nx)
-        self.partition = self.bounds.partition(self.jg_t.shape[0], self.jh_t.shape[0])
+        self.partition = ConstraintPartition(
+            n_eq_nonlin=self.jg_t.shape[0],
+            n_ineq_nonlin=self.jh_t.shape[0],
+            eq_bound_idx=self.eq_idx,
+            ub_idx=self.ub_idx,
+            lb_idx=self.lb_idx,
+        )
         self.jgT = transpose_plan(self.jg_t)
         self.jhT = transpose_plan(self.jh_t)
-        self.assembler = _BatchKKTAssembler(self.jg_t, self.jh_t, self.hess_t, self.bounds)
+        selectors = (
+            _selector(self.eq_idx, 1.0, nx),
+            _selector(self.ub_idx, 1.0, nx),
+            _selector(self.lb_idx, -1.0, nx),
+        )
+        self.assembler = _BatchKKTAssembler(self.jg_t, self.jh_t, self.hess_t, selectors)
 
 
 def mips_batch(
@@ -364,7 +412,7 @@ def mips_batch(
 ) -> List[MIPSResult]:
     """Solve ``B`` same-structure NLPs in lockstep; one result per scenario.
 
-    Parameters mirror :func:`repro.mips.solver.mips` lifted to a batch axis:
+    Parameters are :func:`repro.mips.solver.mips`'s lifted to a batch axis:
     ``x0`` is ``(B, nx)``, bounds are shared (same structure implies the same
     bound vectors), warm starts are ``(B, ·)`` matrices whose rows apply only
     where the corresponding ``*_mask`` entry is True (all rows when the mask
@@ -437,7 +485,7 @@ def mips_batch(
             raise ValueError("deadline must be a scalar or a (B,) vector")
 
     xmin, xmax = plan.xmin, plan.xmax
-    eq_idx, ub_idx, lb_idx = plan.bounds.eq_idx, plan.bounds.ub_idx, plan.bounds.lb_idx
+    eq_idx, ub_idx, lb_idx = plan.eq_idx, plan.ub_idx, plan.lb_idx
     nub = ub_idx.size
     jg_t, jh_t = plan.jg_t, plan.jh_t
     n_eq_nl, n_ineq_nl = jg_t.shape[0], jh_t.shape[0]
@@ -483,7 +531,7 @@ def mips_batch(
     reg_counts = np.zeros(capacity, dtype=int)
     #: Additive wall share per scenario: every iteration's wall time is split
     #: evenly over the scenarios active in it, so shares sum to the lockstep
-    #: wall and stay comparable with scalar per-solve times.
+    #: wall and stay comparable with one-scenario solve times.
     share = np.zeros(capacity)
     #: Completed lockstep iterations at each scenario's enrollment: iteration
     #: counts, history numbering and the per-scenario iteration limit are all
@@ -539,7 +587,8 @@ def mips_batch(
         Lx[idx] = Lxa
 
     def conditions(idx: np.ndarray, F0a: np.ndarray) -> None:
-        """Vectorised version of the scalar solver's four termination tests."""
+        """The four MIPS termination quantities (feasibility, gradient,
+        complementarity, cost) of rows ``idx``."""
         na = idx.size
         zeros = np.zeros(na)
         maxh = H[idx].max(axis=1) if niq else np.full(na, -np.inf)

@@ -356,7 +356,7 @@ def _etree_perms(csc: sp.csc_matrix, ordering: str) -> List[np.ndarray]:
 
 #: Module-level symbolic cache: analyses are pure functions of the pattern
 #: and the ordering strategy, so pattern-identical solver instances (one per
-#: ``mips()`` call) share them instead of re-walking the elimination tree.
+#: ``mips_batch()`` call) share them instead of re-walking the elimination tree.
 _SYM_CACHE: "OrderedDict[tuple, LDLSymbolic]" = OrderedDict()
 _SYM_LOCK = threading.Lock()
 _SYM_CACHE_MAX = 32

@@ -113,8 +113,8 @@ class KKTSolver:
     """Interface every KKT backend implements: :meth:`solve_blocks`.
 
     Each call fills :attr:`factor_seconds` / :attr:`backsolve_seconds` with its
-    own wall-clock split so the MIPS loops can attribute time per phase.  A
-    solver instance lives for one ``mips()`` / ``mips_batch()`` call.
+    own wall-clock split so the MIPS loop can attribute time per phase.  A
+    solver instance lives for one ``mips_batch()`` call.
     """
 
     name = "base"

@@ -104,12 +104,13 @@ class MIPSResult:
     #: wall budget (``message`` carries the detail) — a resource outcome, not
     #: a numerical failure.
     timed_out: bool = False
-    #: This solve's *additive* share of wall time.  ``None`` for scalar solves
-    #: (the share is simply ``elapsed_seconds``); lockstep batch solves set it
-    #: to the sum of each iteration's wall time divided by the number of
-    #: scenarios active in that iteration, so shares sum to the batch wall and
-    #: stay comparable with scalar per-solve times (``elapsed_seconds`` keeps
-    #: meaning wall-clock-until-retirement, which overlaps across the batch).
+    #: This solve's *additive* share of wall time.  ``None`` for a problem
+    #: solved on its own by :func:`~repro.mips.solver.mips` (the share is
+    #: simply ``elapsed_seconds``); lockstep batch solves set it to the sum of
+    #: each iteration's wall time divided by the number of scenarios active
+    #: in that iteration, so shares sum to the batch wall and stay comparable
+    #: with one-problem solve times (``elapsed_seconds`` keeps meaning
+    #: wall-clock-until-retirement, which overlaps across the batch).
     wall_share_seconds: Optional[float] = None
 
     @property

@@ -1,6 +1,7 @@
 """AC optimal power flow: model, constraints, Hessian, driver and warm starts."""
 
 from repro.opf.batch import BatchedOPFModel, solve_opf_batch
+from repro.opf.certificate import CERTIFICATE_TOL, KKTCertificate, certify_opf
 from repro.opf.costs import (
     objective,
     objective_hessian_diag,
@@ -9,26 +10,23 @@ from repro.opf.costs import (
     total_cost,
 )
 from repro.opf.constraints import branch_flow_limits, constraint_function, power_balance
-from repro.opf.hessian import hessian_blocks, hessian_function, lagrangian_hessian
+from repro.opf.hessian import hessian_blocks, lagrangian_hessian
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.result import OPFResult, build_opf_result
-from repro.opf.solver import (
-    OPFOptions,
-    build_model,
-    relaxed_options,
-    solve_opf,
-    solve_opf_with_fallback,
-)
+from repro.opf.options import OPFOptions, relaxed_options
+from repro.opf.solver import solve_opf, solve_opf_with_fallback
 from repro.opf.warmstart import WarmStart
 
 __all__ = [
     "BatchedOPFModel",
+    "CERTIFICATE_TOL",
+    "KKTCertificate",
+    "certify_opf",
     "OPFModel",
     "VariableIndex",
     "OPFOptions",
     "OPFResult",
     "WarmStart",
-    "build_model",
     "build_opf_result",
     "solve_opf",
     "solve_opf_batch",
@@ -43,6 +41,5 @@ __all__ = [
     "branch_flow_limits",
     "constraint_function",
     "hessian_blocks",
-    "hessian_function",
     "lagrangian_hessian",
 ]

@@ -29,10 +29,12 @@ scenarios of different N-k topologies share the intact network's patterns,
 one KKT symbolic analysis and one lockstep batch.  An outaged rated branch
 keeps its two flow-limit rows as slack rows (``h = −Smax²``, zero Jacobian).
 
-:func:`solve_opf_batch` is the sweep-level entry point: it solves a whole
-batch of scenarios of one case in lockstep and returns one
-:class:`~repro.opf.result.OPFResult` per scenario.  Loads, warm starts and
-branch outages vary per row; patterns and variable bounds are shared.
+:func:`solve_opf_batch` is the one AC-OPF solve path: it solves a batch of
+scenarios of one case in lockstep and returns one
+:class:`~repro.opf.result.OPFResult` per scenario; a single scenario
+(:func:`~repro.opf.solver.solve_opf`) is its one-row case.  Loads, warm
+starts and branch outages vary per row; patterns and variable bounds are
+shared.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from repro.grid.components import Case
 from repro.grid.validation import validate_outage_branches
 from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
 from repro.opf.model import OPFModel
+from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult, build_opf_result
-from repro.opf.solver import OPFOptions
 from repro.opf.warmstart import WarmStart
 from repro.powerflow.ybus import branch_admittances
 from repro.utils.sparse import csr_rows
@@ -141,8 +143,8 @@ class BatchedOPFModel:
     the rated-branch set) and builds every template and assembly operator
     once.  Element values are computed batch-minor — ``(n, B)`` arrays, so
     the assembly operators read them in place — and the planes come back
-    batch-major.  Instances hold no per-evaluation state; like the scalar
-    model they must not be shared between threads.
+    batch-major.  Instances hold no per-evaluation state; like the
+    :class:`OPFModel` that owns them they must not be shared between threads.
     """
 
     def __init__(self, model: OPFModel):
@@ -284,7 +286,7 @@ class BatchedOPFModel:
         coeffs = self._coeffs
         ncost_max = coeffs.shape[1]
         batch = Pg_mw.shape[0]
-        # Float exponents mirror the scalar implementation bit-for-bit.
+        # Float exponents mirror repro.opf.costs bit-for-bit.
         powers = np.arange(ncost_max - 1, -1, -1, dtype=float)
         cost = np.zeros((batch, self._ng))
         d1 = np.zeros((batch, self._ng))
@@ -384,7 +386,7 @@ class BatchedOPFModel:
         if not m:
             return G, np.zeros((batch, 0)), Jg_data, np.zeros((batch, 0))
         u, w = self._rated(cv, 0), self._rated(cv, 1)
-        # |S|² as the scalar model forms it (np.abs of the complex flow).
+        # |S|² as the matrix-form constraints form it (np.abs of the complex flow).
         H = (np.hypot(u, w) ** 2 - self._flow_limit_sq).T
         u2, w2 = 2.0 * u, 2.0 * w
         jv = np.empty((3 * m, batch))
@@ -406,7 +408,7 @@ class BatchedOPFModel:
 
         ``Lam_nl`` holds the ``(B, 2·nb)`` power-balance multipliers (real
         rows first) and ``Mu_nl`` the ``(B, 2·n_lim)`` branch-flow multipliers
-        (from-end rows first), matching the scalar callback's ordering.
+        (from-end rows first), matching :func:`repro.opf.hessian.lagrangian_hessian`.
         """
         nb, n, m = self._nb, self._n_end, self.rated_ends.size
         gram, lam, cost = self._hess_rows
@@ -471,7 +473,6 @@ def solve_opf_batch(
     warm_starts: Optional[Sequence[Optional[WarmStart]]] = None,
     options: Optional[OPFOptions] = None,
     model: Optional[OPFModel] = None,
-    batched: Optional[BatchedOPFModel] = None,
     window: Optional[int] = None,
     deadline: Optional[object] = None,
     outages: Optional[Sequence[Sequence[int]]] = None,
@@ -480,9 +481,13 @@ def solve_opf_batch(
 
     ``Pd_mw``/``Qd_mvar`` are ``(B, nb)`` per-scenario loads in MW/MVAr;
     ``warm_starts`` is an optional per-scenario list (``None`` entries mean a
-    cold start, and missing components fall back to solver defaults exactly
-    like :func:`repro.opf.solver.solve_opf`).  Returns one
-    :class:`OPFResult` per scenario, in input order.
+    cold start, and missing components fall back to solver defaults); a
+    component of the wrong size raises :class:`ValueError` naming its
+    scenario.  Returns one :class:`OPFResult` per scenario, in input order.
+    :func:`repro.opf.solver.solve_opf` is the one-row call.  ``model``
+    (built from ``case`` when omitted) owns the batched element kernels and
+    the lockstep plan, so passing the same model to repeated calls builds
+    them once.
 
     ``outages`` is an optional per-scenario sequence of branch-outage sets
     (indices into ``case.branch``; ``()`` = intact).  Every row keeps the
@@ -517,10 +522,7 @@ def solve_opf_batch(
         model = OPFModel(case, flow_limits=options.flow_limits)
     elif model.case is not case:
         raise ValueError("the supplied model was built for a different case object")
-    if batched is None:
-        batched = BatchedOPFModel(model)
-    elif batched.model is not model:
-        raise ValueError("the supplied batched model wraps a different OPFModel")
+    batched = model.batched
     plan = batched.lockstep_plan(options.mips.bound_eq_tol)
 
     Pd_mw = np.atleast_2d(np.asarray(Pd_mw, dtype=float))
@@ -552,7 +554,12 @@ def solve_opf_batch(
     X0 = np.tile(x_default, (batch, 1))
     for i, warm in enumerate(warm_starts):
         if warm is not None and warm.x is not None:
-            X0[i] = np.asarray(warm.x, dtype=float)
+            x = np.asarray(warm.x, dtype=float)
+            if x.shape != x_default.shape:
+                raise ValueError(
+                    f"warm start {i}: x has shape {x.shape}, expected {x_default.shape}"
+                )
+            X0[i] = x
 
     lam0, lam_mask = _warm_component(warm_starts, "lam", plan.partition.n_eq)
     mu0, mu_mask = _warm_component(warm_starts, "mu", plan.partition.n_ineq)

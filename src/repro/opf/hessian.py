@@ -7,7 +7,9 @@ MIPS takes exact Newton steps, so it needs the Hessian of::
 with respect to ``x``.  The cost contributes a diagonal block in ``Pg``; the
 power-balance and branch-flow constraints contribute blocks in ``(Va, Vm)``
 assembled from the second-derivative kernels of
-:mod:`repro.powerflow.hessians`.
+:mod:`repro.powerflow.hessians`.  The solver evaluates the same Hessian per
+network element (:mod:`repro.opf.batch`); this matrix form is the
+independent reference the element-kernel tests compare against.
 """
 
 from __future__ import annotations
@@ -105,11 +107,3 @@ def lagrangian_hessian(
         ]
     )
 
-
-def hessian_function(model: OPFModel):
-    """Return the MIPS Hessian callback for ``model``."""
-
-    def hess_fcn(x: np.ndarray, lam_nl: np.ndarray, mu_nl: np.ndarray, cost_mult: float):
-        return lagrangian_hessian(model, x, lam_nl, mu_nl, cost_mult)
-
-    return hess_fcn

@@ -13,7 +13,7 @@ constraint — this is why the paper's Table II reports ``#λ = 2·nb + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +22,9 @@ from repro.grid.components import Case
 from repro.powerflow.derivatives import dSbr_dV
 from repro.powerflow.ybus import AdmittanceMatrices, make_ybus
 from repro.utils.sparse import CachedBmat
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.opf.batch import BatchedOPFModel
 
 
 @dataclass(frozen=True)
@@ -71,20 +74,21 @@ class VariableIndex:
 
 
 class OPFModel:
-    """Caches everything the OPF callbacks need for one case.
+    """Everything about one case that the OPF evaluations need.
 
     The model is load-agnostic: loads enter only through the power-balance
     constraint evaluation, so one model can be reused across all sampled
     scenarios of a case (this is what makes dataset generation cheap).
 
-    Beyond the admittance matrices the model holds everything about the case
-    that is *constant across evaluations*: the generator-connection blocks of
-    the power-balance Jacobian, the admittance rows of the rated branches and
-    — crucially for the warm-started scenario sweeps — the sparsity-structure
-    caches of the constraint Jacobians and the Lagrangian Hessian.  The
-    patterns are computed on the first evaluation and only the numeric values
-    are refreshed afterwards, so per-iteration assembly is a handful of array
-    gathers.  The caches make evaluations stateful: a model must not be
+    It holds the case's variable layout, bounds and start points, and owns
+    the batch-axis element kernels every solve runs on (:attr:`batched`).
+    For the matrix-form evaluation of :mod:`repro.opf.constraints` /
+    :mod:`repro.opf.hessian` — the independent reference of the KKT
+    certificate and of the element-kernel tests — it also holds what is
+    *constant across evaluations*: the generator-connection blocks of the
+    power-balance Jacobian, the admittance rows of the rated branches and the
+    sparsity-structure caches of the constraint Jacobians and the Lagrangian
+    Hessian.  The caches make evaluations stateful: a model must not be
     shared across threads evaluating concurrently (process pools are fine —
     each worker builds its own model).
     """
@@ -128,11 +132,21 @@ class OPFModel:
         self._pb_jac_cache = CachedBmat("csr")
         self._flow_jac_cache = CachedBmat("csr")
         self._hess_cache = CachedBmat("csr")
-        # One-entry memo for the branch-flow first derivatives: within a MIPS
-        # iteration the Hessian is evaluated at the same point as the previous
-        # constraint evaluation, so the kernels are shared between the two.
-        self._branch_deriv_key: Optional[bytes] = None
-        self._branch_deriv_val = None
+        self._batched: Optional["BatchedOPFModel"] = None
+
+    @property
+    def batched(self) -> "BatchedOPFModel":
+        """The model's batch-axis element kernels (built on first use).
+
+        Every solve of the case runs on these — one-row solves included —
+        and the kernels carry the model's lockstep plan, so a model reused
+        across calls builds both once.
+        """
+        if self._batched is None:
+            from repro.opf.batch import BatchedOPFModel  # batch.py imports this module
+
+            self._batched = BatchedOPFModel(self)
+        return self._batched
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -220,23 +234,11 @@ class OPFModel:
 
     # ------------------------------------------------------- shared derivatives
     def branch_flow_derivatives(self, x: np.ndarray, V: Optional[np.ndarray] = None):
-        """First derivatives of the rated-branch flows at ``x`` (memoised).
+        """First derivatives of the rated-branch flows at ``x``.
 
         Returns ``((dSf_dVa, dSf_dVm, Sf), (dSt_dVa, dSt_dVm, St))`` for the
-        from/to ends of the rated branches.  The constraint evaluation and the
-        Lagrangian Hessian need these at the same point within one MIPS
-        iteration, so the most recent evaluation is memoised (keyed on the
-        bytes of ``x``).
+        from/to ends of the rated branches.
         """
-        key = x.tobytes()
-        if self._branch_deriv_key == key:
-            return self._branch_deriv_val
         if V is None:
             V = self.complex_voltage(x)
-        value = (
-            dSbr_dV(self.Yf_lim, self.Cf_lim, V),
-            dSbr_dV(self.Yt_lim, self.Ct_lim, V),
-        )
-        self._branch_deriv_key = key
-        self._branch_deriv_val = value
-        return value
+        return dSbr_dV(self.Yf_lim, self.Cf_lim, V), dSbr_dV(self.Yt_lim, self.Ct_lim, V)

@@ -97,9 +97,8 @@ def build_opf_result(
         message=mips_result.message,
         history=list(mips_result.history),
         preprocess_seconds=preprocess_seconds,
-        # The additive per-scenario cost: wall time for scalar solves, the
-        # scenario's lockstep wall share for batch solves — keeps
-        # ``solve_seconds`` comparable and summable across the two solvers.
+        # The additive per-scenario cost: the scenario's share of the
+        # lockstep wall, so ``solve_seconds`` sum to the batch wall.
         solve_seconds=mips_result.share_seconds,
         phase_seconds=dict(mips_result.phase_seconds),
         kkt_telemetry=dict(mips_result.kkt_telemetry),

@@ -1,72 +1,27 @@
-"""AC-OPF driver: assemble the MIPS problem for a case/scenario and solve it.
+"""AC-OPF driver for one scenario.
 
 ``solve_opf`` is the library's main numerical entry point — the function the
 Smart-PGSim framework accelerates by feeding it predicted warm-start points.
+It is the one-row case of :func:`repro.opf.batch.solve_opf_batch`: one
+scenario runs the same element kernels, the same lockstep MIPS loop and the
+same KKT linear algebra as a sweep, so a scenario solved here is bit-for-bit
+the same scenario solved alone by ``solve_opf_batch``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from repro.grid.components import Case
-from repro.mips.options import MIPSOptions
-from repro.mips.solver import mips
-from repro.opf.constraints import constraint_function
-from repro.opf.costs import objective
-from repro.opf.hessian import hessian_function
+from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
-from repro.opf.result import OPFResult, build_opf_result
+from repro.opf.options import OPFOptions, relaxed_options
+from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 
-
-@dataclass(frozen=True)
-class OPFOptions:
-    """Options for :func:`solve_opf`.
-
-    ``flow_limits`` selects the branch-flow constraint type (``"S"`` squared
-    apparent power, ``"none"`` to ignore ratings); ``init`` selects the
-    default starting point used when no warm start (or a partial one) is
-    supplied.
-    """
-
-    flow_limits: str = "S"
-    init: str = "case"  # "case" or "flat"
-    mips: MIPSOptions = field(default_factory=MIPSOptions)
-
-    def __post_init__(self) -> None:
-        if self.flow_limits not in ("S", "none"):
-            raise ValueError("flow_limits must be 'S' or 'none'")
-        if self.init not in ("case", "flat"):
-            raise ValueError("init must be 'case' or 'flat'")
-
-
-def relaxed_options(options: OPFOptions, scale: float) -> OPFOptions:
-    """Copy of ``options`` with all four MIPS termination tolerances scaled.
-
-    Used by the relaxed-tolerance warm-retry fallback: a warm start that stalls
-    just short of the tight default tolerances often converges immediately once
-    they are loosened by a couple of orders of magnitude.
-    """
-    if scale <= 0:
-        raise ValueError("tolerance scale must be positive")
-    mips = replace(
-        options.mips,
-        feastol=options.mips.feastol * scale,
-        gradtol=options.mips.gradtol * scale,
-        comptol=options.mips.comptol * scale,
-        costtol=options.mips.costtol * scale,
-    )
-    return replace(options, mips=mips)
-
-
-def build_model(case: Case, options: Optional[OPFOptions] = None) -> OPFModel:
-    """Construct (and cache nothing beyond) the OPF model for ``case``."""
-    options = options or OPFOptions()
-    return OPFModel(case, flow_limits=options.flow_limits)
+__all__ = ["OPFOptions", "relaxed_options", "solve_opf", "solve_opf_with_fallback"]
 
 
 def solve_opf(
@@ -94,50 +49,25 @@ def solve_opf(
         :class:`OPFOptions` (flow-limit handling, initial point, MIPS options).
     model:
         Pre-built :class:`OPFModel` to reuse across scenarios of the same
-        case (avoids rebuilding admittance matrices for every sample).
+        case: it owns the element kernels and the lockstep plan, so repeated
+        calls never rebuild them.
     deadline:
         Optional absolute wall deadline on the ``time.monotonic()`` clock.
         Checked cooperatively between solver iterations; an expired deadline
         terminates the solve with ``timed_out`` set instead of raising.
     """
-    options = options or OPFOptions()
-    t0 = time.perf_counter()
-    if model is None:
-        model = OPFModel(case, flow_limits=options.flow_limits)
-    elif model.case is not case:
-        raise ValueError("the supplied model was built for a different case object")
-
-    xmin, xmax = model.bounds()
-    x_default = model.default_start() if options.init == "case" else model.flat_start()
-
-    warm = warm_start or WarmStart.cold()
-    warm = warm.clipped_duals()
-    x0 = x_default if warm.x is None else np.asarray(warm.x, dtype=float).copy()
-
-    gh_fcn = constraint_function(model, Pd_mw, Qd_mvar)
-    hess_fcn = hessian_function(model)
-
-    def f_fcn(x: np.ndarray):
-        f, df, _ = objective(model, x)
-        return f, df
-
-    preprocess_seconds = time.perf_counter() - t0
-
-    mips_result = mips(
-        f_fcn,
-        x0,
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        xmin=xmin,
-        xmax=xmax,
-        lam0=warm.lam,
-        mu0=warm.mu,
-        z0=warm.z,
-        options=options.mips,
+    Pd = case.bus.Pd if Pd_mw is None else Pd_mw
+    Qd = case.bus.Qd if Qd_mvar is None else Qd_mvar
+    (result,) = solve_opf_batch(
+        case,
+        np.asarray(Pd, dtype=float)[None, :],
+        np.asarray(Qd, dtype=float)[None, :],
+        warm_starts=[warm_start],
+        options=options,
+        model=model,
         deadline=deadline,
     )
-
-    return build_opf_result(case, model, mips_result, preprocess_seconds, Pd_mw, Qd_mvar)
+    return result
 
 
 def solve_opf_with_fallback(

@@ -21,7 +21,8 @@ evaluation/assembly phases across the batch and loops only for the
 per-scenario factorise/backsolve.  Branch outages are per-row data of that
 solve (a zero coefficient on the intact network's element kernels), so the
 scenarios of every N-k topology share one lockstep batch, one sparsity
-pattern and one per-worker :class:`~repro.opf.batch.BatchedOPFModel`.
+pattern and the per-worker model's one
+:class:`~repro.opf.batch.BatchedOPFModel`.
 Multi-worker fleets put the micro-batches on a shared queue that idle workers
 pull from — a straggling scenario keeps only its own micro-batch busy while
 the rest of the sweep is stolen by the other workers; the in-process fleet
@@ -32,8 +33,8 @@ between iterations.
 Failed solves can be recovered in-worker through a pluggable fallback policy
 (see :mod:`repro.engine.fallback`); the policy object is shipped with the
 initializer, so recovery costs no extra scatter/gather round trip.  The
-(rare) recoveries run per scenario through the scalar :func:`solve_opf` after
-the lockstep solve.
+(rare) recoveries run per scenario after the lockstep solve, as one-row
+lockstep solves on the same model with the same per-row outage data.
 
 :meth:`SolverFleet.solve_many` extends the same machinery across *several*
 sweeps at once: their scenarios — intact, N-1 and N-k alike — merge into one
@@ -71,10 +72,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grid.components import Case
-from repro.opf.batch import BatchedOPFModel, solve_opf_batch
+from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
+from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
-from repro.opf.solver import OPFOptions, solve_opf
 from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario, ScenarioSet
 from repro.parallel.scheduler import make_microbatches
@@ -231,13 +232,12 @@ def _build_state(
     faults: Optional[FaultPlan] = None,
     in_subprocess: bool = False,
 ) -> Dict[str, object]:
-    model = model or OPFModel(case, flow_limits=options.flow_limits)
     return {
         "case": case,
         "options": options,
-        "model": model,
-        # The one batched model of the worker: every topology is per-row data.
-        "batched": BatchedOPFModel(model),
+        # The worker's one model; it owns the batched kernels every solve of
+        # the worker runs on, whatever the scenario's topology.
+        "model": model or OPFModel(case, flow_limits=options.flow_limits),
         "fallback": fallback,
         "collect_solutions": collect_solutions,
         "faults": faults,
@@ -275,35 +275,24 @@ def _solve_scenario(
     options: Optional[OPFOptions] = None,
     deadline: Optional[float] = None,
 ) -> OPFResult:
-    """Scalar solve of one scenario (the fallback-recovery solve).
+    """One-row solve of one scenario (the fallback-recovery solve).
 
-    Load-only scenarios reuse the persistent per-worker model.  An outage
-    (an N-1 branch or a whole N-k set) is solved on the structurally outaged
-    network, whose case and model are built on demand — a few milliseconds
-    against a recovery solve of a hundred or more, and nothing kept per
-    topology.  When the outage drops a rated branch the inequality
-    multipliers/slacks of a base-network warm start no longer line up, so
-    ``µ``/``Z`` fall back to solver defaults while the primal point and
-    equality multipliers are kept.
+    Runs on the worker's persistent model with the scenario's outage set as
+    per-row data, exactly like its lockstep row: a recovered outage row keeps
+    the intact network's ``µ``/``Z`` layout, and a row that takes a rated
+    branch out starts ``µ``/``Z`` from solver defaults.
     """
-    case: Case = state["case"]
-    model: OPFModel = state["model"]
-    options = options or state["options"]
-    if scenario.outage_branches:
-        case = scenario.apply(case)
-        outaged = OPFModel(case, flow_limits=options.flow_limits)
-        if warm is not None and outaged.n_ineq_nonlin != model.n_ineq_nonlin:
-            warm = warm.masked(use_mu=False, use_z=False)
-        model = outaged
-    return solve_opf(
-        case,
-        warm_start=warm,
-        Pd_mw=scenario.Pd,
-        Qd_mvar=scenario.Qd,
-        options=options,
-        model=model,
+    (result,) = solve_opf_batch(
+        state["case"],
+        [scenario.Pd],
+        [scenario.Qd],
+        warm_starts=[warm],
+        options=options or state["options"],
+        model=state["model"],
         deadline=deadline,
+        outages=[scenario.outage_branches],
     )
+    return result
 
 
 def _row_deadline(deadlines: Optional[List[float]], pos: int) -> Optional[float]:
@@ -325,7 +314,7 @@ def _outcome_for(
     """Apply the fallback policy to a first attempt and package the outcome.
 
     ``first`` is the scenario's row of the lockstep solve; recovery runs per
-    scenario through the scalar solver.  A first attempt that timed out
+    scenario through :func:`_solve_scenario`.  A first attempt that timed out
     retires as-is — recovery would only burn more of a budget that is already
     spent — and recovery solves for ordinary failures inherit the scenario's
     deadline.
@@ -408,7 +397,6 @@ def _solve_group_in_state(
         warm_starts=warm_starts,
         options=state["options"],
         model=state["model"],
-        batched=state["batched"],
         window=window,
         deadline=deadlines,
         outages=[s.outage_branches for s in scenarios],

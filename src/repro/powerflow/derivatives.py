@@ -7,10 +7,11 @@ differences of the underlying injection/flow functions.
 
 The formulas multiply by diagonal matrices only, so instead of sparse matrix
 products the implementations scale the CSR ``data`` arrays directly
-(:func:`~repro.utils.sparse.row_scaled_csr` / ``col_scaled_csr``) — these
-kernels sit on the per-iteration hot path of the scalar MIPS solver.  The
-lockstep batch solver evaluates the same derivatives per network element
-instead (:mod:`repro.opf.batch`).
+(:func:`~repro.utils.sparse.row_scaled_csr` / ``col_scaled_csr``).  The
+solver evaluates the same derivatives per network element instead
+(:mod:`repro.opf.batch`); these matrix forms are the independent reference
+of the element-kernel tests and of the KKT certificate
+(:mod:`repro.opf.certificate`).
 """
 
 from __future__ import annotations

@@ -5,8 +5,6 @@ from repro.utils.timing import Timer, timed
 from repro.utils.logging import get_logger
 from repro.utils.sparse import (
     CachedBmat,
-    CachedTranspose,
-    cached_vstack_csr,
     col_scaled_csr,
     row_scaled_csr,
 )
@@ -18,8 +16,6 @@ __all__ = [
     "timed",
     "get_logger",
     "CachedBmat",
-    "CachedTranspose",
-    "cached_vstack_csr",
     "col_scaled_csr",
     "row_scaled_csr",
 ]

@@ -42,11 +42,9 @@ import scipy.sparse as sp
 
 __all__ = [
     "CachedBmat",
-    "CachedTranspose",
     "MatmulPlan",
     "batched_matvec",
     "batched_row_sums",
-    "cached_vstack_csr",
     "col_scaled_csr",
     "csc_from_template",
     "csr_from_template",
@@ -130,21 +128,12 @@ def same_pattern(
     return True
 
 
-def _canonical_csr(block) -> sp.csr_matrix:
-    """Canonical (sorted, duplicate-free) CSR view of ``block``.
-
-    Dense inputs (ndarray / matrix-like) are coerced — callbacks handing the
-    solver dense Jacobians are part of the public MIPS API.
-    """
-    if not sp.issparse(block):
-        return sp.csr_matrix(np.atleast_2d(np.asarray(block)))
+def _canonical_csr(block: sp.spmatrix) -> sp.csr_matrix:
+    """Canonical (sorted, duplicate-free) CSR view of a sparse ``block``."""
     csr = block.tocsr()
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
-    elif not csr.has_sorted_indices:
-        csr = csr.copy()
-        csr.sort_indices()
     return csr
 
 
@@ -271,68 +260,16 @@ class CachedBmat:
         return self._template
 
 
-class CachedTranspose:
-    """Transpose a CSR matrix with cached symbolic structure.
-
-    ``m.T.tocsr()`` re-sorts the whole matrix on every call; for a fixed
-    pattern the permutation from ``m.data`` to ``m.T.data`` is constant, so it
-    is recorded once and replayed as a single gather.  The returned matrix
-    shares the cached index arrays — treat it as read-only.
-    """
-
-    def __init__(self) -> None:
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._shape: Optional[tuple] = None
-        self._order: Optional[np.ndarray] = None
-        self._t_indptr: Optional[np.ndarray] = None
-        self._t_indices: Optional[np.ndarray] = None
-
-    def _matches(self, m: sp.csr_matrix) -> bool:
-        if self._order is None or m.shape != self._shape:
-            return False
-        return same_pattern(m, self._indptr, self._indices)
-
-    def transpose(self, m: sp.spmatrix) -> sp.csr_matrix:
-        """Return ``m.T`` as canonical CSR, reusing cached structure."""
-        m = _canonical_csr(m)
-        if not self._matches(m):
-            coded = m.copy()
-            coded.data = np.arange(1, m.nnz + 1, dtype=float)
-            t = coded.T.tocsr()
-            t.sort_indices()
-            self._indptr = m.indptr
-            self._indices = m.indices
-            self._shape = m.shape
-            self._order = t.data.astype(np.intp) - 1
-            self._t_indptr = t.indptr
-            self._t_indices = t.indices
-        return _fast_compressed(
-            sp.csr_matrix,
-            m.data[self._order],
-            self._t_indices,
-            self._t_indptr,
-            (m.shape[1], m.shape[0]),
-        )
-
-
-def cached_vstack_csr(cache: CachedBmat, blocks: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    """Structure-cached ``sp.vstack(blocks, format="csr")``."""
-    return cache.assemble([[blk] for blk in blocks])
-
-
-def row_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray, out: Optional[np.ndarray] = None) -> sp.csr_matrix:
+def row_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
     """Row-scale a canonical CSR matrix without symbolic work.
 
     Equivalent to ``sp.diags(scale) @ matrix`` (same values, same structure)
     but a pure data operation.  Returns a CSR matrix sharing ``matrix``'s
-    index arrays whose row ``i`` is ``scale[i] * matrix[i]``.  ``out``
-    (length ``nnz``, matching dtype) is reused as the data buffer when
-    supplied, avoiding a per-call allocation.
+    index arrays whose row ``i`` is ``scale[i] * matrix[i]``.
     """
     matrix = _canonical_csr(matrix)
     per_row = np.diff(matrix.indptr)
-    data = np.multiply(matrix.data, np.repeat(scale, per_row), out=out)
+    data = matrix.data * np.repeat(scale, per_row)
     return _fast_compressed(
         sp.csr_matrix, data, matrix.indices, matrix.indptr, matrix.shape
     )

@@ -89,7 +89,14 @@ def trained_trainer9(case9_fixture, opf_model9, dataset9):
 
 @pytest.fixture(scope="session")
 def scalar_reference():
-    """Scalar ``solve_opf`` of one scenario: the tolerance reference of the lockstep path."""
+    """One scenario solved alone on its structurally outaged case.
+
+    ``solve_opf`` of ``scenario.apply(case)``: outaged branches are removed
+    from the network rather than zeroed as per-row data, so for outage rows
+    this is a differently formulated problem on the same one-row lockstep
+    path.  A tolerance reference (same iterations, objectives to solver
+    precision) — never bitwise against a fleet row.
+    """
 
     def solve(case, scenario, warm_start=None, options=None):
         return solve_opf(scenario.apply(case), warm_start=warm_start, options=options)

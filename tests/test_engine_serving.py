@@ -12,7 +12,7 @@ from repro.engine import (
     get_fallback_policy,
 )
 from repro.data import generate_dataset
-from repro.opf import OPFOptions, relaxed_options, solve_opf
+from repro.opf import OPFOptions, certify_opf, relaxed_options, solve_opf
 from repro.mips.options import MIPSOptions
 from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios, run_scenario_sweep
 
@@ -75,7 +75,8 @@ def test_engine_serve_scenarios(engine9, case9_fixture):
 
 
 def test_engine_serve_matches_scalar_warm_solves(trained_trainer9, case9_fixture, scalar_reference):
-    """The engine's lockstep serving reproduces scalar warm-started solves."""
+    """The engine's lockstep serving reproduces warm-started one-row solves,
+    each a certified KKT point."""
     scenarios = generate_scenarios(case9_fixture, 6, variation=0.05, seed=13)
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         warm_starts = engine.warm_starts_for(scenarios.feature_matrix(case9_fixture.base_mva))
@@ -87,6 +88,7 @@ def test_engine_serve_matches_scalar_warm_solves(trained_trainer9, case9_fixture
         if a.success:
             assert a.iterations == b.iterations
             assert a.objective == pytest.approx(b.objective, rel=1e-8)
+            assert certify_opf(case9_fixture, a, scenario.Pd, scenario.Qd).holds()
 
 
 def test_engine_serve_loads_matrix(engine9, case9_fixture):

@@ -4,7 +4,9 @@ The two :class:`~repro.mips.linsolve.KKTSolver` backends — ``"ldl"``, the
 default, and ``"factorized"``, the independent SuperLU reference — must be
 drop-in replacements for each other: same iteration counts, objectives to
 1e-8 and solutions to solver precision over a shared corpus of random
-same-pattern QPs and case9 / case14 / case118s cold+warm sweeps.  On top of
+same-pattern QPs and case9 / case14 / case118s cold+warm sweeps, and every
+converged OPF row must pass the independent KKT certificate
+(:func:`repro.opf.certify_opf`).  On top of
 the trajectory-level parity, each backend must keep the rows of a lockstep
 batch **isolated**: a scenario solved inside a batch lands on the very bits
 it lands on when solved alone at width 1, which this suite asserts down to
@@ -18,8 +20,7 @@ import scipy.sparse as sp
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.mips import MIPSOptions, available_kkt_solvers, mips_batch, qps_mips
-from repro.opf import OPFModel, OPFOptions, solve_opf_batch
-from repro.opf.batch import BatchedOPFModel
+from repro.opf import OPFModel, OPFOptions, certify_opf, solve_opf_batch
 
 BACKENDS = available_kkt_solvers()
 
@@ -121,6 +122,14 @@ def _assert_bitwise(a, b):
     assert getattr(a, "kkt_regularizations", 0) == getattr(b, "kkt_regularizations", 0)
 
 
+def _assert_certified(case, results, Pd, Qd):
+    """Every converged OPF row is a KKT point by the independent certificate."""
+    for i, r in enumerate(results):
+        if r.success:
+            certificate = certify_opf(case, r, Pd[i], Qd[i])
+            assert certificate.holds(), (i, certificate)
+
+
 def _assert_rows_isolated(batch_results, solve_alone):
     """Each batch member is bitwise the same scenario solved at width 1."""
     for b, got in enumerate(batch_results):
@@ -165,43 +174,44 @@ def test_scalar_qp_parity_across_backends():
 def small_case_setup(request):
     case = get_case(request.param)
     model = OPFModel(case)
-    batched = BatchedOPFModel(model)
     samples = sample_loads(case, 4, variation=0.06, seed=17)
     Pd = np.stack([s.Pd for s in samples])
     Qd = np.stack([s.Qd for s in samples])
-    return case, model, batched, Pd, Qd
+    return case, model, Pd, Qd
 
 
 def test_cold_sweep_parity_across_backends(small_case_setup):
-    case, model, batched, Pd, Qd = small_case_setup
+    case, model, Pd, Qd = small_case_setup
     results = {
-        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model, batched=batched)
+        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model)
         for name in BACKENDS
     }
     _assert_trajectory_parity(results)
     for name in BACKENDS:
+        _assert_certified(case, results[name], Pd, Qd)
         _assert_rows_isolated(
             results[name],
             lambda b: solve_opf_batch(
                 case, Pd[b : b + 1], Qd[b : b + 1], options=_opts(name), model=model,
-                batched=batched,
             ),
         )
 
 
 def test_warm_sweep_parity_across_backends(small_case_setup):
-    case, model, batched, Pd, Qd = small_case_setup
-    base = solve_opf_batch(case, Pd, Qd, model=model, batched=batched)
+    case, model, Pd, Qd = small_case_setup
+    base = solve_opf_batch(case, Pd, Qd, model=model)
     assert all(r.success for r in base)
     warms = [r.warm_start() for r in base]
     Pd2 = Pd * 1.01
     results = {
         name: solve_opf_batch(
-            case, Pd2, Qd, warm_starts=warms, options=_opts(name), model=model, batched=batched
+            case, Pd2, Qd, warm_starts=warms, options=_opts(name), model=model
         )
         for name in BACKENDS
     }
     _assert_trajectory_parity(results)
+    for name in BACKENDS:
+        _assert_certified(case, results[name], Pd2, Qd)
 
 
 def test_case118s_sweep_parity_across_backends():
@@ -223,12 +233,11 @@ def test_case118s_sweep_parity_across_backends():
     """
     case = get_case("case118s")
     model = OPFModel(case)
-    batched = BatchedOPFModel(model)
     samples = sample_loads(case, 4, variation=0.03, seed=5)
     Pd = np.stack([s.Pd for s in samples])
     Qd = np.stack([s.Qd for s in samples])
     cold = {
-        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model, batched=batched)
+        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model)
         for name in BACKENDS
     }
     for name in BACKENDS:
@@ -236,12 +245,12 @@ def test_case118s_sweep_parity_across_backends():
             assert r.success, (name, i)
             ref = cold[BACKENDS[0]][i]
             assert abs(r.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
+        _assert_certified(case, cold[name], Pd, Qd)
 
     warms = [r.warm_start() for r in cold["factorized"]]
     warm = {
         name: solve_opf_batch(
             case, Pd * 1.01, Qd, warm_starts=warms, options=_opts(name), model=model,
-            batched=batched,
         )
         for name in BACKENDS
     }
@@ -254,6 +263,7 @@ def test_case118s_sweep_parity_across_backends():
                 f"{BACKENDS[0]}={ref.iterations}"
             )
             assert abs(r.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
+        _assert_certified(case, warm[name], Pd * 1.01, Qd)
     # Warm starts help identically under every backend.
     for name in BACKENDS:
         assert max(r.iterations for r in warm[name]) < max(r.iterations for r in cold[name])

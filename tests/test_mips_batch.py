@@ -1,10 +1,12 @@
-"""Parity suite: the lockstep batched solver against the scalar MIPS path.
+"""Parity suite: the lockstep batched solver, row by row.
 
-``mips_batch`` must reproduce the scalar solver scenario-by-scenario — same
-iteration counts, objectives and multipliers for converged scenarios, same
-failure classification for diverging ones — on random same-structure QPs and
-on warm-/cold-started AC-OPF sweeps, including mixed batches where individual
-scenarios retire early or fall through to the recovery policy.
+``mips_batch`` must agree with the one-row solve scenario by scenario — the
+random same-structure QPs against ``qps_mips`` to solver precision, and every
+AC-OPF row of a warm-/cold-started sweep bit for bit against the same
+scenario solved alone, each converged row a KKT point by the independent
+certificate (:func:`repro.opf.certify_opf`).  Mixed batches, where
+individual scenarios retire early or fall through to the recovery policy,
+are covered too.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.opf import (
     OPFModel,
     OPFOptions,
     WarmStart,
+    certify_opf,
     solve_opf,
     solve_opf_batch,
 )
@@ -164,16 +167,18 @@ def test_batched_opf_model_matches_scalar_evaluation():
 
 
 # ------------------------------------------------------------- OPF sweep parity
-def _assert_opf_parity(batch_results, scalar_results):
-    for got, ref in zip(batch_results, scalar_results):
+def _assert_rows_alone_and_certified(case, batch_results, alone_results, Pd, Qd):
+    """Each converged lockstep row is bitwise the scenario solved alone (the
+    one-row ``solve_opf``) and passes the KKT certificate."""
+    for i, (got, ref) in enumerate(zip(batch_results, alone_results)):
         assert got.success == ref.success
         if ref.success:
             assert got.iterations == ref.iterations
-            assert got.objective == pytest.approx(ref.objective, rel=1e-8)
-            np.testing.assert_allclose(got.x, ref.x, atol=1e-8)
-            np.testing.assert_allclose(got.lam, ref.lam, atol=1e-6)
-            np.testing.assert_allclose(got.mu, ref.mu, atol=1e-6)
-            np.testing.assert_allclose(got.z, ref.z, atol=1e-6)
+            assert got.objective == ref.objective
+            for name in ("x", "lam", "mu", "z"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+            certificate = certify_opf(case, got, Pd[i], Qd[i])
+            assert certificate.holds(), (i, certificate)
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case14"])
@@ -184,13 +189,12 @@ def test_cold_sweep_parity(case_name):
     Qd = np.stack([s.Qd for s in samples])
     model = OPFModel(case)
     batch = solve_opf_batch(case, Pd, Qd, model=model)
-    scalar_model = OPFModel(case)
-    scalar = [
-        solve_opf(case, Pd_mw=Pd[i], Qd_mvar=Qd[i], model=scalar_model)
+    alone = [
+        solve_opf(case, Pd_mw=Pd[i], Qd_mvar=Qd[i], model=OPFModel(case))
         for i in range(Pd.shape[0])
     ]
-    assert all(r.success for r in scalar)
-    _assert_opf_parity(batch, scalar)
+    assert all(r.success for r in alone)
+    _assert_rows_alone_and_certified(case, batch, alone, Pd, Qd)
 
 
 @pytest.mark.parametrize("case_name", ["case9", "case14"])
@@ -207,12 +211,11 @@ def test_warm_sweep_parity(case_name):
     # Nudge the loads so the warm starts are near-optimal but not exact.
     Pd2 = Pd * (1.0 + 0.01 * np.linspace(-1.0, 1.0, Pd.shape[0]))[:, None]
     batch = solve_opf_batch(case, Pd2, Qd, warm_starts=warms, model=model)
-    scalar_model = OPFModel(case)
-    scalar = [
-        solve_opf(case, warm_start=warms[i], Pd_mw=Pd2[i], Qd_mvar=Qd[i], model=scalar_model)
+    alone = [
+        solve_opf(case, warm_start=warms[i], Pd_mw=Pd2[i], Qd_mvar=Qd[i], model=model)
         for i in range(Pd.shape[0])
     ]
-    _assert_opf_parity(batch, scalar)
+    _assert_rows_alone_and_certified(case, batch, alone, Pd2, Qd)
     # Warm starts must actually help (the whole point of the engine).
     assert max(r.iterations for r in batch) <= max(r.iterations for r in base)
 
@@ -229,37 +232,38 @@ def test_mixed_batch_with_cold_warm_and_divergent():
     batch = solve_opf_batch(
         case, Pd, Qd, warm_starts=[None, warm, None], options=options, model=model
     )
-    scalar_model = OPFModel(case)
-    scalar = [
+    alone = [
         solve_opf(
             case,
             warm_start=[None, warm, None][i],
             Pd_mw=Pd[i],
             Qd_mvar=Qd[i],
             options=options,
-            model=scalar_model,
+            model=model,
         )
         for i in range(3)
     ]
-    # Converged members match the scalar path exactly.
+    # Converged members are the scenarios solved alone, bit for bit.
     assert batch[0].success and batch[1].success
-    _assert_opf_parity(batch[:2], scalar[:2])
-    # The absurd-load member fails on both paths (iteration counts may differ
-    # once a trajectory diverges — float noise amplifies chaotically).
-    assert not batch[2].success and not scalar[2].success
-    assert batch[2].message != "converged"
+    _assert_rows_alone_and_certified(case, batch, alone, Pd, Qd)
+    # The absurd-load member fails in the batch and alone, with the same story.
+    assert not batch[2].success and not alone[2].success
+    assert batch[2].message == alone[2].message != "converged"
+    assert batch[2].iterations == alone[2].iterations
     # Retirement: the warm member finished in fewer iterations than the cold.
     assert batch[1].iterations < batch[0].iterations
 
 
 # ----------------------------------------------------------- fleet integration
 def test_fleet_sweep_matches_scalar_solves(scalar_reference):
+    """Fleet rows (outages as per-row data) against one-row solves of the
+    structurally outaged cases, every fleet solution certified."""
     case = get_case("case14")
     scenarios = generate_scenarios(
         case, 8, variation=0.08, contingency_fraction=0.4, seed=5
     )
     assert any(s.outage_branches for s in scenarios)
-    sweep = run_scenario_sweep(case, scenarios)
+    sweep = run_scenario_sweep(case, scenarios, collect_solutions=True)
     assert sweep.n_scenarios == len(scenarios)
     for scenario, b in zip(scenarios, sweep.outcomes):
         a = scalar_reference(case, scenario)
@@ -268,6 +272,9 @@ def test_fleet_sweep_matches_scalar_solves(scalar_reference):
         if a.success:
             assert a.iterations == b.iterations
             assert a.objective == pytest.approx(b.objective, rel=1e-8)
+            assert certify_opf(
+                case, b.solution, scenario.Pd, scenario.Qd, outages=scenario.outage_branches
+            ).holds()
 
 
 def test_fleet_batch_mode_fallback_recovers_failures():

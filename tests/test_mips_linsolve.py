@@ -15,7 +15,6 @@ from repro.mips import (
 )
 from repro.utils.sparse import (
     CachedBmat,
-    CachedTranspose,
     col_scaled_csr,
     row_scaled_csr,
 )
@@ -77,18 +76,6 @@ def test_cached_bmat_complex_and_empty_blocks():
     out = cache.assemble([[A, Z]])
     ref = sp.bmat([[A, Z]], format="csr")
     assert np.allclose(out.toarray(), ref.toarray())
-
-
-def test_cached_transpose_matches_scipy():
-    rng = np.random.RandomState(3)
-    tr = CachedTranspose()
-    A = _random_csr(rng, 5, 7, complex_=True)
-    out = tr.transpose(A)
-    assert np.allclose(out.toarray(), A.T.toarray())
-    A2 = A.copy()
-    A2.data = A2.data * (2.0 - 0.5j)
-    out2 = tr.transpose(A2)
-    assert np.allclose(out2.toarray(), A2.T.toarray())
 
 
 def test_scaled_csr_helpers_match_diag_products():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.mips import MIPSOptions, mips, qps_mips
+from repro.mips import MIPSOptions, mips, mips_batch, qps_mips
 
 
 # ------------------------------------------------------------------- QP problems
@@ -89,7 +89,12 @@ def test_qp_input_validation():
 
 # ------------------------------------------------------------ nonlinear problems
 def _rosenbrock_constrained():
-    """min (1-x)^2 + 100 (y - x^2)^2  s.t.  x^2 + y^2 <= 1.5."""
+    """min (1-x)^2 + 100 (y - x^2)^2  s.t.  x^2 + y^2 <= 1.5.
+
+    The Jacobian and Hessian come back as dense arrays: at the start point
+    (0, 0) some of their entries are zero, and a dense array declares every
+    entry part of the sparsity template the solve is fixed to.
+    """
 
     def f_fcn(x):
         f = (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
@@ -105,7 +110,7 @@ def _rosenbrock_constrained():
         g = np.zeros(0)
         h = np.array([x[0] ** 2 + x[1] ** 2 - 1.5])
         Jg = sp.csr_matrix((0, 2))
-        Jh = sp.csr_matrix(np.array([[2 * x[0], 2 * x[1]]]))
+        Jh = np.array([[2 * x[0], 2 * x[1]]])
         return g, h, Jg, Jh
 
     def hess_fcn(x, lam, mu, cost_mult):
@@ -115,8 +120,7 @@ def _rosenbrock_constrained():
                 [-400 * x[0], 200.0],
             ]
         )
-        H = H + (mu[0] if mu.size else 0.0) * 2 * np.eye(2)
-        return sp.csr_matrix(H)
+        return H + (mu[0] if mu.size else 0.0) * 2 * np.eye(2)
 
     return f_fcn, gh_fcn, hess_fcn
 
@@ -246,6 +250,54 @@ def test_dense_jacobian_callbacks_accepted():
     res = mips(f_fcn, np.zeros(2), gh_fcn=gh_fcn, hess_fcn=hess_fcn)
     assert res.converged
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-6)
+
+
+def test_entry_outside_first_evaluation_template_rejected():
+    """The Jacobian pattern of the first evaluation is the solve's template: a
+    later nonzero entry outside it raises a typed error instead of silently
+    changing the KKT pattern mid-solve."""
+    f_fcn, gh_fcn, hess_fcn = _rosenbrock_constrained()
+
+    def pruned_gh(x):
+        g, h, Jg, Jh = gh_fcn(x)
+        return g, h, Jg, sp.csr_matrix(Jh)  # drops the zero entries at (0, 0)
+
+    with pytest.raises(ValueError, match="Jh has a nonzero entry outside"):
+        mips(f_fcn, np.array([0.0, 0.0]), gh_fcn=pruned_gh, hess_fcn=hess_fcn)
+
+
+def test_mips_is_the_one_row_lockstep_solve():
+    """``mips`` adds no iteration of its own: the same problem handed to
+    ``mips_batch`` at width 1 lands on the same bits."""
+    f_fcn, gh_fcn, hess_fcn = _rosenbrock_constrained()
+    res = mips(f_fcn, np.array([0.0, 0.0]), gh_fcn=gh_fcn, hess_fcn=hess_fcn)
+
+    def f_rows(X, idx):
+        f, df = f_fcn(X[0])
+        return np.array([f]), df[None, :]
+
+    def gh_rows(X, idx):
+        g, h, Jg, Jh = gh_fcn(X[0])
+        return g[None, :], h[None, :], np.zeros((1, 0)), Jh.reshape(1, -1)
+
+    def hess_rows(X, lam, mu, cost_mult, idx):
+        return hess_fcn(X[0], lam[0], mu[0], cost_mult).reshape(1, -1)
+
+    (alone,) = mips_batch(
+        f_rows,
+        np.zeros((1, 2)),
+        gh_fcn=gh_rows,
+        hess_fcn=hess_rows,
+        jg_template=sp.csr_matrix((0, 2)),
+        jh_template=sp.csr_matrix(np.ones((1, 2))),
+        hess_template=sp.csr_matrix(np.ones((2, 2))),
+    )
+    assert res.converged and res.iterations == alone.iterations
+    for name in ("x", "lam", "mu", "z"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(alone, name))
+    assert res.f == alone.f
+    # A solve of its own: its additive wall share is its wall time.
+    assert res.wall_share_seconds is None and alone.wall_share_seconds is not None
 
 
 def test_unconstrained_quadratic_single_newton_step():

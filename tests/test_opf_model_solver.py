@@ -205,3 +205,28 @@ def test_warmstart_helpers(opf_solution9, opf_model9, rng):
     assert np.all(clipped.z > 0)
     with pytest.raises(ValueError):
         WarmStart.cold().split_x(opf_model9)
+
+
+def test_model_owns_one_batched_model_across_solves(case9_fixture):
+    """``solve_opf`` runs on the model's own batched kernels and plan: calls
+    that reuse the model never rebuild them."""
+    model = OPFModel(case9_fixture)
+    solve_opf(case9_fixture, model=model)
+    kernels = model.batched
+    plan = kernels.lockstep_plan(MIPSOptions().bound_eq_tol)
+    solve_opf(case9_fixture, Pd_mw=case9_fixture.bus.Pd * 1.02, model=model)
+    assert model.batched is kernels
+    assert kernels.lockstep_plan(MIPSOptions().bound_eq_tol) is plan
+
+
+def test_warm_x_of_the_wrong_length_rejected_naming_the_scenario(case9_fixture, opf_model9):
+    """A length-1 warm ``x`` must not broadcast across the whole row."""
+    from repro.opf import solve_opf_batch
+
+    short = WarmStart(x=np.ones(1))
+    with pytest.raises(ValueError, match=r"warm start 0: x has shape \(1,\)"):
+        solve_opf(case9_fixture, warm_start=short, model=opf_model9)
+    Pd = np.stack([case9_fixture.bus.Pd] * 3)
+    Qd = np.stack([case9_fixture.bus.Qd] * 3)
+    with pytest.raises(ValueError, match=r"warm start 2: x has shape \(1,\)"):
+        solve_opf_batch(case9_fixture, Pd, Qd, warm_starts=[None, None, short], model=opf_model9)

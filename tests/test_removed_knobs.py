@@ -9,7 +9,9 @@ The KKT layer's retirees follow the same rule: the ``"blockdiag"`` /
 ``solve_blocks(direct=)``, ``solve_many`` / ``resolve`` and the engine's
 ``kkt_solver=`` shortcut for ``opf_options=``.  So do the serving tier's
 timers: ``AsyncServer`` flushes whenever its executor is free, and
-``max_wait_seconds`` / ``deadline_slack_seconds`` are gone.
+``max_wait_seconds`` / ``deadline_slack_seconds`` are gone.  And the solver
+has one core: the scalar MIPS loop, its KKT assembler and structure caches,
+``solve_opf_batch(batched=)`` and ``build_model`` are gone.
 """
 
 import inspect
@@ -113,3 +115,20 @@ def test_backend_interface_is_solve_blocks_only(backend):
         backend().solve_blocks(kkt, np.ones((1, 2)), np.ones((1, 2)), direct=True)
     for retired in ("resolve", "solve_many", "supports_blocks"):
         assert not hasattr(backend, retired)
+
+
+def test_one_solver_core(case9_fixture):
+    import repro.mips.solver
+    import repro.opf
+    import repro.utils.sparse
+    from repro.opf import solve_opf_batch
+
+    with pytest.raises(TypeError, match="batched"):
+        solve_opf_batch(
+            case9_fixture, case9_fixture.bus.Pd[None], case9_fixture.bus.Qd[None], batched=None
+        )
+    assert not hasattr(repro.opf, "build_model")
+    for name in ("CachedTranspose", "cached_vstack_csr"):
+        assert not hasattr(repro.utils.sparse, name)
+    for name in ("_KKTAssembler", "_BoundHandler", "_conditions", "_is_converged"):
+        assert not hasattr(repro.mips.solver, name)
