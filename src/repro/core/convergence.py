@@ -19,7 +19,8 @@ from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
 from repro.mips.result import IterationRecord
 from repro.opf.model import OPFModel
-from repro.opf.solver import OPFOptions, solve_opf
+from repro.opf.options import OPFOptions
+from repro.opf.solver import solve_opf
 from repro.opf.warmstart import WarmStart
 from repro.utils.rng import RNGLike, ensure_rng
 

@@ -39,7 +39,7 @@ from repro.mtl.model import SmartPGSimMTL, TaskDimensions
 from repro.mtl.separate import SeparateTaskNetworks
 from repro.mtl.trainer import MTLTrainer, TrainingHistory
 from repro.opf.model import OPFModel
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 from repro.utils.logging import get_logger
 
 __all__ = [

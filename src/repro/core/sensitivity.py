@@ -19,7 +19,8 @@ import numpy as np
 from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
 from repro.opf.model import OPFModel
-from repro.opf.solver import OPFOptions, solve_opf
+from repro.opf.options import OPFOptions
+from repro.opf.solver import solve_opf
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.grid.components import Case
 from repro.grid.perturb import CorrelatedLoadSampler, iter_load_samples
 from repro.opf.model import OPFModel, VariableIndex
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 from repro.parallel.pool import SolverFleet
 from repro.parallel.scenarios import Scenario, ScenarioSet
 from repro.utils.logging import get_logger

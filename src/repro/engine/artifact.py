@@ -35,7 +35,7 @@ from repro.mtl.normalization import DatasetNormalizer, MinMaxScaler
 from repro.mtl.separate import SeparateTaskNetworks
 from repro.nn.serialization import BundleIntegrityError, load_bundle, save_bundle
 from repro.opf.model import OPFModel
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 
 #: Bumped on incompatible layout changes.
 ARTIFACT_VERSION = 1

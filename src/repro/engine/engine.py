@@ -40,7 +40,7 @@ from repro.mtl.normalization import DatasetNormalizer
 from repro.mtl.trainer import MTLTrainer, predict_physical, warm_starts_from_predictions
 from repro.nn.modules import Module
 from repro.opf.model import OPFModel
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 from repro.opf.warmstart import WarmStart
 from repro.parallel.pool import SolverFleet, SweepResult
 from repro.parallel.scenarios import Scenario, ScenarioSet

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Deque, Dict, Optional, Type, Union
 
 from repro.opf.result import OPFResult
-from repro.opf.solver import OPFOptions, relaxed_options
+from repro.opf.options import OPFOptions, relaxed_options
 from repro.opf.warmstart import WarmStart
 
 #: Signature of the per-scenario solve callable handed to policies.

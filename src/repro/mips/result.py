@@ -104,19 +104,12 @@ class MIPSResult:
     #: wall budget (``message`` carries the detail) — a resource outcome, not
     #: a numerical failure.
     timed_out: bool = False
-    #: This solve's *additive* share of wall time.  ``None`` for a problem
-    #: solved on its own by :func:`~repro.mips.solver.mips` (the share is
-    #: simply ``elapsed_seconds``); lockstep batch solves set it to the sum of
-    #: each iteration's wall time divided by the number of scenarios active
-    #: in that iteration, so shares sum to the batch wall and stay comparable
-    #: with one-problem solve times (``elapsed_seconds`` keeps meaning
+    #: This solve's *additive* share of wall time: the sum of each
+    #: iteration's wall time divided by the number of problems active in that
+    #: iteration, so shares sum to the batch wall and stay comparable with
+    #: one-problem solve times (``elapsed_seconds`` keeps meaning
     #: wall-clock-until-retirement, which overlaps across the batch).
-    wall_share_seconds: Optional[float] = None
-
-    @property
-    def share_seconds(self) -> float:
-        """The additive per-scenario solve cost (see ``wall_share_seconds``)."""
-        return self.elapsed_seconds if self.wall_share_seconds is None else self.wall_share_seconds
+    wall_share_seconds: float = 0.0
 
     @property
     def eflag(self) -> int:

@@ -135,8 +135,7 @@ def mips(
         relative per-solve budget ``options.max_wall_seconds``.
 
     Jacobian and Hessian patterns are fixed by the first evaluation (see the
-    module docstring).  ``wall_share_seconds`` of the result is ``None``: a
-    solve of its own has its wall time as its share.
+    module docstring).
     """
     opt = options or MIPSOptions()
     x0 = np.asarray(x0, dtype=float)
@@ -149,6 +148,17 @@ def mips(
         raise ValueError("hess_fcn is required when nonlinear constraints are present")
 
     x = np.clip(x0, xmin, xmax)
+    # The last objective evaluation and its point.  An evaluation at the same
+    # point reuses it: the loop's first evaluation reuses the template
+    # set-up's, and without hess_fcn the Hessian step reads the ``d2f`` of
+    # the evaluation it follows.
+    last = [x, f_fcn(x)]
+
+    def objective(point: np.ndarray) -> Tuple:
+        if not np.array_equal(last[0], point):
+            last[:] = point.copy(), f_fcn(point)
+        return last[1]
+
     jg = jh = None
     n_eq_nl = n_ineq_nl = 0
     if gh_fcn is not None:
@@ -159,14 +169,13 @@ def mips(
         hess = _Template(
             "Hessian", hess_fcn(x, np.ones(n_eq_nl), np.ones(n_ineq_nl), opt.cost_mult), nx
         )
+    elif len(last[1]) != 3:
+        raise ValueError("no Hessian available: provide hess_fcn or a 3-tuple objective")
     else:
-        objective = f_fcn(x)
-        if len(objective) != 3:
-            raise ValueError("no Hessian available: provide hess_fcn or a 3-tuple objective")
-        hess = _Template("Hessian", objective[2], nx)
+        hess = _Template("Hessian", last[1][2], nx)
 
     def f_rows(X: np.ndarray, idx: np.ndarray):
-        f, df = f_fcn(X[0])[:2]
+        f, df = objective(X[0])[:2]
         return np.array([float(f)]), np.asarray(df, dtype=float)[None, :]
 
     def gh_rows(X: np.ndarray, idx: np.ndarray):
@@ -178,7 +187,7 @@ def mips(
     def hess_rows(X, lam_nl, mu_nl, cost_mult, idx):
         if hess_fcn is not None:
             return hess.plane(hess_fcn(X[0], lam_nl[0], mu_nl[0], cost_mult))
-        return hess.plane(f_fcn(X[0])[2]) * cost_mult
+        return hess.plane(objective(X[0])[2]) * cost_mult
 
     def row(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None if v is None else np.asarray(v, dtype=float)[None, :]
@@ -199,5 +208,4 @@ def mips(
         options=opt,
         deadline=deadline,
     )
-    result.wall_share_seconds = None
     return result

@@ -13,7 +13,10 @@ a certificate asks the question again from the outside.  Given a returned
 
 Each residual is scaled as MATPOWER scales its termination tests
 (stationarity by ``1 + max(‖λ‖∞, ‖µ‖∞)``, feasibility and complementarity by
-``1 + ‖x‖∞``).  Everything is evaluated through the matrix-form
+``1 + ‖x‖∞``).  The problem certified is the one the solve's
+:class:`~repro.opf.options.OPFOptions` posed: its flow-limit formulation, its
+fixed-variable threshold, and its objective scaling ``cost_mult``, which the
+returned multipliers carry.  Everything is evaluated through the matrix-form
 :func:`~repro.opf.costs.objective` and
 :func:`~repro.opf.constraints.constraint_function` on the *structurally*
 outaged case — outaged branches removed, not zeroed — and the bound rows are
@@ -38,16 +41,16 @@ import numpy as np
 
 from repro.grid.components import Case
 from repro.grid.validation import validate_outage_branches
-from repro.mips.options import MIPSOptions
 from repro.opf.constraints import constraint_function
 from repro.opf.costs import objective
 from repro.opf.model import OPFModel
+from repro.opf.options import OPFOptions
 
 __all__ = ["CERTIFICATE_TOL", "KKTCertificate", "certify_opf"]
 
-#: Default acceptance tolerance on the three scaled residuals — ten times
-#: the solver's default termination tolerances, which test differently
-#: scaled quantities on the solver's own iterates.
+#: Acceptance tolerance on the three scaled residuals — ten times the
+#: solver's default termination tolerances, which test differently scaled
+#: quantities on the solver's own iterates.
 CERTIFICATE_TOL = 1e-5
 
 
@@ -63,10 +66,10 @@ class KKTCertificate:
     #: Smallest slack (must be ``> 0``).
     min_z: float
 
-    def holds(self, tol: float = CERTIFICATE_TOL) -> bool:
-        """Whether the solution is a KKT point to within ``tol``."""
+    def holds(self) -> bool:
+        """Whether the solution is a KKT point to within :data:`CERTIFICATE_TOL`."""
         return bool(
-            max(self.stationarity, self.feasibility, self.complementarity) <= tol
+            max(self.stationarity, self.feasibility, self.complementarity) <= CERTIFICATE_TOL
             and self.min_mu >= 0.0
             and self.min_z > 0.0
         )
@@ -78,21 +81,22 @@ def certify_opf(
     Pd_mw: Optional[np.ndarray] = None,
     Qd_mvar: Optional[np.ndarray] = None,
     outages: Sequence[int] = (),
-    flow_limits: str = "S",
-    bound_eq_tol: float = MIPSOptions.bound_eq_tol,
+    options: Optional[OPFOptions] = None,
 ) -> KKTCertificate:
     """Certify ``solution`` (anything with ``x``, ``lam``, ``mu``, ``z``).
 
     ``case`` is the intact network, ``Pd_mw``/``Qd_mvar`` the scenario's
-    loads (case loads when omitted) and ``outages`` its branch-outage set.
-    Multipliers follow the solver's internal ordering: ``λ`` is
+    loads (case loads when omitted), ``outages`` its branch-outage set and
+    ``options`` the :class:`OPFOptions` it was solved with (defaults when
+    omitted).  Multipliers follow the solver's internal ordering: ``λ`` is
     ``[power balance; fixed variables]`` and ``µ``/``z`` are
     ``[flow limits; upper bounds; lower bounds]``.
     """
+    opt = options or OPFOptions()
     validate_outage_branches(outages, case.n_branch)
     outaged = case.copy()
     outaged.branch.status[list(outages)] = 0
-    model = OPFModel(outaged, flow_limits=flow_limits)
+    model = OPFModel(outaged, flow_limits=opt.flow_limits)
     x = np.asarray(solution.x, dtype=float)
     lam = np.asarray(solution.lam, dtype=float)
     mu = np.asarray(solution.mu, dtype=float)
@@ -107,13 +111,13 @@ def certify_opf(
 
     xmin, xmax = model.bounds()
     lo, hi = np.isfinite(xmin), np.isfinite(xmax)
-    fixed = lo & hi & (np.abs(xmax - xmin) <= bound_eq_tol)
+    fixed = lo & hi & (np.abs(xmax - xmin) <= opt.mips.bound_eq_tol)
     eq, ub, lb = (np.flatnonzero(m) for m in (fixed, hi & ~fixed, lo & ~fixed))
     n_bound_rows = ub.size + lb.size
 
     # Intact-size µ/z carry slack rows for the outaged rated branches.
     if mu.size != h_nl.size + n_bound_rows:
-        intact = OPFModel(case, flow_limits=flow_limits).limited_branches
+        intact = OPFModel(case, flow_limits=opt.flow_limits).limited_branches
         live = np.tile(~np.isin(intact, outages), 2)
         if mu.size != live.size + n_bound_rows:
             raise ValueError(
@@ -130,7 +134,7 @@ def certify_opf(
     if lam.size != g_nl.size + eq.size:
         raise ValueError(f"λ of size {lam.size}, expected {g_nl.size + eq.size}")
 
-    grad = df + Jg_nl.T @ lam[: g_nl.size] + Jh_nl.T @ mu_nl
+    grad = opt.mips.cost_mult * df + Jg_nl.T @ lam[: g_nl.size] + Jh_nl.T @ mu_nl
     grad[eq] += lam[g_nl.size :]
     grad[ub] += mu[n_flow : n_flow + ub.size]
     grad[lb] -= mu[n_flow + ub.size :]

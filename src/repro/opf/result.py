@@ -99,7 +99,7 @@ def build_opf_result(
         preprocess_seconds=preprocess_seconds,
         # The additive per-scenario cost: the scenario's share of the
         # lockstep wall, so ``solve_seconds`` sum to the batch wall.
-        solve_seconds=mips_result.share_seconds,
+        solve_seconds=mips_result.wall_share_seconds,
         phase_seconds=dict(mips_result.phase_seconds),
         kkt_telemetry=dict(mips_result.kkt_telemetry),
         timed_out=mips_result.timed_out,

@@ -17,11 +17,11 @@ import numpy as np
 from repro.grid.components import Case
 from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions, relaxed_options
+from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 
-__all__ = ["OPFOptions", "relaxed_options", "solve_opf", "solve_opf_with_fallback"]
+__all__ = ["solve_opf", "solve_opf_with_fallback"]
 
 
 def solve_opf(

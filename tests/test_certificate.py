@@ -14,7 +14,15 @@ import pytest
 
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.opf import CERTIFICATE_TOL, OPFModel, WarmStart, certify_opf, solve_opf_batch
+from repro.mips import MIPSOptions
+from repro.opf import (
+    CERTIFICATE_TOL,
+    OPFModel,
+    OPFOptions,
+    WarmStart,
+    certify_opf,
+    solve_opf_batch,
+)
 
 PAIR_118 = (4, 27)
 
@@ -92,6 +100,26 @@ def test_complementarity_uses_recomputed_h_not_z(solved):
     bad = certify_opf(case, replace(solution, mu=mu), Pd, Qd)
     assert bad.complementarity > CERTIFICATE_TOL and not bad.holds()
     assert not certify_opf(case, replace(solution, z=-solution.z), Pd, Qd).holds()
+
+
+def test_certificate_follows_the_solve_options():
+    """The certificate checks the problem the solve's options posed: with
+    ``cost_mult`` the multipliers carry the objective scaling, and with
+    ``flow_limits="none"`` there are no flow rows."""
+    case = get_case("case9")  # every branch is rated
+    (sample,) = sample_loads(case, 1, variation=0.05, seed=23)
+    scaled = OPFOptions(mips=MIPSOptions(cost_mult=0.01))
+    unlimited = OPFOptions(flow_limits="none")
+    for options in (scaled, unlimited):
+        (row,) = solve_opf_batch(case, sample.Pd[None], sample.Qd[None], options=options)
+        assert row.success
+        certificate = certify_opf(case, row, sample.Pd, sample.Qd, options=options)
+        assert certificate.holds(), certificate
+        if options is scaled:
+            assert certify_opf(case, row, sample.Pd, sample.Qd).stationarity > 100 * CERTIFICATE_TOL
+        else:
+            with pytest.raises(ValueError, match="fit neither"):
+                certify_opf(case, row, sample.Pd, sample.Qd)
 
 
 # ----------------------------------------------------------- outage layouts

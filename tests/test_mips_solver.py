@@ -296,8 +296,6 @@ def test_mips_is_the_one_row_lockstep_solve():
     for name in ("x", "lam", "mu", "z"):
         np.testing.assert_array_equal(getattr(res, name), getattr(alone, name))
     assert res.f == alone.f
-    # A solve of its own: its additive wall share is its wall time.
-    assert res.wall_share_seconds is None and alone.wall_share_seconds is not None
 
 
 def test_unconstrained_quadratic_single_newton_step():
@@ -309,3 +307,19 @@ def test_unconstrained_quadratic_single_newton_step():
     res = mips(f_fcn, np.array([5.0, 5.0]))
     assert res.converged
     assert np.allclose(res.x, [0.5, 0.0], atol=1e-6)
+
+
+def test_objective_hessian_costs_no_extra_evaluation():
+    """Without ``hess_fcn`` the Hessian is the ``d2f`` of the evaluation the
+    loop just made: the objective runs once per iteration plus once at the
+    start point, which also fixes the Hessian template."""
+    points = []
+
+    def f_fcn(x):
+        points.append(x.copy())
+        H = np.diag([2.0, 4.0, 1.0])
+        return float(0.5 * x @ H @ x - x[0]), H @ x - np.array([1.0, 0.0, 0.0]), sp.csr_matrix(H)
+
+    res = mips(f_fcn, np.full(3, 5.0), xmin=np.array([0.6, -1.0, -1.0]), xmax=np.full(3, 10.0))
+    assert res.converged and res.iterations > 2
+    assert len(points) == res.iterations + 1

@@ -24,7 +24,7 @@ import pytest
 
 from repro.grid import case9, case14, case_from_matpower
 from repro.mips.options import MIPSOptions
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 from repro.parallel import (
     Scenario,
     ScenarioSet,

@@ -12,7 +12,7 @@ import pytest
 from repro.grid import case9, case14
 from repro.mips.options import MIPSOptions
 from repro.opf import OPFModel, solve_opf
-from repro.opf.solver import OPFOptions
+from repro.opf.options import OPFOptions
 
 
 @pytest.fixture(scope="module", params=["case9", "case14"])
