@@ -15,13 +15,11 @@ Per-request latency (p50/p99) and scenario throughput are recorded for both
 paths.  Bitwise parity between the async-batched results and the direct
 per-request serves is asserted on every machine — it is the core invariant
 the batcher's canonical-width inference and row-independent lockstep provide.
-The throughput floor (async ≥ sequential) needs a quiet machine, so it is
-only enforced under ``REPRO_BENCH_STRICT=1``; the measured numbers are always
-recorded in the session perf JSON.
+The measured numbers are recorded in the session perf JSON; speed is judged
+by ``perfbench``, not here.
 """
 
 import asyncio
-import os
 import time
 
 import numpy as np
@@ -31,7 +29,6 @@ from repro.engine import WarmStartEngine
 from repro.parallel import ScenarioSet, generate_scenarios
 from repro.serving import AsyncServer
 
-STRICT = os.environ.get("REPRO_BENCH_STRICT", "") == "1"
 #: Sizes of the request stream (cycled): small interactive-style requests.
 REQUEST_SIZES = (1, 2, 3) * 4
 #: Best-of-N repeats for both paths (wall-clock ratios flake on shared runners).
@@ -189,11 +186,6 @@ def test_bench_async_dynamic_batcher(benchmark, serving_engine9, request_stream9
     )
 
     assert async_scen_per_s > 0 and seq_scen_per_s > 0
-    if STRICT:
-        assert speedup >= 1.0, (
-            f"async batched throughput {async_scen_per_s:.1f} scen/s fell below "
-            f"the sequential per-request floor {seq_scen_per_s:.1f} scen/s"
-        )
 
 
 def test_bench_async_overload_shedding(serving_engine9, request_stream9, perf_recorder):

@@ -8,10 +8,8 @@ benchmark times both paths on the largest bundled system (the 118-bus
 Table-II equivalent) and records the achieved speedup; it also checks that
 the engine's evaluation is *numerically faithful* to the sequential path.
 
-The ≥2x throughput target is only enforced under ``REPRO_BENCH_STRICT=1``: it
-needs a multi-core machine (the 2x comes from saturating solver workers; on a
-single core only the batched-inference amortisation remains).  The measured speedup is always recorded in
-``extra_info`` so perf trajectories track it across PRs.
+The measured speedup is recorded in ``extra_info``; speed is judged by
+``perfbench``, not here.
 """
 
 import os
@@ -27,7 +25,6 @@ from repro.mtl import fast_config
 from repro.opf import solve_opf
 from repro.parallel import Scenario, ScenarioSet, SolverFleet, generate_scenarios
 
-STRICT = os.environ.get("REPRO_BENCH_STRICT", "") == "1"
 #: Workers used for the engine path (bounded so laptops are not oversubscribed).
 N_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
@@ -118,8 +115,6 @@ def test_bench_engine_throughput_vs_sequential(benchmark, framework118, perf_rec
     for outcome, result in zip(sweep.outcomes, sequential):
         assert outcome.converged == result.success
     assert sweep.throughput > 0
-    if STRICT:
-        assert speedup >= 2.0, f"engine speedup {speedup:.2f}x below the 2x target"
 
 
 def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_recorder):
@@ -127,9 +122,8 @@ def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_re
 
     This isolates the batching claim from multi-core effects: identical warm
     starts, one persistent model on either side, only the solver differs (the
-    paper-style "vs sequential" figure).  The ≥2x gate is enforced under ``REPRO_BENCH_STRICT=1`` (wall
-    -clock ratios flake on loaded shared runners); the measured speedup and
-    the batch solver's phase breakdown are always recorded.
+    paper-style "vs sequential" figure).  The measured speedup and the batch
+    solver's phase breakdown are recorded.
     """
     from repro.opf import OPFModel
 
@@ -191,8 +185,6 @@ def test_bench_batched_backend_vs_scenario_loop(benchmark, framework118, perf_re
             assert got.iterations == ref.iterations
             assert abs(got.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
     assert speedup > 0
-    if STRICT:
-        assert speedup >= 2.0, f"batched speedup {speedup:.2f}x below the 2x target"
 
 
 def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recorder):
@@ -262,10 +254,6 @@ def test_bench_grouped_contingency_screening(benchmark, framework118, perf_recor
 
     assert sum(s.n_scenarios for s in grouped) == n_total
     assert all(s.success_rate == 1.0 for s in grouped)
-    if STRICT:
-        assert speedup >= 1.2, (
-            f"grouped-contingency speedup {speedup:.2f}x below the 1.2x target"
-        )
 
 
 def test_bench_engine_evaluation_matches_sequential(framework9):
@@ -285,9 +273,9 @@ def test_bench_engine_evaluation_matches_sequential(framework9):
             options=framework9.config.opf,
             model=framework9.opf_model,
         )
-        assert record.success == result.success
+        assert record.outcome.success == result.success
         if result.success:
-            assert record.iterations_warm == result.iterations
+            assert record.outcome.iterations == result.iterations
         else:
             cold = solve_opf(
                 case,
@@ -296,5 +284,5 @@ def test_bench_engine_evaluation_matches_sequential(framework9):
                 options=framework9.config.opf,
                 model=framework9.opf_model,
             )
-            assert record.used_fallback
-            assert record.iterations_fallback == cold.iterations
+            assert record.outcome.used_fallback
+            assert record.outcome.iterations_fallback == cold.iterations

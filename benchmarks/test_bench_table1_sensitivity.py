@@ -7,9 +7,6 @@ the precise-X rows keep a 100 % success rate, the all-precise row is by far
 the fastest, and a precise Z without a precise µ degrades convergence.
 """
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.core import run_sensitivity_study
@@ -47,12 +44,7 @@ def test_bench_table1_sensitivity(benchmark):
     assert all_precise.success_rate == pytest.approx(1.0)
     assert all_precise.mean_iterations < 0.5 * baseline.mean_iterations
     # Iteration counts are deterministic; assert the strong claim on them.
-    # Even the tolerant wall-clock speedup check is strict-gated: ms-scale
-    # solves under shared-runner scheduler noise can invert any ratio.
     assert all_precise.mean_iterations == min(r.mean_iterations for r in report.rows)
-    if os.environ.get("REPRO_BENCH_STRICT", "") == "1":
-        best_speedup = max(r.speedup for r in report.rows if np.isfinite(r.speedup))
-        assert all_precise.speedup >= 0.75 * best_speedup
     # Observation 2: precise Z without precise µ does not help (and often hurts).
     assert z_only.mean_iterations >= all_precise.mean_iterations
 

@@ -6,8 +6,8 @@ which is useful when embedding the library in an existing workflow:
 
 1. build the OPF model and generate ground truth with the MIPS solver,
 2. train the physics-informed MTL model explicitly with ``MTLTrainer``,
-3. predict a warm-start point for a new scenario, hand it to ``solve_opf`` and
-   fall back to a cold start if the warm-started run fails,
+3. predict warm starts for the validation scenarios and solve them as one
+   sweep, where a cold restart recovers any warm-started run that fails,
 4. compare against the separate-networks baseline of the paper's Section VIII-D.
 
 Run with ``python examples/warm_start_pipeline.py``.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import generate_dataset
+from repro.engine import ColdRestartFallback
 from repro.grid import get_case, sample_loads
 from repro.mtl import (
     MTLTrainer,
@@ -26,7 +27,8 @@ from repro.mtl import (
     TaskDimensions,
     fast_config,
 )
-from repro.opf import OPFModel, solve_opf, solve_opf_with_fallback
+from repro.opf import OPFModel, solve_opf
+from repro.parallel import Scenario, ScenarioSet, run_scenario_sweep
 
 
 def train_variant(name, network_cls, use_physics, dims, train_set, opf_model, config):
@@ -68,19 +70,25 @@ def main() -> None:
     print("\nWarm-starting the validation scenarios:")
     header = f"{'variant':<22} {'SR %':>6} {'mean iters':>11} {'cold iters':>11}"
     print(header)
+    scenarios = ScenarioSet(
+        case.name,
+        [Scenario(i, val_set.Pd_mw[i], val_set.Qd_mw[i]) for i in range(val_set.n_samples)],
+        n_bus=case.n_bus,
+    )
     for name, trainer in (
         ("separate networks", separate),
         ("MTL (no physics)", mtl_plain),
         ("Smart-PGSim", smart),
     ):
-        iters, successes = [], []
-        for i in range(val_set.n_samples):
-            warm = trainer.warm_start_for(val_set.inputs[i])
-            result, used_fallback, _ = solve_opf_with_fallback(
-                case, warm, Pd_mw=val_set.Pd_mw[i], Qd_mvar=val_set.Qd_mw[i], model=opf_model
-            )
-            successes.append(not used_fallback)
-            iters.append(result.iterations)
+        sweep = run_scenario_sweep(
+            case,
+            scenarios,
+            warm_starts=trainer.warm_starts_for(val_set.inputs),
+            fallback=ColdRestartFallback(),
+            model=opf_model,
+        )
+        successes = [outcome.success for outcome in sweep.outcomes]
+        iters = [outcome.final_iterations for outcome in sweep.outcomes]
         print(f"{name:<22} {100 * np.mean(successes):>6.1f} {np.mean(iters):>11.1f} "
               f"{val_set.iterations.mean():>11.1f}")
 

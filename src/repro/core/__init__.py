@@ -5,8 +5,6 @@ from repro.core.breakdown import RuntimeBreakdown, breakdown_from_evaluation
 from repro.core.convergence import ConvergenceTrace, capture_convergence_traces
 from repro.core.framework import (
     OfflineArtifacts,
-    OnlineEvaluation,
-    OnlineRecord,
     SmartPGSim,
     SmartPGSimConfig,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "SmartPGSim",
     "SmartPGSimConfig",
     "OfflineArtifacts",
-    "OnlineEvaluation",
-    "OnlineRecord",
     "DirectPredictionBaseline",
     "DirectPredictionReport",
     "RuntimeBreakdown",

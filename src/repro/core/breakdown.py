@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.core.framework import OnlineEvaluation
+from repro.engine.records import OnlineEvaluation
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ describes, but since the serving-engine split it is a *thin orchestrator*:
   :class:`~repro.engine.fallback.FallbackPolicy` recovers failures (the
   paper's cold restart by default), so the workflow always converges.
 
-The per-problem :class:`~repro.engine.records.OnlineRecord` and the
-aggregated :class:`~repro.engine.records.OnlineEvaluation` live in
-:mod:`repro.engine.records` and are re-exported here for backwards
-compatibility.  A trained pipeline can be persisted with
+Online results come back as an :class:`~repro.engine.records.OnlineEvaluation`
+(from :mod:`repro.engine.records`).  A trained pipeline can be persisted with
 ``framework.engine.save_artifact(path)`` and served later without retraining
 via :meth:`repro.engine.engine.WarmStartEngine.load_artifact`.
 """
@@ -32,7 +30,7 @@ import numpy as np
 from repro.data.dataset import OPFDataset, TASK_NAMES, generate_dataset
 from repro.engine.engine import WarmStartEngine
 from repro.engine.fallback import get_fallback_policy
-from repro.engine.records import OnlineEvaluation, OnlineRecord
+from repro.engine.records import OnlineEvaluation
 from repro.grid.components import Case
 from repro.mtl.config import MTLConfig, fast_config
 from repro.mtl.model import SmartPGSimMTL, TaskDimensions
@@ -46,8 +44,6 @@ __all__ = [
     "SmartPGSim",
     "SmartPGSimConfig",
     "OfflineArtifacts",
-    "OnlineRecord",
-    "OnlineEvaluation",
 ]
 
 LOGGER = get_logger("core")

@@ -16,6 +16,13 @@ AC-OPF problems at throughput —
   fingerprint, so an engine can be reconstructed from disk and serve requests
   without retraining.
 
+:meth:`~WarmStartEngine.serve`, :meth:`~WarmStartEngine.serve_trajectory`
+and :meth:`~WarmStartEngine.evaluate` share one path around the fleet: warm
+starts are predicted from the request's :class:`ServingModel` snapshot, and
+the outcomes feed the drift monitor and the circuit breaker in scenario-id
+order.  ``evaluate`` additionally wraps each outcome in an
+:class:`~repro.engine.records.OnlineRecord` with the dataset's cold reference.
+
 The offline/online driver in :mod:`repro.core.framework` is a thin
 orchestrator over this class.
 """
@@ -26,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,22 +56,6 @@ from repro.utils.logging import get_logger
 
 LOGGER = get_logger("engine")
 
-
-def _predict_rows(
-    network: Module, normalizer: DatasetNormalizer, inputs_pu: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Batched inference whose per-row outputs are independent of batch width.
-
-    Requests ride whatever flush the async batcher happened to cut, so the
-    serving path must not let the flush width leak into the predicted warm
-    starts.  The shared :func:`repro.mtl.trainer.predict_physical` helper
-    provides the guarantee — every forward pass runs in canonical
-    fixed-width gemm blocks — so row ``i``'s prediction is bitwise identical
-    whether it was served alone, in a pair, or in the middle of a wide
-    coalesced batch, and trainer-side predictions match the serving path
-    bit for bit.
-    """
-    return predict_physical(network, normalizer, inputs_pu)
 
 #: Sentinel for :meth:`WarmStartEngine.load_artifact`: "use the fallback
 #: policy persisted in the artifact" (``None`` keeps meaning no recovery).
@@ -137,12 +128,9 @@ class WarmStartEngine:
         #: (testing only) and the crash-retry budget handed to fleets.
         self.faults = faults
         self.crash_retries = crash_retries
-        #: Live fleets keyed by worker count; created lazily, kept across calls.
-        self._fleets: Dict[int, SolverFleet] = {}
-        #: Trajectory-serving fleets (``collect_solutions=True`` — the
-        #: step-to-step warm chain *is* the previous step's solutions), kept
-        #: separate so ordinary serving keeps its lean no-solution transfers.
-        self._trajectory_fleets: Dict[int, SolverFleet] = {}
+        #: Live fleets keyed by ``(n_workers, collect_solutions)``; created
+        #: lazily, kept across calls.
+        self._fleets: Dict[Tuple[int, bool], SolverFleet] = {}
 
     # ------------------------------------------------------------ serving state
     @property
@@ -260,36 +248,87 @@ class WarmStartEngine:
         """Batched inference for raw p.u. load vectors; outputs in physical units.
 
         Row-deterministic: a row's prediction is bitwise identical whether it
-        is served alone or inside a batch (see :func:`_predict_rows`).
+        is served alone, in a pair or inside a wide coalesced batch (see
+        :func:`repro.mtl.trainer.predict_physical`), so the width of the flush
+        a request rode in never leaks into its warm starts.
         """
-        return _predict_rows(self.network, self.normalizer, inputs_pu)
+        return predict_physical(self.network, self.normalizer, inputs_pu)
 
     def warm_starts_for(self, inputs_pu: np.ndarray) -> List[WarmStart]:
         """One forward pass over a batch of load vectors → one warm start per row."""
-        return warm_starts_from_predictions(
-            self.predict_physical(np.atleast_2d(inputs_pu)), self.opf_model
+        return self._predict(self._serving, inputs_pu)
+
+    def _predict(self, serving: ServingModel, inputs_pu: np.ndarray) -> List[WarmStart]:
+        """Warm starts for a batch of load vectors from one model snapshot."""
+        predictions = predict_physical(
+            serving.network, serving.normalizer, np.atleast_2d(inputs_pu)
         )
+        return warm_starts_from_predictions(predictions, self.opf_model)
+
+    def _degraded(self) -> bool:
+        """True while an open circuit breaker routes requests past inference."""
+        return self.breaker is not None and not self.breaker.allow_warm()
+
+    def _observe(self, sweep: SweepResult) -> List[Tuple[str, int]]:
+        """Feed the drift monitor and the breaker one sweep's outcomes.
+
+        Outcomes are fed in scenario-id order, so both count-based state
+        machines are deterministic whatever the worker scheduling did.
+        Returns each outcome's ``(drift_status, breaker_trips)`` right after
+        it was observed.
+        """
+        stamps = []
+        for outcome in sorted(sweep.outcomes, key=lambda o: o.scenario_id):
+            if self.drift_monitor is not None:
+                self.drift_monitor.observe_outcome(outcome)
+            if self.breaker is not None:
+                self.breaker.record(outcome.used_fallback)
+            stamps.append(
+                (
+                    "stationary" if self.drift_monitor is None else self.drift_monitor.status,
+                    0 if self.breaker is None else self.breaker.trips,
+                )
+            )
+        return stamps
 
     # ------------------------------------------------------------------ serving
-    def fleet(self, n_workers: int = 1) -> SolverFleet:
-        """The persistent solver fleet for ``n_workers`` (created on first use)."""
-        fleet = self._fleets.get(n_workers)
+    def _fleet(self, n_workers: int, collect_solutions: bool) -> SolverFleet:
+        key = (n_workers, collect_solutions)
+        fleet = self._fleets.get(key)
         if fleet is None:
             fleet = SolverFleet(
                 self.case,
                 options=self.opf_options,
                 n_workers=n_workers,
                 fallback=self.fallback,
+                collect_solutions=collect_solutions,
                 model=self.opf_model if n_workers == 1 else None,
                 microbatch=self.microbatch,
                 faults=self.faults,
                 crash_retries=self.crash_retries,
             )
-            self._fleets[n_workers] = fleet
+            self._fleets[key] = fleet
             LOGGER.info(
-                "%s: started solver fleet with %d worker(s)", self.case.name, n_workers
+                "%s: started %s fleet with %d worker(s)",
+                self.case.name,
+                "trajectory" if collect_solutions else "solver",
+                n_workers,
             )
         return fleet
+
+    def fleet(self, n_workers: int = 1) -> SolverFleet:
+        """The persistent solver fleet for ``n_workers`` (created on first use)."""
+        return self._fleet(n_workers, collect_solutions=False)
+
+    def trajectory_fleet(self, n_workers: int = 1) -> SolverFleet:
+        """The persistent solution-collecting fleet for trajectory serving.
+
+        Separate from :meth:`fleet` because trajectory chaining needs every
+        converged solve's primal/dual variables shipped back
+        (``collect_solutions=True``), which ordinary serving deliberately
+        avoids paying for.
+        """
+        return self._fleet(n_workers, collect_solutions=True)
 
     def serve(
         self,
@@ -323,42 +362,25 @@ class WarmStartEngine:
         """
         serving = self._serving
         if len(scenarios) == 0:
-            sweep = SweepResult(case_name=self.case.name, n_workers=n_workers)
-            sweep.model_generation = serving.generation
-            return sweep
-        degraded = self.breaker is not None and not self.breaker.allow_warm()
-        if degraded:
-            warm_starts = None
+            return SweepResult(
+                case_name=self.case.name,
+                n_workers=n_workers,
+                model_generation=serving.generation,
+            )
+        warm_starts = None
+        if self._degraded():
             LOGGER.info(
                 "%s: circuit breaker open — serving %d scenario(s) on the degraded path",
                 self.case.name,
                 len(scenarios),
             )
         else:
-            warm_starts = warm_starts_from_predictions(
-                _predict_rows(
-                    serving.network,
-                    serving.normalizer,
-                    np.atleast_2d(scenarios.feature_matrix(self.case.base_mva)),
-                ),
-                self.opf_model,
-            )
+            warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
         sweep = self.fleet(n_workers).solve(
             scenarios, warm_starts, deadline_seconds=deadline_seconds, deadline=deadline
         )
         sweep.model_generation = serving.generation
-        # Feed health machinery in scenario order so both count-based state
-        # machines are deterministic regardless of worker scheduling.  The
-        # drift monitor sees every outcome first: trends surface on
-        # ``drift_report()`` before the breaker has accumulated enough
-        # realized fallbacks to trip.
-        ordered = sorted(sweep.outcomes, key=lambda o: o.scenario_id)
-        if self.drift_monitor is not None:
-            for outcome in ordered:
-                self.drift_monitor.observe_outcome(outcome)
-        if self.breaker is not None:
-            for outcome in ordered:
-                self.breaker.record(outcome.used_fallback)
+        self._observe(sweep)
         return sweep
 
     def serve_loads(
@@ -403,33 +425,6 @@ class WarmStartEngine:
             deadline=deadline,
         )
 
-    def trajectory_fleet(self, n_workers: int = 1) -> SolverFleet:
-        """The persistent solution-collecting fleet for trajectory serving.
-
-        Separate from :meth:`fleet` because trajectory chaining needs every
-        converged solve's primal/dual variables shipped back
-        (``collect_solutions=True``), which ordinary serving deliberately
-        avoids paying for.
-        """
-        fleet = self._trajectory_fleets.get(n_workers)
-        if fleet is None:
-            fleet = SolverFleet(
-                self.case,
-                options=self.opf_options,
-                n_workers=n_workers,
-                fallback=self.fallback,
-                collect_solutions=True,
-                model=self.opf_model if n_workers == 1 else None,
-                microbatch=self.microbatch,
-                faults=self.faults,
-                crash_retries=self.crash_retries,
-            )
-            self._trajectory_fleets[n_workers] = fleet
-            LOGGER.info(
-                "%s: started trajectory fleet with %d worker(s)", self.case.name, n_workers
-            )
-        return fleet
-
     def serve_trajectory(
         self,
         steps: "Sequence[ScenarioSet]",
@@ -460,19 +455,12 @@ class WarmStartEngine:
         if not steps:
             return TrajectoryResult(case_name=self.case.name)
 
-        degraded = self.breaker is not None and not self.breaker.allow_warm()
+        degraded = self._degraded()
 
         def model_warm_starts(step: ScenarioSet) -> Optional[List[WarmStart]]:
             if degraded or len(step) == 0:
                 return None
-            return warm_starts_from_predictions(
-                _predict_rows(
-                    serving.network,
-                    serving.normalizer,
-                    np.atleast_2d(step.feature_matrix(self.case.base_mva)),
-                ),
-                self.opf_model,
-            )
+            return self._predict(serving, step.feature_matrix(self.case.base_mva))
 
         fleet = self.trajectory_fleet(n_workers)
         if warm_chain:
@@ -495,13 +483,7 @@ class WarmStartEngine:
                 result.steps.append(sweep)
         for sweep in result.steps:
             sweep.model_generation = serving.generation
-            ordered = sorted(sweep.outcomes, key=lambda o: o.scenario_id)
-            if self.drift_monitor is not None:
-                for outcome in ordered:
-                    self.drift_monitor.observe_outcome(outcome)
-            if self.breaker is not None:
-                for outcome in ordered:
-                    self.breaker.record(outcome.used_fallback)
+            self._observe(sweep)
         return result
 
     # --------------------------------------------------------------- evaluation
@@ -522,7 +504,9 @@ class WarmStartEngine:
         lockstep width and the warm ones this sweep's, so SU (Eqn. 10) is a
         like-for-like ratio only when the two widths match.  Inference is one
         batched forward pass; its wall-clock is attributed evenly across the
-        records.
+        records.  Evaluation traffic feeds the drift monitor and the breaker
+        exactly like serving traffic, and each record stamps their state
+        right after its own outcome was observed.
         """
         n = dataset.n_samples if max_problems is None else min(max_problems, dataset.n_samples)
         if n < 1:
@@ -530,12 +514,7 @@ class WarmStartEngine:
 
         serving = self._serving
         t0 = time.perf_counter()
-        warm_starts = warm_starts_from_predictions(
-            _predict_rows(
-                serving.network, serving.normalizer, np.atleast_2d(dataset.inputs[:n])
-            ),
-            self.opf_model,
-        )
+        warm_starts = self._predict(serving, dataset.inputs[:n])
         inference_seconds = (time.perf_counter() - t0) / n
 
         scenarios = ScenarioSet(
@@ -547,50 +526,22 @@ class WarmStartEngine:
             scenarios, warm_starts, deadline_seconds=deadline_seconds, deadline=deadline
         )
         sweep.model_generation = serving.generation
-
-        evaluation = OnlineEvaluation(case_name=self.case.name)
-        for outcome in sweep.outcomes:
-            i = outcome.scenario_id
-            # Outcomes arrive sorted by scenario id (the sweep sorts), so the
-            # drift stream — and the per-record status snapshot — is
-            # deterministic whatever the worker scheduling did.
-            drift_status = "stationary"
-            if self.drift_monitor is not None:
-                self.drift_monitor.observe_outcome(outcome)
-                drift_status = self.drift_monitor.status
-            # Evaluation traffic drives the breaker exactly like serving
-            # traffic (same scenario-id order), and each record snapshots the
-            # trip count *after* its own outcome was observed — previously the
-            # whole evaluation stamped a stale pre-sweep count and the breaker
-            # never saw evaluate-path fallbacks at all.
-            if self.breaker is not None:
-                self.breaker.record(outcome.used_fallback)
-            trips = 0 if self.breaker is None else self.breaker.trips
-            evaluation.records.append(
-                OnlineRecord(
-                    scenario_id=i,
-                    success=outcome.success,
-                    used_fallback=outcome.used_fallback,
-                    iterations_warm=outcome.iterations,
-                    iterations_cold=float(dataset.iterations[i]),
-                    inference_seconds=inference_seconds,
-                    warm_solve_seconds=outcome.solve_seconds,
-                    cold_solve_seconds=float(dataset.solve_seconds[i]),
-                    cost_warm=outcome.objective,
-                    cost_cold=float(dataset.objectives[i]),
-                    fallback_success=outcome.fallback_success,
-                    iterations_fallback=outcome.iterations_fallback,
-                    fallback_solve_seconds=outcome.fallback_seconds,
-                    cost_fallback=outcome.objective_fallback,
-                    solver_phase_seconds=dict(outcome.phase_seconds),
-                    retries=outcome.retries,
-                    timed_out=outcome.timed_out,
-                    fallback_trips=trips,
-                    drift_status=drift_status,
-                    model_generation=serving.generation,
-                )
+        # The sweep's outcomes are sorted by scenario id, the order _observe
+        # feeds them in, so the stamps line up with the outcomes.
+        records = [
+            OnlineRecord(
+                outcome=outcome,
+                iterations_cold=float(dataset.iterations[outcome.scenario_id]),
+                cold_solve_seconds=float(dataset.solve_seconds[outcome.scenario_id]),
+                cost_cold=float(dataset.objectives[outcome.scenario_id]),
+                inference_seconds=inference_seconds,
+                fallback_trips=trips,
+                drift_status=drift_status,
+                model_generation=serving.generation,
             )
-        return evaluation
+            for outcome, (drift_status, trips) in zip(sweep.outcomes, self._observe(sweep))
+        ]
+        return OnlineEvaluation(case_name=self.case.name, records=records)
 
     # -------------------------------------------------------------- persistence
     def save_artifact(self, path: Union[str, Path]) -> Path:
@@ -630,9 +581,6 @@ class WarmStartEngine:
         for fleet in self._fleets.values():
             fleet.close()
         self._fleets.clear()
-        for fleet in self._trajectory_fleets.values():
-            fleet.close()
-        self._trajectory_fleets.clear()
 
     def __enter__(self) -> "WarmStartEngine":
         return self

@@ -275,11 +275,11 @@ class ModelLifecycle:
         return ShadowMetrics(
             n_problems=len(records),
             convergence_rate=(
-                float(np.mean([r.converged for r in records])) if records else 0.0
+                float(np.mean([r.outcome.converged for r in records])) if records else 0.0
             ),
             fallback_rate=evaluation.fallback_rate,
             mean_iterations=(
-                float(np.mean([r.final_iterations for r in records]))
+                float(np.mean([r.outcome.final_iterations for r in records]))
                 if records
                 else float("nan")
             ),

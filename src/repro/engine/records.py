@@ -1,13 +1,11 @@
 """Per-problem records and aggregated metrics of the online (serving) phase.
 
-These classes historically lived in :mod:`repro.core.framework`; they moved
-here when the serving path was extracted into the engine subsystem.  The
-original ``OnlineRecord`` conflated warm and fallback outcomes — when the warm
-solve failed, ``iterations_warm``, ``warm_solve_seconds`` and ``cost_warm``
-were silently taken from the cold fallback run.  The fields now always
-describe the *warm attempt*; fallback effort is recorded in the dedicated
-``iterations_fallback`` / ``fallback_solve_seconds`` / ``cost_fallback``
-fields, and the Fig. 5 aggregation charges recovery time to the restart bar.
+An :class:`OnlineRecord` is the :class:`~repro.parallel.pool.ScenarioOutcome`
+of one warm-started problem plus what the outcome cannot know: the dataset's
+cold-start reference, the problem's share of the batched inference, and the
+engine's health state when the outcome was observed.  Warm-attempt and
+fallback facts are read through ``record.outcome``.
+:class:`OnlineEvaluation` aggregates records into the Fig. 4 / Fig. 5 data.
 """
 
 from __future__ import annotations
@@ -18,79 +16,39 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.metrics import iteration_reduction, speedup_su, success_rate
+from repro.parallel.pool import ScenarioOutcome
 
 
 @dataclass(frozen=True)
 class OnlineRecord:
     """Outcome of one online (warm-started) problem.
 
-    ``iterations_warm`` / ``warm_solve_seconds`` / ``cost_warm`` always
-    describe the warm attempt, whether or not it converged; the
-    ``*_fallback`` fields describe the recovery when a fallback policy ran —
-    ``iterations_fallback`` and ``fallback_solve_seconds`` cover *every*
-    recovery solve (a relaxed retry that degrades to a cold restart counts
-    both), ``cost_fallback`` the one that produced the final answer.
-    ``solver_phase_seconds`` carries the per-phase split (callback evaluation
-    / KKT assembly / factorisation / back substitution) of the final solve.
-
-    The robustness telemetry fields describe the serving runtime rather than
-    the numerics: ``retries`` counts how often the scenario's task was
-    re-dispatched after a worker crash, ``timed_out`` flags a solve retired by
-    a wall deadline, and ``fallback_trips`` snapshots the engine's cumulative
-    circuit-breaker trip count at the time the record was made (0 when the
-    engine runs without a breaker).
+    ``outcome`` describes the warm attempt (``success``, ``iterations``,
+    ``objective``, ``solve_seconds``) and any fallback recovery
+    (``used_fallback``, ``iterations_fallback``, ``fallback_seconds`` …),
+    exactly as the fleet returned it.  ``iterations_cold`` /
+    ``cold_solve_seconds`` / ``cost_cold`` are the dataset's cold-start
+    reference for the same problem; ``inference_seconds`` is the problem's
+    share of the batched forward pass.  ``fallback_trips`` snapshots the
+    engine's cumulative circuit-breaker trip count and ``drift_status`` the
+    drift monitor's verdict right after this outcome was observed (0 and
+    ``"stationary"`` without them); ``model_generation`` is the
+    ``ServingModel`` generation that served the problem.
     """
 
-    scenario_id: int
-    success: bool
-    used_fallback: bool
-    iterations_warm: int
+    outcome: ScenarioOutcome
     iterations_cold: float
-    inference_seconds: float
-    warm_solve_seconds: float
     cold_solve_seconds: float
-    cost_warm: float
     cost_cold: float
-    fallback_success: bool = False
-    iterations_fallback: int = 0
-    fallback_solve_seconds: float = 0.0
-    cost_fallback: float = float("nan")
-    solver_phase_seconds: Dict[str, float] = field(default_factory=dict)
-    retries: int = 0
-    timed_out: bool = False
+    inference_seconds: float
     fallback_trips: int = 0
-    #: Drift-monitor verdict (``stationary`` / ``trending`` / ``drifted``)
-    #: after this record's outcome was observed — the predictive health
-    #: signal, surfaced per record *before* the breaker trips.
     drift_status: str = "stationary"
-    #: Model generation that served this record (see ``ServingModel``).
     model_generation: int = 0
-
-    # ----------------------------------------------------------- derived views
-    @property
-    def converged(self) -> bool:
-        """True when either the warm attempt or its fallback converged."""
-        return self.success or (self.used_fallback and self.fallback_success)
-
-    @property
-    def final_iterations(self) -> int:
-        """Iterations spent on the path that produced the final answer."""
-        return self.iterations_fallback if self.used_fallback else self.iterations_warm
-
-    @property
-    def final_cost(self) -> float:
-        """Objective of the solve that produced the final answer."""
-        return self.cost_fallback if self.used_fallback else self.cost_warm
-
-    @property
-    def restart_seconds(self) -> float:
-        """Wall-clock spent recovering from a failed warm attempt."""
-        return self.fallback_solve_seconds
 
     @property
     def online_seconds(self) -> float:
         """Total online cost of this problem (inference + warm + recovery)."""
-        return self.inference_seconds + self.warm_solve_seconds + self.fallback_solve_seconds
+        return self.inference_seconds + self.outcome.solve_seconds + self.outcome.fallback_seconds
 
 
 @dataclass
@@ -106,35 +64,43 @@ class OnlineEvaluation:
         return len(self.records)
 
     @property
+    def _warm_successes(self) -> List[OnlineRecord]:
+        return [r for r in self.records if r.outcome.success]
+
+    @property
     def success_rate(self) -> float:
         """Warm-start success rate before any restart (Fig. 4c)."""
-        return success_rate([r.success for r in self.records])
+        return success_rate([r.outcome.success for r in self.records])
 
     @property
     def fallback_rate(self) -> float:
         """Fraction of problems that needed the fallback policy."""
-        return float(np.mean([r.used_fallback for r in self.records])) if self.records else 0.0
+        if not self.records:
+            return 0.0
+        return float(np.mean([r.outcome.used_fallback for r in self.records]))
 
     @property
     def speedup(self) -> float:
         """End-to-end speedup SU of Eqn. 10 over the evaluation set (Fig. 4a)."""
         t_mips = float(np.mean([r.cold_solve_seconds for r in self.records]))
         t_mtl = float(np.mean([r.inference_seconds for r in self.records]))
-        t_warm = float(np.mean([r.warm_solve_seconds for r in self.records if r.success] or [t_mips]))
+        t_warm = float(
+            np.mean([r.outcome.solve_seconds for r in self._warm_successes] or [t_mips])
+        )
         return speedup_su(t_mips, t_mtl, t_warm, self.success_rate)
 
     @property
     def iteration_ratio(self) -> float:
         """Warm-start iterations as a fraction of cold-start iterations (Fig. 4b)."""
+        cold = [r.iterations_cold for r in self.records]
         return iteration_reduction(
-            [r.iterations_cold for r in self.records],
-            [r.iterations_warm for r in self.records if r.success] or [r.iterations_cold for r in self.records],
+            cold, [r.outcome.iterations for r in self._warm_successes] or cold
         )
 
     @property
     def mean_iterations_warm(self) -> float:
         """Mean warm-start iteration count over successful problems."""
-        values = [r.iterations_warm for r in self.records if r.success]
+        values = [r.outcome.iterations for r in self._warm_successes]
         return float(np.mean(values)) if values else float("nan")
 
     @property
@@ -146,9 +112,8 @@ class OnlineEvaluation:
     def mean_cost_deviation(self) -> float:
         """Mean relative deviation of warm-started cost from the cold-start optimum."""
         devs = [
-            abs(r.cost_warm - r.cost_cold) / max(abs(r.cost_cold), 1e-12)
-            for r in self.records
-            if r.success
+            abs(r.outcome.objective - r.cost_cold) / max(abs(r.cost_cold), 1e-12)
+            for r in self._warm_successes
         ]
         return float(np.mean(devs)) if devs else float("nan")
 
@@ -156,14 +121,13 @@ class OnlineEvaluation:
         """Summed per-phase wall-clock times (the Fig. 5 breakdown numerators).
 
         ``warm_solve`` sums the warm attempts (including failed ones) and
-        ``restart`` sums the fallback recovery time, so the two keys now
-        partition the online solver cost honestly; their sum matches the old
-        (conflated) accounting.
+        ``restart`` sums the fallback recovery time, so the two keys
+        partition the online solver cost.
         """
         return {
             "inference": float(sum(r.inference_seconds for r in self.records)),
-            "warm_solve": float(sum(r.warm_solve_seconds for r in self.records)),
-            "restart": float(sum(r.fallback_solve_seconds for r in self.records)),
+            "warm_solve": float(sum(r.outcome.solve_seconds for r in self.records)),
+            "restart": float(sum(r.outcome.fallback_seconds for r in self.records)),
             "cold_solve": float(sum(r.cold_solve_seconds for r in self.records)),
         }
 
@@ -171,11 +135,12 @@ class OnlineEvaluation:
         """Summed per-phase MIPS component times over the warm-started solves.
 
         The keys are the MIPS instrumentation phases (``eval``, ``assembly``,
-        ``factorization``, ``backsolve``); these are the *measured* component
-        times behind the Fig. 5 Newton-update bar.
+        ``factorization``, ``backsolve``) of each problem's final solve; these
+        are the *measured* component times behind the Fig. 5 Newton-update
+        bar.
         """
         totals: Dict[str, float] = {}
         for record in self.records:
-            for phase, seconds in record.solver_phase_seconds.items():
+            for phase, seconds in record.outcome.phase_seconds.items():
                 totals[phase] = totals.get(phase, 0.0) + seconds
         return totals

@@ -14,7 +14,7 @@ from repro.opf.hessian import hessian_blocks, lagrangian_hessian
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.result import OPFResult, build_opf_result
 from repro.opf.options import OPFOptions, relaxed_options
-from repro.opf.solver import solve_opf, solve_opf_with_fallback
+from repro.opf.solver import solve_opf
 from repro.opf.warmstart import WarmStart
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "build_opf_result",
     "solve_opf",
     "solve_opf_batch",
-    "solve_opf_with_fallback",
     "relaxed_options",
     "objective",
     "objective_hessian_diag",

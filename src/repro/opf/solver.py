@@ -21,7 +21,7 @@ from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 
-__all__ = ["solve_opf", "solve_opf_with_fallback"]
+__all__ = ["solve_opf"]
 
 
 def solve_opf(
@@ -68,30 +68,3 @@ def solve_opf(
         deadline=deadline,
     )
     return result
-
-
-def solve_opf_with_fallback(
-    case: Case,
-    warm_start: WarmStart,
-    Pd_mw: Optional[np.ndarray] = None,
-    Qd_mvar: Optional[np.ndarray] = None,
-    options: Optional[OPFOptions] = None,
-    model: Optional[OPFModel] = None,
-) -> tuple[OPFResult, bool, float]:
-    """Warm-started solve with automatic cold restart on failure.
-
-    Mirrors the paper's online procedure: if the warm-started solve fails to
-    converge, the solver is re-run from the default initial point so the
-    workflow always produces a converged solution.  Returns
-    ``(result, used_fallback, restart_seconds)``.
-    """
-    first = solve_opf(
-        case, warm_start=warm_start, Pd_mw=Pd_mw, Qd_mvar=Qd_mvar, options=options, model=model
-    )
-    if first.success:
-        return first, False, 0.0
-    retry = solve_opf(
-        case, warm_start=None, Pd_mw=Pd_mw, Qd_mvar=Qd_mvar, options=options, model=model
-    )
-    retry.message = f"warm start failed ({first.message}); restarted from default"
-    return retry, True, first.total_seconds

@@ -7,59 +7,40 @@ distributes that sweep over CPU processes — the same scatter → compute →
 gather structure as the paper's multi-GPU data parallelism, with processes
 standing in for GPUs.
 
-Workers are *persistent* at two levels.  Within one sweep the case and solver
-options are shipped once via the pool initializer, each worker builds its
-:class:`~repro.opf.model.OPFModel` (admittances, sparsity-structure caches)
-once and per-batch messages carry only scenarios and warm starts.  Across
-sweeps a :class:`SolverFleet` keeps the worker processes alive, which is what
-the serving engine uses to amortise process start-up over many requests.
+Two types carry the work.  A :class:`Task` is one unit of dispatch: some rows
+of a sweep (scenarios, warm starts, per-row deadlines) solved together in
+lockstep.  A :class:`WorkerState` is what a worker keeps across tasks — the
+case, the solver options, the fallback policy and one
+:class:`~repro.opf.model.OPFModel` — built once per spawned process by the
+pool initializer, or once by the in-process fleet.  A :class:`SolverFleet`
+keeps the workers alive across sweeps, which is what the serving engine uses
+to amortise process start-up over many requests.
 
 A sweep runs one way.  It is cut into micro-batches in input order
 (:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
-through :func:`repro.opf.batch.solve_opf_batch`, which vectorises the
-evaluation/assembly phases across the batch and loops only for the
-per-scenario factorise/backsolve.  Branch outages are per-row data of that
-solve (a zero coefficient on the intact network's element kernels), so the
-scenarios of every N-k topology share one lockstep batch, one sparsity
-pattern and the per-worker model's one
-:class:`~repro.opf.batch.BatchedOPFModel`.
+through :func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row
+data of that solve, so the scenarios of every N-k topology share one lockstep
+batch and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
 Multi-worker fleets put the micro-batches on a shared queue that idle workers
-pull from — a straggling scenario keeps only its own micro-batch busy while
-the rest of the sweep is stolen by the other workers; the in-process fleet
-has nobody to steal from and solves the whole sweep as one group, optionally
-streamed through a bounded lockstep window whose retired slots are refilled
-between iterations.
+pull from; the in-process fleet solves the whole sweep as one task, optionally
+streamed through a bounded lockstep window.  :meth:`SolverFleet.solve` is the
+one-sweep case of :meth:`SolverFleet.solve_many`, whose sweeps merge into one
+dispatch.  Lockstep solves are row-independent bit for bit, so per-scenario
+results are invariant under chunking, steal order, worker count and
+micro-batch size.
 
-Failed solves can be recovered in-worker through a pluggable fallback policy
-(see :mod:`repro.engine.fallback`); the policy object is shipped with the
-initializer, so recovery costs no extra scatter/gather round trip.  The
-(rare) recoveries run per scenario after the lockstep solve, as one-row
-lockstep solves on the same model with the same per-row outage data.
+Failed solves are recovered in-worker through a pluggable fallback policy
+(see :mod:`repro.engine.fallback`) as one-row solves on the same model with
+the same per-row outage data.
 
-:meth:`SolverFleet.solve_many` extends the same machinery across *several*
-sweeps at once: their scenarios — intact, N-1 and N-k alike — merge into one
-dispatch and share lockstep groups.  Scheduling only decides where and with
-whom a scenario is solved; lockstep solves are row-independent bit for bit,
-so per-scenario results are invariant under chunking, steal order, worker
-count and micro-batch size.
-
-Dispatch is *supervised* (:mod:`repro.parallel.supervision`): tasks flow
-through a crash-aware worker pool, and a task whose worker dies (or whose
-solve raises) is retried with a bounded budget, then **bisected** (halved)
-until the culprit scenario is isolated and quarantined as a structured failed
-outcome.  Bisection fragments re-enter the normal solve path, and lockstep
-row independence guarantees the surviving scenarios' results stay
-bit-identical to a fault-free sweep.
-Wall deadlines ride along with each task **per scenario** — a request-wide
-scalar and a per-scenario vector (the async batcher's coalesced-flush shape)
-normalise to the same per-row form — and reach the solver's cooperative
-between-iteration checks; an expired scenario retires as a ``timed_out``
-outcome without perturbing its lockstep neighbours, and a dispatched task
-whose deadlines have partially passed retires only the expired rows while
-solving the rest.
-Deterministic chaos for all of this comes from an optional
-:class:`~repro.testing.faults.FaultPlan` shipped to the workers with the
-initializer.
+Dispatch is *supervised* (:mod:`repro.parallel.supervision`): a task whose
+worker dies (or whose solve raises) is retried with a bounded budget, then
+**bisected** (:meth:`Task.split`) until the culprit scenario is isolated and
+quarantined as a structured failed outcome.  Per-row wall deadlines ride on
+the task and reach the solver's cooperative between-iteration checks; rows
+already expired at dispatch retire as ``timed_out`` without perturbing the
+rest.  Deterministic chaos for all of this comes from an optional
+:class:`~repro.testing.faults.FaultPlan` held by the worker state.
 """
 
 from __future__ import annotations
@@ -216,197 +197,51 @@ class SweepResult:
         return float(sum(o.solve_seconds + o.fallback_seconds for o in self.outcomes))
 
 
-# ---------------------------------------------------------------------- workers
-#: Per-process worker state: populated once by :func:`_init_worker`, reused by
-#: every batch the worker processes (model construction and case transfer are
-#: paid once per worker, not once per batch).
-_WORKER_STATE: Dict[str, object] = {}
+# ------------------------------------------------------------------------ tasks
+@dataclass(frozen=True)
+class Task:
+    """One unit of dispatch: rows of a sweep solved together in lockstep.
 
-
-def _build_state(
-    case: Case,
-    options: OPFOptions,
-    fallback: "Optional[FallbackPolicy]" = None,
-    collect_solutions: bool = False,
-    model: Optional[OPFModel] = None,
-    faults: Optional[FaultPlan] = None,
-    in_subprocess: bool = False,
-) -> Dict[str, object]:
-    return {
-        "case": case,
-        "options": options,
-        # The worker's one model; it owns the batched kernels every solve of
-        # the worker runs on, whatever the scenario's topology.
-        "model": model or OPFModel(case, flow_limits=options.flow_limits),
-        "fallback": fallback,
-        "collect_solutions": collect_solutions,
-        "faults": faults,
-        "in_subprocess": in_subprocess,
-        # Tasks processed by this worker process (drives ``kill_at_task``).
-        "task_count": 0,
-    }
-
-
-def _init_worker(
-    case: Case,
-    options: OPFOptions,
-    fallback: "Optional[FallbackPolicy]" = None,
-    collect_solutions: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> None:
-    """Pool initializer: build the per-process OPF models once."""
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        _build_state(
-            case,
-            options,
-            fallback,
-            collect_solutions,
-            faults=faults,
-            in_subprocess=True,
-        )
-    )
-
-
-def _solve_scenario(
-    state: Dict[str, object],
-    scenario: Scenario,
-    warm: Optional[WarmStart],
-    options: Optional[OPFOptions] = None,
-    deadline: Optional[float] = None,
-) -> OPFResult:
-    """One-row solve of one scenario (the fallback-recovery solve).
-
-    Runs on the worker's persistent model with the scenario's outage set as
-    per-row data, exactly like its lockstep row: a recovered outage row keeps
-    the intact network's ``µ``/``Z`` layout, and a row that takes a rated
-    branch out starts ``µ``/``Z`` from solver defaults.
+    ``positions`` are the rows' places in the flat dispatch (not scenario ids,
+    which may collide across merged sweeps); ``scenarios``, ``warm_starts``
+    and ``deadlines`` are aligned with them.  ``worker_id`` labels the
+    outcomes (``None``: the executing process's pool identity).  ``window``
+    bounds the lockstep width.  ``attempt`` counts crash retries; fault plans
+    key on it.  ``deadlines`` holds absolute ``time.monotonic()`` deadlines
+    (``inf`` for an unbounded row), or is ``None`` when no row is bounded.
     """
-    (result,) = solve_opf_batch(
-        state["case"],
-        [scenario.Pd],
-        [scenario.Qd],
-        warm_starts=[warm],
-        options=options or state["options"],
-        model=state["model"],
-        deadline=deadline,
-        outages=[scenario.outage_branches],
-    )
-    return result
 
+    positions: Tuple[int, ...]
+    scenarios: Tuple[Scenario, ...]
+    warm_starts: Tuple[Optional[WarmStart], ...]
+    worker_id: Optional[int] = None
+    window: Optional[int] = None
+    attempt: int = 0
+    deadlines: Optional[Tuple[float, ...]] = None
 
-def _row_deadline(deadlines: Optional[List[float]], pos: int) -> Optional[float]:
-    """The scalar deadline of one row (``None`` for unbounded/absent rows)."""
-    if deadlines is None:
-        return None
-    value = deadlines[pos]
-    return None if np.isinf(value) else float(value)
-
-
-def _outcome_for(
-    state: Dict[str, object],
-    scenario: Scenario,
-    warm: Optional[WarmStart],
-    worker_id: int,
-    first: OPFResult,
-    deadline: Optional[float] = None,
-) -> ScenarioOutcome:
-    """Apply the fallback policy to a first attempt and package the outcome.
-
-    ``first`` is the scenario's row of the lockstep solve; recovery runs per
-    scenario through :func:`_solve_scenario`.  A first attempt that timed out
-    retires as-is — recovery would only burn more of a budget that is already
-    spent — and recovery solves for ordinary failures inherit the scenario's
-    deadline.
-    """
-    options: OPFOptions = state["options"]
-    policy = state["fallback"]
-
-    recovered: Optional[OPFResult] = None
-    fallback_seconds = 0.0
-    fallback_iterations = 0
-    if not first.success and not first.timed_out and policy is not None:
-        attempts: List[OPFResult] = []
-
-        def solve(warm_start, solve_options=None):
-            result = _solve_scenario(
-                state, scenario, warm_start, solve_options, deadline=deadline
-            )
-            attempts.append(result)
-            return result
-
-        t0 = time.perf_counter()
-        recovered = policy.recover(solve, warm, first, options)
-        fallback_seconds = time.perf_counter() - t0
-        if recovered is not None:
-            # Charge every recovery solve (e.g. a failed relaxed retry plus
-            # the cold restart), keeping iteration and wall-time accounting
-            # consistent.
-            fallback_iterations = (
-                sum(r.iterations for r in attempts) if attempts else recovered.iterations
-            )
-
-    final = recovered if recovered is not None else first
-    solution = None
-    if state["collect_solutions"]:
-        solution = ScenarioSolution(
-            x=final.x.copy(), lam=final.lam.copy(), mu=final.mu.copy(), z=final.z.copy()
+    def rows(self, keep: Sequence[int]) -> "Task":
+        """A first-attempt task of rows ``keep`` (indices into this task)."""
+        return replace(
+            self,
+            positions=tuple(self.positions[i] for i in keep),
+            scenarios=tuple(self.scenarios[i] for i in keep),
+            warm_starts=tuple(self.warm_starts[i] for i in keep),
+            attempt=0,
+            deadlines=None if self.deadlines is None else tuple(self.deadlines[i] for i in keep),
         )
-    return ScenarioOutcome(
-        scenario_id=scenario.scenario_id,
-        success=first.success,
-        iterations=first.iterations,
-        objective=first.objective,
-        solve_seconds=first.total_seconds,
-        worker=worker_id,
-        used_fallback=recovered is not None,
-        fallback_success=bool(recovered.success) if recovered is not None else False,
-        iterations_fallback=fallback_iterations,
-        objective_fallback=recovered.objective if recovered is not None else float("nan"),
-        fallback_seconds=fallback_seconds,
-        phase_seconds=dict(final.phase_seconds),
-        kkt_telemetry=dict(getattr(final, "kkt_telemetry", {}) or {}),
-        solution=solution,
-        timed_out=first.timed_out or (recovered is not None and recovered.timed_out),
-    )
 
+    def split(self) -> Optional[List["Task"]]:
+        """Halve a repeatedly failing task; ``None`` once it is one row.
 
-def _solve_group_in_state(
-    state: Dict[str, object],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    worker_id: int,
-    window: Optional[int] = None,
-    deadlines: Optional[List[float]] = None,
-) -> List[ScenarioOutcome]:
-    """Solve a scenario group in lockstep, whatever its mix of topologies.
-
-    Every row runs on the worker's one batched model with its outage set as
-    per-row data (:func:`repro.opf.batch.solve_opf_batch`, which also drops
-    the warm ``µ``/``Z`` of rows that take a rated branch out).  *Every*
-    group marches in lockstep — singletons included — so per-scenario
-    results are one canonical set regardless of how the scheduler happened to
-    cut the queue into micro-batches.  ``window`` bounds the lockstep width
-    (retire-and-refill streaming); ``deadlines`` are per-row absolute wall
-    deadlines (``inf`` = unbounded).  Fallback recovery stays per scenario.
-    """
-    firsts = solve_opf_batch(
-        state["case"],
-        np.stack([s.Pd for s in scenarios]),
-        np.stack([s.Qd for s in scenarios]),
-        warm_starts=warm_starts,
-        options=state["options"],
-        model=state["model"],
-        window=window,
-        deadline=deadlines,
-        outages=[s.outage_branches for s in scenarios],
-    )
-    return [
-        _outcome_for(
-            state, scenario, warm, worker_id, first, deadline=_row_deadline(deadlines, pos)
-        )
-        for pos, (scenario, warm, first) in enumerate(zip(scenarios, warm_starts, firsts))
-    ]
+        Tasks march in lockstep *even as singletons*, and lockstep rows are
+        independent bit for bit, so any cut reproduces its rows and surviving
+        scenarios keep bitwise parity with a fault-free sweep.  Fragments
+        restart the retry budget.
+        """
+        n = len(self.positions)
+        if n <= 1:
+            return None
+        return [self.rows(range(n // 2)), self.rows(range(n // 2, n))]
 
 
 def _worker_identity() -> int:
@@ -418,91 +253,6 @@ def _worker_identity() -> int:
     """
     identity = getattr(mp.current_process(), "_identity", None) or ()
     return int(identity[0]) if identity else 0
-
-
-# -------------------------------------------------------------- task machinery
-#: A dispatch task is a plain picklable dict:
-#:
-#: * ``positions`` — global sweep positions of the carried scenarios;
-#: * ``scenarios`` / ``warm_starts`` — the carried work, aligned with
-#:   ``positions``; every task is solved in lockstep, whatever its mix of
-#:   topologies;
-#: * ``worker_id`` — the worker label stamped on outcomes (``None`` = the
-#:   executing process's own identity, the pooled-fleet label);
-#: * ``window`` — optional lockstep window;
-#: * ``attempt`` — crash-retry attempt number (0 = first dispatch), which
-#:   fault plans key on;
-#: * ``deadline`` — ``None`` (unbounded task) or a tuple of absolute
-#:   ``time.monotonic()`` wall deadlines aligned with ``scenarios``
-#:   (``inf`` entries = unbounded rows).  A scalar is also accepted and
-#:   broadcast over the task's rows.
-
-
-def _make_task(
-    positions: Sequence[int],
-    scenarios: List[Scenario],
-    warm_starts: List[Optional[WarmStart]],
-    worker_id: Optional[int],
-    window: Optional[int],
-    due: Optional[np.ndarray],
-) -> Dict[str, object]:
-    return {
-        "positions": tuple(positions),
-        "scenarios": [scenarios[i] for i in positions],
-        "warm_starts": [warm_starts[i] for i in positions],
-        "worker_id": worker_id,
-        "window": window,
-        "attempt": 0,
-        "deadline": None if due is None else tuple(float(due[i]) for i in positions),
-    }
-
-
-def _task_deadlines(task: Dict[str, object]) -> Optional[List[float]]:
-    """The task's per-row absolute deadlines (``None`` when unbounded).
-
-    Scalars broadcast over the task's scenarios so hand-built tasks keep
-    working; ``inf`` rows mean unbounded.
-    """
-    deadline = task["deadline"]
-    if deadline is None:
-        return None
-    if isinstance(deadline, (int, float)):
-        return [float(deadline)] * len(task["scenarios"])
-    return [float(d) for d in deadline]
-
-
-def _split_task(task: Dict[str, object]) -> Optional[List[Dict[str, object]]]:
-    """Halve a repeatedly-failing task; ``None`` when it cannot shrink.
-
-    Tasks march in lockstep *even as singletons*; lockstep rows are
-    independent bit for bit, so any cut of a task reproduces its rows and
-    surviving scenarios keep bitwise parity with a fault-free sweep.  Fragments restart the retry budget (``attempt=0``).
-    """
-    positions: Tuple[int, ...] = task["positions"]
-    if len(positions) <= 1:
-        return None
-    scenarios: List[Scenario] = task["scenarios"]
-    warm_starts: List[Optional[WarmStart]] = task["warm_starts"]
-    deadlines = _task_deadlines(task)
-
-    def fragment(rows: slice) -> Dict[str, object]:
-        return dict(
-            task,
-            positions=positions[rows],
-            scenarios=scenarios[rows],
-            warm_starts=warm_starts[rows],
-            attempt=0,
-            deadline=None if deadlines is None else tuple(deadlines[rows]),
-        )
-
-    half = len(positions) // 2
-    return [fragment(slice(None, half)), fragment(slice(half, None))]
-
-
-def _task_worker_label(task: Dict[str, object]) -> int:
-    """The worker id stamped on this task's outcomes (see ``_make_task``)."""
-    worker_id = task["worker_id"]
-    return _worker_identity() if worker_id is None else int(worker_id)
 
 
 def _retired_outcome(
@@ -528,72 +278,183 @@ def _retired_outcome(
     )
 
 
-def _solve_task_in_state(
-    state: Dict[str, object], task: Dict[str, object]
-) -> List[ScenarioOutcome]:
-    """Execute one dispatch task: faults, deadline gate, then the solve path."""
-    scenarios: List[Scenario] = task["scenarios"]
-    attempt: int = task["attempt"]
-    plan: Optional[FaultPlan] = state.get("faults")
-    if plan:
-        index = int(state.get("task_count", 0))
-        state["task_count"] = index + 1
-        scenario_ids = [s.scenario_id for s in scenarios]
-        if plan.kill_at_task_index(index) or plan.kill_for(scenario_ids, attempt):
-            execute_kill(bool(state.get("in_subprocess")))
-        stall = plan.stall_seconds(scenario_ids, attempt)
-        if stall > 0.0:
-            time.sleep(stall)
-        spec = plan.raise_for(scenario_ids, attempt)
-        if spec is not None:
-            raise FaultInjectionError(spec.message)
-    deadlines = _task_deadlines(task)
-    warm_starts: List[Optional[WarmStart]] = task["warm_starts"]
-    retired: Dict[int, ScenarioOutcome] = {}
-    if deadlines is not None:
+# ---------------------------------------------------------------------- workers
+@dataclass
+class WorkerState:
+    """What one worker keeps across tasks.
+
+    ``model`` is the worker's one OPF model (built from ``case`` when not
+    given): it owns the batched kernels every solve of the worker runs on,
+    whatever the scenario's topology.  ``tasks_run`` counts the tasks this
+    worker executed, which ``kill_at_task`` faults key on.
+    """
+
+    case: Case
+    options: OPFOptions
+    fallback: "Optional[FallbackPolicy]" = None
+    collect_solutions: bool = False
+    faults: Optional[FaultPlan] = None
+    in_subprocess: bool = False
+    model: Optional[OPFModel] = None
+    tasks_run: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        if self.model is None:
+            self.model = OPFModel(self.case, flow_limits=self.options.flow_limits)
+
+    def run(self, task: Task) -> List[ScenarioOutcome]:
+        """Execute one task: injected faults, the deadline gate, then the solve."""
+        if self.faults:
+            self._inject_faults(task)
+        worker = _worker_identity() if task.worker_id is None else task.worker_id
+        if task.deadlines is None:
+            return self._solve(task, worker)
         # Row-wise deadline gate: a coalesced task carries rows with different
         # deadlines, so only the rows that already missed theirs retire as
-        # timed out — the rest are solved with their own per-row deadlines.
-        # Lockstep rows are bit-independent, so retiring a subset up front
-        # leaves the surviving rows' results bitwise identical to a sweep
-        # where the expired rows never existed.
+        # timed out.  Lockstep rows are bit-independent, so dropping them
+        # leaves the survivors bitwise identical to a sweep where the expired
+        # rows never existed.
         now = time.monotonic()
-        worker = _task_worker_label(task)
-        for pos, row_deadline in enumerate(deadlines):
-            if now >= row_deadline:
-                retired[pos] = _retired_outcome(
-                    scenarios[pos], worker, "wall deadline exceeded", timed_out=True
+        live = [i for i, due in enumerate(task.deadlines) if now < due]
+        if len(live) == len(task.positions):
+            return self._solve(task, worker)
+        solved = iter(self._solve(task.rows(live), worker) if live else ())
+        return [
+            next(solved)
+            if now < due
+            else _retired_outcome(scenario, worker, "wall deadline exceeded", timed_out=True)
+            for scenario, due in zip(task.scenarios, task.deadlines)
+        ]
+
+    def _inject_faults(self, task: Task) -> None:
+        index = self.tasks_run
+        self.tasks_run += 1
+        scenario_ids = [s.scenario_id for s in task.scenarios]
+        if self.faults.kill_at_task_index(index) or self.faults.kill_for(scenario_ids, task.attempt):
+            execute_kill(self.in_subprocess)
+        stall = self.faults.stall_seconds(scenario_ids, task.attempt)
+        if stall > 0.0:
+            time.sleep(stall)
+        spec = self.faults.raise_for(scenario_ids, task.attempt)
+        if spec is not None:
+            raise FaultInjectionError(spec.message)
+
+    def _solve(self, task: Task, worker: int) -> List[ScenarioOutcome]:
+        """Solve the task's rows in lockstep, whatever their mix of topologies.
+
+        *Every* task marches in lockstep — singletons included — so
+        per-scenario results are one canonical set regardless of how the
+        scheduler cut the queue.  Fallback recovery stays per scenario.
+        """
+        firsts = solve_opf_batch(
+            self.case,
+            np.stack([s.Pd for s in task.scenarios]),
+            np.stack([s.Qd for s in task.scenarios]),
+            warm_starts=task.warm_starts,
+            options=self.options,
+            model=self.model,
+            window=task.window,
+            deadline=task.deadlines,
+            outages=[s.outage_branches for s in task.scenarios],
+        )
+        deadlines = task.deadlines or (np.inf,) * len(firsts)
+        return [
+            self._outcome(scenario, warm, worker, first, None if np.isinf(due) else due)
+            for scenario, warm, first, due in zip(task.scenarios, task.warm_starts, firsts, deadlines)
+        ]
+
+    def _outcome(
+        self,
+        scenario: Scenario,
+        warm: Optional[WarmStart],
+        worker: int,
+        first: OPFResult,
+        deadline: Optional[float],
+    ) -> ScenarioOutcome:
+        """Apply the fallback policy to a first attempt and package the outcome.
+
+        ``first`` is the scenario's lockstep row.  Recovery solves are one-row
+        lockstep solves on the worker's model with the scenario's outage set
+        as per-row data, so a recovered outage row keeps the intact network's
+        ``µ``/``Z`` layout; they inherit the scenario's deadline.  A first
+        attempt that timed out retires as-is — recovery would only burn more
+        of a budget that is already spent.
+        """
+        recovered: Optional[OPFResult] = None
+        fallback_seconds = 0.0
+        fallback_iterations = 0
+        if not first.success and not first.timed_out and self.fallback is not None:
+            attempts: List[OPFResult] = []
+
+            def solve(warm_start, solve_options=None):
+                (result,) = solve_opf_batch(
+                    self.case,
+                    [scenario.Pd],
+                    [scenario.Qd],
+                    warm_starts=[warm_start],
+                    options=solve_options or self.options,
+                    model=self.model,
+                    deadline=deadline,
+                    outages=[scenario.outage_branches],
                 )
-        if retired and len(retired) == len(scenarios):
-            return [retired[pos] for pos in range(len(scenarios))]
+                attempts.append(result)
+                return result
 
-    # Lockstep rows are bit-independent, so simply dropping the expired rows
-    # keeps the survivors on their canonical numeric path.
-    if retired:
-        live = [pos for pos in range(len(scenarios)) if pos not in retired]
-        scenarios = [scenarios[pos] for pos in live]
-        warm_starts = [warm_starts[pos] for pos in live]
-        deadlines = [deadlines[pos] for pos in live]
-    solved = _solve_group_in_state(
-        state,
-        scenarios,
-        warm_starts,
-        _task_worker_label(task),
-        window=task["window"],
-        deadlines=deadlines,
-    )
-    if not retired:
-        return solved
-    outs: List[ScenarioOutcome] = []
-    solved_iter = iter(solved)
-    for pos in range(len(task["scenarios"])):
-        outs.append(retired[pos] if pos in retired else next(solved_iter))
-    return outs
+            t0 = time.perf_counter()
+            recovered = self.fallback.recover(solve, warm, first, self.options)
+            fallback_seconds = time.perf_counter() - t0
+            if recovered is not None:
+                # Charge every recovery solve (e.g. a failed relaxed retry plus
+                # the cold restart), keeping iteration and wall-time accounting
+                # consistent.
+                fallback_iterations = (
+                    sum(r.iterations for r in attempts) if attempts else recovered.iterations
+                )
+
+        final = recovered if recovered is not None else first
+        solution = None
+        if self.collect_solutions:
+            solution = ScenarioSolution(
+                x=final.x.copy(), lam=final.lam.copy(), mu=final.mu.copy(), z=final.z.copy()
+            )
+        return ScenarioOutcome(
+            scenario_id=scenario.scenario_id,
+            success=first.success,
+            iterations=first.iterations,
+            objective=first.objective,
+            solve_seconds=first.total_seconds,
+            worker=worker,
+            used_fallback=recovered is not None,
+            fallback_success=bool(recovered.success) if recovered is not None else False,
+            iterations_fallback=fallback_iterations,
+            objective_fallback=recovered.objective if recovered is not None else float("nan"),
+            fallback_seconds=fallback_seconds,
+            phase_seconds=dict(final.phase_seconds),
+            kkt_telemetry=dict(final.kkt_telemetry),
+            solution=solution,
+            timed_out=first.timed_out or (recovered is not None and recovered.timed_out),
+        )
 
 
-def _solve_task(task: Dict[str, object]) -> List[ScenarioOutcome]:
-    """Worker entry point (module-level for pickling); uses the initializer state."""
-    return _solve_task_in_state(_WORKER_STATE, task)
+#: This process's worker state, set by :func:`_init_worker` in spawned workers.
+_WORKER: Optional[WorkerState] = None
+
+
+def _init_worker(
+    case: Case,
+    options: OPFOptions,
+    fallback: "Optional[FallbackPolicy]" = None,
+    collect_solutions: bool = False,
+    faults: Optional[FaultPlan] = None,
+) -> None:
+    """Pool initializer: build the worker state (and its OPF model) once."""
+    global _WORKER
+    _WORKER = WorkerState(case, options, fallback, collect_solutions, faults, in_subprocess=True)
+
+
+def _solve_task(task: Task) -> List[ScenarioOutcome]:
+    """Worker entry point (module-level for pickling)."""
+    return _WORKER.run(task)
 
 
 # ------------------------------------------------------------------------ fleet
@@ -652,10 +513,10 @@ class SolverFleet:
         self.faults = faults
         self.crash_retries = crash_retries
         self._pool: Optional[SupervisedPool] = None
-        self._state: Optional[Dict[str, object]] = None
+        self._state: Optional[WorkerState] = None
         if n_workers == 1:
-            self._state = _build_state(
-                case, self.options, fallback, collect_solutions, model=model, faults=faults
+            self._state = WorkerState(
+                case, self.options, fallback, collect_solutions, faults, model=model
             )
         else:
             self._pool = SupervisedPool(
@@ -721,28 +582,9 @@ class SolverFleet:
         into one sweep.  Scenarios that miss their cut retire as
         ``timed_out`` outcomes instead of blocking the request.
         """
-        if warm_starts is None:
-            warm_starts = [None] * len(scenario_set)
-        if len(warm_starts) != len(scenario_set):
-            raise ValueError("warm_starts must have one entry per scenario")
-        due = self._deadline_vector(deadline_seconds, deadline, len(scenario_set))
-
-        scenarios = list(scenario_set)
-        start = time.perf_counter()
-        outcomes, stats = self._dispatch(scenarios, list(warm_starts), due)
-        wall = time.perf_counter() - start
-
-        sweep = SweepResult(
-            case_name=self.case.name,
-            n_workers=self.n_workers,
-            wall_seconds=wall,
-            errors=stats["errors"],
-            retries=stats["retries"],
-            quarantined=stats["quarantined"],
-        )
-        sweep.outcomes.extend(outcomes)
-        sweep.outcomes.sort(key=lambda o: o.scenario_id)
-        return sweep
+        return self.solve_many(
+            [scenario_set], [warm_starts], deadline_seconds=deadline_seconds, deadline=deadline
+        )[0]
 
     def solve_many(
         self,
@@ -777,51 +619,35 @@ class SolverFleet:
         flat_scenarios: List[Scenario] = []
         flat_warms: List[Optional[WarmStart]] = []
         origins: List[int] = []
-        for si, scenario_set in enumerate(sets):
-            warm_list = warm_starts[si]
+        for si, (scenario_set, warm_list) in enumerate(zip(sets, warm_starts)):
             if warm_list is None:
                 warm_list = [None] * len(scenario_set)
             if len(warm_list) != len(scenario_set):
                 raise ValueError(f"warm_starts[{si}] must have one entry per scenario")
-            for scenario, warm in zip(scenario_set, warm_list):
-                flat_scenarios.append(scenario)
-                flat_warms.append(warm)
-                origins.append(si)
+            flat_scenarios.extend(scenario_set)
+            flat_warms.extend(warm_list)
+            origins.extend([si] * len(scenario_set))
 
         due = self._deadline_vector(deadline_seconds, deadline, len(flat_scenarios))
         start = time.perf_counter()
-        outcomes, stats = self._dispatch(flat_scenarios, flat_warms, due)
-        wall = time.perf_counter() - start
+        joint = self._dispatch(flat_scenarios, flat_warms, due)
+        joint.wall_seconds = time.perf_counter() - start
 
-        sweeps = [
-            SweepResult(
-                case_name=self.case.name,
-                n_workers=self.n_workers,
-                wall_seconds=wall,
-                errors=stats["errors"],
-                retries=stats["retries"],
-                quarantined=stats["quarantined"],
-            )
-            for _ in sets
+        per_sweep: List[List[ScenarioOutcome]] = [[] for _ in sets]
+        for outcome, origin in zip(joint.outcomes, origins):
+            per_sweep[origin].append(outcome)
+        return [
+            replace(joint, outcomes=sorted(outcomes, key=lambda o: o.scenario_id))
+            for outcomes in per_sweep
         ]
-        for outcome, origin in zip(outcomes, origins):
-            sweeps[origin].outcomes.append(outcome)
-        for sweep in sweeps:
-            sweep.outcomes.sort(key=lambda o: o.scenario_id)
-        return sweeps
 
     # ------------------------------------------------------------- dispatchers
-    def _require_state(self) -> Dict[str, object]:
-        if self._state is None:
-            raise RuntimeError("fleet is closed")
-        return self._state
-
     def _dispatch(
         self,
         scenarios: List[Scenario],
         warm_starts: List[Optional[WarmStart]],
-        due: Optional[np.ndarray] = None,
-    ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
+        due: Optional[np.ndarray],
+    ) -> SweepResult:
         """Cut the sweep into lockstep tasks and run them; outcomes by position.
 
         Multi-worker fleets submit the micro-batches to the supervised pool's
@@ -840,71 +666,76 @@ class SolverFleet:
             width, worker_id, window = max(len(scenarios), 1), 0, self.microbatch
         else:
             width, worker_id, window = self.microbatch, None, None
+        sweep = Task(
+            positions=tuple(range(len(scenarios))),
+            scenarios=tuple(scenarios),
+            warm_starts=tuple(warm_starts),
+            worker_id=worker_id,
+            window=window,
+            deadlines=None if due is None else tuple(float(d) for d in due),
+        )
         tasks = [
-            _make_task(microbatch.positions, scenarios, warm_starts, worker_id, window, due)
+            sweep.rows(microbatch.positions)
             for microbatch in make_microbatches(scenarios, width, self.n_workers)
         ]
         return self._run_tasks(tasks, len(scenarios))
 
-    def _run_tasks(
-        self, tasks: List[Dict[str, object]], n_scenarios: int
-    ) -> Tuple[List[ScenarioOutcome], Dict[str, int]]:
+    def _run_tasks(self, tasks: List[Task], n_scenarios: int) -> SweepResult:
         """Run dispatch tasks under supervision; one outcome per position.
 
         A failing task (dead worker or raised exception — including injected
         faults) is retried up to ``crash_retries`` times, then bisected by
-        :func:`_split_task` until the culprit scenario is isolated and
+        :meth:`Task.split` until the culprit scenario is isolated and
         quarantined.  The multi-worker path consumes the supervised pool's
         event stream (crashed workers are respawned by the pool); the
         in-process path runs the identical policy inline, treating any
-        exception from the solve as the failure event.
+        exception from the solve as the failure event.  The returned sweep
+        carries the failure counters; its wall is the caller's to stamp.
         """
+        joint = SweepResult(case_name=self.case.name, n_workers=self.n_workers)
         outcomes: List[Optional[ScenarioOutcome]] = [None] * n_scenarios
-        stats = {"errors": 0, "retries": 0, "quarantined": 0}
         #: Retry attempts each global position has ridden along in — folded
         #: into its final outcome whichever task eventually carries it home.
         retry_counts: Dict[int, int] = {}
 
-        def place(task: Dict[str, object], outs: List[ScenarioOutcome]) -> None:
-            for pos, outcome in zip(task["positions"], outs):
+        def place(task: Task, outs: List[ScenarioOutcome]) -> None:
+            for pos, outcome in zip(task.positions, outs):
                 extra = retry_counts.get(pos, 0)
                 if extra:
                     outcome = replace(outcome, retries=outcome.retries + extra)
                 outcomes[pos] = outcome
 
-        def on_failure(
-            task: Dict[str, object], message: str
-        ) -> List[Dict[str, object]]:
+        def on_failure(task: Task, message: str) -> List[Task]:
             """Retry, bisect or quarantine; returns the tasks to (re)dispatch."""
-            stats["errors"] += 1
-            if task["attempt"] < self.crash_retries:
-                stats["retries"] += 1
-                for pos in task["positions"]:
+            joint.errors += 1
+            if task.attempt < self.crash_retries:
+                joint.retries += 1
+                for pos in task.positions:
                     retry_counts[pos] = retry_counts.get(pos, 0) + 1
-                return [dict(task, attempt=task["attempt"] + 1)]
-            fragments = _split_task(task)
+                return [replace(task, attempt=task.attempt + 1)]
+            fragments = task.split()
             if fragments is not None:
                 return fragments
-            scenario = task["scenarios"][0]
-            pos = task["positions"][0]
-            worker = task["worker_id"]
+            pos = task.positions[0]
             outcomes[pos] = _retired_outcome(
-                scenario,
-                0 if worker is None else int(worker),
+                task.scenarios[0],
+                task.worker_id or 0,
                 message,
                 quarantined=True,
                 retries=retry_counts.get(pos, 0),
             )
-            stats["quarantined"] += 1
+            joint.quarantined += 1
             return []
 
         if self._pool is None:
-            state = self._require_state()
-            queue: List[Dict[str, object]] = list(tasks)
+            state = self._state
+            if state is None:
+                raise RuntimeError("fleet is closed")
+            queue = list(tasks)
             while queue:
                 task = queue.pop(0)
                 try:
-                    outs = _solve_task_in_state(state, task)
+                    outs = state.run(task)
                 except Exception as exc:  # noqa: BLE001 - the supervision boundary
                     queue.extend(on_failure(task, f"{type(exc).__name__}: {exc}"))
                 else:
@@ -915,7 +746,7 @@ class SolverFleet:
             # next_event()/submit() — the designed abort signal — rather than
             # this loop tripping over a vanished attribute.
             pool = self._pool
-            inflight: Dict[int, Dict[str, object]] = {}
+            inflight: Dict[int, Task] = {}
             for task in tasks:
                 inflight[pool.submit(_solve_task, task)] = task
             while inflight:
@@ -926,7 +757,8 @@ class SolverFleet:
                     continue
                 for fragment in on_failure(task, str(payload)):
                     inflight[pool.submit(_solve_task, fragment)] = fragment
-        return outcomes, stats  # type: ignore[return-value]
+        joint.outcomes = outcomes  # type: ignore[assignment]
+        return joint
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -73,10 +73,10 @@ def test_online_records_are_consistent(evaluation9):
     for record in evaluation9.records:
         assert record.cold_solve_seconds > 0
         assert record.inference_seconds >= 0
-        if record.used_fallback:
-            assert record.restart_seconds > 0
+        if record.outcome.used_fallback:
+            assert record.outcome.fallback_seconds > 0
         else:
-            assert record.restart_seconds == 0.0
+            assert record.outcome.fallback_seconds == 0.0
 
 
 def test_online_max_problems_limit(framework9):
@@ -135,7 +135,7 @@ def test_breakdown_normalisation(evaluation9):
 
 
 def test_breakdown_requires_records(evaluation9):
-    from repro.core.framework import OnlineEvaluation
+    from repro.engine.records import OnlineEvaluation
 
     with pytest.raises(ValueError):
         breakdown_from_evaluation(OnlineEvaluation(case_name="empty"))

@@ -49,9 +49,9 @@ def test_engine_evaluate_matches_sequential_loop(engine9, trained_trainer9, case
             Qd_mvar=subset.Qd_mw[i],
             model=opf_model9,
         )
-        assert record.success == result.success
-        assert record.iterations_warm == result.iterations
-        assert record.cost_warm == pytest.approx(result.objective, rel=1e-9)
+        assert record.outcome.success == result.success
+        assert record.outcome.iterations == result.iterations
+        assert record.outcome.objective == pytest.approx(result.objective, rel=1e-9)
 
 
 def test_engine_evaluate_max_problems_and_validation(engine9, dataset9):
@@ -69,7 +69,7 @@ def test_engine_serve_scenarios(engine9, case9_fixture):
     # The fleet persists across calls; close() tears it down (and a later
     # serve lazily starts a fresh one).
     assert engine9.serve(scenarios).n_scenarios == 4
-    assert 1 in engine9._fleets
+    assert (1, False) in engine9._fleets
     engine9.close()
     assert not engine9._fleets
 
@@ -191,14 +191,15 @@ def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
     assert evaluation.fallback_rate == 1.0
     assert evaluation.success_rate == 0.0
     for record in evaluation.records:
+        outcome = record.outcome
         # The warm attempt burned exactly the starved budget — not the fallback's.
-        assert record.iterations_warm == 1
-        assert record.iterations_fallback == 1
-        assert not record.success
-        assert record.used_fallback
-        assert record.restart_seconds > 0
-        assert record.warm_solve_seconds > 0
-        assert record.online_seconds >= record.warm_solve_seconds + record.restart_seconds
+        assert outcome.iterations == 1
+        assert outcome.iterations_fallback == 1
+        assert not outcome.success
+        assert outcome.used_fallback
+        assert outcome.fallback_seconds > 0
+        assert outcome.solve_seconds > 0
+        assert record.online_seconds >= outcome.solve_seconds + outcome.fallback_seconds
 
 
 def test_sweep_relaxed_fallback_counts_every_recovery_solve(case9_fixture):

@@ -200,6 +200,40 @@ def test_stalled_scenario_times_out_alone(case9_fixture, scenarios9):
         assert got[sid].converged and not got[sid].timed_out
 
 
+def test_bisection_carries_per_row_deadlines(case9_fixture, scenarios9):
+    """Fragments of a bisected task keep each row's own deadline.
+
+    Scenario 5 raises on every attempt, so its task is retried, then halved
+    until 5 is alone; scenario 4 rides with it through every cut and its
+    deadline has already passed.  The expired row must retire as timed out
+    (never quarantined), the culprit must be quarantined, and every other row
+    must match the fault-free sweep bit for bit.
+    """
+    culprit, expired = scenarios9[5].scenario_id, scenarios9[4].scenario_id
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        reference = fleet.solve(scenarios9)
+    deadlines = [float("inf")] * len(scenarios9)
+    deadlines[4] = time.monotonic() - 1.0
+    plan = FaultPlan.of(raise_in_solver(culprit, message="poison row"))
+    with SolverFleet(case9_fixture, n_workers=1, faults=plan) as fleet:
+        chaos = fleet.solve(scenarios9, deadline=deadlines)
+
+    got, ref = _by_id(chaos), _by_id(reference)
+    assert got[expired].timed_out and not got[expired].quarantined
+    assert got[culprit].quarantined and "poison row" in got[culprit].error
+    assert chaos.quarantined == 1
+    for sid, outcome in got.items():
+        if sid in (culprit, expired):
+            continue
+        assert not outcome.timed_out and not outcome.quarantined
+        expected = ref[sid]
+        assert (outcome.success, outcome.iterations, outcome.used_fallback) == (
+            expected.success, expected.iterations, expected.used_fallback
+        )
+        assert outcome.objective.hex() == expected.objective.hex()
+        assert outcome.final_objective.hex() == expected.final_objective.hex()
+
+
 def test_deadline_seconds_must_be_positive(case9_fixture, scenarios9):
     with SolverFleet(case9_fixture, n_workers=1) as fleet:
         with pytest.raises(ValueError, match="deadline_seconds"):

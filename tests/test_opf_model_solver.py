@@ -10,7 +10,6 @@ from repro.opf import (
     WarmStart,
     lagrangian_hessian,
     solve_opf,
-    solve_opf_with_fallback,
 )
 from repro.opf.constraints import branch_flow_limits, power_balance
 from repro.opf.costs import objective
@@ -160,30 +159,6 @@ def test_solver_options_validation():
 def test_model_case_mismatch_rejected(case9_fixture, case14_fixture, opf_model9):
     with pytest.raises(ValueError):
         solve_opf(case14_fixture, model=opf_model9)
-
-
-def test_fallback_returns_cold_result_on_bad_warm_start(case9_fixture, opf_model9, rng):
-    # A hopeless warm start: random multipliers, tiny slacks, random voltages.
-    nx = opf_model9.idx.nx
-    bad = WarmStart(
-        x=opf_model9.default_start() + rng.uniform(-1.0, 1.0, nx),
-        lam=rng.uniform(-100, 100, size=19),
-        mu=np.full(48, 1e3),
-        z=np.full(48, 1e-9),
-    )
-    # 30 iterations are plenty for the default start (~20) but usually not for
-    # the deliberately poisoned one, so this exercises the restart path while
-    # still guaranteeing a converged final answer either way.
-    options = OPFOptions(mips=MIPSOptions(max_it=30))
-    result, used_fallback, restart_seconds = solve_opf_with_fallback(
-        case9_fixture, bad, options=options, model=opf_model9
-    )
-    assert result.success
-    if used_fallback:
-        assert restart_seconds > 0
-        assert "restarted from default" in result.message
-    else:
-        assert restart_seconds == 0.0
 
 
 def test_result_dispatch_summary(opf_solution9):

@@ -180,12 +180,12 @@ def test_online_record_phase_invariants(trained_trainer9, case9_fixture, dataset
         evaluation = engine.evaluate(dataset9, max_problems=6)
         assert evaluation.n_problems == 6
         for record in evaluation.records:
-            for value in record.solver_phase_seconds.values():
+            for value in record.outcome.phase_seconds.values():
                 assert np.isfinite(value) and value >= 0.0
             assert record.inference_seconds >= 0.0
-            assert record.warm_solve_seconds >= 0.0
-            assert record.fallback_solve_seconds >= 0.0
-            assert record.online_seconds >= record.warm_solve_seconds
+            assert record.outcome.solve_seconds >= 0.0
+            assert record.outcome.fallback_seconds >= 0.0
+            assert record.online_seconds >= record.outcome.solve_seconds
 
 
 def test_batch_failed_scenario_keeps_phase_timings():

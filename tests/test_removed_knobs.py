@@ -11,7 +11,11 @@ The KKT layer's retirees follow the same rule: the ``"blockdiag"`` /
 timers: ``AsyncServer`` flushes whenever its executor is free, and
 ``max_wait_seconds`` / ``deadline_slack_seconds`` are gone.  And the solver
 has one core: the scalar MIPS loop, its KKT assembler and structure caches,
-``solve_opf_batch(batched=)`` and ``build_model`` are gone.
+``solve_opf_batch(batched=)`` and ``build_model`` are gone.  And a result
+travels one typed path: dispatch tasks and worker state are dataclasses, an
+``OnlineRecord`` wraps its ``ScenarioOutcome`` instead of copying its
+fields, the fallback-solve twin of ``solve_opf`` and the compat re-exports
+are gone.
 """
 
 import inspect
@@ -132,3 +136,33 @@ def test_one_solver_core(case9_fixture):
         assert not hasattr(repro.utils.sparse, name)
     for name in ("_KKTAssembler", "_BoundHandler", "_conditions", "_is_converged"):
         assert not hasattr(repro.mips.solver, name)
+
+
+def _private_functions(module):
+    return {n for n, v in vars(module).items() if n.startswith("_") and inspect.isfunction(v)}
+
+
+def test_one_record_chain():
+    import repro.core.framework
+    import repro.engine.engine
+    import repro.opf
+    import repro.parallel.pool
+    from repro.engine.records import OnlineRecord
+
+    with pytest.raises(TypeError, match="iterations_warm"):
+        OnlineRecord(iterations_warm=3)
+    assert not hasattr(repro.core.framework, "OnlineRecord")
+    # The surfaces are pinned whole, so no retired helper can come back: one
+    # cold-restart path (the fleet's fallback policy), task and worker-state
+    # helpers folded into ``Task`` / ``WorkerState``, no prediction wrapper.
+    assert {n for n in dir(repro.opf) if n.startswith("solve_opf")} == {
+        "solve_opf",
+        "solve_opf_batch",
+    }
+    assert _private_functions(repro.parallel.pool) == {
+        "_worker_identity",
+        "_retired_outcome",
+        "_init_worker",
+        "_solve_task",
+    }
+    assert _private_functions(repro.engine.engine) == set()
