@@ -36,7 +36,13 @@ of the parity suites, factorises it row by row
 precision, and the loop does not know which one it holds.  Everything
 derived from the problem structure alone — bound partition, canonical
 templates, transpose plans, the assembler — is a :class:`LockstepPlan`,
-which callers that solve one structure repeatedly build once.
+which callers that solve one structure repeatedly build once.  The plan's
+index maps are replayed over the ``(B, ·)`` state with the primitives of
+:mod:`repro.utils.planes` — ``take`` for column gathers, flat-offset
+:class:`~repro.utils.planes.Targets` for the bound-row scatters of the
+Lagrangian gradient and the entry clamp, ``np.add.reduceat`` for row sums —
+because ``plane[:, idx]`` makes a lockstep step of two rows cost two to
+three times one of one row while computing the same bits.
 
 Scenarios retire individually: a converged (or numerically failed) scenario
 drops out of the active set immediately, so stragglers never pay for
@@ -89,12 +95,13 @@ import scipy.sparse as sp
 from repro.mips.linsolve import make_kkt_solver, solver_telemetry
 from repro.mips.options import MIPSOptions
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
+from repro.utils import planes
 from repro.utils.logging import get_logger
+from repro.utils.planes import Targets
 from repro.utils.sparse import (
+    BatchedCSR,
     CachedBmat,
     MatmulPlan,
-    batched_matvec,
-    batched_row_sums,
     csr_rows,
     pattern_union,
     transpose_plan,
@@ -244,16 +251,14 @@ class _BatchKKTAssembler:
             self._jh_rows = csr_rows(jh_stack)
             order, t_indptr, t_indices = transpose_plan(jh_stack)
             self._jhT_order = order
-            self._jhT_indptr = t_indptr
-            self._jhT_indices = t_indices
+            self._jhT = BatchedCSR(t_indptr, t_indices)
             jhT = sp.csr_matrix(
                 (np.zeros(jh_stack.nnz), t_indices, t_indptr), shape=(nx, self.niq)
             )
             jhT.has_canonical_format = True
             self._matmul = MatmulPlan(jhT, jh_stack)
-            m_template, (self._pos_hess, self._pos_prod) = pattern_union(
-                [hess_t, self._matmul.template]
-            )
+            m_template, positions = pattern_union([hess_t, self._matmul.template])
+            self._pos_hess, self._pos_prod = (Targets(p) for p in positions)
         else:
             m_template = hess_t
             self._pos_hess = self._pos_prod = None
@@ -301,14 +306,14 @@ class _BatchKKTAssembler:
                 ]
             )
             zinv = 1.0 / Z
-            jh_scaled = jh_plane * (Mu * zinv)[:, self._jh_rows]
-            jhT_plane = jh_plane[:, self._jhT_order]
+            jh_scaled = jh_plane * planes.take(Mu * zinv, self._jh_rows)
+            jhT_plane = planes.take(jh_plane, self._jhT_order)
             prod = self._matmul.multiply(jhT_plane, jh_scaled)
             m_plane = np.zeros((batch, self._m_nnz))
-            m_plane[:, self._pos_hess] += Hdata
-            m_plane[:, self._pos_prod] += prod
+            self._pos_hess.add(m_plane, Hdata)
+            self._pos_prod.add(m_plane, prod)
             vec = (Mu * H + Gamma[:, None]) * zinv
-            N = Lx + batched_matvec(jhT_plane, self._jhT_indptr, self._jhT_indices, vec)
+            N = Lx + self._jhT.matvec(jhT_plane, vec)
         else:
             m_plane = Hdata
             N = Lx.copy()
@@ -318,7 +323,7 @@ class _BatchKKTAssembler:
                 [Jg_data, np.broadcast_to(self._eq_data, (batch, self._eq_data.size))]
             )
             kkt_plane = self._kkt_cache.assemble_batch(
-                [m_plane, jg_plane[:, self._jgT_order], jg_plane]
+                [m_plane, planes.take(jg_plane, self._jgT_order), jg_plane]
             )
             rhs_plane = np.concatenate([-N, -G], axis=1)
         else:
@@ -377,8 +382,16 @@ class LockstepPlan:
             ub_idx=self.ub_idx,
             lb_idx=self.lb_idx,
         )
-        self.jgT = transpose_plan(self.jg_t)
-        self.jhT = transpose_plan(self.jh_t)
+        # Scatter targets of the bound rows in x's columns, and the row
+        # reductions of the Lagrangian gradient and the step length.
+        self.eq_cols, self.ub_cols, self.lb_cols = (
+            Targets(ix) for ix in (self.eq_idx, self.ub_idx, self.lb_idx)
+        )
+        self.jgT_order, indptr, indices = transpose_plan(self.jg_t)
+        self.jgT = BatchedCSR(indptr, indices)
+        self.jhT_order, indptr, indices = transpose_plan(self.jh_t)
+        self.jhT = BatchedCSR(indptr, indices)
+        self.jh = BatchedCSR(self.jh_t.indptr, self.jh_t.indices)
         selectors = (
             _selector(self.eq_idx, 1.0, nx),
             _selector(self.ub_idx, 1.0, nx),
@@ -491,8 +504,8 @@ def mips_batch(
     n_eq_nl, n_ineq_nl = jg_t.shape[0], jh_t.shape[0]
     partition = plan.partition
     neq, niq = partition.n_eq, partition.n_ineq
-    jgT_order, jgT_indptr, jgT_indices = plan.jgT
-    jhT_order, jhT_indptr, jhT_indices = plan.jhT
+    jgT_order, jhT_order = plan.jgT_order, plan.jhT_order
+    take = planes.take
     assembler = plan.assembler
 
     kkt_solver = make_kkt_solver(
@@ -560,9 +573,9 @@ def mips_batch(
             h_nl = np.zeros((idx.size, 0))
             jgd = np.zeros((idx.size, 0))
             jhd = np.zeros((idx.size, 0))
-        G[idx] = np.concatenate([g_nl, Xa[:, eq_idx] - xmin[eq_idx]], axis=1)
+        G[idx] = np.concatenate([g_nl, take(Xa, eq_idx) - xmin[eq_idx]], axis=1)
         H[idx] = np.concatenate(
-            [h_nl, Xa[:, ub_idx] - xmax[ub_idx], xmin[lb_idx] - Xa[:, lb_idx]], axis=1
+            [h_nl, take(Xa, ub_idx) - xmax[ub_idx], xmin[lb_idx] - take(Xa, lb_idx)], axis=1
         )
         Jg_data[idx] = jgd
         Jh_data[idx] = jhd
@@ -573,17 +586,15 @@ def mips_batch(
         lam_a = lam[idx]
         mu_a = mu[idx]
         if n_eq_nl:
-            td = Jg_data[idx][:, jgT_order]
-            Lxa += batched_row_sums(td * lam_a[:, :n_eq_nl][:, jgT_indices], jgT_indptr)
+            Lxa += plan.jgT.matvec(take(Jg_data[idx], jgT_order), lam_a[:, :n_eq_nl])
         if eq_idx.size:
-            Lxa[:, eq_idx] += lam_a[:, n_eq_nl:]
+            plan.eq_cols.add(Lxa, lam_a[:, n_eq_nl:])
         if n_ineq_nl:
-            td = Jh_data[idx][:, jhT_order]
-            Lxa += batched_row_sums(td * mu_a[:, :n_ineq_nl][:, jhT_indices], jhT_indptr)
+            Lxa += plan.jhT.matvec(take(Jh_data[idx], jhT_order), mu_a[:, :n_ineq_nl])
         if nub:
-            Lxa[:, ub_idx] += mu_a[:, n_ineq_nl : n_ineq_nl + nub]
+            plan.ub_cols.add(Lxa, mu_a[:, n_ineq_nl : n_ineq_nl + nub])
         if lb_idx.size:
-            Lxa[:, lb_idx] -= mu_a[:, n_ineq_nl + nub :]
+            plan.lb_cols.sub(Lxa, mu_a[:, n_ineq_nl + nub :])
         Lx[idx] = Lxa
 
     def conditions(idx: np.ndarray, F0a: np.ndarray) -> None:
@@ -664,11 +675,11 @@ def mips_batch(
             row_deadline[new] = np.where(np.isnan(dl), np.inf, dl)
         active[new] = True
 
-        xb[:, eq_idx] = xmin[eq_idx]
+        plan.eq_cols.put(xb, xmin[eq_idx])
         if lb_idx.size:
-            xb[:, lb_idx] = np.maximum(xb[:, lb_idx], xmin[lb_idx])
+            plan.lb_cols.put(xb, np.maximum(take(xb, lb_idx), xmin[lb_idx]))
         if ub_idx.size:
-            xb[:, ub_idx] = np.minimum(xb[:, ub_idx], xmax[ub_idx])
+            plan.ub_cols.put(xb, np.minimum(take(xb, ub_idx), xmax[ub_idx]))
         X[new] = xb
 
         entry_dt = evaluate(new)
@@ -863,13 +874,11 @@ def mips_batch(
         if niq:
             Jh_dx = np.zeros((s.size, niq))
             if n_ineq_nl:
-                Jh_dx[:, :n_ineq_nl] = batched_matvec(
-                    Jh_data[s], jh_t.indptr, jh_t.indices, DXs
-                )
+                Jh_dx[:, :n_ineq_nl] = plan.jh.matvec(Jh_data[s], DXs)
             if nub:
-                Jh_dx[:, n_ineq_nl : n_ineq_nl + nub] = DXs[:, ub_idx]
+                Jh_dx[:, n_ineq_nl : n_ineq_nl + nub] = take(DXs, ub_idx)
             if lb_idx.size:
-                Jh_dx[:, n_ineq_nl + nub :] = -DXs[:, lb_idx]
+                Jh_dx[:, n_ineq_nl + nub :] = -take(DXs, lb_idx)
             DZ = -H[s] - z[s] - Jh_dx
             DMU = -mu[s] + (gamma[s][:, None] - mu[s] * DZ) / z[s]
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -33,6 +33,21 @@ share the batch — the row-isolation contract of
 point (a scalar solve is its one-row case) — and the Python-step count per
 factorisation is the number of head levels, not ``n`` or ``nnz(L)``.
 
+Every step of the numeric phase — the initial scatter into the ``W`` and
+Schur planes, each head level's contribution gather, clamp and division, the
+Schur scatter and its symmetrisation, both triangular solves (``rows=``
+included) and the refinement residual — replays a fixed index map with the
+primitives of :mod:`repro.utils.planes`: column gathers are
+``plane.take(idx, axis=1)``, scatters write through flat offsets into the
+C-contiguous plane (the symbolic analysis holds its scatter targets as
+:class:`~repro.utils.planes.Targets`), and segment sums are
+``np.add.reduceat``.  NumPy's ``plane[:, idx]`` gives the same bits several
+times slower on planes of two or more rows.  The primitives only move data,
+so every row's factor and solution stay the same bits as with advanced
+indexing.  ``reduceat`` stays although a CSR or sequential segment sum is
+faster on wide planes: their summation order differs, and Schur entries
+near 1e17 then move by units in the last place, which changes trajectories.
+
 Exact zero pivots in the head (a zero-diagonal constraint row eliminated
 before its coupled primal rows) are handled by qdldl-style **dynamic pivot
 clamping**: a pivot whose finalised magnitude is below a tiny signed threshold
@@ -64,8 +79,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.mips.linsolve import BlockSolveReport, KKTSolver, as_planes
+from repro.utils import planes
+from repro.utils.planes import Targets
 from repro.utils.sparse import (
-    batched_matvec,
+    BatchedCSR,
     same_pattern,
     symmetric_lower_map,
     transpose_plan,
@@ -221,14 +238,22 @@ class LDLSymbolic:
         low_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.low_indptr))
         low_rows = self.low_rows
         diag = low_rows == low_cols
-        self.diag_cols, self.diag_src = low_cols[diag], self.low_src[diag]
+        self.diag_cols, self.diag_src = Targets(low_cols[diag]), self.low_src[diag]
         in_head = level[low_cols] < cut
         q = np.searchsorted(l_keys, (low_cols * n + low_rows)[in_head])
-        self.init_tpos = np.where(diag[in_head], low_cols[in_head], n + q)
+        self.init_tpos = Targets(np.where(diag[in_head], low_cols[in_head], n + q))
         self.init_src = self.low_src[in_head]
-        self.root_tpos = root_pos[low_rows[~in_head]] * m + root_pos[low_cols[~in_head]]
+        root_tpos = root_pos[low_rows[~in_head]] * m + root_pos[low_cols[~in_head]]
+        self.root_tpos = Targets(root_tpos)
         self.root_src = self.low_src[~in_head]
-        self.root_diag = np.arange(m, dtype=np.int64) * (m + 1)
+        self.root_diag = Targets(np.arange(m, dtype=np.int64) * (m + 1))
+        # The root columns as scatter targets — their D slots in W and
+        # their entries of a permuted solution, two plane widths with an
+        # offset cache each — and the order that un-permutes a solution.
+        self.root_dslots = Targets(root)
+        self.root_xslots = Targets(root)
+        self.iperm = np.empty_like(self.perm)
+        self.iperm[self.perm] = np.arange(n, dtype=np.int64)
 
         # Contribution pairs: for head column k with L rows r_0 < … < r_{m-1},
         # every ordered pair (a <= b) contributes W[r_b, k] * V[r_a, k] to
@@ -270,14 +295,16 @@ class LDLSymbolic:
             fresh[1:] = sorted_keys[1:] != sorted_keys[:-1]
             return order, np.flatnonzero(fresh), sorted_keys[fresh]
 
-        order, self.schur_starts, self.schur_targets = grouped(
+        order, self.schur_starts, schur_targets = grouped(
             np.flatnonzero(~to_head), t_pos
         )
+        self.schur_targets = Targets(schur_targets)
         self.schur_a, self.schur_b = pair_a[order], pair_b[order]
         # The plans fill the Schur plane's lower triangle; getrf wants both.
-        filled = np.union1d(self.root_tpos, self.schur_targets)
+        filled = np.union1d(root_tpos, schur_targets)
         row, col = np.divmod(filled, max(m, 1))
-        self.root_lower, self.root_upper = filled[row > col], (col * m + row)[row > col]
+        self.root_lower = filled[row > col]
+        self.root_upper = Targets((col * m + row)[row > col])
 
         entry_level = level[l_cols]
         self.levels: List[_Level] = []
@@ -286,22 +313,25 @@ class LDLSymbolic:
             # Columns finalised at this level: every contribution targeting
             # them has landed by this level's pair step, so their pivots are
             # final before this level's divisions (the clamp hook point).
-            plan.cols = np.flatnonzero(level == lev)
+            plan.cols = Targets(np.flatnonzero(level == lev))
             # --- factor: contributions whose target column sits at this level
-            order, plan.pair_starts, plan.pair_targets = grouped(
+            order, plan.pair_starts, targets = grouped(
                 np.flatnonzero(t_level == lev), t_pos
             )
+            plan.pair_targets = Targets(targets)
             plan.pair_a, plan.pair_b = pair_a[order], pair_b[order]
             # --- factor: division of this level's columns by their D
             esel = np.flatnonzero(entry_level == lev)
-            plan.div_pos = n + esel
+            plan.div_pos = Targets(n + esel)
             plan.div_dslot = l_cols[esel]
             # --- forward solve: this level's entries scatter x[col] into rows
-            order, plan.fwd_starts, plan.fwd_rows = grouped(esel, l_rows)
+            order, plan.fwd_starts, targets = grouped(esel, l_rows)
+            plan.fwd_rows = Targets(targets)
             plan.fwd_pos, plan.fwd_col = n + order, l_cols[order]
             # --- backward solve: entries grouped by their own column (esel is
             # ascending and l_cols nondecreasing: already column-contiguous).
-            order, plan.bwd_starts, plan.bwd_cols = grouped(esel, l_cols)
+            order, plan.bwd_starts, targets = grouped(esel, l_cols)
+            plan.bwd_cols = Targets(targets)
             plan.bwd_pos, plan.bwd_row = n + order, l_rows[order]
             self.levels.append(plan)
 
@@ -313,7 +343,8 @@ class LDLSymbolic:
              self.template_indices, self.template_indptr),
             shape=(n, n),
         )
-        self.csr_order, self.csr_indptr, self.csr_indices = transpose_plan(at_csr)
+        self.csr_order, csr_indptr, csr_indices = transpose_plan(at_csr)
+        self.csr = BatchedCSR(csr_indptr, csr_indices)
         self._finalized = True
         return self
 
@@ -421,29 +452,28 @@ class LDLNumeric:
         ``rows`` slicing.
         """
         sym = self.sym
+        take = planes.take
         if rows is None:
             V, D = self.V, self.W[:, : sym.n]
         else:
-            V, D = self.V[rows], self.W[rows, : sym.n]
-        x = np.ascontiguousarray(X[:, sym.perm], dtype=float)
+            V, D = self.V.take(rows, axis=0), self.W[:, : sym.n].take(rows, axis=0)
+        x = take(np.asarray(X, dtype=float), sym.perm)
         for plan in sym.levels:
             if plan.fwd_pos.size:
-                contrib = V[:, plan.fwd_pos] * x[:, plan.fwd_col]
-                x[:, plan.fwd_rows] -= np.add.reduceat(contrib, plan.fwd_starts, axis=1)
+                contrib = take(V, plan.fwd_pos) * take(x, plan.fwd_col)
+                plan.fwd_rows.sub(x, np.add.reduceat(contrib, plan.fwd_starts, axis=1))
         x /= D
         if sym.root.size:
-            xr = x[:, sym.root]
+            xr = take(x, sym.root)
             for i in range(xr.shape[0]):
                 b = i if rows is None else rows[i]
                 xr[i] = dgetrs(self.lu[b].T, self.piv[b], xr[i])[0]
-            x[:, sym.root] = xr
+            sym.root_xslots.put(x, xr)
         for plan in reversed(sym.levels):
             if plan.bwd_pos.size:
-                contrib = V[:, plan.bwd_pos] * x[:, plan.bwd_row]
-                x[:, plan.bwd_cols] -= np.add.reduceat(contrib, plan.bwd_starts, axis=1)
-        out = np.empty_like(x)
-        out[:, sym.perm] = x
-        return out
+                contrib = take(V, plan.bwd_pos) * take(x, plan.bwd_row)
+                plan.bwd_cols.sub(x, np.add.reduceat(contrib, plan.bwd_starts, axis=1))
+        return take(x, sym.iperm)
 
 
 def _factor_planes(
@@ -467,43 +497,40 @@ def _factor_planes(
     factors healthy and singular systems alike and the caller reads failure
     off the (non-finite) solutions.
     """
+    take = planes.take
     B = data_plane.shape[0]
     n, m = sym.n, sym.root.size
     W = np.zeros((B, n + sym.nnz_head))
-    W[:, sym.init_tpos] = data_plane[:, sym.init_src]
+    sym.init_tpos.put(W, take(data_plane, sym.init_src))
     S = np.zeros((B, m * m))
-    S[:, sym.root_tpos] = data_plane[:, sym.root_src]
+    sym.root_tpos.put(S, take(data_plane, sym.root_src))
     if shift is not None:
         W[:, :n] += shift
-        S[:, sym.root_diag] += shift[:, sym.root]
+        sym.root_diag.add(S, take(shift, sym.root))
     # The root block carries its own diagonal; its D slots divide by one.
-    W[:, sym.root] = 1.0
+    sym.root_dslots.put(W, 1.0)
     V = np.zeros_like(W)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for plan in sym.levels:
             if plan.pair_a.size:
-                contrib = W[:, plan.pair_a] * V[:, plan.pair_b]
-                W[:, plan.pair_targets] -= np.add.reduceat(
-                    contrib, plan.pair_starts, axis=1
-                )
+                contrib = take(W, plan.pair_a) * take(V, plan.pair_b)
+                plan.pair_targets.sub(W, np.add.reduceat(contrib, plan.pair_starts, axis=1))
             if clamp is not None and plan.cols.size:
                 eps, sign = clamp
-                d = W[:, plan.cols]
-                tiny = np.abs(d) < eps[:, plan.cols]
+                cols = plan.cols.idx
+                d = take(W, cols)
+                e = take(eps, cols)
+                tiny = np.abs(d) < e
                 if tiny.any():
-                    W[:, plan.cols] = np.where(
-                        tiny, sign[:, plan.cols] * eps[:, plan.cols], d
-                    )
+                    plan.cols.put(W, np.where(tiny, take(sign, cols) * e, d))
                     if clamped_out is not None:
                         clamped_out |= tiny.any(axis=1)
             if plan.div_pos.size:
-                V[:, plan.div_pos] = W[:, plan.div_pos] / W[:, plan.div_dslot]
+                plan.div_pos.put(V, take(W, plan.div_pos.idx) / take(W, plan.div_dslot))
         if sym.schur_a.size:
-            contrib = W[:, sym.schur_a] * V[:, sym.schur_b]
-            S[:, sym.schur_targets] -= np.add.reduceat(
-                contrib, sym.schur_starts, axis=1
-            )
-    S[:, sym.root_upper] = S[:, sym.root_lower]
+            contrib = take(W, sym.schur_a) * take(V, sym.schur_b)
+            sym.schur_targets.sub(S, np.add.reduceat(contrib, sym.schur_starts, axis=1))
+    sym.root_upper.put(S, take(S, sym.root_lower))
     lu = S.reshape(B, m, m)
     piv = np.zeros((B, m), dtype=np.int32)
     for b in range(B if m else 0):
@@ -545,9 +572,9 @@ def _refine_rows(
         # chase one or two stragglers, so solving only those planes turns an
         # O(B) tail into an O(active) one without changing any row's result.
         rows = None if idx.size == rhs.shape[0] else idx
-        dx = numeric.solve(r[idx], rows=rows)
-        x_cand = x[idx] + dx
-        r_cand = rhs[idx] - matvec(x_cand, rows=rows)
+        dx = numeric.solve(r.take(idx, axis=0), rows=rows)
+        x_cand = x.take(idx, axis=0) + dx
+        r_cand = rhs.take(idx, axis=0) - matvec(x_cand, rows=rows)
         cnorm = np.abs(r_cand).max(axis=1)
         prev = rnorm[idx]
         improved = np.isfinite(cnorm) & (cnorm < prev)
@@ -648,11 +675,11 @@ class LDLSolver(KKTSolver):
 
     def _matvec_for(self, sym: LDLSymbolic, data_plane: np.ndarray):
         """Row-wise residual matvec ``X ↦ A_b @ X[b]`` over the CSR plan."""
-        csr_data = np.ascontiguousarray(data_plane[:, sym.csr_order])
+        csr_data = planes.take(data_plane, sym.csr_order)
 
         def matvec(X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
-            data = csr_data if rows is None else csr_data[rows]
-            return batched_matvec(data, sym.csr_indptr, sym.csr_indices, X)
+            data = csr_data if rows is None else csr_data.take(rows, axis=0)
+            return sym.csr.matvec(data, X)
 
         return matvec
 
@@ -695,7 +722,7 @@ class LDLSolver(KKTSolver):
         factor_t = 0.0
         B = data_plane.shape[0]
         diag0 = np.zeros((B, sym.n))
-        diag0[:, sym.diag_cols] = data_plane[:, sym.diag_src]
+        sym.diag_cols.put(diag0, planes.take(data_plane, sym.diag_src))
         # Zero (structurally absent) diagonals are the constraint block:
         # clamp/shift them negative, preserving quasi-definite inertia.
         sign = np.where(diag0 > 0.0, 1.0, -1.0)
@@ -730,14 +757,19 @@ class LDLSolver(KKTSolver):
             bad = np.flatnonzero(stalled)
             for _ in range(self.max_retries):
                 t0 = time.perf_counter()
+                # A shift below the clamp threshold leaves structural zero
+                # pivots to the clamp, so retries count their clamps too.
+                retry_clamped = np.zeros(bad.size, dtype=bool)
                 retry = _factor_planes(
                     sym,
                     data_plane[bad],
                     shift=(sign * (reg * dscale))[bad],
                     clamp=(eps[bad], sign[bad]),
+                    clamped_out=retry_clamped,
                 )
                 factor_t += time.perf_counter() - t0
                 self.numeric_refactorizations += 1
+                self.pivot_clamps += int(retry_clamped.sum())
                 xb = retry.solve(rhs_plane[bad])
                 xb, rb, sb, solves = _refine_rows(
                     retry, self._matvec_for(sym, data_plane[bad]), rhs_plane[bad], xb,

@@ -6,7 +6,6 @@ from repro.mtl.model import (
     MAIN_TASKS,
     SmartPGSimMTL,
     TaskDimensions,
-    dimensions_from_opf,
 )
 from repro.mtl.normalization import DatasetNormalizer, MinMaxScaler
 from repro.mtl.physics import (
@@ -32,7 +31,6 @@ __all__ = [
     "SmartPGSimMTL",
     "SeparateTaskNetworks",
     "TaskDimensions",
-    "dimensions_from_opf",
     "MAIN_TASKS",
     "AUXILIARY_TASKS",
     "DatasetNormalizer",

@@ -148,8 +148,3 @@ class SmartPGSimMTL(Module):
             "heads": self.n_parameters() - self.trunk.n_parameters(),
             "total": self.n_parameters(),
         }
-
-
-def dimensions_from_opf(n_bus: int, n_gen: int, n_eq: int, n_ineq: int) -> TaskDimensions:
-    """Small helper mirroring the signature used throughout the framework."""
-    return TaskDimensions(n_bus=n_bus, n_gen=n_gen, n_eq=n_eq, n_ineq=n_ineq)

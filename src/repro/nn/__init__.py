@@ -2,7 +2,6 @@
 
 from repro.nn.tensor import Tensor, as_tensor, concatenate, stack_scalars
 from repro.nn.modules import (
-    Identity,
     Linear,
     Module,
     Parameter,
@@ -10,14 +9,13 @@ from repro.nn.modules import (
     Sequential,
     Sigmoid,
     Softplus,
-    Tanh,
     mlp,
 )
 from repro.nn.losses import CharbonnierLoss, L1Loss, MSELoss, charbonnier, l1, mse
 from repro.nn.optim import Adam, Optimizer, SGD, clip_grad_norm
 from repro.nn.schedulers import CosineAnnealingLR, ExponentialLR, Scheduler, StepLR
 from repro.nn.serialization import load_module, load_state_dict, save_module, save_state_dict
-from repro.nn.init import kaiming_uniform, xavier_uniform, zeros
+from repro.nn.init import kaiming_uniform, zeros
 
 __all__ = [
     "Tensor",
@@ -29,9 +27,7 @@ __all__ = [
     "Linear",
     "ReLU",
     "Sigmoid",
-    "Tanh",
     "Softplus",
-    "Identity",
     "Sequential",
     "mlp",
     "charbonnier",
@@ -52,7 +48,6 @@ __all__ = [
     "load_state_dict",
     "save_module",
     "load_module",
-    "xavier_uniform",
     "kaiming_uniform",
     "zeros",
 ]

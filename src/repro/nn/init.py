@@ -7,13 +7,6 @@ import numpy as np
 from repro.utils.rng import RNGLike, ensure_rng
 
 
-def xavier_uniform(fan_in: int, fan_out: int, rng: RNGLike = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a ``(fan_in, fan_out)`` weight matrix."""
-    rng = ensure_rng(rng)
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def kaiming_uniform(fan_in: int, fan_out: int, rng: RNGLike = None) -> np.ndarray:
     """He/Kaiming uniform initialisation (suited to ReLU activations)."""
     rng = ensure_rng(rng)

@@ -146,25 +146,11 @@ class Sigmoid(Module):
         return x.sigmoid()
 
 
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Softplus(Module):
     """Softplus activation (smooth positivity constraint)."""
 
     def forward(self, x: Tensor) -> Tensor:
         return x.softplus()
-
-
-class Identity(Module):
-    """Pass-through module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Sequential(Module):

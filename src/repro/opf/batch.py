@@ -53,6 +53,7 @@ from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult, build_opf_result
 from repro.opf.warmstart import WarmStart
 from repro.powerflow.ybus import branch_admittances
+from repro.utils import planes
 from repro.utils.sparse import csr_rows
 
 __all__ = ["BatchedOPFModel", "solve_opf_batch"]
@@ -277,7 +278,7 @@ class BatchedOPFModel:
         for row, branches in enumerate(outages):
             validate_outage_branches(branches, self._n_branch)
             down[row, list(branches)] = True
-        on = ~down[:, self._end_branch]
+        on = ~planes.take(down, self._end_branch)
         return None if on.all() else on
 
     # ------------------------------------------------------------- objective
@@ -327,16 +328,16 @@ class BatchedOPFModel:
         rest is left to the caller.
         """
         nb, n = self._nb, self._n_end
-        Xt = X.T
-        a = Xt[nb + self._own]
-        b = Xt[nb + self._far]
-        U = np.exp(1j * Xt[:nb])
+        take = planes.take
+        a = take(X, nb + self._own).T
+        b = take(X, nb + self._far).T
+        U = np.exp(1j * X[:, :nb])
         p, q = self._p, self._q
         if in_service is not None:
             on = in_service.T
             p = np.where(on, p, 0.0)
             q = np.where(on, q, 0.0)
-        qE = q * U[self._own] * np.conj(U[self._far])
+        qE = q * take(U, self._own).T * np.conj(take(U, self._far).T)
         ab = a * b
         T = qE * ab
         pa = p * a
@@ -357,7 +358,7 @@ class BatchedOPFModel:
     def _rated(self, cv: np.ndarray, block: int) -> np.ndarray:
         """Rows of one ``n``-row block of ``cv`` at the rated ends, ``(m, B)``."""
         n = self._n_end
-        return cv[block * n : (block + 1) * n][self.rated_ends]
+        return cv[block * n : (block + 1) * n].take(self.rated_ends, axis=0)
 
     # ----------------------------------------------------------- constraints
     def constraints(
@@ -417,7 +418,7 @@ class BatchedOPFModel:
         hv[lam:cost] = Lam_nl.T
         hv[cost:] = (self.objective_hessian_diag(X) * cost_mult).T
 
-        kappa = (hv[lam : lam + nb] - 1j * hv[lam + nb : cost])[self._own]
+        kappa = (hv[lam : lam + nb] - 1j * hv[lam + nb : cost]).take(self._own, axis=0)
         mu2 = 2.0 * Mu_nl.T
         # κ = c + 2µ·conj(S) on the rated ends.
         kappa.real[self.rated_ends] += mu2 * self._rated(cv, 0)
@@ -542,7 +543,7 @@ def solve_opf_batch(
     slack = (
         np.zeros(batch, dtype=bool)
         if in_service is None
-        else ~in_service[:, batched.rated_ends].all(axis=1)
+        else ~planes.take(in_service, batched.rated_ends).all(axis=1)
     )
     warm_starts = [
         None if w is None

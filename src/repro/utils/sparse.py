@@ -27,10 +27,14 @@ sparsity pattern plus a ``(B, nnz)`` *data plane*.  The second half of this
 module provides the pattern-level plans that make those data planes cheap to
 manipulate: :func:`pattern_union` (scatter several fixed patterns into one),
 :func:`transpose_plan` (the data permutation of a fixed-pattern transpose),
-:func:`batched_row_sums` / :func:`batched_matvec` (per-slot CSR reductions)
+:class:`BatchedCSR` (per-slot CSR matvecs)
 and :class:`MatmulPlan` (a fixed-pattern sparse matrix product expanded once
 into gather/reduce indices).  All plans are computed once per pattern and
-replayed as pure NumPy data operations.
+replayed as pure NumPy data operations: column gathers with
+:func:`repro.utils.planes.take`, scatters through
+:class:`repro.utils.planes.Targets` and segment sums with
+``np.add.reduceat`` — never ``plane[:, idx]``, which gives the same bits
+several times slower once a plane has two or more rows.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils import planes
+from repro.utils.planes import Targets
+
 __all__ = [
+    "BatchedCSR",
     "CachedBmat",
     "MatmulPlan",
-    "batched_matvec",
-    "batched_row_sums",
     "col_scaled_csr",
     "csc_from_template",
     "csr_from_template",
@@ -246,9 +252,9 @@ class CachedBmat:
         """
         if self._order is None:
             raise RuntimeError("assemble_batch requires a primed cache (call assemble first)")
-        planes = [np.atleast_2d(np.asarray(p)) for p in data_planes]
-        src = np.concatenate(planes, axis=1) if planes else np.zeros((1, 0))
-        return src[:, self._order]
+        parts = [np.atleast_2d(np.asarray(p)) for p in data_planes]
+        src = np.concatenate(parts, axis=1) if parts else np.zeros((1, 0))
+        return planes.take(src, self._order)
 
     @property
     def template(self):
@@ -329,8 +335,9 @@ def pattern_union(matrices: Sequence[sp.spmatrix]) -> Tuple[sp.csr_matrix, List[
 
     Returns ``(template, positions)`` where ``template`` is a canonical CSR
     matrix holding the union pattern (data zeroed) and ``positions[i]`` maps
-    matrix ``i``'s nonzeros onto template storage positions, so batched data
-    planes can be accumulated with ``out[:, positions[i]] += data_i``.
+    matrix ``i``'s nonzeros onto template storage positions (unique), so
+    batched data planes can be accumulated with
+    ``Targets(positions[i]).add(out, data_i)``.
     """
     canon = [_canonical_csr(m) for m in matrices]
     if not canon:
@@ -405,8 +412,8 @@ def transpose_plan(matrix: sp.spmatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
     """Data permutation realising the transpose of a fixed CSR pattern.
 
     Returns ``(order, t_indptr, t_indices)`` such that for any data plane
-    ``D`` of shape ``(B, nnz)`` on ``matrix``'s pattern, ``D[:, order]`` is the
-    data of ``matrix.T`` in canonical CSR order with index arrays
+    ``D`` of shape ``(B, nnz)`` on ``matrix``'s pattern, ``take(D, order)`` is
+    the data of ``matrix.T`` in canonical CSR order with index arrays
     ``(t_indptr, t_indices)``.
     """
     m = _canonical_csr(matrix)
@@ -422,33 +429,37 @@ def transpose_plan(matrix: sp.spmatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
     return t.data.astype(np.intp) - 1, t.indptr, t.indices
 
 
-def batched_row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row sums of a batched data plane: ``out[b, i] = Σ_k∈row(i) data[b, k]``.
+class BatchedCSR:
+    """Per-slot matvecs over one fixed CSR pattern with ``(B, nnz)`` data planes.
 
-    ``data`` is ``(B, nnz)`` on a CSR pattern described by ``indptr``; empty
-    rows sum to zero.  Summation runs in storage order (matching scipy's CSR
-    reductions), keeping batched results bit-comparable with scalar ones.
+    Built once per pattern from its ``(indptr, indices)``: the starts of the
+    non-empty rows (the ``reduceat`` segments) and their scatter
+    :class:`~repro.utils.planes.Targets` are fixed, so a replay is one
+    gather, one multiply, one segment sum and one scatter.
     """
-    data = np.asarray(data)
-    starts = np.asarray(indptr[:-1])
-    out = np.zeros((data.shape[0], starts.size), dtype=data.dtype)
-    valid = starts < np.asarray(indptr[1:])
-    if np.any(valid):
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        starts = np.asarray(indptr[:-1])
+        valid = starts < np.asarray(indptr[1:])
+        self.n_rows = starts.size
+        self.indices = np.asarray(indices)
         # reduceat over the non-empty starts only: consecutive filtered starts
         # are exactly one stored row apart, so each segment is one row.
-        out[:, valid] = np.add.reduceat(data, starts[valid], axis=1)
-    return out
+        self._starts = starts[valid]
+        self._rows = Targets(np.flatnonzero(valid))
 
+    def matvec(self, data: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Per-slot matvec ``Y[b] = A_b @ X[b]`` of the ``(B, n_cols)`` plane ``X``.
 
-def batched_matvec(
-    data: np.ndarray, indptr: np.ndarray, indices: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Per-slot CSR matvec ``Y[b] = A_b @ X[b]`` for a shared pattern.
-
-    ``data`` is the ``(B, nnz)`` plane of the per-slot matrices and ``X`` the
-    ``(B, n_cols)`` right-hand sides.
-    """
-    return batched_row_sums(data * X[:, indices], indptr)
+        Empty rows give zero.  Each row sums in storage order (matching
+        scipy's CSR reductions), keeping batched results bit-comparable with
+        scalar ones.
+        """
+        products = data * planes.take(X, self.indices)
+        out = np.zeros((products.shape[0], self.n_rows), dtype=products.dtype)
+        if self._starts.size:
+            self._rows.put(out, np.add.reduceat(products, self._starts, axis=1))
+        return out
 
 
 class MatmulPlan:
@@ -514,5 +525,5 @@ class MatmulPlan:
         if self._left.size == 0:
             dtype = np.result_type(Adata.dtype, Bdata.dtype)
             return np.zeros((batch, n_out), dtype=dtype)
-        contrib = Adata[:, self._left] * Bdata[:, self._right]
+        contrib = planes.take(Adata, self._left) * planes.take(Bdata, self._right)
         return np.add.reduceat(contrib, self._group_starts, axis=1)

@@ -9,11 +9,14 @@ above it form one dense block per batch row, factorised by LAPACK (the
   head ∪ root partitions the columns, on the KKT patterns of the benchmark
   cases and of two N-2 outage topologies;
 * **bitwise invariance** — a row's solution does not depend on batch width,
-  position or ``rows=`` slicing, on an all-root and on a head+root pattern;
+  position or ``rows=`` slicing, on an all-root and on a head+root pattern,
+  at the narrow widths 2, 3 and 5 too (each width has its own flat scatter
+  offsets), and the offsets held stay within their row bound;
 * **accuracy** — every KKT system of a cold case118s solve is solved to the
   refinement target against the unperturbed matrix and agrees with ``spsolve``;
 * **row-local failure** — a system singular *inside the root block* is
-  recovered by the signed-shift retry or fails alone;
+  recovered by the signed-shift retry or fails alone, and the pivot clamps
+  of those retries are counted;
 * **the default** — ``MIPSOptions().kkt_solver`` is ``"ldl"`` and an explicit
   choice (persisted in an artifact, or passed at load) still beats it.
 """
@@ -30,6 +33,7 @@ from repro.mips import ldl
 from repro.mips.ldl import LDLSolver
 from repro.opf import OPFModel, OPFOptions
 from repro.opf.batch import solve_opf_batch
+from repro.utils.planes import Targets
 
 #: (case, outage branches): the three benchmark cases and two N-2 topologies
 #: of ``perfbench``'s case118s screening pool.
@@ -96,7 +100,7 @@ def test_root_is_ancestor_closed_and_partitions_the_columns(name, outage):
     is_root[sym.root] = True
     assert sym.root.size <= ldl._ROOT_MAX
     # head ∪ root partitions the columns.
-    head = np.concatenate([plan.cols for plan in sym.levels] + [np.zeros(0, dtype=int)])
+    head = np.concatenate([plan.cols.idx for plan in sym.levels] + [np.zeros(0, dtype=int)])
     assert np.array_equal(np.sort(np.concatenate([head, sym.root])), np.arange(n))
     # Closed under ancestry: parents and L row indices of root columns are root.
     parents = sym.parent[sym.root]
@@ -128,6 +132,10 @@ def test_row_solution_is_bitwise_independent_of_batch_and_position(kkts, request
     for b in (0, 7, 15):
         alone = LDLSolver().solve_blocks(template, data[b : b + 1], rhs[b : b + 1])
         np.testing.assert_array_equal(alone.solutions[0], batch.solutions[b])
+    for width in (2, 3, 5):
+        sub = order[:width]
+        narrow = LDLSolver().solve_blocks(template, data[sub], rhs[sub])
+        np.testing.assert_array_equal(narrow.solutions, batch.solutions[sub])
 
 
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
@@ -136,13 +144,36 @@ def test_numeric_solve_rows_slicing_is_bitwise(kkts, request):
     sym = ldl._symbolic_for_pattern(sp.csc_matrix(template), "auto")
     # The solver's own clamp planes, so the head's zero pivots stay finite.
     diag = np.zeros((16, sym.n))
-    diag[:, sym.diag_cols] = data[:, sym.diag_src]
+    diag[:, sym.diag_cols.idx] = data[:, sym.diag_src]
     eps = LDLSolver.pivot_clamp * (1.0 + np.abs(diag))
     numeric = ldl._factor_planes(sym, data, clamp=(eps, np.where(diag > 0.0, 1.0, -1.0)))
     full = numeric.solve(rhs)
     assert np.isfinite(full).all()
-    rows = np.array([11, 2, 5])
-    np.testing.assert_array_equal(numeric.solve(rhs[rows], rows=rows), full[rows])
+    for rows in ([4], [11, 2], [11, 2, 5], [15, 0, 9, 3, 6]):
+        rows = np.array(rows)
+        np.testing.assert_array_equal(numeric.solve(rhs[rows], rows=rows), full[rows])
+
+
+def _targets(sym):
+    """Every scatter-target set of a symbolic analysis."""
+    owners = [sym] + list(sym.levels)
+    found = []
+    for owner in owners:
+        names = getattr(owner, "__slots__", ()) or vars(owner)
+        found += [getattr(owner, a) for a in names if isinstance(getattr(owner, a), Targets)]
+    return found
+
+
+def test_scatter_offsets_stay_within_their_row_bound(kkts118):
+    """Widths 1–16 and one beyond the bound: each target set holds one offset
+    array of at most ``MAX_ROWS`` rows, whatever widths it has served."""
+    template, data, rhs = _stack(kkts118, 20)
+    solver = LDLSolver()
+    for width in [*range(1, 17), 20]:
+        solver.solve_blocks(template, data[:width], rhs[:width])
+    targets = _targets(solver._sym)
+    assert len(targets) > 2 * len(solver._sym.levels)
+    assert max(t.cached_rows() for t in targets) == Targets.MAX_ROWS
 
 
 # ------------------------------------------------------------------- accuracy
@@ -215,6 +246,37 @@ def test_singular_root_block_recovers_or_fails_alone(kkts, request):
     bad = sp.csc_matrix((data[4], template.indices, template.indptr), shape=template.shape)
     with pytest.raises(KKTSolveError):
         LDLSolver().solve(bad, rhs[4])
+
+
+def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118):
+    """A shift below ``pivot_clamp`` leaves the head's structural zero pivots
+    to the clamp in every retry, and each of those clamps is counted — while
+    a shift above it clamps nothing new."""
+    template, data, rhs = _stack(kkts118, 1)
+    # Row 0: the cold start's first system.  Row 1: the same system made
+    # singular in the root, consistently — its first pass stalls.
+    data = np.vstack([data, data])
+    rhs = np.vstack([rhs, rhs])
+    data[1], p = _singular_in_root(template, data[1])
+    rhs[1, p] = 0.0
+    first_pass = LDLSolver(regularization=1e-20, max_retries=0)
+    first_pass.solve_blocks(template, data, rhs)
+    assert first_pass.pivot_clamps >= 1  # case118s clamps on healthy rows too
+
+    tiny = LDLSolver(regularization=1e-20)
+    tiny_report = tiny.solve_blocks(template, data, rhs)
+    retries = tiny.numeric_refactorizations - 1
+    assert retries >= 1
+    # Each retry refactorises the stalled row alone, and it clamps again.
+    assert tiny.pivot_clamps == first_pass.pivot_clamps + retries
+
+    healthy_shift = LDLSolver()
+    report = healthy_shift.solve_blocks(template, data, rhs)
+    assert healthy_shift.numeric_refactorizations > 1
+    assert healthy_shift.pivot_clamps == first_pass.pivot_clamps
+    assert not tiny_report.failed and not report.failed
+    # Telemetry only: the row that needed no retry keeps its bits.
+    np.testing.assert_array_equal(tiny_report.solutions[0], report.solutions[0])
 
 
 # ---------------------------------------------------------------- the default
