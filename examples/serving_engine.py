@@ -12,8 +12,8 @@ ever retraining.  This example walks the full deployment loop:
 3. ``load_artifact`` → a fresh engine reconstructed from disk (bit-identical
    predictions, no retraining),
 4. serve a batch of scenarios: one batched MTL forward pass produces the warm
-   starts, the solver fleet dispatches the MIPS solves, and the configured
-   fallback policy recovers any failure,
+   starts, the solver fleet dispatches the MIPS solves, and a failed warm
+   solve is re-solved from the solver default (the paper's cold restart),
 5. show that loading the artifact against the *wrong* grid is rejected.
 
 Run with ``python examples/serving_engine.py``.
@@ -54,7 +54,7 @@ def main() -> None:
     # A deployment reconstructs the engine from disk — no dataset, no training.
     # Each request batch is advanced through the interior-point iterations
     # together (vectorised evaluation/assembly, per-scenario factorisation only).
-    served = load_artifact(artifact_path, case, fallback="relaxed_warm")
+    served = load_artifact(artifact_path, case)
     probe = framework.artifacts.validation_set.inputs
     identical = all(
         np.array_equal(a, b)
@@ -64,7 +64,6 @@ def main() -> None:
         )
     )
     print(f"Reloaded engine reproduces predictions bit-for-bit: {identical}")
-    print(f"Fallback policy for this deployment: {served.fallback.name}")
 
     # ----------------------------------------------------------------- serving
     print("\nServing a batch of 12 scenarios (2 with N-1 branch outages)...")

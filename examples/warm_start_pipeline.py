@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import generate_dataset
-from repro.engine import ColdRestartFallback
 from repro.grid import get_case, sample_loads
 from repro.mtl import (
     MTLTrainer,
@@ -84,7 +83,6 @@ def main() -> None:
             case,
             scenarios,
             warm_starts=trainer.warm_starts_for(val_set.inputs),
-            fallback=ColdRestartFallback(),
             model=opf_model,
         )
         successes = [outcome.success for outcome in sweep.outcomes]

@@ -9,9 +9,8 @@ describes, but since the serving-engine split it is a *thin orchestrator*:
   :class:`~repro.engine.engine.WarmStartEngine`;
 * **online** — delegate to the engine: one batched MTL forward pass produces
   warm starts for every problem, the persistent solver fleet dispatches the
-  MIPS solves, and the configured
-  :class:`~repro.engine.fallback.FallbackPolicy` recovers failures (the
-  paper's cold restart by default), so the workflow always converges.
+  MIPS solves, and a failed warm solve is re-solved from the solver default
+  (the paper's cold restart), so the workflow always converges.
 
 Online results come back as an :class:`~repro.engine.records.OnlineEvaluation`
 (from :mod:`repro.engine.records`).  A trained pipeline can be persisted with
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.data.dataset import OPFDataset, TASK_NAMES, generate_dataset
 from repro.engine.engine import WarmStartEngine
-from repro.engine.fallback import get_fallback_policy
 from repro.engine.records import OnlineEvaluation
 from repro.grid.components import Case
 from repro.mtl.config import MTLConfig, fast_config
@@ -62,9 +60,6 @@ class SmartPGSimConfig:
     use_physics: bool = True
     mtl: MTLConfig = field(default_factory=fast_config)
     opf: OPFOptions = field(default_factory=OPFOptions)
-    #: Fallback policy applied to failed warm solves (``"cold_restart"``,
-    #: ``"relaxed_warm"``, ``"none"`` or a policy instance).
-    fallback: str = "cold_restart"
     #: Solver workers used for ground-truth generation and online dispatch.
     n_workers: int = 1
     #: Micro-batch size for the fleet's work queue on both sides — ground-truth
@@ -82,7 +77,6 @@ class SmartPGSimConfig:
             raise ValueError("n_workers must be positive")
         if self.microbatch is not None and self.microbatch < 1:
             raise ValueError("microbatch must be positive")
-        get_fallback_policy(self.fallback)  # validate eagerly
 
 
 @dataclass
@@ -160,7 +154,6 @@ class SmartPGSim:
         self._engine = WarmStartEngine.from_trainer(
             trainer,
             opf_options=cfg.opf,
-            fallback=cfg.fallback,
             microbatch=cfg.microbatch,
         )
         LOGGER.info(
@@ -194,7 +187,7 @@ class SmartPGSim:
         """Warm-start every problem of ``dataset`` (default: the validation split).
 
         Thin wrapper over :meth:`WarmStartEngine.evaluate`: batched inference,
-        fleet dispatch, pluggable fallback.
+        fleet dispatch, cold restart of failed warm solves.
         """
         artifacts = self._require_offline()
         dataset = dataset or artifacts.validation_set

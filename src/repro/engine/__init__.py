@@ -1,16 +1,6 @@
 """Batched warm-start serving engine: inference, fleet dispatch, persistence."""
 
-from repro.engine.fallback import (
-    FALLBACK_POLICIES,
-    BudgetedFallback,
-    CircuitBreaker,
-    ColdRestartFallback,
-    FallbackPolicy,
-    HealthWindow,
-    NoFallback,
-    RelaxedWarmRetryFallback,
-    get_fallback_policy,
-)
+from repro.engine.fallback import CircuitBreaker, HealthWindow
 from repro.engine.drift import (
     DRIFT_STATUSES,
     DriftDetector,
@@ -22,7 +12,7 @@ from repro.engine.drift import (
     default_detectors,
 )
 from repro.engine.records import OnlineEvaluation, OnlineRecord
-from repro.engine.engine import PERSISTED_FALLBACK, ServingModel, WarmStartEngine
+from repro.engine.engine import ServingModel, WarmStartEngine
 from repro.engine.artifact import (
     ARTIFACT_VERSION,
     ArtifactCorruptError,
@@ -43,16 +33,8 @@ from repro.engine.lifecycle import (
 __all__ = [
     "WarmStartEngine",
     "ServingModel",
-    "PERSISTED_FALLBACK",
     "OnlineRecord",
     "OnlineEvaluation",
-    "FallbackPolicy",
-    "ColdRestartFallback",
-    "RelaxedWarmRetryFallback",
-    "BudgetedFallback",
-    "NoFallback",
-    "FALLBACK_POLICIES",
-    "get_fallback_policy",
     "HealthWindow",
     "CircuitBreaker",
     "DRIFT_STATUSES",

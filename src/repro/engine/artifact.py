@@ -25,8 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.engine.engine import PERSISTED_FALLBACK, WarmStartEngine
-from repro.engine.fallback import get_fallback_policy
+from repro.engine.engine import WarmStartEngine
 from repro.grid.components import Case
 from repro.mips.options import MIPSOptions
 from repro.mtl.config import MTLConfig
@@ -102,7 +101,6 @@ def save_artifact(engine: WarmStartEngine, path: Union[str, Path]) -> Path:
         "mtl_config": dataclasses.asdict(engine.config),
         "dims": dataclasses.asdict(dims),
         "opf_options": dataclasses.asdict(engine.opf_options),
-        "fallback": engine.fallback.name,
     }
     arrays = {
         _PARAM_PREFIX + name: value for name, value in engine.network.state_dict().items()
@@ -135,7 +133,6 @@ def load_artifact(
     path: Union[str, Path],
     case: Case,
     opf_options: Optional[OPFOptions] = None,
-    fallback: object = PERSISTED_FALLBACK,
     opf_model: Optional[OPFModel] = None,
     microbatch: Optional[int] = None,
 ) -> WarmStartEngine:
@@ -143,11 +140,8 @@ def load_artifact(
 
     ``case`` must be the system the artifact was trained on; the stored
     fingerprint is verified and :class:`ArtifactMismatchError` is raised on
-    mismatch.  ``opf_options`` and ``fallback`` default to the persisted
-    values and can be overridden for the new deployment; passing
-    ``fallback=None`` explicitly selects no recovery
-    (:class:`~repro.engine.fallback.NoFallback`), as everywhere else.
-    ``microbatch`` configures the solver fleet (a deployment choice, not part
+    mismatch.  ``opf_options`` defaults to the persisted value and can be
+    overridden for the new deployment.  ``microbatch`` configures the solver fleet (a deployment choice, not part
     of the trained artifact).
     """
     try:
@@ -204,15 +198,12 @@ def load_artifact(
         opf_dict["mips"] = MIPSOptions(**mips_dict)
         opf_options = OPFOptions(**opf_dict)
 
-    if fallback is PERSISTED_FALLBACK:
-        fallback = meta["fallback"]
     return WarmStartEngine(
         case,
         network,
         _normalizer_from_arrays(arrays),
         config=config,
         opf_options=opf_options,
-        fallback=get_fallback_policy(fallback),
         opf_model=opf_model,
         microbatch=microbatch,
     )

@@ -9,8 +9,9 @@ AC-OPF problems at throughput —
 * **a persistent solver fleet** — warm-started MIPS solves are dispatched
   across the :class:`~repro.parallel.pool.SolverFleet` workers, which stay
   alive across requests;
-* **pluggable failure recovery** — a :class:`~repro.engine.fallback.FallbackPolicy`
-  decides what happens when a warm solve does not converge;
+* **cold restart on failure** — a warm solve that does not converge is
+  re-solved from the solver default inside the fleet worker, the paper's
+  online procedure (see :class:`~repro.parallel.pool.WorkerState`);
 * **artifact persistence** — :meth:`save_artifact` / :meth:`load_artifact`
   bundle model weights, normalizer statistics, configuration and a case
   fingerprint, so an engine can be reconstructed from disk and serve requests
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro.data.dataset import OPFDataset
 from repro.engine.drift import DriftMonitor, DriftReport
-from repro.engine.fallback import CircuitBreaker, FallbackPolicy, get_fallback_policy
+from repro.engine.fallback import CircuitBreaker
 from repro.engine.records import OnlineEvaluation, OnlineRecord
 from repro.grid.components import Case
 from repro.mtl.config import MTLConfig
@@ -55,11 +56,6 @@ from repro.testing.faults import FaultPlan
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("engine")
-
-
-#: Sentinel for :meth:`WarmStartEngine.load_artifact`: "use the fallback
-#: policy persisted in the artifact" (``None`` keeps meaning no recovery).
-PERSISTED_FALLBACK = object()
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,6 @@ class WarmStartEngine:
         normalizer: DatasetNormalizer,
         config: Optional[MTLConfig] = None,
         opf_options: Optional[OPFOptions] = None,
-        fallback: Union[str, FallbackPolicy, None] = "cold_restart",
         opf_model: Optional[OPFModel] = None,
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -109,7 +104,6 @@ class WarmStartEngine:
         )
         self._swap_lock = threading.Lock()
         self.opf_options = opf_options or OPFOptions()
-        self.fallback = get_fallback_policy(fallback)
         self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
         if microbatch is not None and microbatch < 1:
             # Fail at construction, not at the first (lazy) fleet creation.
@@ -118,7 +112,7 @@ class WarmStartEngine:
         self.microbatch = microbatch
         #: Optional health-aware circuit breaker over the warm-start path.
         #: While open, new requests skip inference and go straight to the
-        #: relaxed/cold path; per-request outcomes feed its health window.
+        #: cold path; per-request outcomes feed its health window.
         self.breaker = breaker
         #: Optional predictive drift monitor fed one outcome per served
         #: scenario (in scenario-id order); surfaces trends on
@@ -224,7 +218,6 @@ class WarmStartEngine:
         cls,
         trainer: MTLTrainer,
         opf_options: Optional[OPFOptions] = None,
-        fallback: Union[str, FallbackPolicy, None] = "cold_restart",
         microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         drift_monitor: Optional[DriftMonitor] = None,
@@ -236,7 +229,6 @@ class WarmStartEngine:
             trainer.normalizer,
             config=trainer.config,
             opf_options=opf_options,
-            fallback=fallback,
             opf_model=trainer.opf_model,
             microbatch=microbatch,
             breaker=breaker,
@@ -300,7 +292,6 @@ class WarmStartEngine:
                 self.case,
                 options=self.opf_options,
                 n_workers=n_workers,
-                fallback=self.fallback,
                 collect_solutions=collect_solutions,
                 model=self.opf_model if n_workers == 1 else None,
                 microbatch=self.microbatch,
@@ -347,7 +338,7 @@ class WarmStartEngine:
         retire with ``timed_out`` outcomes instead of raising.  When the
         engine's :class:`~repro.engine.fallback.CircuitBreaker` is open, the
         request skips inference entirely and is served from the degraded
-        (cold-start + fallback) path.  Faults injected via the engine's
+        (cold-start) path.  Faults injected via the engine's
         :class:`~repro.testing.faults.FaultPlan` never escape this method —
         they surface as structured failed outcomes in the sweep.
 
@@ -555,22 +546,16 @@ class WarmStartEngine:
         path: Union[str, Path],
         case: Case,
         opf_options: Optional[OPFOptions] = None,
-        fallback: object = PERSISTED_FALLBACK,
         opf_model: Optional[OPFModel] = None,
         microbatch: Optional[int] = None,
     ) -> "WarmStartEngine":
-        """Reconstruct an engine previously written by :meth:`save_artifact`.
-
-        ``fallback`` defaults to the policy persisted in the artifact; pass a
-        name, a policy instance or ``None`` (no recovery) to override.
-        """
+        """Reconstruct an engine previously written by :meth:`save_artifact`."""
         from repro.engine.artifact import load_artifact
 
         return load_artifact(
             path,
             case,
             opf_options=opf_options,
-            fallback=fallback,
             opf_model=opf_model,
             microbatch=microbatch,
         )

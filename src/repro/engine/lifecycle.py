@@ -247,7 +247,6 @@ class ModelLifecycle:
             self.trainer.normalizer,
             config=self.trainer.config,
             opf_options=self.engine.opf_options,
-            fallback=self.engine.fallback,
             opf_model=self.trainer.opf_model,
         )
         return save_artifact(staging, path)
@@ -266,7 +265,6 @@ class ModelLifecycle:
             serving.normalizer,
             config=serving.config,
             opf_options=self.engine.opf_options,
-            fallback=self.engine.fallback,
         )
 
     @staticmethod

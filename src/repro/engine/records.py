@@ -74,7 +74,7 @@ class OnlineEvaluation:
 
     @property
     def fallback_rate(self) -> float:
-        """Fraction of problems that needed the fallback policy."""
+        """Fraction of problems whose warm attempt was re-solved cold."""
         if not self.records:
             return 0.0
         return float(np.mean([r.outcome.used_fallback for r in self.records]))

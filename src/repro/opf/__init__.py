@@ -13,7 +13,7 @@ from repro.opf.constraints import branch_flow_limits, constraint_function, power
 from repro.opf.hessian import hessian_blocks, lagrangian_hessian
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.result import OPFResult, build_opf_result
-from repro.opf.options import OPFOptions, relaxed_options
+from repro.opf.options import OPFOptions
 from repro.opf.solver import solve_opf
 from repro.opf.warmstart import WarmStart
 
@@ -30,7 +30,6 @@ __all__ = [
     "build_opf_result",
     "solve_opf",
     "solve_opf_batch",
-    "relaxed_options",
     "objective",
     "objective_hessian_diag",
     "polynomial_cost",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.mips.options import MIPSOptions
 
@@ -27,22 +27,3 @@ class OPFOptions:
             raise ValueError("flow_limits must be 'S' or 'none'")
         if self.init not in ("case", "flat"):
             raise ValueError("init must be 'case' or 'flat'")
-
-
-def relaxed_options(options: OPFOptions, scale: float) -> OPFOptions:
-    """Copy of ``options`` with all four MIPS termination tolerances scaled.
-
-    Used by the relaxed-tolerance warm-retry fallback: a warm start that stalls
-    just short of the tight default tolerances often converges immediately once
-    they are loosened by a couple of orders of magnitude.
-    """
-    if scale <= 0:
-        raise ValueError("tolerance scale must be positive")
-    mips = replace(
-        options.mips,
-        feastol=options.mips.feastol * scale,
-        gradtol=options.mips.gradtol * scale,
-        comptol=options.mips.comptol * scale,
-        costtol=options.mips.costtol * scale,
-    )
-    return replace(options, mips=mips)

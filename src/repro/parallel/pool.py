@@ -10,11 +10,11 @@ standing in for GPUs.
 Two types carry the work.  A :class:`Task` is one unit of dispatch: some rows
 of a sweep (scenarios, warm starts, per-row deadlines) solved together in
 lockstep.  A :class:`WorkerState` is what a worker keeps across tasks — the
-case, the solver options, the fallback policy and one
-:class:`~repro.opf.model.OPFModel` — built once per spawned process by the
-pool initializer, or once by the in-process fleet.  A :class:`SolverFleet`
-keeps the workers alive across sweeps, which is what the serving engine uses
-to amortise process start-up over many requests.
+case, the solver options and one :class:`~repro.opf.model.OPFModel` — built
+once per spawned process by the pool initializer, or once by the in-process
+fleet.  A :class:`SolverFleet` keeps the workers alive across sweeps, which
+is what the serving engine uses to amortise process start-up over many
+requests.
 
 A sweep runs one way.  It is cut into micro-batches in input order
 (:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
@@ -29,9 +29,10 @@ dispatch.  Lockstep solves are row-independent bit for bit, so per-scenario
 results are invariant under chunking, steal order, worker count and
 micro-batch size.
 
-Failed solves are recovered in-worker through a pluggable fallback policy
-(see :mod:`repro.engine.fallback`) as one-row solves on the same model with
-the same per-row outage data.
+A failed warm row is recovered in-worker the paper's way: re-solved cold,
+with the same options, outage set and deadline.  All of a task's recoveries
+run as one lockstep call on the worker's model after the task's first solve
+(:meth:`WorkerState._solve`); cold rows are never re-solved.
 
 Dispatch is *supervised* (:mod:`repro.parallel.supervision`): a task whose
 worker dies (or whose solve raises) is retried with a bounded budget, then
@@ -48,7 +49,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +64,6 @@ from repro.parallel.scheduler import make_microbatches
 from repro.parallel.supervision import SupervisedPool
 from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
 
-if TYPE_CHECKING:  # pragma: no cover - import-time cycle guard (engine imports pool)
-    from repro.engine.fallback import FallbackPolicy
 
 @dataclass(frozen=True)
 class ScenarioSolution:
@@ -85,11 +84,12 @@ class ScenarioOutcome:
     """Result of one scenario solve.
 
     ``success`` / ``iterations`` / ``objective`` / ``solve_seconds`` always
-    describe the first (warm) attempt; when a fallback policy recovered a
-    failure, the ``fallback_*`` fields describe the recovery and the
+    describe the first (warm) attempt; when a failed warm attempt was
+    re-solved cold, the ``fallback_*`` fields describe that restart and the
     ``final_*`` properties select the solve that produced the final answer.
-    ``solve_seconds`` is the scenario's *additive* solve cost — its share of
-    the lockstep wall (shares sum to the batch wall, so they are summable).
+    ``solve_seconds`` and ``fallback_seconds`` are *additive* solve costs —
+    each row's share of its lockstep wall (shares sum to the batch wall, so
+    they are summable).
     """
 
     scenario_id: int
@@ -100,8 +100,6 @@ class ScenarioOutcome:
     worker: int = 0
     used_fallback: bool = False
     fallback_success: bool = False
-    #: Summed over *every* recovery solve (a relaxed retry that degrades to a
-    #: cold restart counts both), matching ``fallback_seconds``' coverage.
     iterations_fallback: int = 0
     objective_fallback: float = float("nan")
     fallback_seconds: float = 0.0
@@ -184,7 +182,7 @@ class SweepResult:
 
     @property
     def fallback_rate(self) -> float:
-        """Fraction of scenarios that needed the fallback policy."""
+        """Fraction of scenarios whose warm attempt was re-solved cold."""
         return float(np.mean([o.used_fallback for o in self.outcomes])) if self.outcomes else 0.0
 
     @property
@@ -291,7 +289,6 @@ class WorkerState:
 
     case: Case
     options: OPFOptions
-    fallback: "Optional[FallbackPolicy]" = None
     collect_solutions: bool = False
     faults: Optional[FaultPlan] = None
     in_subprocess: bool = False
@@ -340,78 +337,58 @@ class WorkerState:
             raise FaultInjectionError(spec.message)
 
     def _solve(self, task: Task, worker: int) -> List[ScenarioOutcome]:
-        """Solve the task's rows in lockstep, whatever their mix of topologies.
+        """Solve the task's rows in lockstep, then re-solve its failed warm rows cold.
 
         *Every* task marches in lockstep — singletons included — so
         per-scenario results are one canonical set regardless of how the
-        scheduler cut the queue.  Fallback recovery stays per scenario.
+        scheduler cut the queue.  A row that had a warm start, failed and did
+        not time out is recovered the paper's way: re-solved from the solver
+        default with the same options, outage set and deadline.  All of a
+        task's recoveries run as one more lockstep call, and lockstep rows
+        are bit-independent, so each equals its row's one-row cold solve.  A
+        cold row is never re-solved (that would repeat the same solve), and a
+        timed-out row retires as-is — recovery would only burn more of a
+        budget that is already spent.
         """
-        firsts = solve_opf_batch(
+        firsts = self._lockstep(task, task.warm_starts)
+        failed = [
+            i
+            for i, (warm, first) in enumerate(zip(task.warm_starts, firsts))
+            if warm is not None and not first.success and not first.timed_out
+        ]
+        recovered: Dict[int, OPFResult] = {}
+        if failed:
+            recovered = dict(zip(failed, self._lockstep(task.rows(failed), None)))
+        return [
+            self._outcome(scenario, worker, first, recovered.get(i))
+            for i, (scenario, first) in enumerate(zip(task.scenarios, firsts))
+        ]
+
+    def _lockstep(
+        self, task: Task, warm_starts: Optional[Sequence[Optional[WarmStart]]]
+    ) -> List[OPFResult]:
+        """One lockstep solve of the task's rows on the worker's model."""
+        return solve_opf_batch(
             self.case,
             np.stack([s.Pd for s in task.scenarios]),
             np.stack([s.Qd for s in task.scenarios]),
-            warm_starts=task.warm_starts,
+            warm_starts=warm_starts,
             options=self.options,
             model=self.model,
             window=task.window,
             deadline=task.deadlines,
             outages=[s.outage_branches for s in task.scenarios],
         )
-        deadlines = task.deadlines or (np.inf,) * len(firsts)
-        return [
-            self._outcome(scenario, warm, worker, first, None if np.isinf(due) else due)
-            for scenario, warm, first, due in zip(task.scenarios, task.warm_starts, firsts, deadlines)
-        ]
 
     def _outcome(
         self,
         scenario: Scenario,
-        warm: Optional[WarmStart],
         worker: int,
         first: OPFResult,
-        deadline: Optional[float],
+        recovered: Optional[OPFResult],
     ) -> ScenarioOutcome:
-        """Apply the fallback policy to a first attempt and package the outcome.
-
-        ``first`` is the scenario's lockstep row.  Recovery solves are one-row
-        lockstep solves on the worker's model with the scenario's outage set
-        as per-row data, so a recovered outage row keeps the intact network's
-        ``µ``/``Z`` layout; they inherit the scenario's deadline.  A first
-        attempt that timed out retires as-is — recovery would only burn more
-        of a budget that is already spent.
-        """
-        recovered: Optional[OPFResult] = None
-        fallback_seconds = 0.0
-        fallback_iterations = 0
-        if not first.success and not first.timed_out and self.fallback is not None:
-            attempts: List[OPFResult] = []
-
-            def solve(warm_start, solve_options=None):
-                (result,) = solve_opf_batch(
-                    self.case,
-                    [scenario.Pd],
-                    [scenario.Qd],
-                    warm_starts=[warm_start],
-                    options=solve_options or self.options,
-                    model=self.model,
-                    deadline=deadline,
-                    outages=[scenario.outage_branches],
-                )
-                attempts.append(result)
-                return result
-
-            t0 = time.perf_counter()
-            recovered = self.fallback.recover(solve, warm, first, self.options)
-            fallback_seconds = time.perf_counter() - t0
-            if recovered is not None:
-                # Charge every recovery solve (e.g. a failed relaxed retry plus
-                # the cold restart), keeping iteration and wall-time accounting
-                # consistent.
-                fallback_iterations = (
-                    sum(r.iterations for r in attempts) if attempts else recovered.iterations
-                )
-
-        final = recovered if recovered is not None else first
+        """Package a row's first attempt and its cold restart, if it had one."""
+        final = first if recovered is None else recovered
         solution = None
         if self.collect_solutions:
             solution = ScenarioSolution(
@@ -425,14 +402,14 @@ class WorkerState:
             solve_seconds=first.total_seconds,
             worker=worker,
             used_fallback=recovered is not None,
-            fallback_success=bool(recovered.success) if recovered is not None else False,
-            iterations_fallback=fallback_iterations,
-            objective_fallback=recovered.objective if recovered is not None else float("nan"),
-            fallback_seconds=fallback_seconds,
+            fallback_success=recovered is not None and bool(recovered.success),
+            iterations_fallback=0 if recovered is None else recovered.iterations,
+            objective_fallback=float("nan") if recovered is None else recovered.objective,
+            fallback_seconds=0.0 if recovered is None else recovered.total_seconds,
             phase_seconds=dict(final.phase_seconds),
             kkt_telemetry=dict(final.kkt_telemetry),
             solution=solution,
-            timed_out=first.timed_out or (recovered is not None and recovered.timed_out),
+            timed_out=final.timed_out,
         )
 
 
@@ -443,13 +420,12 @@ _WORKER: Optional[WorkerState] = None
 def _init_worker(
     case: Case,
     options: OPFOptions,
-    fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     faults: Optional[FaultPlan] = None,
 ) -> None:
     """Pool initializer: build the worker state (and its OPF model) once."""
     global _WORKER
-    _WORKER = WorkerState(case, options, fallback, collect_solutions, faults, in_subprocess=True)
+    _WORKER = WorkerState(case, options, collect_solutions, faults, in_subprocess=True)
 
 
 def _solve_task(task: Task) -> List[ScenarioOutcome]:
@@ -491,7 +467,6 @@ class SolverFleet:
         case: Case,
         options: Optional[OPFOptions] = None,
         n_workers: int = 1,
-        fallback: "Optional[FallbackPolicy]" = None,
         collect_solutions: bool = False,
         model: Optional[OPFModel] = None,
         microbatch: Optional[int] = None,
@@ -507,7 +482,6 @@ class SolverFleet:
         self.case = case
         self.options = options or OPFOptions()
         self.n_workers = n_workers
-        self.fallback = fallback
         self.collect_solutions = collect_solutions
         self.microbatch = microbatch
         self.faults = faults
@@ -515,14 +489,12 @@ class SolverFleet:
         self._pool: Optional[SupervisedPool] = None
         self._state: Optional[WorkerState] = None
         if n_workers == 1:
-            self._state = WorkerState(
-                case, self.options, fallback, collect_solutions, faults, model=model
-            )
+            self._state = WorkerState(case, self.options, collect_solutions, faults, model=model)
         else:
             self._pool = SupervisedPool(
                 n_workers,
                 initializer=_init_worker,
-                initargs=(case, self.options, fallback, collect_solutions, faults),
+                initargs=(case, self.options, collect_solutions, faults),
             )
 
     # ------------------------------------------------------------------ solving
@@ -536,8 +508,10 @@ class SolverFleet:
 
         ``deadline_seconds`` (relative wall budgets) and ``deadline``
         (absolute ``time.monotonic()`` deadlines) each accept a scalar —
-        broadcast over the sweep — or a per-scenario sequence; ``inf`` /
-        ``nan`` entries mean unbounded.  When both are given the earlier
+        broadcast over the sweep — or a per-scenario sequence; ``+inf`` /
+        ``nan`` entries mean unbounded.  Every budget must be positive
+        (``-inf`` included), while a ``-inf`` absolute deadline has already
+        passed and retires its row.  When both are given the earlier
         deadline wins per scenario.  Returns ``None`` when no scenario is
         bounded (the unbounded fast path).
         """
@@ -553,13 +527,13 @@ class SolverFleet:
         due: Optional[np.ndarray] = None
         if deadline_seconds is not None:
             budgets = as_vector(deadline_seconds, "deadline_seconds")
-            if np.any(budgets[np.isfinite(budgets)] <= 0):
+            if np.any(budgets <= 0):
                 raise ValueError("deadline_seconds must be positive")
             due = time.monotonic() + budgets
         if deadline is not None:
             absolute = as_vector(deadline, "deadline")
             due = absolute if due is None else np.minimum(due, absolute)
-        if due is None or not np.any(np.isfinite(due)):
+        if due is None or np.all(due == np.inf):
             return None
         return due
 
@@ -787,7 +761,6 @@ def run_scenario_sweep(
     warm_starts: Optional[List[Optional[WarmStart]]] = None,
     n_workers: int = 1,
     options: Optional[OPFOptions] = None,
-    fallback: "Optional[FallbackPolicy]" = None,
     collect_solutions: bool = False,
     model: Optional[OPFModel] = None,
     microbatch: Optional[int] = None,
@@ -806,7 +779,6 @@ def run_scenario_sweep(
         case,
         options=options,
         n_workers=n_workers,
-        fallback=fallback,
         collect_solutions=collect_solutions,
         model=model,
         microbatch=microbatch,

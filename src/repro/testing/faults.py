@@ -8,8 +8,8 @@ deadline, an artifact corrupted on disk — are reproducible unit tests rather
 than hopes about production behaviour.
 
 A :class:`FaultPlan` is a frozen, picklable bundle of :class:`FaultSpec`
-triggers that ships to spawn workers through the fleet initializer (exactly
-like the fallback policy).  Triggers are keyed on *scenario id* and *attempt
+triggers that ships to spawn workers through the fleet initializer (with
+the case and solver options).  Triggers are keyed on *scenario id* and *attempt
 number* — the attempt is carried in the task message, so a fault can be
 transient ("crash the first attempt, let the retry succeed") or persistent
 ("crash every attempt until the scheduler quarantines the culprit") without

@@ -6,9 +6,8 @@ micro-batches mix intact and outaged scenarios of different sweeps — one
 lockstep group per cut, served by the worker's one batched model with the
 outages as per-row data.  Grouping must be a pure scheduling decision: every
 scenario's iterations, objective and multipliers must match the per-sweep
-path exactly — including scenarios whose warm attempt fails and is recovered
-by the fallback policy, whose accounting must survive the regrouping
-untouched.
+path exactly — including scenarios whose warm attempt fails and is
+re-solved cold, whose accounting must survive the regrouping untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.fallback import get_fallback_policy
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.opf import OPFModel, solve_opf
@@ -111,12 +109,7 @@ def test_grouped_parity_with_mixed_fallback_members():
     warm_lists = [[None] * 4 for _ in sweeps]
     warm_lists[0][1] = poisoned
 
-    with SolverFleet(
-        case,
-        microbatch=2,
-        fallback=get_fallback_policy("cold_restart"),
-        collect_solutions=True,
-    ) as fleet:
+    with SolverFleet(case, microbatch=2, collect_solutions=True) as fleet:
         separate = [fleet.solve(sweep, warms) for sweep, warms in zip(sweeps, warm_lists)]
         grouped = fleet.solve_many(sweeps, warm_lists)
 

@@ -35,7 +35,7 @@ from repro.testing.faults import corrupt_artifact_bytes
 
 @pytest.fixture(scope="module")
 def engine9(trained_trainer9):
-    return WarmStartEngine.from_trainer(trained_trainer9, fallback="relaxed_warm")
+    return WarmStartEngine.from_trainer(trained_trainer9)
 
 
 # ------------------------------------------------------------- nn/serialization
@@ -147,11 +147,9 @@ def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture
         np.testing.assert_array_equal(reloaded.normalizer.tasks[task].span, scaler.span)
     assert reloaded.config == engine9.config
     assert reloaded.opf_options == engine9.opf_options
-    assert reloaded.fallback.name == "relaxed_warm"
-    # Deployment-time overrides win over the persisted policy, and an explicit
-    # ``None`` means "no recovery" exactly as everywhere else in the API.
-    assert WarmStartEngine.load_artifact(path, case9_fixture, fallback="none").fallback.name == "none"
-    assert WarmStartEngine.load_artifact(path, case9_fixture, fallback=None).fallback.name == "none"
+    # Recovery is the fixed cold restart, so there is no policy to persist.
+    assert "fallback" not in load_bundle(path)[1]
+    assert not hasattr(reloaded, "fallback")
 
 
 def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
@@ -173,6 +171,28 @@ def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixtu
             assert reloaded.opf_options.mips.kkt_solver == "factorized"
             sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
             assert sweep.outcomes[0].converged
+
+
+@pytest.mark.parametrize("policy", ["relaxed_warm", "none"])
+def test_artifact_with_legacy_fallback_policy_loads_and_serves(
+    engine9, case9_fixture, tmp_path, policy
+):
+    """Older artifacts named their recovery policy; nothing reads the key,
+    and the engine serves with the one recovery rule."""
+    path = engine9.save_artifact(tmp_path / "engine.npz")
+    arrays, meta = load_bundle(path)
+    meta["fallback"] = policy
+    legacy = save_bundle(tmp_path / f"{policy}.npz", arrays, meta)
+    loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
+    with load_artifact(legacy, case9_fixture) as reloaded, load_artifact(path, case9_fixture) as current:
+        assert reloaded.opf_options == engine9.opf_options
+        (got,) = reloaded.serve_loads(*loads).outcomes
+        (want,) = current.serve_loads(*loads).outcomes
+    assert got.converged
+    assert (got.success, got.iterations, got.used_fallback) == (
+        want.success, want.iterations, want.used_fallback
+    )
+    assert got.final_objective.hex() == want.final_objective.hex()
 
 
 def test_artifact_mismatched_case_raises(engine9, case14_fixture, tmp_path):

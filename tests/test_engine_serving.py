@@ -1,18 +1,11 @@
-"""Tests of the batched warm-start serving engine, fleet and fallback policies."""
+"""Tests of the batched warm-start serving engine, fleet and cold restart."""
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    CircuitBreaker,
-    ColdRestartFallback,
-    NoFallback,
-    RelaxedWarmRetryFallback,
-    WarmStartEngine,
-    get_fallback_policy,
-)
+from repro.engine import CircuitBreaker, WarmStartEngine
 from repro.data import generate_dataset
-from repro.opf import OPFOptions, certify_opf, relaxed_options, solve_opf
+from repro.opf import OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.mips.options import MIPSOptions
 from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios, run_scenario_sweep
 
@@ -101,83 +94,30 @@ def test_engine_serve_loads_matrix(engine9, case9_fixture):
         engine9.serve_loads(Pd, Qd[:1])
 
 
-# -------------------------------------------------------------- fallback policies
-def test_get_fallback_policy_resolution():
-    assert isinstance(get_fallback_policy("cold_restart"), ColdRestartFallback)
-    assert isinstance(get_fallback_policy("relaxed_warm"), RelaxedWarmRetryFallback)
-    assert isinstance(get_fallback_policy("none"), NoFallback)
-    assert isinstance(get_fallback_policy(None), NoFallback)
-    policy = RelaxedWarmRetryFallback(tolerance_scale=10.0)
-    assert get_fallback_policy(policy) is policy
-    with pytest.raises(ValueError):
-        get_fallback_policy("bogus")
-
-
-def test_relaxed_options_scales_all_tolerances():
-    base = OPFOptions()
-    relaxed = relaxed_options(base, 100.0)
-    for name in ("feastol", "gradtol", "comptol", "costtol"):
-        assert getattr(relaxed.mips, name) == pytest.approx(getattr(base.mips, name) * 100.0)
-    # Untouched knobs carry over.
-    assert relaxed.mips.max_it == base.mips.max_it
-    assert relaxed.flow_limits == base.flow_limits
-    with pytest.raises(ValueError):
-        relaxed_options(base, 0.0)
-
-
-class _Result:
-    def __init__(self, success):
-        self.success = success
-
-
-def test_relaxed_warm_retry_policy_recovery_order():
-    calls = []
-
-    def solve(warm, options=None):
-        calls.append((warm, options))
-        return _Result(success=len(calls) >= 2)
-
-    policy = RelaxedWarmRetryFallback(tolerance_scale=50.0)
-    base = OPFOptions()
-    warm = object()
-    result = policy.recover(solve, warm, _Result(False), base)
-    # First call: warm retry with relaxed tolerances; second: cold restart.
-    assert result.success
-    assert calls[0][0] is warm
-    assert calls[0][1].mips.feastol == pytest.approx(base.mips.feastol * 50.0)
-    assert calls[1][0] is None and calls[1][1] is base
-
-
-def test_no_fallback_keeps_failure():
-    policy = NoFallback()
-    assert policy.recover(lambda *a, **k: _Result(True), None, _Result(False), OPFOptions()) is None
-
-
+# -------------------------------------------------------------- cold restart
 def test_sweep_fallback_recovers_failed_warm_solve(case9_fixture):
-    """A starved warm solve fails; the cold-restart policy recovers it in-worker."""
-    scenarios = generate_scenarios(case9_fixture, 2, seed=5)
-    # A tiny iteration budget guarantees the (cold) first attempt fails ...
-    starving = OPFOptions(mips=MIPSOptions(max_it=2))
-
-    class _RestartWithDefaults(ColdRestartFallback):
-        def recover(self, solve, warm, failed, options):
-            # ... while the recovery runs with a workable budget.
-            return solve(None, OPFOptions())
-
+    """A poisoned warm start fails; the worker re-solves it cold, and the
+    recovery is bitwise the row's one-row cold solve."""
+    scenarios = generate_scenarios(case9_fixture, 3, variation=0.05, seed=5)
+    good = solve_opf(case9_fixture).warm_start()
+    poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
     sweep = run_scenario_sweep(
-        case9_fixture,
-        scenarios,
-        options=starving,
-        fallback=_RestartWithDefaults(),
+        case9_fixture, scenarios, warm_starts=[good, poisoned, None], collect_solutions=True
     )
-    for outcome in sweep.outcomes:
-        assert not outcome.success
-        assert outcome.iterations == 2
-        assert outcome.used_fallback and outcome.fallback_success
-        assert outcome.converged
-        assert outcome.final_iterations == outcome.iterations_fallback > 2
-        assert outcome.fallback_seconds > 0
-        assert np.isfinite(outcome.final_objective)
+    healthy, recovered, cold = sweep.outcomes
+    assert not recovered.success and not recovered.timed_out
+    assert recovered.used_fallback and recovered.fallback_success and recovered.converged
+    assert recovered.fallback_seconds > 0
+    scenario = scenarios[1]
+    (reference,) = solve_opf_batch(case9_fixture, [scenario.Pd], [scenario.Qd])
+    assert recovered.iterations_fallback == recovered.final_iterations == reference.iterations
+    assert recovered.final_objective.hex() == reference.objective.hex()
+    for name in ("x", "lam", "mu", "z"):
+        np.testing.assert_array_equal(getattr(recovered.solution, name), getattr(reference, name))
+    assert certify_opf(case9_fixture, recovered.solution, scenario.Pd, scenario.Qd).holds()
+    for outcome in (healthy, cold):
+        assert outcome.success and not outcome.used_fallback
+        assert outcome.iterations_fallback == 0 and outcome.fallback_seconds == 0.0
 
 
 def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
@@ -185,7 +125,6 @@ def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
     engine = WarmStartEngine.from_trainer(
         trained_trainer9,
         opf_options=OPFOptions(mips=MIPSOptions(max_it=1)),
-        fallback="cold_restart",
     )
     evaluation = engine.evaluate(dataset9, max_problems=3)
     assert evaluation.fallback_rate == 1.0
@@ -200,24 +139,6 @@ def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
         assert outcome.fallback_seconds > 0
         assert outcome.solve_seconds > 0
         assert record.online_seconds >= outcome.solve_seconds + outcome.fallback_seconds
-
-
-def test_sweep_relaxed_fallback_counts_every_recovery_solve(case9_fixture):
-    """A relaxed retry that degrades to a cold restart charges both solves."""
-    scenarios = generate_scenarios(case9_fixture, 1, seed=5)
-    # Both the relaxed retry and the cold restart are iteration-starved, so the
-    # recovery runs exactly two 2-iteration solves.
-    starving = OPFOptions(mips=MIPSOptions(max_it=2))
-    sweep = run_scenario_sweep(
-        case9_fixture,
-        scenarios,
-        options=starving,
-        fallback=RelaxedWarmRetryFallback(tolerance_scale=2.0),
-    )
-    (outcome,) = sweep.outcomes
-    assert not outcome.success and outcome.used_fallback and not outcome.fallback_success
-    assert outcome.iterations == 2
-    assert outcome.iterations_fallback == 4  # relaxed retry (2) + cold restart (2)
 
 
 # ------------------------------------------------ serving-path accounting fixes
@@ -281,7 +202,6 @@ def test_evaluate_drives_breaker_like_serve(trained_trainer9, dataset9):
         return WarmStartEngine.from_trainer(
             trained_trainer9,
             opf_options=OPFOptions(mips=MIPSOptions(max_it=1)),
-            fallback="cold_restart",
             breaker=breaker,
         )
 
@@ -340,13 +260,12 @@ def test_solver_fleet_persists_and_closes(case9_fixture):
 
 
 def test_fleet_spawn_workers_roundtrip(case9_fixture):
-    """Two real spawn workers: policies, warm starts and solutions all pickle."""
+    """Two real spawn workers: options, warm starts and solutions all pickle."""
     scenarios = generate_scenarios(case9_fixture, 4, seed=9)
     sweep = run_scenario_sweep(
         case9_fixture,
         scenarios,
         n_workers=2,
-        fallback=ColdRestartFallback(),
         collect_solutions=True,
     )
     assert sweep.n_scenarios == 4

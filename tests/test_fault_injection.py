@@ -12,13 +12,7 @@ import time
 
 import pytest
 
-from repro.engine import (
-    BudgetedFallback,
-    CircuitBreaker,
-    HealthWindow,
-    WarmStartEngine,
-    get_fallback_policy,
-)
+from repro.engine import CircuitBreaker, HealthWindow, WarmStartEngine
 from repro.mips.options import MIPSOptions
 from repro.opf import OPFOptions
 from repro.parallel import SolverFleet, generate_scenarios
@@ -235,9 +229,34 @@ def test_bisection_carries_per_row_deadlines(case9_fixture, scenarios9):
 
 
 def test_deadline_seconds_must_be_positive(case9_fixture, scenarios9):
+    """``-inf`` is a non-positive budget too, not an unbounded one."""
+    inf = float("inf")
     with SolverFleet(case9_fixture, n_workers=1) as fleet:
-        with pytest.raises(ValueError, match="deadline_seconds"):
-            fleet.solve(scenarios9, deadline_seconds=0.0)
+        for budget in (0.0, -inf, [-inf] + [inf] * (len(scenarios9) - 1)):
+            with pytest.raises(ValueError, match="deadline_seconds"):
+                fleet.solve(scenarios9, deadline_seconds=budget)
+
+
+def test_negative_infinite_deadline_retires_its_row(case9_fixture, scenarios9):
+    """A ``-inf`` absolute deadline has passed, alone or beside finite ones."""
+    inf = float("inf")
+    n = len(scenarios9)
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        reference = _by_id(fleet.solve(scenarios9))
+        everywhere = fleet.solve(scenarios9, deadline=-inf)
+        beside_finite = fleet.solve(
+            scenarios9, deadline=[-inf, time.monotonic() + 600.0] + [inf] * (n - 2)
+        )
+        beside_unbounded = fleet.solve(scenarios9, deadline=[-inf] + [inf] * (n - 1))
+    assert all(o.timed_out and not o.converged for o in everywhere.outcomes)
+    for sweep in (beside_finite, beside_unbounded):
+        got = _by_id(sweep)
+        first = scenarios9[0].scenario_id
+        assert got[first].timed_out and not got[first].converged
+        for sid, outcome in got.items():
+            if sid != first:
+                assert not outcome.timed_out
+                assert outcome.final_objective.hex() == reference[sid].final_objective.hex()
 
 
 # ------------------------------------------------------------- serving engine
@@ -329,58 +348,3 @@ def test_breaker_degrades_engine_to_cold_path(trained_trainer9, case9_fixture):
         assert second.n_scenarios == 4
         assert breaker.state == CircuitBreaker.OPEN  # still cooling down
 
-
-# ------------------------------------------------------------ budgeted policy
-class _StubResult:
-    def __init__(self, success):
-        self.success = success
-
-
-def test_budgeted_fallback_retries_with_backoff_then_cold():
-    policy = get_fallback_policy("budgeted")
-    assert isinstance(policy, BudgetedFallback)
-    options = OPFOptions()
-    calls = []
-
-    def failing_solve(warm, solve_options):
-        calls.append((warm, solve_options))
-        return _StubResult(False)
-
-    result = policy.recover(failing_solve, "WARM", _StubResult(False), options)
-    # max_retries relaxed attempts, then the cold restart (warm=None).
-    assert len(calls) == policy.max_retries + 1
-    assert calls[-1][0] is None and calls[-1][1] is options
-    for attempt, (warm, solve_options) in enumerate(calls[:-1]):
-        assert warm == "WARM"
-        expected = options.mips.feastol * policy.backoff_scale ** (attempt + 1)
-        assert solve_options.mips.feastol == pytest.approx(expected)
-    assert result.success is False
-
-
-def test_budgeted_fallback_stops_at_first_success():
-    policy = BudgetedFallback(max_retries=3)
-    calls = []
-
-    def solve(warm, solve_options):
-        calls.append(warm)
-        return _StubResult(len(calls) == 2)
-
-    result = policy.recover(solve, "WARM", _StubResult(False), OPFOptions())
-    assert result.success and len(calls) == 2
-
-
-def test_budgeted_fallback_without_cold_restart_returns_last_attempt():
-    policy = BudgetedFallback(max_retries=2, cold_restart_on_exhaustion=False)
-    calls = []
-
-    def solve(warm, solve_options):
-        calls.append(warm)
-        return _StubResult(False)
-
-    result = policy.recover(solve, "WARM", _StubResult(False), OPFOptions())
-    assert len(calls) == 2 and all(w == "WARM" for w in calls)
-    assert result is not None and not result.success
-    with pytest.raises(ValueError):
-        BudgetedFallback(max_retries=-1)
-    with pytest.raises(ValueError):
-        BudgetedFallback(backoff_scale=1.0)

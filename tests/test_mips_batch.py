@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.engine.fallback import get_fallback_policy
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.mips import LockstepPlan, MIPSOptions, mips_batch, qps_mips
@@ -286,12 +285,7 @@ def test_fleet_batch_mode_fallback_recovers_failures():
     # A wildly infeasible primal point makes the warm solve explode quickly.
     poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
     warms = [good, poisoned, good]
-    sweep = run_scenario_sweep(
-        case,
-        scenarios,
-        warm_starts=warms,
-        fallback=get_fallback_policy("cold_restart"),
-    )
+    sweep = run_scenario_sweep(case, scenarios, warm_starts=warms)
     poisoned_outcome = sweep.outcomes[1]
     assert not poisoned_outcome.success
     assert poisoned_outcome.used_fallback and poisoned_outcome.fallback_success

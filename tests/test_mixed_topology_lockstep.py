@@ -13,24 +13,23 @@ change:
   to accept those slack rows as complementary;
 * retire-and-refill windows leave mixed batches bitwise unchanged;
 * a row that takes a rated branch out ignores warm-start ``µ``/``Z``;
-* a fallback-recovered outage row keeps the intact layout of its lockstep
-  neighbours.
+* a recovered outage row keeps the intact layout of its lockstep
+  neighbours, and every recovery — the failed warm rows of a task, re-solved
+  cold in one lockstep call — is bitwise the row's one-row cold solve; cold
+  rows are never re-solved.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 import pytest
 
 import repro.opf.batch as opf_batch
-from repro.engine.fallback import FallbackPolicy
+import repro.parallel.pool as pool
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.mips import MIPSOptions
-from repro.opf import OPFModel, OPFOptions, certify_opf, solve_opf, solve_opf_batch
+from repro.opf import OPFModel, OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.parallel import (
     Scenario,
     outage_keeps_connected,
@@ -153,22 +152,21 @@ def test_outages_validated(mips_results):
         solve_opf_batch(case, Pd, Qd, outages=[(), (case.n_branch,)])
 
 
-@dataclass(frozen=True)
-class _RestartWithDefaults(FallbackPolicy):
-    """Cold restart under the default solver options, whatever the sweep's."""
+def _poisoned(warm):
+    """A wildly infeasible primal point: the warm solve fails, without timing out."""
+    return WarmStart(x=warm.x * 200.0, lam=warm.lam, mu=warm.mu, z=warm.z)
 
-    name: ClassVar[str] = "restart_with_defaults"
 
-    def recover(self, solve, warm, failed, options):
-        return solve(None, OPFOptions())
+def _assert_solution_is(solution, result):
+    for name in ("x", "lam", "mu", "z"):
+        np.testing.assert_array_equal(getattr(solution, name), getattr(result, name))
 
 
 def test_fallback_recovered_outage_row_keeps_intact_layout():
     """A recovered N-2 row is solved like its lockstep row — on the intact
     model with the outage as per-row data — so its µ/z have the intact size
     of the lockstep rows, its outaged rated branches are slack rows, and the
-    certificate accepts it.  ``max_it=1`` fails every first attempt; the
-    recovery runs under the default options."""
+    certificate accepts it.  Poisoned warm starts fail every first attempt."""
     case = get_case("case118s")
     model = OPFModel(case)
     pair = PAIRS_118[0]
@@ -180,8 +178,7 @@ def test_fallback_recovered_outage_row_keeps_intact_layout():
     sweep = run_scenario_sweep(
         case,
         scenarios,
-        options=OPFOptions(mips=MIPSOptions(max_it=1)),
-        fallback=_RestartWithDefaults(),
+        warm_starts=[_poisoned(row.warm_start()) for row in lockstep],
         collect_solutions=True,
         model=model,
     )
@@ -189,13 +186,103 @@ def test_fallback_recovered_outage_row_keeps_intact_layout():
         assert not outcome.success and outcome.used_fallback and outcome.fallback_success
         solution = outcome.solution
         assert solution.mu.shape == solution.z.shape == row.mu.shape == lockstep[0].mu.shape
-        # The recovery is the row's own lockstep solve under the default options.
+        # The recovery is the row's own cold lockstep solve.
+        assert outcome.iterations_fallback == row.iterations
         assert outcome.objective_fallback == row.objective
-        for name in ("x", "lam", "mu", "z"):
-            np.testing.assert_array_equal(getattr(solution, name), getattr(row, name))
+        _assert_solution_is(solution, row)
 
     solution = sweep.outcomes[1].solution
     certificate = certify_opf(case, solution, Pd[1], Qd[1], outages=pair)
     assert certificate.holds(), certificate
     slack = np.flatnonzero(np.isin(np.tile(model.limited_branches, 2), pair))
     np.testing.assert_allclose(solution.z[slack], np.tile(model.flow_limit_sq, 2)[slack], rtol=1e-9)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_recovery_is_the_rows_one_row_cold_solve_bitwise(n_workers, monkeypatch):
+    """Every failed warm row of a task is re-solved cold in one lockstep call.
+
+    Rows 1 (an N-2 outage) and 4 (intact) carry poisoned warm starts and
+    fail; the others are warm-started from their own converged solution.
+    Each recovered row is bitwise a one-row cold ``solve_opf_batch`` of that
+    row and passes the certificate; each healthy row is bitwise its one-row
+    warm solve and is not re-solved.  In process, the sweep is one task: its
+    lockstep solve, then one cold lockstep call of both failed rows.
+    """
+    case = get_case("case118s")
+    model = OPFModel(case)
+    outages = [(), PAIRS_118[0], (), PAIRS_118[1], ()]
+    poisoned = (1, 4)
+    Pd, Qd = _loads(case, len(outages), seed=11)
+    warms = [row.warm_start() for row in solve_opf_batch(case, Pd, Qd, model=model, outages=outages)]
+    for i in poisoned:
+        warms[i] = _poisoned(warms[i])
+    scenarios = [Scenario(i, Pd[i], Qd[i], outage_branches=b) for i, b in enumerate(outages)]
+    calls = []
+    lockstep = pool.solve_opf_batch
+
+    def counting(case, Pd_mw, Qd_mvar, warm_starts=None, **kwargs):
+        calls.append([w is not None for w in warm_starts or [None] * len(Pd_mw)])
+        return lockstep(case, Pd_mw, Qd_mvar, warm_starts=warm_starts, **kwargs)
+
+    monkeypatch.setattr(pool, "solve_opf_batch", counting)
+    sweep = run_scenario_sweep(
+        case, scenarios, warm_starts=warms, n_workers=n_workers, collect_solutions=True, model=model
+    )
+    if n_workers == 1:
+        assert calls == [[True] * len(outages), [False] * len(poisoned)]
+    for i, outcome in enumerate(sweep.outcomes):
+        warm = None if i in poisoned else warms[i]
+        (reference,) = solve_opf_batch(
+            case, Pd[i : i + 1], Qd[i : i + 1], warm_starts=[warm], model=model, outages=[outages[i]]
+        )
+        assert reference.success
+        _assert_solution_is(outcome.solution, reference)
+        if i in poisoned:
+            assert not outcome.success and not outcome.timed_out
+            assert outcome.used_fallback and outcome.fallback_success
+            assert outcome.iterations_fallback == reference.iterations
+            assert outcome.objective_fallback.hex() == reference.objective.hex()
+            certificate = certify_opf(case, outcome.solution, Pd[i], Qd[i], outages=outages[i])
+            assert certificate.holds(), certificate
+        else:
+            assert outcome.success and not outcome.used_fallback
+            assert outcome.iterations == reference.iterations
+            assert outcome.objective.hex() == reference.objective.hex()
+            assert outcome.iterations_fallback == 0 and outcome.fallback_seconds == 0.0
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_starved_cold_row_is_not_resolved(n_workers):
+    """Only warm rows are recovered.  Under an iteration budget no row can
+    meet, the cold row's final answer is bitwise its first attempt, while
+    the poisoned warm N-2 row beside it is re-solved cold under the same
+    options — and fails the same way."""
+    case = get_case("case118s")
+    model = OPFModel(case)
+    outages = [(), PAIRS_118[0]]
+    Pd, Qd = _loads(case, 2, seed=11)
+    starved = OPFOptions(mips=MIPSOptions(max_it=3))
+    cold = solve_opf_batch(case, Pd, Qd, options=starved, model=model, outages=outages)
+    warm = _poisoned(solve_opf_batch(case, Pd, Qd, model=model, outages=outages)[1].warm_start())
+    scenarios = [Scenario(i, Pd[i], Qd[i], outage_branches=b) for i, b in enumerate(outages)]
+    sweep = run_scenario_sweep(
+        case,
+        scenarios,
+        warm_starts=[None, warm],
+        n_workers=n_workers,
+        options=starved,
+        collect_solutions=True,
+        model=model,
+    )
+    cold_row, warm_row = sweep.outcomes
+    assert not cold_row.success and not cold_row.timed_out and not cold_row.used_fallback
+    assert cold_row.iterations_fallback == 0 and cold_row.fallback_seconds == 0.0
+    assert cold_row.final_iterations == cold_row.iterations == cold[0].iterations == 3
+    assert cold_row.final_objective.hex() == cold[0].objective.hex()
+    _assert_solution_is(cold_row.solution, cold[0])
+
+    assert not warm_row.success and warm_row.used_fallback and not warm_row.fallback_success
+    assert warm_row.iterations_fallback == cold[1].iterations == 3
+    assert warm_row.objective_fallback.hex() == cold[1].objective.hex()
+    _assert_solution_is(warm_row.solution, cold[1])

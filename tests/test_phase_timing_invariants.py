@@ -20,7 +20,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.fallback import get_fallback_policy
 from repro.grid import get_case
 from repro.mips import MIPSOptions, mips_batch, qps_mips
 from repro.opf import OPFModel, WarmStart, solve_opf
@@ -155,9 +154,7 @@ def test_opf_batch_phase_invariants_survive_block_solve(backend):
 # --------------------------------------------------------------- sweep / engine
 def test_sweep_outcome_timing_invariants(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 6, variation=0.05, seed=9)
-    sweep = run_scenario_sweep(
-        case9_fixture, scenarios, fallback=get_fallback_policy("cold_restart")
-    )
+    sweep = run_scenario_sweep(case9_fixture, scenarios)
     assert sweep.wall_seconds > 0.0
     total_share = 0.0
     for outcome in sweep.outcomes:

@@ -15,7 +15,9 @@ has one core: the scalar MIPS loop, its KKT assembler and structure caches,
 travels one typed path: dispatch tasks and worker state are dataclasses, an
 ``OnlineRecord`` wraps its ``ScenarioOutcome`` instead of copying its
 fields, the fallback-solve twin of ``solve_opf`` and the compat re-exports
-are gone.
+are gone.  And recovery is one fixed rule: a failed warm row is re-solved
+cold, so the ``fallback=`` policy selector, its policy classes, registry and
+``relaxed_options`` are gone.
 """
 
 import inspect
@@ -31,7 +33,7 @@ from repro.mips import FactorizedSolver, LDLSolver, MIPSOptions
 from repro.parallel import Scenario, SolverFleet, run_scenario_sweep
 from repro.serving import AsyncServer
 
-REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads")
+REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads", "fallback")
 
 ENTRY_POINTS = [
     SolverFleet,
@@ -153,7 +155,7 @@ def test_one_record_chain():
         OnlineRecord(iterations_warm=3)
     assert not hasattr(repro.core.framework, "OnlineRecord")
     # The surfaces are pinned whole, so no retired helper can come back: one
-    # cold-restart path (the fleet's fallback policy), task and worker-state
+    # cold-restart path (the worker's lockstep recovery), task and worker-state
     # helpers folded into ``Task`` / ``WorkerState``, no prediction wrapper.
     assert {n for n in dir(repro.opf) if n.startswith("solve_opf")} == {
         "solve_opf",
@@ -166,3 +168,28 @@ def test_one_record_chain():
         "_solve_task",
     }
     assert _private_functions(repro.engine.engine) == set()
+
+
+def test_one_recovery_rule():
+    import repro.engine
+    import repro.engine.engine
+    import repro.engine.fallback
+    import repro.opf
+    import repro.opf.options
+
+    retired = (
+        "FallbackPolicy",
+        "ColdRestartFallback",
+        "RelaxedWarmRetryFallback",
+        "BudgetedFallback",
+        "NoFallback",
+        "FALLBACK_POLICIES",
+        "get_fallback_policy",
+        "PERSISTED_FALLBACK",
+    )
+    for module in (repro.engine, repro.engine.engine, repro.engine.fallback):
+        for name in retired:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not set(retired) & set(repro.engine.__all__)
+    assert not hasattr(repro.opf, "relaxed_options")
+    assert not hasattr(repro.opf.options, "relaxed_options")
