@@ -12,7 +12,6 @@ from repro.core.metrics import (
     BoxStats,
     cost_loss,
     iteration_reduction,
-    normalized_series,
     relative_error_summary,
     relative_errors,
     speedup_factor_sf,
@@ -39,7 +38,6 @@ __all__ = [
     "BoxStats",
     "cost_loss",
     "iteration_reduction",
-    "normalized_series",
     "relative_error_summary",
     "relative_errors",
     "speedup_factor_sf",

@@ -112,12 +112,3 @@ def iteration_reduction(cold_iterations: Iterable[float], warm_iterations: Itera
     if cold.mean() <= 0:
         raise ValueError("cold iterations must be positive")
     return float(warm.mean() / cold.mean())
-
-
-def normalized_series(values: np.ndarray) -> np.ndarray:
-    """Min-max normalise a vector to [0, 1] (used by the Fig. 6 scatter data)."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = values.min(), values.max()
-    if hi - lo < 1e-15:
-        return np.full_like(values, 0.5)
-    return (values - lo) / (hi - lo)

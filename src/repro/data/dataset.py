@@ -164,7 +164,6 @@ def generate_dataset(
     seed: RNGLike = 0,
     options: Optional[OPFOptions] = None,
     model: Optional[OPFModel] = None,
-    drop_failures: bool = True,
     n_workers: int = 1,
     microbatch: Optional[int] = None,
     sampler: Optional[CorrelatedLoadSampler] = None,
@@ -223,10 +222,8 @@ def generate_dataset(
     def collect(samples, outcomes) -> None:
         for sample, outcome in zip(samples, outcomes):
             if not outcome.success:
-                LOGGER.warning("scenario %d failed to converge; %s", sample.scenario_id,
-                               "dropping" if drop_failures else "keeping")
-                if drop_failures:
-                    continue
+                LOGGER.warning("scenario %d failed to converge; dropping", sample.scenario_id)
+                continue
             solution = outcome.solution
             assert solution is not None
             parts = idx.split(solution.x)

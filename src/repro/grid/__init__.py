@@ -13,17 +13,14 @@ from repro.grid.components import (
     GenCostTable,
     GenTable,
 )
-from repro.grid.cases import available_cases, case9, case14, get_case, register_case
-from repro.grid.io import case_from_matpower, case_to_matpower
+from repro.grid.cases import available_cases, case9, case14, get_case
+from repro.grid.io import case_from_matpower
 from repro.grid.perturb import (
     CorrelatedLoadSampler,
     LoadSample,
     iter_load_samples,
-    nominal_load,
     sample_load_trajectory,
     sample_loads,
-    scaled_load,
-    stressed_area_load,
 )
 from repro.grid.synthetic import SyntheticGridConfig, generate_case
 from repro.grid.validation import CaseValidationError, validate_case
@@ -43,18 +40,13 @@ __all__ = [
     "case9",
     "case14",
     "get_case",
-    "register_case",
     "available_cases",
     "case_from_matpower",
-    "case_to_matpower",
     "CorrelatedLoadSampler",
     "LoadSample",
     "sample_load_trajectory",
     "sample_loads",
     "iter_load_samples",
-    "scaled_load",
-    "stressed_area_load",
-    "nominal_load",
     "SyntheticGridConfig",
     "generate_case",
     "CaseValidationError",

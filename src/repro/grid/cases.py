@@ -161,14 +161,3 @@ def get_case(name: str) -> Case:
             f"unknown case {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         ) from exc
     return builder()
-
-
-def register_case(name: str, builder: Callable[[], Case]) -> None:
-    """Register a user-supplied case builder under ``name``.
-
-    Downstream users can plug their own systems into the framework (data
-    generation, benchmarks, examples) without touching library code.
-    """
-    if not callable(builder):
-        raise TypeError("builder must be callable")
-    _REGISTRY[name] = builder

@@ -2,14 +2,12 @@
 
 The concrete case modules (:mod:`repro.grid.cases`) store their data as
 MATPOWER-style row lists because that format is compact and familiar; this
-module converts those rows into the columnar :class:`repro.grid.Case` model
-and back (the reverse direction is used by tests and by the synthetic case
-generator).
+module converts those rows into the columnar :class:`repro.grid.Case` model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,55 +18,6 @@ from repro.grid.components import (
     GenCostTable,
     GenTable,
 )
-
-#: Column order of a MATPOWER bus row (subset used here).
-BUS_COLUMNS = (
-    "bus_i",
-    "type",
-    "Pd",
-    "Qd",
-    "Gs",
-    "Bs",
-    "area",
-    "Vm",
-    "Va",
-    "baseKV",
-    "zone",
-    "Vmax",
-    "Vmin",
-)
-
-#: Column order of a MATPOWER gen row (subset used here).
-GEN_COLUMNS = (
-    "bus",
-    "Pg",
-    "Qg",
-    "Qmax",
-    "Qmin",
-    "Vg",
-    "mBase",
-    "status",
-    "Pmax",
-    "Pmin",
-)
-
-#: Column order of a MATPOWER branch row (subset used here).
-BRANCH_COLUMNS = (
-    "fbus",
-    "tbus",
-    "r",
-    "x",
-    "b",
-    "rateA",
-    "rateB",
-    "rateC",
-    "ratio",
-    "angle",
-    "status",
-    "angmin",
-    "angmax",
-)
-
 
 def _matrix(rows: Iterable[Sequence[float]], min_cols: int, what: str) -> np.ndarray:
     mat = np.asarray([list(r) for r in rows], dtype=float)
@@ -171,84 +120,3 @@ def case_from_matpower(
         branch=branch_table,
         gencost=gencost_table,
     )
-
-
-def case_to_matpower(case: Case) -> Dict[str, List[List[float]]]:
-    """Convert a :class:`Case` back into MATPOWER-style row lists.
-
-    The output dictionary has keys ``baseMVA``, ``bus``, ``gen``, ``branch``
-    and ``gencost``.  Round-tripping through :func:`case_from_matpower` yields
-    an identical case (checked by the property tests).
-    """
-    bus_rows = [
-        [
-            int(case.bus.bus_i[i]),
-            int(case.bus.bus_type[i]),
-            case.bus.Pd[i],
-            case.bus.Qd[i],
-            case.bus.Gs[i],
-            case.bus.Bs[i],
-            int(case.bus.area[i]),
-            case.bus.Vm[i],
-            case.bus.Va[i],
-            case.bus.base_kv[i],
-            int(case.bus.zone[i]),
-            case.bus.Vmax[i],
-            case.bus.Vmin[i],
-        ]
-        for i in range(case.n_bus)
-    ]
-    gen_rows = [
-        [
-            int(case.gen.bus[i]),
-            case.gen.Pg[i],
-            case.gen.Qg[i],
-            case.gen.Qmax[i],
-            case.gen.Qmin[i],
-            case.gen.Vg[i],
-            case.gen.mbase[i],
-            int(case.gen.status[i]),
-            case.gen.Pmax[i],
-            case.gen.Pmin[i],
-        ]
-        for i in range(case.n_gen)
-    ]
-    branch_rows = [
-        [
-            int(case.branch.f_bus[i]),
-            int(case.branch.t_bus[i]),
-            case.branch.r[i],
-            case.branch.x[i],
-            case.branch.b[i],
-            case.branch.rate_a[i],
-            0.0,
-            0.0,
-            case.branch.ratio[i],
-            case.branch.angle[i],
-            int(case.branch.status[i]),
-            case.branch.angmin[i],
-            case.branch.angmax[i],
-        ]
-        for i in range(case.n_branch)
-    ]
-    gencost_rows = []
-    ncost_max = case.gencost.coeffs.shape[1]
-    for i in range(case.gencost.n):
-        nc = int(case.gencost.ncost[i])
-        coeffs = case.gencost.coeffs[i, ncost_max - nc :]
-        gencost_rows.append(
-            [
-                int(case.gencost.model[i]),
-                case.gencost.startup[i],
-                case.gencost.shutdown[i],
-                nc,
-                *coeffs.tolist(),
-            ]
-        )
-    return {
-        "baseMVA": [[case.base_mva]],
-        "bus": bus_rows,
-        "gen": gen_rows,
-        "branch": branch_rows,
-        "gencost": gencost_rows,
-    }

@@ -4,12 +4,11 @@ The paper samples every bus load uniformly at random within ``±t`` of its
 nominal value (``t = 10 %``), consistent with prior AC-OPF learning work, and
 feeds the sampled problems to the solver to build training data.  This module
 implements that sampling plus the structured variants the scenario universe
-needs: correlated system-wide scaling, per-area stress, spatially-correlated
-stochastic streams (:class:`CorrelatedLoadSampler` — a diffusion kernel over
-the network graph, Cholesky-factored) and time-coupled multi-period load
-trajectories (:func:`sample_load_trajectory` — a daily profile with smooth
-per-bus jitter, built so consecutive steps stay close enough for step-to-step
-warm starting).
+needs: spatially-correlated stochastic streams (:class:`CorrelatedLoadSampler`
+— a diffusion kernel over the network graph, Cholesky-factored) and
+time-coupled multi-period load trajectories (:func:`sample_load_trajectory` —
+a daily profile with smooth per-bus jitter, built so consecutive steps stay
+close enough for step-to-step warm starting).
 """
 
 from __future__ import annotations
@@ -72,39 +71,6 @@ def iter_load_samples(
         fp = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
         fq = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
         yield LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i)
-
-
-def scaled_load(case: Case, factor: float, scenario_id: int = 0) -> LoadSample:
-    """System-wide correlated scaling of all loads by ``factor``."""
-    if factor < 0:
-        raise ValueError("factor must be non-negative")
-    return LoadSample(
-        Pd=case.bus.Pd * factor, Qd=case.bus.Qd * factor, scenario_id=scenario_id
-    )
-
-
-def stressed_area_load(
-    case: Case,
-    area: int,
-    factor: float,
-    scenario_id: int = 0,
-    background_factor: float = 1.0,
-) -> LoadSample:
-    """Scale loads inside one area by ``factor`` and the rest by ``background_factor``.
-
-    Models a localised demand surge — a scenario class the SC-ACOPF discussion
-    in Section VIII-E motivates.
-    """
-    mask = case.bus.area == area
-    if not np.any(mask):
-        raise ValueError(f"case has no buses in area {area}")
-    fp = np.where(mask, factor, background_factor)
-    return LoadSample(Pd=case.bus.Pd * fp, Qd=case.bus.Qd * fp, scenario_id=scenario_id)
-
-
-def nominal_load(case: Case) -> LoadSample:
-    """The unperturbed nominal scenario."""
-    return LoadSample(Pd=case.bus.Pd.copy(), Qd=case.bus.Qd.copy(), scenario_id=-1)
 
 
 # ------------------------------------------------------- stochastic streams

@@ -19,7 +19,7 @@ Generation is fully deterministic given the configuration seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -272,24 +272,3 @@ def case300s(seed: int = 300) -> Case:
             n_bus=300, n_gen=69, n_branch=411, seed=seed, name="case300s"
         )
     )
-
-
-def scaled_family(base: SyntheticGridConfig, sizes: list[int]) -> list[Case]:
-    """Generate a family of cases of increasing size sharing the base config.
-
-    Useful for scalability studies beyond the five Table-II systems: branch and
-    generator counts are scaled proportionally to the requested bus counts.
-    """
-    cases = []
-    for n in sizes:
-        scale = n / base.n_bus
-        cfg = replace(
-            base,
-            n_bus=n,
-            n_gen=max(1, int(round(base.n_gen * scale))),
-            n_branch=max(n - 1, int(round(base.n_branch * scale))),
-            name=f"{base.name or 'synthetic'}_{n}",
-            seed=base.seed + n,
-        )
-        cases.append(generate_case(cfg))
-    return cases

@@ -13,8 +13,8 @@ barrier with parameter ``gamma`` is added, and Newton's method is applied to
 the perturbed KKT conditions of the Lagrangian (Eqn. 3 of the paper).  The
 primal point ``x``, the multipliers ``λ``/``µ`` and the slacks ``Z`` can all
 be supplied as starting values — the warm-start surface the paper exploits.
-A single problem is the one-row case: :func:`repro.mips.solver.mips` hands
-scalar callbacks to this loop at width 1.
+A single problem is the one-row case: :func:`repro.opf.solver.solve_opf`
+runs this loop at width 1 through :func:`repro.opf.batch.solve_opf_batch`.
 
 Scenario sweeps hand the solver many instances of the *same* problem
 structure — one sparsity pattern, different loads, warm starts and (for N-k
@@ -425,7 +425,7 @@ def mips_batch(
 ) -> List[MIPSResult]:
     """Solve ``B`` same-structure NLPs in lockstep; one result per scenario.
 
-    Parameters are :func:`repro.mips.solver.mips`'s lifted to a batch axis:
+    Parameters follow MATPOWER's ``mips``, lifted to a batch axis:
     ``x0`` is ``(B, nx)``, bounds are shared (same structure implies the same
     bound vectors), warm starts are ``(B, ·)`` matrices whose rows apply only
     where the corresponding ``*_mask`` entry is True (all rows when the mask

@@ -1,12 +1,7 @@
 """Multitask-learning model, physics-informed losses and training."""
 
 from repro.mtl.config import MTLConfig, fast_config
-from repro.mtl.model import (
-    AUXILIARY_TASKS,
-    MAIN_TASKS,
-    SmartPGSimMTL,
-    TaskDimensions,
-)
+from repro.mtl.model import SmartPGSimMTL, TaskDimensions
 from repro.mtl.normalization import DatasetNormalizer, MinMaxScaler
 from repro.mtl.physics import (
     PhysicsContext,
@@ -31,8 +26,6 @@ __all__ = [
     "SmartPGSimMTL",
     "SeparateTaskNetworks",
     "TaskDimensions",
-    "MAIN_TASKS",
-    "AUXILIARY_TASKS",
     "DatasetNormalizer",
     "MinMaxScaler",
     "PhysicsContext",

@@ -35,12 +35,6 @@ from repro.nn.modules import Linear, Module, ReLU, Sequential, Sigmoid, mlp
 from repro.nn.tensor import Tensor, as_tensor, concatenate
 from repro.utils.rng import ensure_rng
 
-#: Main (primal solution) tasks.
-MAIN_TASKS = ("Va", "Vm", "Pg", "Qg")
-#: Auxiliary (dual / slack) tasks.
-AUXILIARY_TASKS = ("lam", "z", "mu")
-
-
 @dataclass(frozen=True)
 class TaskDimensions:
     """Output dimensionality of each prediction task for one test system."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-
-from repro.nn.modules import Module
 from repro.nn.tensor import Tensor, as_tensor
 
 
@@ -27,46 +25,3 @@ def charbonnier(pred: Tensor, target: Tensor, epsilon: float = 1e-9, weight: Opt
     if weight is not None:
         loss = loss * float(weight)
     return loss
-
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    pred = as_tensor(pred)
-    target = as_tensor(target)
-    diff = pred - target
-    return (diff * diff).mean()
-
-
-def l1(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    pred = as_tensor(pred)
-    target = as_tensor(target)
-    return (pred - target).abs().mean()
-
-
-class CharbonnierLoss(Module):
-    """Module wrapper around :func:`charbonnier` with a fixed weight."""
-
-    def __init__(self, epsilon: float = 1e-9, weight: float = 1.0):
-        super().__init__()
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = epsilon
-        self.weight = weight
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return charbonnier(pred, target, epsilon=self.epsilon, weight=self.weight)
-
-
-class MSELoss(Module):
-    """Module wrapper around :func:`mse`."""
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return mse(pred, target)
-
-
-class L1Loss(Module):
-    """Module wrapper around :func:`l1`."""
-
-    def forward(self, pred: Tensor, target: Tensor) -> Tensor:
-        return l1(pred, target)

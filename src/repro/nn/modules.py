@@ -146,13 +146,6 @@ class Sigmoid(Module):
         return x.sigmoid()
 
 
-class Softplus(Module):
-    """Softplus activation (smooth positivity constraint)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softplus()
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
 from repro.nn.optim import Optimizer
@@ -54,29 +53,3 @@ class StepLR(Scheduler):
 
     def compute_lr(self, epoch: int) -> float:
         return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialLR(Scheduler):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.97):
-        super().__init__(optimizer)
-        self.gamma = gamma
-
-    def compute_lr(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** epoch)
-
-
-class CosineAnnealingLR(Scheduler):
-    """Cosine decay from the base learning rate to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        self.t_max = t_max
-        self.min_lr = min_lr
-
-    def compute_lr(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * progress))

@@ -25,8 +25,6 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from repro.nn.modules import Module
-
 #: Reserved key carrying the JSON metadata blob inside a bundle.
 META_KEY = "__meta__"
 
@@ -91,17 +89,6 @@ def load_state_dict(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """Read a state dict previously written by :func:`save_state_dict`."""
     with np.load(Path(path), allow_pickle=False) as data:
         return {key: data[key].copy() for key in data.files}
-
-
-def save_module(module: Module, path: Union[str, Path]) -> Path:
-    """Persist a module's parameters."""
-    return save_state_dict(module.state_dict(), path)
-
-
-def load_module(module: Module, path: Union[str, Path]) -> Module:
-    """Load parameters into ``module`` (shapes must match) and return it."""
-    module.load_state_dict(load_state_dict(path))
-    return module
 
 
 def save_bundle(

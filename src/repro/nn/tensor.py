@@ -395,12 +395,6 @@ def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def stack_scalars(values: Iterable[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-D tensor (used to aggregate loss terms)."""
-    values = list(values)
-    return concatenate([v.reshape(1) for v in values], axis=0)
-
-
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Convert ``value`` to a :class:`Tensor` (no copy if already one)."""
     if isinstance(value, Tensor):

@@ -1,4 +1,4 @@
-"""AC optimal power flow: model, constraints, Hessian, driver and warm starts."""
+"""AC optimal power flow: model, constraints, lockstep kernels, driver, certificate and warm starts."""
 
 from repro.opf.batch import BatchedOPFModel, solve_opf_batch
 from repro.opf.certificate import CERTIFICATE_TOL, KKTCertificate, certify_opf
@@ -10,7 +10,6 @@ from repro.opf.costs import (
     total_cost,
 )
 from repro.opf.constraints import branch_flow_limits, constraint_function, power_balance
-from repro.opf.hessian import hessian_blocks, lagrangian_hessian
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.result import OPFResult, build_opf_result
 from repro.opf.options import OPFOptions
@@ -38,6 +37,4 @@ __all__ = [
     "power_balance",
     "branch_flow_limits",
     "constraint_function",
-    "hessian_blocks",
-    "lagrangian_hessian",
 ]

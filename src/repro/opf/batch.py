@@ -409,7 +409,8 @@ class BatchedOPFModel:
 
         ``Lam_nl`` holds the ``(B, 2·nb)`` power-balance multipliers (real
         rows first) and ``Mu_nl`` the ``(B, 2·n_lim)`` branch-flow multipliers
-        (from-end rows first), matching :func:`repro.opf.hessian.lagrangian_hessian`.
+        (from-end rows first), matching the matrix-form Lagrangian Hessian the
+        element-kernel tests compare against (``tests/reference/opf_hessian.py``).
         """
         nb, n, m = self._nb, self._n_end, self.rated_ends.size
         gram, lam, cost = self._hess_rows
@@ -445,7 +446,6 @@ def _warm_component(
     warm_starts: Sequence[Optional[WarmStart]],
     attr: str,
     n: int,
-    floor: Optional[float] = None,
 ):
     """Stack one warm-start component into a value matrix plus presence mask."""
     batch = len(warm_starts)
@@ -460,7 +460,7 @@ def _warm_component(
             raise ValueError(
                 f"warm start {i}: {attr} has shape {component.shape}, expected ({n},)"
             )
-        values[i] = np.maximum(component, floor) if floor is not None else component
+        values[i] = component
         mask[i] = True
     if not mask.any():
         return None, None
@@ -537,6 +537,8 @@ def solve_opf_batch(
         raise ValueError("warm_starts must have one entry per scenario")
     if outages is not None and len(outages) != batch:
         raise ValueError("outages must have one entry per scenario")
+    if batch == 0:
+        return []
     in_service = None if outages is None else batched.in_service(outages)
     # µ/Z of a warm start describe the intact flow-limit rows: a row that
     # turns rated branches into slack rows starts µ/Z from solver defaults.

@@ -82,15 +82,16 @@ class OPFModel:
 
     It holds the case's variable layout, bounds and start points, and owns
     the batch-axis element kernels every solve runs on (:attr:`batched`).
-    For the matrix-form evaluation of :mod:`repro.opf.constraints` /
-    :mod:`repro.opf.hessian` — the independent reference of the KKT
-    certificate and of the element-kernel tests — it also holds what is
-    *constant across evaluations*: the generator-connection blocks of the
-    power-balance Jacobian, the admittance rows of the rated branches and the
-    sparsity-structure caches of the constraint Jacobians and the Lagrangian
-    Hessian.  The caches make evaluations stateful: a model must not be
-    shared across threads evaluating concurrently (process pools are fine —
-    each worker builds its own model).
+    For the matrix-form evaluation of :mod:`repro.opf.constraints` — the
+    independent reference of the KKT certificate and, with the test-side
+    matrix-form Lagrangian Hessian (``tests/reference/opf_hessian.py``), of
+    the element-kernel tests — it also holds what is *constant across
+    evaluations*: the generator-connection blocks of the power-balance
+    Jacobian, the admittance rows of the rated branches and the
+    sparsity-structure caches of the constraint Jacobians.  The caches make
+    evaluations stateful: a model must not be shared across threads
+    evaluating concurrently (process pools are fine — each worker builds its
+    own model).
     """
 
     def __init__(self, case: Case, flow_limits: str = "S"):
@@ -131,7 +132,6 @@ class OPFModel:
         # Sparsity-structure caches (pattern computed once, values refreshed).
         self._pb_jac_cache = CachedBmat("csr")
         self._flow_jac_cache = CachedBmat("csr")
-        self._hess_cache = CachedBmat("csr")
         self._batched: Optional["BatchedOPFModel"] = None
 
     @property

@@ -18,6 +18,9 @@ import numpy as np
 from repro.mips.result import MIPSResult
 from repro.opf.model import OPFModel
 
+#: Smallest ``µ`` / ``Z`` entry :meth:`WarmStart.clipped_duals` lets through.
+_DUAL_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class WarmStart:
@@ -91,12 +94,12 @@ class WarmStart:
             x=jitter(self.x), lam=jitter(self.lam), mu=jitter(self.mu), z=jitter(self.z)
         )
 
-    def clipped_duals(self, floor: float = 1e-8) -> "WarmStart":
-        """Return a copy with ``µ`` and ``Z`` clipped to be strictly positive.
+    def clipped_duals(self) -> "WarmStart":
+        """Return a copy with ``µ`` and ``Z`` clipped to at least ``_DUAL_FLOOR``.
 
         Interior-point iterates must stay strictly inside the cone; predicted
         values can otherwise contain small negative entries.
         """
-        mu = None if self.mu is None else np.maximum(self.mu, floor)
-        z = None if self.z is None else np.maximum(self.z, floor)
+        mu = None if self.mu is None else np.maximum(self.mu, _DUAL_FLOOR)
+        z = None if self.z is None else np.maximum(self.z, _DUAL_FLOOR)
         return replace(self, mu=mu, z=z)

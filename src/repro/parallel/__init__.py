@@ -1,6 +1,6 @@
 """Parallel scenario sweeps, the solver fleet and the multi-worker scaling model."""
 
-from repro.parallel.cluster import PAPER_WORKER_COUNTS, ClusterModel, calibrate_from_inference
+from repro.parallel.cluster import PAPER_WORKER_COUNTS, ClusterModel
 from repro.parallel.pool import (
     ScenarioOutcome,
     ScenarioSolution,
@@ -45,7 +45,6 @@ __all__ = [
     "make_microbatches",
     "topology_key",
     "ClusterModel",
-    "calibrate_from_inference",
     "PAPER_WORKER_COUNTS",
     "PoolClosedError",
     "SupervisedPool",

@@ -20,11 +20,8 @@ The model reports both speedup (strong scaling) and sustained throughput
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -92,29 +89,6 @@ class ClusterModel:
     def efficiency(self, n_scenarios: int, workers: Sequence[int]) -> Dict[int, float]:
         """Parallel efficiency (speedup / workers) for strong scaling."""
         return {w: s / w for w, s in self.strong_scaling(n_scenarios, workers).items()}
-
-
-def calibrate_from_inference(
-    inference_fn,
-    inputs: np.ndarray,
-    repeats: int = 3,
-    **model_kwargs,
-) -> ClusterModel:
-    """Build a :class:`ClusterModel` by timing batched inference on this machine.
-
-    ``inference_fn`` takes a batch of input rows and returns predictions;
-    the measured throughput (rows/second) seeds the analytic model.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    inputs = np.atleast_2d(inputs)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        inference_fn(inputs)
-        best = min(best, time.perf_counter() - t0)
-    throughput = inputs.shape[0] / max(best, 1e-9)
-    return ClusterModel(throughput=throughput, **model_kwargs)
 
 
 #: The GPU counts used on the x-axis of Fig. 9.

@@ -45,6 +45,13 @@ __all__ = ["SupervisedPool", "PoolClosedError", "TaskEvent"]
 #: or ``"crash"`` (payload = description string).
 TaskEvent = Tuple[str, int, Any]
 
+#: Seconds :meth:`SupervisedPool.next_event` waits on a quiet result queue
+#: before it checks worker liveness.
+_POLL_SECONDS = 0.05
+#: Seconds without progress, every worker idle, before unstarted tasks are
+#: presumed lost and resubmitted.
+_LOST_TASK_GRACE_SECONDS = 2.0
+
 
 class PoolClosedError(RuntimeError):
     """The supervised pool was terminated while events were outstanding."""
@@ -97,17 +104,12 @@ class SupervisedPool:
         n_workers: int,
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
-        context: str = "spawn",
-        poll_interval: float = 0.05,
-        lost_task_grace: float = 2.0,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        self._ctx = mp.get_context(context)
+        self._ctx = mp.get_context("spawn")
         self._initializer = initializer
         self._initargs = initargs
-        self._poll_interval = float(poll_interval)
-        self._lost_task_grace = float(lost_task_grace)
         self._task_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * n_workers
@@ -255,7 +257,7 @@ class SupervisedPool:
         """Resubmit tasks consumed by a worker that died before announcing them."""
         if not self._pending or any(tid is not None for tid in self._running):
             return
-        if time.monotonic() - self._last_progress < self._lost_task_grace:
+        if time.monotonic() - self._last_progress < _LOST_TASK_GRACE_SECONDS:
             return
         try:
             queue_empty = self._task_queue.empty()
@@ -285,7 +287,7 @@ class SupervisedPool:
                 raise RuntimeError("no outstanding tasks")
             self._drain_start_notifications()
             try:
-                msg = self._result_queue.get(timeout=self._poll_interval)
+                msg = self._result_queue.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
                 self._reap_dead_workers()
                 self._recover_lost_tasks()

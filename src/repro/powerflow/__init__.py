@@ -7,9 +7,7 @@ from repro.powerflow.ybus import (
     make_ybus,
 )
 from repro.powerflow.injections import (
-    branch_flows,
     bus_injection,
-    bus_injection_batch,
     gen_injection,
     load_injection,
     mismatch_norm,
@@ -18,17 +16,10 @@ from repro.powerflow.injections import (
 )
 from repro.powerflow.derivatives import (
     dAbr_dV,
-    dIbr_dV,
     dSbr_dV,
     dSbus_dV,
 )
-from repro.powerflow.hessians import (
-    d2ASbr_dV2,
-    d2Sbr_dV2,
-    d2Sbus_dV2,
-)
-from repro.powerflow.newton import PowerFlowResult, newton_power_flow
-from repro.powerflow.dc import DCMatrices, dc_nominal_flows, dc_power_flow, make_bdc
+from repro.powerflow.dc import DCMatrices, dc_power_flow, make_bdc
 
 __all__ = [
     "AdmittanceMatrices",
@@ -36,8 +27,6 @@ __all__ = [
     "branch_admittances",
     "make_connection_matrices",
     "bus_injection",
-    "bus_injection_batch",
-    "branch_flows",
     "gen_injection",
     "load_injection",
     "power_balance_mismatch",
@@ -46,14 +35,7 @@ __all__ = [
     "dSbus_dV",
     "dSbr_dV",
     "dAbr_dV",
-    "dIbr_dV",
-    "d2Sbus_dV2",
-    "d2Sbr_dV2",
-    "d2ASbr_dV2",
-    "PowerFlowResult",
-    "newton_power_flow",
     "DCMatrices",
     "make_bdc",
     "dc_power_flow",
-    "dc_nominal_flows",
 ]

@@ -71,11 +71,3 @@ def dc_power_flow(case: Case, Pinj_mw: np.ndarray) -> np.ndarray:
     theta[keep] = spla.spsolve(B_kk, P[keep])
     flows_pu = mats.Bf @ theta
     return flows_pu * case.base_mva
-
-
-def dc_nominal_flows(case: Case) -> np.ndarray:
-    """DC branch flows for the case's nominal dispatch and loads (MW)."""
-    Pg_bus = np.zeros(case.n_bus)
-    on = case.gen.status > 0
-    np.add.at(Pg_bus, case.gen_bus_indices()[on], case.gen.Pg[on])
-    return dc_power_flow(case, Pg_bus - case.bus.Pd)

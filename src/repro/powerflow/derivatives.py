@@ -89,19 +89,3 @@ def dAbr_dV(
     dA_dVa = row_scaled_csr(dVa.real, twoP) + row_scaled_csr(dVa.imag, twoQ)
     dA_dVm = row_scaled_csr(dVm.real, twoP) + row_scaled_csr(dVm.imag, twoQ)
     return dA_dVa.tocsr(), dA_dVm.tocsr()
-
-
-def dIbr_dV(
-    Ybr: sp.spmatrix, V: np.ndarray
-) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Partial derivatives of complex branch currents w.r.t. voltages.
-
-    Provided for completeness (current-magnitude flow limits); returns
-    ``(dIbr_dVa, dIbr_dVm, Ibr)``.
-    """
-    diagV = _diag(V)
-    diagVnorm = _diag(V / np.abs(V))
-    Ibr = Ybr @ V
-    dI_dVa = 1j * (Ybr @ diagV)
-    dI_dVm = Ybr @ diagVnorm
-    return sp.csr_matrix(dI_dVa), sp.csr_matrix(dI_dVm), Ibr

@@ -1,4 +1,4 @@
-"""Complex power injections, branch flows and mismatch equations.
+"""Complex power injections and mismatch equations.
 
 All quantities are in per-unit on the system MVA base unless stated otherwise.
 Voltages are represented either as a complex phasor vector ``V`` or as the
@@ -22,24 +22,6 @@ def polar_to_complex(Va: np.ndarray, Vm: np.ndarray) -> np.ndarray:
 def bus_injection(Ybus: sp.spmatrix, V: np.ndarray) -> np.ndarray:
     """Complex power injected *into the network* at each bus: ``S = V ⊙ conj(Ybus V)``."""
     return V * np.conj(Ybus @ V)
-
-
-def bus_injection_batch(Ybus: sp.spmatrix, V: np.ndarray) -> np.ndarray:
-    """Batch-axis :func:`bus_injection`: ``V`` is ``(B, nb)``, one row per slot.
-
-    The admittance matrix is shared across the batch (same network, many
-    voltage states), so the matvec becomes one sparse-times-dense product.
-    """
-    return V * np.conj((Ybus @ V.T).T)
-
-
-def branch_flows(
-    adm: AdmittanceMatrices, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex power flows ``(Sf, St)`` at the from / to end of every branch."""
-    Sf = (adm.Cf @ V) * np.conj(adm.Yf @ V)
-    St = (adm.Ct @ V) * np.conj(adm.Yt @ V)
-    return Sf, St
 
 
 def gen_injection(case: Case, Cg: sp.spmatrix, Pg: np.ndarray, Qg: np.ndarray) -> np.ndarray:

@@ -51,9 +51,6 @@ import numpy as np
 from repro.engine.engine import WarmStartEngine
 from repro.parallel.pool import SweepResult
 from repro.parallel.scenarios import Scenario, ScenarioSet
-from repro.utils.logging import get_logger
-
-LOGGER = get_logger("serving")
 
 
 class OverloadedError(RuntimeError):

@@ -6,7 +6,6 @@ from repro.testing.faults import (
     FaultPlan,
     FaultSpec,
     WorkerCrashError,
-    corrupt_artifact_bytes,
     kill_at_task,
     kill_worker,
     raise_in_solver,
@@ -23,5 +22,4 @@ __all__ = [
     "kill_at_task",
     "raise_in_solver",
     "stall_solve",
-    "corrupt_artifact_bytes",
 ]

@@ -30,8 +30,8 @@ Fault kinds
 * ``stall_solve`` — sleep ``seconds`` before solving, so a cooperative
   deadline expires (a hung factorisation stand-in).
 
-:func:`corrupt_artifact_bytes` flips bytes of a saved engine artifact
-deterministically for artifact-robustness tests.
+:class:`LifecycleFaultPlan` holds :class:`SwapFaultSpec` triggers the model
+lifecycle consults at its promotion stages.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_KINDS",
@@ -55,8 +54,6 @@ __all__ = [
     "kill_at_task",
     "raise_in_solver",
     "stall_solve",
-    "swap_fault",
-    "corrupt_artifact_bytes",
 ]
 
 #: Valid fault kinds.
@@ -312,46 +309,3 @@ class LifecycleFaultPlan:
                 raise FaultInjectionError(
                     f"{spec.message} (stage={stage!r}, attempt={attempt})"
                 )
-
-
-def swap_fault(
-    stage: str,
-    first_attempt: int = 0,
-    last_attempt: Optional[int] = None,
-    message: str = "injected swap fault",
-) -> SwapFaultSpec:
-    """Fault the promotion pipeline at ``stage`` on the given attempts."""
-    return SwapFaultSpec(
-        stage=stage,
-        first_attempt=first_attempt,
-        last_attempt=last_attempt,
-        message=message,
-    )
-
-
-# -------------------------------------------------------- artifact corruption
-def corrupt_artifact_bytes(
-    path: Union[str, Path],
-    offset: Optional[int] = None,
-    count: int = 32,
-) -> Path:
-    """Deterministically flip ``count`` bytes of a file in place.
-
-    ``offset`` defaults to the middle of the file, which for an engine
-    artifact lands inside the array payload (the zip directory lives at the
-    end).  Bytes are XOR-flipped, so corruption is deterministic and
-    self-inverse.  Returns the path.
-    """
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        raise ValueError(f"{path} is empty; nothing to corrupt")
-    if offset is None:
-        offset = len(data) // 2
-    if not 0 <= offset < len(data):
-        raise ValueError(f"offset {offset} outside file of {len(data)} bytes")
-    stop = min(offset + max(count, 1), len(data))
-    for i in range(offset, stop):
-        data[i] ^= 0xFF
-    path.write_bytes(bytes(data))
-    return path

@@ -1,7 +1,6 @@
-"""Small shared utilities: RNG handling, timing, logging and sparse helpers."""
+"""Small shared utilities: RNG handling, logging and sparse helpers."""
 
-from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Timer, timed
+from repro.utils.rng import ensure_rng
 from repro.utils.logging import get_logger
 from repro.utils.sparse import (
     CachedBmat,
@@ -11,9 +10,6 @@ from repro.utils.sparse import (
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
-    "Timer",
-    "timed",
     "get_logger",
     "CachedBmat",
     "col_scaled_csr",

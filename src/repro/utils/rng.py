@@ -8,7 +8,7 @@ seed is supplied and independent when one is not.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,23 +29,6 @@ def ensure_rng(seed: RNGLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: RNGLike, n: int) -> Sequence[np.random.Generator]:
-    """Deterministically derive ``n`` independent generators from ``seed``.
-
-    Used by the parallel scenario runner so each worker draws from its own
-    stream regardless of scheduling order.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-    elif isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
 def derive_seed(seed: Optional[int], index: int) -> int:

@@ -53,7 +53,6 @@ __all__ = [
     "MatmulPlan",
     "col_scaled_csr",
     "csc_from_template",
-    "csr_from_template",
     "csr_rows",
     "pattern_union",
     "row_scaled_csr",
@@ -303,22 +302,11 @@ def csr_rows(matrix: sp.csr_matrix) -> np.ndarray:
     return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
 
 
-def csr_from_template(template: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """Canonical CSR matrix with ``template``'s pattern and fresh ``data``.
-
-    Shares the template's index arrays (read-only contract); this is how one
-    slot of a batched ``(B, nnz)`` data plane is materialised as a matrix.
-    """
-    return _fast_compressed(
-        sp.csr_matrix, np.asarray(data), template.indices, template.indptr, template.shape
-    )
-
-
 def csc_from_template(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
     """Canonical CSC matrix with ``template``'s pattern and fresh ``data``.
 
-    CSC counterpart of :func:`csr_from_template`; shares the template's index
-    arrays (read-only contract).
+    Shares the template's index arrays (read-only contract); this is how one
+    slot of a batched ``(B, nnz)`` data plane is materialised as a matrix.
     """
     return _fast_compressed(
         sp.csc_matrix, np.asarray(data), template.indices, template.indptr, template.shape

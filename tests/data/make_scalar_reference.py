@@ -25,15 +25,19 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import qps_mips
 from repro.opf import OPFModel, WarmStart, solve_opf
 from repro.parallel import Scenario
+
+# ``reference`` is the test-side package in ``tests/``, one level up.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from reference.qp import qps_mips  # noqa: E402
 
 OUT = Path(__file__).with_name("scalar_reference.npz")
 

@@ -1,0 +1,15 @@
+"""Test-side reference code: what the tests compare ``repro`` against.
+
+Nothing in ``src/repro`` imports from here.  The modules hold the independent
+or matrix-form counterparts of production kernels, and the one-row adapters
+that phrase small problems for the lockstep solver:
+
+* :mod:`reference.mips_solver` / :mod:`reference.qp` — ``mips()`` and
+  ``qps_mips``, scalar callbacks and dense QPs on ``mips_batch`` at width 1;
+* :mod:`reference.opf_hessian` / :mod:`reference.powerflow_hessians` — the
+  matrix-form Lagrangian Hessian the element kernels are checked against;
+* :mod:`reference.powerflow` — Newton power flow and branch flows;
+* :mod:`reference.matpower_io` — ``case_to_matpower``;
+* :mod:`reference.sparse` — one data-plane row as a CSR matrix;
+* :mod:`reference.faults` — swap-fault and artifact-corruption builders.
+"""

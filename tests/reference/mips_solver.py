@@ -6,9 +6,9 @@ iteration of its own: it is the width-1 case of
 :func:`repro.mips.batch.mips_batch`.  The scalar callbacks are wrapped into
 batched ones that exchange one-row data planes on fixed sparsity templates,
 so a single problem and a batch of problems run the same loop, the same KKT
-assembly and the same linear algebra, and record the same per-iteration
-history and phase split (callback evaluation / assembly / factorisation /
-back-substitution) for the Fig. 5 and Fig. 10 analyses.
+assembly and the same linear algebra.  The tests phrase small nonlinear
+programs through it; production reaches the loop through
+:func:`repro.opf.batch.solve_opf_batch`.
 
 The templates are the patterns of one evaluation at the start point (clipped
 into the bounds): the constraint Jacobians, and the Lagrangian Hessian with

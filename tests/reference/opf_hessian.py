@@ -7,7 +7,7 @@ MIPS takes exact Newton steps, so it needs the Hessian of::
 with respect to ``x``.  The cost contributes a diagonal block in ``Pg``; the
 power-balance and branch-flow constraints contribute blocks in ``(Va, Vm)``
 assembled from the second-derivative kernels of
-:mod:`repro.powerflow.hessians`.  The solver evaluates the same Hessian per
+:mod:`reference.powerflow_hessians`.  The solver evaluates the same Hessian per
 network element (:mod:`repro.opf.batch`); this matrix form is the
 independent reference the element-kernel tests compare against.
 """
@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from repro.opf.costs import objective_hessian_diag
 from repro.opf.model import OPFModel
-from repro.powerflow.hessians import d2ASbr_dV2, d2Sbus_dV2
+from reference.powerflow_hessians import d2ASbr_dV2, d2Sbus_dV2
+from repro.utils.sparse import CachedBmat
 
 
 def hessian_blocks(
@@ -94,12 +95,11 @@ def lagrangian_hessian(
     first) and ``mu_nl`` those of the branch-flow rows (from-end rows first);
     bound multipliers never appear because bound constraints are linear.
 
-    The full Hessian is assembled through the model's structure cache: the
-    ``(Va, Vm)`` kernel blocks and the diagonal ``Pg`` cost block are scattered
-    into a block pattern computed once per case.
+    The ``(Va, Vm)`` kernel blocks and the diagonal ``Pg`` cost block are
+    assembled into one block matrix.
     """
     Haa, Hav, Hva, Hvv, Dgg = hessian_blocks(model, x, lam_nl, mu_nl, cost_mult)
-    return model._hess_cache.assemble(
+    return CachedBmat("csr").assemble(
         [
             [Haa, Hav, None],
             [Hva, Hvv, None],

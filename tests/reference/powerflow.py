@@ -1,10 +1,11 @@
-"""Newton–Raphson AC power flow.
+"""Reference power flow: Newton–Raphson AC power flow and branch flows.
 
-The power-flow solver is used as a substrate: for validating OPF solutions
-(re-dispatching the OPF set points must reproduce the same operating state),
-for the examples, and as the engine behind the synthetic-case sanity checks.
-It follows the textbook polar-coordinate Newton method with the full Jacobian
-assembled from :func:`repro.powerflow.derivatives.dSbus_dV`.
+Independent of the OPF code path, so the tests can cross-check it:
+re-dispatching an OPF answer's set points through :func:`newton_power_flow`
+must reproduce the same operating state, and :func:`branch_flows` is the
+from/to-end side of the injection-conservation test.  The Newton method is
+the textbook polar-coordinate one with the full Jacobian assembled from
+:func:`repro.powerflow.derivatives.dSbus_dV`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ class PowerFlowResult:
     def V(self) -> np.ndarray:
         """Complex bus voltages."""
         return polar_to_complex(self.Va, self.Vm)
+
+
+def branch_flows(
+    adm: AdmittanceMatrices, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Complex power flows ``(Sf, St)`` at the from / to end of every branch."""
+    Sf = (adm.Cf @ V) * np.conj(adm.Yf @ V)
+    St = (adm.Ct @ V) * np.conj(adm.Yt @ V)
+    return Sf, St
 
 
 def _scheduled_injection(case: Case, adm: AdmittanceMatrices) -> np.ndarray:

@@ -7,9 +7,8 @@
          A_in x <= b_in
          xmin <= x <= xmax
 
-It exists for two reasons: it gives the test suite analytically checkable
-problems to validate the interior-point core against, and it is a useful
-stand-alone utility (e.g. DC-OPF style dispatch problems).
+It gives the test suite analytically checkable problems to validate the
+interior-point core against.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import scipy.sparse as sp
 
 from repro.mips.options import MIPSOptions
 from repro.mips.result import MIPSResult
-from repro.mips.solver import mips
+from reference.mips_solver import mips
 
 
 def qps_mips(

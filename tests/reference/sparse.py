@@ -1,0 +1,18 @@
+"""``csr_from_template``: one row of a batched data plane as a CSR matrix.
+
+The lockstep solver keeps a sparse quantity as a fixed pattern plus a
+``(B, nnz)`` data plane; the tests materialise one slot of such a plane as a
+matrix to compare it against the matrix-form reference.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def csr_from_template(template: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix with ``template``'s pattern and fresh ``data``."""
+    return sp.csr_matrix(
+        (np.asarray(data), template.indices, template.indptr), shape=template.shape
+    )

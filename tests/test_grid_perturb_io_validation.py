@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
+from reference.matpower_io import case_to_matpower
 from repro.grid import (
     CaseValidationError,
     case_from_matpower,
-    case_to_matpower,
     iter_load_samples,
-    nominal_load,
     sample_loads,
-    scaled_load,
-    stressed_area_load,
     validate_case,
 )
 from repro.grid.components import REF
@@ -56,21 +53,6 @@ def test_load_sample_apply_and_features(case9_fixture):
     feats = sample.feature_vector()
     assert feats.shape == (2 * case9_fixture.n_bus,)
     assert np.allclose(feats[: case9_fixture.n_bus], sample.Pd)
-
-
-def test_scaled_and_nominal_load(case9_fixture):
-    nominal = nominal_load(case9_fixture)
-    scaled = scaled_load(case9_fixture, 1.2)
-    assert np.allclose(scaled.Pd, 1.2 * nominal.Pd)
-    with pytest.raises(ValueError):
-        scaled_load(case9_fixture, -0.5)
-
-
-def test_stressed_area_load(case9_fixture):
-    sample = stressed_area_load(case9_fixture, area=1, factor=1.5)
-    assert np.allclose(sample.Pd, 1.5 * case9_fixture.bus.Pd)
-    with pytest.raises(ValueError):
-        stressed_area_load(case9_fixture, area=99, factor=1.5)
 
 
 # ----------------------------------------------------------- MATPOWER round trip

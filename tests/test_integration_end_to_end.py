@@ -7,7 +7,7 @@ from repro.core import SmartPGSim, SmartPGSimConfig, breakdown_from_evaluation
 from repro.grid import get_case, sample_loads
 from repro.mtl import fast_config
 from repro.opf import OPFModel, solve_opf
-from repro.powerflow import newton_power_flow
+from reference.powerflow import newton_power_flow
 
 
 def test_opf_solution_is_consistent_with_power_flow(case9_fixture, opf_solution9):

@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import MIPSOptions, available_kkt_solvers, mips_batch, qps_mips
+from reference.qp import qps_mips
+from repro.mips import MIPSOptions, available_kkt_solvers, mips_batch
 from repro.opf import OPFModel, OPFOptions, certify_opf, solve_opf_batch
 
 BACKENDS = available_kkt_solvers()

@@ -23,12 +23,8 @@ from repro.engine import (
 )
 from repro.mtl import MTLTrainer, SmartPGSimMTL, TaskDimensions, fast_config
 from repro.parallel import generate_scenarios
-from repro.testing.faults import (
-    LifecycleFaultPlan,
-    SwapFaultSpec,
-    corrupt_artifact_bytes,
-    swap_fault,
-)
+from reference.faults import corrupt_artifact_bytes, swap_fault
+from repro.testing.faults import LifecycleFaultPlan, SwapFaultSpec
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ import scipy.sparse as sp
 
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import LockstepPlan, MIPSOptions, mips_batch, qps_mips
+from reference.qp import qps_mips
+from repro.mips import LockstepPlan, MIPSOptions, mips_batch
 from repro.opf import (
     BatchedOPFModel,
     OPFModel,
@@ -26,9 +27,9 @@ from repro.opf import (
     solve_opf_batch,
 )
 from repro.opf.constraints import constraint_function
-from repro.opf.hessian import lagrangian_hessian
+from reference.opf_hessian import lagrangian_hessian
 from repro.parallel import generate_scenarios, run_scenario_sweep
-from repro.utils.sparse import csr_from_template
+from reference.sparse import csr_from_template
 
 
 def _dense(template, data_row):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from reference.qp import qps_mips
 from repro.mips import (
     FactorizedSolver,
     KKTSolveError,
@@ -11,7 +12,6 @@ from repro.mips import (
     MIPSOptions,
     available_kkt_solvers,
     make_kkt_solver,
-    qps_mips,
 )
 from repro.utils.sparse import (
     CachedBmat,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.mips import MIPSOptions, mips, mips_batch, qps_mips
+from reference.mips_solver import mips
+from reference.qp import qps_mips
+from repro.mips import MIPSOptions, mips_batch
 
 
 # ------------------------------------------------------------------- QP problems

@@ -5,12 +5,7 @@ import pytest
 
 from repro.nn import (
     Adam,
-    CharbonnierLoss,
-    CosineAnnealingLR,
-    ExponentialLR,
-    L1Loss,
     Linear,
-    MSELoss,
     ReLU,
     SGD,
     Sequential,
@@ -109,16 +104,8 @@ def test_charbonnier_approximates_l1_for_large_errors():
 
 
 def test_charbonnier_smooth_at_zero():
-    loss = CharbonnierLoss(epsilon=1e-9)
-    value = loss(Tensor(np.zeros(4)), Tensor(np.zeros(4))).item()
+    value = charbonnier(Tensor(np.zeros(4)), Tensor(np.zeros(4)), epsilon=1e-9).item()
     assert value == pytest.approx(1e-9, rel=1e-3)
-
-
-def test_loss_modules_values():
-    pred = Tensor(np.array([1.0, 2.0]))
-    target = Tensor(np.array([0.0, 0.0]))
-    assert MSELoss()(pred, target).item() == pytest.approx(2.5)
-    assert L1Loss()(pred, target).item() == pytest.approx(1.5)
 
 
 def test_charbonnier_weight_scales_loss():
@@ -188,25 +175,7 @@ def test_step_lr_schedule():
     assert lrs == [1.0, 0.5, 0.5, 0.25]
 
 
-def test_exponential_lr_schedule():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-    sched = ExponentialLR(opt, gamma=0.9)
-    sched.step()
-    assert opt.lr == pytest.approx(0.9)
-
-
-def test_cosine_lr_endpoints():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-    sched = CosineAnnealingLR(opt, t_max=10, min_lr=0.1)
-    values = [sched.step() for _ in range(10)]
-    assert values[0] < 1.0
-    assert values[-1] == pytest.approx(0.1, abs=1e-9)
-    assert all(values[i] >= values[i + 1] for i in range(len(values) - 1))
-
-
 def test_scheduler_validation():
     opt = SGD([Parameter(np.zeros(1))], lr=1.0)
     with pytest.raises(ValueError):
         StepLR(opt, step_size=0)
-    with pytest.raises(ValueError):
-        CosineAnnealingLR(opt, t_max=0)

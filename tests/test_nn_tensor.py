@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, concatenate, stack_scalars
+from repro.nn import Tensor, as_tensor, concatenate
 
 
 def numeric_gradient(fn, x, eps=1e-6):
@@ -175,10 +175,8 @@ def test_zero_grad_clears_gradient():
     assert x.grad is None
 
 
-def test_stack_scalars_and_as_tensor():
-    parts = [Tensor([1.0]).sum(), Tensor([2.0]).sum()]
-    stacked = stack_scalars(parts)
-    assert np.allclose(stacked.data, [1.0, 2.0])
+def test_as_tensor_passes_tensors_through():
+    stacked = concatenate([Tensor([1.0]), Tensor([2.0])], axis=0)
     assert as_tensor(stacked) is stacked
     assert isinstance(as_tensor(np.ones(2)), Tensor)
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from reference.opf_hessian import lagrangian_hessian
 from repro.mips import MIPSOptions
 from repro.opf import (
     OPFModel,
     OPFOptions,
     WarmStart,
-    lagrangian_hessian,
     solve_opf,
 )
 from repro.opf.constraints import branch_flow_limits, power_balance
@@ -205,3 +205,18 @@ def test_warm_x_of_the_wrong_length_rejected_naming_the_scenario(case9_fixture, 
     Qd = np.stack([case9_fixture.bus.Qd] * 3)
     with pytest.raises(ValueError, match=r"warm start 2: x has shape \(1,\)"):
         solve_opf_batch(case9_fixture, Pd, Qd, warm_starts=[None, None, short], model=opf_model9)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"window": 4}, {"warm_starts": []}, {"outages": []}],
+    ids=["plain", "window", "warm_starts", "outages"],
+)
+def test_empty_batch_returns_no_results(case9_fixture, opf_model9, kwargs):
+    """An empty batch answers ``[]``, like ``mips_batch`` and an empty fleet solve."""
+    from repro.opf import solve_opf_batch
+
+    empty = np.zeros((0, case9_fixture.n_bus))
+    assert solve_opf_batch(case9_fixture, empty, empty, model=opf_model9, **kwargs) == []
+    with pytest.raises(ValueError, match="one entry per scenario"):
+        solve_opf_batch(case9_fixture, empty, empty, model=opf_model9, outages=[()])

@@ -6,11 +6,14 @@ import pytest
 from repro.parallel import (
     ClusterModel,
     PAPER_WORKER_COUNTS,
-    calibrate_from_inference,
+    Scenario,
     generate_scenarios,
+    make_microbatches,
     run_scenario_sweep,
+    screened_outage_sets,
+    topology_key,
 )
-from repro.utils import Timer, ensure_rng, spawn_rngs, timed
+from repro.utils import ensure_rng
 from repro.utils.rng import derive_seed
 
 
@@ -142,11 +145,25 @@ def test_cluster_model_validation():
         ClusterModel(throughput=1.0).time_for(0, 1)
 
 
-def test_calibrate_from_inference_measures_throughput():
-    model = calibrate_from_inference(lambda batch: batch * 2, np.ones((256, 4)), repeats=2)
-    assert model.throughput > 0
-    with pytest.raises(ValueError):
-        calibrate_from_inference(lambda b: b, np.ones((2, 2)), repeats=0)
+def test_cluster_model_calibrates_from_a_measured_rate():
+    model = ClusterModel.calibrate(120.0, broadcast_base=0.0)
+    assert model.throughput == 120.0 and model.broadcast_base == 0.0
+
+
+# ------------------------------------------------------------- scenario contracts
+def test_outage_indices_are_validated_and_key_the_topology(case9_fixture):
+    Pd, Qd = case9_fixture.bus.Pd, case9_fixture.bus.Qd
+    with pytest.raises(ValueError, match="integers"):
+        Scenario(0, Pd, Qd, outage_branches=(1.5,))
+    with pytest.raises(ValueError, match="non-negative"):
+        Scenario(0, Pd, Qd, outage_branches=(-1,))
+    assert topology_key(Scenario(0, Pd, Qd, outage_branches=(3, 1, 3))) == (1, 3)
+    with pytest.raises(ValueError, match="k must be positive"):
+        screened_outage_sets(case9_fixture, k=0)
+    with pytest.raises(ValueError, match="max_sets must be positive"):
+        screened_outage_sets(case9_fixture, k=1, max_sets=0)
+    with pytest.raises(ValueError, match="microbatch must be positive"):
+        make_microbatches([Scenario(0, Pd, Qd)], microbatch=0)
 
 
 # ----------------------------------------------------------------------------- utils
@@ -157,36 +174,6 @@ def test_ensure_rng_accepts_everything():
     assert isinstance(ensure_rng(np.random.SeedSequence(1)), np.random.Generator)
 
 
-def test_spawn_rngs_independent_and_deterministic():
-    a = spawn_rngs(7, 3)
-    b = spawn_rngs(7, 3)
-    assert len(a) == 3
-    assert a[0].random() == b[0].random()
-    assert a[1].random() != a[2].random()
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
-
-
 def test_derive_seed_stable():
     assert derive_seed(1, 2) == derive_seed(1, 2)
     assert derive_seed(1, 2) != derive_seed(1, 3)
-
-
-def test_timer_sections_and_merge():
-    timer = Timer()
-    with timer.section("a"):
-        pass
-    timer.add("b", 1.5)
-    assert timer.total("b") == pytest.approx(1.5)
-    assert timer.overall() >= 1.5
-    other = Timer()
-    other.add("b", 0.5)
-    timer.merge(other)
-    assert timer.total("b") == pytest.approx(2.0)
-    assert timer.as_dict()["b"] == pytest.approx(2.0)
-
-
-def test_timed_contextmanager():
-    with timed() as t:
-        sum(range(1000))
-    assert t.seconds >= 0

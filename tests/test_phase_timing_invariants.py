@@ -21,7 +21,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.grid import get_case
-from repro.mips import MIPSOptions, mips_batch, qps_mips
+from reference.qp import qps_mips
+from repro.mips import MIPSOptions, mips_batch
 from repro.opf import OPFModel, WarmStart, solve_opf
 from repro.parallel import generate_scenarios, run_scenario_sweep
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.powerflow import (
     dAbr_dV,
-    dIbr_dV,
     dSbr_dV,
     dSbus_dV,
     make_ybus,
@@ -98,18 +97,3 @@ def test_dAbr_dV_matches_finite_differences(case9_fixture, rng):
     Jfd_a, Jfd_m = _fd_jacobian(asq, Va, Vm, case.n_branch)
     assert np.abs(dAa.toarray() - Jfd_a.real).max() < 1e-5
     assert np.abs(dAm.toarray() - Jfd_m.real).max() < 1e-5
-
-
-def test_dIbr_dV_matches_finite_differences(case9_fixture, rng):
-    case = case9_fixture
-    adm = make_ybus(case)
-    Va, Vm = _random_voltage(case.n_bus, rng)
-
-    def current(Va_, Vm_):
-        return adm.Yf @ polar_to_complex(Va_, Vm_)
-
-    dIa, dIm, Ibr = dIbr_dV(adm.Yf, polar_to_complex(Va, Vm))
-    Jfd_a, Jfd_m = _fd_jacobian(current, Va, Vm, case.n_branch)
-    assert np.abs(dIa.toarray() - Jfd_a).max() < 1e-6
-    assert np.abs(dIm.toarray() - Jfd_m).max() < 1e-6
-    assert np.allclose(Ibr, current(Va, Vm))

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
+from reference.powerflow_hessians import d2ASbr_dV2, d2Sbr_dV2, d2Sbus_dV2
 from repro.powerflow import (
-    d2ASbr_dV2,
-    d2Sbr_dV2,
-    d2Sbus_dV2,
     dAbr_dV,
     dSbr_dV,
     dSbus_dV,

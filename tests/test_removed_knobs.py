@@ -17,7 +17,10 @@ travels one typed path: dispatch tasks and worker state are dataclasses, an
 fields, the fallback-solve twin of ``solve_opf`` and the compat re-exports
 are gone.  And recovery is one fixed rule: a failed warm row is re-solved
 cold, so the ``fallback=`` policy selector, its policy classes, registry and
-``relaxed_options`` are gone.
+``relaxed_options`` are gone.  And parameters no caller passed are
+constants: the dual floor of ``WarmStart.clipped_duals``, the supervised
+pool's start method, poll interval and lost-task grace, and
+``generate_dataset``'s keep-failed switch.
 """
 
 import inspect
@@ -124,9 +127,9 @@ def test_backend_interface_is_solve_blocks_only(backend):
 
 
 def test_one_solver_core(case9_fixture):
-    import repro.mips.solver
     import repro.opf
     import repro.utils.sparse
+    from reference import mips_solver
     from repro.opf import solve_opf_batch
 
     with pytest.raises(TypeError, match="batched"):
@@ -137,7 +140,7 @@ def test_one_solver_core(case9_fixture):
     for name in ("CachedTranspose", "cached_vstack_csr"):
         assert not hasattr(repro.utils.sparse, name)
     for name in ("_KKTAssembler", "_BoundHandler", "_conditions", "_is_converged"):
-        assert not hasattr(repro.mips.solver, name)
+        assert not hasattr(mips_solver, name)
 
 
 def _private_functions(module):
@@ -193,3 +196,22 @@ def test_one_recovery_rule():
     assert not set(retired) & set(repro.engine.__all__)
     assert not hasattr(repro.opf, "relaxed_options")
     assert not hasattr(repro.opf.options, "relaxed_options")
+
+
+
+def test_unpassed_parameters_are_constants():
+    from repro.data.dataset import generate_dataset
+    from repro.opf.batch import _warm_component
+    from repro.opf.warmstart import WarmStart
+    from repro.parallel.supervision import SupervisedPool
+
+    retired = {
+        WarmStart.clipped_duals: ("floor",),
+        _warm_component: ("floor",),
+        SupervisedPool: ("context", "poll_interval", "lost_task_grace"),
+        generate_dataset: ("drop_failures",),
+    }
+    for callee, names in retired.items():
+        params = inspect.signature(callee).parameters
+        assert not set(names) & set(params), callee.__qualname__
+        assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())

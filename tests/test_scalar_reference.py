@@ -12,13 +12,14 @@ certificate, and ``solve_opf`` must equal the same row solved alone by
 ``solve_opf_batch`` bit for bit.
 """
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reference.qp import qps_mips
 from repro.grid import get_case
-from repro.mips import qps_mips
 from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.parallel import Scenario
 
@@ -47,6 +48,17 @@ def test_corpus_covers_the_reference_problems():
         "case14_cold", "case14_warm", "case9_cold", "case9_warm",
     ]
     assert len(QP_ENTRIES) == 6
+
+
+def test_corpus_script_imports_cleanly_and_writes_only_as_main():
+    script = Path(__file__).parent / "data" / "make_scalar_reference.py"
+    written = script.with_name("scalar_reference.npz").stat().st_mtime_ns
+    spec = importlib.util.spec_from_file_location("make_scalar_reference", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.qps_mips is qps_mips
+    assert sorted(module.QPS) == QP_ENTRIES
+    assert script.with_name("scalar_reference.npz").stat().st_mtime_ns == written
 
 
 @pytest.mark.parametrize("entry", OPF_ENTRIES)
