@@ -74,7 +74,7 @@ def _serve_sequential(engine, requests):
     t0 = time.perf_counter()
     for request in requests:
         t_req = time.perf_counter()
-        sweeps.append(engine.serve(request, deadline_seconds=60.0))
+        sweeps.append(engine.serve(request, deadline=time.monotonic() + 60.0))
         latencies.append(time.perf_counter() - t_req)
     return sweeps, latencies, time.perf_counter() - t0
 

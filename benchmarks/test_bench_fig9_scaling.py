@@ -14,8 +14,8 @@ import pytest
 from repro.parallel import (
     PAPER_WORKER_COUNTS,
     ClusterModel,
+    SolverFleet,
     generate_scenarios,
-    run_scenario_sweep,
 )
 
 
@@ -61,10 +61,10 @@ def test_bench_fig9_process_pool_sweep(benchmark, framework9):
     scenarios = generate_scenarios(case, 4, seed=3)
     warm = trainer.warm_starts_for(scenarios.feature_matrix(case.base_mva))
 
-    result = benchmark.pedantic(
-        lambda: run_scenario_sweep(case, scenarios, warm_starts=warm, n_workers=1),
-        rounds=1,
-        iterations=1,
-    )
+    def sweep():
+        with SolverFleet(case, n_workers=1) as fleet:
+            return fleet.solve(scenarios, warm)
+
+    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert result.n_scenarios == 4
     assert result.success_rate >= 0.75

@@ -42,7 +42,7 @@ def test_bench_n2_contingency_screening(perf_recorder):
     sweep_set = generate_contingency_set(case, 12, k=2, max_outage_sets=4, seed=31)
     n_topologies = len({topology_key(s) for s in sweep_set})
 
-    with SolverFleet(case, collect_solutions=True) as fleet:
+    with SolverFleet(case) as fleet:
         t0 = time.perf_counter()
         sweep = fleet.solve(sweep_set)
         wall = time.perf_counter() - t0
@@ -65,7 +65,7 @@ def test_bench_trajectory_warm_chaining_speedup(perf_recorder):
     samples = sample_load_trajectory(case, n_steps=TRAJECTORY_STEPS, seed=17)
     steps = trajectory_steps(case, samples)
 
-    with SolverFleet(case, collect_solutions=True) as fleet:
+    with SolverFleet(case) as fleet:
         driver_warm = MultiPeriodSweep(fleet, warm_chain=True)
         driver_cold = MultiPeriodSweep(fleet, warm_chain=False)
         # Warm-up solve so neither measured pass pays one-time model setup.

@@ -26,8 +26,8 @@ from repro.mtl import fast_config
 from repro.parallel import (
     PAPER_WORKER_COUNTS,
     ClusterModel,
+    SolverFleet,
     generate_scenarios,
-    run_scenario_sweep,
 )
 
 
@@ -50,7 +50,8 @@ def main() -> None:
     warm_starts = trainer.warm_starts_for(scenarios.feature_matrix(case.base_mva))
 
     print(f"Running the sweep on {n_workers} worker process(es)...")
-    sweep = run_scenario_sweep(case, scenarios, warm_starts=warm_starts, n_workers=n_workers)
+    with SolverFleet(case, n_workers=n_workers) as fleet:
+        sweep = fleet.solve(scenarios, warm_starts)
     print(f"  solved {sweep.n_scenarios} scenarios in {sweep.wall_seconds:.1f} s "
           f"({sweep.throughput:.2f} scenarios/s, success rate {100 * sweep.success_rate:.1f} %)")
     print(f"  serial-equivalent solver time: {sweep.total_solver_seconds():.1f} s")

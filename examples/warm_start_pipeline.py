@@ -27,7 +27,7 @@ from repro.mtl import (
     fast_config,
 )
 from repro.opf import OPFModel, solve_opf
-from repro.parallel import Scenario, ScenarioSet, run_scenario_sweep
+from repro.parallel import Scenario, ScenarioSet, SolverFleet
 
 
 def train_variant(name, network_cls, use_physics, dims, train_set, opf_model, config):
@@ -74,17 +74,16 @@ def main() -> None:
         [Scenario(i, val_set.Pd_mw[i], val_set.Qd_mw[i]) for i in range(val_set.n_samples)],
         n_bus=case.n_bus,
     )
-    for name, trainer in (
-        ("separate networks", separate),
-        ("MTL (no physics)", mtl_plain),
-        ("Smart-PGSim", smart),
-    ):
-        sweep = run_scenario_sweep(
-            case,
-            scenarios,
-            warm_starts=trainer.warm_starts_for(val_set.inputs),
-            model=opf_model,
-        )
+    with SolverFleet(case, model=opf_model) as fleet:
+        sweeps = [
+            (name, fleet.solve(scenarios, trainer.warm_starts_for(val_set.inputs)))
+            for name, trainer in (
+                ("separate networks", separate),
+                ("MTL (no physics)", mtl_plain),
+                ("Smart-PGSim", smart),
+            )
+        ]
+    for name, sweep in sweeps:
         successes = [outcome.success for outcome in sweep.outcomes]
         iters = [outcome.final_iterations for outcome in sweep.outcomes]
         print(f"{name:<22} {100 * np.mean(successes):>6.1f} {np.mean(iters):>11.1f} "

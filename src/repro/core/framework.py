@@ -15,7 +15,7 @@ describes, but since the serving-engine split it is a *thin orchestrator*:
 Online results come back as an :class:`~repro.engine.records.OnlineEvaluation`
 (from :mod:`repro.engine.records`).  A trained pipeline can be persisted with
 ``framework.engine.save_artifact(path)`` and served later without retraining
-via :meth:`repro.engine.engine.WarmStartEngine.load_artifact`.
+via :func:`repro.engine.load_artifact`.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class SmartPGSimConfig:
     opf: OPFOptions = field(default_factory=OPFOptions)
     #: Solver workers used for ground-truth generation and online dispatch.
     n_workers: int = 1
-    #: Micro-batch size for the fleet's work queue on both sides — ground-truth
-    #: generation and online serving (auto-sized when None).
-    microbatch: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.model_type not in ("mtl", "separate"):
@@ -75,8 +72,6 @@ class SmartPGSimConfig:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if self.microbatch is not None and self.microbatch < 1:
-            raise ValueError("microbatch must be positive")
 
 
 @dataclass
@@ -116,7 +111,6 @@ class SmartPGSim:
                 options=cfg.opf,
                 model=self.opf_model,
                 n_workers=cfg.n_workers,
-                microbatch=cfg.microbatch,
             )
         dataset_seconds = time.perf_counter() - t0
 
@@ -151,11 +145,7 @@ class SmartPGSim:
         )
         if self._engine is not None:  # retraining: shut the old fleets down first
             self._engine.close()
-        self._engine = WarmStartEngine.from_trainer(
-            trainer,
-            opf_options=cfg.opf,
-            microbatch=cfg.microbatch,
-        )
+        self._engine = WarmStartEngine.from_trainer(trainer, opf_options=cfg.opf)
         LOGGER.info(
             "%s offline done: %d samples, dataset %.1fs, training %.1fs",
             self.case.name,

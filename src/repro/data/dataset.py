@@ -165,7 +165,6 @@ def generate_dataset(
     options: Optional[OPFOptions] = None,
     model: Optional[OPFModel] = None,
     n_workers: int = 1,
-    microbatch: Optional[int] = None,
     sampler: Optional[CorrelatedLoadSampler] = None,
     stream_batch: Optional[int] = None,
 ) -> OPFDataset:
@@ -177,9 +176,7 @@ def generate_dataset(
     workers.  Every micro-batch is solved in lockstep (see
     :func:`repro.opf.batch.solve_opf_batch`); each row lands on the bits
     :func:`~repro.opf.solver.solve_opf` returns for that scenario alone, at a
-    fraction of the per-scenario cost; ``microbatch`` bounds the micro-batch
-    size (see
-    :mod:`repro.parallel.scheduler`).  Scenarios whose cold-start solve
+    fraction of the per-scenario cost.  Scenarios whose cold-start solve
     fails to converge are dropped (they are rare for the built-in cases at
     ±10 % load variation), matching the paper's use of converged solutions as
     supervision signal.
@@ -255,9 +252,7 @@ def generate_dataset(
         case,
         options=options,
         n_workers=n_workers,
-        collect_solutions=True,
         model=model if n_workers == 1 else None,
-        microbatch=microbatch,
     ) as fleet:
         for block in blocks:
             scenario_set = ScenarioSet(
@@ -265,7 +260,7 @@ def generate_dataset(
                 [Scenario(s.scenario_id, s.Pd, s.Qd) for s in block],
                 n_bus=case.n_bus,
             )
-            collect(block, fleet.solve(scenario_set).outcomes)
+            collect(block, fleet.solve(scenario_set, solutions=True).outcomes)
 
     if not rows_in:
         raise RuntimeError(f"no scenario of {case.name} converged; cannot build a dataset")

@@ -134,15 +134,13 @@ def load_artifact(
     case: Case,
     opf_options: Optional[OPFOptions] = None,
     opf_model: Optional[OPFModel] = None,
-    microbatch: Optional[int] = None,
 ) -> WarmStartEngine:
     """Reconstruct a :class:`WarmStartEngine` from an artifact file.
 
     ``case`` must be the system the artifact was trained on; the stored
     fingerprint is verified and :class:`ArtifactMismatchError` is raised on
     mismatch.  ``opf_options`` defaults to the persisted value and can be
-    overridden for the new deployment.  ``microbatch`` configures the solver fleet (a deployment choice, not part
-    of the trained artifact).
+    overridden for the new deployment.
     """
     try:
         arrays, meta = load_bundle(path)
@@ -187,10 +185,12 @@ def load_artifact(
         opf_dict = dict(meta["opf_options"])
         mips_dict = dict(opf_dict["mips"])
         # Retired options that artifacts written before their removal carry:
-        # neither changed a solution (threaded block factorisation was
-        # bit-identical to serial by contract, refinement sweeps were 0).
+        # none changed a solution (threaded block factorisation was
+        # bit-identical to serial by contract, refinement sweeps were 0, and
+        # the per-solve wall budget was never set; deadlines are per call).
         mips_dict.pop("kkt_factor_threads", None)
         mips_dict.pop("kkt_refine_steps", None)
+        mips_dict.pop("max_wall_seconds", None)
         # Retired SuperLU backends load as the surviving SuperLU reference
         # ("blockdiag" was bit-identical to it by contract).
         if mips_dict.get("kkt_solver") in ("blockdiag", "spsolve"):
@@ -205,5 +205,4 @@ def load_artifact(
         config=config,
         opf_options=opf_options,
         opf_model=opf_model,
-        microbatch=microbatch,
     )

@@ -6,16 +6,17 @@ AC-OPF problems at throughput —
 
 * **batched MTL inference** — one forward pass covers a whole batch of load
   vectors (``warm_starts_for``), instead of one per-row predict per scenario;
-* **a persistent solver fleet** — warm-started MIPS solves are dispatched
-  across the :class:`~repro.parallel.pool.SolverFleet` workers, which stay
-  alive across requests;
+* **one persistent solver fleet per worker count** — warm-started MIPS
+  solves are dispatched across the :class:`~repro.parallel.pool.SolverFleet`
+  workers, which stay alive across requests of every kind (a request's
+  deadline and whether it needs solutions back are per-call properties);
 * **cold restart on failure** — a warm solve that does not converge is
   re-solved from the solver default inside the fleet worker, the paper's
   online procedure (see :class:`~repro.parallel.pool.WorkerState`);
-* **artifact persistence** — :meth:`save_artifact` / :meth:`load_artifact`
-  bundle model weights, normalizer statistics, configuration and a case
-  fingerprint, so an engine can be reconstructed from disk and serve requests
-  without retraining.
+* **artifact persistence** — :meth:`save_artifact` /
+  :func:`repro.engine.artifact.load_artifact` bundle model weights,
+  normalizer statistics, configuration and a case fingerprint, so an engine
+  can be reconstructed from disk and serve requests without retraining.
 
 :meth:`~WarmStartEngine.serve`, :meth:`~WarmStartEngine.serve_trajectory`
 and :meth:`~WarmStartEngine.evaluate` share one path around the fleet: warm
@@ -23,6 +24,9 @@ starts are predicted from the request's :class:`ServingModel` snapshot, and
 the outcomes feed the drift monitor and the circuit breaker in scenario-id
 order.  ``evaluate`` additionally wraps each outcome in an
 :class:`~repro.engine.records.OnlineRecord` with the dataset's cold reference.
+Below the engine a time bound has one form: the absolute per-row
+``deadline=`` on the ``time.monotonic()`` clock (``serve_trajectory``'s
+per-step ``deadline_seconds`` budget becomes one just before each step).
 
 The offline/online driver in :mod:`repro.core.framework` is a thin
 orchestrator over this class.
@@ -86,7 +90,6 @@ class WarmStartEngine:
         config: Optional[MTLConfig] = None,
         opf_options: Optional[OPFOptions] = None,
         opf_model: Optional[OPFModel] = None,
-        microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
@@ -105,11 +108,6 @@ class WarmStartEngine:
         self._swap_lock = threading.Lock()
         self.opf_options = opf_options or OPFOptions()
         self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
-        if microbatch is not None and microbatch < 1:
-            # Fail at construction, not at the first (lazy) fleet creation.
-            raise ValueError("microbatch must be positive")
-        #: Micro-batch size for the fleet's work queue (auto-sized when None).
-        self.microbatch = microbatch
         #: Optional health-aware circuit breaker over the warm-start path.
         #: While open, new requests skip inference and go straight to the
         #: cold path; per-request outcomes feed its health window.
@@ -122,9 +120,8 @@ class WarmStartEngine:
         #: (testing only) and the crash-retry budget handed to fleets.
         self.faults = faults
         self.crash_retries = crash_retries
-        #: Live fleets keyed by ``(n_workers, collect_solutions)``; created
-        #: lazily, kept across calls.
-        self._fleets: Dict[Tuple[int, bool], SolverFleet] = {}
+        #: Live fleets keyed by worker count; created lazily, kept across calls.
+        self._fleets: Dict[int, SolverFleet] = {}
 
     # ------------------------------------------------------------ serving state
     @property
@@ -218,7 +215,6 @@ class WarmStartEngine:
         cls,
         trainer: MTLTrainer,
         opf_options: Optional[OPFOptions] = None,
-        microbatch: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
         drift_monitor: Optional[DriftMonitor] = None,
     ) -> "WarmStartEngine":
@@ -230,7 +226,6 @@ class WarmStartEngine:
             config=trainer.config,
             opf_options=opf_options,
             opf_model=trainer.opf_model,
-            microbatch=microbatch,
             breaker=breaker,
             drift_monitor=drift_monitor,
         )
@@ -284,57 +279,34 @@ class WarmStartEngine:
         return stamps
 
     # ------------------------------------------------------------------ serving
-    def _fleet(self, n_workers: int, collect_solutions: bool) -> SolverFleet:
-        key = (n_workers, collect_solutions)
-        fleet = self._fleets.get(key)
+    def fleet(self, n_workers: int = 1) -> SolverFleet:
+        """The persistent solver fleet for ``n_workers`` (created on first use)."""
+        fleet = self._fleets.get(n_workers)
         if fleet is None:
             fleet = SolverFleet(
                 self.case,
                 options=self.opf_options,
                 n_workers=n_workers,
-                collect_solutions=collect_solutions,
                 model=self.opf_model if n_workers == 1 else None,
-                microbatch=self.microbatch,
                 faults=self.faults,
                 crash_retries=self.crash_retries,
             )
-            self._fleets[key] = fleet
-            LOGGER.info(
-                "%s: started %s fleet with %d worker(s)",
-                self.case.name,
-                "trajectory" if collect_solutions else "solver",
-                n_workers,
-            )
+            self._fleets[n_workers] = fleet
+            LOGGER.info("%s: started solver fleet with %d worker(s)", self.case.name, n_workers)
         return fleet
-
-    def fleet(self, n_workers: int = 1) -> SolverFleet:
-        """The persistent solver fleet for ``n_workers`` (created on first use)."""
-        return self._fleet(n_workers, collect_solutions=False)
-
-    def trajectory_fleet(self, n_workers: int = 1) -> SolverFleet:
-        """The persistent solution-collecting fleet for trajectory serving.
-
-        Separate from :meth:`fleet` because trajectory chaining needs every
-        converged solve's primal/dual variables shipped back
-        (``collect_solutions=True``), which ordinary serving deliberately
-        avoids paying for.
-        """
-        return self._fleet(n_workers, collect_solutions=True)
 
     def serve(
         self,
         scenarios: ScenarioSet,
         n_workers: int = 1,
-        deadline_seconds: Optional[object] = None,
         deadline: Optional[object] = None,
     ) -> SweepResult:
         """Serve a batch of scenarios: batched inference + fleet dispatch.
 
-        ``deadline_seconds`` (relative wall budgets) and ``deadline``
-        (absolute ``time.monotonic()`` deadlines) bound the request — each a
-        scalar shared by every scenario or a per-scenario sequence
-        (``inf``/``nan`` = unbounded), which is how the async batcher
-        forwards the different budgets of coalesced requests.  Expired solves
+        ``deadline`` (absolute ``time.monotonic()`` deadlines) bounds the
+        request — a scalar shared by every scenario or a per-scenario
+        sequence (``inf``/``nan`` = unbounded), which is how the async
+        batcher forwards the different budgets of coalesced requests.  Expired solves
         retire with ``timed_out`` outcomes instead of raising.  When the
         engine's :class:`~repro.engine.fallback.CircuitBreaker` is open, the
         request skips inference entirely and is served from the degraded
@@ -367,9 +339,7 @@ class WarmStartEngine:
             )
         else:
             warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
-        sweep = self.fleet(n_workers).solve(
-            scenarios, warm_starts, deadline_seconds=deadline_seconds, deadline=deadline
-        )
+        sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
         sweep.model_generation = serving.generation
         self._observe(sweep)
         return sweep
@@ -379,12 +349,11 @@ class WarmStartEngine:
         Pd_mw: np.ndarray,
         Qd_mvar: np.ndarray,
         n_workers: int = 1,
-        deadline_seconds: Optional[object] = None,
         deadline: Optional[object] = None,
     ) -> SweepResult:
         """Serve raw per-bus load matrices (one row per scenario, MW/MVAr).
 
-        Deadlines follow :meth:`serve` (scalar or one entry per row).  An
+        ``deadline`` follows :meth:`serve` (scalar or one entry per row).  An
         empty load matrix (zero rows or a zero-size array) is a valid empty
         request and returns an empty generation-stamped sweep.
         """
@@ -394,7 +363,6 @@ class WarmStartEngine:
             return self.serve(
                 ScenarioSet(self.case.name, [], n_bus=self.case.n_bus),
                 n_workers=n_workers,
-                deadline_seconds=deadline_seconds,
                 deadline=deadline,
             )
         Pd_mw = np.atleast_2d(Pd_mw)
@@ -409,12 +377,7 @@ class WarmStartEngine:
             [Scenario(i, Pd_mw[i], Qd_mvar[i]) for i in range(Pd_mw.shape[0])],
             n_bus=self.case.n_bus,
         )
-        return self.serve(
-            scenarios,
-            n_workers=n_workers,
-            deadline_seconds=deadline_seconds,
-            deadline=deadline,
-        )
+        return self.serve(scenarios, n_workers=n_workers, deadline=deadline)
 
     def serve_trajectory(
         self,
@@ -433,7 +396,9 @@ class WarmStartEngine:
         masked across topology changes) — the model predicts once, the
         trajectory's temporal locality does the rest.  ``warm_chain=False``
         serves every step from the model instead (the per-step baseline the
-        benchmark compares against).
+        benchmark compares against).  ``deadline_seconds`` is a wall budget
+        per step (see :meth:`~repro.parallel.trajectory.MultiPeriodSweep.run`).
+        The trajectory runs on the same fleet as :meth:`serve`.
 
         The published :class:`ServingModel` is snapshotted once for the whole
         trajectory and stamped on every per-step sweep; the health machinery
@@ -453,23 +418,14 @@ class WarmStartEngine:
                 return None
             return self._predict(serving, step.feature_matrix(self.case.base_mva))
 
-        fleet = self.trajectory_fleet(n_workers)
+        driver = MultiPeriodSweep(self.fleet(n_workers), warm_chain=warm_chain)
         if warm_chain:
-            driver = MultiPeriodSweep(fleet, warm_chain=True)
-            result = driver.run(
-                steps,
-                initial_warm_starts=model_warm_starts(steps[0]),
-                deadline_seconds=deadline_seconds,
-            )
+            result = driver.run(steps, model_warm_starts(steps[0]), deadline_seconds)
         else:
             # Per-step model serving: no chaining, every period predicted.
             result = TrajectoryResult(case_name=self.case.name)
             for t, step in enumerate(steps):
-                sweep = fleet.solve(
-                    step,
-                    warm_starts=model_warm_starts(step),
-                    deadline_seconds=deadline_seconds,
-                )
+                (sweep,) = driver.run([step], model_warm_starts(step), deadline_seconds).steps
                 sweep.period = t
                 result.steps.append(sweep)
         for sweep in result.steps:
@@ -483,7 +439,6 @@ class WarmStartEngine:
         dataset: OPFDataset,
         max_problems: Optional[int] = None,
         n_workers: int = 1,
-        deadline_seconds: Optional[object] = None,
         deadline: Optional[object] = None,
     ) -> OnlineEvaluation:
         """Warm-start every problem of ``dataset`` and aggregate the outcomes.
@@ -513,9 +468,7 @@ class WarmStartEngine:
             [Scenario(i, dataset.Pd_mw[i], dataset.Qd_mw[i]) for i in range(n)],
             n_bus=self.case.n_bus,
         )
-        sweep = self.fleet(n_workers).solve(
-            scenarios, warm_starts, deadline_seconds=deadline_seconds, deadline=deadline
-        )
+        sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
         sweep.model_generation = serving.generation
         # The sweep's outcomes are sorted by scenario id, the order _observe
         # feeds them in, so the stamps line up with the outcomes.
@@ -540,25 +493,6 @@ class WarmStartEngine:
         from repro.engine.artifact import save_artifact
 
         return save_artifact(self, path)
-
-    @staticmethod
-    def load_artifact(
-        path: Union[str, Path],
-        case: Case,
-        opf_options: Optional[OPFOptions] = None,
-        opf_model: Optional[OPFModel] = None,
-        microbatch: Optional[int] = None,
-    ) -> "WarmStartEngine":
-        """Reconstruct an engine previously written by :meth:`save_artifact`."""
-        from repro.engine.artifact import load_artifact
-
-        return load_artifact(
-            path,
-            case,
-            opf_options=opf_options,
-            opf_model=opf_model,
-            microbatch=microbatch,
-        )
 
     # ---------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -448,11 +448,10 @@ def mips_batch(
     **Deadlines.**  ``deadline`` is an absolute wall deadline on the
     ``time.monotonic()`` clock — a scalar applying to every initial-batch row
     or a ``(B,)`` vector of per-row deadlines (fed scenarios carry theirs in
-    :attr:`BatchFeedPayload.deadline`); ``options.max_wall_seconds`` is the
-    *relative* per-scenario budget measured from each row's own enrollment.
-    Both are checked cooperatively between iterations, and an expired row
-    retires with ``timed_out`` set through exactly the retirement path a
-    converged row takes — its lockstep neighbours are bitwise unperturbed.
+    :attr:`BatchFeedPayload.deadline`).  Deadlines are checked cooperatively
+    between iterations, and an expired row retires with ``timed_out`` set
+    through exactly the retirement path a converged row takes — its lockstep
+    neighbours are bitwise unperturbed.
 
     Returns a list of per-scenario :class:`MIPSResult` in enrollment order
     (batch order, then fed scenarios in feed order).
@@ -779,17 +778,13 @@ def mips_batch(
                     )
                 enroll(payload)
                 free = width - int(np.count_nonzero(active))
-        # Cooperative wall-deadline / per-row-budget check.  An expired row
-        # retires through exactly the retirement path a converged row takes —
-        # its state is simply dropped from the active set — so the lockstep
-        # trajectories of its neighbours are bitwise unperturbed.
+        # Cooperative wall-deadline check.  An expired row retires through
+        # exactly the retirement path a converged row takes — its state is
+        # simply dropped from the active set — so the lockstep trajectories of
+        # its neighbours are bitwise unperturbed.
         rows = np.flatnonzero(active)
-        if rows.size and (
-            opt.max_wall_seconds is not None or bool((row_deadline[rows] < np.inf).any())
-        ):
+        if rows.size and bool((row_deadline[rows] < np.inf).any()):
             expired = row_deadline[rows] <= time.monotonic()
-            if opt.max_wall_seconds is not None:
-                expired |= time.perf_counter() - enroll_clock[rows] >= opt.max_wall_seconds
             for b in rows[expired]:
                 finalize(int(b), "wall deadline exceeded", False, timed_out=True)
         idx = np.flatnonzero(active)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,6 @@ class MIPSOptions:
     kkt_reg: float = 1e-8
     #: Number of escalating regularisation retries before declaring failure.
     kkt_max_retries: int = 3
-    #: Per-solve wall budget in seconds (``None`` = unbounded).  Checked
-    #: cooperatively between iterations; an exhausted budget terminates the
-    #: solve with ``timed_out`` set instead of raising.  In lockstep batch
-    #: solves the budget is *per scenario*, measured from each scenario's own
-    #: enrollment — the row-level counterpart of the per-row ``max_it``.
-    max_wall_seconds: Optional[float] = None
     #: Record per-iteration history (needed for Fig. 10 traces).
     record_history: bool = True
     #: Print one line per iteration via the ``repro.mips`` logger.
@@ -91,5 +84,3 @@ class MIPSOptions:
             raise ValueError("kkt_reg must be positive")
         if self.kkt_max_retries < 0:
             raise ValueError("kkt_max_retries must be non-negative")
-        if self.max_wall_seconds is not None and self.max_wall_seconds <= 0:
-            raise ValueError("max_wall_seconds must be positive (or None)")

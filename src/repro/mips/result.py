@@ -100,9 +100,8 @@ class MIPSResult:
     #: vs numeric sweeps.  A lockstep batch shares one solver, so its rows
     #: report batch-level aggregates snapshotted at their retirement.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
-    #: True when the solve was terminated by a wall deadline or per-solve
-    #: wall budget (``message`` carries the detail) — a resource outcome, not
-    #: a numerical failure.
+    #: True when the solve was terminated by its wall deadline (``message``
+    #: carries the detail) — a resource outcome, not a numerical failure.
     timed_out: bool = False
     #: This solve's *additive* share of wall time: the sum of each
     #: iteration's wall time divided by the number of problems active in that

@@ -87,6 +87,3 @@ class DatasetNormalizer:
         """Map one task's normalised predictions back to physical units."""
         return self.tasks[task].inverse(values)
 
-    def denormalize_predictions(self, predictions: Dict[str, ArrayOrTensor]) -> Dict[str, ArrayOrTensor]:
-        """Map a full prediction dictionary back to physical units."""
-        return {task: self.denormalize_task(task, values) for task, values in predictions.items()}

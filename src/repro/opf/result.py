@@ -44,8 +44,8 @@ class OPFResult:
     #: refactorisations, block factorisations …) harvested from the solve —
     #: see ``MIPSResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
-    #: True when the solve was cut short by a wall deadline or per-solve wall
-    #: budget rather than a numerical outcome (see ``MIPSResult.timed_out``).
+    #: True when the solve was cut short by its wall deadline rather than a
+    #: numerical outcome (see ``MIPSResult.timed_out``).
     timed_out: bool = False
     Pd_mw: Optional[np.ndarray] = None
     Qd_mvar: Optional[np.ndarray] = None

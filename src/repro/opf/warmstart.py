@@ -15,7 +15,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.mips.result import MIPSResult
 from repro.opf.model import OPFModel
 
 #: Smallest ``µ`` / ``Z`` entry :meth:`WarmStart.clipped_duals` lets through.
@@ -36,16 +35,6 @@ class WarmStart:
     z: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------ constructors
-    @staticmethod
-    def from_mips_result(result: MIPSResult) -> "WarmStart":
-        """Precise warm start extracted from a converged MIPS solve."""
-        return WarmStart(
-            x=result.x.copy(),
-            lam=result.lam.copy(),
-            mu=result.mu.copy(),
-            z=result.z.copy(),
-        )
-
     @staticmethod
     def cold() -> "WarmStart":
         """The all-defaults (cold) start."""

@@ -1,13 +1,7 @@
 """Parallel scenario sweeps, the solver fleet and the multi-worker scaling model."""
 
 from repro.parallel.cluster import PAPER_WORKER_COUNTS, ClusterModel
-from repro.parallel.pool import (
-    ScenarioOutcome,
-    ScenarioSolution,
-    SolverFleet,
-    SweepResult,
-    run_scenario_sweep,
-)
+from repro.parallel.pool import ScenarioOutcome, SolverFleet, SweepResult
 from repro.parallel.scenarios import (
     Scenario,
     ScenarioSet,
@@ -36,10 +30,8 @@ __all__ = [
     "screened_outage_sets",
     "validate_outage_branches",
     "ScenarioOutcome",
-    "ScenarioSolution",
     "SolverFleet",
     "SweepResult",
-    "run_scenario_sweep",
     "MicroBatch",
     "auto_microbatch_size",
     "make_microbatches",

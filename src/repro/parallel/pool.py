@@ -14,7 +14,9 @@ case, the solver options and one :class:`~repro.opf.model.OPFModel` — built
 once per spawned process by the pool initializer, or once by the in-process
 fleet.  A :class:`SolverFleet` keeps the workers alive across sweeps, which
 is what the serving engine uses to amortise process start-up over many
-requests.
+requests.  Everything that varies per request — warm starts, absolute per-row
+deadlines, whether converged solutions come back — is an argument of the
+call and rides on its tasks, so one fleet serves every kind of request.
 
 A sweep runs one way.  It is cut into micro-batches in input order
 (:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
@@ -66,20 +68,6 @@ from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
 
 
 @dataclass(frozen=True)
-class ScenarioSolution:
-    """Converged primal/dual variables of one scenario solve.
-
-    Collected (on request) so ground-truth generation can run through the same
-    pooled batch-solve path as online serving.
-    """
-
-    x: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScenarioOutcome:
     """Result of one scenario solve.
 
@@ -109,13 +97,14 @@ class ScenarioOutcome:
     #: reuses, numeric refactorisations, block factorisations …) — the Fig. 5
     #: attribution inputs, harvested from ``OPFResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
-    #: Final primal/dual variables (present when solutions were requested).
-    solution: Optional[ScenarioSolution] = None
+    #: Final primal/dual variables (present when the call asked for
+    #: ``solutions``) — a precise warm start for a nearby problem.
+    solution: Optional[WarmStart] = None
     #: Crash/error retries of the tasks that carried this scenario (0 for a
     #: clean dispatch; includes retries of fragments it rode along in).
     retries: int = 0
-    #: True when the scenario retired on a wall deadline or per-solve budget
-    #: (a resource outcome — no fallback recovery is attempted).
+    #: True when the scenario retired on its wall deadline (a resource
+    #: outcome — no fallback recovery is attempted).
     timed_out: bool = False
     #: True when supervision isolated this scenario as the culprit of repeated
     #: worker crashes / solver errors and retired it without a solution.
@@ -207,6 +196,7 @@ class Task:
     bounds the lockstep width.  ``attempt`` counts crash retries; fault plans
     key on it.  ``deadlines`` holds absolute ``time.monotonic()`` deadlines
     (``inf`` for an unbounded row), or is ``None`` when no row is bounded.
+    ``solutions`` ships each row's converged variables back on its outcome.
     """
 
     positions: Tuple[int, ...]
@@ -216,6 +206,7 @@ class Task:
     window: Optional[int] = None
     attempt: int = 0
     deadlines: Optional[Tuple[float, ...]] = None
+    solutions: bool = False
 
     def rows(self, keep: Sequence[int]) -> "Task":
         """A first-attempt task of rows ``keep`` (indices into this task)."""
@@ -289,7 +280,6 @@ class WorkerState:
 
     case: Case
     options: OPFOptions
-    collect_solutions: bool = False
     faults: Optional[FaultPlan] = None
     in_subprocess: bool = False
     model: Optional[OPFModel] = None
@@ -360,7 +350,7 @@ class WorkerState:
         if failed:
             recovered = dict(zip(failed, self._lockstep(task.rows(failed), None)))
         return [
-            self._outcome(scenario, worker, first, recovered.get(i))
+            self._outcome(scenario, worker, first, recovered.get(i), task.solutions)
             for i, (scenario, first) in enumerate(zip(task.scenarios, firsts))
         ]
 
@@ -386,12 +376,13 @@ class WorkerState:
         worker: int,
         first: OPFResult,
         recovered: Optional[OPFResult],
+        solutions: bool,
     ) -> ScenarioOutcome:
         """Package a row's first attempt and its cold restart, if it had one."""
         final = first if recovered is None else recovered
         solution = None
-        if self.collect_solutions:
-            solution = ScenarioSolution(
+        if solutions:
+            solution = WarmStart(
                 x=final.x.copy(), lam=final.lam.copy(), mu=final.mu.copy(), z=final.z.copy()
             )
         return ScenarioOutcome(
@@ -417,15 +408,10 @@ class WorkerState:
 _WORKER: Optional[WorkerState] = None
 
 
-def _init_worker(
-    case: Case,
-    options: OPFOptions,
-    collect_solutions: bool = False,
-    faults: Optional[FaultPlan] = None,
-) -> None:
+def _init_worker(case: Case, options: OPFOptions, faults: Optional[FaultPlan] = None) -> None:
     """Pool initializer: build the worker state (and its OPF model) once."""
     global _WORKER
-    _WORKER = WorkerState(case, options, collect_solutions, faults, in_subprocess=True)
+    _WORKER = WorkerState(case, options, faults, in_subprocess=True)
 
 
 def _solve_task(task: Task) -> List[ScenarioOutcome]:
@@ -456,8 +442,9 @@ class SolverFleet:
     the culprit scenario is quarantined as a structured failed outcome —
     a sweep always returns one outcome per scenario.  ``faults`` injects
     deterministic chaos (worker kills, solver raises, stalls) for tests; see
-    :mod:`repro.testing.faults`.  Per-request wall deadlines are accepted by
-    :meth:`solve` / :meth:`solve_many`.
+    :mod:`repro.testing.faults`.  Per-row wall deadlines and whether to ship
+    converged solutions back are properties of each :meth:`solve` /
+    :meth:`solve_many` call, so one fleet serves every kind of request.
 
     Use as a context manager, or call :meth:`close` when done.
     """
@@ -467,7 +454,6 @@ class SolverFleet:
         case: Case,
         options: Optional[OPFOptions] = None,
         n_workers: int = 1,
-        collect_solutions: bool = False,
         model: Optional[OPFModel] = None,
         microbatch: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
@@ -482,90 +468,70 @@ class SolverFleet:
         self.case = case
         self.options = options or OPFOptions()
         self.n_workers = n_workers
-        self.collect_solutions = collect_solutions
         self.microbatch = microbatch
         self.faults = faults
         self.crash_retries = crash_retries
         self._pool: Optional[SupervisedPool] = None
         self._state: Optional[WorkerState] = None
         if n_workers == 1:
-            self._state = WorkerState(case, self.options, collect_solutions, faults, model=model)
+            self._state = WorkerState(case, self.options, faults, model=model)
         else:
             self._pool = SupervisedPool(
                 n_workers,
                 initializer=_init_worker,
-                initargs=(case, self.options, collect_solutions, faults),
+                initargs=(case, self.options, faults),
             )
 
     # ------------------------------------------------------------------ solving
     @staticmethod
-    def _deadline_vector(
-        deadline_seconds: Optional[object],
-        deadline: Optional[object],
-        n_scenarios: int,
-    ) -> Optional[np.ndarray]:
-        """Normalise request deadlines to one absolute deadline per scenario.
+    def _deadline_vector(deadline: Optional[object], n_scenarios: int) -> Optional[np.ndarray]:
+        """Normalise ``deadline`` to one absolute deadline per scenario.
 
-        ``deadline_seconds`` (relative wall budgets) and ``deadline``
-        (absolute ``time.monotonic()`` deadlines) each accept a scalar —
-        broadcast over the sweep — or a per-scenario sequence; ``+inf`` /
-        ``nan`` entries mean unbounded.  Every budget must be positive
-        (``-inf`` included), while a ``-inf`` absolute deadline has already
-        passed and retires its row.  When both are given the earlier
-        deadline wins per scenario.  Returns ``None`` when no scenario is
-        bounded (the unbounded fast path).
+        ``deadline`` is on the ``time.monotonic()`` clock: a scalar broadcast
+        over the sweep or a per-scenario sequence; ``+inf`` / ``nan`` entries
+        mean unbounded, and a deadline already in the past retires its row.
+        Returns ``None`` when no scenario is bounded (the unbounded fast path).
         """
-
-        def as_vector(value: object, label: str) -> np.ndarray:
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(n_scenarios, float(arr))
-            elif arr.shape != (n_scenarios,):
-                raise ValueError(f"{label} must be a scalar or have one entry per scenario")
-            return np.where(np.isnan(arr), np.inf, arr)
-
-        due: Optional[np.ndarray] = None
-        if deadline_seconds is not None:
-            budgets = as_vector(deadline_seconds, "deadline_seconds")
-            if np.any(budgets <= 0):
-                raise ValueError("deadline_seconds must be positive")
-            due = time.monotonic() + budgets
-        if deadline is not None:
-            absolute = as_vector(deadline, "deadline")
-            due = absolute if due is None else np.minimum(due, absolute)
-        if due is None or np.all(due == np.inf):
+        if deadline is None:
             return None
-        return due
+        due = np.asarray(deadline, dtype=float)
+        if due.ndim == 0:
+            due = np.full(n_scenarios, float(due))
+        elif due.shape != (n_scenarios,):
+            raise ValueError("deadline must be a scalar or have one entry per scenario")
+        due = np.where(np.isnan(due), np.inf, due)
+        return None if np.all(due == np.inf) else due
 
     def solve(
         self,
         scenario_set: ScenarioSet,
         warm_starts: Optional[List[Optional[WarmStart]]] = None,
-        deadline_seconds: Optional[object] = None,
         deadline: Optional[object] = None,
+        solutions: bool = False,
     ) -> SweepResult:
         """Solve every scenario of ``scenario_set`` on the fleet.
 
         ``warm_starts`` is an optional per-scenario list (``None`` entries mean
         a cold start), typically produced by batched MTL inference in the
-        parent process.  ``deadline_seconds`` (wall budgets for this request)
-        and ``deadline`` (absolute ``time.monotonic()`` deadlines) bound the
-        sweep cooperatively — each a scalar shared by the whole sweep or a
-        per-scenario sequence (``inf``/``nan`` = unbounded), the shape a
-        batcher needs when it coalesces requests with different budgets
-        into one sweep.  Scenarios that miss their cut retire as
+        parent process.  ``deadline`` (absolute ``time.monotonic()``
+        deadlines) bounds the sweep cooperatively — a scalar shared by the
+        whole sweep or a per-scenario sequence (``inf``/``nan`` = unbounded),
+        the shape a batcher needs when it coalesces requests with different
+        budgets into one sweep.  Scenarios that miss their cut retire as
         ``timed_out`` outcomes instead of blocking the request.
+        ``solutions=True`` returns each scenario's converged variables on
+        ``ScenarioOutcome.solution``.
         """
         return self.solve_many(
-            [scenario_set], [warm_starts], deadline_seconds=deadline_seconds, deadline=deadline
+            [scenario_set], [warm_starts], deadline=deadline, solutions=solutions
         )[0]
 
     def solve_many(
         self,
         scenario_sets: Sequence[ScenarioSet],
         warm_starts: Optional[Sequence[Optional[List[Optional[WarmStart]]]]] = None,
-        deadline_seconds: Optional[object] = None,
         deadline: Optional[object] = None,
+        solutions: bool = False,
     ) -> List[SweepResult]:
         """Solve several sweeps at once with cross-sweep contingency batching.
 
@@ -581,9 +547,10 @@ class SolverFleet:
         id); each records the *joint* dispatch wall — and the joint
         ``errors`` / ``retries`` / ``quarantined`` counters — so aggregate
         cost by summing per-scenario ``solve_seconds``, not walls across
-        sweeps.  ``deadline_seconds`` / ``deadline`` bound the joint dispatch
-        like :meth:`solve`; per-scenario sequences follow the flattened
-        dispatch order (sweep 0's scenarios, then sweep 1's, …).
+        sweeps.  ``deadline`` bounds the joint dispatch and ``solutions``
+        applies to it like :meth:`solve`; a per-scenario deadline sequence
+        follows the flattened dispatch order (sweep 0's scenarios, then
+        sweep 1's, …).
         """
         sets = list(scenario_sets)
         if warm_starts is None:
@@ -602,9 +569,9 @@ class SolverFleet:
             flat_warms.extend(warm_list)
             origins.extend([si] * len(scenario_set))
 
-        due = self._deadline_vector(deadline_seconds, deadline, len(flat_scenarios))
+        due = self._deadline_vector(deadline, len(flat_scenarios))
         start = time.perf_counter()
-        joint = self._dispatch(flat_scenarios, flat_warms, due)
+        joint = self._dispatch(flat_scenarios, flat_warms, due, solutions)
         joint.wall_seconds = time.perf_counter() - start
 
         per_sweep: List[List[ScenarioOutcome]] = [[] for _ in sets]
@@ -621,6 +588,7 @@ class SolverFleet:
         scenarios: List[Scenario],
         warm_starts: List[Optional[WarmStart]],
         due: Optional[np.ndarray],
+        solutions: bool,
     ) -> SweepResult:
         """Cut the sweep into lockstep tasks and run them; outcomes by position.
 
@@ -647,6 +615,7 @@ class SolverFleet:
             worker_id=worker_id,
             window=window,
             deadlines=None if due is None else tuple(float(d) for d in due),
+            solutions=solutions,
         )
         tasks = [
             sweep.rows(microbatch.positions)
@@ -753,36 +722,3 @@ class SolverFleet:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def run_scenario_sweep(
-    case: Case,
-    scenario_set: ScenarioSet,
-    warm_starts: Optional[List[Optional[WarmStart]]] = None,
-    n_workers: int = 1,
-    options: Optional[OPFOptions] = None,
-    collect_solutions: bool = False,
-    model: Optional[OPFModel] = None,
-    microbatch: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    crash_retries: int = 1,
-    deadline_seconds: Optional[float] = None,
-) -> SweepResult:
-    """Solve every scenario of ``scenario_set`` using a one-shot fleet.
-
-    Convenience wrapper over :class:`SolverFleet` for single sweeps;
-    ``n_workers=1`` runs everything in-process, which is what the unit tests
-    use.  Long-lived callers (the serving engine) hold a fleet instead so the
-    workers persist across sweeps.
-    """
-    with SolverFleet(
-        case,
-        options=options,
-        n_workers=n_workers,
-        collect_solutions=collect_solutions,
-        model=model,
-        microbatch=microbatch,
-        faults=faults,
-        crash_retries=crash_retries,
-    ) as fleet:
-        return fleet.solve(scenario_set, warm_starts, deadline_seconds=deadline_seconds)

@@ -24,7 +24,13 @@ typically better than anything a learned model predicts, because it is an
   wrong constraints);
 * failed / retired steps chain *through*: a scenario whose step ``t`` solve
   did not converge passes its most recent good solution forward (or goes
-  cold when there is none yet).
+  cold when there is none yet);
+* a time bound is a budget *per step*: it becomes an absolute deadline just
+  before that step's solve, the one deadline form the fleet takes.
+
+Chaining needs each step's converged variables back, so a chained step asks
+its :meth:`~repro.parallel.pool.SolverFleet.solve` call for ``solutions`` —
+any fleet will do, the engine's ordinary serving fleet included.
 
 Per-step :class:`~repro.parallel.pool.SweepResult` records are stamped with
 their ``period`` and collected in a :class:`TrajectoryResult`, so the warm
@@ -34,6 +40,7 @@ multi-period analogue of the paper's Fig. 4 warm/cold iteration gap).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -42,7 +49,7 @@ import numpy as np
 from repro.grid.components import Case
 from repro.grid.perturb import LoadSample
 from repro.opf.warmstart import WarmStart
-from repro.parallel.pool import ScenarioSolution, SolverFleet, SweepResult
+from repro.parallel.pool import SolverFleet, SweepResult
 from repro.parallel.scenarios import Scenario, ScenarioSet, topology_key
 
 __all__ = [
@@ -88,7 +95,7 @@ def trajectory_steps(
 
 
 def chained_warm_start(
-    solution: Optional[ScenarioSolution],
+    solution: Optional[WarmStart],
     previous: Scenario,
     current: Scenario,
 ) -> Optional[WarmStart]:
@@ -103,10 +110,9 @@ def chained_warm_start(
     """
     if solution is None:
         return None
-    warm = WarmStart(x=solution.x, lam=solution.lam, mu=solution.mu, z=solution.z)
     if topology_key(previous) != topology_key(current):
-        warm = warm.masked(use_mu=False, use_z=False)
-    return warm.clipped_duals()
+        solution = solution.masked(use_mu=False, use_z=False)
+    return solution.clipped_duals()
 
 
 @dataclass
@@ -157,20 +163,15 @@ class TrajectoryResult:
 class MultiPeriodSweep:
     """Drive a T-step trajectory over a fleet with step-to-step warm chaining.
 
-    The fleet must collect solutions (``collect_solutions=True``) — the
-    chained warm starts *are* the previous step's solutions.  The driver
-    itself is policy-free about intra-step execution: whatever worker count /
+    The chained warm starts *are* the previous step's solutions, so a
+    chaining driver asks every step's solve for them.  The driver itself is
+    policy-free about intra-step execution: whatever worker count /
     microbatch window the fleet was built with applies to each step's sweep
-    unchanged, so trajectory results inherit the fleet's
-    bitwise scheduling invariance within every step.
+    unchanged, so trajectory results inherit the fleet's bitwise scheduling
+    invariance within every step.
     """
 
     def __init__(self, fleet: SolverFleet, warm_chain: bool = True):
-        if not fleet.collect_solutions:
-            raise ValueError(
-                "MultiPeriodSweep needs a fleet with collect_solutions=True "
-                "(step-to-step warm starts are the previous step's solutions)"
-            )
         self.fleet = fleet
         self.warm_chain = warm_chain
 
@@ -186,7 +187,9 @@ class MultiPeriodSweep:
         steps chain from their predecessor's solutions, matched by scenario
         *position* within the step (steps must therefore be equally sized —
         use :func:`trajectory_steps` to build aligned step sets).
-        ``deadline_seconds`` applies per step.
+        ``deadline_seconds`` is a wall budget per step (a scalar or one entry
+        per tracked sub-case; ``inf``/``nan`` = unbounded), counted from the
+        moment that step's solve starts.
         """
         steps = list(steps)
         if not steps:
@@ -194,9 +197,14 @@ class MultiPeriodSweep:
         n_tracked = len(steps[0])
         if any(len(step) != n_tracked for step in steps):
             raise ValueError("every trajectory step must track the same sub-cases")
+        budget = None
+        if deadline_seconds is not None:
+            budget = np.asarray(deadline_seconds, dtype=float)
+            if np.any(budget <= 0):
+                raise ValueError("deadline_seconds must be positive")
 
         result = TrajectoryResult(case_name=self.fleet.case.name)
-        carried: List[Optional[ScenarioSolution]] = [None] * n_tracked
+        carried: List[Optional[WarmStart]] = [None] * n_tracked
         carried_from: List[Optional[Scenario]] = [None] * n_tracked
         warm_starts = initial_warm_starts
         for t, step in enumerate(steps):
@@ -210,7 +218,10 @@ class MultiPeriodSweep:
             elif t > 0:
                 warm_starts = None
             sweep = self.fleet.solve(
-                step, warm_starts=warm_starts, deadline_seconds=deadline_seconds
+                step,
+                warm_starts,
+                deadline=None if budget is None else time.monotonic() + budget,
+                solutions=self.warm_chain,
             )
             sweep.period = t
             result.steps.append(sweep)

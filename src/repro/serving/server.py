@@ -129,6 +129,8 @@ class AsyncServer:
         max_batch: int = 16,
         max_queue: int = 1024,
     ):
+        if n_workers < 1:
+            raise ValueError("n_workers must be positive")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_queue < 1:
@@ -179,7 +181,8 @@ class AsyncServer:
     ) -> _PendingRequest:
         if self._queue is None:
             raise RuntimeError("server is not running (use 'async with' or start())")
-        if deadline_seconds is not None and deadline_seconds <= 0:
+        if deadline_seconds is not None and not deadline_seconds > 0:
+            # ``not > 0`` also rejects NaN, which would otherwise pass as unbounded.
             raise ValueError("deadline_seconds must be positive")
         if self._queued_scenarios + len(scenarios) > self.max_queue:
             self.stats.rejected_requests += 1

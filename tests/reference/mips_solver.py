@@ -131,8 +131,7 @@ def mips(
         Optional absolute wall deadline (``time.monotonic()`` clock).
         Checked cooperatively between iterations; an expired deadline ends
         the solve with ``timed_out=True`` instead of raising, so serving
-        requests degrade into structured outcomes.  Composes with the
-        relative per-solve budget ``options.max_wall_seconds``.
+        requests degrade into structured outcomes.
 
     Jacobian and Hessian patterns are fixed by the first evaluation (see the
     module docstring).

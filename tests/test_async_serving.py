@@ -268,12 +268,13 @@ def test_per_scenario_deadline_validation(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 3, seed=5)
     with SolverFleet(case9_fixture) as fleet:
         with pytest.raises(ValueError, match="one entry per scenario"):
-            fleet.solve(scenarios, deadline_seconds=[1.0, 1.0])
-        with pytest.raises(ValueError, match="must be positive"):
-            fleet.solve(scenarios, deadline_seconds=[1.0, -1.0, 1.0])
+            fleet.solve(scenarios, deadline=[np.inf, np.inf])
         # nan/inf entries mean unbounded — including the all-unbounded vector.
-        sweep = fleet.solve(scenarios, deadline_seconds=[np.nan, np.inf, np.nan])
+        sweep = fleet.solve(scenarios, deadline=[np.nan, np.inf, np.nan])
         assert not any(o.timed_out for o in sweep.outcomes)
+        # -inf has already passed: only that row retires.
+        sweep = fleet.solve(scenarios, deadline=[np.inf, -np.inf, np.nan])
+        assert [o.timed_out for o in sweep.outcomes] == [False, True, False]
 
 
 # ---------------------------------------------------------------- backpressure
@@ -404,6 +405,28 @@ def test_server_constructor_validation(engine9):
                 )
 
     asyncio.run(run())
+
+
+@pytest.mark.parametrize("n_workers", [0, -1])
+def test_server_rejects_non_positive_worker_count(engine9, n_workers):
+    # Rejected at construction, not by every flush's future.
+    with pytest.raises(ValueError, match="n_workers must be positive"):
+        AsyncServer(engine9, n_workers=n_workers)
+
+
+def test_submit_rejects_nan_deadline(engine9):
+    """A NaN budget is not an unbounded one: the call fails, nothing is queued."""
+
+    async def run():
+        async with AsyncServer(engine9) as server:
+            with pytest.raises(ValueError, match="deadline_seconds must be positive"):
+                await server.submit(
+                    [Scenario(0, np.zeros(9), np.zeros(9))], deadline_seconds=float("nan")
+                )
+            return server.stats
+
+    stats = asyncio.run(run())
+    assert stats.admitted_requests == 0 and stats.flushes == 0
 
 
 def test_scenario_ids_and_order_preserved(engine9, case9_fixture):

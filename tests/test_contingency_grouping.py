@@ -90,9 +90,9 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
     assert [p for mb in cuts for p in mb.positions] == list(range(len(merged)))
     assert all(len({merged[p].outage_branches for p in mb.positions}) > 1 for mb in cuts)
 
-    with SolverFleet(case, microbatch=3, collect_solutions=True) as fleet:
-        separate = [fleet.solve(sweep) for sweep in sweeps]
-        grouped = fleet.solve_many(sweeps)
+    with SolverFleet(case, microbatch=3) as fleet:
+        separate = [fleet.solve(sweep, solutions=True) for sweep in sweeps]
+        grouped = fleet.solve_many(sweeps, solutions=True)
     _assert_sweeps_bitwise(separate, grouped)
 
 
@@ -109,9 +109,11 @@ def test_grouped_parity_with_mixed_fallback_members():
     warm_lists = [[None] * 4 for _ in sweeps]
     warm_lists[0][1] = poisoned
 
-    with SolverFleet(case, microbatch=2, collect_solutions=True) as fleet:
-        separate = [fleet.solve(sweep, warms) for sweep, warms in zip(sweeps, warm_lists)]
-        grouped = fleet.solve_many(sweeps, warm_lists)
+    with SolverFleet(case, microbatch=2) as fleet:
+        separate = [
+            fleet.solve(sweep, warms, solutions=True) for sweep, warms in zip(sweeps, warm_lists)
+        ]
+        grouped = fleet.solve_many(sweeps, warm_lists, solutions=True)
 
     poisoned_outcome = grouped[0].outcomes[1]
     assert not poisoned_outcome.success

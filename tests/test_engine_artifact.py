@@ -129,7 +129,7 @@ def test_artifact_roundtrip_bit_identical(engine9, case9_fixture, dataset9, tmp_
 
 def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture, tmp_path):
     path = engine9.save_artifact(tmp_path / "engine.npz")
-    reloaded = WarmStartEngine.load_artifact(path, case9_fixture)
+    reloaded = load_artifact(path, case9_fixture)
     np.testing.assert_array_equal(reloaded.normalizer.inputs.lo, engine9.normalizer.inputs.lo)
     np.testing.assert_array_equal(reloaded.normalizer.inputs.span, engine9.normalizer.inputs.span)
     for task, scaler in engine9.normalizer.tasks.items():
@@ -161,6 +161,21 @@ def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixtu
             assert reloaded.opf_options.mips.kkt_solver == "factorized"
             sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
             assert sweep.outcomes[0].converged
+
+
+@pytest.mark.parametrize("budget", [None, 0.5])
+def test_artifact_with_retired_wall_budget_loads(engine9, case9_fixture, tmp_path, budget):
+    """Older artifacts persisted ``MIPSOptions.max_wall_seconds``; time bounds
+    are per-call deadlines now, so the key is dropped on load, set or not."""
+    path = engine9.save_artifact(tmp_path / "engine.npz")
+    arrays, meta = load_bundle(path)
+    assert "max_wall_seconds" not in meta["opf_options"]["mips"]
+    meta["opf_options"]["mips"]["max_wall_seconds"] = budget
+    legacy = save_bundle(tmp_path / "legacy.npz", arrays, meta)
+    with load_artifact(legacy, case9_fixture) as reloaded:
+        assert reloaded.opf_options == engine9.opf_options
+        sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
+        assert sweep.outcomes[0].converged and not sweep.outcomes[0].timed_out
 
 
 @pytest.mark.parametrize("policy", ["relaxed_warm", "none"])

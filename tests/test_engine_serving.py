@@ -7,7 +7,7 @@ from repro.engine import CircuitBreaker, WarmStartEngine
 from repro.data import generate_dataset
 from repro.opf import OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.mips.options import MIPSOptions
-from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios, run_scenario_sweep
+from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_engine_serve_scenarios(engine9, case9_fixture):
     # The fleet persists across calls; close() tears it down (and a later
     # serve lazily starts a fresh one).
     assert engine9.serve(scenarios).n_scenarios == 4
-    assert (1, False) in engine9._fleets
+    assert list(engine9._fleets) == [1]
     engine9.close()
     assert not engine9._fleets
 
@@ -101,9 +101,8 @@ def test_sweep_fallback_recovers_failed_warm_solve(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 3, variation=0.05, seed=5)
     good = solve_opf(case9_fixture).warm_start()
     poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
-    sweep = run_scenario_sweep(
-        case9_fixture, scenarios, warm_starts=[good, poisoned, None], collect_solutions=True
-    )
+    with SolverFleet(case9_fixture) as fleet:
+        sweep = fleet.solve(scenarios, [good, poisoned, None], solutions=True)
     healthy, recovered, cold = sweep.outcomes
     assert not recovered.success and not recovered.timed_out
     assert recovered.used_fallback and recovered.fallback_success and recovered.converged
@@ -262,12 +261,8 @@ def test_solver_fleet_persists_and_closes(case9_fixture):
 def test_fleet_spawn_workers_roundtrip(case9_fixture):
     """Two real spawn workers: options, warm starts and solutions all pickle."""
     scenarios = generate_scenarios(case9_fixture, 4, seed=9)
-    sweep = run_scenario_sweep(
-        case9_fixture,
-        scenarios,
-        n_workers=2,
-        collect_solutions=True,
-    )
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
+        sweep = fleet.solve(scenarios, solutions=True)
     assert sweep.n_scenarios == 4
     assert sweep.success_rate == 1.0
     # Outcomes carry the identity of the pool process that pulled them (> 0:
@@ -276,14 +271,16 @@ def test_fleet_spawn_workers_roundtrip(case9_fixture):
     assert 1 <= len(workers) <= 2 and min(workers) > 0
     assert all(o.solution is not None for o in sweep.outcomes)
     # Identical to the in-process fleet (same solves, different processes).
-    inline = run_scenario_sweep(case9_fixture, scenarios, n_workers=1)
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        inline = fleet.solve(scenarios)
     assert [o.iterations for o in sweep.outcomes] == [o.iterations for o in inline.outcomes]
 
 
 def test_sweep_warm_start_count_validation(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 2, seed=0)
-    with pytest.raises(ValueError):
-        run_scenario_sweep(case9_fixture, scenarios, warm_starts=[None])
+    with SolverFleet(case9_fixture) as fleet:
+        with pytest.raises(ValueError):
+            fleet.solve(scenarios, [None])
 
 
 # ---------------------------------------------------------- pooled ground truth
@@ -316,9 +313,10 @@ def test_pooled_dataset_generation_matches_direct_solves(case9_fixture, opf_mode
 def test_generate_dataset_collects_solutions_only_internally(case9_fixture, opf_model9):
     """Solution payloads power dataset assembly but stay out of plain sweeps."""
     scenarios = generate_scenarios(case9_fixture, 2, seed=1)
-    plain = run_scenario_sweep(case9_fixture, scenarios)
+    with SolverFleet(case9_fixture) as fleet:
+        plain = fleet.solve(scenarios)
+        collecting = fleet.solve(scenarios, solutions=True)
     assert all(o.solution is None for o in plain.outcomes)
-    collecting = run_scenario_sweep(case9_fixture, scenarios, collect_solutions=True)
     for outcome in collecting.outcomes:
         assert outcome.solution is not None
         assert outcome.solution.x.shape == (opf_model9.idx.nx,)

@@ -187,7 +187,7 @@ def test_stalled_scenario_times_out_alone(case9_fixture, scenarios9):
         faults=plan,
     ) as fleet:
         fleet.solve(scenarios9)
-        sweep = fleet.solve(scenarios9, deadline_seconds=2.0)
+        sweep = fleet.solve(scenarios9, deadline=time.monotonic() + 2.0)
     got = _by_id(sweep)
     assert got[7].timed_out and not got[7].converged and not got[7].quarantined
     for sid in range(7):
@@ -228,15 +228,6 @@ def test_bisection_carries_per_row_deadlines(case9_fixture, scenarios9):
         assert outcome.final_objective.hex() == expected.final_objective.hex()
 
 
-def test_deadline_seconds_must_be_positive(case9_fixture, scenarios9):
-    """``-inf`` is a non-positive budget too, not an unbounded one."""
-    inf = float("inf")
-    with SolverFleet(case9_fixture, n_workers=1) as fleet:
-        for budget in (0.0, -inf, [-inf] + [inf] * (len(scenarios9) - 1)):
-            with pytest.raises(ValueError, match="deadline_seconds"):
-                fleet.solve(scenarios9, deadline_seconds=budget)
-
-
 def test_negative_infinite_deadline_retires_its_row(case9_fixture, scenarios9):
     """A ``-inf`` absolute deadline has passed, alone or beside finite ones."""
     inf = float("inf")
@@ -268,7 +259,7 @@ def test_no_fault_escapes_engine_serve(trained_trainer9, case9_fixture):
     engine = WarmStartEngine.from_trainer(trained_trainer9)
     engine.faults = plan
     with engine:
-        sweep = engine.serve(scenarios, n_workers=2, deadline_seconds=60.0)
+        sweep = engine.serve(scenarios, n_workers=2, deadline=time.monotonic() + 60.0)
     assert sweep.n_scenarios == 6
     got = _by_id(sweep)
     assert got[1].quarantined and got[4].quarantined
@@ -279,7 +270,7 @@ def test_no_fault_escapes_engine_serve(trained_trainer9, case9_fixture):
 def test_engine_serve_deadline_records_timeouts(trained_trainer9, case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 3, seed=5)
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
-        sweep = engine.serve(scenarios, deadline_seconds=1e-9)
+        sweep = engine.serve(scenarios, deadline=time.monotonic() + 1e-9)
     assert all(o.timed_out for o in sweep.outcomes)
 
 

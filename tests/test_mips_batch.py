@@ -28,7 +28,7 @@ from repro.opf import (
 )
 from repro.opf.constraints import constraint_function
 from reference.opf_hessian import lagrangian_hessian
-from repro.parallel import generate_scenarios, run_scenario_sweep
+from repro.parallel import SolverFleet, generate_scenarios
 from reference.sparse import csr_from_template
 
 
@@ -263,7 +263,8 @@ def test_fleet_sweep_matches_scalar_solves(scalar_reference):
         case, 8, variation=0.08, contingency_fraction=0.4, seed=5
     )
     assert any(s.outage_branches for s in scenarios)
-    sweep = run_scenario_sweep(case, scenarios, collect_solutions=True)
+    with SolverFleet(case) as fleet:
+        sweep = fleet.solve(scenarios, solutions=True)
     assert sweep.n_scenarios == len(scenarios)
     for scenario, b in zip(scenarios, sweep.outcomes):
         a = scalar_reference(case, scenario)
@@ -286,7 +287,8 @@ def test_fleet_batch_mode_fallback_recovers_failures():
     # A wildly infeasible primal point makes the warm solve explode quickly.
     poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
     warms = [good, poisoned, good]
-    sweep = run_scenario_sweep(case, scenarios, warm_starts=warms)
+    with SolverFleet(case) as fleet:
+        sweep = fleet.solve(scenarios, warms)
     poisoned_outcome = sweep.outcomes[1]
     assert not poisoned_outcome.success
     assert poisoned_outcome.used_fallback and poisoned_outcome.fallback_success

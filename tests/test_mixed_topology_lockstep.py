@@ -32,8 +32,8 @@ from repro.mips import MIPSOptions
 from repro.opf import OPFModel, OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.parallel import (
     Scenario,
+    SolverFleet,
     outage_keeps_connected,
-    run_scenario_sweep,
     screened_outage_sets,
 )
 
@@ -175,13 +175,10 @@ def test_fallback_recovered_outage_row_keeps_intact_layout():
     outages = [(), pair]
     lockstep = solve_opf_batch(case, Pd, Qd, model=model, outages=outages)
     scenarios = [Scenario(i, Pd[i], Qd[i], outage_branches=b) for i, b in enumerate(outages)]
-    sweep = run_scenario_sweep(
-        case,
-        scenarios,
-        warm_starts=[_poisoned(row.warm_start()) for row in lockstep],
-        collect_solutions=True,
-        model=model,
-    )
+    with SolverFleet(case, model=model) as fleet:
+        sweep = fleet.solve(
+            scenarios, [_poisoned(row.warm_start()) for row in lockstep], solutions=True
+        )
     for outcome, row in zip(sweep.outcomes, lockstep):
         assert not outcome.success and outcome.used_fallback and outcome.fallback_success
         solution = outcome.solution
@@ -226,9 +223,8 @@ def test_recovery_is_the_rows_one_row_cold_solve_bitwise(n_workers, monkeypatch)
         return lockstep(case, Pd_mw, Qd_mvar, warm_starts=warm_starts, **kwargs)
 
     monkeypatch.setattr(pool, "solve_opf_batch", counting)
-    sweep = run_scenario_sweep(
-        case, scenarios, warm_starts=warms, n_workers=n_workers, collect_solutions=True, model=model
-    )
+    with SolverFleet(case, n_workers=n_workers, model=model) as fleet:
+        sweep = fleet.solve(scenarios, warms, solutions=True)
     if n_workers == 1:
         assert calls == [[True] * len(outages), [False] * len(poisoned)]
     for i, outcome in enumerate(sweep.outcomes):
@@ -266,15 +262,8 @@ def test_starved_cold_row_is_not_resolved(n_workers):
     cold = solve_opf_batch(case, Pd, Qd, options=starved, model=model, outages=outages)
     warm = _poisoned(solve_opf_batch(case, Pd, Qd, model=model, outages=outages)[1].warm_start())
     scenarios = [Scenario(i, Pd[i], Qd[i], outage_branches=b) for i, b in enumerate(outages)]
-    sweep = run_scenario_sweep(
-        case,
-        scenarios,
-        warm_starts=[None, warm],
-        n_workers=n_workers,
-        options=starved,
-        collect_solutions=True,
-        model=model,
-    )
+    with SolverFleet(case, options=starved, n_workers=n_workers, model=model) as fleet:
+        sweep = fleet.solve(scenarios, [None, warm], solutions=True)
     cold_row, warm_row = sweep.outcomes
     assert not cold_row.success and not cold_row.timed_out and not cold_row.used_fallback
     assert cold_row.iterations_fallback == 0 and cold_row.fallback_seconds == 0.0

@@ -23,7 +23,7 @@ from repro.parallel import (
     screened_outage_sets,
     trajectory_steps,
 )
-from repro.parallel.pool import ScenarioSolution
+from repro.opf.warmstart import WarmStart
 
 
 # ---------------------------------------------------------------- step builder
@@ -58,7 +58,7 @@ def test_trajectory_samples_drift_smoothly():
 
 # ---------------------------------------------------------- chaining semantics
 def test_chained_warm_start_masks_duals_on_topology_change():
-    solution = ScenarioSolution(
+    solution = WarmStart(
         x=np.arange(4.0), lam=np.arange(3.0), mu=np.arange(1.0, 3.0), z=np.arange(1.0, 3.0)
     )
     Pd, Qd = np.zeros(3), np.zeros(3)
@@ -83,7 +83,7 @@ def test_warm_chaining_beats_per_step_cold():
     """The Fig. 4 gap, time-unrolled: cold step 0, cheap warm tail."""
     case = case9()
     steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=6, seed=2))
-    with SolverFleet(case, collect_solutions=True) as fleet:
+    with SolverFleet(case) as fleet:
         chained = MultiPeriodSweep(fleet, warm_chain=True).run(steps)
         cold = MultiPeriodSweep(fleet, warm_chain=False).run(steps)
     assert chained.success_rate == 1.0 and cold.success_rate == 1.0
@@ -109,7 +109,7 @@ def test_trajectory_chains_through_topology_changes():
     steps[2].scenarios[0] = Scenario(
         0, samples[2].Pd, samples[2].Qd, outage_branches=safe
     )
-    with SolverFleet(case, collect_solutions=True) as fleet:
+    with SolverFleet(case) as fleet:
         result = MultiPeriodSweep(fleet).run(steps)
     assert result.success_rate == 1.0
     iters = result.iterations_by_step()
@@ -127,7 +127,7 @@ def test_trajectory_bitwise_invariant_under_lockstep_window():
     steps = trajectory_steps(case, samples, outage_branches=((), *pairs))
     results = []
     for microbatch in (None, 1):
-        with SolverFleet(case, microbatch=microbatch, collect_solutions=True) as fleet:
+        with SolverFleet(case, microbatch=microbatch) as fleet:
             results.append(MultiPeriodSweep(fleet).run(steps))
     a, b = results
     assert a.success_rate == 1.0
@@ -143,17 +143,17 @@ def test_trajectory_bitwise_invariant_under_lockstep_window():
 
 def test_multi_period_sweep_rejects_bad_inputs():
     case = case9()
-    with SolverFleet(case) as no_solutions_fleet:
-        with pytest.raises(ValueError, match="collect_solutions"):
-            MultiPeriodSweep(no_solutions_fleet)
     steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=2, seed=0))
     ragged = [steps[0], trajectory_steps(case, sample_load_trajectory(case, 1, seed=0), outage_branches=((), (0,)))[0]]
-    with SolverFleet(case, collect_solutions=True) as fleet:
+    with SolverFleet(case) as fleet:
         driver = MultiPeriodSweep(fleet)
         with pytest.raises(ValueError, match="at least one step"):
             driver.run([])
         with pytest.raises(ValueError, match="same sub-cases"):
             driver.run(ragged)
+        for budget in (0.0, -1.0, -np.inf, [1.0, -1.0]):
+            with pytest.raises(ValueError, match="deadline_seconds must be positive"):
+                driver.run(steps, deadline_seconds=budget)
 
 
 # ------------------------------------------------------------- engine serving
@@ -175,3 +175,50 @@ def test_engine_serve_trajectory(trained_trainer9):
         # Empty trajectory short-circuits.
         empty = engine.serve_trajectory([])
         assert empty.n_steps == 0 and empty.wall_seconds == 0.0
+
+
+def test_per_step_budget_is_counted_from_each_step(trained_trainer9):
+    """``deadline_seconds`` is a budget per step, converted as each step starts.
+
+    A generous budget leaves every step bitwise the unbounded one; a hopeless
+    budget retires every row of every step (so nothing chains), on both the
+    chained and the per-step model path.
+    """
+    from repro.engine import WarmStartEngine
+
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
+        steps = trajectory_steps(engine.case, sample_load_trajectory(engine.case, 3, seed=6))
+        for warm_chain in (True, False):
+            unbounded = engine.serve_trajectory(steps, warm_chain=warm_chain)
+            generous = engine.serve_trajectory(
+                steps, warm_chain=warm_chain, deadline_seconds=600.0
+            )
+            hopeless = engine.serve_trajectory(
+                steps, warm_chain=warm_chain, deadline_seconds=1e-9
+            )
+            assert [s.period for s in generous.steps] == [0, 1, 2]
+            for a, b in zip(unbounded.steps, generous.steps):
+                for oa, ob in zip(a.outcomes, b.outcomes):
+                    assert (oa.iterations, oa.objective.hex()) == (ob.iterations, ob.objective.hex())
+            assert all(o.timed_out for s in hopeless.steps for o in s.outcomes)
+
+
+def test_serve_and_trajectory_share_one_fleet_per_width(trained_trainer9):
+    """Ordinary and trajectory serving at one width reuse the same workers."""
+    import multiprocessing
+
+    from repro.engine import WarmStartEngine
+
+    def workers():
+        return set(multiprocessing.active_children()) - before
+
+    before = set(multiprocessing.active_children())
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
+        case = engine.case
+        steps = trajectory_steps(case, sample_load_trajectory(case, n_steps=2, seed=7))
+        assert engine.serve(steps[0], n_workers=2).success_rate == 1.0
+        result = engine.serve_trajectory(steps, n_workers=2)
+        assert result.success_rate == 1.0
+        assert list(engine._fleets) == [2]
+        assert len(workers()) == 2
+    assert not workers()

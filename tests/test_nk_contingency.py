@@ -201,10 +201,10 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     cs = generate_contingency_set(case, 8, k=2, max_outage_sets=2, seed=5)
     assert len({topology_key(s) for s in cs}) == 2  # pairs genuinely recur
 
-    with SolverFleet(case, options=options, collect_solutions=True) as fleet:
-        grouped = fleet.solve(cs)
+    with SolverFleet(case, options=options) as fleet:
+        grouped = fleet.solve(cs, solutions=True)
         singles = [
-            fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus)).outcomes[0]
+            fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus), solutions=True).outcomes[0]
             for s in cs
         ]
 
@@ -227,8 +227,8 @@ def test_n2_sweep_invariant_under_scheduling_knobs():
     cs = generate_contingency_set(case, 6, k=2, max_outage_sets=3, seed=6)
     results = []
     for microbatch in (None, 1, 2):
-        with SolverFleet(case, microbatch=microbatch, collect_solutions=True) as fleet:
-            results.append(fleet.solve(cs))
+        with SolverFleet(case, microbatch=microbatch) as fleet:
+            results.append(fleet.solve(cs, solutions=True))
     ref = results[0]
     for other in results[1:]:
         for a, b in zip(ref.outcomes, other.outcomes):

@@ -7,9 +7,9 @@ from repro.parallel import (
     ClusterModel,
     PAPER_WORKER_COUNTS,
     Scenario,
+    SolverFleet,
     generate_scenarios,
     make_microbatches,
-    run_scenario_sweep,
     screened_outage_sets,
     topology_key,
 )
@@ -59,7 +59,8 @@ def test_generate_scenarios_validation(case9_fixture):
 # ------------------------------------------------------------------------ pool sweep
 def test_scenario_sweep_serial(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 4, seed=3)
-    result = run_scenario_sweep(case9_fixture, scenarios, n_workers=1)
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        result = fleet.solve(scenarios)
     assert result.n_scenarios == 4
     assert result.success_rate == 1.0
     assert result.wall_seconds > 0
@@ -74,8 +75,9 @@ def test_scenario_sweep_warm_starts(case9_fixture, trained_trainer9):
         trained_trainer9.warm_start_for(s.feature_vector(case9_fixture.base_mva))
         for s in scenarios
     ]
-    cold = run_scenario_sweep(case9_fixture, scenarios, n_workers=1)
-    warm_result = run_scenario_sweep(case9_fixture, scenarios, warm_starts=warm, n_workers=1)
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        cold = fleet.solve(scenarios)
+        warm_result = fleet.solve(scenarios, warm)
     assert warm_result.success_rate == 1.0
     mean_cold = np.mean([o.iterations for o in cold.outcomes])
     mean_warm = np.mean([o.iterations for o in warm_result.outcomes])
@@ -98,17 +100,19 @@ def test_scenario_sweep_applies_branch_outage(case14_fixture):
     # The outage actually changes the dispatch (otherwise this test is vacuous).
     assert abs(direct.objective - intact.objective) > 1e-8
 
-    sweep = run_scenario_sweep(case, ScenarioSet(case.name, [scenario]), n_workers=1)
+    with SolverFleet(case, n_workers=1) as fleet:
+        sweep = fleet.solve(ScenarioSet(case.name, [scenario]))
     assert sweep.success_rate == 1.0
     assert sweep.outcomes[0].objective == pytest.approx(direct.objective, rel=1e-8)
 
 
 def test_scenario_sweep_validation(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 2, seed=5)
+    with SolverFleet(case9_fixture, n_workers=1) as fleet:
+        with pytest.raises(ValueError):
+            fleet.solve(scenarios, [None])
     with pytest.raises(ValueError):
-        run_scenario_sweep(case9_fixture, scenarios, warm_starts=[None], n_workers=1)
-    with pytest.raises(ValueError):
-        run_scenario_sweep(case9_fixture, scenarios, n_workers=0)
+        SolverFleet(case9_fixture, n_workers=0)
 
 
 # --------------------------------------------------------------------- cluster model

@@ -24,7 +24,7 @@ from repro.grid import get_case
 from reference.qp import qps_mips
 from repro.mips import MIPSOptions, mips_batch
 from repro.opf import OPFModel, WarmStart, solve_opf
-from repro.parallel import generate_scenarios, run_scenario_sweep
+from repro.parallel import SolverFleet, generate_scenarios
 
 PHASES = ("eval", "assembly", "factorization", "backsolve")
 #: Wall-clock comparisons tolerate float accumulation noise, nothing more.
@@ -155,7 +155,8 @@ def test_opf_batch_phase_invariants_survive_block_solve(backend):
 # --------------------------------------------------------------- sweep / engine
 def test_sweep_outcome_timing_invariants(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 6, variation=0.05, seed=9)
-    sweep = run_scenario_sweep(case9_fixture, scenarios)
+    with SolverFleet(case9_fixture) as fleet:
+        sweep = fleet.solve(scenarios)
     assert sweep.wall_seconds > 0.0
     total_share = 0.0
     for outcome in sweep.outcomes:
@@ -194,7 +195,8 @@ def test_batch_failed_scenario_keeps_phase_timings():
     good = nominal.warm_start()
     poisoned = WarmStart(x=good.x * 200.0, lam=good.lam, mu=good.mu, z=good.z)
     scenarios = generate_scenarios(case, 3, variation=0.04, seed=2)
-    sweep = run_scenario_sweep(case, scenarios, warm_starts=[good, poisoned, good])
+    with SolverFleet(case) as fleet:
+        sweep = fleet.solve(scenarios, [good, poisoned, good])
     failed = sweep.outcomes[1]
     assert not failed.success
     assert failed.solve_seconds >= 0.0

@@ -87,7 +87,8 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.nn.serialization": ("save_module", "load_module"),
     "repro.nn.tensor": ("stack_scalars",),
     "repro.opf": ("hessian_blocks", "lagrangian_hessian"),
-    "repro.parallel": ("calibrate_from_inference",),
+    "repro.parallel": ("calibrate_from_inference", "run_scenario_sweep", "ScenarioSolution"),
+    "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.cluster": ("calibrate_from_inference",),
     "repro.powerflow": (
         *_POWERFLOW,

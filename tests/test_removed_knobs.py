@@ -20,7 +20,13 @@ cold, so the ``fallback=`` policy selector, its policy classes, registry and
 ``relaxed_options`` are gone.  And parameters no caller passed are
 constants: the dual floor of ``WarmStart.clipped_duals``, the supervised
 pool's start method, poll interval and lost-task grace, and
-``generate_dataset``'s keep-failed switch.
+``generate_dataset``'s keep-failed switch.  And the dispatch surface below
+``AsyncServer`` takes each request property in one form: an absolute
+``deadline=`` (no ``deadline_seconds=`` below the server or in the trajectory
+driver's per-step budget, no ``MIPSOptions.max_wall_seconds``), a per-call
+``solutions=`` (no fleet-wide ``collect_solutions``, so one fleet per worker
+count), ``microbatch=`` on ``SolverFleet`` only, and no wrapper that repeats
+the code it calls.
 """
 
 import inspect
@@ -33,17 +39,15 @@ from repro.data import generate_dataset
 from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
 from repro.mips import FactorizedSolver, LDLSolver, MIPSOptions
-from repro.parallel import Scenario, SolverFleet, run_scenario_sweep
+from repro.parallel import Scenario, SolverFleet
 from repro.serving import AsyncServer
 
 REMOVED = ("execution", "schedule", "kkt_factor_threads", "factor_threads", "fallback")
 
 ENTRY_POINTS = [
     SolverFleet,
-    run_scenario_sweep,
     WarmStartEngine,
     WarmStartEngine.from_trainer,
-    WarmStartEngine.load_artifact,
     load_artifact,
     generate_dataset,
     SmartPGSimConfig,
@@ -64,12 +68,10 @@ def test_entry_point_has_no_retired_keyword(callee):
 def test_retired_keyword_raises_type_error(case9_fixture, trained_trainer9, tmp_path, keyword):
     calls = [
         lambda kw: SolverFleet(case9_fixture, **kw),
-        lambda kw: run_scenario_sweep(case9_fixture, [], **kw),
         lambda kw: WarmStartEngine(
             case9_fixture, trained_trainer9.network, trained_trainer9.normalizer, **kw
         ),
         lambda kw: WarmStartEngine.from_trainer(trained_trainer9, **kw),
-        lambda kw: WarmStartEngine.load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
         lambda kw: load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
         lambda kw: generate_dataset(case9_fixture, 2, **kw),
         lambda kw: SmartPGSimConfig(**kw),
@@ -215,3 +217,70 @@ def test_unpassed_parameters_are_constants():
         params = inspect.signature(callee).parameters
         assert not set(names) & set(params), callee.__qualname__
         assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+
+
+def test_one_dispatch_surface():
+    import repro.parallel
+    import repro.parallel.pool
+    from repro.mtl import DatasetNormalizer
+    from repro.opf.warmstart import WarmStart
+    from repro.parallel import MultiPeriodSweep
+    from repro.parallel.pool import WorkerState, _init_worker
+
+    # One deadline form below the server: absolute ``deadline=`` only.
+    for callee in (
+        SolverFleet.solve,
+        SolverFleet.solve_many,
+        WarmStartEngine.serve,
+        WarmStartEngine.serve_loads,
+        WarmStartEngine.evaluate,
+    ):
+        params = inspect.signature(callee).parameters
+        assert "deadline" in params and "deadline_seconds" not in params, callee.__qualname__
+        with pytest.raises(TypeError, match="deadline_seconds"):
+            callee(None, [], deadline_seconds=1.0)
+    # The relative forms that stay: the client's budget and the per-step one.
+    for callee in (AsyncServer.submit, WarmStartEngine.serve_trajectory, MultiPeriodSweep.run):
+        assert "deadline_seconds" in inspect.signature(callee).parameters
+    with pytest.raises(TypeError, match="max_wall_seconds"):
+        MIPSOptions(max_wall_seconds=0.5)
+    assert not hasattr(MIPSOptions(), "max_wall_seconds")
+
+    # Solutions are a per-call property, so an engine keeps one fleet per width.
+    for callee in (SolverFleet.solve, SolverFleet.solve_many):
+        assert inspect.signature(callee).parameters["solutions"].default is False
+    with pytest.raises(TypeError, match="collect_solutions"):
+        SolverFleet(None, collect_solutions=True)
+    with pytest.raises(TypeError, match="collect_solutions"):
+        WorkerState(None, None, collect_solutions=True)
+    assert list(inspect.signature(_init_worker).parameters) == ["case", "options", "faults"]
+    for owner, name in (
+        (WarmStartEngine, "trajectory_fleet"),
+        (repro.parallel, "ScenarioSolution"),
+        (repro.parallel.pool, "ScenarioSolution"),
+    ):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+
+    # ``microbatch`` is the fleet's own value, not a pass-through.
+    assert "microbatch" in inspect.signature(SolverFleet).parameters
+    for call in (
+        lambda: SmartPGSimConfig(microbatch=2),
+        lambda: WarmStartEngine(None, None, None, microbatch=2),
+        lambda: WarmStartEngine.from_trainer(None, microbatch=2),
+        lambda: load_artifact(None, None, microbatch=2),
+        lambda: generate_dataset(None, 1, microbatch=2),
+    ):
+        with pytest.raises(TypeError, match="microbatch"):
+            call()
+
+    # No wrapper repeats the code it calls, and no method lacks a caller.
+    for owner, name in (
+        (repro.parallel, "run_scenario_sweep"),
+        (repro.parallel.pool, "run_scenario_sweep"),
+        (WarmStartEngine, "load_artifact"),
+        (WarmStart, "from_mips_result"),
+        (DatasetNormalizer, "denormalize_predictions"),
+    ):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)

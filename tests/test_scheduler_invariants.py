@@ -34,7 +34,6 @@ from repro.parallel import (
     auto_microbatch_size,
     generate_scenarios,
     make_microbatches,
-    run_scenario_sweep,
 )
 from repro.parallel.scheduler import MicroBatch
 
@@ -292,7 +291,8 @@ def _assert_bitwise_equal_outcomes(a, b):
 
 def test_fleet_exactly_once_and_sorted(sweep_case9):
     case, scenarios = sweep_case9
-    sweep = run_scenario_sweep(case, scenarios, microbatch=2)
+    with SolverFleet(case, microbatch=2) as fleet:
+        sweep = fleet.solve(scenarios)
     ids = [o.scenario_id for o in sweep.outcomes]
     assert ids == sorted(ids)
     assert ids == [s.scenario_id for s in scenarios]
@@ -300,9 +300,11 @@ def test_fleet_exactly_once_and_sorted(sweep_case9):
 
 def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
     case, scenarios = sweep_case9
-    reference = run_scenario_sweep(case, scenarios, microbatch=len(scenarios))
+    with SolverFleet(case, microbatch=len(scenarios)) as fleet:
+        reference = fleet.solve(scenarios)
     for microbatch in (1, 2, 3, None):
-        sweep = run_scenario_sweep(case, scenarios, microbatch=microbatch)
+        with SolverFleet(case, microbatch=microbatch) as fleet:
+            sweep = fleet.solve(scenarios)
         for a, b in zip(reference.outcomes, sweep.outcomes):
             _assert_bitwise_equal_outcomes(a, b)
 
@@ -310,12 +312,14 @@ def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
 def test_fleet_steal_results_invariant_under_permutation(sweep_case9):
     """Submitting the sweep in any scenario order yields identical results."""
     case, scenarios = sweep_case9
-    reference = _by_id(run_scenario_sweep(case, scenarios, microbatch=2))
     rng = np.random.default_rng(0)
-    for _ in range(3):
-        order = rng.permutation(len(scenarios))
-        shuffled = ScenarioSet(case.name, [scenarios[int(i)] for i in order])
-        sweep = run_scenario_sweep(case, shuffled, microbatch=2)
+    with SolverFleet(case, microbatch=2) as fleet:
+        reference = _by_id(fleet.solve(scenarios))
+        shuffled_sweeps = [
+            fleet.solve(ScenarioSet(case.name, [scenarios[int(i)] for i in order]))
+            for order in (rng.permutation(len(scenarios)) for _ in range(3))
+        ]
+    for sweep in shuffled_sweeps:
         assert sorted(o.scenario_id for o in sweep.outcomes) == sorted(reference)
         for outcome in sweep.outcomes:
             _assert_bitwise_equal_outcomes(reference[outcome.scenario_id], outcome)
@@ -355,11 +359,11 @@ def test_scenario_alone_equals_scenario_in_sweep_bitwise(case_name, n_workers):
     case, scenarios = _six_scenario_sweep(case_name)
     deadlines = np.full(len(scenarios), np.inf)
     deadlines[2] = time.monotonic() - 1.0
-    with SolverFleet(case, n_workers=n_workers, collect_solutions=True) as fleet:
-        together = fleet.solve(scenarios)
-        gated = fleet.solve(scenarios, deadline=deadlines)
+    with SolverFleet(case, n_workers=n_workers) as fleet:
+        together = fleet.solve(scenarios, solutions=True)
+        gated = fleet.solve(scenarios, deadline=deadlines, solutions=True)
         alone = [
-            fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus)).outcomes[0]
+            fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus), solutions=True).outcomes[0]
             for s in scenarios
         ]
     assert together.success_rate == 1.0
@@ -377,7 +381,8 @@ def test_scenario_alone_equals_scenario_in_sweep_bitwise(case_name, n_workers):
 def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
     """Additive solve_seconds shares stay bounded by the sweep wall (in-process)."""
     case, scenarios = sweep_case9
-    sweep = run_scenario_sweep(case, scenarios, microbatch=2)
+    with SolverFleet(case, microbatch=2) as fleet:
+        sweep = fleet.solve(scenarios)
     assert all(o.solve_seconds >= 0.0 for o in sweep.outcomes)
     assert sweep.total_solver_seconds() <= sweep.wall_seconds + 1e-6
 
