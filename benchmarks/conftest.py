@@ -1,18 +1,14 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-figure suite.
 
-Each benchmark module regenerates one table or figure of the paper.  The
-expensive artefacts (ground-truth datasets, trained models) are produced once
-per session here and shared across modules.  Sample counts are deliberately
-small so the whole harness runs in minutes on a laptop; scale them up via the
-``REPRO_BENCH_SAMPLES`` environment variable for a higher-fidelity run.
+Each module regenerates one table or figure of the paper.  The expensive
+artefacts (ground-truth datasets, trained models) are produced once per
+session here and shared across modules.  Sample counts are deliberately small
+so the whole suite runs in well under a minute; nothing here is timed.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
-import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -25,66 +21,15 @@ from repro.core import SmartPGSim, SmartPGSimConfig
 from repro.grid import get_case
 from repro.mtl import fast_config
 
-#: Number of ground-truth samples per system (override with REPRO_BENCH_SAMPLES).
-N_SAMPLES = int(os.environ.get("REPRO_BENCH_SAMPLES", "24"))
-#: Training epochs for benchmark models (override with REPRO_BENCH_EPOCHS).
-N_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", "20"))
+#: Number of ground-truth samples per system.
+N_SAMPLES = 24
+#: Training epochs for the figure models.
+N_EPOCHS = 20
 
-#: Where the machine-readable perf summary of a benchmark session is written:
-#: under the git-ignored build directory, so running the tests never touches
-#: the tracked ``BENCH_pr*.json`` files (the frozen historical record).
-PERF_JSON_PATH = Path(__file__).resolve().parents[1] / ".bench_build" / "benchmarks" / "session.json"
-
-#: Scalar perf findings recorded by the benchmark modules during the session
-#: (wall times, speedups, solver phase breakdowns), keyed by benchmark name.
-_PERF_RECORDS: dict = {}
-
-
-def record_perf(name: str, **metrics) -> None:
-    """Record scalar perf metrics under ``name`` for the session's perf JSON."""
-    _PERF_RECORDS.setdefault(name, {}).update(
-        {k: (float(v) if isinstance(v, (int, float)) else v) for k, v in metrics.items()}
-    )
-
-
-@pytest.fixture
-def perf_recorder():
-    """The :func:`record_perf` hook, as a fixture for benchmark modules."""
-    return record_perf
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the session's perf summary to :data:`PERF_JSON_PATH`.
-
-    Only written when at least one benchmark recorded metrics (running the
-    unit-test suite alone leaves the file untouched).
-    """
-    if not _PERF_RECORDS:
-        return
-    PERF_JSON_PATH.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": "repro-perf-v1",
-        "written_at_unix": time.time(),
-        "config": {"bench_samples": N_SAMPLES, "bench_epochs": N_EPOCHS},
-        "benchmarks": _PERF_RECORDS,
-    }
-    PERF_JSON_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-#: The systems every per-system benchmark sweeps over.  ``case9``/``case14``
-#: are exact IEEE data; the larger Table-II systems are synthetic equivalents
-#: and are exercised by the Table II benchmark.
-BENCH_SYSTEMS = ("case9", "case14")
-
-
-def _make_framework(case_name: str, model_type: str = "mtl", use_physics: bool = True, seed: int = 0):
+def _make_framework(case_name: str):
+    """Smart-PGSim (MTL + physics) trained on ``case_name``."""
     case = get_case(case_name)
-    config = SmartPGSimConfig(
-        n_samples=N_SAMPLES,
-        model_type=model_type,
-        use_physics=use_physics,
-        mtl=fast_config(epochs=N_EPOCHS),
-        seed=seed,
-    )
+    config = SmartPGSimConfig(n_samples=N_SAMPLES, mtl=fast_config(epochs=N_EPOCHS))
     framework = SmartPGSim(case, config)
     framework.offline()
     return framework

@@ -5,11 +5,8 @@ from repro.core import capture_convergence_traces
 from repro.grid import get_case
 
 
-def test_bench_fig10_convergence_traces(benchmark):
-    case = get_case("case9")
-    traces = benchmark.pedantic(
-        lambda: capture_convergence_traces(case, seed=7), rounds=1, iterations=1
-    )
+def test_bench_fig10_convergence_traces():
+    traces = capture_convergence_traces(get_case("case9"), seed=7)
 
     print("\nFigure 10 — per-iteration convergence behaviour (case9)")
     for label, trace in traces.items():
@@ -34,12 +31,11 @@ def test_bench_fig10_convergence_traces(benchmark):
     assert bad.series()["step_size"].max() > good.series()["step_size"].max()
 
 
-def test_bench_fig10_good_start_solve(benchmark):
-    """Benchmark the warm-started (good initial point) solve itself."""
+def test_bench_fig10_good_start_solve():
+    """The warm-started (good initial point) solve itself converges."""
     from repro.opf import OPFModel, solve_opf
 
     case = get_case("case9")
     model = OPFModel(case)
     warm = solve_opf(case, model=model).warm_start()
-    result = benchmark(lambda: solve_opf(case, warm_start=warm, model=model))
-    assert result.success
+    assert solve_opf(case, warm_start=warm, model=model).success

@@ -16,22 +16,18 @@ def evaluations(frameworks):
     return {name: fw.online_evaluate() for name, fw in frameworks.items()}
 
 
-def test_bench_fig4_series(benchmark, frameworks, evaluations):
-    """Print the Fig. 4 series; benchmark one full online problem (inference + warm solve)."""
+def test_bench_fig4_series(frameworks, evaluations):
+    """Print the Fig. 4 series; one full online problem (inference + warm solve) converges."""
     fw = frameworks["case14"]
     dataset = fw.artifacts.validation_set
-
-    def one_online_problem():
-        warm = fw.artifacts.trainer.warm_start_for(dataset.inputs[0])
-        return solve_opf(
-            fw.case,
-            warm_start=warm,
-            Pd_mw=dataset.Pd_mw[0],
-            Qd_mvar=dataset.Qd_mw[0],
-            model=fw.opf_model,
-        )
-
-    result = benchmark(one_online_problem)
+    warm = fw.artifacts.trainer.warm_start_for(dataset.inputs[0])
+    result = solve_opf(
+        fw.case,
+        warm_start=warm,
+        Pd_mw=dataset.Pd_mw[0],
+        Qd_mvar=dataset.Qd_mw[0],
+        model=fw.opf_model,
+    )
     assert result.success
 
     print("\nFigure 4 — MIPS vs Smart-PGSim")
@@ -57,13 +53,11 @@ def test_bench_fig4_series(benchmark, frameworks, evaluations):
         assert ev.mean_cost_deviation < 1e-5
 
 
-def test_bench_fig4_cold_solver_reference(benchmark, frameworks):
-    """Benchmark the cold-start MIPS solve, the Fig. 4a reference bar."""
+def test_bench_fig4_cold_solver_reference(frameworks):
+    """The cold-start MIPS solve, the Fig. 4a reference bar, converges."""
     fw = frameworks["case14"]
     dataset = fw.artifacts.validation_set
-    result = benchmark(
-        lambda: solve_opf(
-            fw.case, Pd_mw=dataset.Pd_mw[0], Qd_mvar=dataset.Qd_mw[0], model=fw.opf_model
-        )
+    result = solve_opf(
+        fw.case, Pd_mw=dataset.Pd_mw[0], Qd_mvar=dataset.Qd_mw[0], model=fw.opf_model
     )
     assert result.success

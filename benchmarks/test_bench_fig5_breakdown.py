@@ -3,23 +3,10 @@
 from repro.core import breakdown_from_evaluation
 
 
-def test_bench_fig5_breakdown(benchmark, frameworks, perf_recorder):
-    def evaluate_and_break_down():
-        out = {}
-        for name, fw in frameworks.items():
-            out[name] = breakdown_from_evaluation(fw.online_evaluate())
-        return out
-
-    breakdowns = benchmark.pedantic(evaluate_and_break_down, rounds=1, iterations=1)
-
-    for name, bd in breakdowns.items():
-        perf_recorder(
-            "fig5_breakdown",
-            **{
-                f"{name}_normalized": bd.normalized(),
-                f"{name}_newton_phase_fractions": bd.newton_phase_fractions(),
-            },
-        )
+def test_bench_fig5_breakdown(frameworks):
+    breakdowns = {
+        name: breakdown_from_evaluation(fw.online_evaluate()) for name, fw in frameworks.items()
+    }
 
     print("\nFigure 5 — normalised runtime breakdown (fractions of the MIPS-only total)")
     print(f"{'system':>8} {'preproc':>8} {'newton':>8} {'MTL inf':>8} {'restart':>8} {'total':>8}")

@@ -5,13 +5,7 @@ import numpy as np
 from repro.data import TASK_NAMES
 
 
-def test_bench_fig6_prediction_accuracy(benchmark, framework14):
-    dataset = framework14.artifacts.validation_set
-    trainer = framework14.artifacts.trainer
-
-    # Benchmark batched warm-start inference (what the online phase pays per problem).
-    benchmark(lambda: trainer.predict_physical(dataset.inputs))
-
+def test_bench_fig6_prediction_accuracy(framework14):
     accuracy = framework14.prediction_accuracy()
     print("\nFigure 6 — normalised prediction vs ground truth (validation split)")
     print(f"{'task':>6} {'mean |err|':>11} {'p90 |err|':>10} {'corr':>6}")
@@ -26,8 +20,9 @@ def test_bench_fig6_prediction_accuracy(benchmark, framework14):
 
     # Main tasks hug the y = x diagonal (paper: "negligible accuracy lost" for
     # Va, Vm, Pg, Qg, µ and Z; λ shows the largest spread).  The thresholds are
-    # loose because the benchmark model is trained on a small demo dataset —
-    # scale REPRO_BENCH_SAMPLES/EPOCHS up for paper-fidelity accuracy.
+    # loose because the figure model is trained on a small demo dataset —
+    # raise ``N_SAMPLES`` / ``N_EPOCHS`` in ``conftest.py`` for paper-fidelity
+    # accuracy.
     for task in ("Vm", "Pg"):
         assert stats[task][0] < 0.35
         assert np.isfinite(stats[task][2])

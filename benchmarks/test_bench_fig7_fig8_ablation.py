@@ -16,11 +16,7 @@ def variant_evaluations(ablation_variants):
     return {name: fw.online_evaluate() for name, fw in ablation_variants.items()}
 
 
-def test_bench_fig7_speedup_and_success(benchmark, ablation_variants, variant_evaluations):
-    # Benchmark the Smart-PGSim online evaluation (the rightmost bars of Fig. 7).
-    smart = ablation_variants["Smart-PGSim"]
-    benchmark.pedantic(lambda: smart.online_evaluate(max_problems=2), rounds=1, iterations=1)
-
+def test_bench_fig7_speedup_and_success(variant_evaluations):
     print("\nFigure 7 — model-variant comparison (case9)")
     print(f"{'variant':>14} {'SU':>6} {'SR %':>6} {'iter ratio':>10}")
     for name, ev in variant_evaluations.items():
@@ -36,20 +32,16 @@ def test_bench_fig7_speedup_and_success(benchmark, ablation_variants, variant_ev
     assert smart_ev.success_rate >= sep_ev.success_rate - 1e-9
 
 
-def test_bench_fig8_relative_error_boxes(benchmark, ablation_variants):
-    def compute_boxes():
-        boxes = {}
-        for name, fw in ablation_variants.items():
-            dataset = fw.artifacts.validation_set
-            pred = fw.artifacts.trainer.predict_physical(dataset.inputs)
-            pooled_pred = np.concatenate([pred[t].ravel() for t in ("Va", "Vm", "Pg", "Qg")])
-            pooled_truth = np.concatenate(
-                [dataset.targets[t].ravel() for t in ("Va", "Vm", "Pg", "Qg")]
-            )
-            boxes[name] = relative_error_summary(pooled_pred, pooled_truth)
-        return boxes
-
-    boxes = benchmark.pedantic(compute_boxes, rounds=1, iterations=1)
+def test_bench_fig8_relative_error_boxes(ablation_variants):
+    boxes = {}
+    for name, fw in ablation_variants.items():
+        dataset = fw.artifacts.validation_set
+        pred = fw.artifacts.trainer.predict_physical(dataset.inputs)
+        pooled_pred = np.concatenate([pred[t].ravel() for t in ("Va", "Vm", "Pg", "Qg")])
+        pooled_truth = np.concatenate(
+            [dataset.targets[t].ravel() for t in ("Va", "Vm", "Pg", "Qg")]
+        )
+        boxes[name] = relative_error_summary(pooled_pred, pooled_truth)
 
     print("\nFigure 8 — relative prediction error of the primal tasks (box statistics)")
     print(f"{'variant':>14} {'q25':>9} {'median':>9} {'q75':>9} {'mean':>9}")

@@ -19,16 +19,10 @@ from repro.parallel import (
 )
 
 
-def test_bench_fig9_strong_and_weak_scaling(benchmark, framework14):
-    engine = framework14.engine
-    scenarios = generate_scenarios(framework14.case, 8, seed=3)
-
-    sweep = benchmark.pedantic(
-        lambda: engine.serve(scenarios, n_workers=1), rounds=1, iterations=1
-    )
+def test_bench_fig9_strong_and_weak_scaling(framework14):
+    sweep = framework14.engine.serve(generate_scenarios(framework14.case, 8, seed=3), n_workers=1)
     assert sweep.success_rate > 0.5
     model = ClusterModel.calibrate(sweep.throughput)
-    benchmark.extra_info["engine_throughput_scen_per_s"] = sweep.throughput
 
     # The paper's strong-scaling run keeps one worker busy for minutes; scale
     # the problem count so the calibrated model sits in the same regime.
@@ -54,17 +48,13 @@ def test_bench_fig9_strong_and_weak_scaling(benchmark, framework14):
     assert weak[128] / weak[1] > strong[128] / strong[1] * 0.9
 
 
-def test_bench_fig9_process_pool_sweep(benchmark, framework9):
-    """Benchmark a real (in-process) scenario sweep of warm-started solves."""
+def test_bench_fig9_process_pool_sweep(framework9):
+    """A real (in-process) scenario sweep of warm-started solves."""
     case = framework9.case
     trainer = framework9.artifacts.trainer
     scenarios = generate_scenarios(case, 4, seed=3)
     warm = trainer.warm_starts_for(scenarios.feature_matrix(case.base_mva))
-
-    def sweep():
-        with SolverFleet(case, n_workers=1) as fleet:
-            return fleet.solve(scenarios, warm)
-
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    with SolverFleet(case, n_workers=1) as fleet:
+        result = fleet.solve(scenarios, warm)
     assert result.n_scenarios == 4
     assert result.success_rate >= 0.75

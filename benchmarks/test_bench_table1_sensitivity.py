@@ -14,14 +14,8 @@ from repro.grid import get_case
 from repro.opf import OPFModel, solve_opf
 
 
-def test_bench_table1_sensitivity(benchmark):
-    case = get_case("case9")
-
-    report = benchmark.pedantic(
-        lambda: run_sensitivity_study(case, n_scenarios=4, seed=1),
-        rounds=1,
-        iterations=1,
-    )
+def test_bench_table1_sensitivity():
+    report = run_sensitivity_study(get_case("case9"), n_scenarios=4, seed=1)
 
     print("\nTable I — warm-start signal ablation (case9, 4 scenarios)")
     print(f"{'X':>2} {'lam':>4} {'mu':>3} {'Z':>2} {'SR %':>6} {'SU':>6} {'iters':>6}")
@@ -49,13 +43,11 @@ def test_bench_table1_sensitivity(benchmark):
     assert z_only.mean_iterations >= all_precise.mean_iterations
 
 
-def test_bench_table1_warm_vs_cold_solve(benchmark):
-    """Benchmark the all-precise warm-started solve (the case XVI row)."""
+def test_bench_table1_warm_vs_cold_solve():
+    """The all-precise warm-started solve (the case XVI row) beats the cold one."""
     case = get_case("case9")
     model = OPFModel(case)
     cold = solve_opf(case, model=model)
-    warm = cold.warm_start()
-
-    result = benchmark(lambda: solve_opf(case, warm_start=warm, model=model))
+    result = solve_opf(case, warm_start=cold.warm_start(), model=model)
     assert result.success
     assert result.iterations < cold.iterations

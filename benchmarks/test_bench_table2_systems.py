@@ -35,26 +35,19 @@ def _multiplier_counts(model: OPFModel) -> tuple[int, int]:
     return n_lambda, n_mu
 
 
-def test_bench_table2_model_construction(benchmark):
-    """Benchmark OPF-model construction (admittances + bounds) on the largest system."""
-    case = get_case("case300s")
-    model = benchmark(lambda: OPFModel(case))
+def test_bench_table2_model_construction():
+    """OPF-model construction (admittances + bounds) on the largest system."""
+    model = OPFModel(get_case("case300s"))
     assert model.idx.nx == 2 * 300 + 2 * 69
 
 
-def test_bench_table2_counts(benchmark):
+def test_bench_table2_counts():
     """Print the Table II rows and check them against the paper's bookkeeping."""
-
-    def build_table():
-        rows = {}
-        for name in SYSTEMS:
-            case = get_case(name)
-            model = OPFModel(case)
-            n_lambda, n_mu = _multiplier_counts(model)
-            rows[name] = (case.n_bus, case.n_gen, case.n_branch, n_lambda, n_mu)
-        return rows
-
-    rows = benchmark.pedantic(build_table, rounds=1, iterations=1)
+    rows = {}
+    for name in SYSTEMS:
+        case = get_case(name)
+        n_lambda, n_mu = _multiplier_counts(OPFModel(case))
+        rows[name] = (case.n_bus, case.n_gen, case.n_branch, n_lambda, n_mu)
 
     print("\nTable II — test-system configurations")
     print(f"{'system':>10} {'buses':>6} {'gens':>5} {'branches':>9} {'#lambda':>8} {'#mu(Z)':>7}")

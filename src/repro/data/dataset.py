@@ -59,11 +59,6 @@ class OPFDataset:
         """Number of scenarios in the dataset."""
         return int(self.inputs.shape[0])
 
-    @property
-    def n_features(self) -> int:
-        """Input dimensionality (2·nb)."""
-        return int(self.inputs.shape[1])
-
     def task_dim(self, task: str) -> int:
         """Output dimensionality of ``task``."""
         return int(self.targets[task].shape[1])

@@ -27,21 +27,25 @@ class CaseValidationError(ValueError):
         super().__init__("invalid case:\n  - " + "\n  - ".join(self.problems))
 
 
-def _connected_components(n_bus: int, f: np.ndarray, t: np.ndarray) -> int:
-    """Number of connected components of the (undirected) branch graph."""
-    parent = np.arange(n_bus)
+def n_components(n_bus: int, f: np.ndarray, t: np.ndarray) -> int:
+    """Connected-component count of the graph with edges ``(f[i], t[i])``."""
+    parent = list(range(n_bus))
 
     def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
 
+    count = n_bus
     for a, b in zip(f, t):
         ra, rb = find(int(a)), find(int(b))
         if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n_bus)})
+            parent[rb] = ra
+            count -= 1
+    return count
 
 
 def validate_outage_branches(branches: Sequence[int], n_branch: int) -> None:
@@ -125,7 +129,7 @@ def validate_case(case: Case, raise_on_error: bool = True) -> List[str]:
     on = case.branch.status > 0
     if case.n_bus > 1:
         f_int, t_int = case.branch_bus_indices()
-        n_comp = _connected_components(case.n_bus, f_int[on], t_int[on])
+        n_comp = n_components(case.n_bus, f_int[on], t_int[on])
         if n_comp != 1:
             problems.append(
                 f"network is not connected ({n_comp} components over in-service branches)"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -109,21 +109,6 @@ class MIPSResult:
     #: one-problem solve times (``elapsed_seconds`` keeps meaning
     #: wall-clock-until-retirement, which overlaps across the batch).
     wall_share_seconds: float = 0.0
-
-    @property
-    def eflag(self) -> int:
-        """MATPOWER-style exit flag: 1 converged, 0 iteration limit, -1 failed."""
-        if self.converged:
-            return 1
-        if self.timed_out:
-            # A budget outcome, like the iteration limit: the iterates are
-            # fine, the solver just ran out of allotted resources.
-            return 0
-        return 0 if "iteration limit" in self.message else -1
-
-    def final_conditions(self) -> Optional[IterationRecord]:
-        """The last recorded iteration (``None`` when history is disabled)."""
-        return self.history[-1] if self.history else None
 
     def summary(self) -> str:
         """One-line human-readable summary."""

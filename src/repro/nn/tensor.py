@@ -325,12 +325,6 @@ class Tensor:
         mask = (self.data > 0).astype(float)
         return self._unary(self.data * mask, mask, "relu")
 
-    def softplus(self) -> "Tensor":
-        """Element-wise softplus ``log(1 + exp(x))`` (stable for large |x|)."""
-        value = np.logaddexp(0.0, self.data)
-        grad = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
-        return self._unary(value, grad, "softplus")
-
     def clamp_min(self, minimum: float) -> "Tensor":
         """Element-wise lower clipping (gradient passes only where unclipped)."""
         mask = (self.data > minimum).astype(float)

@@ -59,17 +59,6 @@ class OPFResult:
         """Warm-start point carrying this solution's primal and dual variables."""
         return WarmStart(x=self.x.copy(), lam=self.lam.copy(), mu=self.mu.copy(), z=self.z.copy())
 
-    def dispatch_summary(self) -> Dict[str, float]:
-        """Headline dispatch quantities."""
-        return {
-            "objective_usd_per_h": self.objective,
-            "total_pg_mw": float(self.Pg_mw.sum()),
-            "total_qg_mvar": float(self.Qg_mvar.sum()),
-            "max_vm": float(self.Vm.max()),
-            "min_vm": float(self.Vm.min()),
-            "iterations": self.iterations,
-        }
-
 
 def build_opf_result(
     case: Case,

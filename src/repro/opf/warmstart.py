@@ -11,11 +11,9 @@ the Table I sensitivity study.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
-
-from repro.opf.model import OPFModel
 
 #: Smallest ``µ`` / ``Z`` entry :meth:`WarmStart.clipped_duals` lets through.
 _DUAL_FLOOR = 1e-8
@@ -39,17 +37,6 @@ class WarmStart:
     def cold() -> "WarmStart":
         """The all-defaults (cold) start."""
         return WarmStart()
-
-    # ------------------------------------------------------------------ views
-    def split_x(self, model: OPFModel) -> Dict[str, np.ndarray]:
-        """Named view of the primal components (requires ``x``)."""
-        if self.x is None:
-            raise ValueError("warm start has no primal point")
-        return model.idx.split(self.x)
-
-    def is_cold(self) -> bool:
-        """True when every component is left at the solver default."""
-        return self.x is None and self.lam is None and self.mu is None and self.z is None
 
     # ------------------------------------------------------------- sensitivity
     def masked(

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
-from repro.grid.validation import validate_outage_branches
+from repro.grid.validation import n_components, validate_outage_branches
 from repro.utils.rng import RNGLike, ensure_rng
 
 
@@ -133,27 +133,6 @@ class ScenarioSet:
 
 
 # ------------------------------------------------------------- connectivity
-def _n_components(n_bus: int, f: np.ndarray, t: np.ndarray) -> int:
-    """Connected-component count of the graph with edges ``(f[i], t[i])``."""
-    parent = list(range(n_bus))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    count = n_bus
-    for a, b in zip(f, t):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-            count -= 1
-    return count
-
-
 def outage_keeps_connected(case: Case, branches: Sequence[int]) -> bool:
     """True when dropping ``branches`` does not split the live network.
 
@@ -168,10 +147,10 @@ def outage_keeps_connected(case: Case, branches: Sequence[int]) -> bool:
     validate_outage_branches(branches, case.n_branch)
     f, t = case.branch_bus_indices()
     live = case.branch.status > 0
-    base_components = _n_components(case.n_bus, f[live], t[live])
+    base_components = n_components(case.n_bus, f[live], t[live])
     keep = live.copy()
     keep[list(branches)] = False
-    return _n_components(case.n_bus, f[keep], t[keep]) == base_components
+    return n_components(case.n_bus, f[keep], t[keep]) == base_components
 
 
 def screened_outage_sets(

@@ -131,10 +131,6 @@ class TrajectoryResult:
         return len(self.steps)
 
     @property
-    def n_solves(self) -> int:
-        return sum(step.n_scenarios for step in self.steps)
-
-    @property
     def wall_seconds(self) -> float:
         """Summed per-step walls (steps are strictly sequential)."""
         return float(sum(step.wall_seconds for step in self.steps))

@@ -81,7 +81,8 @@ def sensitivity_report(case9_fixture):
 def test_sensitivity_baseline_always_succeeds(sensitivity_report):
     baseline = sensitivity_report.row("0000")
     assert baseline.success_rate == pytest.approx(1.0)
-    assert baseline.speedup == pytest.approx(1.0, rel=0.5)
+    # SU is a ratio of single-shot wall times: only its sign is machine-independent.
+    assert np.isfinite(baseline.speedup) and baseline.speedup > 0
 
 
 def test_sensitivity_precise_x_succeeds(sensitivity_report):
@@ -90,11 +91,16 @@ def test_sensitivity_precise_x_succeeds(sensitivity_report):
 
 
 def test_sensitivity_all_precise_is_fastest(sensitivity_report):
-    """Observation 1/case XVI: all four signals together give the largest speedup."""
+    """Observation 1/case XVI: all four signals together give the largest reduction.
+
+    Judged on the deterministic iteration counts; the wall-clock SU is only
+    checked for sign.
+    """
     full = sensitivity_report.row("1111")
     assert full.success_rate == pytest.approx(1.0)
     assert full.mean_iterations < sensitivity_report.row("0000").mean_iterations
-    assert full.speedup > sensitivity_report.row("1000").speedup
+    assert full.mean_iterations < sensitivity_report.row("1000").mean_iterations
+    assert np.isfinite(full.speedup) and full.speedup > 0
 
 
 def test_sensitivity_z_without_mu_hurts(sensitivity_report):

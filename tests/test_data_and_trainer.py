@@ -18,7 +18,7 @@ from repro.opf import solve_opf
 # ------------------------------------------------------------------------ dataset
 def test_dataset_shapes_and_tasks(dataset9, case9_fixture):
     assert dataset9.n_samples == 24
-    assert dataset9.n_features == 2 * case9_fixture.n_bus
+    assert dataset9.inputs.shape == (24, 2 * case9_fixture.n_bus)
     assert set(dataset9.targets) == set(TASK_NAMES)
     assert dataset9.task_dim("Va") == 9
     assert dataset9.task_dim("lam") == 19

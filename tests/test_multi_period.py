@@ -96,7 +96,7 @@ def test_warm_chaining_beats_per_step_cold():
     assert sum(chained_iters[1:]) < 0.5 * sum(cold_iters[1:])
     # Records are threaded per step.
     assert [s.period for s in chained.steps] == list(range(6))
-    assert chained.n_steps == 6 and chained.n_solves == 6
+    assert chained.n_steps == 6
 
 
 def test_trajectory_chains_through_topology_changes():

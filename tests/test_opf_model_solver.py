@@ -161,25 +161,13 @@ def test_model_case_mismatch_rejected(case9_fixture, case14_fixture, opf_model9)
         solve_opf(case14_fixture, model=opf_model9)
 
 
-def test_result_dispatch_summary(opf_solution9):
-    summary = opf_solution9.dispatch_summary()
-    assert summary["total_pg_mw"] == pytest.approx(opf_solution9.Pg_mw.sum())
-    assert summary["iterations"] == opf_solution9.iterations
-
-
-def test_warmstart_helpers(opf_solution9, opf_model9, rng):
+def test_warmstart_helpers(opf_solution9, rng):
     warm = opf_solution9.warm_start()
-    assert not warm.is_cold()
-    assert WarmStart.cold().is_cold()
-    parts = warm.split_x(opf_model9)
-    assert set(parts) == {"Va", "Vm", "Pg", "Qg"}
     noisy = warm.with_noise(rng, 0.01)
     assert not np.allclose(noisy.x, warm.x)
     clipped = WarmStart(mu=np.array([-1.0, 0.5]), z=np.array([0.0, 2.0])).clipped_duals()
     assert np.all(clipped.mu > 0)
     assert np.all(clipped.z > 0)
-    with pytest.raises(ValueError):
-        WarmStart.cold().split_x(opf_model9)
 
 
 def test_model_owns_one_batched_model_across_solves(case9_fixture):

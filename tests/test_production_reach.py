@@ -43,6 +43,8 @@ ENTRY_POINTS = (
     ("repro.opf", "certify_opf"),
 )
 
+_SCENARIO_FAMILY = "scenario-family builder; ROADMAP items 4(c) / 9(c) will drive it from perfbench"
+
 #: Public definitions production does not reach, each with its reason.  They
 #: count as roots too: what a reviewed definition needs is kept with it.
 REVIEWED: Dict[Tuple[str, str], str] = {
@@ -52,6 +54,9 @@ REVIEWED: Dict[Tuple[str, str], str] = {
     ("repro.engine.lifecycle", "ShadowMetrics"): "a ShadowReport's per-model side",
     ("repro.engine.lifecycle", "ShadowReport"): "what a ShadowGate evaluation returns",
     ("repro.grid.cases", "available_cases"): "lists the names get_case accepts",
+    ("repro.grid.perturb", "sample_load_trajectory"): _SCENARIO_FAMILY,
+    ("repro.parallel.scenarios", "generate_contingency_set"): _SCENARIO_FAMILY,
+    ("repro.parallel.trajectory", "trajectory_steps"): _SCENARIO_FAMILY,
     ("repro.nn.optim", "SGD"): "the nn stack's second optimiser; the checkpoint tests resume it",
     ("repro.nn.schedulers", "StepLR"): "the scheduler MTLTrainer.scheduler is documented with",
     ("repro.nn.serialization", "save_state_dict"): "plain weights file, the unsigned sibling of save_bundle",

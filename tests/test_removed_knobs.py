@@ -26,10 +26,14 @@ pool's start method, poll interval and lost-task grace, and
 driver's per-step budget, no ``MIPSOptions.max_wall_seconds``), a per-call
 ``solutions=`` (no fleet-wide ``collect_solutions``, so one fleet per worker
 count), ``microbatch=`` on ``SolverFleet`` only, and no wrapper that repeats
-the code it calls.
+the code it calls.  And ``perfbench`` is the one performance system: the
+paper-figure suite in ``benchmarks/`` imports no clock, reads no environment
+knob and takes no timing fixture.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,10 +226,15 @@ def test_unpassed_parameters_are_constants():
 def test_one_dispatch_surface():
     import repro.parallel
     import repro.parallel.pool
+    from repro.data.dataset import OPFDataset
+    from repro.mips.result import MIPSResult
     from repro.mtl import DatasetNormalizer
+    from repro.nn.tensor import Tensor
+    from repro.opf.result import OPFResult
     from repro.opf.warmstart import WarmStart
     from repro.parallel import MultiPeriodSweep
     from repro.parallel.pool import WorkerState, _init_worker
+    from repro.parallel.trajectory import TrajectoryResult
 
     # One deadline form below the server: absolute ``deadline=`` only.
     for callee in (
@@ -281,6 +290,34 @@ def test_one_dispatch_surface():
         (WarmStartEngine, "load_artifact"),
         (WarmStart, "from_mips_result"),
         (DatasetNormalizer, "denormalize_predictions"),
+        (Tensor, "softplus"),
+        (MIPSResult, "eflag"),
+        (MIPSResult, "final_conditions"),
+        (OPFResult, "dispatch_summary"),
+        (WarmStart, "split_x"),
+        (WarmStart, "is_cold"),
+        (TrajectoryResult, "n_solves"),
+        (OPFDataset, "n_features"),
     ):
         with pytest.raises(AttributeError):
             getattr(owner, name)
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.parametrize("path", sorted(BENCHMARKS.glob("*.py")), ids=lambda p: p.name)
+def test_paper_figure_suite_reads_no_clock(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "time" not in {alias.name for alias in node.names}, path.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "time", path.name
+            if node.module == "os":
+                assert "environ" not in {alias.name for alias in node.names}, path.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert (node.value.id, node.attr) != ("os", "environ"), path.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = {a.arg for a in node.args.args + node.args.kwonlyargs}
+            assert not args & {"benchmark", "perf_recorder"}, f"{path.name}::{node.name}"
