@@ -20,9 +20,9 @@ AC-OPF problems at throughput —
 
 :meth:`~WarmStartEngine.serve`, :meth:`~WarmStartEngine.serve_trajectory`
 and :meth:`~WarmStartEngine.evaluate` share one path around the fleet: warm
-starts are predicted from the request's :class:`ServingModel` snapshot, and
-the outcomes feed the drift monitor and the circuit breaker in scenario-id
-order.  ``evaluate`` additionally wraps each outcome in an
+starts are predicted from the request's :class:`ServingModel` snapshot and
+every sweep is stamped with that snapshot's generation.  ``evaluate``
+additionally wraps each outcome in an
 :class:`~repro.engine.records.OnlineRecord` with the dataset's cold reference.
 Below the engine a time bound has one form: the absolute per-row
 ``deadline=`` on the ``time.monotonic()`` clock (``serve_trajectory``'s
@@ -38,13 +38,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.data.dataset import OPFDataset
-from repro.engine.drift import DriftMonitor, DriftReport
-from repro.engine.fallback import CircuitBreaker
 from repro.engine.records import OnlineEvaluation, OnlineRecord
 from repro.grid.components import Case
 from repro.mtl.config import MTLConfig
@@ -90,16 +88,13 @@ class WarmStartEngine:
         config: Optional[MTLConfig] = None,
         opf_options: Optional[OPFOptions] = None,
         opf_model: Optional[OPFModel] = None,
-        breaker: Optional[CircuitBreaker] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
-        drift_monitor: Optional[DriftMonitor] = None,
     ):
         self.case = case
         #: The published model generation.  Swapped atomically by
         #: :meth:`hot_swap`; read it through the ``network`` / ``normalizer``
-        #: / ``config`` / ``generation`` properties, or snapshot the whole
-        #: :class:`ServingModel` for request-pure serving.
+        #: / ``config`` / ``generation`` properties.
         self._serving = ServingModel(
             network=network,
             normalizer=normalizer,
@@ -108,14 +103,6 @@ class WarmStartEngine:
         self._swap_lock = threading.Lock()
         self.opf_options = opf_options or OPFOptions()
         self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
-        #: Optional health-aware circuit breaker over the warm-start path.
-        #: While open, new requests skip inference and go straight to the
-        #: cold path; per-request outcomes feed its health window.
-        self.breaker = breaker
-        #: Optional predictive drift monitor fed one outcome per served
-        #: scenario (in scenario-id order); surfaces trends on
-        #: :meth:`drift_report` *before* the breaker has anything to trip on.
-        self.drift_monitor = drift_monitor
         #: Optional deterministic fault plan injected into fleet workers
         #: (testing only) and the crash-retry budget handed to fleets.
         self.faults = faults
@@ -144,11 +131,6 @@ class WarmStartEngine:
         """Monotonic model-generation counter (0 at construction)."""
         return self._serving.generation
 
-    @property
-    def serving_model(self) -> ServingModel:
-        """Snapshot of the published generation (immutable)."""
-        return self._serving
-
     def hot_swap(
         self,
         network: Module,
@@ -161,10 +143,7 @@ class WarmStartEngine:
         published in one reference assignment, so there is no instant at which
         a request can observe a half-swapped engine: requests already past
         their snapshot finish on the old generation, requests entering after
-        the assignment serve the new one, and nothing is dropped.  On success
-        the health machinery is reset — a freshly promoted model must not
-        inherit the previous model's open breaker or drift stream (trip
-        counts are cumulative telemetry and survive the reset).
+        the assignment serve the new one, and nothing is dropped.
         """
         with self._swap_lock:
             incumbent = self._serving
@@ -175,10 +154,6 @@ class WarmStartEngine:
                 generation=incumbent.generation + 1,
             )
             published = self._serving
-        if self.breaker is not None:
-            self.breaker.reset()
-        if self.drift_monitor is not None:
-            self.drift_monitor.reset()
         LOGGER.info(
             "%s: hot-swapped serving model to generation %d",
             self.case.name,
@@ -186,37 +161,12 @@ class WarmStartEngine:
         )
         return published.generation
 
-    def adopt_artifact(self, path: Union[str, Path]) -> int:
-        """Hot-swap to the model persisted in an artifact file.
-
-        The artifact's case fingerprint and content checksum are verified
-        *before* anything is published — a mismatched or corrupt artifact
-        raises (:class:`~repro.engine.artifact.ArtifactMismatchError` /
-        :class:`~repro.engine.artifact.ArtifactCorruptError`) with the
-        incumbent generation untouched.  Returns the new generation.
-        """
-        from repro.engine.artifact import load_artifact
-
-        candidate = load_artifact(
-            path,
-            self.case,
-            opf_options=self.opf_options,
-            opf_model=self.opf_model,
-        )
-        return self.hot_swap(candidate.network, candidate.normalizer, candidate.config)
-
-    def drift_report(self) -> Optional[DriftReport]:
-        """The drift monitor's current verdict (``None`` without a monitor)."""
-        return None if self.drift_monitor is None else self.drift_monitor.report()
-
     # -------------------------------------------------------------- constructors
     @classmethod
     def from_trainer(
         cls,
         trainer: MTLTrainer,
         opf_options: Optional[OPFOptions] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        drift_monitor: Optional[DriftMonitor] = None,
     ) -> "WarmStartEngine":
         """Build an engine that shares a trained :class:`MTLTrainer`'s state."""
         return cls(
@@ -226,8 +176,6 @@ class WarmStartEngine:
             config=trainer.config,
             opf_options=opf_options,
             opf_model=trainer.opf_model,
-            breaker=breaker,
-            drift_monitor=drift_monitor,
         )
 
     # ---------------------------------------------------------------- inference
@@ -251,32 +199,6 @@ class WarmStartEngine:
             serving.network, serving.normalizer, np.atleast_2d(inputs_pu)
         )
         return warm_starts_from_predictions(predictions, self.opf_model)
-
-    def _degraded(self) -> bool:
-        """True while an open circuit breaker routes requests past inference."""
-        return self.breaker is not None and not self.breaker.allow_warm()
-
-    def _observe(self, sweep: SweepResult) -> List[Tuple[str, int]]:
-        """Feed the drift monitor and the breaker one sweep's outcomes.
-
-        Outcomes are fed in scenario-id order, so both count-based state
-        machines are deterministic whatever the worker scheduling did.
-        Returns each outcome's ``(drift_status, breaker_trips)`` right after
-        it was observed.
-        """
-        stamps = []
-        for outcome in sorted(sweep.outcomes, key=lambda o: o.scenario_id):
-            if self.drift_monitor is not None:
-                self.drift_monitor.observe_outcome(outcome)
-            if self.breaker is not None:
-                self.breaker.record(outcome.used_fallback)
-            stamps.append(
-                (
-                    "stationary" if self.drift_monitor is None else self.drift_monitor.status,
-                    0 if self.breaker is None else self.breaker.trips,
-                )
-            )
-        return stamps
 
     # ------------------------------------------------------------------ serving
     def fleet(self, n_workers: int = 1) -> SolverFleet:
@@ -307,10 +229,8 @@ class WarmStartEngine:
         request — a scalar shared by every scenario or a per-scenario
         sequence (``inf``/``nan`` = unbounded), which is how the async
         batcher forwards the different budgets of coalesced requests.  Expired solves
-        retire with ``timed_out`` outcomes instead of raising.  When the
-        engine's :class:`~repro.engine.fallback.CircuitBreaker` is open, the
-        request skips inference entirely and is served from the degraded
-        (cold-start) path.  Faults injected via the engine's
+        retire with ``timed_out`` outcomes instead of raising.  Faults
+        injected via the engine's
         :class:`~repro.testing.faults.FaultPlan` never escape this method —
         they surface as structured failed outcomes in the sweep.
 
@@ -320,8 +240,7 @@ class WarmStartEngine:
         sweep's ``model_generation``.
 
         An empty request short-circuits to an empty sweep stamped with the
-        live generation — it never reaches inference, the fleet or the
-        health machinery.
+        live generation — it never reaches inference or the fleet.
         """
         serving = self._serving
         if len(scenarios) == 0:
@@ -330,18 +249,9 @@ class WarmStartEngine:
                 n_workers=n_workers,
                 model_generation=serving.generation,
             )
-        warm_starts = None
-        if self._degraded():
-            LOGGER.info(
-                "%s: circuit breaker open — serving %d scenario(s) on the degraded path",
-                self.case.name,
-                len(scenarios),
-            )
-        else:
-            warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
+        warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
         sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
         sweep.model_generation = serving.generation
-        self._observe(sweep)
         return sweep
 
     def serve_loads(
@@ -401,8 +311,7 @@ class WarmStartEngine:
         The trajectory runs on the same fleet as :meth:`serve`.
 
         The published :class:`ServingModel` is snapshotted once for the whole
-        trajectory and stamped on every per-step sweep; the health machinery
-        is fed per step in scenario order, like :meth:`serve`.
+        trajectory and stamped on every per-step sweep.
         """
         from repro.parallel.trajectory import MultiPeriodSweep, TrajectoryResult
 
@@ -411,10 +320,8 @@ class WarmStartEngine:
         if not steps:
             return TrajectoryResult(case_name=self.case.name)
 
-        degraded = self._degraded()
-
         def model_warm_starts(step: ScenarioSet) -> Optional[List[WarmStart]]:
-            if degraded or len(step) == 0:
+            if len(step) == 0:
                 return None
             return self._predict(serving, step.feature_matrix(self.case.base_mva))
 
@@ -430,7 +337,6 @@ class WarmStartEngine:
                 result.steps.append(sweep)
         for sweep in result.steps:
             sweep.model_generation = serving.generation
-            self._observe(sweep)
         return result
 
     # --------------------------------------------------------------- evaluation
@@ -450,9 +356,7 @@ class WarmStartEngine:
         lockstep width and the warm ones this sweep's, so SU (Eqn. 10) is a
         like-for-like ratio only when the two widths match.  Inference is one
         batched forward pass; its wall-clock is attributed evenly across the
-        records.  Evaluation traffic feeds the drift monitor and the breaker
-        exactly like serving traffic, and each record stamps their state
-        right after its own outcome was observed.
+        records.
         """
         n = dataset.n_samples if max_problems is None else min(max_problems, dataset.n_samples)
         if n < 1:
@@ -469,9 +373,6 @@ class WarmStartEngine:
             n_bus=self.case.n_bus,
         )
         sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
-        sweep.model_generation = serving.generation
-        # The sweep's outcomes are sorted by scenario id, the order _observe
-        # feeds them in, so the stamps line up with the outcomes.
         records = [
             OnlineRecord(
                 outcome=outcome,
@@ -479,11 +380,9 @@ class WarmStartEngine:
                 cold_solve_seconds=float(dataset.solve_seconds[outcome.scenario_id]),
                 cost_cold=float(dataset.objectives[outcome.scenario_id]),
                 inference_seconds=inference_seconds,
-                fallback_trips=trips,
-                drift_status=drift_status,
                 model_generation=serving.generation,
             )
-            for outcome, (drift_status, trips) in zip(sweep.outcomes, self._observe(sweep))
+            for outcome in sweep.outcomes
         ]
         return OnlineEvaluation(case_name=self.case.name, records=records)
 

@@ -3,8 +3,8 @@
 An :class:`OnlineRecord` is the :class:`~repro.parallel.pool.ScenarioOutcome`
 of one warm-started problem plus what the outcome cannot know: the dataset's
 cold-start reference, the problem's share of the batched inference, and the
-engine's health state when the outcome was observed.  Warm-attempt and
-fallback facts are read through ``record.outcome``.
+model generation that served it.  Warm-attempt and fallback facts are read
+through ``record.outcome``.
 :class:`OnlineEvaluation` aggregates records into the Fig. 4 / Fig. 5 data.
 """
 
@@ -29,10 +29,7 @@ class OnlineRecord:
     exactly as the fleet returned it.  ``iterations_cold`` /
     ``cold_solve_seconds`` / ``cost_cold`` are the dataset's cold-start
     reference for the same problem; ``inference_seconds`` is the problem's
-    share of the batched forward pass.  ``fallback_trips`` snapshots the
-    engine's cumulative circuit-breaker trip count and ``drift_status`` the
-    drift monitor's verdict right after this outcome was observed (0 and
-    ``"stationary"`` without them); ``model_generation`` is the
+    share of the batched forward pass.  ``model_generation`` is the
     ``ServingModel`` generation that served the problem.
     """
 
@@ -41,8 +38,6 @@ class OnlineRecord:
     cold_solve_seconds: float
     cost_cold: float
     inference_seconds: float
-    fallback_trips: int = 0
-    drift_status: str = "stationary"
     model_generation: int = 0
 
     @property

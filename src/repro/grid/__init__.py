@@ -13,7 +13,7 @@ from repro.grid.components import (
     GenCostTable,
     GenTable,
 )
-from repro.grid.cases import available_cases, case9, case14, get_case
+from repro.grid.cases import case9, case14, get_case
 from repro.grid.io import case_from_matpower
 from repro.grid.perturb import (
     CorrelatedLoadSampler,
@@ -40,7 +40,6 @@ __all__ = [
     "case9",
     "case14",
     "get_case",
-    "available_cases",
     "case_from_matpower",
     "CorrelatedLoadSampler",
     "LoadSample",

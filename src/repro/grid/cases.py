@@ -6,12 +6,12 @@ Two classic public IEEE/MATPOWER systems are embedded verbatim (``case9`` and
 :mod:`repro.grid.synthetic` with matching bus / generator / branch counts —
 see ``DESIGN.md`` for the substitution rationale.
 
-Use :func:`get_case` / :func:`available_cases` as the public entry points.
+Use :func:`get_case` as the public entry point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.grid.components import Case
 from repro.grid.io import case_from_matpower
@@ -139,12 +139,6 @@ def _register_synthetic() -> None:
     _REGISTRY.setdefault("case57s", lambda: synthetic.case57s())
     _REGISTRY.setdefault("case118s", lambda: synthetic.case118s())
     _REGISTRY.setdefault("case300s", lambda: synthetic.case300s())
-
-
-def available_cases() -> List[str]:
-    """Names accepted by :func:`get_case`."""
-    _register_synthetic()
-    return sorted(_REGISTRY)
 
 
 def get_case(name: str) -> Case:

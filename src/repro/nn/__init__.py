@@ -11,9 +11,8 @@ from repro.nn.modules import (
     mlp,
 )
 from repro.nn.losses import charbonnier
-from repro.nn.optim import Adam, Optimizer, SGD, clip_grad_norm
+from repro.nn.optim import Adam, Optimizer, clip_grad_norm
 from repro.nn.schedulers import Scheduler, StepLR
-from repro.nn.serialization import load_state_dict, save_state_dict
 from repro.nn.init import kaiming_uniform, zeros
 
 __all__ = [
@@ -29,13 +28,10 @@ __all__ = [
     "mlp",
     "charbonnier",
     "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "Scheduler",
     "StepLR",
-    "save_state_dict",
-    "load_state_dict",
     "kaiming_uniform",
     "zeros",
 ]

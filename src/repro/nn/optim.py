@@ -1,9 +1,9 @@
 """Optimisers and gradient utilities.
 
 Optimisers expose ``state_dict()`` / ``load_state_dict()`` so a training run
-can be checkpointed and resumed *bitwise*: the moment estimates (Adam) or
-velocities (SGD) and the step counter are exactly what make a resumed update
-sequence identical to an uninterrupted one.
+can be checkpointed and resumed *bitwise*: Adam's moment estimates and step
+counter are exactly what make a resumed update sequence identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -62,39 +62,6 @@ class Optimizer:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore state produced by :meth:`state_dict` (shapes must match)."""
         self.lr = float(state["lr"])
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 1e-2, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad + self.weight_decay * p.data
-            if self.momentum > 0:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data = p.data - self.lr * grad
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self._velocity = _load_slot_arrays("velocity", list(state["velocity"]), self.params)
 
 
 class Adam(Optimizer):

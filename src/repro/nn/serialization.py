@@ -1,9 +1,8 @@
 """Saving and loading model parameters (NumPy ``.npz`` format).
 
-Besides bare state dicts this module offers a small *bundle* format — arrays
-plus one JSON metadata blob in a single ``.npz`` — which the engine artifact
-layer uses to persist a model together with its normalizer statistics,
-configuration and case fingerprint.
+A *bundle* is arrays plus one JSON metadata blob in a single ``.npz``; the
+engine artifact layer uses it to persist a model together with its normalizer
+statistics, configuration and case fingerprint.
 
 Bundles carry a SHA-256 content checksum (over every array's name, dtype,
 shape and bytes plus the metadata blob).  :func:`load_bundle` verifies it and
@@ -74,21 +73,6 @@ def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> Path:
         if tmp.exists():
             tmp.unlink()
     return final
-
-
-def save_state_dict(state: Dict[str, np.ndarray], path: Union[str, Path]) -> Path:
-    """Write a state dict to ``path`` (``.npz``).  Returns the resolved path.
-
-    The write is crash-safe: see :func:`_atomic_savez`.
-    """
-    # Dotted parameter names are legal npz keys as-is.
-    return _atomic_savez(Path(path), dict(state))
-
-
-def load_state_dict(path: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """Read a state dict previously written by :func:`save_state_dict`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        return {key: data[key].copy() for key in data.files}
 
 
 def save_bundle(

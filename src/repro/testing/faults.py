@@ -29,9 +29,6 @@ Fault kinds
   solve path (a typed stand-in for an unexpected solver exception).
 * ``stall_solve`` — sleep ``seconds`` before solving, so a cooperative
   deadline expires (a hung factorisation stand-in).
-
-:class:`LifecycleFaultPlan` holds :class:`SwapFaultSpec` triggers the model
-lifecycle consults at its promotion stages.
 """
 
 from __future__ import annotations
@@ -43,11 +40,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "FAULT_KINDS",
-    "SWAP_STAGES",
     "FaultSpec",
     "FaultPlan",
-    "SwapFaultSpec",
-    "LifecycleFaultPlan",
     "FaultInjectionError",
     "WorkerCrashError",
     "kill_worker",
@@ -238,74 +232,3 @@ def execute_kill(in_subprocess: bool) -> None:
         time.sleep(_KILL_GRACE_SECONDS)
         os._exit(KILL_EXIT_CODE)
     raise WorkerCrashError("injected worker kill (in-process)")
-
-
-# ------------------------------------------------------- lifecycle swap faults
-#: Promotion stages at which a lifecycle fault can fire (see
-#: :class:`repro.engine.lifecycle.ModelLifecycle`).
-SWAP_STAGES = ("build", "load", "shadow", "publish")
-
-
-@dataclass(frozen=True)
-class SwapFaultSpec:
-    """One deterministic fault trigger in the model-promotion pipeline.
-
-    Keyed on the promotion *stage* and the lifecycle's attempt counter, so a
-    fault can be transient ("fail the first promotion, let the replay
-    succeed") or persistent, exactly like the solver-side
-    :class:`FaultSpec`.  ``last_attempt=None`` fires on every attempt.
-    """
-
-    stage: str
-    first_attempt: int = 0
-    last_attempt: Optional[int] = None
-    message: str = "injected swap fault"
-
-    def __post_init__(self) -> None:
-        if self.stage not in SWAP_STAGES:
-            raise ValueError(f"stage must be one of {SWAP_STAGES}, got {self.stage!r}")
-        if self.first_attempt < 0:
-            raise ValueError("first_attempt must be non-negative")
-        if self.last_attempt is not None and self.last_attempt < self.first_attempt:
-            raise ValueError("last_attempt must be >= first_attempt")
-
-    def applies(self, stage: str, attempt: int) -> bool:
-        """True when this spec fires at ``stage`` on ``attempt``."""
-        if self.stage != stage or attempt < self.first_attempt:
-            return False
-        return self.last_attempt is None or attempt <= self.last_attempt
-
-
-@dataclass(frozen=True)
-class LifecycleFaultPlan:
-    """Deterministic fault triggers consulted by the model lifecycle.
-
-    The lifecycle calls :meth:`check` as it enters each promotion stage; a
-    matching spec raises :class:`FaultInjectionError` *before* the stage runs.
-    Because the publish stage's actual publication is a single atomic
-    reference assignment, a publish-stage fault is the deterministic
-    stand-in for a process killed mid-swap: everything before the assignment
-    has happened, the assignment itself has not, and the incumbent keeps
-    serving.
-    """
-
-    specs: Tuple[SwapFaultSpec, ...] = ()
-
-    @classmethod
-    def of(cls, *specs: SwapFaultSpec) -> "LifecycleFaultPlan":
-        return cls(specs=tuple(specs))
-
-    @classmethod
-    def none(cls) -> "LifecycleFaultPlan":
-        return cls()
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def check(self, stage: str, attempt: int) -> None:
-        """Raise :class:`FaultInjectionError` when a spec fires at ``stage``."""
-        for spec in self.specs:
-            if spec.applies(stage, attempt):
-                raise FaultInjectionError(
-                    f"{spec.message} (stage={stage!r}, attempt={attempt})"
-                )

@@ -11,5 +11,5 @@ that phrase small problems for the lockstep solver:
 * :mod:`reference.powerflow` — Newton power flow and branch flows;
 * :mod:`reference.matpower_io` — ``case_to_matpower``;
 * :mod:`reference.sparse` — one data-plane row as a CSR matrix;
-* :mod:`reference.faults` — swap-fault and artifact-corruption builders.
+* :mod:`reference.faults` — the artifact-corruption builder.
 """

@@ -1,7 +1,5 @@
-"""Test-side fault builders: lifecycle swap faults and artifact corruption.
+"""Test-side fault builder: artifact corruption.
 
-:func:`swap_fault` builds the :class:`~repro.testing.faults.SwapFaultSpec`
-triggers a :class:`~repro.testing.faults.LifecycleFaultPlan` consults, and
 :func:`corrupt_artifact_bytes` damages a saved engine artifact on disk for
 the artifact-robustness tests.
 """
@@ -10,23 +8,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import Optional, Union
-
-from repro.testing.faults import SwapFaultSpec
-
-
-def swap_fault(
-    stage: str,
-    first_attempt: int = 0,
-    last_attempt: Optional[int] = None,
-    message: str = "injected swap fault",
-) -> SwapFaultSpec:
-    """Fault the promotion pipeline at ``stage`` on the given attempts."""
-    return SwapFaultSpec(
-        stage=stage,
-        first_attempt=first_attempt,
-        last_attempt=last_attempt,
-        message=message,
-    )
 
 
 def corrupt_artifact_bytes(

@@ -20,14 +20,11 @@ from repro.engine import (
     save_artifact,
 )
 from repro.mtl import DatasetNormalizer, SeparateTaskNetworks, TaskDimensions, fast_config
-from repro.nn.modules import Linear, Sequential
 from repro.nn.serialization import (
     CHECKSUM_KEY,
     BundleIntegrityError,
     load_bundle,
-    load_state_dict,
     save_bundle,
-    save_state_dict,
 )
 
 
@@ -37,15 +34,6 @@ def engine9(trained_trainer9):
 
 
 # ------------------------------------------------------------- nn/serialization
-def test_state_dict_roundtrip(tmp_path):
-    module = Sequential(Linear(4, 8, rng=0), Linear(8, 2, rng=1))
-    path = save_state_dict(module.state_dict(), tmp_path / "weights.npz")
-    loaded = load_state_dict(path)
-    assert set(loaded) == set(module.state_dict())
-    for name, value in module.state_dict().items():
-        np.testing.assert_array_equal(loaded[name], value)
-
-
 def test_bundle_roundtrip_and_reserved_key(tmp_path):
     arrays = {"a": np.arange(6, dtype=float).reshape(2, 3), "nested/b": np.ones(2)}
     meta = {"version": 1, "note": "hello", "weights": {"x": 0.5}}

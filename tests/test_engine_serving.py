@@ -1,12 +1,15 @@
-"""Tests of the batched warm-start serving engine, fleet and cold restart."""
+"""Tests of the batched warm-start serving engine, fleet, cold restart and hot-swap."""
+
+import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import CircuitBreaker, WarmStartEngine
+from repro.engine import WarmStartEngine
 from repro.data import generate_dataset
 from repro.opf import OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.mips.options import MIPSOptions
+from repro.mtl import MTLTrainer, SmartPGSimMTL, TaskDimensions, fast_config
 from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios
 
 
@@ -172,57 +175,6 @@ def test_empty_scenario_set_feature_matrix_is_shape_correct(case9_fixture):
     assert populated.feature_matrix(case9_fixture.base_mva).shape == (2, 2 * n_bus)
 
 
-def test_serve_empty_request_skips_health_machinery(trained_trainer9, case9_fixture):
-    """An empty request must not feed the breaker (it served zero scenarios)."""
-    breaker = CircuitBreaker(window=4, threshold=0.5, min_observations=2, cooldown=8)
-    engine = WarmStartEngine.from_trainer(trained_trainer9, breaker=breaker)
-    try:
-        sweep = engine.serve(ScenarioSet(case9_fixture.name, []))
-        assert sweep.n_scenarios == 0
-        assert breaker.health.n_observations == 0
-        assert breaker.trips == 0 and breaker.state == CircuitBreaker.CLOSED
-    finally:
-        engine.close()
-
-
-def test_evaluate_drives_breaker_like_serve(trained_trainer9, dataset9):
-    """Evaluate-path fallbacks drive the breaker exactly like serve-path ones.
-
-    ``evaluate`` used to snapshot ``breaker.trips`` once before its record
-    loop and never feed the breaker at all, so evaluation traffic was
-    invisible to the health machinery and every record carried the same stale
-    trip count.
-    """
-    n = 5
-
-    def starved(breaker):
-        # max_it=1 guarantees every warm attempt fails, so each scenario is
-        # one fallback observation — enough to trip a 2-observation breaker.
-        return WarmStartEngine.from_trainer(
-            trained_trainer9,
-            opf_options=OPFOptions(mips=MIPSOptions(max_it=1)),
-            breaker=breaker,
-        )
-
-    serve_breaker = CircuitBreaker(window=4, threshold=0.5, min_observations=2, cooldown=100)
-    eval_breaker = CircuitBreaker(window=4, threshold=0.5, min_observations=2, cooldown=100)
-    serve_engine = starved(serve_breaker)
-    eval_engine = starved(eval_breaker)
-    try:
-        serve_engine.serve_loads(dataset9.Pd_mw[:n], dataset9.Qd_mw[:n])
-        evaluation = eval_engine.evaluate(dataset9, max_problems=n)
-    finally:
-        serve_engine.close()
-        eval_engine.close()
-    assert eval_breaker.trips == serve_breaker.trips > 0
-    assert eval_breaker.state == serve_breaker.state
-    # Each record snapshots the trip count *after* its own outcome landed:
-    # record 0 precedes min_observations, record 1 trips the breaker, the
-    # open breaker then just counts cooldown.
-    assert [record.fallback_trips for record in evaluation.records] == [0, 1, 1, 1, 1]
-    assert evaluation.records[-1].fallback_trips == eval_breaker.trips
-
-
 def test_serving_inference_is_batch_width_invariant(engine9, dataset9):
     """Row predictions are bitwise identical whatever batch width served them.
 
@@ -240,6 +192,125 @@ def test_serving_inference_is_batch_width_invariant(engine9, dataset9):
             np.vstack([chunk[key] for chunk in per_row]), value
         )
         np.testing.assert_array_equal(np.vstack([head[key], tail[key]]), value)
+
+
+# --------------------------------------------------------------------- hot swap
+@pytest.fixture(scope="module")
+def weak_trainer9(case9_fixture, opf_model9, dataset9):
+    """A barely-trained incumbent for the swap to replace."""
+    train, _val = dataset9.split(0.8, seed=0)
+    dims = TaskDimensions(
+        n_bus=case9_fixture.n_bus,
+        n_gen=case9_fixture.n_gen,
+        n_eq=dataset9.task_dim("lam"),
+        n_ineq=dataset9.task_dim("mu"),
+    )
+    config = fast_config(epochs=2)
+    network = SmartPGSimMTL(dims, config, seed=1)
+    trainer = MTLTrainer(network, train, opf_model9, config=config)
+    trainer.train()
+    return trainer
+
+
+def _sweep_signature(sweep):
+    return {
+        o.scenario_id: (o.iterations, o.objective, o.used_fallback)
+        for o in sweep.outcomes
+    }
+
+
+def _pure_outcomes(trainer, scenarios):
+    """Reference outcomes of a standalone engine around one model."""
+    with WarmStartEngine.from_trainer(trainer) as engine:
+        return _sweep_signature(engine.serve(scenarios))
+
+
+def test_hot_swap_publishes_new_generation(weak_trainer9, trained_trainer9, dataset9):
+    engine = WarmStartEngine.from_trainer(weak_trainer9)
+    try:
+        assert engine.generation == 0
+        before = engine.predict_physical(dataset9.inputs[:2])
+        gen = engine.hot_swap(
+            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
+        )
+        assert gen == 1 and engine.generation == 1
+        after = engine.predict_physical(dataset9.inputs[:2])
+        reference = trained_trainer9.predict_physical(dataset9.inputs[:2])
+        for task in reference:
+            np.testing.assert_array_equal(after[task], reference[task])
+        assert any(
+            not np.array_equal(before[task], after[task]) for task in reference
+        ), "swap must actually change the served model"
+    finally:
+        engine.close()
+
+
+def test_serve_stamps_generation_and_swap_is_pure(
+    weak_trainer9, trained_trainer9, case9_fixture
+):
+    """Sequential swap: sweeps before/after match the pure reference engines."""
+    scenarios = generate_scenarios(case9_fixture, 4, variation=0.05, seed=21)
+    pure_old = _pure_outcomes(weak_trainer9, scenarios)
+    pure_new = _pure_outcomes(trained_trainer9, scenarios)
+    engine = WarmStartEngine.from_trainer(weak_trainer9)
+    try:
+        old_sweep = engine.serve(scenarios)
+        assert old_sweep.model_generation == 0
+        assert _sweep_signature(old_sweep) == pure_old
+        engine.hot_swap(
+            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
+        )
+        new_sweep = engine.serve(scenarios)
+        assert new_sweep.model_generation == 1
+        assert _sweep_signature(new_sweep) == pure_new
+    finally:
+        engine.close()
+
+
+def test_concurrent_swap_yields_pure_generations_and_drops_nothing(
+    weak_trainer9, trained_trainer9, case9_fixture
+):
+    """Chaos: hot-swap races a serving loop; every request is pure, none lost."""
+    scenarios = generate_scenarios(case9_fixture, 3, variation=0.05, seed=22)
+    pure = {
+        0: _pure_outcomes(weak_trainer9, scenarios),
+        1: _pure_outcomes(trained_trainer9, scenarios),
+    }
+    engine = WarmStartEngine.from_trainer(weak_trainer9)
+    sweeps, errors = [], []
+    n_requests = 12
+    swap_gate = threading.Event()
+
+    def hammer():
+        try:
+            for i in range(n_requests):
+                sweeps.append(engine.serve(scenarios))
+                if i == 2:
+                    swap_gate.set()  # let the swap race the remaining requests
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
+
+    try:
+        server = threading.Thread(target=hammer)
+        server.start()
+        assert swap_gate.wait(timeout=60)
+        engine.hot_swap(
+            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
+        )
+        server.join(timeout=120)
+        assert not server.is_alive() and not errors
+        assert len(sweeps) == n_requests, "no request may be dropped across the swap"
+        generations = [s.model_generation for s in sweeps]
+        assert set(generations) <= {0, 1}
+        assert generations == sorted(generations), "generation is monotonic per request"
+        assert generations[-1] == 1, "requests after the swap serve the new model"
+        for sweep in sweeps:
+            assert len(sweep.outcomes) == len(scenarios)
+            assert _sweep_signature(sweep) == pure[sweep.model_generation], (
+                "request outcomes must be bitwise pure-old or pure-new, never hybrid"
+            )
+    finally:
+        engine.close()
 
 
 # ------------------------------------------------------------------------ fleet

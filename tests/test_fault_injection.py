@@ -1,4 +1,4 @@
-"""Deterministic fault injection: chaos parity, retries, deadlines, breakers.
+"""Deterministic fault injection: chaos parity, retries, deadlines.
 
 The acceptance bar for the fault-tolerant runtime: with a deterministic
 injected worker crash mid-sweep, the fleet completes, returns one outcome per
@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.engine import CircuitBreaker, HealthWindow, WarmStartEngine
+from repro.engine import WarmStartEngine
 from repro.mips.options import MIPSOptions
 from repro.opf import OPFOptions
 from repro.parallel import SolverFleet, generate_scenarios
@@ -272,70 +272,4 @@ def test_engine_serve_deadline_records_timeouts(trained_trainer9, case9_fixture)
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         sweep = engine.serve(scenarios, deadline=time.monotonic() + 1e-9)
     assert all(o.timed_out for o in sweep.outcomes)
-
-
-# ------------------------------------------------- health window and breaker
-def test_health_window_rolls_and_resets():
-    window = HealthWindow(window=3)
-    assert window.fallback_rate == 0.0 and window.n_observations == 0
-    for used in (True, True, False):
-        window.record(used)
-    assert window.fallback_rate == pytest.approx(2 / 3)
-    window.record(False)  # evicts the oldest True
-    assert window.fallback_rate == pytest.approx(1 / 3)
-    window.reset()
-    assert window.n_observations == 0
-    with pytest.raises(ValueError):
-        HealthWindow(window=0)
-
-
-def test_circuit_breaker_state_machine():
-    breaker = CircuitBreaker(window=8, threshold=0.5, min_observations=2, cooldown=2)
-    assert breaker.state == CircuitBreaker.CLOSED and breaker.allow_warm()
-
-    breaker.record(True)
-    assert breaker.state == CircuitBreaker.CLOSED  # below min_observations
-    breaker.record(True)
-    assert breaker.state == CircuitBreaker.OPEN and breaker.trips == 1
-    assert not breaker.allow_warm()
-
-    breaker.record(False)  # degraded request 1 of cooldown
-    assert breaker.state == CircuitBreaker.OPEN
-    breaker.record(False)  # cooldown elapsed -> half-open probe
-    assert breaker.state == CircuitBreaker.HALF_OPEN and breaker.allow_warm()
-
-    breaker.record(True)  # failed probe re-trips
-    assert breaker.state == CircuitBreaker.OPEN and breaker.trips == 2
-    breaker.record(False)
-    breaker.record(False)
-    assert breaker.state == CircuitBreaker.HALF_OPEN
-    breaker.record(False)  # clean probe closes and resets the window
-    assert breaker.state == CircuitBreaker.CLOSED
-    assert breaker.health.n_observations == 0
-
-    with pytest.raises(ValueError):
-        CircuitBreaker(threshold=0.0)
-    with pytest.raises(ValueError):
-        CircuitBreaker(cooldown=0)
-
-
-def test_breaker_degrades_engine_to_cold_path(trained_trainer9, case9_fixture):
-    """A fallback-heavy stream trips the breaker; the next request skips warm
-    inference and is served degraded while the breaker cools down."""
-    # One iteration is never enough: every warm attempt fails and uses the
-    # fallback, so the health window saturates immediately.
-    options = OPFOptions(mips=MIPSOptions(max_it=1))
-    breaker = CircuitBreaker(window=4, threshold=0.5, min_observations=2, cooldown=16)
-    scenarios = generate_scenarios(case9_fixture, 4, seed=6)
-    with WarmStartEngine.from_trainer(
-        trained_trainer9, opf_options=options
-    ) as engine:
-        engine.breaker = breaker
-        first = engine.serve(scenarios)
-        assert first.fallback_rate == 1.0
-        assert breaker.trips == 1 and breaker.state == CircuitBreaker.OPEN
-        second = engine.serve(scenarios)
-        # Degraded request: cold starts everywhere, still one outcome each.
-        assert second.n_scenarios == 4
-        assert breaker.state == CircuitBreaker.OPEN  # still cooling down
 

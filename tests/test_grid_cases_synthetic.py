@@ -5,19 +5,11 @@ import pytest
 
 from repro.grid import (
     SyntheticGridConfig,
-    available_cases,
-    case9,
     generate_case,
     get_case,
     validate_case,
 )
 from repro.grid.synthetic import case30s, case57s
-
-
-def test_available_cases_contains_expected_systems():
-    names = available_cases()
-    for expected in ("case9", "case14", "case30s", "case57s", "case118s", "case300s"):
-        assert expected in names
 
 
 def test_get_case_unknown_name_raises():

@@ -7,16 +7,13 @@ from repro.nn import (
     Adam,
     Linear,
     ReLU,
-    SGD,
     Sequential,
     Sigmoid,
     StepLR,
     Tensor,
     charbonnier,
     clip_grad_norm,
-    load_state_dict,
     mlp,
-    save_state_dict,
 )
 from repro.nn.modules import Parameter
 
@@ -68,15 +65,13 @@ def test_train_eval_mode_propagates():
     assert all(m.training for m in net.modules())
 
 
-def test_state_dict_roundtrip(tmp_path):
+def test_state_dict_roundtrip():
     net = mlp([3, 8, 2], rng=0)
     other = mlp([3, 8, 2], rng=99)
     x = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
     assert not np.allclose(net(x).data, other(x).data)
-    path = tmp_path / "weights.npz"
-    save_state_dict(net.state_dict(), path)
-    other.load_state_dict(load_state_dict(path))
-    assert np.allclose(net(x).data, other(x).data)
+    other.load_state_dict(net.state_dict())
+    np.testing.assert_array_equal(net(x).data, other(x).data)
 
 
 def test_load_state_dict_rejects_mismatch():
@@ -132,21 +127,17 @@ def _fit(optimizer_factory, epochs=200):
     return loss_value
 
 
-def test_sgd_reduces_loss():
-    assert _fit(lambda p: SGD(p, lr=0.05, momentum=0.9)) < 1e-2
-
-
 def test_adam_reduces_loss():
     assert _fit(lambda p: Adam(p, lr=1e-2)) < 5e-3
 
 
 def test_optimizer_validation():
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
+        Adam([], lr=0.1)
     with pytest.raises(ValueError):
         Adam([Parameter(np.zeros(2))], lr=-1)
     with pytest.raises(ValueError):
-        SGD([Parameter(np.zeros(2))], lr=0.1, momentum=1.5)
+        Adam([Parameter(np.zeros(2))], lr=0.1, betas=(1.5, 0.999))
 
 
 def test_clip_grad_norm():
@@ -169,13 +160,13 @@ def test_adam_weight_decay_shrinks_weights():
 
 # -------------------------------------------------------------------- schedulers
 def test_step_lr_schedule():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
+    opt = Adam([Parameter(np.zeros(1))], lr=1.0)
     sched = StepLR(opt, step_size=2, gamma=0.5)
     lrs = [sched.step() for _ in range(4)]
     assert lrs == [1.0, 0.5, 0.5, 0.25]
 
 
 def test_scheduler_validation():
-    opt = SGD([Parameter(np.zeros(1))], lr=1.0)
+    opt = Adam([Parameter(np.zeros(1))], lr=1.0)
     with pytest.raises(ValueError):
         StepLR(opt, step_size=0)

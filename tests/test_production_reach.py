@@ -48,19 +48,10 @@ _SCENARIO_FAMILY = "scenario-family builder; ROADMAP items 4(c) / 9(c) will driv
 #: Public definitions production does not reach, each with its reason.  They
 #: count as roots too: what a reviewed definition needs is kept with it.
 REVIEWED: Dict[Tuple[str, str], str] = {
-    ("repro.engine.lifecycle", "ModelLifecycle"): "operator hot-swap controller over a live engine",
-    ("repro.engine.lifecycle", "ShadowGate"): "ModelLifecycle's promotion gate, built by its caller",
-    ("repro.engine.lifecycle", "PromotionResult"): "what ModelLifecycle.promote returns",
-    ("repro.engine.lifecycle", "ShadowMetrics"): "a ShadowReport's per-model side",
-    ("repro.engine.lifecycle", "ShadowReport"): "what a ShadowGate evaluation returns",
-    ("repro.grid.cases", "available_cases"): "lists the names get_case accepts",
     ("repro.grid.perturb", "sample_load_trajectory"): _SCENARIO_FAMILY,
     ("repro.parallel.scenarios", "generate_contingency_set"): _SCENARIO_FAMILY,
     ("repro.parallel.trajectory", "trajectory_steps"): _SCENARIO_FAMILY,
-    ("repro.nn.optim", "SGD"): "the nn stack's second optimiser; the checkpoint tests resume it",
     ("repro.nn.schedulers", "StepLR"): "the scheduler MTLTrainer.scheduler is documented with",
-    ("repro.nn.serialization", "save_state_dict"): "plain weights file, the unsigned sibling of save_bundle",
-    ("repro.nn.serialization", "load_state_dict"): "reads what save_state_dict writes",
     ("repro.testing.faults", "kill_worker"): "builds a FaultSpec the fleet's workers execute",
     ("repro.testing.faults", "kill_at_task"): "builds a FaultSpec the fleet's workers execute",
     ("repro.testing.faults", "raise_in_solver"): "builds a FaultSpec the fleet's workers execute",
@@ -72,24 +63,56 @@ _SCHEDULERS = ("ExponentialLR", "CosineAnnealingLR")
 _LOADS = ("nominal_load", "scaled_load", "stressed_area_load")
 _POWERFLOW = ("dc_nominal_flows", "dIbr_dV", "bus_injection_batch", "branch_flows")
 _TEST_FAULTS = ("corrupt_artifact_bytes", "swap_fault")
+_SWAP_FAULTS = ("SWAP_STAGES", "SwapFaultSpec", "LifecycleFaultPlan")
+_HEALTH = (
+    "CircuitBreaker",
+    "HealthWindow",
+    "DRIFT_STATUSES",
+    "DriftDetector",
+    "DriftMonitor",
+    "DriftReport",
+    "PageHinkley",
+    "RollingTrend",
+    "SignalReport",
+    "default_detectors",
+    "ModelLifecycle",
+    "PromotionResult",
+    "ShadowGate",
+    "ShadowMetrics",
+    "ShadowReport",
+)
+_STATE_FILES = ("save_state_dict", "load_state_dict")
 
-#: Names deleted from, or moved out of, ``repro``: none may import from its old place.
+#: Names deleted from, or moved out of, ``repro`` (and the test-side builders
+#: that served deleted code): none may import from its old place.
 GONE: Dict[str, Tuple[str, ...]] = {
     "repro.core": ("normalized_series",),
     "repro.core.metrics": ("normalized_series",),
-    "repro.grid": ("register_case", "case_to_matpower", *_LOADS),
-    "repro.grid.cases": ("register_case",),
+    "repro.engine": _HEALTH,
+    "repro.engine.engine": _HEALTH,
+    "repro.grid": ("register_case", "case_to_matpower", "available_cases", *_LOADS),
+    "repro.grid.cases": ("register_case", "available_cases"),
     "repro.grid.io": ("case_to_matpower", "BUS_COLUMNS", "GEN_COLUMNS", "BRANCH_COLUMNS"),
     "repro.grid.perturb": _LOADS,
     "repro.grid.synthetic": ("scaled_family",),
     "repro.mips": ("mips", "qps_mips"),
     "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS"),
     "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS"),
-    "repro.nn": (*_LOSSES, *_SCHEDULERS, "Softplus", "save_module", "load_module", "stack_scalars"),
+    "repro.nn": (
+        *_LOSSES,
+        *_SCHEDULERS,
+        *_STATE_FILES,
+        "SGD",
+        "Softplus",
+        "save_module",
+        "load_module",
+        "stack_scalars",
+    ),
     "repro.nn.losses": _LOSSES,
     "repro.nn.modules": ("Softplus",),
+    "repro.nn.optim": ("SGD",),
     "repro.nn.schedulers": _SCHEDULERS,
-    "repro.nn.serialization": ("save_module", "load_module"),
+    "repro.nn.serialization": ("save_module", "load_module", *_STATE_FILES),
     "repro.nn.tensor": ("stack_scalars",),
     "repro.opf": ("hessian_blocks", "lagrangian_hessian"),
     "repro.parallel": ("calibrate_from_inference", "run_scenario_sweep", "ScenarioSolution"),
@@ -106,15 +129,19 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.powerflow.dc": ("dc_nominal_flows",),
     "repro.powerflow.derivatives": ("dIbr_dV",),
     "repro.powerflow.injections": ("bus_injection_batch", "branch_flows"),
-    "repro.testing": _TEST_FAULTS,
-    "repro.testing.faults": _TEST_FAULTS,
+    "repro.testing": (*_TEST_FAULTS, *_SWAP_FAULTS),
+    "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.utils": ("spawn_rngs", "Timer", "timed"),
     "repro.utils.rng": ("spawn_rngs",),
     "repro.utils.sparse": ("csr_from_template",),
+    "reference.faults": ("swap_fault",),
 }
 
 #: Modules moved under ``tests/reference/`` or deleted whole.
 GONE_MODULES: Tuple[str, ...] = (
+    "repro.engine.drift",
+    "repro.engine.fallback",
+    "repro.engine.lifecycle",
     "repro.mips.qp",
     "repro.mips.solver",
     "repro.opf.hessian",

@@ -28,7 +28,10 @@ driver's per-step budget, no ``MIPSOptions.max_wall_seconds``), a per-call
 count), ``microbatch=`` on ``SolverFleet`` only, and no wrapper that repeats
 the code it calls.  And ``perfbench`` is the one performance system: the
 paper-figure suite in ``benchmarks/`` imports no clock, reads no environment
-knob and takes no timing fixture.
+knob and takes no timing fixture.  And the engine keeps no reactive health
+state: ``breaker=`` and ``drift_monitor=`` are gone with the circuit breaker,
+the drift monitor and the model lifecycle, and ``hot_swap`` is the one way to
+publish a model.
 """
 
 import ast
@@ -182,7 +185,6 @@ def test_one_record_chain():
 def test_one_recovery_rule():
     import repro.engine
     import repro.engine.engine
-    import repro.engine.fallback
     import repro.opf
     import repro.opf.options
 
@@ -196,12 +198,32 @@ def test_one_recovery_rule():
         "get_fallback_policy",
         "PERSISTED_FALLBACK",
     )
-    for module in (repro.engine, repro.engine.engine, repro.engine.fallback):
+    for module in (repro.engine, repro.engine.engine):
         for name in retired:
             assert not hasattr(module, name), (module.__name__, name)
     assert not set(retired) & set(repro.engine.__all__)
     assert not hasattr(repro.opf, "relaxed_options")
     assert not hasattr(repro.opf.options, "relaxed_options")
+
+
+@pytest.mark.parametrize(
+    "keyword, stamp", [("breaker", "fallback_trips"), ("drift_monitor", "drift_status")]
+)
+def test_engine_has_no_health_hooks(case9_fixture, trained_trainer9, keyword, stamp):
+    from repro.engine.records import OnlineRecord
+
+    with pytest.raises(TypeError, match=keyword):
+        WarmStartEngine(
+            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer,
+            **{keyword: None},
+        )
+    with pytest.raises(TypeError, match=keyword):
+        WarmStartEngine.from_trainer(trained_trainer9, **{keyword: None})
+    engine = WarmStartEngine.from_trainer(trained_trainer9)
+    for name in (keyword, "adopt_artifact", "drift_report", "_observe", "_degraded"):
+        assert not hasattr(engine, name), name
+    with pytest.raises(TypeError, match=stamp):
+        OnlineRecord(None, 0.0, 0.0, 0.0, 0.0, **{stamp: 0})
 
 
 
