@@ -183,18 +183,12 @@ def load_artifact(
 
     if opf_options is None:
         opf_dict = dict(meta["opf_options"])
-        mips_dict = dict(opf_dict["mips"])
-        # Retired options that artifacts written before their removal carry:
-        # none changed a solution (threaded block factorisation was
-        # bit-identical to serial by contract, refinement sweeps were 0, and
-        # the per-solve wall budget was never set; deadlines are per call).
-        mips_dict.pop("kkt_factor_threads", None)
-        mips_dict.pop("kkt_refine_steps", None)
-        mips_dict.pop("max_wall_seconds", None)
-        # Retired SuperLU backends load as the surviving SuperLU reference
-        # ("blockdiag" was bit-identical to it by contract).
-        if mips_dict.get("kkt_solver") in ("blockdiag", "spsolve"):
-            mips_dict["kkt_solver"] = "factorized"
+        # Options retired since the artifact was written (the KKT backend
+        # choice and its settings, threaded factorisation, refinement sweeps,
+        # the per-solve wall budget) are dropped: the engine serves with the
+        # one KKT solve and per-call deadlines.
+        current = {field.name for field in dataclasses.fields(MIPSOptions)}
+        mips_dict = {k: v for k, v in opf_dict["mips"].items() if k in current}
         opf_dict["mips"] = MIPSOptions(**mips_dict)
         opf_options = OPFOptions(**opf_dict)
 

@@ -1,15 +1,6 @@
 """MIPS primal-dual interior-point solver (warm-startable)."""
 
-from repro.mips.linsolve import (
-    BlockSolveReport,
-    FactorizedSolver,
-    KKTSolveError,
-    KKTSolver,
-    available_kkt_solvers,
-    make_kkt_solver,
-    solver_telemetry,
-)
-from repro.mips.ldl import LDLSolver
+from repro.mips.ldl import BlockSolveReport, KKTSolveError, LDLSolver
 from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
@@ -22,12 +13,7 @@ __all__ = [
     "mips_batch",
     "BatchFeedPayload",
     "LockstepPlan",
-    "KKTSolver",
     "KKTSolveError",
     "BlockSolveReport",
-    "FactorizedSolver",
     "LDLSolver",
-    "available_kkt_solvers",
-    "make_kkt_solver",
-    "solver_telemetry",
 ]

@@ -26,23 +26,18 @@ callback evaluation, constraint stacking, Lagrangian gradient, step-length /
 centering and convergence math are vectorised across the batch axis.  So is
 the linear algebra: every iteration assembles all active scenarios' KKT
 systems at once through plan-based batched kernels
-(:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to the
-backend selected by ``MIPSOptions.kkt_solver`` in **one**
-:meth:`~repro.mips.linsolve.KKTSolver.solve_blocks` call — ``"ldl"``, the
-default, refactorises the whole plane over one cached symbolic analysis
-(:class:`~repro.mips.ldl.LDLSolver`); ``"factorized"``, the SuperLU reference
-of the parity suites, factorises it row by row
-(:class:`~repro.mips.linsolve.FactorizedSolver`).  The two agree at solver
-precision, and the loop does not know which one it holds.  Everything
-derived from the problem structure alone — bound partition, canonical
-templates, transpose plans, the assembler — is a :class:`LockstepPlan`,
-which callers that solve one structure repeatedly build once.  The plan's
-index maps are replayed over the ``(B, ·)`` state with the primitives of
-:mod:`repro.utils.planes` — ``take`` for column gathers, flat-offset
-:class:`~repro.utils.planes.Targets` for the bound-row scatters of the
-Lagrangian gradient and the entry clamp, ``np.add.reduceat`` for row sums —
-because ``plane[:, idx]`` makes a lockstep step of two rows cost two to
-three times one of one row while computing the same bits.
+(:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to
+**one** :meth:`~repro.mips.ldl.LDLSolver.solve_blocks` call, which
+refactorises the whole plane over one cached symbolic analysis.  The problem
+enters as a :class:`LockstepPlan` — everything derived from the problem
+structure alone: bound partition, canonical templates, transpose plans, the
+assembler — which callers that solve one structure repeatedly build once.
+The plan's index maps are replayed over the ``(B, ·)`` state with the
+primitives of :mod:`repro.utils.planes` — ``take`` for column gathers,
+flat-offset :class:`~repro.utils.planes.Targets` for the bound-row scatters
+of the Lagrangian gradient and the entry clamp, ``np.add.reduceat`` for row
+sums — because ``plane[:, idx]`` makes a lockstep step of two rows cost two
+to three times one of one row while computing the same bits.
 
 Scenarios retire individually: a converged (or numerically failed) scenario
 drops out of the active set immediately, so stragglers never pay for
@@ -50,9 +45,9 @@ finishers.  The converse also holds — a retire-and-refill ``feed``
 (:class:`BatchFeedPayload`) can enroll queued scenarios into the freed slots
 *between iterations*, turning the initial batch width into a lockstep window
 that elastic schedulers keep topped up.  Enrollment runs the exact entry path
-of the initial batch, and a backend solves each row of a plane independently
-of its neighbours, so a scenario's trajectory is bit-identical no matter when,
-or whether, it was fed in.  Each scenario gets its own
+of the initial batch, and the KKT solve treats each row of a plane
+independently of its neighbours, so a scenario's trajectory is bit-identical
+no matter when, or whether, it was fed in.  Each scenario gets its own
 :class:`~repro.mips.result.MIPSResult`: its message, iteration history and
 the four termination conditions (feasibility, gradient, complementarity,
 cost) recorded per iteration for the Fig. 10 analysis.  The parity suites
@@ -75,9 +70,9 @@ implementation):
 * ``f_fcn(X, idx) -> (F, dF)`` — objective values ``(B,)`` and gradients
   ``(B, nx)``;
 * ``gh_fcn(X, idx) -> (G, H, Jg_data, Jh_data)`` — nonlinear constraint
-  values and Jacobian data planes on ``jg_template`` / ``jh_template``;
+  values and Jacobian data planes on the plan's Jacobian templates;
 * ``hess_fcn(X, Lam_nl, Mu_nl, cost_mult, idx) -> Hdata`` — Lagrangian
-  Hessian data planes on ``hess_template``.
+  Hessian data planes on the plan's Hessian template.
 
 ``idx`` carries the original batch positions of the rows of ``X`` so callbacks
 can look up per-scenario data (loads, outages) for the shrinking active set.
@@ -92,7 +87,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mips.linsolve import make_kkt_solver, solver_telemetry
+from repro.mips.ldl import LDLSolver
 from repro.mips.options import MIPSOptions
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
 from repro.utils import planes
@@ -223,7 +218,7 @@ class _BatchKKTAssembler:
 
     Every replayed operation reduces each plane row independently, so a row
     of the produced plane is **bit-identical** whatever the batch around it —
-    ready for :meth:`~repro.mips.linsolve.KKTSolver.solve_blocks`.
+    ready for :meth:`~repro.mips.ldl.LDLSolver.solve_blocks`.
     """
 
     def __init__(
@@ -406,12 +401,7 @@ def mips_batch(
     gh_fcn: Optional[BatchedConstraintFn] = None,
     hess_fcn: Optional[BatchedHessianFn] = None,
     *,
-    jg_template: Optional[sp.spmatrix] = None,
-    jh_template: Optional[sp.spmatrix] = None,
-    hess_template: Optional[sp.spmatrix] = None,
-    xmin: Optional[np.ndarray] = None,
-    xmax: Optional[np.ndarray] = None,
-    plan: Optional[LockstepPlan] = None,
+    plan: LockstepPlan,
     lam0: Optional[np.ndarray] = None,
     mu0: Optional[np.ndarray] = None,
     z0: Optional[np.ndarray] = None,
@@ -429,11 +419,10 @@ def mips_batch(
     ``x0`` is ``(B, nx)``, bounds are shared (same structure implies the same
     bound vectors), warm starts are ``(B, ·)`` matrices whose rows apply only
     where the corresponding ``*_mask`` entry is True (all rows when the mask
-    is omitted).  ``jg_template`` / ``jh_template`` / ``hess_template`` carry
-    the fixed sparsity patterns of the nonlinear-constraint Jacobians and the
-    Lagrangian Hessian whose data planes the callbacks produce.  ``plan`` —
-    a :class:`LockstepPlan` built from those templates and bounds — replaces
-    all five arguments for callers that solve the same structure repeatedly.
+    is omitted).  ``plan`` is the problem's :class:`LockstepPlan`: the
+    variable bounds and the fixed sparsity patterns of the
+    nonlinear-constraint Jacobians and the Lagrangian Hessian whose data
+    planes the callbacks produce.
 
     **Retire-and-refill.**  When ``feed`` is given, the width of ``x0``'s
     batch becomes a lockstep *window*: every time scenarios retire (converge
@@ -457,7 +446,6 @@ def mips_batch(
     (batch order, then fed scenarios in feed order).
     """
     opt = options or MIPSOptions()
-    opt.validate()
 
     X0 = np.array(x0, dtype=float)
     if X0.ndim != 2:
@@ -475,17 +463,9 @@ def mips_batch(
         capacity = int(feed_capacity)
         if capacity < batch:
             raise ValueError("feed_capacity must cover the initial batch")
-    if hess_fcn is None or (plan is None and hess_template is None):
-        raise ValueError("mips_batch requires hess_fcn and hess_template")
-    if plan is None:
-        if gh_fcn is not None and (jg_template is None or jh_template is None):
-            raise ValueError("jg_template/jh_template are required with gh_fcn")
-        plan = LockstepPlan(
-            nx, jg_template, jh_template, hess_template, xmin, xmax, opt.bound_eq_tol
-        )
-    elif any(a is not None for a in (jg_template, jh_template, hess_template, xmin, xmax)):
-        raise ValueError("pass either a plan or the templates and bounds, not both")
-    elif plan.nx != nx or plan.bound_eq_tol != opt.bound_eq_tol:
+    if hess_fcn is None:
+        raise ValueError("mips_batch requires hess_fcn")
+    if plan.nx != nx or plan.bound_eq_tol != opt.bound_eq_tol:
         raise ValueError("the plan was built for a different width or bound_eq_tol")
     if deadline is None:
         entry_deadline = None
@@ -507,11 +487,7 @@ def mips_batch(
     take = planes.take
     assembler = plan.assembler
 
-    kkt_solver = make_kkt_solver(
-        opt.kkt_solver,
-        regularization=opt.kkt_reg,
-        max_retries=opt.kkt_max_retries,
-    )
+    solver = LDLSolver()
 
     # ------------------------------------------------------------- batch state
     # Arrays are sized for every scenario the call may ever hold (just the
@@ -640,7 +616,7 @@ def mips_batch(
             kkt_regularizations=int(reg_counts[b]),
             # One solver serves the whole batch, so the counters are
             # batch-level aggregates snapshotted at this row's retirement.
-            kkt_telemetry=solver_telemetry(kkt_solver),
+            kkt_telemetry=solver.telemetry(),
             timed_out=timed_out,
             wall_share_seconds=float(share[b]),
         )
@@ -832,9 +808,9 @@ def mips_batch(
         phase["assembly"][idx] += asm_dt
         it_asm[idx] = asm_dt
 
-        report = kkt_solver.solve_blocks(assembler.kkt_template, kkt_plane, rhs_plane)
-        fac_dt = kkt_solver.factor_seconds / na
-        back_dt = kkt_solver.backsolve_seconds / na
+        report = solver.solve_blocks(assembler.kkt_template, kkt_plane, rhs_plane)
+        fac_dt = solver.factor_seconds / na
+        back_dt = solver.backsolve_seconds / na
         phase["factorization"][idx] += fac_dt
         phase["backsolve"][idx] += back_dt
         it_fac[idx] = fac_dt

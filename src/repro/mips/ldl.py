@@ -1,9 +1,26 @@
-"""Same-pattern sparse LDLᵀ refactorisation backend for the MIPS KKT system.
+"""The KKT solve of the MIPS loop: same-pattern sparse LDLᵀ refactorisation.
 
-The default backend (``MIPSOptions.kkt_solver = "ldl"``).  SuperLU (the
-``factorized`` reference backend) redoes ordering and numeric *pivoting* from
-scratch every MIPS iteration because scipy exposes no same-pattern
-refactorisation.
+Every MIPS Newton iteration solves one symmetric-indefinite sparse system per
+scenario::
+
+    [ M   Jgᵀ ] [ dx   ]   [ -N ]
+    [ Jg   0  ] [ dlam ] = [ -g ]
+
+whose sparsity pattern is fixed once the constraint structure is known.
+:class:`LDLSolver` is the one solve :func:`~repro.mips.batch.mips_batch`
+builds, and :meth:`LDLSolver.solve_blocks` is its entry point: ``B``
+same-pattern systems arrive as one CSC template plus ``(B, nnz)`` data and
+``(B, n)`` right-hand-side planes, and a :class:`BlockSolveReport` returns one
+solution row per system, the rows that stayed unsolvable, and the regularised
+recoveries per row.  Factorisation and back-substitution are one call: a
+perturbed factor is accepted only if its solution's residual on the
+*unperturbed* system is small, so the right-hand side can trigger a
+refactorisation.  The call reports its factor / backsolve wall split instead
+(the Fig. 5 breakdown).  The parity suites check this solve against an
+independent SuperLU reference kept with the tests (``tests/reference/kkt.py``).
+
+SuperLU redoes ordering and numeric *pivoting* from scratch every MIPS
+iteration because scipy exposes no same-pattern refactorisation.
 The KKT matrix is symmetric quasi-definite with a fixed sparsity pattern,
 which admits the classical split production interior-point codes use (pyomo's
 ``contrib.interior_point`` drives MUMPS through exactly this): a **symbolic
@@ -19,7 +36,7 @@ height and every level is one vectorised NumPy update over a
 by the head's ``L`` entries), so the whole batch of ``B`` same-pattern systems
 factorises simultaneously.  Towards the top of the tree the levels hold one to
 three columns each, and walking them costs one Python step per level whatever
-``B`` is — what made this backend lose to SuperLU at lockstep widths 1–3.  So
+``B`` is — what made this solve lose to SuperLU at lockstep widths 1–3.  So
 the tree is cut at the lowest height above which at most ``_ROOT_MAX`` columns
 remain (the **dense root**, closed under ancestry): every head→root
 contribution lands in one ``(B, m, m)`` Schur-complement plane with a single
@@ -28,9 +45,9 @@ by LAPACK's pivoted ``getrf``/``getrs``.  A KKT of order ≤ ``_ROOT_MAX``
 (case9, case14) is all root: one dense LU per row.  Per-row arithmetic is
 element-wise along the batch axis in the head and one LAPACK call per row in
 the root, so each system's numerics are independent of which other systems
-share the batch — the row-isolation contract of
-:meth:`~repro.mips.linsolve.KKTSolver.solve_blocks`, the backend's one entry
-point (a scalar solve is its one-row case) — and the Python-step count per
+share the batch — the row-isolation contract of :meth:`LDLSolver.solve_blocks`
+that the lockstep loop relies on when it enrolls and retires scenarios between
+iterations (a scalar solve is its one-row case) — and the Python-step count per
 factorisation is the number of head levels, not ``n`` or ``nnz(L)``.
 
 Every step of the numeric phase — the initial scatter into the ``W`` and
@@ -56,10 +73,9 @@ quasi-definite inertia — so only degenerate pivots are perturbed and healthy
 rows keep full factorisation accuracy (the root pivots instead).  Solutions
 are polished with guarded per-row iterative refinement against the *true*
 (unsymmetrised, unperturbed) matrix to a relative residual of ``refine_tol``,
-so the backend reproduces the ``factorized`` reference's trajectories at
-solver precision: the cross-backend parity suite runs the full QP/OPF corpus
-over it with identical iteration counts.  Singular systems follow the same
-contract as :class:`~repro.mips.linsolve.FactorizedSolver`: an escalating
+so the solve reproduces the SuperLU reference's trajectories at solver
+precision: the parity suite runs the full QP/OPF corpus against it with
+identical iteration counts.  Singular systems are retried under an escalating
 *signed* diagonal shift (regularisation respecting the quasi-definite sign
 structure) whose solution is accepted only when the residual on the unshifted
 system is small.
@@ -71,14 +87,13 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from repro.mips.linsolve import BlockSolveReport, KKTSolver, as_planes
 from repro.utils import planes
 from repro.utils.planes import Targets
 from repro.utils.sparse import (
@@ -88,7 +103,43 @@ from repro.utils.sparse import (
     transpose_plan,
 )
 
-__all__ = ["LDLSolver", "LDLSymbolic"]
+__all__ = ["LDLSolver", "LDLSymbolic", "BlockSolveReport", "KKTSolveError"]
+
+
+class KKTSolveError(RuntimeError):
+    """The KKT system could not be solved (singular beyond regularisation)."""
+
+
+class BlockSolveReport:
+    """Outcome of one :meth:`LDLSolver.solve_blocks` call.
+
+    ``solutions`` holds one row per block (rows of failed blocks are NaN),
+    ``failed`` lists the block indices whose system stayed unsolvable after
+    regularisation, and ``regularizations`` counts the diagonal-shift
+    recoveries performed for each block in this call.
+    """
+
+    __slots__ = ("solutions", "failed", "regularizations")
+
+    def __init__(self, solutions: np.ndarray, failed: List[int], regularizations: np.ndarray):
+        self.solutions = solutions
+        self.failed = failed
+        self.regularizations = regularizations
+
+
+def as_planes(data_plane: np.ndarray, rhs_plane: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(B, nnz)`` / ``(B, n)`` float planes with C-contiguous rows.
+
+    Plane slices produced by fancy indexing may be column-major; LAPACK needs
+    each row contiguous, so :meth:`LDLSolver.solve_blocks` normalises the
+    layout once on entry.
+    """
+    data_plane = np.ascontiguousarray(np.atleast_2d(np.asarray(data_plane, dtype=float)))
+    rhs_plane = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs_plane, dtype=float)))
+    if data_plane.shape[0] != rhs_plane.shape[0]:
+        raise ValueError("data plane and rhs plane must have matching batch sizes")
+    return data_plane, rhs_plane
+
 
 #: Largest dense root: the elimination tree is cut at the lowest height above
 #: which at most this many columns remain.  The knee of the measured curve —
@@ -349,55 +400,58 @@ class LDLSymbolic:
         return self
 
 
-def _etree_perms(csc: sp.csc_matrix, ordering: str) -> List[np.ndarray]:
-    """Candidate elimination orders for ``csc``'s symmetrised pattern."""
+def _etree_perms(csc: sp.csc_matrix) -> List[np.ndarray]:
+    """Candidate elimination orders for ``csc``'s symmetrised pattern.
+
+    Minimum degree and reverse Cuthill-McKee; :func:`_symbolic_for_pattern`
+    keeps the one with the cheaper numeric phase.  A KKT of order at most
+    ``_ROOT_MAX`` is all root, so its order is moot and stays natural.
+    """
     n = csc.shape[0]
     natural = np.arange(n, dtype=np.int64)
-    if ordering == "natural" or n <= _ROOT_MAX:  # all root: order is moot
+    if n <= _ROOT_MAX:
         return [natural]
     pattern = sp.csc_matrix(
         (np.ones(csc.nnz), csc.indices, csc.indptr), shape=csc.shape
     )
     spd_like = (pattern + pattern.T + float(n) * sp.identity(n, format="csc")).tocsc()
     cands: List[np.ndarray] = []
-    if ordering in ("auto", "mmd"):
-        try:
-            lu = spla.splu(spd_like, permc_spec="MMD_AT_PLUS_A")
-            perm_c = np.asarray(lu.perm_c, dtype=np.int64)
-            inv = np.empty_like(perm_c)
-            inv[perm_c] = np.arange(n, dtype=np.int64)
-            cands.append(inv)
-        except Exception:  # pragma: no cover - splu failure on a benign SPD-like
-            pass
-    if ordering in ("auto", "rcm"):
-        try:
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
+    try:
+        lu = spla.splu(spd_like, permc_spec="MMD_AT_PLUS_A")
+        perm_c = np.asarray(lu.perm_c, dtype=np.int64)
+        inv = np.empty_like(perm_c)
+        inv[perm_c] = np.arange(n, dtype=np.int64)
+        cands.append(inv)
+    except Exception:  # pragma: no cover - splu failure on a benign SPD-like
+        pass
+    try:
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-            rcm = np.asarray(
-                reverse_cuthill_mckee(spd_like.tocsr(), symmetric_mode=True),
-                dtype=np.int64,
-            )
-            cands.append(rcm)
-        except Exception:  # pragma: no cover - csgraph unavailable
-            pass
+        rcm = np.asarray(
+            reverse_cuthill_mckee(spd_like.tocsr(), symmetric_mode=True),
+            dtype=np.int64,
+        )
+        cands.append(rcm)
+    except Exception:  # pragma: no cover - csgraph unavailable
+        pass
     if not cands:
         cands.append(natural)
     return cands
 
 
-#: Module-level symbolic cache: analyses are pure functions of the pattern
-#: and the ordering strategy, so pattern-identical solver instances (one per
+#: Module-level symbolic cache: analyses are pure functions of the pattern,
+#: so pattern-identical solver instances (one per
 #: ``mips_batch()`` call) share them instead of re-walking the elimination tree.
 _SYM_CACHE: "OrderedDict[tuple, LDLSymbolic]" = OrderedDict()
 _SYM_LOCK = threading.Lock()
 _SYM_CACHE_MAX = 32
 
 
-def _symbolic_for_pattern(csc: sp.csc_matrix, ordering: str) -> LDLSymbolic:
+def _symbolic_for_pattern(csc: sp.csc_matrix) -> LDLSymbolic:
     digest = hashlib.sha1()
     digest.update(np.ascontiguousarray(csc.indptr).tobytes())
     digest.update(np.ascontiguousarray(csc.indices).tobytes())
-    key = (csc.shape, csc.nnz, ordering, digest.hexdigest())
+    key = (csc.shape, csc.nnz, digest.hexdigest())
     with _SYM_LOCK:
         sym = _SYM_CACHE.get(key)
         if sym is not None:
@@ -405,7 +459,7 @@ def _symbolic_for_pattern(csc: sp.csc_matrix, ordering: str) -> LDLSymbolic:
             return sym
     candidates = [
         LDLSymbolic(csc.indptr, csc.indices, csc.shape[0], perm)
-        for perm in _etree_perms(csc, ordering)
+        for perm in _etree_perms(csc)
     ]
     sym = min(candidates, key=lambda s: s.cost).finalize()
     with _SYM_LOCK:
@@ -593,22 +647,18 @@ def _refine_rows(
 
 
 # -------------------------------------------------------------------- solver
-class LDLSolver(KKTSolver):
-    """Same-pattern LDLᵀ refactorisation backend (``kkt_solver="ldl"``).
+class LDLSolver:
+    """The KKT solve: same-pattern LDLᵀ refactorisation of ``B`` systems at once.
 
     Every :meth:`solve_blocks` call shares one symbolic analysis per pattern
     and the batched numeric phase (level-scheduled head, dense root).  See the
-    module docstring for the algorithm; see
-    :class:`~repro.mips.linsolve.FactorizedSolver` for the regularisation
-    contract this backend mirrors (signed shifts instead of unsigned ones —
-    the quasi-definite analogue).
-
-    Parameters mirror the reference backend's; ``ordering`` selects the
-    fill-reducing candidate set (``"auto"`` costs minimum-degree against
-    reverse-Cuthill-McKee and picks the cheaper numeric phase).
+    module docstring for the algorithm.  A solver instance lives for one
+    :func:`~repro.mips.batch.mips_batch` call; each call fills
+    :attr:`factor_seconds` / :attr:`backsolve_seconds` with its own wall split
+    so the loop can attribute time per phase, and :meth:`telemetry` reports
+    the work counters.  Its numerical constants are class attributes, not
+    parameters.
     """
-
-    name = "ldl"
 
     #: Relative residual target of the refinement polish — four orders below
     #: ``residual_tol`` and the MIPS termination tolerances (1e-6), which is
@@ -624,34 +674,27 @@ class LDLSolver(KKTSolver):
     #: pivots of the constraint block while leaving healthy pivots untouched;
     #: refinement removes the perturbation from clamped rows' solutions.
     pivot_clamp = 1e-13
+    #: First signed diagonal shift (relative to ``1 + |diag|``) of the
+    #: recovery retry for rows whose refined residual stalls.
+    regularization = 1e-8
+    #: Multiplicative escalation of the shift between retries.
+    reg_growth = 100.0
+    #: Shifted refactorisations before a stalled row fails.
+    max_retries = 3
+    #: Relative residual on the unperturbed system a clamped or shifted row
+    #: must reach to be accepted.
+    residual_tol = 1e-6
 
-    def __init__(
-        self,
-        regularization: float = 1e-8,
-        reg_growth: float = 100.0,
-        max_retries: int = 3,
-        residual_tol: float = 1e-6,
-        ordering: str = "auto",
-    ) -> None:
-        super().__init__()
-        if regularization <= 0:
-            raise ValueError("regularization must be positive")
-        if reg_growth <= 1:
-            raise ValueError("reg_growth must exceed 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if ordering not in ("auto", "mmd", "rcm", "natural"):
-            raise ValueError("ordering must be one of auto|mmd|rcm|natural")
-        self.regularization = regularization
-        self.reg_growth = reg_growth
-        self.max_retries = max_retries
-        self.residual_tol = residual_tol
-        self.ordering = ordering
+    def __init__(self) -> None:
         self._sym: Optional[LDLSymbolic] = None
         self._indptr: Optional[np.ndarray] = None
         self._indices: Optional[np.ndarray] = None
+        #: Seconds spent factorising in the most recent call.
+        self.factor_seconds = 0.0
+        #: Seconds spent on back-substitution in the most recent call.
+        self.backsolve_seconds = 0.0
+        #: Regularised recoveries accepted so far, over all calls and rows.
+        self.regularizations = 0
         #: Numeric factorisations that reused a previously analysed pattern.
         self.symbolic_reuses = 0
         #: Numeric (re)factorisations performed, batched calls counting one.
@@ -663,12 +706,23 @@ class LDLSolver(KKTSolver):
         #: Factorised rows in which the dynamic pivot clamp fired.
         self.pivot_clamps = 0
 
+    def telemetry(self) -> Dict[str, int]:
+        """The work counters, surfaced as ``MIPSResult.kkt_telemetry`` for the
+        Fig. 5 symbolic-vs-numeric attribution."""
+        return {
+            "symbolic_reuses": self.symbolic_reuses,
+            "numeric_refactorizations": self.numeric_refactorizations,
+            "block_factorizations": self.block_factorizations,
+            "refinement_solves": self.refinement_solves,
+            "pivot_clamps": self.pivot_clamps,
+        }
+
     # ----------------------------------------------------------------- symbolic
     def _symbolic(self, csc: sp.csc_matrix) -> LDLSymbolic:
         if self._sym is not None and same_pattern(csc, self._indptr, self._indices):
             self.symbolic_reuses += 1
             return self._sym
-        self._sym = _symbolic_for_pattern(csc, self.ordering)
+        self._sym = _symbolic_for_pattern(csc)
         self._indptr = csc.indptr
         self._indices = csc.indices
         return self._sym
@@ -706,13 +760,13 @@ class LDLSolver(KKTSolver):
         surface the same way — the refined residual stalls above the
         acceptance threshold — and both are healed the same way: refactorise the
         affected rows under an escalating **signed** diagonal shift (the
-        quasi-definite analogue of ``FactorizedSolver``'s regularised retry),
-        which bounds growth, then refine against the true matrix again.
+        quasi-definite analogue of an unsigned regularised retry), which
+        bounds growth, then refine against the true matrix again.
 
         Returns ``(x, accepted, factor_seconds, solve_seconds)``.
-        Perturbed rows (clamped or shift-recovered) face the same
-        unperturbed-residual acceptance check ``FactorizedSolver`` applies —
-        failures come back NaN; ``accepted`` flags shift recoveries that
+        Perturbed rows (clamped or shift-recovered) are accepted only when
+        their residual on the unperturbed matrix is small — failures come
+        back NaN; ``accepted`` flags shift recoveries that
         passed (the rows reported as regularisations — pivot clamps are an
         ordering artifact of the quasi-definite KKT, not a conditioning
         event).  The timing pair splits the call's wall into
@@ -788,9 +842,8 @@ class LDLSolver(KKTSolver):
                 if bad.size == 0:
                     break
                 reg *= self.reg_growth
-        # Same acceptance rule as FactorizedSolver: a perturbed factor's
-        # solution counts only when the residual on the *unperturbed* system
-        # is small; otherwise the row fails loudly (NaN).
+        # A perturbed factor's solution counts only when the residual on the
+        # *unperturbed* system is small; otherwise the row fails loudly (NaN).
         rel_ok = finite & (rnorm <= self.residual_tol * scale)
         dead = ~finite | ((clamped | shifted) & ~rel_ok)
         accepted = shifted & rel_ok & ~dead
@@ -820,3 +873,16 @@ class LDLSolver(KKTSolver):
         self.regularizations += int(accepted.sum())
         failed = [int(b) for b in np.flatnonzero(~np.isfinite(solutions).all(axis=1))]
         return BlockSolveReport(solutions, failed, accepted.astype(int))
+
+    def solve(self, kkt: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``kkt @ x = rhs``, the one-row :meth:`solve_blocks`; raise
+        :class:`KKTSolveError` on failure."""
+        csc = sp.csc_matrix(kkt)
+        csc.sort_indices()
+        report = self.solve_blocks(csc, csc.data[None, :], np.asarray(rhs, dtype=float)[None, :])
+        if report.failed:
+            raise KKTSolveError(
+                "KKT system singular beyond regularisation (no factor's solution "
+                "passed the unshifted-residual check)"
+            )
+        return report.solutions[0]

@@ -1,4 +1,10 @@
-"""Solver options for the MIPS primal-dual interior-point method."""
+"""Solver options for the MIPS primal-dual interior-point method.
+
+The options are checked when they are built, so an invalid value raises
+``ValueError`` at the caller instead of inside a worker's solve.  The Newton
+systems have one solve, :class:`~repro.mips.ldl.LDLSolver`, whose constants
+are not options.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +18,9 @@ class MIPSOptions:
     Defaults match MATPOWER's MIPS solver: the four termination tolerances
     (feasibility, gradient, complementarity, cost), the maximum iteration
     count, the step-length safety factor ``xi`` and the centering parameter
-    ``sigma`` of the barrier update.
+    ``sigma`` of the barrier update.  Construction raises ``ValueError``
+    for a non-positive tolerance, ``max_it < 1``, ``xi`` outside ``(0, 1)``,
+    ``sigma`` outside ``(0, 1]`` or a non-positive ``z0``.
     """
 
     #: Feasibility (constraint violation) tolerance.
@@ -38,30 +46,12 @@ class MIPSOptions:
     bound_eq_tol: float = 1e-10
     #: Declare numerical failure when the step or iterate norm exceeds this.
     max_stepsize: float = 1e10
-    #: KKT linear-solver backend.  ``"ldl"`` (the default) is the same-pattern
-    #: sparse LDLᵀ refactorisation of :mod:`repro.mips.ldl`: one symbolic
-    #: analysis reused across all pattern-identical iterations, a batched
-    #: level-scheduled numeric sweep below a cut of the elimination tree, one
-    #: dense pivoted LU per scenario above it, solutions refined to 1e-10
-    #: against the true matrix.  On cold case118s it is level with
-    #: ``"factorized"`` (within 10 %) at lockstep width 1, ahead from width 3
-    #: up and takes 0.55-0.64x its time at width 16 (``benchmarks/README.md``,
-    #: "Choosing a KKT linear-solver backend").  ``"factorized"`` is the only
-    #: other value: the stateless SuperLU reference the parity suites compare
-    #: against (one direct ``splu`` per scenario per iteration, singular-matrix
-    #: regularisation).  See :mod:`repro.mips.linsolve`.
-    kkt_solver: str = "ldl"
-    #: Initial diagonal shift used when a KKT factorisation is singular.
-    kkt_reg: float = 1e-8
-    #: Number of escalating regularisation retries before declaring failure.
-    kkt_max_retries: int = 3
     #: Record per-iteration history (needed for Fig. 10 traces).
     record_history: bool = True
     #: Print one line per iteration via the ``repro.mips`` logger.
     verbose: bool = False
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` for non-sensical settings."""
+    def __post_init__(self) -> None:
         for name in ("feastol", "gradtol", "comptol", "costtol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -73,14 +63,3 @@ class MIPSOptions:
             raise ValueError("sigma must be in (0, 1]")
         if self.z0 <= 0:
             raise ValueError("z0 must be positive")
-        from repro.mips.linsolve import available_kkt_solvers
-
-        if self.kkt_solver not in available_kkt_solvers():
-            raise ValueError(
-                f"kkt_solver must be one of {available_kkt_solvers()}, "
-                f"got {self.kkt_solver!r}"
-            )
-        if self.kkt_reg <= 0:
-            raise ValueError("kkt_reg must be positive")
-        if self.kkt_max_retries < 0:
-            raise ValueError("kkt_max_retries must be non-negative")

@@ -40,7 +40,7 @@ class OPFResult:
     solve_seconds: float = 0.0
     #: Per-phase solver time (eval / assembly / factorization / backsolve).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: KKT backend factorisation counters (symbolic reuses, numeric
+    #: KKT-solve factorisation counters (symbolic reuses, numeric
     #: refactorisations, block factorisations …) harvested from the solve —
     #: see ``MIPSResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)

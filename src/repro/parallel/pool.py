@@ -93,7 +93,7 @@ class ScenarioOutcome:
     fallback_seconds: float = 0.0
     #: Per-phase solver times of the solve that produced the final answer.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: KKT backend factorisation counters of the final solve (symbolic
+    #: KKT-solve factorisation counters of the final solve (symbolic
     #: reuses, numeric refactorisations, block factorisations …) — the Fig. 5
     #: attribution inputs, harvested from ``OPFResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)

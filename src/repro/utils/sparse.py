@@ -52,7 +52,6 @@ __all__ = [
     "CachedBmat",
     "MatmulPlan",
     "col_scaled_csr",
-    "csc_from_template",
     "csr_rows",
     "pattern_union",
     "row_scaled_csr",
@@ -300,17 +299,6 @@ def col_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
 def csr_rows(matrix: sp.csr_matrix) -> np.ndarray:
     """Row index of every stored nonzero of a canonical CSR matrix."""
     return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-
-
-def csc_from_template(template: sp.csc_matrix, data: np.ndarray) -> sp.csc_matrix:
-    """Canonical CSC matrix with ``template``'s pattern and fresh ``data``.
-
-    Shares the template's index arrays (read-only contract); this is how one
-    slot of a batched ``(B, nnz)`` data plane is materialised as a matrix.
-    """
-    return _fast_compressed(
-        sp.csc_matrix, np.asarray(data), template.indices, template.indptr, template.shape
-    )
 
 
 def _pattern_keys(matrix: sp.csr_matrix) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mips.batch import mips_batch
+from repro.mips.batch import LockstepPlan, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.mips.result import MIPSResult
 from repro.utils.sparse import _canonical_csr, csr_rows, same_pattern
@@ -125,8 +125,7 @@ def mips(
         first, then bound rows) — this is the interface Smart-PGSim's
         predicted warm-start point feeds.
     options:
-        :class:`MIPSOptions`; defaults match MATPOWER.  ``kkt_solver``
-        selects the linear-solver backend for the Newton systems.
+        :class:`MIPSOptions`; defaults match MATPOWER.
     deadline:
         Optional absolute wall deadline (``time.monotonic()`` clock).
         Checked cooperatively between iterations; an expired deadline ends
@@ -196,11 +195,15 @@ def mips(
         x0[None, :],
         gh_fcn=None if gh_fcn is None else gh_rows,
         hess_fcn=hess_rows,
-        jg_template=None if jg is None else jg.matrix,
-        jh_template=None if jh is None else jh.matrix,
-        hess_template=hess.matrix,
-        xmin=xmin,
-        xmax=xmax,
+        plan=LockstepPlan(
+            nx,
+            None if jg is None else jg.matrix,
+            None if jh is None else jh.matrix,
+            hess.matrix,
+            xmin,
+            xmax,
+            opt.bound_eq_tol,
+        ),
         lam0=row(lam0),
         mu0=row(mu0),
         z0=row(z0),

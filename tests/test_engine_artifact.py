@@ -131,24 +131,28 @@ def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture
 
 
 def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
-    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads`` and
-    ``kkt_refine_steps``; the fields are gone, and their values never changed a
-    result, so the keys are dropped on load.  A persisted retired SuperLU
-    backend loads as the surviving one."""
+    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads``,
+    ``kkt_refine_steps`` and the KKT backend choice with its settings
+    (``kkt_solver``, retired backend names included, ``kkt_reg``,
+    ``kkt_max_retries``).  The fields are gone, so the keys are dropped on
+    load and the engine serves on the one KKT solve, as a fresh one does."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
     arrays, meta = load_bundle(path)
     meta["opf_options"]["mips"]["kkt_factor_threads"] = 2
     meta["opf_options"]["mips"]["kkt_refine_steps"] = 0
-    legacy = save_bundle(tmp_path / "legacy.npz", arrays, meta)
-    reloaded = load_artifact(legacy, case9_fixture)
-    assert reloaded.opf_options == engine9.opf_options
-    for retired in ("blockdiag", "spsolve"):
-        meta["opf_options"]["mips"]["kkt_solver"] = retired
-        legacy = save_bundle(tmp_path / f"{retired}.npz", arrays, meta)
+    meta["opf_options"]["mips"]["kkt_reg"] = 1e-6
+    meta["opf_options"]["mips"]["kkt_max_retries"] = 1
+    loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
+    with load_artifact(path, case9_fixture) as fresh:
+        (want,) = fresh.serve_loads(*loads).outcomes
+    for backend in ("factorized", "ldl", "blockdiag", "spsolve"):
+        meta["opf_options"]["mips"]["kkt_solver"] = backend
+        legacy = save_bundle(tmp_path / f"{backend}.npz", arrays, meta)
         with load_artifact(legacy, case9_fixture) as reloaded:
-            assert reloaded.opf_options.mips.kkt_solver == "factorized"
-            sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
-            assert sweep.outcomes[0].converged
+            assert reloaded.opf_options == engine9.opf_options
+            (got,) = reloaded.serve_loads(*loads).outcomes
+        assert got.converged
+        assert (got.iterations, got.final_iterations) == (want.iterations, want.final_iterations)
 
 
 @pytest.mark.parametrize("budget", [None, 0.5])

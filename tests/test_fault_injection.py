@@ -3,8 +3,7 @@
 The acceptance bar for the fault-tolerant runtime: with a deterministic
 injected worker crash mid-sweep, the fleet completes, returns one outcome per
 scenario, and every non-quarantined converged scenario is **bitwise
-identical** to the fault-free run — on both schedules and both lockstep KKT
-backends.  No injected fault may escape the serving engine as an unhandled
+identical** to the fault-free run.  No injected fault may escape the serving engine as an unhandled
 exception.
 """
 
@@ -13,8 +12,6 @@ import time
 import pytest
 
 from repro.engine import WarmStartEngine
-from repro.mips.options import MIPSOptions
-from repro.opf import OPFOptions
 from repro.parallel import SolverFleet, generate_scenarios
 from repro.testing.faults import (
     FaultPlan,
@@ -34,10 +31,6 @@ def scenarios9(case9_fixture):
 
 def _by_id(sweep):
     return {o.scenario_id: o for o in sweep.outcomes}
-
-
-def _batch_options(kkt_solver):
-    return OPFOptions(mips=MIPSOptions(kkt_solver=kkt_solver))
 
 
 # ------------------------------------------------------------- plan semantics
@@ -68,17 +61,15 @@ def test_fault_plan_lookups():
 
 
 # ---------------------------------------------------------------- chaos parity
-@pytest.mark.parametrize("kkt_solver", ["factorized", "ldl"])
-def test_worker_crash_parity(case9_fixture, scenarios9, kkt_solver):
+def test_worker_crash_parity(case9_fixture, scenarios9):
     """A persistent mid-sweep worker kill quarantines exactly the culprit and
     leaves every other scenario bitwise identical to the fault-free run."""
-    options = _batch_options(kkt_solver)
-    with SolverFleet(case9_fixture, options=options, n_workers=2) as fleet:
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
         reference = fleet.solve(scenarios9)
     assert reference.errors == 0 and reference.quarantined == 0
 
     plan = FaultPlan.of(kill_worker(3))
-    with SolverFleet(case9_fixture, options=options, n_workers=2, faults=plan) as fleet:
+    with SolverFleet(case9_fixture, n_workers=2, faults=plan) as fleet:
         chaos = fleet.solve(scenarios9)
 
     assert chaos.n_scenarios == len(scenarios9)

@@ -1,7 +1,9 @@
-"""Cross-backend parity harness for the KKT linear-solver layer.
+"""Parity harness for the KKT solve: ``LDLSolver`` against its SuperLU reference.
 
-The two :class:`~repro.mips.linsolve.KKTSolver` backends — ``"ldl"``, the
-default, and ``"factorized"``, the independent SuperLU reference — must be
+``"ldl"``, the one KKT solve :func:`~repro.mips.batch.mips_batch` builds, and
+``"factorized"``, the independent SuperLU reference of
+:mod:`reference.kkt` put in its place in-process by
+:func:`reference.kkt.kkt_solve`, must be
 drop-in replacements for each other: same iteration counts, objectives to
 1e-8 and solutions to solver precision over a shared corpus of random
 same-pattern QPs and case9 / case14 / case118s cold+warm sweeps, and every
@@ -17,17 +19,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from reference.kkt import BACKENDS, kkt_solve
+from reference.qp import qps_mips
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from reference.qp import qps_mips
-from repro.mips import MIPSOptions, available_kkt_solvers, mips_batch
-from repro.opf import OPFModel, OPFOptions, certify_opf, solve_opf_batch
-
-BACKENDS = available_kkt_solvers()
+from repro.mips import LockstepPlan, mips_batch
+from repro.opf import OPFModel, certify_opf, solve_opf_batch
 
 
-def _opts(backend: str) -> OPFOptions:
-    return OPFOptions(mips=MIPSOptions(kkt_solver=backend))
+def _solve_opf_batch(backend: str, *args, **kwargs):
+    """``solve_opf_batch`` with the KKT solve swapped for ``backend``."""
+    with kkt_solve(backend):
+        return solve_opf_batch(*args, **kwargs)
 
 
 # ----------------------------------------------------------------- QP corpus
@@ -72,18 +75,18 @@ def _solve_qp_batch(backend: str, seed=11, rows=None):
     batch, nx = c.shape
     neq, niq = beq.shape[1], bin_.shape[1]
     f_fcn, gh_fcn, hess_fcn = _qp_callbacks(H, c, Aeq, beq, Ain, bin_)
-    return mips_batch(
-        f_fcn,
-        np.zeros((batch, nx)),
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
-        xmin=np.full(nx, -5.0),
-        xmax=np.full(nx, 5.0),
-        options=MIPSOptions(kkt_solver=backend),
+    plan = LockstepPlan(
+        nx,
+        sp.csr_matrix(np.ones((neq, nx))),
+        sp.csr_matrix(np.ones((niq, nx))),
+        sp.csr_matrix(np.ones((nx, nx))),
+        np.full(nx, -5.0),
+        np.full(nx, 5.0),
     )
+    with kkt_solve(backend):
+        return mips_batch(
+            f_fcn, np.zeros((batch, nx)), gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=plan
+        )
 
 
 def _assert_trajectory_parity(results_by_backend, objective_rtol=1e-8):
@@ -138,10 +141,6 @@ def _assert_rows_isolated(batch_results, solve_alone):
         _assert_bitwise(got, alone)
 
 
-def test_registry_holds_exactly_the_two_backends():
-    assert BACKENDS == ("factorized", "ldl")
-
-
 def test_qp_corpus_parity_across_backends():
     results = {name: _solve_qp_batch(name) for name in BACKENDS}
     _assert_trajectory_parity(results)
@@ -156,17 +155,17 @@ def test_scalar_qp_parity_across_backends():
     c = rng.uniform(-1.0, 1.0, size=4)
     results = {}
     for name in BACKENDS:
-        results[name] = qps_mips(
-            H,
-            c,
-            A_eq=[[1.0, 1.0, 0.0, 0.0]],
-            b_eq=[1.0],
-            A_in=[[0.0, 1.0, 1.0, 1.0]],
-            b_in=[2.0],
-            xmin=np.full(4, -3.0),
-            xmax=np.full(4, 3.0),
-            options=MIPSOptions(kkt_solver=name),
-        )
+        with kkt_solve(name):
+            results[name] = qps_mips(
+                H,
+                c,
+                A_eq=[[1.0, 1.0, 0.0, 0.0]],
+                b_eq=[1.0],
+                A_in=[[0.0, 1.0, 1.0, 1.0]],
+                b_in=[2.0],
+                xmin=np.full(4, -3.0),
+                xmax=np.full(4, 3.0),
+            )
     _assert_trajectory_parity({k: [v] for k, v in results.items()})
 
 
@@ -183,18 +182,13 @@ def small_case_setup(request):
 
 def test_cold_sweep_parity_across_backends(small_case_setup):
     case, model, Pd, Qd = small_case_setup
-    results = {
-        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model)
-        for name in BACKENDS
-    }
+    results = {name: _solve_opf_batch(name, case, Pd, Qd, model=model) for name in BACKENDS}
     _assert_trajectory_parity(results)
     for name in BACKENDS:
         _assert_certified(case, results[name], Pd, Qd)
         _assert_rows_isolated(
             results[name],
-            lambda b: solve_opf_batch(
-                case, Pd[b : b + 1], Qd[b : b + 1], options=_opts(name), model=model,
-            ),
+            lambda b: _solve_opf_batch(name, case, Pd[b : b + 1], Qd[b : b + 1], model=model),
         )
 
 
@@ -205,9 +199,7 @@ def test_warm_sweep_parity_across_backends(small_case_setup):
     warms = [r.warm_start() for r in base]
     Pd2 = Pd * 1.01
     results = {
-        name: solve_opf_batch(
-            case, Pd2, Qd, warm_starts=warms, options=_opts(name), model=model
-        )
+        name: _solve_opf_batch(name, case, Pd2, Qd, warm_starts=warms, model=model)
         for name in BACKENDS
     }
     _assert_trajectory_parity(results)
@@ -237,31 +229,26 @@ def test_case118s_sweep_parity_across_backends():
     samples = sample_loads(case, 4, variation=0.03, seed=5)
     Pd = np.stack([s.Pd for s in samples])
     Qd = np.stack([s.Qd for s in samples])
-    cold = {
-        name: solve_opf_batch(case, Pd, Qd, options=_opts(name), model=model)
-        for name in BACKENDS
-    }
+    cold = {name: _solve_opf_batch(name, case, Pd, Qd, model=model) for name in BACKENDS}
     for name in BACKENDS:
         for i, r in enumerate(cold[name]):
             assert r.success, (name, i)
-            ref = cold[BACKENDS[0]][i]
+            ref = cold["factorized"][i]
             assert abs(r.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
         _assert_certified(case, cold[name], Pd, Qd)
 
     warms = [r.warm_start() for r in cold["factorized"]]
     warm = {
-        name: solve_opf_batch(
-            case, Pd * 1.01, Qd, warm_starts=warms, options=_opts(name), model=model,
-        )
+        name: _solve_opf_batch(name, case, Pd * 1.01, Qd, warm_starts=warms, model=model)
         for name in BACKENDS
     }
     for name in BACKENDS:
         for i, r in enumerate(warm[name]):
-            ref = warm[BACKENDS[0]][i]
+            ref = warm["factorized"][i]
             assert r.success, (name, i)
             assert abs(r.iterations - ref.iterations) <= 1, (
                 f"warm member {i}: {name}={r.iterations} vs "
-                f"{BACKENDS[0]}={ref.iterations}"
+                f"factorized={ref.iterations}"
             )
             assert abs(r.objective - ref.objective) <= 1e-6 * (1.0 + abs(ref.objective))
         _assert_certified(case, warm[name], Pd * 1.01, Qd)

@@ -1,4 +1,4 @@
-"""The dense root of the ``ldl`` KKT backend, and the default that ships it.
+"""The dense root of the LDLᵀ KKT solve, and the artifacts that predate it.
 
 ``LDLSymbolic`` cuts the elimination tree: columns below the cut keep the
 level-scheduled batched planes (the *head*), the at most ``_ROOT_MAX`` columns
@@ -17,8 +17,8 @@ above it form one dense block per batch row, factorised by LAPACK (the
 * **row-local failure** — a system singular *inside the root block* is
   recovered by the signed-shift retry or fails alone, and the pivot clamps
   of those retries are counted;
-* **the default** — ``MIPSOptions().kkt_solver`` is ``"ldl"`` and an explicit
-  choice (persisted in an artifact, or passed at load) still beats it.
+* **one solve** — an artifact saved when it named the SuperLU reference as
+  its backend loads and serves on ``LDLSolver``.
 """
 
 import numpy as np
@@ -26,13 +26,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from reference.kkt import recorded_kkts
 from repro.engine import WarmStartEngine, load_artifact
-from repro.grid import get_case
-from repro.mips import KKTSolveError, MIPSOptions
+from repro.mips import KKTSolveError
 from repro.mips import ldl
 from repro.mips.ldl import LDLSolver
-from repro.opf import OPFModel, OPFOptions
-from repro.opf.batch import solve_opf_batch
+from repro.nn.serialization import load_bundle, save_bundle
 from repro.utils.planes import Targets
 
 #: (case, outage branches): the three benchmark cases and two N-2 topologies
@@ -46,40 +45,14 @@ PATTERNS = [
 ]
 
 
-def _recorded_kkts(name, outage=(), max_it=150):
-    """``(template, data_plane, rhs_plane)`` of every KKT solve of one cold
-    width-1 lockstep solve of ``name`` at its nominal loads."""
-    case = get_case(name)
-    if outage:
-        case = case.with_loads(case.bus.Pd, case.bus.Qd)
-        case.branch.status[list(outage)] = 0
-    seen = []
-    original = LDLSolver.solve_blocks
-
-    def recording(self, template, data_plane, rhs_plane):
-        seen.append((template.copy(), np.array(data_plane), np.array(rhs_plane)))
-        return original(self, template, data_plane, rhs_plane)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(LDLSolver, "solve_blocks", recording)
-        solve_opf_batch(
-            case,
-            case.bus.Pd[None, :],
-            case.bus.Qd[None, :],
-            options=OPFOptions(mips=MIPSOptions(kkt_solver="ldl", max_it=max_it)),
-            model=OPFModel(case),
-        )
-    return seen
-
-
 @pytest.fixture(scope="module")
 def kkts14():
-    return _recorded_kkts("case14")
+    return recorded_kkts("case14")
 
 
 @pytest.fixture(scope="module")
 def kkts118():
-    return _recorded_kkts("case118s")
+    return recorded_kkts("case118s")
 
 
 def _stack(kkts, count):
@@ -93,8 +66,8 @@ def _stack(kkts, count):
 # ------------------------------------------------------------------ structure
 @pytest.mark.parametrize("name, outage", PATTERNS)
 def test_root_is_ancestor_closed_and_partitions_the_columns(name, outage):
-    template = _recorded_kkts(name, outage, max_it=1)[0][0]
-    sym = ldl._symbolic_for_pattern(template, "auto")
+    template = recorded_kkts(name, outage, max_it=1)[0][0]
+    sym = ldl._symbolic_for_pattern(template)
     n = sym.n
     is_root = np.zeros(n, dtype=bool)
     is_root[sym.root] = True
@@ -141,7 +114,7 @@ def test_row_solution_is_bitwise_independent_of_batch_and_position(kkts, request
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
 def test_numeric_solve_rows_slicing_is_bitwise(kkts, request):
     template, data, rhs = _stack(request.getfixturevalue(kkts), 16)
-    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template), "auto")
+    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template))
     # The solver's own clamp planes, so the head's zero pivots stay finite.
     diag = np.zeros((16, sym.n))
     diag[:, sym.diag_cols.idx] = data[:, sym.diag_src]
@@ -205,7 +178,7 @@ def test_cold_case118s_systems_meet_the_refinement_target(kkts118):
 def _singular_in_root(template, data_row):
     """``data_row`` with one root column's row and column zeroed: every head
     contribution to it vanishes too, so the zero pivot sits in the root block."""
-    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template), "auto")
+    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template))
     p = sym.perm[sym.root[-1]]
     cols = np.repeat(np.arange(template.shape[1]), np.diff(template.indptr))
     broken = data_row.copy()
@@ -248,7 +221,7 @@ def test_singular_root_block_recovers_or_fails_alone(kkts, request):
         LDLSolver().solve(bad, rhs[4])
 
 
-def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118):
+def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118, monkeypatch):
     """A shift below ``pivot_clamp`` leaves the head's structural zero pivots
     to the clamp in every retry, and each of those clamps is counted — while
     a shift above it clamps nothing new."""
@@ -259,12 +232,17 @@ def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118):
     rhs = np.vstack([rhs, rhs])
     data[1], p = _singular_in_root(template, data[1])
     rhs[1, p] = 0.0
-    first_pass = LDLSolver(regularization=1e-20, max_retries=0)
-    first_pass.solve_blocks(template, data, rhs)
+    with monkeypatch.context() as patch:
+        patch.setattr(LDLSolver, "regularization", 1e-20)
+        patch.setattr(LDLSolver, "max_retries", 0)
+        first_pass = LDLSolver()
+        first_pass.solve_blocks(template, data, rhs)
     assert first_pass.pivot_clamps >= 1  # case118s clamps on healthy rows too
 
-    tiny = LDLSolver(regularization=1e-20)
-    tiny_report = tiny.solve_blocks(template, data, rhs)
+    with monkeypatch.context() as patch:
+        patch.setattr(LDLSolver, "regularization", 1e-20)
+        tiny = LDLSolver()
+        tiny_report = tiny.solve_blocks(template, data, rhs)
     retries = tiny.numeric_refactorizations - 1
     assert retries >= 1
     # Each retry refactorises the stalled row alone, and it clamps again.
@@ -279,24 +257,23 @@ def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118):
     np.testing.assert_array_equal(tiny_report.solutions[0], report.solutions[0])
 
 
-# ---------------------------------------------------------------- the default
-def test_ldl_is_the_default_and_explicit_choices_beat_it(trained_trainer9, case9_fixture, tmp_path):
-    assert MIPSOptions().kkt_solver == "ldl"
+# ------------------------------------------------------------------ one solve
+def test_artifact_saved_on_the_reference_backend_serves_on_ldl(
+    trained_trainer9, case9_fixture, tmp_path
+):
+    """An artifact written while ``MIPSOptions.kkt_solver`` existed may name
+    the SuperLU reference; it loads with the one KKT solve and serves as a
+    fresh artifact does."""
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
-        assert engine.opf_options.mips.kkt_solver == "ldl"
-    reference = OPFOptions(mips=MIPSOptions(kkt_solver="factorized"))
-    with WarmStartEngine.from_trainer(trained_trainer9, opf_options=reference) as engine:
-        path = engine.save_artifact(tmp_path / "factorized.npz")
-    # The artifact's meta records the backend it was built with: it loads and
-    # solves with that backend, whatever the default has become since.
-    with load_artifact(path, case9_fixture) as loaded:
-        assert loaded.opf_options.mips.kkt_solver == "factorized"
-        sweep = loaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
-        assert sweep.outcomes[0].converged
-        assert "refinement_solves" not in sweep.outcomes[0].kkt_telemetry
-    override = OPFOptions(mips=MIPSOptions(kkt_solver="ldl"))
-    with load_artifact(path, case9_fixture, opf_options=override) as loaded:
-        assert loaded.opf_options.mips.kkt_solver == "ldl"
-        sweep = loaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
-        assert sweep.outcomes[0].converged
-        assert sweep.outcomes[0].kkt_telemetry["refinement_solves"] >= 0
+        path = engine.save_artifact(tmp_path / "current.npz")
+    arrays, meta = load_bundle(path)
+    meta["opf_options"]["mips"]["kkt_solver"] = "factorized"
+    legacy = save_bundle(tmp_path / "factorized.npz", arrays, meta)
+    loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
+    with load_artifact(legacy, case9_fixture) as loaded, load_artifact(path, case9_fixture) as fresh:
+        assert loaded.opf_options == fresh.opf_options
+        (got,) = loaded.serve_loads(*loads).outcomes
+        (want,) = fresh.serve_loads(*loads).outcomes
+    assert got.converged and got.iterations == want.iterations
+    assert list(got.kkt_telemetry) == list(LDLSolver().telemetry())
+    assert got.final_objective.hex() == want.final_objective.hex()

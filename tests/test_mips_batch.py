@@ -29,11 +29,24 @@ from repro.opf import (
 from repro.opf.constraints import constraint_function
 from reference.opf_hessian import lagrangian_hessian
 from repro.parallel import SolverFleet, generate_scenarios
+from reference.kkt import kkt_solve
 from reference.sparse import csr_from_template
 
 
 def _dense(template, data_row):
     return np.asarray(csr_from_template(template, data_row).todense())
+
+
+def _dense_qp_plan(nx, neq, niq, xmin=None, xmax=None):
+    """The lockstep plan of a QP batch with fully dense constraint rows."""
+    return LockstepPlan(
+        nx,
+        sp.csr_matrix(np.ones((neq, nx))),
+        sp.csr_matrix(np.ones((niq, nx))),
+        sp.csr_matrix(np.ones((nx, nx))),
+        xmin,
+        xmax,
+    )
 
 
 # ------------------------------------------------------------------ random QPs
@@ -76,11 +89,7 @@ def test_qp_batch_matches_scalar():
         np.zeros((batch, nx)),
         gh_fcn=gh_fcn,
         hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
-        xmin=xmin,
-        xmax=xmax,
+        plan=_dense_qp_plan(nx, neq, niq, xmin, xmax),
     )
     assert len(results) == batch
     for b, result in enumerate(results):
@@ -100,25 +109,17 @@ def test_qp_batch_matches_scalar():
 
 
 def test_mips_batch_validates_inputs():
-    with pytest.raises(ValueError, match="hess_fcn"):
-        mips_batch(lambda X, idx: (np.zeros(2), np.zeros((2, 3))), np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="(B, nx)"):
-        mips_batch(
-            lambda X, idx: (np.zeros(1), np.zeros((1, 3))),
-            np.zeros(3),
-            hess_fcn=lambda *a: np.zeros((1, 0)),
-            hess_template=sp.csr_matrix((3, 3)),
-        )
     plan = LockstepPlan(3, None, None, sp.csr_matrix((3, 3)))
 
     def objective(X, idx):
         return np.zeros(1), np.zeros((1, 3))
 
-    with pytest.raises(ValueError, match="not both"):
-        mips_batch(
-            objective, np.zeros((1, 3)), hess_fcn=lambda *a: np.zeros((1, 0)),
-            plan=plan, xmin=np.zeros(3),
-        )
+    with pytest.raises(ValueError, match="hess_fcn"):
+        mips_batch(objective, np.zeros((2, 3)), plan=plan)
+    with pytest.raises(ValueError, match="(B, nx)"):
+        mips_batch(objective, np.zeros(3), hess_fcn=lambda *a: np.zeros((1, 0)), plan=plan)
+    with pytest.raises(TypeError, match="plan"):
+        mips_batch(objective, np.zeros((1, 3)), hess_fcn=lambda *a: np.zeros((1, 0)))
     with pytest.raises(ValueError, match="different width"):
         mips_batch(objective, np.zeros((1, 4)), hess_fcn=lambda *a: np.zeros((1, 0)), plan=plan)
 
@@ -338,13 +339,7 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True, rows
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
-    kwargs = dict(
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
-    )
+    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
     return f_fcn, np.zeros((c.shape[0], nx)), kwargs
 
 
@@ -354,7 +349,8 @@ def test_batch_singular_slot_recovered_by_regularization(backend):
     regularisation retry on both backends, and the recovery count is
     surfaced on exactly that scenario's result."""
     f_fcn, x0, kwargs = _singular_slot_qp()
-    results = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver=backend), **kwargs)
+    with kkt_solve(backend):
+        results = mips_batch(f_fcn, x0, **kwargs)
     assert all(r.converged for r in results)
     assert results[1].kkt_regularizations > 0
     assert results[0].kkt_regularizations == 0
@@ -370,13 +366,15 @@ def test_batch_singular_slot_neighbours_bit_unaffected():
     included.
     """
     for backend in ("factorized", "ldl"):
-        options = MIPSOptions(kkt_solver=backend)
-        f_fcn, x0, kwargs = _singular_slot_qp()
-        batched = mips_batch(f_fcn, x0, options=options, **kwargs)
+        with kkt_solve(backend):
+            f_fcn, x0, kwargs = _singular_slot_qp()
+            batched = mips_batch(f_fcn, x0, **kwargs)
+            alones = []
+            for b in range(len(batched)):
+                f_fcn, x0, kwargs = _singular_slot_qp(rows=[b])
+                alones += mips_batch(f_fcn, x0, **kwargs)
         assert batched[1].kkt_regularizations > 0
-        for b, got in enumerate(batched):
-            f_fcn, x0, kwargs = _singular_slot_qp(rows=[b])
-            (alone,) = mips_batch(f_fcn, x0, options=options, **kwargs)
+        for got, alone in zip(batched, alones):
             assert got.iterations == alone.iterations
             assert got.kkt_regularizations == alone.kkt_regularizations
             np.testing.assert_array_equal(got.x, alone.x)
@@ -390,7 +388,8 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
     """An *inconsistent* singular slot is rejected by the residual check and
     classified as a singular-KKT failure; its neighbours still converge."""
     f_fcn, x0, kwargs = _singular_slot_qp(consistent=False)
-    results = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver=backend), **kwargs)
+    with kkt_solve(backend):
+        results = mips_batch(f_fcn, x0, **kwargs)
     assert not results[1].converged
     assert "singular KKT" in results[1].message
     # Failed recoveries are not counted (the counter reports accepted ones).
@@ -474,13 +473,7 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
-    kwargs = dict(
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
-    )
+    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
     return f_fcn, x0, kwargs
 
 
@@ -505,9 +498,9 @@ def test_each_failure_message_retires_only_its_row(backend):
         "nonfinite_iterate": ("numerically failed (non-finite iterate)", 1),
         "diverged_iterate": ("numerically failed (iterate diverged)", 1),
     }
-    options = MIPSOptions(kkt_solver=backend)
     f_fcn, x0, kwargs = _failure_qp()
-    results = mips_batch(f_fcn, x0, options=options, **kwargs)
+    with kkt_solve(backend):
+        results = mips_batch(f_fcn, x0, **kwargs)
     assert len(results) == len(_FAILURE_MODES)
     for b, (mode, got) in enumerate(zip(_FAILURE_MODES, results)):
         if mode != "healthy":
@@ -516,7 +509,8 @@ def test_each_failure_message_retires_only_its_row(backend):
             continue
         assert got.converged
         f_fcn, x0, kwargs = _failure_qp(rows=[b])
-        (alone,) = mips_batch(f_fcn, x0, options=options, **kwargs)
+        with kkt_solve(backend):
+            (alone,) = mips_batch(f_fcn, x0, **kwargs)
         assert got.iterations == alone.iterations
         np.testing.assert_array_equal(got.x, alone.x)
         np.testing.assert_array_equal(got.lam, alone.lam)
@@ -559,15 +553,13 @@ def test_batch_all_slots_singular_still_recovers():
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
     for backend in ("factorized", "ldl"):
-        results = mips_batch(
-            f_fcn,
-            _np.zeros((batch, nx)),
-            gh_fcn=gh_fcn,
-            hess_fcn=hess_fcn,
-            jg_template=sp.csr_matrix(_np.ones((neq, nx))),
-            jh_template=sp.csr_matrix(_np.ones((niq, nx))),
-            hess_template=sp.csr_matrix(_np.ones((nx, nx))),
-            options=MIPSOptions(kkt_solver=backend),
-        )
+        with kkt_solve(backend):
+            results = mips_batch(
+                f_fcn,
+                _np.zeros((batch, nx)),
+                gh_fcn=gh_fcn,
+                hess_fcn=hess_fcn,
+                plan=_dense_qp_plan(nx, neq, niq),
+            )
         assert all(r.converged for r in results)
         assert all(r.kkt_regularizations > 0 for r in results)

@@ -1,18 +1,19 @@
-"""Tests of the pluggable KKT linear-solver layer and the sparse structure caches."""
+"""Tests of the KKT solve against its SuperLU reference, and of the sparse
+structure caches.
+
+``LDLSolver`` is the one KKT solve; :class:`reference.kkt.FactorizedSolver`
+is the independent reference it must agree with, system by system and, put
+under ``mips_batch`` by :func:`reference.kkt.kkt_solve`, trajectory by
+trajectory.
+"""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from reference.kkt import BACKENDS, FactorizedSolver, kkt_solve
 from reference.qp import qps_mips
-from repro.mips import (
-    FactorizedSolver,
-    KKTSolveError,
-    LDLSolver,
-    MIPSOptions,
-    available_kkt_solvers,
-    make_kkt_solver,
-)
+from repro.mips import KKTSolveError, LDLSolver
 from repro.utils.sparse import (
     CachedBmat,
     col_scaled_csr,
@@ -108,7 +109,7 @@ def _random_system(seed=0, n=50):
 @pytest.mark.parametrize("name", ["factorized", "ldl"])
 def test_backends_solve_a_well_posed_system(name):
     kkt, rhs = _random_system()
-    solver = make_kkt_solver(name)
+    solver = BACKENDS[name]()
     x = solver.solve(kkt, rhs)
     assert np.allclose(kkt @ x, rhs, atol=1e-9)
     assert solver.factor_seconds >= 0.0
@@ -153,9 +154,9 @@ def test_scalar_solve_is_the_one_row_solve_blocks(name):
     outcomes = []
     for kkt, rhs in systems:
         kkt.sort_indices()
-        report = make_kkt_solver(name).solve_blocks(kkt, kkt.data[None, :], rhs[None, :])
+        report = BACKENDS[name]().solve_blocks(kkt, kkt.data[None, :], rhs[None, :])
         assert report.solutions.shape == (1, rhs.size)
-        solver = make_kkt_solver(name)
+        solver = BACKENDS[name]()
         if report.failed:
             assert report.failed == [0] and np.isnan(report.solutions[0]).all()
             with pytest.raises(KKTSolveError):
@@ -172,13 +173,13 @@ def test_scalar_solve_is_the_one_row_solve_blocks(name):
 def test_solve_blocks_reports_failed_rows_without_touching_neighbours():
     kkt, rhs = _singular_system(False)
     good_rhs = _singular_system(True)[1]
-    for name in ("factorized", "ldl"):
-        report = make_kkt_solver(name).solve_blocks(
+    for backend in BACKENDS.values():
+        report = backend().solve_blocks(
             kkt, np.stack([kkt.data, kkt.data]), np.stack([good_rhs, rhs])
         )
         assert report.failed == [1]
         assert list(report.regularizations) == [1, 0]
-        alone = make_kkt_solver(name).solve_blocks(kkt, kkt.data[None, :], good_rhs[None, :])
+        alone = backend().solve_blocks(kkt, kkt.data[None, :], good_rhs[None, :])
         np.testing.assert_array_equal(report.solutions[0], alone.solutions[0])
     with pytest.raises(ValueError, match="matching batch sizes"):
         FactorizedSolver().solve_blocks(kkt, np.stack([kkt.data, kkt.data]), rhs[None, :])
@@ -245,32 +246,11 @@ def test_factorized_solver_validation():
         FactorizedSolver(residual_tol=0.0)
 
 
-# ------------------------------------------------------------ registry/options
-def test_registry_lists_and_rejects():
-    assert available_kkt_solvers() == ("factorized", "ldl")
-    assert isinstance(make_kkt_solver("factorized", max_retries=1), FactorizedSolver)
-    assert isinstance(make_kkt_solver("ldl", regularization=1e-6), LDLSolver)
-    with pytest.raises(ValueError, match="factorized, ldl"):
-        make_kkt_solver("does-not-exist")
-
-
-def test_options_validate_kkt_fields():
-    with pytest.raises(ValueError):
-        MIPSOptions(kkt_solver="nope").validate()
-    with pytest.raises(ValueError):
-        MIPSOptions(kkt_reg=0.0).validate()
-    with pytest.raises(ValueError):
-        MIPSOptions(kkt_max_retries=-1).validate()
-    MIPSOptions(kkt_solver="factorized").validate()
-
-
 # ------------------------------------------------- backends through the solver
 @pytest.mark.parametrize("name", ["factorized", "ldl"])
 def test_qp_solves_identically_with_both_backends(name):
-    opts = MIPSOptions(kkt_solver=name)
-    res = qps_mips(
-        2 * np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0], options=opts
-    )
+    with kkt_solve(name):
+        res = qps_mips(2 * np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0])
     assert res.converged
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-6)
 
@@ -278,15 +258,11 @@ def test_qp_solves_identically_with_both_backends(name):
 def test_backends_agree_on_iterations_and_objective():
     H = np.array([[3.0, 0.5], [0.5, 1.0]])
     results = {}
-    for name in ("factorized", "ldl"):
-        results[name] = qps_mips(
-            H,
-            np.array([-1.0, 0.5]),
-            A_in=[[1.0, 1.0]],
-            b_in=[1.0],
-            xmin=np.zeros(2),
-            options=MIPSOptions(kkt_solver=name),
-        )
+    for name in BACKENDS:
+        with kkt_solve(name):
+            results[name] = qps_mips(
+                H, np.array([-1.0, 0.5]), A_in=[[1.0, 1.0]], b_in=[1.0], xmin=np.zeros(2)
+            )
     fact, ldl = results["factorized"], results["ldl"]
     assert fact.converged and ldl.converged
     assert fact.iterations == ldl.iterations
@@ -298,13 +274,10 @@ def test_singular_kkt_recovered_by_factorized_backend():
     """A linear objective with a redundant equality row makes the first KKT
     system exactly singular; the seed path failed hard, the factorized
     backend's diagonal regularisation lets MIPS continue."""
-    res = qps_mips(
-        None,
-        np.array([1.0, 1.0]),
-        A_eq=[[1.0, 1.0], [1.0, 1.0]],
-        b_eq=[1.0, 1.0],
-        options=MIPSOptions(kkt_solver="factorized"),
-    )
+    with kkt_solve("factorized"):
+        res = qps_mips(
+            None, np.array([1.0, 1.0]), A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0]
+        )
     assert res.converged
     assert res.f == pytest.approx(1.0, abs=1e-6)
 

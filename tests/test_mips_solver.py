@@ -1,12 +1,16 @@
 """Tests of the MIPS interior-point core on problems with known solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from reference.mips_solver import mips
 from reference.qp import qps_mips
-from repro.mips import MIPSOptions, mips_batch
+from repro.mips import LockstepPlan, MIPSOptions, mips_batch
+from repro.opf import OPFOptions
+from repro.parallel import SolverFleet
 
 
 # ------------------------------------------------------------------- QP problems
@@ -215,13 +219,23 @@ def test_warm_start_dimension_validation():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        MIPSOptions(feastol=-1).validate()
-    with pytest.raises(ValueError):
-        MIPSOptions(xi=1.5).validate()
-    with pytest.raises(ValueError):
-        MIPSOptions(max_it=0).validate()
-    MIPSOptions().validate()  # defaults are valid
+    """Invalid options raise where they are built, ``replace`` included."""
+    for bad in ({"feastol": -1}, {"costtol": 0.0}, {"max_it": 0}, {"xi": 1.5},
+                {"sigma": 0.0}, {"z0": 0.0}):
+        with pytest.raises(ValueError):
+            MIPSOptions(**bad)
+        with pytest.raises(ValueError):
+            dataclasses.replace(MIPSOptions(), **bad)
+    MIPSOptions()  # defaults are valid
+
+
+def test_invalid_options_never_reach_a_fleet(case9_fixture):
+    """A sweep cannot quarantine its rows over an invalid option: building
+    the options raises before any fleet exists.  (Checked inside the solve,
+    ``max_it=0`` once cost a 4-scenario case9 sweep 14 worker errors, 7
+    retries and 4 quarantined rows.)"""
+    with pytest.raises(ValueError, match="max_it"):
+        SolverFleet(case9_fixture, options=OPFOptions(mips=MIPSOptions(max_it=0)))
 
 
 def test_bounds_shape_validation():
@@ -288,9 +302,9 @@ def test_mips_is_the_one_row_lockstep_solve():
         np.zeros((1, 2)),
         gh_fcn=gh_rows,
         hess_fcn=hess_rows,
-        jg_template=sp.csr_matrix((0, 2)),
-        jh_template=sp.csr_matrix(np.ones((1, 2))),
-        hess_template=sp.csr_matrix(np.ones((2, 2))),
+        plan=LockstepPlan(
+            2, sp.csr_matrix((0, 2)), sp.csr_matrix(np.ones((1, 2))), sp.csr_matrix(np.ones((2, 2)))
+        ),
     )
     assert res.converged and res.iterations == alone.iterations
     for name in ("x", "lam", "mu", "z"):

@@ -22,9 +22,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reference.kkt import kkt_solve
 from repro.grid import case9, case14, case_from_matpower
-from repro.mips.options import MIPSOptions
-from repro.opf.options import OPFOptions
 from repro.parallel import (
     Scenario,
     ScenarioSet,
@@ -194,14 +193,14 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     The sweep's two topologies march in one lockstep group, and a scenario
     solved alone marches at width 1 on the same intact-pattern kernels;
     lockstep rows are bit-independent, hence the results must agree to the
-    last bit across both batched KKT backends.
+    last bit, on the KKT solve and on its SuperLU reference (an in-process
+    fleet, so the reference can be swapped in).
     """
     case = case14()
-    options = OPFOptions(mips=MIPSOptions(kkt_solver=kkt_solver))
     cs = generate_contingency_set(case, 8, k=2, max_outage_sets=2, seed=5)
     assert len({topology_key(s) for s in cs}) == 2  # pairs genuinely recur
 
-    with SolverFleet(case, options=options) as fleet:
+    with kkt_solve(kkt_solver), SolverFleet(case) as fleet:
         grouped = fleet.solve(cs, solutions=True)
         singles = [
             fleet.solve(ScenarioSet(case.name, [s], n_bus=case.n_bus), solutions=True).outcomes[0]

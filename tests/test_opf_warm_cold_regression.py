@@ -3,16 +3,15 @@
 This is the guard-rail for the structure-cached KKT fast path (and any future
 solver change): a warm start may only change *how fast* the solver gets to the
 optimum, never *where* it lands.  Exercised on the bundled IEEE cases with
-both linear-solver backends.
+the KKT solve and with its SuperLU reference (:mod:`reference.kkt`).
 """
 
 import numpy as np
 import pytest
 
+from reference.kkt import kkt_solve
 from repro.grid import case9, case14
-from repro.mips.options import MIPSOptions
 from repro.opf import OPFModel, solve_opf
-from repro.opf.options import OPFOptions
 
 
 @pytest.fixture(scope="module", params=["case9", "case14"])
@@ -36,11 +35,8 @@ def test_warm_start_reaches_cold_start_solution(cold_and_model):
 
 def test_backends_agree_cold_started(cold_and_model):
     case, model, cold = cold_and_model
-    ref = solve_opf(
-        case,
-        model=model,
-        options=OPFOptions(mips=MIPSOptions(kkt_solver="factorized")),
-    )
+    with kkt_solve("factorized"):
+        ref = solve_opf(case, model=model)
     assert ref.success
     assert ref.iterations == cold.iterations
     assert abs(ref.objective - cold.objective) < 1e-8 * (1.0 + abs(cold.objective))
@@ -51,12 +47,8 @@ def test_backends_agree_warm_started(cold_and_model):
     case, model, cold = cold_and_model
     results = {}
     for backend in ("factorized", "ldl"):
-        results[backend] = solve_opf(
-            case,
-            warm_start=cold.warm_start(),
-            model=model,
-            options=OPFOptions(mips=MIPSOptions(kkt_solver=backend)),
-        )
+        with kkt_solve(backend):
+            results[backend] = solve_opf(case, warm_start=cold.warm_start(), model=model)
     fact, ldl = results["factorized"], results["ldl"]
     assert fact.success and ldl.success
     assert fact.iterations == ldl.iterations

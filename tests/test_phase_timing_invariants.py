@@ -12,7 +12,7 @@ the accounting contract so it survives solver rearchitectures:
   additive — shares sum to (at most) the batch wall — while each scenario's
   ``elapsed_seconds`` remains its wall-clock-until-retirement,
 * the invariants hold identically for the scalar solver and for the lockstep
-  batch on both KKT backends.
+  batch, on the KKT solve and on its SuperLU reference (:mod:`reference.kkt`).
 """
 
 import numpy as np
@@ -20,9 +20,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.grid import get_case
+from reference.kkt import kkt_solve
 from reference.qp import qps_mips
-from repro.mips import MIPSOptions, mips_batch
+from repro.grid import get_case
+from repro.mips import LockstepPlan, mips_batch
 from repro.opf import OPFModel, WarmStart, solve_opf
 from repro.parallel import SolverFleet, generate_scenarios
 
@@ -99,13 +100,13 @@ def _qp_batch_callbacks(batch, nx, neq, niq, seed):
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
-    kwargs = dict(
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
+    plan = LockstepPlan(
+        nx,
+        sp.csr_matrix(np.ones((neq, nx))),
+        sp.csr_matrix(np.ones((niq, nx))),
+        sp.csr_matrix(np.ones((nx, nx))),
     )
+    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=plan)
     return f_fcn, np.zeros((batch, nx)), kwargs
 
 
@@ -114,7 +115,8 @@ def _qp_batch_callbacks(batch, nx, neq, niq, seed):
 @given(seed=st.integers(min_value=0, max_value=10_000), batch=st.integers(min_value=1, max_value=6))
 def test_batch_qp_phase_invariants(backend, seed, batch):
     f_fcn, x0, kwargs = _qp_batch_callbacks(batch, nx=5, neq=2, niq=2, seed=seed)
-    results = mips_batch(f_fcn, x0, options=MIPSOptions(kkt_solver=backend), **kwargs)
+    with kkt_solve(backend):
+        results = mips_batch(f_fcn, x0, **kwargs)
     assert len(results) == batch
     for result in results:
         _assert_mips_result_invariants(result)
@@ -127,16 +129,15 @@ def test_batch_qp_phase_invariants(backend, seed, batch):
 @pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_opf_batch_phase_invariants_survive_block_solve(backend):
     from repro.grid.perturb import sample_loads
-    from repro.opf import OPFOptions, solve_opf_batch
+    from repro.opf import solve_opf_batch
 
     case = get_case("case14")
     model = OPFModel(case)
     samples = sample_loads(case, 5, variation=0.06, seed=3)
     Pd = np.stack([s.Pd for s in samples])
     Qd = np.stack([s.Qd for s in samples])
-    results = solve_opf_batch(
-        case, Pd, Qd, options=OPFOptions(mips=MIPSOptions(kkt_solver=backend)), model=model
-    )
+    with kkt_solve(backend):
+        results = solve_opf_batch(case, Pd, Qd, model=model)
     assert all(r.success for r in results)
     for result in results:
         assert set(result.phase_seconds) == set(PHASES)

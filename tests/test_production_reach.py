@@ -43,7 +43,10 @@ ENTRY_POINTS = (
     ("repro.opf", "certify_opf"),
 )
 
-_SCENARIO_FAMILY = "scenario-family builder; ROADMAP items 4(c) / 9(c) will drive it from perfbench"
+_SCENARIO_FAMILY = (
+    "scenario-family builder; ROADMAP item 5(c) gives generate_contingency_set a production "
+    "sweep, item 3(a) certifies trajectories"
+)
 
 #: Public definitions production does not reach, each with its reason.  They
 #: count as roots too: what a reviewed definition needs is kept with it.
@@ -95,7 +98,15 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.grid.io": ("case_to_matpower", "BUS_COLUMNS", "GEN_COLUMNS", "BRANCH_COLUMNS"),
     "repro.grid.perturb": _LOADS,
     "repro.grid.synthetic": ("scaled_family",),
-    "repro.mips": ("mips", "qps_mips"),
+    "repro.mips": (
+        "mips",
+        "qps_mips",
+        "FactorizedSolver",
+        "KKTSolver",
+        "make_kkt_solver",
+        "available_kkt_solvers",
+        "solver_telemetry",
+    ),
     "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS"),
     "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS"),
     "repro.nn": (
@@ -133,7 +144,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.utils": ("spawn_rngs", "Timer", "timed"),
     "repro.utils.rng": ("spawn_rngs",),
-    "repro.utils.sparse": ("csr_from_template",),
+    "repro.utils.sparse": ("csr_from_template", "csc_from_template"),
     "reference.faults": ("swap_fault",),
 }
 
@@ -142,6 +153,7 @@ GONE_MODULES: Tuple[str, ...] = (
     "repro.engine.drift",
     "repro.engine.fallback",
     "repro.engine.lifecycle",
+    "repro.mips.linsolve",
     "repro.mips.qp",
     "repro.mips.solver",
     "repro.opf.hessian",

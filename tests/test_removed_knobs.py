@@ -31,7 +31,10 @@ paper-figure suite in ``benchmarks/`` imports no clock, reads no environment
 knob and takes no timing fixture.  And the engine keeps no reactive health
 state: ``breaker=`` and ``drift_monitor=`` are gone with the circuit breaker,
 the drift monitor and the model lifecycle, and ``hot_swap`` is the one way to
-publish a model.
+publish a model.  And the Newton systems have one solve: ``MIPSOptions`` has
+no ``kkt_solver`` / ``kkt_reg`` / ``kkt_max_retries``, ``LDLSolver`` takes no
+parameters, the SuperLU reference lives in the tests, and a
+``LockstepPlan`` is the only way to describe a problem to ``mips_batch``.
 """
 
 import ast
@@ -45,7 +48,8 @@ from repro.core import SmartPGSimConfig
 from repro.data import generate_dataset
 from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
-from repro.mips import FactorizedSolver, LDLSolver, MIPSOptions
+from reference.kkt import FactorizedSolver
+from repro.mips import LDLSolver, MIPSOptions, mips_batch
 from repro.parallel import Scenario, SolverFleet
 from repro.serving import AsyncServer
 
@@ -110,10 +114,21 @@ def test_retired_mips_option_and_engine_shortcut_raise_type_error(case9_fixture,
         WarmStartEngine.from_trainer(trained_trainer9, kkt_solver="factorized")
 
 
-@pytest.mark.parametrize("name", ["blockdiag", "spsolve"])
-def test_retired_backend_name_is_rejected_naming_the_survivors(name):
-    with pytest.raises(ValueError, match=r"\('factorized', 'ldl'\)"):
-        MIPSOptions(kkt_solver=name).validate()
+@pytest.mark.parametrize(
+    "call, keyword",
+    [
+        (lambda: MIPSOptions(kkt_solver="factorized"), "kkt_solver"),
+        (lambda: MIPSOptions(kkt_reg=1e-8), "kkt_reg"),
+        (lambda: MIPSOptions(kkt_max_retries=3), "kkt_max_retries"),
+        (lambda: LDLSolver(ordering="natural"), "ordering"),
+        (lambda: LDLSolver(regularization=1e-8), "regularization"),
+        (lambda: mips_batch(None, np.zeros((1, 2)), jg_template=None), "jg_template"),
+    ],
+    ids=["kkt_solver", "kkt_reg", "kkt_max_retries", "ordering", "regularization", "jg_template"],
+)
+def test_one_kkt_solve_and_one_problem_form(call, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        call()
 
 
 @pytest.mark.parametrize("keyword", ["max_wait_seconds", "deadline_slack_seconds"])

@@ -19,14 +19,16 @@ every one of those choices bit for bit.  This suite pins that contract:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.mips import FactorizedSolver, LDLSolver
+from reference.kkt import FactorizedSolver, kkt_solve
+from repro.mips import LDLSolver, LockstepPlan
 from repro.mips.batch import BatchFeedPayload, mips_batch
-from repro.mips.options import MIPSOptions
 from repro.parallel import (
     Scenario,
     ScenarioSet,
@@ -98,10 +100,12 @@ def _qp_problem(batch, nx, neq, niq, seed):
     return H, c, Aeq, beq, Ain, bin_
 
 
-def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factorized", deadline=None):
+def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, backend=None, deadline=None):
     """Solve a same-structure QP batch through mips_batch, optionally windowed.
 
-    ``deadline`` holds the initial window's per-row absolute wall deadlines.
+    ``backend`` names the KKT solve (:data:`reference.kkt.BACKENDS`); ``None``
+    keeps the one ``mips_batch`` builds.  ``deadline`` holds the initial
+    window's per-row absolute wall deadlines.
     """
     batch, nx = c.shape
     neq, niq = beq.shape[1], bin_.shape[1]
@@ -122,20 +126,16 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factoriz
     def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
         return (H[idx] * cost_mult).reshape(idx.size, -1)
 
-    kwargs = dict(
-        gh_fcn=gh_fcn,
-        hess_fcn=hess_fcn,
-        jg_template=sp.csr_matrix(np.ones((neq, nx))),
-        jh_template=sp.csr_matrix(np.ones((niq, nx))),
-        hess_template=sp.csr_matrix(np.ones((nx, nx))),
-        xmin=np.full(nx, -5.0),
-        xmax=np.full(nx, 5.0),
-        options=MIPSOptions(kkt_solver=kkt_solver),
+    plan = LockstepPlan(
+        nx,
+        sp.csr_matrix(np.ones((neq, nx))),
+        sp.csr_matrix(np.ones((niq, nx))),
+        sp.csr_matrix(np.ones((nx, nx))),
+        np.full(nx, -5.0),
+        np.full(nx, 5.0),
     )
+    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=plan)
     X0 = np.zeros((batch, nx))
-    if window is None or window >= batch:
-        return mips_batch(f_fcn, X0, **kwargs)
-
     cursor = window
 
     def feed(free):
@@ -147,9 +147,12 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factoriz
         cursor = stop
         return payload
 
-    return mips_batch(
-        f_fcn, X0[:window], feed=feed, feed_capacity=batch, deadline=deadline, **kwargs
-    )
+    with nullcontext() if backend is None else kkt_solve(backend):
+        if window is None or window >= batch:
+            return mips_batch(f_fcn, X0, **kwargs)
+        return mips_batch(
+            f_fcn, X0[:window], feed=feed, feed_capacity=batch, deadline=deadline, **kwargs
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -165,8 +168,8 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, kkt_solver="factoriz
 def test_feed_window_bitwise_invariant(batch, nx, neq, niq, seed, window, backend):
     """Every lockstep window size yields bitwise the full-batch results."""
     problem = _qp_problem(batch, nx, max(neq, 1), niq, seed)
-    full = _solve_qp_batch(*problem, kkt_solver=backend)
-    windowed = _solve_qp_batch(*problem, window=min(window, batch), kkt_solver=backend)
+    full = _solve_qp_batch(*problem, backend=backend)
+    windowed = _solve_qp_batch(*problem, window=min(window, batch), backend=backend)
     assert len(full) == len(windowed) == batch  # exactly once, in order
     for a, b in zip(full, windowed):
         assert a.converged == b.converged
@@ -201,7 +204,7 @@ def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monk
         return build(self, Hdata, *rest)
 
     monkeypatch.setattr(batch_module._BatchKKTAssembler, "build", counting_build)
-    monkeypatch.setattr(batch_module, "make_kkt_solver", lambda name, **kw: Recording(**kw))
+    monkeypatch.setattr(batch_module, "LDLSolver", Recording)
     # Row 0's deadline has already passed: it retires before iteration 1, so
     # its replacement enrolls while row 1 is one iteration in.
     results = _solve_qp_batch(
@@ -250,10 +253,10 @@ def _singular_requeue_problem(batch=4, nx=5, neq=2, niq=2, seed=4):
 @pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_regularizations_attributed_after_requeue(backend):
     problem, sick = _singular_requeue_problem()
-    full = _solve_qp_batch(*problem, kkt_solver=backend)
+    full = _solve_qp_batch(*problem, backend=backend)
     assert full[sick].kkt_regularizations > 0
     for window in (1, 2, 3):
-        windowed = _solve_qp_batch(*problem, window=window, kkt_solver=backend)
+        windowed = _solve_qp_batch(*problem, window=window, backend=backend)
         for b, (a, w) in enumerate(zip(full, windowed)):
             # Recoveries land on the singular scenario only, wherever the
             # window happened to place it; neighbours stay bit-unaffected.
