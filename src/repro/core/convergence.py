@@ -11,7 +11,7 @@ a neighbouring scenario, the bad trace starts from a strongly perturbed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
 from repro.mips.result import IterationRecord
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.solver import solve_opf
 from repro.opf.warmstart import WarmStart
 from repro.utils.rng import RNGLike, ensure_rng
@@ -71,7 +70,6 @@ def capture_convergence_traces(
     seed: RNGLike = 0,
     variation: float = 0.1,
     bad_magnitude: float = 0.6,
-    options: Optional[OPFOptions] = None,
 ) -> Dict[str, ConvergenceTrace]:
     """Return ``{"good": trace, "bad": trace, "default": trace}`` for one scenario.
 
@@ -79,22 +77,18 @@ def capture_convergence_traces(
     * ``good`` — warm-started from the exact solution of a nearby scenario,
     * ``bad`` — started from a random, aggressive initial point.
     """
-    options = options or OPFOptions()
     rng = ensure_rng(seed)
-    model = OPFModel(case, flow_limits=options.flow_limits)
+    model = OPFModel(case)
     target, neighbour = sample_loads(case, 2, variation=variation, seed=rng)
 
-    baseline = solve_opf(case, Pd_mw=target.Pd, Qd_mvar=target.Qd, options=options, model=model)
-    neighbour_solution = solve_opf(
-        case, Pd_mw=neighbour.Pd, Qd_mvar=neighbour.Qd, options=options, model=model
-    )
+    baseline = solve_opf(case, Pd_mw=target.Pd, Qd_mvar=target.Qd, model=model)
+    neighbour_solution = solve_opf(case, Pd_mw=neighbour.Pd, Qd_mvar=neighbour.Qd, model=model)
 
     good = solve_opf(
         case,
         warm_start=neighbour_solution.warm_start(),
         Pd_mw=target.Pd,
         Qd_mvar=target.Qd,
-        options=options,
         model=model,
     )
     bad = solve_opf(
@@ -102,7 +96,6 @@ def capture_convergence_traces(
         warm_start=_bad_warm_start(model, rng, bad_magnitude),
         Pd_mw=target.Pd,
         Qd_mvar=target.Qd,
-        options=options,
         model=model,
     )
 

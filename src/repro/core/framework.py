@@ -35,7 +35,6 @@ from repro.mtl.model import SmartPGSimMTL, TaskDimensions
 from repro.mtl.separate import SeparateTaskNetworks
 from repro.mtl.trainer import MTLTrainer, TrainingHistory
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -59,7 +58,6 @@ class SmartPGSimConfig:
     model_type: str = "mtl"
     use_physics: bool = True
     mtl: MTLConfig = field(default_factory=fast_config)
-    opf: OPFOptions = field(default_factory=OPFOptions)
     #: Solver workers used for ground-truth generation and online dispatch.
     n_workers: int = 1
 
@@ -93,7 +91,7 @@ class SmartPGSim:
     def __init__(self, case: Case, config: Optional[SmartPGSimConfig] = None):
         self.case = case
         self.config = config or SmartPGSimConfig()
-        self.opf_model = OPFModel(case, flow_limits=self.config.opf.flow_limits)
+        self.opf_model = OPFModel(case)
         self.artifacts: Optional[OfflineArtifacts] = None
         self._engine: Optional[WarmStartEngine] = None
 
@@ -108,7 +106,6 @@ class SmartPGSim:
                 cfg.n_samples,
                 variation=cfg.load_variation,
                 seed=cfg.seed,
-                options=cfg.opf,
                 model=self.opf_model,
                 n_workers=cfg.n_workers,
             )
@@ -145,7 +142,7 @@ class SmartPGSim:
         )
         if self._engine is not None:  # retraining: shut the old fleets down first
             self._engine.close()
-        self._engine = WarmStartEngine.from_trainer(trainer, opf_options=cfg.opf)
+        self._engine = WarmStartEngine.from_trainer(trainer)
         LOGGER.info(
             "%s offline done: %d samples, dataset %.1fs, training %.1fs",
             self.case.name,

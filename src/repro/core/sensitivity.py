@@ -12,14 +12,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.components import Case
 from repro.grid.perturb import sample_loads
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.solver import solve_opf
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike
@@ -87,7 +86,6 @@ def run_sensitivity_study(
     n_scenarios: int = 20,
     variation: float = 0.1,
     seed: RNGLike = 0,
-    options: Optional[OPFOptions] = None,
     combinations: Sequence[Tuple[int, int, int, int]] = COMBINATIONS,
 ) -> SensitivityReport:
     """Reproduce Table I for ``case``.
@@ -97,14 +95,13 @@ def run_sensitivity_study(
     ``X, λ, µ, Z``; each requested combination is then warm-started with the
     selected subset of precise values.
     """
-    options = options or OPFOptions()
-    model = OPFModel(case, flow_limits=options.flow_limits)
+    model = OPFModel(case)
     scenarios = sample_loads(case, n_scenarios, variation=variation, seed=seed)
 
     baselines = []
     for sample in scenarios:
         t0 = time.perf_counter()
-        result = solve_opf(case, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, options=options, model=model)
+        result = solve_opf(case, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, model=model)
         elapsed = time.perf_counter() - t0
         if not result.success:
             LOGGER.warning("baseline solve failed for scenario %d; skipping", sample.scenario_id)
@@ -125,7 +122,7 @@ def run_sensitivity_study(
             )
             t0 = time.perf_counter()
             result = solve_opf(
-                case, warm_start=warm, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, options=options, model=model
+                case, warm_start=warm, Pd_mw=sample.Pd, Qd_mvar=sample.Qd, model=model
             )
             elapsed = time.perf_counter() - t0
             successes.append(result.success)

@@ -19,7 +19,6 @@ import numpy as np
 from repro.grid.components import Case
 from repro.grid.perturb import CorrelatedLoadSampler, iter_load_samples
 from repro.opf.model import OPFModel, VariableIndex
-from repro.opf.options import OPFOptions
 from repro.parallel.pool import SolverFleet
 from repro.parallel.scenarios import Scenario, ScenarioSet
 from repro.utils.logging import get_logger
@@ -157,7 +156,6 @@ def generate_dataset(
     n_samples: int,
     variation: float = 0.1,
     seed: RNGLike = 0,
-    options: Optional[OPFOptions] = None,
     model: Optional[OPFModel] = None,
     n_workers: int = 1,
     sampler: Optional[CorrelatedLoadSampler] = None,
@@ -197,7 +195,6 @@ def generate_dataset(
     whole sweep, and topology groups lockstep even as singletons, so chopping
     the stream cannot change a scenario's numeric path.
     """
-    options = options or OPFOptions()
     if stream_batch is not None and stream_batch < 1:
         raise ValueError("stream_batch must be positive")
     if sampler is not None and sampler.case.n_bus != case.n_bus:
@@ -245,7 +242,6 @@ def generate_dataset(
         )
     with SolverFleet(
         case,
-        options=options,
         n_workers=n_workers,
         model=model if n_workers == 1 else None,
     ) as fleet:

@@ -7,7 +7,7 @@ holding
   reloaded engine reproduces its predictions bit for bit),
 * the :class:`~repro.mtl.normalization.DatasetNormalizer` statistics,
 * the :class:`~repro.mtl.config.MTLConfig`, task dimensions, model type and
-  solver options, and
+  the MIPS iteration cap, and
 * a SHA-256 **fingerprint of the power-grid case** the model was trained on.
 
 Loading verifies the fingerprint against the case the caller supplies: a
@@ -27,14 +27,24 @@ import numpy as np
 
 from repro.engine.engine import WarmStartEngine
 from repro.grid.components import Case
-from repro.mips.options import MIPSOptions
+from repro.mips.options import (
+    BOUND_EQ_TOL,
+    COMPTOL,
+    COSTTOL,
+    FEASTOL,
+    GRADTOL,
+    MAX_STEPSIZE,
+    SIGMA,
+    XI,
+    Z0,
+    MIPSOptions,
+)
 from repro.mtl.config import MTLConfig
 from repro.mtl.model import SmartPGSimMTL, TaskDimensions
 from repro.mtl.normalization import DatasetNormalizer, MinMaxScaler
 from repro.mtl.separate import SeparateTaskNetworks
 from repro.nn.serialization import BundleIntegrityError, load_bundle, save_bundle
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 
 #: Bumped on incompatible layout changes.
 ARTIFACT_VERSION = 1
@@ -45,6 +55,23 @@ _MODEL_TYPES = {"mtl": SmartPGSimMTL, "separate": SeparateTaskNetworks}
 _PARAM_PREFIX = "param/"
 _NORM_INPUT_PREFIX = "norm/inputs/"
 _NORM_TASK_PREFIX = "norm/tasks/"
+
+#: Settings older artifacts stored under ``opf_options`` that are fixed now,
+#: with the one value each may hold: another value poses a different problem.
+_FIXED_SETTINGS = {
+    "flow_limits": "S",
+    "init": "case",
+    "cost_mult": 1.0,
+    "feastol": FEASTOL,
+    "gradtol": GRADTOL,
+    "comptol": COMPTOL,
+    "costtol": COSTTOL,
+    "xi": XI,
+    "sigma": SIGMA,
+    "z0": Z0,
+    "max_stepsize": MAX_STEPSIZE,
+    "bound_eq_tol": BOUND_EQ_TOL,
+}
 
 
 class ArtifactError(ValueError):
@@ -129,18 +156,39 @@ def _normalizer_from_arrays(arrays) -> DatasetNormalizer:
     )
 
 
+def _stored_options(stored: dict) -> MIPSOptions:
+    """The :class:`MIPSOptions` of an artifact's ``opf_options`` entry.
+
+    Artifacts written before the OPF problem was fixed nest the MIPS fields
+    under ``"mips"``, beside ``flow_limits`` and ``init``.  A stored setting
+    that is a constant now must hold its constant's value, or
+    :class:`ArtifactError` names it; retired switches (``record_history``,
+    ``verbose``, the KKT backend keys, the wall budget) are dropped.
+    """
+    flat = {name: value for name, value in stored.items() if name != "mips"}
+    flat.update(stored.get("mips", {}))
+    for name, value in flat.items():
+        if name in _FIXED_SETTINGS and value != _FIXED_SETTINGS[name]:
+            raise ArtifactError(
+                f"artifact opf_options.{name} is {value!r}; this build solves with "
+                f"{_FIXED_SETTINGS[name]!r} only"
+            )
+    try:
+        return MIPSOptions(**{k: v for k, v in flat.items() if k == "max_it"})
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"artifact opf_options are invalid: {exc}") from exc
+
+
 def load_artifact(
     path: Union[str, Path],
     case: Case,
-    opf_options: Optional[OPFOptions] = None,
     opf_model: Optional[OPFModel] = None,
 ) -> WarmStartEngine:
     """Reconstruct a :class:`WarmStartEngine` from an artifact file.
 
     ``case`` must be the system the artifact was trained on; the stored
     fingerprint is verified and :class:`ArtifactMismatchError` is raised on
-    mismatch.  ``opf_options`` defaults to the persisted value and can be
-    overridden for the new deployment.
+    mismatch.  The engine solves with the stored iteration cap.
     """
     try:
         arrays, meta = load_bundle(path)
@@ -181,22 +229,11 @@ def load_artifact(
         }
     )
 
-    if opf_options is None:
-        opf_dict = dict(meta["opf_options"])
-        # Options retired since the artifact was written (the KKT backend
-        # choice and its settings, threaded factorisation, refinement sweeps,
-        # the per-solve wall budget) are dropped: the engine serves with the
-        # one KKT solve and per-call deadlines.
-        current = {field.name for field in dataclasses.fields(MIPSOptions)}
-        mips_dict = {k: v for k, v in opf_dict["mips"].items() if k in current}
-        opf_dict["mips"] = MIPSOptions(**mips_dict)
-        opf_options = OPFOptions(**opf_dict)
-
     return WarmStartEngine(
         case,
         network,
         _normalizer_from_arrays(arrays),
         config=config,
-        opf_options=opf_options,
+        opf_options=_stored_options(meta["opf_options"]),
         opf_model=opf_model,
     )

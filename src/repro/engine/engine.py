@@ -45,12 +45,12 @@ import numpy as np
 from repro.data.dataset import OPFDataset
 from repro.engine.records import OnlineEvaluation, OnlineRecord
 from repro.grid.components import Case
+from repro.mips.options import MIPSOptions
 from repro.mtl.config import MTLConfig
 from repro.mtl.normalization import DatasetNormalizer
 from repro.mtl.trainer import MTLTrainer, predict_physical, warm_starts_from_predictions
 from repro.nn.modules import Module
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.warmstart import WarmStart
 from repro.parallel.pool import SolverFleet, SweepResult
 from repro.parallel.scenarios import Scenario, ScenarioSet
@@ -86,7 +86,7 @@ class WarmStartEngine:
         network: Module,
         normalizer: DatasetNormalizer,
         config: Optional[MTLConfig] = None,
-        opf_options: Optional[OPFOptions] = None,
+        opf_options: Optional[MIPSOptions] = None,
         opf_model: Optional[OPFModel] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
@@ -101,8 +101,9 @@ class WarmStartEngine:
             config=config or getattr(network, "config", MTLConfig()),
         )
         self._swap_lock = threading.Lock()
-        self.opf_options = opf_options or OPFOptions()
-        self.opf_model = opf_model or OPFModel(case, flow_limits=self.opf_options.flow_limits)
+        #: The MIPS settings of every solve (the iteration cap).
+        self.opf_options = opf_options or MIPSOptions()
+        self.opf_model = opf_model or OPFModel(case)
         #: Optional deterministic fault plan injected into fleet workers
         #: (testing only) and the crash-retry budget handed to fleets.
         self.faults = faults
@@ -163,18 +164,13 @@ class WarmStartEngine:
 
     # -------------------------------------------------------------- constructors
     @classmethod
-    def from_trainer(
-        cls,
-        trainer: MTLTrainer,
-        opf_options: Optional[OPFOptions] = None,
-    ) -> "WarmStartEngine":
+    def from_trainer(cls, trainer: MTLTrainer) -> "WarmStartEngine":
         """Build an engine that shares a trained :class:`MTLTrainer`'s state."""
         return cls(
             trainer.opf_model.case,
             trainer.network,
             trainer.normalizer,
             config=trainer.config,
-            opf_options=opf_options,
             opf_model=trainer.opf_model,
         )
 

@@ -2,11 +2,31 @@
 
 from repro.mips.ldl import BlockSolveReport, KKTSolveError, LDLSolver
 from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
-from repro.mips.options import MIPSOptions
+from repro.mips.options import (
+    BOUND_EQ_TOL,
+    COMPTOL,
+    COSTTOL,
+    FEASTOL,
+    GRADTOL,
+    MAX_STEPSIZE,
+    SIGMA,
+    XI,
+    Z0,
+    MIPSOptions,
+)
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
 
 __all__ = [
     "MIPSOptions",
+    "FEASTOL",
+    "GRADTOL",
+    "COMPTOL",
+    "COSTTOL",
+    "XI",
+    "SIGMA",
+    "Z0",
+    "MAX_STEPSIZE",
+    "BOUND_EQ_TOL",
     "MIPSResult",
     "IterationRecord",
     "ConstraintPartition",

@@ -71,8 +71,13 @@ implementation):
   ``(B, nx)``;
 * ``gh_fcn(X, idx) -> (G, H, Jg_data, Jh_data)`` — nonlinear constraint
   values and Jacobian data planes on the plan's Jacobian templates;
-* ``hess_fcn(X, Lam_nl, Mu_nl, cost_mult, idx) -> Hdata`` — Lagrangian
-  Hessian data planes on the plan's Hessian template.
+* ``hess_fcn(X, Lam_nl, Mu_nl, idx) -> Hdata`` — Lagrangian Hessian data
+  planes on the plan's Hessian template.
+
+The loop runs MATPOWER's MIPS at its default settings: the termination
+tolerances, ``XI``, ``SIGMA``, ``Z0``, ``MAX_STEPSIZE`` and ``BOUND_EQ_TOL``
+are the constants of :mod:`repro.mips.options`, and
+:class:`~repro.mips.options.MIPSOptions` sets only the iteration cap.
 
 ``idx`` carries the original batch positions of the rows of ``X`` so callbacks
 can look up per-scenario data (loads, outages) for the shrinking active set.
@@ -80,6 +85,7 @@ can look up per-scenario data (loads, outages) for the shrinking active set.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -88,15 +94,26 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.mips.ldl import LDLSolver
-from repro.mips.options import MIPSOptions
+from repro.mips.options import (
+    BOUND_EQ_TOL,
+    COMPTOL,
+    COSTTOL,
+    FEASTOL,
+    GRADTOL,
+    MAX_STEPSIZE,
+    SIGMA,
+    XI,
+    Z0,
+    MIPSOptions,
+)
 from repro.mips.result import ConstraintPartition, IterationRecord, MIPSResult
 from repro.utils import planes
 from repro.utils.logging import get_logger
 from repro.utils.planes import Targets
 from repro.utils.sparse import (
     BatchedCSR,
-    CachedBmat,
     MatmulPlan,
+    bmat_order,
     csr_rows,
     pattern_union,
     transpose_plan,
@@ -111,10 +128,8 @@ BatchedConstraintFn = Callable[
     [np.ndarray, np.ndarray],
     Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
-#: Batched Hessian callback: ``(X, Lam_nl, Mu_nl, cost_mult, idx) -> Hdata``.
-BatchedHessianFn = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float, np.ndarray], np.ndarray
-]
+#: Batched Hessian callback: ``(X, Lam_nl, Mu_nl, idx) -> Hdata``.
+BatchedHessianFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 _PHASES = ("eval", "assembly", "factorization", "backsolve")
 
@@ -189,6 +204,12 @@ def _warm_rows(
     return values, mask
 
 
+def _gather(order: np.ndarray, *data_planes: np.ndarray) -> np.ndarray:
+    """Assembled data planes: the blocks' ``(B, nnz)`` planes, concatenated in
+    row-major block order, gathered through a :func:`bmat_order` slot order."""
+    return planes.take(np.concatenate(data_planes, axis=1), order)
+
+
 def _selector(idx: np.ndarray, sign: float, nx: int) -> sp.csr_matrix:
     """Constant bound rows: row ``i`` is ``sign`` times unit vector ``idx[i]``."""
     m = idx.size
@@ -211,7 +232,7 @@ class _BatchKKTAssembler:
     the symbolic work is expanded once into gather/reduce plans
     (:class:`~repro.utils.sparse.MatmulPlan`,
     :func:`~repro.utils.sparse.transpose_plan`,
-    :meth:`~repro.utils.sparse.CachedBmat.assemble_batch`) and each iteration
+    :func:`~repro.utils.sparse.bmat_order`) and each iteration
     replays them as pure NumPy operations over ``(B, nnz)`` data planes.  The
     product keeps its full structural pattern (no pruning of entries that
     sum to zero), so the KKT pattern is stable for the life of the problem.
@@ -232,10 +253,8 @@ class _BatchKKTAssembler:
         nx = hess_t.shape[0]
         self._nx = nx
 
-        self._jg_cache = CachedBmat("csr")
-        jg_stack = self._jg_cache.assemble([[jg_t], [E_eq]])
-        self._jh_cache = CachedBmat("csr")
-        jh_stack = self._jh_cache.assemble([[jh_t], [E_ub], [E_lb]])
+        jg_stack, self._jg_order = bmat_order([[jg_t], [E_eq]], "csr")
+        jh_stack, self._jh_order = bmat_order([[jh_t], [E_ub], [E_lb]], "csr")
         self._eq_data = E_eq.data
         self._ub_data = E_ub.data
         self._lb_data = E_lb.data
@@ -259,18 +278,17 @@ class _BatchKKTAssembler:
             self._pos_hess = self._pos_prod = None
 
         self._m_nnz = m_template.nnz
-        self._kkt_cache = CachedBmat("csc")
         if self.neq:
             order, _, _ = transpose_plan(jg_stack)
             self._jgT_order = order
             jgT = sp.csr_matrix(jg_stack.T)
             jgT.sort_indices()
             jgT.data = np.zeros(jgT.nnz)
-            self._kkt_cache.assemble([[m_template, jgT], [jg_stack, None]])
+            kkt_blocks = [[m_template, jgT], [jg_stack, None]]
         else:
-            self._kkt_cache.assemble([[m_template]])
+            kkt_blocks = [[m_template]]
         #: Canonical CSC pattern of one scenario's KKT system (read-only).
-        self.kkt_template = self._kkt_cache.template
+        self.kkt_template, self._kkt_order = bmat_order(kkt_blocks, "csc")
 
     def build(
         self,
@@ -293,12 +311,11 @@ class _BatchKKTAssembler:
         Hdata = np.atleast_2d(np.asarray(Hdata, dtype=float))
         batch = Hdata.shape[0]
         if self.niq:
-            jh_plane = self._jh_cache.assemble_batch(
-                [
-                    Jh_data,
-                    np.broadcast_to(self._ub_data, (batch, self._ub_data.size)),
-                    np.broadcast_to(self._lb_data, (batch, self._lb_data.size)),
-                ]
+            jh_plane = _gather(
+                self._jh_order,
+                Jh_data,
+                np.broadcast_to(self._ub_data, (batch, self._ub_data.size)),
+                np.broadcast_to(self._lb_data, (batch, self._lb_data.size)),
             )
             zinv = 1.0 / Z
             jh_scaled = jh_plane * planes.take(Mu * zinv, self._jh_rows)
@@ -314,15 +331,17 @@ class _BatchKKTAssembler:
             N = Lx.copy()
 
         if self.neq:
-            jg_plane = self._jg_cache.assemble_batch(
-                [Jg_data, np.broadcast_to(self._eq_data, (batch, self._eq_data.size))]
+            jg_plane = _gather(
+                self._jg_order,
+                Jg_data,
+                np.broadcast_to(self._eq_data, (batch, self._eq_data.size)),
             )
-            kkt_plane = self._kkt_cache.assemble_batch(
-                [m_plane, planes.take(jg_plane, self._jgT_order), jg_plane]
+            kkt_plane = _gather(
+                self._kkt_order, m_plane, planes.take(jg_plane, self._jgT_order), jg_plane
             )
             rhs_plane = np.concatenate([-N, -G], axis=1)
         else:
-            kkt_plane = self._kkt_cache.assemble_batch([m_plane])
+            kkt_plane = _gather(self._kkt_order, m_plane)
             rhs_plane = -N
         return kkt_plane, rhs_plane
 
@@ -338,7 +357,7 @@ class LockstepPlan:
     no per-solve state.
 
     Bounds become constraint rows: a variable with ``|xmax − xmin| ≤
-    bound_eq_tol`` is an equality row (``eq_idx``), every other finite upper
+    BOUND_EQ_TOL`` is an equality row (``eq_idx``), every other finite upper
     or lower bound an inequality row (``ub_idx`` / ``lb_idx``), stacked
     after the nonlinear rows as :attr:`partition` describes.
     """
@@ -351,7 +370,6 @@ class LockstepPlan:
         hess_template: sp.spmatrix,
         xmin: Optional[np.ndarray] = None,
         xmax: Optional[np.ndarray] = None,
-        bound_eq_tol: float = MIPSOptions.bound_eq_tol,
     ) -> None:
         xmin = np.full(nx, -np.inf) if xmin is None else np.asarray(xmin, dtype=float)
         xmax = np.full(nx, np.inf) if xmax is None else np.asarray(xmax, dtype=float)
@@ -361,9 +379,8 @@ class LockstepPlan:
             raise ValueError("xmin > xmax for at least one variable")
         self.nx = nx
         self.xmin, self.xmax = xmin, xmax
-        self.bound_eq_tol = bound_eq_tol
         lo, hi = np.isfinite(xmin), np.isfinite(xmax)
-        fixed = lo & hi & (np.abs(xmax - xmin) <= bound_eq_tol)
+        fixed = lo & hi & (np.abs(xmax - xmin) <= BOUND_EQ_TOL)
         self.eq_idx = np.flatnonzero(fixed)
         self.ub_idx = np.flatnonzero(hi & ~fixed)
         self.lb_idx = np.flatnonzero(lo & ~fixed)
@@ -465,8 +482,8 @@ def mips_batch(
             raise ValueError("feed_capacity must cover the initial batch")
     if hess_fcn is None:
         raise ValueError("mips_batch requires hess_fcn")
-    if plan.nx != nx or plan.bound_eq_tol != opt.bound_eq_tol:
-        raise ValueError("the plan was built for a different width or bound_eq_tol")
+    if plan.nx != nx:
+        raise ValueError("the plan was built for a different width")
     if deadline is None:
         entry_deadline = None
     else:
@@ -506,9 +523,9 @@ def mips_batch(
     lam = np.zeros((capacity, neq))
     mu = np.zeros((capacity, niq))
     z = np.zeros((capacity, niq))
-    gamma = np.full(capacity, opt.z0)
+    gamma = np.full(capacity, Z0)
     conds = np.zeros((capacity, 4))
-    tols = np.array([opt.feastol, opt.gradtol, opt.comptol, opt.costtol])
+    tols = np.array([FEASTOL, GRADTOL, COMPTOL, COSTTOL])
 
     iterations = np.zeros(capacity, dtype=int)
     phase = {name: np.zeros(capacity) for name in _PHASES}
@@ -537,8 +554,8 @@ def mips_batch(
         t0 = time.perf_counter()
         Xa = X[idx]
         f_raw, df_raw = f_fcn(Xa, idx)
-        F[idx] = np.asarray(f_raw, dtype=float) * opt.cost_mult
-        dF[idx] = np.asarray(df_raw, dtype=float) * opt.cost_mult
+        F[idx] = f_raw
+        dF[idx] = df_raw
         if gh_fcn is not None:
             g_nl, h_nl, jgd, jhd = gh_fcn(Xa, idx)
             g_nl = np.asarray(g_nl, dtype=float)
@@ -602,7 +619,7 @@ def mips_batch(
             )
         results[b] = MIPSResult(
             x=X[b].copy(),
-            f=F[b] / opt.cost_mult,
+            f=F[b],
             converged=converged,
             iterations=int(iterations[b]),
             lam=lam[b].copy(),
@@ -667,21 +684,21 @@ def mips_batch(
             lam[new[lam_m]] = lam0v[lam_m]
         if niq:
             Hn = H[new]
-            zn = np.full((k, niq), opt.z0)
-            below = Hn < -opt.z0
+            zn = np.full((k, niq), Z0)
+            below = Hn < -Z0
             zn[below] = -Hn[below]
             if z0v is not None and np.any(z_m):
                 zn[z_m] = np.maximum(z0v[z_m], 1e-10)
-            gn = np.full(k, opt.z0)
-            mun = np.full((k, niq), opt.z0)
-            big = gn[:, None] / np.maximum(zn, 1e-300) > opt.z0
+            gn = np.full(k, Z0)
+            mun = np.full((k, niq), Z0)
+            big = gn[:, None] / np.maximum(zn, 1e-300) > Z0
             mun[big] = np.broadcast_to(gn[:, None], zn.shape)[big] / zn[big]
             if mu0v is not None and np.any(mu_m):
                 mun[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
             warm = mu_m | z_m
             if np.any(warm):
                 gn[warm] = np.maximum(
-                    opt.sigma * np.einsum("ij,ij->i", zn[warm], mun[warm]) / niq, 1e-12
+                    SIGMA * np.einsum("ij,ij->i", zn[warm], mun[warm]) / niq, 1e-12
                 )
             z[new] = zn
             mu[new] = mun
@@ -690,24 +707,23 @@ def mips_batch(
         lagrangian_gradient(new)
         conditions(new, F[new])
 
-        if opt.record_history:
-            entry_share = entry_dt / k
-            for b in new:
-                histories[b].append(
-                    IterationRecord(
-                        iteration=0,
-                        step_size=0.0,
-                        feascond=conds[b, 0],
-                        gradcond=conds[b, 1],
-                        compcond=conds[b, 2],
-                        costcond=conds[b, 3],
-                        objective=F[b] / opt.cost_mult,
-                        gamma=gamma[b],
-                        alpha_primal=0.0,
-                        alpha_dual=0.0,
-                        eval_seconds=entry_share,
-                    )
+        entry_share = entry_dt / k
+        for b in new:
+            histories[b].append(
+                IterationRecord(
+                    iteration=0,
+                    step_size=0.0,
+                    feascond=conds[b, 0],
+                    gradcond=conds[b, 1],
+                    compcond=conds[b, 2],
+                    costcond=conds[b, 3],
+                    objective=F[b],
+                    gamma=gamma[b],
+                    alpha_primal=0.0,
+                    alpha_dual=0.0,
+                    eval_seconds=entry_share,
                 )
+            )
 
         share[new] += (time.perf_counter() - t0) / k
         for b in new[(conds[new] < tols).all(axis=1)]:
@@ -787,9 +803,7 @@ def mips_batch(
         t0 = time.perf_counter()
         Hdata = np.atleast_2d(
             np.asarray(
-                hess_fcn(
-                    X[idx], lam[idx][:, :n_eq_nl], mu[idx][:, :n_ineq_nl], opt.cost_mult, idx
-                )
+                hess_fcn(X[idx], lam[idx][:, :n_eq_nl], mu[idx][:, :n_ineq_nl], idx)
             )
         )
         hess_dt = time.perf_counter() - t0
@@ -826,7 +840,7 @@ def mips_batch(
             [
                 singular,
                 ~np.isfinite(sol).all(axis=1),
-                np.abs(sol[:, :nx]).max(axis=1) > opt.max_stepsize,
+                np.abs(sol[:, :nx]).max(axis=1) > MAX_STEPSIZE,
             ],
             [1, 2, 3],
             0,
@@ -854,10 +868,10 @@ def mips_batch(
             DMU = -mu[s] + (gamma[s][:, None] - mu[s] * DZ) / z[s]
             with np.errstate(divide="ignore", invalid="ignore"):
                 alphap = np.minimum(
-                    opt.xi * np.where(DZ < 0, z[s] / -DZ, np.inf).min(axis=1), 1.0
+                    XI * np.where(DZ < 0, z[s] / -DZ, np.inf).min(axis=1), 1.0
                 )
                 alphad = np.minimum(
-                    opt.xi * np.where(DMU < 0, mu[s] / -DMU, np.inf).min(axis=1), 1.0
+                    XI * np.where(DMU < 0, mu[s] / -DMU, np.inf).min(axis=1), 1.0
                 )
         else:
             DZ = np.zeros((s.size, 0))
@@ -869,7 +883,7 @@ def mips_batch(
         if niq:
             z[s] += alphap[:, None] * DZ
             mu[s] += alphad[:, None] * DMU
-            gamma[s] = opt.sigma * np.einsum("ij,ij->i", z[s], mu[s]) / niq
+            gamma[s] = SIGMA * np.einsum("ij,ij->i", z[s], mu[s]) / niq
         if neq:
             lam[s] += alphad[:, None] * Dlams
 
@@ -881,29 +895,28 @@ def mips_batch(
         lagrangian_gradient(s)
         conditions(s, F0s)
 
-        if opt.record_history:
-            step_sizes = np.abs(DXs).max(axis=1) if nx else np.zeros(s.size)
-            for pos, b in enumerate(s):
-                histories[b].append(
-                    IterationRecord(
-                        iteration=int(iterations[b]),
-                        step_size=float(step_sizes[pos]),
-                        feascond=conds[b, 0],
-                        gradcond=conds[b, 1],
-                        compcond=conds[b, 2],
-                        costcond=conds[b, 3],
-                        objective=F[b] / opt.cost_mult,
-                        gamma=gamma[b],
-                        alpha_primal=float(alphap[pos]),
-                        alpha_dual=float(alphad[pos]),
-                        eval_seconds=it_eval[b],
-                        assembly_seconds=it_asm[b],
-                        factor_seconds=it_fac[b],
-                        backsolve_seconds=it_back[b],
-                    )
+        step_sizes = np.abs(DXs).max(axis=1) if nx else np.zeros(s.size)
+        for pos, b in enumerate(s):
+            histories[b].append(
+                IterationRecord(
+                    iteration=int(iterations[b]),
+                    step_size=float(step_sizes[pos]),
+                    feascond=conds[b, 0],
+                    gradcond=conds[b, 1],
+                    compcond=conds[b, 2],
+                    costcond=conds[b, 3],
+                    objective=F[b],
+                    gamma=gamma[b],
+                    alpha_primal=float(alphap[pos]),
+                    alpha_dual=float(alphad[pos]),
+                    eval_seconds=it_eval[b],
+                    assembly_seconds=it_asm[b],
+                    factor_seconds=it_fac[b],
+                    backsolve_seconds=it_back[b],
                 )
-        if opt.verbose:
-            LOGGER.info(
+            )
+        if LOGGER.isEnabledFor(logging.DEBUG):
+            LOGGER.debug(
                 "it %3d  active=%d  worst feas=%.3e grad=%.3e comp=%.3e cost=%.3e",
                 it,
                 s.size,
@@ -921,7 +934,7 @@ def mips_batch(
             [
                 (conds[s] < tols).all(axis=1),
                 ~np.isfinite(Xs).all(axis=1),
-                np.abs(Xs).max(axis=1) > opt.max_stepsize,
+                np.abs(Xs).max(axis=1) > MAX_STEPSIZE,
             ],
             [1, 2, 3],
             0,

@@ -69,8 +69,8 @@ class MIPSResult:
 
     ``lam`` holds the equality multipliers, ``mu`` the inequality multipliers
     and ``z`` the positive slacks, all in the internal ordering described by
-    ``partition``.  ``history`` is non-empty when the solver was configured
-    with ``record_history=True``.  ``phase_seconds`` aggregates per-phase
+    ``partition``.  ``history`` holds one record per iteration, the entry
+    point included (iteration 0).  ``phase_seconds`` aggregates per-phase
     solver time over all iterations under the keys ``"eval"``, ``"assembly"``,
     ``"factorization"`` and ``"backsolve"``.
     """

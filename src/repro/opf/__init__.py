@@ -12,7 +12,6 @@ from repro.opf.costs import (
 from repro.opf.constraints import branch_flow_limits, constraint_function, power_balance
 from repro.opf.model import OPFModel, VariableIndex
 from repro.opf.result import OPFResult, build_opf_result
-from repro.opf.options import OPFOptions
 from repro.opf.solver import solve_opf
 from repro.opf.warmstart import WarmStart
 
@@ -23,7 +22,6 @@ __all__ = [
     "certify_opf",
     "OPFModel",
     "VariableIndex",
-    "OPFOptions",
     "OPFResult",
     "WarmStart",
     "build_opf_result",

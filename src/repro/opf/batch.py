@@ -48,8 +48,8 @@ import scipy.sparse as sp
 from repro.grid.components import Case
 from repro.grid.validation import validate_outage_branches
 from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
+from repro.mips.options import MIPSOptions
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult, build_opf_result
 from repro.opf.warmstart import WarmStart
 from repro.powerflow.ybus import branch_admittances
@@ -144,8 +144,9 @@ class BatchedOPFModel:
     the rated-branch set) and builds every template and assembly operator
     once.  Element values are computed batch-minor — ``(n, B)`` arrays, so
     the assembly operators read them in place — and the planes come back
-    batch-major.  Instances hold no per-evaluation state; like the
-    :class:`OPFModel` that owns them they must not be shared between threads.
+    batch-major.  Instances hold no per-evaluation state.  :attr:`plan` is
+    the problem's :class:`~repro.mips.batch.LockstepPlan`, built with the
+    kernels, so a model reused across solves builds both once.
     """
 
     def __init__(self, model: OPFModel):
@@ -159,7 +160,6 @@ class BatchedOPFModel:
         self._gen_on = model.gen_on
         self._nb, self._ng = nb, ng
         self._n_branch = case.n_branch
-        self._plan: Optional[LockstepPlan] = None
 
         # ------------------------------------------------------------ elements
         # Ends of the in-service branches: all from ends, then all to ends.
@@ -248,23 +248,9 @@ class BatchedOPFModel:
         self.hess_template = self._hess_map.build(
             np.concatenate([diag_rows, dgg]), np.concatenate([diag_cols, dgg])
         )
-
-    # ------------------------------------------------------------------ plan
-    def lockstep_plan(self, bound_eq_tol: float) -> LockstepPlan:
-        """The model's :class:`~repro.mips.batch.LockstepPlan` (built once)."""
-        plan = self._plan
-        if plan is None or plan.bound_eq_tol != bound_eq_tol:
-            xmin, xmax = self.model.bounds()
-            plan = self._plan = LockstepPlan(
-                self.idx.nx,
-                self.jg_template,
-                self.jh_template,
-                self.hess_template,
-                xmin,
-                xmax,
-                bound_eq_tol,
-            )
-        return plan
+        self.plan = LockstepPlan(
+            nx, self.jg_template, self.jh_template, self.hess_template, *model.bounds()
+        )
 
     def in_service(self, outages: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
         """Per-row branch-end status for per-scenario branch-outage sets.
@@ -402,7 +388,6 @@ class BatchedOPFModel:
         X: np.ndarray,
         Lam_nl: np.ndarray,
         Mu_nl: np.ndarray,
-        cost_mult: float = 1.0,
         in_service: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batched Lagrangian-Hessian data planes on :attr:`hess_template`.
@@ -417,7 +402,7 @@ class BatchedOPFModel:
         cv, (ab, a, b, p, qE) = self._ends(X, in_service)
         hv = np.empty((self._hess_map.n_src, X.shape[0]))
         hv[lam:cost] = Lam_nl.T
-        hv[cost:] = (self.objective_hessian_diag(X) * cost_mult).T
+        hv[cost:] = self.objective_hessian_diag(X).T
 
         kappa = (hv[lam : lam + nb] - 1j * hv[lam + nb : cost]).take(self._own, axis=0)
         mu2 = 2.0 * Mu_nl.T
@@ -472,7 +457,7 @@ def solve_opf_batch(
     Pd_mw: np.ndarray,
     Qd_mvar: np.ndarray,
     warm_starts: Optional[Sequence[Optional[WarmStart]]] = None,
-    options: Optional[OPFOptions] = None,
+    options: Optional[MIPSOptions] = None,
     model: Optional[OPFModel] = None,
     window: Optional[int] = None,
     deadline: Optional[object] = None,
@@ -485,7 +470,8 @@ def solve_opf_batch(
     cold start, and missing components fall back to solver defaults); a
     component of the wrong size raises :class:`ValueError` naming its
     scenario.  Returns one :class:`OPFResult` per scenario, in input order.
-    :func:`repro.opf.solver.solve_opf` is the one-row call.  ``model``
+    :func:`repro.opf.solver.solve_opf` is the one-row call.  ``options``
+    caps the MIPS iterations (MATPOWER's 150 when omitted).  ``model``
     (built from ``case`` when omitted) owns the batched element kernels and
     the lockstep plan, so passing the same model to repeated calls builds
     them once.
@@ -517,14 +503,13 @@ def solve_opf_batch(
     through the ordinary retirement path, leaving the trajectories of their
     lockstep neighbours bitwise unchanged.
     """
-    options = options or OPFOptions()
     t0 = time.perf_counter()
     if model is None:
-        model = OPFModel(case, flow_limits=options.flow_limits)
+        model = OPFModel(case)
     elif model.case is not case:
         raise ValueError("the supplied model was built for a different case object")
     batched = model.batched
-    plan = batched.lockstep_plan(options.mips.bound_eq_tol)
+    plan = batched.plan
 
     Pd_mw = np.atleast_2d(np.asarray(Pd_mw, dtype=float))
     Qd_mvar = np.atleast_2d(np.asarray(Qd_mvar, dtype=float))
@@ -553,7 +538,7 @@ def solve_opf_batch(
         for w, s in zip(warm_starts, slack)
     ]
 
-    x_default = model.default_start() if options.init == "case" else model.flat_start()
+    x_default = model.default_start()
     X0 = np.tile(x_default, (batch, 1))
     for i, warm in enumerate(warm_starts):
         if warm is not None and warm.x is not None:
@@ -587,9 +572,9 @@ def solve_opf_batch(
         mask = None if in_service is None else in_service[idx]
         return batched.constraints(X, Pd_pu[idx], Qd_pu[idx], mask)
 
-    def hess_fcn(X, Lam_nl, Mu_nl, cost_mult, idx):
+    def hess_fcn(X, Lam_nl, Mu_nl, idx):
         mask = None if in_service is None else in_service[idx]
-        return batched.hessian(X, Lam_nl, Mu_nl, cost_mult, mask)
+        return batched.hessian(X, Lam_nl, Mu_nl, mask)
 
     preprocess_seconds = (time.perf_counter() - t0) / batch
 
@@ -629,7 +614,7 @@ def solve_opf_batch(
         gh_fcn=gh_fcn,
         hess_fcn=hess_fcn,
         plan=plan,
-        options=options.mips,
+        options=options,
         feed=feed if width < batch else None,
         feed_capacity=batch,
         **rows(0, width),

@@ -47,14 +47,13 @@ def power_balance(
 
     dSa, dSm = dSbus_dV(model.adm.Ybus, V)
     neg_Cg, zero_bg = model.neg_Cg_on, model.zero_bg
-    # Rows: [P-balance; Q-balance], columns: [Va, Vm, Pg, Qg].  The block
-    # layout is structure-cached on the model: after the first call only the
-    # voltage-derivative values are scattered into the cached pattern.
-    Jg = model._pb_jac_cache.assemble(
+    # Rows: [P-balance; Q-balance], columns: [Va, Vm, Pg, Qg].
+    Jg = sp.bmat(
         [
             [dSa.real, dSm.real, neg_Cg, zero_bg],
             [dSa.imag, dSm.imag, zero_bg, neg_Cg],
-        ]
+        ],
+        format="csr",
     )
     return g, Jg
 
@@ -64,8 +63,7 @@ def branch_flow_limits(model: OPFModel, x: np.ndarray) -> Tuple[np.ndarray, sp.c
 
     For every rated branch the from-end and to-end constraints are
     ``|S_f|² - S_max² <= 0`` and ``|S_t|² - S_max² <= 0`` (p.u.).  Returns an
-    empty system when the model has no rated branches or flow limits are
-    disabled.
+    empty system when the model has no rated branches.
     """
     nx = model.idx.nx
     lim = model.limited_branches
@@ -82,9 +80,7 @@ def branch_flow_limits(model: OPFModel, x: np.ndarray) -> Tuple[np.ndarray, sp.c
     dAt_dVa, dAt_dVm = dAbr_dV(dSt_dVa, dSt_dVm, St)
 
     zero_lg = model.zero_lg
-    Jh = model._flow_jac_cache.assemble(
-        [[dAf_dVa, dAf_dVm, zero_lg], [dAt_dVa, dAt_dVm, zero_lg]]
-    )
+    Jh = sp.bmat([[dAf_dVa, dAf_dVm, zero_lg], [dAt_dVa, dAt_dVm, zero_lg]], format="csr")
     return h, Jh
 
 

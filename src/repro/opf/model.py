@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from repro.grid.components import Case
 from repro.powerflow.derivatives import dSbr_dV
 from repro.powerflow.ybus import AdmittanceMatrices, make_ybus
-from repro.utils.sparse import CachedBmat
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.opf.batch import BatchedOPFModel
@@ -73,6 +72,12 @@ class VariableIndex:
         return np.concatenate([Va, Vm, Pg, Qg])
 
 
+def rated_branches(case: Case) -> np.ndarray:
+    """Indices of the branches with a flow limit: in service and ``rate_a > 0``
+    (``rate_a == 0`` means unlimited)."""
+    return np.flatnonzero((case.branch.rate_a > 0) & (case.branch.status > 0))
+
+
 class OPFModel:
     """Everything about one case that the OPF evaluations need.
 
@@ -87,26 +92,17 @@ class OPFModel:
     matrix-form Lagrangian Hessian (``tests/reference/opf_hessian.py``), of
     the element-kernel tests — it also holds what is *constant across
     evaluations*: the generator-connection blocks of the power-balance
-    Jacobian, the admittance rows of the rated branches and the
-    sparsity-structure caches of the constraint Jacobians.  The caches make
-    evaluations stateful: a model must not be shared across threads
-    evaluating concurrently (process pools are fine — each worker builds its
-    own model).
+    Jacobian and the admittance rows of the rated branches.  Every rated
+    branch (:func:`rated_branches`) carries a squared apparent-power limit at
+    both ends.
     """
 
-    def __init__(self, case: Case, flow_limits: str = "S"):
-        if flow_limits not in ("S", "none"):
-            raise ValueError("flow_limits must be 'S' or 'none'")
+    def __init__(self, case: Case):
         self.case = case
-        self.flow_limits = flow_limits
         self.adm: AdmittanceMatrices = make_ybus(case)
         self.idx = VariableIndex(nb=case.n_bus, ng=case.n_gen)
 
-        # Branches with an active flow limit (rate_a == 0 means unlimited).
-        rated = (case.branch.rate_a > 0) & (case.branch.status > 0)
-        self.limited_branches = (
-            np.flatnonzero(rated) if flow_limits == "S" else np.zeros(0, dtype=int)
-        )
+        self.limited_branches = rated_branches(case)
         #: Squared flow limits in p.u.
         self.flow_limit_sq = (case.branch.rate_a[self.limited_branches] / case.base_mva) ** 2
 
@@ -128,10 +124,6 @@ class OPFModel:
         self.Yt_lim = self.adm.Yt[lim]
         self.Cf_lim = self.adm.Cf[lim]
         self.Ct_lim = self.adm.Ct[lim]
-
-        # Sparsity-structure caches (pattern computed once, values refreshed).
-        self._pb_jac_cache = CachedBmat("csr")
-        self._flow_jac_cache = CachedBmat("csr")
         self._batched: Optional["BatchedOPFModel"] = None
 
     @property
@@ -217,15 +209,6 @@ class OPFModel:
         x0[finite_lo] = np.maximum(x0[finite_lo], xmin[finite_lo])
         x0[finite_hi] = np.minimum(x0[finite_hi], xmax[finite_hi])
         return x0
-
-    def flat_start(self) -> np.ndarray:
-        """Flat voltage profile with generation at the midpoint of its range."""
-        case = self.case
-        Va = np.zeros(case.n_bus)
-        Vm = np.ones(case.n_bus)
-        Pg = 0.5 * (case.gen.Pmin + case.gen.Pmax) / case.base_mva
-        Qg = 0.5 * (case.gen.Qmin + case.gen.Qmax) / case.base_mva
-        return self.idx.join(Va, Vm, Pg, Qg)
 
     # -------------------------------------------------------------- voltages
     def complex_voltage(self, x: np.ndarray) -> np.ndarray:

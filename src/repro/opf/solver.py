@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.components import Case
+from repro.mips.options import MIPSOptions
 from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 
@@ -29,7 +29,7 @@ def solve_opf(
     warm_start: Optional[WarmStart] = None,
     Pd_mw: Optional[np.ndarray] = None,
     Qd_mvar: Optional[np.ndarray] = None,
-    options: Optional[OPFOptions] = None,
+    options: Optional[MIPSOptions] = None,
     model: Optional[OPFModel] = None,
     deadline: Optional[float] = None,
 ) -> OPFResult:
@@ -46,7 +46,7 @@ def solve_opf(
         Optional per-bus loads overriding the case values — this is how
         sampled scenarios are solved without copying the case.
     options:
-        :class:`OPFOptions` (flow-limit handling, initial point, MIPS options).
+        :class:`~repro.mips.options.MIPSOptions`, the iteration cap.
     model:
         Pre-built :class:`OPFModel` to reuse across scenarios of the same
         case: it owns the element kernels and the lockstep plan, so repeated

@@ -56,9 +56,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grid.components import Case
+from repro.mips.options import MIPSOptions
 from repro.opf.batch import solve_opf_batch
 from repro.opf.model import OPFModel
-from repro.opf.options import OPFOptions
 from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario, ScenarioSet
@@ -279,7 +279,7 @@ class WorkerState:
     """
 
     case: Case
-    options: OPFOptions
+    options: MIPSOptions
     faults: Optional[FaultPlan] = None
     in_subprocess: bool = False
     model: Optional[OPFModel] = None
@@ -287,7 +287,7 @@ class WorkerState:
 
     def __post_init__(self) -> None:
         if self.model is None:
-            self.model = OPFModel(self.case, flow_limits=self.options.flow_limits)
+            self.model = OPFModel(self.case)
 
     def run(self, task: Task) -> List[ScenarioOutcome]:
         """Execute one task: injected faults, the deadline gate, then the solve."""
@@ -408,7 +408,7 @@ class WorkerState:
 _WORKER: Optional[WorkerState] = None
 
 
-def _init_worker(case: Case, options: OPFOptions, faults: Optional[FaultPlan] = None) -> None:
+def _init_worker(case: Case, options: MIPSOptions, faults: Optional[FaultPlan] = None) -> None:
     """Pool initializer: build the worker state (and its OPF model) once."""
     global _WORKER
     _WORKER = WorkerState(case, options, faults, in_subprocess=True)
@@ -452,7 +452,7 @@ class SolverFleet:
     def __init__(
         self,
         case: Case,
-        options: Optional[OPFOptions] = None,
+        options: Optional[MIPSOptions] = None,
         n_workers: int = 1,
         model: Optional[OPFModel] = None,
         microbatch: Optional[int] = None,
@@ -466,7 +466,7 @@ class SolverFleet:
         if crash_retries < 0:
             raise ValueError("crash_retries must be non-negative")
         self.case = case
-        self.options = options or OPFOptions()
+        self.options = options or MIPSOptions()
         self.n_workers = n_workers
         self.microbatch = microbatch
         self.faults = faults

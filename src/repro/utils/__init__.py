@@ -2,16 +2,11 @@
 
 from repro.utils.rng import ensure_rng
 from repro.utils.logging import get_logger
-from repro.utils.sparse import (
-    CachedBmat,
-    col_scaled_csr,
-    row_scaled_csr,
-)
+from repro.utils.sparse import col_scaled_csr, row_scaled_csr
 
 __all__ = [
     "ensure_rng",
     "get_logger",
-    "CachedBmat",
     "col_scaled_csr",
     "row_scaled_csr",
 ]

@@ -1,23 +1,11 @@
-"""Structure-cached sparse block assembly.
+"""Sparse helpers of the batched lockstep solver.
 
 Interior-point iterations assemble the same block matrices (constraint
-Jacobians, Lagrangian Hessians, the KKT system itself) over and over with an
-*unchanged sparsity pattern* — only the numeric values move.  ``scipy``'s
-``bmat``/``vstack`` redo the full symbolic work (COO concatenation, duplicate
-summing, index sorting) on every call, which dominates assembly time for the
-OPF-sized systems this library targets.
-
-:class:`CachedBmat` performs that symbolic work once: the first call records,
-for every stored nonzero of the assembled matrix, which block-data slot it
-came from.  Subsequent calls with pattern-identical blocks reduce to one
-``concatenate`` and one fancy-index gather over the numeric ``data`` arrays.
-A pattern change (detected by comparing the blocks' index arrays) transparently
-falls back to a fresh symbolic assembly, so callers never need to know whether
-the cache hit.
-
-Caches are **not thread-safe**.  Returned matrices own their ``data`` array
-(safe to hold across calls) but share the cached index arrays — treat them as
-read-only.
+Jacobians, the KKT system) over and over with an *unchanged sparsity
+pattern* — only the numeric values move.  :func:`bmat_order` does the symbolic
+work of ``sp.bmat`` once, at plan construction: it returns the assembled
+pattern and, for every stored entry, the block-data slot it came from, so an
+assembly becomes one ``concatenate`` and one gather over the blocks' data.
 
 Batch extension
 ---------------
@@ -49,8 +37,8 @@ from repro.utils.planes import Targets
 
 __all__ = [
     "BatchedCSR",
-    "CachedBmat",
     "MatmulPlan",
+    "bmat_order",
     "col_scaled_csr",
     "csr_rows",
     "pattern_union",
@@ -59,59 +47,6 @@ __all__ = [
     "symmetric_lower_map",
     "transpose_plan",
 ]
-
-
-def _construct_unchecked(cls, data, indices, indptr, shape):
-    """Build a compressed sparse matrix without scipy's format validation.
-
-    The public constructors re-validate index dtypes and shapes on every call
-    (~10µs each), which dominates when thousands of small matrices are created
-    per solve.  Callers guarantee canonical, in-range inputs (they reuse the
-    index arrays of an existing canonical matrix), so validation is redundant.
-    """
-    m = cls.__new__(cls)
-    m.data = data
-    m.indices = indices
-    m.indptr = indptr
-    m._shape = shape
-    return m
-
-
-def _probe_unchecked_construction() -> bool:
-    try:
-        probe = _construct_unchecked(
-            sp.csr_matrix,
-            np.array([2.0, 3.0]),
-            np.array([0, 1], dtype=np.int32),
-            np.array([0, 1, 2], dtype=np.int32),
-            (2, 2),
-        )
-        ok = (
-            probe.shape == (2, 2)
-            and probe.nnz == 2
-            and np.allclose(probe.toarray(), [[2.0, 0.0], [0.0, 3.0]])
-            and np.allclose((probe @ probe).toarray(), [[4.0, 0.0], [0.0, 9.0]])
-            and np.allclose(probe.T.tocsr().toarray(), probe.toarray().T)
-        )
-        probe.has_canonical_format = True
-        probe.has_sorted_indices = True
-        return bool(ok)
-    except Exception:  # pragma: no cover - depends on scipy internals
-        return False
-
-
-#: Whether the scipy in use supports the unchecked constructor (verified once
-#: at import); when it does not, the public constructors are used instead.
-_UNCHECKED_OK = _probe_unchecked_construction()
-
-
-def _fast_compressed(cls, data, indices, indptr, shape):
-    """Canonical compressed matrix from trusted arrays, skipping validation."""
-    if _UNCHECKED_OK:
-        m = _construct_unchecked(cls, data, indices, indptr, shape)
-        m.has_canonical_format = True  # inputs come from a canonical matrix
-        return m
-    return cls((data, indices, indptr), shape=shape, copy=False)
 
 
 def same_pattern(
@@ -141,127 +76,40 @@ def _canonical_csr(block: sp.spmatrix) -> sp.csr_matrix:
     return csr
 
 
-class CachedBmat:
-    """Assemble ``sp.bmat(blocks)`` with symbolic structure reuse.
+def bmat_order(
+    blocks: Sequence[Sequence[Optional[sp.spmatrix]]], format: str = "csr"
+) -> Tuple[sp.spmatrix, np.ndarray]:
+    """``sp.bmat(blocks, format=format)`` and the slot order of its entries.
 
-    Parameters
-    ----------
-    format:
-        Output sparse format (``"csr"`` or ``"csc"``).
-
-    Notes
-    -----
-    The fast path requires every block to present its nonzeros in the same
-    order as when the structure was cached; canonical CSR blocks (the output
-    of normal scipy arithmetic) guarantee this.  Blocks are canonicalised on
-    the way in, so any sparse input is accepted.
+    ``order[k]`` is the position of the assembled matrix's ``k``-th stored
+    entry in the concatenated ``data`` of the blocks' canonical CSR forms
+    (row-major block order, ``None`` blocks skipped).  Data planes on those
+    patterns therefore assemble, every row at once, as
+    ``planes.take(np.concatenate(data_planes, axis=1), order)``.  Explicit
+    zeros keep their slots, so the pattern never depends on the values.
     """
-
-    def __init__(self, format: str = "csr"):
-        if format not in ("csr", "csc"):
-            raise ValueError("format must be 'csr' or 'csc'")
-        self.format = format
-        self._pattern: Optional[List[List[Optional[tuple]]]] = None
-        self._order: Optional[np.ndarray] = None
-        self._template = None
-        #: Number of fast (structure-reusing) assemblies performed.
-        self.hits = 0
-        #: Number of full symbolic assemblies performed.
-        self.misses = 0
-
-    # ------------------------------------------------------------------ internals
-    def _matches(self, blocks: Sequence[Sequence[Optional[sp.csr_matrix]]]) -> bool:
-        pattern = self._pattern
-        if pattern is None or len(pattern) != len(blocks):
-            return False
-        for prow, brow in zip(pattern, blocks):
-            if len(prow) != len(brow):
-                return False
-            for pblk, blk in zip(prow, brow):
-                if (pblk is None) != (blk is None):
-                    return False
-                if blk is None:
-                    continue
-                shape, indptr, indices = pblk
-                if blk.shape != shape:
-                    return False
-                if not same_pattern(blk, indptr, indices):
-                    return False
-        return True
-
-    def _rebuild(self, blocks: Sequence[Sequence[Optional[sp.csr_matrix]]]) -> None:
-        coded_rows = []
-        pattern: List[List[Optional[tuple]]] = []
-        offset = 0
-        for brow in blocks:
-            coded_row = []
-            prow: List[Optional[tuple]] = []
-            for blk in brow:
-                if blk is None:
-                    coded_row.append(None)
-                    prow.append(None)
-                    continue
-                coded = blk.copy()
-                # 1-based slot ids survive the COO round-trip inside bmat
-                # (blocks are disjoint, so no duplicate summing occurs).
-                coded.data = np.arange(offset + 1, offset + blk.nnz + 1, dtype=float)
-                offset += blk.nnz
-                coded_row.append(coded)
-                prow.append((blk.shape, blk.indptr, blk.indices))
-            coded_rows.append(coded_row)
-            pattern.append(prow)
-
-        template = sp.bmat(coded_rows, format=self.format)
-        self._order = template.data.astype(np.intp) - 1
-        self._template = template
-        self._pattern = pattern
-        self.misses += 1
-
-    # -------------------------------------------------------------------- public
-    def assemble(self, blocks: Sequence[Sequence[Optional[sp.spmatrix]]]):
-        """Assemble the block matrix, reusing cached structure when possible."""
-        canon = [
-            [None if blk is None else _canonical_csr(blk) for blk in brow]
-            for brow in blocks
-        ]
-        if not self._matches(canon):
-            self._rebuild(canon)
-        else:
-            self.hits += 1
-        data_parts = [blk.data for brow in canon for blk in brow if blk is not None]
-        src = np.concatenate(data_parts) if data_parts else np.zeros(0)
-        template = self._template
-        matrix_cls = sp.csr_matrix if self.format == "csr" else sp.csc_matrix
-        # The gather allocates fresh data, so the returned matrix is safe to
-        # hold across calls; only the index arrays are shared with the cache.
-        return _fast_compressed(
-            matrix_cls, src[self._order], template.indices, template.indptr, template.shape
-        )
-
-    def assemble_batch(self, data_planes: Sequence[np.ndarray]) -> np.ndarray:
-        """Batched fast path over a previously cached structure.
-
-        ``data_planes`` holds one ``(B, nnz)`` array per *non-None* block in
-        row-major block order, with exactly the patterns of the last
-        :meth:`assemble` call (callers prime the cache once with template
-        matrices and are responsible for keeping the patterns in sync).
-        Returns the ``(B, out_nnz)`` data planes of the assembled matrix in
-        the cached template's storage order.
-        """
-        if self._order is None:
-            raise RuntimeError("assemble_batch requires a primed cache (call assemble first)")
-        parts = [np.atleast_2d(np.asarray(p)) for p in data_planes]
-        src = np.concatenate(parts, axis=1) if parts else np.zeros((1, 0))
-        return planes.take(src, self._order)
-
-    @property
-    def template(self):
-        """The cached assembled matrix (pattern only — data is meaningless).
-
-        Shares the cache's index arrays; treat it as read-only.  ``None``
-        until the first :meth:`assemble` call.
-        """
-        return self._template
+    coded_rows = []
+    data = []
+    offset = 0
+    for brow in blocks:
+        coded_row = []
+        for blk in brow:
+            if blk is None:
+                coded_row.append(None)
+                continue
+            blk = _canonical_csr(blk)
+            coded = blk.copy()
+            # 1-based slot ids survive the COO round-trip inside bmat
+            # (blocks are disjoint, so no duplicate summing occurs).
+            coded.data = np.arange(offset + 1, offset + blk.nnz + 1, dtype=float)
+            offset += blk.nnz
+            coded_row.append(coded)
+            data.append(blk.data)
+        coded_rows.append(coded_row)
+    template = sp.bmat(coded_rows, format=format)
+    order = template.data.astype(np.intp) - 1
+    template.data = (np.concatenate(data) if data else np.zeros(0))[order]
+    return template, order
 
 
 def row_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
@@ -274,9 +122,7 @@ def row_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
     matrix = _canonical_csr(matrix)
     per_row = np.diff(matrix.indptr)
     data = matrix.data * np.repeat(scale, per_row)
-    return _fast_compressed(
-        sp.csr_matrix, data, matrix.indices, matrix.indptr, matrix.shape
-    )
+    return sp.csr_matrix((data, matrix.indices, matrix.indptr), shape=matrix.shape, copy=False)
 
 
 def col_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
@@ -286,12 +132,10 @@ def col_scaled_csr(matrix: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
     but a pure data operation; the result shares ``matrix``'s index arrays.
     """
     matrix = _canonical_csr(matrix)
-    return _fast_compressed(
-        sp.csr_matrix,
-        matrix.data * scale[matrix.indices],
-        matrix.indices,
-        matrix.indptr,
-        matrix.shape,
+    return sp.csr_matrix(
+        (matrix.data * scale[matrix.indices], matrix.indices, matrix.indptr),
+        shape=matrix.shape,
+        copy=False,
     )
 
 
@@ -323,9 +167,7 @@ def pattern_union(matrices: Sequence[sp.spmatrix]) -> Tuple[sp.csr_matrix, List[
         raise ValueError("pattern_union requires matrices of identical shape")
     acc = None
     for m in canon:
-        part = _fast_compressed(
-            sp.csr_matrix, np.ones(m.nnz), m.indices, m.indptr, shape
-        )
+        part = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=shape, copy=False)
         acc = part if acc is None else acc + part
     template = _canonical_csr(acc)
     if template is acc and len(canon) == 1:
@@ -393,12 +235,8 @@ def transpose_plan(matrix: sp.spmatrix) -> Tuple[np.ndarray, np.ndarray, np.ndar
     ``(t_indptr, t_indices)``.
     """
     m = _canonical_csr(matrix)
-    coded = _fast_compressed(
-        sp.csr_matrix,
-        np.arange(1, m.nnz + 1, dtype=float),
-        m.indices,
-        m.indptr,
-        m.shape,
+    coded = sp.csr_matrix(
+        (np.arange(1, m.nnz + 1, dtype=float), m.indices, m.indptr), shape=m.shape, copy=False
     )
     t = coded.T.tocsr()
     t.sort_indices()

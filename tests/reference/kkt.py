@@ -37,7 +37,7 @@ import repro.mips.batch
 from repro.grid import get_case
 from repro.mips import MIPSOptions
 from repro.mips.ldl import BlockSolveReport, KKTSolveError, LDLSolver, as_planes
-from repro.opf import OPFModel, OPFOptions, solve_opf_batch
+from repro.opf import OPFModel, solve_opf_batch
 from reference.sparse import csc_from_template
 
 
@@ -217,7 +217,7 @@ def recorded_kkts(
             case,
             case.bus.Pd[None, :],
             case.bus.Qd[None, :],
-            options=OPFOptions(mips=MIPSOptions(max_it=max_it)),
+            options=MIPSOptions(max_it=max_it),
             model=OPFModel(case),
         )
     return seen

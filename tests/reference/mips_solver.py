@@ -36,8 +36,8 @@ ObjectiveFn = Callable[[np.ndarray], Tuple]
 #: Constraint callback: ``x -> (g, h, Jg, Jh)`` with Jacobians in standard
 #: row-per-constraint orientation (``(n_con, n_x)`` sparse or dense matrices).
 ConstraintFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, sp.spmatrix, sp.spmatrix]]
-#: Lagrangian-Hessian callback: ``(x, lam_nl, mu_nl, cost_mult) -> (n_x, n_x)`` matrix.
-HessianFn = Callable[[np.ndarray, np.ndarray, np.ndarray, float], sp.spmatrix]
+#: Lagrangian-Hessian callback: ``(x, lam_nl, mu_nl) -> (n_x, n_x)`` matrix.
+HessianFn = Callable[[np.ndarray, np.ndarray, np.ndarray], sp.spmatrix]
 
 
 def _csr(matrix, n_cols: int, name: str) -> sp.csr_matrix:
@@ -114,18 +114,18 @@ def mips(
         ``g(x) = 0`` and ``h(x) <= 0`` and the Jacobians have one row per
         constraint.  ``None`` for bound-only problems.
     hess_fcn:
-        Lagrangian Hessian callback ``(x, lam_nl, mu_nl, cost_mult)`` → matrix.
+        Lagrangian Hessian callback ``(x, lam_nl, mu_nl)`` → matrix.
         Required when ``gh_fcn`` is supplied.
     xmin, xmax:
         Variable bounds (``±inf`` allowed).  Components with
-        ``xmin == xmax`` are treated as equality constraints.
+        ``|xmax - xmin| <= BOUND_EQ_TOL`` are treated as equality constraints.
     lam0, mu0, z0:
         Optional warm-start values for the equality multipliers, inequality
         multipliers and slacks *in the internal ordering* (nonlinear rows
         first, then bound rows) — this is the interface Smart-PGSim's
         predicted warm-start point feeds.
     options:
-        :class:`MIPSOptions`; defaults match MATPOWER.
+        :class:`MIPSOptions`, the iteration cap (MATPOWER's 150 when omitted).
     deadline:
         Optional absolute wall deadline (``time.monotonic()`` clock).
         Checked cooperatively between iterations; an expired deadline ends
@@ -135,7 +135,6 @@ def mips(
     Jacobian and Hessian patterns are fixed by the first evaluation (see the
     module docstring).
     """
-    opt = options or MIPSOptions()
     x0 = np.asarray(x0, dtype=float)
     nx = x0.size
     xmin = np.full(nx, -np.inf) if xmin is None else np.asarray(xmin, dtype=float)
@@ -165,7 +164,7 @@ def mips(
         n_eq_nl, n_ineq_nl = jg.matrix.shape[0], jh.matrix.shape[0]
     if hess_fcn is not None:
         hess = _Template(
-            "Hessian", hess_fcn(x, np.ones(n_eq_nl), np.ones(n_ineq_nl), opt.cost_mult), nx
+            "Hessian", hess_fcn(x, np.ones(n_eq_nl), np.ones(n_ineq_nl)), nx
         )
     elif len(last[1]) != 3:
         raise ValueError("no Hessian available: provide hess_fcn or a 3-tuple objective")
@@ -182,10 +181,10 @@ def mips(
         h = np.asarray(h, dtype=float)[None, :]
         return g, h, jg.plane(Jg), jh.plane(Jh)
 
-    def hess_rows(X, lam_nl, mu_nl, cost_mult, idx):
+    def hess_rows(X, lam_nl, mu_nl, idx):
         if hess_fcn is not None:
-            return hess.plane(hess_fcn(X[0], lam_nl[0], mu_nl[0], cost_mult))
-        return hess.plane(objective(X[0])[2]) * cost_mult
+            return hess.plane(hess_fcn(X[0], lam_nl[0], mu_nl[0]))
+        return hess.plane(objective(X[0])[2])
 
     def row(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None if v is None else np.asarray(v, dtype=float)[None, :]
@@ -202,12 +201,11 @@ def mips(
             hess.matrix,
             xmin,
             xmax,
-            opt.bound_eq_tol,
         ),
         lam0=row(lam0),
         mu0=row(mu0),
         z0=row(z0),
-        options=opt,
+        options=options,
         deadline=deadline,
     )
     return result

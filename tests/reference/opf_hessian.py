@@ -2,7 +2,7 @@
 
 MIPS takes exact Newton steps, so it needs the Hessian of::
 
-    L(x, λ, µ) = σ·f(x) + λᵀ g(x) + µᵀ h(x)
+    L(x, λ, µ) = f(x) + λᵀ g(x) + µᵀ h(x)
 
 with respect to ``x``.  The cost contributes a diagonal block in ``Pg``; the
 power-balance and branch-flow constraints contribute blocks in ``(Va, Vm)``
@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from repro.opf.costs import objective_hessian_diag
 from repro.opf.model import OPFModel
 from reference.powerflow_hessians import d2ASbr_dV2, d2Sbus_dV2
-from repro.utils.sparse import CachedBmat
 
 
 def hessian_blocks(
@@ -28,7 +27,6 @@ def hessian_blocks(
     x: np.ndarray,
     lam_nl: np.ndarray,
     mu_nl: np.ndarray,
-    cost_mult: float = 1.0,
 ):
     """Evaluate the Lagrangian-Hessian kernel blocks at ``x``.
 
@@ -46,7 +44,7 @@ def hessian_blocks(
     # Diagonal Pg block of the objective Hessian in the (Pg, Qg) corner; the
     # Qg half is structurally zero but kept explicit so the pattern is fixed.
     diag_gg = np.zeros(2 * ng)
-    diag_gg[:ng] = objective_hessian_diag(model, x) * cost_mult
+    diag_gg[:ng] = objective_hessian_diag(model, x)
     gg_idx = np.arange(2 * ng)
     Dgg = sp.csr_matrix((diag_gg, (gg_idx, gg_idx)), shape=(2 * ng, 2 * ng))
 
@@ -87,7 +85,6 @@ def lagrangian_hessian(
     x: np.ndarray,
     lam_nl: np.ndarray,
     mu_nl: np.ndarray,
-    cost_mult: float = 1.0,
 ) -> sp.csr_matrix:
     """Hessian of the Lagrangian w.r.t. the optimisation vector.
 
@@ -98,12 +95,13 @@ def lagrangian_hessian(
     The ``(Va, Vm)`` kernel blocks and the diagonal ``Pg`` cost block are
     assembled into one block matrix.
     """
-    Haa, Hav, Hva, Hvv, Dgg = hessian_blocks(model, x, lam_nl, mu_nl, cost_mult)
-    return CachedBmat("csr").assemble(
+    Haa, Hav, Hva, Hvv, Dgg = hessian_blocks(model, x, lam_nl, mu_nl)
+    return sp.bmat(
         [
             [Haa, Hav, None],
             [Hva, Hvv, None],
             [None, None, Dgg],
-        ]
+        ],
+        format="csr",
     )
 

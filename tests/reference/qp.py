@@ -67,8 +67,8 @@ def qps_mips(
         h = Ai @ x - bi
         return g, h, Ae, Ai
 
-    def hess_fcn(x, lam_nl, mu_nl, cost_mult):
-        return Hs * cost_mult
+    def hess_fcn(x, lam_nl, mu_nl):
+        return Hs
 
     x_start = np.zeros(nx) if x0 is None else np.asarray(x0, dtype=float)
     return mips(

@@ -14,11 +14,9 @@ import pytest
 
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import MIPSOptions
 from repro.opf import (
     CERTIFICATE_TOL,
     OPFModel,
-    OPFOptions,
     WarmStart,
     certify_opf,
     solve_opf_batch,
@@ -102,24 +100,22 @@ def test_complementarity_uses_recomputed_h_not_z(solved):
     assert not certify_opf(case, replace(solution, z=-solution.z), Pd, Qd).holds()
 
 
-def test_certificate_follows_the_solve_options():
-    """The certificate checks the problem the solve's options posed: with
-    ``cost_mult`` the multipliers carry the objective scaling, and with
-    ``flow_limits="none"`` there are no flow rows."""
-    case = get_case("case9")  # every branch is rated
+def test_certificate_of_a_case_without_flow_rows():
+    """A case whose ``rate_a`` are all zero poses no flow rows: its solve
+    returns bound rows only and is certified on its own case, while the
+    rated case's layout does not fit it."""
+    rated = get_case("case9")  # every branch is rated
+    case = rated.copy()
+    case.branch.rate_a[:] = 0.0
     (sample,) = sample_loads(case, 1, variation=0.05, seed=23)
-    scaled = OPFOptions(mips=MIPSOptions(cost_mult=0.01))
-    unlimited = OPFOptions(flow_limits="none")
-    for options in (scaled, unlimited):
-        (row,) = solve_opf_batch(case, sample.Pd[None], sample.Qd[None], options=options)
-        assert row.success
-        certificate = certify_opf(case, row, sample.Pd, sample.Qd, options=options)
-        assert certificate.holds(), certificate
-        if options is scaled:
-            assert certify_opf(case, row, sample.Pd, sample.Qd).stationarity > 100 * CERTIFICATE_TOL
-        else:
-            with pytest.raises(ValueError, match="fit neither"):
-                certify_opf(case, row, sample.Pd, sample.Qd)
+    (row,) = solve_opf_batch(case, sample.Pd[None], sample.Qd[None])
+    assert row.success
+    assert row.mu.size == OPFModel(case).batched.plan.partition.n_ineq
+    assert OPFModel(case).n_ineq_nonlin == 0
+    certificate = certify_opf(case, row, sample.Pd, sample.Qd)
+    assert certificate.holds(), certificate
+    with pytest.raises(ValueError, match="fit neither"):
+        certify_opf(rated, row, sample.Pd, sample.Qd)
 
 
 # ----------------------------------------------------------- outage layouts

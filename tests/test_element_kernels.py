@@ -62,7 +62,7 @@ def test_element_planes_match_matrix_form(case_name):
     batched = BatchedOPFModel(model)
     X, Pd, Qd, lam, mu = _random_point(case, model, 3, seed=1)
     G, H, Jg, Jh = batched.constraints(X, Pd / case.base_mva, Qd / case.base_mva)
-    Hd = batched.hessian(X, lam, mu, cost_mult=1.0)
+    Hd = batched.hessian(X, lam, mu)
     for b in range(X.shape[0]):
         g, h, Jg_ref, Jh_ref = constraint_function(model, Pd[b], Qd[b])(X[b])
         _assert_close(G[b], g, "G")
@@ -90,7 +90,7 @@ def test_outage_rows_match_structural_model_on_shared_pattern(case_name):
     X, Pd, Qd, lam, mu = _random_point(case, model, len(outages), seed=2)
     mask = batched.in_service(outages)
     G, H, Jg, Jh = batched.constraints(X, Pd / case.base_mva, Qd / case.base_mva, mask)
-    Hd = batched.hessian(X, lam, mu, cost_mult=1.0, in_service=mask)
+    Hd = batched.hessian(X, lam, mu, in_service=mask)
 
     lim = model.limited_branches
     for b, branches in enumerate(outages):
@@ -139,13 +139,13 @@ def test_element_rows_independent_of_batch_bitwise(case_name):
     mask = batched.in_service(outages)
     Pp, Qp = Pd / case.base_mva, Qd / case.base_mva
     together = batched.constraints(X, Pp, Qp, mask) + (
-        batched.hessian(X, lam, mu, 1.0, mask),
+        batched.hessian(X, lam, mu, mask),
     )
     for b, branches in enumerate(outages):
         row = slice(b, b + 1)
         alone_mask = batched.in_service([branches])
         alone = batched.constraints(X[row], Pp[row], Qp[row], alone_mask) + (
-            batched.hessian(X[row], lam[row], mu[row], 1.0, alone_mask),
+            batched.hessian(X[row], lam[row], mu[row], alone_mask),
         )
         if not branches:
             assert alone_mask is None  # intact rows alone take the unmasked path

@@ -6,6 +6,8 @@ heads and the normalizer statistics), so a deployment can be reconstructed
 without retraining and without numerical drift.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,37 @@ from repro.nn.serialization import (
 @pytest.fixture(scope="module")
 def engine9(trained_trainer9):
     return WarmStartEngine.from_trainer(trained_trainer9)
+
+
+#: ``opf_options`` as artifacts stored it before the OPF problem was fixed:
+#: ``flow_limits`` and ``init`` beside all thirteen MIPS fields, at their
+#: defaults.
+LEGACY_OPF_OPTIONS = {
+    "flow_limits": "S",
+    "init": "case",
+    "mips": {
+        "feastol": 1e-6,
+        "gradtol": 1e-6,
+        "comptol": 1e-6,
+        "costtol": 1e-6,
+        "max_it": 150,
+        "xi": 0.99995,
+        "sigma": 0.1,
+        "z0": 1.0,
+        "cost_mult": 1.0,
+        "bound_eq_tol": 1e-10,
+        "max_stepsize": 1e10,
+        "record_history": True,
+        "verbose": False,
+    },
+}
+
+
+def _legacy_artifact(path, tmp_path, name, opf_options):
+    """A copy of the artifact at ``path`` storing ``opf_options``."""
+    arrays, meta = load_bundle(path)
+    meta["opf_options"] = opf_options
+    return save_bundle(tmp_path / f"{name}.npz", arrays, meta)
 
 
 # ------------------------------------------------------------- nn/serialization
@@ -131,28 +164,57 @@ def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture
 
 
 def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
-    """Older artifacts persisted ``MIPSOptions.kkt_factor_threads``,
+    """Older artifacts nested thirteen MIPS fields beside ``flow_limits`` and
+    ``init``; older still, they persisted ``kkt_factor_threads``,
     ``kkt_refine_steps`` and the KKT backend choice with its settings
     (``kkt_solver``, retired backend names included, ``kkt_reg``,
-    ``kkt_max_retries``).  The fields are gone, so the keys are dropped on
-    load and the engine serves on the one KKT solve, as a fresh one does."""
+    ``kkt_max_retries``).  Switches that are gone (those, ``record_history``,
+    ``verbose``) are dropped on load and the engine serves as a fresh one
+    does, bitwise.  A stored setting that is fixed now but holds another
+    value poses a different problem: loading names it in an ``ArtifactError``."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
-    arrays, meta = load_bundle(path)
-    meta["opf_options"]["mips"]["kkt_factor_threads"] = 2
-    meta["opf_options"]["mips"]["kkt_refine_steps"] = 0
-    meta["opf_options"]["mips"]["kkt_reg"] = 1e-6
-    meta["opf_options"]["mips"]["kkt_max_retries"] = 1
+    assert load_bundle(path)[1]["opf_options"] == {"max_it": 150}
     loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
     with load_artifact(path, case9_fixture) as fresh:
         (want,) = fresh.serve_loads(*loads).outcomes
+    layouts = {"parent": LEGACY_OPF_OPTIONS}
     for backend in ("factorized", "ldl", "blockdiag", "spsolve"):
-        meta["opf_options"]["mips"]["kkt_solver"] = backend
-        legacy = save_bundle(tmp_path / f"{backend}.npz", arrays, meta)
+        stored = layouts[backend] = copy.deepcopy(LEGACY_OPF_OPTIONS)
+        stored["mips"].update(
+            record_history=False, verbose=True, kkt_factor_threads=2, kkt_refine_steps=0,
+            kkt_reg=1e-6, kkt_max_retries=1, kkt_solver=backend,
+        )
+    for name, stored in layouts.items():
+        legacy = _legacy_artifact(path, tmp_path, name, stored)
         with load_artifact(legacy, case9_fixture) as reloaded:
             assert reloaded.opf_options == engine9.opf_options
             (got,) = reloaded.serve_loads(*loads).outcomes
         assert got.converged
         assert (got.iterations, got.final_iterations) == (want.iterations, want.final_iterations)
+        assert got.final_objective.hex() == want.final_objective.hex()
+
+    for name, value in (("flow_limits", "none"), ("init", "flat"), ("cost_mult", 0.01),
+                        ("bound_eq_tol", 1e-8), ("feastol", 1e-8), ("costtol", 1e-4)):
+        other = copy.deepcopy(LEGACY_OPF_OPTIONS)
+        (other if name in other else other["mips"])[name] = value
+        legacy = _legacy_artifact(path, tmp_path, f"other-{name}", other)
+        with pytest.raises(ArtifactError, match=name):
+            load_artifact(legacy, case9_fixture)
+
+
+@pytest.mark.parametrize("max_it", [0, 2.5, True, "150"])
+def test_artifact_with_an_invalid_iteration_cap_raises_artifact_error(
+    engine9, case9_fixture, tmp_path, max_it
+):
+    """A stored cap that ``MIPSOptions`` rejects is a malformed artifact,
+    whichever layout stored it."""
+    path = engine9.save_artifact(tmp_path / "engine.npz")
+    nested = copy.deepcopy(LEGACY_OPF_OPTIONS)
+    nested["mips"]["max_it"] = max_it
+    for name, stored in (("flat", {"max_it": max_it}), ("nested", nested)):
+        legacy = _legacy_artifact(path, tmp_path, name, stored)
+        with pytest.raises(ArtifactError, match="max_it"):
+            load_artifact(legacy, case9_fixture)
 
 
 @pytest.mark.parametrize("budget", [None, 0.5])
@@ -160,10 +222,10 @@ def test_artifact_with_retired_wall_budget_loads(engine9, case9_fixture, tmp_pat
     """Older artifacts persisted ``MIPSOptions.max_wall_seconds``; time bounds
     are per-call deadlines now, so the key is dropped on load, set or not."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
-    arrays, meta = load_bundle(path)
-    assert "max_wall_seconds" not in meta["opf_options"]["mips"]
-    meta["opf_options"]["mips"]["max_wall_seconds"] = budget
-    legacy = save_bundle(tmp_path / "legacy.npz", arrays, meta)
+    assert "max_wall_seconds" not in load_bundle(path)[1]["opf_options"]
+    stored = copy.deepcopy(LEGACY_OPF_OPTIONS)
+    stored["mips"]["max_wall_seconds"] = budget
+    legacy = _legacy_artifact(path, tmp_path, "legacy", stored)
     with load_artifact(legacy, case9_fixture) as reloaded:
         assert reloaded.opf_options == engine9.opf_options
         sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])

@@ -7,7 +7,7 @@ import pytest
 
 from repro.engine import WarmStartEngine
 from repro.data import generate_dataset
-from repro.opf import OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
+from repro.opf import WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.mips.options import MIPSOptions
 from repro.mtl import MTLTrainer, SmartPGSimMTL, TaskDimensions, fast_config
 from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios
@@ -124,9 +124,13 @@ def test_sweep_fallback_recovers_failed_warm_solve(case9_fixture):
 
 def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
     """Warm-attempt numbers stay honest when the fallback runs (the old conflation bug)."""
-    engine = WarmStartEngine.from_trainer(
-        trained_trainer9,
-        opf_options=OPFOptions(mips=MIPSOptions(max_it=1)),
+    engine = WarmStartEngine(
+        trained_trainer9.opf_model.case,
+        trained_trainer9.network,
+        trained_trainer9.normalizer,
+        config=trained_trainer9.config,
+        opf_options=MIPSOptions(max_it=1),
+        opf_model=trained_trainer9.opf_model,
     )
     evaluation = engine.evaluate(dataset9, max_problems=3)
     assert evaluation.fallback_rate == 1.0

@@ -60,8 +60,8 @@ def _qp_callbacks(H, c, Aeq, beq, Ain, bin_):
         Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, idx)])
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     return f_fcn, gh_fcn, hess_fcn
 

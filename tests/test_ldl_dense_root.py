@@ -267,7 +267,7 @@ def test_artifact_saved_on_the_reference_backend_serves_on_ldl(
     with WarmStartEngine.from_trainer(trained_trainer9) as engine:
         path = engine.save_artifact(tmp_path / "current.npz")
     arrays, meta = load_bundle(path)
-    meta["opf_options"]["mips"]["kkt_solver"] = "factorized"
+    meta["opf_options"] = {"flow_limits": "S", "init": "case", "mips": {"kkt_solver": "factorized"}}
     legacy = save_bundle(tmp_path / "factorized.npz", arrays, meta)
     loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
     with load_artifact(legacy, case9_fixture) as loaded, load_artifact(path, case9_fixture) as fresh:

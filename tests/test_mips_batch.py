@@ -20,7 +20,6 @@ from repro.mips import LockstepPlan, MIPSOptions, mips_batch
 from repro.opf import (
     BatchedOPFModel,
     OPFModel,
-    OPFOptions,
     WarmStart,
     certify_opf,
     solve_opf,
@@ -81,8 +80,8 @@ def test_qp_batch_matches_scalar():
         Hc = np.einsum("bij,bj->bi", Ain[idx], X) - bin_[idx]
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     results = mips_batch(
         f_fcn,
@@ -142,7 +141,7 @@ def test_batched_opf_model_matches_scalar_evaluation():
     G, H, Jg_data, Jh_data = batched.constraints(X, Pd / case.base_mva, Qd / case.base_mva)
     lam = rng.standard_normal((batch, 2 * case.n_bus))
     mu = np.abs(rng.standard_normal((batch, model.n_ineq_nonlin)))
-    Hdata = batched.hessian(X, lam, mu, cost_mult=1.0)
+    Hdata = batched.hessian(X, lam, mu)
 
     scalar_model = OPFModel(case)
     from repro.opf.costs import objective as scalar_objective
@@ -229,7 +228,7 @@ def test_mixed_batch_with_cold_warm_and_divergent():
     warm = nominal.warm_start()
     Pd = np.stack([case.bus.Pd * 1.02, case.bus.Pd, case.bus.Pd * 15.0])
     Qd = np.stack([case.bus.Qd * 1.02, case.bus.Qd, case.bus.Qd * 15.0])
-    options = OPFOptions(mips=MIPSOptions(max_it=40))
+    options = MIPSOptions(max_it=40)
     batch = solve_opf_batch(
         case, Pd, Qd, warm_starts=[None, warm, None], options=options, model=model
     )
@@ -336,8 +335,8 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True, rows
         Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, idx)])
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
     return f_fcn, np.zeros((c.shape[0], nx)), kwargs
@@ -412,12 +411,12 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
     * ``nonfinite_step`` / ``exploded_step`` — the gradient of the second
       evaluation (after iteration 1's step) is shifted by ``inf`` / ``1e14``,
       so iteration 2's Newton step is non-finite / far beyond
-      ``max_stepsize``;
+      ``MAX_STEPSIZE``;
     * ``nonfinite_iterate`` — ``x0`` holds a NaN the callbacks read as 0,
       so every step is finite but the iterate never is;
     * ``diverged_iterate`` — the QP is translated by ``2e10`` along ``x₀``
       and started at its translated origin: small steps, iterate norm beyond
-      ``max_stepsize``.
+      ``MAX_STEPSIZE``.
 
     Callbacks loop row by row and count evaluations per row, so a row sees
     the same calls whichever rows share its batch.  ``rows`` keeps only
@@ -470,8 +469,8 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
         Hc = np.stack([Ain[j] @ view(x, j) - bin_[j] for x, j in zip(X, idx)])
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
     return f_fcn, x0, kwargs
@@ -549,8 +548,8 @@ def test_batch_all_slots_singular_still_recovers():
             Ain[idx].reshape(idx.size, -1),
         )
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     for backend in ("factorized", "ldl"):
         with kkt_solve(backend):

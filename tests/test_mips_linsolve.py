@@ -1,5 +1,5 @@
 """Tests of the KKT solve against its SuperLU reference, and of the sparse
-structure caches.
+block-assembly helpers.
 
 ``LDLSolver`` is the one KKT solve; :class:`reference.kkt.FactorizedSolver`
 is the independent reference it must agree with, system by system and, put
@@ -14,14 +14,11 @@ import scipy.sparse as sp
 from reference.kkt import BACKENDS, FactorizedSolver, kkt_solve
 from reference.qp import qps_mips
 from repro.mips import KKTSolveError, LDLSolver
-from repro.utils.sparse import (
-    CachedBmat,
-    col_scaled_csr,
-    row_scaled_csr,
-)
+from repro.utils import planes
+from repro.utils.sparse import bmat_order, col_scaled_csr, row_scaled_csr
 
 
-# ------------------------------------------------------------- structure caches
+# ---------------------------------------------------------------- block assembly
 def _random_csr(rng, m, n, density=0.3, complex_=False):
     mat = sp.random(m, n, density=density, random_state=rng, format="csr")
     if complex_:
@@ -31,52 +28,50 @@ def _random_csr(rng, m, n, density=0.3, complex_=False):
     return mat
 
 
-def test_cached_bmat_matches_scipy_bmat():
+def _assert_same_matrix(got, want):
+    assert got.format == want.format and got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_bmat_order_matches_scipy_bmat():
+    """The template is ``sp.bmat``'s matrix, in CSR and in CSC, and gathering
+    the blocks' data through the order rebuilds ``sp.bmat`` for new values on
+    the same patterns, one plane row per set of values."""
     rng = np.random.RandomState(0)
     A = _random_csr(rng, 4, 5)
     B = _random_csr(rng, 4, 3)
     C = _random_csr(rng, 2, 5)
-    cache = CachedBmat("csr")
-    blocks = [[A, B], [C, None]]
-    out = cache.assemble(blocks)
-    ref = sp.bmat(blocks, format="csr")
-    assert np.allclose(out.toarray(), ref.toarray())
-    assert cache.misses == 1 and cache.hits == 0
-
-    # Same pattern, new values -> fast path, identical result.
     A2 = A.copy()
     A2.data = A2.data * 3.0 - 1.0
-    out2 = cache.assemble([[A2, B], [C, None]])
-    ref2 = sp.bmat([[A2, B], [C, None]], format="csr")
-    assert np.allclose(out2.toarray(), ref2.toarray())
-    assert cache.hits == 1
-
-    # The returned matrix owns its data: a later assemble must not mutate it.
-    before = out2.toarray()
-    cache.assemble([[A, B], [C, None]])
-    assert np.allclose(out2.toarray(), before)
-
-
-def test_cached_bmat_rebuilds_on_pattern_change():
-    rng = np.random.RandomState(1)
-    cache = CachedBmat("csc")
-    A = _random_csr(rng, 3, 3, density=0.5)
-    out = cache.assemble([[A]])
-    assert np.allclose(out.toarray(), A.toarray())
-    B = _random_csr(rng, 3, 3, density=0.9)
-    out = cache.assemble([[B]])
-    assert np.allclose(out.toarray(), B.toarray())
-    assert cache.misses == 2
+    data = [np.stack([A.data, A2.data]), np.stack([B.data] * 2), np.stack([C.data] * 2)]
+    for fmt in ("csr", "csc"):
+        template, order = bmat_order([[A, B], [C, None]], fmt)
+        _assert_same_matrix(template, sp.bmat([[A, B], [C, None]], format=fmt))
+        plane = planes.take(np.concatenate(data, axis=1), order)
+        for row, blocks in zip(plane, ([[A, B], [C, None]], [[A2, B], [C, None]])):
+            np.testing.assert_array_equal(row, sp.bmat(blocks, format=fmt).data)
+        # Blocks in another format are canonicalised: the order indexes
+        # their canonical CSR data.
+        _, csc_order = bmat_order([[A.tocsc(), B.tocsc()], [C.tocsc(), None]], fmt)
+        np.testing.assert_array_equal(csc_order, order)
 
 
-def test_cached_bmat_complex_and_empty_blocks():
+def test_bmat_order_complex_and_none_blocks():
     rng = np.random.RandomState(2)
     A = _random_csr(rng, 3, 4, complex_=True)
     Z = sp.csr_matrix((3, 2))
-    cache = CachedBmat("csr")
-    out = cache.assemble([[A, Z]])
-    ref = sp.bmat([[A, Z]], format="csr")
-    assert np.allclose(out.toarray(), ref.toarray())
+    D = _random_csr(rng, 2, 2, density=1.0)
+    blocks = [[A, Z], [None, D]]
+    template, order = bmat_order(blocks, "csr")
+    _assert_same_matrix(template, sp.bmat(blocks, format="csr"))
+    assert template.dtype == np.complex128
+    np.testing.assert_array_equal(np.concatenate([A.data, D.data])[order], template.data)
+    # Explicit zeros keep their slots: the pattern never depends on values.
+    E = sp.csr_matrix((np.array([0.0, 2.0]), np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2))
+    template, order = bmat_order([[E, None], [None, E]], "csc")
+    assert template.nnz == 4 and sorted(order) == [0, 1, 2, 3]
 
 
 def test_scaled_csr_helpers_match_diag_products():

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from reference.mips_solver import mips
 from reference.qp import qps_mips
 from repro.mips import LockstepPlan, MIPSOptions, mips_batch
-from repro.opf import OPFOptions
 from repro.parallel import SolverFleet
 
 
@@ -119,8 +118,8 @@ def _rosenbrock_constrained():
         Jh = np.array([[2 * x[0], 2 * x[1]]])
         return g, h, Jg, Jh
 
-    def hess_fcn(x, lam, mu, cost_mult):
-        H = cost_mult * np.array(
+    def hess_fcn(x, lam, mu):
+        H = np.array(
             [
                 [2 - 400 * (x[1] - 3 * x[0] ** 2), -400 * x[0]],
                 [-400 * x[0], 200.0],
@@ -156,7 +155,7 @@ def test_mips_nonlinear_equality_circle():
         g = np.array([x[0] ** 2 + x[1] ** 2 - 2.0])
         return g, np.zeros(0), sp.csr_matrix(np.array([[2 * x[0], 2 * x[1]]])), sp.csr_matrix((0, 2))
 
-    def hess_fcn(x, lam, mu, cost_mult):
+    def hess_fcn(x, lam, mu):
         return sp.csr_matrix((lam[0] if lam.size else 0.0) * 2 * np.eye(2))
 
     # The problem is non-convex (two stationary points); start in the basin of
@@ -180,12 +179,6 @@ def test_history_recording_and_conditions():
     final = res.history[-1]
     assert final.feascond < 1e-6
     assert final.gradcond < 1e-6
-
-
-def test_history_can_be_disabled():
-    opts = MIPSOptions(record_history=False)
-    res = qps_mips(2 * np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]], b_eq=[1.0], options=opts)
-    assert res.history == []
 
 
 def test_iteration_limit_reported():
@@ -220,13 +213,23 @@ def test_warm_start_dimension_validation():
 
 def test_options_validation():
     """Invalid options raise where they are built, ``replace`` included."""
-    for bad in ({"feastol": -1}, {"costtol": 0.0}, {"max_it": 0}, {"xi": 1.5},
-                {"sigma": 0.0}, {"z0": 0.0}):
-        with pytest.raises(ValueError):
-            MIPSOptions(**bad)
-        with pytest.raises(ValueError):
-            dataclasses.replace(MIPSOptions(), **bad)
-    MIPSOptions()  # defaults are valid
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_it"):
+            MIPSOptions(max_it=bad)
+        with pytest.raises(ValueError, match="max_it"):
+            dataclasses.replace(MIPSOptions(), max_it=bad)
+    assert MIPSOptions().max_it == 150  # MATPOWER's default
+    assert MIPSOptions(max_it=1).max_it == 1
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "5", None])
+def test_max_it_must_be_an_int(bad):
+    """A fractional cap once ran ``ceil(max_it)`` iterations and ``True``
+    ran one; the cap is an ``int`` (not a ``bool``) or construction fails."""
+    with pytest.raises(TypeError, match="max_it"):
+        MIPSOptions(max_it=bad)
+    with pytest.raises(TypeError, match="max_it"):
+        dataclasses.replace(MIPSOptions(), max_it=bad)
 
 
 def test_invalid_options_never_reach_a_fleet(case9_fixture):
@@ -235,7 +238,7 @@ def test_invalid_options_never_reach_a_fleet(case9_fixture):
     ``max_it=0`` once cost a 4-scenario case9 sweep 14 worker errors, 7
     retries and 4 quarantined rows.)"""
     with pytest.raises(ValueError, match="max_it"):
-        SolverFleet(case9_fixture, options=OPFOptions(mips=MIPSOptions(max_it=0)))
+        SolverFleet(case9_fixture, options=MIPSOptions(max_it=0))
 
 
 def test_bounds_shape_validation():
@@ -258,8 +261,8 @@ def test_dense_jacobian_callbacks_accepted():
         g = np.array([x[0] + x[1] - 1.0])
         return g, np.zeros(0), np.array([[1.0, 1.0]]), np.zeros((0, 2))
 
-    def hess_fcn(x, lam, mu, cost_mult):
-        return sp.csr_matrix(2 * np.eye(2) * cost_mult)
+    def hess_fcn(x, lam, mu):
+        return sp.csr_matrix(2 * np.eye(2))
 
     res = mips(f_fcn, np.zeros(2), gh_fcn=gh_fcn, hess_fcn=hess_fcn)
     assert res.converged
@@ -294,8 +297,8 @@ def test_mips_is_the_one_row_lockstep_solve():
         g, h, Jg, Jh = gh_fcn(X[0])
         return g[None, :], h[None, :], np.zeros((1, 0)), Jh.reshape(1, -1)
 
-    def hess_rows(X, lam, mu, cost_mult, idx):
-        return hess_fcn(X[0], lam[0], mu[0], cost_mult).reshape(1, -1)
+    def hess_rows(X, lam, mu, idx):
+        return hess_fcn(X[0], lam[0], mu[0]).reshape(1, -1)
 
     (alone,) = mips_batch(
         f_rows,

@@ -29,7 +29,7 @@ import repro.parallel.pool as pool
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.mips import MIPSOptions
-from repro.opf import OPFModel, OPFOptions, WarmStart, certify_opf, solve_opf, solve_opf_batch
+from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.parallel import (
     Scenario,
     SolverFleet,
@@ -258,7 +258,7 @@ def test_starved_cold_row_is_not_resolved(n_workers):
     model = OPFModel(case)
     outages = [(), PAIRS_118[0]]
     Pd, Qd = _loads(case, 2, seed=11)
-    starved = OPFOptions(mips=MIPSOptions(max_it=3))
+    starved = MIPSOptions(max_it=3)
     cold = solve_opf_batch(case, Pd, Qd, options=starved, model=model, outages=outages)
     warm = _poisoned(solve_opf_batch(case, Pd, Qd, model=model, outages=outages)[1].warm_start())
     scenarios = [Scenario(i, Pd[i], Qd[i], outage_branches=b) for i, b in enumerate(outages)]

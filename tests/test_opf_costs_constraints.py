@@ -12,6 +12,7 @@ from repro.opf import (
     power_balance,
     total_cost,
 )
+from repro.opf.model import rated_branches
 
 
 # ------------------------------------------------------------------------- costs
@@ -125,11 +126,16 @@ def test_branch_flow_jacobian_matches_fd(opf_model9, rng):
 
 
 def test_flow_limits_none_disables_inequalities(case9_fixture):
-    model = OPFModel(case9_fixture, flow_limits="none")
-    h, _ = branch_flow_limits(model, model.default_start())
-    assert h.size == 0
-
-
-def test_flow_limits_invalid_mode(case9_fixture):
-    with pytest.raises(ValueError):
-        OPFModel(case9_fixture, flow_limits="I")
+    """A branch is rated when it is in service with ``rate_a > 0``: zeroed
+    ratings leave no flow rows, and an outaged branch drops its two."""
+    unrated = case9_fixture.copy()
+    unrated.branch.rate_a[:] = 0.0
+    model = OPFModel(unrated)
+    h, Jh = branch_flow_limits(model, model.default_start())
+    assert h.size == 0 and Jh.shape == (0, model.idx.nx)
+    assert rated_branches(unrated).size == 0
+    outaged = case9_fixture.copy()
+    outaged.branch.status[3] = 0
+    assert rated_branches(outaged).tolist() == [0, 1, 2, 4, 5, 6, 7, 8]
+    h, _ = branch_flow_limits(OPFModel(outaged), OPFModel(outaged).default_start())
+    assert h.size == 2 * 8

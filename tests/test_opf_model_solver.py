@@ -7,7 +7,6 @@ from reference.opf_hessian import lagrangian_hessian
 from repro.mips import MIPSOptions
 from repro.opf import (
     OPFModel,
-    OPFOptions,
     WarmStart,
     solve_opf,
 )
@@ -56,12 +55,6 @@ def test_default_start_within_bounds(case30s_fixture):
     assert np.all(x0[finite] >= xmin[finite] - 1e-12)
     finite = np.isfinite(xmax)
     assert np.all(x0[finite] <= xmax[finite] + 1e-12)
-
-
-def test_flat_start_profile(opf_model9):
-    x0 = opf_model9.flat_start()
-    assert np.allclose(x0[opf_model9.idx.va], 0)
-    assert np.allclose(x0[opf_model9.idx.vm], 1)
 
 
 # ----------------------------------------------------------------- Hessian checks
@@ -149,11 +142,13 @@ def test_load_override_changes_solution(case9_fixture, opf_model9, opf_solution9
     assert heavier.objective > opf_solution9.objective
 
 
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        OPFOptions(flow_limits="bogus")
-    with pytest.raises(ValueError):
-        OPFOptions(init="bogus")
+def test_solver_options_validation(case9_fixture, opf_model9):
+    """The iteration cap is the one solver option: checked when built, and
+    a solve stops at it."""
+    with pytest.raises(ValueError, match="max_it"):
+        MIPSOptions(max_it=0)
+    capped = solve_opf(case9_fixture, options=MIPSOptions(max_it=2), model=opf_model9)
+    assert (capped.success, capped.iterations) == (False, 2)
 
 
 def test_model_case_mismatch_rejected(case9_fixture, case14_fixture, opf_model9):
@@ -176,10 +171,10 @@ def test_model_owns_one_batched_model_across_solves(case9_fixture):
     model = OPFModel(case9_fixture)
     solve_opf(case9_fixture, model=model)
     kernels = model.batched
-    plan = kernels.lockstep_plan(MIPSOptions().bound_eq_tol)
+    plan = kernels.plan
     solve_opf(case9_fixture, Pd_mw=case9_fixture.bus.Pd * 1.02, model=model)
     assert model.batched is kernels
-    assert kernels.lockstep_plan(MIPSOptions().bound_eq_tol) is plan
+    assert kernels.plan is plan
 
 
 def test_warm_x_of_the_wrong_length_rejected_naming_the_scenario(case9_fixture, opf_model9):

@@ -1,7 +1,7 @@
 """Warm-started and cold-started MIPS must reach the same OPF solution.
 
-This is the guard-rail for the structure-cached KKT fast path (and any future
-solver change): a warm start may only change *how fast* the solver gets to the
+This is the guard-rail for the planned KKT assembly (and any future solver
+change): a warm start may only change *how fast* the solver gets to the
 optimum, never *where* it lands.  Exercised on the bundled IEEE cases with
 the KKT solve and with its SuperLU reference (:mod:`reference.kkt`).
 """
@@ -56,8 +56,8 @@ def test_backends_agree_warm_started(cold_and_model):
 
 
 def test_model_reuse_across_scenarios_matches_fresh_models(cold_and_model):
-    """The structure caches on a shared model must not leak state between
-    scenarios with different loads."""
+    """A model's kernels and lockstep plan, shared across solves, must not
+    leak state between scenarios with different loads."""
     case, model, _ = cold_and_model
     rng = np.random.default_rng(7)
     for _ in range(3):

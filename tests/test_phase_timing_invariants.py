@@ -97,8 +97,8 @@ def _qp_batch_callbacks(batch, nx, neq, niq, seed):
             Ain[idx].reshape(idx.size, -1),
         )
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     plan = LockstepPlan(
         nx,

@@ -125,7 +125,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.nn.schedulers": _SCHEDULERS,
     "repro.nn.serialization": ("save_module", "load_module", *_STATE_FILES),
     "repro.nn.tensor": ("stack_scalars",),
-    "repro.opf": ("hessian_blocks", "lagrangian_hessian"),
+    "repro.opf": ("hessian_blocks", "lagrangian_hessian", "OPFOptions"),
     "repro.parallel": ("calibrate_from_inference", "run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.cluster": ("calibrate_from_inference",),
@@ -142,9 +142,9 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.powerflow.injections": ("bus_injection_batch", "branch_flows"),
     "repro.testing": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
-    "repro.utils": ("spawn_rngs", "Timer", "timed"),
+    "repro.utils": ("spawn_rngs", "Timer", "timed", "CachedBmat"),
     "repro.utils.rng": ("spawn_rngs",),
-    "repro.utils.sparse": ("csr_from_template", "csc_from_template"),
+    "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat"),
     "reference.faults": ("swap_fault",),
 }
 
@@ -157,6 +157,7 @@ GONE_MODULES: Tuple[str, ...] = (
     "repro.mips.qp",
     "repro.mips.solver",
     "repro.opf.hessian",
+    "repro.opf.options",
     "repro.powerflow.hessians",
     "repro.powerflow.newton",
     "repro.utils.timing",

@@ -35,9 +35,15 @@ publish a model.  And the Newton systems have one solve: ``MIPSOptions`` has
 no ``kkt_solver`` / ``kkt_reg`` / ``kkt_max_retries``, ``LDLSolver`` takes no
 parameters, the SuperLU reference lives in the tests, and a
 ``LockstepPlan`` is the only way to describe a problem to ``mips_batch``.
+And the OPF problem is fixed: no ``OPFOptions``, no flow-limit or start-point
+mode, and ``MIPSOptions`` holds only the iteration cap — the tolerances and
+step parameters are constants, ``cost_mult`` is gone from the solve and the
+Hessian callback, history is always recorded, and the sparse structure caches
+are gone.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -201,7 +207,6 @@ def test_one_recovery_rule():
     import repro.engine
     import repro.engine.engine
     import repro.opf
-    import repro.opf.options
 
     retired = (
         "FallbackPolicy",
@@ -218,7 +223,6 @@ def test_one_recovery_rule():
             assert not hasattr(module, name), (module.__name__, name)
     assert not set(retired) & set(repro.engine.__all__)
     assert not hasattr(repro.opf, "relaxed_options")
-    assert not hasattr(repro.opf.options, "relaxed_options")
 
 
 @pytest.mark.parametrize(
@@ -338,6 +342,58 @@ def test_one_dispatch_surface():
     ):
         with pytest.raises(AttributeError):
             getattr(owner, name)
+
+
+#: Every ``MIPSOptions`` field except the iteration cap, now constants or gone.
+RETIRED_MIPS_FIELDS = (
+    "feastol",
+    "gradtol",
+    "comptol",
+    "costtol",
+    "xi",
+    "sigma",
+    "z0",
+    "cost_mult",
+    "bound_eq_tol",
+    "max_stepsize",
+    "record_history",
+    "verbose",
+)
+
+
+def test_one_fixed_opf_problem(case9_fixture):
+    import repro.opf
+    from repro.core.convergence import capture_convergence_traces
+    from repro.core.sensitivity import run_sensitivity_study
+    from repro.mips import LockstepPlan
+    from repro.opf import BatchedOPFModel, OPFModel, certify_opf
+
+    assert [f.name for f in dataclasses.fields(MIPSOptions)] == ["max_it"]
+    for name in RETIRED_MIPS_FIELDS:
+        with pytest.raises(TypeError, match=name):
+            MIPSOptions(**{name: 1})
+    for call, keyword in (
+        (lambda: OPFModel(case9_fixture, flow_limits="S"), "flow_limits"),
+        (lambda: certify_opf(None, None, options=None), "options"),
+        (lambda: generate_dataset(None, 1, options=None), "options"),
+        (lambda: capture_convergence_traces(None, options=None), "options"),
+        (lambda: run_sensitivity_study(None, options=None), "options"),
+        (lambda: SmartPGSimConfig(opf=None), "opf"),
+        (lambda: WarmStartEngine.from_trainer(None, opf_options=None), "opf_options"),
+        (lambda: load_artifact(None, None, opf_options=None), "opf_options"),
+        (lambda: BatchedOPFModel.hessian(None, None, None, None, cost_mult=1.0), "cost_mult"),
+        (lambda: LockstepPlan(1, None, None, None, bound_eq_tol=1e-10), "bound_eq_tol"),
+    ):
+        with pytest.raises(TypeError, match=keyword):
+            call()
+    # The engine's ``opf_options`` (read by perfbench) is the MIPSOptions.
+    assert "opf_options" in inspect.signature(WarmStartEngine).parameters
+    assert not hasattr(repro.opf, "OPFOptions")
+    model = OPFModel(case9_fixture)
+    for name in ("flow_limits", "flat_start", "_pb_jac_cache", "_flow_jac_cache"):
+        assert not hasattr(model, name), name
+    assert not hasattr(BatchedOPFModel, "lockstep_plan")
+    assert not hasattr(model.batched.plan, "bound_eq_tol")
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

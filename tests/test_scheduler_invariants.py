@@ -123,8 +123,8 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, backend=None, deadli
         Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, idx)])
         return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
 
-    def hess_fcn(X, lam_nl, mu_nl, cost_mult, idx):
-        return (H[idx] * cost_mult).reshape(idx.size, -1)
+    def hess_fcn(X, lam_nl, mu_nl, idx):
+        return H[idx].reshape(idx.size, -1)
 
     plan = LockstepPlan(
         nx,
