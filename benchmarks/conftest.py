@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+import numpy as np
 import pytest
 
 from repro.core import SmartPGSim, SmartPGSimConfig
@@ -80,3 +81,24 @@ def ablation_variants(framework9):
     )
     mtl_plain.offline(dataset=dataset)
     return {"Sep models": separate, "MTL": mtl_plain, "Smart-PGSim": framework9}
+
+
+def _train_mean(framework, inputs_pu):
+    """The mean training solution, the same start for every row."""
+    n_rows = np.atleast_2d(inputs_pu).shape[0]
+    return {
+        task: np.repeat(values.mean(axis=0, keepdims=True), n_rows, axis=0)
+        for task, values in framework.artifacts.train_set.targets.items()
+    }
+
+
+@pytest.fixture(scope="session")
+def start_predictors():
+    """Per-task start predictions ``(framework, inputs_pu) -> {task: rows}``:
+    the paper's MTL, the engine's served kNN-4 retrieval start and the
+    train-mean constant, printed side by side by the figure modules."""
+    return {
+        "MTL": lambda fw, inputs_pu: fw.artifacts.trainer.predict_physical(inputs_pu),
+        "kNN-4": lambda fw, inputs_pu: fw.engine.predict_physical(inputs_pu),
+        "train mean": _train_mean,
+    }

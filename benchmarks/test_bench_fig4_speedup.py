@@ -3,11 +3,15 @@
 For each benchmark system the trained Smart-PGSim model warm-starts every
 validation problem; the bench prints the three series of Fig. 4 and checks the
 qualitative claims: SU > 1 with no optimality loss, a large iteration-count
-reduction, and a high warm-start success rate.
+reduction, and a high warm-start success rate.  Beside the MTL it prints the
+clock-free columns of two simple starts on the same problems: the engine's
+served kNN-4 retrieval start and the train-mean constant.
 """
 
 import pytest
 
+from repro.engine import evaluate_starts
+from repro.mtl import warm_starts_from_predictions
 from repro.opf import solve_opf
 
 
@@ -61,3 +65,21 @@ def test_bench_fig4_cold_solver_reference(frameworks):
         fw.case, Pd_mw=dataset.Pd_mw[0], Qd_mvar=dataset.Qd_mw[0], model=fw.opf_model
     )
     assert result.success
+
+
+def test_bench_fig4_start_baselines(frameworks, start_predictors):
+    """Fig. 4b/4c columns of the MTL beside the kNN-4 and train-mean starts."""
+    print("\nFigure 4 — iteration counts and success rate per warm start (clock-free)")
+    print(f"{'system':>8} {'start':>11} {'SR %':>6} {'iters warm':>11} {'iter ratio':>10} {'cost dev':>10}")
+    for name, fw in frameworks.items():
+        for start, predict in start_predictors.items():
+            ev = evaluate_starts(
+                fw.engine.fleet(),
+                fw.artifacts.validation_set,
+                lambda inputs_pu: warm_starts_from_predictions(predict(fw, inputs_pu), fw.opf_model),
+            )
+            print(
+                f"{name:>8} {start:>11} {100 * ev.success_rate:>6.1f} {ev.mean_iterations_warm:>11.2f} "
+                f"{ev.iteration_ratio:>10.2f} {ev.mean_cost_deviation:>10.2e}"
+            )
+            assert all(r.outcome.converged for r in ev.records), (name, start)

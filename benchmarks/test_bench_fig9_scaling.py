@@ -2,8 +2,8 @@
 
 The analytic cluster model is calibrated from the *measured* single-worker
 rate of the batched serving engine on this machine (the V100 cluster of the
-paper is not available): one :meth:`WarmStartEngine.serve` run covers batched
-MTL inference plus the warm-started solves, and its end-to-end
+paper is not available): one :meth:`WarmStartEngine.serve` run covers the
+served retrieval starts plus the warm-started solves, and its end-to-end
 scenarios/second seeds :meth:`ClusterModel.calibrate`.  The process-pool
 runner additionally exercises the real scatter/compute/gather path on a small
 scenario batch.

@@ -5,13 +5,18 @@ combinations on a small scenario batch) and prints the table.  The key shape
 properties of the paper's Table I are asserted: the all-default baseline and
 the precise-X rows keep a 100 % success rate, the all-precise row is by far
 the fastest, and a precise Z without a precise µ degrades convergence.
+A second table starts the same scenarios from predicted rather than precise
+data: the MTL beside the served kNN-4 retrieval start and the train mean.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import run_sensitivity_study
-from repro.grid import get_case
-from repro.opf import OPFModel, solve_opf
+from repro.grid import get_case, sample_loads
+from repro.mtl import warm_starts_from_predictions
+from repro.opf import OPFModel, solve_opf, solve_opf_batch
+from repro.parallel import Scenario, ScenarioSet
 
 
 def test_bench_table1_sensitivity():
@@ -51,3 +56,24 @@ def test_bench_table1_warm_vs_cold_solve():
     result = solve_opf(case, warm_start=cold.warm_start(), model=model)
     assert result.success
     assert result.iterations < cold.iterations
+
+
+def test_bench_table1_predicted_starts(framework9, start_predictors):
+    """All four signals predicted instead of precise, on Table I's scenarios."""
+    case = framework9.case
+    samples = sample_loads(case, 4, variation=0.1, seed=1)
+    rows = ScenarioSet(case.name, [Scenario(i, s.Pd, s.Qd) for i, s in enumerate(samples)])
+    Pd = np.vstack([s.Pd for s in rows])
+    Qd = np.vstack([s.Qd for s in rows])
+    cold = solve_opf_batch(case, Pd, Qd, model=framework9.opf_model)
+    print("\nTable I — predicted X, λ, µ, Z (case9, 4 scenarios)")
+    print(f"{'start':>11} {'SR %':>6} {'iters':>6}")
+    print(f"{'default':>11} {100 * np.mean([r.success for r in cold]):>6.1f} "
+          f"{np.mean([r.iterations for r in cold]):>6.1f}")
+    for start, predict in start_predictors.items():
+        predictions = predict(framework9, rows.feature_matrix(case.base_mva))
+        warm = warm_starts_from_predictions(predictions, framework9.opf_model)
+        results = solve_opf_batch(case, Pd, Qd, warm_starts=warm, model=framework9.opf_model)
+        print(f"{start:>11} {100 * np.mean([r.success for r in results]):>6.1f} "
+              f"{np.mean([r.iterations for r in results]):>6.1f}")
+        assert all(r.success for r in results), start

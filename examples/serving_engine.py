@@ -3,17 +3,22 @@
 
 The offline phase (ground-truth generation + MTL training) happens once; a
 deployed system then serves load scenarios from the saved artifact without
-ever retraining.  This example walks the full deployment loop:
+ever retraining.  The engine serves the retrieval start — the inverse-
+distance-weighted mean of the four nearest training solutions — which took
+fewer MIPS iterations than the MTL's prediction on the benchmark fixture; the
+MTL stays the paper's model behind ``online_evaluate`` and the figures.  This
+example walks the full deployment loop:
 
-1. train a small pipeline on the WSCC 9-bus system and wrap it in a
-   ``WarmStartEngine``,
-2. ``save_artifact`` → one ``.npz`` bundling model weights, normalizer
-   statistics, configuration and the case fingerprint,
+1. train a small pipeline on the WSCC 9-bus system and wrap its training
+   solutions in a ``WarmStartEngine``,
+2. ``save_artifact`` → one ``.npz`` bundling the retrieval table (training
+   loads and solutions), the iteration cap and the case fingerprint,
 3. ``load_artifact`` → a fresh engine reconstructed from disk (bit-identical
-   predictions, no retraining),
-4. serve a batch of scenarios: one batched MTL forward pass produces the warm
-   starts, the solver fleet dispatches the MIPS solves, and a failed warm
-   solve is re-solved from the solver default (the paper's cold restart),
+   starts, no retraining),
+4. serve a batch of scenarios: each intact row starts from its nearest
+   training solutions, a row with a branch outage starts cold, the solver
+   fleet dispatches the MIPS solves, and a failed warm solve is re-solved
+   from the solver default (the paper's cold restart),
 5. show that loading the artifact against the *wrong* grid is rejected.
 
 Run with ``python examples/serving_engine.py``.
@@ -63,10 +68,10 @@ def main() -> None:
             served.predict_physical(probe).values(),
         )
     )
-    print(f"Reloaded engine reproduces predictions bit-for-bit: {identical}")
+    print(f"Reloaded engine reproduces its warm starts bit-for-bit: {identical}")
 
     # ----------------------------------------------------------------- serving
-    print("\nServing a batch of 12 scenarios (2 with N-1 branch outages)...")
+    print("\nServing a batch of 12 scenarios (2 with N-1 branch outages, served cold)...")
     scenarios = generate_scenarios(case, 12, variation=0.1, contingency_fraction=0.15, seed=99)
     with served:
         sweep = served.serve(scenarios, n_workers=1)

@@ -1,6 +1,7 @@
-"""Batched warm-start serving engine: inference, fleet dispatch, persistence."""
+"""Batched warm-start serving engine: retrieval starts, fleet dispatch, persistence."""
 
-from repro.engine.records import OnlineEvaluation, OnlineRecord
+from repro.engine.records import OnlineEvaluation, OnlineRecord, evaluate_starts
+from repro.engine.retrieval import NearestSolutions
 from repro.engine.engine import ServingModel, WarmStartEngine
 from repro.engine.artifact import (
     ARTIFACT_VERSION,
@@ -15,8 +16,10 @@ from repro.engine.artifact import (
 __all__ = [
     "WarmStartEngine",
     "ServingModel",
+    "NearestSolutions",
     "OnlineRecord",
     "OnlineEvaluation",
+    "evaluate_starts",
     "ARTIFACT_VERSION",
     "ArtifactError",
     "ArtifactMismatchError",

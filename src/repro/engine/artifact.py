@@ -3,17 +3,18 @@
 An artifact is a single ``.npz`` bundle (see :mod:`repro.nn.serialization`)
 holding
 
-* the prediction network's parameters (full ``float64`` precision, so a
-  reloaded engine reproduces its predictions bit for bit),
-* the :class:`~repro.mtl.normalization.DatasetNormalizer` statistics,
-* the :class:`~repro.mtl.config.MTLConfig`, task dimensions, model type and
-  the MIPS iteration cap, and
-* a SHA-256 **fingerprint of the power-grid case** the model was trained on.
+* the :class:`~repro.engine.retrieval.NearestSolutions` table — the training
+  loads under ``starts/inputs`` and each task's solutions under
+  ``starts/<task>``, at full ``float64`` precision, so a reloaded engine
+  serves bit for bit what the saving one served,
+* the MIPS iteration cap, and
+* a SHA-256 **fingerprint of the power-grid case** the table was solved on.
 
-Loading verifies the fingerprint against the case the caller supplies: a
-model trained on one network topology produces meaningless warm starts for
-another, so a mismatch raises :class:`ArtifactMismatchError` instead of
-silently serving garbage.
+Loading verifies the fingerprint against the case the caller supplies:
+solutions of one network topology are meaningless warm starts for another,
+so a mismatch raises :class:`ArtifactMismatchError` instead of silently
+serving garbage.  Version 1 artifacts stored network weights instead of the
+table and cannot be served; loading one asks for a retrain.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.data.dataset import TASK_NAMES
 from repro.engine.engine import WarmStartEngine
+from repro.engine.retrieval import NearestSolutions
 from repro.grid.components import Case
 from repro.mips.options import (
     BOUND_EQ_TOL,
@@ -39,22 +42,13 @@ from repro.mips.options import (
     Z0,
     MIPSOptions,
 )
-from repro.mtl.config import MTLConfig
-from repro.mtl.model import SmartPGSimMTL, TaskDimensions
-from repro.mtl.normalization import DatasetNormalizer, MinMaxScaler
-from repro.mtl.separate import SeparateTaskNetworks
 from repro.nn.serialization import BundleIntegrityError, load_bundle, save_bundle
 from repro.opf.model import OPFModel
 
 #: Bumped on incompatible layout changes.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
-#: Persisted model-type tags → network classes.
-_MODEL_TYPES = {"mtl": SmartPGSimMTL, "separate": SeparateTaskNetworks}
-
-_PARAM_PREFIX = "param/"
-_NORM_INPUT_PREFIX = "norm/inputs/"
-_NORM_TASK_PREFIX = "norm/tasks/"
+_STARTS_PREFIX = "starts/"
 
 #: Settings older artifacts stored under ``opf_options`` that are fixed now,
 #: with the one value each may hold: another value poses a different problem.
@@ -110,50 +104,18 @@ def case_fingerprint(case: Case) -> str:
     return digest.hexdigest()
 
 
-def _model_type_of(network: object) -> str:
-    for tag, cls in _MODEL_TYPES.items():
-        if isinstance(network, cls):
-            return tag
-    raise ArtifactError(f"cannot persist network of type {type(network).__name__}")
-
-
 def save_artifact(engine: WarmStartEngine, path: Union[str, Path]) -> Path:
     """Write ``engine`` to a one-file artifact; returns the written path."""
-    dims = engine.network.dims
+    starts = engine.starts
     meta = {
         "artifact_version": ARTIFACT_VERSION,
         "case_name": engine.case.name,
         "case_fingerprint": case_fingerprint(engine.case),
-        "model_type": _model_type_of(engine.network),
-        "mtl_config": dataclasses.asdict(engine.config),
-        "dims": dataclasses.asdict(dims),
         "opf_options": dataclasses.asdict(engine.opf_options),
     }
-    arrays = {
-        _PARAM_PREFIX + name: value for name, value in engine.network.state_dict().items()
-    }
-    arrays[_NORM_INPUT_PREFIX + "lo"] = engine.normalizer.inputs.lo
-    arrays[_NORM_INPUT_PREFIX + "span"] = engine.normalizer.inputs.span
-    for task, scaler in engine.normalizer.tasks.items():
-        arrays[f"{_NORM_TASK_PREFIX}{task}/lo"] = scaler.lo
-        arrays[f"{_NORM_TASK_PREFIX}{task}/span"] = scaler.span
+    arrays = {_STARTS_PREFIX + task: values for task, values in starts.targets.items()}
+    arrays[_STARTS_PREFIX + "inputs"] = starts.inputs
     return save_bundle(path, arrays, meta)
-
-
-def _normalizer_from_arrays(arrays) -> DatasetNormalizer:
-    tasks = {}
-    for key in arrays:
-        if key.startswith(_NORM_TASK_PREFIX) and key.endswith("/lo"):
-            task = key[len(_NORM_TASK_PREFIX) : -len("/lo")]
-            tasks[task] = MinMaxScaler(
-                lo=arrays[key], span=arrays[f"{_NORM_TASK_PREFIX}{task}/span"]
-            )
-    return DatasetNormalizer(
-        inputs=MinMaxScaler(
-            lo=arrays[_NORM_INPUT_PREFIX + "lo"], span=arrays[_NORM_INPUT_PREFIX + "span"]
-        ),
-        tasks=tasks,
-    )
 
 
 def _stored_options(stored: dict) -> MIPSOptions:
@@ -200,7 +162,8 @@ def load_artifact(
     version = meta.get("artifact_version")
     if version != ARTIFACT_VERSION:
         raise ArtifactError(
-            f"unsupported artifact version {version!r} (this build reads {ARTIFACT_VERSION})"
+            f"unsupported artifact version {version!r} (this build reads {ARTIFACT_VERSION}); "
+            "retrain and save the engine again"
         )
     expected = meta["case_fingerprint"]
     actual = case_fingerprint(case)
@@ -212,28 +175,13 @@ def load_artifact(
             "with the case it was trained on, or retrain"
         )
 
-    cfg_dict = dict(meta["mtl_config"])
-    cfg_dict["shared_layer_scales"] = tuple(cfg_dict["shared_layer_scales"])
-    config = MTLConfig(**cfg_dict)
-    dims = TaskDimensions(**meta["dims"])
-    try:
-        network_cls = _MODEL_TYPES[meta["model_type"]]
-    except KeyError:
-        raise ArtifactError(f"unknown model type {meta['model_type']!r} in artifact") from None
-    network = network_cls(dims, config, seed=config.seed)
-    network.load_state_dict(
-        {
-            key[len(_PARAM_PREFIX) :]: value
-            for key, value in arrays.items()
-            if key.startswith(_PARAM_PREFIX)
-        }
+    starts = NearestSolutions(
+        inputs=arrays[_STARTS_PREFIX + "inputs"],
+        targets={task: arrays[_STARTS_PREFIX + task] for task in TASK_NAMES},
     )
-
     return WarmStartEngine(
         case,
-        network,
-        _normalizer_from_arrays(arrays),
-        config=config,
+        starts,
         opf_options=_stored_options(meta["opf_options"]),
         opf_model=opf_model,
     )

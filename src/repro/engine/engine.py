@@ -1,11 +1,17 @@
 """The batched warm-start serving engine.
 
-:class:`WarmStartEngine` is the deployable half of Smart-PGSim: a trained
-prediction network plus everything needed to turn load scenarios into solved
-AC-OPF problems at throughput —
+:class:`WarmStartEngine` is the deployable half of Smart-PGSim: a table of
+solved training problems plus everything needed to turn load scenarios into
+solved AC-OPF problems at throughput —
 
-* **batched MTL inference** — one forward pass covers a whole batch of load
-  vectors (``warm_starts_for``), instead of one per-row predict per scenario;
+* **retrieval warm starts** — each row starts from the inverse-distance-
+  weighted mean of its nearest training solutions
+  (:class:`~repro.engine.retrieval.NearestSolutions`, ``warm_starts_for``).
+  On the perfbench fixture that start takes fewer MIPS iterations than the
+  MTL's forward pass; the MTL stays the paper's model behind the figures
+  (:meth:`repro.core.framework.SmartPGSim.online_evaluate`).  A row that
+  carries an outage set is served cold: a warm start from intact solutions
+  loses its ``µ``/``Z`` on an outage row and costs more than a cold solve;
 * **one persistent solver fleet per worker count** — warm-started MIPS
   solves are dispatched across the :class:`~repro.parallel.pool.SolverFleet`
   workers, which stay alive across requests of every kind (a request's
@@ -14,13 +20,13 @@ AC-OPF problems at throughput —
   re-solved from the solver default inside the fleet worker, the paper's
   online procedure (see :class:`~repro.parallel.pool.WorkerState`);
 * **artifact persistence** — :meth:`save_artifact` /
-  :func:`repro.engine.artifact.load_artifact` bundle model weights,
-  normalizer statistics, configuration and a case fingerprint, so an engine
-  can be reconstructed from disk and serve requests without retraining.
+  :func:`repro.engine.artifact.load_artifact` bundle the retrieval table, the
+  iteration cap and a case fingerprint, so an engine can be reconstructed
+  from disk and serve requests without retraining.
 
 :meth:`~WarmStartEngine.serve`, :meth:`~WarmStartEngine.serve_trajectory`
 and :meth:`~WarmStartEngine.evaluate` share one path around the fleet: warm
-starts are predicted from the request's :class:`ServingModel` snapshot and
+starts come from the request's :class:`ServingModel` snapshot and
 every sweep is stamped with that snapshot's generation.  ``evaluate``
 additionally wraps each outcome in an
 :class:`~repro.engine.records.OnlineRecord` with the dataset's cold reference.
@@ -35,7 +41,6 @@ orchestrator over this class.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -43,13 +48,11 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.data.dataset import OPFDataset
-from repro.engine.records import OnlineEvaluation, OnlineRecord
+from repro.engine.records import OnlineEvaluation, evaluate_starts
+from repro.engine.retrieval import NearestSolutions
 from repro.grid.components import Case
 from repro.mips.options import MIPSOptions
-from repro.mtl.config import MTLConfig
-from repro.mtl.normalization import DatasetNormalizer
-from repro.mtl.trainer import MTLTrainer, predict_physical, warm_starts_from_predictions
-from repro.nn.modules import Module
+from repro.mtl.trainer import MTLTrainer, warm_starts_from_predictions
 from repro.opf.model import OPFModel
 from repro.opf.warmstart import WarmStart
 from repro.parallel.pool import SolverFleet, SweepResult
@@ -71,35 +74,32 @@ class ServingModel:
     with — every request is served by a *pure* generation, never a hybrid.
     """
 
-    network: Module
-    normalizer: DatasetNormalizer
-    config: MTLConfig
+    starts: NearestSolutions
     generation: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.starts, NearestSolutions):
+            raise TypeError(
+                f"an engine serves a NearestSolutions table, not {type(self.starts).__name__}"
+            )
 
 
 class WarmStartEngine:
-    """Serves batches of load scenarios with MTL warm starts and a solver fleet."""
+    """Serves batches of load scenarios with retrieval warm starts and a solver fleet."""
 
     def __init__(
         self,
         case: Case,
-        network: Module,
-        normalizer: DatasetNormalizer,
-        config: Optional[MTLConfig] = None,
+        starts: NearestSolutions,
         opf_options: Optional[MIPSOptions] = None,
         opf_model: Optional[OPFModel] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
     ):
         self.case = case
-        #: The published model generation.  Swapped atomically by
-        #: :meth:`hot_swap`; read it through the ``network`` / ``normalizer``
-        #: / ``config`` / ``generation`` properties.
-        self._serving = ServingModel(
-            network=network,
-            normalizer=normalizer,
-            config=config or getattr(network, "config", MTLConfig()),
-        )
+        #: The published generation.  Swapped atomically by :meth:`hot_swap`;
+        #: read it through the ``starts`` / ``generation`` properties.
+        self._serving = ServingModel(starts)
         self._swap_lock = threading.Lock()
         #: The MIPS settings of every solve (the iteration cap).
         self.opf_options = opf_options or MIPSOptions()
@@ -113,32 +113,17 @@ class WarmStartEngine:
 
     # ------------------------------------------------------------ serving state
     @property
-    def network(self) -> Module:
-        """The live generation's prediction network."""
-        return self._serving.network
-
-    @property
-    def normalizer(self) -> DatasetNormalizer:
-        """The live generation's normalizer statistics."""
-        return self._serving.normalizer
-
-    @property
-    def config(self) -> MTLConfig:
-        """The live generation's MTL configuration."""
-        return self._serving.config
+    def starts(self) -> NearestSolutions:
+        """The live generation's retrieval table."""
+        return self._serving.starts
 
     @property
     def generation(self) -> int:
         """Monotonic model-generation counter (0 at construction)."""
         return self._serving.generation
 
-    def hot_swap(
-        self,
-        network: Module,
-        normalizer: DatasetNormalizer,
-        config: Optional[MTLConfig] = None,
-    ) -> int:
-        """Atomically publish a new model generation; returns its number.
+    def hot_swap(self, starts: NearestSolutions) -> int:
+        """Atomically publish a new retrieval table; returns its generation.
 
         The next :class:`ServingModel` is built completely before being
         published in one reference assignment, so there is no instant at which
@@ -148,12 +133,7 @@ class WarmStartEngine:
         """
         with self._swap_lock:
             incumbent = self._serving
-            self._serving = ServingModel(
-                network=network,
-                normalizer=normalizer,
-                config=config or getattr(network, "config", incumbent.config),
-                generation=incumbent.generation + 1,
-            )
+            self._serving = ServingModel(starts, generation=incumbent.generation + 1)
             published = self._serving
         LOGGER.info(
             "%s: hot-swapped serving model to generation %d",
@@ -165,36 +145,42 @@ class WarmStartEngine:
     # -------------------------------------------------------------- constructors
     @classmethod
     def from_trainer(cls, trainer: MTLTrainer) -> "WarmStartEngine":
-        """Build an engine that shares a trained :class:`MTLTrainer`'s state."""
+        """Build an engine serving the training solutions of a :class:`MTLTrainer`."""
         return cls(
             trainer.opf_model.case,
-            trainer.network,
-            trainer.normalizer,
-            config=trainer.config,
+            NearestSolutions.from_dataset(trainer.dataset),
             opf_model=trainer.opf_model,
         )
 
     # ---------------------------------------------------------------- inference
     def predict_physical(self, inputs_pu: np.ndarray) -> Dict[str, np.ndarray]:
-        """Batched inference for raw p.u. load vectors; outputs in physical units.
+        """The served start of each raw p.u. load vector, in physical units.
 
-        Row-deterministic: a row's prediction is bitwise identical whether it
-        is served alone, in a pair or inside a wide coalesced batch (see
-        :func:`repro.mtl.trainer.predict_physical`), so the width of the flush
-        a request rode in never leaks into its warm starts.
+        Row-deterministic: a row's start is bitwise identical whether it is
+        served alone, in a pair or inside a wide coalesced batch, so the
+        width of the flush a request rode in never leaks into its warm start.
         """
-        return predict_physical(self.network, self.normalizer, inputs_pu)
+        return self._serving.starts.predict_physical(inputs_pu)
 
     def warm_starts_for(self, inputs_pu: np.ndarray) -> List[WarmStart]:
-        """One forward pass over a batch of load vectors → one warm start per row."""
+        """One warm start per row of a batch of load vectors."""
         return self._predict(self._serving, inputs_pu)
 
     def _predict(self, serving: ServingModel, inputs_pu: np.ndarray) -> List[WarmStart]:
-        """Warm starts for a batch of load vectors from one model snapshot."""
-        predictions = predict_physical(
-            serving.network, serving.normalizer, np.atleast_2d(inputs_pu)
+        """Warm starts for a batch of load vectors from one snapshot."""
+        return warm_starts_from_predictions(
+            serving.starts.predict_physical(inputs_pu), self.opf_model
         )
-        return warm_starts_from_predictions(predictions, self.opf_model)
+
+    def _serve_starts(
+        self, serving: ServingModel, scenarios: ScenarioSet
+    ) -> List[Optional[WarmStart]]:
+        """The starts of a request: a row with an outage set is served cold."""
+        warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
+        return [
+            None if scenario.outage_branches else warm
+            for scenario, warm in zip(scenarios, warm_starts)
+        ]
 
     # ------------------------------------------------------------------ serving
     def fleet(self, n_workers: int = 1) -> SolverFleet:
@@ -219,7 +205,11 @@ class WarmStartEngine:
         n_workers: int = 1,
         deadline: Optional[object] = None,
     ) -> SweepResult:
-        """Serve a batch of scenarios: batched inference + fleet dispatch.
+        """Serve a batch of scenarios: retrieval warm starts + fleet dispatch.
+
+        Rows without an outage set start from :meth:`predict_physical`; a row
+        that carries one is solved cold (its warm ``µ``/``Z`` would be
+        dropped, and the rest of the start costs more than it saves).
 
         ``deadline`` (absolute ``time.monotonic()`` deadlines) bounds the
         request — a scalar shared by every scenario or a per-scenario
@@ -236,7 +226,7 @@ class WarmStartEngine:
         sweep's ``model_generation``.
 
         An empty request short-circuits to an empty sweep stamped with the
-        live generation — it never reaches inference or the fleet.
+        live generation — it never reaches retrieval or the fleet.
         """
         serving = self._serving
         if len(scenarios) == 0:
@@ -245,7 +235,7 @@ class WarmStartEngine:
                 n_workers=n_workers,
                 model_generation=serving.generation,
             )
-        warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
+        warm_starts = self._serve_starts(serving, scenarios)
         sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
         sweep.model_generation = serving.generation
         return sweep
@@ -296,14 +286,14 @@ class WarmStartEngine:
 
         ``steps`` is the per-period scenario sets of one trajectory (equally
         sized — see :func:`repro.parallel.trajectory.trajectory_steps`).
-        Step 0 is warm-started from batched MTL inference exactly like
-        :meth:`serve`; every later step chains from its predecessor's
-        converged solutions (primal + equality multipliers, with ``µ``/``Z``
-        masked across topology changes) — the model predicts once, the
-        trajectory's temporal locality does the rest.  ``warm_chain=False``
-        serves every step from the model instead (the per-step baseline the
-        benchmark compares against).  ``deadline_seconds`` is a wall budget
-        per step (see :meth:`~repro.parallel.trajectory.MultiPeriodSweep.run`).
+        Step 0 starts exactly like :meth:`serve`; every later step chains
+        from its predecessor's converged solutions (primal + equality
+        multipliers, with ``µ``/``Z`` masked across topology changes) — the
+        table is read once, the trajectory's temporal locality does the rest.
+        ``warm_chain=False`` serves every step like :meth:`serve` instead (the
+        per-step baseline the benchmark compares against).
+        ``deadline_seconds`` is a wall budget per step (see
+        :meth:`~repro.parallel.trajectory.MultiPeriodSweep.run`).
         The trajectory runs on the same fleet as :meth:`serve`.
 
         The published :class:`ServingModel` is snapshotted once for the whole
@@ -316,16 +306,16 @@ class WarmStartEngine:
         if not steps:
             return TrajectoryResult(case_name=self.case.name)
 
-        def model_warm_starts(step: ScenarioSet) -> Optional[List[WarmStart]]:
+        def model_warm_starts(step: ScenarioSet) -> Optional[List[Optional[WarmStart]]]:
             if len(step) == 0:
                 return None
-            return self._predict(serving, step.feature_matrix(self.case.base_mva))
+            return self._serve_starts(serving, step)
 
         driver = MultiPeriodSweep(self.fleet(n_workers), warm_chain=warm_chain)
         if warm_chain:
             result = driver.run(steps, model_warm_starts(steps[0]), deadline_seconds)
         else:
-            # Per-step model serving: no chaining, every period predicted.
+            # Per-step serving: no chaining, every period from the table.
             result = TrajectoryResult(case_name=self.case.name)
             for t, step in enumerate(steps):
                 (sweep,) = driver.run([step], model_warm_starts(step), deadline_seconds).steps
@@ -343,48 +333,22 @@ class WarmStartEngine:
         n_workers: int = 1,
         deadline: Optional[object] = None,
     ) -> OnlineEvaluation:
-        """Warm-start every problem of ``dataset`` and aggregate the outcomes.
-
-        Cold-start timings and iteration counts are taken from the dataset
-        (they were measured while generating the ground truth), so the online
-        phase only pays for inference plus the warm-started solve — exactly
-        like the deployed system.  Those timings carry the generation sweep's
-        lockstep width and the warm ones this sweep's, so SU (Eqn. 10) is a
-        like-for-like ratio only when the two widths match.  Inference is one
-        batched forward pass; its wall-clock is attributed evenly across the
-        records.
+        """Warm-start every problem of ``dataset`` with the served start and
+        aggregate the outcomes (see :func:`repro.engine.records.evaluate_starts`).
         """
-        n = dataset.n_samples if max_problems is None else min(max_problems, dataset.n_samples)
-        if n < 1:
-            raise ValueError("dataset has no problems to evaluate")
-
         serving = self._serving
-        t0 = time.perf_counter()
-        warm_starts = self._predict(serving, dataset.inputs[:n])
-        inference_seconds = (time.perf_counter() - t0) / n
-
-        scenarios = ScenarioSet(
-            self.case.name,
-            [Scenario(i, dataset.Pd_mw[i], dataset.Qd_mw[i]) for i in range(n)],
-            n_bus=self.case.n_bus,
+        return evaluate_starts(
+            self.fleet(n_workers),
+            dataset,
+            lambda inputs_pu: self._predict(serving, inputs_pu),
+            max_problems=max_problems,
+            deadline=deadline,
+            model_generation=serving.generation,
         )
-        sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
-        records = [
-            OnlineRecord(
-                outcome=outcome,
-                iterations_cold=float(dataset.iterations[outcome.scenario_id]),
-                cold_solve_seconds=float(dataset.solve_seconds[outcome.scenario_id]),
-                cost_cold=float(dataset.objectives[outcome.scenario_id]),
-                inference_seconds=inference_seconds,
-                model_generation=serving.generation,
-            )
-            for outcome in sweep.outcomes
-        ]
-        return OnlineEvaluation(case_name=self.case.name, records=records)
 
     # -------------------------------------------------------------- persistence
     def save_artifact(self, path: Union[str, Path]) -> Path:
-        """Persist the engine (weights, normalizer, config, case fingerprint)."""
+        """Persist the engine (retrieval table, iteration cap, case fingerprint)."""
         from repro.engine.artifact import save_artifact
 
         return save_artifact(self, path)

@@ -311,7 +311,12 @@ class MTLTrainer:
     # ----------------------------------------------------------------- inference
     def predict_physical(self, inputs_pu: np.ndarray) -> Dict[str, np.ndarray]:
         """Predict all tasks for raw p.u. load vectors; outputs in physical units."""
-        return predict_physical(self.network, self.normalizer, inputs_pu)
+        inputs_pu = np.atleast_2d(np.asarray(inputs_pu, dtype=float))
+        outputs = self.network(Tensor(np.asarray(self.normalizer.normalize_inputs(inputs_pu))))
+        return {
+            task: np.asarray(self.normalizer.denormalize_task(task, out.data))
+            for task, out in outputs.items()
+        }
 
     def warm_start_for(self, input_pu: np.ndarray) -> WarmStart:
         """Build a solver warm start from the prediction for one load vector."""
@@ -321,7 +326,7 @@ class MTLTrainer:
     def warm_starts_for(self, inputs_pu: np.ndarray) -> List[WarmStart]:
         """Build warm starts for a whole batch of load vectors at once.
 
-        One forward pass covers all rows, which is what the serving engine
+        One forward pass covers all rows, which is what the online evaluation
         amortises over a fleet of solver workers — N per-row
         :meth:`warm_start_for` calls pay the full Python dispatch overhead N
         times for the same arithmetic.
@@ -341,64 +346,6 @@ class MTLTrainer:
             denom = np.maximum(np.abs(target), 1e-6)
             metrics[f"rel_{task}"] = float((err / denom).mean())
         return metrics
-
-
-#: Fixed row count for every inference forward pass.  BLAS selects its gemm
-#: kernel and blocking by the batch dimension, so the same input row can come
-#: out with different last bits inside a 2-row and a 6-row matmul (and a
-#: single-row matmul takes the gemv path entirely).  Pinning every forward
-#: pass to exactly this many rows makes a prediction a function of row
-#: content alone — a row's position inside a fixed-shape gemm does not change
-#: its bits — which is the invariant the async serving batcher relies on:
-#: results must not depend on the flush width a request happened to ride in.
-INFERENCE_BLOCK_ROWS = 16
-
-
-def _predict_block(
-    network: Module, normalizer: DatasetNormalizer, inputs_pu: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """One normalise → forward → denormalise pass over a prepared block."""
-    norm_in = np.asarray(normalizer.normalize_inputs(inputs_pu), dtype=float)
-    outputs = network(Tensor(norm_in))
-    return {
-        task: np.asarray(normalizer.denormalize_task(task, out.data))
-        for task, out in outputs.items()
-    }
-
-
-def predict_physical(
-    network: Module, normalizer: DatasetNormalizer, inputs_pu: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Batched inference helper shared by the trainer and the serving engine.
-
-    Normalises the raw p.u. load vectors, runs the forward pass and maps every
-    task back to physical units.  Inputs are processed in blocks of exactly
-    ``INFERENCE_BLOCK_ROWS`` rows (the tail block padded by repeating its last
-    row), so every matmul runs on one canonical gemm shape and row ``i``'s
-    prediction is bitwise identical whether it was served alone, in a pair, or
-    in the middle of a wide coalesced batch.
-    """
-    inputs_pu = np.atleast_2d(np.asarray(inputs_pu, dtype=float))
-    n_rows = inputs_pu.shape[0]
-    block = INFERENCE_BLOCK_ROWS
-    if n_rows == 0 or n_rows == block:
-        return _predict_block(network, normalizer, inputs_pu)
-    chunks: List[Dict[str, np.ndarray]] = []
-    for start in range(0, n_rows, block):
-        rows = inputs_pu[start : start + block]
-        pad = block - rows.shape[0]
-        if pad:
-            rows = np.vstack([rows] + [rows[-1:]] * pad)
-        predicted = _predict_block(network, normalizer, rows)
-        if pad:
-            predicted = {key: value[: block - pad] for key, value in predicted.items()}
-        chunks.append(predicted)
-    if len(chunks) == 1:
-        return chunks[0]
-    return {
-        key: np.concatenate([chunk[key] for chunk in chunks], axis=0)
-        for key in chunks[0]
-    }
 
 
 def warm_starts_from_predictions(

@@ -512,8 +512,8 @@ class SolverFleet:
         """Solve every scenario of ``scenario_set`` on the fleet.
 
         ``warm_starts`` is an optional per-scenario list (``None`` entries mean
-        a cold start), typically produced by batched MTL inference in the
-        parent process.  ``deadline`` (absolute ``time.monotonic()``
+        a cold start), typically the engine's retrieval starts or the MTL's
+        predictions, computed in the parent process.  ``deadline`` (absolute ``time.monotonic()``
         deadlines) bounds the sweep cooperatively — a scalar shared by the
         whole sweep or a per-scenario sequence (``inf``/``nan`` = unbounded),
         the shape a batcher needs when it coalesces requests with different

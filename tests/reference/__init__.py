@@ -14,5 +14,7 @@ that phrase small problems for the lockstep solver:
 * :mod:`reference.kkt` — the SuperLU KKT solve ``LDLSolver`` is checked
   against, the in-process switch that runs ``mips_batch`` on it, and the
   recorded KKT planes of a real solve;
-* :mod:`reference.faults` — the artifact-corruption builder.
+* :mod:`reference.faults` — the artifact-corruption builder;
+* :mod:`reference.starts` — the NN-1 and train-mean warm starts the served
+  retrieval start and the MTL are ranked against.
 """

@@ -3,8 +3,8 @@
 Mirrors ``test_scheduler_invariants.py`` one layer up: per-request results
 must be **bitwise** independent of how the continuous batcher happened to cut
 traffic into flushes — arrival interleaving, flush boundaries (``max_batch``),
-coalescing partners and fleet width — because engine inference is row-
-deterministic and lockstep solves are row-independent.  Plus the flush rule
+coalescing partners and fleet width — because the engine's retrieval start
+is computed per row and lockstep solves are row-independent.  Plus the flush rule
 itself, checked without reading a clock (a gated engine holds a flush in
 flight while requests queue behind it), and the deadline semantics the
 batcher rides on: the row-wise deadline gate (only expired rows retire),
@@ -109,9 +109,8 @@ def test_coalesced_requests_match_direct_serve_bitwise(engine9, dataset9):
 def test_results_invariant_to_arrival_interleaving(engine9, dataset9):
     """Coalesced, sequential and reversed arrivals produce identical results.
 
-    The width-1 request rides a single-row flush on the sequential path — the
-    case that only stays bitwise because engine inference pads onto the
-    batched BLAS path.
+    The width-1 request rides a single-row flush on the sequential path, so
+    its start is computed alone and must match the coalesced one bitwise.
     """
     requests = _requests_from(dataset9, [1, 2, 3])
     coalesced, _ = asyncio.run(_serve_concurrently(engine9, requests, max_batch=6))

@@ -1,9 +1,10 @@
 """Artifact round-trip and ``nn/serialization`` coverage.
 
-The key guarantee: an engine reloaded from disk reproduces the original
-engine's predictions *bit for bit* (including the sigmoid-bounded ``z``/``µ``
-heads and the normalizer statistics), so a deployment can be reconstructed
-without retraining and without numerical drift.
+The key guarantee: an engine reloaded from disk serves what the original
+engine served *bit for bit* (the retrieval table is stored at full
+precision), so a deployment can be reconstructed without retraining and
+without numerical drift.  An artifact of the old layout, which stored network
+weights instead of the table, is refused with a request to retrain.
 """
 
 import copy
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from reference.faults import corrupt_artifact_bytes
+from repro.data import TASK_NAMES
 from repro.engine import (
+    ARTIFACT_VERSION,
     ArtifactCorruptError,
     ArtifactError,
     ArtifactMismatchError,
@@ -21,7 +24,7 @@ from repro.engine import (
     load_artifact,
     save_artifact,
 )
-from repro.mtl import DatasetNormalizer, SeparateTaskNetworks, TaskDimensions, fast_config
+from repro.parallel import generate_scenarios
 from repro.nn.serialization import (
     CHECKSUM_KEY,
     BundleIntegrityError,
@@ -125,6 +128,7 @@ def test_case_fingerprint_ignores_name_but_not_data(case9_fixture):
 
 # ------------------------------------------------------------ artifact roundtrip
 def test_artifact_roundtrip_bit_identical(engine9, case9_fixture, dataset9, tmp_path):
+    """A v2 artifact serves bitwise what the engine that saved it served."""
     path = save_artifact(engine9, tmp_path / "engine.npz")
     reloaded = load_artifact(path, case9_fixture)
 
@@ -133,12 +137,6 @@ def test_artifact_roundtrip_bit_identical(engine9, case9_fixture, dataset9, tmp_
     restored = reloaded.predict_physical(inputs)
     for task in original:
         np.testing.assert_array_equal(restored[task], original[task])
-    # The sigmoid-bounded z/µ heads must survive exactly: in normalised space
-    # their outputs stay inside the hard [0, 1] box.
-    norm_in = engine9.normalizer.normalize_inputs(inputs)
-    for task in ("z", "mu"):
-        norm_out = reloaded.network.predict(np.asarray(norm_in))[task]
-        assert np.all(norm_out > 0.0) and np.all(norm_out < 1.0)
 
     # Identical warm starts from the reloaded engine.
     for warm_a, warm_b in zip(engine9.warm_starts_for(inputs), reloaded.warm_starts_for(inputs)):
@@ -147,20 +145,43 @@ def test_artifact_roundtrip_bit_identical(engine9, case9_fixture, dataset9, tmp_
         np.testing.assert_array_equal(warm_a.mu, warm_b.mu)
         np.testing.assert_array_equal(warm_a.z, warm_b.z)
 
+    # … and identical answers.
+    scenarios = generate_scenarios(case9_fixture, 4, variation=0.05, seed=17)
+    with reloaded:
+        served = reloaded.serve(scenarios).outcomes
+    for got, want in zip(served, engine9.serve(scenarios).outcomes):
+        assert (got.success, got.iterations) == (want.success, want.iterations)
+        assert got.final_objective.hex() == want.final_objective.hex()
 
-def test_artifact_restores_normalizer_config_and_fallback(engine9, case9_fixture, tmp_path):
+
+def test_artifact_restores_table_and_options(engine9, case9_fixture, tmp_path):
+    """The artifact holds the table, the iteration cap and the fingerprint —
+    no network, normalizer, MTL configuration or model type."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
+    arrays, meta = load_bundle(path)
+    assert set(arrays) == {"starts/inputs", *(f"starts/{task}" for task in TASK_NAMES)}
+    assert set(meta) == {"artifact_version", "case_name", "case_fingerprint", "opf_options"}
+    assert meta["artifact_version"] == ARTIFACT_VERSION == 2
     reloaded = load_artifact(path, case9_fixture)
-    np.testing.assert_array_equal(reloaded.normalizer.inputs.lo, engine9.normalizer.inputs.lo)
-    np.testing.assert_array_equal(reloaded.normalizer.inputs.span, engine9.normalizer.inputs.span)
-    for task, scaler in engine9.normalizer.tasks.items():
-        np.testing.assert_array_equal(reloaded.normalizer.tasks[task].lo, scaler.lo)
-        np.testing.assert_array_equal(reloaded.normalizer.tasks[task].span, scaler.span)
-    assert reloaded.config == engine9.config
+    np.testing.assert_array_equal(reloaded.starts.inputs, engine9.starts.inputs)
+    for task, values in engine9.starts.targets.items():
+        np.testing.assert_array_equal(reloaded.starts.targets[task], values)
     assert reloaded.opf_options == engine9.opf_options
     # Recovery is the fixed cold restart, so there is no policy to persist.
-    assert "fallback" not in load_bundle(path)[1]
+    assert "fallback" not in meta
     assert not hasattr(reloaded, "fallback")
+
+
+def test_version_one_artifact_asks_for_a_retrain(engine9, case9_fixture, tmp_path):
+    """A v1 artifact stored network weights, which no longer serve."""
+    path = engine9.save_artifact(tmp_path / "engine.npz")
+    _arrays, meta = load_bundle(path)
+    meta.update(artifact_version=1, model_type="mtl", mtl_config={}, dims={})
+    legacy = save_bundle(
+        tmp_path / "v1.npz", {"param/trunk.0.weight": np.ones((2, 2))}, meta
+    )
+    with pytest.raises(ArtifactError, match="retrain"):
+        load_artifact(legacy, case9_fixture)
 
 
 def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
@@ -276,29 +297,6 @@ def test_byte_corrupted_artifact_raises_typed_error(engine9, case9_fixture, tmp_
     # The typed error is still an ArtifactError (and distinct from a mismatch).
     assert issubclass(ArtifactCorruptError, ArtifactError)
     assert not issubclass(ArtifactCorruptError, ArtifactMismatchError)
-
-
-def test_artifact_roundtrip_separate_networks(case9_fixture, dataset9, opf_model9, tmp_path):
-    """The separate-networks baseline persists under its own model-type tag."""
-    dims = TaskDimensions(
-        n_bus=case9_fixture.n_bus,
-        n_gen=case9_fixture.n_gen,
-        n_eq=dataset9.task_dim("lam"),
-        n_ineq=dataset9.task_dim("mu"),
-    )
-    config = fast_config(epochs=1)
-    network = SeparateTaskNetworks(dims, config, seed=3)
-    normalizer = DatasetNormalizer.fit(dataset9.inputs, dataset9.targets)
-    engine = WarmStartEngine(
-        case9_fixture, network, normalizer, config=config, opf_model=opf_model9
-    )
-    path = save_artifact(engine, tmp_path / "separate.npz")
-    reloaded = load_artifact(path, case9_fixture, opf_model=opf_model9)
-    assert isinstance(reloaded.network, SeparateTaskNetworks)
-    original = engine.predict_physical(dataset9.inputs[:3])
-    restored = reloaded.predict_physical(dataset9.inputs[:3])
-    for task in original:
-        np.testing.assert_array_equal(restored[task], original[task])
 
 
 # ---------------------------------------------------------- crash-safe writes

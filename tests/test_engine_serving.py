@@ -5,12 +5,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine import WarmStartEngine
+from repro.engine import NearestSolutions, WarmStartEngine
 from repro.data import generate_dataset
 from repro.opf import WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.mips.options import MIPSOptions
-from repro.mtl import MTLTrainer, SmartPGSimMTL, TaskDimensions, fast_config
-from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios
+from repro.parallel import (
+    Scenario,
+    ScenarioSet,
+    SolverFleet,
+    generate_contingency_set,
+    generate_scenarios,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +36,14 @@ def test_warm_starts_for_is_batched(trained_trainer9, dataset9):
         assert np.all(warm.mu > 0) and np.all(warm.z > 0)
 
 
-def test_engine_evaluate_matches_sequential_loop(engine9, trained_trainer9, case9_fixture, dataset9, opf_model9):
-    """The engine's batched evaluation reproduces the per-row sequential loop."""
+def test_engine_evaluate_matches_sequential_loop(engine9, case9_fixture, dataset9, opf_model9):
+    """The engine's batched evaluation reproduces the per-row sequential loop
+    from the served start."""
     subset = dataset9.subset(np.arange(5))
     evaluation = engine9.evaluate(subset)
     assert evaluation.n_problems == 5
     for i, record in enumerate(evaluation.records):
-        warm = trained_trainer9.warm_start_for(subset.inputs[i])
+        (warm,) = engine9.warm_starts_for(subset.inputs[i])
         result = solve_opf(
             case9_fixture,
             warm_start=warm,
@@ -126,13 +132,13 @@ def test_engine_evaluate_records_fallback_honestly(trained_trainer9, dataset9):
     """Warm-attempt numbers stay honest when the fallback runs (the old conflation bug)."""
     engine = WarmStartEngine(
         trained_trainer9.opf_model.case,
-        trained_trainer9.network,
-        trained_trainer9.normalizer,
-        config=trained_trainer9.config,
+        NearestSolutions.from_dataset(trained_trainer9.dataset),
         opf_options=MIPSOptions(max_it=1),
         opf_model=trained_trainer9.opf_model,
     )
-    evaluation = engine.evaluate(dataset9, max_problems=3)
+    # Rows outside the table: a training row would start at its own solution.
+    _train, validation = dataset9.split(0.8, seed=0)
+    evaluation = engine.evaluate(validation, max_problems=3)
     assert evaluation.fallback_rate == 1.0
     assert evaluation.success_rate == 0.0
     for record in evaluation.records:
@@ -180,11 +186,10 @@ def test_empty_scenario_set_feature_matrix_is_shape_correct(case9_fixture):
 
 
 def test_serving_inference_is_batch_width_invariant(engine9, dataset9):
-    """Row predictions are bitwise identical whatever batch width served them.
+    """Row starts are bitwise identical whatever batch width served them.
 
-    The async batcher coalesces requests into arbitrary flush widths, so the
-    serving forward pass pins every matmul to one canonical gemm shape —
-    a row's bits must not depend on how the batcher cut its flush.
+    The async batcher coalesces requests into arbitrary flush widths, so a
+    row's bits must not depend on how the batcher cut its flush.
     """
     inputs = dataset9.inputs[:5]
     full = engine9.predict_physical(inputs)
@@ -198,22 +203,40 @@ def test_serving_inference_is_batch_width_invariant(engine9, dataset9):
         np.testing.assert_array_equal(np.vstack([head[key], tail[key]]), value)
 
 
+# ------------------------------------------------------------- outage rows
+def test_engine_serves_outage_rows_cold(engine9, case9_fixture):
+    """A row that carries an outage set is served cold: its iterations and
+    objective bits are those of ``fleet.solve(rows, None)``, while the intact
+    rows of the same request keep their warm starts."""
+    outage_rows = generate_contingency_set(case9_fixture, 4, k=1, variation=0.05, seed=31)
+    assert all(s.outage_branches for s in outage_rows)
+    intact_rows = generate_scenarios(case9_fixture, 3, variation=0.05, seed=32)
+    mixed = ScenarioSet(
+        case9_fixture.name,
+        [Scenario(i, s.Pd, s.Qd, s.outage_branches) for i, s in enumerate([*outage_rows, *intact_rows])],
+    )
+    served = {o.scenario_id: o for o in engine9.serve(mixed).outcomes}
+    with SolverFleet(case9_fixture) as fleet:
+        cold = fleet.solve(outage_rows, None).outcomes
+        warm = fleet.solve(
+            intact_rows, engine9.warm_starts_for(intact_rows.feature_matrix(case9_fixture.base_mva))
+        ).outcomes
+    for i, want in enumerate([*cold, *warm]):
+        got = served[i]
+        assert (got.success, got.used_fallback) == (want.success, want.used_fallback)
+        assert (got.iterations, got.final_iterations) == (want.iterations, want.final_iterations)
+        assert got.final_objective.hex() == want.final_objective.hex()
+
+
 # --------------------------------------------------------------------- hot swap
 @pytest.fixture(scope="module")
-def weak_trainer9(case9_fixture, opf_model9, dataset9):
-    """A barely-trained incumbent for the swap to replace."""
-    train, _val = dataset9.split(0.8, seed=0)
-    dims = TaskDimensions(
-        n_bus=case9_fixture.n_bus,
-        n_gen=case9_fixture.n_gen,
-        n_eq=dataset9.task_dim("lam"),
-        n_ineq=dataset9.task_dim("mu"),
+def halves9(dataset9):
+    """Two retrieval tables over disjoint halves of the case9 dataset."""
+    order = np.arange(dataset9.n_samples)
+    return (
+        NearestSolutions.from_dataset(dataset9.subset(order[::2])),
+        NearestSolutions.from_dataset(dataset9.subset(order[1::2])),
     )
-    config = fast_config(epochs=2)
-    network = SmartPGSimMTL(dims, config, seed=1)
-    trainer = MTLTrainer(network, train, opf_model9, config=config)
-    trainer.train()
-    return trainer
 
 
 def _sweep_signature(sweep):
@@ -223,47 +246,50 @@ def _sweep_signature(sweep):
     }
 
 
-def _pure_outcomes(trainer, scenarios):
-    """Reference outcomes of a standalone engine around one model."""
-    with WarmStartEngine.from_trainer(trainer) as engine:
+def _pure_outcomes(case, starts, scenarios):
+    """Reference outcomes of a standalone engine around one table."""
+    with WarmStartEngine(case, starts) as engine:
         return _sweep_signature(engine.serve(scenarios))
 
 
-def test_hot_swap_publishes_new_generation(weak_trainer9, trained_trainer9, dataset9):
-    engine = WarmStartEngine.from_trainer(weak_trainer9)
+def test_hot_swap_publishes_new_generation(halves9, case9_fixture):
+    old, new = halves9
+    # Loads that are no training row of either half, so neither table
+    # answers with a stored solution.
+    probe = generate_scenarios(case9_fixture, 2, variation=0.05, seed=20).feature_matrix(
+        case9_fixture.base_mva
+    )
+    engine = WarmStartEngine(case9_fixture, old)
     try:
         assert engine.generation == 0
-        before = engine.predict_physical(dataset9.inputs[:2])
-        gen = engine.hot_swap(
-            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
-        )
+        before = engine.predict_physical(probe)
+        gen = engine.hot_swap(new)
         assert gen == 1 and engine.generation == 1
-        after = engine.predict_physical(dataset9.inputs[:2])
-        reference = trained_trainer9.predict_physical(dataset9.inputs[:2])
+        assert engine.starts is new
+        after = engine.predict_physical(probe)
+        reference = new.predict_physical(probe)
         for task in reference:
             np.testing.assert_array_equal(after[task], reference[task])
-        assert any(
+        assert all(
             not np.array_equal(before[task], after[task]) for task in reference
-        ), "swap must actually change the served model"
+        ), "swap must actually change the served table"
     finally:
         engine.close()
 
 
-def test_serve_stamps_generation_and_swap_is_pure(
-    weak_trainer9, trained_trainer9, case9_fixture
-):
+def test_serve_stamps_generation_and_swap_is_pure(halves9, case9_fixture):
     """Sequential swap: sweeps before/after match the pure reference engines."""
+    old, new = halves9
     scenarios = generate_scenarios(case9_fixture, 4, variation=0.05, seed=21)
-    pure_old = _pure_outcomes(weak_trainer9, scenarios)
-    pure_new = _pure_outcomes(trained_trainer9, scenarios)
-    engine = WarmStartEngine.from_trainer(weak_trainer9)
+    pure_old = _pure_outcomes(case9_fixture, old, scenarios)
+    pure_new = _pure_outcomes(case9_fixture, new, scenarios)
+    assert pure_old != pure_new
+    engine = WarmStartEngine(case9_fixture, old)
     try:
         old_sweep = engine.serve(scenarios)
         assert old_sweep.model_generation == 0
         assert _sweep_signature(old_sweep) == pure_old
-        engine.hot_swap(
-            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
-        )
+        engine.hot_swap(new)
         new_sweep = engine.serve(scenarios)
         assert new_sweep.model_generation == 1
         assert _sweep_signature(new_sweep) == pure_new
@@ -271,16 +297,16 @@ def test_serve_stamps_generation_and_swap_is_pure(
         engine.close()
 
 
-def test_concurrent_swap_yields_pure_generations_and_drops_nothing(
-    weak_trainer9, trained_trainer9, case9_fixture
-):
+def test_concurrent_swap_yields_pure_generations_and_drops_nothing(halves9, case9_fixture):
     """Chaos: hot-swap races a serving loop; every request is pure, none lost."""
+    old, new = halves9
     scenarios = generate_scenarios(case9_fixture, 3, variation=0.05, seed=22)
     pure = {
-        0: _pure_outcomes(weak_trainer9, scenarios),
-        1: _pure_outcomes(trained_trainer9, scenarios),
+        0: _pure_outcomes(case9_fixture, old, scenarios),
+        1: _pure_outcomes(case9_fixture, new, scenarios),
     }
-    engine = WarmStartEngine.from_trainer(weak_trainer9)
+    assert pure[0] != pure[1]
+    engine = WarmStartEngine(case9_fixture, old)
     sweeps, errors = [], []
     n_requests = 12
     swap_gate = threading.Event()
@@ -298,9 +324,7 @@ def test_concurrent_swap_yields_pure_generations_and_drops_nothing(
         server = threading.Thread(target=hammer)
         server.start()
         assert swap_gate.wait(timeout=60)
-        engine.hot_swap(
-            trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
-        )
+        engine.hot_swap(new)
         server.join(timeout=120)
         assert not server.is_alive() and not errors
         assert len(sweeps) == n_requests, "no request may be dropped across the swap"

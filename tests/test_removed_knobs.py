@@ -39,7 +39,10 @@ And the OPF problem is fixed: no ``OPFOptions``, no flow-limit or start-point
 mode, and ``MIPSOptions`` holds only the iteration cap — the tolerances and
 step parameters are constants, ``cost_mult`` is gone from the solve and the
 Hessian callback, history is always recorded, and the sparse structure caches
-are gone.
+are gone.  And the engine serves one start, the nearest training solutions:
+it holds no network, normalizer or MTL configuration, so neither its
+constructor nor ``hot_swap`` takes them, and there is no switch back to MTL
+inference.
 """
 
 import ast
@@ -54,6 +57,7 @@ from repro.core import SmartPGSimConfig
 from repro.data import generate_dataset
 from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
+from repro.engine.retrieval import NearestSolutions
 from reference.kkt import FactorizedSolver
 from repro.mips import LDLSolver, MIPSOptions, mips_batch
 from repro.parallel import Scenario, SolverFleet
@@ -86,7 +90,7 @@ def test_retired_keyword_raises_type_error(case9_fixture, trained_trainer9, tmp_
     calls = [
         lambda kw: SolverFleet(case9_fixture, **kw),
         lambda kw: WarmStartEngine(
-            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer, **kw
+            case9_fixture, NearestSolutions.from_dataset(trained_trainer9.dataset), **kw
         ),
         lambda kw: WarmStartEngine.from_trainer(trained_trainer9, **kw),
         lambda kw: load_artifact(tmp_path / "a.npz", case9_fixture, **kw),
@@ -113,7 +117,7 @@ def test_retired_mips_option_and_engine_shortcut_raise_type_error(case9_fixture,
         MIPSOptions(kkt_refine_steps=1)
     with pytest.raises(TypeError, match="kkt_solver"):
         WarmStartEngine(
-            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer,
+            case9_fixture, NearestSolutions.from_dataset(trained_trainer9.dataset),
             kkt_solver="factorized",
         )
     with pytest.raises(TypeError, match="kkt_solver"):
@@ -233,7 +237,7 @@ def test_engine_has_no_health_hooks(case9_fixture, trained_trainer9, keyword, st
 
     with pytest.raises(TypeError, match=keyword):
         WarmStartEngine(
-            case9_fixture, trained_trainer9.network, trained_trainer9.normalizer,
+            case9_fixture, NearestSolutions.from_dataset(trained_trainer9.dataset),
             **{keyword: None},
         )
     with pytest.raises(TypeError, match=keyword):
@@ -394,6 +398,29 @@ def test_one_fixed_opf_problem(case9_fixture):
         assert not hasattr(model, name), name
     assert not hasattr(BatchedOPFModel, "lockstep_plan")
     assert not hasattr(model.batched.plan, "bound_eq_tol")
+
+
+def test_the_engine_serves_no_network(case9_fixture, trained_trainer9):
+    network, normalizer, config = (
+        trained_trainer9.network, trained_trainer9.normalizer, trained_trainer9.config
+    )
+    with pytest.raises(TypeError, match="NearestSolutions"):
+        WarmStartEngine(case9_fixture, network, normalizer)
+    with pytest.raises(TypeError, match="config"):
+        WarmStartEngine(case9_fixture, network, normalizer, config=config)
+    engine = WarmStartEngine.from_trainer(trained_trainer9)
+    with pytest.raises(TypeError):
+        engine.hot_swap(network, normalizer, config)
+    with pytest.raises(TypeError, match="NearestSolutions"):
+        engine.hot_swap(network)
+    assert list(inspect.signature(WarmStartEngine.hot_swap).parameters) == ["self", "starts"]
+    assert [f.name for f in dataclasses.fields(engine._serving)] == ["starts", "generation"]
+    for name in ("network", "normalizer", "config"):
+        assert not hasattr(engine, name), name
+    # One serving path: nothing selects MTL inference over retrieval.
+    for callee in (WarmStartEngine, WarmStartEngine.serve, WarmStartEngine.from_trainer, load_artifact):
+        params = set(inspect.signature(callee).parameters)
+        assert not {"model", "predictor", "network", "use_mtl", "mode"} & params, callee
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
