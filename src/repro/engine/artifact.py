@@ -30,18 +30,7 @@ from repro.data.dataset import TASK_NAMES
 from repro.engine.engine import WarmStartEngine
 from repro.engine.retrieval import NearestSolutions
 from repro.grid.components import Case
-from repro.mips.options import (
-    BOUND_EQ_TOL,
-    COMPTOL,
-    COSTTOL,
-    FEASTOL,
-    GRADTOL,
-    MAX_STEPSIZE,
-    SIGMA,
-    XI,
-    Z0,
-    MIPSOptions,
-)
+from repro.mips.options import MIPSOptions
 from repro.nn.serialization import BundleIntegrityError, load_bundle, save_bundle
 from repro.opf.model import OPFModel
 
@@ -49,23 +38,6 @@ from repro.opf.model import OPFModel
 ARTIFACT_VERSION = 2
 
 _STARTS_PREFIX = "starts/"
-
-#: Settings older artifacts stored under ``opf_options`` that are fixed now,
-#: with the one value each may hold: another value poses a different problem.
-_FIXED_SETTINGS = {
-    "flow_limits": "S",
-    "init": "case",
-    "cost_mult": 1.0,
-    "feastol": FEASTOL,
-    "gradtol": GRADTOL,
-    "comptol": COMPTOL,
-    "costtol": COSTTOL,
-    "xi": XI,
-    "sigma": SIGMA,
-    "z0": Z0,
-    "max_stepsize": MAX_STEPSIZE,
-    "bound_eq_tol": BOUND_EQ_TOL,
-}
 
 
 class ArtifactError(ValueError):
@@ -121,22 +93,18 @@ def save_artifact(engine: WarmStartEngine, path: Union[str, Path]) -> Path:
 def _stored_options(stored: dict) -> MIPSOptions:
     """The :class:`MIPSOptions` of an artifact's ``opf_options`` entry.
 
-    Artifacts written before the OPF problem was fixed nest the MIPS fields
-    under ``"mips"``, beside ``flow_limits`` and ``init``.  A stored setting
-    that is a constant now must hold its constant's value, or
-    :class:`ArtifactError` names it; retired switches (``record_history``,
-    ``verbose``, the KKT backend keys, the wall budget) are dropped.
+    A version 2 artifact stores ``{"max_it": n}`` only: every other setting is
+    a constant of this build, so any other key raises :class:`ArtifactError`
+    naming it.
     """
-    flat = {name: value for name, value in stored.items() if name != "mips"}
-    flat.update(stored.get("mips", {}))
-    for name, value in flat.items():
-        if name in _FIXED_SETTINGS and value != _FIXED_SETTINGS[name]:
-            raise ArtifactError(
-                f"artifact opf_options.{name} is {value!r}; this build solves with "
-                f"{_FIXED_SETTINGS[name]!r} only"
-            )
+    unknown = sorted(set(stored) - {"max_it"})
+    if unknown:
+        raise ArtifactError(
+            f"artifact opf_options holds {', '.join(unknown)}; a version "
+            f"{ARTIFACT_VERSION} artifact stores max_it only"
+        )
     try:
-        return MIPSOptions(**{k: v for k, v in flat.items() if k == "max_it"})
+        return MIPSOptions(**stored)
     except (TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact opf_options are invalid: {exc}") from exc
 

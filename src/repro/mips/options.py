@@ -20,7 +20,8 @@ COMPTOL = 1e-6
 COSTTOL = 1e-6
 #: Step-length safety factor keeping iterates strictly interior.
 XI = 0.99995
-#: Centering parameter of the barrier update ``gamma = SIGMA * zᵀµ / niq``.
+#: Centering parameter of the barrier update ``gamma = SIGMA * zᵀµ / niq``
+#: (the fixed-σ step), and the floor of the predictor–corrector ``σ``.
 SIGMA = 0.1
 #: Initial value of the slack variables and multipliers.
 Z0 = 1.0

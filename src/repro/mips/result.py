@@ -14,7 +14,9 @@ class IterationRecord:
 
     ``step_size`` is the infinity norm of the primal Newton step ``|Δx|``; the
     four condition values are exactly the quantities tested against the
-    termination tolerances.  The four ``*_seconds`` fields split the
+    termination tolerances.  ``gamma`` is the barrier target: on a fixed-σ
+    row the ``SIGMA·zᵀµ/niq`` the next step aims at, on a predictor–corrector
+    row the ``σµ`` this step aimed at (iteration 0: the entry value).  The four ``*_seconds`` fields split the
     iteration's wall-clock time into callback evaluation, KKT assembly,
     factorisation and back-substitution (the Fig. 5 component times).
     """

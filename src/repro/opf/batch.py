@@ -540,8 +540,9 @@ def solve_opf_batch(
 
     x_default = model.default_start()
     X0 = np.tile(x_default, (batch, 1))
+    x_mask = np.array([w is not None and w.x is not None for w in warm_starts])
     for i, warm in enumerate(warm_starts):
-        if warm is not None and warm.x is not None:
+        if x_mask[i]:
             x = np.asarray(warm.x, dtype=float)
             if x.shape != x_default.shape:
                 raise ValueError(
@@ -588,6 +589,7 @@ def solve_opf_batch(
             "lam0_mask": None if lam0 is None else lam_mask[sl],
             "mu0_mask": None if mu0 is None else mu_mask[sl],
             "z0_mask": None if z0 is None else z_mask[sl],
+            "x0_mask": x_mask[sl],
             "deadline": None if deadlines is None else deadlines[sl],
         }
 

@@ -98,6 +98,7 @@ def mips(
     z0: Optional[np.ndarray] = None,
     options: Optional[MIPSOptions] = None,
     deadline: Optional[float] = None,
+    warm_x: bool = False,
 ) -> MIPSResult:
     """Solve a constrained nonlinear program with the MIPS interior-point method.
 
@@ -131,6 +132,10 @@ def mips(
         Checked cooperatively between iterations; an expired deadline ends
         the solve with ``timed_out=True`` instead of raising, so serving
         requests degrade into structured outcomes.
+    warm_x:
+        ``x0`` is a warm start.  A solve with no warm component (no warm
+        ``x``, ``lam0``, ``mu0`` or ``z0``) takes Mehrotra predictor–corrector
+        steps; any warm component gives MATPOWER's fixed-σ steps.
 
     Jacobian and Hessian patterns are fixed by the first evaluation (see the
     module docstring).
@@ -205,6 +210,7 @@ def mips(
         lam0=row(lam0),
         mu0=row(mu0),
         z0=row(z0),
+        x0_mask=np.array([warm_x]),
         options=options,
         deadline=deadline,
     )

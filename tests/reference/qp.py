@@ -34,12 +34,15 @@ def qps_mips(
     xmax: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
     options: Optional[MIPSOptions] = None,
+    warm_x: bool = False,
 ) -> MIPSResult:
     """Solve a (convex) quadratic program with the MIPS solver.
 
     ``H`` may be ``None`` for a pure linear program.  Linear equality /
     inequality constraints are passed straight through as "nonlinear"
-    constraints with constant Jacobians.
+    constraints with constant Jacobians.  ``warm_x`` passes the start point
+    (``x0``, or the origin) as a warm ``x``: the solve takes MATPOWER's
+    fixed-σ steps instead of predictor–corrector steps.
     """
     c = np.asarray(c, dtype=float)
     nx = c.size
@@ -79,4 +82,5 @@ def qps_mips(
         xmin=xmin,
         xmax=xmax,
         options=options,
+        warm_x=warm_x,
     )

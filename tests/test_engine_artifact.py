@@ -184,42 +184,29 @@ def test_version_one_artifact_asks_for_a_retrain(engine9, case9_fixture, tmp_pat
         load_artifact(legacy, case9_fixture)
 
 
-def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixture, tmp_path):
-    """Older artifacts nested thirteen MIPS fields beside ``flow_limits`` and
-    ``init``; older still, they persisted ``kkt_factor_threads``,
-    ``kkt_refine_steps`` and the KKT backend choice with its settings
-    (``kkt_solver``, retired backend names included, ``kkt_reg``,
-    ``kkt_max_retries``).  Switches that are gone (those, ``record_history``,
-    ``verbose``) are dropped on load and the engine serves as a fresh one
-    does, bitwise.  A stored setting that is fixed now but holds another
-    value poses a different problem: loading names it in an ``ArtifactError``."""
+def test_artifact_with_an_older_option_layout_raises(engine9, case9_fixture, tmp_path):
+    """A version 2 artifact stores ``opf_options`` as ``{"max_it": n}``.  The
+    layouts written before the OPF problem was fixed — thirteen MIPS fields
+    nested under ``mips`` beside ``flow_limits`` and ``init``, older still
+    with the KKT backend settings — never occur in one, so every key other
+    than ``max_it`` is named in an ``ArtifactError``, at its old default
+    value or not."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
     assert load_bundle(path)[1]["opf_options"] == {"max_it": 150}
-    loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
-    with load_artifact(path, case9_fixture) as fresh:
-        (want,) = fresh.serve_loads(*loads).outcomes
-    layouts = {"parent": LEGACY_OPF_OPTIONS}
-    for backend in ("factorized", "ldl", "blockdiag", "spsolve"):
-        stored = layouts[backend] = copy.deepcopy(LEGACY_OPF_OPTIONS)
-        stored["mips"].update(
-            record_history=False, verbose=True, kkt_factor_threads=2, kkt_refine_steps=0,
-            kkt_reg=1e-6, kkt_max_retries=1, kkt_solver=backend,
-        )
-    for name, stored in layouts.items():
+    layouts = {"nested": (LEGACY_OPF_OPTIONS, "flow_limits, init, mips")}
+    for backend in ("factorized", "ldl"):
+        stored = copy.deepcopy(LEGACY_OPF_OPTIONS)
+        stored["mips"].update(kkt_reg=1e-6, kkt_max_retries=1, kkt_solver=backend)
+        layouts[backend] = (stored, "mips")
+    # Written while the backend was selectable and naming the SuperLU reference.
+    reference = {"flow_limits": "S", "init": "case", "mips": {"kkt_solver": "factorized"}}
+    layouts["reference-backend"] = (reference, "flow_limits, init, mips")
+    for name, value in (("sigma", 0.1), ("xi", 0.99995), ("record_history", True),
+                        ("kkt_solver", "ldl"), ("flow_limits", "S")):
+        layouts[f"flat-{name}"] = ({"max_it": 150, name: value}, name)
+    for name, (stored, named) in layouts.items():
         legacy = _legacy_artifact(path, tmp_path, name, stored)
-        with load_artifact(legacy, case9_fixture) as reloaded:
-            assert reloaded.opf_options == engine9.opf_options
-            (got,) = reloaded.serve_loads(*loads).outcomes
-        assert got.converged
-        assert (got.iterations, got.final_iterations) == (want.iterations, want.final_iterations)
-        assert got.final_objective.hex() == want.final_objective.hex()
-
-    for name, value in (("flow_limits", "none"), ("init", "flat"), ("cost_mult", 0.01),
-                        ("bound_eq_tol", 1e-8), ("feastol", 1e-8), ("costtol", 1e-4)):
-        other = copy.deepcopy(LEGACY_OPF_OPTIONS)
-        (other if name in other else other["mips"])[name] = value
-        legacy = _legacy_artifact(path, tmp_path, f"other-{name}", other)
-        with pytest.raises(ArtifactError, match=name):
+        with pytest.raises(ArtifactError, match=named):
             load_artifact(legacy, case9_fixture)
 
 
@@ -227,30 +214,29 @@ def test_artifact_written_before_option_removal_still_loads(engine9, case9_fixtu
 def test_artifact_with_an_invalid_iteration_cap_raises_artifact_error(
     engine9, case9_fixture, tmp_path, max_it
 ):
-    """A stored cap that ``MIPSOptions`` rejects is a malformed artifact,
-    whichever layout stored it."""
+    """A stored cap that ``MIPSOptions`` rejects is a malformed artifact; in
+    the older nested layout the layout itself is the error."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
     nested = copy.deepcopy(LEGACY_OPF_OPTIONS)
     nested["mips"]["max_it"] = max_it
-    for name, stored in (("flat", {"max_it": max_it}), ("nested", nested)):
+    for name, stored, named in (("flat", {"max_it": max_it}, "max_it"), ("nested", nested, "mips")):
         legacy = _legacy_artifact(path, tmp_path, name, stored)
-        with pytest.raises(ArtifactError, match="max_it"):
+        with pytest.raises(ArtifactError, match=named):
             load_artifact(legacy, case9_fixture)
 
 
 @pytest.mark.parametrize("budget", [None, 0.5])
-def test_artifact_with_retired_wall_budget_loads(engine9, case9_fixture, tmp_path, budget):
+def test_artifact_with_retired_wall_budget_raises(engine9, case9_fixture, tmp_path, budget):
     """Older artifacts persisted ``MIPSOptions.max_wall_seconds``; time bounds
-    are per-call deadlines now, so the key is dropped on load, set or not."""
+    are per-call deadlines now, and a version 2 artifact never stores the
+    key, so loading names it, set or not."""
     path = engine9.save_artifact(tmp_path / "engine.npz")
     assert "max_wall_seconds" not in load_bundle(path)[1]["opf_options"]
-    stored = copy.deepcopy(LEGACY_OPF_OPTIONS)
-    stored["mips"]["max_wall_seconds"] = budget
-    legacy = _legacy_artifact(path, tmp_path, "legacy", stored)
-    with load_artifact(legacy, case9_fixture) as reloaded:
-        assert reloaded.opf_options == engine9.opf_options
-        sweep = reloaded.serve_loads(case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :])
-        assert sweep.outcomes[0].converged and not sweep.outcomes[0].timed_out
+    legacy = _legacy_artifact(
+        path, tmp_path, "legacy", {"max_it": 150, "max_wall_seconds": budget}
+    )
+    with pytest.raises(ArtifactError, match="max_wall_seconds"):
+        load_artifact(legacy, case9_fixture)
 
 
 @pytest.mark.parametrize("policy", ["relaxed_warm", "none"])

@@ -1,4 +1,4 @@
-"""The dense root of the LDLᵀ KKT solve, and the artifacts that predate it.
+"""The dense root of the LDLᵀ KKT solve.
 
 ``LDLSymbolic`` cuts the elimination tree: columns below the cut keep the
 level-scheduled batched planes (the *head*), the at most ``_ROOT_MAX`` columns
@@ -12,13 +12,12 @@ above it form one dense block per batch row, factorised by LAPACK (the
   position or ``rows=`` slicing, on an all-root and on a head+root pattern,
   at the narrow widths 2, 3 and 5 too (each width has its own flat scatter
   offsets), and the offsets held stay within their row bound;
-* **accuracy** — every KKT system of a cold case118s solve is solved to the
+* **accuracy** — every KKT system of a fixed-σ case118s solve from the
+  default start is solved to the
   refinement target against the unperturbed matrix and agrees with ``spsolve``;
 * **row-local failure** — a system singular *inside the root block* is
   recovered by the signed-shift retry or fails alone, and the pivot clamps
-  of those retries are counted;
-* **one solve** — an artifact saved when it named the SuperLU reference as
-  its backend loads and serves on ``LDLSolver``.
+  of those retries are counted.
 """
 
 import numpy as np
@@ -27,11 +26,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from reference.kkt import recorded_kkts
-from repro.engine import WarmStartEngine, load_artifact
 from repro.mips import KKTSolveError
 from repro.mips import ldl
 from repro.mips.ldl import LDLSolver
-from repro.nn.serialization import load_bundle, save_bundle
 from repro.utils.planes import Targets
 
 #: (case, outage branches): the three benchmark cases and two N-2 topologies
@@ -255,25 +252,3 @@ def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118, monkeypa
     assert not tiny_report.failed and not report.failed
     # Telemetry only: the row that needed no retry keeps its bits.
     np.testing.assert_array_equal(tiny_report.solutions[0], report.solutions[0])
-
-
-# ------------------------------------------------------------------ one solve
-def test_artifact_saved_on_the_reference_backend_serves_on_ldl(
-    trained_trainer9, case9_fixture, tmp_path
-):
-    """An artifact written while ``MIPSOptions.kkt_solver`` existed may name
-    the SuperLU reference; it loads with the one KKT solve and serves as a
-    fresh artifact does."""
-    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
-        path = engine.save_artifact(tmp_path / "current.npz")
-    arrays, meta = load_bundle(path)
-    meta["opf_options"] = {"flow_limits": "S", "init": "case", "mips": {"kkt_solver": "factorized"}}
-    legacy = save_bundle(tmp_path / "factorized.npz", arrays, meta)
-    loads = case9_fixture.bus.Pd[None, :], case9_fixture.bus.Qd[None, :]
-    with load_artifact(legacy, case9_fixture) as loaded, load_artifact(path, case9_fixture) as fresh:
-        assert loaded.opf_options == fresh.opf_options
-        (got,) = loaded.serve_loads(*loads).outcomes
-        (want,) = fresh.serve_loads(*loads).outcomes
-    assert got.converged and got.iterations == want.iterations
-    assert list(got.kkt_telemetry) == list(LDLSolver().telemetry())
-    assert got.final_objective.hex() == want.final_objective.hex()

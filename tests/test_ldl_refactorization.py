@@ -151,6 +151,7 @@ def test_telemetry_harvest_exposes_ldl_counters():
         "numeric_refactorizations",
         "block_factorizations",
         "refinement_solves",
+        "corrector_solves",
         "pivot_clamps",
     ]
 

@@ -338,7 +338,12 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True, rows
     def hess_fcn(X, lam_nl, mu_nl, idx):
         return H[idx].reshape(idx.size, -1)
 
-    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
+    # The origin enters as a warm x: the singular slot meets its singular
+    # systems on the fixed-σ trajectory, where the shifted retry heals them.
+    kwargs = dict(
+        gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq),
+        x0_mask=np.ones(c.shape[0], dtype=bool),
+    )
     return f_fcn, np.zeros((c.shape[0], nx)), kwargs
 
 
@@ -520,7 +525,8 @@ def test_each_failure_message_retires_only_its_row(backend):
 
 def test_batch_all_slots_singular_still_recovers():
     """Even when every slot is singular from the first iteration, the
-    regularised retry recovers the whole batch on both backends."""
+    regularised retry recovers the whole batch on both backends (on the
+    fixed-σ trajectory: the origin enters as a warm x)."""
     import numpy as _np
 
     rng = _np.random.default_rng(4)
@@ -559,6 +565,7 @@ def test_batch_all_slots_singular_still_recovers():
                 gh_fcn=gh_fcn,
                 hess_fcn=hess_fcn,
                 plan=_dense_qp_plan(nx, neq, niq),
+                x0_mask=_np.ones(batch, dtype=bool),
             )
         assert all(r.converged for r in results)
         assert all(r.kkt_regularizations > 0 for r in results)

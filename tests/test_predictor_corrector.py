@@ -1,0 +1,164 @@
+"""Predictor–corrector steps for cold rows, against the fixed-σ step they replace.
+
+A row that enters ``mips_batch`` with no warm component (none of ``x``, ``λ``,
+``µ``, ``Z``) takes Mehrotra predictor–corrector steps; a row with any warm
+component takes MATPOWER's fixed-σ step.  The fixed-σ reference of a cold row
+is the same row with its default ``x`` passed as a warm ``x``.
+
+The suite is clock-free: it checks convergence, the KKT certificate and
+iteration counts on cold rows of five cases and sixteen case118s N-2 pairs,
+then the row contract of a batch that mixes warm, partial and cold rows —
+each row is bitwise the row solved alone, the warm and partial rows are
+bitwise their all-warm batch, and a feed window changes no bit.  Run with
+``-s`` to see each case's two mean iteration counts.
+"""
+
+import numpy as np
+import pytest
+
+from repro.grid import get_case
+from repro.grid.perturb import sample_loads
+from repro.mips import SIGMA
+from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf_batch
+
+#: ``(case, load variation)`` of the intact corpus, 16 rows each.
+CASES = (
+    ("case9", 0.2),
+    ("case14", 0.2),
+    ("case30s", 0.1),
+    ("case57s", 0.05),
+    ("case118s", 0.05),
+)
+#: Connectivity-preserving case118s N-2 pairs, one load draw each.
+N2_PAIRS = (
+    (32, 73), (33, 82), (34, 116), (35, 123), (37, 75), (37, 76), (37, 155), (37, 156),
+    (38, 64), (38, 177), (39, 143), (41, 97), (41, 130), (42, 132), (43, 109), (45, 118),
+)
+#: case118s's largest allowed ratio of the two mean iteration counts.
+RATIO_118 = 0.6
+
+
+def _loads(case, n, variation, seed):
+    samples = sample_loads(case, n, variation=variation, seed=seed)
+    return np.array([s.Pd for s in samples]), np.array([s.Qd for s in samples])
+
+
+def _fixed_sigma(model, n):
+    """Warm starts holding only the default x: the fixed-σ step."""
+    return [WarmStart(x=model.default_start())] * n
+
+
+def _both_rules(case, Pd, Qd, outages=None):
+    model = OPFModel(case)
+    cold = solve_opf_batch(case, Pd, Qd, model=model, outages=outages)
+    fixed = solve_opf_batch(
+        case, Pd, Qd, model=model, outages=outages, warm_starts=_fixed_sigma(model, len(Pd))
+    )
+    return cold, fixed
+
+
+def _assert_certified(case, rows, Pd, Qd, outages):
+    for i, row in enumerate(rows):
+        assert row.success, (i, row.message)
+        certificate = certify_opf(case, row, Pd[i], Qd[i], outages=outages[i])
+        assert certificate.holds(), (i, certificate)
+
+
+def _compare(label, case, Pd, Qd, outages=None):
+    cold, fixed = _both_rules(case, Pd, Qd, outages)
+    every = outages or [()] * len(Pd)
+    _assert_certified(case, cold, Pd, Qd, every)
+    _assert_certified(case, fixed, Pd, Qd, every)
+    means = [float(np.mean([r.iterations for r in rows])) for rows in (cold, fixed)]
+    print(f"{label}: predictor-corrector {means[0]:.2f}, fixed sigma {means[1]:.2f} "
+          f"mean iterations ({means[0] / means[1]:.2f}x)")
+    return means
+
+
+@pytest.mark.parametrize("name, variation", CASES)
+def test_cold_rows_converge_and_certify_under_both_rules(name, variation):
+    case = get_case(name)
+    Pd, Qd = _loads(case, 16, variation, seed=12345)
+    cold_mean, fixed_mean = _compare(f"{name} ±{variation:.0%}", case, Pd, Qd)
+    if name == "case118s":
+        assert cold_mean <= RATIO_118 * fixed_mean
+
+
+def test_n2_rows_converge_and_certify_under_both_rules():
+    case = get_case("case118s")
+    Pd, Qd = _loads(case, len(N2_PAIRS), 0.05, seed=7)
+    cold_mean, fixed_mean = _compare("case118s N-2", case, Pd, Qd, outages=list(N2_PAIRS))
+    assert cold_mean <= RATIO_118 * fixed_mean
+
+
+def test_cold_row_records_its_centring_target():
+    """A cold row's ``IterationRecord.gamma`` is the ``σµ`` its step aimed
+    at, with ``σ ∈ [SIGMA, 1]`` of the entry's ``µ``; a fixed-σ row records
+    ``SIGMA`` times the ``µ`` its step reached."""
+    case = get_case("case14")
+    model = OPFModel(case)
+    niq = model.batched.plan.partition.n_ineq
+    Pd, Qd = case.bus.Pd[None, :], case.bus.Qd[None, :]
+    (cold,) = solve_opf_batch(case, Pd, Qd, model=model)
+    (fixed,) = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=_fixed_sigma(model, 1))
+    x0 = np.clip(model.default_start(), model.batched.plan.xmin, model.batched.plan.xmax)
+    mu0 = cold.history[0].compcond * (1.0 + np.abs(x0).max()) / niq
+    assert SIGMA * mu0 * (1 - 1e-12) <= cold.history[1].gamma <= mu0 * (1 + 1e-12)
+    assert fixed.history[-1].gamma == pytest.approx(SIGMA * fixed.mu @ fixed.z / niq, rel=1e-12)
+
+
+# ------------------------------------------------------------ the row contract
+@pytest.fixture(scope="module")
+def mixed118():
+    """Six case118s rows — a full warm start, a partial (x + λ) one and none,
+    twice each, the starts taken from solutions of other load draws — and
+    their one batch solve."""
+    case = get_case("case118s")
+    model = OPFModel(case)
+    Pd, Qd = _loads(case, 8, 0.05, seed=3)
+    donors = solve_opf_batch(case, Pd[6:], Qd[6:], model=model)
+    full = [WarmStart(x=d.x, lam=d.lam, mu=d.mu, z=d.z) for d in donors]
+    partial = [WarmStart(x=d.x, lam=d.lam) for d in donors]
+    starts = [full[0], partial[0], None, full[1], None, partial[1]]
+    batch = solve_opf_batch(case, Pd[:6], Qd[:6], model=model, warm_starts=starts)
+    return case, model, Pd[:6], Qd[:6], starts, batch
+
+
+def _bits(row):
+    return (row.iterations, row.objective.hex(), row.success) + tuple(
+        getattr(row, name).tobytes() for name in ("x", "lam", "mu", "z")
+    )
+
+
+def test_mixed_rows_are_bitwise_their_solo_and_all_warm_solves(mixed118):
+    case, model, Pd, Qd, starts, batch = mixed118
+    assert all(row.success for row in batch)
+    for i, row in enumerate(batch):
+        (alone,) = solve_opf_batch(case, Pd[i : i + 1], Qd[i : i + 1], model=model,
+                                   warm_starts=[starts[i]])
+        assert _bits(row) == _bits(alone), i
+    warm = [i for i, s in enumerate(starts) if s is not None]
+    all_warm = solve_opf_batch(case, Pd[warm], Qd[warm], model=model,
+                               warm_starts=[starts[i] for i in warm])
+    for i, row in zip(warm, all_warm):
+        assert _bits(batch[i]) == _bits(row), i
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_feed_window_with_cold_rows_changes_no_bit(mixed118, window):
+    case, model, Pd, Qd, starts, full = mixed118
+    windowed = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=starts, window=window)
+    assert [_bits(a) for a in full] == [_bits(b) for b in windowed]
+
+
+def test_corrector_solves_count_only_cold_rows():
+    """Every cold row-iteration back-substitutes a second right-hand side on
+    its predictor's factor; fixed-σ rows never do."""
+    case = get_case("case14")
+    model = OPFModel(case)
+    Pd, Qd = _loads(case, 8, 0.2, seed=5)
+    cold = solve_opf_batch(case, Pd, Qd, model=model)
+    fixed = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=_fixed_sigma(model, 8))
+    last = max(cold, key=lambda r: r.iterations)
+    assert last.kkt_telemetry["corrector_solves"] >= sum(r.iterations for r in cold)
+    assert all(r.kkt_telemetry["corrector_solves"] == 0 for r in fixed)

@@ -10,6 +10,12 @@ iteration counts, objectives to 1e-8 relative, ``x`` to 1e-8 and the
 multipliers and slacks to 1e-6.  Every OPF answer must also pass the KKT
 certificate, and ``solve_opf`` must equal the same row solved alone by
 ``solve_opf_batch`` bit for bit.
+
+The frozen answers are MATPOWER's fixed-σ trajectories.  A row that enters
+with no warm component takes Mehrotra predictor–corrector steps instead, so
+a cold OPF entry and every QP entry reach their frozen trajectories with the
+default start passed as a warm ``x``; the true cold OPF solve must reach the
+same optimum in strictly fewer iterations.
 """
 
 import importlib.util
@@ -30,6 +36,15 @@ QP_ENTRIES = sorted({k.split("/")[1] for k in CORPUS.files if k.startswith("qp/"
 
 def _stored(prefix):
     return {k[len(prefix) + 1 :]: CORPUS[k] for k in CORPUS.files if k.startswith(prefix + "/")}
+
+
+def _entry(entry):
+    """``(stored answer, intact case, outage, case the entry is solved on)``."""
+    ref = _stored(f"opf/{entry}")
+    case = get_case(entry.split("_")[0])
+    outage = tuple(int(b) for b in ref["outage"])
+    solved_on = Scenario(0, ref["Pd"], ref["Qd"], outage_branches=outage).apply(case)
+    return ref, case, outage, solved_on
 
 
 def _assert_matches(got, ref, objective):
@@ -63,15 +78,13 @@ def test_corpus_script_imports_cleanly_and_writes_only_as_main():
 
 @pytest.mark.parametrize("entry", OPF_ENTRIES)
 def test_one_row_opf_matches_scalar_reference(entry):
-    ref = _stored(f"opf/{entry}")
-    case_name = entry.split("_")[0]
-    case = get_case(case_name)
-    outage = tuple(int(b) for b in ref["outage"])
-    warm = None
+    ref, case, outage, solved_on = _entry(entry)
     if entry.endswith("_warm"):
-        cold = _stored(f"opf/{case_name}_cold")
+        cold = _stored(f"opf/{case.name}_cold")
         warm = WarmStart(x=cold["x"], lam=cold["lam"], mu=cold["mu"], z=cold["z"])
-    solved_on = Scenario(0, ref["Pd"], ref["Qd"], outage_branches=outage).apply(case)
+    else:
+        # The default x passed as a warm x: the fixed-σ step.
+        warm = WarmStart(x=OPFModel(solved_on).default_start())
     result = solve_opf(solved_on, warm_start=warm, Pd_mw=ref["Pd"], Qd_mvar=ref["Qd"])
     assert result.success
     _assert_matches(result, ref, result.objective)
@@ -83,6 +96,22 @@ def test_one_row_opf_matches_scalar_reference(entry):
     assert row.iterations == result.iterations and row.objective == result.objective
     for name in ("x", "lam", "mu", "z"):
         np.testing.assert_array_equal(getattr(row, name), getattr(result, name))
+
+
+@pytest.mark.parametrize("entry", [e for e in OPF_ENTRIES if not e.endswith("_warm")])
+def test_cold_entry_reaches_the_frozen_optimum_in_fewer_iterations(entry):
+    """The true cold solve takes predictor–corrector steps: converged,
+    certified, the frozen objective to 1e-8 and strictly fewer iterations
+    than the frozen fixed-σ trajectory."""
+    ref, case, outage, solved_on = _entry(entry)
+    result = solve_opf(solved_on, Pd_mw=ref["Pd"], Qd_mvar=ref["Qd"])
+    assert result.success
+    assert result.objective == pytest.approx(float(ref["objective"]), rel=1e-8)
+    assert result.iterations < int(ref["iterations"])
+    certificate = certify_opf(case, result, ref["Pd"], ref["Qd"], outages=outage)
+    assert certificate.holds(), certificate
+    print(f"{entry}: {int(ref['iterations'])} -> {result.iterations} iterations, "
+          f"objective rel {abs(result.objective / float(ref['objective']) - 1):.1e}")
 
 
 @pytest.mark.parametrize("entry", [e for e in OPF_ENTRIES if "_n2_" in e])
@@ -109,6 +138,7 @@ def test_outage_as_row_data_matches_structural_reference(entry):
 def test_one_row_qp_matches_scalar_reference(entry):
     ref = _stored(f"qp/{entry}")
     problem = {k: ref[k] for k in ("H", "c", "A_eq", "b_eq", "A_in", "b_in", "xmin", "xmax")}
-    result = qps_mips(**problem)
+    # The start point passed as a warm x: the fixed-σ step.
+    result = qps_mips(**problem, warm_x=True)
     assert result.converged
     _assert_matches(result, ref, result.f)
