@@ -2,10 +2,11 @@
 
 The offline phase of Smart-PGSim samples load scenarios, solves each of them
 with the exact MIPS solver and collects the converged primal/dual variables as
-supervision targets.  :func:`generate_dataset` implements that collection over
-the same pooled batch-solve path the serving engine uses (cold starts, one
-persistent solver worker per process) and :class:`OPFDataset` stores the
-result as flat NumPy arrays (one row per scenario) ready for model training.
+supervision targets.  :func:`generate_dataset` implements that collection as
+one sweep of independently drawn loads over the same pooled batch-solve path
+the serving engine uses (cold starts, one persistent solver worker per
+process) and :class:`OPFDataset` stores the result as flat NumPy arrays (one
+row per scenario) ready for model training.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.grid.components import Case
-from repro.grid.perturb import CorrelatedLoadSampler, iter_load_samples
+from repro.grid.perturb import iter_load_samples
 from repro.opf.model import OPFModel, VariableIndex
 from repro.parallel.pool import SolverFleet
 from repro.parallel.scenarios import Scenario, ScenarioSet
@@ -139,18 +140,6 @@ class OPFDataset:
             )
 
 
-def _batched(iterable, batch: int):
-    """Chop any sample iterable into lists of at most ``batch`` items."""
-    block: list = []
-    for item in iterable:
-        block.append(item)
-        if len(block) == batch:
-            yield block
-            block = []
-    if block:
-        yield block
-
-
 def generate_dataset(
     case: Case,
     n_samples: int,
@@ -158,8 +147,6 @@ def generate_dataset(
     seed: RNGLike = 0,
     model: Optional[OPFModel] = None,
     n_workers: int = 1,
-    sampler: Optional[CorrelatedLoadSampler] = None,
-    stream_batch: Optional[int] = None,
 ) -> OPFDataset:
     """Generate ground-truth data by solving sampled scenarios with MIPS.
 
@@ -183,75 +170,46 @@ def generate_dataset(
     lockstep width, and per-scenario cost falls as the width grows, so that
     ratio is like-for-like only against a warm sweep of the same width; the
     tests assert iteration ratios and phase sums, never its sign.
-
-    **Stochastic streams.**  ``sampler`` swaps the paper's independent
-    per-bus draws for spatially-correlated ones
-    (:class:`~repro.grid.perturb.CorrelatedLoadSampler`), and ``stream_batch``
-    feeds the sweep in bounded batches through one persistent fleet instead of
-    materialising every load array up front — the load-side memory footprint
-    becomes ``O(stream_batch)``, not ``O(n_samples)``.  Sampler draws are
-    keyed per scenario, so the generated dataset is bit-identical for any
-    ``stream_batch``: the unbatched default is simply one block holding the
-    whole sweep, and topology groups lockstep even as singletons, so chopping
-    the stream cannot change a scenario's numeric path.
     """
-    if stream_batch is not None and stream_batch < 1:
-        raise ValueError("stream_batch must be positive")
-    if sampler is not None and sampler.case.n_bus != case.n_bus:
-        raise ValueError(
-            f"sampler was built for a {sampler.case.n_bus}-bus case, "
-            f"got {case.n_bus} buses"
-        )
-
-    idx = model.idx if model is not None else VariableIndex(nb=case.n_bus, ng=case.n_gen)
-    rows_in, pd_rows, qd_rows = [], [], []
-    rows_targets: Dict[str, list] = {task: [] for task in TASK_NAMES}
-    objectives, iterations, seconds = [], [], []
-
-    def collect(samples, outcomes) -> None:
-        for sample, outcome in zip(samples, outcomes):
-            if not outcome.success:
-                LOGGER.warning("scenario %d failed to converge; dropping", sample.scenario_id)
-                continue
-            solution = outcome.solution
-            assert solution is not None
-            parts = idx.split(solution.x)
-            rows_in.append(sample.feature_vector() / case.base_mva)
-            for task in ("Va", "Vm", "Pg", "Qg"):
-                rows_targets[task].append(parts[task].copy())
-            rows_targets["lam"].append(solution.lam)
-            rows_targets["z"].append(solution.z)
-            rows_targets["mu"].append(solution.mu)
-            objectives.append(outcome.objective)
-            iterations.append(outcome.iterations)
-            seconds.append(outcome.solve_seconds)
-            pd_rows.append(sample.Pd)
-            qd_rows.append(sample.Qd)
-
-    batch = stream_batch if stream_batch is not None else max(int(n_samples), 1)
-    if sampler is not None:
-        if not (seed is None or isinstance(seed, (int, np.integer))):
-            raise ValueError(
-                "the correlated-sampler path needs an integer (or None) "
-                "seed — per-scenario draws are keyed on it"
-            )
-        blocks = sampler.stream(n_samples, batch, seed=None if seed is None else int(seed))
-    else:
-        blocks = _batched(
-            iter_load_samples(case, n_samples, variation=variation, seed=seed), batch
-        )
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    # Drawn before the fleet starts, so a bad ``variation`` raises before any
+    # worker process is spawned.
+    samples = list(iter_load_samples(case, n_samples, variation=variation, seed=seed))
+    scenario_set = ScenarioSet(
+        case.name,
+        [Scenario(s.scenario_id, s.Pd, s.Qd) for s in samples],
+        n_bus=case.n_bus,
+    )
     with SolverFleet(
         case,
         n_workers=n_workers,
         model=model if n_workers == 1 else None,
     ) as fleet:
-        for block in blocks:
-            scenario_set = ScenarioSet(
-                case.name,
-                [Scenario(s.scenario_id, s.Pd, s.Qd) for s in block],
-                n_bus=case.n_bus,
-            )
-            collect(block, fleet.solve(scenario_set, solutions=True).outcomes)
+        outcomes = fleet.solve(scenario_set, solutions=True).outcomes
+
+    idx = model.idx if model is not None else VariableIndex(nb=case.n_bus, ng=case.n_gen)
+    rows_in, pd_rows, qd_rows = [], [], []
+    rows_targets: Dict[str, list] = {task: [] for task in TASK_NAMES}
+    objectives, iterations, seconds = [], [], []
+    for sample, outcome in zip(samples, outcomes):
+        if not outcome.success:
+            LOGGER.warning("scenario %d failed to converge; dropping", sample.scenario_id)
+            continue
+        solution = outcome.solution
+        assert solution is not None
+        parts = idx.split(solution.x)
+        rows_in.append(sample.feature_vector() / case.base_mva)
+        for task in ("Va", "Vm", "Pg", "Qg"):
+            rows_targets[task].append(parts[task].copy())
+        rows_targets["lam"].append(solution.lam)
+        rows_targets["z"].append(solution.z)
+        rows_targets["mu"].append(solution.mu)
+        objectives.append(outcome.objective)
+        iterations.append(outcome.iterations)
+        seconds.append(outcome.solve_seconds)
+        pd_rows.append(sample.Pd)
+        qd_rows.append(sample.Qd)
 
     if not rows_in:
         raise RuntimeError(f"no scenario of {case.name} converged; cannot build a dataset")

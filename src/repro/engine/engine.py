@@ -24,15 +24,13 @@ solved AC-OPF problems at throughput —
   iteration cap and a case fingerprint, so an engine can be reconstructed
   from disk and serve requests without retraining.
 
-:meth:`~WarmStartEngine.serve`, :meth:`~WarmStartEngine.serve_trajectory`
-and :meth:`~WarmStartEngine.evaluate` share one path around the fleet: warm
-starts come from the request's :class:`ServingModel` snapshot and
-every sweep is stamped with that snapshot's generation.  ``evaluate``
-additionally wraps each outcome in an
+:meth:`~WarmStartEngine.serve` and :meth:`~WarmStartEngine.evaluate` share
+one path around the fleet: warm starts come from the request's
+:class:`ServingModel` snapshot and every sweep is stamped with that snapshot's
+generation.  ``evaluate`` additionally wraps each outcome in an
 :class:`~repro.engine.records.OnlineRecord` with the dataset's cold reference.
 Below the engine a time bound has one form: the absolute per-row
-``deadline=`` on the ``time.monotonic()`` clock (``serve_trajectory``'s
-per-step ``deadline_seconds`` budget becomes one just before each step).
+``deadline=`` on the ``time.monotonic()`` clock.
 
 The offline/online driver in :mod:`repro.core.framework` is a thin
 orchestrator over this class.
@@ -43,7 +41,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -172,16 +170,6 @@ class WarmStartEngine:
             serving.starts.predict_physical(inputs_pu), self.opf_model
         )
 
-    def _serve_starts(
-        self, serving: ServingModel, scenarios: ScenarioSet
-    ) -> List[Optional[WarmStart]]:
-        """The starts of a request: a row with an outage set is served cold."""
-        warm_starts = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
-        return [
-            None if scenario.outage_branches else warm
-            for scenario, warm in zip(scenarios, warm_starts)
-        ]
-
     # ------------------------------------------------------------------ serving
     def fleet(self, n_workers: int = 1) -> SolverFleet:
         """The persistent solver fleet for ``n_workers`` (created on first use)."""
@@ -235,7 +223,11 @@ class WarmStartEngine:
                 n_workers=n_workers,
                 model_generation=serving.generation,
             )
-        warm_starts = self._serve_starts(serving, scenarios)
+        predicted = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
+        warm_starts = [
+            None if scenario.outage_branches else warm
+            for scenario, warm in zip(scenarios, predicted)
+        ]
         sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
         sweep.model_generation = serving.generation
         return sweep
@@ -274,56 +266,6 @@ class WarmStartEngine:
             n_bus=self.case.n_bus,
         )
         return self.serve(scenarios, n_workers=n_workers, deadline=deadline)
-
-    def serve_trajectory(
-        self,
-        steps: "Sequence[ScenarioSet]",
-        n_workers: int = 1,
-        warm_chain: bool = True,
-        deadline_seconds: Optional[object] = None,
-    ) -> "TrajectoryResult":
-        """Serve a time-coupled multi-period trajectory with warm chaining.
-
-        ``steps`` is the per-period scenario sets of one trajectory (equally
-        sized — see :func:`repro.parallel.trajectory.trajectory_steps`).
-        Step 0 starts exactly like :meth:`serve`; every later step chains
-        from its predecessor's converged solutions (primal + equality
-        multipliers, with ``µ``/``Z`` masked across topology changes) — the
-        table is read once, the trajectory's temporal locality does the rest.
-        ``warm_chain=False`` serves every step like :meth:`serve` instead (the
-        per-step baseline the benchmark compares against).
-        ``deadline_seconds`` is a wall budget per step (see
-        :meth:`~repro.parallel.trajectory.MultiPeriodSweep.run`).
-        The trajectory runs on the same fleet as :meth:`serve`.
-
-        The published :class:`ServingModel` is snapshotted once for the whole
-        trajectory and stamped on every per-step sweep.
-        """
-        from repro.parallel.trajectory import MultiPeriodSweep, TrajectoryResult
-
-        steps = list(steps)
-        serving = self._serving
-        if not steps:
-            return TrajectoryResult(case_name=self.case.name)
-
-        def model_warm_starts(step: ScenarioSet) -> Optional[List[Optional[WarmStart]]]:
-            if len(step) == 0:
-                return None
-            return self._serve_starts(serving, step)
-
-        driver = MultiPeriodSweep(self.fleet(n_workers), warm_chain=warm_chain)
-        if warm_chain:
-            result = driver.run(steps, model_warm_starts(steps[0]), deadline_seconds)
-        else:
-            # Per-step serving: no chaining, every period from the table.
-            result = TrajectoryResult(case_name=self.case.name)
-            for t, step in enumerate(steps):
-                (sweep,) = driver.run([step], model_warm_starts(step), deadline_seconds).steps
-                sweep.period = t
-                result.steps.append(sweep)
-        for sweep in result.steps:
-            sweep.model_generation = serving.generation
-        return result
 
     # --------------------------------------------------------------- evaluation
     def evaluate(

@@ -16,10 +16,8 @@ from repro.grid.components import (
 from repro.grid.cases import case9, case14, get_case
 from repro.grid.io import case_from_matpower
 from repro.grid.perturb import (
-    CorrelatedLoadSampler,
     LoadSample,
     iter_load_samples,
-    sample_load_trajectory,
     sample_loads,
 )
 from repro.grid.synthetic import SyntheticGridConfig, generate_case
@@ -41,9 +39,7 @@ __all__ = [
     "case14",
     "get_case",
     "case_from_matpower",
-    "CorrelatedLoadSampler",
     "LoadSample",
-    "sample_load_trajectory",
     "sample_loads",
     "iter_load_samples",
     "SyntheticGridConfig",

@@ -9,17 +9,10 @@ from repro.parallel.scenarios import (
     generate_scenarios,
     outage_keeps_connected,
     screened_outage_sets,
-    topology_key,
     validate_outage_branches,
 )
 from repro.parallel.scheduler import MicroBatch, auto_microbatch_size, make_microbatches
 from repro.parallel.supervision import PoolClosedError, SupervisedPool
-from repro.parallel.trajectory import (
-    MultiPeriodSweep,
-    TrajectoryResult,
-    chained_warm_start,
-    trajectory_steps,
-)
 
 __all__ = [
     "Scenario",
@@ -35,13 +28,8 @@ __all__ = [
     "MicroBatch",
     "auto_microbatch_size",
     "make_microbatches",
-    "topology_key",
     "ClusterModel",
     "PAPER_WORKER_COUNTS",
     "PoolClosedError",
     "SupervisedPool",
-    "MultiPeriodSweep",
-    "TrajectoryResult",
-    "chained_warm_start",
-    "trajectory_steps",
 ]

@@ -15,8 +15,9 @@ once per spawned process by the pool initializer, or once by the in-process
 fleet.  A :class:`SolverFleet` keeps the workers alive across sweeps, which
 is what the serving engine uses to amortise process start-up over many
 requests.  Everything that varies per request — warm starts, absolute per-row
-deadlines, whether converged solutions come back — is an argument of the
-call and rides on its tasks, so one fleet serves every kind of request.
+deadlines, whether converged solutions come back (the offline dataset sweep
+asks for them) — is an argument of the call and rides on its tasks, so one
+fleet serves every kind of request.
 
 A sweep runs one way.  It is cut into micro-batches in input order
 (:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
@@ -149,10 +150,6 @@ class SweepResult:
     #: bare-fleet sweeps).  A request in flight across a hot-swap keeps the
     #: generation it snapshotted on entry — never a hybrid.
     model_generation: int = 0
-    #: Trajectory step index when this sweep is one period of a multi-period
-    #: sweep (stamped by :class:`~repro.parallel.trajectory.MultiPeriodSweep`);
-    #: ``None`` for ordinary one-shot sweeps.
-    period: Optional[int] = None
 
     @property
     def n_scenarios(self) -> int:

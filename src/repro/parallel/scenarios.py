@@ -8,10 +8,9 @@ plain load sweeps; the pool runner and the cluster model consume them.
 
 A :class:`Scenario` carries its outage as a **sorted tuple of branch
 indices** (``outage_branches``: ``()`` intact, ``(b,)`` N-1, ``(b1, b2)``
-N-2).  The sorted tuple is also the scenario's topology key
-(:func:`topology_key`): scenarios dropping the same branch *set* solve the
-same network.  Lockstep batching does not group by it — an outage is per-row
-data of the batched solve, so every topology shares one lockstep batch.
+N-2): scenarios dropping the same branch *set* solve the same network.
+Lockstep batching does not group by it — an outage is per-row data of the
+batched solve, so every topology shares one lockstep batch.
 
 Outage screening uses a real connectivity check
 (:func:`outage_keeps_connected`, union-find over the post-outage live graph)
@@ -57,7 +56,7 @@ class Scenario:
     """One SC-ACOPF scenario: a load realisation plus an optional branch-outage set.
 
     ``outage_branches`` is a sorted tuple of branch indices (empty for the
-    intact network) that doubles as the scenario's :func:`topology_key`.  Indices are
+    intact network) that names the scenario's topology.  Indices are
     validated to be non-negative integers at construction (and sorted,
     de-duplicated) and bounds-checked against the case on :meth:`apply`.
     """
@@ -83,17 +82,6 @@ class Scenario:
     def feature_vector(self, base_mva: float) -> np.ndarray:
         """Model input vector ``[Pd, Qd]`` in p.u."""
         return np.concatenate([self.Pd, self.Qd]) / base_mva
-
-
-def topology_key(scenario: Scenario) -> Tuple[int, ...]:
-    """The network-topology key of a scenario: its sorted outage-branch tuple.
-
-    ``()`` is the intact network; ``(b,)`` an N-1 outage; ``(b1, b2)`` an N-2
-    pair, and so on.  Equal keys mean the same network, which is what
-    multi-period warm chaining checks before carrying inequality multipliers
-    from one step to the next.
-    """
-    return scenario.outage_branches
 
 
 @dataclass

@@ -8,7 +8,7 @@ seed is supplied and independent when one is not.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,9 +30,3 @@ def ensure_rng(seed: RNGLike = None) -> np.random.Generator:
         return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
-
-def derive_seed(seed: Optional[int], index: int) -> int:
-    """Return a stable 32-bit seed derived from ``seed`` and ``index``."""
-    base = 0 if seed is None else int(seed)
-    mixed = np.random.SeedSequence([base, int(index)]).generate_state(1)[0]
-    return int(mixed)

@@ -45,6 +45,24 @@ def test_dataset_reproduces_scalar_trajectories(case9_fixture, opf_model9):
             np.testing.assert_allclose(dataset.targets[task][i], values, atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "n_samples, variation, named",
+    [(0, 0.1, "n_samples"), (-1, 0.1, "n_samples"), (2, 1.5, "variation")],
+)
+def test_bad_dataset_request_raises_before_the_fleet_starts(
+    case9_fixture, monkeypatch, n_samples, variation, named
+):
+    """A bad request names its argument and spawns no worker."""
+    import repro.data.dataset as dataset_module
+
+    def no_fleet(*args, **kwargs):
+        raise AssertionError("a fleet was started")
+
+    monkeypatch.setattr(dataset_module, "SolverFleet", no_fleet)
+    with pytest.raises(ValueError, match=named):
+        generate_dataset(case9_fixture, n_samples, variation=variation, n_workers=2)
+
+
 def test_batch_solve_seconds_are_additive_and_cheaper(case9_fixture, opf_model9):
     """``solve_seconds`` are additive shares of the lockstep wall: their total
     stays well below the scalar loop's total (the whole point of the lockstep

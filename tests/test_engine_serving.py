@@ -76,6 +76,26 @@ def test_engine_serve_scenarios(engine9, case9_fixture):
     assert not engine9._fleets
 
 
+def test_serve_keeps_one_fleet_per_width(trained_trainer9, case9_fixture):
+    """Requests at one worker count reuse the same spawned workers."""
+    import multiprocessing
+
+    def workers():
+        return set(multiprocessing.active_children()) - before
+
+    before = set(multiprocessing.active_children())
+    scenarios = generate_scenarios(case9_fixture, 2, seed=7)
+    with WarmStartEngine.from_trainer(trained_trainer9) as engine:
+        assert engine.serve(scenarios, n_workers=2).success_rate == 1.0
+        spawned = workers()
+        Pd = np.vstack([s.Pd for s in scenarios])
+        Qd = np.vstack([s.Qd for s in scenarios])
+        assert engine.serve_loads(Pd, Qd, n_workers=2).success_rate == 1.0
+        assert list(engine._fleets) == [2]
+        assert len(spawned) == 2 and workers() == spawned
+    assert not workers()
+
+
 def test_engine_serve_matches_scalar_warm_solves(trained_trainer9, case9_fixture, scalar_reference):
     """The engine's lockstep serving reproduces warm-started one-row solves,
     each a certified KKT point."""

@@ -39,6 +39,17 @@ def test_sample_loads_negative_count_raises(case9_fixture):
         sample_loads(case9_fixture, -1)
 
 
+def test_variation_outside_unit_interval_raises(case9_fixture):
+    """Above 1 a factor ``1 - variation`` goes negative: a load becomes an injection."""
+    for variation in (1.5, -0.1):
+        with pytest.raises(ValueError, match="variation"):
+            sample_loads(case9_fixture, 4, variation=variation, seed=0)
+        with pytest.raises(ValueError, match="variation"):
+            next(iter_load_samples(case9_fixture, 4, variation=variation, seed=0))
+    for s in sample_loads(case9_fixture, 200, variation=1.0, seed=0):
+        assert np.all(s.Pd >= 0.0) and np.all(s.Qd * np.sign(case9_fixture.bus.Qd) >= 0.0)
+
+
 def test_iter_load_samples_matches_list_version(case9_fixture):
     listed = sample_loads(case9_fixture, 4, seed=7)
     iterated = list(iter_load_samples(case9_fixture, 4, seed=7))

@@ -33,7 +33,6 @@ from repro.parallel import (
     make_microbatches,
     outage_keeps_connected,
     screened_outage_sets,
-    topology_key,
 )
 
 
@@ -121,7 +120,7 @@ def test_generate_contingency_set_round_robins_screened_pairs():
     case = case14()
     cs = generate_contingency_set(case, 9, k=2, max_outage_sets=3, seed=2)
     assert len(cs) == 9
-    keys = [topology_key(s) for s in cs]
+    keys = [s.outage_branches for s in cs]
     assert all(len(k) == 2 for k in keys)
     assert len(set(keys)) == 3
     # Round-robin: scenario i reuses set i % 3, so lockstep groups recur.
@@ -175,14 +174,14 @@ def test_pool_and_scheduler_grouping_agree():
     case = case14()
     cs = generate_contingency_set(case, 12, k=2, max_outage_sets=4, seed=3)
     mixed = list(cs) + list(generate_scenarios(case, 6, contingency_fraction=0.5, seed=4))
-    assert len({topology_key(s) for s in mixed}) > 4
+    assert len({s.outage_branches for s in mixed}) > 4
 
     (whole,) = make_microbatches(mixed, microbatch=len(mixed))
     assert whole.positions == tuple(range(len(mixed)))
     cuts = make_microbatches(mixed, n_workers=2)
     assert [len(mb) for mb in cuts] == [5, 5, 5, 3]
     assert [p for mb in cuts for p in mb.positions] == list(range(len(mixed)))
-    assert any(len({topology_key(mixed[p]) for p in mb.positions}) > 1 for mb in cuts)
+    assert any(len({mixed[p].outage_branches for p in mb.positions}) > 1 for mb in cuts)
 
 
 # ------------------------------------------------------------ bitwise parity
@@ -198,7 +197,7 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
     """
     case = case14()
     cs = generate_contingency_set(case, 8, k=2, max_outage_sets=2, seed=5)
-    assert len({topology_key(s) for s in cs}) == 2  # pairs genuinely recur
+    assert len({s.outage_branches for s in cs}) == 2  # pairs genuinely recur
 
     with kkt_solve(kkt_solver), SolverFleet(case) as fleet:
         grouped = fleet.solve(cs, solutions=True)

@@ -11,10 +11,8 @@ from repro.parallel import (
     generate_scenarios,
     make_microbatches,
     screened_outage_sets,
-    topology_key,
 )
 from repro.utils import ensure_rng
-from repro.utils.rng import derive_seed
 
 
 # ------------------------------------------------------------------------ scenarios
@@ -161,7 +159,7 @@ def test_outage_indices_are_validated_and_key_the_topology(case9_fixture):
         Scenario(0, Pd, Qd, outage_branches=(1.5,))
     with pytest.raises(ValueError, match="non-negative"):
         Scenario(0, Pd, Qd, outage_branches=(-1,))
-    assert topology_key(Scenario(0, Pd, Qd, outage_branches=(3, 1, 3))) == (1, 3)
+    assert Scenario(0, Pd, Qd, outage_branches=(3, 1, 3)).outage_branches == (1, 3)
     with pytest.raises(ValueError, match="k must be positive"):
         screened_outage_sets(case9_fixture, k=0)
     with pytest.raises(ValueError, match="max_sets must be positive"):
@@ -177,7 +175,3 @@ def test_ensure_rng_accepts_everything():
     assert ensure_rng(gen) is gen
     assert isinstance(ensure_rng(np.random.SeedSequence(1)), np.random.Generator)
 
-
-def test_derive_seed_stable():
-    assert derive_seed(1, 2) == derive_seed(1, 2)
-    assert derive_seed(1, 2) != derive_seed(1, 3)

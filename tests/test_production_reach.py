@@ -44,16 +44,13 @@ ENTRY_POINTS = (
 )
 
 _SCENARIO_FAMILY = (
-    "scenario-family builder; ROADMAP item 5(c) gives generate_contingency_set a production "
-    "sweep, item 3(a) certifies trajectories"
+    "the N-k scenario builder; ROADMAP item 5(c) gives generate_contingency_set a production sweep"
 )
 
 #: Public definitions production does not reach, each with its reason.  They
 #: count as roots too: what a reviewed definition needs is kept with it.
 REVIEWED: Dict[Tuple[str, str], str] = {
-    ("repro.grid.perturb", "sample_load_trajectory"): _SCENARIO_FAMILY,
     ("repro.parallel.scenarios", "generate_contingency_set"): _SCENARIO_FAMILY,
-    ("repro.parallel.trajectory", "trajectory_steps"): _SCENARIO_FAMILY,
     ("repro.nn.schedulers", "StepLR"): "the scheduler MTLTrainer.scheduler is documented with",
     ("repro.testing.faults", "kill_worker"): "builds a FaultSpec the fleet's workers execute",
     ("repro.testing.faults", "kill_at_task"): "builds a FaultSpec the fleet's workers execute",
@@ -85,6 +82,8 @@ _HEALTH = (
     "ShadowReport",
 )
 _STATE_FILES = ("save_state_dict", "load_state_dict")
+_STREAMS = ("CorrelatedLoadSampler", "sample_load_trajectory")
+_TRAJECTORIES = ("MultiPeriodSweep", "TrajectoryResult", "chained_warm_start", "trajectory_steps")
 
 #: The engine's model-state properties, replaced by the retrieval table
 #: (``ServingModel``'s fields are pinned in ``test_removed_knobs.py``).
@@ -99,10 +98,10 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.engine": (*_HEALTH, *_SERVED_NETWORK),
     "repro.engine.engine": (*_HEALTH, *_SERVED_NETWORK),
     "repro.engine.artifact": ("_MODEL_TYPES", "_normalizer_from_arrays"),
-    "repro.grid": ("register_case", "case_to_matpower", "available_cases", *_LOADS),
+    "repro.grid": ("register_case", "case_to_matpower", "available_cases", *_LOADS, *_STREAMS),
     "repro.grid.cases": ("register_case", "available_cases"),
     "repro.grid.io": ("case_to_matpower", "BUS_COLUMNS", "GEN_COLUMNS", "BRANCH_COLUMNS"),
-    "repro.grid.perturb": _LOADS,
+    "repro.grid.perturb": (*_LOADS, *_STREAMS),
     "repro.grid.synthetic": ("scaled_family",),
     "repro.mips": (
         "mips",
@@ -132,7 +131,14 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.nn.serialization": ("save_module", "load_module", *_STATE_FILES),
     "repro.nn.tensor": ("stack_scalars",),
     "repro.opf": ("hessian_blocks", "lagrangian_hessian", "OPFOptions"),
-    "repro.parallel": ("calibrate_from_inference", "run_scenario_sweep", "ScenarioSolution"),
+    "repro.parallel": (
+        "calibrate_from_inference",
+        "run_scenario_sweep",
+        "ScenarioSolution",
+        "topology_key",
+        *_TRAJECTORIES,
+    ),
+    "repro.parallel.scenarios": ("topology_key",),
     "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.cluster": ("calibrate_from_inference",),
     "repro.powerflow": (
@@ -149,7 +155,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.testing": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.utils": ("spawn_rngs", "Timer", "timed", "CachedBmat"),
-    "repro.utils.rng": ("spawn_rngs",),
+    "repro.utils.rng": ("spawn_rngs", "derive_seed"),
     "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat"),
     "reference.faults": ("swap_fault",),
 }
@@ -164,6 +170,7 @@ GONE_MODULES: Tuple[str, ...] = (
     "repro.mips.solver",
     "repro.opf.hessian",
     "repro.opf.options",
+    "repro.parallel.trajectory",
     "repro.powerflow.hessians",
     "repro.powerflow.newton",
     "repro.utils.timing",

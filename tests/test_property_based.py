@@ -10,7 +10,6 @@ from repro.grid import SyntheticGridConfig, generate_case, validate_case
 from repro.mtl.normalization import MinMaxScaler
 from repro.nn import Tensor, charbonnier
 from repro.powerflow import bus_injection, dSbus_dV, make_ybus, polar_to_complex
-from repro.utils.rng import derive_seed
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -150,10 +149,3 @@ def test_box_constrained_diagonal_qp_solution(diag, target):
     # the comparison tolerance must be looser than the solver's, not tighter.
     assert np.allclose(res.x, np.clip(target, -1, 1), atol=2e-3)
 
-
-# ------------------------------------------------------------------------------ misc
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**20), st.integers(0, 1000))
-def test_derive_seed_in_32bit_range(seed, index):
-    value = derive_seed(seed, index)
-    assert 0 <= value < 2**32

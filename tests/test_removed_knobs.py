@@ -22,11 +22,10 @@ constants: the dual floor of ``WarmStart.clipped_duals``, the supervised
 pool's start method, poll interval and lost-task grace, and
 ``generate_dataset``'s keep-failed switch.  And the dispatch surface below
 ``AsyncServer`` takes each request property in one form: an absolute
-``deadline=`` (no ``deadline_seconds=`` below the server or in the trajectory
-driver's per-step budget, no ``MIPSOptions.max_wall_seconds``), a per-call
-``solutions=`` (no fleet-wide ``collect_solutions``, so one fleet per worker
-count), ``microbatch=`` on ``SolverFleet`` only, and no wrapper that repeats
-the code it calls.  And ``perfbench`` is the one performance system: the
+``deadline=`` (no ``deadline_seconds=`` below the server, no
+``MIPSOptions.max_wall_seconds``), a per-call ``solutions=`` (no fleet-wide
+``collect_solutions``, so one fleet per worker count), ``microbatch=`` on
+``SolverFleet`` only, and no wrapper that repeats the code it calls.  And ``perfbench`` is the one performance system: the
 paper-figure suite in ``benchmarks/`` imports no clock, reads no environment
 knob and takes no timing fixture.  And the engine keeps no reactive health
 state: ``breaker=`` and ``drift_monitor=`` are gone with the circuit breaker,
@@ -42,7 +41,10 @@ Hessian callback, history is always recorded, and the sparse structure caches
 are gone.  And the engine serves one start, the nearest training solutions:
 it holds no network, normalizer or MTL configuration, so neither its
 constructor nor ``hot_swap`` takes them, and there is no switch back to MTL
-inference.
+inference.  And a scenario is one period of independently drawn loads: the
+multi-period trajectory driver, ``serve_trajectory`` and the correlated load
+streams are gone, so ``generate_dataset`` takes no ``sampler=`` or
+``stream_batch=``.
 """
 
 import ast
@@ -277,9 +279,7 @@ def test_one_dispatch_surface():
     from repro.nn.tensor import Tensor
     from repro.opf.result import OPFResult
     from repro.opf.warmstart import WarmStart
-    from repro.parallel import MultiPeriodSweep
     from repro.parallel.pool import WorkerState, _init_worker
-    from repro.parallel.trajectory import TrajectoryResult
 
     # One deadline form below the server: absolute ``deadline=`` only.
     for callee in (
@@ -293,9 +293,8 @@ def test_one_dispatch_surface():
         assert "deadline" in params and "deadline_seconds" not in params, callee.__qualname__
         with pytest.raises(TypeError, match="deadline_seconds"):
             callee(None, [], deadline_seconds=1.0)
-    # The relative forms that stay: the client's budget and the per-step one.
-    for callee in (AsyncServer.submit, WarmStartEngine.serve_trajectory, MultiPeriodSweep.run):
-        assert "deadline_seconds" in inspect.signature(callee).parameters
+    # The relative form that stays: the client's budget.
+    assert "deadline_seconds" in inspect.signature(AsyncServer.submit).parameters
     with pytest.raises(TypeError, match="max_wall_seconds"):
         MIPSOptions(max_wall_seconds=0.5)
     assert not hasattr(MIPSOptions(), "max_wall_seconds")
@@ -341,7 +340,6 @@ def test_one_dispatch_surface():
         (OPFResult, "dispatch_summary"),
         (WarmStart, "split_x"),
         (WarmStart, "is_cold"),
-        (TrajectoryResult, "n_solves"),
         (OPFDataset, "n_features"),
     ):
         with pytest.raises(AttributeError):
@@ -421,6 +419,17 @@ def test_the_engine_serves_no_network(case9_fixture, trained_trainer9):
     for callee in (WarmStartEngine, WarmStartEngine.serve, WarmStartEngine.from_trainer, load_artifact):
         params = set(inspect.signature(callee).parameters)
         assert not {"model", "predictor", "network", "use_mtl", "mode"} & params, callee
+
+
+def test_one_scenario_family(case9_fixture):
+    from repro.parallel.pool import SweepResult
+
+    for keyword in ("sampler", "stream_batch"):
+        with pytest.raises(TypeError, match=keyword):
+            generate_dataset(case9_fixture, 2, **{keyword: None})
+    with pytest.raises(AttributeError):
+        WarmStartEngine.serve_trajectory
+    assert "period" not in {f.name for f in dataclasses.fields(SweepResult)}
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
