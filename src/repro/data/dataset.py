@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.grid.components import Case
-from repro.grid.perturb import iter_load_samples
+from repro.grid.perturb import sample_loads
 from repro.opf.model import OPFModel, VariableIndex
 from repro.parallel.pool import SolverFleet
 from repro.parallel.scenarios import Scenario, ScenarioSet
@@ -175,7 +175,7 @@ def generate_dataset(
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     # Drawn before the fleet starts, so a bad ``variation`` raises before any
     # worker process is spawned.
-    samples = list(iter_load_samples(case, n_samples, variation=variation, seed=seed))
+    samples = sample_loads(case, n_samples, variation=variation, seed=seed)
     scenario_set = ScenarioSet(
         case.name,
         [Scenario(s.scenario_id, s.Pd, s.Qd) for s in samples],

@@ -17,7 +17,6 @@ from repro.grid.cases import case9, case14, get_case
 from repro.grid.io import case_from_matpower
 from repro.grid.perturb import (
     LoadSample,
-    iter_load_samples,
     sample_loads,
 )
 from repro.grid.synthetic import SyntheticGridConfig, generate_case
@@ -41,7 +40,6 @@ __all__ = [
     "case_from_matpower",
     "LoadSample",
     "sample_loads",
-    "iter_load_samples",
     "SyntheticGridConfig",
     "generate_case",
     "CaseValidationError",

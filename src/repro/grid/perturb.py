@@ -9,7 +9,7 @@ implements that sampling; every draw is independent of the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -44,21 +44,9 @@ def sample_loads(
 
     Each bus load is drawn uniformly from ``[(1 - t) * Pd_i, (1 + t) * Pd_i]``
     (and likewise for ``Qd``), matching the paper's load-sampling protocol.
-    Buses with zero nominal load stay at zero.
-    """
-    return list(iter_load_samples(case, n_samples, variation=variation, seed=seed))
-
-
-def iter_load_samples(
-    case: Case,
-    n_samples: int,
-    variation: float = 0.1,
-    seed: RNGLike = None,
-) -> Iterator[LoadSample]:
-    """Generator version of :func:`sample_loads` (constant memory).
-
-    ``variation`` must lie in ``[0, 1]``: above 1 a factor ``1 - variation``
-    can go negative and turn a load into an injection.
+    Buses with zero nominal load stay at zero.  ``variation`` must lie in
+    ``[0, 1]``: above 1 a factor ``1 - variation`` can go negative and turn a
+    load into an injection.  Both arguments are checked before any draw.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
@@ -66,8 +54,9 @@ def iter_load_samples(
         raise ValueError(f"variation must lie in [0, 1], got {variation}")
     rng = ensure_rng(seed)
     Pd0, Qd0 = case.bus.Pd, case.bus.Qd
+    samples = []
     for i in range(n_samples):
         fp = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
         fq = rng.uniform(1.0 - variation, 1.0 + variation, size=case.n_bus)
-        yield LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i)
-
+        samples.append(LoadSample(Pd=Pd0 * fp, Qd=Qd0 * fq, scenario_id=i))
+    return samples

@@ -1,6 +1,6 @@
 """MIPS primal-dual interior-point solver (warm-startable)."""
 
-from repro.mips.ldl import BlockSolveReport, KKTSolveError, LDLSolver
+from repro.mips.ldl import BlockSolveReport, LDLSolver, LDLSymbolic
 from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
 from repro.mips.options import (
     BOUND_EQ_TOL,
@@ -33,7 +33,7 @@ __all__ = [
     "mips_batch",
     "BatchFeedPayload",
     "LockstepPlan",
-    "KKTSolveError",
     "BlockSolveReport",
     "LDLSolver",
+    "LDLSymbolic",
 ]

@@ -28,10 +28,12 @@ the linear algebra: every iteration assembles all active scenarios' KKT
 systems at once through plan-based batched kernels
 (:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to
 **one** :meth:`~repro.mips.ldl.LDLSolver.solve_blocks` call, which
-refactorises the whole plane over one cached symbolic analysis.  The problem
-enters as a :class:`LockstepPlan` — everything derived from the problem
-structure alone: bound partition, canonical templates, transpose plans, the
-assembler — which callers that solve one structure repeatedly build once.
+refactorises the whole plane over the plan's symbolic analysis (a cold row the
+step cascade loses takes a second, fresh pass).  The problem enters as a
+:class:`LockstepPlan` — everything derived from the problem structure alone:
+bound partition, canonical templates, transpose plans, the assembler, the
+analysis of its KKT pattern — which callers that solve one structure
+repeatedly build once.
 The plan's index maps are replayed over the ``(B, ·)`` state with the
 primitives of :mod:`repro.utils.planes` — ``take`` for column gathers,
 flat-offset :class:`~repro.utils.planes.Targets` for the bound-row scatters
@@ -93,10 +95,26 @@ Quintana 1998) through :class:`_Centring`:
    for the per-constraint target ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``; ``ΔMU``
    follows from that ``γ`` vector.
 
-A cold row whose predictor or corrector is not accepted takes the fixed-σ
-step that iteration.  The clip keeps cold rows robust: the pure
-``(µ_aff/µ)³`` failed 16 of 64 case30s ±10 % rows, mostly on singular KKT
-systems, and a ``σ`` above 1 made case9 steps explode.  The row rule keeps
+The solve of a cold row is a cascade, which :class:`_Centring` runs on the
+:class:`~repro.mips.ldl.BlockSolveReport` of the iteration's
+``solve_blocks`` call.  The corrector needs no new factorisation: each row
+back-substitutes only the change of right-hand side on the factor its
+predictor was accepted from — the base factor or a shifted retry — on top of
+the predictor's solution (:meth:`~repro.mips.ldl.BlockSolveReport.resolve`),
+then refines against the unperturbed matrix and must pass the acceptance
+residual.  Because only the corrector is the step, the predictor is refined
+to ``residual_tol`` rather than ``refine_tol``: on cold case118s rows that
+takes refinement from ~3.1 to ~2.0 back-substitutions per row-iteration (1.1
+on a fixed-σ row-iteration) at iteration counts within 3 %.  A row whose
+corrector is not accepted solves its fallback — the fixed-σ right-hand side —
+on the same factor; a row whose predictor failed, or whose fallback failed
+there too, takes a fresh ``solve_blocks`` pass on the fallback.  So a cold
+row whose predictor or corrector is not accepted takes the fixed-σ step that
+iteration.
+
+The clip keeps cold rows robust: the pure ``(µ_aff/µ)³`` failed 16 of 64
+case30s ±10 % rows, mostly on singular KKT systems, and a ``σ`` above 1 made
+case9 steps explode.  The row rule keeps
 warm rows safe: with predictor–corrector steps on every row, full starts
 from another load draw took 14.8 instead of 7.4 mean iterations on case118s,
 and ``x``-only starts converged on 14 of 16 rows instead of 16.  Mean MIPS
@@ -134,7 +152,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.mips.ldl import LDLSolver
+from repro.mips.ldl import BlockSolveReport, LDLSolver, LDLSymbolic
 from repro.mips.options import (
     BOUND_EQ_TOL,
     COMPTOL,
@@ -407,7 +425,8 @@ class LockstepPlan:
 
     Everything :func:`mips_batch` derives from the sparsity templates and the
     variable bounds alone — the bound partition, the canonical templates, the
-    transpose plans of the nonlinear Jacobians and the batched KKT assembler.
+    transpose plans of the nonlinear Jacobians, the batched KKT assembler and
+    the symbolic analysis of its KKT pattern (:attr:`symbolic`).
     Callers that solve many batches of one problem structure (the AC-OPF
     model of a case) build it once and hand it to every call; the plan holds
     no per-solve state.
@@ -466,6 +485,8 @@ class LockstepPlan:
             _selector(self.lb_idx, -1.0, nx),
         )
         self.assembler = _BatchKKTAssembler(self.jg_t, self.jh_t, self.hess_t, selectors)
+        #: The symbolic analysis of the KKT pattern every solve factorises.
+        self.symbolic = LDLSymbolic.analyse(self.assembler.kkt_template)
 
     def jh_dot(self, Jh_data: np.ndarray, DX: np.ndarray) -> np.ndarray:
         """``Jh·dx`` per row over the stacked inequality rows (nonlinear,
@@ -492,21 +513,21 @@ class LockstepPlan:
 
 
 class _Centring:
-    """Mehrotra's predictor–corrector right-hand sides for the cold rows of
-    one lockstep iteration: the ``corrector`` of
-    :meth:`~repro.mips.ldl.LDLSolver.solve_blocks`.
+    """One lockstep iteration's KKT solve (:meth:`solve`), with Mehrotra's
+    predictor–corrector step for its cold rows.
 
-    The plane holds the iteration's active rows; ``rows`` are the cold ones,
-    whose right-hand sides were assembled with ``γ = 0`` (the predictor).
-    From a predictor solution it takes the full steps to the boundary,
-    ``α_aff^p`` and ``α_aff^d``, and sets ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ +
-    α_d ΔMU_aff) / niq``, ``σ = (µ_aff/µ)³`` clipped to ``[SIGMA, 1]`` and
-    the per-row,
-    per-constraint target ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``.  The corrector
+    The plane holds the iteration's active rows; ``rows`` are the cold ones
+    (none when every row is warm), whose right-hand sides were assembled
+    with ``γ = 0`` (the predictor).  From a predictor solution it takes the
+    full steps to the boundary, ``α_aff^p`` and ``α_aff^d``, and sets
+    ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ + α_d ΔMU_aff) / niq``, ``σ = (µ_aff/µ)³``
+    clipped to ``[SIGMA, 1]`` and the per-row, per-constraint target
+    ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``.  The corrector
     right-hand side is the predictor's minus ``[Jhᵀ(γ/z); 0]``.  The
     fallback is the same with the fixed-σ target ``γ_i = gamma``.
     :attr:`target` keeps the ``γ`` each row's solution solves for, and
-    :attr:`sigma_mu` its centring target ``σµ``.
+    :attr:`sigma_mu` its centring target ``σµ``.  Every right-hand side is
+    computed row by row, so no row depends on the others.
     """
 
     def __init__(self, plan, rows, rhs_plane, Jh_data, H, z, mu, gamma) -> None:
@@ -516,6 +537,10 @@ class _Centring:
         self._z, self._mu, self._gamma = z, mu, gamma
         self.target = np.zeros_like(z)
         self.sigma_mu = np.zeros(z.shape[0])
+        #: Seconds spent computing corrector and fallback right-hand sides.
+        self.rhs_seconds = 0.0
+        #: Numeric-factorisation seconds of the fresh passes.
+        self.factor_seconds = 0.0
 
     def _shifted(self, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
         shift = np.zeros((rows.size, self._plan.nx))
@@ -525,7 +550,8 @@ class _Centring:
         rhs[:, : self._plan.nx] -= shift
         return rhs
 
-    def rhs(self, rows: np.ndarray, predictor: np.ndarray) -> np.ndarray:
+    def _corrector(self, rows: np.ndarray, predictor: np.ndarray) -> np.ndarray:
+        t0 = time.perf_counter()
         z, mu = self._z[rows], self._mu[rows]
         dz = -self._H[rows] - z - self._plan.jh_dot(self._Jh[rows], predictor[:, : self._plan.nx])
         dmu = _dual_step(mu, z, dz, 0.0)
@@ -536,12 +562,51 @@ class _Centring:
         mu_aff = np.einsum("ij,ij->i", z + ap[:, None] * dz, mu + ad[:, None] * dmu) / niq
         sigma_mu = np.clip((mu_aff / mu_now) ** 3, SIGMA, 1.0) * mu_now
         self.sigma_mu[rows] = sigma_mu
-        return self._shifted(rows, sigma_mu[:, None] - dz * dmu)
+        rhs = self._shifted(rows, sigma_mu[:, None] - dz * dmu)
+        self.rhs_seconds += time.perf_counter() - t0
+        return rhs
 
-    def fallback(self, rows: np.ndarray) -> np.ndarray:
+    def _fallback(self, rows: np.ndarray) -> np.ndarray:
+        t0 = time.perf_counter()
         gamma = self._gamma[rows]
         self.sigma_mu[rows] = gamma
-        return self._shifted(rows, np.repeat(gamma[:, None], self._z.shape[1], axis=1))
+        rhs = self._shifted(rows, np.repeat(gamma[:, None], self._z.shape[1], axis=1))
+        self.rhs_seconds += time.perf_counter() - t0
+        return rhs
+
+    def solve(self, solver: LDLSolver, data_plane: np.ndarray) -> BlockSolveReport:
+        """The iteration's KKT solve: the plane, then the cold rows' cascade
+        (module docstring).  Every other row keeps its first solution."""
+        tol = np.full(self._rhs.shape[0], solver.refine_tol)
+        tol[self.rows] = solver.residual_tol
+        report = solver.solve_blocks(data_plane, self._rhs, tol)
+        x = report.solutions
+        solved = np.isin(self.rows, report.failed, invert=True)
+        rows = self.rows[solved]
+        if rows.size:
+            rhs = self._corrector(rows, x[rows])
+            xc, ok = report.resolve(rows, rhs, np.ones(rows.size, dtype=bool))
+            x[rows[ok]] = xc[ok]
+            rows = rows[~ok]
+        fallback = np.union1d(rows, self.rows[~solved])
+        if fallback.size == 0:
+            return report
+        rhs = self._fallback(fallback)
+        again = np.isin(fallback, rows, invert=True)
+        if rows.size:
+            same = ~again
+            xf, ok = report.resolve(rows, rhs[same], report.perturbed[rows])
+            x[rows[ok]] = xf[ok]
+            again[np.flatnonzero(same)[~ok]] = True
+        lost = fallback[again]
+        if lost.size:
+            fresh = solver.solve_blocks(data_plane[lost], rhs[again])
+            x[lost] = fresh.solutions
+            report.regularizations[lost] = fresh.regularizations
+            kept = np.setdiff1d(np.asarray(report.failed, dtype=np.int64), lost)
+            report.failed = np.union1d(kept, lost[fresh.failed]).tolist()
+            self.factor_seconds += fresh.factor_seconds
+        return report
 
 
 def mips_batch(
@@ -641,7 +706,7 @@ def mips_batch(
     take = planes.take
     assembler = plan.assembler
 
-    solver = LDLSolver()
+    solver = LDLSolver(plan.symbolic)
 
     # ------------------------------------------------------------- batch state
     # Arrays are sized for every scenario the call may ever hold (just the
@@ -955,8 +1020,8 @@ def mips_batch(
         # ------------------- batched assembly, then one solve for the active set
         # The shared phases are split evenly across the active set, like the
         # batched evaluation phases.
-        # A cold row's right-hand side is its predictor (γ = 0); the solve
-        # takes the corrector from the centring.
+        # A cold row's right-hand side is its predictor (γ = 0); the centring
+        # solves the plane and then the cold rows' correctors.
         t0 = time.perf_counter()
         Jh_a, H_a, z_a, mu_a = Jh_data[idx], H[idx], z[idx], mu[idx]
         centred = np.flatnonzero(cold[idx]) if niq else np.zeros(0, dtype=np.int64)
@@ -967,21 +1032,19 @@ def mips_batch(
         kkt_plane, rhs_plane = assembler.build(
             Hdata, Jg_data[idx], Jh_a, Lx[idx], G[idx], H_a, z_a, mu_a, gamma_a
         )
-        centring = (
-            _Centring(plan, centred, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma[idx])
-            if centred.size
-            else None
-        )
+        centring = _Centring(plan, centred, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma[idx])
         asm_dt = time.perf_counter() - t0
 
-        report = solver.solve_blocks(
-            assembler.kkt_template, kkt_plane, rhs_plane, corrector=centring
-        )
-        asm_dt = (asm_dt + solver.rhs_seconds) / na
+        # The solve's wall splits into factorisation, the centring's
+        # right-hand sides (counted as assembly) and back-substitution.
+        t0 = time.perf_counter()
+        report = centring.solve(solver, kkt_plane)
+        fac_dt = report.factor_seconds + centring.factor_seconds
+        back_dt = (time.perf_counter() - t0 - fac_dt - centring.rhs_seconds) / na
+        fac_dt /= na
+        asm_dt = (asm_dt + centring.rhs_seconds) / na
         phase["assembly"][idx] += asm_dt
         it_asm[idx] = asm_dt
-        fac_dt = solver.factor_seconds / na
-        back_dt = solver.backsolve_seconds / na
         phase["factorization"][idx] += fac_dt
         phase["backsolve"][idx] += back_dt
         it_fac[idx] = fac_dt
@@ -1013,7 +1076,7 @@ def mips_batch(
         Dlams = sol[ok, nx:]
         # ``s[i]`` is plane row ``okpos[i]``; ``centred_s`` indexes its cold rows.
         okpos = np.flatnonzero(ok)
-        centred_s = np.flatnonzero(cold[s] & (centring is not None))
+        centred_s = np.flatnonzero(cold[s] & bool(centred.size))
 
         # ------------------------------------------ batched step-length update
         if niq:

@@ -8,15 +8,19 @@ scenario::
 
 whose sparsity pattern is fixed once the constraint structure is known.
 :class:`LDLSolver` is the one solve :func:`~repro.mips.batch.mips_batch`
-builds, and :meth:`LDLSolver.solve_blocks` is its entry point: ``B``
-same-pattern systems arrive as one CSC template plus ``(B, nnz)`` data and
-``(B, n)`` right-hand-side planes, and a :class:`BlockSolveReport` returns one
-solution row per system, the rows that stayed unsolvable, and the regularised
-recoveries per row.  Factorisation and back-substitution are one call: a
-perturbed factor is accepted only if its solution's residual on the
+builds, over the :class:`LDLSymbolic` analysis its
+:class:`~repro.mips.batch.LockstepPlan` holds, and
+:meth:`LDLSolver.solve_blocks` is its entry point: ``B`` same-pattern systems
+arrive as ``(B, nnz)`` data and ``(B, n)`` right-hand-side planes, and a
+:class:`BlockSolveReport` returns one solution row per system, the rows that
+stayed unsolvable, the regularised recoveries per row — and the factors, so
+the caller can back-substitute further right-hand sides of its rows with
+:meth:`BlockSolveReport.resolve`.  Factorisation and back-substitution are one
+call: a perturbed factor is accepted only if its solution's residual on the
 *unperturbed* system is small, so the right-hand side can trigger a
-refactorisation.  The call reports its factor / backsolve wall split instead
-(the Fig. 5 breakdown).  The parity suites check this solve against an
+refactorisation.  The report carries the call's factorisation seconds (the
+Fig. 5 breakdown).  Which right-hand side a row solves is the MIPS loop's
+business, not the solve's.  The parity suites check this solve against an
 independent SuperLU reference kept with the tests (``tests/reference/kkt.py``).
 
 SuperLU redoes ordering and numeric *pivoting* from scratch every MIPS
@@ -79,30 +83,11 @@ identical iteration counts.  Singular systems are retried under an escalating
 *signed* diagonal shift (regularisation respecting the quasi-definite sign
 structure) whose solution is accepted only when the residual on the unshifted
 system is small.
-
-**Predictor–corrector rows.**  A ``solve_blocks`` call may carry a
-*corrector* for some of its rows (the cold rows of the MIPS loop): their
-plane right-hand side is a predictor, and the solution the call reports
-solves a second right-hand side computed from the predictor's solution.  The
-second solve needs no new factorisation: each row back-substitutes only the
-change of right-hand side on the factor its predictor was accepted from —
-the base factor or a shifted retry — on top of the predictor's solution,
-then refines against the unperturbed matrix and must pass the acceptance
-residual.  Because only the corrector is the step, the predictor is refined
-to ``residual_tol`` rather than ``refine_tol``: on cold case118s rows that
-takes refinement from ~3.1 to ~2.0 back-substitutions per row-iteration
-(1.1 on a fixed-σ row-iteration) at iteration counts within 3 %.  A row whose
-corrector is not accepted solves its fallback right-hand side on the same
-factor; a row whose predictor failed, or whose fallback failed there too,
-takes the full factor–refine–recover pass on the fallback.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -112,45 +97,9 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 from repro.utils import planes
 from repro.utils.planes import Targets
-from repro.utils.sparse import (
-    BatchedCSR,
-    same_pattern,
-    symmetric_lower_map,
-    transpose_plan,
-)
+from repro.utils.sparse import BatchedCSR, symmetric_lower_map, transpose_plan
 
-__all__ = ["LDLSolver", "LDLSymbolic", "BlockSolveReport", "KKTSolveError"]
-
-
-class KKTSolveError(RuntimeError):
-    """The KKT system could not be solved (singular beyond regularisation)."""
-
-
-class BlockSolveReport:
-    """Outcome of one :meth:`LDLSolver.solve_blocks` call.
-
-    ``solutions`` holds one row per block (rows of failed blocks are NaN),
-    ``failed`` lists the block indices whose system stayed unsolvable after
-    regularisation, and ``regularizations`` counts the diagonal-shift
-    recoveries performed for each block in this call.  ``corrected`` flags
-    the blocks whose solution solves the corrector's right-hand side (all
-    False without a corrector); a predictor row not flagged took its
-    fallback right-hand side.
-    """
-
-    __slots__ = ("solutions", "failed", "regularizations", "corrected")
-
-    def __init__(
-        self,
-        solutions: np.ndarray,
-        failed: List[int],
-        regularizations: np.ndarray,
-        corrected: np.ndarray,
-    ):
-        self.solutions = solutions
-        self.failed = failed
-        self.regularizations = regularizations
-        self.corrected = corrected
+__all__ = ["LDLSolver", "LDLSymbolic", "BlockSolveReport"]
 
 
 def as_planes(data_plane: np.ndarray, rhs_plane: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -198,10 +147,21 @@ class LDLSymbolic:
     cut between the level-scheduled head and the dense root, the head's
     per-level gather/reduce index plans for the factorisation and both
     triangular solves, and the gathers that fill the root's Schur-complement
-    plane.  Construction is two-stage so an ordering *candidate*
-    can be costed from the cheap pattern analysis alone; :meth:`finalize`
-    expands the numeric plans only for the chosen ordering.
+    plane.  :meth:`analyse` builds the analysis of a pattern.  Construction
+    is two-stage so an ordering *candidate* can be costed from the cheap
+    pattern analysis alone; :meth:`finalize` expands the numeric plans only
+    for the chosen ordering.
     """
+
+    @classmethod
+    def analyse(cls, template: sp.csc_matrix) -> "LDLSymbolic":
+        """The analysis of ``template``'s pattern (canonical CSC) under the
+        candidate ordering with the cheaper numeric phase."""
+        candidates = [
+            cls(template.indptr, template.indices, template.shape[0], perm)
+            for perm in _etree_perms(template)
+        ]
+        return min(candidates, key=lambda s: s.cost).finalize()
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int, perm: np.ndarray):
         self.n = int(n)
@@ -429,7 +389,7 @@ class LDLSymbolic:
 def _etree_perms(csc: sp.csc_matrix) -> List[np.ndarray]:
     """Candidate elimination orders for ``csc``'s symmetrised pattern.
 
-    Minimum degree and reverse Cuthill-McKee; :func:`_symbolic_for_pattern`
+    Minimum degree and reverse Cuthill-McKee; :meth:`LDLSymbolic.analyse`
     keeps the one with the cheaper numeric phase.  A KKT of order at most
     ``_ROOT_MAX`` is all root, so its order is moot and stays natural.
     """
@@ -463,36 +423,6 @@ def _etree_perms(csc: sp.csc_matrix) -> List[np.ndarray]:
     if not cands:
         cands.append(natural)
     return cands
-
-
-#: Module-level symbolic cache: analyses are pure functions of the pattern,
-#: so pattern-identical solver instances (one per
-#: ``mips_batch()`` call) share them instead of re-walking the elimination tree.
-_SYM_CACHE: "OrderedDict[tuple, LDLSymbolic]" = OrderedDict()
-_SYM_LOCK = threading.Lock()
-_SYM_CACHE_MAX = 32
-
-
-def _symbolic_for_pattern(csc: sp.csc_matrix) -> LDLSymbolic:
-    digest = hashlib.sha1()
-    digest.update(np.ascontiguousarray(csc.indptr).tobytes())
-    digest.update(np.ascontiguousarray(csc.indices).tobytes())
-    key = (csc.shape, csc.nnz, digest.hexdigest())
-    with _SYM_LOCK:
-        sym = _SYM_CACHE.get(key)
-        if sym is not None:
-            _SYM_CACHE.move_to_end(key)
-            return sym
-    candidates = [
-        LDLSymbolic(csc.indptr, csc.indices, csc.shape[0], perm)
-        for perm in _etree_perms(csc)
-    ]
-    sym = min(candidates, key=lambda s: s.cost).finalize()
-    with _SYM_LOCK:
-        _SYM_CACHE[key] = sym
-        while len(_SYM_CACHE) > _SYM_CACHE_MAX:
-            _SYM_CACHE.popitem(last=False)
-    return sym
 
 
 # ------------------------------------------------------------------- numeric
@@ -679,34 +609,87 @@ def _refine_rows(
     return x, rnorm, scale, solves
 
 
-class _Factored:
-    """One factor–refine–recover pass over a plane: the solutions, and for
-    every row the factor its solution came from (``factors[source[b]]``,
-    plane ``plane[b]`` of it — the base factor or a shifted retry)."""
+class BlockSolveReport:
+    """One :meth:`LDLSolver.solve_blocks` call: its solutions and its factors.
 
-    __slots__ = ("x", "accepted", "perturbed", "factors", "source", "plane", "factor_seconds")
+    ``solutions`` holds one row per block, ``failed`` lists the blocks
+    whose system stayed unsolvable (their rows are NaN; every non-finite row
+    counts), and ``regularizations`` counts the diagonal-shift recoveries
+    accepted for each block.  ``perturbed`` flags the rows whose solution came from a
+    perturbed factor (a pivot clamp fired, or a shifted retry).
+    ``factor_seconds`` is the numeric-factorisation share of the call.
+    :meth:`resolve` solves further right-hand sides of some rows on the
+    factor each row's solution came from (``factors[source[b]]``, plane
+    ``plane[b]`` of it — the base factor or a shifted retry).  The three
+    row outcomes are the caller's to overwrite; the first solutions stay
+    with the factors.
+    """
 
-    def __init__(self, x, accepted, perturbed, factors, source, plane, factor_seconds):
-        self.x = x
-        self.accepted = accepted
+    __slots__ = (
+        "solutions", "failed", "regularizations", "perturbed", "factor_seconds",
+        "_solver", "_x", "_rhs", "_factors", "_source", "_plane",
+    )
+
+    def __init__(self, solver, x, rhs, regularizations, perturbed, factors, source, plane,
+                 factor_seconds):
+        self.solutions = x.copy()
+        self.failed = [int(b) for b in np.flatnonzero(~np.isfinite(x).all(axis=1))]
+        self.regularizations = regularizations
         self.perturbed = perturbed
-        self.factors = factors
-        self.source = source
-        self.plane = plane
         self.factor_seconds = factor_seconds
+        self._solver = solver
+        self._x, self._rhs = x, rhs
+        self._factors, self._source, self._plane = factors, source, plane
+
+    def resolve(
+        self, rows: np.ndarray, rhs: np.ndarray, strict: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve a second right-hand side ``rhs`` of ``rows`` on the factor
+        each row's first solve was accepted from.
+
+        The solve is linear, so only the *change* of right-hand side is
+        back-substituted, on top of the first solution: the residual it
+        leaves is the first solve's plus the error of a solve with a smaller
+        right-hand side (on cold case118s rows 1.5 polish steps per row
+        follow, against 1.6 after a solve from scratch).  Refinement then
+        runs to ``refine_tol`` as for a first solve.  Returns ``(x,
+        passed)``: a row passes when its solution is finite and, where
+        ``strict``, its residual on the unperturbed system is within
+        ``residual_tol``.  Rows whose first solve failed have no factor.
+        """
+        solver = self._solver
+        x0 = self._x[rows]
+        delta = rhs - self._rhs[rows]
+        out = np.full_like(rhs, np.nan)
+        rnorm = np.full(rows.size, np.inf)
+        scale = np.ones(rows.size)
+        for k, (numeric, matvec) in enumerate(self._factors):
+            sel = np.flatnonzero(self._source[rows] == k)
+            if sel.size == 0:
+                continue
+            planes_of = self._plane[rows[sel]]
+            xs = x0[sel] + numeric.solve(delta[sel], rows=planes_of)
+            xs, rs, ss, solves = _refine_rows(
+                numeric, matvec, rhs[sel], xs, solver.refine_tol, solver.max_refine_steps,
+                planes_of=planes_of,
+            )
+            solver.corrector_solves += sel.size
+            solver.refinement_solves += solves
+            out[sel], rnorm[sel], scale[sel] = xs, rs, ss
+        finite = np.isfinite(out).all(axis=1) & np.isfinite(rnorm)
+        return out, finite & (~strict | (rnorm <= solver.residual_tol * scale))
 
 
 # -------------------------------------------------------------------- solver
 class LDLSolver:
     """The KKT solve: same-pattern LDLᵀ refactorisation of ``B`` systems at once.
 
-    Every :meth:`solve_blocks` call shares one symbolic analysis per pattern
-    and the batched numeric phase (level-scheduled head, dense root).  See the
-    module docstring for the algorithm.  A solver instance lives for one
-    :func:`~repro.mips.batch.mips_batch` call; each call fills
-    :attr:`factor_seconds` / :attr:`backsolve_seconds` with its own wall split
-    so the loop can attribute time per phase, and :meth:`telemetry` reports
-    the work counters.  Its numerical constants are class attributes, not
+    A solver factorises data planes of the one pattern its
+    :class:`LDLSymbolic` analysis describes, with the batched numeric phase
+    (level-scheduled head, dense root); see the module docstring for the
+    algorithm.  An instance lives for one
+    :func:`~repro.mips.batch.mips_batch` call, and :meth:`telemetry` reports
+    its work counters.  Its numerical constants are class attributes, not
     parameters.
     """
 
@@ -735,39 +718,27 @@ class LDLSolver:
     #: must reach to be accepted.
     residual_tol = 1e-6
 
-    def __init__(self) -> None:
-        self._sym: Optional[LDLSymbolic] = None
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        #: Seconds spent factorising in the most recent call.
-        self.factor_seconds = 0.0
-        #: Seconds spent on back-substitution in the most recent call,
-        #: corrector solves included.
-        self.backsolve_seconds = 0.0
-        #: Seconds the most recent call spent in its corrector's callbacks
-        #: (counted in neither of the two above).
-        self.rhs_seconds = 0.0
+    def __init__(self, symbolic: LDLSymbolic) -> None:
+        #: The analysis of the one pattern this solver factorises.
+        self.symbolic = symbolic
         #: Regularised recoveries accepted so far, over all calls and rows.
         self.regularizations = 0
-        #: Numeric factorisations that reused a previously analysed pattern.
-        self.symbolic_reuses = 0
         #: Numeric (re)factorisations performed, batched calls counting one.
         self.numeric_refactorizations = 0
-        #: ``solve_blocks`` calls (one per MIPS iteration, scalar or lockstep).
+        #: ``solve_blocks`` calls.
         self.block_factorizations = 0
         #: Row back-substitutions spent on refinement polish steps.
         self.refinement_solves = 0
-        #: Row back-substitutions of second right-hand sides (a corrector or
-        #: its fallback) on the factor of the row's first solve.
+        #: Row back-substitutions of second right-hand sides on the factor
+        #: of the row's first solve (:meth:`BlockSolveReport.resolve`).
         self.corrector_solves = 0
         #: Factorised rows in which the dynamic pivot clamp fired.
         self.pivot_clamps = 0
 
     def telemetry(self) -> Dict[str, int]:
         """The work counters, surfaced as ``MIPSResult.kkt_telemetry`` for the
-        Fig. 5 symbolic-vs-numeric attribution."""
+        Fig. 5 attribution."""
         return {
-            "symbolic_reuses": self.symbolic_reuses,
             "numeric_refactorizations": self.numeric_refactorizations,
             "block_factorizations": self.block_factorizations,
             "refinement_solves": self.refinement_solves,
@@ -775,18 +746,9 @@ class LDLSolver:
             "pivot_clamps": self.pivot_clamps,
         }
 
-    # ----------------------------------------------------------------- symbolic
-    def _symbolic(self, csc: sp.csc_matrix) -> LDLSymbolic:
-        if self._sym is not None and same_pattern(csc, self._indptr, self._indices):
-            self.symbolic_reuses += 1
-            return self._sym
-        self._sym = _symbolic_for_pattern(csc)
-        self._indptr = csc.indptr
-        self._indices = csc.indices
-        return self._sym
-
-    def _matvec_for(self, sym: LDLSymbolic, data_plane: np.ndarray):
+    def _matvec_for(self, data_plane: np.ndarray):
         """Row-wise residual matvec ``X ↦ A_b @ X[b]`` over the CSR plan."""
+        sym = self.symbolic
         csr_data = planes.take(data_plane, sym.csr_order)
 
         def matvec(X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -795,15 +757,18 @@ class LDLSolver:
 
         return matvec
 
-    # ------------------------------------------------------------ factor + heal
-    def _solve_with_recovery(
+    def solve_blocks(
         self,
-        sym: LDLSymbolic,
         data_plane: np.ndarray,
         rhs_plane: np.ndarray,
         tol: Optional[np.ndarray] = None,
-    ) -> _Factored:
-        """Factor, refine and recover the whole batch; the core numeric path.
+    ) -> BlockSolveReport:
+        """Factor, refine and recover the whole batch of ``B`` blocks.
+
+        ``tol`` is each row's relative refinement target (``refine_tol`` for
+        every row when omitted).  The numeric phase is deterministic per row
+        and independent of batch composition, so a row's solution is the
+        same bits at any width.
 
         LDLᵀ without pivoting meets *exact* zero pivots whenever the ordering
         eliminates a zero-diagonal constraint row before its coupled primal
@@ -814,7 +779,7 @@ class LDLSolver:
         preserving quasi-definite inertia.  Only degenerate pivots are
         perturbed, so healthy rows keep full factorisation accuracy, and
         guarded refinement against the *unperturbed* matrix polishes every
-        row to ``refine_tol``.
+        row to its target.
 
         The AC-OPF Hessian is not always positive definite, so a fixed-order
         factorisation can also go *unstable* (element growth) on a
@@ -825,16 +790,18 @@ class LDLSolver:
         quasi-definite analogue of an unsigned regularised retry), which
         bounds growth, then refine against the true matrix again.
 
-        Returns a :class:`_Factored`.  Perturbed rows (clamped or
-        shift-recovered) are accepted only when their residual on the
-        unperturbed matrix is small — failures come back NaN; ``accepted``
-        flags shift recoveries that passed (the rows reported as
-        regularisations — pivot clamps are an ordering artifact of the
-        quasi-definite KKT, not a conditioning event).  Its
-        ``factor_seconds`` is the numeric-factorisation share of the pass.
+        Perturbed rows (clamped or shift-recovered) are accepted only when
+        their residual on the unperturbed matrix is small — failures come
+        back NaN.  Accepted shift recoveries are the rows reported as
+        regularisations (pivot clamps are an ordering artifact of the
+        quasi-definite KKT, not a conditioning event).
         """
+        data_plane, rhs_plane = as_planes(data_plane, rhs_plane)
+        sym = self.symbolic
         factor_t = 0.0
         B = data_plane.shape[0]
+        if tol is None:
+            tol = np.full(B, self.refine_tol)
         diag0 = np.zeros((B, sym.n))
         sym.diag_cols.put(diag0, planes.take(data_plane, sym.diag_src))
         # Zero (structurally absent) diagonals are the constraint block:
@@ -850,13 +817,11 @@ class LDLSolver:
         factor_t += time.perf_counter() - t0
         self.numeric_refactorizations += 1
         self.pivot_clamps += int(clamped.sum())
-        matvec = self._matvec_for(sym, data_plane)
+        matvec = self._matvec_for(data_plane)
         factors = [(numeric, matvec)]
         source = np.zeros(B, dtype=np.int64)
         plane = np.arange(B, dtype=np.int64)
         x = numeric.solve(rhs_plane)
-        if tol is None:
-            tol = np.full(B, self.refine_tol)
         x, rnorm, scale, solves = _refine_rows(
             numeric, matvec, rhs_plane, x, tol, self.max_refine_steps
         )
@@ -889,7 +854,7 @@ class LDLSolver:
                 factor_t += time.perf_counter() - t0
                 self.numeric_refactorizations += 1
                 self.pivot_clamps += int(retry_clamped.sum())
-                retry_matvec = self._matvec_for(sym, data_plane[bad])
+                retry_matvec = self._matvec_for(data_plane[bad])
                 factors.append((retry, retry_matvec))
                 xb = retry.solve(rhs_plane[bad])
                 xb, rb, sb, solves = _refine_rows(
@@ -917,167 +882,9 @@ class LDLSolver:
         accepted = shifted & rel_ok & ~dead
         if dead.any():
             x[dead] = np.nan
-        return _Factored(x, accepted, clamped | shifted, factors, source, plane, factor_t)
-
-    def _callback(self, fn: Callable[..., np.ndarray], *args) -> np.ndarray:
-        """A corrector callback's right-hand sides, its time in :attr:`rhs_seconds`."""
-        t0 = time.perf_counter()
-        out = np.ascontiguousarray(np.asarray(fn(*args), dtype=float))
-        self.rhs_seconds += time.perf_counter() - t0
-        return out
-
-    def _resolve(
-        self,
-        first: _Factored,
-        rows: np.ndarray,
-        rhs_plane: np.ndarray,
-        rhs: np.ndarray,
-        strict: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Solve a second right-hand side ``rhs`` of ``rows`` on the factor
-        each row's first solve was accepted from.
-
-        The solve is linear, so only the *change* of right-hand side is
-        back-substituted, on top of the first solution: the residual it
-        leaves is the first solve's plus the error of a solve with a smaller
-        right-hand side (on cold case118s rows 1.5 polish steps per row
-        follow, against 1.6 after a solve from scratch).  Refinement then
-        runs as for the first solve.  Returns ``(x, passed)``: a row passes when its
-        solution is finite and, where ``strict``, its residual on the
-        unperturbed system is within ``residual_tol``.
-        """
-        x0 = first.x[rows]
-        delta = rhs - rhs_plane[rows]
-        out = np.full_like(rhs, np.nan)
-        rnorm = np.full(rows.size, np.inf)
-        scale = np.ones(rows.size)
-        for k, (numeric, matvec) in enumerate(first.factors):
-            sel = np.flatnonzero(first.source[rows] == k)
-            if sel.size == 0:
-                continue
-            planes_of = first.plane[rows[sel]]
-            xs = x0[sel] + numeric.solve(delta[sel], rows=planes_of)
-            xs, rs, ss, solves = _refine_rows(
-                numeric, matvec, rhs[sel], xs, self.refine_tol, self.max_refine_steps,
-                planes_of=planes_of,
-            )
-            self.corrector_solves += sel.size
-            self.refinement_solves += solves
-            out[sel], rnorm[sel], scale[sel] = xs, rs, ss
-        finite = np.isfinite(out).all(axis=1) & np.isfinite(rnorm)
-        return out, finite & (~strict | (rnorm <= self.residual_tol * scale))
-
-    def _correct(
-        self,
-        sym: LDLSymbolic,
-        data_plane: np.ndarray,
-        rhs_plane: np.ndarray,
-        corrector,
-        first: _Factored,
-        corrected: np.ndarray,
-    ) -> float:
-        """The second solves of the corrector's rows, in place on ``first``.
-
-        A row whose predictor was accepted solves its corrector on the same
-        factor; if that is not accepted it solves its fallback there
-        instead.  A row whose predictor failed, or whose fallback failed on
-        that factor, runs the full factor–refine–recover pass on its
-        fallback alone — the fixed-σ step exactly as a row without a
-        corrector takes it.  Returns the factorisation seconds spent.
-        """
-        x = first.x
-        predictor = np.zeros(x.shape[0], dtype=bool)
-        predictor[np.asarray(corrector.rows, dtype=np.int64)] = True
-        solved = np.isfinite(x).all(axis=1)
-        rows = np.flatnonzero(predictor & solved)
-        if rows.size:
-            rhs = self._callback(corrector.rhs, rows, x[rows])
-            xc, ok = self._resolve(first, rows, rhs_plane, rhs, np.ones(rows.size, dtype=bool))
-            x[rows[ok]] = xc[ok]
-            corrected[rows[ok]] = True
-            rows = rows[~ok]
-        fallback = np.union1d(rows, np.flatnonzero(predictor & ~solved))
-        if fallback.size == 0:
-            return 0.0
-        rhs = self._callback(corrector.fallback, fallback)
-        again = np.isin(fallback, rows, invert=True)
-        if rows.size:
-            same = ~again
-            xf, ok = self._resolve(first, rows, rhs_plane, rhs[same], first.perturbed[rows])
-            x[rows[ok]] = xf[ok]
-            again[np.flatnonzero(same)[~ok]] = True
-        lost = fallback[again]
-        if lost.size == 0:
-            return 0.0
-        redo = self._solve_with_recovery(sym, data_plane[lost], rhs[again])
-        x[lost] = redo.x
-        first.accepted[lost] = redo.accepted
-        return redo.factor_seconds
-
-    def solve_blocks(
-        self,
-        template: sp.csc_matrix,
-        data_plane: np.ndarray,
-        rhs_plane: np.ndarray,
-        corrector=None,
-    ) -> BlockSolveReport:
-        """One batched factorisation, refinement and recovery for ``B`` blocks.
-
-        The numeric phase is deterministic per row and independent of batch
-        composition, so a row's solution is the same bits at any width.
-
-        ``corrector`` turns some rows into predictor–corrector rows: their
-        ``rhs_plane`` row is a *predictor* right-hand side, and the reported
-        solution solves a second one that depends on the predictor's
-        solution.  It provides
-
-        * ``rows`` — the plane rows this applies to;
-        * ``rhs(rows, predictors) -> (k, n)`` — the corrector right-hand
-          sides of ``rows`` from their accepted predictor solutions;
-        * ``fallback(rows) -> (k, n)`` — the right-hand sides of ``rows``
-          to solve instead when a predictor or a corrector is not accepted.
-
-        Both callbacks must treat each row independently of the others.  A
-        corrector is solved on the factor its predictor was accepted from
-        (base or shifted retry), refined, and accepted when its residual on
-        the unperturbed system is within ``residual_tol``
-        (:attr:`BlockSolveReport.corrected`).  Every other row keeps its
-        first solution bit for bit.  The callbacks' time is reported as
-        :attr:`rhs_seconds`; the corrector solves count as backsolve time.
-        """
-        data_plane, rhs_plane = as_planes(data_plane, rhs_plane)
-        start = time.perf_counter()
-        self.rhs_seconds = 0.0
-        sym = self._symbolic(template)
-        sym_t = time.perf_counter() - start
-        tol = np.full(rhs_plane.shape[0], self.refine_tol)
-        if corrector is not None:
-            tol[np.asarray(corrector.rows, dtype=np.int64)] = self.residual_tol
-        first = self._solve_with_recovery(sym, data_plane, rhs_plane, tol)
-        factor_t = first.factor_seconds
-        corrected = np.zeros(rhs_plane.shape[0], dtype=bool)
-        if corrector is not None:
-            factor_t += self._correct(sym, data_plane, rhs_plane, corrector, first, corrected)
-        solutions, accepted = first.x, first.accepted
         self.block_factorizations += 1
-        self.factor_seconds = sym_t + factor_t
-        self.backsolve_seconds = (
-            time.perf_counter() - start - self.factor_seconds - self.rhs_seconds
-        )
         self.regularizations += int(accepted.sum())
-        failed = [int(b) for b in np.flatnonzero(~np.isfinite(solutions).all(axis=1))]
-        return BlockSolveReport(solutions, failed, accepted.astype(int), corrected)
-
-
-    def solve(self, kkt: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``kkt @ x = rhs``, the one-row :meth:`solve_blocks`; raise
-        :class:`KKTSolveError` on failure."""
-        csc = sp.csc_matrix(kkt)
-        csc.sort_indices()
-        report = self.solve_blocks(csc, csc.data[None, :], np.asarray(rhs, dtype=float)[None, :])
-        if report.failed:
-            raise KKTSolveError(
-                "KKT system singular beyond regularisation (no factor's solution "
-                "passed the unshifted-residual check)"
-            )
-        return report.solutions[0]
+        return BlockSolveReport(
+            self, x, rhs_plane, accepted.astype(int), clamped | shifted, factors, source,
+            plane, factor_t,
+        )

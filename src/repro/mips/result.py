@@ -94,10 +94,11 @@ class MIPSResult:
     #: ill-conditioning that the seed solver would have failed hard on).
     kkt_regularizations: int = 0
     #: Factorisation telemetry of the KKT solve at the end of the solve
-    #: (:meth:`repro.mips.ldl.LDLSolver.telemetry`): ``symbolic_reuses``,
+    #: (:meth:`repro.mips.ldl.LDLSolver.telemetry`):
     #: ``numeric_refactorizations``, ``block_factorizations``,
-    #: ``refinement_solves`` and ``pivot_clamps``.  Lets the Fig. 5 breakdown
-    #: attribute factorisation time to symbolic analysis vs numeric sweeps.
+    #: ``refinement_solves``, ``corrector_solves`` and ``pivot_clamps``.
+    #: The symbolic analysis is the lockstep plan's, done once per plan
+    #: before any solve, so the counters count numeric work only.
     #: A lockstep batch shares one solver, so its rows report batch-level
     #: aggregates snapshotted at their retirement.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)

@@ -54,11 +54,6 @@ class MinMaxScaler:
         """Map normalised values back to physical units."""
         return normalised * self.span + self.lo
 
-    @property
-    def dim(self) -> int:
-        """Number of dimensions handled by the scaler."""
-        return int(self.lo.shape[0])
-
 
 @dataclass
 class DatasetNormalizer:

@@ -81,10 +81,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self.op!r})"
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         """The scalar value of a 0-d / single-element tensor."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)

@@ -32,12 +32,6 @@ class WarmStart:
     mu: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------ constructors
-    @staticmethod
-    def cold() -> "WarmStart":
-        """The all-defaults (cold) start."""
-        return WarmStart()
-
     # ------------------------------------------------------------- sensitivity
     def masked(
         self,

@@ -161,15 +161,6 @@ class SupervisedPool:
         """Number of workers respawned after a crash."""
         return self._respawns
 
-    @property
-    def pending(self) -> int:
-        """Tasks submitted but not yet completed, failed or crashed."""
-        return len(self._pending) + len(self._crash_backlog)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def terminate(self) -> None:
         """Kill every worker and release queue resources (idempotent)."""
         if self._closed:

@@ -43,28 +43,9 @@ __all__ = [
     "csr_rows",
     "pattern_union",
     "row_scaled_csr",
-    "same_pattern",
     "symmetric_lower_map",
     "transpose_plan",
 ]
-
-
-def same_pattern(
-    matrix, indptr: Optional[np.ndarray], indices: Optional[np.ndarray]
-) -> bool:
-    """Whether a compressed matrix has the cached sparsity pattern.
-
-    Checks array identity first — hot-loop callers hand back the very same
-    index arrays every iteration, making the common case O(1) — and falls
-    back to an element-wise comparison.
-    """
-    if indptr is None or indices is None:
-        return False
-    if matrix.indptr is not indptr and not np.array_equal(matrix.indptr, indptr):
-        return False
-    if matrix.indices is not indices and not np.array_equal(matrix.indices, indices):
-        return False
-    return True
 
 
 def _canonical_csr(block: sp.spmatrix) -> sp.csr_matrix:

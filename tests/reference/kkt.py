@@ -1,14 +1,25 @@
-"""The SuperLU reference KKT solve, and the switch that runs ``mips_batch`` on it.
+"""The SuperLU reference KKT solve, the switch that runs ``mips_batch`` on it,
+and the one-system solve the unit tests use.
 
 :class:`FactorizedSolver` is the independent solve the parity suites compare
 :class:`~repro.mips.ldl.LDLSolver` against: one direct SuperLU ``splu`` per
 row, an escalating diagonal shift when that is singular, nothing carried from
-one system to the next.  It offers the surface ``mips_batch`` uses —
-``solve_blocks`` (its ``corrector`` included), the ``factor_seconds`` /
-``backsolve_seconds`` / ``rhs_seconds`` split and ``telemetry()`` — so
-:func:`kkt_solve` can put it in ``LDLSolver``'s place for the duration of a
-``with`` block.  The swap is in-process: a spawned fleet
-worker imports an unpatched ``repro``.
+one system to the next.  It offers the calls ``mips_batch`` makes: it is
+built on the plan's :class:`~repro.mips.ldl.LDLSymbolic` (of which it reads
+only the pattern), ``solve_blocks(data_plane, rhs_plane, tol)`` factors and
+solves a plane and returns a handle — ``solutions``, ``failed``,
+``regularizations``, ``perturbed``, ``factor_seconds`` and
+``resolve(rows, rhs, strict)``, a back-solve on a row's own factor — and
+``telemetry()`` reports its one counter.  So :func:`kkt_solve` can put it in
+``LDLSolver``'s place for the duration of a ``with`` block, and the cold rows'
+predictor–corrector cascade, which ``mips_batch`` runs on the handle, runs on
+SuperLU factors unchanged.  The swap is in-process: a spawned fleet worker
+imports an unpatched ``repro``.
+
+:func:`solve` solves one system ``kkt @ x = rhs`` on either backend and raises
+:class:`KKTSolveError` when the row fails; both moved here from
+``repro.mips.ldl``, because only tests solve a single system.
+:func:`solver_for` builds a backend for one matrix's pattern.
 
 **Why the reference is stateless.**  It used to cache SuperLU's column
 permutation and replay it under the ``NATURAL`` ordering.  A first direct
@@ -37,9 +48,42 @@ import scipy.sparse.linalg as spla
 import repro.mips.batch
 from repro.grid import get_case
 from repro.mips import MIPSOptions
-from repro.mips.ldl import BlockSolveReport, KKTSolveError, LDLSolver, as_planes
+from repro.mips.ldl import LDLSolver, LDLSymbolic, as_planes
 from repro.opf import OPFModel, WarmStart, solve_opf_batch
-from reference.sparse import csc_from_template
+
+
+class KKTSolveError(RuntimeError):
+    """The KKT system could not be solved (singular beyond regularisation)."""
+
+
+class _Solved:
+    """The handle of one :meth:`FactorizedSolver.solve_blocks` call: the
+    solutions and every solved row's ``splu`` factor."""
+
+    def __init__(self, solver, solutions, failed, regularizations, kkts, factors, factor_seconds):
+        self.solutions = solutions
+        #: Rows whose factorisation, or whose shifted solution, failed.
+        self.failed = failed
+        self.regularizations = regularizations
+        #: Rows solved on a shifted factor.
+        self.perturbed = regularizations.astype(bool)
+        self.factor_seconds = factor_seconds
+        self._solver = solver
+        self._kkts = kkts
+        self._factors = factors
+
+    def resolve(self, rows, rhs, strict) -> Tuple[np.ndarray, np.ndarray]:
+        """Solve ``rhs`` of ``rows`` on each row's factor; a row passes when
+        its solution is finite and, where ``strict``, its residual on the
+        unshifted system is small."""
+        out = np.full_like(rhs, np.nan)
+        passed = np.zeros(len(rows), dtype=bool)
+        for i, b in enumerate(rows):
+            out[i] = self._factors[b].solve(rhs[i])
+            passed[i] = np.isfinite(out[i]).all() and (
+                not strict[i] or self._solver._residual_ok(self._kkts[b], out[i], rhs[i])
+            )
+        return out, passed
 
 
 class FactorizedSolver:
@@ -63,20 +107,20 @@ class FactorizedSolver:
     """
 
     name = "factorized"
+    #: The production refinement target the cold rows' cascade reads; a
+    #: direct solve is not refined, so the reference ignores ``tol``.
+    refine_tol = LDLSolver.refine_tol
 
     def __init__(
         self,
+        symbolic: LDLSymbolic,
         regularization: float = 1e-8,
         reg_growth: float = 100.0,
         max_retries: int = 3,
         residual_tol: float = 1e-6,
     ) -> None:
-        #: Seconds spent factorising in the most recent call.
-        self.factor_seconds = 0.0
-        #: Seconds spent on back-substitution in the most recent call.
-        self.backsolve_seconds = 0.0
-        #: Seconds the most recent call spent in its corrector's callbacks.
-        self.rhs_seconds = 0.0
+        #: The one pattern this solver factorises, read from the analysis.
+        self.pattern = (symbolic.template_indptr, symbolic.template_indices, symbolic.n)
         #: Regularised recoveries accepted so far, over all calls and rows.
         self.regularizations = 0
         if regularization <= 0:
@@ -95,78 +139,40 @@ class FactorizedSolver:
         self.numeric_refactorizations = 0
 
     def solve_blocks(
-        self,
-        template: sp.csc_matrix,
-        data_plane: np.ndarray,
-        rhs_plane: np.ndarray,
-        corrector=None,
-    ) -> BlockSolveReport:
-        """``LDLSolver.solve_blocks``'s contract, one ``splu`` per row: a
-        corrector row solves its corrector on the factor of its predictor,
-        accepted when the residual is within ``residual_tol``; otherwise its
-        fallback on that factor.  A row whose predictor, or whose fallback on
-        that factor, failed solves its fallback from a fresh factorisation."""
+        self, data_plane: np.ndarray, rhs_plane: np.ndarray, tol: Optional[np.ndarray] = None
+    ) -> _Solved:
+        """``LDLSolver.solve_blocks``'s contract, one ``splu`` per row: a row
+        that stays singular after the shifted retries, or whose shifted
+        solution misses the unshifted residual test, comes back NaN."""
         data_plane, rhs_plane = as_planes(data_plane, rhs_plane)
+        indptr, indices, n = self.pattern
         B = rhs_plane.shape[0]
         solutions = np.full(rhs_plane.shape, np.nan)
         regs = np.zeros(B, dtype=int)
-        corrected = np.zeros(B, dtype=bool)
         factors: List[object] = [None] * B
         failed: List[int] = []
-        self.factor_seconds = self.backsolve_seconds = self.rhs_seconds = 0.0
-        kkts = [csc_from_template(template, data_plane[b]) for b in range(B)]
+        kkts = [sp.csc_matrix((data_plane[b], indices, indptr), shape=(n, n)) for b in range(B)]
+        factor_seconds = 0.0
         for b in range(B):
+            start = time.perf_counter()
             try:
-                solutions[b], regs[b], factors[b] = self._solve_row(kkts[b], rhs_plane[b])
+                lu, shifted = self._factor(kkts[b])
             except KKTSolveError:
                 failed.append(b)
-        if corrector is not None:
-            rows = [int(b) for b in corrector.rows]
-            solved = np.array([b for b in rows if b not in failed], dtype=np.int64)
-            lost = [b for b in rows if b in failed]
-            retry: List[int] = []
-            if solved.size:
-                rhs = self._callback(corrector.rhs, solved, solutions[solved])
-                for b, r in zip(solved, rhs):
-                    sol = self._backsolve(factors[b], r)
-                    if self._residual_ok(kkts[b], sol, r):
-                        solutions[b], corrected[b] = sol, True
-                    else:
-                        retry.append(int(b))
-            if retry:
-                rhs = self._callback(corrector.fallback, np.array(retry, dtype=np.int64))
-                for b, r in zip(retry, rhs):
-                    sol = self._backsolve(factors[b], r)
-                    if regs[b] and not self._residual_ok(kkts[b], sol, r):
-                        solutions[b], regs[b] = np.nan, 0
-                        failed.append(b)
-                        lost.append(b)
-                    else:
-                        solutions[b] = sol
-            if lost:
-                lost.sort()
-                rhs = self._callback(corrector.fallback, np.array(lost, dtype=np.int64))
-                for b, r in zip(lost, rhs):
-                    try:
-                        solutions[b], regs[b], _ = self._solve_row(kkts[b], r)
-                    except KKTSolveError:
-                        continue
-                    failed.remove(b)
-            failed.sort()
+                continue
+            finally:
+                factor_seconds += time.perf_counter() - start
+            sol = lu.solve(rhs_plane[b])
+            # The shifted system only approximates the true one; accept its
+            # solution only when the residual on the *unshifted* KKT is small
+            # (consistent singular systems pass, genuinely degraded steps
+            # fail).  Only accepted solutions count as recoveries.
+            if shifted and not self._residual_ok(kkts[b], sol, rhs_plane[b]):
+                failed.append(b)
+                continue
+            solutions[b], regs[b], factors[b] = sol, shifted, lu
         self.regularizations += int(regs.sum())
-        return BlockSolveReport(solutions, failed, regs, corrected)
-
-    def _callback(self, fn, *args) -> np.ndarray:
-        start = time.perf_counter()
-        out = np.asarray(fn(*args), dtype=float)
-        self.rhs_seconds += time.perf_counter() - start
-        return out
-
-    def _backsolve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        start = time.perf_counter()
-        sol = lu.solve(rhs)
-        self.backsolve_seconds += time.perf_counter() - start
-        return sol
+        return _Solved(self, solutions, failed, regs, kkts, factors, factor_seconds)
 
     def _residual_ok(self, kkt: sp.csc_matrix, sol: np.ndarray, rhs: np.ndarray) -> bool:
         """The acceptance test of a shifted factor's solution: a small
@@ -176,52 +182,24 @@ class FactorizedSolver:
             1.0 + float(np.max(np.abs(rhs)))
         )
 
-    def solve(self, kkt: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``kkt @ x = rhs``; raise :class:`KKTSolveError` on failure."""
-        csc = sp.csc_matrix(kkt)
-        csc.sort_indices()
-        report = self.solve_blocks(csc, csc.data[None, :], np.asarray(rhs, dtype=float)[None, :])
-        if report.failed:
-            raise KKTSolveError(
-                f"KKT system singular beyond regularisation ({self.name}: no factor's "
-                "solution passed the unshifted-residual check)"
-            )
-        return report.solutions[0]
-
     def telemetry(self) -> Dict[str, int]:
         """The one counter the reference keeps: it reuses nothing."""
         return {"numeric_refactorizations": self.numeric_refactorizations}
 
-    def _solve_row(self, kkt: sp.csc_matrix, rhs: np.ndarray) -> Tuple[np.ndarray, bool, object]:
-        """Factor and solve one system; ``(solution, recovered by a shift,
-        the factor)``."""
-        start = time.perf_counter()
-        shifted = False
+    def _factor(self, kkt: sp.csc_matrix) -> Tuple[object, bool]:
+        """Factor one system; ``(the factor, whether it is shifted)``."""
         try:
             lu = spla.splu(kkt)
-            self.numeric_refactorizations += 1
         except RuntimeError:
             # SuperLU signals a singular factorisation as RuntimeError:
             # degrade to the regularised path instead of failing the row.
-            lu = self._regularized_factorize(kkt)
-            shifted = True
+            return self._regularized_factorize(kkt), True
         except Exception as exc:
             # Anything else (memory exhaustion, corrupted inputs) is not a
             # singularity — fail as a solve error with the real cause.
             raise KKTSolveError(f"KKT factorisation failed: {exc}") from exc
-        finally:
-            self.factor_seconds += time.perf_counter() - start
-
-        sol = self._backsolve(lu, rhs)
-        # The shifted system only approximates the true one; accept its
-        # solution only when the residual on the *unshifted* KKT is small
-        # (consistent singular systems pass, genuinely degraded steps fail
-        # loudly like the seed path did).  Only accepted solutions count as
-        # recoveries.
-        if shifted and not self._residual_ok(kkt, sol, rhs):
-            residual = float(np.max(np.abs(kkt @ sol - rhs)))
-            raise KKTSolveError(f"regularised KKT solution rejected (residual {residual:.3e})")
-        return sol, shifted, lu
+        self.numeric_refactorizations += 1
+        return lu, False
 
     def _regularized_factorize(self, kkt: sp.csc_matrix):
         """Retry a singular factorisation with escalating diagonal shifts."""
@@ -273,9 +251,9 @@ def recorded_kkts(
     seen = []
     original = LDLSolver.solve_blocks
 
-    def recording(self, template, data_plane, rhs_plane, corrector=None):
-        seen.append((template.copy(), np.array(data_plane), np.array(rhs_plane)))
-        return original(self, template, data_plane, rhs_plane, corrector=corrector)
+    def recording(self, data_plane, rhs_plane, tol=None):
+        seen.append((np.array(data_plane), np.array(rhs_plane)))
+        return original(self, data_plane, rhs_plane, tol)
 
     model = OPFModel(case)
     with mock.patch.object(LDLSolver, "solve_blocks", recording):
@@ -287,4 +265,31 @@ def recorded_kkts(
             options=MIPSOptions(max_it=max_it),
             model=model,
         )
-    return seen
+    template = model.batched.plan.assembler.kkt_template.copy()
+    return [(template, data, rhs) for data, rhs in seen]
+
+
+def _canonical(kkt: sp.spmatrix) -> sp.csc_matrix:
+    csc = sp.csc_matrix(kkt)
+    csc.sort_indices()
+    return csc
+
+
+def solver_for(kkt: sp.spmatrix, backend=LDLSolver, **params):
+    """A ``backend`` solver (:data:`BACKENDS`) for ``kkt``'s sparsity pattern."""
+    return backend(LDLSymbolic.analyse(_canonical(kkt)), **params)
+
+
+def solve(kkt: sp.spmatrix, rhs: np.ndarray, solver=None) -> np.ndarray:
+    """Solve ``kkt @ x = rhs``, the one-row ``solve_blocks`` of ``solver`` (a
+    fresh ``LDLSolver`` for ``kkt``'s pattern when omitted); raise
+    :class:`KKTSolveError` when the row fails."""
+    csc = _canonical(kkt)
+    solver = solver_for(csc) if solver is None else solver
+    report = solver.solve_blocks(csc.data[None, :], np.asarray(rhs, dtype=float)[None, :])
+    if report.failed:
+        raise KKTSolveError(
+            "KKT system singular beyond regularisation (no factor's solution "
+            "passed the unshifted-residual check)"
+        )
+    return report.solutions[0]

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from repro.mips.batch import LockstepPlan, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.mips.result import MIPSResult
-from repro.utils.sparse import _canonical_csr, csr_rows, same_pattern
+from repro.utils.sparse import _canonical_csr, csr_rows
+from reference.sparse import same_pattern
 
 #: Objective callback: ``x -> (f, df)`` or ``(f, df, d2f)``.
 ObjectiveFn = Callable[[np.ndarray], Tuple]

@@ -25,10 +25,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from reference.kkt import recorded_kkts
-from repro.mips import KKTSolveError
+from reference.kkt import KKTSolveError, recorded_kkts, solve, solver_for
 from repro.mips import ldl
-from repro.mips.ldl import LDLSolver
+from repro.mips.ldl import LDLSolver, LDLSymbolic
 from repro.utils.planes import Targets
 
 #: (case, outage branches): the three benchmark cases and two N-2 topologies
@@ -64,7 +63,7 @@ def _stack(kkts, count):
 @pytest.mark.parametrize("name, outage", PATTERNS)
 def test_root_is_ancestor_closed_and_partitions_the_columns(name, outage):
     template = recorded_kkts(name, outage, max_it=1)[0][0]
-    sym = ldl._symbolic_for_pattern(template)
+    sym = LDLSymbolic.analyse(template)
     n = sym.n
     is_root = np.zeros(n, dtype=bool)
     is_root[sym.root] = True
@@ -85,33 +84,28 @@ def test_root_is_ancestor_closed_and_partitions_the_columns(name, outage):
         assert 0 < sym.root.size and 0 < len(sym.levels) == sym.cut
 
 
-def test_symbolic_cache_holds_an_n2_screening_sweep():
-    """18 topologies per ``nk118_cold_2w`` pass must not evict each other."""
-    assert ldl._SYM_CACHE_MAX >= 18
-
-
 # --------------------------------------------------------- bitwise invariance
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
 def test_row_solution_is_bitwise_independent_of_batch_and_position(kkts, request):
     template, data, rhs = _stack(request.getfixturevalue(kkts), 16)
-    batch = LDLSolver().solve_blocks(template, data, rhs)
+    batch = solver_for(template).solve_blocks(data, rhs)
     assert not batch.failed
     order = np.random.RandomState(0).permutation(16)
-    shuffled = LDLSolver().solve_blocks(template, data[order], rhs[order])
+    shuffled = solver_for(template).solve_blocks(data[order], rhs[order])
     np.testing.assert_array_equal(shuffled.solutions, batch.solutions[order])
     for b in (0, 7, 15):
-        alone = LDLSolver().solve_blocks(template, data[b : b + 1], rhs[b : b + 1])
+        alone = solver_for(template).solve_blocks(data[b : b + 1], rhs[b : b + 1])
         np.testing.assert_array_equal(alone.solutions[0], batch.solutions[b])
     for width in (2, 3, 5):
         sub = order[:width]
-        narrow = LDLSolver().solve_blocks(template, data[sub], rhs[sub])
+        narrow = solver_for(template).solve_blocks(data[sub], rhs[sub])
         np.testing.assert_array_equal(narrow.solutions, batch.solutions[sub])
 
 
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
 def test_numeric_solve_rows_slicing_is_bitwise(kkts, request):
     template, data, rhs = _stack(request.getfixturevalue(kkts), 16)
-    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template))
+    sym = LDLSymbolic.analyse(template)
     # The solver's own clamp planes, so the head's zero pivots stay finite.
     diag = np.zeros((16, sym.n))
     diag[:, sym.diag_cols.idx] = data[:, sym.diag_src]
@@ -138,11 +132,11 @@ def test_scatter_offsets_stay_within_their_row_bound(kkts118):
     """Widths 1–16 and one beyond the bound: each target set holds one offset
     array of at most ``MAX_ROWS`` rows, whatever widths it has served."""
     template, data, rhs = _stack(kkts118, 20)
-    solver = LDLSolver()
+    solver = solver_for(template)
     for width in [*range(1, 17), 20]:
-        solver.solve_blocks(template, data[:width], rhs[:width])
-    targets = _targets(solver._sym)
-    assert len(targets) > 2 * len(solver._sym.levels)
+        solver.solve_blocks(data[:width], rhs[:width])
+    targets = _targets(solver.symbolic)
+    assert len(targets) > 2 * len(solver.symbolic.levels)
     assert max(t.cached_rows() for t in targets) == Targets.MAX_ROWS
 
 
@@ -155,7 +149,7 @@ def test_cold_case118s_systems_meet_the_refinement_target(kkts118):
     under two orderings agrees with itself only to 1e-4 there.)"""
     template, data, rhs = _stack(kkts118, len(kkts118))
     assert len(kkts118) > 40  # one cold solve's worth of iterations
-    report = LDLSolver().solve_blocks(template, data, rhs)
+    report = solver_for(template).solve_blocks(data, rhs)
     assert not report.failed
     for b in range(len(kkts118)):
         matrix = sp.csc_matrix((data[b], template.indices, template.indptr), shape=template.shape)
@@ -175,7 +169,7 @@ def test_cold_case118s_systems_meet_the_refinement_target(kkts118):
 def _singular_in_root(template, data_row):
     """``data_row`` with one root column's row and column zeroed: every head
     contribution to it vanishes too, so the zero pivot sits in the root block."""
-    sym = ldl._symbolic_for_pattern(sp.csc_matrix(template))
+    sym = LDLSymbolic.analyse(template)
     p = sym.perm[sym.root[-1]]
     cols = np.repeat(np.arange(template.shape[1]), np.diff(template.indptr))
     broken = data_row.copy()
@@ -186,8 +180,8 @@ def _singular_in_root(template, data_row):
 @pytest.mark.parametrize("kkts", ["kkts14", "kkts118"])
 def test_singular_root_block_recovers_or_fails_alone(kkts, request):
     template, data, rhs = _stack(request.getfixturevalue(kkts), 6)
-    reference = LDLSolver()
-    healthy = reference.solve_blocks(template, data, rhs)
+    reference = solver_for(template)
+    healthy = reference.solve_blocks(data, rhs)
     assert not healthy.failed and not healthy.regularizations[[1, 4]].any()
 
     data = data.copy()
@@ -200,8 +194,8 @@ def test_singular_root_block_recovers_or_fails_alone(kkts, request):
     data[4], p = _singular_in_root(template, data[4])
     rhs[4, p] = 1.0 + np.abs(rhs[4]).max()
 
-    solver = LDLSolver()
-    report = solver.solve_blocks(template, data, rhs)
+    solver = solver_for(template)
+    report = solver.solve_blocks(data, rhs)
     assert report.failed == [4]
     assert np.isnan(report.solutions[4]).all()
     matrix = sp.csc_matrix((data[1], template.indices, template.indptr), shape=template.shape)
@@ -215,7 +209,7 @@ def test_singular_root_block_recovers_or_fails_alone(kkts, request):
 
     bad = sp.csc_matrix((data[4], template.indices, template.indptr), shape=template.shape)
     with pytest.raises(KKTSolveError):
-        LDLSolver().solve(bad, rhs[4])
+        solve(bad, rhs[4])
 
 
 def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118, monkeypatch):
@@ -232,21 +226,21 @@ def test_pivot_clamps_count_the_clamps_of_signed_shift_retries(kkts118, monkeypa
     with monkeypatch.context() as patch:
         patch.setattr(LDLSolver, "regularization", 1e-20)
         patch.setattr(LDLSolver, "max_retries", 0)
-        first_pass = LDLSolver()
-        first_pass.solve_blocks(template, data, rhs)
+        first_pass = solver_for(template)
+        first_pass.solve_blocks(data, rhs)
     assert first_pass.pivot_clamps >= 1  # case118s clamps on healthy rows too
 
     with monkeypatch.context() as patch:
         patch.setattr(LDLSolver, "regularization", 1e-20)
-        tiny = LDLSolver()
-        tiny_report = tiny.solve_blocks(template, data, rhs)
+        tiny = solver_for(template)
+        tiny_report = tiny.solve_blocks(data, rhs)
     retries = tiny.numeric_refactorizations - 1
     assert retries >= 1
     # Each retry refactorises the stalled row alone, and it clamps again.
     assert tiny.pivot_clamps == first_pass.pivot_clamps + retries
 
-    healthy_shift = LDLSolver()
-    report = healthy_shift.solve_blocks(template, data, rhs)
+    healthy_shift = solver_for(template)
+    report = healthy_shift.solve_blocks(data, rhs)
     assert healthy_shift.numeric_refactorizations > 1
     assert healthy_shift.pivot_clamps == first_pass.pivot_clamps
     assert not tiny_report.failed and not report.failed

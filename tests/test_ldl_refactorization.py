@@ -5,9 +5,9 @@
 interior-point loop actually produces, plus three structural guarantees of
 its own:
 
-* **same-pattern reuse** — one symbolic analysis serves every numeric
-  refactorisation with an identical sparsity pattern (the telemetry counters
-  expose the reuse so Fig. 5 attribution can see it),
+* **one analysis per plan** — the lockstep plan of a model analyses its KKT
+  pattern once, and every numeric refactorisation of every solve on that
+  model replays it,
 * **enrollment invariance** — a row's batched solution is bit-identical to
   its solo solution, the property the lockstep batch scheduler relies on,
 * **loud failure** — singular systems that the signed-shift recovery cannot
@@ -15,16 +15,16 @@ its own:
   (residual acceptance against the *unperturbed* matrix).
 """
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from reference.kkt import FactorizedSolver, recorded_kkts
-from repro.mips import KKTSolveError, ldl
-from repro.mips.ldl import LDLSolver
+from reference.kkt import FactorizedSolver, KKTSolveError, recorded_kkts, solve, solver_for
+from repro.grid import get_case
+from repro.mips import ldl
+from repro.mips.ldl import LDLSolver, LDLSymbolic
+from repro.opf import OPFModel, solve_opf_batch
 
 
 def _random_kkt(seed, n=12, m=4):
@@ -50,8 +50,8 @@ def _random_kkt(seed, n=12, m=4):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_matches_factorized_on_quasi_definite_kkts(seed):
     kkt, rhs = _random_kkt(seed)
-    x_ldl = LDLSolver().solve(kkt, rhs)
-    x_ref = FactorizedSolver().solve(kkt, rhs)
+    x_ldl = solve(kkt, rhs)
+    x_ref = solve(kkt, rhs, solver_for(kkt, FactorizedSolver))
     np.testing.assert_allclose(x_ldl, x_ref, atol=1e-10, rtol=1e-10)
     # The solution satisfies the system to the refinement target, not merely
     # to the acceptance threshold.
@@ -74,10 +74,9 @@ def test_ordering_choices_agree(seed):
         assert len(candidates) == 2
         for perm in [*candidates, np.arange(kkt.shape[0])]:
             patch.setattr(ldl, "_etree_perms", lambda csc, perm=perm: [perm])
-            patch.setattr(ldl, "_SYM_CACHE", OrderedDict())
-            solver = LDLSolver()
-            sols.append(solver.solve(kkt, rhs))
-            assert solver._sym.levels
+            solver = solver_for(kkt)
+            sols.append(solve(kkt, rhs, solver))
+            assert solver.symbolic.levels
     for got in sols[1:]:
         np.testing.assert_allclose(got, sols[0], atol=1e-9, rtol=1e-9)
 
@@ -88,24 +87,23 @@ def small_root(monkeypatch):
     pivoted LU), and the level-scheduled head with its pivot clamp must stay
     under test on it."""
     monkeypatch.setattr(ldl, "_ROOT_MAX", 4)
-    ldl._SYM_CACHE.clear()
-    yield
-    ldl._SYM_CACHE.clear()
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_head_plus_root_matches_factorized_and_stays_row_local(small_root, seed):
     kkt, rhs = _random_kkt(seed)
-    solver = LDLSolver()
-    x = solver.solve(kkt, rhs)
-    assert solver._sym.levels and 0 < solver._sym.root.size <= 4
-    np.testing.assert_allclose(x, FactorizedSolver().solve(kkt, rhs), atol=1e-9, rtol=1e-9)
+    solver = solver_for(kkt)
+    x = solve(kkt, rhs, solver)
+    assert solver.symbolic.levels and 0 < solver.symbolic.root.size <= 4
+    np.testing.assert_allclose(
+        x, solve(kkt, rhs, solver_for(kkt, FactorizedSolver)), atol=1e-9, rtol=1e-9
+    )
     scale = 1.0 + np.random.RandomState(seed).uniform(0.0, 0.2, size=5)
     data_plane = np.ascontiguousarray(scale[:, None] * kkt.data[None, :])
     rhs_plane = np.random.RandomState(seed + 1).standard_normal((5, kkt.shape[0]))
-    batch = LDLSolver().solve_blocks(kkt, data_plane, rhs_plane)
+    batch = solver_for(kkt).solve_blocks(data_plane, rhs_plane)
     assert not batch.failed
-    solo = LDLSolver().solve_blocks(kkt, data_plane[3:4], rhs_plane[3:4])
+    solo = solver_for(kkt).solve_blocks(data_plane[3:4], rhs_plane[3:4])
     np.testing.assert_array_equal(batch.solutions[3], solo.solutions[0])
 
 
@@ -113,41 +111,46 @@ def test_pivot_clamp_fires_in_the_head_and_is_counted(small_root):
     clamps = 0
     for seed in range(10):
         kkt, rhs = _random_kkt(seed)
-        solver = LDLSolver()
-        solver.solve(kkt, rhs)
+        solver = solver_for(kkt)
+        solve(kkt, rhs, solver)
         clamps += solver.telemetry()["pivot_clamps"]
     assert clamps > 0
 
 
-# -------------------------------------------------------------- symbolic reuse
-def test_symbolic_analysis_reused_across_same_pattern_solves():
-    kkt, rhs = _random_kkt(3)
-    solver = LDLSolver()
-    solver.solve(kkt, rhs)
-    assert solver.symbolic_reuses == 0
-    assert solver.numeric_refactorizations >= 1
-    # Same pattern, new values: the symbolic phase must not rerun.
-    kkt2 = kkt.copy()
-    kkt2.data = kkt2.data * 1.1
-    solver.solve(kkt2, rhs)
-    assert solver.symbolic_reuses == 1
-    # Pattern change: back to a fresh analysis, then reuse resumes.
-    bigger, rhs_b = _random_kkt(4, n=14, m=5)
-    solver.solve(bigger, rhs_b)
-    assert solver.symbolic_reuses == 1
-    solver.solve(bigger, rhs_b * 2.0)
-    assert solver.symbolic_reuses == 2
+# ------------------------------------------------------------ one analysis
+def test_repeated_solves_on_one_model_analyse_once(monkeypatch):
+    """The symbolic phase runs when a model's lockstep plan is built, and
+    never again: repeated ``solve_opf_batch`` calls on one model, cold and
+    fixed-σ rows, widths 1 and 3, construct one ``LDLSymbolic`` and factorise
+    numerically every iteration.  A second model builds its own plan, and
+    with it a second analysis."""
+    analyses = []
+    analyse = LDLSymbolic.analyse.__func__
+
+    def counting(cls, template):
+        analyses.append(template.shape)
+        return analyse(cls, template)
+
+    monkeypatch.setattr(LDLSymbolic, "analyse", classmethod(counting))
+    case = get_case("case14")
+    model = OPFModel(case)
+    Pd, Qd = case.bus.Pd[None, :], case.bus.Qd[None, :]
+    for width in (1, 3, 1):
+        rows = solve_opf_batch(case, np.repeat(Pd, width, 0), np.repeat(Qd, width, 0), model=model)
+        assert all(r.success for r in rows)
+        assert rows[0].kkt_telemetry["numeric_refactorizations"] >= rows[0].iterations
+    assert analyses == [model.batched.plan.assembler.kkt_template.shape]
+    solve_opf_batch(case, Pd, Qd, model=OPFModel(case))
+    assert len(analyses) == 2
 
 
 def test_telemetry_harvest_exposes_ldl_counters():
     kkt, rhs = _random_kkt(5)
-    solver = LDLSolver()
-    solver.solve(kkt, rhs)
+    solver = solver_for(kkt)
+    solve(kkt, rhs, solver)
     telemetry = solver.telemetry()
     assert telemetry["numeric_refactorizations"] >= 1
-    assert telemetry["symbolic_reuses"] == 0
     assert list(telemetry) == [
-        "symbolic_reuses",
         "numeric_refactorizations",
         "block_factorizations",
         "refinement_solves",
@@ -167,13 +170,13 @@ def test_batched_rows_bitwise_match_solo_solves(seed):
     data_plane = np.ascontiguousarray(scale[:, None] * kkt.data[None, :])
     rhs_plane = rng.standard_normal((B, kkt.shape[0]))
 
-    batch = LDLSolver()
-    report = batch.solve_blocks(kkt, data_plane, rhs_plane)
+    batch = solver_for(kkt)
+    report = batch.solve_blocks(data_plane, rhs_plane)
     assert not report.failed
     assert batch.block_factorizations == 1
     for b in range(B):
-        solo = LDLSolver()
-        solo_report = solo.solve_blocks(kkt, data_plane[b : b + 1], rhs_plane[b : b + 1])
+        solo = solver_for(kkt)
+        solo_report = solo.solve_blocks(data_plane[b : b + 1], rhs_plane[b : b + 1])
         np.testing.assert_array_equal(report.solutions[b], solo_report.solutions[0])
 
 
@@ -184,8 +187,8 @@ def test_degenerate_but_solvable_system_recovers():
     row-iteration): it is clamped and refined away, and the solve succeeds
     without any regularisation event."""
     ((template, data, rhs),) = recorded_kkts("case118s", max_it=1)
-    solver = LDLSolver()
-    report = solver.solve_blocks(template, data, rhs)
+    solver = solver_for(template)
+    report = solver.solve_blocks(data, rhs)
     assert solver.pivot_clamps == 1
     assert not report.failed and solver.regularizations == 0
     assert solver.numeric_refactorizations == 1  # no shifted retry either
@@ -197,9 +200,8 @@ def test_degenerate_but_solvable_system_recovers():
 def test_singular_system_raises_instead_of_returning_garbage():
     kkt = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     kkt.sort_indices()
-    solver = LDLSolver()
     with pytest.raises(KKTSolveError):
-        solver.solve(kkt, np.array([1.0, 2.0]))
+        solve(kkt, np.array([1.0, 2.0]))
 
 
 def test_singular_block_row_fails_alone_not_the_batch():
@@ -207,8 +209,7 @@ def test_singular_block_row_fails_alone_not_the_batch():
     n = kkt.shape[0]
     data_plane = np.vstack([kkt.data, np.zeros_like(kkt.data)])
     rhs_plane = np.ones((2, n))
-    solver = LDLSolver()
-    report = solver.solve_blocks(kkt, data_plane, rhs_plane)
+    report = solver_for(kkt).solve_blocks(data_plane, rhs_plane)
     assert report.failed == [1]
     assert np.isfinite(report.solutions[0]).all()
     np.testing.assert_allclose(kkt @ report.solutions[0], rhs_plane[0], atol=1e-8)
@@ -226,7 +227,9 @@ def test_singular_block_row_fails_alone_not_the_batch():
     ],
 )
 def test_constructor_rejects_bad_parameters(kwargs):
-    """The solve takes no parameters: its constants are class attributes
-    and the ordering is always the cheaper of minimum degree and RCM."""
+    """The solve takes no parameter but its analysis: its constants are
+    class attributes and the ordering is always the cheaper of minimum degree
+    and RCM."""
+    kkt, _ = _random_kkt(0)
     with pytest.raises(TypeError, match=next(iter(kwargs))):
-        LDLSolver(**kwargs)
+        LDLSolver(LDLSymbolic.analyse(kkt), **kwargs)

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from reference.kkt import BACKENDS, FactorizedSolver, kkt_solve
+from reference.kkt import BACKENDS, FactorizedSolver, KKTSolveError, kkt_solve, solve, solver_for
 from reference.qp import qps_mips
-from repro.mips import KKTSolveError, LDLSolver
 from repro.utils import planes
 from repro.utils.sparse import bmat_order, col_scaled_csr, row_scaled_csr
 
@@ -104,34 +103,34 @@ def _random_system(seed=0, n=50):
 @pytest.mark.parametrize("name", ["factorized", "ldl"])
 def test_backends_solve_a_well_posed_system(name):
     kkt, rhs = _random_system()
-    solver = BACKENDS[name]()
-    x = solver.solve(kkt, rhs)
-    assert np.allclose(kkt @ x, rhs, atol=1e-9)
-    assert solver.factor_seconds >= 0.0
+    report = solver_for(kkt, BACKENDS[name]).solve_blocks(kkt.data[None, :], rhs[None, :])
+    assert np.allclose(kkt @ report.solutions[0], rhs, atol=1e-9)
+    assert report.factor_seconds >= 0.0
 
 
 def test_factorized_solver_matches_ldl():
     kkt, rhs = _random_system(seed=3)
-    ref = LDLSolver().solve(kkt, rhs)
-    out = FactorizedSolver().solve(kkt, rhs)
+    ref = solve(kkt, rhs)
+    out = solve(kkt, rhs, solver_for(kkt, FactorizedSolver))
     assert np.allclose(out, ref, atol=1e-10)
 
 
 def test_factorized_solver_carries_nothing_between_systems():
     """The reference is stateless: a system's solution is the same bits
-    whatever the solver instance factorised before it."""
+    whatever the solver instance factorised before it.  A solver serves one
+    pattern, which it holds beside its counters, and nothing else."""
     kkt, rhs = _random_system(seed=1)
-    fresh = FactorizedSolver().solve(kkt, rhs)
-    solver = FactorizedSolver()
-    other, other_rhs = _random_system(seed=2)
-    solver.solve(other, other_rhs)
+    fresh = solve(kkt, rhs, solver_for(kkt, FactorizedSolver))
+    solver = solver_for(kkt, FactorizedSolver)
+    other_rhs = _random_system(seed=2)[1]
+    solve(kkt, other_rhs, solver)
     scaled = kkt.copy()
     scaled.data = scaled.data * 1.5
-    solver.solve(scaled, rhs)
-    np.testing.assert_array_equal(solver.solve(kkt, rhs), fresh)
+    solve(scaled, rhs, solver)
+    np.testing.assert_array_equal(solve(kkt, rhs, solver), fresh)
     assert solver.numeric_refactorizations == 3
     state = {k for k, v in vars(solver).items() if not isinstance(v, (int, float))}
-    assert not state, f"non-counter attributes on the reference: {state}"
+    assert state == {"pattern"}, f"non-counter attributes on the reference: {state}"
 
 
 def _singular_system(consistent):
@@ -149,16 +148,16 @@ def test_scalar_solve_is_the_one_row_solve_blocks(name):
     outcomes = []
     for kkt, rhs in systems:
         kkt.sort_indices()
-        report = BACKENDS[name]().solve_blocks(kkt, kkt.data[None, :], rhs[None, :])
+        report = solver_for(kkt, BACKENDS[name]).solve_blocks(kkt.data[None, :], rhs[None, :])
         assert report.solutions.shape == (1, rhs.size)
-        solver = BACKENDS[name]()
+        solver = solver_for(kkt, BACKENDS[name])
         if report.failed:
             assert report.failed == [0] and np.isnan(report.solutions[0]).all()
             with pytest.raises(KKTSolveError):
-                solver.solve(kkt, rhs)
+                solve(kkt, rhs, solver)
             assert solver.regularizations == 0
         else:
-            np.testing.assert_array_equal(solver.solve(kkt, rhs), report.solutions[0])
+            np.testing.assert_array_equal(solve(kkt, rhs, solver), report.solutions[0])
             assert solver.regularizations == report.regularizations[0]
         outcomes.append(bool(report.failed))
     # A healthy system, a recovered singular one and a rejected one.
@@ -169,15 +168,17 @@ def test_solve_blocks_reports_failed_rows_without_touching_neighbours():
     kkt, rhs = _singular_system(False)
     good_rhs = _singular_system(True)[1]
     for backend in BACKENDS.values():
-        report = backend().solve_blocks(
-            kkt, np.stack([kkt.data, kkt.data]), np.stack([good_rhs, rhs])
+        report = solver_for(kkt, backend).solve_blocks(
+            np.stack([kkt.data, kkt.data]), np.stack([good_rhs, rhs])
         )
         assert report.failed == [1]
         assert list(report.regularizations) == [1, 0]
-        alone = backend().solve_blocks(kkt, kkt.data[None, :], good_rhs[None, :])
+        alone = solver_for(kkt, backend).solve_blocks(kkt.data[None, :], good_rhs[None, :])
         np.testing.assert_array_equal(report.solutions[0], alone.solutions[0])
     with pytest.raises(ValueError, match="matching batch sizes"):
-        FactorizedSolver().solve_blocks(kkt, np.stack([kkt.data, kkt.data]), rhs[None, :])
+        solver_for(kkt, FactorizedSolver).solve_blocks(
+            np.stack([kkt.data, kkt.data]), rhs[None, :]
+        )
 
 
 def test_factorized_solver_regularizes_singular_kkt():
@@ -193,8 +194,8 @@ def test_factorized_solver_regularizes_singular_kkt():
         )
     )
     rhs = np.array([1.0, 1.0, 1.0])
-    solver = FactorizedSolver(regularization=1e-8)
-    x = solver.solve(kkt, rhs)
+    solver = solver_for(kkt, FactorizedSolver, regularization=1e-8)
+    x = solve(kkt, rhs, solver)
     assert solver.regularizations >= 1
     assert np.all(np.isfinite(x))
     # The regularised solution still satisfies the consistent equations.
@@ -215,30 +216,34 @@ def test_factorized_solver_rejects_degraded_regularized_solution():
         )
     )
     rhs = np.array([1.0, 2.0, 1.0])  # rows 1/2 demand x3 = 1 and x3 = 2
-    solver = FactorizedSolver()
     with pytest.raises(KKTSolveError, match="residual"):
-        solver.solve(kkt, rhs)
+        solve(kkt, rhs, solver_for(kkt, FactorizedSolver))
 
 
 def test_factorized_solver_gives_up_on_hopeless_matrix():
     kkt = sp.csc_matrix((2, 2))
-    solver = FactorizedSolver(regularization=1e-30, reg_growth=1.0 + 1e-9, max_retries=0)
+    solver = solver_for(
+        kkt, FactorizedSolver, regularization=1e-30, reg_growth=1.0 + 1e-9, max_retries=0
+    )
+    report = solver.solve_blocks(kkt.data[None, :], np.ones((1, 2)))
+    assert report.failed == [0]
     with pytest.raises(KKTSolveError):
-        solver.solve(kkt, np.ones(2))
+        solve(kkt, np.ones(2), solver)
     # The counter reports actual recoveries, not failed attempts.
     assert solver.regularizations == 0
-    assert solver.factor_seconds >= 0.0
+    assert report.factor_seconds >= 0.0
 
 
 def test_factorized_solver_validation():
+    kkt = _random_system()[0]
     with pytest.raises(ValueError):
-        FactorizedSolver(regularization=0.0)
+        solver_for(kkt, FactorizedSolver, regularization=0.0)
     with pytest.raises(ValueError):
-        FactorizedSolver(reg_growth=1.0)
+        solver_for(kkt, FactorizedSolver, reg_growth=1.0)
     with pytest.raises(ValueError):
-        FactorizedSolver(max_retries=-1)
+        solver_for(kkt, FactorizedSolver, max_retries=-1)
     with pytest.raises(ValueError):
-        FactorizedSolver(residual_tol=0.0)
+        solver_for(kkt, FactorizedSolver, residual_tol=0.0)
 
 
 # ------------------------------------------------- backends through the solver

@@ -84,6 +84,25 @@ _HEALTH = (
 _STATE_FILES = ("save_state_dict", "load_state_dict")
 _STREAMS = ("CorrelatedLoadSampler", "sample_load_trajectory")
 _TRAJECTORIES = ("MultiPeriodSweep", "TrajectoryResult", "chained_warm_start", "trajectory_steps")
+_POOL_VIEWS = ("SupervisedPool.pending", "SupervisedPool.closed")
+#: The KKT solve's pattern cache and its inverted step-rule control: the
+#: lockstep plan owns the analysis, ``mips_batch`` runs the cascade on the
+#: report's ``resolve``, and the one-system solve moved to the tests.
+_KKT_CASCADE = (
+    "KKTSolveError",
+    "_SYM_CACHE",
+    "_SYM_LOCK",
+    "_SYM_CACHE_MAX",
+    "_symbolic_for_pattern",
+    "_Factored",
+    "LDLSolver.solve",
+    "LDLSolver._symbolic",
+    "LDLSolver._solve_with_recovery",
+    "LDLSolver._resolve",
+    "LDLSolver._correct",
+    "LDLSolver._callback",
+    "BlockSolveReport.corrected",
+)
 
 #: The engine's model-state properties, replaced by the retrieval table
 #: (``ServingModel``'s fields are pinned in ``test_removed_knobs.py``).
@@ -98,10 +117,17 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.engine": (*_HEALTH, *_SERVED_NETWORK),
     "repro.engine.engine": (*_HEALTH, *_SERVED_NETWORK),
     "repro.engine.artifact": ("_MODEL_TYPES", "_normalizer_from_arrays"),
-    "repro.grid": ("register_case", "case_to_matpower", "available_cases", *_LOADS, *_STREAMS),
+    "repro.grid": (
+        "register_case",
+        "case_to_matpower",
+        "available_cases",
+        "iter_load_samples",
+        *_LOADS,
+        *_STREAMS,
+    ),
     "repro.grid.cases": ("register_case", "available_cases"),
     "repro.grid.io": ("case_to_matpower", "BUS_COLUMNS", "GEN_COLUMNS", "BRANCH_COLUMNS"),
-    "repro.grid.perturb": (*_LOADS, *_STREAMS),
+    "repro.grid.perturb": ("iter_load_samples", *_LOADS, *_STREAMS),
     "repro.grid.synthetic": ("scaled_family",),
     "repro.mips": (
         "mips",
@@ -111,8 +137,12 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "make_kkt_solver",
         "available_kkt_solvers",
         "solver_telemetry",
+        "KKTSolveError",
     ),
-    "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS"),
+    "repro.mips.ldl": _KKT_CASCADE,
+    "repro.mips.batch": ("_Centring.rhs", "_Centring.fallback"),
+    "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS", "MinMaxScaler.dim"),
+    "repro.mtl.normalization": ("MinMaxScaler.dim",),
     "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS"),
     "repro.nn": (
         *_LOSSES,
@@ -123,24 +153,28 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "save_module",
         "load_module",
         "stack_scalars",
+        "Tensor.numpy",
     ),
     "repro.nn.losses": _LOSSES,
     "repro.nn.modules": ("Softplus",),
     "repro.nn.optim": ("SGD",),
     "repro.nn.schedulers": _SCHEDULERS,
     "repro.nn.serialization": ("save_module", "load_module", *_STATE_FILES),
-    "repro.nn.tensor": ("stack_scalars",),
-    "repro.opf": ("hessian_blocks", "lagrangian_hessian", "OPFOptions"),
+    "repro.nn.tensor": ("stack_scalars", "Tensor.numpy"),
+    "repro.opf": ("hessian_blocks", "lagrangian_hessian", "OPFOptions", "WarmStart.cold"),
+    "repro.opf.warmstart": ("WarmStart.cold",),
     "repro.parallel": (
         "calibrate_from_inference",
         "run_scenario_sweep",
         "ScenarioSolution",
         "topology_key",
         *_TRAJECTORIES,
+        *_POOL_VIEWS,
     ),
     "repro.parallel.scenarios": ("topology_key",),
     "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.cluster": ("calibrate_from_inference",),
+    "repro.parallel.supervision": _POOL_VIEWS,
     "repro.powerflow": (
         *_POWERFLOW,
         "newton_power_flow",
@@ -156,7 +190,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.utils": ("spawn_rngs", "Timer", "timed", "CachedBmat"),
     "repro.utils.rng": ("spawn_rngs", "derive_seed"),
-    "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat"),
+    "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat", "same_pattern"),
     "reference.faults": ("swap_fault",),
 }
 

@@ -32,7 +32,10 @@ state: ``breaker=`` and ``drift_monitor=`` are gone with the circuit breaker,
 the drift monitor and the model lifecycle, and ``hot_swap`` is the one way to
 publish a model.  And the Newton systems have one solve: ``MIPSOptions`` has
 no ``kkt_solver`` / ``kkt_reg`` / ``kkt_max_retries``, ``LDLSolver`` takes no
-parameters, the SuperLU reference lives in the tests, and a
+parameter but the plan's symbolic analysis, ``solve_blocks`` takes no
+template and no corrector (the MIPS loop runs the predictor–corrector
+cascade on the factor handle it returns), the SuperLU reference and the
+one-system solve live in the tests, and a
 ``LockstepPlan`` is the only way to describe a problem to ``mips_batch``.
 And the OPF problem is fixed: no ``OPFOptions``, no flow-limit or start-point
 mode, and ``MIPSOptions`` holds only the iteration cap — the tolerances and
@@ -54,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import SmartPGSimConfig
 from repro.data import generate_dataset
@@ -61,7 +65,7 @@ from repro.engine.artifact import load_artifact
 from repro.engine.engine import WarmStartEngine
 from repro.engine.retrieval import NearestSolutions
 from reference.kkt import FactorizedSolver
-from repro.mips import LDLSolver, MIPSOptions, mips_batch
+from repro.mips import LDLSolver, LDLSymbolic, MIPSOptions, mips_batch
 from repro.parallel import Scenario, SolverFleet
 from repro.serving import AsyncServer
 
@@ -155,11 +159,29 @@ def test_async_server_has_no_flush_timer(keyword):
 
 @pytest.mark.parametrize("backend", [FactorizedSolver, LDLSolver])
 def test_backend_interface_is_solve_blocks_only(backend):
-    kkt = np.eye(2)
+    symbolic = LDLSymbolic.analyse(sp.csc_matrix(np.eye(2)))
     with pytest.raises(TypeError, match="direct"):
-        backend().solve_blocks(kkt, np.ones((1, 2)), np.ones((1, 2)), direct=True)
-    for retired in ("resolve", "solve_many", "supports_blocks"):
+        backend(symbolic).solve_blocks(np.ones((1, 2)), np.ones((1, 2)), direct=True)
+    for retired in ("resolve", "solve_many", "supports_blocks", "solve"):
         assert not hasattr(backend, retired)
+    params = list(inspect.signature(backend.solve_blocks).parameters)
+    assert params == ["self", "data_plane", "rhs_plane", "tol"]
+
+
+def test_kkt_solve_has_no_cache_and_no_corrector_callbacks():
+    """The plan owns the one symbolic analysis and the MIPS loop owns the
+    step cascade: no pattern cache, reuse counter, corrector callback or
+    right-hand-side clock is left in the solve."""
+    import repro.mips
+    import repro.mips.ldl as ldl
+
+    solver = LDLSolver(LDLSymbolic.analyse(sp.csc_matrix(np.eye(2))))
+    report = solver.solve_blocks(np.ones((1, 2)), np.ones((1, 2)))
+    for name in ("symbolic_reuses", "rhs_seconds", "factor_seconds", "backsolve_seconds"):
+        assert not hasattr(solver, name), name
+    assert "symbolic_reuses" not in solver.telemetry()
+    assert not hasattr(report, "corrected")
+    assert not hasattr(ldl, "_SYM_CACHE") and not hasattr(repro.mips, "KKTSolveError")
 
 
 def test_one_solver_core(case9_fixture):

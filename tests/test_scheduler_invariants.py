@@ -193,9 +193,9 @@ def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monk
     solved, assembled = [], []
 
     class Recording(backend):
-        def solve_blocks(self, template, data_plane, rhs_plane, corrector=None):
+        def solve_blocks(self, data_plane, rhs_plane, tol=None):
             solved.append(len(rhs_plane))
-            return super().solve_blocks(template, data_plane, rhs_plane, corrector=corrector)
+            return super().solve_blocks(data_plane, rhs_plane, tol)
 
     build = batch_module._BatchKKTAssembler.build
 
