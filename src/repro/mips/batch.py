@@ -112,31 +112,56 @@ there too, takes a fresh ``solve_blocks`` pass on the fallback.  So a cold
 row whose predictor or corrector is not accepted takes the fixed-σ step that
 iteration.
 
+**The cold entry.**  A cold row keeps MATPOWER's slacks
+``z = max(Z0, −h(x₀))`` but not its ``µ = Z0``: it enters with
+``γ₀ = max(Z0, ‖∇f(x₀)‖∞)``, read from its own entry gradient, and
+``µ = γ₀/z``, so it starts exactly centred, ``z∘µ = γ₀`` on every inequality
+row, with duals at the scale stationarity asks of them.  ``‖∇f(x₀)‖∞`` is
+2.9e3–5.2e3 on case9 … case300s; from ``µ = Z0 = 1`` a cold case118s row
+spent its first fourteen iterations on primal steps mostly below 0.4 while
+``compcond`` climbed from 4.1e2 to 4.5e3 before it fell.  The scale is the
+data's, not a constant's.  On the sixteen cold case118s rows of each of three
+perfbench ``cold118_b16`` request lists (seeds 1–3), mean iterations are
+
+* 15.0–15.4, 15.0–15.1, 15.4–15.5, 16.1–16.5 and 17.2 with ``γ₀`` scaled by
+  0.1, 0.3, 1 (the rule), 3 and 10;
+* 25.0–25.6, 30.9–32.8, 19.1–19.2, 18.1–18.3, 15.1–15.2 and 16.3–16.4 with a
+  fixed ``γ₀`` of 1 (the ``µ = Z0`` entry), 3, 10, 100, 1e3 and 1e4.
+
+The centred entry also solves every cold row the ``µ = Z0`` entry lost to
+exploded or singular steps: 32 of 32 cold case300s rows of ``±5 %`` seed 1
+and ``±20 %`` seed 3 (21 and 23 before), and the single rows
+``tests/test_predictor_corrector.py`` pins.  It reads only its own row, so
+batch, window and feed invariance hold, and every row with a warm component
+keeps MATPOWER's entry bit for bit.
+
 The clip keeps cold rows robust: the pure ``(µ_aff/µ)³`` failed 16 of 64
-case30s ±10 % rows, mostly on singular KKT systems, and a ``σ`` above 1 made
-case9 steps explode.  The row rule keeps
+case30s ±10 % rows from the ``µ = Z0`` entry, mostly on singular KKT systems,
+and a ``σ`` above 1 made case9 steps explode.  The row rule keeps
 warm rows safe: with predictor–corrector steps on every row, full starts
 from another load draw took 14.8 instead of 7.4 mean iterations on case118s,
 and ``x``-only starts converged on 14 of 16 rows instead of 16.  Mean MIPS
 iterations of cold rows, 16 rows per case, ``sample_loads`` seed 12345
 (N-2: sixteen pairs, seed 7):
 
-=================  ===========  ======================
-rows               fixed σ      predictor–corrector
-=================  ===========  ======================
-case118s ±5 %      55.0         26.0
-case118s N-2       56.2         25.1
-case14 ±20 %       24.4         12.0
-case9 ±20 %        18.6         17.1
-case30s ±10 %      23.6         18.4
-case57s ±5 %       24.4         26.6 (the one rise)
-=================  ===========  ======================
+=================  ===========  =====================  =====================
+rows               fixed σ      predictor–corrector,   predictor–corrector,
+                                ``µ = Z0`` entry       centred entry
+=================  ===========  =====================  =====================
+case118s ±5 %      55.0         26.0                   15.6
+case118s N-2       56.2         25.1                   15.9
+case14 ±20 %       24.4         12.0                   12.0
+case9 ±20 %        18.6         17.1                   11.9
+case30s ±10 %      23.6         18.4                   12.0
+case57s ±5 %       24.4         26.6                   13.0
+=================  ===========  =====================  =====================
 
-(``tests/test_predictor_corrector.py`` prints these; every row converges and
-certifies under both rules.)  A predictor–corrector iteration costs one
-factorisation and two solves, so on case118s it spends about two refinement
-back-substitutions per row-iteration against 1.1 for a fixed-σ one, and still
-halves the solve.  Warm rows keep the fixed-σ step bit for bit.
+(``tests/test_predictor_corrector.py`` prints the fixed-σ and centred-entry
+columns; every row converges and certifies under both rules.)  A
+predictor–corrector iteration costs one factorisation and two solves, so on
+case118s it spends about two refinement back-substitutions per row-iteration
+against 1.1 for a fixed-σ one, and still takes under a third of the fixed-σ
+iterations.  Warm rows keep the fixed-σ step bit for bit.
 
 ``idx`` carries the original batch positions of the rows of ``X`` so callbacks
 can look up per-scenario data (loads, outages) for the shrinking active set.
@@ -842,8 +867,10 @@ def mips_batch(
 
         One code path for both means a fed scenario takes bit-for-bit the
         entry route a standalone batch member takes: primal clamp into
-        bounds, entry evaluation, warm-start dual initialisation, entry
-        conditions (and immediate retirement when already converged).
+        bounds, entry evaluation, dual initialisation (MATPOWER's for a row
+        with any warm component, centred at the objective's scale for a cold
+        one), entry conditions (and immediate retirement when already
+        converged).
         """
         nonlocal n_enrolled
         t0 = time.perf_counter()
@@ -889,6 +916,7 @@ def mips_batch(
         if lam0v is not None and np.any(lam_m):
             lam[new[lam_m]] = lam0v[lam_m]
         if niq:
+            # MATPOWER's entry, which every row with a warm component keeps.
             Hn = H[new]
             zn = np.full((k, niq), Z0)
             below = Hn < -Z0
@@ -901,6 +929,12 @@ def mips_batch(
             mun[big] = np.broadcast_to(gn[:, None], zn.shape)[big] / zn[big]
             if mu0v is not None and np.any(mu_m):
                 mun[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
+            # A cold row enters centred at its objective's scale:
+            # γ₀ = max(Z0, ‖∇f(x₀)‖∞) and µ = γ₀/z, so z∘µ = γ₀ on every row.
+            cn = cold[new]
+            if np.any(cn):
+                gn[cn] = np.maximum(Z0, np.abs(dF[new[cn]]).max(axis=1))
+                mun[cn] = gn[cn, None] / zn[cn]
             warm = mu_m | z_m
             if np.any(warm):
                 gn[warm] = np.maximum(

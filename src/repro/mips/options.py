@@ -23,7 +23,9 @@ XI = 0.99995
 #: Centering parameter of the barrier update ``gamma = SIGMA * zᵀµ / niq``
 #: (the fixed-σ step), and the floor of the predictor–corrector ``σ``.
 SIGMA = 0.1
-#: Initial value of the slack variables and multipliers.
+#: Floor of the initial slacks.  MATPOWER's entry also starts the multipliers
+#: and the barrier target of a row with no warm duals at it; a cold row's
+#: barrier target is ``max(Z0, ‖∇f(x₀)‖∞)`` instead (:mod:`repro.mips.batch`).
 Z0 = 1.0
 #: Declare numerical failure when the step or iterate norm exceeds this.
 MAX_STEPSIZE = 1e10

@@ -1,24 +1,29 @@
 """Predictor–corrector steps for cold rows, against the fixed-σ step they replace.
 
 A row that enters ``mips_batch`` with no warm component (none of ``x``, ``λ``,
-``µ``, ``Z``) takes Mehrotra predictor–corrector steps; a row with any warm
-component takes MATPOWER's fixed-σ step.  The fixed-σ reference of a cold row
-is the same row with its default ``x`` passed as a warm ``x``.
+``µ``, ``Z``) takes Mehrotra predictor–corrector steps from a centred entry at
+its objective's scale — ``γ₀ = max(Z0, ‖∇f(x₀)‖∞)`` and ``µ = γ₀/z``, so
+``z∘µ = γ₀`` on every inequality row; a row with any warm component takes
+MATPOWER's entry and fixed-σ step.  The fixed-σ reference of a cold row is
+the same row with its default ``x`` passed as a warm ``x``.
 
 The suite is clock-free: it checks convergence, the KKT certificate and
-iteration counts on cold rows of five cases and sixteen case118s N-2 pairs,
-then the row contract of a batch that mixes warm, partial and cold rows —
-each row is bitwise the row solved alone, the warm and partial rows are
-bitwise their all-warm batch, and a feed window changes no bit.  Run with
-``-s`` to see each case's two mean iteration counts.
+iteration counts on cold rows of five cases and sixteen case118s N-2 pairs;
+the rows the predictor–corrector step once failed (case300s batches and
+single rows of four other cases); the entry of every kind of row; then the
+row contract of a batch that mixes warm, partial and cold rows — each row is
+bitwise the row solved alone, the warm and partial rows are bitwise their
+all-warm batch, and a feed window changes no bit.  Run with ``-s`` to see
+each case's two mean iteration counts.
 """
 
 import numpy as np
 import pytest
 
+import repro.mips.batch as batch_module
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import SIGMA
+from repro.mips import SIGMA, Z0, MIPSOptions
 from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf_batch
 
 #: ``(case, load variation)`` of the intact corpus, 16 rows each.
@@ -36,6 +41,20 @@ N2_PAIRS = (
 )
 #: case118s's largest allowed ratio of the two mean iteration counts.
 RATIO_118 = 0.6
+#: Cold rows the predictor–corrector step failed from MATPOWER's entry
+#: (``µ = Z0``), each solved alone: ``(case, rows drawn, load variation,
+#: sample_loads seed, row, outage pair)``.  The case30s row failed only under
+#: the fixed-σ step.
+HARD_ROWS = (
+    ("case57s", 128, 0.2, 10, 49, ()),
+    ("case118s", 3, 0.05, 2035, 2, (37, 76)),
+    ("case118s", 3, 0.05, 1016, 1, (49, 74)),
+    ("case9", 16, 0.2, 29, 5, ()),
+    ("case57s", 16, 0.05, 17, 2, ()),
+    ("case30s", 16, 0.1, 23, 1, ()),
+)
+#: Largest allowed mean iterations of a cold case300s batch.
+MEAN_300 = 20
 
 
 def _loads(case, n, variation, seed):
@@ -91,6 +110,30 @@ def test_n2_rows_converge_and_certify_under_both_rules():
     assert cold_mean <= RATIO_118 * fixed_mean
 
 
+@pytest.mark.parametrize("variation, seed", [(0.05, 1), (0.2, 3)])
+def test_cold_case300s_rows_converge_and_certify(variation, seed):
+    """The paper's largest system: sixteen cold rows in one batch."""
+    case = get_case("case300s")
+    Pd, Qd = _loads(case, 16, variation, seed)
+    rows = solve_opf_batch(case, Pd, Qd, model=OPFModel(case))
+    _assert_certified(case, rows, Pd, Qd, [()] * len(rows))
+    assert np.mean([r.iterations for r in rows]) <= MEAN_300
+
+
+@pytest.mark.parametrize(
+    "name, n, variation, seed, row, outage", HARD_ROWS,
+    ids=[f"{c}-{v:.0%}-seed{s}-row{r}" for c, _, v, s, r, _ in HARD_ROWS],
+)
+def test_hard_cold_row_converges_and_certifies(name, n, variation, seed, row, outage):
+    """A row alone is bitwise the same row in its batch, so each is solved
+    alone."""
+    case = get_case(name)
+    Pd, Qd = _loads(case, n, variation, seed)
+    Pd, Qd = Pd[row : row + 1], Qd[row : row + 1]
+    rows = solve_opf_batch(case, Pd, Qd, model=OPFModel(case), outages=[outage])
+    _assert_certified(case, rows, Pd, Qd, [outage])
+
+
 def test_cold_row_records_its_centring_target():
     """A cold row's ``IterationRecord.gamma`` is the ``σµ`` its step aimed
     at, with ``σ ∈ [SIGMA, 1]`` of the entry's ``µ``; a fixed-σ row records
@@ -122,6 +165,63 @@ def mixed118():
     starts = [full[0], partial[0], None, full[1], None, partial[1]]
     batch = solve_opf_batch(case, Pd[:6], Qd[:6], model=model, warm_starts=starts)
     return case, model, Pd[:6], Qd[:6], starts, batch
+
+
+def _entry(case, model, Pd, Qd, starts):
+    """The state each row enters its first iteration with — ``z``, ``µ``,
+    ``γ`` and ``h(x₀)`` — captured from the KKT solve of a one-iteration
+    solve."""
+    captured = []
+    solve = batch_module._Centring.solve
+
+    def capturing(self, solver, data_plane):
+        captured.append((self._z.copy(), self._mu.copy(), self._gamma.copy(), self._H.copy()))
+        return solve(self, solver, data_plane)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch_module._Centring, "solve", capturing)
+        solve_opf_batch(case, Pd, Qd, model=model, warm_starts=starts,
+                        options=MIPSOptions(max_it=1))
+    return captured[0]
+
+
+def test_cold_rows_enter_centred_at_the_objective_scale(mixed118):
+    """A cold row enters with ``γ₀ = max(Z0, ‖∇f(x₀)‖∞)``, ``z = max(Z0, −h(x₀))``
+    and ``µ = γ₀/z``; its iteration-0 record carries ``γ₀``."""
+    case, model, Pd, Qd, starts, batch = mixed118
+    cold = [i for i, s in enumerate(starts) if s is None]
+    z, mu, gamma, H = _entry(case, model, Pd, Qd, starts)
+    plan = model.batched.plan
+    x0 = np.clip(model.default_start(), plan.xmin, plan.xmax)
+    gamma0 = max(Z0, np.abs(model.batched.objective(x0[None, :])[1]).max())
+    assert gamma0 > 1e3 * Z0
+    for i in cold:
+        assert gamma[i] == gamma0
+        assert batch[i].history[0].gamma == gamma0
+        assert np.array_equal(z[i], np.maximum(Z0, -H[i]))
+        np.testing.assert_allclose(z[i] * mu[i], gamma0, rtol=1e-15, atol=0)
+
+
+def test_warm_rows_keep_matpower_entry(mixed118):
+    """Any warm component keeps MATPOWER's entry: without warm duals,
+    ``z = max(Z0, −h(x₀))``, ``µ = Z0`` and ``γ = Z0``; with them, the
+    (floored) warm ``µ``/``Z`` and ``γ = SIGMA·zᵀµ/niq``."""
+    case, model, Pd, Qd, starts, _ = mixed118
+    x_only = [WarmStart(x=s.x) for s in (starts[0], starts[3])]
+    rows = [0, 1, 3, 5, 0, 3]
+    starts = [starts[i] for i in rows[:4]] + x_only
+    z, mu, gamma, H = _entry(case, model, Pd[rows], Qd[rows], starts)
+    niq = model.batched.plan.partition.n_ineq
+    for i, start in enumerate(starts):
+        if start.mu is None:
+            assert np.array_equal(z[i], np.maximum(Z0, -H[i])), i
+            assert np.all(mu[i] == Z0) and gamma[i] == Z0, i
+        else:
+            warm = start.clipped_duals()
+            assert np.array_equal(z[i], np.maximum(warm.z, 1e-10)), i
+            assert np.array_equal(mu[i], np.maximum(warm.mu, 1e-10)), i
+            zmu = np.einsum("ij,ij->i", z[i : i + 1], mu[i : i + 1])[0]
+            assert gamma[i] == max(SIGMA * zmu / niq, 1e-12), i
 
 
 def _bits(row):
