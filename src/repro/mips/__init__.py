@@ -1,7 +1,7 @@
 """MIPS primal-dual interior-point solver (warm-startable)."""
 
 from repro.mips.ldl import BlockSolveReport, LDLSolver, LDLSymbolic
-from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
+from repro.mips.batch import LockstepPlan, mips_batch
 from repro.mips.options import (
     BOUND_EQ_TOL,
     COMPTOL,
@@ -31,7 +31,6 @@ __all__ = [
     "IterationRecord",
     "ConstraintPartition",
     "mips_batch",
-    "BatchFeedPayload",
     "LockstepPlan",
     "BlockSolveReport",
     "LDLSolver",

@@ -41,15 +41,14 @@ of the Lagrangian gradient and the entry clamp, ``np.add.reduceat`` for row
 sums — because ``plane[:, idx]`` makes a lockstep step of two rows cost two
 to three times one of one row while computing the same bits.
 
-Scenarios retire individually: a converged (or numerically failed) scenario
-drops out of the active set immediately, so stragglers never pay for
-finishers.  The converse also holds — a retire-and-refill ``feed``
-(:class:`BatchFeedPayload`) can enroll queued scenarios into the freed slots
-*between iterations*, turning the initial batch width into a lockstep window
-that elastic schedulers keep topped up.  Enrollment runs the exact entry path
-of the initial batch, and the KKT solve treats each row of a plane
-independently of its neighbours, so a scenario's trajectory is bit-identical
-no matter when, or whether, it was fed in.  Each scenario gets its own
+A call enrolls its rows once, at entry.  Scenarios retire individually: a
+converged (or numerically failed) scenario drops out of the active set
+immediately, so stragglers never pay for finishers.  The entry, the step
+and the KKT solve treat each row of a plane independently of its
+neighbours, so with row-independent callbacks a scenario's trajectory is
+bit-identical whatever batch it is solved in — alone, in the full sweep, or
+in any subset or order of it; the fleet's micro-batches and its bisection
+of a failing task rely on that.  Each scenario gets its own
 :class:`~repro.mips.result.MIPSResult`: its message, iteration history and
 the four termination conditions (feasibility, gradient, complementarity,
 cost) recorded per iteration for the Fig. 10 analysis.  The parity suites
@@ -132,8 +131,8 @@ The centred entry also solves every cold row the ``µ = Z0`` entry lost to
 exploded or singular steps: 32 of 32 cold case300s rows of ``±5 %`` seed 1
 and ``±20 %`` seed 3 (21 and 23 before), and the single rows
 ``tests/test_predictor_corrector.py`` pins.  It reads only its own row, so
-batch, window and feed invariance hold, and every row with a warm component
-keeps MATPOWER's entry bit for bit.
+batch and subset invariance hold, and every row with a warm component keeps
+MATPOWER's entry bit for bit.
 
 The clip keeps cold rows robust: the pure ``(µ_aff/µ)³`` failed 16 of 64
 case30s ±10 % rows from the ``µ = Z0`` entry, mostly on singular KKT systems,
@@ -171,7 +170,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -229,40 +227,6 @@ _RETIREMENTS = (
     ("numerically failed (non-finite iterate)", False),
     ("numerically failed (iterate diverged)", False),
 )
-
-
-@dataclass(frozen=True)
-class BatchFeedPayload:
-    """Scenarios handed to a running lockstep batch by a retire-and-refill feed.
-
-    ``x0`` holds one primal start per enrolling scenario; the optional warm
-    components and masks (``x0_mask`` included) mirror :func:`mips_batch`'s
-    entry parameters.  Rows
-    are enrolled in order, continuing the global row numbering — the ``idx``
-    arrays the batched callbacks receive index the *enrollment order*, so the
-    per-scenario data the callbacks close over must be laid out the same way.
-    """
-
-    x0: np.ndarray
-    lam0: Optional[np.ndarray] = None
-    mu0: Optional[np.ndarray] = None
-    z0: Optional[np.ndarray] = None
-    lam0_mask: Optional[np.ndarray] = None
-    mu0_mask: Optional[np.ndarray] = None
-    z0_mask: Optional[np.ndarray] = None
-    #: Rows whose ``x0`` is a warm start (none when omitted).
-    x0_mask: Optional[np.ndarray] = None
-    #: Optional per-row absolute wall deadlines (``time.monotonic()`` clock);
-    #: ``None`` entries (NaN/inf) mean unbounded.  A row whose deadline
-    #: expires retires with ``timed_out`` between iterations, exactly like a
-    #: convergence retirement — its lockstep neighbours are not perturbed.
-    deadline: Optional[np.ndarray] = None
-
-
-#: Retire-and-refill hook: called with the number of free lockstep slots,
-#: returns the next scenarios to enroll (at most that many rows) or ``None``
-#: when the queue is exhausted.
-BatchFeedFn = Callable[[int], Optional[BatchFeedPayload]]
 
 
 def _canonical_template(template: Optional[sp.spmatrix], nx: int) -> sp.csr_matrix:
@@ -416,15 +380,18 @@ class _BatchKKTAssembler:
                 np.broadcast_to(self._ub_data, (batch, self._ub_data.size)),
                 np.broadcast_to(self._lb_data, (batch, self._lb_data.size)),
             )
-            zinv = 1.0 / Z
-            jh_scaled = jh_plane * planes.take(Mu * zinv, self._jh_rows)
-            jhT_plane = planes.take(jh_plane, self._jhT_order)
-            prod = self._matmul.multiply(jhT_plane, jh_scaled)
-            m_plane = np.zeros((batch, self._m_nnz))
-            self._pos_hess.add(m_plane, Hdata)
-            self._pos_prod.add(m_plane, prod)
-            vec = (Mu * H + Gamma[:, None]) * zinv
-            N = Lx + self._jhT.matvec(jhT_plane, vec)
+            # A diverging row's µ/z overflows here; it retires through the
+            # step checks (_STEP_FAILURES), so the overflow is not an error.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                zinv = 1.0 / Z
+                jh_scaled = jh_plane * planes.take(Mu * zinv, self._jh_rows)
+                jhT_plane = planes.take(jh_plane, self._jhT_order)
+                prod = self._matmul.multiply(jhT_plane, jh_scaled)
+                m_plane = np.zeros((batch, self._m_nnz))
+                self._pos_hess.add(m_plane, Hdata)
+                self._pos_prod.add(m_plane, prod)
+                vec = (Mu * H + Gamma[:, None]) * zinv
+                N = Lx + self._jhT.matvec(jhT_plane, vec)
         else:
             m_plane = Hdata
             N = Lx.copy()
@@ -578,16 +545,20 @@ class _Centring:
     def _corrector(self, rows: np.ndarray, predictor: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
         z, mu = self._z[rows], self._mu[rows]
-        dz = -self._H[rows] - z - self._plan.jh_dot(self._Jh[rows], predictor[:, : self._plan.nx])
-        dmu = _dual_step(mu, z, dz, 0.0)
-        ap = _step_to_boundary(z, dz, 1.0)
-        ad = _step_to_boundary(mu, dmu, 1.0)
-        niq = z.shape[1]
-        mu_now = np.einsum("ij,ij->i", z, mu) / niq
-        mu_aff = np.einsum("ij,ij->i", z + ap[:, None] * dz, mu + ad[:, None] * dmu) / niq
-        sigma_mu = np.clip((mu_aff / mu_now) ** 3, SIGMA, 1.0) * mu_now
-        self.sigma_mu[rows] = sigma_mu
-        rhs = self._shifted(rows, sigma_mu[:, None] - dz * dmu)
+        # A diverging row overflows like in the assembly (see there).
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            dz = -self._H[rows] - z - self._plan.jh_dot(
+                self._Jh[rows], predictor[:, : self._plan.nx]
+            )
+            dmu = _dual_step(mu, z, dz, 0.0)
+            ap = _step_to_boundary(z, dz, 1.0)
+            ad = _step_to_boundary(mu, dmu, 1.0)
+            niq = z.shape[1]
+            mu_now = np.einsum("ij,ij->i", z, mu) / niq
+            mu_aff = np.einsum("ij,ij->i", z + ap[:, None] * dz, mu + ad[:, None] * dmu) / niq
+            sigma_mu = np.clip((mu_aff / mu_now) ** 3, SIGMA, 1.0) * mu_now
+            self.sigma_mu[rows] = sigma_mu
+            rhs = self._shifted(rows, sigma_mu[:, None] - dz * dmu)
         self.rhs_seconds += time.perf_counter() - t0
         return rhs
 
@@ -595,7 +566,8 @@ class _Centring:
         t0 = time.perf_counter()
         gamma = self._gamma[rows]
         self.sigma_mu[rows] = gamma
-        rhs = self._shifted(rows, np.repeat(gamma[:, None], self._z.shape[1], axis=1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rhs = self._shifted(rows, np.repeat(gamma[:, None], self._z.shape[1], axis=1))
         self.rhs_seconds += time.perf_counter() - t0
         return rhs
 
@@ -649,8 +621,6 @@ def mips_batch(
     z0_mask: Optional[np.ndarray] = None,
     x0_mask: Optional[np.ndarray] = None,
     options: Optional[MIPSOptions] = None,
-    feed: Optional[BatchFeedFn] = None,
-    feed_capacity: Optional[int] = None,
     deadline: Optional[object] = None,
 ) -> List[MIPSResult]:
     """Solve ``B`` same-structure NLPs in lockstep; one result per scenario.
@@ -669,57 +639,43 @@ def mips_batch(
     predictor–corrector steps, every other row fixed-σ steps (module
     docstring).
 
-    **Retire-and-refill.**  When ``feed`` is given, the width of ``x0``'s
-    batch becomes a lockstep *window*: every time scenarios retire (converge
-    or fail), the feed is asked for replacements, which are enrolled between
-    iterations and run through exactly the entry path the initial batch took
-    — same warm-start initialisation, same entry evaluation — so a scenario's
-    trajectory is bit-identical no matter when (or whether) it was fed in.
-    ``feed_capacity`` (required with ``feed``) bounds the total number of
-    scenarios the call may enroll; per-scenario iteration counts, histories
-    and wall shares are kept relative to each scenario's own enrollment.
-
     **Deadlines.**  ``deadline`` is an absolute wall deadline on the
-    ``time.monotonic()`` clock — a scalar applying to every initial-batch row
-    or a ``(B,)`` vector of per-row deadlines (fed scenarios carry theirs in
-    :attr:`BatchFeedPayload.deadline`).  Deadlines are checked cooperatively
-    between iterations, and an expired row retires with ``timed_out`` set
-    through exactly the retirement path a converged row takes — its lockstep
-    neighbours are bitwise unperturbed.
+    ``time.monotonic()`` clock — a scalar applying to every row or a ``(B,)``
+    vector of per-row deadlines (NaN and inf mean unbounded).  Deadlines are
+    checked cooperatively between iterations, and an expired row retires
+    with ``timed_out`` set through exactly the retirement path a converged
+    row takes — its lockstep neighbours are bitwise unperturbed.
 
-    Returns a list of per-scenario :class:`MIPSResult` in enrollment order
-    (batch order, then fed scenarios in feed order).
+    Returns a list of per-scenario :class:`MIPSResult` in batch order.
     """
     opt = options or MIPSOptions()
 
-    X0 = np.array(x0, dtype=float)
-    if X0.ndim != 2:
+    X = np.array(x0, dtype=float, order="C")
+    if X.ndim != 2:
         raise ValueError("x0 must be a (B, nx) matrix")
-    batch, nx = X0.shape
+    batch, nx = X.shape
     if batch == 0:
-        if feed is not None:
-            raise ValueError("the initial batch must be non-empty when a feed is given")
         return []
-    if feed is None:
-        capacity = batch
-    else:
-        if feed_capacity is None:
-            raise ValueError("feed_capacity is required when a feed is given")
-        capacity = int(feed_capacity)
-        if capacity < batch:
-            raise ValueError("feed_capacity must cover the initial batch")
     if hess_fcn is None:
         raise ValueError("mips_batch requires hess_fcn")
     if plan.nx != nx:
         raise ValueError("the plan was built for a different width")
-    if deadline is None:
-        entry_deadline = None
-    else:
-        entry_deadline = np.asarray(deadline, dtype=float)
-        if entry_deadline.ndim == 0:
-            entry_deadline = np.full(batch, float(entry_deadline))
-        elif entry_deadline.shape != (batch,):
+    #: Per-row absolute wall deadline (``time.monotonic()`` clock; +inf = none).
+    row_deadline = np.full(batch, np.inf)
+    if deadline is not None:
+        dl = np.asarray(deadline, dtype=float)
+        if dl.ndim and dl.shape != (batch,):
             raise ValueError("deadline must be a scalar or a (B,) vector")
+        row_deadline[:] = np.where(np.isnan(dl), np.inf, dl)
+    lam0v, lam_m = _warm_rows(lam0, lam0_mask, batch, plan.partition.n_eq, "lam0")
+    mu0v, mu_m = _warm_rows(mu0, mu0_mask, batch, plan.partition.n_ineq, "mu0")
+    z0v, z_m = _warm_rows(z0, z0_mask, batch, plan.partition.n_ineq, "z0")
+    if x0_mask is None:
+        x_m = np.zeros(batch, dtype=bool)
+    else:
+        x_m = np.asarray(x0_mask, dtype=bool)
+        if x_m.shape != (batch,):
+            raise ValueError(f"x0 mask must have shape ({batch},)")
 
     xmin, xmax = plan.xmin, plan.xmax
     eq_idx, ub_idx, lb_idx = plan.eq_idx, plan.ub_idx, plan.lb_idx
@@ -734,49 +690,36 @@ def mips_batch(
     solver = LDLSolver(plan.symbolic)
 
     # ------------------------------------------------------------- batch state
-    # Arrays are sized for every scenario the call may ever hold (just the
-    # initial batch without a feed); ``n_enrolled`` is the high-water mark,
-    # ``active`` masks the scenarios currently marching, and the initial batch
-    # width doubles as the lockstep *window* the feed refills.
-    width = batch
-    X = np.zeros((capacity, nx))
-    F = np.zeros(capacity)
-    dF = np.zeros((capacity, nx))
-    G = np.zeros((capacity, neq))
-    H = np.zeros((capacity, niq))
-    Jg_data = np.zeros((capacity, jg_t.nnz))
-    Jh_data = np.zeros((capacity, jh_t.nnz))
-    Lx = np.zeros((capacity, nx))
-    lam = np.zeros((capacity, neq))
-    mu = np.zeros((capacity, niq))
-    z = np.zeros((capacity, niq))
-    gamma = np.full(capacity, Z0)
-    conds = np.zeros((capacity, 4))
+    # One row per scenario for the whole call; ``active`` masks the scenarios
+    # still marching.
+    F = np.zeros(batch)
+    dF = np.zeros((batch, nx))
+    G = np.zeros((batch, neq))
+    H = np.zeros((batch, niq))
+    Jg_data = np.zeros((batch, jg_t.nnz))
+    Jh_data = np.zeros((batch, jh_t.nnz))
+    Lx = np.zeros((batch, nx))
+    lam = np.zeros((batch, neq))
+    mu = np.full((batch, niq), Z0)
+    z = np.full((batch, niq), Z0)
+    gamma = np.full(batch, Z0)
+    conds = np.zeros((batch, 4))
     tols = np.array([FEASTOL, GRADTOL, COMPTOL, COSTTOL])
 
-    iterations = np.zeros(capacity, dtype=int)
-    phase = {name: np.zeros(capacity) for name in _PHASES}
-    histories: List[List[IterationRecord]] = [[] for _ in range(capacity)]
-    results: List[Optional[MIPSResult]] = [None] * capacity
-    active = np.zeros(capacity, dtype=bool)
+    iterations = np.zeros(batch, dtype=int)
+    phase = {name: np.zeros(batch) for name in _PHASES}
+    histories: List[List[IterationRecord]] = [[] for _ in range(batch)]
+    results: List[Optional[MIPSResult]] = [None] * batch
+    active = np.ones(batch, dtype=bool)
     #: Rows that entered with no warm component: they take predictor–corrector
     #: steps, every other row the fixed-σ step.
-    cold = np.zeros(capacity, dtype=bool)
+    cold = ~(x_m | lam_m | mu_m | z_m)
     #: Accepted singular-KKT recoveries per scenario.
-    reg_counts = np.zeros(capacity, dtype=int)
+    reg_counts = np.zeros(batch, dtype=int)
     #: Additive wall share per scenario: every iteration's wall time is split
     #: evenly over the scenarios active in it, so shares sum to the lockstep
     #: wall and stay comparable with one-scenario solve times.
-    share = np.zeros(capacity)
-    #: Completed lockstep iterations at each scenario's enrollment: iteration
-    #: counts, history numbering and the per-scenario iteration limit are all
-    #: relative to it, so a fed scenario behaves as if it started fresh.
-    start_it = np.zeros(capacity, dtype=int)
-    #: Wall clock at each scenario's enrollment (its ``elapsed_seconds`` zero).
-    enroll_clock = np.zeros(capacity)
-    #: Per-row absolute wall deadline (``time.monotonic()`` clock; +inf = none).
-    row_deadline = np.full(capacity, np.inf)
-    n_enrolled = 0
+    share = np.zeros(batch)
     it = 0
 
     def evaluate(idx: np.ndarray) -> float:
@@ -852,7 +795,7 @@ def mips_batch(
             partition=partition,
             message=message,
             history=histories[b],
-            elapsed_seconds=time.perf_counter() - enroll_clock[b],
+            elapsed_seconds=time.perf_counter() - t_entry,
             phase_seconds={name: float(phase[name][b]) for name in _PHASES},
             kkt_regularizations=int(reg_counts[b]),
             # One solver serves the whole batch, so the counters are
@@ -862,155 +805,79 @@ def mips_batch(
             wall_share_seconds=float(share[b]),
         )
 
-    def enroll(payload: BatchFeedPayload) -> np.ndarray:
-        """Enter scenarios into the lockstep batch (initial batch and feed).
+    # ----------------------------------------------------------------- entry
+    # Primal clamp into bounds, entry evaluation, dual initialisation
+    # (MATPOWER's for a row with any warm component, centred at the
+    # objective's scale for a cold one), entry conditions, and immediate
+    # retirement of rows that are already converged.
+    t_entry = time.perf_counter()
+    every = np.arange(batch)
+    plan.eq_cols.put(X, xmin[eq_idx])
+    if lb_idx.size:
+        plan.lb_cols.put(X, np.maximum(take(X, lb_idx), xmin[lb_idx]))
+    if ub_idx.size:
+        plan.ub_cols.put(X, np.minimum(take(X, ub_idx), xmax[ub_idx]))
 
-        One code path for both means a fed scenario takes bit-for-bit the
-        entry route a standalone batch member takes: primal clamp into
-        bounds, entry evaluation, dual initialisation (MATPOWER's for a row
-        with any warm component, centred at the objective's scale for a cold
-        one), entry conditions (and immediate retirement when already
-        converged).
-        """
-        nonlocal n_enrolled
-        t0 = time.perf_counter()
-        xb = np.atleast_2d(np.array(payload.x0, dtype=float))
-        if xb.ndim != 2 or xb.shape[1] != nx:
-            raise ValueError("fed x0 rows must form a (k, nx) matrix")
-        k = xb.shape[0]
-        if k == 0:
-            raise ValueError("a feed payload must enroll at least one scenario")
-        if n_enrolled + k > capacity:
-            raise ValueError("feed enrolled more scenarios than feed_capacity")
-        new = np.arange(n_enrolled, n_enrolled + k)
-        n_enrolled += k
-        enroll_clock[new] = t0
-        start_it[new] = it
-        if payload.deadline is not None:
-            dl = np.asarray(payload.deadline, dtype=float)
-            if dl.shape != (k,):
-                raise ValueError("fed deadline must have one entry per enrolled row")
-            row_deadline[new] = np.where(np.isnan(dl), np.inf, dl)
-        active[new] = True
+    entry_share = evaluate(every) / batch
+    phase["eval"] += entry_share
 
-        plan.eq_cols.put(xb, xmin[eq_idx])
-        if lb_idx.size:
-            plan.lb_cols.put(xb, np.maximum(take(xb, lb_idx), xmin[lb_idx]))
-        if ub_idx.size:
-            plan.ub_cols.put(xb, np.minimum(take(xb, ub_idx), xmax[ub_idx]))
-        X[new] = xb
-
-        entry_dt = evaluate(new)
-        phase["eval"][new] += entry_dt / k
-
-        lam0v, lam_m = _warm_rows(payload.lam0, payload.lam0_mask, k, neq, "lam0")
-        mu0v, mu_m = _warm_rows(payload.mu0, payload.mu0_mask, k, niq, "mu0")
-        z0v, z_m = _warm_rows(payload.z0, payload.z0_mask, k, niq, "z0")
-        if payload.x0_mask is None:
-            x_m = np.zeros(k, dtype=bool)
-        else:
-            x_m = np.asarray(payload.x0_mask, dtype=bool)
-            if x_m.shape != (k,):
-                raise ValueError(f"x0 mask must have shape ({k},)")
-        cold[new] = ~(x_m | lam_m | mu_m | z_m)
-        if lam0v is not None and np.any(lam_m):
-            lam[new[lam_m]] = lam0v[lam_m]
-        if niq:
-            # MATPOWER's entry, which every row with a warm component keeps.
-            Hn = H[new]
-            zn = np.full((k, niq), Z0)
-            below = Hn < -Z0
-            zn[below] = -Hn[below]
-            if z0v is not None and np.any(z_m):
-                zn[z_m] = np.maximum(z0v[z_m], 1e-10)
-            gn = np.full(k, Z0)
-            mun = np.full((k, niq), Z0)
-            big = gn[:, None] / np.maximum(zn, 1e-300) > Z0
-            mun[big] = np.broadcast_to(gn[:, None], zn.shape)[big] / zn[big]
-            if mu0v is not None and np.any(mu_m):
-                mun[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
-            # A cold row enters centred at its objective's scale:
-            # γ₀ = max(Z0, ‖∇f(x₀)‖∞) and µ = γ₀/z, so z∘µ = γ₀ on every row.
-            cn = cold[new]
-            if np.any(cn):
-                gn[cn] = np.maximum(Z0, np.abs(dF[new[cn]]).max(axis=1))
-                mun[cn] = gn[cn, None] / zn[cn]
-            warm = mu_m | z_m
-            if np.any(warm):
-                gn[warm] = np.maximum(
-                    SIGMA * np.einsum("ij,ij->i", zn[warm], mun[warm]) / niq, 1e-12
-                )
-            z[new] = zn
-            mu[new] = mun
-            gamma[new] = gn
-
-        lagrangian_gradient(new)
-        conditions(new, F[new])
-
-        entry_share = entry_dt / k
-        for b in new:
-            histories[b].append(
-                IterationRecord(
-                    iteration=0,
-                    step_size=0.0,
-                    feascond=conds[b, 0],
-                    gradcond=conds[b, 1],
-                    compcond=conds[b, 2],
-                    costcond=conds[b, 3],
-                    objective=F[b],
-                    gamma=gamma[b],
-                    alpha_primal=0.0,
-                    alpha_dual=0.0,
-                    eval_seconds=entry_share,
-                )
+    if lam0v is not None and np.any(lam_m):
+        lam[lam_m] = lam0v[lam_m]
+    if niq:
+        # MATPOWER's entry, which every row with a warm component keeps.
+        below = H < -Z0
+        z[below] = -H[below]
+        if z0v is not None and np.any(z_m):
+            z[z_m] = np.maximum(z0v[z_m], 1e-10)
+        big = Z0 / np.maximum(z, 1e-300) > Z0
+        mu[big] = Z0 / z[big]
+        if mu0v is not None and np.any(mu_m):
+            mu[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
+        # A cold row enters centred at its objective's scale:
+        # γ₀ = max(Z0, ‖∇f(x₀)‖∞) and µ = γ₀/z, so z∘µ = γ₀ on every row.
+        if np.any(cold):
+            gamma[cold] = np.maximum(Z0, np.abs(dF[cold]).max(axis=1))
+            mu[cold] = gamma[cold, None] / z[cold]
+        warm = mu_m | z_m
+        if np.any(warm):
+            gamma[warm] = np.maximum(
+                SIGMA * np.einsum("ij,ij->i", z[warm], mu[warm]) / niq, 1e-12
             )
 
-        share[new] += (time.perf_counter() - t0) / k
-        for b in new[(conds[new] < tols).all(axis=1)]:
-            finalize(int(b), "converged", True)
-        return new
+    lagrangian_gradient(every)
+    conditions(every, F.copy())
 
-    # ----------------------------------------------------------------- entry
-    enroll(
-        BatchFeedPayload(
-            x0=X0,
-            lam0=lam0,
-            mu0=mu0,
-            z0=z0,
-            lam0_mask=lam0_mask,
-            mu0_mask=mu0_mask,
-            z0_mask=z0_mask,
-            x0_mask=x0_mask,
-            deadline=entry_deadline,
+    for b in every:
+        histories[b].append(
+            IterationRecord(
+                iteration=0,
+                step_size=0.0,
+                feascond=conds[b, 0],
+                gradcond=conds[b, 1],
+                compcond=conds[b, 2],
+                costcond=conds[b, 3],
+                objective=F[b],
+                gamma=gamma[b],
+                alpha_primal=0.0,
+                alpha_dual=0.0,
+                eval_seconds=entry_share,
+            )
         )
-    )
-    feed_drained = feed is None
+
+    share += (time.perf_counter() - t_entry) / batch
+    for b in np.flatnonzero((conds < tols).all(axis=1)):
+        finalize(int(b), "converged", True)
 
     # Per-iteration scratch, allocated once: rows are (re)assigned before any
     # read within the iteration that uses them (survivors only), so no
     # clearing between iterations is needed.
-    it_eval = np.zeros(capacity)
-    it_asm = np.zeros(capacity)
-    it_fac = np.zeros(capacity)
-    it_back = np.zeros(capacity)
+    it_eval = np.zeros(batch)
+    it_asm = np.zeros(batch)
+    it_fac = np.zeros(batch)
+    it_back = np.zeros(batch)
 
     # ------------------------------------------------------------------ loop
     while True:
-        # Retire-and-refill: top the active set back up to the lockstep
-        # window from the feed before the next iteration marches.
-        if not feed_drained:
-            free = width - int(np.count_nonzero(active))
-            while free > 0:
-                payload = feed(free)
-                if payload is None:
-                    feed_drained = True
-                    break
-                if np.atleast_2d(np.asarray(payload.x0)).shape[0] > free:
-                    raise ValueError(
-                        "feed returned more scenarios than the requested free slots"
-                    )
-                enroll(payload)
-                free = width - int(np.count_nonzero(active))
         # Cooperative wall-deadline check.  An expired row retires through
         # exactly the retirement path a converged row takes — its state is
         # simply dropped from the active set — so the lockstep trajectories of
@@ -1022,13 +889,9 @@ def mips_batch(
                 finalize(int(b), "wall deadline exceeded", False, timed_out=True)
         idx = np.flatnonzero(active)
         if idx.size == 0:
-            if not feed_drained:
-                # Deadline retirements just freed the whole window; go refill
-                # before concluding the queue is empty.
-                continue
             break
         it += 1
-        iterations[idx] = it - start_it[idx]
+        iterations[idx] = it
         na = idx.size
         t_iter = time.perf_counter()
         #: Failures detected during this iteration; finalised after the wall
@@ -1197,11 +1060,8 @@ def mips_batch(
             message, converged = _RETIREMENTS[retire[pos] - 1]
             finalize(int(s[pos]), message, converged)
 
-        # Per-scenario iteration limit, relative to each scenario's own
-        # enrollment (a fed scenario gets the full budget it would have had
-        # in a standalone batch).
-        rows = np.flatnonzero(active)
-        for b in rows[it - start_it[rows] >= opt.max_it]:
-            finalize(int(b), "iteration limit reached", False)
+        if it >= opt.max_it:
+            for b in np.flatnonzero(active):
+                finalize(int(b), "iteration limit reached", False)
 
-    return results[:n_enrolled]  # type: ignore[return-value]
+    return results  # type: ignore[return-value]

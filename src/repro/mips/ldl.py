@@ -753,7 +753,10 @@ class LDLSolver:
 
         def matvec(X: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
             data = csr_data if rows is None else csr_data.take(rows, axis=0)
-            return sym.csr.matvec(data, X)
+            # A diverging row's plane or solution holds inf/NaN; refinement
+            # reads its non-finite residual as failure, so it is no error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return sym.csr.matvec(data, X)
 
         return matvec
 

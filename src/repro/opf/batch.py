@@ -47,7 +47,7 @@ import scipy.sparse as sp
 
 from repro.grid.components import Case
 from repro.grid.validation import validate_outage_branches
-from repro.mips.batch import BatchFeedPayload, LockstepPlan, mips_batch
+from repro.mips.batch import LockstepPlan, mips_batch
 from repro.mips.options import MIPSOptions
 from repro.opf.model import OPFModel
 from repro.opf.result import OPFResult, build_opf_result
@@ -459,7 +459,6 @@ def solve_opf_batch(
     warm_starts: Optional[Sequence[Optional[WarmStart]]] = None,
     options: Optional[MIPSOptions] = None,
     model: Optional[OPFModel] = None,
-    window: Optional[int] = None,
     deadline: Optional[object] = None,
     outages: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[OPFResult]:
@@ -484,18 +483,6 @@ def solve_opf_batch(
     ``µ ≈ 0``, ``z = Smax²``.  Warm-start ``µ``/``Z`` of a row that takes a
     rated branch out are ignored (solver defaults), since they describe the
     intact flow limits.
-
-    ``window`` bounds the lockstep width: the solve starts with the first
-    ``window`` scenarios and *streams* the rest through the active set via
-    the batched solver's retire-and-refill feed — whenever scenarios converge
-    and retire, queued ones are enrolled in their place, so stragglers never
-    shrink the march below the available work.  Per-scenario results are
-    bit-identical for every window size (including the default unbounded
-    one); the scheduler-invariant harness pins that.  Note the window bounds
-    the *march* (per-iteration evaluation/factorisation width), not memory:
-    solver state is allocated for the whole batch up front, so callers
-    bounding footprint should split the sweep into separate calls (as the
-    fleet's micro-batch dispatch does).
 
     ``deadline`` is an absolute wall deadline on the ``time.monotonic()``
     clock — a scalar shared by every scenario or a ``(B,)`` vector of per-row
@@ -554,15 +541,6 @@ def solve_opf_batch(
     mu0, mu_mask = _warm_component(warm_starts, "mu", plan.partition.n_ineq)
     z0, z_mask = _warm_component(warm_starts, "z", plan.partition.n_ineq)
 
-    if deadline is None:
-        deadlines = None
-    else:
-        deadlines = np.asarray(deadline, dtype=float)
-        if deadlines.ndim == 0:
-            deadlines = np.full(batch, float(deadlines))
-        elif deadlines.shape != (batch,):
-            raise ValueError("deadline must be a scalar or have one entry per scenario")
-
     Pd_pu = Pd_mw / case.base_mva
     Qd_pu = Qd_mvar / case.base_mva
 
@@ -579,47 +557,21 @@ def solve_opf_batch(
 
     preprocess_seconds = (time.perf_counter() - t0) / batch
 
-    def rows(start: int, stop: int) -> dict:
-        """Entry arguments for scenario rows ``[start, stop)``."""
-        sl = slice(start, stop)
-        return {
-            "lam0": None if lam0 is None else lam0[sl],
-            "mu0": None if mu0 is None else mu0[sl],
-            "z0": None if z0 is None else z0[sl],
-            "lam0_mask": None if lam0 is None else lam_mask[sl],
-            "mu0_mask": None if mu0 is None else mu_mask[sl],
-            "z0_mask": None if z0 is None else z_mask[sl],
-            "x0_mask": x_mask[sl],
-            "deadline": None if deadlines is None else deadlines[sl],
-        }
-
-    if window is not None and window < 1:
-        raise ValueError("window must be positive")
-    width = batch if window is None else min(window, batch)
-    # A window narrower than the batch streams the rest through the lockstep
-    # march: retired slots are refilled from the remaining scenarios between
-    # iterations.
-    cursor = width
-
-    def feed(free_slots: int) -> Optional[BatchFeedPayload]:
-        nonlocal cursor
-        if cursor >= batch:
-            return None
-        stop = min(cursor + free_slots, batch)
-        payload = BatchFeedPayload(x0=X0[cursor:stop], **rows(cursor, stop))
-        cursor = stop
-        return payload
-
     mips_results = mips_batch(
         f_fcn,
-        X0[:width],
+        X0,
         gh_fcn=gh_fcn,
         hess_fcn=hess_fcn,
         plan=plan,
+        lam0=lam0,
+        mu0=mu0,
+        z0=z0,
+        lam0_mask=lam_mask,
+        mu0_mask=mu_mask,
+        z0_mask=z_mask,
+        x0_mask=x_mask,
         options=options,
-        feed=feed if width < batch else None,
-        feed_capacity=batch,
-        **rows(0, width),
+        deadline=deadline,
     )
     return [
         build_opf_result(case, model, r, preprocess_seconds, Pd_mw[i], Qd_mvar[i])

@@ -40,9 +40,9 @@ class OPFResult:
     solve_seconds: float = 0.0
     #: Per-phase solver time (eval / assembly / factorization / backsolve).
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: KKT-solve factorisation counters (symbolic reuses, numeric
-    #: refactorisations, block factorisations …) harvested from the solve —
-    #: see ``MIPSResult.kkt_telemetry``.
+    #: KKT-solve counters (numeric refactorisations, block factorisations,
+    #: refinement solves …) harvested from the solve — see
+    #: ``MIPSResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
     #: True when the solve was cut short by its wall deadline rather than a
     #: numerical outcome (see ``MIPSResult.timed_out``).

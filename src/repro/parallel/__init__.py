@@ -11,7 +11,7 @@ from repro.parallel.scenarios import (
     screened_outage_sets,
     validate_outage_branches,
 )
-from repro.parallel.scheduler import MicroBatch, auto_microbatch_size, make_microbatches
+from repro.parallel.scheduler import auto_microbatch_size, make_microbatches
 from repro.parallel.supervision import PoolClosedError, SupervisedPool
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ScenarioOutcome",
     "SolverFleet",
     "SweepResult",
-    "MicroBatch",
     "auto_microbatch_size",
     "make_microbatches",
     "ClusterModel",

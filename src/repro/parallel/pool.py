@@ -24,13 +24,13 @@ A sweep runs one way.  It is cut into micro-batches in input order
 through :func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row
 data of that solve, so the scenarios of every N-k topology share one lockstep
 batch and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
-Multi-worker fleets put the micro-batches on a shared queue that idle workers
-pull from; the in-process fleet solves the whole sweep as one task, optionally
-streamed through a bounded lockstep window.  :meth:`SolverFleet.solve` is the
-one-sweep case of :meth:`SolverFleet.solve_many`, whose sweeps merge into one
-dispatch.  Lockstep solves are row-independent bit for bit, so per-scenario
-results are invariant under chunking, steal order, worker count and
-micro-batch size.
+Multi-worker fleets put the micro-batches, auto-sized by
+:func:`~repro.parallel.scheduler.auto_microbatch_size`, on a shared queue
+that idle workers pull from; the in-process fleet solves the whole sweep as
+one task.  :meth:`SolverFleet.solve` is the one-sweep case of
+:meth:`SolverFleet.solve_many`, whose sweeps merge into one dispatch.
+Lockstep solves are row-independent bit for bit, so per-scenario results are
+invariant under chunking, steal order, worker count and micro-batch size.
 
 A failed warm row is recovered in-worker the paper's way: re-solved cold,
 with the same options, outage set and deadline.  All of a task's recoveries
@@ -94,9 +94,9 @@ class ScenarioOutcome:
     fallback_seconds: float = 0.0
     #: Per-phase solver times of the solve that produced the final answer.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: KKT-solve factorisation counters of the final solve (symbolic
-    #: reuses, numeric refactorisations, block factorisations …) — the Fig. 5
-    #: attribution inputs, harvested from ``OPFResult.kkt_telemetry``.
+    #: KKT-solve counters of the final solve (numeric refactorisations,
+    #: block factorisations, refinement solves …) — the Fig. 5 attribution
+    #: inputs, harvested from ``OPFResult.kkt_telemetry``.
     kkt_telemetry: Dict[str, int] = field(default_factory=dict)
     #: Final primal/dual variables (present when the call asked for
     #: ``solutions``) — a precise warm start for a nearby problem.
@@ -189,10 +189,10 @@ class Task:
     ``positions`` are the rows' places in the flat dispatch (not scenario ids,
     which may collide across merged sweeps); ``scenarios``, ``warm_starts``
     and ``deadlines`` are aligned with them.  ``worker_id`` labels the
-    outcomes (``None``: the executing process's pool identity).  ``window``
-    bounds the lockstep width.  ``attempt`` counts crash retries; fault plans
-    key on it.  ``deadlines`` holds absolute ``time.monotonic()`` deadlines
-    (``inf`` for an unbounded row), or is ``None`` when no row is bounded.
+    outcomes (``None``: the executing process's pool identity).
+    ``attempt`` counts crash retries; fault plans key on it.  ``deadlines``
+    holds absolute ``time.monotonic()`` deadlines (``inf`` for an unbounded
+    row), or is ``None`` when no row is bounded.
     ``solutions`` ships each row's converged variables back on its outcome.
     """
 
@@ -200,7 +200,6 @@ class Task:
     scenarios: Tuple[Scenario, ...]
     warm_starts: Tuple[Optional[WarmStart], ...]
     worker_id: Optional[int] = None
-    window: Optional[int] = None
     attempt: int = 0
     deadlines: Optional[Tuple[float, ...]] = None
     solutions: bool = False
@@ -362,7 +361,6 @@ class WorkerState:
             warm_starts=warm_starts,
             options=self.options,
             model=self.model,
-            window=task.window,
             deadline=task.deadlines,
             outages=[s.outage_branches for s in task.scenarios],
         )
@@ -425,14 +423,13 @@ class SolverFleet:
     pool whose workers stay alive across :meth:`solve` calls, so a serving
     engine pays process start-up and model construction once, not per batch.
 
-    A sweep is cut into micro-batches (``microbatch`` scenarios each,
-    auto-sized when omitted) that idle workers pull from a shared queue and
-    solve in lockstep, whatever their outage sets (see
-    :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves the
-    whole sweep as one group, streamed through a retire-and-refill lockstep
-    window when ``microbatch`` bounds it.  Scheduling never changes *how* a
-    scenario is solved: results are invariant under steal order, worker count
-    and micro-batch size.
+    A pooled fleet cuts a sweep into auto-sized micro-batches
+    (:func:`~repro.parallel.scheduler.make_microbatches`) that idle workers
+    pull from a shared queue and solve in lockstep, whatever their outage
+    sets (see :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet
+    solves the whole sweep as one lockstep task.  Scheduling never changes
+    *how* a scenario is solved: results are invariant under steal order,
+    worker count and micro-batch size.
 
     Dispatch is supervised: a worker that dies mid-task is respawned and its
     task retried (``crash_retries`` attempts per task), then bisected until
@@ -452,20 +449,16 @@ class SolverFleet:
         options: Optional[MIPSOptions] = None,
         n_workers: int = 1,
         model: Optional[OPFModel] = None,
-        microbatch: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         crash_retries: int = 1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if microbatch is not None and microbatch < 1:
-            raise ValueError("microbatch must be positive")
         if crash_retries < 0:
             raise ValueError("crash_retries must be non-negative")
         self.case = case
         self.options = options or MIPSOptions()
         self.n_workers = n_workers
-        self.microbatch = microbatch
         self.faults = faults
         self.crash_retries = crash_retries
         self._pool: Optional[SupervisedPool] = None
@@ -594,30 +587,20 @@ class SolverFleet:
         micro-batch first pulls (steals) the next one.  The in-process fleet
         instead solves the whole sweep as one task.
         """
-        if self._pool is None:
-            # With a single in-process worker there is nobody to steal from,
-            # so micro-batch boundaries are irrelevant: solve the whole
-            # sweep, where a bounded lockstep window only caps how many
-            # scenarios march per iteration — default to unbounded (maximum
-            # amortisation) and let an explicit ``microbatch`` opt into
-            # bounded retire-and-refill streaming.  Results are
-            # window-invariant bit for bit either way.
-            width, worker_id, window = max(len(scenarios), 1), 0, self.microbatch
-        else:
-            width, worker_id, window = self.microbatch, None, None
         sweep = Task(
             positions=tuple(range(len(scenarios))),
             scenarios=tuple(scenarios),
             warm_starts=tuple(warm_starts),
-            worker_id=worker_id,
-            window=window,
+            worker_id=0 if self._pool is None else None,
             deadlines=None if due is None else tuple(float(d) for d in due),
             solutions=solutions,
         )
-        tasks = [
-            sweep.rows(microbatch.positions)
-            for microbatch in make_microbatches(scenarios, width, self.n_workers)
-        ]
+        if self._pool is None:
+            # One in-process worker has nobody to steal from: the whole sweep
+            # is one lockstep task.
+            tasks = [sweep] if scenarios else []
+        else:
+            tasks = [sweep.rows(cut) for cut in make_microbatches(scenarios, self.n_workers)]
         return self._run_tasks(tasks, len(scenarios))
 
     def _run_tasks(self, tasks: List[Task], n_scenarios: int) -> SweepResult:

@@ -5,10 +5,11 @@ warm ones — so handing each worker one fixed chunk up front lets a single
 slow chunk serialise the whole sweep while the other workers idle.  This
 module supplies the scheduling layer instead:
 
-* :func:`make_microbatches` — cuts a sweep, in input order, into
-  micro-batches of bounded size.  Topology plays no part: a branch outage is
-  per-row data of the lockstep solve (see :mod:`repro.opf.batch`), so intact,
-  N-1 and N-k scenarios share micro-batches.  The micro-batch list is the
+* :func:`make_microbatches` — cuts a sweep, in input order, into ranges of
+  positions sized by the worker count (:func:`auto_microbatch_size`).
+  Topology plays no part: a branch outage is per-row data of the lockstep
+  solve (see :mod:`repro.opf.batch`), so intact, N-1 and N-k scenarios share
+  micro-batches.  The micro-batch list is the
   fleet's shared work queue: persistent workers pull the next micro-batch the
   moment they finish one, so a straggler holds up only its own micro-batch.
 * Cross-sweep batching — :func:`make_microbatches` accepts any flat scenario
@@ -24,13 +25,11 @@ scheduler-invariant test harness pins exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.parallel.scenarios import Scenario
 
 __all__ = [
-    "MicroBatch",
     "auto_microbatch_size",
     "make_microbatches",
 ]
@@ -40,21 +39,6 @@ __all__ = [
 #: more) while an idle worker can still take the other half of a straggler's
 #: share; the measurements behind it are in ``benchmarks/README.md``.
 _MICROBATCHES_PER_WORKER = 2
-
-
-@dataclass(frozen=True)
-class MicroBatch:
-    """A unit of schedulable work: one lockstep batch.
-
-    ``positions`` are indices into the flat scenario sequence the scheduler
-    was given (NOT scenario ids — ids may collide across sweeps when several
-    are merged).
-    """
-
-    positions: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 def auto_microbatch_size(n_scenarios: int, n_workers: int) -> int:
@@ -69,24 +53,17 @@ def auto_microbatch_size(n_scenarios: int, n_workers: int) -> int:
     return max(1, -(-n_scenarios // (max(n_workers, 1) * _MICROBATCHES_PER_WORKER)))
 
 
-def make_microbatches(
-    scenarios: Sequence[Scenario],
-    microbatch: Optional[int] = None,
-    n_workers: int = 1,
-) -> List[MicroBatch]:
-    """Cut a flat scenario sequence into micro-batches.
+def make_microbatches(scenarios: Sequence[Scenario], n_workers: int = 1) -> List[range]:
+    """Cut a flat scenario sequence into micro-batches of positions.
 
-    Consecutive slices of at most ``microbatch`` scenarios
-    (:func:`auto_microbatch_size` when omitted), in input order, whatever
-    their outage sets.  The result is the fleet's work queue; its order is
-    part of the deterministic contract but per-scenario results do not
-    depend on it.
+    Consecutive ranges of :func:`auto_microbatch_size` positions (indices into
+    ``scenarios``, not scenario ids — ids may collide across merged sweeps),
+    in input order, whatever their outage sets.  The result is the fleet's
+    work queue; its order is part of the deterministic contract but
+    per-scenario results do not depend on it.
     """
-    if microbatch is None:
-        microbatch = auto_microbatch_size(len(scenarios), n_workers)
-    if microbatch < 1:
-        raise ValueError("microbatch must be positive")
+    size = auto_microbatch_size(len(scenarios), n_workers)
     return [
-        MicroBatch(positions=tuple(range(start, min(start + microbatch, len(scenarios)))))
-        for start in range(0, len(scenarios), microbatch)
+        range(start, min(start + size, len(scenarios)))
+        for start in range(0, len(scenarios), size)
     ]

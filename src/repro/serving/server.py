@@ -107,7 +107,7 @@ class AsyncServer:
     ----------
     engine:
         The warm-start engine every flush is served by; coalescing pays
-        because the flush becomes one lockstep window.
+        because the flush becomes one lockstep batch.
     n_workers:
         Fleet width handed to :meth:`WarmStartEngine.serve` per flush.
     max_batch:

@@ -84,13 +84,13 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
     )
     assert shared
 
-    # One group per merged dispatch: its cuts mix the sweeps' topologies.
+    # One group per merged dispatch: its pooled cuts mix the sweeps' topologies.
     merged = [s for sweep in sweeps for s in sweep]
-    cuts = make_microbatches(merged, microbatch=3)
-    assert [p for mb in cuts for p in mb.positions] == list(range(len(merged)))
-    assert all(len({merged[p].outage_branches for p in mb.positions}) > 1 for mb in cuts)
+    cuts = make_microbatches(merged, n_workers=2)
+    assert [p for mb in cuts for p in mb] == list(range(len(merged)))
+    assert all(len({merged[p].outage_branches for p in mb}) > 1 for mb in cuts)
 
-    with SolverFleet(case, microbatch=3) as fleet:
+    with SolverFleet(case) as fleet:
         separate = [fleet.solve(sweep, solutions=True) for sweep in sweeps]
         grouped = fleet.solve_many(sweeps, solutions=True)
     _assert_sweeps_bitwise(separate, grouped)
@@ -109,7 +109,7 @@ def test_grouped_parity_with_mixed_fallback_members():
     warm_lists = [[None] * 4 for _ in sweeps]
     warm_lists[0][1] = poisoned
 
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         separate = [
             fleet.solve(sweep, warms, solutions=True) for sweep, warms in zip(sweeps, warm_lists)
         ]
@@ -127,7 +127,7 @@ def test_solve_many_wall_and_share_semantics():
     case = get_case("case14")
     branches = _outage_candidates(case, 2)
     sweeps = _n1_sweeps(case, branches, per_sweep=4, n_sweeps=2, seed=9)
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         grouped = fleet.solve_many(sweeps)
     assert grouped[0].wall_seconds == grouped[1].wall_seconds
     total_share = sum(sweep.total_solver_seconds() for sweep in grouped)

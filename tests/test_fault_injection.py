@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.engine import WarmStartEngine
-from repro.parallel import SolverFleet, generate_scenarios
+from repro.parallel import ScenarioSet, SolverFleet, auto_microbatch_size, generate_scenarios
 from repro.testing.faults import (
     FaultPlan,
     FaultSpec,
@@ -163,25 +163,23 @@ def test_expired_deadline_retires_whole_sweep(case9_fixture, scenarios9):
 def test_stalled_scenario_times_out_alone(case9_fixture, scenarios9):
     """A stall past the request deadline retires only the stalled task.
 
-    ``microbatch=1`` puts each scenario in its own pooled task, so the stall
-    and its timeout stay confined to scenario 7; the other worker drains the
-    rest well inside the deadline.  The first, undeadlined sweep exists only
-    to warm the persistent pool — spawn startup on a loaded box can exceed
-    the whole deadline, which would retire every scenario instead of just
-    the stalled one.
+    Four scenarios on two workers auto-size to one-row pooled tasks, so the
+    stall and its timeout stay confined to scenario 7; the other worker
+    drains the rest well inside the deadline.  The first, undeadlined sweep
+    exists only to warm the persistent pool — spawn startup on a loaded box
+    can exceed the whole deadline, which would retire every scenario instead
+    of just the stalled one.
     """
+    last4 = ScenarioSet(case9_fixture.name, scenarios9.scenarios[4:], n_bus=case9_fixture.n_bus)
+    assert auto_microbatch_size(len(last4), 2) == 1
     plan = FaultPlan.of(stall_solve(7, seconds=2.5))
-    with SolverFleet(
-        case9_fixture,
-        n_workers=2,
-        microbatch=1,
-        faults=plan,
-    ) as fleet:
-        fleet.solve(scenarios9)
-        sweep = fleet.solve(scenarios9, deadline=time.monotonic() + 2.0)
+    with SolverFleet(case9_fixture, n_workers=2, faults=plan) as fleet:
+        fleet.solve(last4)
+        sweep = fleet.solve(last4, deadline=time.monotonic() + 2.0)
     got = _by_id(sweep)
+    assert sorted(got) == [4, 5, 6, 7]
     assert got[7].timed_out and not got[7].converged and not got[7].quarantined
-    for sid in range(7):
+    for sid in range(4, 7):
         assert got[sid].converged and not got[sid].timed_out
 
 

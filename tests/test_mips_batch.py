@@ -569,3 +569,34 @@ def test_batch_all_slots_singular_still_recovers():
             )
         assert all(r.converged for r in results)
         assert all(r.kkt_regularizations > 0 for r in results)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_rows_retire_without_runtime_warnings():
+    """Rows whose duals overflow retire through the Newton-step checks with
+    their messages and iteration counts, raise no ``RuntimeWarning``, and
+    leave every other row bitwise its one-row solve."""
+    from test_scheduler_invariants import _qp_problem, _solve_qp_batch
+
+    singular, exploded = (
+        "numerically failed (singular KKT system)",
+        "numerically failed (step size exploded)",
+    )
+    for shape, seed, diverging in (
+        ((2, 2, 2, 1), 5690, {0: (singular, 70)}),
+        ((5, 2, 2, 2), 6874, {1: (singular, 113), 2: (exploded, 14)}),
+    ):
+        problem = _qp_problem(*shape, seed=seed)
+        results = _solve_qp_batch(*problem)
+        for j, result in enumerate(results):
+            if j in diverging:
+                assert (result.message, result.iterations) == diverging[j]
+                assert not result.converged
+                continue
+            (alone,) = _solve_qp_batch(*problem, rows=[j])
+            assert result.converged and result.message == alone.message
+            assert result.iterations == alone.iterations
+            assert result.f == alone.f
+            for name in ("x", "lam", "mu", "z"):
+                assert np.array_equal(getattr(result, name), getattr(alone, name))
+            assert result.kkt_regularizations == alone.kkt_regularizations

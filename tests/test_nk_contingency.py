@@ -167,21 +167,18 @@ def test_pool_and_scheduler_grouping_agree():
     """One lockstep group per sweep, whatever its topology mix.
 
     Outages are per-row data of the lockstep solve, so the in-process fleet's
-    whole-sweep task (``make_microbatches`` at the sweep's width) holds every
-    scenario in input order, and pool-sized cuts are consecutive slices that
-    mix topologies freely.
+    whole-sweep task holds every scenario in input order, and pool-sized cuts
+    are consecutive slices that mix topologies freely.
     """
     case = case14()
     cs = generate_contingency_set(case, 12, k=2, max_outage_sets=4, seed=3)
     mixed = list(cs) + list(generate_scenarios(case, 6, contingency_fraction=0.5, seed=4))
     assert len({s.outage_branches for s in mixed}) > 4
 
-    (whole,) = make_microbatches(mixed, microbatch=len(mixed))
-    assert whole.positions == tuple(range(len(mixed)))
     cuts = make_microbatches(mixed, n_workers=2)
     assert [len(mb) for mb in cuts] == [5, 5, 5, 3]
-    assert [p for mb in cuts for p in mb.positions] == list(range(len(mixed)))
-    assert any(len({mixed[p].outage_branches for p in mb.positions}) > 1 for mb in cuts)
+    assert [p for mb in cuts for p in mb] == list(range(len(mixed)))
+    assert any(len({mixed[p].outage_branches for p in mb}) > 1 for mb in cuts)
 
 
 # ------------------------------------------------------------ bitwise parity
@@ -220,16 +217,27 @@ def test_grouped_n2_solves_match_per_scenario_bitwise(kkt_solver):
 
 
 def test_n2_sweep_invariant_under_scheduling_knobs():
-    """Chunking, steal order, worker count: pure scheduling for N-2 too."""
+    """Chunking, steal order, worker count: pure scheduling for N-2 too.
+
+    The whole sweep equals its pooled cuts for 1–3 workers (widths 3, 2 and
+    1), each solved as its own sweep.
+    """
     case = case14()
     cs = generate_contingency_set(case, 6, k=2, max_outage_sets=3, seed=6)
-    results = []
-    for microbatch in (None, 1, 2):
-        with SolverFleet(case, microbatch=microbatch) as fleet:
-            results.append(fleet.solve(cs, solutions=True))
-    ref = results[0]
-    for other in results[1:]:
-        for a, b in zip(ref.outcomes, other.outcomes):
+    with SolverFleet(case) as fleet:
+        ref = fleet.solve(cs, solutions=True)
+        results = [
+            [
+                outcome
+                for cut in make_microbatches(list(cs), n_workers)
+                for outcome in fleet.solve(
+                    ScenarioSet(case.name, [cs[p] for p in cut]), solutions=True
+                ).outcomes
+            ]
+            for n_workers in (1, 2, 3)
+        ]
+    for other in results:
+        for a, b in zip(ref.outcomes, other, strict=True):
             assert a.iterations == b.iterations
             assert a.objective == b.objective
             assert np.array_equal(a.solution.x, b.solution.x)

@@ -192,8 +192,8 @@ def test_warm_x_of_the_wrong_length_rejected_naming_the_scenario(case9_fixture, 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{}, {"window": 4}, {"warm_starts": []}, {"outages": []}],
-    ids=["plain", "window", "warm_starts", "outages"],
+    [{}, {"deadline": 0.0}, {"warm_starts": []}, {"outages": []}],
+    ids=["plain", "deadline", "warm_starts", "outages"],
 )
 def test_empty_batch_returns_no_results(case9_fixture, opf_model9, kwargs):
     """An empty batch answers ``[]``, like ``mips_batch`` and an empty fleet solve."""

@@ -42,7 +42,7 @@ def test_scenario_chunking_covers_everything(case9_fixture):
 
     scenarios = generate_scenarios(case9_fixture, 11, seed=2)
     chunks = make_microbatches(list(scenarios), n_workers=3)
-    assert sorted(i for chunk in chunks for i in chunk.positions) == list(range(11))
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(11))
     # Two micro-batches per worker: ceil(11 / 6) scenarios each.
     assert max(len(c) for c in chunks) == 2
     features = scenarios.feature_matrix(case9_fixture.base_mva)
@@ -164,8 +164,6 @@ def test_outage_indices_are_validated_and_key_the_topology(case9_fixture):
         screened_outage_sets(case9_fixture, k=0)
     with pytest.raises(ValueError, match="max_sets must be positive"):
         screened_outage_sets(case9_fixture, k=1, max_sets=0)
-    with pytest.raises(ValueError, match="microbatch must be positive"):
-        make_microbatches([Scenario(0, Pd, Qd)], microbatch=0)
 
 
 # ----------------------------------------------------------------------------- utils

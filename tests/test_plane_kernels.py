@@ -166,7 +166,7 @@ def test_warm_case14_sweep_is_bitwise_the_advanced_indexing_answer():
         for i, r in enumerate(cold)
     ]
     ours, reference = _both_ways(
-        lambda: solve_opf_batch(case, Pd[6:], Qd[6:], warm_starts=warm, model=model, window=4)
+        lambda: solve_opf_batch(case, Pd[6:], Qd[6:], warm_starts=warm, model=model)
     )
     assert ours == reference
 

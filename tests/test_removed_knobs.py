@@ -24,8 +24,8 @@ pool's start method, poll interval and lost-task grace, and
 ``AsyncServer`` takes each request property in one form: an absolute
 ``deadline=`` (no ``deadline_seconds=`` below the server, no
 ``MIPSOptions.max_wall_seconds``), a per-call ``solutions=`` (no fleet-wide
-``collect_solutions``, so one fleet per worker count), ``microbatch=`` on
-``SolverFleet`` only, and no wrapper that repeats the code it calls.  And ``perfbench`` is the one performance system: the
+``collect_solutions``, so one fleet per worker count), no ``microbatch=``
+anywhere, and no wrapper that repeats the code it calls.  And ``perfbench`` is the one performance system: the
 paper-figure suite in ``benchmarks/`` imports no clock, reads no environment
 knob and takes no timing fixture.  And the engine keeps no reactive health
 state: ``breaker=`` and ``drift_monitor=`` are gone with the circuit breaker,
@@ -47,7 +47,10 @@ constructor nor ``hot_swap`` takes them, and there is no switch back to MTL
 inference.  And a scenario is one period of independently drawn loads: the
 multi-period trajectory driver, ``serve_trajectory`` and the correlated load
 streams are gone, so ``generate_dataset`` takes no ``sampler=`` or
-``stream_batch=``.
+``stream_batch=``.  And a lockstep call enrolls its rows once: the
+retire-and-refill feed (``BatchFeedPayload``, ``mips_batch(feed=,
+feed_capacity=)``), ``solve_opf_batch(window=)``, ``SolverFleet(microbatch=)``,
+``Task.window`` and the ``MicroBatch`` wrapper are gone.
 """
 
 import ast
@@ -337,9 +340,10 @@ def test_one_dispatch_surface():
         with pytest.raises(AttributeError):
             getattr(owner, name)
 
-    # ``microbatch`` is the fleet's own value, not a pass-through.
-    assert "microbatch" in inspect.signature(SolverFleet).parameters
+    # Micro-batches are auto-sized; nothing takes a width.
+    assert "microbatch" not in inspect.signature(SolverFleet).parameters
     for call in (
+        lambda: SolverFleet(None, microbatch=2),
         lambda: SmartPGSimConfig(microbatch=2),
         lambda: WarmStartEngine(None, None, None, microbatch=2),
         lambda: WarmStartEngine.from_trainer(None, microbatch=2),
@@ -472,3 +476,32 @@ def test_paper_figure_suite_reads_no_clock(path):
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = {a.arg for a in node.args.args + node.args.kwonlyargs}
             assert not args & {"benchmark", "perf_recorder"}, f"{path.name}::{node.name}"
+
+
+def test_one_lockstep_entry():
+    import repro.mips
+    import repro.parallel
+    from repro.opf import solve_opf_batch
+    from repro.parallel.pool import Task
+    from repro.parallel.scheduler import make_microbatches
+
+    for callee, keyword in (
+        (mips_batch, "feed"),
+        (mips_batch, "feed_capacity"),
+        (solve_opf_batch, "window"),
+        (SolverFleet, "microbatch"),
+        (Task, "window"),
+        (make_microbatches, "microbatch"),
+    ):
+        assert keyword not in inspect.signature(callee).parameters
+        with pytest.raises(TypeError, match=keyword):
+            callee(None, None, **{keyword: 1})
+    for owner, name in (
+        (repro.mips, "BatchFeedPayload"),
+        (repro.mips, "BatchFeedFn"),
+        (repro.mips.batch, "BatchFeedPayload"),
+        (repro.mips.batch, "BatchFeedFn"),
+        (repro.parallel, "MicroBatch"),
+        (repro.parallel.scheduler, "MicroBatch"),
+    ):
+        assert not hasattr(owner, name), name

@@ -1,15 +1,15 @@
 """Scheduler-invariant harness: the dispatch must never change results.
 
 The scenario scheduler decides *where and with whom* a scenario is solved —
-stolen micro-batches, retire-and-refill lockstep windows, cross-sweep
+stolen micro-batches, bisected fragments of a failing task, cross-sweep
 contingency groups — while the per-scenario result semantics must survive
 every one of those choices bit for bit.  This suite pins that contract:
 
 * pure scheduling functions cut the sweep exactly once into consecutive
   micro-batches, one group per sweep whatever its outage sets
   (property-based);
-* ``mips_batch``'s retire-and-refill feed is bitwise-invariant in the lockstep
-  window size, including singular-KKT scenarios enrolled mid-flight whose
+* a ``mips_batch`` row is bitwise the same alone, in the full batch and in
+  any subset or permutation of it, including singular-KKT rows whose
   ``kkt_regularizations`` must land on the right scenario (property-based);
 * fleet sweeps are exactly-once, invariant under scenario permutation,
   micro-batch size, worker count and sweep membership (a scenario served
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference.kkt import FactorizedSolver, kkt_solve
 from repro.mips import LDLSolver, LockstepPlan
-from repro.mips.batch import BatchFeedPayload, mips_batch
+from repro.mips.batch import mips_batch
 from repro.parallel import (
     Scenario,
     ScenarioSet,
@@ -37,7 +37,6 @@ from repro.parallel import (
     generate_scenarios,
     make_microbatches,
 )
-from repro.parallel.scheduler import MicroBatch
 
 
 # --------------------------------------------------------------- pure policies
@@ -61,14 +60,15 @@ outage_lists = st.lists(
 @given(outages=outage_lists, data=st.data())
 def test_microbatches_contiguous_and_exactly_once(outages, data):
     scenarios = _fake_scenarios(outages)
-    microbatch = data.draw(st.integers(min_value=1, max_value=8))
-    batches = make_microbatches(scenarios, microbatch=microbatch)
+    n_workers = data.draw(st.integers(min_value=1, max_value=8))
+    size = auto_microbatch_size(len(scenarios), n_workers)
+    batches = make_microbatches(scenarios, n_workers)
     # Consecutive slices in input order: topology plays no part in the cut.
-    assert [pos for mb in batches for pos in mb.positions] == list(range(len(outages)))
+    assert [pos for mb in batches for pos in mb] == list(range(len(outages)))
     for mb in batches:
-        assert isinstance(mb, MicroBatch)
-        assert 1 <= len(mb) <= microbatch
-    assert all(len(mb) == microbatch for mb in batches[:-1])
+        assert isinstance(mb, range)
+        assert 1 <= len(mb) <= size
+    assert all(len(mb) == size for mb in batches[:-1])
 
 
 def test_n2_sweep_on_two_workers_is_four_tasks():
@@ -87,7 +87,7 @@ def test_auto_microbatch_size_oversubscribes():
     assert auto_microbatch_size(10, 1) == 5
 
 
-# --------------------------------------------------- retire-and-refill (QP level)
+# ------------------------------------------------- subset invariance (QP level)
 def _qp_problem(batch, nx, neq, niq, seed):
     rng = np.random.default_rng(seed)
     M = rng.uniform(0.5, 1.5, size=(batch, nx, nx))
@@ -100,31 +100,32 @@ def _qp_problem(batch, nx, neq, niq, seed):
     return H, c, Aeq, beq, Ain, bin_
 
 
-def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, backend=None, deadline=None):
-    """Solve a same-structure QP batch through mips_batch, optionally windowed.
+def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, rows=None, backend=None, deadline=None):
+    """Solve problems ``rows`` (all, in order, when omitted) of a same-structure
+    QP batch as one ``mips_batch`` call; one result per entry of ``rows``.
 
     ``backend`` names the KKT solve (:data:`reference.kkt.BACKENDS`); ``None``
-    keeps the one ``mips_batch`` builds.  ``deadline`` holds the initial
-    window's per-row absolute wall deadlines.
+    keeps the one ``mips_batch`` builds.  ``deadline`` is passed through.
     """
-    batch, nx = c.shape
+    rows = np.arange(c.shape[0]) if rows is None else np.asarray(rows)
+    nx = c.shape[1]
     neq, niq = beq.shape[1], bin_.shape[1]
 
     # Row-wise loops (not batched einsum): the invariance contract only holds
     # for callbacks whose row results are independent of batch composition,
     # which the real batched OPF kernels guarantee and einsum does not.
     def f_fcn(X, idx):
-        F = np.array([0.5 * x @ H[j] @ x + c[j] @ x for x, j in zip(X, idx)])
-        dF = np.stack([H[j] @ x + c[j] for x, j in zip(X, idx)])
+        F = np.array([0.5 * x @ H[j] @ x + c[j] @ x for x, j in zip(X, rows[idx])])
+        dF = np.stack([H[j] @ x + c[j] for x, j in zip(X, rows[idx])])
         return F, dF
 
     def gh_fcn(X, idx):
-        G = np.stack([Aeq[j] @ x - beq[j] for x, j in zip(X, idx)])
-        Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, idx)])
-        return G, Hc, Aeq[idx].reshape(idx.size, -1), Ain[idx].reshape(idx.size, -1)
+        G = np.stack([Aeq[j] @ x - beq[j] for x, j in zip(X, rows[idx])])
+        Hc = np.stack([Ain[j] @ x - bin_[j] for x, j in zip(X, rows[idx])])
+        return G, Hc, Aeq[rows[idx]].reshape(idx.size, -1), Ain[rows[idx]].reshape(idx.size, -1)
 
     def hess_fcn(X, lam_nl, mu_nl, idx):
-        return H[idx].reshape(idx.size, -1)
+        return H[rows[idx]].reshape(idx.size, -1)
 
     plan = LockstepPlan(
         nx,
@@ -134,25 +135,29 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, backend=None, deadli
         np.full(nx, -5.0),
         np.full(nx, 5.0),
     )
-    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=plan)
-    X0 = np.zeros((batch, nx))
-    cursor = window
-
-    def feed(free):
-        nonlocal cursor
-        if cursor >= batch:
-            return None
-        stop = min(cursor + free, batch)
-        payload = BatchFeedPayload(x0=X0[cursor:stop])
-        cursor = stop
-        return payload
-
     with nullcontext() if backend is None else kkt_solve(backend):
-        if window is None or window >= batch:
-            return mips_batch(f_fcn, X0, **kwargs)
         return mips_batch(
-            f_fcn, X0[:window], feed=feed, feed_capacity=batch, deadline=deadline, **kwargs
+            f_fcn,
+            np.zeros((rows.size, nx)),
+            gh_fcn=gh_fcn,
+            hess_fcn=hess_fcn,
+            plan=plan,
+            deadline=deadline,
         )
+
+
+def _assert_same_row(a, b):
+    """Bitwise: x, λ, µ, z, iterations, objective and KKT recoveries."""
+    assert a.converged == b.converged
+    assert a.message == b.message
+    assert a.iterations == b.iterations
+    assert a.f == b.f
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.lam, b.lam)
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.z, b.z)
+    assert a.kkt_regularizations == b.kkt_regularizations
+    assert len(a.history) == len(b.history)
 
 
 @settings(max_examples=20, deadline=None)
@@ -162,32 +167,29 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, window=None, backend=None, deadli
     neq=st.integers(min_value=1, max_value=2),
     niq=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=10_000),
-    window=st.integers(min_value=1, max_value=6),
     backend=st.sampled_from(["factorized", "ldl"]),
+    data=st.data(),
 )
-def test_feed_window_bitwise_invariant(batch, nx, neq, niq, seed, window, backend):
-    """Every lockstep window size yields bitwise the full-batch results."""
+def test_subset_bitwise_invariant(batch, nx, neq, niq, seed, backend, data):
+    """Every row is bitwise the same alone, in the full batch, and in a
+    random subset of the batch in random order."""
     problem = _qp_problem(batch, nx, max(neq, 1), niq, seed)
     full = _solve_qp_batch(*problem, backend=backend)
-    windowed = _solve_qp_batch(*problem, window=min(window, batch), backend=backend)
-    assert len(full) == len(windowed) == batch  # exactly once, in order
-    for a, b in zip(full, windowed):
-        assert a.converged == b.converged
-        assert a.iterations == b.iterations
-        assert a.f == b.f
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.lam, b.lam)
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.z, b.z)
-        assert a.kkt_regularizations == b.kkt_regularizations
-        assert len(a.history) == len(b.history)
+    assert len(full) == batch  # exactly once, in order
+    order = data.draw(st.permutations(range(batch)))
+    subset = order[: data.draw(st.integers(min_value=1, max_value=batch))]
+    for j, result in zip(subset, _solve_qp_batch(*problem, rows=subset, backend=backend)):
+        _assert_same_row(full[j], result)
+    for j in range(batch):
+        (alone,) = _solve_qp_batch(*problem, rows=[j], backend=backend)
+        _assert_same_row(full[j], alone)
 
 
 @pytest.mark.parametrize("backend", [FactorizedSolver, LDLSolver])
-def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monkeypatch):
-    """A row enrolled mid-run joins the next iteration's one ``solve_blocks``
-    call together with the seasoned rows: whatever the backend, each lockstep
-    iteration hands its whole active set to the solver exactly once."""
+def test_one_solve_blocks_call_per_lockstep_iteration(backend, monkeypatch):
+    """Whatever the backend, each lockstep iteration hands its whole active
+    set to the solver exactly once, also after an expired deadline retired a
+    row before the first iteration."""
     import repro.mips.batch as batch_module
 
     solved, assembled = [], []
@@ -205,13 +207,13 @@ def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monk
 
     monkeypatch.setattr(batch_module._BatchKKTAssembler, "build", counting_build)
     monkeypatch.setattr(batch_module, "LDLSolver", Recording)
-    # Row 0's deadline has already passed: it retires before iteration 1, so
-    # its replacement enrolls while row 1 is one iteration in.
+    # Row 0's deadline has already passed: it retires before iteration 1.
     results = _solve_qp_batch(
-        *_qp_problem(4, 4, 2, 2, seed=3), window=2, deadline=np.array([0.0, np.inf])
+        *_qp_problem(4, 4, 2, 2, seed=3), deadline=np.array([0.0, np.inf, np.inf, np.inf])
     )
-    assert results[0].timed_out and all(r.converged for r in results[1:])
-    assert assembled[:2] == [1, 2]  # a fresh row beside a seasoned one
+    assert results[0].timed_out and results[0].iterations == 0
+    assert all(r.converged for r in results[1:])
+    assert assembled[0] == 3
     assert solved == assembled
     assert sum(solved) == sum(r.iterations for r in results)
 
@@ -219,16 +221,18 @@ def test_one_solve_blocks_call_per_lockstep_iteration_under_a_feed(backend, monk
 @settings(max_examples=15, deadline=None)
 @given(
     batch=st.integers(min_value=2, max_value=5),
-    window=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=10_000),
+    data=st.data(),
 )
-def test_feed_wall_shares_additive(batch, window, seed):
-    """Wall shares of a windowed solve stay additive: they sum to ≤ the wall."""
+def test_subset_wall_shares_additive(batch, seed, data):
+    """Wall shares of a subset solve stay additive: they sum to ≤ the wall."""
     import time
 
     problem = _qp_problem(batch, 4, 2, 2, seed)
+    order = data.draw(st.permutations(range(batch)))
+    subset = order[: data.draw(st.integers(min_value=1, max_value=batch))]
     t0 = time.perf_counter()
-    results = _solve_qp_batch(*problem, window=min(window, batch))
+    results = _solve_qp_batch(*problem, rows=subset)
     wall = time.perf_counter() - t0
     shares = sum(r.wall_share_seconds for r in results)
     assert all(r.wall_share_seconds >= 0.0 for r in results)
@@ -236,11 +240,7 @@ def test_feed_wall_shares_additive(batch, window, seed):
 
 
 def _singular_requeue_problem(batch=4, nx=5, neq=2, niq=2, seed=4):
-    """QP batch whose *third* slot has consistent rank-deficient equalities.
-
-    With ``window=1`` the singular slot enrolls mid-flight (after slot 0
-    retires), exercising regularisation attribution across a requeue.
-    """
+    """QP batch whose *third* slot has consistent rank-deficient equalities."""
     H, c, Aeq, beq, Ain, bin_ = _qp_problem(batch, nx, neq, niq, seed)
     sick = 2
     Aeq = Aeq.copy()
@@ -252,18 +252,16 @@ def _singular_requeue_problem(batch=4, nx=5, neq=2, niq=2, seed=4):
 
 @pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_regularizations_attributed_after_requeue(backend):
+    """A task requeued as fragments (bisection) or in another order keeps
+    every row's recoveries: they land on the singular row in every subset
+    that holds it, and its neighbours stay bit-unaffected."""
     problem, sick = _singular_requeue_problem()
     full = _solve_qp_batch(*problem, backend=backend)
     assert full[sick].kkt_regularizations > 0
-    for window in (1, 2, 3):
-        windowed = _solve_qp_batch(*problem, window=window, backend=backend)
-        for b, (a, w) in enumerate(zip(full, windowed)):
-            # Recoveries land on the singular scenario only, wherever the
-            # window happened to place it; neighbours stay bit-unaffected.
-            assert w.kkt_regularizations == a.kkt_regularizations
-            assert (w.kkt_regularizations > 0) == (b == sick)
-            assert np.array_equal(a.x, w.x)
-            assert a.iterations == w.iterations
+    for subset in ([2, 3], [sick], [3, 2, 1, 0], [0, 2], [1, 3]):
+        for j, result in zip(subset, _solve_qp_batch(*problem, rows=subset, backend=backend)):
+            _assert_same_row(full[j], result)
+            assert (result.kkt_regularizations > 0) == (j == sick)
 
 
 # ------------------------------------------------------------ fleet invariants
@@ -294,7 +292,7 @@ def _assert_bitwise_equal_outcomes(a, b):
 
 def test_fleet_exactly_once_and_sorted(sweep_case9):
     case, scenarios = sweep_case9
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         sweep = fleet.solve(scenarios)
     ids = [o.scenario_id for o in sweep.outcomes]
     assert ids == sorted(ids)
@@ -302,21 +300,28 @@ def test_fleet_exactly_once_and_sorted(sweep_case9):
 
 
 def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
+    """Each micro-batch a pooled fleet of 1–8 workers would cut (widths 4, 2
+    and 1 of this sweep), solved as its own sweep, equals the whole sweep."""
     case, scenarios = sweep_case9
-    with SolverFleet(case, microbatch=len(scenarios)) as fleet:
+    with SolverFleet(case) as fleet:
         reference = fleet.solve(scenarios)
-    for microbatch in (1, 2, 3, None):
-        with SolverFleet(case, microbatch=microbatch) as fleet:
-            sweep = fleet.solve(scenarios)
-        for a, b in zip(reference.outcomes, sweep.outcomes):
-            _assert_bitwise_equal_outcomes(a, b)
+        for n_workers in (1, 2, 3, 4, 8):
+            cut = [
+                outcome
+                for positions in make_microbatches(scenarios, n_workers)
+                for outcome in fleet.solve(
+                    ScenarioSet(case.name, [scenarios[p] for p in positions])
+                ).outcomes
+            ]
+            for a, b in zip(reference.outcomes, cut, strict=True):
+                _assert_bitwise_equal_outcomes(a, b)
 
 
 def test_fleet_steal_results_invariant_under_permutation(sweep_case9):
     """Submitting the sweep in any scenario order yields identical results."""
     case, scenarios = sweep_case9
     rng = np.random.default_rng(0)
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         reference = _by_id(fleet.solve(scenarios))
         shuffled_sweeps = [
             fleet.solve(ScenarioSet(case.name, [scenarios[int(i)] for i in order]))
@@ -384,7 +389,7 @@ def test_scenario_alone_equals_scenario_in_sweep_bitwise(case_name, n_workers):
 def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
     """Additive solve_seconds shares stay bounded by the sweep wall (in-process)."""
     case, scenarios = sweep_case9
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         sweep = fleet.solve(scenarios)
     assert all(o.solve_seconds >= 0.0 for o in sweep.outcomes)
     assert sweep.total_solver_seconds() <= sweep.wall_seconds + 1e-6
@@ -393,7 +398,7 @@ def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
 def test_fleet_solve_many_matches_separate_sweeps(sweep_case9):
     case, scenarios = sweep_case9
     other = generate_scenarios(case, 5, variation=0.06, contingency_fraction=0.4, seed=11)
-    with SolverFleet(case, microbatch=2) as fleet:
+    with SolverFleet(case) as fleet:
         separate = [fleet.solve(scenarios), fleet.solve(other)]
         grouped = fleet.solve_many([scenarios, other])
     assert len(grouped) == 2
@@ -401,9 +406,3 @@ def test_fleet_solve_many_matches_separate_sweeps(sweep_case9):
         assert grp.n_scenarios == sep.n_scenarios
         for a, b in zip(sep.outcomes, grp.outcomes):
             _assert_bitwise_equal_outcomes(a, b)
-
-
-def test_fleet_validates_microbatch(sweep_case9):
-    case, _ = sweep_case9
-    with pytest.raises(ValueError, match="microbatch"):
-        SolverFleet(case, microbatch=0)
