@@ -818,8 +818,7 @@ def mips_batch(
     if ub_idx.size:
         plan.ub_cols.put(X, np.minimum(take(X, ub_idx), xmax[ub_idx]))
 
-    entry_share = evaluate(every) / batch
-    phase["eval"] += entry_share
+    phase["eval"] += evaluate(every) / batch
 
     if lam0v is not None and np.any(lam_m):
         lam[lam_m] = lam0v[lam_m]
@@ -860,21 +859,12 @@ def mips_batch(
                 gamma=gamma[b],
                 alpha_primal=0.0,
                 alpha_dual=0.0,
-                eval_seconds=entry_share,
             )
         )
 
     share += (time.perf_counter() - t_entry) / batch
     for b in np.flatnonzero((conds < tols).all(axis=1)):
         finalize(int(b), "converged", True)
-
-    # Per-iteration scratch, allocated once: rows are (re)assigned before any
-    # read within the iteration that uses them (survivors only), so no
-    # clearing between iterations is needed.
-    it_eval = np.zeros(batch)
-    it_asm = np.zeros(batch)
-    it_fac = np.zeros(batch)
-    it_back = np.zeros(batch)
 
     # ------------------------------------------------------------------ loop
     while True:
@@ -912,7 +902,6 @@ def mips_batch(
         )
         hess_dt = time.perf_counter() - t0
         phase["eval"][idx] += hess_dt / na
-        it_eval[idx] = hess_dt / na
 
         # ------------------- batched assembly, then one solve for the active set
         # The shared phases are split evenly across the active set, like the
@@ -941,11 +930,8 @@ def mips_batch(
         fac_dt /= na
         asm_dt = (asm_dt + centring.rhs_seconds) / na
         phase["assembly"][idx] += asm_dt
-        it_asm[idx] = asm_dt
         phase["factorization"][idx] += fac_dt
         phase["backsolve"][idx] += back_dt
-        it_fac[idx] = fac_dt
-        it_back[idx] = back_dt
         reg_counts[idx] += report.regularizations
 
         # Newton-step sanity checks as row masks: a failing row is classified
@@ -1008,7 +994,6 @@ def mips_batch(
         F0s = F[s].copy()
         dt = evaluate(s)
         phase["eval"][s] += dt / s.size
-        it_eval[s] += dt / s.size
         lagrangian_gradient(s)
         conditions(s, F0s)
 
@@ -1026,10 +1011,6 @@ def mips_batch(
                     gamma=recorded_gamma[pos],
                     alpha_primal=float(alphap[pos]),
                     alpha_dual=float(alphad[pos]),
-                    eval_seconds=it_eval[b],
-                    assembly_seconds=it_asm[b],
-                    factor_seconds=it_fac[b],
-                    backsolve_seconds=it_back[b],
                 )
             )
         if LOGGER.isEnabledFor(logging.DEBUG):

@@ -16,9 +16,8 @@ class IterationRecord:
     four condition values are exactly the quantities tested against the
     termination tolerances.  ``gamma`` is the barrier target: on a fixed-σ
     row the ``SIGMA·zᵀµ/niq`` the next step aims at, on a predictor–corrector
-    row the ``σµ`` this step aimed at (iteration 0: the entry value).  The four ``*_seconds`` fields split the
-    iteration's wall-clock time into callback evaluation, KKT assembly,
-    factorisation and back-substitution (the Fig. 5 component times).
+    row the ``σµ`` this step aimed at (iteration 0: the entry value).  The
+    Fig. 5 component times are per solve, on ``MIPSResult.phase_seconds``.
     """
 
     iteration: int
@@ -31,10 +30,6 @@ class IterationRecord:
     gamma: float
     alpha_primal: float
     alpha_dual: float
-    eval_seconds: float = 0.0
-    assembly_seconds: float = 0.0
-    factor_seconds: float = 0.0
-    backsolve_seconds: float = 0.0
 
 
 @dataclass(frozen=True)

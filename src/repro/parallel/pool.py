@@ -24,13 +24,15 @@ A sweep runs one way.  It is cut into micro-batches in input order
 through :func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row
 data of that solve, so the scenarios of every N-k topology share one lockstep
 batch and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
-Multi-worker fleets put the micro-batches, auto-sized by
-:func:`~repro.parallel.scheduler.auto_microbatch_size`, on a shared queue
-that idle workers pull from; the in-process fleet solves the whole sweep as
-one task.  :meth:`SolverFleet.solve` is the one-sweep case of
-:meth:`SolverFleet.solve_many`, whose sweeps merge into one dispatch.
+Multi-worker fleets submit the micro-batches, auto-sized by
+:func:`~repro.parallel.scheduler.auto_microbatch_size`, to the supervised
+pool, which sends each, in order, to the next idle worker; the in-process
+fleet solves the whole sweep as one task.  :meth:`SolverFleet.solve` is the
+one-sweep case of :meth:`SolverFleet.solve_many`, whose sweeps merge into one
+dispatch.
 Lockstep solves are row-independent bit for bit, so per-scenario results are
-invariant under chunking, steal order, worker count and micro-batch size.
+invariant under chunking, which worker takes which task, worker count and
+micro-batch size.
 
 A failed warm row is recovered in-worker the paper's way: re-solved cold,
 with the same options, outage set and deadline.  All of a task's recoveries
@@ -424,12 +426,13 @@ class SolverFleet:
     engine pays process start-up and model construction once, not per batch.
 
     A pooled fleet cuts a sweep into auto-sized micro-batches
-    (:func:`~repro.parallel.scheduler.make_microbatches`) that idle workers
-    pull from a shared queue and solve in lockstep, whatever their outage
-    sets (see :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet
-    solves the whole sweep as one lockstep task.  Scheduling never changes
-    *how* a scenario is solved: results are invariant under steal order,
-    worker count and micro-batch size.
+    (:func:`~repro.parallel.scheduler.make_microbatches`) that the pool hands
+    to idle workers one at a time, each solved in lockstep whatever its
+    outage sets (see :func:`repro.opf.batch.solve_opf_batch`); the
+    in-process fleet solves the whole sweep as one lockstep task.
+    Scheduling never changes *how* a scenario is solved: results are
+    invariant under which worker takes which task, worker count and
+    micro-batch size.
 
     Dispatch is supervised: a worker that dies mid-task is respawned and its
     task retried (``crash_retries`` attempts per task), then bisected until
@@ -582,10 +585,10 @@ class SolverFleet:
     ) -> SweepResult:
         """Cut the sweep into lockstep tasks and run them; outcomes by position.
 
-        Multi-worker fleets submit the micro-batches to the supervised pool's
-        shared task queue, and whichever worker drains its current
-        micro-batch first pulls (steals) the next one.  The in-process fleet
-        instead solves the whole sweep as one task.
+        Multi-worker fleets submit the micro-batches to the supervised pool,
+        which sends the next one to whichever worker finishes its current
+        micro-batch first.  The in-process fleet instead solves the whole
+        sweep as one task.
         """
         sweep = Task(
             positions=tuple(range(len(scenarios))),
@@ -596,7 +599,7 @@ class SolverFleet:
             solutions=solutions,
         )
         if self._pool is None:
-            # One in-process worker has nobody to steal from: the whole sweep
+            # One in-process worker has nobody to share with: the whole sweep
             # is one lockstep task.
             tasks = [sweep] if scenarios else []
         else:

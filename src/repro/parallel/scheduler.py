@@ -10,8 +10,9 @@ module supplies the scheduling layer instead:
   Topology plays no part: a branch outage is per-row data of the lockstep
   solve (see :mod:`repro.opf.batch`), so intact, N-1 and N-k scenarios share
   micro-batches.  The micro-batch list is the
-  fleet's shared work queue: persistent workers pull the next micro-batch the
-  moment they finish one, so a straggler holds up only its own micro-batch.
+  fleet's work queue: the supervised pool sends a persistent worker the next
+  micro-batch the moment it finishes one, so a straggler holds up only its
+  own micro-batch.
 * Cross-sweep batching — :func:`make_microbatches` accepts any flat scenario
   sequence, so :meth:`~repro.parallel.pool.SolverFleet.solve_many`
   concatenates several screening sweeps into one queue of wide micro-batches.
@@ -19,7 +20,7 @@ module supplies the scheduling layer instead:
 The policy is **deterministic** (a pure function of the input order) and only
 decides *where and with whom* a scenario is solved — never *how*.  Lockstep
 batch solves are row-independent bit for bit, so per-scenario results are
-invariant under steal order, worker count and micro-batch size; the
+invariant under task order, worker count and micro-batch size; the
 scheduler-invariant test harness pins exactly that.
 """
 

@@ -1,26 +1,29 @@
-"""Supervised worker processes: crash detection, attribution and respawn.
+"""Supervised worker processes: one pipe per worker, parent-assigned tasks.
 
 ``multiprocessing.Pool`` cannot serve a fault-tolerant fleet: a worker that
 dies mid-task (OOM kill, segfault, injected chaos) leaves ``map`` /
 ``imap_unordered`` waiting forever on a task nobody will finish, and the pool
 offers no way to learn *which* task died with the worker.  This module
-replaces it with a small, explicit supervisor built for exactly that failure
-mode:
+replaces it with a small supervisor in which the parent, not the workers,
+decides who runs what:
 
-* every worker announces the task it picks up over a dedicated OS pipe
-  **before** running it (a synchronous write, unlike the result queue's
-  feeder thread), so a crash is attributed to its in-flight task exactly;
-* the parent event loop polls worker liveness whenever the result queue is
-  quiet — a dead worker yields a ``crash`` event for its running task and is
-  respawned into the same slot immediately;
-* a task consumed from the queue by a worker that died before announcing it
-  (a narrow race) is recovered by the lost-task watchdog: when every worker
-  sits idle, the queue is drained and unstarted submissions exist, they are
-  resubmitted.  Duplicate completions (possible after resubmission) are
-  dropped by the parent, which is safe because fleet tasks are deterministic;
-* worker exceptions travel back as ``error`` events (message + exception type
-  — never a pickled traceback object, which may not unpickle), leaving the
-  worker alive for the next task.
+* every worker talks to the parent over its own duplex pipe.  It runs the
+  initializer, reports ``ready``, then loops: receive a task, run it, reply
+  ``done`` (the return value) or ``error`` (message + exception type — never
+  a pickled traceback object, which may not unpickle) and stay alive;
+* the parent keeps submitted tasks in a FIFO and sends the next one to a slot
+  only when that slot is ready and idle, so each task is sent exactly once
+  and the parent always knows which task each slot holds;
+* :meth:`SupervisedPool.next_event` blocks on the pipes and the process
+  sentinels together.  A reply already in a pipe is read before its
+  worker's death is acted on; a dead slot is respawned and the task it held
+  comes back as a ``crash`` event.  A worker that dies before it reports
+  ready (its initializer failed) is not respawned: ``next_event`` raises
+  ``RuntimeError`` naming the slot and the exit code.
+
+There is no timer anywhere: no poll interval, no grace period, no
+resubmission.  A task cannot be lost or finished twice, so nothing needs to
+detect either.
 
 The supervisor is policy-free: retries, bisection and quarantine live in the
 fleet dispatcher (:mod:`repro.parallel.pool`), which consumes the
@@ -30,9 +33,10 @@ fleet dispatcher (:mod:`repro.parallel.pool`), which consumes the
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import threading
+from collections import deque
+from multiprocessing.connection import wait
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.utils.logging import get_logger
 
@@ -45,45 +49,26 @@ __all__ = ["SupervisedPool", "PoolClosedError", "TaskEvent"]
 #: or ``"crash"`` (payload = description string).
 TaskEvent = Tuple[str, int, Any]
 
-#: Seconds :meth:`SupervisedPool.next_event` waits on a quiet result queue
-#: before it checks worker liveness.
-_POLL_SECONDS = 0.05
-#: Seconds without progress, every worker idle, before unstarted tasks are
-#: presumed lost and resubmitted.
-_LOST_TASK_GRACE_SECONDS = 2.0
-
 
 class PoolClosedError(RuntimeError):
     """The supervised pool was terminated while events were outstanding."""
 
 
-def _supervised_worker(
-    slot: int,
-    task_queue,
-    result_queue,
-    start_conn,
-    initializer: Optional[Callable],
-    initargs: tuple,
-) -> None:
-    """Worker main loop: announce, run, report; repeat until sentinel."""
+def _supervised_worker(conn, initializer: Optional[Callable], initargs: tuple) -> None:
+    """Worker main loop: initialise, report ready, then run tasks until EOF."""
     if initializer is not None:
         initializer(*initargs)
+    conn.send(("ready", None))
     while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        task_id, fn, payload = item
-        # Synchronous pipe write: guaranteed visible to the parent before the
-        # task function can bring the process down.
-        start_conn.send(task_id)
         try:
-            value = fn(payload)
+            fn, payload = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = ("done", fn(payload))
         except BaseException as exc:  # noqa: BLE001 - reported, not swallowed
-            result_queue.put(
-                ("error", slot, task_id, f"{type(exc).__name__}: {exc}")
-            )
-        else:
-            result_queue.put(("done", slot, task_id, value))
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        conn.send(reply)
 
 
 class SupervisedPool:
@@ -110,42 +95,39 @@ class SupervisedPool:
         self._ctx = mp.get_context("spawn")
         self._initializer = initializer
         self._initargs = initargs
-        self._task_queue = self._ctx.Queue()
-        self._result_queue = self._ctx.Queue()
-        self._procs: List[Optional[mp.process.BaseProcess]] = [None] * n_workers
-        self._start_conns: List[Any] = [None] * n_workers
+        self._procs: List[Any] = [None] * n_workers
+        self._conns: List[Any] = [None] * n_workers
+        self._ready = [False] * n_workers
+        #: The task id each slot is running (``None`` = idle).
         self._running: List[Optional[int]] = [None] * n_workers
-        self._pending: Dict[int, Tuple[Callable, Any]] = {}
-        self._started: set = set()
-        self._finished: set = set()
-        self._crash_backlog: List[TaskEvent] = []
+        #: Submitted tasks no slot has been sent yet, in submission order.
+        self._queue: Deque[Tuple[int, Callable, Any]] = deque()
         self._next_task_id = 0
         self._respawns = 0
         self._closed = False
-        self._last_progress = time.monotonic()
+        #: Orders spawns against a terminate() from another thread, so no
+        #: worker is started after the pool has killed the others.
+        self._lock = threading.Lock()
         for slot in range(n_workers):
             self._spawn(slot)
 
     # ------------------------------------------------------------- lifecycle
     def _spawn(self, slot: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_supervised_worker,
-            args=(
-                slot,
-                self._task_queue,
-                self._result_queue,
-                child_conn,
-                self._initializer,
-                self._initargs,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._procs[slot] = proc
-        self._start_conns[slot] = parent_conn
-        self._running[slot] = None
+        with self._lock:
+            if self._closed:
+                raise PoolClosedError("pool was terminated with tasks in flight")
+            parent_conn, child_conn = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_supervised_worker,
+                args=(child_conn, self._initializer, self._initargs),
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._procs[slot] = proc
+            self._conns[slot] = parent_conn
+            self._ready[slot] = False
+            self._running[slot] = None
 
     @property
     def n_workers(self) -> int:
@@ -153,33 +135,26 @@ class SupervisedPool:
 
     @property
     def processes(self) -> List[mp.process.BaseProcess]:
-        """Live worker process handles (for liveness assertions in tests)."""
-        return [proc for proc in self._procs if proc is not None]
+        """Worker process handles, one per slot (for liveness assertions in tests)."""
+        return list(self._procs)
 
     @property
     def respawns(self) -> int:
-        """Number of workers respawned after a crash."""
+        """Number of workers respawned after dying."""
         return self._respawns
 
     def terminate(self) -> None:
-        """Kill every worker and release queue resources (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for proc in self._procs:
-            if proc is not None and proc.is_alive():
+        """Kill every worker and close its pipe (idempotent)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            for proc in self._procs:
                 proc.terminate()
         for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=5.0)
-        for conn in self._start_conns:
-            if conn is not None:
-                conn.close()
-        for q in (self._task_queue, self._result_queue):
-            q.close()
-            # The queue feeder threads must not block interpreter exit on
-            # unflushed task payloads of an aborted dispatch.
-            q.cancel_join_thread()
+            proc.join(timeout=5.0)
+        for conn in self._conns:
+            conn.close()
 
     # ------------------------------------------------------------ submission
     def submit(self, fn: Callable, payload: Any) -> int:
@@ -188,112 +163,88 @@ class SupervisedPool:
             raise PoolClosedError("pool is closed")
         task_id = self._next_task_id
         self._next_task_id += 1
-        self._pending[task_id] = (fn, payload)
-        self._task_queue.put((task_id, fn, payload))
+        self._queue.append((task_id, fn, payload))
         return task_id
 
-    # ------------------------------------------------------------ event loop
-    def _drain_start_notifications(self) -> None:
-        for slot, conn in enumerate(self._start_conns):
-            if conn is None:
-                continue
-            try:
-                while conn.poll(0):
-                    task_id = conn.recv()
-                    self._running[slot] = task_id
-                    self._started.add(task_id)
-                    self._last_progress = time.monotonic()
-            except (EOFError, OSError):
-                # Connection torn down by a dead worker; liveness polling
-                # handles the crash itself.
-                continue
-
-    def _reap_dead_workers(self) -> None:
+    def _assign(self) -> None:
+        """Send queued tasks, oldest first, to ready idle slots in slot order."""
         for slot, proc in enumerate(self._procs):
-            if proc is None or proc.is_alive() or self._closed:
+            if not self._queue:
+                return
+            # A dead idle slot gets no task: its sentinel respawns it, and no
+            # task is charged with a crash it had no part in.
+            if not self._ready[slot] or self._running[slot] is not None or not proc.is_alive():
                 continue
-            # The worker may have announced a task right before dying.
-            self._drain_start_notifications()
-            task_id = self._running[slot]
-            exitcode = proc.exitcode
-            conn = self._start_conns[slot]
-            if conn is not None:
-                conn.close()
-            self._respawns += 1
-            self._spawn(slot)
-            self._last_progress = time.monotonic()
-            if task_id is not None and task_id in self._pending:
-                del self._pending[task_id]
-                self._crash_backlog.append(
-                    (
-                        "crash",
-                        task_id,
-                        f"worker died (exit code {exitcode}) while running task {task_id}",
-                    )
-                )
-                LOGGER.warning(
-                    "worker slot %d died (exit code %s) running task %d; respawned",
-                    slot,
-                    exitcode,
-                    task_id,
-                )
-            else:
-                LOGGER.warning(
-                    "worker slot %d died (exit code %s) between tasks; respawned",
-                    slot,
-                    exitcode,
-                )
+            task_id, fn, payload = self._queue.popleft()
+            try:
+                self._conns[slot].send((fn, payload))
+            except OSError:
+                # The worker died under the send; its sentinel reports the
+                # crash of the task it now holds.
+                pass
+            self._running[slot] = task_id
 
-    def _recover_lost_tasks(self) -> None:
-        """Resubmit tasks consumed by a worker that died before announcing them."""
-        if not self._pending or any(tid is not None for tid in self._running):
-            return
-        if time.monotonic() - self._last_progress < _LOST_TASK_GRACE_SECONDS:
-            return
-        try:
-            queue_empty = self._task_queue.empty()
-        except (OSError, ValueError):
-            return
-        if not queue_empty:
-            return
-        unstarted = [tid for tid in self._pending if tid not in self._started]
-        for task_id in unstarted:
-            fn, payload = self._pending[task_id]
-            LOGGER.warning("resubmitting lost task %d", task_id)
-            self._task_queue.put((task_id, fn, payload))
-        self._last_progress = time.monotonic()
+    # ------------------------------------------------------------ event loop
+    def _bury(self, slot: int) -> Optional[TaskEvent]:
+        """Respawn a dead slot; the task it held comes back as a crash."""
+        proc, task_id = self._procs[slot], self._running[slot]
+        proc.join()
+        if self._closed:
+            raise PoolClosedError("pool was terminated with tasks in flight")
+        if not self._ready[slot]:
+            raise RuntimeError(
+                f"worker slot {slot} exited with code {proc.exitcode} before it was ready"
+            )
+        self._conns[slot].close()
+        self._respawns += 1
+        self._spawn(slot)
+        LOGGER.warning(
+            "worker slot %d died (exit code %s, task %s); respawned", slot, proc.exitcode, task_id
+        )
+        if task_id is None:
+            return None
+        return ("crash", task_id, f"worker died (exit code {proc.exitcode}) while running task {task_id}")
 
     def next_event(self) -> TaskEvent:
         """Block until the next ``done`` / ``error`` / ``crash`` event.
 
         Raises :class:`PoolClosedError` if the pool is terminated while
-        waiting, and ``RuntimeError`` when called with no outstanding tasks.
+        waiting, ``RuntimeError`` when called with no outstanding tasks or
+        when a worker dies before it is ready.
         """
         while True:
-            if self._crash_backlog:
-                return self._crash_backlog.pop(0)
             if self._closed:
                 raise PoolClosedError("pool was terminated with tasks in flight")
-            if not self._pending:
+            if not self._queue and all(task_id is None for task_id in self._running):
                 raise RuntimeError("no outstanding tasks")
-            self._drain_start_notifications()
+            self._assign()
             try:
-                msg = self._result_queue.get(timeout=_POLL_SECONDS)
-            except queue_mod.Empty:
-                self._reap_dead_workers()
-                self._recover_lost_tasks()
+                ready = wait([*self._conns, *(proc.sentinel for proc in self._procs)])
+            except (OSError, ValueError):
+                # A concurrent terminate() closed a pipe under the wait.
+                if not self._closed:
+                    raise
                 continue
-            kind, slot, task_id, payload = msg
-            if self._running[slot] == task_id:
-                self._running[slot] = None
-            self._last_progress = time.monotonic()
-            if task_id in self._finished or task_id not in self._pending:
-                # Duplicate completion of a resubmitted lost task: tasks are
-                # deterministic, so either copy of the result is the result.
-                continue
-            self._finished.add(task_id)
-            del self._pending[task_id]
-            return (kind, task_id, payload)
+            for slot in range(self.n_workers):
+                conn, proc = self._conns[slot], self._procs[slot]
+                dead = proc.sentinel in ready
+                if conn in ready:
+                    try:
+                        kind, value = conn.recv()
+                    except (EOFError, OSError):
+                        dead = True
+                    else:
+                        if kind == "ready":
+                            self._ready[slot] = True
+                            continue
+                        task_id = self._running[slot]
+                        self._running[slot] = None
+                        self._assign()
+                        return (kind, task_id, value)
+                if dead:
+                    event = self._bury(slot)
+                    if event is not None:
+                        return event
 
     # -------------------------------------------------------------- contexts
     def __enter__(self) -> "SupervisedPool":

@@ -14,15 +14,19 @@ number* — the attempt is carried in the task message, so a fault can be
 transient ("crash the first attempt, let the retry succeed") or persistent
 ("crash every attempt until the scheduler quarantines the culprit") without
 any cross-process mutable state.  The one worker-local trigger,
-``kill_at_task``, counts tasks processed by each worker process.
+``kill_at_task``, counts tasks processed by each worker process.  A fault
+acts the moment it trips; the one sleep in this module is the stall a
+``stall_solve`` asks for.
 
 Fault kinds
 -----------
 
 * ``kill_worker`` — terminate the worker process without cleanup
-  (``os._exit``), the closest deterministic stand-in for an OOM kill or
-  segfault.  In the in-process fleet it raises :class:`WorkerCrashError`
-  instead, which the dispatcher treats exactly like a dead worker.
+  (``os._exit``, at once), the closest deterministic stand-in for an OOM
+  kill or segfault.  The supervisor sent the task to that worker itself, so
+  the crash is charged to the right task however fast the worker dies.  In
+  the in-process fleet it raises :class:`WorkerCrashError` instead, which
+  the dispatcher treats exactly like a dead worker.
 * ``kill_at_task`` — kill the worker when its per-process task counter
   reaches ``task_index`` (worker-local, for soak-style tests).
 * ``raise_in_solver`` — raise :class:`FaultInjectionError` in the worker's
@@ -34,7 +38,6 @@ Fault kinds
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -55,12 +58,6 @@ FAULT_KINDS = ("kill_worker", "kill_at_task", "raise_in_solver", "stall_solve")
 
 #: Exit code used by injected worker kills (visible in crash diagnostics).
 KILL_EXIT_CODE = 57
-
-#: Grace between a kill trigger and the actual ``os._exit``.  The worker's
-#: task-start notification travels over an OS pipe that is written before the
-#: task function runs, but the result queue's feeder thread is asynchronous —
-#: the pause keeps crash *attribution* deterministic on slow machines.
-_KILL_GRACE_SECONDS = 0.05
 
 
 class FaultInjectionError(RuntimeError):
@@ -229,6 +226,5 @@ def execute_kill(in_subprocess: bool) -> None:
     crash-retry path a dead subprocess takes.
     """
     if in_subprocess:
-        time.sleep(_KILL_GRACE_SECONDS)
         os._exit(KILL_EXIT_CODE)
     raise WorkerCrashError("injected worker kill (in-process)")

@@ -3,15 +3,19 @@
 A serving fleet must be safe to tear down at any time — including while a
 sweep is in flight from another thread — must never leave orphaned spawn
 processes behind, and must keep its worker count constant across injected
-crashes.  Degenerate (empty) requests are valid and return empty results
-instead of raising.
+crashes and outside kills of idle workers.  A worker that cannot start is a
+typed error, not an endless respawn.  Degenerate (empty) requests are valid
+and return empty results instead of raising.
 """
 
+import os
+import signal
 import threading
 import time
 
 import pytest
 
+from repro.grid.components import REF
 from repro.parallel import PoolClosedError, SolverFleet, SweepResult, generate_scenarios
 from repro.parallel.scenarios import ScenarioSet
 from repro.testing.faults import FaultPlan, kill_worker, stall_solve
@@ -86,6 +90,72 @@ def test_crash_respawn_keeps_worker_count_and_fleet_reusable(case9_fixture, scen
     assert second.quarantined == 0 and second.retries >= 1
     for a, b in zip(first.outcomes, second.outcomes):
         assert a.objective == b.objective
+
+
+def _run_bounded(fleet, sweep, bound=60.0):
+    """Run ``sweep()`` in a thread joined with ``bound`` seconds.
+
+    Returns ``(finished, value, error)``.  A sweep still running at the bound
+    is aborted with ``fleet.close()``, so a hang fails the test, not the job.
+    """
+    box = {}
+
+    def target():
+        try:
+            box["value"] = sweep()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(bound)
+    finished = not thread.is_alive()
+    if not finished:
+        fleet.close()
+        thread.join(15)
+    return finished, box.get("value"), box.get("error")
+
+
+def test_killed_idle_workers_respawn_and_the_next_sweep_returns(case9_fixture, scenarios9):
+    """SIGKILL both idle workers between sweeps: the next sweep still answers."""
+    with SolverFleet(case9_fixture, n_workers=2) as fleet:
+        # A worker is idle once it has served a task; one that is still
+        # starting would die before it is ready, which is a start failure.
+        first = fleet.solve(scenarios9)
+        give_up = time.monotonic() + 60.0
+        while len({o.worker for o in first.outcomes}) < 2 and time.monotonic() < give_up:
+            first = fleet.solve(scenarios9)
+        assert len({o.worker for o in first.outcomes}) == 2
+        for proc in fleet._pool.processes:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=10)
+        finished, second, error = _run_bounded(fleet, lambda: fleet.solve(scenarios9))
+        assert finished, "the sweep after the idle kills did not return"
+        assert error is None
+        assert fleet._pool.respawns == 2
+    assert second.errors == 0
+    assert [(o.iterations, o.objective) for o in second.outcomes] == [
+        (o.iterations, o.objective) for o in first.outcomes
+    ]
+
+
+def test_worker_start_failure_raises_instead_of_respawning(case9_fixture, scenarios9):
+    """A case the worker model rejects fails the sweep once; nothing is left alive."""
+    bad = case9_fixture.copy()
+    bad.bus.bus_type[bad.pv_bus_indices()[0]] = REF
+    with pytest.raises(ValueError, match="reference bus"):
+        SolverFleet(bad, n_workers=1)
+    fleet = SolverFleet(bad, n_workers=2)
+    try:
+        finished, _, error = _run_bounded(fleet, lambda: fleet.solve(scenarios9))
+        procs = list(fleet._pool.processes) if fleet._pool is not None else []
+    finally:
+        fleet.close()
+    assert finished, "the sweep on a fleet whose workers cannot start did not return"
+    assert type(error) is RuntimeError and "before it was ready" in str(error)
+    for proc in procs:
+        proc.join(timeout=10)
+        assert not proc.is_alive()
 
 
 # ---------------------------------------------------------------- empty sweeps

@@ -38,10 +38,6 @@ def _assert_mips_result_invariants(result):
         assert np.isfinite(value) and value >= 0.0
     assert sum(result.phase_seconds.values()) <= result.elapsed_seconds + EPS
     assert 0.0 <= result.wall_share_seconds <= result.elapsed_seconds + EPS
-    for record in result.history:
-        for field in ("eval_seconds", "assembly_seconds", "factor_seconds", "backsolve_seconds"):
-            value = getattr(record, field)
-            assert np.isfinite(value) and value >= 0.0
 
 
 # ------------------------------------------------------------------ scalar path
@@ -146,11 +142,6 @@ def test_opf_batch_phase_invariants_survive_block_solve(backend):
         # solve_seconds carries the additive share; phases are bounded by the
         # scenario's wall-until-retirement, which bounds the batch wall below.
         assert result.solve_seconds >= 0.0
-        for record in result.history:
-            assert record.eval_seconds >= 0.0
-            assert record.assembly_seconds >= 0.0
-            assert record.factor_seconds >= 0.0
-            assert record.backsolve_seconds >= 0.0
 
 
 # --------------------------------------------------------------- sweep / engine

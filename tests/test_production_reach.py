@@ -174,7 +174,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.parallel.scenarios": ("topology_key",),
     "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
     "repro.parallel.cluster": ("calibrate_from_inference",),
-    "repro.parallel.supervision": _POOL_VIEWS,
+    "repro.parallel.supervision": (*_POOL_VIEWS, "_POLL_SECONDS", "_LOST_TASK_GRACE_SECONDS"),
     "repro.powerflow": (
         *_POWERFLOW,
         "newton_power_flow",
@@ -187,7 +187,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.powerflow.derivatives": ("dIbr_dV",),
     "repro.powerflow.injections": ("bus_injection_batch", "branch_flows"),
     "repro.testing": (*_TEST_FAULTS, *_SWAP_FAULTS),
-    "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS),
+    "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS, "_KILL_GRACE_SECONDS"),
     "repro.utils": ("spawn_rngs", "Timer", "timed", "CachedBmat"),
     "repro.utils.rng": ("spawn_rngs", "derive_seed"),
     "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat", "same_pattern"),

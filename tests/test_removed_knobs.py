@@ -19,8 +19,9 @@ are gone.  And recovery is one fixed rule: a failed warm row is re-solved
 cold, so the ``fallback=`` policy selector, its policy classes, registry and
 ``relaxed_options`` are gone.  And parameters no caller passed are
 constants: the dual floor of ``WarmStart.clipped_duals``, the supervised
-pool's start method, poll interval and lost-task grace, and
-``generate_dataset``'s keep-failed switch.  And the dispatch surface below
+pool's start method and ``generate_dataset``'s keep-failed switch; the
+pool's poll interval and lost-task grace are not even constants any more,
+since the pool sends each task to an idle worker itself and keeps no timer.  And the dispatch surface below
 ``AsyncServer`` takes each request property in one form: an absolute
 ``deadline=`` (no ``deadline_seconds=`` below the server, no
 ``MIPSOptions.max_wall_seconds``), a per-call ``solutions=`` (no fleet-wide
@@ -50,7 +51,9 @@ streams are gone, so ``generate_dataset`` takes no ``sampler=`` or
 ``stream_batch=``.  And a lockstep call enrolls its rows once: the
 retire-and-refill feed (``BatchFeedPayload``, ``mips_batch(feed=,
 feed_capacity=)``), ``solve_opf_batch(window=)``, ``SolverFleet(microbatch=)``,
-``Task.window`` and the ``MicroBatch`` wrapper are gone.
+``Task.window`` and the ``MicroBatch`` wrapper are gone.  And an
+``IterationRecord`` keeps no clock: the per-iteration phase seconds are gone,
+and the per-solve ``MIPSResult.phase_seconds`` carries the Fig. 5 times.
 """
 
 import ast
@@ -387,6 +390,15 @@ RETIRED_MIPS_FIELDS = (
     "record_history",
     "verbose",
 )
+
+
+def test_iteration_record_keeps_no_phase_clock():
+    from repro.mips import IterationRecord
+
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert len(names) == 10  # 14 before the per-iteration phase seconds went
+    for name in ("eval_seconds", "assembly_seconds", "factor_seconds", "backsolve_seconds"):
+        assert name not in names
 
 
 def test_one_fixed_opf_problem(case9_fixture):
