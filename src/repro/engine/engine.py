@@ -9,9 +9,7 @@ solved AC-OPF problems at throughput —
   (:class:`~repro.engine.retrieval.NearestSolutions`, ``warm_starts_for``).
   On the perfbench fixture that start takes fewer MIPS iterations than the
   MTL's forward pass; the MTL stays the paper's model behind the figures
-  (:meth:`repro.core.framework.SmartPGSim.online_evaluate`).  A row that
-  carries an outage set is served cold: a warm start from intact solutions
-  loses its ``µ``/``Z`` on an outage row and costs more than a cold solve;
+  (:meth:`repro.core.framework.SmartPGSim.online_evaluate`);
 * **one persistent solver fleet per worker count** — warm-started MIPS
   solves are dispatched across the :class:`~repro.parallel.pool.SolverFleet`
   workers, which stay alive across requests of every kind (a request's
@@ -195,9 +193,7 @@ class WarmStartEngine:
     ) -> SweepResult:
         """Serve a batch of scenarios: retrieval warm starts + fleet dispatch.
 
-        Rows without an outage set start from :meth:`predict_physical`; a row
-        that carries one is solved cold (its warm ``µ``/``Z`` would be
-        dropped, and the rest of the start costs more than it saves).
+        Every row starts from :meth:`predict_physical`.
 
         ``deadline`` (absolute ``time.monotonic()`` deadlines) bounds the
         request — a scalar shared by every scenario or a per-scenario
@@ -224,11 +220,7 @@ class WarmStartEngine:
                 model_generation=serving.generation,
             )
         predicted = self._predict(serving, scenarios.feature_matrix(self.case.base_mva))
-        warm_starts = [
-            None if scenario.outage_branches else warm
-            for scenario, warm in zip(scenarios, predicted)
-        ]
-        sweep = self.fleet(n_workers).solve(scenarios, warm_starts, deadline=deadline)
+        sweep = self.fleet(n_workers).solve(scenarios, predicted, deadline=deadline)
         sweep.model_generation = serving.generation
         return sweep
 

@@ -10,6 +10,7 @@ from repro.mips.options import (
     GRADTOL,
     MAX_STEPSIZE,
     SIGMA,
+    SIGMA_END,
     XI,
     Z0,
     MIPSOptions,
@@ -24,6 +25,7 @@ __all__ = [
     "COSTTOL",
     "XI",
     "SIGMA",
+    "SIGMA_END",
     "Z0",
     "MAX_STEPSIZE",
     "BOUND_EQ_TOL",

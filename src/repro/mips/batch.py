@@ -28,8 +28,8 @@ the linear algebra: every iteration assembles all active scenarios' KKT
 systems at once through plan-based batched kernels
 (:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to
 **one** :meth:`~repro.mips.ldl.LDLSolver.solve_blocks` call, which
-refactorises the whole plane over the plan's symbolic analysis (a cold row the
-step cascade loses takes a second, fresh pass).  The problem enters as a
+refactorises the whole plane over the plan's symbolic analysis (a
+predictor–corrector row the step cascade loses takes a second, fresh pass).  The problem enters as a
 :class:`LockstepPlan` — everything derived from the problem structure alone:
 bound partition, canonical templates, transpose plans, the assembler, the
 analysis of its KKT pattern — which callers that solve one structure
@@ -80,22 +80,68 @@ tolerances, ``XI``, ``SIGMA``, ``Z0``, ``MAX_STEPSIZE`` and ``BOUND_EQ_TOL``
 are the constants of :mod:`repro.mips.options`, and
 :class:`~repro.mips.options.MIPSOptions` sets only the iteration cap.
 
-**Two step rules, chosen per row.**  A row that brings any warm component
-(``x``, ``λ``, ``µ`` or ``Z``, per its ``*_mask``) takes MATPOWER's
-**fixed-σ** step: one KKT solve with the barrier target ``γ = SIGMA·zᵀµ/niq``
-of the previous iteration.  A row that brings none — a *cold* row — takes
-Mehrotra's **predictor–corrector** step (Mehrotra 1992; for OPF, Torres &
-Quintana 1998) through :class:`_Centring`:
+**The entry rule, then the endgame.**  A row that brings warm ``µ`` or ``Z``
+(per ``mu0_mask`` / ``z0_mask``) enters at MATPOWER's entry and takes
+MATPOWER's **fixed-σ** step: one KKT solve with the barrier target
+``γ = SIGMA·zᵀµ/niq`` of the previous iteration.  Every other row — cold, or
+bringing only ``x`` and ``λ`` — enters centred (below) and takes Mehrotra's
+**predictor–corrector** step (Mehrotra 1992; for OPF, Torres & Quintana
+1998) through :class:`_Centring`:
 
 1. the predictor solves the system with ``γ = 0``; from the full steps to
    the boundary it sets ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ + α_d ΔMU_aff) / niq``
-   and ``σ = (µ_aff/µ)³`` clipped to ``[SIGMA, 1]``;
+   and ``σ = (µ_aff/µ)³`` clipped to ``[floor, 1]``, the floor being
+   ``SIGMA``;
 2. the corrector solves, on the predictor's factor, the right-hand side
    for the per-constraint target ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``; ``ΔMU``
    follows from that ``γ`` vector.
 
-The solve of a cold row is a cascade, which :class:`_Centring` runs on the
-:class:`~repro.mips.ldl.BlockSolveReport` of the iteration's
+A row whose ``feascond`` ends an iteration below ``FEASTOL`` is in the
+**endgame** for the rest of its solve: predictor–corrector steps with the
+floor ``SIGMA_END``, whichever rule it entered with, so a full start leaves
+the fixed-σ step there.  With the floor at ``SIGMA`` a feasible row cuts
+complementarity by at most 10x per iteration — a traced cold case118s row
+spent its last five iterations at one decade each at full steps, and a full
+start from a row's own solution took three iterations — while superlinear
+convergence needs ``σ → 0`` near the solution (Zhang, Tapia & Dennis, SIAM J.
+Optim. 1992).  :func:`_sigma_floor` is the one place a row's rule is read.
+The trigger and the floor are fitted on cold corpora (``sample_loads`` seed
+10, 128 rows per case, 64 on case118s ±5 %), on ``HARD_ROWS``' case30s row
+(``tests/test_predictor_corrector.py``) and on full starts from each case118s
+row's own solution; mean iterations, rows lost in brackets:
+
+=================  ======  ======  =============  ======  ==========  =====
+trigger, floor     118s    118s    30s            57s     30s hard    exact
+                   ±5 %    ±20 %   ±5 / ±20 %     ±20 %   row         start
+=================  ======  ======  =============  ======  ==========  =====
+none (``SIGMA``)   15.34   15.45   12.00 / 12.23  13.00   12          3
+``FEASTOL``, .005  13.30   13.51   10.62 / (2)    10.12   12          2
+``FEASTOL``, .01   13.67   13.77   10.62 / (1)    10.91   12          2
+``FEASTOL``, .02   14.02   14.09   11.31 / 11.16  11.00   12          2
+``FEASTOL``, .05   14.69   14.74   11.48 / 11.60  11.96   12          3
+10·FEASTOL, .02    13.75   13.81   11.00 / 11.25  10.99   (cap)       2
+FEASTOL/10, .02    14.09   14.26   11.88 / 11.73  11.07   12          2
+full step, .01     13.55   13.61   (1) / 12.18    9.36    (cap)       2
+full step, .02     13.91   13.91   11.15 / 11.24  10.08   109         2
+=================  ======  ======  =============  ======  ==========  =====
+
+(A full step is ``α_p = α_d = 1``.)  The chosen pair, ``FEASTOL`` and
+``SIGMA_END`` = 0.02, loses no row and leaves no row far above its corpus's
+mean: a lower floor or a looser trigger loses case30s rows to singular KKT
+systems or the iteration cap, a full-step trigger takes single case30s rows
+to 41–114 iterations, and a tighter trigger or a higher floor gives back
+iterations.  ``FEASTOL/10`` with a 0.005 floor runs 0.1–0.6 iterations
+faster and loses nothing, but it sits next to the floor that loses rows, and
+kNN-4 takes 5.75 under both.  Every converged row certifies.
+Against no endgame, the case118s N-2 pool (96 pairs, seed 7) goes 15.43 →
+13.97, case300s (32 rows, ±5 % seed 1 / ±20 % seed 3) 16.00 / 16.22 → 14.00
+/ 14.28, case9 / case14 ±20 % 11.88 / 12.00 → 10.04 / 10.09, and on the
+case118s warm-start corpus (``tests/test_warm_start_corpus.py``) kNN-4 goes
+6.58 → 5.75 and the MTL 8.71 → 7.46.  Full starts from another load draw
+(case118s ±10 %, 64 rows, seeds 21 / 22) go 15.05 → 15.53, max 26 → 35.
+
+The solve of a predictor–corrector row is a cascade, which :class:`_Centring`
+runs on the :class:`~repro.mips.ldl.BlockSolveReport` of the iteration's
 ``solve_blocks`` call.  The corrector needs no new factorisation: each row
 back-substitutes only the change of right-hand side on the factor its
 predictor was accepted from — the base factor or a shifted retry — on top of
@@ -107,20 +153,21 @@ takes refinement from ~3.1 to ~2.0 back-substitutions per row-iteration (1.1
 on a fixed-σ row-iteration) at iteration counts within 3 %.  A row whose
 corrector is not accepted solves its fallback — the fixed-σ right-hand side —
 on the same factor; a row whose predictor failed, or whose fallback failed
-there too, takes a fresh ``solve_blocks`` pass on the fallback.  So a cold
-row whose predictor or corrector is not accepted takes the fixed-σ step that
-iteration.
+there too, takes a fresh ``solve_blocks`` pass on the fallback.  So a
+predictor–corrector row whose predictor or corrector is not accepted takes
+the fixed-σ step that iteration.
 
-**The cold entry.**  A cold row keeps MATPOWER's slacks
-``z = max(Z0, −h(x₀))`` but not its ``µ = Z0``: it enters with
-``γ₀ = max(Z0, ‖∇f(x₀)‖∞)``, read from its own entry gradient, and
-``µ = γ₀/z``, so it starts exactly centred, ``z∘µ = γ₀`` on every inequality
-row, with duals at the scale stationarity asks of them.  ``‖∇f(x₀)‖∞`` is
-2.9e3–5.2e3 on case9 … case300s; from ``µ = Z0 = 1`` a cold case118s row
-spent its first fourteen iterations on primal steps mostly below 0.4 while
-``compcond`` climbed from 4.1e2 to 4.5e3 before it fell.  The scale is the
-data's, not a constant's.  On the sixteen cold case118s rows of each of three
-perfbench ``cold118_b16`` request lists (seeds 1–3), mean iterations are
+**The centred entry.**  A row without warm ``µ`` / ``Z`` keeps MATPOWER's
+slacks ``z = max(Z0, −h(x₀))`` but not its ``µ = Z0``: it enters with
+``γ₀ = max(Z0, ‖∇f(x₀)‖∞)``, read from its own entry gradient at its own
+``x₀``, and ``µ = γ₀/z``, so it starts exactly centred, ``z∘µ = γ₀`` on every
+inequality row, with duals at the scale stationarity asks of them.
+``‖∇f(x₀)‖∞`` is 2.9e3–5.2e3 on case9 … case300s; from ``µ = Z0 = 1`` a cold
+case118s row spent its first fourteen iterations on primal steps mostly
+below 0.4 while ``compcond`` climbed from 4.1e2 to 4.5e3 before it fell.  The
+scale is the data's, not a constant's.  On the sixteen cold case118s rows of
+each of three perfbench ``cold118_b16`` request lists (seeds 1–3), before
+the endgame, mean iterations were
 
 * 15.0–15.4, 15.0–15.1, 15.4–15.5, 16.1–16.5 and 17.2 with ``γ₀`` scaled by
   0.1, 0.3, 1 (the rule), 3 and 10;
@@ -130,18 +177,26 @@ perfbench ``cold118_b16`` request lists (seeds 1–3), mean iterations are
 The centred entry also solves every cold row the ``µ = Z0`` entry lost to
 exploded or singular steps: 32 of 32 cold case300s rows of ``±5 %`` seed 1
 and ``±20 %`` seed 3 (21 and 23 before), and the single rows
-``tests/test_predictor_corrector.py`` pins.  It reads only its own row, so
-batch and subset invariance hold, and every row with a warm component keeps
-MATPOWER's entry bit for bit.
+``tests/test_predictor_corrector.py`` pins.  Rows with only ``x`` and ``λ``
+took MATPOWER's entry until the endgame came, and lost to it: on case118s
+±10 % rows started from another draw's solutions (64 rows, seeds 21 / 22),
+``x``-only starts took 51.1 mean iterations (63/64 converged) and ``x + λ``
+starts 132.6 (44/64) with the fixed-σ step, 14.1 (64/64 each) centred.  The
+endgame does not rescue them: two N-2 rows started from their own ``x`` and
+``λ`` (``tests/test_mixed_topology_lockstep.py``) took 150 and 139 iterations
+with the fixed-σ step, failed after 56 and took 110 with the fixed-σ step and
+the endgame, and take 14 and 13 centred.  The entry reads only
+its own row, so batch and subset invariance hold, and every row with warm
+``µ`` or ``Z`` keeps MATPOWER's entry bit for bit.
 
-The clip keeps cold rows robust: the pure ``(µ_aff/µ)³`` failed 16 of 64
-case30s ±10 % rows from the ``µ = Z0`` entry, mostly on singular KKT systems,
-and a ``σ`` above 1 made case9 steps explode.  The row rule keeps
-warm rows safe: with predictor–corrector steps on every row, full starts
-from another load draw took 14.8 instead of 7.4 mean iterations on case118s,
-and ``x``-only starts converged on 14 of 16 rows instead of 16.  Mean MIPS
-iterations of cold rows, 16 rows per case, ``sample_loads`` seed 12345
-(N-2: sixteen pairs, seed 7):
+The clip keeps predictor–corrector rows robust: the pure ``(µ_aff/µ)³``
+failed 16 of 64 case30s ±10 % rows from the ``µ = Z0`` entry, mostly on
+singular KKT systems, and a ``σ`` above 1 made case9 steps explode.  The
+entry rule keeps full starts safe: with predictor–corrector steps on every
+row from entry, full starts from another load draw took 14.8 instead of 7.4
+mean iterations on case118s.  Mean MIPS iterations of cold rows, 16 rows per
+case, ``sample_loads`` seed 12345 (N-2: sixteen pairs, seed 7), before the
+endgame:
 
 =================  ===========  =====================  =====================
 rows               fixed σ      predictor–corrector,   predictor–corrector,
@@ -155,12 +210,12 @@ case30s ±10 %      23.6         18.4                   12.0
 case57s ±5 %       24.4         26.6                   13.0
 =================  ===========  =====================  =====================
 
-(``tests/test_predictor_corrector.py`` prints the fixed-σ and centred-entry
-columns; every row converges and certifies under both rules.)  A
-predictor–corrector iteration costs one factorisation and two solves, so on
-case118s it spends about two refinement back-substitutions per row-iteration
-against 1.1 for a fixed-σ one, and still takes under a third of the fixed-σ
-iterations.  Warm rows keep the fixed-σ step bit for bit.
+(``tests/test_predictor_corrector.py`` prints the fixed-σ column and the
+production rule's, 10.1–14.1 with the endgame; every row converges and
+certifies under both.)  A predictor–corrector iteration costs one
+factorisation and two solves, so on case118s it spends about two refinement
+back-substitutions per row-iteration against 1.1 for a fixed-σ one, and still
+takes about a quarter of the fixed-σ iterations.
 
 ``idx`` carries the original batch positions of the rows of ``X`` so callbacks
 can look up per-scenario data (loads, outages) for the shrinking active set.
@@ -184,6 +239,7 @@ from repro.mips.options import (
     GRADTOL,
     MAX_STEPSIZE,
     SIGMA,
+    SIGMA_END,
     XI,
     Z0,
     MIPSOptions,
@@ -271,6 +327,14 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, scale: float) -> np.ndarray
 def _dual_step(mu: np.ndarray, z: np.ndarray, dz: np.ndarray, target) -> np.ndarray:
     """``ΔMU`` from the linearised complementarity ``z∘µ = target``."""
     return -mu + (target - mu * dz) / z
+
+
+def _sigma_floor(warm_duals: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """Each row's step rule, as the floor of its predictor–corrector ``σ``:
+    ``SIGMA_END`` once the row has been feasible (the endgame), ``SIGMA`` for
+    a row that entered without warm ``µ`` / ``Z``, NaN — MATPOWER's fixed-σ
+    step — for any other row."""
+    return np.where(feasible, SIGMA_END, np.where(warm_duals, np.nan, SIGMA))
 
 
 def _selector(idx: np.ndarray, sign: float, nx: int) -> sp.csr_matrix:
@@ -506,14 +570,16 @@ class LockstepPlan:
 
 class _Centring:
     """One lockstep iteration's KKT solve (:meth:`solve`), with Mehrotra's
-    predictor–corrector step for its cold rows.
+    predictor–corrector step for its predictor–corrector rows.
 
-    The plane holds the iteration's active rows; ``rows`` are the cold ones
-    (none when every row is warm), whose right-hand sides were assembled
-    with ``γ = 0`` (the predictor).  From a predictor solution it takes the
-    full steps to the boundary, ``α_aff^p`` and ``α_aff^d``, and sets
-    ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ + α_d ΔMU_aff) / niq``, ``σ = (µ_aff/µ)³``
-    clipped to ``[SIGMA, 1]`` and the per-row, per-constraint target
+    The plane holds the iteration's active rows; ``rows`` are the
+    predictor–corrector ones (none when every row takes the fixed-σ step),
+    whose right-hand sides were assembled with ``γ = 0`` (the predictor), and
+    ``floor`` holds each plane row's σ floor (:func:`_sigma_floor`).  From a
+    predictor solution it takes the full steps to the boundary, ``α_aff^p``
+    and ``α_aff^d``, and sets ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ + α_d ΔMU_aff) /
+    niq``, ``σ = (µ_aff/µ)³`` clipped to ``[floor, 1]`` and the per-row,
+    per-constraint target
     ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``.  The corrector
     right-hand side is the predictor's minus ``[Jhᵀ(γ/z); 0]``.  The
     fallback is the same with the fixed-σ target ``γ_i = gamma``.
@@ -522,8 +588,9 @@ class _Centring:
     computed row by row, so no row depends on the others.
     """
 
-    def __init__(self, plan, rows, rhs_plane, Jh_data, H, z, mu, gamma) -> None:
+    def __init__(self, plan, rows, floor, rhs_plane, Jh_data, H, z, mu, gamma) -> None:
         self.rows = rows
+        self._floor = floor
         self._plan = plan
         self._rhs, self._Jh, self._H = rhs_plane, Jh_data, H
         self._z, self._mu, self._gamma = z, mu, gamma
@@ -556,7 +623,7 @@ class _Centring:
             niq = z.shape[1]
             mu_now = np.einsum("ij,ij->i", z, mu) / niq
             mu_aff = np.einsum("ij,ij->i", z + ap[:, None] * dz, mu + ad[:, None] * dmu) / niq
-            sigma_mu = np.clip((mu_aff / mu_now) ** 3, SIGMA, 1.0) * mu_now
+            sigma_mu = np.clip((mu_aff / mu_now) ** 3, self._floor[rows], 1.0) * mu_now
             self.sigma_mu[rows] = sigma_mu
             rhs = self._shifted(rows, sigma_mu[:, None] - dz * dmu)
         self.rhs_seconds += time.perf_counter() - t0
@@ -572,8 +639,9 @@ class _Centring:
         return rhs
 
     def solve(self, solver: LDLSolver, data_plane: np.ndarray) -> BlockSolveReport:
-        """The iteration's KKT solve: the plane, then the cold rows' cascade
-        (module docstring).  Every other row keeps its first solution."""
+        """The iteration's KKT solve: the plane, then the predictor–corrector
+        rows' cascade (module docstring).  Every other row keeps its first
+        solution."""
         tol = np.full(self._rhs.shape[0], solver.refine_tol)
         tol[self.rows] = solver.residual_tol
         report = solver.solve_blocks(data_plane, self._rhs, tol)
@@ -619,7 +687,6 @@ def mips_batch(
     lam0_mask: Optional[np.ndarray] = None,
     mu0_mask: Optional[np.ndarray] = None,
     z0_mask: Optional[np.ndarray] = None,
-    x0_mask: Optional[np.ndarray] = None,
     options: Optional[MIPSOptions] = None,
     deadline: Optional[object] = None,
 ) -> List[MIPSResult]:
@@ -634,9 +701,9 @@ def mips_batch(
     nonlinear-constraint Jacobians and the Lagrangian Hessian whose data
     planes the callbacks produce.
 
-    ``x0`` always holds a start; ``x0_mask`` flags the rows where it is a
-    warm start (none when omitted).  A row with no warm component takes
-    predictor–corrector steps, every other row fixed-σ steps (module
+    ``x0`` always holds a start.  A row with warm ``µ`` or ``Z`` enters at
+    MATPOWER's entry and takes fixed-σ steps until it is feasible; every
+    other row enters centred and takes predictor–corrector steps (module
     docstring).
 
     **Deadlines.**  ``deadline`` is an absolute wall deadline on the
@@ -670,12 +737,6 @@ def mips_batch(
     lam0v, lam_m = _warm_rows(lam0, lam0_mask, batch, plan.partition.n_eq, "lam0")
     mu0v, mu_m = _warm_rows(mu0, mu0_mask, batch, plan.partition.n_ineq, "mu0")
     z0v, z_m = _warm_rows(z0, z0_mask, batch, plan.partition.n_ineq, "z0")
-    if x0_mask is None:
-        x_m = np.zeros(batch, dtype=bool)
-    else:
-        x_m = np.asarray(x0_mask, dtype=bool)
-        if x_m.shape != (batch,):
-            raise ValueError(f"x0 mask must have shape ({batch},)")
 
     xmin, xmax = plan.xmin, plan.xmax
     eq_idx, ub_idx, lb_idx = plan.eq_idx, plan.ub_idx, plan.lb_idx
@@ -711,9 +772,11 @@ def mips_batch(
     histories: List[List[IterationRecord]] = [[] for _ in range(batch)]
     results: List[Optional[MIPSResult]] = [None] * batch
     active = np.ones(batch, dtype=bool)
-    #: Rows that entered with no warm component: they take predictor–corrector
-    #: steps, every other row the fixed-σ step.
-    cold = ~(x_m | lam_m | mu_m | z_m)
+    #: Rows that entered with warm µ or Z, and rows that have ended an
+    #: iteration feasible: together they set each row's step rule
+    #: (:func:`_sigma_floor`).
+    warm_duals = mu_m | z_m
+    endgame = np.zeros(batch, dtype=bool)
     #: Accepted singular-KKT recoveries per scenario.
     reg_counts = np.zeros(batch, dtype=int)
     #: Additive wall share per scenario: every iteration's wall time is split
@@ -807,8 +870,8 @@ def mips_batch(
 
     # ----------------------------------------------------------------- entry
     # Primal clamp into bounds, entry evaluation, dual initialisation
-    # (MATPOWER's for a row with any warm component, centred at the
-    # objective's scale for a cold one), entry conditions, and immediate
+    # (MATPOWER's for a row with warm µ or Z, centred at the objective's
+    # scale for any other), entry conditions, and immediate
     # retirement of rows that are already converged.
     t_entry = time.perf_counter()
     every = np.arange(batch)
@@ -823,7 +886,7 @@ def mips_batch(
     if lam0v is not None and np.any(lam_m):
         lam[lam_m] = lam0v[lam_m]
     if niq:
-        # MATPOWER's entry, which every row with a warm component keeps.
+        # MATPOWER's entry, which every row with warm µ or Z keeps.
         below = H < -Z0
         z[below] = -H[below]
         if z0v is not None and np.any(z_m):
@@ -832,15 +895,15 @@ def mips_batch(
         mu[big] = Z0 / z[big]
         if mu0v is not None and np.any(mu_m):
             mu[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
-        # A cold row enters centred at its objective's scale:
+        # A predictor–corrector row enters centred at its objective's scale:
         # γ₀ = max(Z0, ‖∇f(x₀)‖∞) and µ = γ₀/z, so z∘µ = γ₀ on every row.
-        if np.any(cold):
-            gamma[cold] = np.maximum(Z0, np.abs(dF[cold]).max(axis=1))
-            mu[cold] = gamma[cold, None] / z[cold]
-        warm = mu_m | z_m
-        if np.any(warm):
-            gamma[warm] = np.maximum(
-                SIGMA * np.einsum("ij,ij->i", z[warm], mu[warm]) / niq, 1e-12
+        entering = ~np.isnan(_sigma_floor(warm_duals, endgame))
+        if np.any(entering):
+            gamma[entering] = np.maximum(Z0, np.abs(dF[entering]).max(axis=1))
+            mu[entering] = gamma[entering, None] / z[entering]
+        if np.any(warm_duals):
+            gamma[warm_duals] = np.maximum(
+                SIGMA * np.einsum("ij,ij->i", z[warm_duals], mu[warm_duals]) / niq, 1e-12
             )
 
     lagrangian_gradient(every)
@@ -906,11 +969,14 @@ def mips_batch(
         # ------------------- batched assembly, then one solve for the active set
         # The shared phases are split evenly across the active set, like the
         # batched evaluation phases.
-        # A cold row's right-hand side is its predictor (γ = 0); the centring
-        # solves the plane and then the cold rows' correctors.
+        # A predictor–corrector row's right-hand side is its predictor
+        # (γ = 0); the centring solves the plane and then those rows'
+        # correctors.
         t0 = time.perf_counter()
         Jh_a, H_a, z_a, mu_a = Jh_data[idx], H[idx], z[idx], mu[idx]
-        centred = np.flatnonzero(cold[idx]) if niq else np.zeros(0, dtype=np.int64)
+        floor = _sigma_floor(warm_duals[idx], endgame[idx])
+        pc = ~np.isnan(floor) & bool(niq)
+        centred = np.flatnonzero(pc)
         gamma_a = gamma[idx]
         if centred.size:
             gamma_a = gamma_a.copy()
@@ -918,7 +984,7 @@ def mips_batch(
         kkt_plane, rhs_plane = assembler.build(
             Hdata, Jg_data[idx], Jh_a, Lx[idx], G[idx], H_a, z_a, mu_a, gamma_a
         )
-        centring = _Centring(plan, centred, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma[idx])
+        centring = _Centring(plan, centred, floor, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma[idx])
         asm_dt = time.perf_counter() - t0
 
         # The solve's wall splits into factorisation, the centring's
@@ -957,9 +1023,10 @@ def mips_batch(
         s = idx[ok]
         DXs = sol[ok, :nx]
         Dlams = sol[ok, nx:]
-        # ``s[i]`` is plane row ``okpos[i]``; ``centred_s`` indexes its cold rows.
+        # ``s[i]`` is plane row ``okpos[i]``; ``centred_s`` indexes its
+        # predictor–corrector rows.
         okpos = np.flatnonzero(ok)
-        centred_s = np.flatnonzero(cold[s] & bool(centred.size))
+        centred_s = np.flatnonzero(pc[ok])
 
         # ------------------------------------------ batched step-length update
         if niq:
@@ -996,6 +1063,7 @@ def mips_batch(
         phase["eval"][s] += dt / s.size
         lagrangian_gradient(s)
         conditions(s, F0s)
+        endgame[s] |= conds[s, 0] < FEASTOL
 
         step_sizes = np.abs(DXs).max(axis=1) if nx else np.zeros(s.size)
         for pos, b in enumerate(s):

@@ -23,6 +23,9 @@ XI = 0.99995
 #: Centering parameter of the barrier update ``gamma = SIGMA * zᵀµ / niq``
 #: (the fixed-σ step), and the floor of the predictor–corrector ``σ``.
 SIGMA = 0.1
+#: Floor of the predictor–corrector ``σ`` once a row is feasible (its
+#: ``feascond`` below ``FEASTOL``): the endgame of :mod:`repro.mips.batch`.
+SIGMA_END = 0.02
 #: Floor of the initial slacks.  MATPOWER's entry also starts the multipliers
 #: and the barrier target of a row with no warm duals at it; a cold row's
 #: barrier target is ``max(Z0, ‖∇f(x₀)‖∞)`` instead (:mod:`repro.mips.batch`).

@@ -527,9 +527,8 @@ def solve_opf_batch(
 
     x_default = model.default_start()
     X0 = np.tile(x_default, (batch, 1))
-    x_mask = np.array([w is not None and w.x is not None for w in warm_starts])
     for i, warm in enumerate(warm_starts):
-        if x_mask[i]:
+        if warm is not None and warm.x is not None:
             x = np.asarray(warm.x, dtype=float)
             if x.shape != x_default.shape:
                 raise ValueError(
@@ -569,7 +568,6 @@ def solve_opf_batch(
         lam0_mask=lam_mask,
         mu0_mask=mu_mask,
         z0_mask=z_mask,
-        x0_mask=x_mask,
         options=options,
         deadline=deadline,
     )

@@ -424,6 +424,8 @@ class SolverFleet:
     reusing a caller-provided :class:`OPFModel`); larger fleets hold a spawn
     pool whose workers stay alive across :meth:`solve` calls, so a serving
     engine pays process start-up and model construction once, not per batch.
+    A case that :class:`OPFModel` rejects raises at construction, before any
+    worker spawns, whatever the worker count.
 
     A pooled fleet cuts a sweep into auto-sized micro-batches
     (:func:`~repro.parallel.scheduler.make_microbatches`) that the pool hands
@@ -466,6 +468,9 @@ class SolverFleet:
         self.crash_retries = crash_retries
         self._pool: Optional[SupervisedPool] = None
         self._state: Optional[WorkerState] = None
+        # The model validates the case here, before any worker spawns, so a
+        # case it rejects raises the same error at every worker count.
+        model = OPFModel(case) if model is None else model
         if n_workers == 1:
             self._state = WorkerState(case, self.options, faults, model=model)
         else:

@@ -6,7 +6,9 @@ interior-point loop (``mips()`` with its own KKT assembler) rather than the
 one-row case of the lockstep solver.  The file keeps that loop's answers
 after its code was deleted; ``tests/test_scalar_reference.py`` compares the
 one-row path against them.  Re-running the script today records the one-row
-path instead, so regenerate only to extend the corpus on purpose.
+path instead, on MATPOWER's entry and fixed-σ step
+(:func:`reference.steps.fixed_sigma`), so regenerate only to extend the
+corpus on purpose.
 
 Every entry stores its inputs next to its answer, so the test rebuilds each
 problem from the file alone:
@@ -38,6 +40,7 @@ from repro.parallel import Scenario
 # ``reference`` is the test-side package in ``tests/``, one level up.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from reference.qp import qps_mips  # noqa: E402
+from reference.steps import fixed_sigma  # noqa: E402
 
 OUT = Path(__file__).with_name("scalar_reference.npz")
 
@@ -132,6 +135,7 @@ def build() -> dict:
 
 
 if __name__ == "__main__":
-    corpus = build()
+    with fixed_sigma():
+        corpus = build()
     np.savez_compressed(OUT, **corpus)
     print(f"wrote {len(corpus)} arrays to {OUT}")

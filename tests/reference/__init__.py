@@ -16,6 +16,8 @@ that phrase small problems for the lockstep solver:
   against, the in-process switch that runs ``mips_batch`` on it, the
   one-system ``solve`` with its ``KKTSolveError``, and the recorded KKT
   planes of a real solve;
+* :mod:`reference.steps` — the in-process switch that runs every
+  ``mips_batch`` row on MATPOWER's entry and fixed-σ step;
 * :mod:`reference.faults` — the artifact-corruption builder;
 * :mod:`reference.starts` — the NN-1 and train-mean warm starts the served
   retrieval start and the MTL are ranked against.

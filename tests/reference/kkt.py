@@ -11,8 +11,8 @@ solves a plane and returns a handle — ``solutions``, ``failed``,
 ``regularizations``, ``perturbed``, ``factor_seconds`` and
 ``resolve(rows, rhs, strict)``, a back-solve on a row's own factor — and
 ``telemetry()`` reports its one counter.  So :func:`kkt_solve` can put it in
-``LDLSolver``'s place for the duration of a ``with`` block, and the cold rows'
-predictor–corrector cascade, which ``mips_batch`` runs on the handle, runs on
+``LDLSolver``'s place for the duration of a ``with`` block, and the
+predictor–corrector rows' cascade, which ``mips_batch`` runs on the handle, runs on
 SuperLU factors unchanged.  The swap is in-process: a spawned fleet worker
 imports an unpatched ``repro``.
 
@@ -49,7 +49,8 @@ import repro.mips.batch
 from repro.grid import get_case
 from repro.mips import MIPSOptions
 from repro.mips.ldl import LDLSolver, LDLSymbolic, as_planes
-from repro.opf import OPFModel, WarmStart, solve_opf_batch
+from repro.opf import OPFModel, solve_opf_batch
+from reference.steps import fixed_sigma
 
 
 class KKTSolveError(RuntimeError):
@@ -107,7 +108,7 @@ class FactorizedSolver:
     """
 
     name = "factorized"
-    #: The production refinement target the cold rows' cascade reads; a
+    #: The production refinement target the predictor–corrector cascade reads; a
     #: direct solve is not refined, so the reference ignores ``tol``.
     refine_tol = LDLSolver.refine_tol
 
@@ -241,9 +242,9 @@ def recorded_kkts(
     width-1 lockstep solve of ``name`` from its default start at its nominal
     loads, ``outage`` branches switched off.
 
-    The default ``x`` enters as a warm ``x``, so the systems are those of
-    MATPOWER's fixed-σ trajectory (~55 on case118s), the same corpus
-    whichever step rule a true cold row takes."""
+    The solve runs inside :func:`reference.steps.fixed_sigma`, so the systems
+    are those of MATPOWER's fixed-σ trajectory (~55 on case118s), the same
+    corpus whichever step rule production takes."""
     case = get_case(name)
     if outage:
         case = case.with_loads(case.bus.Pd, case.bus.Qd)
@@ -256,12 +257,11 @@ def recorded_kkts(
         return original(self, data_plane, rhs_plane, tol)
 
     model = OPFModel(case)
-    with mock.patch.object(LDLSolver, "solve_blocks", recording):
+    with fixed_sigma(), mock.patch.object(LDLSolver, "solve_blocks", recording):
         solve_opf_batch(
             case,
             case.bus.Pd[None, :],
             case.bus.Qd[None, :],
-            warm_starts=[WarmStart(x=model.default_start())],
             options=MIPSOptions(max_it=max_it),
             model=model,
         )

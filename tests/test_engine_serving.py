@@ -224,10 +224,10 @@ def test_serving_inference_is_batch_width_invariant(engine9, dataset9):
 
 
 # ------------------------------------------------------------- outage rows
-def test_engine_serves_outage_rows_cold(engine9, case9_fixture):
-    """A row that carries an outage set is served cold: its iterations and
-    objective bits are those of ``fleet.solve(rows, None)``, while the intact
-    rows of the same request keep their warm starts."""
+def test_engine_serves_outage_rows_their_retrieval_start(engine9, case9_fixture):
+    """A row that carries an outage set is served its retrieval start like
+    an intact row: the iterations and objective bits of every row of a mixed
+    request are those of ``fleet.solve(rows, warm_starts_for(rows))``."""
     outage_rows = generate_contingency_set(case9_fixture, 4, k=1, variation=0.05, seed=31)
     assert all(s.outage_branches for s in outage_rows)
     intact_rows = generate_scenarios(case9_fixture, 3, variation=0.05, seed=32)
@@ -236,12 +236,14 @@ def test_engine_serves_outage_rows_cold(engine9, case9_fixture):
         [Scenario(i, s.Pd, s.Qd, s.outage_branches) for i, s in enumerate([*outage_rows, *intact_rows])],
     )
     served = {o.scenario_id: o for o in engine9.serve(mixed).outcomes}
+    starts = engine9.warm_starts_for(mixed.feature_matrix(case9_fixture.base_mva))
     with SolverFleet(case9_fixture) as fleet:
+        expected = fleet.solve(mixed, starts).outcomes
         cold = fleet.solve(outage_rows, None).outcomes
-        warm = fleet.solve(
-            intact_rows, engine9.warm_starts_for(intact_rows.feature_matrix(case9_fixture.base_mva))
-        ).outcomes
-    for i, want in enumerate([*cold, *warm]):
+    assert any(
+        got.iterations != c.iterations for got, c in zip(expected, cold)
+    ), "the outage rows' starts must change their solves"
+    for i, want in enumerate(expected):
         got = served[i]
         assert (got.success, got.used_fallback) == (want.success, want.used_fallback)
         assert (got.iterations, got.final_iterations) == (want.iterations, want.final_iterations)

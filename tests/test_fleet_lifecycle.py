@@ -8,6 +8,7 @@ typed error, not an endless respawn.  Degenerate (empty) requests are valid
 and return empty results instead of raising.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -15,8 +16,11 @@ import time
 
 import pytest
 
+import repro.parallel.pool as pool_module
 from repro.grid.components import REF
+from repro.mips import MIPSOptions
 from repro.parallel import PoolClosedError, SolverFleet, SweepResult, generate_scenarios
+from repro.parallel.supervision import SupervisedPool
 from repro.parallel.scenarios import ScenarioSet
 from repro.testing.faults import FaultPlan, kill_worker, stall_solve
 
@@ -92,11 +96,11 @@ def test_crash_respawn_keeps_worker_count_and_fleet_reusable(case9_fixture, scen
         assert a.objective == b.objective
 
 
-def _run_bounded(fleet, sweep, bound=60.0):
+def _run_bounded(abort, sweep, bound=60.0):
     """Run ``sweep()`` in a thread joined with ``bound`` seconds.
 
     Returns ``(finished, value, error)``.  A sweep still running at the bound
-    is aborted with ``fleet.close()``, so a hang fails the test, not the job.
+    is aborted with ``abort()``, so a hang fails the test, not the job.
     """
     box = {}
 
@@ -111,7 +115,7 @@ def _run_bounded(fleet, sweep, bound=60.0):
     thread.join(bound)
     finished = not thread.is_alive()
     if not finished:
-        fleet.close()
+        abort()
         thread.join(15)
     return finished, box.get("value"), box.get("error")
 
@@ -129,7 +133,7 @@ def test_killed_idle_workers_respawn_and_the_next_sweep_returns(case9_fixture, s
         for proc in fleet._pool.processes:
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=10)
-        finished, second, error = _run_bounded(fleet, lambda: fleet.solve(scenarios9))
+        finished, second, error = _run_bounded(fleet.close, lambda: fleet.solve(scenarios9))
         assert finished, "the sweep after the idle kills did not return"
         assert error is None
         assert fleet._pool.respawns == 2
@@ -139,19 +143,41 @@ def test_killed_idle_workers_respawn_and_the_next_sweep_returns(case9_fixture, s
     ]
 
 
-def test_worker_start_failure_raises_instead_of_respawning(case9_fixture, scenarios9):
-    """A case the worker model rejects fails the sweep once; nothing is left alive."""
-    bad = case9_fixture.copy()
+def _two_reference_buses(case):
+    bad = case.copy()
     bad.bus.bus_type[bad.pv_bus_indices()[0]] = REF
-    with pytest.raises(ValueError, match="reference bus"):
-        SolverFleet(bad, n_workers=1)
-    fleet = SolverFleet(bad, n_workers=2)
+    return bad
+
+
+def test_fleet_rejects_a_bad_case_before_spawning(case9_fixture, monkeypatch):
+    """A case ``OPFModel`` rejects raises the same ``ValueError`` at
+    construction, in-process or pooled, and no worker is spawned."""
+    bad = _two_reference_buses(case9_fixture)
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned for a case the parent rejects")
+
+    monkeypatch.setattr(pool_module, "SupervisedPool", no_spawn)
+    before = set(multiprocessing.active_children())
+    for n_workers in (1, 2):
+        with pytest.raises(ValueError, match="reference bus"):
+            SolverFleet(bad, n_workers=n_workers)
+    assert set(multiprocessing.active_children()) == before
+
+
+def test_worker_start_failure_raises_instead_of_respawning(case9_fixture):
+    """A worker whose start fails (here: a case its model rejects, handed to
+    the pool past the fleet's check) fails the pool's first event once;
+    nothing is left alive."""
+    bad = _two_reference_buses(case9_fixture)
+    pool = SupervisedPool(2, initializer=pool_module._init_worker, initargs=(bad, MIPSOptions()))
     try:
-        finished, _, error = _run_bounded(fleet, lambda: fleet.solve(scenarios9))
-        procs = list(fleet._pool.processes) if fleet._pool is not None else []
+        pool.submit(pool_module._solve_task, None)
+        finished, _, error = _run_bounded(pool.terminate, pool.next_event)
+        procs = pool.processes
     finally:
-        fleet.close()
-    assert finished, "the sweep on a fleet whose workers cannot start did not return"
+        pool.terminate()
+    assert finished, "a pool whose workers cannot start did not raise"
     assert type(error) is RuntimeError and "before it was ready" in str(error)
     for proc in procs:
         proc.join(timeout=10)

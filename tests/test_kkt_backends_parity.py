@@ -210,7 +210,7 @@ def test_warm_sweep_parity_across_backends(small_case_setup):
 def test_case118s_sweep_parity_across_backends():
     """The largest bundled system: cold + warm lockstep sweeps, all backends.
 
-    Cold case118s trajectories run ~15 predictor–corrector iterations (~55
+    Cold case118s trajectories run ~14 predictor–corrector iterations (~55
     fixed-σ ones), enough chaotic amplification that two correct linear solvers land a few 1e-8
     relative units apart in objective — so the cold leg asserts
     success/objective agreement at 1e-6 relative.  On the warm leg (the

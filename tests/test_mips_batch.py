@@ -29,6 +29,7 @@ from repro.opf.constraints import constraint_function
 from reference.opf_hessian import lagrangian_hessian
 from repro.parallel import SolverFleet, generate_scenarios
 from reference.kkt import kkt_solve
+from reference.steps import fixed_sigma
 from reference.sparse import csr_from_template
 
 
@@ -338,12 +339,7 @@ def _singular_slot_qp(batch=3, nx=5, neq=2, niq=2, seed=4, consistent=True, rows
     def hess_fcn(X, lam_nl, mu_nl, idx):
         return H[idx].reshape(idx.size, -1)
 
-    # The origin enters as a warm x: the singular slot meets its singular
-    # systems on the fixed-σ trajectory, where the shifted retry heals them.
-    kwargs = dict(
-        gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq),
-        x0_mask=np.ones(c.shape[0], dtype=bool),
-    )
+    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
     return f_fcn, np.zeros((c.shape[0], nx)), kwargs
 
 
@@ -353,7 +349,7 @@ def test_batch_singular_slot_recovered_by_regularization(backend):
     regularisation retry on both backends, and the recovery count is
     surfaced on exactly that scenario's result."""
     f_fcn, x0, kwargs = _singular_slot_qp()
-    with kkt_solve(backend):
+    with kkt_solve(backend), fixed_sigma():
         results = mips_batch(f_fcn, x0, **kwargs)
     assert all(r.converged for r in results)
     assert results[1].kkt_regularizations > 0
@@ -370,7 +366,7 @@ def test_batch_singular_slot_neighbours_bit_unaffected():
     included.
     """
     for backend in ("factorized", "ldl"):
-        with kkt_solve(backend):
+        with kkt_solve(backend), fixed_sigma():
             f_fcn, x0, kwargs = _singular_slot_qp()
             batched = mips_batch(f_fcn, x0, **kwargs)
             alones = []
@@ -392,7 +388,7 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
     """An *inconsistent* singular slot is rejected by the residual check and
     classified as a singular-KKT failure; its neighbours still converge."""
     f_fcn, x0, kwargs = _singular_slot_qp(consistent=False)
-    with kkt_solve(backend):
+    with kkt_solve(backend), fixed_sigma():
         results = mips_batch(f_fcn, x0, **kwargs)
     assert not results[1].converged
     assert "singular KKT" in results[1].message
@@ -526,7 +522,7 @@ def test_each_failure_message_retires_only_its_row(backend):
 def test_batch_all_slots_singular_still_recovers():
     """Even when every slot is singular from the first iteration, the
     regularised retry recovers the whole batch on both backends (on the
-    fixed-σ trajectory: the origin enters as a warm x)."""
+    fixed-σ trajectory)."""
     import numpy as _np
 
     rng = _np.random.default_rng(4)
@@ -558,14 +554,13 @@ def test_batch_all_slots_singular_still_recovers():
         return H[idx].reshape(idx.size, -1)
 
     for backend in ("factorized", "ldl"):
-        with kkt_solve(backend):
+        with kkt_solve(backend), fixed_sigma():
             results = mips_batch(
                 f_fcn,
                 _np.zeros((batch, nx)),
                 gh_fcn=gh_fcn,
                 hess_fcn=hess_fcn,
                 plan=_dense_qp_plan(nx, neq, niq),
-                x0_mask=_np.ones(batch, dtype=bool),
             )
         assert all(r.converged for r in results)
         assert all(r.kkt_regularizations > 0 for r in results)

@@ -1,29 +1,35 @@
-"""Predictor–corrector steps for cold rows, against the fixed-σ step they replace.
+"""Predictor–corrector steps and the endgame, against the fixed-σ step they replace.
 
-A row that enters ``mips_batch`` with no warm component (none of ``x``, ``λ``,
-``µ``, ``Z``) takes Mehrotra predictor–corrector steps from a centred entry at
-its objective's scale — ``γ₀ = max(Z0, ‖∇f(x₀)‖∞)`` and ``µ = γ₀/z``, so
-``z∘µ = γ₀`` on every inequality row; a row with any warm component takes
-MATPOWER's entry and fixed-σ step.  The fixed-σ reference of a cold row is
-the same row with its default ``x`` passed as a warm ``x``.
+A row that enters ``mips_batch`` without warm ``µ`` / ``Z`` — cold, or with
+only ``x`` and ``λ`` — takes Mehrotra predictor–corrector steps from a
+centred entry at its objective's scale: ``γ₀ = max(Z0, ‖∇f(x₀)‖∞)`` at its
+own ``x₀`` and ``µ = γ₀/z``, so ``z∘µ = γ₀`` on every inequality row.  A row
+with warm ``µ`` or ``Z`` takes MATPOWER's entry and fixed-σ step.  Once a row
+is feasible (``feascond`` below ``FEASTOL``) it takes predictor–corrector
+steps with ``σ ≥ SIGMA_END`` for the rest of its solve: the endgame.  The
+fixed-σ reference of a row is the same row inside
+:func:`reference.steps.fixed_sigma`.
 
 The suite is clock-free: it checks convergence, the KKT certificate and
 iteration counts on cold rows of five cases and sixteen case118s N-2 pairs;
 the rows the predictor–corrector step once failed (case300s batches and
-single rows of four other cases); the entry of every kind of row; then the
-row contract of a batch that mixes warm, partial and cold rows — each row is
-bitwise the row solved alone, the warm and partial rows are bitwise their
-all-warm batch, and a subset or reordering changes no bit.  Run with ``-s`` to see
-each case's two mean iteration counts.
+single rows of four other cases); the case30s corpora a full-step endgame
+trigger lost rows of; a full start from a row's own solution; the entry of
+every kind of row; then the row contract of a batch that mixes warm, partial
+and cold rows — each row is bitwise the row solved alone, the warm and
+partial rows are bitwise their all-warm batch, and a subset or reordering
+changes no bit.  Run with ``-s`` to see each case's two mean iteration
+counts.
 """
 
 import numpy as np
 import pytest
 
 import repro.mips.batch as batch_module
+from reference.steps import fixed_sigma
 from repro.grid import get_case
 from repro.grid.perturb import sample_loads
-from repro.mips import SIGMA, Z0, MIPSOptions
+from repro.mips import FEASTOL, SIGMA, Z0, MIPSOptions
 from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf_batch
 
 #: ``(case, load variation)`` of the intact corpus, 16 rows each.
@@ -55,6 +61,11 @@ HARD_ROWS = (
 )
 #: Largest allowed mean iterations of a cold case300s batch.
 MEAN_300 = 20
+#: ``(load variation, sample_loads seed)`` of the case30s corpora, 128 rows
+#: each: an endgame triggered by a full step with a 0.01 σ floor lost a row
+#: of the first, and a ``feascond`` trigger with a 0.01 floor one of the
+#: second.
+CORPORA_30 = ((0.05, 10), (0.2, 10))
 
 
 def _loads(case, n, variation, seed):
@@ -62,17 +73,11 @@ def _loads(case, n, variation, seed):
     return np.array([s.Pd for s in samples]), np.array([s.Qd for s in samples])
 
 
-def _fixed_sigma(model, n):
-    """Warm starts holding only the default x: the fixed-σ step."""
-    return [WarmStart(x=model.default_start())] * n
-
-
 def _both_rules(case, Pd, Qd, outages=None):
     model = OPFModel(case)
     cold = solve_opf_batch(case, Pd, Qd, model=model, outages=outages)
-    fixed = solve_opf_batch(
-        case, Pd, Qd, model=model, outages=outages, warm_starts=_fixed_sigma(model, len(Pd))
-    )
+    with fixed_sigma():
+        fixed = solve_opf_batch(case, Pd, Qd, model=model, outages=outages)
     return cold, fixed
 
 
@@ -134,6 +139,27 @@ def test_hard_cold_row_converges_and_certifies(name, n, variation, seed, row, ou
     _assert_certified(case, rows, Pd, Qd, [outage])
 
 
+@pytest.mark.parametrize("variation, seed", CORPORA_30)
+def test_case30s_corpus_converges_and_certifies(variation, seed):
+    case = get_case("case30s")
+    Pd, Qd = _loads(case, 128, variation, seed)
+    rows = solve_opf_batch(case, Pd, Qd, model=OPFModel(case))
+    _assert_certified(case, rows, Pd, Qd, [()] * len(rows))
+
+
+def test_full_start_from_its_own_solution_takes_two_iterations():
+    """A row started from its own converged ``x``, ``λ``, ``µ`` and ``Z`` is
+    feasible after one fixed-σ step, and its endgame step finishes it."""
+    case = get_case("case118s")
+    model = OPFModel(case)
+    Pd, Qd = _loads(case, 8, 0.05, seed=4)
+    own = solve_opf_batch(case, Pd, Qd, model=model)
+    starts = [WarmStart(x=r.x, lam=r.lam, mu=r.mu, z=r.z) for r in own]
+    rows = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=starts)
+    _assert_certified(case, rows, Pd, Qd, [()] * len(rows))
+    assert max(r.iterations for r in rows) <= 2
+
+
 def test_cold_row_records_its_centring_target():
     """A cold row's ``IterationRecord.gamma`` is the ``σµ`` its step aimed
     at, with ``σ ∈ [SIGMA, 1]`` of the entry's ``µ``; a fixed-σ row records
@@ -143,7 +169,8 @@ def test_cold_row_records_its_centring_target():
     niq = model.batched.plan.partition.n_ineq
     Pd, Qd = case.bus.Pd[None, :], case.bus.Qd[None, :]
     (cold,) = solve_opf_batch(case, Pd, Qd, model=model)
-    (fixed,) = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=_fixed_sigma(model, 1))
+    with fixed_sigma():
+        (fixed,) = solve_opf_batch(case, Pd, Qd, model=model)
     x0 = np.clip(model.default_start(), model.batched.plan.xmin, model.batched.plan.xmax)
     mu0 = cold.history[0].compcond * (1.0 + np.abs(x0).max()) / niq
     assert SIGMA * mu0 * (1 - 1e-12) <= cold.history[1].gamma <= mu0 * (1 + 1e-12)
@@ -203,19 +230,24 @@ def test_cold_rows_enter_centred_at_the_objective_scale(mixed118):
 
 
 def test_warm_rows_keep_matpower_entry(mixed118):
-    """Any warm component keeps MATPOWER's entry: without warm duals,
-    ``z = max(Z0, −h(x₀))``, ``µ = Z0`` and ``γ = Z0``; with them, the
-    (floored) warm ``µ``/``Z`` and ``γ = SIGMA·zᵀµ/niq``."""
+    """Warm duals keep MATPOWER's entry: the (floored) warm ``µ``/``Z`` and
+    ``γ = SIGMA·zᵀµ/niq``.  A row with only ``x``, or ``x`` and ``λ``,
+    enters centred like a cold row, at its own ``x₀``: ``z = max(Z0,
+    −h(x₀))`` and ``z∘µ = γ₀ = max(Z0, ‖∇f(x₀)‖∞)``."""
     case, model, Pd, Qd, starts, _ = mixed118
     x_only = [WarmStart(x=s.x) for s in (starts[0], starts[3])]
     rows = [0, 1, 3, 5, 0, 3]
     starts = [starts[i] for i in rows[:4]] + x_only
     z, mu, gamma, H = _entry(case, model, Pd[rows], Qd[rows], starts)
-    niq = model.batched.plan.partition.n_ineq
+    plan = model.batched.plan
+    niq = plan.partition.n_ineq
     for i, start in enumerate(starts):
         if start.mu is None:
+            x0 = np.clip(start.x, plan.xmin, plan.xmax)
+            gamma0 = max(Z0, np.abs(model.batched.objective(x0[None, :])[1]).max())
+            assert gamma[i] == gamma0 > 1e3 * Z0, i
             assert np.array_equal(z[i], np.maximum(Z0, -H[i])), i
-            assert np.all(mu[i] == Z0) and gamma[i] == Z0, i
+            np.testing.assert_allclose(z[i] * mu[i], gamma0, rtol=1e-15, atol=0)
         else:
             warm = start.clipped_duals()
             assert np.array_equal(z[i], np.maximum(warm.z, 1e-10)), i
@@ -254,14 +286,31 @@ def test_subsets_with_cold_rows_change_no_bit(mixed118, rows):
     assert [_bits(full[i]) for i in rows] == [_bits(b) for b in part]
 
 
-def test_corrector_solves_count_only_cold_rows():
-    """Every cold row-iteration back-substitutes a second right-hand side on
-    its predictor's factor; fixed-σ rows never do."""
+def _endgame_iterations(row):
+    """Iterations a row took after the first one that left it feasible."""
+    feasible = [r.iteration for r in row.history[1:] if r.feascond < FEASTOL]
+    return row.iterations - feasible[0] if feasible else 0
+
+
+def test_corrector_solves_count_predictor_corrector_rows():
+    """Every predictor–corrector row-iteration back-substitutes a second
+    right-hand side on its predictor's factor: each of a cold row's, and each
+    endgame iteration of a full start.  Fixed-σ rows never do."""
     case = get_case("case14")
     model = OPFModel(case)
     Pd, Qd = _loads(case, 8, 0.2, seed=5)
     cold = solve_opf_batch(case, Pd, Qd, model=model)
-    fixed = solve_opf_batch(case, Pd, Qd, model=model, warm_starts=_fixed_sigma(model, 8))
-    last = max(cold, key=lambda r: r.iterations)
-    assert last.kkt_telemetry["corrector_solves"] >= sum(r.iterations for r in cold)
+    donors = solve_opf_batch(case, Pd[::-1], Qd[::-1], model=model)
+    full = solve_opf_batch(
+        case, Pd, Qd, model=model,
+        warm_starts=[WarmStart(x=d.x, lam=d.lam, mu=d.mu, z=d.z) for d in donors],
+    )
+    with fixed_sigma():
+        fixed = solve_opf_batch(case, Pd, Qd, model=model)
+    for rows, pc_iterations in (
+        (cold, sum(r.iterations for r in cold)),
+        (full, sum(_endgame_iterations(r) for r in full)),
+    ):
+        last = max(rows, key=lambda r: r.iterations)
+        assert last.kkt_telemetry["corrector_solves"] >= pc_iterations > 0
     assert all(r.kkt_telemetry["corrector_solves"] == 0 for r in fixed)

@@ -11,11 +11,12 @@ multipliers and slacks to 1e-6.  Every OPF answer must also pass the KKT
 certificate, and ``solve_opf`` must equal the same row solved alone by
 ``solve_opf_batch`` bit for bit.
 
-The frozen answers are MATPOWER's fixed-σ trajectories.  A row that enters
-with no warm component takes Mehrotra predictor–corrector steps instead, so
-a cold OPF entry and every QP entry reach their frozen trajectories with the
-default start passed as a warm ``x``; the true cold OPF solve must reach the
-same optimum in strictly fewer iterations.
+The frozen answers are MATPOWER's fixed-σ trajectories.  Production takes
+Mehrotra predictor–corrector steps on a row without warm ``µ`` / ``Z`` and
+on every row once it is feasible, so every entry is solved inside
+:func:`reference.steps.fixed_sigma`, which puts every row on MATPOWER's entry
+and fixed-σ step; the true cold OPF solve must reach the same optimum in
+strictly fewer iterations.
 """
 
 import importlib.util
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from reference.qp import qps_mips
+from reference.steps import fixed_sigma
 from repro.grid import get_case
 from repro.opf import OPFModel, WarmStart, certify_opf, solve_opf, solve_opf_batch
 from repro.parallel import Scenario
@@ -79,20 +81,21 @@ def test_corpus_script_imports_cleanly_and_writes_only_as_main():
 @pytest.mark.parametrize("entry", OPF_ENTRIES)
 def test_one_row_opf_matches_scalar_reference(entry):
     ref, case, outage, solved_on = _entry(entry)
+    warm = None
     if entry.endswith("_warm"):
         cold = _stored(f"opf/{case.name}_cold")
         warm = WarmStart(x=cold["x"], lam=cold["lam"], mu=cold["mu"], z=cold["z"])
-    else:
-        # The default x passed as a warm x: the fixed-σ step.
-        warm = WarmStart(x=OPFModel(solved_on).default_start())
-    result = solve_opf(solved_on, warm_start=warm, Pd_mw=ref["Pd"], Qd_mvar=ref["Qd"])
+    with fixed_sigma():
+        result = solve_opf(solved_on, warm_start=warm, Pd_mw=ref["Pd"], Qd_mvar=ref["Qd"])
+        (row,) = solve_opf_batch(
+            solved_on, ref["Pd"][None], ref["Qd"][None], warm_starts=[warm]
+        )
     assert result.success
     _assert_matches(result, ref, result.objective)
     certificate = certify_opf(case, result, ref["Pd"], ref["Qd"], outages=outage)
     assert certificate.holds(), certificate
 
     # solve_opf is the row solved alone by solve_opf_batch, bit for bit.
-    (row,) = solve_opf_batch(solved_on, ref["Pd"][None], ref["Qd"][None], warm_starts=[warm])
     assert row.iterations == result.iterations and row.objective == result.objective
     for name in ("x", "lam", "mu", "z"):
         np.testing.assert_array_equal(getattr(row, name), getattr(result, name))
@@ -138,7 +141,7 @@ def test_outage_as_row_data_matches_structural_reference(entry):
 def test_one_row_qp_matches_scalar_reference(entry):
     ref = _stored(f"qp/{entry}")
     problem = {k: ref[k] for k in ("H", "c", "A_eq", "b_eq", "A_in", "b_in", "xmin", "xmax")}
-    # The start point passed as a warm x: the fixed-σ step.
-    result = qps_mips(**problem, warm_x=True)
+    with fixed_sigma():
+        result = qps_mips(**problem)
     assert result.converged
     _assert_matches(result, ref, result.f)

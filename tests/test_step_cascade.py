@@ -48,7 +48,8 @@ def plane():
 
     def capturing(self, solver, data_plane):
         captured.append(SimpleNamespace(
-            plan=self._plan, kkt=np.array(data_plane), rhs=self._rhs.copy(), Jh=self._Jh.copy(),
+            plan=self._plan, kkt=np.array(data_plane), floor=self._floor.copy(),
+            rhs=self._rhs.copy(), Jh=self._Jh.copy(),
             H=self._H.copy(), z=self._z.copy(), mu=self._mu.copy(), gamma=self._gamma.copy(),
         ))
         return solve(self, solver, data_plane)
@@ -71,7 +72,10 @@ def _run(state, keep, reject=(), fail_predictor=False):
     pos = int(np.flatnonzero(keep == CHOSEN)[0])
     centring = batch_module._Centring(
         state.plan, np.arange(keep.size),
-        *(a[keep] for a in (state.rhs, state.Jh, state.H, state.z, state.mu, state.gamma)),
+        *(
+            a[keep]
+            for a in (state.floor, state.rhs, state.Jh, state.H, state.z, state.mu, state.gamma)
+        ),
     )
     solver = LDLSolver(state.plan.symbolic)
     widths, resolves = [], []
