@@ -41,17 +41,25 @@ of the Lagrangian gradient and the entry clamp, ``np.add.reduceat`` for row
 sums — because ``plane[:, idx]`` makes a lockstep step of two rows cost two
 to three times one of one row while computing the same bits.
 
-A call enrolls its rows once, at entry.  Scenarios retire individually: a
-converged (or numerically failed) scenario drops out of the active set
-immediately, so stragglers never pay for finishers.  The entry, the step
-and the KKT solve treat each row of a plane independently of its
-neighbours, so with row-independent callbacks a scenario's trajectory is
-bit-identical whatever batch it is solved in — alone, in the full sweep, or
-in any subset or order of it; the fleet's micro-batches and its bisection
-of a failing task rely on that.  Each scenario gets its own
-:class:`~repro.mips.result.MIPSResult`: its message, iteration history and
-the four termination conditions (feasibility, gradient, complementarity,
-cost) recorded per iteration for the Fig. 10 analysis.  The parity suites
+A call enrolls its rows once, at entry.  Scenarios retire individually and
+through one path, so stragglers never pay for finishers: a row's status is
+set where its outcome is decided, and one ``retire`` — at entry, after each
+deadline check and once at the end of each iteration — turns every row with
+a status into its result and drops it from the active set.  ``_RETIREMENTS``
+holds the eight outcomes, each a message and a ``converged`` flag:
+converged; a non-finite or a diverged iterate (the end-of-iteration tests);
+a singular KKT system, a non-finite Newton step or a step that exploded (the
+Newton-step checks, before the step is taken); the wall deadline (checked
+before each iteration; the only ``timed_out`` outcome) and the iteration cap
+(after the last iteration).  The entry, the step and the KKT solve treat
+each row of a plane independently of its neighbours, so with
+row-independent callbacks a scenario's trajectory is bit-identical whatever
+batch it is solved in — alone, in the full sweep, or in any subset or order
+of it; the fleet's micro-batches and its bisection of a failing task rely on
+that.  Each scenario gets its own :class:`~repro.mips.result.MIPSResult`:
+its message, iteration history and the four termination conditions
+(feasibility, gradient, complementarity, cost), which one ``record`` appends
+at entry and after every step for the Fig. 10 analysis.  The parity suites
 check the answers against an independent KKT certificate
 (:mod:`repro.opf.certificate`) and against frozen answers of the scalar loop
 this one replaced (``tests/data/scalar_reference.npz``).
@@ -126,13 +134,18 @@ full step, .02     13.91   13.91   11.15 / 11.24  10.08   109         2
 =================  ======  ======  =============  ======  ==========  =====
 
 (A full step is ``α_p = α_d = 1``.)  The chosen pair, ``FEASTOL`` and
-``SIGMA_END`` = 0.02, loses no row and leaves no row far above its corpus's
-mean: a lower floor or a looser trigger loses case30s rows to singular KKT
-systems or the iteration cap, a full-step trigger takes single case30s rows
-to 41–114 iterations, and a tighter trigger or a higher floor gives back
-iterations.  ``FEASTOL/10`` with a 0.005 floor runs 0.1–0.6 iterations
-faster and loses nothing, but it sits next to the floor that loses rows, and
-kNN-4 takes 5.75 under both.  Every converged row certifies.
+``SIGMA_END`` = 0.02, loses no row of these corpora and leaves no row far
+above its corpus's mean: a lower floor or a looser trigger loses case30s
+rows to singular KKT systems or the iteration cap, a full-step trigger takes
+single case30s rows to 41–114 iterations, and a tighter trigger or a higher
+floor gives back iterations.  ``FEASTOL/10`` with a 0.005 floor runs 0.1–0.6
+iterations faster and loses nothing, but it sits next to the floor that
+loses rows, and kNN-4 takes 5.75 under both.  Every converged row certifies.
+Outside these corpora the endgame does lose rows: 3 of 512 cold case30s
+±10 % rows (``sample_loads`` seeds 10–13, 128 rows each; every one converged
+in 12–13 iterations without the endgame) hit the iteration cap or end with
+an exploded step, pinned as strict xfails in
+``tests/test_predictor_corrector.py``.
 Against no endgame, the case118s N-2 pool (96 pairs, seed 7) goes 15.43 →
 13.97, case300s (32 rows, ±5 % seed 1 / ±20 % seed 3) 16.00 / 16.22 → 14.00
 / 14.28, case9 / case14 ±20 % 11.88 / 12.00 → 10.04 / 10.09, and on the
@@ -271,17 +284,19 @@ BatchedHessianFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np
 
 _PHASES = ("eval", "assembly", "factorization", "backsolve")
 
-#: Newton-step failure messages, in the order the checks apply.
-_STEP_FAILURES = (
-    "numerically failed (singular KKT system)",
-    "numerically failed (non-finite Newton step)",
-    "numerically failed (step size exploded)",
-)
-#: End-of-iteration retirements ``(message, converged)``, in test order.
+#: Every way a row retires, ``(message, converged)``; a row's status is the
+#: 1-based index of its entry (0 while it marches).  Statuses 1–3 are the
+#: end-of-iteration tests and 4–6 the Newton-step checks, each group in the
+#: order its tests apply; 7 is the wall deadline and 8 the iteration cap.
 _RETIREMENTS = (
     ("converged", True),
     ("numerically failed (non-finite iterate)", False),
     ("numerically failed (iterate diverged)", False),
+    ("numerically failed (singular KKT system)", False),
+    ("numerically failed (non-finite Newton step)", False),
+    ("numerically failed (step size exploded)", False),
+    ("wall deadline exceeded", False),
+    ("iteration limit reached", False),
 )
 
 
@@ -295,10 +310,11 @@ def _canonical_template(template: Optional[sp.spmatrix], nx: int) -> sp.csr_matr
 
 def _warm_rows(
     values: Optional[np.ndarray], mask: Optional[np.ndarray], batch: int, n: int, name: str
-) -> Tuple[Optional[np.ndarray], np.ndarray]:
-    """Validate a warm-start value matrix and its per-scenario presence mask."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a warm-start value matrix and its per-scenario presence mask
+    (an absent matrix is zeros on no row)."""
     if values is None:
-        return None, np.zeros(batch, dtype=bool)
+        return np.zeros((batch, n)), np.zeros(batch, dtype=bool)
     values = np.asarray(values, dtype=float)
     if values.shape != (batch, n):
         raise ValueError(f"{name} must have shape ({batch}, {n})")
@@ -321,7 +337,8 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray, scale: float) -> np.ndarray
     """Per row, ``min(1, scale · α_max)`` where ``α_max`` is the longest step
     that keeps ``v + α·dv`` non-negative."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.minimum(scale * np.where(dv < 0, v / -dv, np.inf).min(axis=1), 1.0)
+        steps = np.where(dv < 0, v / -dv, np.inf)
+        return np.minimum(scale * steps.min(axis=1, initial=np.inf), 1.0)
 
 
 def _dual_step(mu: np.ndarray, z: np.ndarray, dz: np.ndarray, target) -> np.ndarray:
@@ -445,7 +462,7 @@ class _BatchKKTAssembler:
                 np.broadcast_to(self._lb_data, (batch, self._lb_data.size)),
             )
             # A diverging row's µ/z overflows here; it retires through the
-            # step checks (_STEP_FAILURES), so the overflow is not an error.
+            # Newton-step checks, so the overflow is not an error.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 zinv = 1.0 / Z
                 jh_scaled = jh_plane * planes.take(Mu * zinv, self._jh_rows)
@@ -549,23 +566,18 @@ class LockstepPlan:
         upper bound, lower bound)."""
         n_nl, nub = self.jh_t.shape[0], self.ub_idx.size
         out = np.zeros((DX.shape[0], self.partition.n_ineq))
-        if n_nl:
-            out[:, :n_nl] = self.jh.matvec(Jh_data, DX)
-        if nub:
-            out[:, n_nl : n_nl + nub] = planes.take(DX, self.ub_idx)
-        if self.lb_idx.size:
-            out[:, n_nl + nub :] = -planes.take(DX, self.lb_idx)
+        out[:, :n_nl] = self.jh.matvec(Jh_data, DX)
+        out[:, n_nl : n_nl + nub] = planes.take(DX, self.ub_idx)
+        out[:, n_nl + nub :] = -planes.take(DX, self.lb_idx)
         return out
 
     def add_jh_transpose(self, out: np.ndarray, Jh_data: np.ndarray, V: np.ndarray) -> None:
         """``out += Jhᵀ·v`` per row, ``v`` over the stacked inequality rows."""
         n_nl, nub = self.jh_t.shape[0], self.ub_idx.size
-        if n_nl:
+        if n_nl:  # adding a zero product would turn a -0.0 of ``out`` into +0.0
             out += self.jhT.matvec(planes.take(Jh_data, self.jhT_order), V[:, :n_nl])
-        if nub:
-            self.ub_cols.add(out, V[:, n_nl : n_nl + nub])
-        if self.lb_idx.size:
-            self.lb_cols.sub(out, V[:, n_nl + nub :])
+        self.ub_cols.add(out, V[:, n_nl : n_nl + nub])
+        self.lb_cols.sub(out, V[:, n_nl + nub :])
 
 
 class _Centring:
@@ -583,9 +595,11 @@ class _Centring:
     ``γ_i = σµ − ΔZ_aff,i·ΔMU_aff,i``.  The corrector
     right-hand side is the predictor's minus ``[Jhᵀ(γ/z); 0]``.  The
     fallback is the same with the fixed-σ target ``γ_i = gamma``.
-    :attr:`target` keeps the ``γ`` each row's solution solves for, and
-    :attr:`sigma_mu` its centring target ``σµ``.  Every right-hand side is
-    computed row by row, so no row depends on the others.
+    :attr:`target` holds the ``γ`` plane each plane row's solution solves
+    for (the fixed-σ ``gamma`` on every row the cascade leaves alone), and
+    :attr:`sigma_mu` each predictor–corrector row's centring target ``σµ``.
+    Every right-hand side is computed row by row, so no row depends on the
+    others.
     """
 
     def __init__(self, plan, rows, floor, rhs_plane, Jh_data, H, z, mu, gamma) -> None:
@@ -594,7 +608,7 @@ class _Centring:
         self._plan = plan
         self._rhs, self._Jh, self._H = rhs_plane, Jh_data, H
         self._z, self._mu, self._gamma = z, mu, gamma
-        self.target = np.zeros_like(z)
+        self.target = np.repeat(gamma[:, None], z.shape[1], axis=1)
         self.sigma_mu = np.zeros(z.shape[0])
         #: Seconds spent computing corrector and fallback right-hand sides.
         self.rhs_seconds = 0.0
@@ -634,7 +648,7 @@ class _Centring:
         gamma = self._gamma[rows]
         self.sigma_mu[rows] = gamma
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rhs = self._shifted(rows, np.repeat(gamma[:, None], self._z.shape[1], axis=1))
+            rhs = self._shifted(rows, gamma[:, None])
         self.rhs_seconds += time.perf_counter() - t0
         return rhs
 
@@ -709,9 +723,10 @@ def mips_batch(
     **Deadlines.**  ``deadline`` is an absolute wall deadline on the
     ``time.monotonic()`` clock — a scalar applying to every row or a ``(B,)``
     vector of per-row deadlines (NaN and inf mean unbounded).  Deadlines are
-    checked cooperatively between iterations, and an expired row retires
-    with ``timed_out`` set through exactly the retirement path a converged
-    row takes — its lockstep neighbours are bitwise unperturbed.
+    checked cooperatively before each iteration, and an expired row retires
+    as ``wall deadline exceeded`` with ``timed_out`` set, through the one
+    ``retire`` every outcome takes (module docstring) — its lockstep
+    neighbours are bitwise unperturbed.
 
     Returns a list of per-scenario :class:`MIPSResult` in batch order.
     """
@@ -744,9 +759,7 @@ def mips_batch(
     n_eq_nl, n_ineq_nl = jg_t.shape[0], jh_t.shape[0]
     partition = plan.partition
     neq, niq = partition.n_eq, partition.n_ineq
-    jgT_order = plan.jgT_order
     take = planes.take
-    assembler = plan.assembler
 
     solver = LDLSolver(plan.symbolic)
 
@@ -809,137 +822,128 @@ def mips_batch(
         Jh_data[idx] = jhd
         return time.perf_counter() - t0
 
-    def lagrangian_gradient(idx: np.ndarray) -> None:
-        Lxa = dF[idx].copy()
-        lam_a = lam[idx]
-        if n_eq_nl:
-            Lxa += plan.jgT.matvec(take(Jg_data[idx], jgT_order), lam_a[:, :n_eq_nl])
-        if eq_idx.size:
-            plan.eq_cols.add(Lxa, lam_a[:, n_eq_nl:])
-        plan.add_jh_transpose(Lxa, Jh_data[idx], mu[idx])
+    def record(idx, F0, step_size, alphap, alphad, recorded_gamma) -> None:
+        """The Lagrangian gradient and the four MIPS termination conditions
+        (feasibility, gradient, complementarity, cost) of rows ``idx``, each
+        row's :class:`IterationRecord` appended to its history."""
+        Lxa, lam_a, mu_a, z_a = dF[idx], lam[idx], mu[idx], z[idx]
+        if n_eq_nl:  # adding a zero product would turn a -0.0 of ``Lxa`` into +0.0
+            Lxa += plan.jgT.matvec(take(Jg_data[idx], plan.jgT_order), lam_a[:, :n_eq_nl])
+        plan.eq_cols.add(Lxa, lam_a[:, n_eq_nl:])
+        plan.add_jh_transpose(Lxa, Jh_data[idx], mu_a)
         Lx[idx] = Lxa
-
-    def conditions(idx: np.ndarray, F0a: np.ndarray) -> None:
-        """The four MIPS termination quantities (feasibility, gradient,
-        complementarity, cost) of rows ``idx``."""
-        na = idx.size
-        zeros = np.zeros(na)
-        maxh = H[idx].max(axis=1) if niq else np.full(na, -np.inf)
-        norm_g = np.abs(G[idx]).max(axis=1) if neq else zeros
         norm_x = np.abs(X[idx]).max(axis=1)
-        norm_z = np.abs(z[idx]).max(axis=1) if niq else zeros
-        norm_lam = np.abs(lam[idx]).max(axis=1) if neq else zeros
-        norm_mu = np.abs(mu[idx]).max(axis=1) if niq else zeros
-        feas = np.maximum(norm_g, maxh) / (1.0 + np.maximum(norm_x, norm_z))
-        grad = np.abs(Lx[idx]).max(axis=1) / (1.0 + np.maximum(norm_lam, norm_mu))
-        comp = (np.einsum("ij,ij->i", z[idx], mu[idx]) if niq else zeros) / (
-            1.0 + norm_x
+        feas = np.maximum(
+            np.abs(G[idx]).max(axis=1, initial=0.0), H[idx].max(axis=1, initial=-np.inf)
+        ) / (1.0 + np.maximum(norm_x, np.abs(z_a).max(axis=1, initial=0.0)))
+        norm_duals = np.maximum(
+            np.abs(lam_a).max(axis=1, initial=0.0), np.abs(mu_a).max(axis=1, initial=0.0)
         )
-        cost = np.abs(F[idx] - F0a) / (1.0 + np.abs(F0a))
+        grad = np.abs(Lxa).max(axis=1) / (1.0 + norm_duals)
+        comp = np.einsum("ij,ij->i", z_a, mu_a) / (1.0 + norm_x)
+        cost = np.abs(F[idx] - F0) / (1.0 + np.abs(F0))
         conds[idx] = np.stack([feas, grad, comp, cost], axis=1)
-
-    def finalize(b: int, message: str, converged: bool, timed_out: bool = False) -> None:
-        active[b] = False
-        if reg_counts[b]:
-            LOGGER.warning(
-                "scenario %d: KKT system was singular %d time(s); recovered with "
-                "diagonal regularisation",
-                b,
-                reg_counts[b],
+        for pos, b in enumerate(idx):
+            histories[b].append(
+                IterationRecord(
+                    iteration=int(iterations[b]),
+                    step_size=float(step_size[pos]),
+                    feascond=conds[b, 0],
+                    gradcond=conds[b, 1],
+                    compcond=conds[b, 2],
+                    costcond=conds[b, 3],
+                    objective=F[b],
+                    gamma=recorded_gamma[pos],
+                    alpha_primal=float(alphap[pos]),
+                    alpha_dual=float(alphad[pos]),
+                )
             )
-        results[b] = MIPSResult(
-            x=X[b].copy(),
-            f=F[b],
-            converged=converged,
-            iterations=int(iterations[b]),
-            lam=lam[b].copy(),
-            mu=mu[b].copy(),
-            z=z[b].copy(),
-            partition=partition,
-            message=message,
-            history=histories[b],
-            elapsed_seconds=time.perf_counter() - t_entry,
-            phase_seconds={name: float(phase[name][b]) for name in _PHASES},
-            kkt_regularizations=int(reg_counts[b]),
-            # One solver serves the whole batch, so the counters are
-            # batch-level aggregates snapshotted at this row's retirement.
-            kkt_telemetry=solver.telemetry(),
-            timed_out=timed_out,
-            wall_share_seconds=float(share[b]),
-        )
+        if LOGGER.isEnabledFor(logging.DEBUG):
+            LOGGER.debug(
+                "it %3d  rows=%d  worst feas=%.3e grad=%.3e comp=%.3e cost=%.3e",
+                it,
+                idx.size,
+                *conds[idx].max(axis=0),
+            )
+
+    def retire(idx: np.ndarray, status: np.ndarray) -> None:
+        """Retire every row of ``idx`` whose status is set (``_RETIREMENTS``)."""
+        for b, code in zip(idx, status):
+            if not code:
+                continue
+            message, converged = _RETIREMENTS[code - 1]
+            active[b] = False
+            if reg_counts[b]:
+                LOGGER.warning(
+                    "scenario %d: KKT system was singular %d time(s); recovered with "
+                    "diagonal regularisation",
+                    b,
+                    reg_counts[b],
+                )
+            results[b] = MIPSResult(
+                x=X[b].copy(),
+                f=F[b],
+                converged=converged,
+                iterations=int(iterations[b]),
+                lam=lam[b].copy(),
+                mu=mu[b].copy(),
+                z=z[b].copy(),
+                partition=partition,
+                message=message,
+                history=histories[b],
+                elapsed_seconds=time.perf_counter() - t_entry,
+                phase_seconds={name: float(phase[name][b]) for name in _PHASES},
+                kkt_regularizations=int(reg_counts[b]),
+                # One solver serves the whole batch, so the counters are
+                # batch-level aggregates snapshotted at this row's retirement.
+                kkt_telemetry=solver.telemetry(),
+                timed_out=bool(code == 7),
+                wall_share_seconds=float(share[b]),
+            )
 
     # ----------------------------------------------------------------- entry
     # Primal clamp into bounds, entry evaluation, dual initialisation
     # (MATPOWER's for a row with warm µ or Z, centred at the objective's
-    # scale for any other), entry conditions, and immediate
-    # retirement of rows that are already converged.
+    # scale for any other), entry record, and immediate retirement of rows
+    # that are already converged.
     t_entry = time.perf_counter()
     every = np.arange(batch)
     plan.eq_cols.put(X, xmin[eq_idx])
-    if lb_idx.size:
-        plan.lb_cols.put(X, np.maximum(take(X, lb_idx), xmin[lb_idx]))
-    if ub_idx.size:
-        plan.ub_cols.put(X, np.minimum(take(X, ub_idx), xmax[ub_idx]))
+    plan.lb_cols.put(X, np.maximum(take(X, lb_idx), xmin[lb_idx]))
+    plan.ub_cols.put(X, np.minimum(take(X, ub_idx), xmax[ub_idx]))
 
     phase["eval"] += evaluate(every) / batch
 
-    if lam0v is not None and np.any(lam_m):
-        lam[lam_m] = lam0v[lam_m]
+    lam[lam_m] = lam0v[lam_m]
+    # MATPOWER's entry, which every row with warm µ or Z keeps.
+    below = H < -Z0
+    z[below] = -H[below]
+    z[z_m] = np.maximum(z0v[z_m], 1e-10)
+    big = Z0 / np.maximum(z, 1e-300) > Z0
+    mu[big] = Z0 / z[big]
+    mu[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
     if niq:
-        # MATPOWER's entry, which every row with warm µ or Z keeps.
-        below = H < -Z0
-        z[below] = -H[below]
-        if z0v is not None and np.any(z_m):
-            z[z_m] = np.maximum(z0v[z_m], 1e-10)
-        big = Z0 / np.maximum(z, 1e-300) > Z0
-        mu[big] = Z0 / z[big]
-        if mu0v is not None and np.any(mu_m):
-            mu[mu_m] = np.maximum(mu0v[mu_m], 1e-10)
         # A predictor–corrector row enters centred at its objective's scale:
         # γ₀ = max(Z0, ‖∇f(x₀)‖∞) and µ = γ₀/z, so z∘µ = γ₀ on every row.
         entering = ~np.isnan(_sigma_floor(warm_duals, endgame))
-        if np.any(entering):
-            gamma[entering] = np.maximum(Z0, np.abs(dF[entering]).max(axis=1))
-            mu[entering] = gamma[entering, None] / z[entering]
-        if np.any(warm_duals):
-            gamma[warm_duals] = np.maximum(
-                SIGMA * np.einsum("ij,ij->i", z[warm_duals], mu[warm_duals]) / niq, 1e-12
-            )
-
-    lagrangian_gradient(every)
-    conditions(every, F.copy())
-
-    for b in every:
-        histories[b].append(
-            IterationRecord(
-                iteration=0,
-                step_size=0.0,
-                feascond=conds[b, 0],
-                gradcond=conds[b, 1],
-                compcond=conds[b, 2],
-                costcond=conds[b, 3],
-                objective=F[b],
-                gamma=gamma[b],
-                alpha_primal=0.0,
-                alpha_dual=0.0,
-            )
+        gamma[entering] = np.maximum(Z0, np.abs(dF[entering]).max(axis=1))
+        mu[entering] = gamma[entering, None] / z[entering]
+        gamma[warm_duals] = np.maximum(
+            SIGMA * np.einsum("ij,ij->i", z[warm_duals], mu[warm_duals]) / niq, 1e-12
         )
 
+    zeros = np.zeros(batch)
+    record(every, F[every], zeros, zeros, zeros, gamma)
     share += (time.perf_counter() - t_entry) / batch
-    for b in np.flatnonzero((conds < tols).all(axis=1)):
-        finalize(int(b), "converged", True)
+    retire(every, np.where((conds < tols).all(axis=1), 1, 0))
 
     # ------------------------------------------------------------------ loop
     while True:
-        # Cooperative wall-deadline check.  An expired row retires through
-        # exactly the retirement path a converged row takes — its state is
-        # simply dropped from the active set — so the lockstep trajectories of
-        # its neighbours are bitwise unperturbed.
-        rows = np.flatnonzero(active)
-        if rows.size and bool((row_deadline[rows] < np.inf).any()):
-            expired = row_deadline[rows] <= time.monotonic()
-            for b in rows[expired]:
-                finalize(int(b), "wall deadline exceeded", False, timed_out=True)
+        # Cooperative wall-deadline check.  An expired row retires like any
+        # other — its state is simply dropped from the active set — so the
+        # lockstep trajectories of its neighbours are bitwise unperturbed.
+        idx = np.flatnonzero(active)
+        retire(idx, np.where(row_deadline[idx] <= time.monotonic(), 7, 0))
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -947,14 +951,6 @@ def mips_batch(
         iterations[idx] = it
         na = idx.size
         t_iter = time.perf_counter()
-        #: Failures detected during this iteration; finalised after the wall
-        #: share of the iteration has been credited to every active scenario.
-        pending: List[Tuple[int, str]] = []
-
-        def close_iteration() -> None:
-            share[idx] += (time.perf_counter() - t_iter) / na
-            for b, msg in pending:
-                finalize(b, msg, False)
 
         # ------------------------------------------------- batched Hessian eval
         t0 = time.perf_counter()
@@ -963,8 +959,7 @@ def mips_batch(
                 hess_fcn(X[idx], lam[idx][:, :n_eq_nl], mu[idx][:, :n_ineq_nl], idx)
             )
         )
-        hess_dt = time.perf_counter() - t0
-        phase["eval"][idx] += hess_dt / na
+        phase["eval"][idx] += (time.perf_counter() - t0) / na
 
         # ------------------- batched assembly, then one solve for the active set
         # The shared phases are split evenly across the active set, like the
@@ -973,18 +968,15 @@ def mips_batch(
         # (γ = 0); the centring solves the plane and then those rows'
         # correctors.
         t0 = time.perf_counter()
-        Jh_a, H_a, z_a, mu_a = Jh_data[idx], H[idx], z[idx], mu[idx]
+        Jh_a, H_a, z_a, mu_a, gamma_a = Jh_data[idx], H[idx], z[idx], mu[idx], gamma[idx]
         floor = _sigma_floor(warm_duals[idx], endgame[idx])
         pc = ~np.isnan(floor) & bool(niq)
-        centred = np.flatnonzero(pc)
-        gamma_a = gamma[idx]
-        if centred.size:
-            gamma_a = gamma_a.copy()
-            gamma_a[centred] = 0.0
-        kkt_plane, rhs_plane = assembler.build(
-            Hdata, Jg_data[idx], Jh_a, Lx[idx], G[idx], H_a, z_a, mu_a, gamma_a
+        kkt_plane, rhs_plane = plan.assembler.build(
+            Hdata, Jg_data[idx], Jh_a, Lx[idx], G[idx], H_a, z_a, mu_a, np.where(pc, 0.0, gamma_a)
         )
-        centring = _Centring(plan, centred, floor, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma[idx])
+        centring = _Centring(
+            plan, np.flatnonzero(pc), floor, rhs_plane, Jh_a, H_a, z_a, mu_a, gamma_a
+        )
         asm_dt = time.perf_counter() - t0
 
         # The solve's wall splits into factorisation, the centring's
@@ -1000,103 +992,50 @@ def mips_batch(
         phase["backsolve"][idx] += back_dt
         reg_counts[idx] += report.regularizations
 
-        # Newton-step sanity checks as row masks: a failing row is classified
-        # by the first check it fails (1-based index into _STEP_FAILURES).
+        # Newton-step checks: a failing row's status is the first check it
+        # fails; every other row steps.
         sol = report.solutions
         singular = np.zeros(na, dtype=bool)
         singular[report.failed] = True
-        check = np.select(
+        status = np.select(
             [
                 singular,
                 ~np.isfinite(sol).all(axis=1),
                 np.abs(sol[:, :nx]).max(axis=1) > MAX_STEPSIZE,
             ],
-            [1, 2, 3],
+            [4, 5, 6],
             0,
         )
-        for p in np.flatnonzero(check):
-            pending.append((int(idx[p]), _STEP_FAILURES[check[p] - 1]))
-        ok = check == 0
-        if not ok.any():
-            close_iteration()
-            continue
+        ok = status == 0
         s = idx[ok]
-        DXs = sol[ok, :nx]
-        Dlams = sol[ok, nx:]
-        # ``s[i]`` is plane row ``okpos[i]``; ``centred_s`` indexes its
-        # predictor–corrector rows.
-        okpos = np.flatnonzero(ok)
-        centred_s = np.flatnonzero(pc[ok])
+        DX, Dlam = sol[ok, :nx], sol[ok, nx:]
 
         # ------------------------------------------ batched step-length update
+        DZ = -H[s] - z[s] - plan.jh_dot(Jh_data[s], DX)
+        DMU = _dual_step(mu[s], z[s], DZ, centring.target[ok])
+        alphap = _step_to_boundary(z[s], DZ, XI)
+        alphad = _step_to_boundary(mu[s], DMU, XI)
+        X[s] += alphap[:, None] * DX
+        z[s] += alphap[:, None] * DZ
+        mu[s] += alphad[:, None] * DMU
+        lam[s] += alphad[:, None] * Dlam
         if niq:
-            DZ = -H[s] - z[s] - plan.jh_dot(Jh_data[s], DXs)
-            target = gamma[s][:, None]
-            if centred_s.size:
-                target = np.repeat(target, niq, axis=1)
-                target[centred_s] = centring.target[okpos[centred_s]]
-            DMU = _dual_step(mu[s], z[s], DZ, target)
-            alphap = _step_to_boundary(z[s], DZ, XI)
-            alphad = _step_to_boundary(mu[s], DMU, XI)
-        else:
-            DZ = np.zeros((s.size, 0))
-            DMU = np.zeros((s.size, 0))
-            alphap = np.ones(s.size)
-            alphad = np.ones(s.size)
-
-        X[s] += alphap[:, None] * DXs
-        if niq:
-            z[s] += alphap[:, None] * DZ
-            mu[s] += alphad[:, None] * DMU
             gamma[s] = SIGMA * np.einsum("ij,ij->i", z[s], mu[s]) / niq
-        if neq:
-            lam[s] += alphad[:, None] * Dlams
-        # A fixed-σ row records its next barrier target, a centred row the
-        # σµ its step aimed at.
-        recorded_gamma = gamma[s]
-        if centred_s.size:
-            recorded_gamma[centred_s] = centring.sigma_mu[okpos[centred_s]]
 
-        # --------------------------------------------------- batched re-evaluate
-        F0s = F[s].copy()
-        dt = evaluate(s)
-        phase["eval"][s] += dt / s.size
-        lagrangian_gradient(s)
-        conditions(s, F0s)
+        # --------------------------------------------- re-evaluate and record
+        if s.size:  # the callbacks are never handed an empty plane
+            F0 = F[s]
+            phase["eval"][s] += evaluate(s) / s.size
+            # A fixed-σ row records its next barrier target, a centred row
+            # the σµ its step aimed at.
+            step_gamma = np.where(pc[ok], centring.sigma_mu[ok], gamma[s])
+            record(s, F0, np.abs(DX).max(axis=1), alphap, alphad, step_gamma)
         endgame[s] |= conds[s, 0] < FEASTOL
 
-        step_sizes = np.abs(DXs).max(axis=1) if nx else np.zeros(s.size)
-        for pos, b in enumerate(s):
-            histories[b].append(
-                IterationRecord(
-                    iteration=int(iterations[b]),
-                    step_size=float(step_sizes[pos]),
-                    feascond=conds[b, 0],
-                    gradcond=conds[b, 1],
-                    compcond=conds[b, 2],
-                    costcond=conds[b, 3],
-                    objective=F[b],
-                    gamma=recorded_gamma[pos],
-                    alpha_primal=float(alphap[pos]),
-                    alpha_dual=float(alphad[pos]),
-                )
-            )
-        if LOGGER.isEnabledFor(logging.DEBUG):
-            LOGGER.debug(
-                "it %3d  active=%d  worst feas=%.3e grad=%.3e comp=%.3e cost=%.3e",
-                it,
-                s.size,
-                conds[s, 0].max(),
-                conds[s, 1].max(),
-                conds[s, 2].max(),
-                conds[s, 3].max(),
-            )
-
-        close_iteration()
-        # Retirement as row masks, classified by the first test a row meets
-        # (1-based index into _RETIREMENTS); finalised in ascending row order.
+        # End-of-iteration tests for the rows that stepped, in the order they
+        # apply, then the iteration cap for every row still marching.
         Xs = X[s]
-        retire = np.select(
+        status[ok] = np.select(
             [
                 (conds[s] < tols).all(axis=1),
                 ~np.isfinite(Xs).all(axis=1),
@@ -1105,12 +1044,9 @@ def mips_batch(
             [1, 2, 3],
             0,
         )
-        for pos in np.flatnonzero(retire):
-            message, converged = _RETIREMENTS[retire[pos] - 1]
-            finalize(int(s[pos]), message, converged)
-
         if it >= opt.max_it:
-            for b in np.flatnonzero(active):
-                finalize(int(b), "iteration limit reached", False)
+            status[status == 0] = 8
+        share[idx] += (time.perf_counter() - t_iter) / na
+        retire(idx, status)
 
     return results  # type: ignore[return-value]

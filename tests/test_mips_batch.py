@@ -397,11 +397,13 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
     assert results[0].converged and results[2].converged
 
 
-#: Row layout of the failure-path batch: how each row is made to fail.
+#: Row layout of the failure-path batch: how each row is made to retire.
 _FAILURE_MODES = (
     "healthy", "singular", "nonfinite_step", "healthy", "exploded_step",
-    "nonfinite_iterate", "diverged_iterate", "healthy",
+    "nonfinite_iterate", "diverged_iterate", "healthy", "deadline", "capped", "healthy",
 )
+#: Iteration cap of the failure-path batch, above the healthy rows' counts.
+_FAILURE_MAX_IT = 40
 
 
 def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
@@ -417,7 +419,11 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
       so every step is finite but the iterate never is;
     * ``diverged_iterate`` — the QP is translated by ``2e10`` along ``x₀``
       and started at its translated origin: small steps, iterate norm beyond
-      ``MAX_STEPSIZE``.
+      ``MAX_STEPSIZE``;
+    * ``deadline`` — its wall deadline has passed before the first
+      iteration;
+    * ``capped`` — its gradient flips by ±1 at every evaluation, so it never
+      meets the gradient test and marches to the ``_FAILURE_MAX_IT`` cap.
 
     Callbacks loop row by row and count evaluations per row, so a row sees
     the same calls whichever rows share its batch.  ``rows`` keeps only
@@ -435,6 +441,8 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
     x0 = np.zeros((batch, nx))
     offset = np.zeros((batch, nx))
     shift = np.zeros((batch, nx))
+    wobble = np.zeros(batch)
+    deadline = np.full(batch, np.inf)
     for r, mode in enumerate(_FAILURE_MODES):
         if mode == "singular":
             Aeq[r, 1] = Aeq[r, 0]
@@ -447,9 +455,13 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
             x0[r, 0] = np.nan
         elif mode == "diverged_iterate":
             offset[r, 0] = x0[r, 0] = 2e10
+        elif mode == "deadline":
+            deadline[r] = 0.0
+        elif mode == "capped":
+            wobble[r] = 1.0
     if rows is not None:
-        H, c, Aeq, beq, Ain, bin_, x0, offset, shift = (
-            a[rows] for a in (H, c, Aeq, beq, Ain, bin_, x0, offset, shift)
+        H, c, Aeq, beq, Ain, bin_, x0, offset, shift, wobble, deadline = (
+            a[rows] for a in (H, c, Aeq, beq, Ain, bin_, x0, offset, shift, wobble, deadline)
         )
     evaluations = np.zeros(x0.shape[0], dtype=int)
 
@@ -462,7 +474,8 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
             y = view(x, j)
             evaluations[j] += 1
             F.append(0.5 * y @ H[j] @ y + c[j] @ y)
-            dF.append(H[j] @ y + c[j] + (shift[j] if evaluations[j] == 2 else 0.0))
+            flip = wobble[j] * (-1.0) ** evaluations[j]
+            dF.append(H[j] @ y + c[j] + flip + (shift[j] if evaluations[j] == 2 else 0.0))
         return np.array(F), np.stack(dF)
 
     def gh_fcn(X, idx):
@@ -473,45 +486,59 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
     def hess_fcn(X, lam_nl, mu_nl, idx):
         return H[idx].reshape(idx.size, -1)
 
-    kwargs = dict(gh_fcn=gh_fcn, hess_fcn=hess_fcn, plan=_dense_qp_plan(nx, neq, niq))
+    kwargs = dict(
+        gh_fcn=gh_fcn,
+        hess_fcn=hess_fcn,
+        plan=_dense_qp_plan(nx, neq, niq),
+        options=MIPSOptions(max_it=_FAILURE_MAX_IT),
+        deadline=deadline,
+    )
     return f_fcn, x0, kwargs
 
 
 @pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_each_failure_message_retires_only_its_row(backend):
-    """Five failure classes in one lockstep batch, healthy rows between them.
+    """Every retirement kind in one lockstep batch, healthy rows between them.
 
-    Each failing row gets its own message at the iteration it failed; every
-    healthy row converges on the bits it reaches alone at width 1.  ``ldl``
-    lists any non-finite solution row as failed, so on it a non-finite step
-    reads as a singular KKT system.
+    Each failing row gets its own message at the iteration it failed: the
+    three Newton-step checks, the two iterate tests, an expired wall
+    deadline (before iteration 1) and the iteration cap.  ``converged`` and
+    ``timed_out`` are Python ``bool`` and ``iterations`` an ``int`` on every
+    row.  Every healthy row converges on the bits it reaches alone at width
+    1.  ``ldl`` lists any non-finite solution row as failed, so on it a
+    non-finite step reads as a singular KKT system.
     """
-    expected = {
-        "singular": ("numerically failed (singular KKT system)", 1),
+    expected = {  # mode: (message, iterations, timed_out)
+        "singular": ("numerically failed (singular KKT system)", 1, False),
         "nonfinite_step": (
             "numerically failed (non-finite Newton step)"
             if backend == "factorized"
             else "numerically failed (singular KKT system)",
             2,
+            False,
         ),
-        "exploded_step": ("numerically failed (step size exploded)", 2),
-        "nonfinite_iterate": ("numerically failed (non-finite iterate)", 1),
-        "diverged_iterate": ("numerically failed (iterate diverged)", 1),
+        "exploded_step": ("numerically failed (step size exploded)", 2, False),
+        "nonfinite_iterate": ("numerically failed (non-finite iterate)", 1, False),
+        "diverged_iterate": ("numerically failed (iterate diverged)", 1, False),
+        "deadline": ("wall deadline exceeded", 0, True),
+        "capped": ("iteration limit reached", _FAILURE_MAX_IT, False),
     }
     f_fcn, x0, kwargs = _failure_qp()
     with kkt_solve(backend):
         results = mips_batch(f_fcn, x0, **kwargs)
     assert len(results) == len(_FAILURE_MODES)
     for b, (mode, got) in enumerate(zip(_FAILURE_MODES, results)):
+        assert type(got.converged) is bool and type(got.timed_out) is bool, mode
+        assert type(got.iterations) is int, mode
         if mode != "healthy":
-            assert (got.message, got.iterations) == expected[mode], mode
+            assert (got.message, got.iterations, got.timed_out) == expected[mode], mode
             assert not got.converged and got.kkt_regularizations == 0
             continue
-        assert got.converged
+        assert (got.message, got.converged, got.timed_out) == ("converged", True, False)
         f_fcn, x0, kwargs = _failure_qp(rows=[b])
         with kkt_solve(backend):
             (alone,) = mips_batch(f_fcn, x0, **kwargs)
-        assert got.iterations == alone.iterations
+        assert got.iterations == alone.iterations < _FAILURE_MAX_IT
         np.testing.assert_array_equal(got.x, alone.x)
         np.testing.assert_array_equal(got.lam, alone.lam)
         np.testing.assert_array_equal(got.mu, alone.mu)

@@ -13,8 +13,8 @@ fixed-σ reference of a row is the same row inside
 The suite is clock-free: it checks convergence, the KKT certificate and
 iteration counts on cold rows of five cases and sixteen case118s N-2 pairs;
 the rows the predictor–corrector step once failed (case300s batches and
-single rows of four other cases); the case30s corpora a full-step endgame
-trigger lost rows of; a full start from a row's own solution; the entry of
+single rows of four other cases), and as strict xfails the case30s rows the
+endgame loses; the case30s corpora a full-step endgame trigger lost rows of; a full start from a row's own solution; the entry of
 every kind of row; then the row contract of a batch that mixes warm, partial
 and cold rows — each row is bitwise the row solved alone, the warm and
 partial rows are bitwise their all-warm batch, and a subset or reordering
@@ -58,6 +58,18 @@ HARD_ROWS = (
     ("case9", 16, 0.2, 29, 5, ()),
     ("case57s", 16, 0.05, 17, 2, ()),
     ("case30s", 16, 0.1, 23, 1, ()),
+)
+#: Cold case30s ±10 % rows (128 drawn per seed) that converged in 12–13
+#: iterations before the endgame and that it loses: seed 10 row 10 and seed
+#: 12 row 115 hit the 150-iteration cap, seed 11 row 79 ends with an
+#: exploded step at iteration 36.  Row 10 passes every test but cost at
+#: iteration 12; then, at the 0.02 σ floor, ``compcond`` falls to 3e-12
+#: while ``feascond`` climbs to 5e-4.  Pinned as strict xfails until the
+#: endgame keeps them (ROADMAP item 19).
+ENDGAME_LOST_ROWS = (
+    ("case30s", 128, 0.1, 10, 10, ()),
+    ("case30s", 128, 0.1, 11, 79, ()),
+    ("case30s", 128, 0.1, 12, 115, ()),
 )
 #: Largest allowed mean iterations of a cold case300s batch.
 MEAN_300 = 20
@@ -126,8 +138,15 @@ def test_cold_case300s_rows_converge_and_certify(variation, seed):
 
 
 @pytest.mark.parametrize(
-    "name, n, variation, seed, row, outage", HARD_ROWS,
-    ids=[f"{c}-{v:.0%}-seed{s}-row{r}" for c, _, v, s, r, _ in HARD_ROWS],
+    "name, n, variation, seed, row, outage",
+    [
+        *HARD_ROWS,
+        *(
+            pytest.param(*lost, marks=pytest.mark.xfail(strict=True, reason="lost to the endgame"))
+            for lost in ENDGAME_LOST_ROWS
+        ),
+    ],
+    ids=[f"{c}-{v:.0%}-seed{s}-row{r}" for c, _, v, s, r, _ in HARD_ROWS + ENDGAME_LOST_ROWS],
 )
 def test_hard_cold_row_converges_and_certifies(name, n, variation, seed, row, outage):
     """A row alone is bitwise the same row in its batch, so each is solved

@@ -140,7 +140,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "KKTSolveError",
     ),
     "repro.mips.ldl": _KKT_CASCADE,
-    "repro.mips.batch": ("_Centring.rhs", "_Centring.fallback"),
+    "repro.mips.batch": ("_Centring.rhs", "_Centring.fallback", "_STEP_FAILURES"),
     "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS", "MinMaxScaler.dim"),
     "repro.mtl.normalization": ("MinMaxScaler.dim",),
     "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS"),
