@@ -35,14 +35,6 @@ class DirectPredictionReport:
     true_costs: np.ndarray
     feasibility_violation: float
 
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers in the Table III format."""
-        return {
-            "SF": self.speedup_factor,
-            "Lcost_pct": self.cost_loss_pct,
-            "max_balance_violation_pu": self.feasibility_violation,
-        }
-
 
 class DirectPredictionBaseline:
     """Use the trained network's primal prediction directly as the final answer.

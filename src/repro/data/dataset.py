@@ -12,8 +12,7 @@ row per scenario) ready for model training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -97,47 +96,6 @@ class OPFDataset:
             np.random.default_rng(seed).shuffle(order)
         for start in range(0, self.n_samples, batch_size):
             yield order[start : start + batch_size]
-
-    # ------------------------------------------------------------- persistence
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the dataset to an ``.npz`` file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "case_name": np.array(self.case_name),
-            "inputs": self.inputs,
-            "objectives": self.objectives,
-            "iterations": self.iterations,
-            "solve_seconds": self.solve_seconds,
-            "Pd_mw": self.Pd_mw,
-            "Qd_mw": self.Qd_mw,
-            "base_mva": np.array(self.base_mva),
-        }
-        for task, values in self.targets.items():
-            payload[f"target_{task}"] = values
-        np.savez(path, **payload)
-        return path
-
-    @staticmethod
-    def load(path: Union[str, Path]) -> "OPFDataset":
-        """Read a dataset previously written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            targets = {
-                key[len("target_") :]: data[key].copy()
-                for key in data.files
-                if key.startswith("target_")
-            }
-            return OPFDataset(
-                case_name=str(data["case_name"]),
-                inputs=data["inputs"].copy(),
-                targets=targets,
-                objectives=data["objectives"].copy(),
-                iterations=data["iterations"].copy(),
-                solve_seconds=data["solve_seconds"].copy(),
-                Pd_mw=data["Pd_mw"].copy(),
-                Qd_mw=data["Qd_mw"].copy(),
-                base_mva=float(data["base_mva"]),
-            )
 
 
 def generate_dataset(

@@ -90,7 +90,6 @@ class WarmStartEngine:
         opf_options: Optional[MIPSOptions] = None,
         opf_model: Optional[OPFModel] = None,
         faults: Optional[FaultPlan] = None,
-        crash_retries: int = 1,
     ):
         self.case = case
         #: The published generation.  Swapped atomically by :meth:`hot_swap`;
@@ -101,9 +100,8 @@ class WarmStartEngine:
         self.opf_options = opf_options or MIPSOptions()
         self.opf_model = opf_model or OPFModel(case)
         #: Optional deterministic fault plan injected into fleet workers
-        #: (testing only) and the crash-retry budget handed to fleets.
+        #: (testing only).
         self.faults = faults
-        self.crash_retries = crash_retries
         #: Live fleets keyed by worker count; created lazily, kept across calls.
         self._fleets: Dict[int, SolverFleet] = {}
 
@@ -179,7 +177,6 @@ class WarmStartEngine:
                 n_workers=n_workers,
                 model=self.opf_model if n_workers == 1 else None,
                 faults=self.faults,
-                crash_retries=self.crash_retries,
             )
             self._fleets[n_workers] = fleet
             LOGGER.info("%s: started solver fleet with %d worker(s)", self.case.name, n_workers)

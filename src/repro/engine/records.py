@@ -46,11 +46,6 @@ class OnlineRecord:
     inference_seconds: float
     model_generation: int = 0
 
-    @property
-    def online_seconds(self) -> float:
-        """Total online cost of this problem (inference + warm + recovery)."""
-        return self.inference_seconds + self.outcome.solve_seconds + self.outcome.fallback_seconds
-
 
 @dataclass
 class OnlineEvaluation:

@@ -290,14 +290,6 @@ class Case:
         """Internal indices of reference (slack) buses."""
         return np.flatnonzero(self.bus.bus_type == REF)
 
-    def pv_bus_indices(self) -> np.ndarray:
-        """Internal indices of PV buses."""
-        return np.flatnonzero(self.bus.bus_type == PV)
-
-    def pq_bus_indices(self) -> np.ndarray:
-        """Internal indices of PQ buses."""
-        return np.flatnonzero(self.bus.bus_type == PQ)
-
     # ------------------------------------------------------------------ misc
     def copy(self) -> "Case":
         """Deep copy of the case."""
@@ -323,22 +315,7 @@ class Case:
             out.name = name
         return out
 
-    def total_load(self) -> complex:
-        """Total complex load in MVA."""
-        return complex(self.bus.Pd.sum(), self.bus.Qd.sum())
-
     def total_gen_capacity(self) -> float:
         """Total in-service active-power capacity in MW."""
         on = self.gen.status > 0
         return float(self.gen.Pmax[on].sum())
-
-    def summary(self) -> Dict[str, float]:
-        """Small dictionary of headline quantities (used in Table II)."""
-        return {
-            "name": self.name,
-            "buses": self.n_bus,
-            "generators": int(np.count_nonzero(self.gen.status > 0)),
-            "branches": int(np.count_nonzero(self.branch.status > 0)),
-            "total_load_mw": float(self.bus.Pd.sum()),
-            "total_capacity_mw": self.total_gen_capacity(),
-        }

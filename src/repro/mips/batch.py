@@ -698,7 +698,6 @@ def mips_batch(
     lam0: Optional[np.ndarray] = None,
     mu0: Optional[np.ndarray] = None,
     z0: Optional[np.ndarray] = None,
-    lam0_mask: Optional[np.ndarray] = None,
     mu0_mask: Optional[np.ndarray] = None,
     z0_mask: Optional[np.ndarray] = None,
     options: Optional[MIPSOptions] = None,
@@ -708,12 +707,13 @@ def mips_batch(
 
     Parameters follow MATPOWER's ``mips``, lifted to a batch axis:
     ``x0`` is ``(B, nx)``, bounds are shared (same structure implies the same
-    bound vectors), warm starts are ``(B, ·)`` matrices whose rows apply only
-    where the corresponding ``*_mask`` entry is True (all rows when the mask
-    is omitted).  ``plan`` is the problem's :class:`LockstepPlan`: the
-    variable bounds and the fixed sparsity patterns of the
-    nonlinear-constraint Jacobians and the Lagrangian Hessian whose data
-    planes the callbacks produce.
+    bound vectors), warm starts are ``(B, ·)`` matrices.  ``lam0`` applies to
+    every row (a zero row is the default start); ``mu0`` / ``z0`` rows apply
+    only where the corresponding ``*_mask`` entry is True (all rows when the
+    mask is omitted), since they choose the row's entry rule.  ``plan`` is
+    the problem's :class:`LockstepPlan`: the variable bounds and the fixed
+    sparsity patterns of the nonlinear-constraint Jacobians and the
+    Lagrangian Hessian whose data planes the callbacks produce.
 
     ``x0`` always holds a start.  A row with warm ``µ`` or ``Z`` enters at
     MATPOWER's entry and takes fixed-σ steps until it is feasible; every
@@ -749,7 +749,7 @@ def mips_batch(
         if dl.ndim and dl.shape != (batch,):
             raise ValueError("deadline must be a scalar or a (B,) vector")
         row_deadline[:] = np.where(np.isnan(dl), np.inf, dl)
-    lam0v, lam_m = _warm_rows(lam0, lam0_mask, batch, plan.partition.n_eq, "lam0")
+    lam0v, _ = _warm_rows(lam0, None, batch, plan.partition.n_eq, "lam0")
     mu0v, mu_m = _warm_rows(mu0, mu0_mask, batch, plan.partition.n_ineq, "mu0")
     z0v, z_m = _warm_rows(z0, z0_mask, batch, plan.partition.n_ineq, "z0")
 
@@ -914,7 +914,7 @@ def mips_batch(
 
     phase["eval"] += evaluate(every) / batch
 
-    lam[lam_m] = lam0v[lam_m]
+    lam[:] = lam0v
     # MATPOWER's entry, which every row with warm µ or Z keeps.
     below = H < -Z0
     z[below] = -H[below]

@@ -106,11 +106,3 @@ class MIPSResult:
     #: one-problem solve times (``elapsed_seconds`` keeps meaning
     #: wall-clock-until-retirement, which overlaps across the batch).
     wall_share_seconds: float = 0.0
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        status = "converged" if self.converged else f"FAILED ({self.message})"
-        return (
-            f"MIPS {status} in {self.iterations} iterations, "
-            f"objective {self.f:.6g}"
-        )

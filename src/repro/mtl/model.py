@@ -134,11 +134,3 @@ class SmartPGSimMTL(Module):
         """Inference on a NumPy batch; returns NumPy arrays (normalised space)."""
         outputs = self.forward(Tensor(np.atleast_2d(inputs)))
         return {task: out.data.copy() for task, out in outputs.items()}
-
-    def describe(self) -> Dict[str, int]:
-        """Parameter counts per component (useful for reports and tests)."""
-        return {
-            "trunk": self.trunk.n_parameters(),
-            "heads": self.n_parameters() - self.trunk.n_parameters(),
-            "total": self.n_parameters(),
-        }

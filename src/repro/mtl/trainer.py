@@ -66,10 +66,6 @@ class TrainingHistory:
         """Total loss of the last epoch."""
         return self.epochs[-1].total_loss if self.epochs else float("nan")
 
-    def losses(self) -> np.ndarray:
-        """Per-epoch total losses."""
-        return np.array([e.total_loss for e in self.epochs])
-
 
 class MTLTrainer:
     """Trains a prediction network on one system's :class:`OPFDataset`."""

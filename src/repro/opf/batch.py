@@ -536,7 +536,7 @@ def solve_opf_batch(
                 )
             X0[i] = x
 
-    lam0, lam_mask = _warm_component(warm_starts, "lam", plan.partition.n_eq)
+    lam0, _ = _warm_component(warm_starts, "lam", plan.partition.n_eq)
     mu0, mu_mask = _warm_component(warm_starts, "mu", plan.partition.n_ineq)
     z0, z_mask = _warm_component(warm_starts, "z", plan.partition.n_ineq)
 
@@ -565,7 +565,6 @@ def solve_opf_batch(
         lam0=lam0,
         mu0=mu0,
         z0=z0,
-        lam0_mask=lam_mask,
         mu0_mask=mu_mask,
         z0_mask=z_mask,
         options=options,

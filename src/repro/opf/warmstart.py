@@ -53,17 +53,6 @@ class WarmStart:
             z=self.z if use_z else None,
         )
 
-    def with_noise(self, rng: np.random.Generator, relative: float) -> "WarmStart":
-        """Multiplicatively perturb every present component (robustness studies)."""
-        def jitter(v: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            if v is None:
-                return None
-            return v * (1.0 + relative * rng.standard_normal(v.shape))
-
-        return WarmStart(
-            x=jitter(self.x), lam=jitter(self.lam), mu=jitter(self.mu), z=jitter(self.z)
-        )
-
     def clipped_duals(self) -> "WarmStart":
         """Return a copy with ``µ`` and ``Z`` clipped to at least ``_DUAL_FLOOR``.
 

@@ -11,7 +11,6 @@ from repro.parallel.scenarios import (
     screened_outage_sets,
     validate_outage_branches,
 )
-from repro.parallel.scheduler import auto_microbatch_size, make_microbatches
 from repro.parallel.supervision import PoolClosedError, SupervisedPool
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "ScenarioOutcome",
     "SolverFleet",
     "SweepResult",
-    "auto_microbatch_size",
-    "make_microbatches",
     "ClusterModel",
     "PAPER_WORKER_COUNTS",
     "PoolClosedError",

@@ -19,17 +19,13 @@ deadlines, whether converged solutions come back (the offline dataset sweep
 asks for them) — is an argument of the call and rides on its tasks, so one
 fleet serves every kind of request.
 
-A sweep runs one way.  It is cut into micro-batches in input order
-(:mod:`repro.parallel.scheduler`), and every micro-batch is solved in lockstep
-through :func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row
-data of that solve, so the scenarios of every N-k topology share one lockstep
-batch and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
-Multi-worker fleets submit the micro-batches, auto-sized by
-:func:`~repro.parallel.scheduler.auto_microbatch_size`, to the supervised
-pool, which sends each, in order, to the next idle worker; the in-process
-fleet solves the whole sweep as one task.  :meth:`SolverFleet.solve` is the
-one-sweep case of :meth:`SolverFleet.solve_many`, whose sweeps merge into one
-dispatch.
+A sweep runs one way.  A pooled fleet cuts it into micro-batches in input
+order (:func:`_microbatches`) and hands each, in order, to the next idle
+worker of the supervised pool; the in-process fleet solves the whole sweep as
+one task.  Every task is solved in lockstep through
+:func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row data of
+that solve, so the scenarios of every N-k topology share one lockstep batch
+and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
 Lockstep solves are row-independent bit for bit, so per-scenario results are
 invariant under chunking, which worker takes which task, worker count and
 micro-batch size.
@@ -37,16 +33,17 @@ micro-batch size.
 A failed warm row is recovered in-worker the paper's way: re-solved cold,
 with the same options, outage set and deadline.  All of a task's recoveries
 run as one lockstep call on the worker's model after the task's first solve
-(:meth:`WorkerState._solve`); cold rows are never re-solved.
+(:meth:`WorkerState.run`); cold rows are never re-solved.
 
 Dispatch is *supervised* (:mod:`repro.parallel.supervision`): a task whose
-worker dies (or whose solve raises) is retried with a bounded budget, then
-**bisected** (:meth:`Task.split`) until the culprit scenario is isolated and
-quarantined as a structured failed outcome.  Per-row wall deadlines ride on
-the task and reach the solver's cooperative between-iteration checks; rows
-already expired at dispatch retire as ``timed_out`` without perturbing the
-rest.  Deterministic chaos for all of this comes from an optional
-:class:`~repro.testing.faults.FaultPlan` held by the worker state.
+worker dies (or whose solve raises) is retried :data:`_CRASH_RETRIES` times,
+then **bisected** (:meth:`Task.split`) until the culprit scenario is isolated
+and quarantined as a structured failed outcome.  Per-row wall deadlines ride
+on the task to the solver, which alone compares them with the clock: an
+expired row retires as ``timed_out`` before its first iteration (after its
+entry evaluation) without perturbing the rest.  Deterministic chaos for all
+of this comes from an optional :class:`~repro.testing.faults.FaultPlan` held
+by the worker state.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ from repro.opf.model import OPFModel
 from repro.opf.result import OPFResult
 from repro.opf.warmstart import WarmStart
 from repro.parallel.scenarios import Scenario, ScenarioSet
-from repro.parallel.scheduler import make_microbatches
 from repro.parallel.supervision import SupervisedPool
 from repro.testing.faults import FaultInjectionError, FaultPlan, execute_kill
 
@@ -145,8 +141,7 @@ class SweepResult:
     #: Task retry attempts the supervisor dispatched for this sweep.
     retries: int = 0
     #: Scenarios quarantined as crash/error culprits (see
-    #: ``ScenarioOutcome.quarantined``).  For :meth:`SolverFleet.solve_many`
-    #: the three counters record the *joint* dispatch, repeated on each sweep.
+    #: ``ScenarioOutcome.quarantined``).
     quarantined: int = 0
     #: Model generation that served this sweep (stamped by the engine; 0 for
     #: bare-fleet sweeps).  A request in flight across a hot-swap keeps the
@@ -184,24 +179,44 @@ class SweepResult:
 
 
 # ------------------------------------------------------------------------ tasks
+#: Crash / error retries of a failing task before it is bisected.
+_CRASH_RETRIES = 1
+
+#: Micro-batches per worker a pooled sweep is cut into.  Two ties one fixed
+#: chunk per worker on uniform sweeps (wider lockstep batches amortise more)
+#: while an idle worker can still take the other half of a straggler's share;
+#: the measurements behind it are in ``benchmarks/README.md``.
+_MICROBATCHES_PER_WORKER = 2
+
+
+def _microbatches(n_scenarios: int, n_workers: int) -> List[range]:
+    """A pooled sweep's tasks: consecutive ranges of positions, in input order.
+
+    Sized so the pool holds about :data:`_MICROBATCHES_PER_WORKER` tasks per
+    worker: small enough that a straggler cannot hoard much work behind it,
+    large enough that the lockstep batch win is not given away.  Outage sets
+    play no part, and per-scenario results do not depend on the cut.
+    """
+    size = max(1, -(-n_scenarios // (n_workers * _MICROBATCHES_PER_WORKER)))
+    return [range(start, min(start + size, n_scenarios)) for start in range(0, n_scenarios, size)]
+
+
 @dataclass(frozen=True)
 class Task:
     """One unit of dispatch: rows of a sweep solved together in lockstep.
 
-    ``positions`` are the rows' places in the flat dispatch (not scenario ids,
-    which may collide across merged sweeps); ``scenarios``, ``warm_starts``
-    and ``deadlines`` are aligned with them.  ``worker_id`` labels the
-    outcomes (``None``: the executing process's pool identity).
-    ``attempt`` counts crash retries; fault plans key on it.  ``deadlines``
-    holds absolute ``time.monotonic()`` deadlines (``inf`` for an unbounded
-    row), or is ``None`` when no row is bounded.
-    ``solutions`` ships each row's converged variables back on its outcome.
+    ``positions`` are the rows' places in the sweep (not scenario ids, which
+    may repeat); ``scenarios``, ``warm_starts`` and ``deadlines`` are aligned
+    with them.  ``attempt`` counts crash retries; fault plans key on it.
+    ``deadlines`` holds one absolute ``time.monotonic()`` deadline per row
+    (``inf`` or ``nan`` for an unbounded row), or is ``None`` when the call
+    set none; the solver compares them with the clock.  ``solutions`` ships
+    each row's converged variables back on its outcome.
     """
 
     positions: Tuple[int, ...]
     scenarios: Tuple[Scenario, ...]
     warm_starts: Tuple[Optional[WarmStart], ...]
-    worker_id: Optional[int] = None
     attempt: int = 0
     deadlines: Optional[Tuple[float, ...]] = None
     solutions: bool = False
@@ -242,29 +257,6 @@ def _worker_identity() -> int:
     return int(identity[0]) if identity else 0
 
 
-def _retired_outcome(
-    scenario: Scenario,
-    worker: int,
-    message: str,
-    timed_out: bool = False,
-    quarantined: bool = False,
-    retries: int = 0,
-) -> ScenarioOutcome:
-    """A structured outcome for a scenario retired without a solution."""
-    return ScenarioOutcome(
-        scenario_id=scenario.scenario_id,
-        success=False,
-        iterations=0,
-        objective=float("nan"),
-        solve_seconds=0.0,
-        worker=worker,
-        timed_out=timed_out,
-        quarantined=quarantined,
-        error=message,
-        retries=retries,
-    )
-
-
 # ---------------------------------------------------------------------- workers
 @dataclass
 class WorkerState:
@@ -288,27 +280,35 @@ class WorkerState:
             self.model = OPFModel(self.case)
 
     def run(self, task: Task) -> List[ScenarioOutcome]:
-        """Execute one task: injected faults, the deadline gate, then the solve."""
+        """Execute one task: injected faults, a lockstep solve of its rows,
+        then one cold re-solve of its failed warm rows.
+
+        *Every* task marches in lockstep — singletons included — so
+        per-scenario results are one canonical set regardless of how the
+        sweep was cut.  A row that had a warm start, failed and did not time
+        out is recovered the paper's way: re-solved from the solver default
+        with the same options, outage set and deadline.  All of a task's
+        recoveries run as one more lockstep call, and lockstep rows are
+        bit-independent, so each equals its row's one-row cold solve.  A
+        cold row is never re-solved (that would repeat the same solve), and a
+        timed-out row retires as-is — recovery would only burn more of a
+        budget that is already spent.
+        """
         if self.faults:
             self._inject_faults(task)
-        worker = _worker_identity() if task.worker_id is None else task.worker_id
-        if task.deadlines is None:
-            return self._solve(task, worker)
-        # Row-wise deadline gate: a coalesced task carries rows with different
-        # deadlines, so only the rows that already missed theirs retire as
-        # timed out.  Lockstep rows are bit-independent, so dropping them
-        # leaves the survivors bitwise identical to a sweep where the expired
-        # rows never existed.
-        now = time.monotonic()
-        live = [i for i, due in enumerate(task.deadlines) if now < due]
-        if len(live) == len(task.positions):
-            return self._solve(task, worker)
-        solved = iter(self._solve(task.rows(live), worker) if live else ())
+        worker = _worker_identity()
+        firsts = self._lockstep(task, task.warm_starts)
+        failed = [
+            i
+            for i, (warm, first) in enumerate(zip(task.warm_starts, firsts))
+            if warm is not None and not first.success and not first.timed_out
+        ]
+        recovered: Dict[int, OPFResult] = {}
+        if failed:
+            recovered = dict(zip(failed, self._lockstep(task.rows(failed), None)))
         return [
-            next(solved)
-            if now < due
-            else _retired_outcome(scenario, worker, "wall deadline exceeded", timed_out=True)
-            for scenario, due in zip(task.scenarios, task.deadlines)
+            self._outcome(scenario, worker, first, recovered.get(i), task.solutions)
+            for i, (scenario, first) in enumerate(zip(task.scenarios, firsts))
         ]
 
     def _inject_faults(self, task: Task) -> None:
@@ -323,34 +323,6 @@ class WorkerState:
         spec = self.faults.raise_for(scenario_ids, task.attempt)
         if spec is not None:
             raise FaultInjectionError(spec.message)
-
-    def _solve(self, task: Task, worker: int) -> List[ScenarioOutcome]:
-        """Solve the task's rows in lockstep, then re-solve its failed warm rows cold.
-
-        *Every* task marches in lockstep — singletons included — so
-        per-scenario results are one canonical set regardless of how the
-        scheduler cut the queue.  A row that had a warm start, failed and did
-        not time out is recovered the paper's way: re-solved from the solver
-        default with the same options, outage set and deadline.  All of a
-        task's recoveries run as one more lockstep call, and lockstep rows
-        are bit-independent, so each equals its row's one-row cold solve.  A
-        cold row is never re-solved (that would repeat the same solve), and a
-        timed-out row retires as-is — recovery would only burn more of a
-        budget that is already spent.
-        """
-        firsts = self._lockstep(task, task.warm_starts)
-        failed = [
-            i
-            for i, (warm, first) in enumerate(zip(task.warm_starts, firsts))
-            if warm is not None and not first.success and not first.timed_out
-        ]
-        recovered: Dict[int, OPFResult] = {}
-        if failed:
-            recovered = dict(zip(failed, self._lockstep(task.rows(failed), None)))
-        return [
-            self._outcome(scenario, worker, first, recovered.get(i), task.solutions)
-            for i, (scenario, first) in enumerate(zip(task.scenarios, firsts))
-        ]
 
     def _lockstep(
         self, task: Task, warm_starts: Optional[Sequence[Optional[WarmStart]]]
@@ -427,23 +399,22 @@ class SolverFleet:
     A case that :class:`OPFModel` rejects raises at construction, before any
     worker spawns, whatever the worker count.
 
-    A pooled fleet cuts a sweep into auto-sized micro-batches
-    (:func:`~repro.parallel.scheduler.make_microbatches`) that the pool hands
-    to idle workers one at a time, each solved in lockstep whatever its
-    outage sets (see :func:`repro.opf.batch.solve_opf_batch`); the
-    in-process fleet solves the whole sweep as one lockstep task.
-    Scheduling never changes *how* a scenario is solved: results are
-    invariant under which worker takes which task, worker count and
-    micro-batch size.
+    A pooled fleet cuts a sweep into micro-batches (:func:`_microbatches`)
+    that the pool hands to idle workers one at a time, each solved in
+    lockstep whatever its outage sets (see
+    :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves the
+    whole sweep as one lockstep task.  Scheduling never changes *how* a
+    scenario is solved: results are invariant under which worker takes which
+    task, worker count and micro-batch size.
 
     Dispatch is supervised: a worker that dies mid-task is respawned and its
-    task retried (``crash_retries`` attempts per task), then bisected until
-    the culprit scenario is quarantined as a structured failed outcome —
-    a sweep always returns one outcome per scenario.  ``faults`` injects
+    task retried (:data:`_CRASH_RETRIES` times), then bisected until the
+    culprit scenario is quarantined as a structured failed outcome — a sweep
+    always returns one outcome per scenario.  ``faults`` injects
     deterministic chaos (worker kills, solver raises, stalls) for tests; see
     :mod:`repro.testing.faults`.  Per-row wall deadlines and whether to ship
-    converged solutions back are properties of each :meth:`solve` /
-    :meth:`solve_many` call, so one fleet serves every kind of request.
+    converged solutions back are properties of each :meth:`solve` call, so
+    one fleet serves every kind of request.
 
     Use as a context manager, or call :meth:`close` when done.
     """
@@ -455,17 +426,13 @@ class SolverFleet:
         n_workers: int = 1,
         model: Optional[OPFModel] = None,
         faults: Optional[FaultPlan] = None,
-        crash_retries: int = 1,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if crash_retries < 0:
-            raise ValueError("crash_retries must be non-negative")
         self.case = case
         self.options = options or MIPSOptions()
         self.n_workers = n_workers
         self.faults = faults
-        self.crash_retries = crash_retries
         self._pool: Optional[SupervisedPool] = None
         self._state: Optional[WorkerState] = None
         # The model validates the case here, before any worker spawns, so a
@@ -481,25 +448,6 @@ class SolverFleet:
             )
 
     # ------------------------------------------------------------------ solving
-    @staticmethod
-    def _deadline_vector(deadline: Optional[object], n_scenarios: int) -> Optional[np.ndarray]:
-        """Normalise ``deadline`` to one absolute deadline per scenario.
-
-        ``deadline`` is on the ``time.monotonic()`` clock: a scalar broadcast
-        over the sweep or a per-scenario sequence; ``+inf`` / ``nan`` entries
-        mean unbounded, and a deadline already in the past retires its row.
-        Returns ``None`` when no scenario is bounded (the unbounded fast path).
-        """
-        if deadline is None:
-            return None
-        due = np.asarray(deadline, dtype=float)
-        if due.ndim == 0:
-            due = np.full(n_scenarios, float(due))
-        elif due.shape != (n_scenarios,):
-            raise ValueError("deadline must be a scalar or have one entry per scenario")
-        due = np.where(np.isnan(due), np.inf, due)
-        return None if np.all(due == np.inf) else due
-
     def solve(
         self,
         scenario_set: ScenarioSet,
@@ -511,112 +459,60 @@ class SolverFleet:
 
         ``warm_starts`` is an optional per-scenario list (``None`` entries mean
         a cold start), typically the engine's retrieval starts or the MTL's
-        predictions, computed in the parent process.  ``deadline`` (absolute ``time.monotonic()``
-        deadlines) bounds the sweep cooperatively — a scalar shared by the
-        whole sweep or a per-scenario sequence (``inf``/``nan`` = unbounded),
-        the shape a batcher needs when it coalesces requests with different
-        budgets into one sweep.  Scenarios that miss their cut retire as
-        ``timed_out`` outcomes instead of blocking the request.
+        predictions, computed in the parent process.  ``deadline`` bounds the
+        sweep cooperatively: absolute ``time.monotonic()`` deadlines, a
+        scalar shared by the whole sweep or a per-scenario sequence
+        (``inf``/``nan`` = unbounded), the shape a batcher needs when it
+        coalesces requests with different budgets into one sweep.  The
+        solver checks them before every iteration; a scenario that misses its
+        cut retires as a ``timed_out`` outcome instead of blocking the
+        request (before its first iteration if it is already past, unless
+        its start passes every termination test at entry).
         ``solutions=True`` returns each scenario's converged variables on
-        ``ScenarioOutcome.solution``.
+        ``ScenarioOutcome.solution``.  Outcomes come back sorted by scenario
+        id; a batcher that concatenates requests renumbers them onto
+        positions (see :class:`repro.serving.AsyncServer`).
         """
-        return self.solve_many(
-            [scenario_set], [warm_starts], deadline=deadline, solutions=solutions
-        )[0]
-
-    def solve_many(
-        self,
-        scenario_sets: Sequence[ScenarioSet],
-        warm_starts: Optional[Sequence[Optional[List[Optional[WarmStart]]]]] = None,
-        deadline: Optional[object] = None,
-        solutions: bool = False,
-    ) -> List[SweepResult]:
-        """Solve several sweeps at once with cross-sweep contingency batching.
-
-        The sweeps' scenarios are merged into one dispatch and cut into
-        shared lockstep groups — outage-heavy SC-ACOPF screening of many
-        small sweeps marches as wide batches instead of one narrow batch per
-        sweep.  Per-scenario results are bit-identical to solving each sweep
-        separately.
-
-        ``warm_starts`` is an optional per-sweep sequence of per-scenario
-        lists (``None`` sweeps mean all-cold).  Returns one
-        :class:`SweepResult` per input sweep (outcomes sorted by scenario
-        id); each records the *joint* dispatch wall — and the joint
-        ``errors`` / ``retries`` / ``quarantined`` counters — so aggregate
-        cost by summing per-scenario ``solve_seconds``, not walls across
-        sweeps.  ``deadline`` bounds the joint dispatch and ``solutions``
-        applies to it like :meth:`solve`; a per-scenario deadline sequence
-        follows the flattened dispatch order (sweep 0's scenarios, then
-        sweep 1's, …).
-        """
-        sets = list(scenario_sets)
+        scenarios = tuple(scenario_set)
+        n = len(scenarios)
         if warm_starts is None:
-            warm_starts = [None] * len(sets)
-        if len(warm_starts) != len(sets):
-            raise ValueError("warm_starts must have one entry per scenario set")
-        flat_scenarios: List[Scenario] = []
-        flat_warms: List[Optional[WarmStart]] = []
-        origins: List[int] = []
-        for si, (scenario_set, warm_list) in enumerate(zip(sets, warm_starts)):
-            if warm_list is None:
-                warm_list = [None] * len(scenario_set)
-            if len(warm_list) != len(scenario_set):
-                raise ValueError(f"warm_starts[{si}] must have one entry per scenario")
-            flat_scenarios.extend(scenario_set)
-            flat_warms.extend(warm_list)
-            origins.extend([si] * len(scenario_set))
-
-        due = self._deadline_vector(deadline, len(flat_scenarios))
+            warm_starts = [None] * n
+        if len(warm_starts) != n:
+            raise ValueError("warm_starts must have one entry per scenario")
+        deadlines = None
+        if deadline is not None:
+            # One value per row, so that ``Task.rows`` can slice it; the
+            # solver alone compares it with the clock.
+            due = np.asarray(deadline, dtype=float)
+            if due.ndim and due.shape != (n,):
+                raise ValueError("deadline must be a scalar or have one entry per scenario")
+            deadlines = tuple(np.broadcast_to(due, (n,)).tolist())
         start = time.perf_counter()
-        joint = self._dispatch(flat_scenarios, flat_warms, due, solutions)
-        joint.wall_seconds = time.perf_counter() - start
-
-        per_sweep: List[List[ScenarioOutcome]] = [[] for _ in sets]
-        for outcome, origin in zip(joint.outcomes, origins):
-            per_sweep[origin].append(outcome)
-        return [
-            replace(joint, outcomes=sorted(outcomes, key=lambda o: o.scenario_id))
-            for outcomes in per_sweep
-        ]
-
-    # ------------------------------------------------------------- dispatchers
-    def _dispatch(
-        self,
-        scenarios: List[Scenario],
-        warm_starts: List[Optional[WarmStart]],
-        due: Optional[np.ndarray],
-        solutions: bool,
-    ) -> SweepResult:
-        """Cut the sweep into lockstep tasks and run them; outcomes by position.
-
-        Multi-worker fleets submit the micro-batches to the supervised pool,
-        which sends the next one to whichever worker finishes its current
-        micro-batch first.  The in-process fleet instead solves the whole
-        sweep as one task.
-        """
         sweep = Task(
-            positions=tuple(range(len(scenarios))),
-            scenarios=tuple(scenarios),
+            positions=tuple(range(n)),
+            scenarios=scenarios,
             warm_starts=tuple(warm_starts),
-            worker_id=0 if self._pool is None else None,
-            deadlines=None if due is None else tuple(float(d) for d in due),
+            deadlines=deadlines,
             solutions=solutions,
         )
         if self._pool is None:
             # One in-process worker has nobody to share with: the whole sweep
             # is one lockstep task.
-            tasks = [sweep] if scenarios else []
+            tasks = [sweep] if n else []
         else:
-            tasks = [sweep.rows(cut) for cut in make_microbatches(scenarios, self.n_workers)]
-        return self._run_tasks(tasks, len(scenarios))
+            tasks = [sweep.rows(cut) for cut in _microbatches(n, self.n_workers)]
+        result = self._run_tasks(tasks, n)
+        result.wall_seconds = time.perf_counter() - start
+        result.outcomes.sort(key=lambda o: o.scenario_id)
+        return result
 
+    # ------------------------------------------------------------- dispatchers
     def _run_tasks(self, tasks: List[Task], n_scenarios: int) -> SweepResult:
         """Run dispatch tasks under supervision; one outcome per position.
 
         A failing task (dead worker or raised exception — including injected
-        faults) is retried up to ``crash_retries`` times, then bisected by
-        :meth:`Task.split` until the culprit scenario is isolated and
+        faults) is retried up to :data:`_CRASH_RETRIES` times, then bisected
+        by :meth:`Task.split` until the culprit scenario is isolated and
         quarantined.  The multi-worker path consumes the supervised pool's
         event stream (crashed workers are respawned by the pool); the
         in-process path runs the identical policy inline, treating any
@@ -625,8 +521,8 @@ class SolverFleet:
         """
         joint = SweepResult(case_name=self.case.name, n_workers=self.n_workers)
         outcomes: List[Optional[ScenarioOutcome]] = [None] * n_scenarios
-        #: Retry attempts each global position has ridden along in — folded
-        #: into its final outcome whichever task eventually carries it home.
+        #: Retry attempts each position has ridden along in — folded into its
+        #: final outcome whichever task eventually carries it home.
         retry_counts: Dict[int, int] = {}
 
         def place(task: Task, outs: List[ScenarioOutcome]) -> None:
@@ -639,7 +535,7 @@ class SolverFleet:
         def on_failure(task: Task, message: str) -> List[Task]:
             """Retry, bisect or quarantine; returns the tasks to (re)dispatch."""
             joint.errors += 1
-            if task.attempt < self.crash_retries:
+            if task.attempt < _CRASH_RETRIES:
                 joint.retries += 1
                 for pos in task.positions:
                     retry_counts[pos] = retry_counts.get(pos, 0) + 1
@@ -648,11 +544,14 @@ class SolverFleet:
             if fragments is not None:
                 return fragments
             pos = task.positions[0]
-            outcomes[pos] = _retired_outcome(
-                task.scenarios[0],
-                task.worker_id or 0,
-                message,
+            outcomes[pos] = ScenarioOutcome(
+                scenario_id=task.scenarios[0].scenario_id,
+                success=False,
+                iterations=0,
+                objective=float("nan"),
+                solve_seconds=0.0,
                 quarantined=True,
+                error=message,
                 retries=retry_counts.get(pos, 0),
             )
             joint.quarantined += 1

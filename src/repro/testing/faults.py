@@ -12,7 +12,7 @@ triggers that ships to spawn workers through the fleet initializer (with
 the case and solver options).  Triggers are keyed on *scenario id* and *attempt
 number* — the attempt is carried in the task message, so a fault can be
 transient ("crash the first attempt, let the retry succeed") or persistent
-("crash every attempt until the scheduler quarantines the culprit") without
+("crash every attempt until supervision quarantines the culprit") without
 any cross-process mutable state.  The one worker-local trigger,
 ``kill_at_task``, counts tasks processed by each worker process.  A fault
 acts the moment it trips; the one sleep in this module is the stall a

@@ -74,10 +74,6 @@ class Targets:
         """Number of targets."""
         return self.idx.size
 
-    def cached_rows(self) -> int:
-        """Rows of offsets currently held (at most :attr:`MAX_ROWS`)."""
-        return 0 if self._offsets is None else self._offsets[1]
-
     def offsets(self, ncols: int, rows: int) -> np.ndarray:
         """Flat offsets ``r · ncols + idx`` of ``rows ≤ MAX_ROWS`` plane rows."""
         if rows > self.MAX_ROWS:

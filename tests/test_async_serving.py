@@ -7,9 +7,9 @@ coalescing partners and fleet width — because the engine's retrieval start
 is computed per row and lockstep solves are row-independent.  Plus the flush rule
 itself, checked without reading a clock (a gated engine holds a flush in
 flight while requests queue behind it), and the deadline semantics the
-batcher rides on: the row-wise deadline gate (only expired rows retire),
-mixed-deadline coalescing, deterministic overload rejection and
-all-cancelled flush tolerance.
+batcher rides on: the solver retires only expired rows, mixed-deadline
+coalescing, deterministic overload rejection and all-cancelled flush
+tolerance.
 """
 
 import asyncio
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.engine import WarmStartEngine
+from repro.opf import OPFModel
 from repro.parallel import SolverFleet, generate_scenarios
 from repro.parallel.scenarios import Scenario, ScenarioSet
 from repro.serving import AsyncServer, OverloadedError
@@ -238,21 +239,30 @@ def test_mixed_deadline_coalescing(engine9, dataset9):
     _assert_bitwise_equal_sweeps(generous_sweep, direct)
 
 
-def test_row_deadline_gate_retires_only_expired_rows(case9_fixture):
-    """Per-row gate: expired rows retire, survivors stay bitwise identical."""
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_solver_retires_only_expired_rows(case9_fixture, n_workers):
+    """The solver is the one deadline check: an expired row comes back after
+    its entry evaluation — timed out, 0 iterations, its entry objective, no
+    error — and every other row is bitwise the undeadlined one."""
     scenarios = generate_scenarios(case9_fixture, 6, seed=3, contingency_fraction=0.5)
-    with SolverFleet(case9_fixture) as fleet:
-        baseline = fleet.solve(scenarios)
+    model = OPFModel(case9_fixture)
+    entry = np.clip(model.default_start(), *model.bounds())
+    with SolverFleet(case9_fixture, n_workers=n_workers) as fleet:
+        baseline = fleet.solve(scenarios, solutions=True)
         past = time.monotonic() - 1.0
-        per_row = np.array([past, np.inf, past, np.inf, np.inf, past])
-        gated = fleet.solve(scenarios, deadline=per_row)
+        per_row = np.array([past, np.inf, past, np.nan, np.inf, past])
+        gated = fleet.solve(scenarios, deadline=per_row, solutions=True)
     assert [o.scenario_id for o in gated.outcomes] == [o.scenario_id for o in baseline.outcomes]
     for deadline, base, out in zip(per_row, baseline.outcomes, gated.outcomes):
-        if np.isfinite(deadline):
-            assert out.timed_out and not out.success
-            assert out.error == "wall deadline exceeded"
+        if deadline == past:
+            assert out.timed_out and not out.success and not out.used_fallback
+            assert (out.iterations, out.error, out.quarantined) == (0, "", False)
+            assert np.array_equal(out.solution.x, entry)
+            assert out.objective == model.batched.objective(entry[None])[0][0]
         else:
+            assert not out.timed_out
             _assert_bitwise_equal_outcomes(base, out)
+            assert np.array_equal(base.solution.x, out.solution.x)
 
 
 def test_all_rows_expired_retires_whole_task(case9_fixture):

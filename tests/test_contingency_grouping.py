@@ -1,16 +1,20 @@
 """Cross-sweep contingency batching parity: grouped == per-sweep, bit for bit.
 
-Outage-heavy SC-ACOPF screening runs many small N-1 sweeps.
-:meth:`SolverFleet.solve_many` merges such sweeps into one dispatch whose
-micro-batches mix intact and outaged scenarios of different sweeps — one
-lockstep group per cut, served by the worker's one batched model with the
-outages as per-row data.  Grouping must be a pure scheduling decision: every
-scenario's iterations, objective and multipliers must match the per-sweep
-path exactly — including scenarios whose warm attempt fails and is
-re-solved cold, whose accounting must survive the regrouping untouched.
+Outage-heavy SC-ACOPF screening runs many small N-1 sweeps.  Concatenated
+into one :class:`ScenarioSet` (ids renumbered onto positions, the way
+:class:`~repro.serving.AsyncServer` coalesces requests), they become one
+dispatch whose micro-batches mix intact and outaged scenarios of different
+sweeps — one lockstep group per cut, served by the worker's one batched model
+with the outages as per-row data.  Grouping must be a pure scheduling
+decision: every scenario's iterations, objective and multipliers must match
+the per-sweep path exactly — including scenarios whose warm attempt fails
+and is re-solved cold, whose accounting must survive the regrouping
+untouched.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from repro.grid import get_case
 from repro.grid.perturb import sample_loads
 from repro.opf import OPFModel, solve_opf
 from repro.opf.warmstart import WarmStart
-from repro.parallel import Scenario, ScenarioSet, SolverFleet, make_microbatches
+from repro.parallel import Scenario, ScenarioSet, SolverFleet
+from repro.parallel.pool import _microbatches
 
 
 def _outage_candidates(case, count):
@@ -49,10 +54,26 @@ def _n1_sweeps(case, branches, per_sweep, n_sweeps, seed):
     return sweeps
 
 
-def _assert_sweeps_bitwise(per_sweep_results, grouped_results):
-    for sep, grp in zip(per_sweep_results, grouped_results):
-        assert grp.n_scenarios == sep.n_scenarios
-        for a, b in zip(sep.outcomes, grp.outcomes):
+def _concatenated(case, sweeps):
+    """The sweeps as one set, ids renumbered onto positions."""
+    merged = [s for sweep in sweeps for s in sweep]
+    return ScenarioSet(case.name, [replace(s, scenario_id=p) for p, s in enumerate(merged)])
+
+
+def _split(grouped, sweeps):
+    """A concatenated sweep's outcomes per input sweep, original ids restored."""
+    parts, start = [], 0
+    for sweep in sweeps:
+        rows = grouped.outcomes[start : start + len(sweep)]
+        parts.append([replace(o, scenario_id=s.scenario_id) for o, s in zip(rows, sweep)])
+        start += len(sweep)
+    return parts
+
+
+def _assert_sweeps_bitwise(per_sweep_results, grouped_parts):
+    for sep, grp in zip(per_sweep_results, grouped_parts, strict=True):
+        assert len(grp) == sep.n_scenarios
+        for a, b in zip(sep.outcomes, grp):
             assert a.scenario_id == b.scenario_id
             assert a.success == b.success
             assert a.converged == b.converged
@@ -84,16 +105,16 @@ def test_grouped_n1_screening_matches_per_sweep_bitwise(case_name):
     )
     assert shared
 
-    # One group per merged dispatch: its pooled cuts mix the sweeps' topologies.
-    merged = [s for sweep in sweeps for s in sweep]
-    cuts = make_microbatches(merged, n_workers=2)
+    # One group per concatenated sweep: its pooled cuts mix the sweeps' topologies.
+    merged = _concatenated(case, sweeps)
+    cuts = _microbatches(len(merged), n_workers=2)
     assert [p for mb in cuts for p in mb] == list(range(len(merged)))
     assert all(len({merged[p].outage_branches for p in mb}) > 1 for mb in cuts)
 
     with SolverFleet(case) as fleet:
         separate = [fleet.solve(sweep, solutions=True) for sweep in sweeps]
-        grouped = fleet.solve_many(sweeps, solutions=True)
-    _assert_sweeps_bitwise(separate, grouped)
+        grouped = fleet.solve(merged, solutions=True)
+    _assert_sweeps_bitwise(separate, _split(grouped, sweeps))
 
 
 def test_grouped_parity_with_mixed_fallback_members():
@@ -113,22 +134,24 @@ def test_grouped_parity_with_mixed_fallback_members():
         separate = [
             fleet.solve(sweep, warms, solutions=True) for sweep, warms in zip(sweeps, warm_lists)
         ]
-        grouped = fleet.solve_many(sweeps, warm_lists, solutions=True)
+        grouped = fleet.solve(
+            _concatenated(case, sweeps), [w for warms in warm_lists for w in warms], solutions=True
+        )
 
-    poisoned_outcome = grouped[0].outcomes[1]
+    parts = _split(grouped, sweeps)
+    poisoned_outcome = parts[0][1]
     assert not poisoned_outcome.success
     assert poisoned_outcome.used_fallback and poisoned_outcome.fallback_success
     assert poisoned_outcome.converged
-    _assert_sweeps_bitwise(separate, grouped)
+    _assert_sweeps_bitwise(separate, parts)
 
 
-def test_solve_many_wall_and_share_semantics():
-    """Each grouped sweep records the joint wall; shares stay additive."""
+def test_concatenated_sweep_wall_and_share_semantics():
+    """A concatenated sweep's additive shares stay within its one wall."""
     case = get_case("case14")
     branches = _outage_candidates(case, 2)
     sweeps = _n1_sweeps(case, branches, per_sweep=4, n_sweeps=2, seed=9)
     with SolverFleet(case) as fleet:
-        grouped = fleet.solve_many(sweeps)
-    assert grouped[0].wall_seconds == grouped[1].wall_seconds
-    total_share = sum(sweep.total_solver_seconds() for sweep in grouped)
-    assert 0.0 < total_share <= grouped[0].wall_seconds + 1e-6
+        grouped = fleet.solve(_concatenated(case, sweeps))
+    assert grouped.n_scenarios == sum(len(sweep) for sweep in sweeps)
+    assert 0.0 < grouped.total_solver_seconds() <= grouped.wall_seconds + 1e-6

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
+import repro.parallel.pool as pool
 from repro.engine import WarmStartEngine
-from repro.parallel import ScenarioSet, SolverFleet, auto_microbatch_size, generate_scenarios
+from repro.parallel import ScenarioSet, SolverFleet, generate_scenarios
 from repro.testing.faults import (
     FaultPlan,
     FaultSpec,
@@ -135,20 +136,14 @@ def test_kill_at_task_is_transient_in_process(case9_fixture, scenarios9):
     assert all(o.converged for o in sweep.outcomes)
 
 
-def test_crash_retries_zero_bisects_immediately(case9_fixture, scenarios9):
+def test_crash_retries_zero_bisects_immediately(case9_fixture, scenarios9, monkeypatch):
     """With no retry budget the first crash goes straight to bisection."""
+    monkeypatch.setattr(pool, "_CRASH_RETRIES", 0)
     plan = FaultPlan.of(kill_worker(3))
-    with SolverFleet(
-        case9_fixture,
-        n_workers=1,
-        faults=plan,
-        crash_retries=0,
-    ) as fleet:
+    with SolverFleet(case9_fixture, n_workers=1, faults=plan) as fleet:
         sweep = fleet.solve(scenarios9)
     assert sweep.retries == 0 and sweep.quarantined == 1
     assert _by_id(sweep)[3].quarantined
-    with pytest.raises(ValueError):
-        SolverFleet(case9_fixture, crash_retries=-1)
 
 
 # -------------------------------------------------------- deadlines / timeouts
@@ -171,7 +166,7 @@ def test_stalled_scenario_times_out_alone(case9_fixture, scenarios9):
     of just the stalled one.
     """
     last4 = ScenarioSet(case9_fixture.name, scenarios9.scenarios[4:], n_bus=case9_fixture.n_bus)
-    assert auto_microbatch_size(len(last4), 2) == 1
+    assert [len(mb) for mb in pool._microbatches(len(last4), 2)] == [1, 1, 1, 1]
     plan = FaultPlan.of(stall_solve(7, seconds=2.5))
     with SolverFleet(case9_fixture, n_workers=2, faults=plan) as fleet:
         fleet.solve(last4)

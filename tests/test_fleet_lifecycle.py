@@ -14,10 +14,11 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro.parallel.pool as pool_module
-from repro.grid.components import REF
+from repro.grid.components import PV, REF
 from repro.mips import MIPSOptions
 from repro.parallel import PoolClosedError, SolverFleet, SweepResult, generate_scenarios
 from repro.parallel.supervision import SupervisedPool
@@ -145,7 +146,7 @@ def test_killed_idle_workers_respawn_and_the_next_sweep_returns(case9_fixture, s
 
 def _two_reference_buses(case):
     bad = case.copy()
-    bad.bus.bus_type[bad.pv_bus_indices()[0]] = REF
+    bad.bus.bus_type[np.flatnonzero(bad.bus.bus_type == PV)[0]] = REF
     return bad
 
 
@@ -210,6 +211,6 @@ def test_pooled_fleet_solves_empty_set(case9_fixture):
     empty = ScenarioSet(case9_fixture.name, [])
     with SolverFleet(case9_fixture, n_workers=2) as fleet:
         sweep = fleet.solve(empty)
-        many = fleet.solve_many([empty, empty])
+        bounded = fleet.solve(empty, [], deadline=0.0, solutions=True)
     assert sweep.n_scenarios == 0
-    assert [s.n_scenarios for s in many] == [0, 0]
+    assert bounded.n_scenarios == 0 and bounded.errors == 0

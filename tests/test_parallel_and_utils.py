@@ -9,9 +9,9 @@ from repro.parallel import (
     Scenario,
     SolverFleet,
     generate_scenarios,
-    make_microbatches,
     screened_outage_sets,
 )
+from repro.parallel.pool import _microbatches
 from repro.utils import ensure_rng
 
 
@@ -38,10 +38,8 @@ def test_generate_scenarios_with_contingencies(case9_fixture):
 
 
 def test_scenario_chunking_covers_everything(case9_fixture):
-    from repro.parallel import make_microbatches
-
     scenarios = generate_scenarios(case9_fixture, 11, seed=2)
-    chunks = make_microbatches(list(scenarios), n_workers=3)
+    chunks = _microbatches(len(scenarios), n_workers=3)
     assert sorted(i for chunk in chunks for i in chunk) == list(range(11))
     # Two micro-batches per worker: ceil(11 / 6) scenarios each.
     assert max(len(c) for c in chunks) == 2

@@ -33,6 +33,11 @@ from repro.utils.planes import Targets
 
 
 # ------------------------------------------------------- reference formulation
+def _cached_rows(targets):
+    """Rows of flat offsets a target set holds (at most ``MAX_ROWS``)."""
+    return 0 if targets._offsets is None else targets._offsets[1]
+
+
 def fancy_take(plane, idx):
     return plane[:, idx]
 
@@ -82,7 +87,7 @@ def test_primitives_equal_advanced_indexing_bitwise(case, op):
     getattr(targets, op)(ours, values)
     FANCY[op](targets, reference, values)
     assert ours.tobytes() == reference.tobytes()
-    assert targets.cached_rows() <= Targets.MAX_ROWS
+    assert _cached_rows(targets) <= Targets.MAX_ROWS
 
 
 def test_offsets_are_one_prefix_shared_by_narrower_planes():
@@ -90,12 +95,12 @@ def test_offsets_are_one_prefix_shared_by_narrower_planes():
     wide = targets.offsets(5, 4)
     np.testing.assert_array_equal(wide, [3, 0, 2, 8, 5, 7, 13, 10, 12, 18, 15, 17])
     narrow = targets.offsets(5, 2)
-    assert np.shares_memory(narrow, wide) and targets.cached_rows() == 4
+    assert np.shares_memory(narrow, wide) and _cached_rows(targets) == 4
     # A wider plane than the bound is written in blocks, never cached whole.
     plane = np.zeros((3 * Targets.MAX_ROWS + 1, 5))
     targets.put(plane, 1.0)
     assert plane.sum() == 3 * plane.shape[0]
-    assert targets.cached_rows() == Targets.MAX_ROWS
+    assert _cached_rows(targets) == Targets.MAX_ROWS
     with pytest.raises(ValueError, match="at most"):
         targets.offsets(5, Targets.MAX_ROWS + 1)
 

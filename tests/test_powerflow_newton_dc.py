@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference.powerflow import newton_power_flow
+from repro.grid.components import PQ
 from repro.powerflow import dc_power_flow, make_bdc, make_ybus
 
 
@@ -48,7 +49,7 @@ def test_newton_mismatch_consistency(case30s_fixture):
         - (case30s_fixture.bus.Pd + 1j * case30s_fixture.bus.Qd) / case30s_fixture.base_mva
     )
     # PQ-bus mismatch is tiny; PV/slack buses absorb the remainder.
-    pq = case30s_fixture.pq_bus_indices()
+    pq = np.flatnonzero(case30s_fixture.bus.bus_type == PQ)
     assert np.abs(mis[pq]).max() < 1e-6
 
 

@@ -104,6 +104,24 @@ _KKT_CASCADE = (
     "BlockSolveReport.corrected",
 )
 
+#: What the fleet repeated of other layers: the merged-sweep entry, the
+#: row-wise deadline gate and the scheduler module's cut (the crash-retry
+#: keyword is pinned in ``test_removed_knobs.py``).
+_MICROBATCH_CUT = ("auto_microbatch_size", "make_microbatches")
+_FLEET_REPEATS = (
+    "SolverFleet.solve_many",
+    "SolverFleet._deadline_vector",
+    "SolverFleet._dispatch",
+    "Task.worker_id",
+    "WorkerState._solve",
+    "_retired_outcome",
+    "_quarantined_outcome",
+)
+#: Methods no production path reached (the reach test is class-grained, so
+#: it passed them).
+_CASE_VIEWS = ("Case.pq_bus_indices", "Case.pv_bus_indices", "Case.total_load", "Case.summary")
+_DATASET_FILES = ("OPFDataset.save", "OPFDataset.load")
+
 #: The engine's model-state properties, replaced by the retrieval table
 #: (``ServingModel``'s fields are pinned in ``test_removed_knobs.py``).
 _SERVED_NETWORK = ("WarmStartEngine.network", "WarmStartEngine.normalizer", "WarmStartEngine.config")
@@ -112,11 +130,15 @@ _SERVED_NETWORK = ("WarmStartEngine.network", "WarmStartEngine.normalizer", "War
 #: that served deleted code): none may import from its old place.  A dotted
 #: name is an attribute of a class that must be gone.
 GONE: Dict[str, Tuple[str, ...]] = {
-    "repro.core": ("normalized_series",),
+    "repro.core": ("normalized_series", "DirectPredictionReport.summary"),
+    "repro.core.baselines": ("DirectPredictionReport.summary",),
     "repro.core.metrics": ("normalized_series",),
-    "repro.engine": (*_HEALTH, *_SERVED_NETWORK),
+    "repro.data": _DATASET_FILES,
+    "repro.data.dataset": _DATASET_FILES,
+    "repro.engine": (*_HEALTH, *_SERVED_NETWORK, "OnlineRecord.online_seconds"),
     "repro.engine.engine": (*_HEALTH, *_SERVED_NETWORK),
     "repro.engine.artifact": ("_MODEL_TYPES", "_normalizer_from_arrays"),
+    "repro.engine.records": ("OnlineRecord.online_seconds",),
     "repro.grid": (
         "register_case",
         "case_to_matpower",
@@ -124,8 +146,10 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "iter_load_samples",
         *_LOADS,
         *_STREAMS,
+        *_CASE_VIEWS,
     ),
     "repro.grid.cases": ("register_case", "available_cases"),
+    "repro.grid.components": _CASE_VIEWS,
     "repro.grid.io": ("case_to_matpower", "BUS_COLUMNS", "GEN_COLUMNS", "BRANCH_COLUMNS"),
     "repro.grid.perturb": ("iter_load_samples", *_LOADS, *_STREAMS),
     "repro.grid.synthetic": ("scaled_family",),
@@ -138,12 +162,21 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "available_kkt_solvers",
         "solver_telemetry",
         "KKTSolveError",
+        "MIPSResult.summary",
     ),
     "repro.mips.ldl": _KKT_CASCADE,
     "repro.mips.batch": ("_Centring.rhs", "_Centring.fallback", "_STEP_FAILURES"),
-    "repro.mtl": ("MAIN_TASKS", "AUXILIARY_TASKS", "MinMaxScaler.dim"),
+    "repro.mips.result": ("MIPSResult.summary",),
+    "repro.mtl": (
+        "MAIN_TASKS",
+        "AUXILIARY_TASKS",
+        "MinMaxScaler.dim",
+        "TrainingHistory.losses",
+        "SmartPGSimMTL.describe",
+    ),
     "repro.mtl.normalization": ("MinMaxScaler.dim",),
-    "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS"),
+    "repro.mtl.model": ("MAIN_TASKS", "AUXILIARY_TASKS", "SmartPGSimMTL.describe"),
+    "repro.mtl.trainer": ("TrainingHistory.losses",),
     "repro.nn": (
         *_LOSSES,
         *_SCHEDULERS,
@@ -161,8 +194,14 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.nn.schedulers": _SCHEDULERS,
     "repro.nn.serialization": ("save_module", "load_module", *_STATE_FILES),
     "repro.nn.tensor": ("stack_scalars", "Tensor.numpy"),
-    "repro.opf": ("hessian_blocks", "lagrangian_hessian", "OPFOptions", "WarmStart.cold"),
-    "repro.opf.warmstart": ("WarmStart.cold",),
+    "repro.opf": (
+        "hessian_blocks",
+        "lagrangian_hessian",
+        "OPFOptions",
+        "WarmStart.cold",
+        "WarmStart.with_noise",
+    ),
+    "repro.opf.warmstart": ("WarmStart.cold", "WarmStart.with_noise"),
     "repro.parallel": (
         "calibrate_from_inference",
         "run_scenario_sweep",
@@ -170,9 +209,11 @@ GONE: Dict[str, Tuple[str, ...]] = {
         "topology_key",
         *_TRAJECTORIES,
         *_POOL_VIEWS,
+        *_MICROBATCH_CUT,
+        "SolverFleet.solve_many",
     ),
     "repro.parallel.scenarios": ("topology_key",),
-    "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution"),
+    "repro.parallel.pool": ("run_scenario_sweep", "ScenarioSolution", *_MICROBATCH_CUT, *_FLEET_REPEATS),
     "repro.parallel.cluster": ("calibrate_from_inference",),
     "repro.parallel.supervision": (*_POOL_VIEWS, "_POLL_SECONDS", "_LOST_TASK_GRACE_SECONDS"),
     "repro.powerflow": (
@@ -189,6 +230,7 @@ GONE: Dict[str, Tuple[str, ...]] = {
     "repro.testing": (*_TEST_FAULTS, *_SWAP_FAULTS),
     "repro.testing.faults": (*_TEST_FAULTS, *_SWAP_FAULTS, "_KILL_GRACE_SECONDS"),
     "repro.utils": ("spawn_rngs", "Timer", "timed", "CachedBmat"),
+    "repro.utils.planes": ("Targets.cached_rows",),
     "repro.utils.rng": ("spawn_rngs", "derive_seed"),
     "repro.utils.sparse": ("csr_from_template", "csc_from_template", "CachedBmat", "same_pattern"),
     "reference.faults": ("swap_fault",),
@@ -204,6 +246,7 @@ GONE_MODULES: Tuple[str, ...] = (
     "repro.mips.solver",
     "repro.opf.hessian",
     "repro.opf.options",
+    "repro.parallel.scheduler",
     "repro.parallel.trajectory",
     "repro.powerflow.hessians",
     "repro.powerflow.newton",

@@ -53,7 +53,13 @@ retire-and-refill feed (``BatchFeedPayload``, ``mips_batch(feed=,
 feed_capacity=)``), ``solve_opf_batch(window=)``, ``SolverFleet(microbatch=)``,
 ``Task.window`` and the ``MicroBatch`` wrapper are gone.  And an
 ``IterationRecord`` keeps no clock: the per-iteration phase seconds are gone,
-and the per-solve ``MIPSResult.phase_seconds`` carries the Fig. 5 times.
+and the per-solve ``MIPSResult.phase_seconds`` carries the Fig. 5 times.  And
+the fleet repeats no other layer: the solver alone compares deadlines with
+the clock, ``solve`` is the one sweep entry (``solve_many`` is gone; a batcher
+concatenates), the crash-retry budget and the micro-batch cut are constants
+of ``repro.parallel.pool`` (``crash_retries=``, ``Task.worker_id`` and
+``repro.parallel.scheduler`` are gone), and ``mips_batch`` takes no
+``lam0_mask``.
 """
 
 import ast
@@ -229,8 +235,8 @@ def test_one_record_chain():
         "solve_opf_batch",
     }
     assert _private_functions(repro.parallel.pool) == {
+        "_microbatches",
         "_worker_identity",
-        "_retired_outcome",
         "_init_worker",
         "_solve_task",
     }
@@ -312,7 +318,6 @@ def test_one_dispatch_surface():
     # One deadline form below the server: absolute ``deadline=`` only.
     for callee in (
         SolverFleet.solve,
-        SolverFleet.solve_many,
         WarmStartEngine.serve,
         WarmStartEngine.serve_loads,
         WarmStartEngine.evaluate,
@@ -328,8 +333,7 @@ def test_one_dispatch_surface():
     assert not hasattr(MIPSOptions(), "max_wall_seconds")
 
     # Solutions are a per-call property, so an engine keeps one fleet per width.
-    for callee in (SolverFleet.solve, SolverFleet.solve_many):
-        assert inspect.signature(callee).parameters["solutions"].default is False
+    assert inspect.signature(SolverFleet.solve).parameters["solutions"].default is False
     with pytest.raises(TypeError, match="collect_solutions"):
         SolverFleet(None, collect_solutions=True)
     with pytest.raises(TypeError, match="collect_solutions"):
@@ -495,7 +499,6 @@ def test_one_lockstep_entry():
     import repro.parallel
     from repro.opf import solve_opf_batch
     from repro.parallel.pool import Task
-    from repro.parallel.scheduler import make_microbatches
 
     for callee, keyword in (
         (mips_batch, "feed"),
@@ -503,7 +506,6 @@ def test_one_lockstep_entry():
         (solve_opf_batch, "window"),
         (SolverFleet, "microbatch"),
         (Task, "window"),
-        (make_microbatches, "microbatch"),
     ):
         assert keyword not in inspect.signature(callee).parameters
         with pytest.raises(TypeError, match=keyword):
@@ -514,6 +516,39 @@ def test_one_lockstep_entry():
         (repro.mips.batch, "BatchFeedPayload"),
         (repro.mips.batch, "BatchFeedFn"),
         (repro.parallel, "MicroBatch"),
-        (repro.parallel.scheduler, "MicroBatch"),
     ):
         assert not hasattr(owner, name), name
+
+
+def test_the_fleet_repeats_no_other_layer(case9_fixture):
+    import repro.parallel
+    import repro.parallel.pool
+    from repro.parallel.pool import Task
+
+    # One sweep entry; the retry budget is a constant, not a knob.
+    assert not hasattr(SolverFleet, "solve_many")
+    assert repro.parallel.pool._CRASH_RETRIES == 1
+    for call in (
+        lambda: SolverFleet(case9_fixture, crash_retries=0),
+        lambda: WarmStartEngine(case9_fixture, None, crash_retries=0),
+        lambda: Task((), (), (), worker_id=0),
+    ):
+        with pytest.raises(TypeError, match="crash_retries|worker_id"):
+            call()
+    for callee, name in (
+        (SolverFleet, "crash_retries"),
+        (WarmStartEngine, "crash_retries"),
+        (mips_batch, "lam0_mask"),
+    ):
+        assert name not in inspect.signature(callee).parameters, name
+    assert "worker_id" not in {f.name for f in dataclasses.fields(Task)}
+    # The micro-batch cut is one private helper; the scheduler module is gone.
+    for name in ("auto_microbatch_size", "make_microbatches"):
+        assert not hasattr(repro.parallel, name) and name not in repro.parallel.__all__
+    # Only the solver compares a deadline with the clock.
+    parallel = Path(repro.parallel.__file__).parent
+    for path in sorted(parallel.glob("*.py")):
+        assert "monotonic" not in {
+            node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }, path.name

@@ -5,9 +5,9 @@ stolen micro-batches, bisected fragments of a failing task, cross-sweep
 contingency groups — while the per-scenario result semantics must survive
 every one of those choices bit for bit.  This suite pins that contract:
 
-* pure scheduling functions cut the sweep exactly once into consecutive
-  micro-batches, one group per sweep whatever its outage sets
-  (property-based);
+* the pooled cut (``repro.parallel.pool._microbatches``) splits a sweep
+  exactly once into consecutive micro-batches of positions — outage sets
+  play no part in it (property-based);
 * a ``mips_batch`` row is bitwise the same alone, in the full batch and in
   any subset or permutation of it, including singular-KKT rows whose
   ``kkt_regularizations`` must land on the right scenario (property-based);
@@ -20,6 +20,7 @@ every one of those choices bit for bit.  This suite pins that contract:
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,42 +30,18 @@ from hypothesis import given, settings, strategies as st
 from reference.kkt import FactorizedSolver, kkt_solve
 from repro.mips import LDLSolver, LockstepPlan
 from repro.mips.batch import mips_batch
-from repro.parallel import (
-    Scenario,
-    ScenarioSet,
-    SolverFleet,
-    auto_microbatch_size,
-    generate_scenarios,
-    make_microbatches,
-)
+from repro.parallel import Scenario, ScenarioSet, SolverFleet, generate_scenarios
+from repro.parallel.pool import _MICROBATCHES_PER_WORKER, _microbatches
 
 
 # --------------------------------------------------------------- pure policies
-def _fake_scenarios(outages):
-    nb = 3
-    return [
-        Scenario(
-            i, np.full(nb, 10.0 + i), np.full(nb, 3.0),
-            outage_branches=() if o is None else (o,),
-        )
-        for i, o in enumerate(outages)
-    ]
-
-
-outage_lists = st.lists(
-    st.one_of(st.none(), st.integers(min_value=0, max_value=3)), min_size=1, max_size=24
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(outages=outage_lists, data=st.data())
-def test_microbatches_contiguous_and_exactly_once(outages, data):
-    scenarios = _fake_scenarios(outages)
-    n_workers = data.draw(st.integers(min_value=1, max_value=8))
-    size = auto_microbatch_size(len(scenarios), n_workers)
-    batches = make_microbatches(scenarios, n_workers)
-    # Consecutive slices in input order: topology plays no part in the cut.
-    assert [pos for mb in batches for pos in mb] == list(range(len(outages)))
+@given(n_scenarios=st.integers(min_value=1, max_value=24), n_workers=st.integers(1, 8))
+def test_microbatches_contiguous_and_exactly_once(n_scenarios, n_workers):
+    size = -(-n_scenarios // (n_workers * _MICROBATCHES_PER_WORKER))
+    batches = _microbatches(n_scenarios, n_workers)
+    # Consecutive slices in input order.
+    assert [pos for mb in batches for pos in mb] == list(range(n_scenarios))
     for mb in batches:
         assert isinstance(mb, range)
         assert 1 <= len(mb) <= size
@@ -72,19 +49,15 @@ def test_microbatches_contiguous_and_exactly_once(outages, data):
 
 
 def test_n2_sweep_on_two_workers_is_four_tasks():
-    """18 scenarios over six outage pairs: tasks of 5, 5, 5, 3, not six of 3."""
-    scenarios = [
-        Scenario(i, np.full(3, 10.0), np.full(3, 3.0), outage_branches=(i % 6, 6 + i % 6))
-        for i in range(18)
-    ]
-    assert [len(mb) for mb in make_microbatches(scenarios, n_workers=2)] == [5, 5, 5, 3]
+    """18 scenarios (six outage pairs in ``nk118_cold_2w``): tasks of 5, 5, 5, 3."""
+    assert [len(mb) for mb in _microbatches(18, n_workers=2)] == [5, 5, 5, 3]
 
 
 def test_auto_microbatch_size_oversubscribes():
-    assert auto_microbatch_size(0, 4) == 1
-    assert auto_microbatch_size(64, 4) == 8  # 64 / (4 workers * 2 per worker) = 8
-    assert auto_microbatch_size(3, 8) == 1
-    assert auto_microbatch_size(10, 1) == 5
+    assert _microbatches(0, 4) == []
+    assert [len(mb) for mb in _microbatches(64, 4)] == [8] * 8  # 64 / (4 workers * 2)
+    assert [len(mb) for mb in _microbatches(3, 8)] == [1, 1, 1]
+    assert [len(mb) for mb in _microbatches(10, 1)] == [5, 5]
 
 
 # ------------------------------------------------- subset invariance (QP level)
@@ -100,12 +73,16 @@ def _qp_problem(batch, nx, neq, niq, seed):
     return H, c, Aeq, beq, Ain, bin_
 
 
-def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, rows=None, backend=None, deadline=None):
+def _solve_qp_batch(
+    H, c, Aeq, beq, Ain, bin_, rows=None, backend=None, deadline=None, start=None
+):
     """Solve problems ``rows`` (all, in order, when omitted) of a same-structure
     QP batch as one ``mips_batch`` call; one result per entry of ``rows``.
 
     ``backend`` names the KKT solve (:data:`reference.kkt.BACKENDS`); ``None``
     keeps the one ``mips_batch`` builds.  ``deadline`` is passed through.
+    ``start`` is a full start: results whose ``x`` / ``lam`` / ``mu`` / ``z``
+    are stacked per row (cold from zeros when omitted).
     """
     rows = np.arange(c.shape[0]) if rows is None else np.asarray(rows)
     nx = c.shape[1]
@@ -136,13 +113,13 @@ def _solve_qp_batch(H, c, Aeq, beq, Ain, bin_, rows=None, backend=None, deadline
         np.full(nx, 5.0),
     )
     with nullcontext() if backend is None else kkt_solve(backend):
+        if start is None:
+            return mips_batch(
+                f_fcn, np.zeros((rows.size, nx)), gh_fcn, hess_fcn, plan=plan, deadline=deadline
+            )
+        x0, lam0, mu0, z0 = (np.stack([getattr(r, n) for r in start]) for n in ("x", "lam", "mu", "z"))
         return mips_batch(
-            f_fcn,
-            np.zeros((rows.size, nx)),
-            gh_fcn=gh_fcn,
-            hess_fcn=hess_fcn,
-            plan=plan,
-            deadline=deadline,
+            f_fcn, x0, gh_fcn, hess_fcn, plan=plan, lam0=lam0, mu0=mu0, z0=z0, deadline=deadline
         )
 
 
@@ -216,6 +193,22 @@ def test_one_solve_blocks_call_per_lockstep_iteration(backend, monkeypatch):
     assert assembled[0] == 3
     assert solved == assembled
     assert sum(solved) == sum(r.iterations for r in results)
+
+
+def test_expired_row_started_at_its_solution_returns_converged():
+    """The deadline check follows the entry test: a row whose start already
+    passes every termination test retires converged, not timed out, and a
+    row beside it whose start does not retires timed out at its entry."""
+    problem = _qp_problem(3, 4, 2, 2, seed=3)
+    solved = _solve_qp_batch(*problem)
+    assert all(r.converged for r in solved)
+    cold = _solve_qp_batch(*problem, rows=[2], deadline=-np.inf)[0]
+    again = _solve_qp_batch(*problem, deadline=np.array([-np.inf, -np.inf, np.inf]), start=solved)
+    for first, row in zip(solved, again):
+        assert row.converged and not row.timed_out and row.iterations == 0
+        assert row.message == "converged" and row.f == first.f
+    assert cold.timed_out and not cold.converged and cold.iterations == 0
+    assert cold.message == "wall deadline exceeded"
 
 
 @settings(max_examples=15, deadline=None)
@@ -308,7 +301,7 @@ def test_fleet_steal_results_invariant_under_microbatch_size(sweep_case9):
         for n_workers in (1, 2, 3, 4, 8):
             cut = [
                 outcome
-                for positions in make_microbatches(scenarios, n_workers)
+                for positions in _microbatches(len(scenarios), n_workers)
                 for outcome in fleet.solve(
                     ScenarioSet(case.name, [scenarios[p] for p in positions])
                 ).outcomes
@@ -395,14 +388,16 @@ def test_fleet_steal_wall_shares_bounded_by_sweep_wall(sweep_case9):
     assert sweep.total_solver_seconds() <= sweep.wall_seconds + 1e-6
 
 
-def test_fleet_solve_many_matches_separate_sweeps(sweep_case9):
+def test_fleet_concatenated_sweep_matches_separate_sweeps(sweep_case9):
+    """Two sweeps concatenated into one set (ids renumbered onto positions)
+    give every scenario the outcome it gets in its own sweep."""
     case, scenarios = sweep_case9
     other = generate_scenarios(case, 5, variation=0.06, contingency_fraction=0.4, seed=11)
+    members = [*scenarios, *other]
+    merged = ScenarioSet(case.name, [replace(s, scenario_id=p) for p, s in enumerate(members)])
     with SolverFleet(case) as fleet:
-        separate = [fleet.solve(scenarios), fleet.solve(other)]
-        grouped = fleet.solve_many([scenarios, other])
-    assert len(grouped) == 2
-    for sep, grp in zip(separate, grouped):
-        assert grp.n_scenarios == sep.n_scenarios
-        for a, b in zip(sep.outcomes, grp.outcomes):
-            _assert_bitwise_equal_outcomes(a, b)
+        separate = [*fleet.solve(scenarios).outcomes, *fleet.solve(other).outcomes]
+        grouped = fleet.solve(merged).outcomes
+    assert len(grouped) == len(separate)
+    for a, b, s in zip(separate, grouped, members, strict=True):
+        _assert_bitwise_equal_outcomes(a, replace(b, scenario_id=s.scenario_id))
