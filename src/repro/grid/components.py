@@ -314,8 +314,3 @@ class Case:
         if name is not None:
             out.name = name
         return out
-
-    def total_gen_capacity(self) -> float:
-        """Total in-service active-power capacity in MW."""
-        on = self.gen.status > 0
-        return float(self.gen.Pmax[on].sum())

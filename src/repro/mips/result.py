@@ -100,6 +100,10 @@ class MIPSResult:
     #: True when the solve was terminated by its wall deadline (``message``
     #: carries the detail) — a resource outcome, not a numerical failure.
     timed_out: bool = False
+    #: True when the solve retired on the infeasibility verdict: still
+    #: infeasible, with its largest multiplier far beyond its entry scale
+    #: (:mod:`repro.mips.batch`) — a hopeless row, not a numerical failure.
+    infeasible: bool = False
     #: This solve's *additive* share of wall time: the sum of each
     #: iteration's wall time divided by the number of problems active in that
     #: iteration, so shares sum to the batch wall and stay comparable with

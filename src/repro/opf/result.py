@@ -47,6 +47,9 @@ class OPFResult:
     #: True when the solve was cut short by its wall deadline rather than a
     #: numerical outcome (see ``MIPSResult.timed_out``).
     timed_out: bool = False
+    #: True when the solve retired on the infeasibility verdict (see
+    #: ``MIPSResult.infeasible``).
+    infeasible: bool = False
     Pd_mw: Optional[np.ndarray] = None
     Qd_mvar: Optional[np.ndarray] = None
 
@@ -92,6 +95,7 @@ def build_opf_result(
         phase_seconds=dict(mips_result.phase_seconds),
         kkt_telemetry=dict(mips_result.kkt_telemetry),
         timed_out=mips_result.timed_out,
+        infeasible=mips_result.infeasible,
         Pd_mw=None if Pd_mw is None else np.asarray(Pd_mw, dtype=float).copy(),
         Qd_mvar=None if Qd_mvar is None else np.asarray(Qd_mvar, dtype=float).copy(),
     )

@@ -19,10 +19,12 @@ deadlines, whether converged solutions come back (the offline dataset sweep
 asks for them) — is an argument of the call and rides on its tasks, so one
 fleet serves every kind of request.
 
-A sweep runs one way.  A pooled fleet cuts it into micro-batches in input
-order (:func:`_microbatches`) and hands each, in order, to the next idle
-worker of the supervised pool; the in-process fleet solves the whole sweep as
-one task.  Every task is solved in lockstep through
+A sweep runs one way.  A pooled fleet cuts it in input order into one
+micro-batch per worker (:func:`_microbatches`), the widest lockstep each
+worker can run, and hands each to an idle worker of the supervised pool; the
+in-process fleet solves the whole sweep as one task.  A hopeless row does not
+hold its task back: the solver retires it ``infeasible`` within ~15
+iterations.  Every task is solved in lockstep through
 :func:`repro.opf.batch.solve_opf_batch`.  Branch outages are per-row data of
 that solve, so the scenarios of every N-k topology share one lockstep batch
 and the worker model's one :class:`~repro.opf.batch.BatchedOPFModel`.
@@ -105,6 +107,10 @@ class ScenarioOutcome:
     #: True when the scenario retired on its wall deadline (a resource
     #: outcome — no fallback recovery is attempted).
     timed_out: bool = False
+    #: True when the solve that produced the final answer retired on the
+    #: infeasibility verdict (a warm row judged infeasible is still re-solved
+    #: cold, and keeps the flag only if its cold restart is judged so too).
+    infeasible: bool = False
     #: True when supervision isolated this scenario as the culprit of repeated
     #: worker crashes / solver errors and retired it without a solution.
     quarantined: bool = False
@@ -182,22 +188,20 @@ class SweepResult:
 #: Crash / error retries of a failing task before it is bisected.
 _CRASH_RETRIES = 1
 
-#: Micro-batches per worker a pooled sweep is cut into.  Two ties one fixed
-#: chunk per worker on uniform sweeps (wider lockstep batches amortise more)
-#: while an idle worker can still take the other half of a straggler's share;
-#: the measurements behind it are in ``benchmarks/README.md``.
-_MICROBATCHES_PER_WORKER = 2
-
-
 def _microbatches(n_scenarios: int, n_workers: int) -> List[range]:
-    """A pooled sweep's tasks: consecutive ranges of positions, in input order.
+    """A pooled sweep's tasks: ``n_workers`` consecutive ranges of
+    ``ceil(n_scenarios / n_workers)`` positions (fewer when there are fewer
+    scenarios than workers), in input order.
 
-    Sized so the pool holds about :data:`_MICROBATCHES_PER_WORKER` tasks per
-    worker: small enough that a straggler cannot hoard much work behind it,
-    large enough that the lockstep batch win is not given away.  Outage sets
-    play no part, and per-scenario results do not depend on the cut.
+    One task per worker is the widest lockstep the pool can run, and a
+    lockstep iteration's fixed cost is paid once per task whatever its
+    width.  No finer cut is needed against
+    stragglers: a hopeless row retires ``infeasible`` within ~15 iterations
+    (:mod:`repro.mips.batch`), so no row holds its task much beyond the
+    others.  Outage sets play no part, and per-scenario results do not
+    depend on the cut.
     """
-    size = max(1, -(-n_scenarios // (n_workers * _MICROBATCHES_PER_WORKER)))
+    size = max(1, -(-n_scenarios // n_workers))
     return [range(start, min(start + size, n_scenarios)) for start in range(0, n_scenarios, size)]
 
 
@@ -370,6 +374,7 @@ class WorkerState:
             kkt_telemetry=dict(final.kkt_telemetry),
             solution=solution,
             timed_out=final.timed_out,
+            infeasible=final.infeasible,
         )
 
 
@@ -399,8 +404,8 @@ class SolverFleet:
     A case that :class:`OPFModel` rejects raises at construction, before any
     worker spawns, whatever the worker count.
 
-    A pooled fleet cuts a sweep into micro-batches (:func:`_microbatches`)
-    that the pool hands to idle workers one at a time, each solved in
+    A pooled fleet cuts a sweep into one micro-batch per worker
+    (:func:`_microbatches`), each handed to an idle worker and solved in
     lockstep whatever its outage sets (see
     :func:`repro.opf.batch.solve_opf_batch`); the in-process fleet solves the
     whole sweep as one lockstep task.  Scheduling never changes *how* a

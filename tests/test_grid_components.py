@@ -73,7 +73,8 @@ def test_with_loads_rejects_wrong_shape(case9_fixture):
 def test_total_load_and_capacity(case9_fixture):
     assert case9_fixture.bus.Pd.sum() == pytest.approx(315.0)
     assert case9_fixture.bus.Qd.sum() == pytest.approx(115.0)
-    assert case9_fixture.total_gen_capacity() == pytest.approx(820.0)
+    on = case9_fixture.gen.status > 0
+    assert case9_fixture.gen.Pmax[on].sum() == pytest.approx(820.0)
 
 
 def test_bus_table_rejects_mismatched_columns():

@@ -385,13 +385,22 @@ def test_batch_singular_slot_neighbours_bit_unaffected():
 
 @pytest.mark.parametrize("backend", ["factorized", "ldl"])
 def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
-    """An *inconsistent* singular slot is rejected by the residual check and
-    classified as a singular-KKT failure; its neighbours still converge."""
+    """An *inconsistent* singular slot fails cleanly and its neighbours still
+    converge.  ``ldl`` rejects its first solve by the residual check, a
+    singular-KKT failure; the SuperLU reference accepts that step, whose
+    multipliers land far beyond the slot's entry scale while its
+    contradictory equalities keep it infeasible, so the infeasibility
+    verdict retires it at the end of the same iteration."""
     f_fcn, x0, kwargs = _singular_slot_qp(consistent=False)
     with kkt_solve(backend), fixed_sigma():
         results = mips_batch(f_fcn, x0, **kwargs)
     assert not results[1].converged
-    assert "singular KKT" in results[1].message
+    expected = {
+        "ldl": ("numerically failed (singular KKT system)", False),
+        "factorized": ("infeasible", True),
+    }
+    assert (results[1].message, results[1].infeasible) == expected[backend]
+    assert results[1].iterations == 1
     # Failed recoveries are not counted (the counter reports accepted ones).
     assert results[1].kkt_regularizations == 0
     assert results[0].converged and results[2].converged
@@ -400,7 +409,8 @@ def test_batch_inconsistent_singular_slot_fails_cleanly(backend):
 #: Row layout of the failure-path batch: how each row is made to retire.
 _FAILURE_MODES = (
     "healthy", "singular", "nonfinite_step", "healthy", "exploded_step",
-    "nonfinite_iterate", "diverged_iterate", "healthy", "deadline", "capped", "healthy",
+    "nonfinite_iterate", "diverged_iterate", "healthy", "deadline", "capped", "infeasible",
+    "healthy",
 )
 #: Iteration cap of the failure-path batch, above the healthy rows' counts.
 _FAILURE_MAX_IT = 40
@@ -423,7 +433,10 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
     * ``deadline`` — its wall deadline has passed before the first
       iteration;
     * ``capped`` — its gradient flips by ±1 at every evaluation, so it never
-      meets the gradient test and marches to the ``_FAILURE_MAX_IT`` cap.
+      meets the gradient test and marches to the ``_FAILURE_MAX_IT`` cap;
+    * ``infeasible`` — its two inequalities contradict (``a·x ≤ b`` and
+      ``a·x ≥ b + 1``), so it stays infeasible while its multipliers grow
+      until the infeasibility verdict retires it.
 
     Callbacks loop row by row and count evaluations per row, so a row sees
     the same calls whichever rows share its batch.  ``rows`` keeps only
@@ -459,6 +472,9 @@ def _failure_qp(rows=None, nx=5, neq=2, niq=2, seed=6):
             deadline[r] = 0.0
         elif mode == "capped":
             wobble[r] = 1.0
+        elif mode == "infeasible":
+            Ain[r, 1] = -Ain[r, 0]
+            bin_[r, 1] = -bin_[r, 0] - 1.0
     if rows is not None:
         H, c, Aeq, beq, Ain, bin_, x0, offset, shift, wobble, deadline = (
             a[rows] for a in (H, c, Aeq, beq, Ain, bin_, x0, offset, shift, wobble, deadline)
@@ -501,12 +517,13 @@ def test_each_failure_message_retires_only_its_row(backend):
     """Every retirement kind in one lockstep batch, healthy rows between them.
 
     Each failing row gets its own message at the iteration it failed: the
-    three Newton-step checks, the two iterate tests, an expired wall
-    deadline (before iteration 1) and the iteration cap.  ``converged`` and
-    ``timed_out`` are Python ``bool`` and ``iterations`` an ``int`` on every
-    row.  Every healthy row converges on the bits it reaches alone at width
-    1.  ``ldl`` lists any non-finite solution row as failed, so on it a
-    non-finite step reads as a singular KKT system.
+    three Newton-step checks, the two iterate tests, the infeasibility
+    verdict, an expired wall deadline (before iteration 1) and the iteration
+    cap.  ``converged``, ``timed_out`` and ``infeasible`` are Python ``bool``
+    and ``iterations`` an ``int`` on every row.  Every healthy row converges
+    on the bits it reaches alone at width 1.  ``ldl`` lists any non-finite
+    solution row as failed, so on it a non-finite step reads as a singular
+    KKT system.
     """
     expected = {  # mode: (message, iterations, timed_out)
         "singular": ("numerically failed (singular KKT system)", 1, False),
@@ -522,6 +539,7 @@ def test_each_failure_message_retires_only_its_row(backend):
         "diverged_iterate": ("numerically failed (iterate diverged)", 1, False),
         "deadline": ("wall deadline exceeded", 0, True),
         "capped": ("iteration limit reached", _FAILURE_MAX_IT, False),
+        "infeasible": ("infeasible", 3, False),
     }
     f_fcn, x0, kwargs = _failure_qp()
     with kkt_solve(backend):
@@ -529,7 +547,8 @@ def test_each_failure_message_retires_only_its_row(backend):
     assert len(results) == len(_FAILURE_MODES)
     for b, (mode, got) in enumerate(zip(_FAILURE_MODES, results)):
         assert type(got.converged) is bool and type(got.timed_out) is bool, mode
-        assert type(got.iterations) is int, mode
+        assert type(got.infeasible) is bool and type(got.iterations) is int, mode
+        assert got.infeasible == (mode == "infeasible"), mode
         if mode != "healthy":
             assert (got.message, got.iterations, got.timed_out) == expected[mode], mode
             assert not got.converged and got.kkt_regularizations == 0
@@ -595,25 +614,23 @@ def test_batch_all_slots_singular_still_recovers():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_rows_retire_without_runtime_warnings():
-    """Rows whose duals overflow retire through the Newton-step checks with
-    their messages and iteration counts, raise no ``RuntimeWarning``, and
+    """Rows whose duals grow without bound while they stay infeasible retire
+    on the infeasibility verdict within two iterations (without it they
+    marched 70, 113 and 14 iterations to a singular KKT system or an
+    exploded step, overflowing on the way), raise no ``RuntimeWarning``, and
     leave every other row bitwise its one-row solve."""
     from test_scheduler_invariants import _qp_problem, _solve_qp_batch
 
-    singular, exploded = (
-        "numerically failed (singular KKT system)",
-        "numerically failed (step size exploded)",
-    )
     for shape, seed, diverging in (
-        ((2, 2, 2, 1), 5690, {0: (singular, 70)}),
-        ((5, 2, 2, 2), 6874, {1: (singular, 113), 2: (exploded, 14)}),
+        ((2, 2, 2, 1), 5690, {0: 2}),
+        ((5, 2, 2, 2), 6874, {1: 1, 2: 2}),
     ):
         problem = _qp_problem(*shape, seed=seed)
         results = _solve_qp_batch(*problem)
         for j, result in enumerate(results):
             if j in diverging:
-                assert (result.message, result.iterations) == diverging[j]
-                assert not result.converged
+                assert (result.message, result.iterations) == ("infeasible", diverging[j])
+                assert result.infeasible and not result.converged
                 continue
             (alone,) = _solve_qp_batch(*problem, rows=[j])
             assert result.converged and result.message == alone.message

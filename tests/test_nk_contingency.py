@@ -176,7 +176,7 @@ def test_pool_and_scheduler_grouping_agree():
     assert len({s.outage_branches for s in mixed}) > 4
 
     cuts = _microbatches(len(mixed), n_workers=2)
-    assert [len(mb) for mb in cuts] == [5, 5, 5, 3]
+    assert [len(mb) for mb in cuts] == [9, 9]
     assert [p for mb in cuts for p in mb] == list(range(len(mixed)))
     assert any(len({mixed[p].outage_branches for p in mb}) > 1 for mb in cuts)
 

@@ -41,8 +41,8 @@ def test_scenario_chunking_covers_everything(case9_fixture):
     scenarios = generate_scenarios(case9_fixture, 11, seed=2)
     chunks = _microbatches(len(scenarios), n_workers=3)
     assert sorted(i for chunk in chunks for i in chunk) == list(range(11))
-    # Two micro-batches per worker: ceil(11 / 6) scenarios each.
-    assert max(len(c) for c in chunks) == 2
+    # One micro-batch per worker: ceil(11 / 3) scenarios each.
+    assert [len(c) for c in chunks] == [4, 4, 3]
     features = scenarios.feature_matrix(case9_fixture.base_mva)
     assert features.shape == (11, 18)
 

@@ -119,7 +119,13 @@ _FLEET_REPEATS = (
 )
 #: Methods no production path reached (the reach test is class-grained, so
 #: it passed them).
-_CASE_VIEWS = ("Case.pq_bus_indices", "Case.pv_bus_indices", "Case.total_load", "Case.summary")
+_CASE_VIEWS = (
+    "Case.pq_bus_indices",
+    "Case.pv_bus_indices",
+    "Case.total_load",
+    "Case.summary",
+    "Case.total_gen_capacity",
+)
 _DATASET_FILES = ("OPFDataset.save", "OPFDataset.load")
 
 #: The engine's model-state properties, replaced by the retrieval table

@@ -127,7 +127,7 @@ def test_synthetic_cases_always_valid(n_bus, seed):
     cfg = SyntheticGridConfig(n_bus=n_bus, n_gen=n_gen, n_branch=n_branch, seed=seed)
     case = generate_case(cfg)
     assert validate_case(case, raise_on_error=False) == []
-    assert case.total_gen_capacity() >= case.bus.Pd.sum()
+    assert case.gen.Pmax[case.gen.status > 0].sum() >= case.bus.Pd.sum()
 
 
 # -------------------------------------------------------------------------- QP solver

@@ -542,9 +542,12 @@ def test_the_fleet_repeats_no_other_layer(case9_fixture):
     ):
         assert name not in inspect.signature(callee).parameters, name
     assert "worker_id" not in {f.name for f in dataclasses.fields(Task)}
-    # The micro-batch cut is one private helper; the scheduler module is gone.
+    # The micro-batch cut is one private helper; the scheduler module is gone,
+    # and so is the micro-batches-per-worker constant: a pooled sweep is one
+    # task per worker.
     for name in ("auto_microbatch_size", "make_microbatches"):
         assert not hasattr(repro.parallel, name) and name not in repro.parallel.__all__
+    assert not hasattr(repro.parallel.pool, "_MICROBATCHES_PER_WORKER")
     # Only the solver compares a deadline with the clock.
     parallel = Path(repro.parallel.__file__).parent
     for path in sorted(parallel.glob("*.py")):

@@ -31,33 +31,35 @@ from reference.kkt import FactorizedSolver, kkt_solve
 from repro.mips import LDLSolver, LockstepPlan
 from repro.mips.batch import mips_batch
 from repro.parallel import Scenario, ScenarioSet, SolverFleet, generate_scenarios
-from repro.parallel.pool import _MICROBATCHES_PER_WORKER, _microbatches
+from repro.parallel.pool import _microbatches
 
 
 # --------------------------------------------------------------- pure policies
 @settings(max_examples=60, deadline=None)
 @given(n_scenarios=st.integers(min_value=1, max_value=24), n_workers=st.integers(1, 8))
 def test_microbatches_contiguous_and_exactly_once(n_scenarios, n_workers):
-    size = -(-n_scenarios // (n_workers * _MICROBATCHES_PER_WORKER))
+    size = -(-n_scenarios // n_workers)
     batches = _microbatches(n_scenarios, n_workers)
-    # Consecutive slices in input order.
+    # Consecutive slices in input order, at most one per worker.
     assert [pos for mb in batches for pos in mb] == list(range(n_scenarios))
+    assert len(batches) <= n_workers
     for mb in batches:
         assert isinstance(mb, range)
         assert 1 <= len(mb) <= size
     assert all(len(mb) == size for mb in batches[:-1])
 
 
-def test_n2_sweep_on_two_workers_is_four_tasks():
-    """18 scenarios (six outage pairs in ``nk118_cold_2w``): tasks of 5, 5, 5, 3."""
-    assert [len(mb) for mb in _microbatches(18, n_workers=2)] == [5, 5, 5, 3]
+def test_n2_sweep_on_two_workers_is_two_tasks():
+    """18 scenarios (six outage pairs in ``nk118_cold_2w``): tasks of 9 and 9."""
+    assert [len(mb) for mb in _microbatches(18, n_workers=2)] == [9, 9]
 
 
-def test_auto_microbatch_size_oversubscribes():
+def test_microbatches_are_one_task_per_worker():
     assert _microbatches(0, 4) == []
-    assert [len(mb) for mb in _microbatches(64, 4)] == [8] * 8  # 64 / (4 workers * 2)
+    assert [len(mb) for mb in _microbatches(64, 4)] == [16] * 4
+    assert [len(mb) for mb in _microbatches(65, 4)] == [17, 17, 17, 14]
     assert [len(mb) for mb in _microbatches(3, 8)] == [1, 1, 1]
-    assert [len(mb) for mb in _microbatches(10, 1)] == [5, 5]
+    assert [len(mb) for mb in _microbatches(10, 1)] == [10]
 
 
 # ------------------------------------------------- subset invariance (QP level)
