@@ -28,12 +28,12 @@ the linear algebra: every iteration assembles all active scenarios' KKT
 systems at once through plan-based batched kernels
 (:class:`_BatchKKTAssembler`) and hands the ``(B, nnz)`` data plane to
 **one** :meth:`~repro.mips.ldl.LDLSolver.solve_blocks` call, which
-refactorises the whole plane over the plan's symbolic analysis (a
-predictor–corrector row the step cascade loses takes a second, fresh pass).  The problem enters as a
-:class:`LockstepPlan` — everything derived from the problem structure alone:
-bound partition, canonical templates, transpose plans, the assembler, the
-analysis of its KKT pattern — which callers that solve one structure
-repeatedly build once.
+refactorises the whole plane over the plan's symbolic analysis; every
+further solve of the iteration back-substitutes on that one factor.  The
+problem enters as a :class:`LockstepPlan` — everything derived from the
+problem structure alone: bound partition, canonical templates, transpose
+plans, the assembler, the analysis of its KKT pattern — which callers that
+solve one structure repeatedly build once.
 The plan's index maps are replayed over the ``(B, ·)`` state with the
 primitives of :mod:`repro.utils.planes` — ``take`` for column gathers,
 flat-offset :class:`~repro.utils.planes.Targets` for the bound-row scatters
@@ -145,8 +145,8 @@ iterations faster and loses nothing, but it sits next to the floor that
 loses rows, and kNN-4 takes 5.75 under both.  Every converged row certifies.
 Outside these corpora the endgame does lose rows: 3 of 512 cold case30s
 ±10 % rows (``sample_loads`` seeds 10–13, 128 rows each; every one converged
-in 12–13 iterations without the endgame) hit the iteration cap or end with
-an exploded step, pinned as strict xfails in
+in 12–13 iterations without the endgame) fail on a singular KKT system or
+are judged infeasible, pinned as strict xfails in
 ``tests/test_predictor_corrector.py``.
 Against no endgame, the case118s N-2 pool (96 pairs, seed 7) goes 15.43 →
 13.97, case300s (32 rows, ±5 % seed 1 / ±20 % seed 3) 16.00 / 16.22 → 14.00
@@ -157,20 +157,24 @@ case118s warm-start corpus (``tests/test_warm_start_corpus.py``) kNN-4 goes
 
 The solve of a predictor–corrector row is a cascade, which :class:`_Centring`
 runs on the :class:`~repro.mips.ldl.BlockSolveReport` of the iteration's
-``solve_blocks`` call.  The corrector needs no new factorisation: each row
-back-substitutes only the change of right-hand side on the factor its
-predictor was accepted from — the base factor or a shifted retry — on top of
-the predictor's solution (:meth:`~repro.mips.ldl.BlockSolveReport.resolve`),
-then refines against the unperturbed matrix and must pass the acceptance
-residual.  Because only the corrector is the step, the predictor is refined
-to ``residual_tol`` rather than ``refine_tol``: on cold case118s rows that
+``solve_blocks`` call, whose one factor holds, at a row whose solution came
+from a shifted retry, that retry's planes.  The corrector needs no new
+factorisation: each row back-substitutes only the change of right-hand side
+on the factor its predictor was accepted from, on top of the predictor's
+solution (:meth:`~repro.mips.ldl.BlockSolveReport.resolve`), then refines
+against the unperturbed matrix and must pass the acceptance residual.
+Because only the corrector is the step, the predictor is refined to
+``residual_tol`` rather than ``refine_tol``: on cold case118s rows that
 takes refinement from ~3.1 to ~2.0 back-substitutions per row-iteration (1.1
 on a fixed-σ row-iteration) at iteration counts within 3 %.  A row whose
 corrector is not accepted solves its fallback — the fixed-σ right-hand side —
-on the same factor; a row whose predictor failed, or whose fallback failed
-there too, takes a fresh ``solve_blocks`` pass on the fallback.  So a
-predictor–corrector row whose predictor or corrector is not accepted takes
-the fixed-σ step that iteration.
+on the same factor, and so takes the fixed-σ step that iteration.  A row
+whose predictor failed, or whose fallback failed there too, retires
+"numerically failed (singular KKT system)", the outcome of a fixed-σ row
+whose solve failed.  No second factorisation is tried: a fresh
+``solve_blocks`` pass on the fallback rescued no row that converges over
+the corpora above, the 512 cold case30s rows, the 192-pair N-2 sample and
+NN-1 and kNN-4 starts on case118s.
 
 **The centred entry.**  A row without warm ``µ`` / ``Z`` keeps MATPOWER's
 slacks ``z = max(Z0, −h(x₀))`` but not its ``µ = Z0``: it enters with
@@ -615,7 +619,9 @@ class _Centring:
     The plane holds the iteration's active rows; ``rows`` are the
     predictor–corrector ones (none when every row takes the fixed-σ step),
     whose right-hand sides were assembled with ``γ = 0`` (the predictor), and
-    ``floor`` holds each plane row's σ floor (:func:`_sigma_floor`).  From a
+    ``floor`` holds each plane row's σ floor (:func:`_sigma_floor`).  Every
+    solve runs on the factor of the iteration's one ``solve_blocks`` call,
+    and a row none of whose solves is accepted there fails.  From a
     predictor solution it takes the full steps to the boundary, ``α_aff^p``
     and ``α_aff^d``, and sets ``µ_aff = (z + α_p ΔZ_aff)ᵀ(µ + α_d ΔMU_aff) /
     niq``, ``σ = (µ_aff/µ)³`` clipped to ``[floor, 1]`` and the per-row,
@@ -640,8 +646,6 @@ class _Centring:
         self.sigma_mu = np.zeros(z.shape[0])
         #: Seconds spent computing corrector and fallback right-hand sides.
         self.rhs_seconds = 0.0
-        #: Numeric-factorisation seconds of the fresh passes.
-        self.factor_seconds = 0.0
 
     def _shifted(self, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
         shift = np.zeros((rows.size, self._plan.nx))
@@ -682,37 +686,24 @@ class _Centring:
 
     def solve(self, solver: LDLSolver, data_plane: np.ndarray) -> BlockSolveReport:
         """The iteration's KKT solve: the plane, then the predictor–corrector
-        rows' cascade (module docstring).  Every other row keeps its first
-        solution."""
+        rows' cascade on its one factor (module docstring).  Every other row
+        keeps its first solution; a row the cascade loses joins
+        ``report.failed``."""
         tol = np.full(self._rhs.shape[0], solver.refine_tol)
         tol[self.rows] = solver.residual_tol
         report = solver.solve_blocks(data_plane, self._rhs, tol)
         x = report.solutions
-        solved = np.isin(self.rows, report.failed, invert=True)
-        rows = self.rows[solved]
+        rows = self.rows[np.isin(self.rows, report.failed, invert=True)]
         if rows.size:
             rhs = self._corrector(rows, x[rows])
             xc, ok = report.resolve(rows, rhs, np.ones(rows.size, dtype=bool))
             x[rows[ok]] = xc[ok]
             rows = rows[~ok]
-        fallback = np.union1d(rows, self.rows[~solved])
-        if fallback.size == 0:
-            return report
-        rhs = self._fallback(fallback)
-        again = np.isin(fallback, rows, invert=True)
         if rows.size:
-            same = ~again
-            xf, ok = report.resolve(rows, rhs[same], report.perturbed[rows])
+            xf, ok = report.resolve(rows, self._fallback(rows), report.perturbed[rows])
             x[rows[ok]] = xf[ok]
-            again[np.flatnonzero(same)[~ok]] = True
-        lost = fallback[again]
-        if lost.size:
-            fresh = solver.solve_blocks(data_plane[lost], rhs[again])
-            x[lost] = fresh.solutions
-            report.regularizations[lost] = fresh.regularizations
-            kept = np.setdiff1d(np.asarray(report.failed, dtype=np.int64), lost)
-            report.failed = np.union1d(kept, lost[fresh.failed]).tolist()
-            self.factor_seconds += fresh.factor_seconds
+            x[rows[~ok]] = np.nan
+            report.failed = sorted(report.failed + rows[~ok].tolist())
         return report
 
 
@@ -1018,7 +1009,7 @@ def mips_batch(
         # right-hand sides (counted as assembly) and back-substitution.
         t0 = time.perf_counter()
         report = centring.solve(solver, kkt_plane)
-        fac_dt = report.factor_seconds + centring.factor_seconds
+        fac_dt = report.factor_seconds
         back_dt = (time.perf_counter() - t0 - fac_dt - centring.rhs_seconds) / na
         fac_dt /= na
         asm_dt = (asm_dt + centring.rhs_seconds) / na

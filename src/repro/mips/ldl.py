@@ -13,7 +13,7 @@ builds, over the :class:`LDLSymbolic` analysis its
 :meth:`LDLSolver.solve_blocks` is its entry point: ``B`` same-pattern systems
 arrive as ``(B, nnz)`` data and ``(B, n)`` right-hand-side planes, and a
 :class:`BlockSolveReport` returns one solution row per system, the rows that
-stayed unsolvable, the regularised recoveries per row — and the factors, so
+stayed unsolvable, the regularised recoveries per row — and the factor, so
 the caller can back-substitute further right-hand sides of its rows with
 :meth:`BlockSolveReport.resolve`.  Factorisation and back-substitution are one
 call: a perturbed factor is accepted only if its solution's residual on the
@@ -610,7 +610,7 @@ def _refine_rows(
 
 
 class BlockSolveReport:
-    """One :meth:`LDLSolver.solve_blocks` call: its solutions and its factors.
+    """One :meth:`LDLSolver.solve_blocks` call: its solutions and its factor.
 
     ``solutions`` holds one row per block, ``failed`` lists the blocks
     whose system stayed unsolvable (their rows are NaN; every non-finite row
@@ -619,18 +619,18 @@ class BlockSolveReport:
     perturbed factor (a pivot clamp fired, or a shifted retry).
     ``factor_seconds`` is the numeric-factorisation share of the call.
     :meth:`resolve` solves further right-hand sides of some rows on the
-    factor each row's solution came from (``factors[source[b]]``, plane
-    ``plane[b]`` of it — the base factor or a shifted retry).  The three
+    factor each row's solution came from: the call's one factor holds, at a
+    row whose solution came from a shifted retry, that retry's planes.  The three
     row outcomes are the caller's to overwrite; the first solutions stay
-    with the factors.
+    with the factor.
     """
 
     __slots__ = (
         "solutions", "failed", "regularizations", "perturbed", "factor_seconds",
-        "_solver", "_x", "_rhs", "_factors", "_source", "_plane",
+        "_solver", "_x", "_rhs", "_numeric", "_matvec",
     )
 
-    def __init__(self, solver, x, rhs, regularizations, perturbed, factors, source, plane,
+    def __init__(self, solver, x, rhs, regularizations, perturbed, numeric, matvec,
                  factor_seconds):
         self.solutions = x.copy()
         self.failed = [int(b) for b in np.flatnonzero(~np.isfinite(x).all(axis=1))]
@@ -639,7 +639,7 @@ class BlockSolveReport:
         self.factor_seconds = factor_seconds
         self._solver = solver
         self._x, self._rhs = x, rhs
-        self._factors, self._source, self._plane = factors, source, plane
+        self._numeric, self._matvec = numeric, matvec
 
     def resolve(
         self, rows: np.ndarray, rhs: np.ndarray, strict: np.ndarray
@@ -658,26 +658,15 @@ class BlockSolveReport:
         ``residual_tol``.  Rows whose first solve failed have no factor.
         """
         solver = self._solver
-        x0 = self._x[rows]
-        delta = rhs - self._rhs[rows]
-        out = np.full_like(rhs, np.nan)
-        rnorm = np.full(rows.size, np.inf)
-        scale = np.ones(rows.size)
-        for k, (numeric, matvec) in enumerate(self._factors):
-            sel = np.flatnonzero(self._source[rows] == k)
-            if sel.size == 0:
-                continue
-            planes_of = self._plane[rows[sel]]
-            xs = x0[sel] + numeric.solve(delta[sel], rows=planes_of)
-            xs, rs, ss, solves = _refine_rows(
-                numeric, matvec, rhs[sel], xs, solver.refine_tol, solver.max_refine_steps,
-                planes_of=planes_of,
-            )
-            solver.corrector_solves += sel.size
-            solver.refinement_solves += solves
-            out[sel], rnorm[sel], scale[sel] = xs, rs, ss
-        finite = np.isfinite(out).all(axis=1) & np.isfinite(rnorm)
-        return out, finite & (~strict | (rnorm <= solver.residual_tol * scale))
+        x = self._x[rows] + self._numeric.solve(rhs - self._rhs[rows], rows=rows)
+        x, rnorm, scale, solves = _refine_rows(
+            self._numeric, self._matvec, rhs, x, solver.refine_tol, solver.max_refine_steps,
+            planes_of=rows,
+        )
+        solver.corrector_solves += rows.size
+        solver.refinement_solves += solves
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(rnorm)
+        return x, finite & (~strict | (rnorm <= solver.residual_tol * scale))
 
 
 # -------------------------------------------------------------------- solver
@@ -821,9 +810,6 @@ class LDLSolver:
         self.numeric_refactorizations += 1
         self.pivot_clamps += int(clamped.sum())
         matvec = self._matvec_for(data_plane)
-        factors = [(numeric, matvec)]
-        source = np.zeros(B, dtype=np.int64)
-        plane = np.arange(B, dtype=np.int64)
         x = numeric.solve(rhs_plane)
         x, rnorm, scale, solves = _refine_rows(
             numeric, matvec, rhs_plane, x, tol, self.max_refine_steps
@@ -857,18 +843,19 @@ class LDLSolver:
                 factor_t += time.perf_counter() - t0
                 self.numeric_refactorizations += 1
                 self.pivot_clamps += int(retry_clamped.sum())
-                retry_matvec = self._matvec_for(data_plane[bad])
-                factors.append((retry, retry_matvec))
                 xb = retry.solve(rhs_plane[bad])
                 xb, rb, sb, solves = _refine_rows(
-                    retry, retry_matvec, rhs_plane[bad], xb, tol[bad], self.max_refine_steps
+                    retry, self._matvec_for(data_plane[bad]), rhs_plane[bad], xb, tol[bad],
+                    self.max_refine_steps,
                 )
                 self.refinement_solves += solves
                 okb = np.isfinite(xb).all(axis=1) & np.isfinite(rb)
                 better = okb & (~finite[bad] | (rb < rnorm[bad]))
                 rows = bad[better]
-                source[rows] = len(factors) - 1
-                plane[rows] = np.flatnonzero(better)
+                # A retry that improves a row replaces the row's planes in
+                # the base factor, so the report keeps one factor.
+                numeric.W[rows], numeric.V[rows] = retry.W[better], retry.V[better]
+                numeric.lu[rows], numeric.piv[rows] = retry.lu[better], retry.piv[better]
                 x[rows] = xb[better]
                 rnorm[rows] = rb[better]
                 finite[rows] = True
@@ -888,6 +875,6 @@ class LDLSolver:
         self.block_factorizations += 1
         self.regularizations += int(accepted.sum())
         return BlockSolveReport(
-            self, x, rhs_plane, accepted.astype(int), clamped | shifted, factors, source,
-            plane, factor_t,
+            self, x, rhs_plane, accepted.astype(int), clamped | shifted, numeric, matvec,
+            factor_t,
         )

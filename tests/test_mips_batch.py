@@ -521,19 +521,11 @@ def test_each_failure_message_retires_only_its_row(backend):
     verdict, an expired wall deadline (before iteration 1) and the iteration
     cap.  ``converged``, ``timed_out`` and ``infeasible`` are Python ``bool``
     and ``iterations`` an ``int`` on every row.  Every healthy row converges
-    on the bits it reaches alone at width 1.  ``ldl`` lists any non-finite
-    solution row as failed, so on it a non-finite step reads as a singular
-    KKT system.
+    on the bits it reaches alone at width 1.
     """
     expected = {  # mode: (message, iterations, timed_out)
         "singular": ("numerically failed (singular KKT system)", 1, False),
-        "nonfinite_step": (
-            "numerically failed (non-finite Newton step)"
-            if backend == "factorized"
-            else "numerically failed (singular KKT system)",
-            2,
-            False,
-        ),
+        "nonfinite_step": ("numerically failed (singular KKT system)", 2, False),
         "exploded_step": ("numerically failed (step size exploded)", 2, False),
         "nonfinite_iterate": ("numerically failed (non-finite iterate)", 1, False),
         "diverged_iterate": ("numerically failed (iterate diverged)", 1, False),

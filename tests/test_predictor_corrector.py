@@ -61,11 +61,11 @@ HARD_ROWS = (
 )
 #: Cold case30s ±10 % rows (128 drawn per seed) that converged in 12–13
 #: iterations before the endgame and that it loses: seed 10 row 10 and seed
-#: 12 row 115 hit the 150-iteration cap, seed 11 row 79 ends with an
-#: exploded step at iteration 36.  Row 10 passes every test but cost at
-#: iteration 12; then, at the 0.02 σ floor, ``compcond`` falls to 3e-12
-#: while ``feascond`` climbs to 5e-4.  Pinned as strict xfails until the
-#: endgame keeps them (ROADMAP item 19).
+#: 12 row 115 fail on a singular KKT system at iterations 21 and 45, seed
+#: 11 row 79 retires ``infeasible`` at iteration 23.  Row 10 passes every
+#: test but cost at iteration 12; then, at the 0.02 σ floor, ``compcond``
+#: falls to 3e-12 while ``feascond`` climbs to 5e-4.  Pinned as strict
+#: xfails until the endgame keeps them (ROADMAP item 19).
 ENDGAME_LOST_ROWS = (
     ("case30s", 128, 0.1, 10, 10, ()),
     ("case30s", 128, 0.1, 11, 79, ()),
